@@ -1,24 +1,27 @@
-//! The typed wire encoding: values as sequences of u64 machine words.
+//! The wire encoding: values as sequences of u64 machine words.
 //!
 //! The `α + mβ` cost model meters messages in 64-bit machine words, so the
 //! word is also the natural *physical* unit of the simulated wire.  The
 //! [`WordCodec`] trait encodes a value into a `Vec<u64>` buffer and decodes
-//! it back; payloads whose type implements it travel through the transport as
-//! a plain word buffer (drawn from a per-communicator [`buffer
-//! pool`](crate::transport::BufferPool)) instead of a `Box<dyn Any>` — the
-//! zero-box fast path.  Types without a codec fall back to the boxed `Any`
-//! envelope.
+//! it back, and it is the **only** message representation: every payload
+//! crosses every backend as a plain word buffer (drawn from a
+//! per-communicator [`buffer pool`](crate::transport::BufferPool) where the
+//! backend recycles buffers), and [`crate::CommData`] — the bound the
+//! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
+//! This module is therefore the single owner of each type's layout.
 //!
-//! Two invariants tie the codec to the cost model, and are checked by debug
-//! assertions and the property tests:
+//! Two invariants tie the codec to the cost model:
 //!
-//! 1. `encoded_len() == CommData::word_count()` — the physical buffer length
-//!    *is* the metered message size;
-//! 2. `decode(encode(x)) == x` and consumes exactly `encoded_len()` words.
+//! 1. `encoded_len()` is the metered message size
+//!    ([`crate::CommData::word_count`] returns it), and `encode` appends
+//!    exactly that many words — checked by a debug assertion on every send
+//!    and by the property tests;
+//! 2. `decode(encode(x)) == x` and consumes exactly `encoded_len()` words —
+//!    the transport rejects a decode that leaves words over.
 //!
 //! The codec is deliberately not self-describing: SPMD programs are
 //! type-synchronised by construction, and the transport additionally stores a
-//! `TypeId` next to each typed payload so that a mismatched receive is still
+//! `TypeId` next to each payload so that a mismatched receive is still
 //! reported as a [`CommError::TypeMismatch`] instead of silently
 //! mis-decoding.
 
@@ -38,7 +41,7 @@ pub fn decode_error<T>() -> CommError {
 /// still being cheap to check.
 pub const MAX_DECODE_LEN: usize = 1 << 32;
 
-/// A cursor over the word buffer of a typed payload.
+/// A cursor over the word buffer of a payload.
 #[derive(Debug)]
 pub struct WordReader<'a> {
     words: &'a [u64],
@@ -74,16 +77,17 @@ impl<'a> WordReader<'a> {
     }
 }
 
-/// A value with a typed u64-word wire encoding — the zero-box message path.
+/// A value with a u64-word wire encoding — the one message representation.
 ///
-/// `encode` must append exactly `encoded_len()` words to `out`, and
-/// `encoded_len()` must equal [`crate::CommData::word_count`] for types that
-/// are also `CommData` (the metered size and the physical size coincide).
+/// `encode` must append exactly `encoded_len()` words to `out`;
+/// `encoded_len()` is what the cost model meters
+/// ([`crate::CommData::word_count`]), so the metered size and the physical
+/// size coincide.
 ///
 /// Implementations exist for all scalar primitives, `()`, `String`, and the
 /// standard containers (`Option`, `Vec`, `Box`, `Reverse`, tuples) of codec
-/// types; `Vec<u64>` — the dominant payload of every algorithm in this
-/// repository — therefore never crosses the transport in a box.
+/// types.  A downstream type becomes sendable by implementing this trait
+/// (see `topk::OrderedF64` for a one-word example).
 ///
 /// ```
 /// use commsim::codec::{WordCodec, WordReader};
@@ -153,12 +157,15 @@ macro_rules! codec_signed {
 codec_signed!(i8, i16, i32, i64, isize);
 
 impl WordCodec for bool {
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(*self));
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         match r.next_word().ok_or_else(decode_error::<Self>)? {
             0 => Ok(false),
@@ -169,12 +176,15 @@ impl WordCodec for bool {
 }
 
 impl WordCodec for char {
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(u32::from(*self)));
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let w = r.next_word().ok_or_else(decode_error::<Self>)?;
         u32::try_from(w)
@@ -185,12 +195,15 @@ impl WordCodec for char {
 }
 
 impl WordCodec for f64 {
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.to_bits());
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         Ok(f64::from_bits(
             r.next_word().ok_or_else(decode_error::<Self>)?,
@@ -199,12 +212,15 @@ impl WordCodec for f64 {
 }
 
 impl WordCodec for f32 {
+    #[inline]
     fn encoded_len(&self) -> usize {
         1
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(self.to_bits()));
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let w = r.next_word().ok_or_else(decode_error::<Self>)?;
         u32::try_from(w)
@@ -214,13 +230,16 @@ impl WordCodec for f32 {
 }
 
 impl WordCodec for u128 {
+    #[inline]
     fn encoded_len(&self) -> usize {
         2
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push((*self >> 64) as u64);
         out.push(*self as u64);
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let hi = r.next_word().ok_or_else(decode_error::<Self>)?;
         let lo = r.next_word().ok_or_else(decode_error::<Self>)?;
@@ -229,12 +248,15 @@ impl WordCodec for u128 {
 }
 
 impl WordCodec for i128 {
+    #[inline]
     fn encoded_len(&self) -> usize {
         2
     }
+    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         (*self as u128).encode(out);
     }
+    #[inline]
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         u128::decode(r)
             .map(|v| v as i128)
@@ -242,11 +264,16 @@ impl WordCodec for i128 {
     }
 }
 
+/// The empty message still costs a start-up, but carries zero payload words
+/// (used by barriers and pure synchronisation messages).
 impl WordCodec for () {
+    #[inline]
     fn encoded_len(&self) -> usize {
         0
     }
+    #[inline]
     fn encode(&self, _out: &mut Vec<u64>) {}
+    #[inline]
     fn decode(_r: &mut WordReader<'_>) -> CommResult<Self> {
         Ok(())
     }
@@ -278,13 +305,6 @@ impl WordCodec for String {
         String::from_utf8(bytes).map_err(|_| decode_error::<Self>())
     }
 }
-
-// Container impls recurse over `T: WordCodec` directly, so that a downstream
-// type implementing only `WordCodec` (without overriding the `CommData` typed
-// hooks) still composes: `Vec<MyKey>::encode` works, while the transport
-// simply keeps such types on the boxed fallback path.  The formats below
-// must match the `CommData` typed hooks of `message.rs` exactly — the
-// `codec_and_hook_encodings_agree` test pins the equivalence.
 
 impl<T: WordCodec> WordCodec for Vec<T> {
     fn encoded_len(&self) -> usize {
@@ -526,55 +546,5 @@ mod tests {
         assert_eq!(s.encoded_len(), s.word_count());
         let t = (1u64, Some(2u64), vec![3u64]);
         assert_eq!(t.encoded_len(), t.word_count());
-    }
-
-    #[test]
-    fn codec_and_hook_encodings_agree() {
-        use crate::message::CommData;
-        // The standalone WordCodec container recursion and the CommData
-        // typed hooks (used by the transport) must produce identical wire
-        // words — this pins the two implementations together.
-        fn check<T: WordCodec + CommData>(v: T) {
-            let mut via_codec = Vec::new();
-            v.encode(&mut via_codec);
-            let mut via_hooks = Vec::new();
-            v.encode_typed(&mut via_hooks);
-            assert_eq!(via_codec, via_hooks);
-        }
-        check(vec![1u64, 2, 3]);
-        check(vec![vec![(1u64, true)], vec![]]);
-        check((Some("hi".to_string()), 7u64, std::cmp::Reverse(1u8)));
-        check(Box::new((None::<u64>, vec![9u64])));
-    }
-
-    #[test]
-    fn downstream_codec_types_compose_without_typed_hooks() {
-        // A type that implements WordCodec but leaves the CommData typed
-        // hooks at their defaults: the codec must still compose through
-        // containers (the transport just keeps it on the boxed path).
-        #[derive(Debug, Clone, PartialEq)]
-        struct Key(u64);
-        impl crate::message::CommData for Key {
-            fn word_count(&self) -> usize {
-                1
-            }
-        }
-        impl WordCodec for Key {
-            fn encoded_len(&self) -> usize {
-                1
-            }
-            fn encode(&self, out: &mut Vec<u64>) {
-                out.push(self.0);
-            }
-            fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-                r.next_word().map(Key).ok_or_else(decode_error::<Self>)
-            }
-        }
-        roundtrip(vec![Key(1), Key(2)]);
-        roundtrip((Key(3), Some(Key(4))));
-        // And the transport falls back to the boxed path without panicking.
-        let env = crate::transport::Envelope::new(1, 0, vec![Key(5)]);
-        let (_, _, v): (_, _, Vec<Key>) = env.open().unwrap();
-        assert_eq!(v, vec![Key(5)]);
     }
 }

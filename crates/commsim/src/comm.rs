@@ -4,9 +4,9 @@
 //! runs on its own OS thread and owns a [`Comm`] wired into the lock-free
 //! sharded inbox transport (per-source SPSC queues, park/unpark blocking —
 //! see [`crate::transport`]).  All traffic is metered into the per-PE
-//! counters of the run's [`crate::metrics::StatsRegistry`], and
-//! `Vec<u64>`-class payloads travel through a per-PE [`BufferPool`] (typed
-//! path) instead of being boxed.  Like the mailbox it wraps, a `Comm` is
+//! counters of the run's [`crate::metrics::StatsRegistry`], and every
+//! payload's word buffer is drawn from (and returned to) a per-PE
+//! [`BufferPool`].  Like the mailbox it wraps, a `Comm` is
 //! the unique communication endpoint of its rank: it moves freely between
 //! threads but is never shared between them.
 
@@ -117,11 +117,17 @@ impl Comm {
     }
 
     /// Open a received envelope, meter it, and panic on transport-level
-    /// misuse (wrong payload type is a program bug in SPMD code).
-    fn open_metered<T: CommData>(&self, env: Envelope, src: Rank) -> (Tag, T) {
-        self.stats.pe(self.rank()).record_recv(env.words);
+    /// misuse (a wrong tag or payload type is a program bug in SPMD code).
+    fn open_metered<T: CommData>(
+        &self,
+        env: Envelope,
+        src: Rank,
+        expected: Option<Tag>,
+    ) -> (Tag, T) {
+        self.stats.pe(self.rank()).record_recv(env.words());
         let (tag, _words, value) = env
-            .open_pooled::<T>(Some(&self.pool))
+            .check_tag(expected)
+            .and_then(|()| env.open_pooled::<T>(Some(&self.pool)))
             .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
         (tag, value)
     }
@@ -152,7 +158,7 @@ impl Comm {
         fs.send_ops.set(op + 1);
         let (env, reused) = Envelope::encode(tag, self.rank(), value, Some(&self.pool));
         let pe = self.stats.pe(self.rank());
-        pe.record_send(env.words);
+        pe.record_send(env.words());
         if reused {
             pe.record_pooled_reuse();
         }
@@ -237,7 +243,7 @@ impl Communicator for Comm {
         }
         let (env, reused) = Envelope::encode(tag, self.rank(), value, Some(&self.pool));
         let pe = self.stats.pe(self.rank());
-        pe.record_send(env.words);
+        pe.record_send(env.words());
         if reused {
             pe.record_pooled_reuse();
         }
@@ -251,15 +257,7 @@ impl Communicator for Comm {
             .mailbox
             .recv(src)
             .unwrap_or_else(|e| self.recv_panic(src, e));
-        if env.tag != expected_tag {
-            let err = CommError::TagMismatch {
-                expected: expected_tag,
-                got: env.tag,
-                from: src,
-            };
-            panic!("recv from {src}: {err}");
-        }
-        self.open_metered(env, src).1
+        self.open_metered(env, src, Some(expected_tag)).1
     }
 
     fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
@@ -267,12 +265,12 @@ impl Communicator for Comm {
             .mailbox
             .recv(src)
             .unwrap_or_else(|e| self.recv_panic(src, e));
-        self.open_metered(env, src)
+        self.open_metered(env, src, None)
     }
 
     fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
         match self.mailbox.try_recv(src) {
-            Ok(Some(env)) => Some(self.open_metered(env, src)),
+            Ok(Some(env)) => Some(self.open_metered(env, src, None)),
             Ok(None) => None,
             Err(e) => self.recv_panic(src, e),
         }
@@ -286,18 +284,7 @@ impl Communicator for Comm {
             return Ok(self.recv_raw(src, tag));
         }
         match self.mailbox.recv_deadline(src, self.failable_window) {
-            Ok(env) => {
-                if env.tag != tag {
-                    let err = CommError::TagMismatch {
-                        expected: tag,
-                        got: env.tag,
-                        from: src,
-                    };
-                    panic!("recv_failable from {src}: {err}");
-                }
-                let (_, value) = self.open_metered(env, src);
-                Ok(value)
-            }
+            Ok(env) => Ok(self.open_metered(env, src, Some(tag)).1),
             Err(CommError::Disconnected { .. }) => {
                 // Whether the peer crash-stopped or ran to completion
                 // without sending, its mailbox is gone and the awaited

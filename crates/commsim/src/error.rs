@@ -53,7 +53,7 @@ pub enum CommError {
         /// Number of PEs the data must divide into.
         parts: usize,
     },
-    /// A typed (word-encoded) payload could not be decoded as the requested
+    /// A word-encoded payload could not be decoded as the requested
     /// type — the wire words ran out or carried an invalid encoding.
     Decode {
         /// Rust type name the receiver asked for.
@@ -107,7 +107,7 @@ impl fmt::Display for CommError {
                 )
             }
             CommError::Decode { expected } => {
-                write!(f, "typed payload could not be decoded as {expected}")
+                write!(f, "payload could not be decoded as {expected}")
             }
             CommError::PeerDead { rank } => {
                 write!(

@@ -53,16 +53,18 @@
 //! assert!(out.stats.bottleneck_words() > 0);
 //! ```
 //!
-//! ## Message representation: typed words vs boxed `Any`
+//! ## Message representation: u64 words, one path
 //!
-//! Payloads travel in one of two forms.  Types with a u64-word codec
-//! ([`codec::WordCodec`] — all scalars, `String`, and the standard
-//! containers over them, crucially `Vec<u64>`) are encoded into a pooled
-//! word buffer and cross the transport with **zero boxing**; the buffer pool
+//! Every payload travels in one form: its u64-word encoding
+//! ([`codec::WordCodec`] — implemented for all scalars, `String`, and the
+//! standard containers over them) in a word buffer, on every backend.
+//! [`CommData`], the bound the communicator API takes, is a blanket over
+//! `WordCodec + Send + 'static`, and a message's metered size *is* its wire
+//! length.  A type without a codec does not compile as a payload; implement
+//! `WordCodec` to make one sendable.  The buffer pool
 //! ([`transport::BufferPool`]) recycles capacity between receives and sends,
 //! and the `pooled_reuses` statistic ([`StatsSnapshot::pooled_reuses`])
-//! counts the savings.  Everything else falls back to a type-erased
-//! `Box<dyn Any>`, which is always correct, just slower.
+//! counts the savings.
 //!
 //! ## What is (deliberately) simulated
 //!

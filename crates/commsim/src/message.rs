@@ -8,283 +8,67 @@
 //! purposes of an asymptotic analysis), and aggregate types sum the words of
 //! their parts.
 //!
-//! `CommData` also carries the *typed path* hooks: a type whose values can be
-//! written as plain u64 words (see [`crate::codec::WordCodec`]) sets
-//! [`CommData::TYPED`] and travels through the transport as a pooled
-//! `Vec<u64>` buffer instead of a `Box<dyn Any>`.  The hooks are what lets
-//! generic containers propagate the fast path — `Vec<T>` is typed exactly
-//! when `T` is — without specialisation.  Types that leave the hooks at
-//! their defaults simply keep using the boxed fallback.
+//! There is exactly one wire format: the u64-word encoding of
+//! [`crate::codec::WordCodec`].  `CommData` is a blanket over it — every
+//! `WordCodec + Send + 'static` type is sendable, its metered size *is* its
+//! encoded length, and each container's layout is written once, in
+//! [`crate::codec`].  To make a new type sendable, implement `WordCodec`.
 
-use crate::codec::{decode_error, WordCodec, WordReader};
-use crate::error::CommResult;
+use crate::codec::WordCodec;
 
-/// A value that can be sent over the simulated network.
+/// A value that can be sent over the simulated network: any
+/// [`WordCodec`] type that is `Send + 'static` (the payload moves between
+/// PE threads).  Implemented for every such type by a blanket impl, so the
+/// way to make a type sendable is to implement [`WordCodec`] for it:
 ///
-/// Implementors must be `Send + 'static` (the payload moves between PE
-/// threads) and must be able to report their size in machine words, which is
-/// what the α/β cost model meters.
+/// ```
+/// use commsim::{run_spmd_mux, CommResult, Communicator, WordCodec, WordReader};
 ///
-/// # The typed fast path
+/// struct Key(u64);
+/// impl WordCodec for Key {
+///     fn encoded_len(&self) -> usize {
+///         1
+///     }
+///     fn encode(&self, out: &mut Vec<u64>) {
+///         out.push(self.0);
+///     }
+///     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+///         u64::decode(r).map(Key)
+///     }
+/// }
 ///
-/// Types that also implement [`WordCodec`] should override the three typed
-/// hooks ([`CommData::TYPED`], [`CommData::encode_typed`],
-/// [`CommData::decode_typed`]) so their values travel as raw word buffers;
-/// all scalar and standard-container implementations in this crate do.  The
-/// contract is that `encode_typed` appends exactly [`CommData::word_count`]
-/// words — the metered size and the wire size coincide.  Types that do not
-/// override the hooks fall back to the type-erased `Box<dyn Any>` envelope,
-/// which is always correct, just slower.
-pub trait CommData: Send + 'static {
-    /// Number of 64-bit machine words this value occupies on the wire.
-    fn word_count(&self) -> usize;
-
-    /// `true` when values of this type use the typed (word-buffer) transport
-    /// path.  Containers propagate the flag from their element type.
-    const TYPED: bool = false;
-
-    /// Append this value's word encoding to `out`.  Called by the transport
-    /// only when [`CommData::TYPED`] is `true`; must append exactly
-    /// [`CommData::word_count`] words.
-    fn encode_typed(&self, _out: &mut Vec<u64>) {
-        unreachable!("encode_typed called on a type without a word codec");
-    }
-
-    /// Decode a value from a typed payload.  Called by the transport only
-    /// when [`CommData::TYPED`] is `true`; the default rejects the payload.
-    fn decode_typed(_r: &mut WordReader<'_>) -> CommResult<Self>
-    where
-        Self: Sized,
-    {
-        Err(decode_error::<Self>())
-    }
-}
-
-/// Implements the typed hooks by delegating to the type's [`WordCodec`]
-/// implementation (used by all leaf types).
-macro_rules! typed_via_codec {
-    () => {
-        const TYPED: bool = true;
-
-        #[inline]
-        fn encode_typed(&self, out: &mut Vec<u64>) {
-            WordCodec::encode(self, out);
-        }
-
-        #[inline]
-        fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-            WordCodec::decode(r)
-        }
-    };
-}
-
-macro_rules! impl_scalar {
-    ($($t:ty),* $(,)?) => {
-        $(
-            impl CommData for $t {
-                #[inline]
-                fn word_count(&self) -> usize {
-                    1
-                }
-
-                typed_via_codec!();
-            }
-        )*
-    };
-}
-
-impl_scalar!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool, char);
-
-impl CommData for u128 {
+/// let out = run_spmd_mux(2, |comm| {
+///     comm.send(1 - comm.rank(), 1, Key(comm.rank() as u64));
+///     comm.recv::<Key>(1 - comm.rank(), 1).0
+/// });
+/// assert_eq!(out.results, vec![1, 0]);
+/// ```
+///
+/// A type without a word codec cannot be sent on any backend — a compile
+/// error, not a run-time fallback:
+///
+/// ```compile_fail,E0277
+/// use commsim::{run_spmd_mux, Communicator};
+///
+/// struct Opaque(u64); // no `WordCodec` impl
+///
+/// run_spmd_mux(2, |comm| {
+///     comm.send(1 - comm.rank(), 1, Opaque(7));
+///     comm.recv::<Opaque>(1 - comm.rank(), 1).0
+/// });
+/// ```
+pub trait CommData: WordCodec + Send + 'static {
+    /// Number of 64-bit machine words this value occupies on the wire — what
+    /// the α/β cost model meters.  Always the value's
+    /// [`WordCodec::encoded_len`]: the metered size and the wire size
+    /// coincide by construction.
     #[inline]
     fn word_count(&self) -> usize {
-        2
-    }
-
-    typed_via_codec!();
-}
-
-impl CommData for i128 {
-    #[inline]
-    fn word_count(&self) -> usize {
-        2
-    }
-
-    typed_via_codec!();
-}
-
-impl CommData for () {
-    /// The empty message still costs a start-up, but carries zero payload
-    /// words (used by barriers and pure synchronisation messages).
-    #[inline]
-    fn word_count(&self) -> usize {
-        0
-    }
-
-    typed_via_codec!();
-}
-
-impl CommData for String {
-    fn word_count(&self) -> usize {
-        // 8 bytes per word, rounded up, plus one word for the length.
-        1 + self.len().div_ceil(8)
-    }
-
-    typed_via_codec!();
-}
-
-impl<T: CommData> CommData for Option<T> {
-    fn word_count(&self) -> usize {
-        // One word for the discriminant.
-        1 + self.as_ref().map_or(0, CommData::word_count)
-    }
-
-    const TYPED: bool = T::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.encode_typed(out);
-            }
-        }
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        match r.next_word().ok_or_else(decode_error::<Self>)? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode_typed(r)?)),
-            _ => Err(decode_error::<Self>()),
-        }
+        self.encoded_len()
     }
 }
 
-impl<T: CommData> CommData for Vec<T> {
-    fn word_count(&self) -> usize {
-        // One word for the length plus the payload.
-        1 + self.iter().map(CommData::word_count).sum::<usize>()
-    }
-
-    const TYPED: bool = T::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        out.push(self.len() as u64);
-        for v in self {
-            v.encode_typed(out);
-        }
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let len = r.next_word().ok_or_else(decode_error::<Self>)? as usize;
-        // A corrupt length prefix must not trigger a huge allocation (the
-        // element decodes below fail cleanly when the words run out) or a
-        // near-endless loop for zero-width elements.
-        if len > crate::codec::MAX_DECODE_LEN {
-            return Err(decode_error::<Self>());
-        }
-        let mut out = Vec::with_capacity(len.min(r.remaining() + 1));
-        for _ in 0..len {
-            out.push(T::decode_typed(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: CommData> CommData for Box<T> {
-    fn word_count(&self) -> usize {
-        self.as_ref().word_count()
-    }
-
-    const TYPED: bool = T::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        self.as_ref().encode_typed(out);
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        T::decode_typed(r).map(Box::new)
-    }
-}
-
-impl<T: CommData> CommData for std::cmp::Reverse<T> {
-    fn word_count(&self) -> usize {
-        self.0.word_count()
-    }
-
-    const TYPED: bool = T::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        self.0.encode_typed(out);
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        T::decode_typed(r).map(std::cmp::Reverse)
-    }
-}
-
-impl<A: CommData, B: CommData> CommData for (A, B) {
-    fn word_count(&self) -> usize {
-        self.0.word_count() + self.1.word_count()
-    }
-
-    const TYPED: bool = A::TYPED && B::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        self.0.encode_typed(out);
-        self.1.encode_typed(out);
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        Ok((A::decode_typed(r)?, B::decode_typed(r)?))
-    }
-}
-
-impl<A: CommData, B: CommData, C: CommData> CommData for (A, B, C) {
-    fn word_count(&self) -> usize {
-        self.0.word_count() + self.1.word_count() + self.2.word_count()
-    }
-
-    const TYPED: bool = A::TYPED && B::TYPED && C::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        self.0.encode_typed(out);
-        self.1.encode_typed(out);
-        self.2.encode_typed(out);
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        Ok((
-            A::decode_typed(r)?,
-            B::decode_typed(r)?,
-            C::decode_typed(r)?,
-        ))
-    }
-}
-
-impl<A: CommData, B: CommData, C: CommData, D: CommData> CommData for (A, B, C, D) {
-    fn word_count(&self) -> usize {
-        self.0.word_count() + self.1.word_count() + self.2.word_count() + self.3.word_count()
-    }
-
-    const TYPED: bool = A::TYPED && B::TYPED && C::TYPED && D::TYPED;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        self.0.encode_typed(out);
-        self.1.encode_typed(out);
-        self.2.encode_typed(out);
-        self.3.encode_typed(out);
-    }
-
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        Ok((
-            A::decode_typed(r)?,
-            B::decode_typed(r)?,
-            C::decode_typed(r)?,
-            D::decode_typed(r)?,
-        ))
-    }
-}
+impl<T: WordCodec + Send + 'static> CommData for T {}
 
 #[cfg(test)]
 mod tests {
@@ -359,23 +143,10 @@ mod tests {
     }
 
     #[test]
-    fn typed_flag_propagates_through_containers() {
-        fn typed<T: CommData>() -> bool {
-            T::TYPED
-        }
-        assert!(typed::<u64>());
-        assert!(typed::<Vec<u64>>());
-        assert!(typed::<Vec<Vec<(u64, u32)>>>());
-        assert!(typed::<Option<String>>());
-        assert!(typed::<(u64, bool)>());
-        assert!(typed::<std::cmp::Reverse<u64>>());
-    }
-
-    #[test]
     fn typed_encoding_appends_exactly_word_count_words() {
         fn check<T: CommData>(v: T) {
             let mut out = Vec::new();
-            v.encode_typed(&mut out);
+            v.encode(&mut out);
             assert_eq!(out.len(), v.word_count());
         }
         check(42u64);
@@ -383,23 +154,5 @@ mod tests {
         check((7u64, vec![1u64], Some(3u8)));
         check("typed strings too".to_string());
         check(vec![vec![1u64], vec![]]);
-    }
-
-    #[test]
-    fn untyped_types_report_typed_false() {
-        struct Opaque;
-        impl CommData for Opaque {
-            fn word_count(&self) -> usize {
-                1
-            }
-        }
-        fn typed<T: CommData>() -> bool {
-            T::TYPED
-        }
-        assert!(!typed::<Opaque>());
-        assert!(!typed::<Vec<Opaque>>());
-        assert!(!typed::<(u64, Opaque)>());
-        // The default decode hook rejects rather than fabricating a value.
-        assert!(Opaque::decode_typed(&mut WordReader::new(&[1])).is_err());
     }
 }

@@ -49,7 +49,7 @@ impl PeStats {
             .fetch_add(words as u64, Ordering::Relaxed);
     }
 
-    /// Record that a typed send reused a pooled word buffer instead of
+    /// Record that a send reused a pooled word buffer instead of
     /// allocating a fresh one.
     #[inline]
     pub fn record_pooled_reuse(&self) {
@@ -96,7 +96,7 @@ pub struct StatsSnapshot {
     pub received_messages: u64,
     /// Machine words this PE received.
     pub received_words: u64,
-    /// Typed sends that reused a pooled word buffer instead of allocating
+    /// Sends that reused a pooled word buffer instead of allocating
     /// (see [`crate::transport::BufferPool`]).
     pub pooled_reuses: u64,
 }
@@ -178,7 +178,7 @@ impl WorldStats {
         self.per_pe.iter().map(|s| s.sent_messages).sum()
     }
 
-    /// Total number of typed sends that reused a pooled buffer — the direct
+    /// Total number of sends that reused a pooled buffer — the direct
     /// evidence that `Vec<u64>`-class payloads crossed the transport without
     /// fresh allocations.
     pub fn total_pooled_reuses(&self) -> u64 {

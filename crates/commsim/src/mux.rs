@@ -30,14 +30,11 @@
 //! Because tasks re-execute from scratch, sent messages cannot be consumed
 //! destructively (a finished sender will never run again to refill a
 //! slot, unlike in the round-based backend where every PE re-runs every
-//! round).  Messages are therefore stored **permanently** as their typed
-//! word encodings and receives decode them *by reference*; a replayed send
-//! that hits an already-stored index is metered without re-encoding.  This
-//! is why the multiplexed backend requires every payload type to implement
-//! the typed hooks ([`CommData::TYPED`]) — a `Box<dyn Any>` payload can be
-//! consumed only once and would break replay.  All scalar and container
-//! payloads in this crate, and every message type used by the selection
-//! algorithms, are typed.
+//! round).  Messages are therefore stored **permanently** as their word
+//! encodings ([`Envelope`]s) and receives decode them *by reference*
+//! ([`Envelope::decode`]); a replayed send that hits an already-stored index
+//! is metered without re-encoding.  Every [`CommData`] payload has a word
+//! encoding, so any program that compiles runs here.
 //!
 //! # Lazily materialised pair state
 //!
@@ -86,7 +83,6 @@
 //! assert!(out.results.iter().all(|&s| s == 512));
 //! ```
 
-use std::any::TypeId;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -95,14 +91,14 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
-use crate::codec::WordReader;
 use crate::communicator::{validate_user_tag, Communicator, COLLECTIVE_TAG_BASE};
 use crate::error::{CommError, CommResult};
 use crate::faults::{CompiledFaults, Crashed, FaultPlan};
 use crate::message::CommData;
 use crate::metrics::{StatsRegistry, StatsSnapshot};
 use crate::runner::SpmdOutput;
-use crate::seq::{install_quiet_block_hook, Blocked, BUSY_POLL_LIMIT};
+use crate::seq::{install_quiet_block_hook, wait_map_line, Avail, Blocked, BUSY_POLL_LIMIT};
+use crate::transport::Envelope;
 use crate::{Rank, Tag};
 
 /// Configuration for [`run_spmd_mux_with`].
@@ -152,16 +148,10 @@ impl MuxConfig {
     }
 }
 
-/// One message, stored permanently as its typed word encoding so that
-/// every re-execution of the receiving task can decode it again.
+/// One message, stored permanently as its word encoding so that every
+/// re-execution of the receiving task can decode it again.
 struct StoredMsg {
-    tag: Tag,
-    /// Metered size — equals `buf.len()` by the `CommData` contract.
-    words: usize,
-    type_id: TypeId,
-    /// For diagnostics on type mismatch.
-    type_name: &'static str,
-    buf: Vec<u64>,
+    env: Envelope,
     /// Sender send-op counter value when this message was produced; drives
     /// `DelayPair` release under a fault plan (0 on fault-free runs).
     sent_at_op: u64,
@@ -201,11 +191,10 @@ struct TaskState {
 /// `MuxShard::waiter`).
 #[derive(Clone, Copy)]
 struct WaitInfo {
-    src: Rank,
-    index: usize,
-    /// `Some(call)` when the park came from `recv_failable` — the stall
-    /// resolver may force that call to a `Timeout` verdict.
-    failable: Option<usize>,
+    /// The receive the task parked on.  `failable: Some(call)` means the
+    /// park came from `recv_failable` — the stall resolver may force that
+    /// call to a `Timeout` verdict.
+    blocked: Blocked,
     /// Messages the pair had produced when the task parked (diagnostics).
     produced: usize,
 }
@@ -302,7 +291,7 @@ impl MuxWorld {
             let mut forced = false;
             for rank in 0..self.p {
                 if let Some(info) = sched.waiting[rank] {
-                    if let Some(call) = info.failable {
+                    if let Some(call) = info.blocked.failable {
                         if let Some(mut task) = sched.parked[rank].take() {
                             if task.timeout_log.len() <= call {
                                 task.timeout_log.resize(call + 1, false);
@@ -326,29 +315,15 @@ impl MuxWorld {
         let waits: Vec<String> = sched
             .waiting
             .iter()
-            .enumerate()
-            .filter_map(|(dst, w)| {
-                w.map(|info| {
-                    let peer = if self.crashed[info.src].load(Ordering::Acquire) {
-                        "crashed"
-                    } else if self.terminal[info.src].load(Ordering::Acquire) {
-                        "finished"
-                    } else {
-                        "blocked too"
-                    };
-                    format!(
-                        "PE {dst} waits for message #{} from PE {} [pair produced {} \
-                         message(s); peer {peer}{}]",
-                        info.index,
-                        info.src,
-                        info.produced,
-                        if info.failable.is_some() {
-                            "; waiter is failure-detecting"
-                        } else {
-                            ""
-                        }
-                    )
-                })
+            .flatten()
+            .map(|info| {
+                let src = info.blocked.src;
+                wait_map_line(
+                    &info.blocked,
+                    info.produced,
+                    self.crashed[src].load(Ordering::Acquire),
+                    self.terminal[src].load(Ordering::Acquire),
+                )
             })
             .collect();
         if sched.failure.is_none() {
@@ -367,7 +342,7 @@ impl MuxWorld {
     /// finalises dead-peer verdicts, so its waiters must re-evaluate.
     fn resume_waiters_on(&self, sched: &mut Sched, src: Rank) {
         for rank in 0..self.p {
-            if sched.waiting[rank].is_some_and(|info| info.src == src) {
+            if sched.waiting[rank].is_some_and(|info| info.blocked.src == src) {
                 if let Some(task) = sched.parked[rank].take() {
                     sched.waiting[rank] = None;
                     sched.ready.push_back(task);
@@ -379,7 +354,7 @@ impl MuxWorld {
 
     /// With `dst`'s shard lock held: how the message at effective index
     /// `idx` of the pair `(src, dst)` looks right now.
-    fn availability(&self, shard: &MuxShard, dst: Rank, src: Rank, idx: usize) -> MuxAvail {
+    fn availability(&self, shard: &MuxShard, dst: Rank, src: Rank, idx: usize) -> Avail {
         let _ = dst; // identity of the shard, for readability at call sites
         let pair = shard.pairs.get(&src);
         let pair_len = pair.map_or(0, |p| p.msgs.len());
@@ -391,32 +366,21 @@ impl MuxWorld {
                         >= sent_at + delay
                         || self.terminal[src].load(Ordering::Acquire);
                     if !released {
-                        return MuxAvail::NotYet;
+                        return Avail::NotYet;
                     }
                 }
             }
-            return MuxAvail::Ready;
+            return Avail::Ready;
         }
         // A crashed task never runs again and the store is permanent, so
         // once the crashed flag is visible the pair's length is final: an
         // index at or past it will never be produced.
         if self.faults.is_some() && self.crashed[src].load(Ordering::Acquire) {
-            MuxAvail::Dead
+            Avail::Dead
         } else {
-            MuxAvail::NotYet
+            Avail::NotYet
         }
     }
-}
-
-/// How a probed message index looks to its receiver right now (mux flavour
-/// of the sequential backend's availability verdict).
-enum MuxAvail {
-    /// Present and (if the pair is delayed) released for delivery.
-    Ready,
-    /// Not there yet, or held back by an injected delay — park and retry.
-    NotYet,
-    /// Never coming: the sender crash-stopped with a shorter send log.
-    Dead,
 }
 
 /// Communicator handle of one PE during one execution of its task on the
@@ -490,46 +454,45 @@ impl MuxComm {
         idx
     }
 
-    /// Decode the message at this execution's cursor for `src`, or abort
-    /// the execution (park) when it has not been produced yet.  A receive
-    /// from a crashed peer whose send log is exhausted fails fast with a
-    /// descriptive panic (a plain `recv` cannot handle the failure).
-    fn take_next<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
+    /// Decode the message at this execution's cursor for `src` *by
+    /// reference* (the store keeps it for future replays), or abort the
+    /// execution (park) when it has not been produced yet.  `failable` is
+    /// the `recv_failable` call the park is recorded under (`None` for a
+    /// plain receive).  `Err(PeerDead)` when the sender crash-stopped with
+    /// its send log exhausted; a wrong tag or payload type is a program bug
+    /// in SPMD code and panics.
+    fn fetch_next<T: CommData>(
+        &self,
+        src: Rank,
+        expected: Option<Tag>,
+        failable: Option<usize>,
+    ) -> CommResult<(Tag, T)> {
         let idx = self.effective_idx(src);
         let decoded = {
             let shard = lock(&self.world.shards[self.rank]);
             match self.world.availability(&shard, self.rank, src, idx) {
-                MuxAvail::Ready => {
-                    let msg = &shard.pairs[&src].msgs[idx];
+                Avail::Ready => {
+                    let env = &shard.pairs[&src].msgs[idx].env;
                     // Counters are reset at the start of every execution,
                     // so each receive is metered unconditionally: after
                     // the final (complete) execution they describe exactly
                     // one run of the closure.
-                    self.world.stats.pe(self.rank).record_recv(msg.words);
-                    if let Some(expected) = expected {
-                        if msg.tag != expected {
-                            let err = CommError::TagMismatch {
-                                expected,
-                                got: msg.tag,
-                                from: src,
-                            };
-                            panic!("recv from {src}: {err}");
-                        }
-                    }
-                    Some((msg.tag, self.open::<T>(msg, src)))
+                    self.world.stats.pe(self.rank).record_recv(env.words());
+                    let value = env
+                        .check_tag(expected)
+                        .and_then(|()| env.decode::<T>())
+                        .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
+                    Some((env.tag, value))
                 }
-                MuxAvail::NotYet => None,
-                MuxAvail::Dead => {
-                    let err = CommError::PeerDead { rank: src };
-                    panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)");
-                }
+                Avail::NotYet => None,
+                Avail::Dead => return Err(CommError::PeerDead { rank: src }),
             }
         };
         match decoded {
             Some(result) => {
                 self.recv_cursor.borrow_mut().insert(src, idx + 1);
                 self.empty_probe_streak.set(0);
-                result
+                Ok(result)
             }
             // The shard lock is released before the sentinel unwinds (the
             // scheduler re-locks the shard to re-check and park).
@@ -537,25 +500,17 @@ impl MuxComm {
                 src,
                 dst: self.rank,
                 index: idx,
-                failable: None,
+                failable,
             }),
         }
     }
 
-    /// Decode a stored message *by reference* — the store keeps it for
-    /// future replays.
-    fn open<T: CommData>(&self, msg: &StoredMsg, src: Rank) -> T {
-        if msg.type_id != TypeId::of::<T>() {
-            let err = CommError::TypeMismatch {
-                tag: msg.tag,
-                expected: std::any::type_name::<T>(),
-            };
-            panic!("recv from {src}: {err} (message holds `{}`)", msg.type_name);
-        }
-        let mut r = WordReader::new(&msg.buf);
-        let value = T::decode_typed(&mut r).unwrap_or_else(|e| panic!("recv from {src}: {e}"));
-        debug_assert_eq!(r.remaining(), 0, "typed payload not fully consumed");
-        value
+    /// [`MuxComm::fetch_next`] for a plain receive, which cannot handle a
+    /// peer crash: fail fast with a descriptive panic instead.
+    fn take_next<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
+        self.fetch_next(src, expected, None).unwrap_or_else(|err| {
+            panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)")
+        })
     }
 }
 
@@ -582,14 +537,6 @@ impl Communicator for MuxComm {
 
     fn send_raw<T: CommData>(&self, dst: Rank, tag: Tag, value: T) {
         self.check_rank(dst, "send to");
-        assert!(
-            T::TYPED,
-            "MuxComm: payload type `{}` has no word codec (`CommData::TYPED` is \
-             false). The multiplexed backend stores every message as a reusable \
-             word buffer so parked tasks can replay their receives; implement the \
-             typed hooks (see commsim::message) or run on run_spmd / run_spmd_seq",
-            std::any::type_name::<T>()
-        );
         // Fault hook (zero-cost when no plan is loaded): a scheduled crash
         // fires immediately before the task's `at_send_count`-th send, and
         // the send-op clock drives `DelayPair` release.
@@ -620,26 +567,15 @@ impl Communicator for MuxComm {
                 // closure is deterministic, so the contents are identical —
                 // skip the redundant re-encode, but still meter it (counters
                 // describe the current execution).
-                debug_assert_eq!(stored.tag, tag, "replayed send diverged");
-                pe.record_send(stored.words);
+                debug_assert_eq!(stored.env.tag, tag, "replayed send diverged");
+                pe.record_send(stored.env.words());
                 return;
             }
             debug_assert_eq!(idx, pair.msgs.len(), "send indices are dense");
-            let words = value.word_count();
-            let mut buf = Vec::with_capacity(words);
-            value.encode_typed(&mut buf);
-            debug_assert_eq!(
-                buf.len(),
-                words,
-                "encode_typed must append exactly word_count words"
-            );
-            pe.record_send(words);
+            let env = Envelope::new(tag, self.rank, value);
+            pe.record_send(env.words());
             pair.msgs.push(StoredMsg {
-                tag,
-                words,
-                type_id: TypeId::of::<T>(),
-                type_name: std::any::type_name::<T>(),
-                buf,
+                env,
                 sent_at_op: op,
             });
             // Wake the destination if it parked waiting for exactly this
@@ -679,7 +615,7 @@ impl Communicator for MuxComm {
                 let woken = match shard.waiter {
                     Some((src, windex)) if src == self.rank => matches!(
                         self.world.availability(&shard, delayed_dst, src, windex),
-                        MuxAvail::Ready
+                        Avail::Ready
                     ),
                     _ => false,
                 };
@@ -722,7 +658,7 @@ impl Communicator for MuxComm {
                     let shard = lock(&self.world.shards[self.rank]);
                     matches!(
                         self.world.availability(&shard, self.rank, src, idx),
-                        MuxAvail::Ready
+                        Avail::Ready
                     )
                 };
                 log.push(available);
@@ -769,40 +705,8 @@ impl Communicator for MuxComm {
         if forced {
             return Err(CommError::Timeout { from: src });
         }
-        let idx = self.effective_idx(src);
-        let decoded = {
-            let shard = lock(&self.world.shards[self.rank]);
-            match self.world.availability(&shard, self.rank, src, idx) {
-                MuxAvail::Ready => {
-                    let msg = &shard.pairs[&src].msgs[idx];
-                    self.world.stats.pe(self.rank).record_recv(msg.words);
-                    if msg.tag != tag {
-                        let err = CommError::TagMismatch {
-                            expected: tag,
-                            got: msg.tag,
-                            from: src,
-                        };
-                        panic!("recv_failable from {src}: {err}");
-                    }
-                    Some(self.open::<T>(msg, src))
-                }
-                MuxAvail::NotYet => None,
-                MuxAvail::Dead => return Err(CommError::PeerDead { rank: src }),
-            }
-        };
-        match decoded {
-            Some(value) => {
-                self.recv_cursor.borrow_mut().insert(src, idx + 1);
-                self.empty_probe_streak.set(0);
-                Ok(value)
-            }
-            None => panic::panic_any(Blocked {
-                src,
-                dst: self.rank,
-                index: idx,
-                failable: Some(call),
-            }),
-        }
+        self.fetch_next(src, Some(tag), Some(call))
+            .map(|(_, value)| value)
     }
 }
 
@@ -866,12 +770,7 @@ where
             }
             Err(payload) => match payload.downcast::<Blocked>() {
                 Ok(blocked) => {
-                    let Blocked {
-                        src,
-                        index,
-                        failable,
-                        ..
-                    } = *blocked;
+                    let Blocked { src, index, .. } = *blocked;
                     let mut shard = lock(&world.shards[rank]);
                     // Re-check under the shard lock: the message may have
                     // arrived (or a held-back one been released) between
@@ -879,11 +778,10 @@ where
                     // immediately runnable again.  The probe must be the
                     // fault-aware one — a present-but-delayed message is
                     // NOT arrived, or the task would requeue-spin.
-                    let arrived = matches!(
-                        world.availability(&shard, rank, src, index),
-                        MuxAvail::Ready
-                    ) || (world.faults.is_some()
-                        && world.crashed[src].load(Ordering::Acquire));
+                    let arrived =
+                        matches!(world.availability(&shard, rank, src, index), Avail::Ready)
+                            || (world.faults.is_some()
+                                && world.crashed[src].load(Ordering::Acquire));
                     let produced = shard.pairs.get(&src).map_or(0, |pair| pair.msgs.len());
                     let mut sched = lock(&world.sched);
                     sched.active -= 1;
@@ -893,9 +791,7 @@ where
                     } else {
                         shard.waiter = Some((src, index));
                         sched.waiting[rank] = Some(WaitInfo {
-                            src,
-                            index,
-                            failable,
+                            blocked: *blocked,
                             produced,
                         });
                         sched.parked[rank] = Some(task);
@@ -953,9 +849,8 @@ where
 /// # Panics
 ///
 /// Panics if `p == 0`, if any PE panics (propagated with the rank of the
-/// offending PE), if the program deadlocks (reported with
-/// who-waits-on-whom diagnostics), or if a payload type without a word
-/// codec is sent (the replay store needs re-decodable messages).
+/// offending PE), or if the program deadlocks (reported with
+/// who-waits-on-whom diagnostics).
 pub fn run_spmd_mux<T, F>(p: usize, f: F) -> SpmdOutput<T>
 where
     T: Send,
@@ -1287,26 +1182,6 @@ mod tests {
         let _ = run_spmd_mux(3, |comm| {
             if comm.rank() == 1 {
                 panic!("boom");
-            }
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "has no word codec")]
-    fn untyped_payloads_are_rejected_with_a_clear_message() {
-        // A type that deliberately leaves the typed hooks at their
-        // defaults: fine on the other backends, rejected here.
-        struct Opaque;
-        impl CommData for Opaque {
-            fn word_count(&self) -> usize {
-                1
-            }
-        }
-        let _ = run_spmd_mux(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, Opaque);
-            } else {
-                let _: Opaque = comm.recv(0, 1);
             }
         });
     }

@@ -86,6 +86,7 @@ use crate::{Rank, Tag};
 ///
 /// Shared with the multiplexed backend ([`crate::mux`]), whose worker pool
 /// catches the same sentinel to park a task instead of ending a round.
+#[derive(Clone, Copy)]
 pub(crate) struct Blocked {
     pub(crate) src: Rank,
     pub(crate) dst: Rank,
@@ -131,8 +132,9 @@ struct PairState {
     sent_at_op: Vec<u64>,
 }
 
-/// How a probed message slot looks to its receiver right now.
-enum Avail {
+/// How a probed message slot looks to its receiver right now (one verdict
+/// type for both replay backends).
+pub(crate) enum Avail {
     /// Present and (if the pair is delayed) released for delivery.
     Ready,
     /// Not there yet (unsent, consumed-awaiting-replay, or held back by an
@@ -155,7 +157,7 @@ struct SeqWorld {
     pairs: RefCell<Vec<HashMap<Rank, PairState>>>,
     /// Per-PE `try_recv` decision log (recorded once, replayed forever).
     try_log: RefCell<Vec<Vec<bool>>>,
-    /// Shared typed-path buffer pool (one thread, so one pool suffices).
+    /// Shared message-buffer pool (one thread, so one pool suffices).
     pool: BufferPool,
     /// Compiled fault schedule; `None` on the fault-free path, which then
     /// skips every fault check (the zero-cost-when-`None` hook).
@@ -304,7 +306,7 @@ impl SeqComm {
             // so each receive is metered unconditionally: after the
             // final (complete) execution they describe exactly one run
             // of the closure.
-            self.world.stats.pe(self.rank).record_recv(env.words);
+            self.world.stats.pe(self.rank).record_recv(env.words());
             env
         };
         self.recv_cursor.borrow_mut().insert(src, idx + 1);
@@ -313,32 +315,47 @@ impl SeqComm {
         env
     }
 
-    /// Consume the next message from `src`, or abort this round's execution
-    /// when it has not been produced (yet).  A receive from a crashed peer
-    /// whose send log is exhausted fails fast with a descriptive panic — a
-    /// plain `recv` has no way to handle the failure, and aborting beats
-    /// waiting for the deadlock detector.
-    fn take_next(&self, src: Rank) -> Envelope {
+    /// Consume and decode the next message from `src`, or abort this round's
+    /// execution when it has not been produced (yet).  `failable` is the
+    /// `recv_failable` call the abort is recorded under (`None` for a plain
+    /// receive).  `Err(PeerDead)` when the sender crash-stopped with its
+    /// send log exhausted; a wrong tag or payload type is a program bug in
+    /// SPMD code and panics.
+    fn fetch_next<T: CommData>(
+        &self,
+        src: Rank,
+        expected: Option<Tag>,
+        failable: Option<usize>,
+    ) -> CommResult<(Tag, T)> {
         match self.probe_next(src) {
-            (idx, Avail::Ready) => self.consume(src, idx),
+            (idx, Avail::Ready) => {
+                let env = self.consume(src, idx);
+                let (tag, _words, value) = env
+                    .check_tag(expected)
+                    .and_then(|()| env.open_pooled::<T>(Some(&self.world.pool)))
+                    .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
+                Ok((tag, value))
+            }
             (idx, Avail::NotYet) => panic::panic_any(Blocked {
                 src,
                 dst: self.rank,
                 index: idx,
-                failable: None,
+                failable,
             }),
             (_, Avail::Dead) => {
-                let err = CommError::PeerDead { rank: src };
-                panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)");
+                self.ops.set(self.ops.get() + 1);
+                Err(CommError::PeerDead { rank: src })
             }
         }
     }
 
-    fn open<T: CommData>(&self, env: Envelope, src: Rank) -> (Tag, T) {
-        let (tag, _words, value) = env
-            .open_pooled::<T>(Some(&self.world.pool))
-            .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
-        (tag, value)
+    /// [`SeqComm::fetch_next`] for a plain receive, which has no way to
+    /// handle a peer crash: fail fast with a descriptive panic — aborting
+    /// beats waiting for the deadlock detector.
+    fn take_next<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
+        self.fetch_next(src, expected, None).unwrap_or_else(|err| {
+            panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)")
+        })
     }
 }
 
@@ -414,7 +431,7 @@ impl Communicator for SeqComm {
         let mut pairs = self.world.pairs.borrow_mut();
         let pair = pairs[dst].entry(self.rank).or_default();
         let pe = self.world.stats.pe(self.rank);
-        pe.record_send(env.words);
+        pe.record_send(env.words());
         if reused {
             pe.record_pooled_reuse();
         }
@@ -430,29 +447,19 @@ impl Communicator for SeqComm {
             }
             pair.sent_at_op[idx] = op;
         }
-        pair.sent_meta[idx] = (env.words, reused);
+        pair.sent_meta[idx] = (env.words(), reused);
         pair.slots[idx] = Some(env);
         self.ops.set(self.ops.get() + 1);
     }
 
     fn recv_raw<T: CommData>(&self, src: Rank, expected_tag: Tag) -> T {
         self.check_rank(src, "recv from");
-        let env = self.take_next(src);
-        if env.tag != expected_tag {
-            let err = CommError::TagMismatch {
-                expected: expected_tag,
-                got: env.tag,
-                from: src,
-            };
-            panic!("recv from {src}: {err}");
-        }
-        self.open(env, src).1
+        self.take_next(src, Some(expected_tag)).1
     }
 
     fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
         self.check_rank(src, "recv from");
-        let env = self.take_next(src);
-        self.open(env, src)
+        self.take_next(src, None)
     }
 
     fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
@@ -491,9 +498,7 @@ impl Communicator for SeqComm {
         if decision {
             // The slot may still be awaiting its refill in a replay round;
             // take_next aborts the round in that case and we retry later.
-            let env = self.take_next(src);
-            let (tag, value) = self.open(env, src);
-            Some((tag, value))
+            Some(self.take_next(src, None))
         } else {
             self.ops.set(self.ops.get() + 1);
             None
@@ -516,30 +521,8 @@ impl Communicator for SeqComm {
             self.ops.set(self.ops.get() + 1);
             return Err(CommError::Timeout { from: src });
         }
-        match self.probe_next(src) {
-            (idx, Avail::Ready) => {
-                let env = self.consume(src, idx);
-                if env.tag != tag {
-                    let err = CommError::TagMismatch {
-                        expected: tag,
-                        got: env.tag,
-                        from: src,
-                    };
-                    panic!("recv_failable from {src}: {err}");
-                }
-                Ok(self.open(env, src).1)
-            }
-            (_, Avail::Dead) => {
-                self.ops.set(self.ops.get() + 1);
-                Err(CommError::PeerDead { rank: src })
-            }
-            (idx, Avail::NotYet) => panic::panic_any(Blocked {
-                src,
-                dst: self.rank,
-                index: idx,
-                failable: Some(call),
-            }),
-        }
+        self.fetch_next(src, Some(tag), Some(call))
+            .map(|(_, value)| value)
     }
 }
 
@@ -578,9 +561,33 @@ impl SeqConfig {
     }
 }
 
-/// Render the per-pair wait map for a stalled round: one line per blocked
-/// PE with the pair's production status and the peer's liveness, so a
-/// fault-induced stall is debuggable in one read.
+/// One line of the deadlock dump's per-pair wait map — who waits on whom,
+/// the pair's production status and the peer's liveness, so a fault-induced
+/// stall is debuggable in one read.  Both replay backends print their
+/// blocked PEs through this one formatter.
+pub(crate) fn wait_map_line(b: &Blocked, produced: usize, crashed: bool, terminal: bool) -> String {
+    let peer = if crashed {
+        "crashed"
+    } else if terminal {
+        "finished"
+    } else {
+        "blocked too"
+    };
+    format!(
+        "PE {} waits for message #{} from PE {} [pair produced {produced} \
+         message(s); peer {peer}{}]",
+        b.dst,
+        b.index,
+        b.src,
+        if b.failable.is_some() {
+            "; waiter is failure-detecting"
+        } else {
+            ""
+        }
+    )
+}
+
+/// Render the wait map for a stalled round: one line per blocked PE.
 fn wait_map_report(world: &SeqWorld, blocked_at: &[Option<Blocked>]) -> String {
     let pairs = world.pairs.borrow();
     let crashed = world.crashed.borrow();
@@ -592,25 +599,7 @@ fn wait_map_report(world: &SeqWorld, blocked_at: &[Option<Blocked>]) -> String {
             let produced = pairs[b.dst]
                 .get(&b.src)
                 .map_or(0, |pair| pair.sent_meta.len());
-            let peer = if crashed[b.src] {
-                "crashed".to_string()
-            } else if terminal[b.src] {
-                "finished".to_string()
-            } else {
-                "blocked too".to_string()
-            };
-            format!(
-                "PE {} waits for message #{} from PE {} [pair produced {produced} \
-                 message(s); peer {peer}{}]",
-                b.dst,
-                b.index,
-                b.src,
-                if b.failable.is_some() {
-                    "; waiter is failure-detecting"
-                } else {
-                    ""
-                }
-            )
+            wait_map_line(b, produced, crashed[b.src], terminal[b.src])
         })
         .collect::<Vec<_>>()
         .join("\n  ")

@@ -44,14 +44,14 @@
 //! operations) is what makes tag-checked in-order receives sufficient —
 //! there is no need for out-of-order message matching.
 //!
-//! Payloads travel in one of two representations (see [`Payload`]): types
-//! with a word codec are encoded into a pooled `Vec<u64>` buffer (the typed
-//! fast path — no `Box<dyn Any>` allocation), everything else is boxed as
-//! `dyn Any` (the universal fallback).  The [`BufferPool`] is untouched by
-//! the lock-free rewrite: it is per-communicator, not shared.
+//! Payloads travel in one representation: the value's
+//! [`WordCodec`](crate::codec::WordCodec) encoding in a pooled `Vec<u64>`
+//! buffer, tagged with the encoded type's `TypeId` (see [`Envelope`]).  The
+//! [`BufferPool`] is untouched by the lock-free rewrite: it is
+//! per-communicator, not shared.
 #![allow(unsafe_code)]
 
-use std::any::{Any, TypeId};
+use std::any::TypeId;
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
@@ -63,27 +63,12 @@ use crate::message::CommData;
 use crate::spsc::{ParkSlot, SpscQueue};
 use crate::{Rank, Tag};
 
-/// The two wire representations of a message payload.
-pub enum Payload {
-    /// The typed fast path: the value's u64-word encoding, carried in a
-    /// buffer drawn from the sender's [`BufferPool`].  The `TypeId` of the
-    /// encoded type rides along so a mismatched receive is still detected.
-    Words {
-        /// Runtime type of the value that was encoded.
-        type_id: TypeId,
-        /// The wire words (exactly `word_count()` of them).
-        buf: Vec<u64>,
-    },
-    /// The fallback for types without a word codec: a type-erased box.
-    Any(Box<dyn Any + Send>),
-}
-
-/// A small per-communicator free list of typed-path buffers.
+/// A small per-communicator free list of message buffers.
 ///
 /// Buffers released by [`Envelope::open_pooled`] are cleared and parked here;
-/// [`BufferPool::take`] hands them back to the next typed send, so that in
-/// steady state a PE's sends reuse the capacity freed by its receives and the
-/// typed path allocates nothing at all.  Reuses are counted into the
+/// [`BufferPool::take`] hands them back to the next send, so that in steady
+/// state a PE's sends reuse the capacity freed by its receives and the
+/// message path allocates nothing at all.  Reuses are counted into the
 /// `pooled_reuses` statistic (see [`crate::metrics::StatsSnapshot`]).
 #[derive(Debug, Default)]
 pub struct BufferPool {
@@ -127,16 +112,18 @@ impl BufferPool {
     }
 }
 
-/// A message travelling between two PEs.
+/// A message travelling between two PEs: the payload's word encoding plus
+/// the `TypeId` of the encoded type, so a mismatched receive is detected
+/// instead of mis-decoded.
 pub struct Envelope {
     /// Tag used for matching; collectives use an internal tag space.
     pub tag: Tag,
     /// Rank of the sender.
     pub from: Rank,
-    /// Number of machine words of the payload (metered on send).
-    pub words: usize,
-    /// The payload itself.
-    pub payload: Payload,
+    /// Runtime type of the value that was encoded into `buf`.
+    type_id: TypeId,
+    /// The wire words; their number is the metered message size.
+    buf: Vec<u64>,
 }
 
 impl std::fmt::Debug for Envelope {
@@ -144,27 +131,19 @@ impl std::fmt::Debug for Envelope {
         f.debug_struct("Envelope")
             .field("tag", &self.tag)
             .field("from", &self.from)
-            .field("words", &self.words)
-            .field(
-                "path",
-                &match self.payload {
-                    Payload::Words { .. } => "typed",
-                    Payload::Any(_) => "any",
-                },
-            )
+            .field("words", &self.words())
             .finish_non_exhaustive()
     }
 }
 
 impl Envelope {
-    /// Wrap a typed payload without a buffer pool (tests and one-off sends).
+    /// Wrap a payload without a buffer pool (tests and one-off sends).
     pub fn new<T: CommData>(tag: Tag, from: Rank, value: T) -> Self {
         Self::encode(tag, from, value, None).0
     }
 
-    /// Wrap a payload, drawing the typed-path buffer from `pool` when one is
-    /// supplied.  The boolean reports whether pooled capacity was reused
-    /// (always `false` on the boxed fallback path).
+    /// Wrap a payload, drawing the buffer from `pool` when one is supplied.
+    /// The boolean reports whether pooled capacity was reused.
     pub fn encode<T: CommData>(
         tag: Tag,
         from: Rank,
@@ -172,91 +151,86 @@ impl Envelope {
         pool: Option<&BufferPool>,
     ) -> (Self, bool) {
         let words = value.word_count();
-        if T::TYPED {
-            let (mut buf, popped) = match pool {
-                Some(pool) => pool.take(),
-                None => (Vec::new(), false),
-            };
-            // Only count a reuse when the pooled capacity actually covers
-            // this message — otherwise reserve() allocates and the counter
-            // would overstate the win on mixed scalar/vector traffic.
-            let reused = popped && buf.capacity() >= words;
-            buf.reserve(words);
-            value.encode_typed(&mut buf);
-            debug_assert_eq!(
-                buf.len(),
-                words,
-                "encode_typed of {} must append exactly word_count() words",
-                std::any::type_name::<T>()
-            );
-            (
-                Envelope {
-                    tag,
-                    from,
-                    words,
-                    payload: Payload::Words {
-                        type_id: TypeId::of::<T>(),
-                        buf,
-                    },
-                },
-                reused,
-            )
-        } else {
-            (
-                Envelope {
-                    tag,
-                    from,
-                    words,
-                    payload: Payload::Any(Box::new(value)),
-                },
-                false,
-            )
+        let (mut buf, popped) = match pool {
+            Some(pool) => pool.take(),
+            None => (Vec::new(), false),
+        };
+        // Only count a reuse when the pooled capacity actually covers this
+        // message — otherwise reserve() allocates and the counter would
+        // overstate the win on mixed scalar/vector traffic.
+        let reused = popped && buf.capacity() >= words;
+        buf.reserve(words);
+        value.encode(&mut buf);
+        debug_assert_eq!(
+            buf.len(),
+            words,
+            "encode of {} must append exactly encoded_len() words",
+            std::any::type_name::<T>()
+        );
+        let env = Envelope {
+            tag,
+            from,
+            type_id: TypeId::of::<T>(),
+            buf,
+        };
+        (env, reused)
+    }
+
+    /// Number of machine words of the payload — the wire length, which is
+    /// what both sides meter.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// `Err(TagMismatch)` unless the message carries the `expected` tag
+    /// (`None` accepts any tag).
+    pub fn check_tag(&self, expected: Option<Tag>) -> CommResult<()> {
+        match expected {
+            Some(expected) if expected != self.tag => Err(CommError::TagMismatch {
+                expected,
+                got: self.tag,
+                from: self.from,
+            }),
+            _ => Ok(()),
         }
     }
 
-    /// Recover the typed payload, failing if the stored type differs.
+    /// Decode the payload *by reference* (the envelope stays intact, so a
+    /// replay backend can decode it again), failing if the stored type
+    /// differs from `T` or the decode does not consume every word.
+    pub fn decode<T: CommData>(&self) -> CommResult<T> {
+        if self.type_id != TypeId::of::<T>() {
+            return Err(CommError::TypeMismatch {
+                tag: self.tag,
+                expected: std::any::type_name::<T>(),
+            });
+        }
+        let mut r = WordReader::new(&self.buf);
+        let value = T::decode(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(decode_error::<T>());
+        }
+        Ok(value)
+    }
+
+    /// Recover the payload, failing if the stored type differs.
     pub fn open<T: CommData>(self) -> CommResult<(Tag, usize, T)> {
         self.open_pooled::<T>(None)
     }
 
-    /// Like [`Envelope::open`], but parks the spent typed-path buffer in
-    /// `pool` so the receiver's next sends can reuse its capacity.
+    /// Like [`Envelope::open`], but parks the spent buffer in `pool` so the
+    /// receiver's next sends can reuse its capacity.
     pub fn open_pooled<T: CommData>(
         self,
         pool: Option<&BufferPool>,
     ) -> CommResult<(Tag, usize, T)> {
-        let Envelope {
-            tag,
-            words,
-            payload,
-            ..
-        } = self;
-        match payload {
-            Payload::Words { type_id, buf } => {
-                if type_id != TypeId::of::<T>() {
-                    return Err(CommError::TypeMismatch {
-                        tag,
-                        expected: std::any::type_name::<T>(),
-                    });
-                }
-                let mut r = WordReader::new(&buf);
-                let value = T::decode_typed(&mut r)?;
-                if r.remaining() != 0 {
-                    return Err(decode_error::<T>());
-                }
-                if let Some(pool) = pool {
-                    pool.put(buf);
-                }
-                Ok((tag, words, value))
-            }
-            Payload::Any(boxed) => match boxed.downcast::<T>() {
-                Ok(v) => Ok((tag, words, *v)),
-                Err(_) => Err(CommError::TypeMismatch {
-                    tag,
-                    expected: std::any::type_name::<T>(),
-                }),
-            },
+        let value = self.decode::<T>()?;
+        let (tag, words) = (self.tag, self.words());
+        if let Some(pool) = pool {
+            pool.put(self.buf);
         }
+        Ok((tag, words, value))
     }
 }
 
@@ -648,7 +622,7 @@ mod tests {
     #[test]
     fn envelope_roundtrip() {
         let env = Envelope::new(7, 3, vec![1u64, 2, 3]);
-        assert_eq!(env.words, 4);
+        assert_eq!(env.words(), 4);
         assert_eq!(env.from, 3);
         let (tag, words, v): (Tag, usize, Vec<u64>) = env.open().unwrap();
         assert_eq!(tag, 7);
@@ -659,36 +633,45 @@ mod tests {
     #[test]
     fn typed_payloads_travel_as_words_not_boxes() {
         let env = Envelope::new(1, 0, vec![9u64, 8]);
-        match &env.payload {
-            Payload::Words { buf, .. } => assert_eq!(buf, &vec![2, 9, 8]),
-            Payload::Any(_) => panic!("Vec<u64> must use the typed path"),
-        }
-    }
-
-    #[test]
-    fn untyped_payloads_fall_back_to_any() {
-        struct Opaque(u64);
-        impl CommData for Opaque {
-            fn word_count(&self) -> usize {
-                1
-            }
-        }
-        let env = Envelope::new(1, 0, Opaque(5));
-        assert!(matches!(env.payload, Payload::Any(_)));
-        let (_, _, v): (_, _, Opaque) = env.open().unwrap();
-        assert_eq!(v.0, 5);
+        assert_eq!(env.buf, vec![2, 9, 8]);
     }
 
     #[test]
     fn envelope_type_mismatch_is_detected() {
-        // Typed-path mismatch (both types have codecs, TypeId differs).
+        // Same wire width, different TypeId.
         let env = Envelope::new(1, 0, 42u64);
         let err = env.open::<u32>().unwrap_err();
         assert!(matches!(err, CommError::TypeMismatch { .. }));
-        // Typed-vs-untyped mismatch.
+        // Different wire shape altogether.
         let env = Envelope::new(1, 0, 42u64);
         let err = env.open::<String>().unwrap_err();
         assert!(matches!(err, CommError::TypeMismatch { .. }));
+    }
+
+    #[test]
+    fn a_decode_that_leaves_words_over_is_rejected() {
+        // A codec whose decode reads less than its encode wrote: same
+        // TypeId, so only the fully-consumed check can catch it.
+        struct Short;
+        impl crate::codec::WordCodec for Short {
+            fn encoded_len(&self) -> usize {
+                2
+            }
+            fn encode(&self, out: &mut Vec<u64>) {
+                out.extend([1, 2]);
+            }
+            fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+                r.next_word()
+                    .map(|_| Short)
+                    .ok_or_else(decode_error::<Self>)
+            }
+        }
+        let env = Envelope::new(1, 0, Short);
+        assert!(matches!(
+            env.decode::<Short>(),
+            Err(CommError::Decode { .. })
+        ));
+        assert!(matches!(env.open::<Short>(), Err(CommError::Decode { .. })));
     }
 
     #[test]

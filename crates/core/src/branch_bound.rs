@@ -15,7 +15,7 @@
 //! baseline and the parallel algorithm are provided so that the `K = m +
 //! O(hp)` claim can be measured (bench `bnb_expansions`).
 
-use commsim::{CommData, CommResult, Communicator, WordReader};
+use commsim::{CommResult, Communicator, WordCodec, WordReader};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -122,34 +122,26 @@ pub struct BnbNode {
     pub weight: u64,
 }
 
-impl CommData for BnbNode {
-    fn word_count(&self) -> usize {
+/// Four words: the fields' own encodings in declaration order (the bound
+/// as its IEEE-754 bit pattern — exact round-trip, NaNs included).
+impl WordCodec for BnbNode {
+    fn encoded_len(&self) -> usize {
         4
     }
 
-    // Typed word codec so branch-and-bound nodes can travel on every
-    // backend, including the multiplexed one (which rejects payloads
-    // without a codec).  Field order matches the struct; the bound uses
-    // its IEEE-754 bit pattern (exact round-trip, NaNs included).
-    const TYPED: bool = true;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        out.push(self.neg_bound.0.to_bits());
-        out.push(u64::from(self.level));
-        out.push(self.value);
-        out.push(self.weight);
+    fn encode(&self, out: &mut Vec<u64>) {
+        self.neg_bound.encode(out);
+        self.level.encode(out);
+        self.value.encode(out);
+        self.weight.encode(out);
     }
 
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut word = || {
-            r.next_word()
-                .ok_or_else(commsim::codec::decode_error::<Self>)
-        };
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         Ok(BnbNode {
-            neg_bound: OrderedF64(f64::from_bits(word()?)),
-            level: u32::try_from(word()?).map_err(|_| commsim::codec::decode_error::<Self>())?,
-            value: word()?,
-            weight: word()?,
+            neg_bound: OrderedF64::decode(r)?,
+            level: u32::decode(r)?,
+            value: u64::decode(r)?,
+            weight: u64::decode(r)?,
         })
     }
 }
@@ -299,7 +291,7 @@ pub fn knapsack_branch_bound_parallel<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::run_spmd;
+    use commsim::{run_spmd, CommData};
 
     #[test]
     fn bnb_node_word_codec_round_trips_exactly() {
@@ -310,10 +302,10 @@ mod tests {
             weight: 42,
         };
         let mut words = Vec::new();
-        node.encode_typed(&mut words);
+        node.encode(&mut words);
         assert_eq!(words.len(), node.word_count());
         let mut r = WordReader::new(&words);
-        let back = BnbNode::decode_typed(&mut r).expect("decode");
+        let back = BnbNode::decode(&mut r).expect("decode");
         assert_eq!(back.neg_bound.0.to_bits(), node.neg_bound.0.to_bits());
         assert_eq!(
             (back.level, back.value, back.weight),

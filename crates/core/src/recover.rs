@@ -19,7 +19,7 @@
 use commsim::recovery::{
     run_recoverable, Checkpoint, RecoveryConfig, RecoveryError, RecoveryOutcome,
 };
-use commsim::Communicator;
+use commsim::{Communicator, WordCodec, WordReader};
 
 use crate::frequent::FrequentParams;
 use crate::planner::Algorithm;
@@ -119,34 +119,17 @@ pub struct FrequentCheckpoint {
 }
 
 impl Checkpoint for FrequentCheckpoint {
+    /// The word-codec encoding of `published`: phase count, then per phase
+    /// its length followed by the `(object, count)` pairs.
     fn save(&self) -> Vec<u64> {
-        let mut words = Vec::with_capacity(1 + self.published.len());
-        words.push(self.published.len() as u64);
-        for phase in &self.published {
-            words.push(phase.len() as u64);
-            for &(id, count) in phase {
-                words.push(id);
-                words.push(count);
-            }
-        }
+        let mut words = Vec::with_capacity(self.published.encoded_len());
+        self.published.encode(&mut words);
         words
     }
 
     fn restore(words: &[u64]) -> Self {
-        let mut published = Vec::new();
-        let mut at = 0;
-        let phases = words[at] as usize;
-        at += 1;
-        for _ in 0..phases {
-            let len = words[at] as usize;
-            at += 1;
-            let mut items = Vec::with_capacity(len);
-            for _ in 0..len {
-                items.push((words[at], words[at + 1]));
-                at += 2;
-            }
-            published.push(items);
-        }
+        let published = WordCodec::decode(&mut WordReader::new(words))
+            .expect("checkpoint words come from FrequentCheckpoint::save");
         FrequentCheckpoint { published }
     }
 }
@@ -196,6 +179,15 @@ mod tests {
         assert_eq!(FrequentCheckpoint::restore(&state.save()), state);
         let empty = FrequentCheckpoint::default();
         assert_eq!(FrequentCheckpoint::restore(&empty.save()), empty);
+    }
+
+    #[test]
+    fn frequent_checkpoint_layout_is_the_nested_vector_encoding() {
+        let state = FrequentCheckpoint {
+            published: vec![vec![(7, 40), (3, 12)], vec![(9, 5)]],
+        };
+        // phases; then per phase: length, (object, count)...
+        assert_eq!(state.save(), vec![2, 2, 7, 40, 3, 12, 1, 9, 5]);
     }
 
     #[test]

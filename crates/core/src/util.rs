@@ -1,6 +1,6 @@
 //! Small shared utilities for the distributed algorithms.
 
-use commsim::{CommData, CommResult, WordReader};
+use commsim::{CommResult, WordCodec, WordReader};
 
 /// A totally ordered `f64` wrapper (ordered by `f64::total_cmp`), used for
 /// scores and value sums that have to flow through `Ord`-based selection and
@@ -22,26 +22,23 @@ impl Ord for OrderedF64 {
     }
 }
 
-impl CommData for OrderedF64 {
-    fn word_count(&self) -> usize {
+/// One word, `f64`'s own encoding: the IEEE-754 bit pattern round-trips
+/// every value including NaNs, matching the total_cmp order the wrapper
+/// provides.
+impl WordCodec for OrderedF64 {
+    #[inline]
+    fn encoded_len(&self) -> usize {
         1
     }
 
-    // Typed word codec (required by the multiplexed backend, which stores
-    // every message as a re-decodable word buffer): one word holding the
-    // IEEE-754 bit pattern.  `to_bits`/`from_bits` round-trip every value
-    // including NaNs, matching the total_cmp order the wrapper provides.
-    const TYPED: bool = true;
-
-    fn encode_typed(&self, out: &mut Vec<u64>) {
-        out.push(self.0.to_bits());
+    #[inline]
+    fn encode(&self, out: &mut Vec<u64>) {
+        self.0.encode(out);
     }
 
-    fn decode_typed(r: &mut WordReader<'_>) -> CommResult<Self> {
-        match r.next_word() {
-            Some(bits) => Ok(OrderedF64(f64::from_bits(bits))),
-            None => Err(commsim::codec::decode_error::<Self>()),
-        }
+    #[inline]
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        f64::decode(r).map(OrderedF64)
     }
 }
 
@@ -87,6 +84,7 @@ pub fn tag_unique<T: Clone>(local: &[T], global_offset: u64) -> Vec<(T, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use commsim::CommData;
 
     #[test]
     fn ordered_f64_sorts_like_f64() {
@@ -119,10 +117,10 @@ mod tests {
     fn ordered_f64_word_codec_round_trips_exactly() {
         for v in [0.0, -0.0, 1.5, -1e300, f64::INFINITY, f64::NAN] {
             let mut words = Vec::new();
-            OrderedF64(v).encode_typed(&mut words);
+            OrderedF64(v).encode(&mut words);
             assert_eq!(words.len(), OrderedF64(v).word_count());
             let mut r = WordReader::new(&words);
-            let back = OrderedF64::decode_typed(&mut r).expect("decode");
+            let back = OrderedF64::decode(&mut r).expect("decode");
             assert_eq!(back.0.to_bits(), v.to_bits());
         }
     }

@@ -6,8 +6,8 @@
 //! round-based replay on a single thread), and on the multiplexed backend
 //! (`run_spmd_mux`, thousands of PEs as cooperative tasks over a small
 //! worker pool), producing identical results and identical metered traffic.
-//! Also shows the typed message path at work: `Vec<u64>` payloads cross the
-//! transport as pooled word buffers, and the `pooled_reuses` counter proves
+//! Also shows the message path at work: every payload crosses the transport
+//! as its word encoding in a pooled buffer, and the `pooled_reuses` counter proves
 //! the allocations are being recycled on the threaded/sequential backends
 //! (the multiplexed backend's permanent message store makes it honestly 0 —
 //! see ARCHITECTURE.md).
@@ -19,7 +19,7 @@
 use topk_selection::prelude::*;
 
 /// A little SPMD program written once, against the trait: repeated vector
-/// all-reductions (the typed hot path) plus a couple of scalar collectives.
+/// all-reductions (the hot path) plus a couple of scalar collectives.
 fn program<C: Communicator>(comm: &C) -> (u64, u64) {
     let mut checksum = 0u64;
     for round in 0..16 {
@@ -66,7 +66,7 @@ fn main() {
         muxed.elapsed
     );
     println!(
-        "  results agree on all {} PEs; typed Vec<u64> payloads never touched Box<dyn Any>",
+        "  results agree on all {} PEs; every payload crossed as u64 words (the one wire format)",
         p
     );
 }

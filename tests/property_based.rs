@@ -8,8 +8,8 @@
 //! * redistribution never loses or invents elements and always balances;
 //! * the bulk queue drains any insert schedule in global order;
 //! * the word-count metering is additive;
-//! * the typed word codec round-trips every implementing type, with the
-//!   wire length equal to the metered word count;
+//! * the word codec round-trips every implementing type, with the wire
+//!   length equal to the metered word count;
 //! * the SPMD collective suite gives identical results and identical metered
 //!   traffic on **all three** backends (threaded `Comm`, sequential
 //!   `SeqComm`, multiplexed `MuxComm` — the latter with fewer workers than
@@ -19,8 +19,9 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use topk_selection::commsim::{CommData, WordReader};
 use topk_selection::prelude::*;
+use topk_selection::topk::branch_bound::BnbNode;
 
-/// Round-trip a value through its typed wire encoding, checking the three
+/// Round-trip a value through its wire encoding, checking the three
 /// codec invariants: exact declared length, equality after decode, and full
 /// consumption of the encoding.
 fn codec_roundtrip<T>(value: T) -> Result<(), TestCaseError>
@@ -398,6 +399,14 @@ proptest! {
         codec_roundtrip(((b as i128) << 32) | (a as i128 & 0xFFFF_FFFF))?;
         codec_roundtrip(char::from_u32((a % 0xD800) as u32).unwrap_or('x'))?;
         codec_roundtrip(())?;
+        // The two downstream codec types (`topk`), built from the same draws.
+        codec_roundtrip(OrderedF64(-d))?;
+        codec_roundtrip(BnbNode {
+            neg_bound: OrderedF64(-d),
+            level: (a >> 32) as u32,
+            value: a,
+            weight: b as u64,
+        })?;
     }
 
     #[test]
@@ -423,12 +432,12 @@ proptest! {
     }
 
     #[test]
-    fn typed_and_boxed_paths_meter_identically(
+    fn vec_payloads_meter_their_word_count_and_reuse_pooled_buffers(
         payload in vec(0u64..u64::MAX, 0..60),
     ) {
-        // A Vec<u64> crossing the typed path must be metered exactly like the
-        // generic word_count contract says, and the pooled counter must see
-        // reuse on a ping-pong exchange.
+        // A Vec<u64> must be metered exactly like the generic word_count
+        // contract says, and the pooled counter must see reuse on a
+        // ping-pong exchange.
         let words = payload.word_count() as u64;
         let data = payload.clone();
         let out = run_spmd(2, move |comm| {

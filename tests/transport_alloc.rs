@@ -22,25 +22,41 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 use topk_selection::commsim::transport::Mailbox;
 
 /// Forwards to the system allocator, counting every `alloc` call and the
-/// bytes it requests.
+/// bytes it requests — **per thread**: the harness runs this file's tests
+/// on parallel threads, and a process-global counter would book one test's
+/// `full_mesh(1024)` into another's delta.  Construction allocates on the
+/// calling thread only, so the calling thread's counters see all of it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading them never
+    // allocates or registers anything, so the allocator cannot re-enter.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static ALLOCATED_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// This thread's allocation count so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        // `try_with`: an allocator must not panic, whatever state the
+        // thread's TLS is in.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + layout.size()));
+        // SAFETY: same layout, forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout (above).
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -51,11 +67,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// `(allocation count, bytes)` requested while constructing (not dropping)
 /// a `p`-PE world.
 fn construction_cost(p: usize) -> (usize, usize) {
-    let count_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes_before = ALLOCATED_BYTES.load(Ordering::Relaxed);
+    let count_before = allocations();
+    let bytes_before = ALLOCATED_BYTES.with(Cell::get);
     let boxes = Mailbox::full_mesh(p);
-    let count = ALLOCATIONS.load(Ordering::Relaxed) - count_before;
-    let bytes = ALLOCATED_BYTES.load(Ordering::Relaxed) - bytes_before;
+    let count = allocations() - count_before;
+    let bytes = ALLOCATED_BYTES.with(Cell::get) - bytes_before;
     drop(boxes);
     (count, bytes)
 }
@@ -113,22 +129,22 @@ fn queue_heap_is_deferred_to_the_first_send() {
 
     let _ = construction_cost(2);
     let boxes = Mailbox::full_mesh(8);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     // First message of the pair (0, 1): installs that queue (header +
     // first segment + envelope internals) — allocation happens *now*, not
     // at construction.
     boxes[0]
         .send(1, Envelope::new(0, 0, 7u64))
         .expect("send to live peer");
-    let first = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let first = allocations() - before;
     assert!(first > 0, "first send of a pair must materialise its queue");
     // Steady state: the second message reuses the installed queue; it may
     // allocate envelope internals but not another queue's worth of state.
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     boxes[0]
         .send(1, Envelope::new(1, 0, 7u64))
         .expect("send to live peer");
-    let second = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let second = allocations() - before;
     assert!(
         second < first,
         "second send ({second} allocations) should be cheaper than the \
