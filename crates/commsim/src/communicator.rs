@@ -301,7 +301,16 @@ pub trait Communicator {
 
     /// All-gather (the paper's "all-to-all broadcast" / gossiping): every PE
     /// contributes one value and every PE receives the vector of all
-    /// contributions, indexed by rank.  `O(βmp + α log p)`.
+    /// contributions, indexed by rank.
+    ///
+    /// Implemented as a binomial gather onto PE 0 followed by a binomial
+    /// broadcast of the `mp`-word concatenation, so PE 0 re-sends the whole
+    /// concatenation to each of its `⌈log₂ p⌉` children:
+    /// `O(βmp·log p + α log p)` at the root (what
+    /// [`cost::predict::allgather`](crate::cost::predict::allgather)
+    /// models), `O(βmp + α log p)` at the leaves.  A dissemination
+    /// all-gather would meet the paper's `O(βmp + α log p)` on every PE
+    /// (ROADMAP open item).
     fn allgather<T: CommData + Clone>(&self, value: T) -> Vec<T>
     where
         Self: Sized,

@@ -12,7 +12,10 @@
 //! * collective operations (broadcast, reduction, all-reduction, prefix sums,
 //!   gather, scatter, all-gather, all-to-all) that run in
 //!   `O(βm + α log p)` (or `O(βmp + α log p)` where the output is inherently
-//!   of size `mp`).
+//!   of size `mp`).  One collective here misses the model's bound:
+//!   [`Communicator::allgather`] is a gather followed by a binomial
+//!   broadcast, so its root sends the `mp`-word concatenation `⌈log₂ p⌉`
+//!   times — `O(βmp·log p + α log p)` at the bottleneck PE.
 //!
 //! The machine model is captured by the [`Communicator`] trait, and every
 //! algorithm built on this crate is generic over it.  Three backends are

@@ -94,7 +94,8 @@ where
     /// `deleteMin*` with a fixed batch size: remove and return the `k`
     /// globally smallest elements.  The return value is this PE's share of
     /// the batch (in ascending order); the shares sum to exactly
-    /// `min(k, global_len)` elements over all PEs.
+    /// `min(k, global_len)` elements over all PEs.  `k` and `seed` must be
+    /// the same on every PE (see [`multisequence_select`]).
     pub fn delete_min<C: Communicator>(&mut self, comm: &C, k: usize, seed: u64) -> Vec<T> {
         let global = self.global_len(comm);
         if global == 0 || k == 0 {

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 
 use commsim::Communicator;
 
-use crate::unsorted::select_k_largest;
+use crate::unsorted::select_k_largest_known_total;
 
 /// Parameters shared by all top-k most-frequent-objects algorithms.
 #[derive(Debug, Clone, Copy)]
@@ -187,12 +187,13 @@ pub fn select_top_counts<C: Communicator>(
     // binary (see EXPERIMENTS.md, PR 2).  One local O(d log d) sort on the
     // (small) distinct-key aggregate makes the whole pipeline reproducible.
     items.sort_unstable();
-    let distinct = comm.allreduce_sum(items.len() as u64);
-    let k = k.min(distinct as usize);
+    let distinct = comm.allreduce_sum(items.len() as u64) as usize;
+    let k = k.min(distinct);
     if k == 0 {
         return Vec::new();
     }
-    let selection = select_k_largest(comm, &items, k, seed);
+    // `distinct` is the selection's global input size: no second reduction.
+    let selection = select_k_largest_known_total(comm, &items, distinct, k, seed);
     let local_top: Vec<(u64, u64)> = selection.local_selected.into_iter().map(|r| r.0).collect();
     let mut all: Vec<(u64, u64)> = comm.allgather(local_top).into_iter().flatten().collect();
     all.sort_unstable_by(|a, b| b.cmp(a));

@@ -8,12 +8,28 @@
 //! search continues left or right.  Expected `O(α log² kp)` latency
 //! (Theorem 16); no element is ever moved.
 //!
-//! Ties are broken by the global element index, so the rank is exact even
-//! with duplicate values and the per-PE result counts sum to exactly `k`.
+//! Ties are broken by a packed `(rank, local index)` word
+//! ([`tie_break_offset`]) that orders like the global element index, so the
+//! rank is exact even with duplicate values and the per-PE result counts
+//! sum to exactly `k`.
+//!
+//! # Collective schedule
+//!
+//! One vector all-reduction `Σ[|local|, min(|local|, k)]` at the entry gives
+//! the global size and the first round's remaining window.  A non-final
+//! round then issues exactly **three** collectives: the exclusive prefix
+//! sum that locates the pivot position, the `pick_unique` all-reduction that
+//! publishes the pivot, and the sum all-reduction of the local ranks.  The
+//! pivot *position* costs nothing: every PE draws it from the same
+//! shared-seed generator.  The remaining window size is updated from the
+//! agreed rank like `k` is, never reduced again.  The final round is the
+//! single `pick_unique` of the last remaining element.
 
 use commsim::{CommData, Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::util::tie_break_offset;
 
 /// Result of a multisequence selection.
 #[derive(Debug, Clone)]
@@ -23,16 +39,22 @@ pub struct MsSelectResult<T> {
     /// Number of *local* elements among the `k` globally smallest
     /// (sums to exactly `k` over all PEs).
     pub local_count: usize,
-    /// Number of selection rounds (each round costs one broadcast and one
-    /// reduction, i.e. `O(α log p)`).
+    /// Number of selection rounds.  Every round but the last costs three
+    /// collectives — a prefix sum, the pivot's `pick_unique` all-reduction
+    /// and the rank all-reduction — and the last costs one, each
+    /// `O(α log p)`.
     pub rounds: usize,
 }
 
-/// Tie-broken comparison key: `(value, global index)`.
+/// Tie-broken comparison key: `(value, packed (rank, local index))`.
 type Key<T> = (T, u64);
 
 /// Select the element of global rank `k` (1-based) from the union of locally
 /// sorted sequences, without moving any data.
+///
+/// `seed`, like `k`, must be the same on every PE: all PEs draw the random
+/// pivot positions from one generator seeded with it, in lockstep, instead
+/// of one PE drawing them and sending them to the others.
 ///
 /// # Panics
 ///
@@ -53,17 +75,20 @@ where
         "multisequence_select requires locally sorted input"
     );
     let local_n = sorted_local.len();
-    let total = comm.allreduce_sum(local_n as u64) as usize;
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= total, "k = {k} exceeds the global input size {total}");
-
-    // Global index of this PE's first element (tie breaker).
-    let offset = comm.prefix_sum_exclusive(local_n as u64);
-
     // Restrict the search to the first min(k, |local|) elements: elements
     // beyond local rank k can never be among the k globally smallest.
     let mut lo = 0usize;
     let mut hi = local_n.min(k);
+    // One reduction for both the global size and the first window size.
+    let sizes = comm.allreduce_vec_sum(vec![local_n as u64, hi as u64]);
+    let total = sizes[0] as usize;
+    let mut remaining = sizes[1];
+    assert!(k >= 1, "k must be at least 1");
+    assert!(k <= total, "k = {k} exceeds the global input size {total}");
+
+    // Tag of this PE's first element (tie breaker).
+    let offset = tie_break_offset(comm.rank(), comm.size(), local_n);
+
     let mut k = k as u64;
     let mut rounds = 0usize;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -73,7 +98,6 @@ where
     let threshold: Key<T> = loop {
         rounds += 1;
         let window = (hi - lo) as u64;
-        let remaining = comm.allreduce_sum(window);
         debug_assert!(k >= 1 && k <= remaining);
 
         if remaining == 1 {
@@ -92,15 +116,9 @@ where
             break all[(k - 1) as usize].clone();
         }
 
-        // Uniformly random global pivot position among the remaining window.
-        let pivot_pos = {
-            let r = if comm.is_root() {
-                Some(rng.gen_range(0..remaining))
-            } else {
-                None
-            };
-            comm.broadcast(0, r)
-        };
+        // Uniformly random global pivot position among the remaining
+        // window — the same draw on every PE (shared seed, lockstep).
+        let pivot_pos = rng.gen_range(0..remaining);
         let window_offset = comm.prefix_sum_exclusive(window);
         let candidate: Option<Key<T>> =
             if pivot_pos >= window_offset && pivot_pos < window_offset + window {
@@ -117,13 +135,15 @@ where
 
         if left_total >= k {
             hi = j;
+            remaining = left_total;
         } else {
             lo = j;
             k -= left_total;
+            remaining -= left_total;
         }
     };
 
-    // Local part of the selected set: elements (value, gid) ≤ threshold.
+    // Local part of the selected set: elements (value, tag) ≤ threshold.
     let local_count = count_le_threshold(sorted_local, offset, &threshold);
     MsSelectResult {
         threshold: threshold.0,
@@ -156,24 +176,26 @@ fn count_less_than<T: Ord>(
     let window = &sorted[lo..hi];
     // Elements with a strictly smaller value…
     let strictly_smaller = window.partition_point(|x| *x < pivot.0);
-    // …plus elements equal in value whose global index is smaller.
+    // …plus elements equal in value whose tag is smaller.  Tags are
+    // consecutive within a PE; a pivot from another PE lies below or above
+    // all of them, which the saturating difference and the clamp absorb.
     let equal_end = window.partition_point(|x| *x <= pivot.0);
-    let eq_start_gid = offset + (lo + strictly_smaller) as u64;
+    let eq_start_tag = offset + (lo + strictly_smaller) as u64;
     let equal_count = (equal_end - strictly_smaller) as u64;
-    let eq_smaller = pivot.1.saturating_sub(eq_start_gid).min(equal_count) as usize;
+    let eq_smaller = pivot.1.saturating_sub(eq_start_tag).min(equal_count) as usize;
     lo + strictly_smaller + eq_smaller
 }
 
-/// Number of local elements `(value, gid) ≤ threshold` over the whole local
+/// Number of local elements `(value, tag) ≤ threshold` over the whole local
 /// sequence.
 fn count_le_threshold<T: Ord>(sorted: &[T], offset: u64, threshold: &(T, u64)) -> usize {
     let strictly_smaller = sorted.partition_point(|x| *x < threshold.0);
     let equal_end = sorted.partition_point(|x| *x <= threshold.0);
-    let eq_start_gid = offset + strictly_smaller as u64;
+    let eq_start_tag = offset + strictly_smaller as u64;
     let equal_count = (equal_end - strictly_smaller) as u64;
-    // Elements equal in value count iff their gid ≤ threshold.1.
+    // Elements equal in value count iff their tag ≤ threshold.1.
     let eq_le = (threshold.1 + 1)
-        .saturating_sub(eq_start_gid)
+        .saturating_sub(eq_start_tag)
         .min(equal_count) as usize;
     strictly_smaller + eq_le
 }
@@ -181,7 +203,7 @@ fn count_le_threshold<T: Ord>(sorted: &[T], offset: u64, threshold: &(T, u64)) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::run_spmd;
+    use commsim::{run_spmd, run_spmd_seq};
     use seqkit::sorted::select_in_sorted_union;
 
     fn sorted_parts(p: usize, per_pe: usize, max: u64, seed: u64) -> Vec<Vec<u64>> {
@@ -279,6 +301,27 @@ mod tests {
                 "sorted selection moved {} words",
                 snap.bottleneck_words()
             );
+        }
+    }
+
+    /// The start-up budget is exact.  At p = 64 rank 0 sends ⌈log₂ p⌉ = 6
+    /// messages per collective, and a selection of `rounds` rounds issues
+    /// the entry reduction, three collectives per non-final round and the
+    /// final round's `pick_unique`.
+    #[test]
+    fn startup_budget_is_three_collectives_per_round() {
+        let p = 64;
+        let parts = sorted_parts(p, 8, 1 << 30, 41);
+        for (k, seed) in [(1usize, 1u64), (40, 2), (120, 3)] {
+            let parts_ref = parts.clone();
+            let out = run_spmd_seq(p, move |comm| {
+                let before = comm.stats_snapshot();
+                let rounds = multisequence_select(comm, &parts_ref[comm.rank()], k, seed).rounds;
+                (rounds, comm.stats_snapshot().since(&before).sent_messages)
+            });
+            let (rounds, sent) = out.results[0];
+            assert!(rounds >= 2, "k={k}: expected pivot rounds");
+            assert_eq!(sent, 6 * (3 * (rounds as u64 - 1) + 2), "k={k} seed={seed}");
         }
     }
 

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqkit::threshold::{ObjectId, ScoreList, ThresholdAlgorithm};
 
-use crate::unsorted::select_k_largest;
+use crate::unsorted::select_k_largest_known_total;
 use crate::util::OrderedF64;
 
 /// One PE's share of a multicriteria workload: `m` local score lists over the
@@ -85,12 +85,12 @@ fn select_best_candidates<C: Communicator>(
         .iter()
         .map(|&(o, s)| (OrderedF64(s), o))
         .collect();
-    let total = comm.allreduce_sum(items.len() as u64);
-    let k = k.min(total as usize);
+    let total = comm.allreduce_sum(items.len() as u64) as usize;
+    let k = k.min(total);
     if k == 0 {
         return Vec::new();
     }
-    let selection = select_k_largest(comm, &items, k, seed);
+    let selection = select_k_largest_known_total(comm, &items, total, k, seed);
     let local_top: Vec<(u64, u64)> = selection
         .local_selected
         .into_iter()

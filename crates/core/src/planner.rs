@@ -755,10 +755,11 @@ impl Planner {
             .plus(predict::allreduce(p, k_eff + 1.0))
     }
 
-    /// `select_top_counts`: distinct-count all-reduction, the §4.1 unsorted
-    /// selection over the aggregate, and the winners' all-gather.  When `k`
-    /// covers the whole aggregate the selection short-circuits to one
-    /// max-reduction and the winners' all-gather *is* the aggregate.
+    /// `select_top_counts`: the §4.1 unsorted selection over the aggregate
+    /// (its entry reduction is the distinct-count all-reduction) and the
+    /// winners' all-gather.  When `k` covers the whole aggregate the
+    /// selection short-circuits to one max-reduction and the winners'
+    /// all-gather *is* the aggregate.
     fn top_counts_cost(&self, p: usize, aggregate: f64, k: f64) -> PredictedComm {
         let pf = p.max(1) as f64;
         if k >= aggregate {
@@ -766,9 +767,7 @@ impl Planner {
                 .plus(predict::allreduce(p, 2.0))
                 .plus(predict::allgather(p, 2.0 * aggregate / pf));
         }
-        predict::allreduce(p, 1.0)
-            .plus(selection_cost(p, aggregate))
-            .plus(predict::allgather(p, 2.0 * k / pf))
+        selection_cost(p, aggregate).plus(predict::allgather(p, 2.0 * k / pf))
     }
 
     /// Choose the cheaper DHT routing for `m_total` payload words per PE and
@@ -785,19 +784,19 @@ impl Planner {
 }
 
 /// The §4.1 unsorted selection over `total` 2-word items spread across `p`
-/// PEs: per level one count all-reduction, the ~√p̄-element Bernoulli-sample
-/// all-gather and the partition-count vector all-reduction; the ≤ 1024
-/// survivors are all-gathered in the base case.
+/// PEs: the size all-reduction once at the entry, per level the
+/// ~√p̄-element Bernoulli-sample all-gather and the partition-count vector
+/// all-reduction, and the all-gather of the ≤ 1024 survivors in the base
+/// case.
 fn selection_cost(p: usize, total: f64) -> PredictedComm {
     const BASE_CASE: f64 = 1024.0;
     let pf = p.max(1) as f64;
-    let mut comm = PredictedComm::zero();
+    let mut comm = predict::allreduce(p, 1.0);
     let mut t = total.max(0.0);
     let mut levels = 0;
     while t > BASE_CASE && levels < 16 {
         let sample = pf.sqrt();
         comm = comm
-            .plus(predict::allreduce(p, 1.0))
             .plus(predict::allgather(p, 2.0 * sample / pf))
             .plus(predict::allreduce(p, 4.0));
         // One level narrows the candidates to the bracket between adjacent

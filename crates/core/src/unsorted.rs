@@ -10,6 +10,18 @@
 //! distributed input nor any data redistribution: expected time
 //! `O(n/p + β·min(√p·log_p n, n/p) + α log n)`.
 //!
+//! # Collective schedule
+//!
+//! The start-up budget is the pseudo-code's: **one** size all-reduction at
+//! the entry, then per narrowing level exactly **two** collectives — the
+//! sample all-gather (plus one more per empty-sample retry) and the
+//! range-count vector all-reduction `(n_a, n_b, n_c)` — and one collective
+//! for the base case.  The survivor count of the next level is one of the
+//! counts every PE has just agreed on, so it is carried through the loop and
+//! never reduced again, and the tie-break tag is the packed
+//! `(rank, local index)` word of [`tie_break_offset`], which orders like the
+//! global index without the prefix sum that would compute one.
+//!
 //! The public entry points return both the *threshold* (the element of global
 //! rank `k` under a tie-broken total order) and each PE's local part of the
 //! selected set, whose sizes sum to exactly `k` across all PEs.
@@ -22,7 +34,7 @@ use rand::SeedableRng;
 use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain, BernoulliSampler};
 use seqkit::select::partition_three_way_counts;
 
-use crate::util::tag_unique;
+use crate::util::{tag_unique, tie_break_offset};
 
 /// Result of a distributed unsorted selection.
 #[derive(Debug, Clone)]
@@ -69,8 +81,8 @@ impl Default for UnsortedSelectionConfig {
 /// Select the `k` globally smallest elements of the distributed input.
 ///
 /// `local` is this PE's part of the input; `k` counts over the union of all
-/// PEs' parts and must satisfy `1 ≤ k ≤ Σ|local|`.  Ties are broken by a
-/// global index, so exactly `k` elements are selected in total.
+/// PEs' parts and must satisfy `1 ≤ k ≤ Σ|local|`.  Ties are broken by
+/// `(rank, local index)`, so exactly `k` elements are selected in total.
 pub fn select_k_smallest<C, T>(
     comm: &C,
     local: &[T],
@@ -97,11 +109,29 @@ where
     T: Ord + Clone + CommData,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
+    select_k_smallest_known_total(comm, local, total, k, seed, config)
+}
+
+/// [`select_k_smallest_with`] for callers that have already agreed on
+/// `total = Σ|local|` (it must be that sum, identical on every PE): the
+/// selection proper, without the entry's size all-reduction.
+pub(crate) fn select_k_smallest_known_total<C, T>(
+    comm: &C,
+    local: &[T],
+    total: usize,
+    k: usize,
+    seed: u64,
+    config: UnsortedSelectionConfig,
+) -> UnsortedSelectionResult<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= total, "k = {k} exceeds the global input size {total}");
 
-    // Make the order unique: (value, global index).
-    let offset = comm.prefix_sum_exclusive(local.len() as u64);
+    // Make the order unique: (value, packed (rank, local index)).
+    let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
     let tagged = tag_unique(local, offset);
 
     let mut rng =
@@ -110,7 +140,7 @@ where
     // The recursion consumes (and shrinks) the tagged buffer; the selected
     // set is recovered afterwards directly from `local` and the offset, so no
     // second tagged copy is ever materialised.
-    let threshold_tagged = select_recursive(comm, tagged, k, &mut rng, &mut levels, &config);
+    let threshold_tagged = select_recursive(comm, tagged, total, k, &mut rng, &mut levels, &config);
 
     let local_selected: Vec<T> = local
         .iter()
@@ -162,15 +192,14 @@ where
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= total, "k = {k} exceeds the global input size {total}");
 
-    let offset = comm.prefix_sum_exclusive(local.len() as u64);
+    let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
     let mut rng =
         StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    let mut levels = 0usize;
-    threshold_recursive(comm, local, offset, k, &mut rng, &mut levels, &config)
+    threshold_recursive(comm, local, offset, total, k, &mut rng, &config)
 }
 
-/// Does the tie-broken pair `(value, global index)` lie inside the current
-/// survivor interval?
+/// Does the tie-broken pair `(value, tag)` lie inside the current survivor
+/// interval?
 fn in_bounds<T: Ord>(v: &T, gi: u64, lower: &Bound<(T, u64)>, upper: &Bound<(T, u64)>) -> bool {
     let above = match lower {
         Bound::Unbounded => true,
@@ -233,18 +262,19 @@ fn sample_survivors<T: Ord + Clone>(
 }
 
 /// Counts-only core recursion of Algorithm 1: identical communication and
-/// RNG schedule to [`select_recursive`], but the per-level state is just an
-/// interval `(lower, upper]`-style pair of [`Bound`]s over the tie-broken
-/// order plus the local survivor count — no tagged copy of the input, no
-/// per-level `retain`, no cloning of non-`Copy` payloads except onto the
-/// wire.
+/// RNG schedule to [`select_recursive`] (`total` is the agreed global input
+/// size on entry and is carried the same way), but the per-level state is
+/// just an interval `(lower, upper]`-style pair of [`Bound`]s over the
+/// tie-broken order plus the local survivor count — no tagged copy of the
+/// input, no per-level `retain`, no cloning of non-`Copy` payloads except
+/// onto the wire.
 fn threshold_recursive<C, T>(
     comm: &C,
     local: &[T],
     offset: u64,
+    mut total: usize,
     mut k: usize,
     rng: &mut StdRng,
-    levels: &mut usize,
     config: &UnsortedSelectionConfig,
 ) -> T
 where
@@ -255,10 +285,10 @@ where
     let mut lower: Bound<(T, u64)> = Bound::Unbounded;
     let mut upper: Bound<(T, u64)> = Bound::Unbounded;
     let mut cur_local = local.len();
+    let mut levels = 0usize;
     loop {
-        *levels += 1;
+        levels += 1;
         debug_assert_eq!(survivors(local, offset, &lower, &upper).count(), cur_local);
-        let total = comm.allreduce_sum(cur_local as u64) as usize;
         debug_assert!(k >= 1 && k <= total);
 
         if k == 1 {
@@ -277,7 +307,7 @@ where
                 .expect("k = total requires a non-empty input")
                 .0;
         }
-        if total <= config.base_case_size || *levels >= config.max_levels {
+        if total <= config.base_case_size || levels >= config.max_levels {
             let mine: Vec<(T, u64)> = survivors(local, offset, &lower, &upper)
                 .map(|(v, gi)| (v.clone(), gi))
                 .collect();
@@ -318,14 +348,16 @@ where
         }
         let lb = cur_local as u64 - la - lc;
         let counts = comm.allreduce_vec_sum(vec![la, lb, lc]);
-        let (na, nb) = (counts[0] as usize, counts[1] as usize);
+        let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
 
         // Narrow the *interval* (both pivots lie inside the current bounds,
         // so plain replacement is the intersection) — the buffer-narrowing
-        // `retain` of the full path becomes two `Bound` assignments.
+        // `retain` of the full path becomes two `Bound` assignments.  The
+        // agreed count of the chosen range is the next level's total.
         if k <= na {
             upper = Bound::Excluded(lo_pivot);
             cur_local = la as usize;
+            total = na;
         } else if k <= na + nb {
             lower = Bound::Included(lo_pivot);
             upper = Bound::Included(hi_pivot);
@@ -333,10 +365,12 @@ where
                 k -= na;
             }
             cur_local = lb as usize;
+            total = nb;
         } else {
             lower = Bound::Excluded(hi_pivot);
             k -= na + nb;
             cur_local = lc as usize;
+            total = nc;
         }
     }
 }
@@ -354,9 +388,28 @@ where
     T: Ord + Clone + CommData,
     std::cmp::Reverse<T>: CommData,
 {
+    let total = comm.allreduce_sum(local.len() as u64) as usize;
+    select_k_largest_known_total(comm, local, total, k, seed)
+}
+
+/// [`select_k_largest`] for callers that have already agreed on
+/// `total = Σ|local|` (see [`select_k_smallest_known_total`]).
+pub(crate) fn select_k_largest_known_total<C, T>(
+    comm: &C,
+    local: &[T],
+    total: usize,
+    k: usize,
+    seed: u64,
+) -> UnsortedSelectionResult<std::cmp::Reverse<T>>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+    std::cmp::Reverse<T>: CommData,
+{
     let reversed: Vec<std::cmp::Reverse<T>> =
         local.iter().cloned().map(std::cmp::Reverse).collect();
-    select_k_smallest(comm, &reversed, k, seed)
+    let config = UnsortedSelectionConfig::default();
+    select_k_smallest_known_total(comm, &reversed, total, k, seed, config)
 }
 
 /// Global minimum over per-PE optional values (`None` = "this PE has no
@@ -429,10 +482,16 @@ where
 /// (pinned by `seqkit::sampling` tests and by
 /// `fused_level_is_bit_identical_to_the_two_pass_reference` below), the
 /// pivot samples — and therefore every message on the wire — are
-/// bit-identical to the PR-3 two-pass implementation.
+/// bit-identical to the two-pass reference implementation.
+///
+/// `total` is the agreed global size of `s` on entry.  A narrowing level
+/// issues exactly two collectives (sample all-gather, range-count vector
+/// all-reduction); the chosen range's agreed count becomes the next level's
+/// `total`, so the survivor count is never reduced.
 fn select_recursive<C, K>(
     comm: &C,
     mut s: Vec<K>,
+    mut total: usize,
     mut k: usize,
     rng: &mut StdRng,
     levels: &mut usize,
@@ -447,7 +506,6 @@ where
     let mut pending_sample: Option<Vec<K>> = None;
     loop {
         *levels += 1;
-        let total = comm.allreduce_sum(s.len() as u64) as usize;
         debug_assert!(k >= 1 && k <= total);
 
         // Cheap base cases: the extremes need only a single reduction.
@@ -551,6 +609,7 @@ where
             debug_assert_eq!(s.len(), lc);
         }
         k = next_k;
+        total = next_total;
     }
 }
 
@@ -561,13 +620,17 @@ mod tests {
     use rand::Rng;
 
     /// The PR-3 two-pass recursion (count, narrow with a plain `retain`,
-    /// sample the narrowed buffer at the next loop top), kept verbatim as
-    /// the reference the fused count-while-sampling level is pinned
-    /// against: identical thresholds, identical selected sets, identical
-    /// recursion depth and — crucially — identical metered traffic.
+    /// sample the narrowed buffer at the next loop top), kept as the
+    /// reference the fused count-while-sampling level is pinned against:
+    /// identical thresholds, identical selected sets, identical recursion
+    /// depth and — crucially — identical metered traffic.  Its *local*
+    /// sweeps are the PR-3 ones verbatim; its communication follows the
+    /// current schedule (known total carried through the loop, packed
+    /// tie-break tag).
     fn select_recursive_two_pass<C, K>(
         comm: &C,
         mut s: Vec<K>,
+        mut total: usize,
         mut k: usize,
         rng: &mut StdRng,
         levels: &mut usize,
@@ -580,7 +643,6 @@ mod tests {
         let p = comm.size();
         loop {
             *levels += 1;
-            let total = comm.allreduce_sum(s.len() as u64) as usize;
             if k == 1 {
                 return global_min(comm, s.iter().min().cloned()).unwrap();
             }
@@ -612,17 +674,20 @@ mod tests {
             let hi_pivot = sample[hi_idx].clone();
             let (la, lb, _lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
             let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, _lc as u64]);
-            let (na, nb) = (counts[0] as usize, counts[1] as usize);
+            let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
             if k <= na {
                 s.retain(|e| *e < lo_pivot);
+                total = na;
             } else if k <= na + nb {
                 s.retain(|e| lo_pivot <= *e && *e <= hi_pivot);
                 if nb != total {
                     k -= na;
                 }
+                total = nb;
             } else {
                 s.retain(|e| *e > hi_pivot);
                 k -= na + nb;
+                total = nc;
             }
         }
     }
@@ -643,13 +708,13 @@ mod tests {
         // traffic of the two variants is comparable one-to-one.
         let total = comm.allreduce_sum(local.len() as u64) as usize;
         assert!(k >= 1 && k <= total);
-        let offset = comm.prefix_sum_exclusive(local.len() as u64);
-        let tagged = crate::util::tag_unique(local, offset);
+        let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
+        let tagged = tag_unique(local, offset);
         let mut rng =
             StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let mut levels = 0usize;
         let threshold_tagged =
-            select_recursive_two_pass(comm, tagged, k, &mut rng, &mut levels, &config);
+            select_recursive_two_pass(comm, tagged, total, k, &mut rng, &mut levels, &config);
         let local_selected: Vec<T> = local
             .iter()
             .enumerate()
@@ -812,6 +877,34 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The start-up budget is exact.  At p = 64 rank 0 sends ⌈log₂ p⌉ = 6
+    /// messages per collective (the downward half of an all-reduction or
+    /// all-gather), and a selection of `recursion_levels` levels issues the
+    /// entry reduction, two collectives per narrowing level and one for the
+    /// base-case level: `2 · recursion_levels` collectives in all.  (Fixed
+    /// seeds on which no level draws an empty sample — a retry would add
+    /// one all-gather.  `select_threshold` sends the same messages, pinned
+    /// by `threshold_only_path_is_bit_identical_to_the_full_path`.)
+    #[test]
+    fn startup_budget_is_two_collectives_per_level() {
+        let p = 64;
+        let per_pe = 64;
+        let parts = random_parts(p, per_pe, 1 << 40, 5);
+        let n = p * per_pe;
+        for (k, seed) in [(n / 1024, 1u64), (n / 32, 2), (n / 2, 3), (n / 3, 4)] {
+            let parts_ref = parts.clone();
+            let out = run_spmd_seq(p, move |comm| {
+                let before = comm.stats_snapshot();
+                let r = select_k_smallest(comm, &parts_ref[comm.rank()], k, seed);
+                let sent = comm.stats_snapshot().since(&before).sent_messages;
+                (r.recursion_levels, sent)
+            });
+            let (levels, sent) = out.results[0];
+            assert!(levels >= 2, "k={k}: the recursion must narrow");
+            assert_eq!(sent, 6 * 2 * levels as u64, "k={k} seed={seed}");
         }
     }
 

@@ -71,14 +71,42 @@ pub fn owner_of(key: u64, p: usize) -> usize {
 /// paper assumes without loss of generality ("we can make the value v of
 /// object x unique by replacing it by the pair (v, x)").
 ///
-/// `global_offset` is the global index of this PE's first element (usually an
-/// exclusive prefix sum of the local sizes).
+/// `global_offset` is the tag of this PE's first element: the selection
+/// kernels pass [`tie_break_offset`], which needs no communication; an
+/// exclusive prefix sum of the local sizes gives the same order.
 pub fn tag_unique<T: Clone>(local: &[T], global_offset: u64) -> Vec<(T, u64)> {
     local
         .iter()
         .enumerate()
         .map(|(i, x)| (x.clone(), global_offset + i as u64))
         .collect()
+}
+
+/// Bits of a tie-break word that hold the local index; the rank sits above.
+const TIE_BREAK_INDEX_BITS: u32 = 40;
+
+/// Tie-break tag of PE `rank`'s first element: local element `i` gets the
+/// word `tie_break_offset(..) + i`, i.e. `rank << 40 | i`.
+///
+/// The packed word orders elements exactly like the global index
+/// `Σ_{r < rank} |local_r| + i` (both are monotone in `(rank, i)`), so it
+/// breaks ties identically, is still one word on the wire, and — unlike the
+/// global index — every PE knows it without a prefix sum.
+///
+/// # Panics
+///
+/// Panics if `local_len > 2^40` or `p > 2^24` (the word would overflow).
+pub fn tie_break_offset(rank: usize, p: usize, local_len: usize) -> u64 {
+    assert!(
+        local_len as u64 <= 1 << TIE_BREAK_INDEX_BITS,
+        "local input of {local_len} elements does not fit the 40-bit tie-break index"
+    );
+    assert!(
+        p as u64 <= 1 << (u64::BITS - TIE_BREAK_INDEX_BITS),
+        "{p} PEs do not fit the 24-bit tie-break rank"
+    );
+    debug_assert!(rank < p);
+    (rank as u64) << TIE_BREAK_INDEX_BITS
 }
 
 #[cfg(test)]
@@ -157,5 +185,41 @@ mod tests {
         let mut ids: Vec<u64> = tagged.iter().map(|&(_, id)| id).collect();
         ids.dedup();
         assert_eq!(ids.len(), 3);
+    }
+
+    #[test]
+    fn packed_tie_break_sorts_like_value_and_global_index() {
+        // Duplicate-heavy parts, two of them empty.
+        let parts: Vec<Vec<u64>> = vec![
+            vec![3, 1, 3, 3, 0],
+            vec![],
+            vec![1, 1, 3],
+            vec![],
+            vec![0, 3, 1, 3, 3, 3, 2],
+        ];
+        let p = parts.len();
+        let mut by_global_index = Vec::new();
+        let mut by_packed_tag = Vec::new();
+        let mut global_offset = 0u64;
+        for (rank, part) in parts.iter().enumerate() {
+            by_global_index.extend(tag_unique(part, global_offset));
+            by_packed_tag.extend(tag_unique(part, tie_break_offset(rank, p, part.len())));
+            global_offset += part.len() as u64;
+        }
+        // Sort positions (not the tags themselves, which differ) under both
+        // orders: the permutations must coincide.
+        let order = |tagged: &[(u64, u64)]| {
+            let mut idx: Vec<usize> = (0..tagged.len()).collect();
+            idx.sort_by_key(|&i| tagged[i]);
+            idx
+        };
+        assert_eq!(order(&by_packed_tag), order(&by_global_index));
+        assert_eq!(by_packed_tag[5], (1, 2 << 40));
+    }
+
+    #[test]
+    #[should_panic(expected = "tie-break rank")]
+    fn tie_break_rejects_worlds_beyond_24_rank_bits() {
+        tie_break_offset(0, (1 << 24) + 1, 0);
     }
 }
