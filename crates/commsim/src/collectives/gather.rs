@@ -1,7 +1,11 @@
-//! Binomial-tree gather and all-gather (gossiping).
+//! Binomial-tree gather and dissemination (Bruck) all-gather (gossiping).
 //!
 //! Exposed as [`Communicator::gather`] / [`Communicator::allgather`]; the
-//! free function here is the shared implementation used by every backend.
+//! free functions here are the shared implementations used by every backend.
+//! The two share no schedule: the gather funnels rank-tagged values up a
+//! binomial tree onto one root, the all-gather is `⌈log₂ p⌉` symmetric
+//! rounds in which every PE forwards the blocks it already holds, so no PE
+//! ever re-sends the whole concatenation (see [`allgather`]).
 
 use crate::communicator::Communicator;
 use crate::message::CommData;
@@ -52,9 +56,59 @@ where
     }
 }
 
+/// Dissemination (Bruck et al.) all-gather over any backend; see
+/// [`Communicator::allgather`].
+///
+/// Round `j` works at distance `dist = 2^j`: PE `r` sends the first
+/// `count = min(dist, p − dist)` blocks it holds, as one `Vec<T>`, to PE
+/// `(r + dist) mod p` and receives exactly `count` blocks from PE
+/// `(r − dist) mod p`.  `blocks[i]` is always the contribution of PE
+/// `(r − i) mod p`, so the position of a block *is* its origin: no rank
+/// tags travel, blocks of different sizes need nothing extra, and one
+/// reverse plus one rotation restores rank order at the end.
+///
+/// Data flows toward **higher** ranks.  That is part of the design, not a
+/// free choice: both replay backends start PEs in ascending rank order, so a
+/// block sent upwards is already in the store when its receiver first runs;
+/// the mirrored orientation makes every first receive of a round block and
+/// costs two to three times the re-executions (EXPERIMENTS.md, PR 16).
+pub(crate) fn allgather<C, T>(comm: &C, value: T) -> Vec<T>
+where
+    C: Communicator + ?Sized,
+    T: CommData + Clone,
+{
+    let p = comm.size();
+    let rank = comm.rank();
+    let tag = comm.next_collective_tag();
+
+    let mut blocks: Vec<T> = Vec::with_capacity(p);
+    blocks.push(value);
+    let mut dist = 1;
+    while dist < p {
+        let count = dist.min(p - dist);
+        comm.send_raw((rank + dist) % p, tag, blocks[..count].to_vec());
+        let src = (rank + p - dist) % p;
+        let received: Vec<T> = comm.recv_raw(src, tag);
+        assert_eq!(
+            received.len(),
+            count,
+            "allgather: PE {src} sent {} blocks at distance {dist}, expected {count}",
+            received.len()
+        );
+        blocks.extend(received);
+        dist *= 2;
+    }
+    // blocks[i] came from PE (rank − i) mod p; reversed, position j holds PE
+    // (rank + 1 + j) mod p, and PE 0 sits at j = p − 1 − rank.
+    blocks.reverse();
+    blocks.rotate_left(p - 1 - rank);
+    blocks
+}
+
 #[cfg(test)]
 mod tests {
     use crate::communicator::Communicator;
+    use crate::cost::predict;
     use crate::runner::run_spmd;
     use crate::topology::dissemination_rounds;
 
@@ -89,9 +143,13 @@ mod tests {
 
     #[test]
     fn allgather_gives_everyone_everything() {
-        for p in [1, 2, 5, 8, 9] {
-            let out = run_spmd(p, |comm| comm.allgather(comm.rank() as u64));
-            let expected: Vec<u64> = (0..p as u64).collect();
+        // Ragged blocks (PE r contributes r elements): a block's position in
+        // the schedule is its only origin tag, so sizes must not matter.
+        for p in [1, 2, 3, 5, 6, 8, 9, 12, 13] {
+            let out = run_spmd(p, |comm| {
+                comm.allgather((0..comm.rank() as u64).collect::<Vec<u64>>())
+            });
+            let expected: Vec<Vec<u64>> = (0..p as u64).map(|r| (0..r).collect()).collect();
             assert!(out.results.iter().all(|v| *v == expected), "p={p}");
         }
     }
@@ -107,16 +165,61 @@ mod tests {
         assert!(out.stats.bottleneck_messages() <= dissemination_rounds(p) as u64);
     }
 
+    /// Uniform blocks of `w` words: every PE sends and receives exactly
+    /// `⌈log₂p⌉ + (p−1)·w` words in `⌈log₂p⌉` messages, and
+    /// `predict::allgather` states the same numbers.
     #[test]
-    fn allgather_volume_is_linear_in_p_per_pe() {
-        let p = 16u64;
-        let out = run_spmd(p as usize, |comm| {
-            comm.allgather(comm.rank() as u64);
-        });
-        // The root both receives ~p pairs and broadcasts the p-vector to its
-        // children, so the bottleneck is Θ(p) with a small constant.
-        let bottleneck = out.stats.bottleneck_words();
-        assert!(bottleneck >= p, "bottleneck {bottleneck} < p {p}");
-        assert!(bottleneck <= 16 * p, "bottleneck {bottleneck} too large");
+    fn allgather_cost_is_exact_for_uniform_blocks() {
+        for p in [1usize, 2, 5, 8, 64] {
+            for elems in [0usize, 1, 64] {
+                let out = run_spmd(p, move |comm| {
+                    comm.allgather(vec![comm.rank() as u64; elems]);
+                });
+                let rounds = u64::from(dissemination_rounds(p));
+                let w = elems as u64 + 1;
+                let words = rounds + (p as u64 - 1) * w;
+                for (rank, s) in out.stats.per_pe().iter().enumerate() {
+                    let label = format!("p={p} elems={elems} rank={rank}");
+                    assert_eq!(s.sent_words, words, "{label}");
+                    assert_eq!(s.received_words, words, "{label}");
+                    assert_eq!(s.sent_messages, rounds, "{label}");
+                    assert_eq!(s.received_messages, rounds, "{label}");
+                }
+                assert_eq!(out.stats.total_words(), p as u64 * words);
+                let predicted = predict::allgather(p, w as f64);
+                assert_eq!(predicted.words, out.stats.bottleneck_words() as f64);
+                assert_eq!(predicted.startups, out.stats.bottleneck_messages() as f64);
+            }
+        }
+    }
+
+    /// Ragged blocks: PE `r` receives every other block exactly once, and no
+    /// PE sends more than the old tree's root did (`⌈log₂p⌉` copies of the
+    /// concatenation).
+    #[test]
+    fn allgather_cost_is_exact_for_ragged_blocks() {
+        type Sizes = fn(usize) -> usize;
+        let by_rank: Sizes = |rank| rank;
+        let one_huge: Sizes = |rank| if rank == 3 { 4096 } else { 0 };
+        for p in [5usize, 8, 64] {
+            for elems in [by_rank, one_huge] {
+                let out = run_spmd(p, move |comm| {
+                    comm.allgather(vec![7u64; elems(comm.rank())]);
+                });
+                let rounds = u64::from(dissemination_rounds(p));
+                let w = |rank: usize| elems(rank) as u64 + 1;
+                let all: u64 = (0..p).map(w).sum();
+                for (rank, s) in out.stats.per_pe().iter().enumerate() {
+                    assert_eq!(
+                        s.received_words,
+                        rounds + all - w(rank),
+                        "p={p} rank={rank}"
+                    );
+                    assert_eq!(s.received_messages, rounds);
+                    assert_eq!(s.sent_messages, rounds);
+                    assert!(s.sent_words <= rounds * (1 + all), "p={p} rank={rank}");
+                }
+            }
+        }
     }
 }

@@ -5,12 +5,17 @@
 //! all-to-all, each with latency `O(α log p)` (the all-to-all pays `O(αp)`
 //! with direct delivery, as in the paper).  They are implemented on binomial
 //! trees and dissemination patterns from [`crate::topology`], are valid for
-//! any number of PEs, and are metered like every other message.
+//! any number of PEs, and are metered like every other message.  The rooted
+//! operations (broadcast, reduce, gather, scatter) and the all-reduction
+//! built from them are binomial trees; the barrier, the prefix sums, the
+//! hypercube all-to-all and the all-gather are `⌈log₂ p⌉`-round exchanges in
+//! which every PE sends and receives once per round.  The all-gather
+//! (`gather.rs`) is the Bruck dissemination schedule and meets the paper's
+//! `O(βmp + α log p)` on every PE — no PE re-sends the concatenation.
 //!
 //! Each collective is written once as a generic function over any
 //! [`crate::Communicator`] and surfaced as a provided method of that trait,
-//! so the threaded and the sequential backend share the exact same
-//! implementations.
+//! so all backends share the exact same implementations.
 //!
 //! All collectives must be called by **every** PE of the world, in the same
 //! order — the usual SPMD contract.  Mismatched calls are detected (with high

@@ -303,20 +303,22 @@ pub trait Communicator {
     /// contributes one value and every PE receives the vector of all
     /// contributions, indexed by rank.
     ///
-    /// Implemented as a binomial gather onto PE 0 followed by a binomial
-    /// broadcast of the `mp`-word concatenation, so PE 0 re-sends the whole
-    /// concatenation to each of its `⌈log₂ p⌉` children:
-    /// `O(βmp·log p + α log p)` at the root (what
-    /// [`cost::predict::allgather`](crate::cost::predict::allgather)
-    /// models), `O(βmp + α log p)` at the leaves.  A dissemination
-    /// all-gather would meet the paper's `O(βmp + α log p)` on every PE
-    /// (ROADMAP open item).
+    /// One dissemination phase (Bruck et al.): in round `j` PE `r` sends the
+    /// first `min(2^j, p − 2^j)` blocks it holds to PE `(r + 2^j) mod p` and
+    /// receives as many from PE `(r − 2^j) mod p`.  With `w`-word blocks
+    /// every PE sends and receives exactly `⌈log₂ p⌉ + (p−1)·w` words in
+    /// `⌈log₂ p⌉` messages — the paper's `O(βmp + α log p)` on *every* PE,
+    /// stated as a formula by
+    /// [`cost::predict::allgather`](crate::cost::predict::allgather).
+    /// Blocks may differ in size: PE `r` then receives `⌈log₂ p⌉` words plus
+    /// every other block once, and sends at most `⌈log₂ p⌉` copies of the
+    /// concatenation.  Blocks travel toward higher ranks because the replay
+    /// backends start PEs in ascending rank order (see [`crate::mux`]).
     fn allgather<T: CommData + Clone>(&self, value: T) -> Vec<T>
     where
         Self: Sized,
     {
-        let gathered = self.gather(0, value);
-        self.broadcast(0, gathered)
+        collectives::gather::allgather(self, value)
     }
 
     /// Scatter one value per PE from `root`: the root supplies

@@ -12,10 +12,10 @@
 //! * collective operations (broadcast, reduction, all-reduction, prefix sums,
 //!   gather, scatter, all-gather, all-to-all) that run in
 //!   `O(βm + α log p)` (or `O(βmp + α log p)` where the output is inherently
-//!   of size `mp`).  One collective here misses the model's bound:
-//!   [`Communicator::allgather`] is a gather followed by a binomial
-//!   broadcast, so its root sends the `mp`-word concatenation `⌈log₂ p⌉`
-//!   times — `O(βmp·log p + α log p)` at the bottleneck PE.
+//!   of size `mp`: [`Communicator::allgather`] is a dissemination all-gather
+//!   that meets this on every PE, exactly `⌈log₂ p⌉ + (p−1)·m` words in
+//!   `⌈log₂ p⌉` messages).  The rooted collectives are binomial trees, so
+//!   for long vectors their root's path pays `βm·log p` rather than `βm`.
 //!
 //! The machine model is captured by the [`Communicator`] trait, and every
 //! algorithm built on this crate is generic over it.  Three backends are

@@ -27,6 +27,26 @@
 //! * a send that produces the message a parked task waits for **wakes** it
 //!   by moving it back onto the ready-queue.
 //!
+//! The ready-queue is **least-progress-first**: a min-heap on (messages
+//! sent plus received by the task's furthest execution, arrival ticket).
+//! All tasks start at progress 0, so the first pass runs them in ascending
+//! rank order; afterwards the task furthest behind in the program runs
+//! next, and tasks equally far along run in the order they became
+//! runnable.  An aborted execution costs one unwind plus one re-execution,
+//! so what the order buys is fewer aborts: by the time a task is picked,
+//! the tasks behind it — whose messages it will need next — have already
+//! run.  On binomial trees the least-advanced task is also the oldest, and
+//! the order coincides with FIFO; on log-round exchanges (barrier,
+//! hypercube all-to-all, the dissemination all-gather), where every PE
+//! receives in every round, it roughly halves the executions per PE (pinned
+//! by unit tests below; measurements in EXPERIMENTS.md).  The order is a
+//! heuristic only for *cost*.  Termination does not depend on it, for the
+//! reason it did not depend on FIFO: a parked task is re-queued only when
+//! the message it parked on is in the store (or, under a fault plan, when
+//! its receive got a verdict or its peer turned terminal — once per peer),
+//! so every dequeue advances that task by at least one receive, and total
+//! progress is bounded by the program.
+//!
 //! Because tasks re-execute from scratch, sent messages cannot be consumed
 //! destructively (a finished sender will never run again to refill a
 //! slot, unlike in the round-based backend where every PE re-runs every
@@ -84,7 +104,8 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -177,13 +198,44 @@ struct MuxShard {
 }
 
 /// A suspended PE: everything that must survive between executions.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct TaskState {
     rank: Rank,
+    /// Messages sent plus received by this task's furthest execution — its
+    /// position in the program, and the ready queue's primary key.
+    progress: u64,
     /// `try_recv` decision log (recorded once, replayed verbatim).
     try_log: Vec<bool>,
     /// Forced-`Timeout` verdicts for `recv_failable`, by failable-call
     /// index (written by the stall resolver, replayed verbatim).
     timeout_log: Vec<bool>,
+}
+
+/// The runnable tasks, **least progress first**: a min-heap on
+/// `(task.progress, arrival ticket)`, so the task furthest behind in the
+/// program runs next and tasks equally far along run in arrival order.
+/// (Tickets are unique, so the `TaskState` in the tuple is never compared;
+/// its `Ord` only lets the tuple sit in a heap.)
+#[derive(Default)]
+struct ReadyQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, TaskState)>>,
+    next_ticket: u64,
+}
+
+impl ReadyQueue {
+    fn push(&mut self, task: TaskState) {
+        self.heap
+            .push(Reverse((task.progress, self.next_ticket, task)));
+        self.next_ticket += 1;
+    }
+
+    fn pop(&mut self) -> Option<TaskState> {
+        self.heap.pop().map(|Reverse((_, _, task))| task)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
 }
 
 /// What a parked task is waiting for — kept in the scheduler for deadlock
@@ -201,7 +253,7 @@ struct WaitInfo {
 
 /// Scheduler state: the ready-queue plus park/progress bookkeeping.
 struct Sched {
-    ready: VecDeque<TaskState>,
+    ready: ReadyQueue,
     /// Parked task storage, indexed by rank.
     parked: Vec<Option<TaskState>>,
     /// What each parked task waits for (deadlock diagnostics only; the
@@ -255,7 +307,7 @@ impl MuxWorld {
             stats: StatsRegistry::new(p),
             shards: (0..p).map(|_| Mutex::new(MuxShard::default())).collect(),
             sched: Mutex::new(Sched {
-                ready: VecDeque::with_capacity(p),
+                ready: ReadyQueue::default(),
                 parked: (0..p).map(|_| None).collect(),
                 waiting: vec![None; p],
                 active: 0,
@@ -301,7 +353,7 @@ impl MuxWorld {
                             // The shard's waiter registration goes stale
                             // here (lock order forbids clearing it while
                             // holding sched); the wake path tolerates it.
-                            sched.ready.push_back(task);
+                            sched.ready.push(task);
                             forced = true;
                         }
                     }
@@ -345,7 +397,7 @@ impl MuxWorld {
             if sched.waiting[rank].is_some_and(|info| info.blocked.src == src) {
                 if let Some(task) = sched.parked[rank].take() {
                     sched.waiting[rank] = None;
-                    sched.ready.push_back(task);
+                    sched.ready.push(task);
                     self.cv.notify_one();
                 }
             }
@@ -597,7 +649,7 @@ impl Communicator for MuxComm {
                 // may have no parked task — it is already running again.
                 if let Some(task) = sched.parked[dst].take() {
                     sched.waiting[dst] = None;
-                    sched.ready.push_back(task);
+                    sched.ready.push(task);
                     self.world.cv.notify_one();
                 }
             }
@@ -624,7 +676,7 @@ impl Communicator for MuxComm {
                     let mut sched = lock(&self.world.sched);
                     if let Some(task) = sched.parked[delayed_dst].take() {
                         sched.waiting[delayed_dst] = None;
-                        sched.ready.push_back(task);
+                        sched.ready.push(task);
                         self.world.cv.notify_one();
                     }
                 }
@@ -724,7 +776,7 @@ where
                 if sched.failure.is_some() || world.finished(&sched) == world.p {
                     return;
                 }
-                if let Some(task) = sched.ready.pop_front() {
+                if let Some(task) = sched.ready.pop() {
                     sched.active += 1;
                     break task;
                 }
@@ -746,6 +798,10 @@ where
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
         task.try_log = comm.try_log.into_inner();
         task.timeout_log = comm.timeout_log.into_inner();
+        // Replays are deterministic, so an execution never ends before the
+        // previous one did and this only grows.
+        let counters = world.stats.pe(rank).snapshot();
+        task.progress = counters.sent_messages + counters.received_messages;
         match outcome {
             Ok(value) => {
                 lock(results)[rank] = Some(value);
@@ -786,7 +842,7 @@ where
                     let mut sched = lock(&world.sched);
                     sched.active -= 1;
                     if arrived {
-                        sched.ready.push_back(task);
+                        sched.ready.push(task);
                         world.cv.notify_one();
                     } else {
                         shard.waiter = Some((src, index));
@@ -924,8 +980,9 @@ where
     {
         let mut sched = lock(&world.sched);
         for rank in 0..p {
-            sched.ready.push_back(TaskState {
+            sched.ready.push(TaskState {
                 rank,
+                progress: 0,
                 try_log: Vec::new(),
                 timeout_log: Vec::new(),
             });
@@ -1115,6 +1172,68 @@ mod tests {
         });
         for (rank, v) in out.results.iter().enumerate() {
             assert_eq!(*v as usize, (rank + p - 1) % p);
+        }
+    }
+
+    #[test]
+    fn ready_queue_pops_least_progress_first_and_ties_in_arrival_order() {
+        let mut ready = ReadyQueue::default();
+        for (rank, progress) in [(0, 5), (1, 2), (2, 5), (3, 2), (4, 0), (5, 5)] {
+            ready.push(TaskState {
+                rank,
+                progress,
+                try_log: Vec::new(),
+                timeout_log: Vec::new(),
+            });
+        }
+        let order: Vec<Rank> = std::iter::from_fn(|| ready.pop())
+            .map(|task| task.rank)
+            .collect();
+        assert_eq!(order, vec![4, 1, 3, 0, 2, 5]);
+        assert!(ready.is_empty());
+    }
+
+    /// Closure invocations per PE on one worker — the replay engine's work,
+    /// deterministic where wall-clock is not.
+    fn executions_per_pe(p: usize, f: impl Fn(&MuxComm) + Send + Sync) -> f64 {
+        let executions = AtomicU64::new(0);
+        mux_with_workers(p, 1, |comm| {
+            executions.fetch_add(1, Ordering::Relaxed);
+            f(comm);
+        });
+        executions.into_inner() as f64 / p as f64
+    }
+
+    #[test]
+    fn log_round_collectives_replay_within_their_budget() {
+        for p in [64, 256] {
+            let gathers = executions_per_pe(p, |comm| {
+                for _ in 0..3 {
+                    comm.allgather(vec![comm.rank() as u64; 8]);
+                    comm.allreduce_vec_sum(vec![1; 4]);
+                }
+            });
+            assert!(gathers <= 7.5, "p={p}: {gathers} executions/PE");
+            let barriers = executions_per_pe(p, |comm| {
+                for _ in 0..4 {
+                    comm.barrier();
+                }
+            });
+            assert!(barriers <= 5.0, "p={p}: {barriers} executions/PE");
+        }
+    }
+
+    #[test]
+    fn tree_collectives_replay_exactly_as_under_fifo() {
+        // Along a binomial tree the least-advanced task is also the oldest
+        // one, so the scheduler must not move these programs at all.
+        for (p, fifo) in [(64, 634.0 / 64.0), (256, 2554.0 / 256.0)] {
+            let reduces = executions_per_pe(p, |comm| {
+                for _ in 0..6 {
+                    comm.allreduce_sum(comm.rank() as u64);
+                }
+            });
+            assert_eq!(reduces, fifo, "p={p}");
         }
     }
 

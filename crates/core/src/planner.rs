@@ -611,8 +611,8 @@ impl Planner {
         let shared = dht.plus(predict::allreduce(p, 1.0));
         let counts_only = shared
             .plus(selection_cost(p, aggregate))
-            .plus(predict::allgather(p, 2.0 * k as f64 / p.max(1) as f64));
-        let full_gather = shared.plus(predict::allgather(p, 2.0 * aggregate / p.max(1) as f64));
+            .plus(allgather_pairs(p, k as f64));
+        let full_gather = shared.plus(allgather_pairs(p, aggregate));
         let use_counts_only =
             self.cost.predicted_cost(&counts_only) <= self.cost.predicted_cost(&full_gather);
         let predicted = if use_counts_only {
@@ -761,13 +761,12 @@ impl Planner {
     /// selection short-circuits to one max-reduction and the winners'
     /// all-gather *is* the aggregate.
     fn top_counts_cost(&self, p: usize, aggregate: f64, k: f64) -> PredictedComm {
-        let pf = p.max(1) as f64;
         if k >= aggregate {
             return predict::allreduce(p, 1.0)
                 .plus(predict::allreduce(p, 2.0))
-                .plus(predict::allgather(p, 2.0 * aggregate / pf));
+                .plus(allgather_pairs(p, aggregate));
         }
-        selection_cost(p, aggregate).plus(predict::allgather(p, 2.0 * k / pf))
+        selection_cost(p, aggregate).plus(allgather_pairs(p, k))
     }
 
     /// Choose the cheaper DHT routing for `m_total` payload words per PE and
@@ -781,6 +780,12 @@ impl Planner {
             (DhtFanout::Hypercube, hypercube)
         }
     }
+}
+
+/// All-gather of `total` 2-word pairs spread evenly over the PEs: one `Vec`
+/// block per PE, which pays its own length word.
+fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
+    predict::allgather(p, 2.0 * total / p.max(1) as f64 + 1.0)
 }
 
 /// The §4.1 unsorted selection over `total` 2-word items spread across `p`
@@ -797,7 +802,7 @@ fn selection_cost(p: usize, total: f64) -> PredictedComm {
     while t > BASE_CASE && levels < 16 {
         let sample = pf.sqrt();
         comm = comm
-            .plus(predict::allgather(p, 2.0 * sample / pf))
+            .plus(allgather_pairs(p, sample))
             .plus(predict::allreduce(p, 4.0));
         // One level narrows the candidates to the bracket between adjacent
         // sample elements around the target rank: ≈ total/√p̄ in expectation
@@ -805,7 +810,7 @@ fn selection_cost(p: usize, total: f64) -> PredictedComm {
         t = (2.0 * t / sample.max(1.5)).max(BASE_CASE / 2.0);
         levels += 1;
     }
-    comm.plus(predict::allgather(p, 2.0 * t.min(BASE_CASE) / pf))
+    comm.plus(allgather_pairs(p, t.min(BASE_CASE)))
 }
 
 #[cfg(test)]

@@ -67,7 +67,12 @@ fn sample_and_count<C: Communicator>(
     // Local aggregation first (Section 8.1): the sample is drawn from the
     // per-key local sums, not from the raw pairs.
     let local_agg = sum_by_key(local_pairs.iter().copied());
-    let local_total: f64 = local_agg.values().sum();
+    // Everything order-sensitive below — the `f64` total and the RNG draws —
+    // walks the aggregate in key order: `HashMap` iteration order differs
+    // between runs of one binary, and with it the sample and the words/PE.
+    let mut by_key: Vec<(u64, f64)> = local_agg.iter().map(|(&key, &sum)| (key, sum)).collect();
+    by_key.sort_unstable_by_key(|&(key, _)| key);
+    let local_total: f64 = by_key.iter().map(|&(_, sum)| sum).sum();
     let global_total = comm
         .allreduce(
             OrderedF64(local_total),
@@ -82,7 +87,7 @@ fn sample_and_count<C: Communicator>(
 
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5AA5 ^ (comm.rank() as u64) << 4);
     let mut local_samples: HashMap<u64, u64> = HashMap::new();
-    for (&key, &sum) in &local_agg {
+    for &(key, sum) in &by_key {
         let count = value_proportional_sample_count(sum, v_avg, &mut rng);
         if count > 0 {
             local_samples.insert(key, count);
@@ -245,6 +250,29 @@ mod tests {
         });
         for &words in &out.results {
             assert!(words < (per_pe / 4) as u64, "moved {words} words");
+        }
+    }
+
+    #[test]
+    fn repeated_runs_sample_and_meter_identically() {
+        // The sample once followed `HashMap` iteration order, so two runs of
+        // one binary drew different samples and metered different words/PE.
+        let p = 4;
+        let inputs = WeightedZipfInput::new(4096, 1.0, 5.0, 29).generate_all(p, 8_000);
+        let params = FrequentParams::new(8, 2e-3, 1e-3, 31);
+        let run = || {
+            let inputs = inputs.clone();
+            let out = run_spmd(p, move |comm| {
+                (
+                    sum_top_k(comm, &inputs[comm.rank()], &params).items,
+                    sum_top_k_exact(comm, &inputs[comm.rank()], &params, 32).items,
+                )
+            });
+            (out.results, out.stats.per_pe().to_vec())
+        };
+        let first = run();
+        for _ in 0..4 {
+            assert_eq!(run(), first);
         }
     }
 
