@@ -30,8 +30,8 @@ pub use scaling::{measure_spmd, pe_sweep, scaled_epsilon, Backend, Measurement, 
 
 /// Run the same generic SPMD closure on the backend picked on the CLI; the
 /// macro duplicates the closure literal into each match arm so each
-/// backend infers its own communicator type (`&Comm` vs `&SeqComm` vs
-/// `&MuxComm`).
+/// backend infers its own communicator type (`&Comm` on threads, `&MuxComm`
+/// on both drivers of the replay engine) and its own `Send` bounds.
 #[macro_export]
 macro_rules! run_on {
     ($backend:expr, $p:expr, $f:expr) => {

@@ -79,10 +79,12 @@ where
 pub enum Backend {
     /// One OS thread per PE (`run_spmd`) — wall-clock measurements.
     Threaded,
-    /// Deterministic single-threaded replay (`run_spmd_seq`).
+    /// The replay engine driven inline on the calling thread
+    /// (`run_spmd_seq`) — one deterministic schedule.
     Seq,
-    /// Cooperative tasks over a worker pool (`run_spmd_mux`) — massive-p
-    /// sweeps (p = 16 384 and beyond) with bit-identical traffic metering.
+    /// The replay engine's cooperative tasks over a worker pool
+    /// (`run_spmd_mux`) — massive-p sweeps (p = 16 384 and beyond) with
+    /// bit-identical traffic metering.
     Mux,
 }
 

@@ -8,9 +8,11 @@
 //!
 //! * [`crate::Comm`] — the threaded backend: one OS thread per PE over a
 //!   full mesh of mpsc channels (wall-clock measurements, true parallelism);
-//! * [`crate::SeqComm`] — the deterministic single-threaded backend: the
-//!   same SPMD closures executed in replay rounds on one thread (fast tests,
-//!   reproducible debugging, no stack-size tuning).
+//! * [`crate::MuxComm`] — the replay backend: the same SPMD closures
+//!   re-executed by a park/wake scheduler, inline on one thread
+//!   ([`crate::run_spmd_seq`]: fast tests, reproducible debugging, no
+//!   stack-size tuning) or over a worker pool ([`crate::run_spmd_mux`]:
+//!   massive p).
 //!
 //! Backends implement only the primitive surface (`rank`/`size`, raw
 //! tagged send/receive, statistics); everything user-facing — validated
@@ -372,8 +374,8 @@ pub trait Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mux::run_spmd_seq;
     use crate::runner::run_spmd;
-    use crate::seq::run_spmd_seq;
 
     #[test]
     fn provided_send_validates_tags_on_the_threaded_backend() {
@@ -402,7 +404,7 @@ mod tests {
             (rank_sum, prefix)
         }
         let threaded = run_spmd(5, program::<crate::Comm>);
-        let sequential = run_spmd_seq(5, program::<crate::SeqComm>);
+        let sequential = run_spmd_seq(5, program::<crate::MuxComm>);
         assert_eq!(threaded.results, sequential.results);
     }
 }

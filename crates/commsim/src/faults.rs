@@ -23,7 +23,7 @@
 //!   per-pair sequence transparently skips over it.
 //!
 //! Fault plans are threaded through the backend entry points
-//! ([`crate::seq::run_spmd_seq_faulty`], [`crate::mux::run_spmd_mux_faulty`],
+//! ([`crate::mux::run_spmd_seq_faulty`], [`crate::mux::run_spmd_mux_faulty`],
 //! [`crate::runner::run_spmd_faulty`]); the fault-free paths carry an
 //! `Option` that is `None`, so a plan-less run pays nothing.  Detection is
 //! surfaced through [`crate::Communicator::recv_failable`], which returns

@@ -18,22 +18,22 @@
 //!   for long vectors their root's path pays `βm·log p` rather than `βm`.
 //!
 //! The machine model is captured by the [`Communicator`] trait, and every
-//! algorithm built on this crate is generic over it.  Three backends are
-//! provided (see `ARCHITECTURE.md` at the repository root for the full
-//! side-by-side treatment):
+//! algorithm built on this crate is generic over it.  Two engines host it,
+//! behind three runners (see `ARCHITECTURE.md` at the repository root for
+//! the full side-by-side treatment):
 //!
 //! * **threaded** ([`Comm`], via [`run_spmd`]) — one OS thread per PE over a
 //!   lock-free sharded inbox transport (one shard of per-source SPSC queues
 //!   per destination PE, lazily materialised, park/unpark blocking); real
 //!   parallelism and wall-clock timings;
-//! * **sequential** ([`SeqComm`], via [`run_spmd_seq`]) — the same SPMD
-//!   closures executed deterministically on a single thread by round-based
-//!   replay; fast tests, reproducible debugging, no stack-size tuning;
-//! * **multiplexed** ([`MuxComm`], via [`run_spmd_mux`]) — the replay
-//!   execution model scheduled as cooperative tasks over a small worker
-//!   pool with park/wake bookkeeping; thousands of simulated PEs
-//!   (p = 16 384 and beyond) with traffic metering bit-identical to the
-//!   other two backends.
+//! * **replay** ([`MuxComm`], see [`mux`]) — a blocked receive aborts the
+//!   PE's closure and a park/wake scheduler re-executes it later; no thread
+//!   or stack per PE, traffic metering bit-identical to the threaded
+//!   backend.  Two drivers: **multiplexed** ([`run_spmd_mux`]) schedules
+//!   thousands of simulated PEs (p = 16 384 and beyond) over a small worker
+//!   pool; **sequential** ([`run_spmd_seq`]) runs the same scheduler inline
+//!   on the calling thread — one deterministic schedule, no `Send` bounds,
+//!   no stack-size tuning; fast tests and reproducible debugging.
 //!
 //! Every message that crosses the "network" is metered: the number of
 //! machine words, the number of message start-ups, and per-PE send/receive
@@ -97,7 +97,6 @@ pub mod metrics;
 pub mod mux;
 pub mod recovery;
 pub mod runner;
-pub mod seq;
 mod spsc;
 pub mod subgroup;
 pub mod topology;
@@ -112,13 +111,15 @@ pub use error::{CommError, CommResult};
 pub use faults::{FaultEvent, FaultPlan};
 pub use message::CommData;
 pub use metrics::{PeStats, StatsSnapshot, WorldStats};
-pub use mux::{run_spmd_mux, run_spmd_mux_faulty, run_spmd_mux_with, MuxComm, MuxConfig};
+pub use mux::{
+    run_spmd_mux, run_spmd_mux_faulty, run_spmd_mux_with, run_spmd_seq, run_spmd_seq_faulty,
+    MuxComm, MuxConfig, SeqConfig,
+};
 pub use recovery::{
     run_recoverable, Checkpoint, Membership, MembershipConfig, RankMask, RecoveryAudit,
     RecoveryConfig, RecoveryCtx, RecoveryError, RecoveryOutcome,
 };
 pub use runner::{run_spmd, run_spmd_faulty, run_spmd_with, SpmdConfig, SpmdOutput};
-pub use seq::{run_spmd_seq, run_spmd_seq_faulty, SeqComm, SeqConfig};
 pub use subgroup::SubComm;
 pub use transport::BufferPool;
 

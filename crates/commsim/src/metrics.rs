@@ -56,8 +56,8 @@ impl PeStats {
         self.pooled_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Zero every counter.  Used by the sequential backend's replay
-    /// scheduler, which re-executes closures from the start: resetting at
+    /// Zero every counter.  Used by the replay scheduler
+    /// ([`crate::mux`]), which re-executes closures from the start: resetting at
     /// the beginning of each execution makes the counters describe exactly
     /// one (the final, complete) execution, so mid-closure
     /// [`StatsSnapshot::since`] phase metering agrees with the threaded

@@ -1,27 +1,27 @@
-//! The multiplexed massive-p SPMD backend.
+//! The replay engine: SPMD worlds without a thread per PE.
 //!
-//! [`run_spmd_mux`] executes the same SPMD closures as
-//! [`crate::runner::run_spmd`] and [`crate::seq::run_spmd_seq`], but
-//! multiplexes **thousands of simulated PEs as cooperative tasks over a
-//! small worker pool**.  The threaded backend pins one OS thread (with an
-//! 8 MiB stack) per PE, which caps honest sweeps near p = 1024; this
-//! backend's cost per PE is one queue entry plus the messages it touches,
-//! so the paper's asymptotic claims — words/PE shrinking and start-ups
-//! staying polylogarithmic as p grows — can be *measured* at p = 16 384
-//! and beyond instead of extrapolated.
+//! One engine, two drivers.  [`run_spmd_mux`] multiplexes **thousands of
+//! simulated PEs as cooperative tasks over a small worker pool**;
+//! [`run_spmd_seq`] runs the *same* scheduler loop **inline on the calling
+//! thread**.  Both execute the SPMD closures [`crate::runner::run_spmd`]
+//! does.  The threaded backend pins one OS thread (with an 8 MiB stack) per
+//! PE, which caps honest sweeps near p = 1024; this engine's cost per PE is
+//! one queue entry plus the messages it touches, so the paper's asymptotic
+//! claims — words/PE shrinking and start-ups staying polylogarithmic as p
+//! grows — can be *measured* at p = 16 384 and beyond instead of
+//! extrapolated.
 //!
-//! # Execution model: replay with park/wake instead of rounds
+//! # Execution model: replay with park/wake
 //!
 //! A closure cannot be suspended mid-execution without a dedicated stack,
-//! so this backend reuses the sequential backend's **re-execution** trick
-//! (see [`crate::seq`] for the full model): a receive whose message has not
-//! arrived aborts the current execution via a sentinel panic, and the
-//! closure is later re-run from the beginning, deterministically replaying
-//! everything it already did.  What changes is the *scheduler* around that
-//! trick:
+//! so the engine **re-executes** instead: a receive whose message has not
+//! arrived aborts the current execution via a sentinel panic (caught by the
+//! scheduler; the default panic hook is taught to stay silent for it), and
+//! the closure is later re-run from the beginning, deterministically
+//! replaying everything it already did.  Around that trick sits the
+//! scheduler:
 //!
-//! * a pool of N workers pulls runnable tasks (PEs) from a shared
-//!   ready-queue instead of iterating rank order once per round;
+//! * workers pull runnable tasks (PEs) from a shared ready-queue;
 //! * a task that blocks on `(src, index)` **parks**: it is stored off to
 //!   the side and consumes no worker until the matching send arrives;
 //! * a send that produces the message a parked task waits for **wakes** it
@@ -48,17 +48,38 @@
 //! progress is bounded by the program.
 //!
 //! Because tasks re-execute from scratch, sent messages cannot be consumed
-//! destructively (a finished sender will never run again to refill a
-//! slot, unlike in the round-based backend where every PE re-runs every
-//! round).  Messages are therefore stored **permanently** as their word
-//! encodings ([`Envelope`]s) and receives decode them *by reference*
+//! destructively (a finished sender will never run again to produce them a
+//! second time).  Messages are therefore stored **permanently** as their
+//! word encodings ([`Envelope`]s) and receives decode them *by reference*
 //! ([`Envelope::decode`]); a replayed send that hits an already-stored index
 //! is metered without re-encoding.  Every [`CommData`] payload has a word
 //! encoding, so any program that compiles runs here.
 //!
+//! # Requirements on the closure
+//!
+//! The closure is executed **multiple times** per PE, so it must be
+//! deterministic and must not rely on external side effects (mutating shared
+//! state through interior mutability, I/O, wall-clock time, entropy from a
+//! non-seeded RNG).  Every algorithm in this workspace satisfies this: local
+//! data is derived from `comm.rank()` and seeded RNGs.
+//!
+//! # The inline driver
+//!
+//! [`run_spmd_seq`] spawns nothing: the one scheduler loop runs on the
+//! calling thread, on the caller's stack, so the closure and its results
+//! need not be `Send`/`Sync`, set-up is the `O(p)` world and nothing else,
+//! and — one worker, one deterministic queue — the schedule is **fully
+//! deterministic**: the same `(rank, outcome)` execution sequence on every
+//! run, `try_recv` outcomes included.  It cannot hang: with a single worker
+//! `active` is 0 after every park and every completion, so the deadlock
+//! check runs each time and leaves a non-empty queue (a wake, a forced
+//! timeout), a finished world or a recorded failure.  Every iteration of
+//! the loop finds one of the three, so its `Condvar::wait` — the only place
+//! a worker can block — is never reached.
+//!
 //! # Lazily materialised pair state
 //!
-//! The whole point of this backend is massive p, so nothing may cost
+//! The whole point of this engine is massive p, so nothing may cost
 //! O(p²): per-destination message tables are `HashMap`s keyed by source
 //! rank and materialise only for pairs that actually communicate, and the
 //! per-task send/receive cursors are maps too.  World construction is
@@ -69,21 +90,22 @@
 //!
 //! Communication counters are reset at the start of every execution and
 //! the scheduler keeps each PE's counters from its final, complete
-//! execution — exactly like the sequential backend — so words/PE and
-//! start-up counts are **bit-identical** across all three backends on the
-//! deterministic algorithms in this workspace (pinned by regression
-//! tests).  Scheduling order is *not* deterministic (workers race for
-//! tasks), but message matching per ordered pair is FIFO by index, so
-//! deterministic closures produce identical results and identical traffic
-//! regardless of the schedule.  Two caveats, both shared with or analogous
-//! to the other backends:
+//! execution, so whole-run [`crate::WorldStats`] *and* mid-closure
+//! [`Communicator::stats_snapshot`] deltas describe exactly one run of the
+//! closure: words/PE and start-up counts are **bit-identical** to the
+//! threaded backend on the deterministic algorithms in this workspace
+//! (pinned by regression tests).  On a pool the scheduling order is *not*
+//! deterministic (workers race for tasks), but message matching per ordered
+//! pair is FIFO by index, so deterministic closures produce identical
+//! results and identical traffic regardless of the schedule.  Two caveats:
 //!
-//! * [`Communicator::try_recv`] outcomes depend on arrival timing (as on
-//!   the threaded backend); first-execution outcomes are recorded in a
-//!   decision log and replayed verbatim so each task stays internally
-//!   consistent, and a busy-poll loop of empty probes is cut off after
-//!   [`BUSY_POLL_LIMIT`] probes (a spinning task never yields its worker,
-//!   so with few workers such a loop can livelock the pool);
+//! * [`Communicator::try_recv`] outcomes depend on arrival timing on a pool
+//!   (as on the threaded backend); first-execution outcomes are recorded in
+//!   a decision log and replayed verbatim so each task stays internally
+//!   consistent.  A **busy-poll loop** of empty probes with no blocking
+//!   receive in between never yields to the scheduler — inline, and on a
+//!   pool with every worker spinning, the awaited sender never runs — so
+//!   it is cut off with a panic after [`BUSY_POLL_LIMIT`] probes;
 //! * the `pooled_reuses` statistic is always zero here — stored word
 //!   buffers are kept for replay, never recycled through a
 //!   [`crate::transport::BufferPool`].
@@ -96,11 +118,14 @@
 //! # Example
 //!
 //! ```
-//! use commsim::{run_spmd_mux, Communicator};
+//! use commsim::{run_spmd_mux, run_spmd_seq, Communicator};
 //!
-//! // 512 simulated PEs run on a handful of worker threads.
+//! // 512 simulated PEs run on a handful of worker threads ...
 //! let out = run_spmd_mux(512, |comm| comm.allreduce_sum(1u64));
 //! assert!(out.results.iter().all(|&s| s == 512));
+//! // ... or on this thread alone, with one deterministic schedule.
+//! let out = run_spmd_seq(4, |comm| comm.allreduce_sum(comm.rank() as u64));
+//! assert_eq!(out.results, vec![6, 6, 6, 6]);
 //! ```
 
 use std::cell::{Cell, RefCell};
@@ -108,7 +133,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -118,7 +143,6 @@ use crate::faults::{CompiledFaults, Crashed, FaultPlan};
 use crate::message::CommData;
 use crate::metrics::{StatsRegistry, StatsSnapshot};
 use crate::runner::SpmdOutput;
-use crate::seq::{install_quiet_block_hook, wait_map_line, Avail, Blocked, BUSY_POLL_LIMIT};
 use crate::transport::Envelope;
 use crate::{Rank, Tag};
 
@@ -167,6 +191,109 @@ impl MuxConfig {
         self.faults = Some(plan);
         self
     }
+}
+
+/// Configuration for [`run_spmd_seq_faulty`]: the inline driver has no pool
+/// and no stacks to size, so this is `(p, faults)`.
+#[derive(Debug, Clone, Default)]
+pub struct SeqConfig {
+    /// Number of simulated PEs.
+    pub num_pes: usize,
+    /// Fault schedule to inject; `None` (or an empty plan) runs fault-free
+    /// and is bit-identical to [`run_spmd_seq`].
+    pub faults: Option<FaultPlan>,
+}
+
+impl SeqConfig {
+    /// Fault-free configuration for `num_pes` PEs.
+    pub fn new(num_pes: usize) -> Self {
+        SeqConfig {
+            num_pes,
+            faults: None,
+        }
+    }
+
+    /// Attach a fault plan.
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = Some(plan);
+        self
+    }
+}
+
+/// Sentinel panic payload: "this execution cannot continue until message
+/// `index` of the pair `(src, dst)` exists".  The scheduler catches it and
+/// parks the task.
+#[derive(Clone, Copy)]
+struct Blocked {
+    src: Rank,
+    dst: Rank,
+    index: usize,
+    /// `Some(call)` when the block came from the `call`-th
+    /// [`Communicator::recv_failable`] of the PE: the stall resolver may
+    /// force that call to a `Timeout` verdict (recorded in the task's
+    /// timeout log and replayed verbatim).
+    failable: Option<usize>,
+}
+
+/// Teach the process-wide panic hook to stay silent for [`Blocked`] and
+/// [`Crashed`] sentinels (they are control flow — parking and injected
+/// crash-stops — not failures); everything else is forwarded to the
+/// previously installed hook.
+pub(crate) fn install_quiet_block_hook() {
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            if payload.downcast_ref::<Blocked>().is_none()
+                && payload.downcast_ref::<Crashed>().is_none()
+            {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// How a probed message looks to its receiver right now.
+enum Avail {
+    /// Present and (if the pair is delayed) released for delivery.
+    Ready,
+    /// Not there yet (unsent, or held back by an injected delay) — park.
+    NotYet,
+    /// Never coming: the sender crash-stopped and its final send log holds
+    /// no message at this index.
+    Dead,
+}
+
+/// Empty `try_recv` probes tolerated without an intervening successful
+/// receive before the run is declared a busy-poll livelock (a spinning
+/// task never yields to the scheduler, so with every worker spinning — or
+/// inline — the sender it waits for never runs).
+pub const BUSY_POLL_LIMIT: u64 = 1 << 20;
+
+/// One line of the deadlock dump's per-pair wait map — who waits on whom,
+/// the pair's production status and the peer's liveness, so a fault-induced
+/// stall is debuggable in one read.
+fn wait_map_line(b: &Blocked, produced: usize, crashed: bool, terminal: bool) -> String {
+    let peer = if crashed {
+        "crashed"
+    } else if terminal {
+        "finished"
+    } else {
+        "blocked too"
+    };
+    format!(
+        "PE {} waits for message #{} from PE {} [pair produced {produced} \
+         message(s); peer {peer}{}]",
+        b.dst,
+        b.index,
+        b.src,
+        if b.failable.is_some() {
+            "; waiter is failure-detecting"
+        } else {
+            ""
+        }
+    )
 }
 
 /// One message, stored permanently as its word encoding so that every
@@ -301,13 +428,23 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl MuxWorld {
+    /// A world of `p` tasks, all runnable (queued in rank order).
     fn new(p: usize, faults: Option<CompiledFaults>) -> Self {
+        let mut ready = ReadyQueue::default();
+        for rank in 0..p {
+            ready.push(TaskState {
+                rank,
+                progress: 0,
+                try_log: Vec::new(),
+                timeout_log: Vec::new(),
+            });
+        }
         MuxWorld {
             p,
             stats: StatsRegistry::new(p),
             shards: (0..p).map(|_| Mutex::new(MuxShard::default())).collect(),
             sched: Mutex::new(Sched {
-                ready: ReadyQueue::default(),
+                ready,
                 parked: (0..p).map(|_| None).collect(),
                 waiting: vec![None; p],
                 active: 0,
@@ -380,7 +517,8 @@ impl MuxWorld {
             .collect();
         if sched.failure.is_none() {
             sched.failure = Some(format!(
-                "multiplexed SPMD run deadlocked:\n  {}",
+                "SPMD run deadlocked — every unfinished PE waits for a message \
+                 that no runnable PE will send:\n  {}",
                 waits.join("\n  ")
             ));
         }
@@ -407,7 +545,6 @@ impl MuxWorld {
     /// With `dst`'s shard lock held: how the message at effective index
     /// `idx` of the pair `(src, dst)` looks right now.
     fn availability(&self, shard: &MuxShard, dst: Rank, src: Rank, idx: usize) -> Avail {
-        let _ = dst; // identity of the shard, for readability at call sites
         let pair = shard.pairs.get(&src);
         let pair_len = pair.map_or(0, |p| p.msgs.len());
         if idx < pair_len {
@@ -436,9 +573,10 @@ impl MuxWorld {
 }
 
 /// Communicator handle of one PE during one execution of its task on the
-/// multiplexed backend.
+/// replay engine.
 ///
-/// Created by [`run_spmd_mux`]; user code only ever sees `&MuxComm`.
+/// Created by [`run_spmd_mux`] and [`run_spmd_seq`] alike; user code only
+/// ever sees `&MuxComm`.
 pub struct MuxComm {
     world: Arc<MuxWorld>,
     rank: Rank,
@@ -454,8 +592,7 @@ pub struct MuxComm {
     /// execution by the worker).
     try_log: RefCell<Vec<bool>>,
     /// Freshly recorded empty `try_recv` probes since the last successful
-    /// receive — busy-poll cut-off (a spinning task never yields its
-    /// worker, so unbounded spinning can livelock a small pool).
+    /// receive — the busy-poll cut-off (see [`BUSY_POLL_LIMIT`]).
     empty_probe_streak: Cell<u64>,
     /// Send operations performed this execution; drives the `CrashPe`
     /// trigger and the `DelayPair` release clock.  Only maintained under a
@@ -720,9 +857,10 @@ impl Communicator for MuxComm {
                     assert!(
                         streak <= BUSY_POLL_LIMIT,
                         "PE {}: {streak} consecutive empty try_recv probes without \
-                         a successful receive — a busy-poll loop never parks, so it \
-                         occupies a worker indefinitely; use a blocking recv \
-                         between probes, or run on the threaded backend (run_spmd)",
+                         a successful receive — a busy-poll loop never yields to \
+                         the replay scheduler, so the sender it waits for may never \
+                         run; use a blocking recv between probes, or run on the \
+                         threaded backend (run_spmd)",
                         self.rank
                     );
                 }
@@ -763,11 +901,12 @@ impl Communicator for MuxComm {
 }
 
 /// One worker: pull a runnable task, execute it, classify the outcome
-/// (complete / parked / failed), repeat until the run is over.
+/// (complete / parked / failed), repeat until the run is over.  The whole
+/// scheduler — a pool runs it on every worker thread, the inline driver
+/// once on the calling thread (hence no `Send` bounds here).
 fn worker_loop<T, F>(world: &Arc<MuxWorld>, f: &F, results: &Mutex<Vec<Option<T>>>)
 where
-    T: Send,
-    F: Fn(&MuxComm) -> T + Send + Sync,
+    F: Fn(&MuxComm) -> T,
 {
     loop {
         let mut task = {
@@ -895,18 +1034,17 @@ where
 /// Run `f` on `p` simulated PEs multiplexed over a default-sized worker
 /// pool.
 ///
-/// Drop-in alternative to [`crate::runner::run_spmd`] and
-/// [`crate::seq::run_spmd_seq`]: same SPMD programming model, same
-/// [`SpmdOutput`], but PEs are cooperative tasks over
-/// `available_parallelism()` workers, so p can reach into the tens of
+/// Drop-in alternative to [`crate::runner::run_spmd`]: same SPMD
+/// programming model, same [`SpmdOutput`], but PEs are cooperative tasks
+/// over `available_parallelism()` workers, so p can reach into the tens of
 /// thousands (see the module docs for the execution model and the purity
 /// requirements on `f` — the closure is executed multiple times).
 ///
 /// # Panics
 ///
 /// Panics if `p == 0`, if any PE panics (propagated with the rank of the
-/// offending PE), or if the program deadlocks (reported with
-/// who-waits-on-whom diagnostics).
+/// offending PE), or if the program deadlocks (a receive that no matching
+/// send can ever satisfy — reported with who-waits-on-whom diagnostics).
 pub fn run_spmd_mux<T, F>(p: usize, f: F) -> SpmdOutput<T>
 where
     T: Send,
@@ -927,16 +1065,7 @@ where
         config.faults.as_ref().is_none_or(FaultPlan::is_empty),
         "run_spmd_mux_with cannot express crashed PEs; use run_spmd_mux_faulty"
     );
-    let out = run_mux_core(config, None, f);
-    SpmdOutput {
-        results: out
-            .results
-            .into_iter()
-            .map(|v| v.expect("fault-free run cannot crash a PE"))
-            .collect(),
-        stats: out.stats,
-        elapsed: out.elapsed,
-    }
+    run_on_pool(config, None, f).fault_free()
 }
 
 /// Run `f` under a fault schedule (see [`crate::faults`]): the multiplexed
@@ -955,12 +1084,56 @@ where
         .faults
         .as_ref()
         .and_then(|plan| plan.compile(config.num_pes));
-    run_mux_core(config, compiled, f)
+    run_on_pool(config, compiled, f)
 }
 
-/// The worker-pool scheduler shared by the fault-free and fault-injecting
-/// entry points.  Returns `None` for PEs that crash-stopped.
-fn run_mux_core<T, F>(
+/// Run `f` on `p` simulated PEs on the current thread, deterministically.
+///
+/// Same programming model and [`SpmdOutput`] as [`run_spmd_mux`], driven
+/// inline (see "The inline driver" in the module docs): no thread is
+/// spawned, closures run on the caller's stack, the schedule is the same on
+/// every run, and `f` and `T` need not be `Send`/`Sync`.
+///
+/// # Panics
+///
+/// As [`run_spmd_mux`].
+pub fn run_spmd_seq<T, F>(p: usize, f: F) -> SpmdOutput<T>
+where
+    F: Fn(&MuxComm) -> T,
+{
+    run_spmd_seq_faulty(SeqConfig::new(p), f).fault_free()
+}
+
+/// Run `f` under a fault schedule (see [`crate::faults`]): the inline
+/// counterpart of [`run_spmd_seq`] for chaos testing.
+///
+/// `results[rank]` is `None` exactly for the PEs that crash-stopped; every
+/// surviving PE ran its closure to completion.  An empty (or absent) fault
+/// plan is bit-identical — results and metered words per PE — to
+/// [`run_spmd_seq`].
+///
+/// # Panics
+///
+/// In addition to [`run_spmd_seq`]'s conditions: a *plain* receive that
+/// provably waits on a crashed peer panics with
+/// [`CommError::PeerDead`] diagnostics (use
+/// [`Communicator::recv_failable`] to observe failures as values instead).
+pub fn run_spmd_seq_faulty<T, F>(config: SeqConfig, f: F) -> SpmdOutput<Option<T>>
+where
+    F: Fn(&MuxComm) -> T,
+{
+    let compiled = config
+        .faults
+        .as_ref()
+        .and_then(|plan| plan.compile(config.num_pes));
+    run_replay(config.num_pes, compiled, |world, results| {
+        worker_loop(world, &f, results)
+    })
+}
+
+/// The pool driver: one scoped thread per worker, each running
+/// [`worker_loop`] until the world is finished.
+fn run_on_pool<T, F>(
     config: MuxConfig,
     faults: Option<CompiledFaults>,
     f: F,
@@ -969,39 +1142,34 @@ where
     T: Send,
     F: Fn(&MuxComm) -> T + Send + Sync,
 {
-    let p = config.num_pes;
+    run_replay(config.num_pes, faults, |world, results| {
+        thread::scope(|scope| {
+            for w in 0..config.num_workers.clamp(1, world.p) {
+                thread::Builder::new()
+                    .name(format!("mux-worker-{w}"))
+                    .stack_size(config.stack_size)
+                    .spawn_scoped(scope, || worker_loop(world, &f, results))
+                    .expect("failed to spawn mux worker thread");
+            }
+        });
+    })
+}
+
+/// What every entry point shares: set up the world, let `drive` run
+/// [`worker_loop`] on it (on a pool, or inline), collect the results.
+/// `None` marks PEs that crash-stopped.
+fn run_replay<T>(
+    p: usize,
+    faults: Option<CompiledFaults>,
+    drive: impl FnOnce(&Arc<MuxWorld>, &Mutex<Vec<Option<T>>>),
+) -> SpmdOutput<Option<T>> {
     assert!(p > 0, "an SPMD region needs at least one PE");
-    let workers = config.num_workers.clamp(1, p);
     install_quiet_block_hook();
 
     let start = Instant::now();
     let world = Arc::new(MuxWorld::new(p, faults));
     let results: Mutex<Vec<Option<T>>> = Mutex::new((0..p).map(|_| None).collect());
-    {
-        let mut sched = lock(&world.sched);
-        for rank in 0..p {
-            sched.ready.push(TaskState {
-                rank,
-                progress: 0,
-                try_log: Vec::new(),
-                timeout_log: Vec::new(),
-            });
-        }
-    }
-
-    thread::scope(|scope| {
-        for w in 0..workers {
-            let world = &world;
-            let f = &f;
-            let results = &results;
-            thread::Builder::new()
-                .name(format!("mux-worker-{w}"))
-                .stack_size(config.stack_size)
-                .spawn_scoped(scope, move || worker_loop(world, f, results))
-                .expect("failed to spawn mux worker thread");
-        }
-    });
-
+    drive(&world, &results);
     {
         let sched = lock(&world.sched);
         if let Some(msg) = &sched.failure {
@@ -1034,7 +1202,7 @@ mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
     use crate::runner::run_spmd;
-    use crate::seq::run_spmd_seq;
+    use std::rc::Rc;
 
     /// A couple of workers force real multiplexing in the small-p tests.
     fn mux_with_workers<T: Send>(
@@ -1045,15 +1213,46 @@ mod tests {
         run_spmd_mux_with(MuxConfig::new(p).with_workers(workers), f)
     }
 
+    /// One body under both drivers of the engine: inline on this thread, and
+    /// on a pool of two.
+    fn on_both_drivers<T: Send>(
+        p: usize,
+        f: impl Fn(&MuxComm) -> T + Send + Sync,
+    ) -> [(&'static str, SpmdOutput<T>); 2] {
+        [
+            ("inline", run_spmd_seq(p, &f)),
+            ("pool of 2", mux_with_workers(p, 2, &f)),
+        ]
+    }
+
+    /// The message a run dies with, under the inline driver and on a pool of
+    /// `workers`.
+    fn panic_messages(
+        p: usize,
+        workers: usize,
+        f: impl Fn(&MuxComm) + Send + Sync + std::panic::RefUnwindSafe,
+    ) -> [String; 2] {
+        let message = |run: &(dyn Fn() + std::panic::RefUnwindSafe)| {
+            let err = std::panic::catch_unwind(run).expect_err("the run must panic");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        [
+            message(&|| drop(run_spmd_seq(p, &f))),
+            message(&|| drop(mux_with_workers(p, workers, &f))),
+        ]
+    }
+
     #[test]
     fn results_are_indexed_by_rank() {
-        let out = run_spmd_mux(5, |comm| comm.rank() * 10);
-        assert_eq!(out.results, vec![0, 10, 20, 30, 40]);
+        for (driver, out) in on_both_drivers(5, |comm| comm.rank() * 10) {
+            assert_eq!(out.results, vec![0, 10, 20, 30, 40], "{driver}");
+        }
     }
 
     #[test]
     fn point_to_point_works_in_both_directions() {
-        let out = mux_with_workers(2, 1, |comm| {
+        // Rank 0 runs first, so 1 -> 0 exercises the park/wake path.
+        for (driver, out) in on_both_drivers(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 1, 10u64);
                 let v: u64 = comm.recv(1, 2);
@@ -1063,8 +1262,9 @@ mod tests {
                 comm.send(0, 2, v * 2);
                 v
             }
-        });
-        assert_eq!(out.results, vec![20, 10]);
+        }) {
+            assert_eq!(out.results, vec![20, 10], "{driver}");
+        }
     }
 
     #[test]
@@ -1078,9 +1278,9 @@ mod tests {
     }
 
     #[test]
-    fn all_collectives_run_on_the_mux_backend() {
+    fn all_collectives_run_under_both_drivers() {
         for p in [1, 2, 3, 5, 8] {
-            let out = mux_with_workers(p, 2, move |comm| {
+            for (driver, out) in on_both_drivers(p, move |comm| {
                 let r = comm.rank() as u64;
                 let root_value = comm.is_root().then_some(41u64);
                 (
@@ -1091,53 +1291,42 @@ mod tests {
                     comm.alltoall((0..comm.size() as u64).collect()),
                     comm.scatter(0, comm.is_root().then(|| (0..comm.size() as u64).collect())),
                 )
-            });
-            let expected_sum: u64 = (0..p as u64).sum();
-            for (rank, (sum, prefix, bcast, all, a2a, scat)) in out.results.iter().enumerate() {
-                assert_eq!(*sum, expected_sum, "p={p}");
-                assert_eq!(*prefix, rank as u64);
-                assert_eq!(*bcast, 41);
-                assert_eq!(*all, (0..p as u64).collect::<Vec<_>>());
-                assert_eq!(*a2a, vec![rank as u64; p]);
-                assert_eq!(*scat, rank as u64);
+            }) {
+                let expected_sum: u64 = (0..p as u64).sum();
+                for (rank, (sum, prefix, bcast, all, a2a, scat)) in out.results.iter().enumerate() {
+                    assert_eq!(*sum, expected_sum, "{driver} p={p}");
+                    assert_eq!(*prefix, rank as u64);
+                    assert_eq!(*bcast, 41);
+                    assert_eq!(*all, (0..p as u64).collect::<Vec<_>>());
+                    assert_eq!(*a2a, vec![rank as u64; p]);
+                    assert_eq!(*scat, rank as u64);
+                }
             }
         }
     }
 
     #[test]
-    fn statistics_match_threaded_and_sequential_backends() {
-        let program_results = |p: usize| {
-            let threaded = run_spmd(p, |comm| {
-                comm.allreduce_vec_sum(vec![comm.rank() as u64; 16]);
-                comm.barrier();
-                comm.prefix_sum_inclusive(1)
-            });
-            let sequential = run_spmd_seq(p, |comm| {
-                comm.allreduce_vec_sum(vec![comm.rank() as u64; 16]);
-                comm.barrier();
-                comm.prefix_sum_inclusive(1)
-            });
-            let mux = mux_with_workers(p, 3, |comm| {
-                comm.allreduce_vec_sum(vec![comm.rank() as u64; 16]);
-                comm.barrier();
-                comm.prefix_sum_inclusive(1)
-            });
-            (threaded, sequential, mux)
-        };
+    fn statistics_match_the_threaded_backend() {
+        fn program<C: Communicator>(comm: &C) -> u64 {
+            comm.allreduce_vec_sum(vec![comm.rank() as u64; 16]);
+            comm.barrier();
+            comm.prefix_sum_inclusive(1)
+        }
         for p in [2, 6, 13] {
-            let (threaded, sequential, mux) = program_results(p);
-            assert_eq!(mux.results, threaded.results);
-            assert_eq!(mux.results, sequential.results);
-            assert_eq!(mux.stats.total_words(), sequential.stats.total_words());
-            assert_eq!(
-                mux.stats.total_messages(),
-                sequential.stats.total_messages()
-            );
-            assert_eq!(
-                mux.stats.bottleneck_words(),
-                sequential.stats.bottleneck_words()
-            );
-            assert_eq!(mux.stats.total_words(), threaded.stats.total_words());
+            let threaded = run_spmd(p, program);
+            let replayed = [
+                ("inline", run_spmd_seq(p, program)),
+                ("pool of 3", mux_with_workers(p, 3, program)),
+            ];
+            for (driver, out) in replayed {
+                assert_eq!(out.results, threaded.results, "{driver} p={p}");
+                assert_eq!(out.stats.total_words(), threaded.stats.total_words());
+                assert_eq!(out.stats.total_messages(), threaded.stats.total_messages());
+                assert_eq!(
+                    out.stats.bottleneck_words(),
+                    threaded.stats.bottleneck_words()
+                );
+            }
         }
     }
 
@@ -1193,15 +1382,20 @@ mod tests {
         assert!(ready.is_empty());
     }
 
-    /// Closure invocations per PE on one worker — the replay engine's work,
-    /// deterministic where wall-clock is not.
+    /// Closure invocations per PE — the replay engine's work, deterministic
+    /// where wall-clock is not — under the inline driver, which must equal a
+    /// one-worker pool's exactly (same queue, same order).
     fn executions_per_pe(p: usize, f: impl Fn(&MuxComm) + Send + Sync) -> f64 {
         let executions = AtomicU64::new(0);
-        mux_with_workers(p, 1, |comm| {
+        let counted = |comm: &MuxComm| {
             executions.fetch_add(1, Ordering::Relaxed);
             f(comm);
-        });
-        executions.into_inner() as f64 / p as f64
+        };
+        run_spmd_seq(p, counted);
+        let inline = executions.swap(0, Ordering::Relaxed);
+        mux_with_workers(p, 1, counted);
+        assert_eq!(inline, executions.into_inner(), "inline vs one-worker pool");
+        inline as f64 / p as f64
     }
 
     #[test]
@@ -1240,76 +1434,123 @@ mod tests {
     #[test]
     fn runs_are_deterministic_in_results_and_traffic() {
         let run = || {
-            mux_with_workers(7, 3, |comm| {
+            on_both_drivers(7, |comm| {
                 let v = comm.rank() as u64 * 3 + 1;
                 let s = comm.allreduce(v, ReduceOp::custom(|a, b| a ^ b));
                 (s, comm.prefix_sum_exclusive(v))
             })
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a.results, b.results);
-        assert_eq!(a.stats.total_words(), b.stats.total_words());
-        assert_eq!(a.stats.total_messages(), b.stats.total_messages());
+        for ((driver, a), (_, b)) in run().into_iter().zip(run()) {
+            assert_eq!(a.results, b.results, "{driver}");
+            assert_eq!(a.stats.total_words(), b.stats.total_words());
+            assert_eq!(a.stats.total_messages(), b.stats.total_messages());
+        }
     }
 
     #[test]
     fn mid_closure_snapshot_deltas_survive_replay() {
         // Phase metering: the snapshot delta across one collective must
-        // describe that collective alone, despite replays.
-        let out = run_spmd_mux(4, |comm| {
+        // describe that collective alone, despite replays.  The threaded
+        // backend never replays, so it is the reference.
+        fn program<C: Communicator>(comm: &C) -> u64 {
             comm.barrier();
             let before = comm.stats_snapshot();
             comm.allreduce_sum(comm.rank() as u64);
             comm.stats_snapshot().since(&before).sent_words
-        });
-        let seq = run_spmd_seq(4, |comm| {
-            comm.barrier();
-            let before = comm.stats_snapshot();
-            comm.allreduce_sum(comm.rank() as u64);
-            comm.stats_snapshot().since(&before).sent_words
-        });
-        assert_eq!(out.results, seq.results);
+        }
+        let threaded = run_spmd(4, program);
+        assert_eq!(run_spmd_mux(4, program).results, threaded.results);
+        assert_eq!(run_spmd_seq(4, program).results, threaded.results);
     }
 
     #[test]
-    #[should_panic(expected = "deadlocked")]
+    fn messages_are_metered_once_despite_replays() {
+        for (driver, out) in on_both_drivers(2, |comm| {
+            if comm.rank() == 0 {
+                let _: u64 = comm.recv(1, 1); // forces at least two executions
+                comm.send(1, 2, vec![1u64; 9]);
+            } else {
+                comm.send(0, 1, 5u64);
+                let _: Vec<u64> = comm.recv(0, 2);
+            }
+        }) {
+            // 1 word (scalar) + 10 words (vec), each counted exactly once.
+            assert_eq!(out.stats.total_words(), 11, "{driver}");
+            assert_eq!(out.stats.total_messages(), 2, "{driver}");
+        }
+    }
+
+    #[test]
     fn deadlock_is_detected() {
-        let _ = mux_with_workers(2, 2, |comm| {
+        for msg in panic_messages(2, 2, |comm| {
             if comm.rank() == 0 {
                 let _: u64 = comm.recv(1, 1);
             } else {
                 let _: u64 = comm.recv(0, 1);
             }
-        });
+        }) {
+            assert!(msg.contains("deadlocked"), "got: {msg}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "waits for message #0 from PE 0")]
     fn completion_of_the_last_sender_triggers_deadlock_diagnostics() {
-        // PE 0 finishes without sending; PE 1 is then parked forever.
-        let _ = mux_with_workers(2, 1, |comm| {
-            if comm.rank() == 1 {
-                let _: u64 = comm.recv(0, 1);
+        // The silent PE finishes without sending; the other is then parked
+        // forever.  Rank order decides where the detector fires: a waiting
+        // PE 0 parks first (caught at PE 1's completion), a waiting PE 1
+        // parks last (caught at its own park).
+        for waiter in [0, 1] {
+            for msg in panic_messages(2, 1, move |comm| {
+                if comm.rank() == waiter {
+                    let _: u64 = comm.recv(1 - waiter, 1);
+                }
+            }) {
+                assert!(msg.contains("deadlocked"), "got: {msg}");
+                let line = format!("PE {waiter} waits for message #0 from PE {}", 1 - waiter);
+                assert!(msg.contains(&line), "got: {msg}");
             }
-        });
+        }
     }
 
     #[test]
-    #[should_panic(expected = "PE 1 panicked")]
     fn pe_panics_are_propagated_with_rank() {
-        let _ = run_spmd_mux(3, |comm| {
+        for msg in panic_messages(3, 2, |comm| {
             if comm.rank() == 1 {
                 panic!("boom");
             }
-        });
+        }) {
+            assert!(msg.contains("PE 1 panicked: boom"), "got: {msg}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one PE")]
+    fn zero_pes_is_rejected() {
+        let _ = run_spmd_seq(0, |_comm| ());
+    }
+
+    #[test]
+    fn busy_poll_loops_are_detected_instead_of_hanging() {
+        // On the threaded backend this spin loop would terminate (the
+        // sender runs concurrently); with no second worker to run the
+        // sender it must be diagnosed.
+        for msg in panic_messages(2, 1, |comm| {
+            if comm.rank() == 0 {
+                while comm.try_recv::<u64>(1).is_none() {}
+            } else {
+                comm.send(0, 1, 7u64);
+            }
+        }) {
+            assert!(msg.contains("busy-poll"), "got: {msg}");
+            assert!(msg.contains("run on the threaded backend (run_spmd)"));
+        }
     }
 
     #[test]
     fn try_recv_decisions_replay_consistently() {
         // PE 1 probes (logging a decision), then blocks on a real recv
         // (parking + replaying the probe), then probes again.
-        let out = mux_with_workers(2, 1, |comm| {
+        for (driver, out) in on_both_drivers(2, |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 5, 77u64);
                 0
@@ -1327,8 +1568,63 @@ mod tests {
                 // First probe already saw the message.
                 77
             }
-        });
-        assert_eq!(out.results[1], 77);
+        }) {
+            assert_eq!(out.results[1], 77, "{driver}");
+        }
+    }
+
+    #[test]
+    fn try_recv_then_blocking_recv_sees_every_message_in_order() {
+        for (driver, out) in on_both_drivers(2, |comm| {
+            if comm.rank() == 0 {
+                // Whatever the recorded probe decisions are, the blocking
+                // receive afterwards must still see both messages in order.
+                let mut got = Vec::new();
+                while got.len() < 2 {
+                    if let Some((_tag, v)) = comm.try_recv::<u64>(1) {
+                        got.push(v);
+                    } else {
+                        // Force a park: block on the guaranteed recv.
+                        let v: u64 = comm.recv(1, 1);
+                        got.push(v);
+                    }
+                }
+                got
+            } else {
+                comm.send(0, 1, 7u64);
+                comm.send(0, 1, 8u64);
+                vec![]
+            }
+        }) {
+            assert_eq!(out.results[0], vec![7, 8], "{driver}");
+        }
+    }
+
+    /// A probe-then-block pattern (the supported shape of `try_recv`): PE 0
+    /// collects eight messages from PE 1, probing before every blocking
+    /// receive.
+    fn probe_then_block(comm: &MuxComm) -> Vec<u64> {
+        if comm.rank() == 0 {
+            (0..8)
+                .map(|_| match comm.try_recv::<u64>(1) {
+                    Some((_tag, v)) => v,
+                    None => comm.recv(1, 1),
+                })
+                .collect()
+        } else {
+            for i in 0..8u64 {
+                comm.send(0, 1, i);
+            }
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn one_shot_probes_interleaved_with_blocking_recvs_still_work() {
+        // Completes and sees every message exactly once.
+        for (driver, out) in on_both_drivers(2, probe_then_block) {
+            assert_eq!(out.results[0], (0..8).collect::<Vec<u64>>(), "{driver}");
+        }
     }
 
     #[test]
@@ -1346,5 +1642,86 @@ mod tests {
         });
         assert_eq!(out.results[1], 42);
         assert_eq!(out.stats.total_messages(), 1);
+    }
+
+    // What `run_spmd_seq` promises beyond the engine's shared contract.
+
+    #[test]
+    fn non_send_results_are_allowed() {
+        // Rc<T> is neither Send nor Sync — impossible on a pool or the
+        // threaded backend, fine inline.
+        let out = run_spmd_seq(3, |comm| Rc::new(comm.rank()));
+        assert_eq!(*out.results[2], 2);
+    }
+
+    #[test]
+    fn inline_runs_every_execution_on_the_calling_thread() {
+        // Nothing here is `!Send`, so this still compiles — and fails — if
+        // the entry point is ever routed through a worker thread.
+        let caller = thread::current().id();
+        let executions = AtomicU64::new(0);
+        let p = 8;
+        run_spmd_seq(p, |comm| {
+            executions.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(thread::current().id(), caller, "PE {}", comm.rank());
+            comm.allreduce_sum(1u64)
+        });
+        assert!(
+            executions.into_inner() > p as u64,
+            "the program must replay"
+        );
+    }
+
+    #[test]
+    fn inline_schedule_is_fully_deterministic() {
+        // The `(rank, completed?)` sequence of every closure execution,
+        // recorded through a capture no pool could accept.  With probes in
+        // the program, equality holds only if nothing races: one thread, one
+        // queue order.
+        let trace = || {
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let out = run_spmd_seq(2, |comm| {
+                log.borrow_mut().push((comm.rank(), false));
+                let got = probe_then_block(comm);
+                log.borrow_mut().last_mut().expect("pushed above").1 = true;
+                got
+            });
+            assert_eq!(out.results[0], (0..8).collect::<Vec<u64>>());
+            Rc::try_unwrap(log).expect("run is over").into_inner()
+        };
+        let first = trace();
+        // Rank order, then the parked PE 0 again once PE 1 has sent.
+        assert_eq!(first, vec![(0, false), (1, true), (0, true)]);
+        assert_eq!(first, trace());
+    }
+
+    #[test]
+    fn fault_verdicts_are_identical_inline_and_on_a_pool() {
+        // Rank 3 dies before its second send; rank 0's messages to rank 1
+        // are held back for three of its sends.  Every PE sends one token
+        // to every peer, then classifies each incoming token.
+        let plan = || FaultPlan::new().crash_pe(3, 1).delay_pair(0, 1, 3);
+        let program = |comm: &MuxComm| -> Vec<String> {
+            let (p, me) = (comm.size(), comm.rank());
+            for dst in (0..p).filter(|&dst| dst != me) {
+                comm.send(dst, 11, me as u64);
+            }
+            (0..p)
+                .filter(|&src| src != me)
+                .map(|src| format!("{:?}", comm.recv_failable::<u64>(src, 11)))
+                .collect()
+        };
+        let inline = run_spmd_seq_faulty(SeqConfig::new(5).with_faults(plan()), program);
+        let pooled = run_spmd_mux_faulty(
+            MuxConfig::new(5).with_workers(3).with_faults(plan()),
+            program,
+        );
+        assert_eq!(inline.results, pooled.results);
+        assert_eq!(inline.results[3], None);
+        let verdicts = inline.results[2].as_ref().expect("PE 2 survives");
+        assert_eq!(
+            verdicts,
+            &["Ok(0)", "Ok(1)", "Err(PeerDead { rank: 3 })", "Ok(4)"]
+        );
     }
 }

@@ -837,7 +837,7 @@ where
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::seq::{run_spmd_seq, run_spmd_seq_faulty, SeqConfig};
+    use crate::mux::{run_spmd_seq, run_spmd_seq_faulty, SeqConfig};
 
     #[test]
     fn rank_mask_set_contains_union_and_growth() {

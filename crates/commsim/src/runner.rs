@@ -7,9 +7,10 @@
 //! communication statistics and the wall-clock time of the region.
 //!
 //! For a deterministic run of the same closures without spawning threads,
-//! see [`crate::run_spmd_seq`] — both runners produce the same
-//! [`SpmdOutput`] shape, and closures written against the
-//! [`crate::Communicator`] trait work with either.
+//! see [`crate::run_spmd_seq`]; for thousands of PEs over a few threads,
+//! [`crate::run_spmd_mux`] (both drive the replay engine, [`crate::mux`]).
+//! All runners produce the same [`SpmdOutput`] shape, and closures written
+//! against the [`crate::Communicator`] trait work with any of them.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 use crate::comm::Comm;
 use crate::faults::{Crashed, FaultPlan};
 use crate::metrics::{StatsRegistry, WorldStats};
-use crate::seq::install_quiet_block_hook;
+use crate::mux::install_quiet_block_hook;
 use crate::transport::Mailbox;
 
 /// Configuration of an SPMD run.
@@ -101,6 +102,21 @@ impl<T> SpmdOutput<T> {
     }
 }
 
+impl<T> SpmdOutput<Option<T>> {
+    /// Unwrap the per-PE results of a run that had no fault plan to crash one.
+    pub(crate) fn fault_free(self) -> SpmdOutput<T> {
+        SpmdOutput {
+            results: self
+                .results
+                .into_iter()
+                .map(|v| v.expect("fault-free run cannot crash a PE"))
+                .collect(),
+            stats: self.stats,
+            elapsed: self.elapsed,
+        }
+    }
+}
+
 /// Run `f` on `p` simulated PEs and collect the results.
 ///
 /// `f` is invoked once per PE with that PE's [`Comm`] handle; it must treat
@@ -133,16 +149,7 @@ where
         config.faults.as_ref().is_none_or(FaultPlan::is_empty),
         "run_spmd_with cannot express crashed PEs; use run_spmd_faulty"
     );
-    let out = run_threaded_core(config, None, f);
-    SpmdOutput {
-        results: out
-            .results
-            .into_iter()
-            .map(|v| v.expect("fault-free run cannot crash a PE"))
-            .collect(),
-        stats: out.stats,
-        elapsed: out.elapsed,
-    }
+    run_threaded_core(config, None, f).fault_free()
 }
 
 /// Run `f` under a fault schedule (see [`crate::faults`]): the threaded
@@ -153,7 +160,7 @@ where
 /// plan is bit-identical — results and metered words per PE — to
 /// [`run_spmd_with`].
 ///
-/// Unlike the replay backends ([`crate::run_spmd_seq_faulty`],
+/// Unlike the replay runners ([`crate::run_spmd_seq_faulty`],
 /// [`crate::run_spmd_mux_faulty`]), whose [`CommError::Timeout`] verdicts
 /// are deterministic (forced only at whole-world quiescence and replayed
 /// verbatim), the threaded backend detects slowness with a real wall-clock

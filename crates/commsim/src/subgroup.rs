@@ -161,7 +161,7 @@ impl<C: Communicator> Communicator for SubComm<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::run_spmd_seq;
+    use crate::mux::run_spmd_seq;
     use crate::ReduceOp;
 
     #[test]

@@ -2,14 +2,13 @@
 //!
 //! The paper's Section 7 contrasts its sampling-based distributed algorithms
 //! with the classical *heavy hitters* formulation, which only finds objects
-//! whose frequency exceeds a fixed fraction of the input.  The two standard
-//! deterministic one-pass summaries are implemented here — they serve as
-//! sequential baselines and as local pre-aggregators in tests:
+//! whose frequency exceeds a fixed fraction of the input.  The standard
+//! deterministic one-pass summary is implemented here — it serves as a
+//! sequential baseline and backs the sliding-window sketch
+//! ([`crate::SlidingWindowTopK`]):
 //!
 //! * [`MisraGries`]: `k − 1` counters, frequency estimates with additive
-//!   error at most `n/k`;
-//! * [`SpaceSaving`]: `k` counters, over-estimates with the same error bound
-//!   and per-object error tracking.
+//!   error at most `n/k`.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -122,83 +121,6 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
     }
 }
 
-/// The Space-Saving summary with `capacity` counters.
-///
-/// Estimates are over-estimates: `f(x) ≤ f̂(x) ≤ f(x) + n/capacity`, and the
-/// per-key `error(x)` field bounds the over-estimate exactly.
-#[derive(Debug, Clone)]
-pub struct SpaceSaving<K> {
-    capacity: usize,
-    /// key → (count, error at insertion time)
-    counters: HashMap<K, (u64, u64)>,
-    processed: u64,
-}
-
-impl<K: Eq + Hash + Clone> SpaceSaving<K> {
-    /// Create a summary with `capacity ≥ 1` counters.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "need at least one counter");
-        SpaceSaving {
-            capacity,
-            counters: HashMap::with_capacity(capacity + 1),
-            processed: 0,
-        }
-    }
-
-    /// Process one element.
-    pub fn insert(&mut self, key: K) {
-        self.processed += 1;
-        if let Some((c, _)) = self.counters.get_mut(&key) {
-            *c += 1;
-            return;
-        }
-        if self.counters.len() < self.capacity {
-            self.counters.insert(key, (1, 0));
-            return;
-        }
-        // Evict the key with the smallest count and inherit its count as the
-        // new key's error.
-        let (evict_key, min_count) = self
-            .counters
-            .iter()
-            .min_by_key(|(_, (c, _))| *c)
-            .map(|(k, (c, _))| (k.clone(), *c))
-            .expect("capacity ≥ 1, so a minimum exists");
-        self.counters.remove(&evict_key);
-        self.counters.insert(key, (min_count + 1, min_count));
-    }
-
-    /// Number of stream elements processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Estimated frequency (an over-estimate) and its error bound.
-    pub fn estimate(&self, key: &K) -> Option<(u64, u64)> {
-        self.counters.get(key).copied()
-    }
-
-    /// Candidates sorted by decreasing estimated count.
-    pub fn candidates(&self) -> Vec<(K, u64)> {
-        let mut v: Vec<(K, u64)> = self
-            .counters
-            .iter()
-            .map(|(k, &(c, _))| (k.clone(), c))
-            .collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v
-    }
-
-    /// Keys whose *guaranteed* count (estimate − error) exceeds `threshold`.
-    pub fn guaranteed_above(&self, threshold: u64) -> Vec<K> {
-        self.counters
-            .iter()
-            .filter(|(_, &(c, e))| c - e > threshold)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,59 +217,12 @@ mod tests {
     }
 
     #[test]
-    fn space_saving_overestimates_within_bound() {
-        let stream = skewed_stream();
-        let n = stream.len() as u64;
-        let capacity = 20;
-        let mut ss = SpaceSaving::new(capacity);
-        for &x in &stream {
-            ss.insert(x);
-        }
-        assert_eq!(ss.processed(), n);
-        for (k, est) in ss.candidates() {
-            let truth = stream.iter().filter(|&&x| x == k).count() as u64;
-            assert!(est >= truth, "space-saving must over-estimate");
-            assert!(est <= truth + n / capacity as u64 + 1);
-        }
-        // The two heavy keys must be among the top candidates.
-        let top: Vec<u64> = ss
-            .candidates()
-            .into_iter()
-            .take(4)
-            .map(|(k, _)| k)
-            .collect();
-        assert!(top.contains(&0));
-        assert!(top.contains(&1));
-    }
-
-    #[test]
-    fn space_saving_guaranteed_counts_are_sound() {
-        let stream = skewed_stream();
-        let mut ss = SpaceSaving::new(10);
-        for &x in &stream {
-            ss.insert(x);
-        }
-        for k in ss.guaranteed_above(100) {
-            let truth = stream.iter().filter(|&&x| x == k).count() as u64;
-            assert!(
-                truth > 100,
-                "key {k} guaranteed above 100 but truth is {truth}"
-            );
-        }
-    }
-
-    #[test]
     fn small_capacity_edge_cases() {
         let mut mg = MisraGries::new(1);
         for x in [1u64, 2, 1, 3, 1] {
             mg.insert(x);
         }
         assert!(mg.estimate(&1) <= 3);
-        let mut ss = SpaceSaving::new(1);
-        for x in [1u64, 2, 1, 3, 1] {
-            ss.insert(x);
-        }
-        assert_eq!(ss.candidates().len(), 1);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   (multisequence selection, paper Section 4.2),
 //! * [`threshold`] — Fagin's sequential threshold algorithm, the baseline
 //!   that the distributed multicriteria top-k approximates (Section 6),
-//! * [`heavy_hitters`] — classical deterministic frequent-object summaries
-//!   (Misra–Gries, Space-Saving) used as sequential baselines for Section 7,
+//! * [`heavy_hitters`] — the classical deterministic frequent-object summary
+//!   (Misra–Gries) used as a sequential baseline for Section 7,
 //! * [`windowed`] — sliding-window (ring of mergeable sub-sketches) and
 //!   exponentially-decaying (scaled counters) variants of the above for the
 //!   never-terminating streaming top-k service,
@@ -46,7 +46,7 @@ pub mod threshold;
 pub mod treap;
 pub mod windowed;
 
-pub use heavy_hitters::{MisraGries, SpaceSaving};
+pub use heavy_hitters::MisraGries;
 pub use intern::Interner;
 pub use sampling::{bernoulli_sample, geometric_deviate, BernoulliSampler};
 pub use select::{

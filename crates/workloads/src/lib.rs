@@ -28,8 +28,8 @@
 //!   tests.
 //!
 //! Both scenarios are generic over [`commsim::Communicator`], so they run
-//! bit-identically on the threaded `Comm` and the sequential `SeqComm`
-//! backends; the integration tests pin exactly that.
+//! bit-identically on the threaded `Comm` and the replay engine's `MuxComm`
+//! (`run_spmd_seq`, `run_spmd_mux`); the integration tests pin exactly that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

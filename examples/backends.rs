@@ -1,16 +1,16 @@
-//! Backend walkthrough: one SPMD program, three execution backends.
+//! Backend walkthrough: one SPMD program, three runners.
 //!
 //! Demonstrates the `Communicator` trait introduced with the API redesign:
 //! the same generic closure runs on the threaded backend (`run_spmd`, one OS
-//! thread per PE), on the deterministic sequential backend (`run_spmd_seq`,
-//! round-based replay on a single thread), and on the multiplexed backend
-//! (`run_spmd_mux`, thousands of PEs as cooperative tasks over a small
-//! worker pool), producing identical results and identical metered traffic.
-//! Also shows the message path at work: every payload crosses the transport
-//! as its word encoding in a pooled buffer, and the `pooled_reuses` counter proves
-//! the allocations are being recycled on the threaded/sequential backends
-//! (the multiplexed backend's permanent message store makes it honestly 0 —
-//! see ARCHITECTURE.md).
+//! thread per PE) and on the replay engine under both of its drivers — the
+//! deterministic sequential one (`run_spmd_seq`, the scheduler inline on
+//! this thread) and the multiplexed one (`run_spmd_mux`, thousands of PEs as
+//! cooperative tasks over a small worker pool) — producing identical results
+//! and identical metered traffic.  Also shows the message path at work:
+//! every payload crosses the transport as its word encoding, and on the
+//! threaded backend the `pooled_reuses` counter proves the buffers are being
+//! recycled (the replay engine keeps every message for re-execution, which
+//! makes it honestly 0 — see ARCHITECTURE.md).
 //!
 //! ```bash
 //! cargo run --release --example backends
@@ -35,7 +35,7 @@ fn main() {
     let p = 8;
 
     let threaded = run_spmd(p, program::<Comm>);
-    let sequential = run_spmd_seq(p, program::<SeqComm>);
+    let sequential = run_spmd_seq(p, program::<MuxComm>);
     let muxed = run_spmd_mux(p, program::<MuxComm>);
 
     assert_eq!(threaded.results, sequential.results);
@@ -43,28 +43,22 @@ fn main() {
     assert_eq!(threaded.stats.total_words(), sequential.stats.total_words());
     assert_eq!(threaded.stats.total_words(), muxed.stats.total_words());
 
-    println!("same program, three backends, p = {p}:");
-    println!(
-        "  threaded    {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
-        threaded.stats.total_words(),
-        threaded.stats.total_messages(),
-        threaded.stats.total_pooled_reuses(),
-        threaded.elapsed
-    );
-    println!(
-        "  sequential  {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
-        sequential.stats.total_words(),
-        sequential.stats.total_messages(),
-        sequential.stats.total_pooled_reuses(),
-        sequential.elapsed
-    );
-    println!(
-        "  multiplexed {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
-        muxed.stats.total_words(),
-        muxed.stats.total_messages(),
-        muxed.stats.total_pooled_reuses(),
-        muxed.elapsed
-    );
+    println!("same program, three runners, p = {p}:");
+    // Only the threaded transport consumes messages, so only it has
+    // buffers to recycle; the replay engine reports 0 under either driver.
+    for (runner, out) in [
+        ("threaded", &threaded),
+        ("sequential", &sequential),
+        ("multiplexed", &muxed),
+    ] {
+        println!(
+            "  {runner:<11} {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
+            out.stats.total_words(),
+            out.stats.total_messages(),
+            out.stats.total_pooled_reuses(),
+            out.elapsed
+        );
+    }
     println!(
         "  results agree on all {} PEs; every payload crossed as u64 words (the one wire format)",
         p

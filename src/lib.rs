@@ -40,7 +40,7 @@ pub use workloads;
 pub mod prelude {
     pub use commsim::{
         run_spmd, run_spmd_mux, run_spmd_mux_with, run_spmd_seq, run_spmd_with, Comm, Communicator,
-        CostModel, MuxComm, MuxConfig, ReduceOp, SeqComm, SpmdConfig, SpmdOutput, WordCodec,
+        CostModel, MuxComm, MuxConfig, ReduceOp, SpmdConfig, SpmdOutput, WordCodec,
     };
     pub use datagen::{
         MulticriteriaWorkload, NegativeBinomial, SkewedSelectionInput, UniformInput,

@@ -1,16 +1,18 @@
 //! Differential test of the dissemination all-gather across the three
-//! backends.
+//! runners.
 //!
 //! The schedule is a provided trait method, so every backend runs the same
 //! code — what can differ is how a backend *executes* a program in which
 //! every PE receives in every round: the threaded transport interleaves
-//! freely, the sequential backend replays in rounds, the multiplexed one
-//! parks and wakes tasks in least-progress-first order.  For each world
-//! size (powers of two, their neighbours, primes) the results must equal the
-//! rank-order oracle and the per-PE traffic must be bit-identical on all of
-//! them, for scalar, ragged, string and empty blocks, for two all-gathers
-//! back to back (distinct collective tags), and inside a `SubComm` split
-//! (the recovery layer all-gathers over survivor groups).
+//! freely; the replay engine parks and wakes tasks in least-progress-first
+//! order, inline on one thread (`run_spmd_seq`) or racing over a worker
+//! pool.  For each world size (powers of two, their neighbours, primes) the
+//! results must equal the rank-order oracle and the per-PE traffic of every
+//! replay run must be bit-identical to the threaded one (the reference — the
+//! replay drivers share an engine), for scalar, ragged, string and empty
+//! blocks, for two all-gathers back to back (distinct collective tags), and
+//! inside a `SubComm` split (the recovery layer all-gathers over survivor
+//! groups).
 
 use topk_selection::commsim::{StatsSnapshot, SubComm};
 use topk_selection::prelude::*;

@@ -1,4 +1,4 @@
-//! Pins the MuxComm backend's bit-identical-traffic guarantee on the actual
+//! Pins the replay engine's bit-identical-traffic guarantee on the actual
 //! figure-6 experiment path.
 //!
 //! The whole point of the multiplexed backend is that a massive-p row in
@@ -6,12 +6,18 @@
 //! threaded backend: same results, same per-PE metered words and start-ups.
 //! These tests run the exact fig6 workload (skewed per-PE Zipf input, k-th
 //! largest via the dual order, the bin's seed convention) on all three
-//! backends over an overlapping (k, p) grid and require the per-PE traffic
+//! runners over an overlapping (k, p) grid and require the per-PE traffic
 //! vectors to match **exactly** — not just the bottleneck aggregate, every
 //! PE's sent/received words and message counts.
 //!
+//! The oracle is always the **threaded** backend (real threads, destructive
+//! queues, no replay).  `run_spmd_seq` and `run_spmd_mux*` are two drivers
+//! of one replay engine, so agreement between them alone would prove
+//! nothing about the engine; each is compared to the threaded run, and the
+//! inline run rides along as a third column.
+//!
 //! Pool-reuse counters are deliberately excluded from the comparison: the
-//! mux backend stores every message permanently for round replay and never
+//! replay engine stores every message permanently for re-execution and never
 //! recycles buffers (a documented divergence, see the `commsim::mux` module
 //! docs), so `pooled_reuses` is the one counter allowed to differ.
 
@@ -81,31 +87,37 @@ fn fig6_traffic_is_bit_identical_across_all_three_backends() {
 #[test]
 fn fig6_path_multiplexes_many_pes_over_few_workers() {
     // More PEs than any machine has cores, squeezed through 4 workers: the
-    // cooperative scheduler must still produce traffic bit-identical to the
-    // sequential oracle.  (The full p = 16384 row lives in EXPERIMENTS.md —
-    // this keeps the same property pinned at test-suite runtime.)
+    // cooperative scheduler must still produce traffic bit-identical to 512
+    // real threads (small stacks keep them cheap).  (The full p = 16384 row
+    // lives in EXPERIMENTS.md — this keeps the same property pinned at
+    // test-suite runtime.)
     let (p, per_pe, k) = (512usize, 32usize, 16usize);
-    let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
+    let threaded = run_spmd_with(SpmdConfig::new(p).with_stack_size(512 << 10), |comm| {
+        fig6_body(comm, per_pe, k)
+    });
     let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(4), |comm| {
         fig6_body(comm, per_pe, k)
     });
-    assert_eq!(seq.results, mux.results);
-    assert_eq!(
-        seq.stats.bottleneck_words(),
-        mux.stats.bottleneck_words(),
-        "bottleneck words diverge at p={p}"
-    );
-    assert_eq!(
-        seq.stats.bottleneck_messages(),
-        mux.stats.bottleneck_messages(),
-        "bottleneck start-ups diverge at p={p}"
-    );
-    for rank in 0..p {
+    let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
+    for (driver, out) in [("mux", &mux), ("seq", &seq)] {
+        assert_eq!(threaded.results, out.results, "{driver}");
         assert_eq!(
-            traffic(seq.stats.pe(rank)),
-            traffic(mux.stats.pe(rank)),
-            "rank {rank} traffic diverges at p={p}"
+            threaded.stats.bottleneck_words(),
+            out.stats.bottleneck_words(),
+            "{driver}: bottleneck words diverge at p={p}"
         );
+        assert_eq!(
+            threaded.stats.bottleneck_messages(),
+            out.stats.bottleneck_messages(),
+            "{driver}: bottleneck start-ups diverge at p={p}"
+        );
+        for rank in 0..p {
+            assert_eq!(
+                traffic(threaded.stats.pe(rank)),
+                traffic(out.stats.pe(rank)),
+                "{driver}: rank {rank} traffic diverges at p={p}"
+            );
+        }
     }
 }
 
@@ -116,16 +128,24 @@ fn fig6_on_a_two_worker_pool_is_bit_identical_to_seq() {
     // this one covers the smallest genuinely concurrent pool).
     let (per_pe, k) = (128usize, 32usize);
     for p in [4usize, 8] {
-        let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
+        let threaded = run_spmd(p, |comm| fig6_body(comm, per_pe, k));
         let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(2), |comm| {
             fig6_body(comm, per_pe, k)
         });
-        assert_eq!(seq.results, mux.results, "p={p}: results diverge");
+        let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
+        assert_eq!(threaded.results, mux.results, "p={p}: results diverge");
+        assert_eq!(threaded.results, seq.results, "p={p}: seq results diverge");
         for rank in 0..p {
+            let t = traffic(threaded.stats.pe(rank));
             assert_eq!(
-                traffic(seq.stats.pe(rank)),
+                t,
                 traffic(mux.stats.pe(rank)),
                 "p={p} rank={rank}: traffic diverges under the 2-worker pool"
+            );
+            assert_eq!(
+                t,
+                traffic(seq.stats.pe(rank)),
+                "p={p} rank={rank}: traffic diverges under the inline driver"
             );
         }
     }

@@ -11,9 +11,12 @@
 //! * the word codec round-trips every implementing type, with the wire
 //!   length equal to the metered word count;
 //! * the SPMD collective suite gives identical results and identical metered
-//!   traffic on **all three** backends (threaded `Comm`, sequential
-//!   `SeqComm`, multiplexed `MuxComm` — the latter with fewer workers than
-//!   PEs, so cooperative park/wake multiplexing is actually exercised).
+//!   traffic on **all three** runners (threaded `Comm`; the replay engine's
+//!   `MuxComm` driven inline by `run_spmd_seq` and by a pool with fewer
+//!   workers than PEs, so cooperative park/wake multiplexing is actually
+//!   exercised).  The threaded run and the analytic oracles are the
+//!   references; the two replay drivers share one engine and are never each
+//!   other's.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -602,9 +605,9 @@ proptest! {
 
 /// p = 16 stress of the sharded transport: the full collective battery must
 /// produce bit-identical results *and* bit-identical metered traffic on the
-/// threaded backend (sharded inboxes, 16 OS threads) and the sequential
-/// replay backend (`SeqComm`), which bypasses the transport entirely and so
-/// acts as the ordering oracle.
+/// threaded backend (sharded inboxes, 16 OS threads) and the replay engine
+/// driven inline (`run_spmd_seq`), which bypasses the transport entirely and
+/// so acts as the ordering oracle.
 #[test]
 fn sharded_transport_matches_seq_backend_at_p16() {
     let p = 16usize;
@@ -693,8 +696,10 @@ proptest! {
         };
         let p = values.len();
         let root = ((root_frac * p as f64) as usize).min(p - 1);
+        // The plan-less reference is the threaded backend: the two replay
+        // runners share one engine, so neither can vouch for the other.
         let vals = values.clone();
-        let base = run_spmd_seq(p, move |comm| collective_program(comm, &vals, root));
+        let base = run_spmd(p, move |comm| collective_program(comm, &vals, root));
 
         let vals = values.clone();
         let threaded = run_spmd_faulty(SpmdConfig::new(p).with_faults(FaultPlan::new()),

@@ -160,31 +160,36 @@ fn published_window_counts_match_the_brute_force_oracle_within_bound() {
 #[test]
 fn streaming_on_a_mux_worker_pool_matches_seq() {
     // The never-terminating workload squeezed through a 2-worker pool: the
-    // cooperative scheduler must not perturb a single metered word.
+    // cooperative scheduler must not perturb a single metered word.  The
+    // threaded run is the reference (the pool and the inline driver share
+    // one replay engine); the inline run rides along.
     let (p, batches) = (4usize, 10usize);
+    let threaded = run_spmd(p, move |comm| service_body(comm, batches));
     let seq = run_spmd_seq(p, move |comm| service_body(comm, batches));
     let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(2), move |comm| {
         service_body(comm, batches)
     });
-    assert_eq!(seq.results, mux.results);
-    for rank in 0..p {
-        let s = seq.stats.pe(rank);
-        let m = mux.stats.pe(rank);
-        assert_eq!(
-            (
-                s.sent_messages,
-                s.sent_words,
-                s.received_messages,
-                s.received_words
-            ),
-            (
-                m.sent_messages,
-                m.sent_words,
-                m.received_messages,
-                m.received_words
-            ),
-            "rank {rank} traffic diverges under the worker pool"
-        );
+    for (driver, out) in [("worker pool", &mux), ("inline driver", &seq)] {
+        assert_eq!(threaded.results, out.results, "{driver}");
+        for rank in 0..p {
+            let t = threaded.stats.pe(rank);
+            let o = out.stats.pe(rank);
+            assert_eq!(
+                (
+                    t.sent_messages,
+                    t.sent_words,
+                    t.received_messages,
+                    t.received_words
+                ),
+                (
+                    o.sent_messages,
+                    o.sent_words,
+                    o.received_messages,
+                    o.received_words
+                ),
+                "rank {rank} traffic diverges under the {driver}"
+            );
+        }
     }
 }
 

@@ -5,9 +5,9 @@
 //! * the whole text pipeline — tokenize → intern → exact counts — produces
 //!   identical results no matter how the corpus is split over PEs;
 //! * the multi-round bulk-queue scheduler is bit-identical between the
-//!   threaded (`Comm`) and sequential (`SeqComm`) backends, **including**
-//!   the per-round metered words (which exercises the seq backend's
-//!   per-execution counter reset, fixed in this PR);
+//!   threaded backend (`Comm`) and the replay engine driven inline
+//!   (`run_spmd_seq`), **including** the per-round metered words (which
+//!   exercises the replay engine's per-execution counter reset);
 //! * mid-closure phase metering of the frequent-objects algorithms agrees
 //!   between backends and across repeated runs;
 //! * the §7 error-metric regression case from the issue.
@@ -22,7 +22,7 @@ use topk_selection::prelude::*;
 use topk_selection::topk::frequent::{absolute_error, exact_global_counts};
 
 // ---------------------------------------------------------------------------
-// Scheduler: Comm ≡ SeqComm, bit for bit
+// Scheduler: threaded ≡ replay, bit for bit
 // ---------------------------------------------------------------------------
 
 #[test]
