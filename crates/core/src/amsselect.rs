@@ -115,11 +115,29 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
+    let total = comm.allreduce_sum(sorted_local.len() as u64);
+    approx_multisequence_select_known_total(comm, sorted_local, total, k_lo, k_hi, seed)
+}
+
+/// [`approx_multisequence_select`] for callers that have already agreed on
+/// `total = Σ|local|` (it must be that sum, identical on every PE): the
+/// estimation rounds without the entry's size all-reduction.
+pub(crate) fn approx_multisequence_select_known_total<C, T>(
+    comm: &C,
+    sorted_local: &[T],
+    total: u64,
+    k_lo: u64,
+    k_hi: u64,
+    seed: u64,
+) -> AmsSelectResult<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
     debug_assert!(
         sorted_local.windows(2).all(|w| w[0] <= w[1]),
         "approx_multisequence_select requires locally sorted input"
     );
-    let total = comm.allreduce_sum(sorted_local.len() as u64);
     assert!(k_lo >= 1, "k_lo must be at least 1");
     assert!(k_lo <= k_hi, "k_lo must not exceed k_hi");
     assert!(

@@ -11,14 +11,22 @@
 //! * fixed batch size `k`:    expected `O(α log² kp)` (Theorem 5),
 //! * flexible batch `k̲..k̄`:  expected `O(α log kp)` when `k̄ − k̲ = Ω(k̲)`.
 //!
+//! Either `deleteMin*` issues exactly **one** reduction of its own — a
+//! two-word sum of `(local_len, min(local_len, k̄))`, the global length and
+//! the total size of the windows the selection will search — and hands both
+//! to the selection kernel's known-size entry, so a delete costs what its
+//! kernel costs and nothing in front of it (`1 + 2·rounds` collectives; see
+//! [`crate::msselect`] for the schedule of a round).
+//!
 //! Elements are tie-broken with a globally unique insertion id, so a fixed
 //! batch always contains *exactly* `k` elements in total.
 
 use commsim::{CommData, Communicator};
 use seqkit::Treap;
 
-use crate::amsselect::approx_multisequence_select;
-use crate::msselect::multisequence_select;
+use crate::amsselect::approx_multisequence_select_known_total;
+use crate::msselect::multisequence_select_known_sizes;
+use crate::util::allreduce_sum_pair;
 
 /// A distributed bulk-parallel priority queue.
 ///
@@ -94,10 +102,18 @@ where
     /// `deleteMin*` with a fixed batch size: remove and return the `k`
     /// globally smallest elements.  The return value is this PE's share of
     /// the batch (in ascending order); the shares sum to exactly
-    /// `min(k, global_len)` elements over all PEs.  `k` and `seed` must be
-    /// the same on every PE (see [`multisequence_select`]).
+    /// `min(k, global_len)` elements over all PEs.
+    ///
+    /// One two-word reduction learns the global length and the size of the
+    /// selection's first window together; the rounds of
+    /// [`multisequence_select`](crate::msselect::multisequence_select) follow
+    /// without an entry reduction of their own.
+    ///
+    /// `k` must be the same on every PE.  `seed` should be: the batch is
+    /// exact whatever each PE passes, but the number of selection rounds is
+    /// only reproducible when all pass the same one.
     pub fn delete_min<C: Communicator>(&mut self, comm: &C, k: usize, seed: u64) -> Vec<T> {
-        let global = self.global_len(comm);
+        let (global, remaining) = self.global_len_and_window(comm, k);
         if global == 0 || k == 0 {
             return Vec::new();
         }
@@ -107,13 +123,15 @@ where
         // Sorted access to the k smallest local candidates; elements beyond
         // local rank k can never be in the batch.
         let window = self.local.smallest(k);
-        let result = multisequence_select(comm, &window, k, seed);
+        let result = multisequence_select_known_sizes(comm, &window, k, remaining, seed);
         self.remove_smallest(result.local_count)
     }
 
     /// `deleteMin*` with a flexible batch size `k̲..k̄` (Theorem 5, flexible
     /// case): removes between `k̲` and `k̄` globally smallest elements using a
-    /// single-round-in-expectation approximate selection.
+    /// single-round-in-expectation approximate selection.  Like
+    /// [`Self::delete_min`], one reduction before the selection rounds; the
+    /// band and `seed` must be the same on every PE.
     pub fn delete_min_flexible<C: Communicator>(
         &mut self,
         comm: &C,
@@ -122,7 +140,7 @@ where
         seed: u64,
     ) -> Vec<T> {
         assert!(k_lo >= 1 && k_lo <= k_hi, "invalid batch band");
-        let global = self.global_len(comm);
+        let (global, window_total) = self.global_len_and_window(comm, k_hi);
         if global == 0 {
             return Vec::new();
         }
@@ -130,8 +148,23 @@ where
             return self.drain_local();
         }
         let window = self.local.smallest(k_hi);
-        let result = approx_multisequence_select(comm, &window, k_lo as u64, k_hi as u64, seed);
+        let result = approx_multisequence_select_known_total(
+            comm,
+            &window,
+            window_total,
+            k_lo as u64,
+            k_hi as u64,
+            seed,
+        );
         self.remove_smallest(result.local_count)
+    }
+
+    /// The one entry reduction of a `deleteMin*`: the global length and the
+    /// total size `Σ min(local_len, k)` of the windows `smallest(k)` the
+    /// selection will search.
+    fn global_len_and_window<C: Communicator>(&self, comm: &C, k: usize) -> (u64, u64) {
+        let len = self.local.len() as u64;
+        allreduce_sum_pair(comm, len, len.min(k as u64))
     }
 
     /// Remove and return all local elements (ascending).
@@ -340,6 +373,51 @@ mod tests {
         });
         let total: usize = out.results.iter().map(Vec::len).sum();
         assert_eq!(total, 77);
+    }
+
+    /// The queue adds nothing to its selection kernels' start-ups: the one
+    /// entry reduction is the kernel's own, not a second one in front of it.
+    /// At p = 64 rank 0 sends ⌈log₂ p⌉ = 6 messages per collective; a fixed
+    /// delete issues `1 + 2·rounds` collectives, one fewer if its last round
+    /// picked a lone element, a flexible one `1 + 2·rounds`.
+    #[test]
+    fn delete_min_startup_budget_is_one_entry_reduction_plus_the_rounds() {
+        use crate::amsselect::approx_multisequence_select;
+        use crate::msselect::multisequence_select;
+
+        let p = 64;
+        let parts = random_parts(p, 40, 1 << 30, 13);
+        let out = commsim::run_spmd_seq(p, move |comm| {
+            let mut q = BulkParallelQueue::new(comm);
+            q.insert_bulk(parts[comm.rank()].iter().copied());
+            let sent = || comm.stats_snapshot().sent_messages;
+
+            // The public kernels on the very windows the queue will search.
+            let (k, k_lo, k_hi) = (300usize, 200usize, 400usize);
+            let start = sent();
+            let fixed_rounds = multisequence_select(comm, &q.local.smallest(k), k, 5).rounds;
+            let fixed_kernel = sent() - start;
+            let start = sent();
+            q.delete_min(comm, k, 5);
+            let fixed_queue = sent() - start;
+
+            let window = q.local.smallest(k_hi);
+            let flexible_rounds =
+                approx_multisequence_select(comm, &window, k_lo as u64, k_hi as u64, 7).rounds;
+            let start = sent();
+            q.delete_min_flexible(comm, k_lo, k_hi, 7);
+            let flexible_queue = sent() - start;
+            (
+                (fixed_rounds as u64, fixed_kernel, fixed_queue),
+                (flexible_rounds as u64, flexible_queue),
+            )
+        });
+        let ((rounds, kernel, queue), (flexible_rounds, flexible_queue)) = out.results[0];
+        assert!(rounds >= 2, "expected pivot rounds, got {rounds}");
+        assert_eq!(queue, kernel);
+        let lone_final = 1 + 2 * rounds - queue / 6;
+        assert!(lone_final <= 1 && queue == 6 * (1 + 2 * rounds - lone_final));
+        assert_eq!(flexible_queue, 6 * (1 + 2 * flexible_rounds));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Every PE holds a locally *sorted* sequence; the task is to find the
 //! element of global rank `k` in the union.  The algorithm is a distributed
-//! quickselect: a uniformly random remaining element becomes the pivot, every
-//! PE locates the pivot in its window with one binary search (`O(log k)`
-//! local work), a sum reduction yields the pivot's global rank, and the
-//! search continues left or right.  Expected `O(α log² kp)` latency
-//! (Theorem 16); no element is ever moved.
+//! quickselect: one remaining element becomes the pivot, every PE locates
+//! the pivot in its window with one binary search (`O(log k)` local work), a
+//! sum reduction yields the pivot's global rank, and the search continues
+//! left or right — or stops, when the pivot's rank is `k`.  Expected
+//! `O(α log² kp)` latency (Theorem 16); no element is ever moved.
 //!
 //! Ties are broken by a packed `(rank, local index)` word
 //! ([`tie_break_offset`]) that orders like the global element index, so the
@@ -15,21 +15,63 @@
 //!
 //! # Collective schedule
 //!
-//! One vector all-reduction `Σ[|local|, min(|local|, k)]` at the entry gives
-//! the global size and the first round's remaining window.  A non-final
-//! round then issues exactly **three** collectives: the exclusive prefix
-//! sum that locates the pivot position, the `pick_unique` all-reduction that
-//! publishes the pivot, and the sum all-reduction of the local ranks.  The
-//! pivot *position* costs nothing: every PE draws it from the same
-//! shared-seed generator.  The remaining window size is updated from the
-//! agreed rank like `k` is, never reduced again.  The final round is the
-//! single `pick_unique` of the last remaining element.
+//! **Entry: one.**  A two-word sum all-reduction of
+//! `(|local|, min(|local|, k))` gives the global size and the first round's
+//! remaining window.  A caller that already holds the second sum skips it
+//! (`multisequence_select_known_sizes`; the bulk queue does).
+//!
+//! **Counting round: exactly two.**  One min-by-key all-reduction agrees the
+//! pivot, one sum all-reduction ranks it.  The remaining window size is
+//! updated from the agreed rank like `k` is, never reduced again.  A round
+//! whose pivot has rank exactly `k` is the last one: the pivot is the answer.
+//!
+//! **Lone-element final round: one.**  When a single element remains, the
+//! pivot reduction alone returns it.
+//!
+//! # How the pivot is agreed
+//!
+//! Every PE with a non-empty window of `w` elements offers one of them
+//! together with the key `−ln u / w`, `u` uniform in `(0, 1)` from its own
+//! random stream, and the reduction keeps the offer with the smallest
+//! `(key, tie-break tag)`.  The key is exponentially distributed with rate
+//! `w`, so the winner is PE `i` with probability `wᵢ / Σw` — weighted
+//! reservoir sampling (Efraimidis & Spirakis 2006) of one PE by window size,
+//! with no prefix sum to locate a global position.  The operator is the
+//! minimum of a total order (tags are globally unique), hence associative
+//! *and* commutative: every reduction schedule, on every backend, returns the
+//! same pivot to every PE.  Any remaining element is a valid pivot (App. A),
+//! so correctness does not depend on the random streams at all — PEs passing
+//! different seeds still agree on the exact threshold; only reproducibility
+//! of the round count needs the same `seed` everywhere.
+//!
+//! # Which element a PE offers
+//!
+//! For the first `⌈log₂ remaining₀⌉` rounds (`remaining₀ = Σ min(|local|, k)`,
+//! agreed at the entry) it is the window element of proportional rank,
+//! `⌊(2k − 1)·w / (2·remaining)⌋` — the step classical multisequence
+//! selection takes deterministically (Varman et al. 1991).  When PEs hold
+//! samples of overlapping value ranges, a local quantile estimates the global
+//! rank to within about `√n`, and the window shrinks by far more than the
+//! constant factor a random pivot buys.  From then on it is a uniformly
+//! random element of the window, which together with the weighted choice of
+//! the PE is exactly Algorithm 9's uniform pivot.  The switch is a function
+//! of the round number and an agreed value, not a tuning knob, and it is what
+//! keeps the bound for *every* input: the proportional rounds add at most
+//! `⌈log₂ kp⌉` rounds to Algorithm 9's expected `O(log kp)` on whatever they
+//! leave, so `O(α log² kp)` stands.  On globally sorted input (disjoint
+//! per-PE ranges) they buy nothing: measured, up to a fifth more rounds
+//! than uniform pivots alone would take, every mean inside
+//! `2⌈log₂ remaining₀⌉` (EXPERIMENTS.md, "Bulk-PQ start-ups").
+//!
+//! Every round removes at least the pivot from the remaining window, so the
+//! loop terminates structurally, without a round cap.
 
-use commsim::{CommData, Communicator, ReduceOp};
+use commsim::{CommData, Communicator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::util::tie_break_offset;
+use crate::unsorted::global_min;
+use crate::util::{allreduce_sum_pair, splitmix64, tie_break_offset};
 
 /// Result of a multisequence selection.
 #[derive(Debug, Clone)]
@@ -39,22 +81,39 @@ pub struct MsSelectResult<T> {
     /// Number of *local* elements among the `k` globally smallest
     /// (sums to exactly `k` over all PEs).
     pub local_count: usize,
-    /// Number of selection rounds.  Every round but the last costs three
-    /// collectives — a prefix sum, the pivot's `pick_unique` all-reduction
-    /// and the rank all-reduction — and the last costs one, each
-    /// `O(α log p)`.
+    /// Number of selection rounds.  A round costs two collectives — the
+    /// pivot's min-by-key all-reduction and the rank all-reduction — except
+    /// a last round that finds a single element remaining, which costs the
+    /// first only; each is `O(α log p)`.
     pub rounds: usize,
 }
 
 /// Tie-broken comparison key: `(value, packed (rank, local index))`.
 type Key<T> = (T, u64);
 
+/// A PE's bid in the pivot reduction: `(exponential key, tag, element)`, or
+/// `None` from a PE whose window is empty.  Tags are unique, so the tuple
+/// order never reaches the element.
+type Bid<T> = Option<(u64, u64, T)>;
+
+/// Which element of its window a PE offers as the pivot.
+#[derive(Debug, Clone, Copy)]
+enum Offer {
+    /// The element whose window rank is proportional to the target rank `k`
+    /// among the `remaining` elements of all windows.
+    Proportional { k: u64, remaining: u64 },
+    /// A uniformly random element of the window.
+    Uniform,
+}
+
 /// Select the element of global rank `k` (1-based) from the union of locally
 /// sorted sequences, without moving any data.
 ///
-/// `seed`, like `k`, must be the same on every PE: all PEs draw the random
-/// pivot positions from one generator seeded with it, in lockstep, instead
-/// of one PE drawing them and sending them to the others.
+/// `k` must be the same on every PE.  `seed` should be: each PE derives its
+/// own random stream from `(seed, rank)`, and the result — threshold and
+/// local counts — is exact whatever the streams are, but the number of
+/// rounds, and with it the message count, is only reproducible from run to
+/// run and from backend to backend when every PE passes the same `seed`.
 ///
 /// # Panics
 ///
@@ -70,81 +129,87 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
+    let local_n = sorted_local.len() as u64;
+    // One reduction for both the global size and the first window size.
+    let (total, remaining) = allreduce_sum_pair(comm, local_n, local_n.min(k as u64));
+    assert!(k >= 1, "k must be at least 1");
+    assert!(
+        k as u64 <= total,
+        "k = {k} exceeds the global input size {total}"
+    );
+    multisequence_select_known_sizes(comm, sorted_local, k, remaining, seed)
+}
+
+/// [`multisequence_select`] for callers that have already agreed on
+/// `remaining = Σ min(|local|, k)` (it must be that sum, identical on every
+/// PE, and `1 ≤ k ≤ Σ|local|`): the selection rounds without the entry
+/// reduction.
+pub(crate) fn multisequence_select_known_sizes<C, T>(
+    comm: &C,
+    sorted_local: &[T],
+    k: usize,
+    remaining: u64,
+    seed: u64,
+) -> MsSelectResult<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
     debug_assert!(
         sorted_local.windows(2).all(|w| w[0] <= w[1]),
         "multisequence_select requires locally sorted input"
     );
+    debug_assert!(remaining >= 1, "k ≥ 1 leaves a non-empty first window");
     let local_n = sorted_local.len();
     // Restrict the search to the first min(k, |local|) elements: elements
     // beyond local rank k can never be among the k globally smallest.
     let mut lo = 0usize;
     let mut hi = local_n.min(k);
-    // One reduction for both the global size and the first window size.
-    let sizes = comm.allreduce_vec_sum(vec![local_n as u64, hi as u64]);
-    let total = sizes[0] as usize;
-    let mut remaining = sizes[1];
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= total, "k = {k} exceeds the global input size {total}");
+    let mut k = k as u64;
+    let mut remaining = remaining;
 
     // Tag of this PE's first element (tie breaker).
     let offset = tie_break_offset(comm.rank(), comm.size(), local_n);
-
-    let mut k = k as u64;
+    let mut rng = pe_rng(seed, comm.rank());
+    // ⌈log₂ remaining₀⌉ rounds offer the proportional element.
+    let proportional_rounds = (u64::BITS - (remaining - 1).leading_zeros()) as usize;
     let mut rounds = 0usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Generous safety cap; the expected round count is O(log kp).
-    let max_rounds = 64 + 16 * (usize::BITS - (total.max(2) - 1).leading_zeros()) as usize;
 
     let threshold: Key<T> = loop {
         rounds += 1;
-        let window = (hi - lo) as u64;
         debug_assert!(k >= 1 && k <= remaining);
-
-        if remaining == 1 {
-            let candidate: Option<Key<T>> =
-                (hi > lo).then(|| (sorted_local[lo].clone(), offset + lo as u64));
-            break pick_unique(comm, candidate);
-        }
-        if rounds > max_rounds {
-            // Safety net: gather the (tiny or adversarial) remainder and
-            // solve locally.  Never reached in expectation.
-            let local_rest: Vec<Key<T>> = (lo..hi)
-                .map(|i| (sorted_local[i].clone(), offset + i as u64))
-                .collect();
-            let mut all: Vec<Key<T>> = comm.allgather(local_rest).into_iter().flatten().collect();
-            all.sort();
-            break all[(k - 1) as usize].clone();
-        }
-
-        // Uniformly random global pivot position among the remaining
-        // window — the same draw on every PE (shared seed, lockstep).
-        let pivot_pos = rng.gen_range(0..remaining);
-        let window_offset = comm.prefix_sum_exclusive(window);
-        let candidate: Option<Key<T>> =
-            if pivot_pos >= window_offset && pivot_pos < window_offset + window {
-                let idx = lo + (pivot_pos - window_offset) as usize;
-                Some((sorted_local[idx].clone(), offset + idx as u64))
-            } else {
-                None
-            };
-        let pivot = pick_unique(comm, candidate);
-
-        // Count local elements strictly smaller than the pivot (tie-broken).
-        let j = count_less_than(sorted_local, lo, hi, offset, &pivot);
-        let left_total = comm.allreduce_sum((j - lo) as u64);
-
-        if left_total >= k {
-            hi = j;
-            remaining = left_total;
+        let offer = if rounds <= proportional_rounds {
+            Offer::Proportional { k, remaining }
         } else {
-            lo = j;
-            k -= left_total;
-            remaining -= left_total;
+            Offer::Uniform
+        };
+        let pivot = agree_pivot(comm, sorted_local, lo, hi, offset, offer, &mut rng);
+        if remaining == 1 {
+            break pivot;
         }
+
+        // The pivot's rank among the remaining elements.
+        let (below, through) = split_at_bound(sorted_local, lo, hi, offset, &pivot);
+        let left_total = comm.allreduce_sum((below - lo) as u64);
+
+        let before = remaining;
+        if left_total >= k {
+            hi = below;
+            remaining = left_total;
+        } else if left_total + 1 == k {
+            break pivot;
+        } else {
+            // Go right, past the pivot: its owner is the one PE on which
+            // `through` exceeds `below`.
+            lo = through;
+            k -= left_total + 1;
+            remaining -= left_total + 1;
+        }
+        debug_assert!(remaining < before, "every round removes the pivot");
     };
 
     // Local part of the selected set: elements (value, tag) ≤ threshold.
-    let local_count = count_le_threshold(sorted_local, offset, &threshold);
+    let (_, local_count) = split_at_bound(sorted_local, 0, local_n, offset, &threshold);
     MsSelectResult {
         threshold: threshold.0,
         local_count,
@@ -152,52 +217,73 @@ where
     }
 }
 
-/// All-reduce that picks the unique `Some` among per-PE options.
-fn pick_unique<C: Communicator, K: Clone + CommData>(comm: &C, candidate: Option<K>) -> K {
-    comm.allreduce(
-        candidate,
-        ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {
-            (Some(x), _) => Some(x.clone()),
-            (_, y) => y.clone(),
-        }),
-    )
-    .expect("exactly one PE must supply the pivot")
+/// This PE's random stream: the seed mixed with the rank, so that
+/// neighbouring seeds and ranks give unrelated streams.
+fn pe_rng(seed: u64, rank: usize) -> StdRng {
+    StdRng::seed_from_u64(splitmix64(splitmix64(seed) ^ rank as u64))
 }
 
-/// Index `j` in `[lo, hi]` such that all elements of `sorted[lo..j]` are
-/// tie-broken-smaller than `pivot` and all of `sorted[j..hi]` are not.
-fn count_less_than<T: Ord>(
+/// One all-reduction that agrees the round's pivot: every PE with a
+/// non-empty window `sorted_local[lo..hi]` bids the element `offer` names
+/// under an exponential key of rate `hi − lo`, and the smallest
+/// `(key, tag)` wins — a PE with probability proportional to its window.
+fn agree_pivot<C, T>(
+    comm: &C,
+    sorted_local: &[T],
+    lo: usize,
+    hi: usize,
+    offset: u64,
+    offer: Offer,
+    rng: &mut StdRng,
+) -> Key<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    let w = hi - lo;
+    let bid: Bid<T> = (w > 0).then(|| {
+        let pos = match offer {
+            Offer::Proportional { k, remaining } => {
+                let pos = (2 * k as u128 - 1) * w as u128 / (2 * remaining as u128);
+                (pos as usize).min(w - 1)
+            }
+            Offer::Uniform => rng.gen_range(0..w),
+        };
+        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+        // Positive and finite, so the bit pattern orders like the value.
+        let key = (-u.ln() / w as f64).to_bits();
+        let idx = lo + pos;
+        (key, offset + idx as u64, sorted_local[idx].clone())
+    });
+    let (_, tag, value) = global_min(comm, bid).expect("some PE holds a remaining element");
+    (value, tag)
+}
+
+/// Indices `(below, through)` in `[lo, hi]`: `sorted[lo..below]` are the
+/// window elements tie-broken-smaller than `bound`, `sorted[lo..through]`
+/// those not larger.  The two differ, by one, exactly on the PE that owns
+/// the bound element, and only if it lies in the window.
+fn split_at_bound<T: Ord>(
     sorted: &[T],
     lo: usize,
     hi: usize,
     offset: u64,
-    pivot: &(T, u64),
-) -> usize {
+    bound: &Key<T>,
+) -> (usize, usize) {
     let window = &sorted[lo..hi];
     // Elements with a strictly smaller value…
-    let strictly_smaller = window.partition_point(|x| *x < pivot.0);
-    // …plus elements equal in value whose tag is smaller.  Tags are
-    // consecutive within a PE; a pivot from another PE lies below or above
-    // all of them, which the saturating difference and the clamp absorb.
-    let equal_end = window.partition_point(|x| *x <= pivot.0);
-    let eq_start_tag = offset + (lo + strictly_smaller) as u64;
-    let equal_count = (equal_end - strictly_smaller) as u64;
-    let eq_smaller = pivot.1.saturating_sub(eq_start_tag).min(equal_count) as usize;
-    lo + strictly_smaller + eq_smaller
-}
-
-/// Number of local elements `(value, tag) ≤ threshold` over the whole local
-/// sequence.
-fn count_le_threshold<T: Ord>(sorted: &[T], offset: u64, threshold: &(T, u64)) -> usize {
-    let strictly_smaller = sorted.partition_point(|x| *x < threshold.0);
-    let equal_end = sorted.partition_point(|x| *x <= threshold.0);
-    let eq_start_tag = offset + strictly_smaller as u64;
-    let equal_count = (equal_end - strictly_smaller) as u64;
-    // Elements equal in value count iff their tag ≤ threshold.1.
-    let eq_le = (threshold.1 + 1)
-        .saturating_sub(eq_start_tag)
-        .min(equal_count) as usize;
-    strictly_smaller + eq_le
+    let smaller = lo + window.partition_point(|x| *x < bound.0);
+    // …plus elements equal in value whose tag is smaller (or not larger).
+    // Tags are consecutive within a PE; a bound from another PE lies below
+    // or above all of them, which the saturating difference and the clamp
+    // absorb.
+    let equal = (lo + window.partition_point(|x| *x <= bound.0) - smaller) as u64;
+    let first_equal_tag = offset + smaller as u64;
+    let equal_below = |tag_end: u64| tag_end.saturating_sub(first_equal_tag).min(equal) as usize;
+    (
+        smaller + equal_below(bound.1),
+        smaller + equal_below(bound.1 + 1),
+    )
 }
 
 #[cfg(test)]
@@ -306,13 +392,14 @@ mod tests {
 
     /// The start-up budget is exact.  At p = 64 rank 0 sends ⌈log₂ p⌉ = 6
     /// messages per collective, and a selection of `rounds` rounds issues
-    /// the entry reduction, three collectives per non-final round and the
-    /// final round's `pick_unique`.
+    /// the entry reduction and two collectives per round — one, if the last
+    /// round found a lone element and skipped the ranking.  `lone_final`
+    /// is what each case's schedule ends in; both endings are covered.
     #[test]
-    fn startup_budget_is_three_collectives_per_round() {
+    fn startup_budget_is_two_collectives_per_round() {
         let p = 64;
         let parts = sorted_parts(p, 8, 1 << 30, 41);
-        for (k, seed) in [(1usize, 1u64), (40, 2), (120, 3)] {
+        for (k, seed, lone_final) in [(1usize, 1u64, false), (40, 2, false), (120, 3, true)] {
             let parts_ref = parts.clone();
             let out = run_spmd_seq(p, move |comm| {
                 let before = comm.stats_snapshot();
@@ -321,7 +408,194 @@ mod tests {
             });
             let (rounds, sent) = out.results[0];
             assert!(rounds >= 2, "k={k}: expected pivot rounds");
-            assert_eq!(sent, 6 * (3 * (rounds as u64 - 1) + 2), "k={k} seed={seed}");
+            assert_eq!(
+                sent,
+                6 * (1 + 2 * rounds as u64 - u64::from(lone_final)),
+                "k={k} seed={seed} rounds={rounds}"
+            );
+        }
+    }
+
+    /// On a single PE the proportional position *is* rank `k`, so every `k`
+    /// hits exactly in the first round — off by one in the position formula
+    /// or in the exact-hit exit and some `k` needs a second round.
+    #[test]
+    fn single_pe_selects_every_k_in_one_round_without_messages() {
+        let mut local = sorted_parts(1, 60, 20, 3).remove(0); // duplicates
+        local.extend([20, 21, 22]);
+        let out = run_spmd(1, move |comm| {
+            let pins: Vec<(usize, bool)> = (1..=local.len())
+                .map(|k| {
+                    let r = multisequence_select(comm, &local, k, k as u64);
+                    assert_eq!(r.threshold, local[k - 1], "k={k}");
+                    (r.rounds, r.local_count == k)
+                })
+                .collect();
+            (pins, comm.stats_snapshot().sent_messages)
+        });
+        let (pins, sent) = &out.results[0];
+        assert!(
+            pins.iter().all(|&pin| pin == (1, true)),
+            "(rounds, local_count == k) per k: {pins:?}"
+        );
+        assert_eq!(*sent, 0);
+    }
+
+    /// The pivot reduction picks a PE with probability proportional to its
+    /// window — whatever that PE then offers — and the uniform offer covers
+    /// the window evenly.  Fails if the key ignores the window size.
+    #[test]
+    fn pivot_reduction_weights_pes_by_window_size() {
+        const SEEDS: u64 = 4000;
+        let out = run_spmd(2, |comm| {
+            let rank = comm.rank();
+            let local: Vec<u64> = (0..if rank == 0 { 100 } else { 300 }).collect();
+            let offset = tie_break_offset(rank, 2, local.len());
+            let modes = [
+                Offer::Proportional {
+                    k: 200,
+                    remaining: 400,
+                },
+                Offer::Uniform,
+            ];
+            modes.map(|offer| {
+                (0..SEEDS)
+                    .filter(|&seed| {
+                        let mut rng = pe_rng(seed, rank);
+                        let n = local.len();
+                        let (_, tag) = agree_pivot(comm, &local, 0, n, offset, offer, &mut rng);
+                        tag >= tie_break_offset(1, 2, 0)
+                    })
+                    .count()
+            })
+        });
+        for (mode, &from_pe1) in out.results[0].iter().enumerate() {
+            let share = from_pe1 as f64 / SEEDS as f64;
+            assert!((share - 0.75).abs() <= 0.03, "mode {mode}: share {share}");
+        }
+
+        let out = run_spmd(1, |comm| {
+            let local: Vec<u64> = (0..16).collect();
+            let mut hits = [0u64; 16];
+            for seed in 0..SEEDS {
+                let mut rng = pe_rng(seed, 0);
+                let (value, _) = agree_pivot(comm, &local, 0, 16, 0, Offer::Uniform, &mut rng);
+                hits[value as usize] += 1;
+            }
+            hits
+        });
+        let expected = SEEDS as f64 / 16.0;
+        assert!(
+            out.results[0]
+                .iter()
+                .all(|&h| (h as f64 - expected).abs() <= 0.25 * expected),
+            "uniform offers: {:?}",
+            out.results[0]
+        );
+    }
+
+    /// Mean round count over 20 seeds, every run checked against the
+    /// oracle.  Returns `(mean rounds, ⌈log₂ remaining₀⌉)`.
+    fn mean_rounds(make_parts: impl Fn(u64) -> Vec<Vec<u64>>, k: usize) -> (f64, u32) {
+        let mut rounds_sum = 0usize;
+        let mut remaining0 = 0usize;
+        for seed in 0..20u64 {
+            let parts = make_parts(seed);
+            remaining0 = parts.iter().map(|part| part.len().min(k)).sum();
+            let expected = select_in_sorted_union(&parts, k).unwrap();
+            let out = run_spmd_seq(parts.len(), |comm| {
+                multisequence_select(comm, &parts[comm.rank()], k, seed)
+            });
+            let rounds = out.results[0].rounds;
+            assert!(out
+                .results
+                .iter()
+                .all(|r| r.threshold == expected && r.rounds == rounds));
+            let count: usize = out.results.iter().map(|r| r.local_count).sum();
+            assert_eq!(count, k);
+            rounds_sum += rounds;
+        }
+        let log = usize::BITS - (remaining0 - 1).leading_zeros();
+        (rounds_sum as f64 / 20.0, log)
+    }
+
+    /// PEs that sample one value distribution: the proportional pivots land
+    /// within ~√n of the target and a handful of rounds suffice.
+    #[test]
+    fn proportional_pivots_need_few_rounds_on_overlapping_ranges() {
+        let (mean, _) = mean_rounds(|seed| sorted_parts(2, 512, 1 << 40, seed), 512);
+        assert!(mean <= 5.0, "mean rounds {mean}");
+    }
+
+    /// Globally sorted input, disjoint per-PE ranges: a local quantile says
+    /// nothing about the global rank, the proportional rounds buy nothing,
+    /// and the budget argument still bounds the total.
+    #[test]
+    fn disjoint_ranges_stay_inside_the_round_budget() {
+        for p in [2usize, 8, 64] {
+            let disjoint = |_seed: u64| -> Vec<Vec<u64>> {
+                (0..p as u64)
+                    .map(|r| (r * 512..(r + 1) * 512).collect())
+                    .collect()
+            };
+            let (mean, log) = mean_rounds(disjoint, p * 256);
+            assert!(mean <= 2.0 * log as f64, "p={p}: mean rounds {mean}");
+        }
+    }
+
+    /// Duplicates: the tie-broken order still makes every pivot a distinct
+    /// element, so each round removes at least one and a selection among
+    /// `n` elements takes at most `n` rounds.
+    #[test]
+    fn duplicate_heavy_and_all_equal_inputs_make_strict_progress() {
+        let heavy: Vec<Vec<u64>> = (0..4u64)
+            .map(|r| {
+                let mut v: Vec<u64> = (0..40 + 20 * r).map(|i| (i * (r + 3)) % 4).collect();
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        let all_equal: Vec<Vec<u64>> = (0..4).map(|_| vec![9u64; 25]).collect();
+        let n_heavy: usize = heavy.iter().map(Vec::len).sum();
+        for (parts, ks) in [
+            (heavy, vec![1, 2, 57, n_heavy / 2, n_heavy - 1, n_heavy]),
+            (all_equal, vec![1, 100]),
+        ] {
+            for k in ks {
+                let expected = select_in_sorted_union(&parts, k).unwrap();
+                let parts_ref = parts.clone();
+                let out = run_spmd(4, move |comm| {
+                    multisequence_select(comm, &parts_ref[comm.rank()], k, 11)
+                });
+                let remaining0: usize = parts.iter().map(|part| part.len().min(k)).sum();
+                assert!(out
+                    .results
+                    .iter()
+                    .all(|r| r.threshold == expected && r.rounds <= remaining0));
+                let count: usize = out.results.iter().map(|r| r.local_count).sum();
+                assert_eq!(count, k, "k={k}");
+            }
+        }
+    }
+
+    /// Any remaining element is a valid pivot and the reduction is a
+    /// total-order minimum, so PEs that disagree on the seed still agree on
+    /// the exact threshold and on counts that sum to `k`.
+    #[test]
+    fn pes_passing_different_seeds_still_select_exactly() {
+        let p = 5;
+        let parts = sorted_parts(p, 300, 2_000, 19);
+        for k in [1usize, 77, 750, 1500] {
+            let parts_ref = parts.clone();
+            let out = run_spmd(p, move |comm| {
+                let seed = 1000 + 17 * comm.rank() as u64;
+                let r = multisequence_select(comm, &parts_ref[comm.rank()], k, seed);
+                (r.threshold, r.local_count)
+            });
+            let expected = select_in_sorted_union(&parts, k).unwrap();
+            assert!(out.results.iter().all(|&(t, _)| t == expected), "k={k}");
+            let count: usize = out.results.iter().map(|&(_, c)| c).sum();
+            assert_eq!(count, k, "k={k}");
         }
     }
 

@@ -189,6 +189,25 @@ where
     T: Ord + Clone + CommData,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
+    select_threshold_known_total(comm, local, total, k, seed, config)
+}
+
+/// [`select_threshold_with`] for callers that have already agreed on
+/// `total = Σ|local|` (it must be that sum, identical on every PE): the
+/// selection proper, without the entry's size all-reduction.  Same
+/// assertions, same RNG stream, same messages otherwise.
+pub fn select_threshold_known_total<C, T>(
+    comm: &C,
+    local: &[T],
+    total: usize,
+    k: usize,
+    seed: u64,
+    config: UnsortedSelectionConfig,
+) -> T
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= total, "k = {k} exceeds the global input size {total}");
 
@@ -414,7 +433,10 @@ where
 
 /// Global minimum over per-PE optional values (`None` = "this PE has no
 /// elements left").
-fn global_min<C: Communicator, K: Ord + Clone + CommData>(comm: &C, value: Option<K>) -> Option<K> {
+pub(crate) fn global_min<C: Communicator, K: Ord + Clone + CommData>(
+    comm: &C,
+    value: Option<K>,
+) -> Option<K> {
     comm.allreduce(
         value,
         ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {

@@ -1,6 +1,6 @@
 //! Small shared utilities for the distributed algorithms.
 
-use commsim::{CommResult, WordCodec, WordReader};
+use commsim::{CommResult, Communicator, ReduceOp, WordCodec, WordReader};
 
 /// A totally ordered `f64` wrapper (ordered by `f64::total_cmp`), used for
 /// scores and value sums that have to flow through `Ord`-based selection and
@@ -64,6 +64,15 @@ pub fn splitmix64(mut x: u64) -> u64 {
 #[inline]
 pub fn owner_of(key: u64, p: usize) -> usize {
     (splitmix64(key) % p as u64) as usize
+}
+
+/// Component-wise sum all-reduction of two counts in one two-word message
+/// (a `Vec` of two would carry a third word, its length).
+pub(crate) fn allreduce_sum_pair<C: Communicator>(comm: &C, a: u64, b: u64) -> (u64, u64) {
+    comm.allreduce(
+        (a, b),
+        ReduceOp::custom(|x: &(u64, u64), y: &(u64, u64)| (x.0 + y.0, x.1 + y.1)),
+    )
 }
 
 /// Tag a local element with a globally unique identifier

@@ -41,7 +41,8 @@ use datagen::{StreamProfile, TextCorpus};
 use seqkit::{DecayingTopK, SlidingWindowTopK};
 use topk::frequent::dht;
 use topk::planner::{Planner, RefreshAudit};
-use topk::select_threshold;
+use topk::select_threshold_known_total;
+use topk::unsorted::UnsortedSelectionConfig;
 use topk::util::{owner_of, splitmix64};
 
 use crate::text::tokenize;
@@ -796,11 +797,14 @@ impl StreamService {
             Vec::new()
         } else if counts_only {
             let reversed: Vec<Reverse<(u64, u64)>> = items.iter().map(|&it| Reverse(it)).collect();
-            let threshold = select_threshold(
+            // `distinct` is the total the kernel's entry would reduce again.
+            let threshold = select_threshold_known_total(
                 comm,
                 &reversed,
+                distinct,
                 take,
                 self.config.seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407),
+                UnsortedSelectionConfig::default(),
             );
             // `(count, id)` pairs are unique, so exactly `take` items lie at
             // or above the threshold across all PEs.

@@ -5,9 +5,10 @@
 //! * the whole text pipeline — tokenize → intern → exact counts — produces
 //!   identical results no matter how the corpus is split over PEs;
 //! * the multi-round bulk-queue scheduler is bit-identical between the
-//!   threaded backend (`Comm`) and the replay engine driven inline
-//!   (`run_spmd_seq`), **including** the per-round metered words (which
-//!   exercises the replay engine's per-execution counter reset);
+//!   threaded backend (`Comm`) and the replay engine, driven inline
+//!   (`run_spmd_seq`) and on its worker pool (`run_spmd_mux`), **including**
+//!   the per-round metered words (which exercises the replay engine's
+//!   per-execution counter reset) and every PE's message and word counters;
 //! * mid-closure phase metering of the frequent-objects algorithms agrees
 //!   between backends and across repeated runs;
 //! * the §7 error-metric regression case from the issue.
@@ -16,6 +17,7 @@ use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use topk_selection::commsim::WorldStats;
 use topk_selection::datagen::text::BASE_WORDS;
 use topk_selection::datagen::TextCorpus;
 use topk_selection::prelude::*;
@@ -52,12 +54,39 @@ fn scheduler_is_bit_identical_on_both_backends() {
         };
         let threaded = run_spmd(3, |comm| run_scheduler(comm, &params));
         let seq = run_spmd_seq(3, |comm| run_scheduler(comm, &params));
-        // RoundReport includes the batch contents, backlog *and* the
-        // per-round metered words — all must match exactly.
-        assert_eq!(
-            threaded.results, seq.results,
-            "{batch:?}/{arrival:?} diverged between backends"
-        );
+        let mux = run_spmd_mux(3, |comm| run_scheduler(comm, &params));
+        // Everything a PE's snapshot meters except `pooled_reuses`, which
+        // is the backend's own business.
+        let traffic = |stats: &WorldStats| -> Vec<[u64; 4]> {
+            stats
+                .per_pe()
+                .iter()
+                .map(|s| {
+                    [
+                        s.sent_messages,
+                        s.sent_words,
+                        s.received_messages,
+                        s.received_words,
+                    ]
+                })
+                .collect()
+        };
+        for (name, replay) in [("seq", &seq), ("mux", &mux)] {
+            // RoundReport includes the batch contents, backlog *and* the
+            // per-round metered words — all must match exactly.
+            assert_eq!(
+                threaded.results, replay.results,
+                "{batch:?}/{arrival:?} diverged between threads and {name}"
+            );
+            // The selection's pivot keys are per-PE floats: a backend on
+            // which they differed would show up first as a different round
+            // count, i.e. in the per-PE message counters.
+            assert_eq!(
+                traffic(&threaded.stats),
+                traffic(&replay.stats),
+                "{batch:?}/{arrival:?}: per-PE metering differs on {name}"
+            );
+        }
     }
 }
 
