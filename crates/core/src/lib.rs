@@ -76,6 +76,6 @@ pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
 pub use unsorted::{
     select_k_largest, select_k_smallest, select_threshold, select_threshold_known_total,
-    select_threshold_with, UnsortedSelectionResult,
+    UnsortedSelectionResult,
 };
 pub use util::OrderedF64;

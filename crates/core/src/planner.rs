@@ -23,8 +23,10 @@
 //!   one-pass estimator of `seqkit::skew` when the caller does not know its
 //!   distribution);
 //! * the §4.1 unsorted selection shared by all sampling algorithms is
-//!   modeled level by level (per-level all-reductions plus the √p̄-sized
-//!   sample all-gather, then the ≤ 1024-element base-case all-gather).
+//!   modeled level by level with the kernel's own schedule
+//!   ([`crate::unsorted`]'s level sample, pivot bracket and base case): per
+//!   level the sample all-gather and the range-count all-reduction, then
+//!   the base-case all-gather of the expected survivors.
 //!
 //! Every planned execution ([`Plan::execute`]) meters reality with the
 //! existing [`commsim::StatsSnapshot`] deltas and records a [`PlanAudit`] —
@@ -49,6 +51,7 @@ use crate::frequent::naive::{naive_top_k, naive_tree_top_k};
 use crate::frequent::pac::{self, pac_top_k};
 use crate::frequent::pec::pec_top_k;
 use crate::frequent::{FrequentParams, TopKFrequentResult};
+use crate::unsorted::{base_case, bracket, level_sample};
 use seqkit::skew::{expected_distinct, fit_zipf_exponent};
 
 /// The §7 top-k most-frequent-objects algorithms as a dispatchable value —
@@ -610,7 +613,7 @@ impl Planner {
         let aggregate = global_candidates as f64;
         let shared = dht.plus(predict::allreduce(p, 1.0));
         let counts_only = shared
-            .plus(selection_cost(p, aggregate))
+            .plus(selection_cost(p, aggregate, k as f64))
             .plus(allgather_pairs(p, k as f64));
         let full_gather = shared.plus(allgather_pairs(p, aggregate));
         let use_counts_only =
@@ -766,7 +769,7 @@ impl Planner {
                 .plus(predict::allreduce(p, 2.0))
                 .plus(allgather_pairs(p, aggregate));
         }
-        selection_cost(p, aggregate).plus(allgather_pairs(p, k))
+        selection_cost(p, aggregate, k).plus(allgather_pairs(p, k))
     }
 
     /// Choose the cheaper DHT routing for `m_total` payload words per PE and
@@ -782,35 +785,47 @@ impl Planner {
     }
 }
 
-/// All-gather of `total` 2-word pairs spread evenly over the PEs: one `Vec`
-/// block per PE, which pays its own length word.
-fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
-    predict::allgather(p, 2.0 * total / p.max(1) as f64 + 1.0)
+/// All-gather of `total` items of `words` words each, spread evenly over
+/// the PEs: one `Vec` block per PE, which pays its own length word.
+fn allgather_items(p: usize, total: f64, words: f64) -> PredictedComm {
+    predict::allgather(p, words * total / p.max(1) as f64 + 1.0)
 }
 
-/// The §4.1 unsorted selection over `total` 2-word items spread across `p`
-/// PEs: the size all-reduction once at the entry, per level the
-/// ~√p̄-element Bernoulli-sample all-gather and the partition-count vector
-/// all-reduction, and the all-gather of the ≤ 1024 survivors in the base
-/// case.
-fn selection_cost(p: usize, total: f64) -> PredictedComm {
-    const BASE_CASE: f64 = 1024.0;
-    let pf = p.max(1) as f64;
+/// [`allgather_items`] of 2-word `(key, count)` pairs.
+fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
+    allgather_items(p, total, 2.0)
+}
+
+/// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
+/// pairs spread across `p` PEs: the size all-reduction once at the entry,
+/// per narrowing level the all-gather of the [`level_sample`] and the
+/// range-count vector all-reduction, and the all-gather of the survivors
+/// once they fit the [`base_case`].  The levels are the kernel's expected
+/// walk: sample element `i` of `m` has expected rank `(i + 1)·t/(m + 1)`, so
+/// the [`bracket`] around `q = k/t` predicts the three range sizes, and the
+/// walk recurses into the range holding `k` as the kernel does.
+fn selection_cost(p: usize, total: f64, k: f64) -> PredictedComm {
+    // On the wire an element is its pair plus the tie-break tag.
+    let allgather_tagged = |count: f64| allgather_items(p, count, 3.0);
+    let m = level_sample(p);
     let mut comm = predict::allreduce(p, 1.0);
-    let mut t = total.max(0.0);
-    let mut levels = 0;
-    while t > BASE_CASE && levels < 16 {
-        let sample = pf.sqrt();
+    let (mut t, mut k) = (total.max(0.0), k);
+    while t > base_case(p) as f64 {
         comm = comm
-            .plus(allgather_pairs(p, sample))
+            .plus(allgather_tagged(m as f64))
             .plus(predict::allreduce(p, 4.0));
-        // One level narrows the candidates to the bracket between adjacent
-        // sample elements around the target rank: ≈ total/√p̄ in expectation
-        // (bracket_exponent keeps a safety margin; model the same slack).
-        t = (2.0 * t / sample.max(1.5)).max(BASE_CASE / 2.0);
-        levels += 1;
+        let (lo, hi) = bracket(m, (k / t).clamp(0.0, 1.0));
+        let below = t * (lo + 1) as f64 / (m + 1) as f64;
+        let upto = t * (hi + 1) as f64 / (m + 1) as f64;
+        (t, k) = if k <= below {
+            (below, k)
+        } else if k <= upto {
+            (upto - below, k - below)
+        } else {
+            (t - upto, k - upto)
+        };
     }
-    comm.plus(allgather_pairs(p, t.min(BASE_CASE)))
+    comm.plus(allgather_tagged(t))
 }
 
 #[cfg(test)]
@@ -917,6 +932,32 @@ mod tests {
             huge.counts_only_predicted.words,
             huge.full_gather_predicted.words
         );
+    }
+
+    /// ROADMAP item 7: the level count `selection_cost` walks is the
+    /// kernel's, so its start-ups stay within ±50 % of a metered
+    /// `select_k_smallest` — entry reduction, two collectives per narrowing
+    /// level, base case — from few large PEs to many small ones.
+    #[test]
+    fn selection_cost_startups_follow_the_metered_kernel() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for (p, n, k) in [
+            (2usize, 1usize << 18, 32usize),
+            (4, 1 << 14, 32),
+            (64, 1 << 12, 1 << 11),
+        ] {
+            let out = commsim::run_spmd_seq(p, |comm| {
+                let mut rng = StdRng::seed_from_u64(0x5E1 + comm.rank() as u64);
+                let local: Vec<u64> = (0..n / p).map(|_| rng.gen_range(0..1u64 << 40)).collect();
+                crate::select_k_smallest(comm, &local, k, 7);
+            });
+            let measured = out.stats.bottleneck_messages() as f64;
+            let predicted = selection_cost(p, n as f64, k as f64).startups;
+            assert!(
+                (predicted - measured).abs() <= 0.5 * measured,
+                "p={p} n={n} k={k}: predicted {predicted} start-ups, metered {measured}"
+            );
+        }
     }
 
     #[test]

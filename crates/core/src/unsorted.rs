@@ -2,12 +2,13 @@
 //!
 //! This is the paper's Algorithm 1 — a distributed Floyd–Rivest-style
 //! selection.  Each level of recursion takes a Bernoulli sample of the
-//! remaining elements (expected size `O(√p)` in total), picks two pivots
-//! bracketing the target rank from the sorted sample, partitions the local
-//! data into the three ranges `a < ℓ`, `ℓ ≤ b ≤ r`, `c > r`, counts the
-//! ranges with a vector all-reduction and recurses into the range containing
-//! the target rank.  Theorem 1 shows the algorithm needs neither randomly
-//! distributed input nor any data redistribution: expected time
+//! remaining elements (expected size `max(128, ⌈√p⌉)` in total — see
+//! `SAMPLE`), picks two pivots bracketing the target rank by two binomial
+//! standard deviations of its sample rank, partitions the local data into
+//! the three ranges `a < ℓ`, `ℓ ≤ b ≤ r`, `c > r`, counts the ranges with a
+//! vector all-reduction and recurses into the range containing the target
+//! rank.  Theorem 1 shows the algorithm needs neither randomly distributed
+//! input nor any data redistribution: expected time
 //! `O(n/p + β·min(√p·log_p n, n/p) + α log n)`.
 //!
 //! # Collective schedule
@@ -20,7 +21,10 @@
 //! counts every PE has just agreed on, so it is carried through the loop and
 //! never reduced again, and the tie-break tag is the packed
 //! `(rank, local index)` word of [`tie_break_offset`], which orders like the
-//! global index without the prefix sum that would compute one.
+//! global index without the prefix sum that would compute one.  There is no
+//! level cap: a pivot is an input element and the outer ranges exclude it,
+//! and the bracket spans a whole sample only if that has under nine
+//! elements, so every level shrinks the input.
 //!
 //! The public entry points return both the *threshold* (the element of global
 //! rank `k` under a tie-broken total order) and each PE's local part of the
@@ -45,37 +49,75 @@ pub struct UnsortedSelectionResult<T> {
     /// This PE's elements among the `k` globally smallest.  The lengths of
     /// these vectors over all PEs sum to exactly `k`.
     pub local_selected: Vec<T>,
-    /// Number of recursion levels the algorithm used (the paper's analysis
-    /// predicts `O(log_p n)` levels).
+    /// Number of recursion levels the algorithm used, the base-case level
+    /// included: about `ln(n / 2m) / ln(m / (2√m + 2))` narrowing levels for
+    /// a level sample of `m` elements (5.2× per level at `m = 128`).
     pub recursion_levels: usize,
 }
 
-/// Tuning knobs of the selection algorithm.  The defaults follow the paper's
-/// analysis; they are exposed for the ablation benchmarks.
-#[derive(Debug, Clone, Copy)]
-pub struct UnsortedSelectionConfig {
-    /// Once the remaining problem is at most this many elements in total, it
-    /// is gathered to every PE and solved locally.
-    pub base_case_size: usize,
-    /// Expected total sample size as a multiple of `√p`.
-    pub sample_factor: f64,
-    /// Exponent `e` of the pivot bracket `Δ = |S|^e` (the paper uses
-    /// `Δ = p^{1/4+δ}`, i.e. `e ≈ 5/6` relative to `|S| ≈ √p`).
-    pub bracket_exponent: f64,
-    /// Hard cap on recursion levels before falling back to the base case
-    /// (safety net; never reached for sane inputs).
-    pub max_levels: usize,
+/// Floor of the expected level sample (elements in total, over all PEs); the
+/// paper's `|S| = √p` takes over beyond p = 16 384.
+///
+/// A narrowing level costs two collectives and `2m` words per PE (the
+/// gathered sample of `m` tagged elements) and keeps the share
+/// `f(m) = (c·√m + 2)/m` of the survivors at `q = ½`, a `√m/c` narrowing.
+/// For a fixed product of narrowings the word total `Σ 2mᵢ` is smallest
+/// when all `mᵢ` are equal (AM–GM), so every level draws the same sample.
+/// At `|S| = √p ≤ 8` (p ≤ 64) the bracket covers the whole sample and the
+/// level is random-pivot quickselect; `m = 128` narrows 5.2× per level
+/// (`f = 0.19`).  A larger sample buys start-ups with words and a smaller
+/// one the reverse, smoothly: no cliff over m ∈ 96…160, c ∈ 1.5…2.5
+/// (EXPERIMENTS.md, "PR 19 — Floyd–Rivest sample sizing").
+const SAMPLE: usize = 128;
+
+/// Half-width of the pivot bracket in binomial standard deviations of the
+/// target's sample rank — what the paper's `Δ = p^{1/4+δ}` is at `|S| = √p`.
+/// Two σ miss the target in at most ≈ 4.6 % of levels (a miss recurses into
+/// an outer range, roughly one wasted level); 1.5 σ miss in 13 %, 2.5 σ keep
+/// 23 % more survivors on every level.
+const BRACKET_SIGMAS: f64 = 2.0;
+
+/// The base case gathers once at most this many level samples survive.
+/// Below `m/(1 − f) ≈ 1.2·m` survivors gathering them is word-cheaper than
+/// one more level's sample; `2·m` also saves that level's two collectives.
+const BASE_CASE_SAMPLES: usize = 2;
+
+/// Expected total sample size of one level on `p` PEs.
+pub(crate) fn level_sample(p: usize) -> usize {
+    SAMPLE.max((p as f64).sqrt().ceil() as usize)
 }
 
-impl Default for UnsortedSelectionConfig {
-    fn default() -> Self {
-        UnsortedSelectionConfig {
-            base_case_size: 1024,
-            sample_factor: 1.0,
-            bracket_exponent: 5.0 / 6.0,
-            max_levels: 64,
-        }
-    }
+/// Largest remaining input the base case gathers on `p` PEs.
+pub(crate) fn base_case(p: usize) -> usize {
+    BASE_CASE_SAMPLES * level_sample(p)
+}
+
+/// Sample ranks (0-based, `lo ≤ hi < m`) of the two pivots bracketing the
+/// quantile `q` in a sample of `m ≥ 1` elements: `q·m ± Δ` with
+/// `Δ = BRACKET_SIGMAS·√(m·q·(1−q)) + 1`, clamped to the sample.
+pub(crate) fn bracket(m: usize, q: f64) -> (usize, usize) {
+    let pos = q * m as f64;
+    let delta = BRACKET_SIGMAS * (m as f64 * q * (1.0 - q)).sqrt() + 1.0;
+    let lo = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
+    let hi = ((pos + delta).ceil() as usize).min(m - 1);
+    (lo, hi)
+}
+
+/// The two pivots bracketing global rank `k` of `total` from the gathered
+/// level sample (non-empty; reordered in place).  Two `select_nth_unstable`
+/// calls instead of a sort: on the replay backends every PE repeats this on
+/// every re-execution.
+fn pick_pivots<K: Ord + Clone>(sample: &mut [K], k: usize, total: usize) -> (K, K) {
+    let (lo, hi) = bracket(sample.len(), k as f64 / total as f64);
+    let hi_pivot = sample.select_nth_unstable(hi).1.clone();
+    let lo_pivot = sample[..=hi].select_nth_unstable(lo).1.clone();
+    (lo_pivot, hi_pivot)
+}
+
+/// Bernoulli rate that draws [`level_sample`] elements of `total` in
+/// expectation.
+fn sample_rate(p: usize, total: usize) -> f64 {
+    (level_sample(p) as f64 / total as f64).clamp(0.0, 1.0)
 }
 
 /// Select the `k` globally smallest elements of the distributed input.
@@ -93,26 +135,11 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
-    select_k_smallest_with(comm, local, k, seed, UnsortedSelectionConfig::default())
-}
-
-/// [`select_k_smallest`] with explicit tuning parameters.
-pub fn select_k_smallest_with<C, T>(
-    comm: &C,
-    local: &[T],
-    k: usize,
-    seed: u64,
-    config: UnsortedSelectionConfig,
-) -> UnsortedSelectionResult<T>
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
     let total = comm.allreduce_sum(local.len() as u64) as usize;
-    select_k_smallest_known_total(comm, local, total, k, seed, config)
+    select_k_smallest_known_total(comm, local, total, k, seed)
 }
 
-/// [`select_k_smallest_with`] for callers that have already agreed on
+/// [`select_k_smallest`] for callers that have already agreed on
 /// `total = Σ|local|` (it must be that sum, identical on every PE): the
 /// selection proper, without the entry's size all-reduction.
 pub(crate) fn select_k_smallest_known_total<C, T>(
@@ -121,7 +148,6 @@ pub(crate) fn select_k_smallest_known_total<C, T>(
     total: usize,
     k: usize,
     seed: u64,
-    config: UnsortedSelectionConfig,
 ) -> UnsortedSelectionResult<T>
 where
     C: Communicator,
@@ -140,7 +166,7 @@ where
     // The recursion consumes (and shrinks) the tagged buffer; the selected
     // set is recovered afterwards directly from `local` and the offset, so no
     // second tagged copy is ever materialised.
-    let threshold_tagged = select_recursive(comm, tagged, total, k, &mut rng, &mut levels, &config);
+    let threshold_tagged = select_recursive(comm, tagged, total, k, &mut rng, &mut levels);
 
     let local_selected: Vec<T> = local
         .iter()
@@ -173,26 +199,11 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
-    select_threshold_with(comm, local, k, seed, UnsortedSelectionConfig::default())
-}
-
-/// [`select_threshold`] with explicit tuning parameters.
-pub fn select_threshold_with<C, T>(
-    comm: &C,
-    local: &[T],
-    k: usize,
-    seed: u64,
-    config: UnsortedSelectionConfig,
-) -> T
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
     let total = comm.allreduce_sum(local.len() as u64) as usize;
-    select_threshold_known_total(comm, local, total, k, seed, config)
+    select_threshold_known_total(comm, local, total, k, seed)
 }
 
-/// [`select_threshold_with`] for callers that have already agreed on
+/// [`select_threshold`] for callers that have already agreed on
 /// `total = Σ|local|` (it must be that sum, identical on every PE): the
 /// selection proper, without the entry's size all-reduction.  Same
 /// assertions, same RNG stream, same messages otherwise.
@@ -202,7 +213,6 @@ pub fn select_threshold_known_total<C, T>(
     total: usize,
     k: usize,
     seed: u64,
-    config: UnsortedSelectionConfig,
 ) -> T
 where
     C: Communicator,
@@ -214,7 +224,7 @@ where
     let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
     let mut rng =
         StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    threshold_recursive(comm, local, offset, total, k, &mut rng, &config)
+    threshold_recursive(comm, local, offset, total, k, &mut rng)
 }
 
 /// Does the tie-broken pair `(value, tag)` lie inside the current survivor
@@ -294,7 +304,6 @@ fn threshold_recursive<C, T>(
     mut total: usize,
     mut k: usize,
     rng: &mut StdRng,
-    config: &UnsortedSelectionConfig,
 ) -> T
 where
     C: Communicator,
@@ -304,9 +313,7 @@ where
     let mut lower: Bound<(T, u64)> = Bound::Unbounded;
     let mut upper: Bound<(T, u64)> = Bound::Unbounded;
     let mut cur_local = local.len();
-    let mut levels = 0usize;
     loop {
-        levels += 1;
         debug_assert_eq!(survivors(local, offset, &lower, &upper).count(), cur_local);
         debug_assert!(k >= 1 && k <= total);
 
@@ -326,7 +333,7 @@ where
                 .expect("k = total requires a non-empty input")
                 .0;
         }
-        if total <= config.base_case_size || levels >= config.max_levels {
+        if total <= base_case(p) {
             let mine: Vec<(T, u64)> = survivors(local, offset, &lower, &upper)
                 .map(|(v, gi)| (v.clone(), gi))
                 .collect();
@@ -338,25 +345,17 @@ where
         // Same sampling schedule as the full path: the skip sampler runs
         // over the survivor ordinals, so the RNG stream matches
         // `bernoulli_sample` over the materialised buffer draw for draw.
-        let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-        let sample = loop {
+        let mut rho = sample_rate(p, total);
+        let mut sample = loop {
             let local_sample = sample_survivors(local, offset, &lower, &upper, cur_local, rho, rng);
-            let mut sample: Vec<(T, u64)> =
+            let sample: Vec<(T, u64)> =
                 comm.allgather(local_sample).into_iter().flatten().collect();
             if !sample.is_empty() {
-                sample.sort();
                 break sample;
             }
             rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
         };
-
-        let m = sample.len();
-        let pos = (k as f64 / total as f64) * m as f64;
-        let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-        let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-        let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-        let lo_pivot = sample[lo_idx].clone();
-        let hi_pivot = sample[hi_idx].clone();
+        let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
 
         // Counting sweep over the survivor sequence (the counts-only twin of
         // `partition_three_way_counts`; comparisons only, nothing moves).
@@ -380,9 +379,7 @@ where
         } else if k <= na + nb {
             lower = Bound::Included(lo_pivot);
             upper = Bound::Included(hi_pivot);
-            if nb != total {
-                k -= na;
-            }
+            k -= na;
             cur_local = lb as usize;
             total = nb;
         } else {
@@ -427,8 +424,7 @@ where
 {
     let reversed: Vec<std::cmp::Reverse<T>> =
         local.iter().cloned().map(std::cmp::Reverse).collect();
-    let config = UnsortedSelectionConfig::default();
-    select_k_smallest_known_total(comm, &reversed, total, k, seed, config)
+    select_k_smallest_known_total(comm, &reversed, total, k, seed)
 }
 
 /// Global minimum over per-PE optional values (`None` = "this PE has no
@@ -517,7 +513,6 @@ fn select_recursive<C, K>(
     mut k: usize,
     rng: &mut StdRng,
     levels: &mut usize,
-    config: &UnsortedSelectionConfig,
 ) -> K
 where
     C: Communicator,
@@ -541,27 +536,26 @@ where
             return global_max(comm, s.iter().max().cloned())
                 .expect("k = total requires a non-empty input");
         }
-        // Small remainder or runaway recursion: gather everything and solve
-        // locally (volume O(base_case_size), latency O(log p)).
-        if total <= config.base_case_size || *levels >= config.max_levels {
+        // Small remainder: gather everything and solve locally (at most
+        // two level samples of volume, latency O(log p)).
+        if total <= base_case(p) {
             let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
             all.sort();
             return all[k - 1].clone();
         }
 
-        // Bernoulli sample with expected total size `sample_factor · √p`:
+        // Bernoulli sample with expected total size `level_sample(p)`:
         // pre-drawn by the previous level's narrowing sweep when possible
         // (bit-identical to sampling here — same ρ, same buffer order, same
         // RNG stream), drawn on the spot at level 0 and on retries.
-        let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-        let sample = loop {
+        let mut rho = sample_rate(p, total);
+        let mut sample = loop {
             let local_sample = match pending_sample.take() {
                 Some(pre_drawn) => pre_drawn,
                 None => bernoulli_sample(&s, rho, rng),
             };
-            let mut sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
+            let sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
             if !sample.is_empty() {
-                sample.sort();
                 break sample;
             }
             // Extremely unlikely unless the remaining input is tiny; retry
@@ -570,14 +564,7 @@ where
             rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
         };
 
-        // Pivot positions: the sample ranks matching k, bracketed by Δ.
-        let m = sample.len();
-        let pos = (k as f64 / total as f64) * m as f64;
-        let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-        let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-        let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-        let lo_pivot = sample[lo_idx].clone();
-        let hi_pivot = sample[hi_idx].clone();
+        let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
 
         // Local three-way range sizes (one branchless counting pass,
         // nothing moves) and the global range sizes.
@@ -587,29 +574,19 @@ where
 
         // The next iteration is fully determined by the globally agreed
         // counts: its rank, its total, and therefore its sampling rate and
-        // whether it takes a base-case shortcut.  (When `nb == total` the
-        // pivots span the whole remaining input — a tiny sample on a highly
-        // concentrated distribution.  Narrowing to the middle range is
-        // never wrong because it contains both pivots, but the rank does
-        // not shift; the `max_levels` cap guarantees termination once the
-        // allowance for such no-progress rounds is used up.)
+        // whether it takes a base-case shortcut.
         let (next_k, next_total) = if k <= na {
             (k, na)
         } else if k <= na + nb {
-            (if nb != total { k - na } else { k }, nb)
+            (k - na, nb)
         } else {
             (k - na - nb, nc)
         };
-        let takes_base_case = next_k == 1
-            || next_k == next_total
-            || next_total <= config.base_case_size
-            || *levels + 1 >= config.max_levels;
+        let takes_base_case = next_k == 1 || next_k == next_total || next_total <= base_case(p);
         // Pre-draw the next level's sample during the narrowing sweep —
         // one pass instead of narrow-then-sample — unless that level takes
         // a base case (its sample would never be used).
-        let next_rho = (!takes_base_case).then(|| {
-            (config.sample_factor * (p as f64).sqrt() / next_total as f64).clamp(0.0, 1.0)
-        });
+        let next_rho = (!takes_base_case).then(|| sample_rate(p, next_total));
 
         // Narrow `s` to the range containing rank k: a stable in-place
         // filter, so the surviving elements keep their relative order and
@@ -648,7 +625,13 @@ mod tests {
     /// depth and — crucially — identical metered traffic.  Its *local*
     /// sweeps are the PR-3 ones verbatim; its communication follows the
     /// current schedule (known total carried through the loop, packed
-    /// tie-break tag).
+    /// tie-break tag, shared [`pick_pivots`]).
+    ///
+    /// It also counts `misses`: levels whose target rank fell outside the
+    /// pivot bracket — into `a` although a sample element lies below the
+    /// lower pivot, or into `c` although one lies above the upper pivot.
+    /// (A bracket that reaches the sample's edge includes the outer range
+    /// beyond it: no sample element separates the two.)
     fn select_recursive_two_pass<C, K>(
         comm: &C,
         mut s: Vec<K>,
@@ -656,7 +639,7 @@ mod tests {
         mut k: usize,
         rng: &mut StdRng,
         levels: &mut usize,
-        config: &UnsortedSelectionConfig,
+        misses: &mut usize,
     ) -> K
     where
         C: Communicator,
@@ -671,42 +654,35 @@ mod tests {
             if k == total {
                 return global_max(comm, s.iter().max().cloned()).unwrap();
             }
-            if total <= config.base_case_size || *levels >= config.max_levels {
+            if total <= base_case(p) {
                 let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
                 all.sort();
                 return all[k - 1].clone();
             }
-            let mut rho = (config.sample_factor * (p as f64).sqrt() / total as f64).clamp(0.0, 1.0);
-            let sample = loop {
+            let mut rho = sample_rate(p, total);
+            let mut sample = loop {
                 let local_sample = bernoulli_sample(&s, rho, rng);
-                let mut sample: Vec<K> =
-                    comm.allgather(local_sample).into_iter().flatten().collect();
+                let sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
                 if !sample.is_empty() {
-                    sample.sort();
                     break sample;
                 }
                 rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
             };
-            let m = sample.len();
-            let pos = (k as f64 / total as f64) * m as f64;
-            let delta = (m as f64).powf(config.bracket_exponent).max(1.0);
-            let lo_idx = ((pos - delta).floor().max(0.0) as usize).min(m - 1);
-            let hi_idx = ((pos + delta).ceil().max(0.0) as usize).min(m - 1);
-            let lo_pivot = sample[lo_idx].clone();
-            let hi_pivot = sample[hi_idx].clone();
-            let (la, lb, _lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
-            let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, _lc as u64]);
+            let (lo_idx, hi_idx) = bracket(sample.len(), k as f64 / total as f64);
+            let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
+            let (la, lb, lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
+            let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, lc as u64]);
             let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
             if k <= na {
+                *misses += usize::from(lo_idx > 0);
                 s.retain(|e| *e < lo_pivot);
                 total = na;
             } else if k <= na + nb {
                 s.retain(|e| lo_pivot <= *e && *e <= hi_pivot);
-                if nb != total {
-                    k -= na;
-                }
+                k -= na;
                 total = nb;
             } else {
+                *misses += usize::from(hi_idx + 1 < sample.len());
                 s.retain(|e| *e > hi_pivot);
                 k -= na + nb;
                 total = nc;
@@ -714,14 +690,14 @@ mod tests {
         }
     }
 
-    /// `select_k_smallest_with` rebuilt on the two-pass reference recursion.
+    /// `select_k_smallest` rebuilt on the two-pass reference recursion; also
+    /// returns the reference's bracket-miss count.
     fn select_k_smallest_two_pass<C, T>(
         comm: &C,
         local: &[T],
         k: usize,
         seed: u64,
-        config: UnsortedSelectionConfig,
-    ) -> UnsortedSelectionResult<T>
+    ) -> (UnsortedSelectionResult<T>, usize)
     where
         C: Communicator,
         T: Ord + Clone + CommData,
@@ -734,20 +710,69 @@ mod tests {
         let tagged = tag_unique(local, offset);
         let mut rng =
             StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-        let mut levels = 0usize;
+        let (mut levels, mut misses) = (0usize, 0usize);
         let threshold_tagged =
-            select_recursive_two_pass(comm, tagged, total, k, &mut rng, &mut levels, &config);
+            select_recursive_two_pass(comm, tagged, total, k, &mut rng, &mut levels, &mut misses);
         let local_selected: Vec<T> = local
             .iter()
             .enumerate()
             .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold_tagged.0, threshold_tagged.1))
             .map(|(_, v)| v.clone())
             .collect();
-        UnsortedSelectionResult {
+        let result = UnsortedSelectionResult {
             threshold: threshold_tagged.0,
             local_selected,
             recursion_levels: levels,
-        }
+        };
+        (result, misses)
+    }
+
+    /// Input shapes of the two identity tests, 2^16 elements each: large
+    /// enough that a selection away from the extreme ranks runs at least two
+    /// narrowing levels before the base case.
+    fn identity_shapes(seed: u64) -> Vec<(&'static str, Vec<Vec<u64>>)> {
+        vec![
+            ("uniform", random_parts(4, 1 << 14, 1 << 40, seed)),
+            ("dupes", random_parts(4, 1 << 14, 7, seed + 12)),
+            (
+                "skewed",
+                (0..4)
+                    .map(|r| {
+                        if r == 0 {
+                            (0..40_000u64).collect()
+                        } else {
+                            (1_000_000..1_008_512u64).collect()
+                        }
+                    })
+                    .collect(),
+            ),
+            (
+                "empty_pe",
+                vec![
+                    vec![],
+                    (0..1 << 15).collect(),
+                    vec![],
+                    (1 << 15..1 << 16).collect(),
+                ],
+            ),
+        ]
+    }
+
+    /// Ranks the identity tests select: the extremes (base-case shortcuts
+    /// and their prediction by the previous level) and four ranks away from
+    /// them, which must narrow at least twice.
+    fn identity_ranks(n: usize) -> [(usize, usize); 8] {
+        let near = n / 100;
+        [
+            (1, 0),
+            (2, 1),
+            (near, 2),
+            (n / 3, 2),
+            (n / 2, 2),
+            (n - near, 2),
+            (n - 1, 1),
+            (n, 0),
+        ]
     }
 
     /// The fused count-while-sampling level must leave everything the
@@ -757,53 +782,27 @@ mod tests {
     /// shapes, PE counts, ranks and seeds.
     #[test]
     fn fused_level_is_bit_identical_to_the_two_pass_reference() {
-        // Small base case so the recursion actually runs several fused
-        // levels instead of short-circuiting into the gather.
-        let config = UnsortedSelectionConfig {
-            base_case_size: 64,
-            ..UnsortedSelectionConfig::default()
-        };
-        let shapes: Vec<(&str, Vec<Vec<u64>>)> = vec![
-            ("uniform", random_parts(4, 2000, 1 << 40, 11)),
-            ("dupes", random_parts(3, 1500, 7, 23)),
-            (
-                "skewed",
-                (0..4)
-                    .map(|r| {
-                        if r == 0 {
-                            (0..3000u64).collect()
-                        } else {
-                            (1_000_000..1_001_000u64).collect()
-                        }
-                    })
-                    .collect(),
-            ),
-        ];
-        for (name, parts) in shapes {
+        for (name, parts) in identity_shapes(11) {
             let n: usize = parts.iter().map(Vec::len).sum();
             let p = parts.len();
-            for k in [2usize, n / 3, n / 2, n - 1] {
+            for (k, min_narrowing) in identity_ranks(n) {
                 for seed in [1u64, 99] {
-                    let parts_a = parts.clone();
-                    let fused = run_spmd_seq(p, move |comm| {
+                    let fused = run_spmd_seq(p, |comm| {
                         let before = comm.stats_snapshot();
-                        let r =
-                            select_k_smallest_with(comm, &parts_a[comm.rank()], k, seed, config);
+                        let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
                         (r, comm.stats_snapshot().since(&before))
                     });
-                    let parts_b = parts.clone();
-                    let two_pass = run_spmd_seq(p, move |comm| {
+                    let two_pass = run_spmd_seq(p, |comm| {
                         let before = comm.stats_snapshot();
-                        let r = select_k_smallest_two_pass(
-                            comm,
-                            &parts_b[comm.rank()],
-                            k,
-                            seed,
-                            config,
-                        );
+                        let (r, _) = select_k_smallest_two_pass(comm, &parts[comm.rank()], k, seed);
                         (r, comm.stats_snapshot().since(&before))
                     });
                     for ((f, fs), (t, ts)) in fused.results.iter().zip(two_pass.results.iter()) {
+                        assert!(
+                            f.recursion_levels > min_narrowing,
+                            "{name} k={k} seed={seed}: {} levels",
+                            f.recursion_levels
+                        );
                         assert_eq!(f.threshold, t.threshold, "{name} k={k} seed={seed}");
                         assert_eq!(
                             f.local_selected, t.local_selected,
@@ -839,46 +838,24 @@ mod tests {
     /// full, so the wire traffic must too).
     #[test]
     fn threshold_only_path_is_bit_identical_to_the_full_path() {
-        let config = UnsortedSelectionConfig {
-            base_case_size: 64,
-            ..UnsortedSelectionConfig::default()
-        };
-        let shapes: Vec<(&str, Vec<Vec<u64>>)> = vec![
-            ("uniform", random_parts(4, 2000, 1 << 40, 17)),
-            ("dupes", random_parts(3, 1500, 7, 29)),
-            (
-                "skewed",
-                (0..4)
-                    .map(|r| {
-                        if r == 0 {
-                            (0..3000u64).collect()
-                        } else {
-                            (1_000_000..1_001_000u64).collect()
-                        }
-                    })
-                    .collect(),
-            ),
-            (
-                "empty_pe",
-                vec![vec![], (0..2000).collect(), vec![], (2000..4000).collect()],
-            ),
-        ];
-        for (name, parts) in shapes {
+        for (name, parts) in identity_shapes(17) {
             let n: usize = parts.iter().map(Vec::len).sum();
             let p = parts.len();
-            for k in [1usize, 2, n / 3, n / 2, n - 1, n] {
+            for (k, min_narrowing) in identity_ranks(n) {
                 for seed in [1u64, 99] {
-                    let parts_a = parts.clone();
-                    let full = run_spmd_seq(p, move |comm| {
+                    let full = run_spmd_seq(p, |comm| {
                         let before = comm.stats_snapshot();
-                        let r =
-                            select_k_smallest_with(comm, &parts_a[comm.rank()], k, seed, config);
+                        let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
+                        assert!(
+                            r.recursion_levels > min_narrowing,
+                            "{name} k={k} seed={seed}: {} levels",
+                            r.recursion_levels
+                        );
                         (r.threshold, comm.stats_snapshot().since(&before))
                     });
-                    let parts_b = parts.clone();
-                    let thresh = run_spmd_seq(p, move |comm| {
+                    let thresh = run_spmd_seq(p, |comm| {
                         let before = comm.stats_snapshot();
-                        let t = select_threshold_with(comm, &parts_b[comm.rank()], k, seed, config);
+                        let t = select_threshold(comm, &parts[comm.rank()], k, seed);
                         (t, comm.stats_snapshot().since(&before))
                     });
                     for ((ft, fs), (tt, ts)) in full.results.iter().zip(thresh.results.iter()) {
@@ -927,6 +904,137 @@ mod tests {
             let (levels, sent) = out.results[0];
             assert!(levels >= 2, "k={k}: the recursion must narrow");
             assert_eq!(sent, 6 * 2 * levels as u64, "k={k} seed={seed}");
+        }
+    }
+
+    /// ROADMAP item 6, first instance: the narrowing is a stated expectation,
+    /// not a fitted one.  A level at `q = ½` keeps the share
+    /// `f = (c·√m + 2)/m` of its input (0.19 at m = 128, c = 2), so reaching
+    /// the base case from `n` takes `⌈ln(n/2m) / ln(1/f)⌉` narrowing levels;
+    /// the bound allows two more (the base-case level itself and one for the
+    /// sample's fluctuation).  And a 2σ bracket misses the target's sample
+    /// rank in at most ≈ 4.6 % of levels; more than 10 % would mean the
+    /// bracket is not the one documented.  201 algorithm seeds per (p, n)
+    /// cell — 67 for each of the three ranks — on one uniform 40-bit input,
+    /// run on the two-pass reference (which counts the misses and is pinned
+    /// bit-identical to the production path above).
+    fn assert_stated_narrowing(p: usize, n: usize, stated_bound: f64) {
+        const SEEDS: usize = 67;
+        let m = level_sample(p) as f64;
+        let f = (BRACKET_SIGMAS * m.sqrt() + 2.0) / m;
+        let bound = ((n as f64 / base_case(p) as f64).ln() / (1.0 / f).ln()).ceil() + 2.0;
+        assert_eq!(bound, stated_bound, "p={p} n={n}");
+        let parts = random_parts(p, n / p, 1 << 40, 31);
+        for k in [n / 1024, n / 32, n / 2] {
+            let (mut levels, mut misses) = (0usize, 0usize);
+            for seed in 0..SEEDS as u64 {
+                let out = run_spmd_seq(p, |comm| {
+                    let (r, misses) =
+                        select_k_smallest_two_pass(comm, &parts[comm.rank()], k, seed);
+                    (r.recursion_levels, misses)
+                });
+                levels += out.results[0].0;
+                misses += out.results[0].1;
+            }
+            let mean = levels as f64 / SEEDS as f64;
+            assert!(mean <= bound, "p={p} n={n} k={k}: mean levels {mean}");
+            // Every level but the last of a selection narrows.
+            let narrowing = levels - SEEDS;
+            assert!(
+                misses * 10 <= narrowing,
+                "p={p} n={n} k={k}: {misses} misses in {narrowing} narrowing levels"
+            );
+        }
+    }
+
+    #[test]
+    fn narrowing_meets_the_stated_bound_at_p2() {
+        assert_stated_narrowing(2, 1 << 16, 6.0);
+    }
+
+    #[test]
+    fn narrowing_meets_the_stated_bound_at_p64() {
+        assert_stated_narrowing(64, 1 << 14, 5.0);
+    }
+
+    /// Inputs on which a sampling schedule could stall — no spread in the
+    /// values, no spread over the PEs — still narrow: exact thresholds
+    /// against the sorted union, exactly `k` selected, at most 8 levels.
+    #[test]
+    fn adversarial_inputs_make_progress() {
+        let per_pe = 1usize << 12;
+        let shapes: Vec<(&str, Vec<Vec<u64>>)> = vec![
+            ("all_equal", vec![vec![7; per_pe]; 4]),
+            ("seven_values", random_parts(4, per_pe, 7, 41)),
+            (
+                "one_pe_holds_everything",
+                [random_parts(1, 4 * per_pe, 1 << 40, 43), vec![vec![]; 3]].concat(),
+            ),
+            (
+                "ascending_by_rank",
+                (0..4)
+                    .map(|r| (r * per_pe as u64..(r + 1) * per_pe as u64).collect())
+                    .collect(),
+            ),
+            (
+                "empty_pes",
+                [vec![], random_parts(1, 2 * per_pe, 1 << 40, 47).remove(0)]
+                    .into_iter()
+                    .cycle()
+                    .take(4)
+                    .collect(),
+            ),
+        ];
+        for (name, parts) in shapes {
+            let n: usize = parts.iter().map(Vec::len).sum();
+            for k in [2usize, n / 1024, n / 32, n / 2, n - 1] {
+                for seed in [1u64, 2, 3] {
+                    let out = run_spmd_seq(parts.len(), |comm| {
+                        let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
+                        (r.threshold, r.local_selected.len(), r.recursion_levels)
+                    });
+                    let expected = reference_threshold(&parts, k);
+                    for &(threshold, _, levels) in &out.results {
+                        assert_eq!(threshold, expected, "{name} k={k} seed={seed}");
+                        assert!(levels <= 8, "{name} k={k} seed={seed}: {levels} levels");
+                    }
+                    let selected: usize = out.results.iter().map(|r| r.1).sum();
+                    assert_eq!(selected, k, "{name} k={k} seed={seed}");
+                }
+            }
+        }
+    }
+
+    /// The words of a selection at p = 2, where every collective is one
+    /// exchange and a PE sends exactly: 1 word at the entry; per narrowing
+    /// level its share of the sample (2 words per tagged element, 2 header
+    /// words) and the 3 + 1 words of the range counts; in the base case its
+    /// share of the ≤ 2m survivors (2 words each, 2 header words).  On evenly
+    /// spread input a share is half: `m` words of a level's sample, at most
+    /// `2m` words of the base case.  `SLACK` = 64 words per level is 4σ of a
+    /// PE's Bernoulli share of the sample (64 ± 8 elements of 2 words); the
+    /// base-case level gets the same for the imbalance of the survivors.
+    /// `HEADER` = 6 covers a level's header and count words.
+    #[test]
+    fn words_at_p2_are_one_sample_per_level_plus_the_base_case() {
+        const SLACK: u64 = 64;
+        const HEADER: u64 = 6;
+        let m = level_sample(2) as u64;
+        let n = 1usize << 16;
+        let parts = random_parts(2, n / 2, 1 << 40, 53);
+        for k in [n / 1024, n / 32, n / 2] {
+            for seed in 0..20u64 {
+                let out = run_spmd_seq(2, |comm| {
+                    select_k_smallest(comm, &parts[comm.rank()], k, seed).recursion_levels
+                });
+                let narrowing = out.results[0] as u64 - 1;
+                let bound = narrowing * (m + SLACK + HEADER) + 2 * m + SLACK + HEADER;
+                assert!(
+                    out.stats.bottleneck_words() <= bound,
+                    "k={k} seed={seed}: {} words in {narrowing} narrowing levels, bound {bound}",
+                    out.stats.bottleneck_words()
+                );
+            }
         }
     }
 
@@ -1103,7 +1211,7 @@ mod tests {
             select_k_smallest(comm, &parts_ref[comm.rank()], 4321, 5).recursion_levels
         });
         assert!(
-            out.results.iter().all(|&l| l <= 20),
+            out.results.iter().all(|&l| l <= 6),
             "levels: {:?}",
             out.results
         );

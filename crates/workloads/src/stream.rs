@@ -42,7 +42,6 @@ use seqkit::{DecayingTopK, SlidingWindowTopK};
 use topk::frequent::dht;
 use topk::planner::{Planner, RefreshAudit};
 use topk::select_threshold_known_total;
-use topk::unsorted::UnsortedSelectionConfig;
 use topk::util::{owner_of, splitmix64};
 
 use crate::text::tokenize;
@@ -804,7 +803,6 @@ impl StreamService {
                 distinct,
                 take,
                 self.config.seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-                UnsortedSelectionConfig::default(),
             );
             // `(count, id)` pairs are unique, so exactly `take` items lie at
             // or above the threshold across all PEs.

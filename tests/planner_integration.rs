@@ -3,8 +3,10 @@
 //! Three properties carry the dispatch layer:
 //!
 //! 1. **Bounded regret** — across a quick-scale grid of (n, k, p, skew)
-//!    cells, the planner's pick never moves more than 1.5× the measured
-//!    bottleneck words/PE of the empirically best algorithm for that cell.
+//!    cells, the planner's pick never moves more than 1.3× the measured
+//!    bottleneck words/PE of the empirically best algorithm for that cell
+//!    (worst cell of the grid: 1.23×, a hypercube fan-out picked where the
+//!    direct routing moves fewer words).
 //!    The model may misrank close calls; it must not pick a blowout.
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,
@@ -64,9 +66,9 @@ fn the_planned_pick_stays_within_bounded_factor_of_the_empirical_argmin() {
                 // The audit's measurement is the same metering window the
                 // fixed runs used, so the regret bound reads off it.
                 assert!(
-                    audit.measured_words as f64 <= 1.5 * best as f64,
+                    audit.measured_words as f64 <= 1.3 * best as f64,
                     "cell p={p} per_pe={per_pe} s={exponent}: planner picked {picked:?} \
-                     moving {} words/PE, empirical best is {best} (bound 1.5x)",
+                     moving {} words/PE, empirical best is {best} (bound 1.3x)",
                     audit.measured_words
                 );
             }
