@@ -41,6 +41,7 @@ where
 mod tests {
     use crate::collectives::ReduceOp;
     use crate::communicator::Communicator;
+    use crate::cost::predict;
     use crate::runner::run_spmd;
     use crate::topology::dissemination_rounds;
 
@@ -101,6 +102,54 @@ mod tests {
         let log_p = dissemination_rounds(p) as u64;
         assert!(out.stats.bottleneck_messages() <= 2 * log_p);
         assert!(out.stats.bottleneck_words() <= 2 * log_p);
+    }
+
+    /// Concatenating equal blocks of `elems` one-word elements onto any root:
+    /// the root receives every other block once and one length word per
+    /// child, in `⌈log₂p⌉` messages, nobody moves more, and
+    /// `predict::reduce_concat` states the same numbers.
+    #[test]
+    fn concatenating_reduction_cost_is_exact_for_uniform_blocks() {
+        for p in [1usize, 2, 5, 8, 64] {
+            for root in [0, p - 1] {
+                for elems in [0usize, 1, 64] {
+                    let out = run_spmd(p, move |comm| {
+                        let concat = ReduceOp::custom(|a: &Vec<u64>, b: &Vec<u64>| {
+                            [a.as_slice(), b.as_slice()].concat()
+                        });
+                        let block = vec![comm.rank() as u64; elems];
+                        comm.reduce(root, block, &concat).map(|mut all| {
+                            all.sort_unstable();
+                            all
+                        })
+                    });
+                    let label = format!("p={p} root={root} elems={elems}");
+                    let expected: Vec<u64> = (0..p as u64)
+                        .flat_map(|r| std::iter::repeat_n(r, elems))
+                        .collect();
+                    assert_eq!(out.results[root], Some(expected), "{label}");
+                    let children = u64::from(dissemination_rounds(p));
+                    let at_root = &out.stats.per_pe()[root];
+                    assert_eq!(
+                        at_root.received_words,
+                        ((p - 1) * elems) as u64 + children,
+                        "{label}"
+                    );
+                    assert_eq!(at_root.received_messages, children, "{label}");
+                    let predicted = predict::reduce_concat(p, elems as f64);
+                    assert_eq!(
+                        predicted.words,
+                        out.stats.bottleneck_words() as f64,
+                        "{label}"
+                    );
+                    assert_eq!(
+                        predicted.startups,
+                        out.stats.bottleneck_messages() as f64,
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

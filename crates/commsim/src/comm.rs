@@ -153,7 +153,7 @@ impl Comm {
     fn send_faulty<T: CommData>(&self, dst: Rank, tag: Tag, value: T, fs: &FaultState) {
         let op = fs.send_ops.get();
         if fs.plan.crash_at(self.rank()) == Some(op) {
-            std::panic::panic_any(Crashed { rank: self.rank() });
+            crate::mux::unwind_with(Crashed { rank: self.rank() });
         }
         fs.send_ops.set(op + 1);
         let (env, reused) = Envelope::encode(tag, self.rank(), value, Some(&self.pool));

@@ -89,6 +89,16 @@ pub mod predict {
         PredictedComm::new(l * m, l)
     }
 
+    /// Reduction by concatenation of one `m_local`-word `Vec` block per PE
+    /// (element words only — a message carries the concatenation of a whole
+    /// subtree under **one** length word): the root receives every other
+    /// block once plus one length word per child.  Exact for equal blocks;
+    /// for ragged blocks pass the mean.
+    pub fn reduce_concat(p: usize, m_local: f64) -> PredictedComm {
+        let l = rounds(p);
+        PredictedComm::new((p as f64 - 1.0) * m_local + l, l)
+    }
+
     /// All-reduction: the reduce moves `l·m` words *into* the root and the
     /// broadcast moves `l·m` words *out of* it, so the max-direction
     /// bottleneck (what [`StatsSnapshot::bottleneck_words`] meters) pays

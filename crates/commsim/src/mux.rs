@@ -15,8 +15,9 @@
 //!
 //! A closure cannot be suspended mid-execution without a dedicated stack,
 //! so the engine **re-executes** instead: a receive whose message has not
-//! arrived aborts the current execution via a sentinel panic (caught by the
-//! scheduler; the default panic hook is taught to stay silent for it), and
+//! arrived aborts the current execution by unwinding with a sentinel payload
+//! (raised with `resume_unwind`, which starts the unwind without calling
+//! the panic hook, and caught by the scheduler), and
 //! the closure is later re-run from the beginning, deterministically
 //! replaying everything it already did.  Around that trick sits the
 //! scheduler:
@@ -133,7 +134,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -235,23 +236,15 @@ struct Blocked {
     failable: Option<usize>,
 }
 
-/// Teach the process-wide panic hook to stay silent for [`Blocked`] and
-/// [`Crashed`] sentinels (they are control flow — parking and injected
-/// crash-stops — not failures); everything else is forwarded to the
-/// previously installed hook.
-pub(crate) fn install_quiet_block_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let payload = info.payload();
-            if payload.downcast_ref::<Blocked>().is_none()
-                && payload.downcast_ref::<Crashed>().is_none()
-            {
-                prev(info);
-            }
-        }));
-    });
+/// Abort the current execution of a PE's closure by unwinding with
+/// `sentinel` as the payload, for the scheduler (or the threaded runner) to
+/// catch.  `resume_unwind` starts the unwind without calling the panic hook:
+/// a sentinel is control flow, not a failure anyone should see reported.
+/// Out of line and cold, so that the receive path it ends stays small.
+#[cold]
+#[inline(never)]
+pub(crate) fn unwind_with<S: Send + 'static>(sentinel: S) -> ! {
+    panic::resume_unwind(Box::new(sentinel))
 }
 
 /// How a probed message looks to its receiver right now.
@@ -685,7 +678,7 @@ impl MuxComm {
             }
             // The shard lock is released before the sentinel unwinds (the
             // scheduler re-locks the shard to re-check and park).
-            None => panic::panic_any(Blocked {
+            None => unwind_with(Blocked {
                 src,
                 dst: self.rank,
                 index: idx,
@@ -732,7 +725,7 @@ impl Communicator for MuxComm {
         let op = if let Some(f) = self.world.faults.as_ref() {
             let op = self.send_ops.get();
             if f.crash_at(self.rank) == Some(op) {
-                panic::panic_any(Crashed { rank: self.rank });
+                unwind_with(Crashed { rank: self.rank });
             }
             self.send_ops.set(op + 1);
             self.world.max_send_ops[self.rank].fetch_max(op + 1, Ordering::AcqRel);
@@ -1164,7 +1157,6 @@ fn run_replay<T>(
     drive: impl FnOnce(&Arc<MuxWorld>, &Mutex<Vec<Option<T>>>),
 ) -> SpmdOutput<Option<T>> {
     assert!(p > 0, "an SPMD region needs at least one PE");
-    install_quiet_block_hook();
 
     let start = Instant::now();
     let world = Arc::new(MuxWorld::new(p, faults));

@@ -21,7 +21,6 @@ use std::time::{Duration, Instant};
 use crate::comm::Comm;
 use crate::faults::{Crashed, FaultPlan};
 use crate::metrics::{StatsRegistry, WorldStats};
-use crate::mux::install_quiet_block_hook;
 use crate::transport::Mailbox;
 
 /// Configuration of an SPMD run.
@@ -193,9 +192,6 @@ where
 {
     let p = config.num_pes;
     assert!(p > 0, "an SPMD region needs at least one PE");
-    if faults.is_some() {
-        install_quiet_block_hook();
-    }
     let registry = StatsRegistry::new(p);
     let mailboxes = Mailbox::full_mesh(p);
     let crashed: Arc<Vec<AtomicBool>> = Arc::new((0..p).map(|_| AtomicBool::new(false)).collect());

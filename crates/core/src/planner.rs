@@ -25,8 +25,10 @@
 //! * the §4.1 unsorted selection shared by all sampling algorithms is
 //!   modeled level by level with the kernel's own schedule
 //!   ([`crate::unsorted`]'s level sample, pivot bracket and base case): per
-//!   level the sample all-gather and the range-count all-reduction, then
-//!   the base-case all-gather of the expected survivors.
+//!   level the sample's concatenating reduction onto PE `p − 1`, that PE's
+//!   pivot broadcast and the range-count all-reduction through PE 0, then
+//!   the same reduction and broadcast for the expected base-case survivors
+//!   — summed per PE, because the two roots are different PEs.
 //!
 //! Every planned execution ([`Plan::execute`]) meters reality with the
 //! existing [`commsim::StatsSnapshot`] deltas and records a [`PlanAudit`] —
@@ -785,35 +787,73 @@ impl Planner {
     }
 }
 
-/// All-gather of `total` items of `words` words each, spread evenly over
-/// the PEs: one `Vec` block per PE, which pays its own length word.
-fn allgather_items(p: usize, total: f64, words: f64) -> PredictedComm {
-    predict::allgather(p, words * total / p.max(1) as f64 + 1.0)
+/// All-gather of `total` 2-word `(key, count)` pairs spread evenly over the
+/// PEs: one `Vec` block per PE, which pays its own length word.
+fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
+    predict::allgather(p, 2.0 * total / p.max(1) as f64 + 1.0)
 }
 
-/// [`allgather_items`] of 2-word `(key, count)` pairs.
-fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
-    allgather_items(p, total, 2.0)
+/// One PE's predicted traffic summed over a run of collectives, each
+/// direction on its own: the metered bottleneck is `max(sent, received)` of
+/// a PE's sums, not the sum of each collective's busier direction.
+#[derive(Clone, Copy, Default)]
+struct PeTraffic {
+    sent: PredictedComm,
+    received: PredictedComm,
 }
 
 /// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
 /// pairs spread across `p` PEs: the size all-reduction once at the entry,
-/// per narrowing level the all-gather of the [`level_sample`] and the
-/// range-count vector all-reduction, and the all-gather of the survivors
-/// once they fit the [`base_case`].  The levels are the kernel's expected
-/// walk: sample element `i` of `m` has expected rank `(i + 1)·t/(m + 1)`, so
-/// the [`bracket`] around `q = k/t` predicts the three range sizes, and the
-/// walk recurses into the range holding `k` as the kernel does.
+/// per narrowing level the [`level_sample`]'s concatenating reduction onto
+/// the sample root, that root's broadcast of the two pivots and the
+/// range-count vector all-reduction, and the same reduction and a
+/// one-element broadcast for the survivors once they fit the [`base_case`].
+/// The levels are the kernel's expected walk: sample element `i` of `m` has
+/// expected rank `(i + 1)·t/(m + 1)`, so the [`bracket`] around `q = k/t`
+/// predicts the three range sizes, and the walk recurses into the range
+/// holding `k` as the kernel does.
+///
+/// The all-reductions root at rank 0 and the sample at rank `p − 1`, and each
+/// of the two is a leaf of the other's tree: both are summed over the whole
+/// selection and the busier one is the prediction.  (Adding up the
+/// collectives' own bottlenecks would charge one PE for both roots, 2.5× the
+/// metered start-ups at p = 64.)
 fn selection_cost(p: usize, total: f64, k: f64) -> PredictedComm {
+    if p < 2 {
+        return PredictedComm::zero();
+    }
     // On the wire an element is its pair plus the tie-break tag.
-    let allgather_tagged = |count: f64| allgather_items(p, count, 3.0);
+    const ELEMENT: f64 = 3.0;
+    const REDUCER: usize = 0;
+    const SAMPLER: usize = 1;
+    let mut pes = [PeTraffic::default(); 2];
+    // A reduction onto `root` followed by its broadcast: the root receives
+    // `up` and sends `down` words to each child; the other PE, a leaf of
+    // that tree, sends `up_leaf` words up and gets `down` words back.
+    let mut exchange = |root: usize, up: PredictedComm, up_leaf: f64, down: f64| {
+        pes[root].received = pes[root].received.plus(up);
+        pes[root].sent = pes[root].sent.plus(predict::broadcast(p, down));
+        let leaf = &mut pes[1 - root];
+        leaf.sent = leaf.sent.plus(PredictedComm::new(up_leaf, 1.0));
+        leaf.received = leaf.received.plus(PredictedComm::new(down, 1.0));
+    };
+    // A PE's even share of `count` elements, as the words of its block.
+    let share = |count: f64| ELEMENT * count / p as f64;
+
     let m = level_sample(p);
-    let mut comm = predict::allreduce(p, 1.0);
+    exchange(REDUCER, predict::reduce(p, 1.0), 1.0, 1.0);
     let (mut t, mut k) = (total.max(0.0), k);
     while t > base_case(p) as f64 {
-        comm = comm
-            .plus(allgather_tagged(m as f64))
-            .plus(predict::allreduce(p, 4.0));
+        // The pivots travel as an `Option` of a pair of elements.
+        let sample = share(m as f64);
+        let pivots = 1.0 + 2.0 * ELEMENT;
+        exchange(
+            SAMPLER,
+            predict::reduce_concat(p, sample),
+            sample + 1.0,
+            pivots,
+        );
+        exchange(REDUCER, predict::reduce(p, 4.0), 4.0, 4.0);
         let (lo, hi) = bracket(m, (k / t).clamp(0.0, 1.0));
         let below = t * (lo + 1) as f64 / (m + 1) as f64;
         let upto = t * (hi + 1) as f64 / (m + 1) as f64;
@@ -825,7 +865,19 @@ fn selection_cost(p: usize, total: f64, k: f64) -> PredictedComm {
             (t - upto, k - upto)
         };
     }
-    comm.plus(allgather_tagged(t))
+    let rest = share(t);
+    exchange(
+        SAMPLER,
+        predict::reduce_concat(p, rest),
+        rest + 1.0,
+        ELEMENT,
+    );
+
+    let sums = pes.iter().flat_map(|pe| [pe.sent, pe.received]);
+    PredictedComm::new(
+        sums.clone().map(|c| c.words).fold(0.0, f64::max),
+        sums.map(|c| c.startups).fold(0.0, f64::max),
+    )
 }
 
 #[cfg(test)]
@@ -936,8 +988,8 @@ mod tests {
 
     /// ROADMAP item 7: the level count `selection_cost` walks is the
     /// kernel's, so its start-ups stay within ±50 % of a metered
-    /// `select_k_smallest` — entry reduction, two collectives per narrowing
-    /// level, base case — from few large PEs to many small ones.
+    /// `select_k_smallest` — entry reduction, three collectives on two roots
+    /// per narrowing level, base case — from few large PEs to many small ones.
     #[test]
     fn selection_cost_startups_follow_the_metered_kernel() {
         use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -14,17 +14,39 @@
 //! # Collective schedule
 //!
 //! The start-up budget is the pseudo-code's: **one** size all-reduction at
-//! the entry, then per narrowing level exactly **two** collectives — the
-//! sample all-gather (plus one more per empty-sample retry) and the
-//! range-count vector all-reduction `(n_a, n_b, n_c)` — and one collective
-//! for the base case.  The survivor count of the next level is one of the
-//! counts every PE has just agreed on, so it is carried through the loop and
-//! never reduced again, and the tie-break tag is the packed
-//! `(rank, local index)` word of [`tie_break_offset`], which orders like the
-//! global index without the prefix sum that would compute one.  There is no
-//! level cap: a pivot is an input element and the outer ranges exclude it,
-//! and the bracket spans a whole sample only if that has under nine
-//! elements, so every level shrinks the input.
+//! the entry, then per narrowing level exactly **three** collectives on
+//! **two** roots — the sample's concatenating reduction onto PE `p − 1` and
+//! that PE's broadcast of the two pivots (`agree_pivots`; once more per
+//! empty-sample retry), then the range-count vector all-reduction
+//! `(n_a, n_b, n_c)` through PE 0 — and a reduction plus a broadcast on
+//! PE `p − 1` for the base case (`base_case_select`).  A PE needs two pivots
+//! from a level and one element from the base case, so only one PE ever
+//! holds a sample: per level the sample root receives the `m` sampled
+//! elements once (Theorem 1's `β·min(√p·log_p n, n/p)` term) and everyone
+//! else moves `O(log p)` words.
+//!
+//! The sample root is `p − 1` because the all-reductions root at rank 0:
+//! each of the two PEs is the root of one tree and a leaf of the other, so
+//! the busiest PE handles `⌈log₂ p⌉ + 1` messages per level.  With both
+//! roles on rank 0 it would handle `2·⌈log₂ p⌉` — what all-gathering the
+//! sample to every PE cost each of them.  The price is on the critical path,
+//! which no per-PE count shows: a level is four tree traversals (sample up,
+//! pivots down, counts up, counts down), `4·⌈log₂ p⌉` message hops, where the
+//! all-gather's dissemination rounds made it `3·⌈log₂ p⌉`.
+//!
+//! The blocks reach the root in whatever order the reduction tree combines
+//! them — concatenation does not commute.  That is sound here because the
+//! root only runs `select_nth_unstable` over keys the tie-break has made
+//! unique: the element of a given rank does not depend on the order.
+//!
+//! The survivor count of the next level is one of the counts every PE has
+//! just agreed on, so it is carried through the loop and never reduced
+//! again, and the tie-break tag is the packed `(rank, local index)` word of
+//! [`tie_break_offset`], which orders like the global index without the
+//! prefix sum that would compute one.  There is no level cap: a pivot is an
+//! input element and the outer ranges exclude it, and the bracket spans a
+//! whole sample only if that has under nine elements, so every level shrinks
+//! the input.
 //!
 //! The public entry points return both the *threshold* (the element of global
 //! rank `k` under a tie-broken total order) and each PE's local part of the
@@ -58,8 +80,8 @@ pub struct UnsortedSelectionResult<T> {
 /// Floor of the expected level sample (elements in total, over all PEs); the
 /// paper's `|S| = √p` takes over beyond p = 16 384.
 ///
-/// A narrowing level costs two collectives and `2m` words per PE (the
-/// gathered sample of `m` tagged elements) and keeps the share
+/// A narrowing level costs three collectives and `2m` words on the sample
+/// root (the `m` tagged elements it collects) and keeps the share
 /// `f(m) = (c·√m + 2)/m` of the survivors at `q = ½`, a `√m/c` narrowing.
 /// For a fixed product of narrowings the word total `Σ 2mᵢ` is smallest
 /// when all `mᵢ` are equal (AM–GM), so every level draws the same sample.
@@ -77,9 +99,10 @@ const SAMPLE: usize = 128;
 /// 23 % more survivors on every level.
 const BRACKET_SIGMAS: f64 = 2.0;
 
-/// The base case gathers once at most this many level samples survive.
-/// Below `m/(1 − f) ≈ 1.2·m` survivors gathering them is word-cheaper than
-/// one more level's sample; `2·m` also saves that level's two collectives.
+/// The base case collects the survivors once at most this many level
+/// samples' worth remain.  Below `m/(1 − f) ≈ 1.2·m` survivors collecting
+/// them is word-cheaper than one more level's sample; `2·m` also saves that
+/// level's three collectives.
 const BASE_CASE_SAMPLES: usize = 2;
 
 /// Expected total sample size of one level on `p` PEs.
@@ -87,7 +110,7 @@ pub(crate) fn level_sample(p: usize) -> usize {
     SAMPLE.max((p as f64).sqrt().ceil() as usize)
 }
 
-/// Largest remaining input the base case gathers on `p` PEs.
+/// Largest remaining input the base case collects on `p` PEs.
 pub(crate) fn base_case(p: usize) -> usize {
     BASE_CASE_SAMPLES * level_sample(p)
 }
@@ -103,15 +126,69 @@ pub(crate) fn bracket(m: usize, q: f64) -> (usize, usize) {
     (lo, hi)
 }
 
-/// The two pivots bracketing global rank `k` of `total` from the gathered
-/// level sample (non-empty; reordered in place).  Two `select_nth_unstable`
-/// calls instead of a sort: on the replay backends every PE repeats this on
-/// every re-execution.
-fn pick_pivots<K: Ord + Clone>(sample: &mut [K], k: usize, total: usize) -> (K, K) {
+/// The two pivots bracketing global rank `k` of `total` from the collected
+/// level sample (reordered in place); `None` if the sample is empty.  Two
+/// `select_nth_unstable` calls instead of a sort: on the replay backends the
+/// sample root repeats this on every re-execution.
+fn pick_pivots<K: Ord + Clone>(sample: &mut [K], k: usize, total: usize) -> Option<(K, K)> {
+    if sample.is_empty() {
+        return None;
+    }
     let (lo, hi) = bracket(sample.len(), k as f64 / total as f64);
     let hi_pivot = sample.select_nth_unstable(hi).1.clone();
     let lo_pivot = sample[..=hi].select_nth_unstable(lo).1.clone();
-    (lo_pivot, hi_pivot)
+    Some((lo_pivot, hi_pivot))
+}
+
+/// The PE that collects a level's sample and the base case: the last one,
+/// because the all-reductions root at the first (module docs).
+fn sample_root(p: usize) -> usize {
+    p - 1
+}
+
+/// Concatenate every PE's `block` on the [`sample_root`], which computes
+/// `decide` of the union and broadcasts it: one reduction and one broadcast,
+/// the exchange behind [`agree_pivots`] and [`base_case_select`].
+///
+/// The reduction's operation is concatenation, which is associative but —
+/// against [`ReduceOp`]'s contract — not commutative: the union arrives in
+/// the tree's combining order, so `decide` must not depend on the order of
+/// its input.
+fn decide_on_root<C, K, R>(comm: &C, block: Vec<K>, decide: impl FnOnce(Vec<K>) -> R) -> R
+where
+    C: Communicator,
+    K: Clone + CommData,
+    R: Clone + CommData,
+{
+    let root = sample_root(comm.size());
+    let concat = ReduceOp::custom(|a: &Vec<K>, b: &Vec<K>| [a.as_slice(), b.as_slice()].concat());
+    let decided = comm.reduce(root, block, &concat).map(decide);
+    comm.broadcast(root, decided)
+}
+
+/// Agree on the two pivots bracketing global rank `k` of `total` from the
+/// PEs' shares of a level sample.  `None` — on every PE alike — if the whole
+/// sample is empty: the caller doubles its rate and draws again.
+fn agree_pivots<C, K>(comm: &C, local_sample: Vec<K>, k: usize, total: usize) -> Option<(K, K)>
+where
+    C: Communicator,
+    K: Ord + Clone + CommData,
+{
+    decide_on_root(comm, local_sample, |mut sample| {
+        pick_pivots(&mut sample, k, total)
+    })
+}
+
+/// The base case: the element of global rank `k` among the PEs' remaining
+/// `survivors` (at most [`base_case`] in total), selected on the sample root.
+fn base_case_select<C, K>(comm: &C, survivors: Vec<K>, k: usize) -> K
+where
+    C: Communicator,
+    K: Ord + Clone + CommData,
+{
+    decide_on_root(comm, survivors, |mut all| {
+        all.select_nth_unstable(k - 1).1.clone()
+    })
 }
 
 /// Bernoulli rate that draws [`level_sample`] elements of `total` in
@@ -337,25 +414,20 @@ where
             let mine: Vec<(T, u64)> = survivors(local, offset, &lower, &upper)
                 .map(|(v, gi)| (v.clone(), gi))
                 .collect();
-            let mut all: Vec<(T, u64)> = comm.allgather(mine).into_iter().flatten().collect();
-            all.sort();
-            return all.swap_remove(k - 1).0;
+            return base_case_select(comm, mine, k).0;
         }
 
         // Same sampling schedule as the full path: the skip sampler runs
         // over the survivor ordinals, so the RNG stream matches
         // `bernoulli_sample` over the materialised buffer draw for draw.
         let mut rho = sample_rate(p, total);
-        let mut sample = loop {
+        let (lo_pivot, hi_pivot) = loop {
             let local_sample = sample_survivors(local, offset, &lower, &upper, cur_local, rho, rng);
-            let sample: Vec<(T, u64)> =
-                comm.allgather(local_sample).into_iter().flatten().collect();
-            if !sample.is_empty() {
-                break sample;
+            if let Some(pivots) = agree_pivots(comm, local_sample, k, total) {
+                break pivots;
             }
             rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
         };
-        let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
 
         // Counting sweep over the survivor sequence (the counts-only twin of
         // `partition_three_way_counts`; comparisons only, nothing moves).
@@ -503,9 +575,10 @@ where
 /// bit-identical to the two-pass reference implementation.
 ///
 /// `total` is the agreed global size of `s` on entry.  A narrowing level
-/// issues exactly two collectives (sample all-gather, range-count vector
-/// all-reduction); the chosen range's agreed count becomes the next level's
-/// `total`, so the survivor count is never reduced.
+/// issues exactly three collectives ([`agree_pivots`]' reduction and
+/// broadcast, the range-count vector all-reduction); the chosen range's
+/// agreed count becomes the next level's `total`, so the survivor count is
+/// never reduced.
 fn select_recursive<C, K>(
     comm: &C,
     mut s: Vec<K>,
@@ -536,12 +609,10 @@ where
             return global_max(comm, s.iter().max().cloned())
                 .expect("k = total requires a non-empty input");
         }
-        // Small remainder: gather everything and solve locally (at most
-        // two level samples of volume, latency O(log p)).
+        // Small remainder: collect everything on one PE and solve there (at
+        // most two level samples of volume, latency O(log p)).
         if total <= base_case(p) {
-            let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
-            all.sort();
-            return all[k - 1].clone();
+            return base_case_select(comm, s, k);
         }
 
         // Bernoulli sample with expected total size `level_sample(p)`:
@@ -549,22 +620,19 @@ where
         // (bit-identical to sampling here — same ρ, same buffer order, same
         // RNG stream), drawn on the spot at level 0 and on retries.
         let mut rho = sample_rate(p, total);
-        let mut sample = loop {
+        let (lo_pivot, hi_pivot) = loop {
             let local_sample = match pending_sample.take() {
                 Some(pre_drawn) => pre_drawn,
                 None => bernoulli_sample(&s, rho, rng),
             };
-            let sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
-            if !sample.is_empty() {
-                break sample;
+            if let Some(pivots) = agree_pivots(comm, local_sample, k, total) {
+                break pivots;
             }
             // Extremely unlikely unless the remaining input is tiny; retry
             // with a doubled rate (all PEs take the same branch because the
-            // emptiness test is on the gathered sample).
+            // sample root broadcasts the emptiness of the whole sample).
             rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
         };
-
-        let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
 
         // Local three-way range sizes (one branchless counting pass,
         // nothing moves) and the global range sizes.
@@ -627,8 +695,10 @@ mod tests {
     /// current schedule (known total carried through the loop, packed
     /// tie-break tag, shared [`pick_pivots`]).
     ///
-    /// It also counts `misses`: levels whose target rank fell outside the
-    /// pivot bracket — into `a` although a sample element lies below the
+    /// It also counts `misses`, on the sample root only (nobody else sees a
+    /// sample; it calls [`decide_on_root`] where production calls
+    /// [`agree_pivots`] to look at it): levels whose target rank fell outside
+    /// the pivot bracket — into `a` although a sample element lies below the
     /// lower pivot, or into `c` although one lies above the upper pivot.
     /// (A bracket that reaches the sample's edge includes the outer range
     /// beyond it: no sample element separates the two.)
@@ -655,26 +725,31 @@ mod tests {
                 return global_max(comm, s.iter().max().cloned()).unwrap();
             }
             if total <= base_case(p) {
-                let mut all: Vec<K> = comm.allgather(s).into_iter().flatten().collect();
-                all.sort();
-                return all[k - 1].clone();
+                return base_case_select(comm, s, k);
             }
             let mut rho = sample_rate(p, total);
-            let mut sample = loop {
+            // Does a sample element lie below / above the bracket?  Known on
+            // the sample root, the one PE that sees the sample.
+            let mut outside = (false, false);
+            let (lo_pivot, hi_pivot) = loop {
                 let local_sample = bernoulli_sample(&s, rho, rng);
-                let sample: Vec<K> = comm.allgather(local_sample).into_iter().flatten().collect();
-                if !sample.is_empty() {
-                    break sample;
+                let pivots = decide_on_root(comm, local_sample, |mut sample| {
+                    if !sample.is_empty() {
+                        let (lo_idx, hi_idx) = bracket(sample.len(), k as f64 / total as f64);
+                        outside = (lo_idx > 0, hi_idx + 1 < sample.len());
+                    }
+                    pick_pivots(&mut sample, k, total)
+                });
+                if let Some(pivots) = pivots {
+                    break pivots;
                 }
                 rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
             };
-            let (lo_idx, hi_idx) = bracket(sample.len(), k as f64 / total as f64);
-            let (lo_pivot, hi_pivot) = pick_pivots(&mut sample, k, total);
             let (la, lb, lc) = partition_three_way_counts(&s, &lo_pivot, &hi_pivot);
             let counts = comm.allreduce_vec_sum(vec![la as u64, lb as u64, lc as u64]);
             let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
             if k <= na {
-                *misses += usize::from(lo_idx > 0);
+                *misses += usize::from(outside.0);
                 s.retain(|e| *e < lo_pivot);
                 total = na;
             } else if k <= na + nb {
@@ -682,7 +757,7 @@ mod tests {
                 k -= na;
                 total = nb;
             } else {
-                *misses += usize::from(hi_idx + 1 < sample.len());
+                *misses += usize::from(outside.1);
                 s.retain(|e| *e > hi_pivot);
                 k -= na + nb;
                 total = nc;
@@ -879,14 +954,24 @@ mod tests {
         }
     }
 
-    /// The start-up budget is exact.  At p = 64 rank 0 sends ⌈log₂ p⌉ = 6
-    /// messages per collective (the downward half of an all-reduction or
-    /// all-gather), and a selection of `recursion_levels` levels issues the
-    /// entry reduction, two collectives per narrowing level and one for the
-    /// base-case level: `2 · recursion_levels` collectives in all.  (Fixed
-    /// seeds on which no level draws an empty sample — a retry would add
-    /// one all-gather.  `select_threshold` sends the same messages, pinned
-    /// by `threshold_only_path_is_bit_identical_to_the_full_path`.)
+    /// The start-up budget is exact.  At p = 64 a reduction followed by a
+    /// broadcast costs its root ⌈log₂ p⌉ = 6 sent messages (the broadcast to
+    /// its children) and a leaf of its tree 1 (the reduction to its parent).
+    /// Rank 0 roots the all-reductions and is a leaf of the sample root's
+    /// tree; rank p − 1 is the sample root and a leaf of rank 0's tree.  So a
+    /// selection of `recursion_levels` levels whose last one is the collected
+    /// base case sends, entry reduction + narrowing levels (`agree_pivots`,
+    /// range counts) + `base_case_select`:
+    ///
+    /// * rank 0:     `6 + (levels − 1)·(1 + 6) + 1 = 7·levels`,
+    /// * rank p − 1: `1 + (levels − 1)·(6 + 1) + 6 = 7·levels`
+    ///
+    /// — `⌈log₂ p⌉ + 1` per level where all-gathering the sample cost
+    /// `2·⌈log₂ p⌉`.  (Fixed seeds on which no level draws an empty sample — a
+    /// retry would add one `agree_pivots` — and none ends on the `k = 1` /
+    /// `k = total` shortcut, an all-reduction.  `select_threshold` sends the
+    /// same messages, pinned by
+    /// `threshold_only_path_is_bit_identical_to_the_full_path`.)
     #[test]
     fn startup_budget_is_two_collectives_per_level() {
         let p = 64;
@@ -901,9 +986,135 @@ mod tests {
                 let sent = comm.stats_snapshot().since(&before).sent_messages;
                 (r.recursion_levels, sent)
             });
-            let (levels, sent) = out.results[0];
+            let (levels, sent_by_first) = out.results[0];
+            let (_, sent_by_last) = out.results[p - 1];
             assert!(levels >= 2, "k={k}: the recursion must narrow");
-            assert_eq!(sent, 6 * 2 * levels as u64, "k={k} seed={seed}");
+            assert_eq!(sent_by_first, 7 * levels as u64, "k={k} seed={seed}");
+            assert_eq!(sent_by_last, 7 * levels as u64, "k={k} seed={seed}");
+            assert_eq!(
+                out.stats.bottleneck_messages(),
+                7 * levels as u64,
+                "k={k} seed={seed}"
+            );
+        }
+    }
+
+    /// An empty sample is agreed on through the broadcast: every PE gets
+    /// `None` from the same call and retries together, and the retry's
+    /// pivots are the same pair everywhere — wherever the one non-empty
+    /// share lies.  (Driven on `agree_pivots` itself: a level of a selection
+    /// samples `total > 2m` survivors at rate `m/total`, so its sample is
+    /// empty with probability `(1 − m/total)^total < e^{−128}` and no seed
+    /// gets there.)
+    #[test]
+    fn empty_sample_retry_is_taken_by_every_pe_alike() {
+        for p in [1usize, 2, 5, 64] {
+            for holder in [0, p / 2, p - 1] {
+                let out = run_spmd_seq(p, |comm| {
+                    let mut attempts = 0;
+                    let pivots = loop {
+                        attempts += 1;
+                        let share: Vec<(u64, u64)> = if attempts > 1 && comm.rank() == holder {
+                            (0..100).map(|i| (i * 7 % 100, i)).collect()
+                        } else {
+                            Vec::new()
+                        };
+                        if let Some(pivots) = agree_pivots(comm, share, 50, 100) {
+                            break pivots;
+                        }
+                    };
+                    (attempts, pivots)
+                });
+                let (lo, hi) = bracket(100, 0.5);
+                let expected = (
+                    2,
+                    (
+                        (lo as u64, lo as u64 * 43 % 100),
+                        (hi as u64, hi as u64 * 43 % 100),
+                    ),
+                );
+                for (rank, got) in out.results.iter().enumerate() {
+                    assert_eq!(*got, expected, "p={p} holder={holder} rank={rank}");
+                }
+            }
+        }
+    }
+
+    /// Where the data lies relative to the two roots must not matter:
+    /// everything on rank 0, everything on the sample root, nothing on the
+    /// sample root, every other PE empty.  Both entry points give the
+    /// sorted-union oracle's threshold, exactly `k` selected elements and the
+    /// same level count on every PE, on a power-of-two and an odd `p`.
+    #[test]
+    fn placement_extremes_agree_with_the_oracle() {
+        let n = 1usize << 12;
+        for p in [4usize, 5] {
+            let all = random_parts(1, n, 1 << 40, 61).remove(0);
+            let on = |holders: &[usize]| -> Vec<Vec<u64>> {
+                let mut parts = vec![Vec::new(); p];
+                for (i, &v) in all.iter().enumerate() {
+                    parts[holders[i % holders.len()]].push(v);
+                }
+                parts
+            };
+            let shapes = [
+                ("all_on_rank_0", on(&[0])),
+                ("all_on_the_sample_root", on(&[p - 1])),
+                (
+                    "nothing_on_the_sample_root",
+                    on(&(0..p - 1).collect::<Vec<_>>()),
+                ),
+                (
+                    "every_other_pe_empty",
+                    on(&(1..p).step_by(2).collect::<Vec<_>>()),
+                ),
+            ];
+            for (name, parts) in shapes {
+                for k in [2usize, n / 32, n / 2, n - 1] {
+                    let out = run_spmd_seq(p, |comm| {
+                        let local = &parts[comm.rank()];
+                        let r = select_k_smallest(comm, local, k, 3);
+                        let t = select_threshold(comm, local, k, 3);
+                        (r.threshold, t, r.recursion_levels, r.local_selected.len())
+                    });
+                    let expected = reference_threshold(&parts, k);
+                    let levels = out.results[0].2;
+                    for &(full, counts_only, l, _) in &out.results {
+                        assert_eq!(full, expected, "{name} p={p} k={k}");
+                        assert_eq!(counts_only, expected, "{name} p={p} k={k}");
+                        assert_eq!(l, levels, "{name} p={p} k={k}");
+                    }
+                    let selected: usize = out.results.iter().map(|r| r.3).sum();
+                    assert_eq!(selected, k, "{name} p={p} k={k}");
+                }
+            }
+        }
+    }
+
+    /// Same pivots, same levels: `(threshold, recursion_levels)` of
+    /// `(p, n/p, k, seed)` cells as recorded while every PE held the whole
+    /// sample (commit 09e4d9b).  Who holds the sample must not change what
+    /// is drawn or picked from it.
+    #[test]
+    fn thresholds_and_levels_match_the_recorded_golden_values() {
+        for (p, per_pe, k, seed, threshold, levels) in [
+            (2usize, 1usize << 15, 64usize, 1u64, 1141497833u64, 3usize),
+            (2, 1 << 15, 1 << 15, 2, 554605289030, 5),
+            (4, 1 << 12, 5000, 3, 334833653113, 4),
+            (5, 1000, 1234, 4, 276605897511, 3),
+            (7, 600, 4199, 5, 1099357005929, 2),
+            (64, 64, 128, 6, 39242346080, 3),
+            (64, 64, 2048, 7, 550798344567, 3),
+            (64, 64, 1365, 8, 362159794991, 3),
+        ] {
+            let parts = random_parts(p, per_pe, 1 << 40, 1000 + p as u64);
+            let out = run_spmd_seq(p, |comm| {
+                let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
+                (r.threshold, r.recursion_levels)
+            });
+            for got in &out.results {
+                assert_eq!(*got, (threshold, levels), "p={p} n/p={per_pe} k={k}");
+            }
         }
     }
 
@@ -933,8 +1144,9 @@ mod tests {
                         select_k_smallest_two_pass(comm, &parts[comm.rank()], k, seed);
                     (r.recursion_levels, misses)
                 });
-                levels += out.results[0].0;
-                misses += out.results[0].1;
+                // The sample root is the PE that counts the misses.
+                levels += out.results[p - 1].0;
+                misses += out.results[p - 1].1;
             }
             let mean = levels as f64 / SEEDS as f64;
             assert!(mean <= bound, "p={p} n={n} k={k}: mean levels {mean}");
@@ -1006,15 +1218,17 @@ mod tests {
     }
 
     /// The words of a selection at p = 2, where every collective is one
-    /// exchange and a PE sends exactly: 1 word at the entry; per narrowing
-    /// level its share of the sample (2 words per tagged element, 2 header
-    /// words) and the 3 + 1 words of the range counts; in the base case its
-    /// share of the ≤ 2m survivors (2 words each, 2 header words).  On evenly
-    /// spread input a share is half: `m` words of a level's sample, at most
-    /// `2m` words of the base case.  `SLACK` = 64 words per level is 4σ of a
-    /// PE's Bernoulli share of the sample (64 ± 8 elements of 2 words); the
-    /// base-case level gets the same for the imbalance of the survivors.
-    /// `HEADER` = 6 covers a level's header and count words.
+    /// exchange and rank 0 — the busier PE: it sends its shares to the sample
+    /// root, rank 1, which answers with two pivots — sends exactly: 1 word at
+    /// the entry; per narrowing level its share of the sample (2 words per
+    /// tagged element, 1 header word) and the 3 + 1 words of the range counts;
+    /// in the base case its share of the ≤ 2m survivors (2 words each, 1
+    /// header word).  On evenly spread input a share is half: `m` words of a
+    /// level's sample, at most `2m` words of the base case.  `SLACK` = 64
+    /// words per level is 4σ of a PE's Bernoulli share of the sample (64 ± 8
+    /// elements of 2 words); the base-case level gets the same for the
+    /// imbalance of the survivors.  `HEADER` = 6 covers a level's header and
+    /// count words.
     #[test]
     fn words_at_p2_are_one_sample_per_level_plus_the_base_case() {
         const SLACK: u64 = 64;

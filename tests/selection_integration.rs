@@ -43,9 +43,9 @@ fn unsorted_selection_on_the_papers_skewed_workload() {
 
 #[test]
 fn unsorted_selection_is_communication_sublinear_on_every_pe() {
-    // Algorithm 1 gathers one sample of max(128, ⌈√p⌉) tagged elements per
-    // narrowing level and at most two samples' worth of survivors in the
-    // base case, and the level count grows with log n — so its share of the
+    // Algorithm 1 collects, on one PE, a sample of max(128, ⌈√p⌉) tagged
+    // elements per narrowing level and at most two samples' worth of survivors
+    // in the base case, and the level count grows with log n — so its share of the
     // input shrinks as the local input grows; at 50k elements per PE it is
     // already below 10%.
     let p = 8;
