@@ -5,8 +5,6 @@
 //!
 //! * `cloning` — the reference kernel: three fresh `Vec`s, every element
 //!   cloned (what the distributed selection used before PR 3);
-//! * `counts_branchy` — the PR-3 counting pass: one data-dependent
-//!   three-way branch per element;
 //! * `counts` — the branchless counting pass (PR 5): two `0/1` comparison
 //!   accumulations per element, fourfold unrolled, autovectorizable, no
 //!   data-dependent branches;
@@ -18,10 +16,9 @@
 //!   `floyd_rivest_select`.
 //!
 //! The two shapes stress the branch predictor differently: `uniform` draws
-//! from a wide value range (pivot comparisons are unpredictable — the case
-//! the branchless kernel wins outright), `dupes` draws from eight values
-//! with the pivot pair inside them (long runs of equal comparison results —
-//! the friendliest possible case for the branchy kernel).
+//! from a wide value range (pivot comparisons are unpredictable), `dupes`
+//! draws from eight values with the pivot pair inside them (long runs of
+//! equal comparison results).
 //!
 //! The mutating benches (`counts_then_retain`, `in_place`) must restore the
 //! input every iteration, so their timed closure contains one
@@ -33,8 +30,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqkit::select::{
-    partition_three_way, partition_three_way_counts, partition_three_way_counts_branchy,
-    partition_three_way_in_place,
+    partition_three_way, partition_three_way_counts, partition_three_way_in_place,
 };
 
 /// Input shape: name, the data generator, and a pivot pair bracketing the
@@ -74,9 +70,6 @@ fn bench_partition_kernels(c: &mut Criterion) {
             });
             group.bench_with_input(id("cloning"), &n, |b, _| {
                 b.iter(|| black_box(partition_three_way(&data, &lo, &hi)))
-            });
-            group.bench_with_input(id("counts_branchy"), &n, |b, _| {
-                b.iter(|| black_box(partition_three_way_counts_branchy(&data, &lo, &hi)))
             });
             group.bench_with_input(id("counts"), &n, |b, _| {
                 b.iter(|| black_box(partition_three_way_counts(&data, &lo, &hi)))

@@ -5,7 +5,7 @@
 //! `--drift-every` batches, and one flash-crowd burst spikes a tail word for
 //! `--burst-len` batches.  Every PE ingests `--words-per-batch` words per
 //! mini-batch, the service publishes a global top-k every `--refresh-every`
-//! batches through the DHT aggregation + counts-only threshold kernel, and
+//! batches through the DHT aggregation + threshold-only selection, and
 //! point queries are served between batches from the published snapshot.
 //!
 //! Scored metrics (per the ROADMAP's "millions of users" scenario): **p95

@@ -69,8 +69,8 @@ pub use planner::{
     Algorithm, Plan, PlanAudit, PlanInputs, Planner, RefreshAudit, RefreshPlan, SkewEstimate,
 };
 pub use recover::{
-    run_frequent_recoverable, select_k_smallest_recoverable, select_threshold_recoverable,
-    FrequentCheckpoint, SelectionCheckpoint,
+    run_frequent_recoverable, select_k_smallest_recoverable, FrequentCheckpoint,
+    SelectionCheckpoint,
 };
 pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};

@@ -1,8 +1,8 @@
 //! Cost-model-driven algorithm planner: `plan → execute → audit`.
 //!
 //! The repo has four frequent-objects algorithms ([`Algorithm`]), two
-//! all-to-all routings ([`DhtFanout`]), and a counts-only vs full selection
-//! choice in the streaming refresh — and until this module every caller
+//! all-to-all routings ([`DhtFanout`]), and a select-vs-full-gather choice
+//! (`counts_only`) in the streaming refresh — and until this module every caller
 //! picked by hand.  The planner makes the choice the way the paper does in
 //! its analysis: predict the per-PE bottleneck words and start-ups of every
 //! candidate from closed-form formulas, price them with the α/β
@@ -457,8 +457,8 @@ fn parse_fanout(s: &str) -> Option<DhtFanout> {
     }
 }
 
-/// A planned streaming refresh: the DHT routing plus the counts-only vs
-/// full-gather choice for publishing the global top-k (see
+/// A planned streaming refresh: the DHT routing plus the select-vs-full-gather
+/// choice (`counts_only`) for publishing the global top-k (see
 /// `workloads::stream`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshPlan {
@@ -471,7 +471,8 @@ pub struct RefreshPlan {
     pub global_candidates: u64,
     /// Chosen DHT routing for the aggregation.
     pub fanout: DhtFanout,
-    /// `true` — cut with the §4.1 counts-only threshold kernel and gather
+    /// `true` — cut with the §4.1 threshold-only entry point
+    /// ([`crate::select_threshold`]: only counts and samples travel) and gather
     /// only the `k` winners; `false` — all-gather the whole aggregate and
     /// cut locally (cheaper in start-ups when the aggregate is tiny).
     pub counts_only: bool,
@@ -974,7 +975,7 @@ mod tests {
         // whole selection kernel.
         let tiny = planner.plan_refresh(8, 64, 10);
         assert!(!tiny.counts_only);
-        // A huge aggregate: the counts-only threshold kernel moves fewer
+        // A huge aggregate: the threshold-only selection moves fewer
         // words than all-gathering the aggregate.
         let huge = planner.plan_refresh(8, 2_000_000, 10);
         assert!(huge.counts_only);

@@ -10,11 +10,11 @@
 //!
 //! With [`RecoveryConfig::disabled`] the wrappers are bit-identical
 //! passthroughs (results *and* metered words per PE) to calling
-//! [`select_k_smallest`] / [`select_threshold`] / [`Algorithm::run`]
-//! directly in a loop — pinned by `tests/recovery_integration.rs`.  The
-//! crash model is the repo-wide one: crashes land *between* phases (a
-//! victim's crash send-count calibrated to its first send of a phase, its
-//! membership heartbeat); a PE dying mid-collective fails fast instead.
+//! [`select_k_smallest`] / [`Algorithm::run`] directly in a loop — pinned by
+//! `tests/recovery_integration.rs`.  The crash model is the repo-wide one:
+//! crashes land *between* phases (a victim's crash send-count calibrated to
+//! its first send of a phase, its membership heartbeat); a PE dying
+//! mid-collective fails fast instead.
 
 use commsim::recovery::{
     run_recoverable, Checkpoint, RecoveryConfig, RecoveryError, RecoveryOutcome,
@@ -23,7 +23,7 @@ use commsim::{Communicator, WordCodec, WordReader};
 
 use crate::frequent::FrequentParams;
 use crate::planner::Algorithm;
-use crate::unsorted::{select_k_smallest, select_threshold};
+use crate::unsorted::select_k_smallest;
 
 /// Per-phase seed salt.  Phase 0 keeps the caller's seed verbatim, so a
 /// single-phase disabled run is RNG-identical to the direct call.
@@ -77,34 +77,6 @@ pub fn select_k_smallest_recoverable<C: Communicator>(
         |sub, state, i| {
             let result = select_k_smallest(sub, local, k, phase_seed(seed, i));
             state.thresholds.push(result.threshold);
-        },
-    )
-}
-
-/// Run `phases` repetitions of the counts-only [`select_threshold`] kernel
-/// with crash-stop recovery.  Same shape as
-/// [`select_k_smallest_recoverable`] without the element redistribution.
-///
-/// # Errors
-///
-/// Returns [`RecoveryError`] only for membership-protocol violations.
-pub fn select_threshold_recoverable<C: Communicator>(
-    comm: &C,
-    local: &[u64],
-    k: usize,
-    seed: u64,
-    phases: usize,
-    cfg: RecoveryConfig,
-) -> Result<RecoveryOutcome<SelectionCheckpoint>, RecoveryError> {
-    run_recoverable(
-        comm,
-        cfg,
-        phases,
-        SelectionCheckpoint::default(),
-        |sub, state, i| {
-            state
-                .thresholds
-                .push(select_threshold(sub, local, k, phase_seed(seed, i)));
         },
     )
 }

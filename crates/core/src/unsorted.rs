@@ -48,16 +48,17 @@
 //! whole sample only if that has under nine elements, so every level shrinks
 //! the input.
 //!
-//! The public entry points return both the *threshold* (the element of global
-//! rank `k` under a tie-broken total order) and each PE's local part of the
-//! selected set, whose sizes sum to exactly `k` across all PEs.
-
-use std::ops::Bound;
+//! Every entry point runs that one recursion over one tagged copy of `local`.
+//! [`select_k_smallest`] / [`select_k_largest`] return the *threshold* (the
+//! element of global rank `k` under a tie-broken total order) and each PE's
+//! local part of the selected set, whose sizes sum to exactly `k` across all
+//! PEs; [`select_threshold`] returns the threshold alone and skips the filter
+//! that materialises the set.
 
 use commsim::{CommData, Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain, BernoulliSampler};
+use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain};
 use seqkit::select::partition_three_way_counts;
 
 use crate::util::{tag_unique, tie_break_offset};
@@ -230,6 +231,36 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
+    let (threshold, offset, levels) = threshold_tagged(comm, local, total, k, seed);
+    // The recursion consumed its tagged copy; the selected set is recovered
+    // directly from `local` and the offset, so no second one is materialised.
+    let local_selected: Vec<T> = local
+        .iter()
+        .enumerate()
+        .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold.0, threshold.1))
+        .map(|(_, v)| v.clone())
+        .collect();
+    UnsortedSelectionResult {
+        threshold: threshold.0,
+        local_selected,
+        recursion_levels: levels,
+    }
+}
+
+/// The selection behind every entry point: the tie-broken element of global
+/// rank `k` among `total = Σ|local|` elements, this PE's tie-break offset and
+/// the number of levels used.
+fn threshold_tagged<C, T>(
+    comm: &C,
+    local: &[T],
+    total: usize,
+    k: usize,
+    seed: u64,
+) -> ((T, u64), u64, usize)
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= total, "k = {k} exceeds the global input size {total}");
 
@@ -240,37 +271,18 @@ where
     let mut rng =
         StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
     let mut levels = 0usize;
-    // The recursion consumes (and shrinks) the tagged buffer; the selected
-    // set is recovered afterwards directly from `local` and the offset, so no
-    // second tagged copy is ever materialised.
-    let threshold_tagged = select_recursive(comm, tagged, total, k, &mut rng, &mut levels);
-
-    let local_selected: Vec<T> = local
-        .iter()
-        .enumerate()
-        .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold_tagged.0, threshold_tagged.1))
-        .map(|(_, v)| v.clone())
-        .collect();
-    UnsortedSelectionResult {
-        threshold: threshold_tagged.0,
-        local_selected,
-        recursion_levels: levels,
-    }
+    let threshold = select_recursive(comm, tagged, total, k, &mut rng, &mut levels);
+    (threshold, offset, levels)
 }
 
 /// Select only the threshold (the element of global rank `k`), without
 /// materialising the selected set.
 ///
-/// Unlike [`select_k_smallest`], this runs a **counts-only** recursion
-/// (`threshold_recursive`): the input is never tagged, cloned or narrowed —
-/// the survivor set is tracked as an interval of the tie-broken total order
-/// and re-derived on the fly during each level's counting sweep.  Elements
-/// are only ever cloned when they go on the wire (pivot samples and the
-/// final base-case gather), so non-`Copy` payloads pay zero local copies on
-/// the narrowing path.  The RNG stream, recursion path and every message on
-/// the wire are bit-identical to [`select_k_smallest`] with the same
-/// arguments (pinned by `threshold_only_path_is_bit_identical_to_the_full_path`
-/// below), so the fig6 words/PE columns apply to both entry points.
+/// This is [`select_k_smallest`] minus its final filter over `local`: the
+/// same recursion over one tagged copy of `local`, hence the same RNG
+/// stream, levels and messages (pinned by
+/// `threshold_only_path_is_bit_identical_to_the_full_path` below), so the
+/// fig6 words/PE columns apply to both entry points.
 pub fn select_threshold<C, T>(comm: &C, local: &[T], k: usize, seed: u64) -> T
 where
     C: Communicator,
@@ -282,8 +294,7 @@ where
 
 /// [`select_threshold`] for callers that have already agreed on
 /// `total = Σ|local|` (it must be that sum, identical on every PE): the
-/// selection proper, without the entry's size all-reduction.  Same
-/// assertions, same RNG stream, same messages otherwise.
+/// selection proper, without the entry's size all-reduction.
 pub fn select_threshold_known_total<C, T>(
     comm: &C,
     local: &[T],
@@ -295,172 +306,7 @@ where
     C: Communicator,
     T: Ord + Clone + CommData,
 {
-    assert!(k >= 1, "k must be at least 1");
-    assert!(k <= total, "k = {k} exceeds the global input size {total}");
-
-    let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
-    let mut rng =
-        StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
-    threshold_recursive(comm, local, offset, total, k, &mut rng)
-}
-
-/// Does the tie-broken pair `(value, tag)` lie inside the current survivor
-/// interval?
-fn in_bounds<T: Ord>(v: &T, gi: u64, lower: &Bound<(T, u64)>, upper: &Bound<(T, u64)>) -> bool {
-    let above = match lower {
-        Bound::Unbounded => true,
-        Bound::Included(b) => (v, gi) >= (&b.0, b.1),
-        Bound::Excluded(b) => (v, gi) > (&b.0, b.1),
-    };
-    above
-        && match upper {
-            Bound::Unbounded => true,
-            Bound::Included(b) => (v, gi) <= (&b.0, b.1),
-            Bound::Excluded(b) => (v, gi) < (&b.0, b.1),
-        }
-}
-
-/// The surviving elements of `local` under the current interval, in stable
-/// input order, as borrowed tie-broken pairs — the counts-only recursion's
-/// replacement for the materialised level buffer `s`.
-fn survivors<'a, T: Ord>(
-    local: &'a [T],
-    offset: u64,
-    lower: &'a Bound<(T, u64)>,
-    upper: &'a Bound<(T, u64)>,
-) -> impl Iterator<Item = (&'a T, u64)> {
-    local.iter().enumerate().filter_map(move |(i, v)| {
-        let gi = offset + i as u64;
-        in_bounds(v, gi, lower, upper).then_some((v, gi))
-    })
-}
-
-/// Bernoulli(ρ) sample of the survivor sequence, bit-identical — output
-/// *and* RNG draw sequence — to `bernoulli_sample(&s, rho, rng)` over the
-/// materialised survivor buffer: the skip sampler runs over the survivor
-/// *ordinals* (the exact count is known from the previous level's counting
-/// sweep), and elements are cloned only when sampled.
-fn sample_survivors<T: Ord + Clone>(
-    local: &[T],
-    offset: u64,
-    lower: &Bound<(T, u64)>,
-    upper: &Bound<(T, u64)>,
-    survivor_count: usize,
-    rho: f64,
-    rng: &mut StdRng,
-) -> Vec<(T, u64)> {
-    let mut sampler = BernoulliSampler::new(survivor_count, rho);
-    let mut target = sampler.next_index(rng);
-    let mut out = Vec::with_capacity(((survivor_count as f64) * rho).ceil() as usize + 1);
-    if target.is_none() {
-        return out;
-    }
-    for (ordinal, (v, gi)) in survivors(local, offset, lower, upper).enumerate() {
-        if target == Some(ordinal) {
-            out.push((v.clone(), gi));
-            target = sampler.next_index(rng);
-            if target.is_none() {
-                break;
-            }
-        }
-    }
-    out
-}
-
-/// Counts-only core recursion of Algorithm 1: identical communication and
-/// RNG schedule to [`select_recursive`] (`total` is the agreed global input
-/// size on entry and is carried the same way), but the per-level state is
-/// just an interval `(lower, upper]`-style pair of [`Bound`]s over the
-/// tie-broken order plus the local survivor count — no tagged copy of the
-/// input, no per-level `retain`, no cloning of non-`Copy` payloads except
-/// onto the wire.
-fn threshold_recursive<C, T>(
-    comm: &C,
-    local: &[T],
-    offset: u64,
-    mut total: usize,
-    mut k: usize,
-    rng: &mut StdRng,
-) -> T
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
-    let p = comm.size();
-    let mut lower: Bound<(T, u64)> = Bound::Unbounded;
-    let mut upper: Bound<(T, u64)> = Bound::Unbounded;
-    let mut cur_local = local.len();
-    loop {
-        debug_assert_eq!(survivors(local, offset, &lower, &upper).count(), cur_local);
-        debug_assert!(k >= 1 && k <= total);
-
-        if k == 1 {
-            let local_min = survivors(local, offset, &lower, &upper)
-                .min()
-                .map(|(v, gi)| (v.clone(), gi));
-            return global_min(comm, local_min)
-                .expect("k = 1 requires a non-empty input")
-                .0;
-        }
-        if k == total {
-            let local_max = survivors(local, offset, &lower, &upper)
-                .max()
-                .map(|(v, gi)| (v.clone(), gi));
-            return global_max(comm, local_max)
-                .expect("k = total requires a non-empty input")
-                .0;
-        }
-        if total <= base_case(p) {
-            let mine: Vec<(T, u64)> = survivors(local, offset, &lower, &upper)
-                .map(|(v, gi)| (v.clone(), gi))
-                .collect();
-            return base_case_select(comm, mine, k).0;
-        }
-
-        // Same sampling schedule as the full path: the skip sampler runs
-        // over the survivor ordinals, so the RNG stream matches
-        // `bernoulli_sample` over the materialised buffer draw for draw.
-        let mut rho = sample_rate(p, total);
-        let (lo_pivot, hi_pivot) = loop {
-            let local_sample = sample_survivors(local, offset, &lower, &upper, cur_local, rho, rng);
-            if let Some(pivots) = agree_pivots(comm, local_sample, k, total) {
-                break pivots;
-            }
-            rho = (rho * 2.0).clamp(f64::MIN_POSITIVE, 1.0);
-        };
-
-        // Counting sweep over the survivor sequence (the counts-only twin of
-        // `partition_three_way_counts`; comparisons only, nothing moves).
-        let (mut la, mut lc) = (0u64, 0u64);
-        for (v, gi) in survivors(local, offset, &lower, &upper) {
-            la += u64::from((v, gi) < (&lo_pivot.0, lo_pivot.1));
-            lc += u64::from((v, gi) > (&hi_pivot.0, hi_pivot.1));
-        }
-        let lb = cur_local as u64 - la - lc;
-        let counts = comm.allreduce_vec_sum(vec![la, lb, lc]);
-        let (na, nb, nc) = (counts[0] as usize, counts[1] as usize, counts[2] as usize);
-
-        // Narrow the *interval* (both pivots lie inside the current bounds,
-        // so plain replacement is the intersection) — the buffer-narrowing
-        // `retain` of the full path becomes two `Bound` assignments.  The
-        // agreed count of the chosen range is the next level's total.
-        if k <= na {
-            upper = Bound::Excluded(lo_pivot);
-            cur_local = la as usize;
-            total = na;
-        } else if k <= na + nb {
-            lower = Bound::Included(lo_pivot);
-            upper = Bound::Included(hi_pivot);
-            k -= na;
-            cur_local = lb as usize;
-            total = nb;
-        } else {
-            lower = Bound::Excluded(hi_pivot);
-            k -= na + nb;
-            cur_local = lc as usize;
-            total = nc;
-        }
-    }
+    threshold_tagged(comm, local, total, k, seed).0 .0
 }
 
 /// Select the `k` globally **largest** elements (dual problem, used by the
@@ -906,11 +752,11 @@ mod tests {
         }
     }
 
-    /// The counts-only threshold path must leave everything the driver can
+    /// The threshold-only entry point must leave everything the driver can
     /// observe — threshold and per-PE metered words/messages — bit-identical
     /// to the full `select_k_smallest` path with the same arguments, across
-    /// input shapes, PE counts, ranks and seeds (the RNG streams overlap in
-    /// full, so the wire traffic must too).
+    /// input shapes, PE counts, ranks and seeds (it is the same recursion;
+    /// only the filter over `local` is skipped).
     #[test]
     fn threshold_only_path_is_bit_identical_to_the_full_path() {
         for (name, parts) in identity_shapes(17) {
@@ -969,11 +815,9 @@ mod tests {
     /// — `⌈log₂ p⌉ + 1` per level where all-gathering the sample cost
     /// `2·⌈log₂ p⌉`.  (Fixed seeds on which no level draws an empty sample — a
     /// retry would add one `agree_pivots` — and none ends on the `k = 1` /
-    /// `k = total` shortcut, an all-reduction.  `select_threshold` sends the
-    /// same messages, pinned by
-    /// `threshold_only_path_is_bit_identical_to_the_full_path`.)
+    /// `k = total` shortcut, an all-reduction.)
     #[test]
-    fn startup_budget_is_two_collectives_per_level() {
+    fn startup_budget_is_three_collectives_on_two_roots_per_level() {
         let p = 64;
         let per_pe = 64;
         let parts = random_parts(p, per_pe, 1 << 40, 5);
@@ -1252,9 +1096,9 @@ mod tests {
         }
     }
 
-    /// The counts-only path on its own against the brute-force oracle,
-    /// including duplicate-heavy input (the interval bounds must tie-break
-    /// correctly on global indices).
+    /// The threshold-only entry point on its own against the brute-force
+    /// oracle, including duplicate-heavy input (ties must break on the packed
+    /// `(rank, local index)` tag).
     #[test]
     fn threshold_only_path_selects_correct_thresholds() {
         for p in [1usize, 3, 5] {
@@ -1267,6 +1111,40 @@ mod tests {
                 });
                 let expected = reference_threshold(&parts, k);
                 assert!(out.results.iter().all(|&t| t == expected), "p={p} k={k}");
+            }
+        }
+    }
+
+    /// Non-`Copy` keys: every element the recursion holds is a clone, so a
+    /// narrowing that dropped or duplicated one would show here.  Both entry
+    /// points against the sorted union on duplicate-heavy `String`s, exactly
+    /// `k` selected, and — away from the extreme ranks — at least one
+    /// narrowing level before the base case.
+    #[test]
+    fn non_copy_keys_select_through_both_entry_points() {
+        for p in [1usize, 3] {
+            let parts: Vec<Vec<String>> = random_parts(p, 400, 40, 83)
+                .into_iter()
+                .map(|part| part.into_iter().map(|v| format!("key-{v:02}")).collect())
+                .collect();
+            let n = 400 * p;
+            let mut sorted: Vec<&String> = parts.iter().flatten().collect();
+            sorted.sort_unstable();
+            for k in [1usize, 17, n / 2, n] {
+                let out = run_spmd_seq(p, |comm| {
+                    let local = &parts[comm.rank()];
+                    let r = select_k_smallest(comm, local, k, 19);
+                    assert!(r.local_selected.iter().all(|v| *v <= r.threshold));
+                    let t = select_threshold(comm, local, k, 19);
+                    (r.threshold, t, r.local_selected.len(), r.recursion_levels)
+                });
+                for (full, threshold_only, _, levels) in &out.results {
+                    assert_eq!(full, sorted[k - 1], "p={p} k={k}");
+                    assert_eq!(threshold_only, sorted[k - 1], "p={p} k={k}");
+                    assert!(k == 1 || k == n || *levels >= 2, "p={p} k={k}: {levels}");
+                }
+                let selected: usize = out.results.iter().map(|r| r.2).sum();
+                assert_eq!(selected, k, "p={p} k={k}");
             }
         }
     }

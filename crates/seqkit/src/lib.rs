@@ -48,7 +48,7 @@ pub mod windowed;
 
 pub use heavy_hitters::MisraGries;
 pub use intern::Interner;
-pub use sampling::{bernoulli_sample, geometric_deviate, BernoulliSampler};
+pub use sampling::{bernoulli_sample, geometric_deviate};
 pub use select::{
     floyd_rivest_select, partition_three_way, partition_three_way_counts,
     partition_three_way_in_place, quickselect, select_kth_smallest,

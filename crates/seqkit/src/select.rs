@@ -213,9 +213,9 @@ pub fn partition_three_way_in_place<T: Ord>(
 /// autovectorizes the accumulation.  The middle count follows as
 /// `n − |a| − |c|`.  A fourfold unroll with independent accumulators breaks
 /// the add dependency chain; `chunks_exact` keeps the bound checks out of
-/// the hot loop.  The branchy original is kept as
-/// [`partition_three_way_counts_branchy`] — the `partition_kernel` bench
-/// compares the two on uniform and duplicate-heavy inputs.
+/// the hot loop.  The branchy original is the reference of this module's
+/// tests; EXPERIMENTS.md ("PR 5") has the two side by side on uniform and
+/// duplicate-heavy inputs.
 pub fn partition_three_way_counts<T: Ord>(
     data: &[T],
     lo_pivot: &T,
@@ -242,36 +242,6 @@ pub fn partition_three_way_counts<T: Ord>(
         c += usize::from(e > hi_pivot);
     }
     (a, data.len() - a - c, c)
-}
-
-/// The pre-optimisation counting kernel: one data-dependent three-way
-/// branch per element.
-///
-/// Kept as the reference implementation the branchless
-/// [`partition_three_way_counts`] is property-tested against, and as the
-/// baseline row of the `partition_kernel` criterion bench (branch
-/// misprediction makes this kernel slow exactly when the three ranges
-/// interleave unpredictably, which is the common case for the selection's
-/// pivot brackets).
-pub fn partition_three_way_counts_branchy<T: Ord>(
-    data: &[T],
-    lo_pivot: &T,
-    hi_pivot: &T,
-) -> (usize, usize, usize) {
-    debug_assert!(lo_pivot <= hi_pivot);
-    let mut a = 0usize;
-    let mut b = 0usize;
-    let mut c = 0usize;
-    for e in data {
-        if e < lo_pivot {
-            a += 1;
-        } else if e > hi_pivot {
-            c += 1;
-        } else {
-            b += 1;
-        }
-    }
-    (a, b, c)
 }
 
 #[cfg(test)]
@@ -476,6 +446,27 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The pre-optimisation counting kernel — one data-dependent three-way
+    /// branch per element — kept as the reference the branchless
+    /// [`partition_three_way_counts`] is tested against.
+    fn partition_three_way_counts_branchy<T: Ord>(
+        data: &[T],
+        lo_pivot: &T,
+        hi_pivot: &T,
+    ) -> (usize, usize, usize) {
+        let (mut a, mut b, mut c) = (0usize, 0usize, 0usize);
+        for e in data {
+            if e < lo_pivot {
+                a += 1;
+            } else if e > hi_pivot {
+                c += 1;
+            } else {
+                b += 1;
+            }
+        }
+        (a, b, c)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   mini-batches, keep sliding-window and exponentially-decaying top-k
 //!   sketches current, re-intern new vocabulary incrementally with stable
 //!   ids, periodically publish a global top-k through the §6 aggregation +
-//!   counts-only threshold kernel, and answer point queries between batches,
+//!   threshold-only selection, and answer point queries between batches,
 //!   scoring p95 answer staleness and words per ingested item.
 //! * [`sched`] — **multi-round bulk-queue scheduling** (Section 5): a job
 //!   scheduler driving [`topk::BulkParallelQueue`] round after round —

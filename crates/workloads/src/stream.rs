@@ -13,7 +13,7 @@
 //! periodically **refreshes a published global top-k** with the paper's §6
 //! machinery: per-PE window candidates are DHT-aggregated
 //! ([`topk::frequent::dht::aggregate_counts`]) and the global cut is made by
-//! the counts-only [`topk::select_threshold`] kernel.  Point queries
+//! the threshold-only entry point [`topk::select_threshold`].  Point queries
 //! ("current top-k", "count of X") are answered *between* batches from the
 //! last published snapshot — exactly how a serving system trades freshness
 //! for communication.
@@ -91,7 +91,7 @@ pub struct StreamConfig {
     pub query_lambda: f64,
     /// Let the cost-model planner ([`topk::planner::Planner::plan_refresh`])
     /// drive each periodic refresh: it picks the DHT fan-out and chooses
-    /// between the counts-only threshold cut and a full aggregate gather,
+    /// between the threshold-only selection cut and a full aggregate gather,
     /// and every planned refresh records a [`RefreshAudit`] (prediction vs
     /// metered words) retrievable via [`StreamService::refresh_audits`].
     /// `false` — the default — keeps the fixed pre-planner refresh path,
@@ -766,7 +766,7 @@ impl StreamService {
 
     /// Publish a fresh global top-k: DHT-aggregate the per-PE window
     /// candidates, cut at rank k, and gather the winners.  The fixed path
-    /// always cuts with the counts-only threshold kernel; with
+    /// always cuts with the threshold-only selection entry point; with
     /// [`StreamConfig::planned_refresh`] the cost-model planner picks the
     /// routing and the cut strategy per refresh and records an audit row.
     /// Both paths publish the identical snapshot.
