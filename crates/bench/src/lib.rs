@@ -10,15 +10,12 @@
 //!   * `fig7`   — weak scaling of the top-k most frequent objects algorithms
 //!     (Figures 7a/7b),
 //!   * `fig8`   — the strict-accuracy variant (Figure 8),
-//!   * `bnb_expansions` — the `K = m + O(hp)` branch-and-bound claim of §5;
-//! * Criterion benches (`cargo bench -p bench`) covering the same experiments
-//!   at reduced sizes plus ablations (collectives, sampling strategies,
-//!   sorted-selection round counts, redistribution, bulk queue batches).
+//!   * `bnb_expansions` — the `K = m + O(hp)` branch-and-bound claim of §5.
 //!
 //! Absolute times are not comparable with the paper's Infiniband cluster —
-//! see DESIGN.md for the substitution argument — but the *shape* of every
-//! curve (who wins, where the crossovers are, what scales and what does not)
-//! is, and EXPERIMENTS.md records both.
+//! see ARCHITECTURE.md and EXPERIMENTS.md "Machine notes" — but the *shape*
+//! of every curve (who wins, where the crossovers are, what scales and what
+//! does not) is, and EXPERIMENTS.md records both.
 
 pub mod planning;
 pub mod report;

@@ -1,5 +1,4 @@
-//! Weak-scaling measurement helpers shared by the experiment binaries and the
-//! Criterion benches.
+//! Weak-scaling measurement helpers shared by the experiment binaries.
 
 use std::time::Duration;
 
@@ -43,9 +42,8 @@ impl Measurement {
     /// Collapse repetitions of one configuration into a single measurement:
     /// wall time is averaged, communication counters (identical across
     /// repetitions up to sampling randomness) are taken from the last.
-    /// Backend-agnostic companion to [`measure_repeated`] — the bins build
-    /// the per-repetition measurements with [`crate::run_on!`] and reduce
-    /// them here.
+    /// The bins build the per-repetition measurements with
+    /// [`crate::run_on!`] and reduce them here.
     pub fn averaged(mut repetitions: Vec<Measurement>) -> Self {
         assert!(!repetitions.is_empty(), "need at least one repetition");
         let avg_nanos = repetitions
@@ -168,16 +166,6 @@ pub fn pe_sweep(max: usize) -> Vec<usize> {
     out
 }
 
-/// Average of several repetitions of the same measurement (reduces noise for
-/// the short-running configurations).
-pub fn measure_repeated<F>(p: usize, repetitions: usize, body: F) -> Measurement
-where
-    F: Fn(&Comm) + Send + Sync,
-{
-    assert!(repetitions >= 1);
-    Measurement::averaged((0..repetitions).map(|_| measure_spmd(p, &body)).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,10 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_measurement_averages_wall_time() {
-        let m = measure_repeated(2, 3, |comm| {
-            comm.barrier();
-        });
+    fn averaged_measurement_keeps_the_counters() {
+        let reps = (0..3).map(|_| measure_spmd(2, |comm| comm.barrier()));
+        let m = Measurement::averaged(reps.collect());
         assert_eq!(m.num_pes, 2);
         // A barrier moves no payload.
         assert_eq!(m.bottleneck_words, 0);

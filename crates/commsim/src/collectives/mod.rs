@@ -99,42 +99,6 @@ impl<T: Clone + std::ops::Add<Output = T> + Send + Sync + 'static> ReduceOp<Vec<
     }
 }
 
-impl<T: Clone + Ord + Send + Sync + 'static> ReduceOp<Vec<T>> {
-    /// Element-wise vector minimum (lengths must match; extra tail copied).
-    pub fn elementwise_min() -> Self {
-        ReduceOp::custom(|a: &Vec<T>, b: &Vec<T>| {
-            let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-            long.iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    if i < short.len() {
-                        x.clone().min(short[i].clone())
-                    } else {
-                        x.clone()
-                    }
-                })
-                .collect()
-        })
-    }
-
-    /// Element-wise vector maximum (lengths must match; extra tail copied).
-    pub fn elementwise_max() -> Self {
-        ReduceOp::custom(|a: &Vec<T>, b: &Vec<T>| {
-            let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-            long.iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    if i < short.len() {
-                        x.clone().max(short[i].clone())
-                    } else {
-                        x.clone()
-                    }
-                })
-                .collect()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,14 +122,6 @@ mod tests {
         assert_eq!(op.apply(&vec![1, 2, 3], &vec![10, 20]), vec![11, 22, 3]);
         assert_eq!(op.apply(&vec![10, 20], &vec![1, 2, 3]), vec![11, 22, 3]);
         assert_eq!(op.apply(&vec![], &vec![5]), vec![5]);
-    }
-
-    #[test]
-    fn elementwise_min_max() {
-        let min = ReduceOp::<Vec<u64>>::elementwise_min();
-        let max = ReduceOp::<Vec<u64>>::elementwise_max();
-        assert_eq!(min.apply(&vec![1, 9], &vec![5, 2]), vec![1, 2]);
-        assert_eq!(max.apply(&vec![1, 9], &vec![5, 2]), vec![5, 9]);
     }
 
     #[test]

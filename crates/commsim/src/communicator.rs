@@ -243,8 +243,8 @@ pub trait Communicator {
         self.allreduce(value, ReduceOp::max())
     }
 
-    /// Element-wise sum all-reduction of a vector (the "long vector"
-    /// reduction the paper exploits for batched estimators).
+    /// Element-wise sum all-reduction of a vector: a selection level's three
+    /// partition counts, EC's and PEC's exact counts of the `k*` candidates.
     fn allreduce_vec_sum(&self, value: Vec<u64>) -> Vec<u64>
     where
         Self: Sized,

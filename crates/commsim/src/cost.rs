@@ -179,18 +179,6 @@ impl CostModel {
         Self { alpha, beta }
     }
 
-    /// A model in which only start-ups matter (β = 0) — useful to isolate the
-    /// latency term of an algorithm.
-    pub fn latency_only(alpha: f64) -> Self {
-        Self { alpha, beta: 0.0 }
-    }
-
-    /// A model in which only volume matters (α = 0) — useful to isolate the
-    /// bandwidth term of an algorithm.
-    pub fn bandwidth_only(beta: f64) -> Self {
-        Self { alpha: 0.0, beta }
-    }
-
     /// Modeled cost of a single message of `words` machine words.
     pub fn message(&self, words: usize) -> f64 {
         self.alpha + self.beta * words as f64
@@ -276,13 +264,6 @@ mod tests {
         let (lat, bw) = m.world_cost_split(&w);
         assert_eq!(lat, 10.0);
         assert_eq!(bw, 21.0);
-    }
-
-    #[test]
-    fn special_models_zero_out_a_term() {
-        let w = WorldStats::from_snapshots(vec![snap(4, 7)]);
-        assert_eq!(CostModel::latency_only(1.0).world_cost(&w), 4.0);
-        assert_eq!(CostModel::bandwidth_only(1.0).world_cost(&w), 7.0);
     }
 
     #[test]

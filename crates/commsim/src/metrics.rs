@@ -206,16 +206,6 @@ impl WorldStats {
             .unwrap_or(0)
     }
 
-    /// The rank of the PE with the largest bottleneck volume, useful when
-    /// diagnosing load imbalance.
-    pub fn hottest_pe(&self) -> Option<usize> {
-        self.per_pe
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, s)| s.bottleneck_words())
-            .map(|(i, _)| i)
-    }
-
     /// Average sent words per PE.
     pub fn mean_sent_words(&self) -> f64 {
         if self.per_pe.is_empty() {
@@ -380,7 +370,6 @@ mod tests {
         assert_eq!(w.total_messages(), 6);
         assert_eq!(w.bottleneck_words(), 50);
         assert_eq!(w.bottleneck_messages(), 3);
-        assert_eq!(w.hottest_pe(), Some(1));
         assert!((w.mean_sent_words() - 65.0 / 3.0).abs() < 1e-9);
         assert!(w.imbalance() > 1.0);
     }
@@ -389,7 +378,6 @@ mod tests {
     fn empty_world_is_well_defined() {
         let w = WorldStats::default();
         assert_eq!(w.bottleneck_words(), 0);
-        assert_eq!(w.hottest_pe(), None);
         assert_eq!(w.imbalance(), 1.0);
     }
 

@@ -466,12 +466,6 @@ impl RecoveryConfig {
         self.checkpoint_every = every;
         self
     }
-
-    /// Override the number of buddy copies per checkpoint.
-    pub fn with_replication(mut self, copies: usize) -> Self {
-        self.replication = copies;
-        self
-    }
 }
 
 /// What a recovery-enabled run did — the parseable audit row of the

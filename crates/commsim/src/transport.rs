@@ -381,7 +381,7 @@ impl Mailbox {
     /// each pair's lock-free queue (header and segments alike) is deferred
     /// to that pair's first send — not the `O(p²)` channels of a full mesh
     /// (pinned by the allocation-counting integration test
-    /// `transport_alloc.rs` and the `transport_setup` criterion bench).
+    /// `transport_alloc.rs`).
     pub fn full_mesh(p: usize) -> Vec<Mailbox> {
         assert!(p > 0, "need at least one PE");
         let mesh = Arc::new(SharedMesh {
@@ -766,25 +766,28 @@ mod tests {
         assert!(boxes[0].try_recv(1).unwrap().is_none());
     }
 
-    #[test]
-    fn p16_stress_preserves_per_source_fifo_order() {
-        // Every PE concurrently sends `rounds` sequence-tagged messages to
-        // every PE (including itself); every receiver then drains each
-        // source queue and asserts the exact send order.
-        let p = 16;
-        let rounds = 100u64;
+    /// Every PE concurrently sends `rounds` sequence-tagged messages to each
+    /// of `dests(rank)` (itself included where listed); every receiver then
+    /// drains the queue of each source that targets it and asserts the exact
+    /// send order, sender and payload.
+    fn stress_preserves_per_source_fifo_order(
+        p: usize,
+        rounds: u64,
+        dests: fn(usize, usize) -> Vec<usize>,
+    ) {
         let boxes = Mailbox::full_mesh(p);
         let handles: Vec<_> = boxes
             .into_iter()
             .map(|b| {
                 thread::spawn(move || {
+                    let targets = dests(b.rank(), p);
                     for i in 0..rounds {
-                        for dst in 0..p {
+                        for &dst in &targets {
                             let payload = (b.rank() as u64) << 32 | i;
                             b.send(dst, Envelope::new(i, b.rank(), payload)).unwrap();
                         }
                     }
-                    for src in 0..p {
+                    for src in (0..p).filter(|&src| dests(src, p).contains(&b.rank())) {
                         for i in 0..rounds {
                             let env = b.recv(src).unwrap();
                             assert_eq!(env.from, src, "messages must come from queue owner");
@@ -799,6 +802,23 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn p16_stress_preserves_per_source_fifo_order() {
+        stress_preserves_per_source_fifo_order(16, 100, |_, p| (0..p).collect());
+    }
+
+    #[test]
+    fn p64_hotspot_stress_preserves_per_source_fifo_order() {
+        // Every PE floods PE 0: all senders hit the same destination shard.
+        stress_preserves_per_source_fifo_order(64, 256, |_, _| vec![0]);
+    }
+
+    #[test]
+    fn p64_ring_stress_preserves_per_source_fifo_order() {
+        // No sharing beyond each ordered (rank, successor) pair.
+        stress_preserves_per_source_fifo_order(64, 256, |rank, p| vec![(rank + 1) % p]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Approximate multisequence selection with flexible `k`
-//! (paper §4.3, Algorithm 2, Theorems 3 and 4).
+//! (paper §4.3, Algorithm 2, Theorem 3).
 //!
 //! When the caller is willing to accept any number of selected elements
 //! between `k̲` and `k̄`, the `O(α log² kp)` latency of exact multisequence
@@ -11,11 +11,6 @@
 //! global estimate.  One exact counting step (binary search + sum reduction)
 //! verifies whether the estimate's rank landed inside `k̲..k̄`; if not, the
 //! algorithm recurses on the narrowed range exactly like quickselect.
-//!
-//! The batched variant ([`approx_multisequence_select_batched`], Theorem 4)
-//! evaluates `d` independent estimates per round using a single vector-valued
-//! reduction, trading `O(βd)` volume for a success probability that grows
-//! with `d` and allowing `k̄ − k̲ = Ω(k/d)`.
 
 use commsim::{CommData, Communicator, ReduceOp};
 use rand::rngs::StdRng;
@@ -245,142 +240,6 @@ where
     }
 }
 
-/// The multi-trial variant (Theorem 4): evaluate `d` independent estimates
-/// per round with a single vector-valued reduction.  Allows narrower bands
-/// (`k̄ − k̲ = Ω(k/d)`) at `O(βd)` extra volume per round while keeping the
-/// latency at `O(α log p)` per round.
-pub fn approx_multisequence_select_batched<C, T>(
-    comm: &C,
-    sorted_local: &[T],
-    k_lo: u64,
-    k_hi: u64,
-    d: usize,
-    seed: u64,
-) -> AmsSelectResult<T>
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
-    debug_assert!(sorted_local.windows(2).all(|w| w[0] <= w[1]));
-    assert!(d >= 1, "need at least one trial per round");
-    let total = comm.allreduce_sum(sorted_local.len() as u64);
-    assert!(
-        k_lo >= 1 && k_lo <= k_hi && k_hi <= total,
-        "invalid selection band"
-    );
-
-    let mut rng = StdRng::seed_from_u64(seed ^ (0x5A5A_0000 + comm.rank() as u64));
-    let mut lo = 0usize;
-    let mut hi = sorted_local.len();
-    let mut base_selected = 0u64;
-    let mut k_lo = k_lo;
-    let mut k_hi = k_hi;
-    let mut rounds = 0usize;
-    let max_rounds = 64 + 2 * (64 - total.leading_zeros() as usize);
-
-    loop {
-        rounds += 1;
-        let window = &sorted_local[lo..hi];
-        let rho = min_estimator_probability(k_lo, k_hi);
-
-        // d local candidates (the smallest locally sampled element of each of
-        // the d independent Bernoulli samples).
-        let candidates: Vec<Option<T>> = (0..d)
-            .map(|_| {
-                let x = geometric_deviate(rho, &mut rng);
-                if x as usize > window.len() {
-                    None
-                } else {
-                    Some(window[x as usize - 1].clone())
-                }
-            })
-            .collect();
-        // One vector-valued min-reduction for all d estimates.
-        let global: Vec<Option<T>> = comm.allreduce(
-            candidates,
-            ReduceOp::custom(|a: &Vec<Option<T>>, b: &Vec<Option<T>>| {
-                a.iter()
-                    .zip(b.iter())
-                    .map(|(x, y)| match (x, y) {
-                        (None, z) | (z, None) => z.clone(),
-                        (Some(x), Some(y)) => Some(x.clone().min(y.clone())),
-                    })
-                    .collect()
-            }),
-        );
-        // Exact ranks of all d estimates with one vector sum-reduction.
-        let local_counts: Vec<u64> = global
-            .iter()
-            .map(|v| match v {
-                Some(v) => window.partition_point(|e| e <= v) as u64,
-                None => 0,
-            })
-            .collect();
-        let global_counts = comm.allreduce_vec_sum(local_counts);
-
-        // Success: any estimate inside the band.
-        let hit = global_counts
-            .iter()
-            .enumerate()
-            .find(|&(i, &k)| global[i].is_some() && k >= k_lo && k <= k_hi)
-            .map(|(i, _)| i);
-        if let Some(idx) = hit {
-            let v = global[idx].clone().expect("candidate exists");
-            let k = global_counts[idx];
-            let j = window.partition_point(|e| e <= &v);
-            return AmsSelectResult {
-                threshold: v,
-                selected: base_selected + k,
-                local_count: lo + j,
-                rounds,
-            };
-        }
-
-        if rounds > max_rounds {
-            // Fall back to the single-estimate algorithm on the remaining
-            // window (it has its own safety net).
-            let rest = approx_multisequence_select(comm, window, k_lo, k_hi, seed ^ 0xdead);
-            return AmsSelectResult {
-                threshold: rest.threshold,
-                selected: base_selected + rest.selected,
-                local_count: lo + rest.local_count,
-                rounds: rounds + rest.rounds,
-            };
-        }
-
-        // No estimate landed in the band: narrow to the range enclosed by the
-        // largest under-estimate and the smallest over-estimate.
-        let mut best_under: Option<(usize, u64)> = None; // (index, count)
-        let mut best_over: Option<(usize, u64)> = None;
-        for (i, &k) in global_counts.iter().enumerate() {
-            if global[i].is_none() {
-                continue;
-            }
-            if k < k_lo && best_under.is_none_or(|(_, bk)| k > bk) {
-                best_under = Some((i, k));
-            }
-            if k > k_hi && best_over.is_none_or(|(_, bk)| k < bk) {
-                best_over = Some((i, k));
-            }
-        }
-        if let Some((i, k)) = best_under {
-            let v = global[i].clone().expect("under-estimate exists");
-            let j = window.partition_point(|e| e <= &v);
-            base_selected += k;
-            lo += j;
-            k_lo -= k;
-            k_hi -= k;
-        }
-        if let Some((i, _count)) = best_over {
-            let v = global[i].clone().expect("over-estimate exists");
-            // Recompute the prefix length within the possibly updated window.
-            let window = &sorted_local[lo..hi];
-            let j = window.partition_point(|e| e <= &v);
-            hi = lo + j;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,50 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_variant_agrees_with_band() {
-        let p = 4;
-        let parts = sorted_parts(p, 500, 1 << 24, 21);
-        for (k_lo, k_hi, d) in [(50u64, 60u64, 8usize), (100, 110, 16), (1, 4, 4)] {
-            let parts_ref = parts.clone();
-            let out = run_spmd(p, move |comm| {
-                approx_multisequence_select_batched(
-                    comm,
-                    &parts_ref[comm.rank()],
-                    k_lo,
-                    k_hi,
-                    d,
-                    17,
-                )
-            });
-            let selected = out.results[0].selected;
-            assert!(
-                selected >= k_lo && selected <= k_hi,
-                "band=({k_lo},{k_hi}) d={d}: selected {selected}"
-            );
-            let v = out.results[0].threshold;
-            assert_eq!(global_rank(&parts, v), selected);
-        }
-    }
-
-    #[test]
-    fn batched_uses_fewer_rounds_than_single_on_narrow_bands() {
-        let p = 8;
-        let parts = sorted_parts(p, 2_000, 1 << 30, 33);
-        let parts_ref = parts.clone();
-        let parts_ref2 = parts.clone();
-        let single = run_spmd(p, move |comm| {
-            approx_multisequence_select(comm, &parts_ref[comm.rank()], 1000, 1010, 3).rounds
-        });
-        let batched = run_spmd(p, move |comm| {
-            approx_multisequence_select_batched(comm, &parts_ref2[comm.rank()], 1000, 1010, 32, 3)
-                .rounds
-        });
-        let s: usize = single.results[0];
-        let b: usize = batched.results[0];
-        assert!(b <= s.max(3), "batched rounds {b} vs single rounds {s}");
-    }
-
-    #[test]
     fn latency_is_logarithmic_volume_small() {
         let p = 16;
         let parts = sorted_parts(p, 1_000, 1 << 30, 41);
@@ -538,15 +353,6 @@ mod tests {
                 snap.bottleneck_words()
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid selection band")]
-    fn batched_rejects_inverted_band() {
-        run_spmd(1, |comm| {
-            let local: Vec<u64> = (0..10).collect();
-            approx_multisequence_select_batched(comm, &local, 5, 2, 4, 0)
-        });
     }
 
     #[test]

@@ -76,11 +76,6 @@ where
         self.local.len()
     }
 
-    /// `true` iff this PE stores no elements.
-    pub fn is_local_empty(&self) -> bool {
-        self.local.is_empty()
-    }
-
     /// Global number of stored elements (one all-reduction).
     pub fn global_len<C: Communicator>(&self, comm: &C) -> u64 {
         comm.allreduce_sum(self.local.len() as u64)

@@ -56,19 +56,6 @@ impl DhtFanout {
     }
 }
 
-/// Route one per-destination payload vector with the chosen fan-out.
-fn route<C: Communicator>(
-    comm: &C,
-    per_dest: Vec<Vec<(u64, u64)>>,
-    fanout: DhtFanout,
-) -> Vec<Vec<(u64, u64)>> {
-    if fanout.is_direct(comm.size()) {
-        comm.alltoall(per_dest)
-    } else {
-        comm.alltoall_indirect(per_dest)
-    }
-}
-
 /// Route locally aggregated `key → count` pairs to their owner PEs and return
 /// this PE's share of the global (sampled) counts, using the
 /// [`DhtFanout::Auto`] routing.
@@ -94,7 +81,11 @@ pub fn aggregate_counts_with<C: Communicator>(
     for (key, count) in local_counts {
         per_dest[owner_of(key, p)].push((key, count));
     }
-    let received = route(comm, per_dest, fanout);
+    let received = if fanout.is_direct(p) {
+        comm.alltoall(per_dest)
+    } else {
+        comm.alltoall_indirect(per_dest)
+    };
     let mut owned: HashMap<u64, u64> = HashMap::new();
     for chunk in received {
         for (key, count) in chunk {
@@ -107,50 +98,6 @@ pub fn aggregate_counts_with<C: Communicator>(
         }
     }
     owned
-}
-
-/// Like [`aggregate_counts`] but for weighted sums (used by the top-k sum
-/// aggregation of Section 8).  Values are transported as `f64` bit patterns.
-pub fn aggregate_sums<C: Communicator>(
-    comm: &C,
-    local_sums: HashMap<u64, f64>,
-) -> HashMap<u64, f64> {
-    aggregate_sums_with(comm, local_sums, DhtFanout::Auto)
-}
-
-/// [`aggregate_sums`] with an explicit routing fan-out.
-pub fn aggregate_sums_with<C: Communicator>(
-    comm: &C,
-    local_sums: HashMap<u64, f64>,
-    fanout: DhtFanout,
-) -> HashMap<u64, f64> {
-    let p = comm.size();
-    let mut per_dest: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
-    for (key, sum) in local_sums {
-        per_dest[owner_of(key, p)].push((key, sum.to_bits()));
-    }
-    let received = route(comm, per_dest, fanout);
-    let mut owned: HashMap<u64, f64> = HashMap::new();
-    for chunk in received {
-        for (key, bits) in chunk {
-            *owned.entry(key).or_insert(0.0) += f64::from_bits(bits);
-        }
-    }
-    owned
-}
-
-/// Broadcast a small set of candidate keys from their owners to every PE
-/// (the all-gather step of the exact-counting algorithms): each PE passes the
-/// candidate keys it owns, every PE receives the union.
-pub fn allgather_candidates<C: Communicator>(comm: &C, local_candidates: Vec<u64>) -> Vec<u64> {
-    let mut all: Vec<u64> = comm
-        .allgather(local_candidates)
-        .into_iter()
-        .flatten()
-        .collect();
-    all.sort_unstable();
-    all.dedup();
-    all
 }
 
 #[cfg(test)]
@@ -209,34 +156,6 @@ mod tests {
         });
         let total: u64 = out.results.iter().flat_map(|m| m.values()).sum();
         assert_eq!(total, 3);
-    }
-
-    #[test]
-    fn sums_aggregate_floating_point_values() {
-        let out = run_spmd(4, |comm| {
-            let local: HashMap<u64, f64> = [(7u64, 0.25), (8, comm.rank() as f64)]
-                .into_iter()
-                .collect();
-            aggregate_sums(comm, local)
-        });
-        let mut merged: HashMap<u64, f64> = HashMap::new();
-        for owned in &out.results {
-            for (&k, &v) in owned {
-                *merged.entry(k).or_insert(0.0) += v;
-            }
-        }
-        assert!((merged[&7] - 1.0).abs() < 1e-12);
-        assert!((merged[&8] - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn candidate_allgather_deduplicates() {
-        let out = run_spmd(3, |comm| {
-            allgather_candidates(comm, vec![5, 7, comm.rank() as u64])
-        });
-        for c in &out.results {
-            assert_eq!(c, &vec![0, 1, 2, 5, 7]);
-        }
     }
 
     #[test]

@@ -78,18 +78,6 @@ impl FrequentParams {
         self.dht_fanout = fanout;
         self
     }
-
-    /// The accuracy setting of the paper's Figure 7 (`ε = 3·10⁻⁴`,
-    /// `δ = 10⁻⁴`, `k = 32`).
-    pub fn figure7(seed: u64) -> Self {
-        Self::new(32, 3e-4, 1e-4, seed)
-    }
-
-    /// The strict accuracy setting of the paper's Figure 8 (`ε = 10⁻⁶`,
-    /// `δ = 10⁻⁸`, `k = 32`).
-    pub fn figure8(seed: u64) -> Self {
-        Self::new(32, 1e-6, 1e-8, seed)
-    }
 }
 
 /// Result of a top-k most-frequent-objects query.
@@ -209,8 +197,6 @@ mod tests {
     fn params_validate_inputs() {
         let p = FrequentParams::new(8, 0.01, 0.001, 1);
         assert_eq!(p.k, 8);
-        assert_eq!(FrequentParams::figure7(0).k, 32);
-        assert!(FrequentParams::figure8(0).epsilon < FrequentParams::figure7(0).epsilon);
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub mod sum_agg;
 pub mod unsorted;
 pub mod util;
 
-pub use amsselect::{
-    approx_multisequence_select, approx_multisequence_select_batched, AmsSelectResult,
-};
+pub use amsselect::{approx_multisequence_select, AmsSelectResult};
 pub use branch_bound::{
     knapsack_branch_bound_parallel, knapsack_branch_bound_sequential, BnbResult, KnapsackInstance,
 };

@@ -27,11 +27,6 @@ impl NegativeBinomial {
         NegativeBinomial { r, p }
     }
 
-    /// The paper's evaluation parameters: `r = 1000`, `p = 0.05`.
-    pub fn paper_defaults() -> Self {
-        Self::new(1000.0, 0.05)
-    }
-
     /// Expected value `r·(1−p)/p`.
     pub fn mean(&self) -> f64 {
         self.r * (1.0 - self.p) / self.p
@@ -150,10 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn paper_defaults_have_a_wide_plateau() {
+    fn paper_parameters_have_a_wide_plateau() {
         // Draw many samples; the distribution should be concentrated around
         // 19000 with coefficient of variation ≈ sqrt(var)/mean ≈ 3.2 %.
-        let nb = NegativeBinomial::paper_defaults();
+        let nb = NegativeBinomial::new(1000.0, 0.05);
         let mut r = rng();
         let samples = nb.sample_many(5_000, &mut r);
         let mean = samples.iter().sum::<u64>() as f64 / samples.len() as f64;

@@ -57,11 +57,6 @@ impl Zipf {
         self.exponent
     }
 
-    /// The generalized harmonic number `H_{N,s}` used for normalisation.
-    pub fn harmonic_number(&self) -> f64 {
-        self.harmonic
-    }
-
     /// Probability of drawing rank `i` (1-based).
     pub fn probability(&self, rank: usize) -> f64 {
         assert!(rank >= 1 && rank <= self.num_values, "rank out of range");
@@ -139,7 +134,7 @@ mod tests {
     #[test]
     fn harmonic_number_matches_direct_sum() {
         let z = Zipf::new(1000, 1.0);
-        assert!((z.harmonic_number() - generalized_harmonic(1000, 1.0)).abs() < 1e-9);
+        assert!((z.harmonic - generalized_harmonic(1000, 1.0)).abs() < 1e-9);
         assert!((generalized_harmonic(3, 1.0) - (1.0 + 0.5 + 1.0 / 3.0)).abs() < 1e-12);
     }
 

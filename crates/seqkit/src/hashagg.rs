@@ -43,13 +43,6 @@ pub fn merge_counts<K: Eq + Hash>(dst: &mut HashMap<K, u64>, src: HashMap<K, u64
     }
 }
 
-/// Merge `src` into `dst` by adding sums.
-pub fn merge_sums<K: Eq + Hash>(dst: &mut HashMap<K, f64>, src: HashMap<K, f64>) {
-    for (k, v) in src {
-        *dst.entry(k).or_insert(0.0) += v;
-    }
-}
-
 /// The `k` keys with the largest counts, sorted by decreasing count
 /// (ties broken deterministically by key order for reproducibility).
 pub fn top_k_by_count<K: Eq + Hash + Ord + Clone>(
@@ -70,18 +63,6 @@ pub fn top_k_by_sum<K: Eq + Hash + Ord + Clone>(sums: &HashMap<K, f64>, k: usize
     entries
 }
 
-/// The count of the key of rank `k` (1-based) by decreasing count, or 0 if
-/// fewer than `k` distinct keys exist.  Used to compute the exact error of
-/// the approximate algorithms in tests and experiments.
-pub fn count_of_rank<K: Eq + Hash>(counts: &HashMap<K, u64>, k: usize) -> u64 {
-    if k == 0 || counts.len() < k {
-        return 0;
-    }
-    let mut values: Vec<u64> = counts.values().copied().collect();
-    values.sort_unstable_by(|a, b| b.cmp(a));
-    values[k - 1]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +80,6 @@ mod tests {
     fn counting_empty_input() {
         let counts: HashMap<u64, u64> = count_keys(Vec::<u64>::new());
         assert!(counts.is_empty());
-        assert_eq!(count_of_rank(&counts, 1), 0);
     }
 
     #[test]
@@ -117,15 +97,6 @@ mod tests {
         assert_eq!(a[&1], 3);
         assert_eq!(a[&2], 1);
         assert_eq!(a[&3], 1);
-    }
-
-    #[test]
-    fn merging_sums_adds_up() {
-        let mut a = sum_by_key(vec![(1u64, 1.0)]);
-        let b = sum_by_key(vec![(1u64, 2.0), (2, 4.0)]);
-        merge_sums(&mut a, b);
-        assert_eq!(a[&1], 3.0);
-        assert_eq!(a[&2], 4.0);
     }
 
     #[test]
@@ -150,14 +121,5 @@ mod tests {
         let top = top_k_by_sum(&sums, 2);
         assert_eq!(top[0].0, 2);
         assert_eq!(top[1].0, 3);
-    }
-
-    #[test]
-    fn count_of_rank_matches_sorted_order() {
-        let counts = count_keys(vec![1u64, 1, 1, 2, 2, 3]);
-        assert_eq!(count_of_rank(&counts, 1), 3);
-        assert_eq!(count_of_rank(&counts, 2), 2);
-        assert_eq!(count_of_rank(&counts, 3), 1);
-        assert_eq!(count_of_rank(&counts, 4), 0);
     }
 }

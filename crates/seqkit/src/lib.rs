@@ -13,8 +13,8 @@
 //! * [`sampling`] — Bernoulli sampling via geometric skip values and the
 //!   geometric random deviates used by the flexible-`k` selection
 //!   (paper Sections 2 and 4.3),
-//! * [`sorted`] — rank/partition utilities on locally sorted sequences
-//!   (multisequence selection, paper Section 4.2),
+//! * [`sorted`] — the merge-based reference for selection over locally sorted
+//!   sequences (multisequence selection, paper Section 4.2),
 //! * [`threshold`] — Fagin's sequential threshold algorithm, the baseline
 //!   that the distributed multicriteria top-k approximates (Section 6),
 //! * [`heavy_hitters`] — the classical deterministic frequent-object summary
@@ -51,10 +51,10 @@ pub use intern::Interner;
 pub use sampling::{bernoulli_sample, geometric_deviate};
 pub use select::{
     floyd_rivest_select, partition_three_way, partition_three_way_counts,
-    partition_three_way_in_place, quickselect, select_kth_smallest,
+    partition_three_way_in_place, quickselect,
 };
 pub use skew::{expected_distinct, fit_zipf_exponent, SkewFit};
-pub use sorted::{merge_sorted, rank_in_sorted, select_in_sorted_union};
+pub use sorted::select_in_sorted_union;
 pub use threshold::{ScoreList, ThresholdAlgorithm, ThresholdResult};
 pub use treap::Treap;
 pub use windowed::{DecayingTopK, SlidingWindowTopK};

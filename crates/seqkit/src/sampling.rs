@@ -112,15 +112,6 @@ impl BernoulliSampler {
             Some(candidate as usize)
         }
     }
-
-    /// Collect all sampled indices.
-    pub fn collect_indices<R: Rng + ?Sized>(mut self, rng: &mut R) -> Vec<usize> {
-        let mut out = Vec::new();
-        while let Some(i) = self.next_index(rng) {
-            out.push(i);
-        }
-        out
-    }
 }
 
 /// Bernoulli sample of the elements of `data` with probability `rho`,
@@ -251,22 +242,23 @@ mod tests {
     #[test]
     fn sampler_with_rho_one_yields_everything() {
         let mut r = rng();
-        let idx = BernoulliSampler::new(10, 1.0).collect_indices(&mut r);
-        assert_eq!(idx, (0..10).collect::<Vec<_>>());
+        let positions: Vec<usize> = (0..10).collect();
+        assert_eq!(bernoulli_sample(&positions, 1.0, &mut r), positions);
     }
 
     #[test]
     fn sampler_with_rho_zero_yields_nothing() {
         let mut r = rng();
-        let idx = BernoulliSampler::new(10, 0.0).collect_indices(&mut r);
-        assert!(idx.is_empty());
+        let positions: Vec<usize> = (0..10).collect();
+        assert!(bernoulli_sample(&positions, 0.0, &mut r).is_empty());
     }
 
     #[test]
     fn sampler_indices_are_strictly_increasing_and_in_range() {
         let mut r = rng();
+        let positions: Vec<usize> = (0..1000).collect();
         for _ in 0..50 {
-            let idx = BernoulliSampler::new(1000, 0.05).collect_indices(&mut r);
+            let idx = bernoulli_sample(&positions, 0.05, &mut r);
             for w in idx.windows(2) {
                 assert!(w[0] < w[1]);
             }
@@ -279,8 +271,9 @@ mod tests {
         let mut r = rng();
         let n = 100_000;
         let rho = 0.02;
+        let positions: Vec<usize> = (0..n).collect();
         let total: usize = (0..20)
-            .map(|_| BernoulliSampler::new(n, rho).collect_indices(&mut r).len())
+            .map(|_| bernoulli_sample(&positions, rho, &mut r).len())
             .sum();
         let mean = total as f64 / 20.0;
         let expected = rho * n as f64;

@@ -56,15 +56,6 @@ pub fn quickselect<T: Ord + Clone, R: Rng>(data: &mut [T], k: usize, rng: &mut R
     }
 }
 
-/// Convenience wrapper: the k-th smallest (1-based `k`, matching the paper's
-/// convention of "the k smallest elements") of a slice, without mutating the
-/// input.
-pub fn select_kth_smallest<T: Ord + Clone, R: Rng>(data: &[T], k: usize, rng: &mut R) -> T {
-    assert!(k >= 1, "k is 1-based and must be at least 1");
-    let mut copy = data.to_vec();
-    quickselect(&mut copy, k - 1, rng)
-}
-
 /// Floyd–Rivest selection: like [`quickselect`], but pivots are chosen from a
 /// sample around the target rank, which makes the expected number of
 /// comparisons `n + min(k, n−k) + o(n)`.
@@ -294,22 +285,6 @@ mod tests {
             assert_eq!(quickselect(&mut a, k, &mut r), k as u64);
             assert_eq!(quickselect(&mut d, k, &mut r), k as u64);
         }
-    }
-
-    #[test]
-    fn select_kth_smallest_is_one_based_and_nonmutating() {
-        let mut r = rng();
-        let data = vec![5u64, 1, 4, 2, 3];
-        assert_eq!(select_kth_smallest(&data, 1, &mut r), 1);
-        assert_eq!(select_kth_smallest(&data, 5, &mut r), 5);
-        assert_eq!(data, vec![5, 1, 4, 2, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "1-based")]
-    fn select_kth_smallest_rejects_zero() {
-        let mut r = rng();
-        select_kth_smallest(&[1u64], 0, &mut r);
     }
 
     #[test]

@@ -2,41 +2,8 @@
 //!
 //! The multisequence selection algorithms (paper Sections 4.2 and 4.3) never
 //! look at unsorted data: each PE holds a locally *sorted* sequence, and all
-//! the algorithm needs is (a) the number of local elements `≤ v` for a probe
-//! value `v` (a binary search) and (b) a reference implementation of
-//! selection over the union of several sorted sequences to test against.
-
-/// Number of elements of the sorted slice `data` that are `≤ key`
-/// (the local "rank" used throughout the multisequence selection code).
-///
-/// `O(log n)` binary search.  `data` must be sorted ascending.
-pub fn rank_in_sorted<T: Ord>(data: &[T], key: &T) -> usize {
-    data.partition_point(|x| x <= key)
-}
-
-/// Number of elements of the sorted slice `data` that are `< key`.
-pub fn rank_strict_in_sorted<T: Ord>(data: &[T], key: &T) -> usize {
-    data.partition_point(|x| x < key)
-}
-
-/// Merge two sorted sequences into one sorted sequence (stable: ties take the
-/// element of `a` first).  `O(|a| + |b|)`.
-pub fn merge_sorted<T: Ord + Clone>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i].clone());
-            i += 1;
-        } else {
-            out.push(b[j].clone());
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
+//! the algorithm needs beside `partition_point` is a reference implementation
+//! of selection over the union of several sorted sequences to test against.
 
 /// Reference multisequence selection: the element of global rank `k`
 /// (1-based) in the union of several sorted sequences, computed by merging.
@@ -53,63 +20,9 @@ pub fn select_in_sorted_union<T: Ord + Clone>(sequences: &[Vec<T>], k: usize) ->
     Some(all[k - 1].clone())
 }
 
-/// Check whether a slice is sorted ascending (allowing equal neighbours).
-pub fn is_sorted<T: Ord>(data: &[T]) -> bool {
-    data.windows(2).all(|w| w[0] <= w[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rank_counts_less_or_equal() {
-        let data = vec![1u64, 3, 3, 5, 7];
-        assert_eq!(rank_in_sorted(&data, &0), 0);
-        assert_eq!(rank_in_sorted(&data, &1), 1);
-        assert_eq!(rank_in_sorted(&data, &3), 3);
-        assert_eq!(rank_in_sorted(&data, &4), 3);
-        assert_eq!(rank_in_sorted(&data, &7), 5);
-        assert_eq!(rank_in_sorted(&data, &100), 5);
-    }
-
-    #[test]
-    fn strict_rank_counts_less_than() {
-        let data = vec![1u64, 3, 3, 5, 7];
-        assert_eq!(rank_strict_in_sorted(&data, &3), 1);
-        assert_eq!(rank_strict_in_sorted(&data, &1), 0);
-        assert_eq!(rank_strict_in_sorted(&data, &8), 5);
-    }
-
-    #[test]
-    fn rank_on_empty_slice_is_zero() {
-        let data: Vec<u64> = vec![];
-        assert_eq!(rank_in_sorted(&data, &1), 0);
-        assert_eq!(rank_strict_in_sorted(&data, &1), 0);
-    }
-
-    #[test]
-    fn merge_interleaves_and_keeps_order() {
-        let a = vec![1u64, 4, 6];
-        let b = vec![2u64, 3, 5, 7];
-        assert_eq!(merge_sorted(&a, &b), vec![1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(merge_sorted::<u64>(&[], &[]), Vec::<u64>::new());
-        assert_eq!(merge_sorted(&a, &[]), a);
-        assert_eq!(merge_sorted(&[], &b), b);
-    }
-
-    #[test]
-    fn merge_is_stable_for_ties() {
-        let a = vec![(1u64, 'a'), (2, 'a')];
-        let b = vec![(1u64, 'b')];
-        let merged = merge_sorted(&a, &b);
-        // With Ord on tuples the tie (1,'a') < (1,'b') anyway, but stability
-        // matters when using equal keys:
-        let a = vec![1u64, 1];
-        let b = vec![1u64];
-        assert_eq!(merge_sorted(&a, &b), vec![1, 1, 1]);
-        assert_eq!(merged.len(), 3);
-    }
 
     #[test]
     fn union_selection_matches_manual_merge() {
@@ -119,13 +32,5 @@ mod tests {
         }
         assert_eq!(select_in_sorted_union(&seqs, 0), None);
         assert_eq!(select_in_sorted_union(&seqs, 10), None);
-    }
-
-    #[test]
-    fn is_sorted_detects_order() {
-        assert!(is_sorted::<u64>(&[]));
-        assert!(is_sorted(&[1u64]));
-        assert!(is_sorted(&[1u64, 1, 2]));
-        assert!(!is_sorted(&[2u64, 1]));
     }
 }

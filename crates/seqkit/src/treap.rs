@@ -191,21 +191,6 @@ impl<T: Ord + Clone> Treap<T> {
         acc
     }
 
-    /// Number of stored keys `< key` (strict rank).
-    pub fn rank_strict(&self, key: &T) -> usize {
-        let mut cur = &self.root;
-        let mut acc = 0;
-        while let Some(node) = cur {
-            if *key <= node.key {
-                cur = &node.left;
-            } else {
-                acc += size(&node.left) + 1;
-                cur = &node.right;
-            }
-        }
-        acc
-    }
-
     /// Smallest key, or `None` if empty.
     pub fn min(&self) -> Option<&T> {
         let mut cur = self.root.as_ref()?;
@@ -222,13 +207,6 @@ impl<T: Ord + Clone> Treap<T> {
             cur = right;
         }
         Some(&cur.key)
-    }
-
-    /// Remove and return the smallest key. Expected `O(log n)`.
-    pub fn pop_min(&mut self) -> Option<T> {
-        let key = self.min()?.clone();
-        self.remove(&key);
-        Some(key)
     }
 
     /// Split into `(≤ key, > key)`, consuming `self` (the paper's
@@ -443,7 +421,6 @@ mod tests {
         assert_eq!(t.rank(&5), 0);
         assert_eq!(t.rank(&30), 3);
         assert_eq!(t.rank(&100), 5);
-        assert_eq!(t.rank_strict(&30), 2);
     }
 
     #[test]
@@ -454,7 +431,6 @@ mod tests {
         }
         assert_eq!(t.len(), 5);
         assert_eq!(t.rank(&3), 4);
-        assert_eq!(t.rank_strict(&3), 1);
         assert!(t.remove(&3));
         assert_eq!(t.len(), 4);
         assert_eq!(t.rank(&3), 3);
@@ -469,16 +445,12 @@ mod tests {
     }
 
     #[test]
-    fn min_max_and_pop_min() {
-        let mut t = Treap::from_iter([7u64, 2, 9, 4]);
+    fn min_and_max() {
+        let t = Treap::from_iter([7u64, 2, 9, 4]);
         assert_eq!(t.min(), Some(&2));
         assert_eq!(t.max(), Some(&9));
-        assert_eq!(t.pop_min(), Some(2));
-        assert_eq!(t.pop_min(), Some(4));
-        assert_eq!(t.len(), 2);
-        let mut empty: Treap<u64> = Treap::new();
+        let empty: Treap<u64> = Treap::new();
         assert_eq!(empty.min(), None);
-        assert_eq!(empty.pop_min(), None);
     }
 
     #[test]

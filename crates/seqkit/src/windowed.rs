@@ -74,12 +74,6 @@ impl<K: Eq + Hash + Clone + Ord> SlidingWindowTopK<K> {
         }
     }
 
-    /// Number of batches currently inside the window (including the open
-    /// one); at most `window`.
-    pub fn live_batches(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Total number of elements inside the window.
     pub fn window_count(&self) -> u64 {
         self.ring.iter().map(|s| s.processed()).sum()
@@ -323,7 +317,6 @@ mod tests {
         sketch.advance();
         assert_eq!(sketch.estimate(&7), 100);
         sketch.advance(); // key-7 batch still inside the 2-batch window
-        assert_eq!(sketch.live_batches(), 2);
         sketch.advance(); // now it has left
         assert_eq!(sketch.estimate(&7), 0);
         assert_eq!(sketch.window_count(), 0);

@@ -158,11 +158,6 @@ impl StreamVocab {
         self.vocab.get(id as usize).map(String::as_str)
     }
 
-    /// The id of `word`, if it has been interned.
-    pub fn id_of(&self, word: &str) -> Option<u64> {
-        self.index.get(word).copied()
-    }
-
     /// Intern a batch of tokens, growing the global vocabulary by exactly the
     /// words *no* PE had seen before (collective — all PEs must call this
     /// together).  Returns the token stream mapped to ids.
@@ -929,11 +924,6 @@ impl StreamService {
     /// a crash is detected; meaningful only with `replication > 0`).
     pub fn live_group(&self) -> &[Rank] {
         self.membership.group()
-    }
-
-    /// Whether the serving snapshot came from a degraded refresh.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 
     /// Live fraction of the world at the last refresh.

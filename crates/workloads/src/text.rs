@@ -20,8 +20,7 @@
 //! Interning is a *setup* step: its one-off allgather of the vocabulary is
 //! deliberately metered separately from the algorithm phase (the paper's
 //! claims are about the counting algorithms, not corpus distribution), which
-//! is why [`run_scored`](TextAlgorithm::run_scored) reports the two phases'
-//! communication volumes side by side.
+//! is why [`run_planned_scored`] meters the algorithm phase alone.
 
 use std::collections::HashMap;
 
@@ -188,25 +187,6 @@ impl TextAlgorithm {
     ) -> TopKFrequentResult {
         self.core().run(comm, ids, params)
     }
-
-    /// Run this algorithm and score it against the exact oracle, metering the
-    /// algorithm phase separately from the oracle (collective).
-    ///
-    /// The returned score is identical on every PE; `words_per_pe` is *this*
-    /// PE's `max(sent, received)` words during the algorithm phase only.
-    pub fn run_scored<C: Communicator>(
-        self,
-        comm: &C,
-        shard: &InternedShard,
-        params: &FrequentParams,
-    ) -> WordFrequencyScore {
-        let exact = exact_global_counts(comm, &shard.ids);
-        let n = comm.allreduce_sum(shard.ids.len() as u64);
-        let before = comm.stats_snapshot();
-        let result = self.run(comm, &shard.ids, params);
-        let words_per_pe = comm.stats_snapshot().since(&before).bottleneck_words();
-        WordFrequencyScore::new(self, &exact, &result, &shard.vocab, n, words_per_pe)
-    }
 }
 
 /// Plan the word-frequency run from the data itself (collective): global `n`
@@ -226,9 +206,8 @@ pub fn plan_word_frequency<C: Communicator>(
 /// Execute a plan on an interned shard and score the answer against the
 /// exact oracle (collective).  Returns the oracle score together with the
 /// plan's [`PlanAudit`] — predicted vs metered words/PE and start-ups of the
-/// algorithm phase.  Unlike [`TextAlgorithm::run_scored`], `words_per_pe` in
-/// the score is the *world* bottleneck (the audit's measured words), so the
-/// score, too, is identical on every PE.
+/// algorithm phase.  `words_per_pe` in the score is the *world* bottleneck
+/// (the audit's measured words), so the score, too, is identical on every PE.
 pub fn run_planned_scored<C: Communicator>(
     comm: &C,
     shard: &InternedShard,
@@ -266,7 +245,7 @@ pub struct WordFrequencyScore {
     pub abs_error: u64,
     /// `abs_error / n` (the paper's ε̃).
     pub rel_error: f64,
-    /// This PE's bottleneck communication volume of the algorithm phase.
+    /// Bottleneck communication volume of the algorithm phase.
     pub words_per_pe: u64,
 }
 
@@ -371,27 +350,6 @@ mod tests {
         let threaded = run_spmd(4, |comm| distributed_intern(comm, &tokens[comm.rank()]));
         let seq = run_spmd_seq(4, |comm| distributed_intern(comm, &tokens[comm.rank()]));
         assert_eq!(threaded.results, seq.results);
-    }
-
-    #[test]
-    fn scored_run_finds_the_corpus_top_words() {
-        let corpus = TextCorpus::new(300, 1.1, 9);
-        let shards: Vec<Vec<String>> = (0..4)
-            .map(|r| tokenize(&corpus.shard_text(r, 2000)))
-            .collect();
-        let params = FrequentParams::new(4, 0.02, 1e-3, 77);
-        let out = run_spmd(4, |comm| {
-            let shard = distributed_intern(comm, &shards[comm.rank()]);
-            TextAlgorithm::Ec.run_scored(comm, &shard, &params)
-        });
-        let score = &out.results[0];
-        assert_eq!(score.algorithm, TextAlgorithm::Ec);
-        assert!(score.exact_counts);
-        assert_eq!(score.top.len(), 4);
-        // "the" (rank 1) is unmissable on a Zipf(1.1) corpus of this size.
-        assert_eq!(score.top[0].0, "the");
-        assert!(score.rel_error <= 2e-2, "rel error {}", score.rel_error);
-        assert!(score.words_per_pe > 0);
     }
 
     #[test]
