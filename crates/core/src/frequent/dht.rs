@@ -3,27 +3,53 @@
 //! Sampled objects are counted by hashing: a local count with key `x` is sent
 //! to PE `h(x)`, where `h` behaves like a random function, so the counting
 //! load spreads evenly over the PEs.  The paper routes these messages with
-//! *indirect delivery* to keep the latency at `O(log p)` start-ups per PE and
-//! merges counts inside the routing tree so that "each PE receives at most
-//! one message per object assigned to it by the hash function"; this module
-//! does the same: local aggregation before sending, a routed all-to-all, and
-//! aggregation on arrival.
+//! *indirect delivery* to keep the latency at `O(log p)` start-ups per PE;
+//! this module does three things: local aggregation before sending (the
+//! caller hands in a `key → count` map), a routed all-to-all of one
+//! [`KeyCounts`] per destination, and aggregation on arrival.  Nothing is
+//! merged on the way: the hypercube routing forwards
+//! `(destination, origin, payload)` triples as they are, so an owner
+//! receives one payload per origin PE and sums them itself.
 //!
 //! The routing *fan-out* is tunable ([`DhtFanout`]): hypercube routing pays
 //! a `log₂ p` volume multiplier for its `O(log p)` start-ups, which is the
 //! right trade at large `p` but pure overhead at small `p`, where direct
 //! delivery's `p − 1` start-ups are no worse than `log₂ p` rounds and every
-//! pair crosses the wire exactly once.  `Auto` (the default everywhere,
+//! key crosses the wire exactly once.  `Auto` (the default everywhere,
 //! including [`super::FrequentParams`]) switches between the two at
 //! [`DhtFanout::AUTO_DIRECT_MAX_PES`] PEs.
+//!
+//! # The wire form of an aggregate
+//!
+//! Every aggregated sample of §7 — the DHT's per-destination shares, the
+//! Naive baselines' shipments to the coordinator, the winners' all-gather —
+//! crosses the wire as a [`KeyCounts`]: the keys grouped into *runs* of equal
+//! count, runs in ascending count.
+//!
+//! ```text
+//! [ runs | header₁ key … key | header₂ key … key | … ]
+//!          header = count ≪ 32 | len
+//! ```
+//!
+//! A count of `2³² − 1` or more does not fit the header: its count field is
+//! all ones and the count follows in a word of its own.  A run of more than
+//! `2³² − 1` keys is split into several runs of the same count.  A message of
+//! `d` keys in `R` runs, none of them escaped, costs `1 + d + R` words.
+//! `R ≤ d`, so that is **never more than the `1 + 2d` words of `d` `(key,
+//! count)` pairs**, and as `1 + 2 + … + R ≤ m` for counts that sum to `m`,
+//! `R ≤ (√(8m + 1) − 1)/2`: a sample of a skewed input, where thousands of
+//! keys share each of the few small counts, costs little more than its keys.
+//! An escaped run costs one word more (only there can the pair form be
+//! shorter — no sampled count gets near 2³²).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use commsim::Communicator;
+use commsim::codec::{decode_error, WordCodec, WordReader};
+use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
 
-/// How locally aggregated `(key, value)` pairs are routed to their owner PEs.
+/// How locally aggregated `key → count` shares are routed to their owner PEs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DhtFanout {
     /// Direct delivery up to [`DhtFanout::AUTO_DIRECT_MAX_PES`] PEs,
@@ -31,7 +57,7 @@ pub enum DhtFanout {
     /// without giving up the logarithmic latency at large `p`.
     #[default]
     Auto,
-    /// Always direct: every pair crosses the wire once
+    /// Always direct: every key crosses the wire once
     /// (`O(β·m + α·p)` per PE).
     Direct,
     /// Always hypercube-routed, as the paper describes for large clusters
@@ -56,6 +82,136 @@ impl DhtFanout {
     }
 }
 
+/// A `key → count` multiset in the form it crosses the wire: the keys grouped
+/// by count (layout and cost in the [module docs](self)).  Keys are not
+/// deduplicated — a receiver sums what it gets into a map — and their order
+/// inside a run is the order they were pushed in, which is also what `==`
+/// compares (as a `Vec` of pairs would).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct KeyCounts {
+    /// `small[c]` holds the keys of count `c < SMALL_COUNTS`, indexed
+    /// directly (grown on demand): almost every key of a sample lands here,
+    /// and grouping it costs one push, no comparison.
+    small: Vec<Vec<u64>>,
+    /// The keys of every larger count.
+    large: BTreeMap<u64, Vec<u64>>,
+}
+
+/// Counts below this are grouped by direct indexing.
+const SMALL_COUNTS: usize = 256;
+/// The header's count field when the count follows in its own word.
+const ESCAPED: u64 = u32::MAX as u64;
+/// Longest run one header can announce.
+const MAX_RUN: usize = u32::MAX as usize;
+
+impl KeyCounts {
+    /// Add `key` with `count`.
+    pub fn push(&mut self, key: u64, count: u64) {
+        self.run_mut(count).push(key);
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.runs().map(|(_, keys)| keys.len()).sum()
+    }
+
+    /// Whether there is no key.
+    pub fn is_empty(&self) -> bool {
+        self.runs().next().is_none()
+    }
+
+    /// The `(key, count)` entries, in ascending count.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.runs()
+            .flat_map(|(count, keys)| keys.iter().map(move |&key| (key, count)))
+    }
+
+    fn run_mut(&mut self, count: u64) -> &mut Vec<u64> {
+        match usize::try_from(count) {
+            Ok(c) if c < SMALL_COUNTS => {
+                if self.small.len() <= c {
+                    self.small.resize_with(c + 1, Vec::new);
+                }
+                &mut self.small[c]
+            }
+            _ => self.large.entry(count).or_default(),
+        }
+    }
+
+    /// The non-empty runs `(count, keys)`, in ascending count.
+    fn runs(&self) -> impl Iterator<Item = (u64, &[u64])> {
+        let small = self.small.iter().enumerate();
+        small
+            .map(|(count, keys)| (count as u64, keys.as_slice()))
+            .chain(self.large.iter().map(|(&c, keys)| (c, keys.as_slice())))
+            .filter(|(_, keys)| !keys.is_empty())
+    }
+
+    /// The runs as the wire carries them: none longer than [`MAX_RUN`].
+    fn wire_runs(&self) -> impl Iterator<Item = (u64, &[u64])> {
+        self.runs()
+            .flat_map(|(count, keys)| keys.chunks(MAX_RUN).map(move |run| (count, run)))
+    }
+}
+
+impl FromIterator<(u64, u64)> for KeyCounts {
+    fn from_iter<I: IntoIterator<Item = (u64, u64)>>(pairs: I) -> Self {
+        let mut counts = KeyCounts::default();
+        for (key, count) in pairs {
+            counts.push(key, count);
+        }
+        counts
+    }
+}
+
+impl WordCodec for KeyCounts {
+    fn encoded_len(&self) -> usize {
+        1 + self
+            .wire_runs()
+            .map(|(count, keys)| 1 + usize::from(count >= ESCAPED) + keys.len())
+            .sum::<usize>()
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.wire_runs().count() as u64);
+        for (count, keys) in self.wire_runs() {
+            out.push(count.min(ESCAPED) << 32 | keys.len() as u64);
+            if count >= ESCAPED {
+                out.push(count);
+            }
+            out.extend_from_slice(keys);
+        }
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
+        // Every run has a header word: a corrupt run count fails here and
+        // not after looping over it, and nothing below allocates more than
+        // the words that are really there.
+        if runs > r.remaining() as u64 {
+            return Err(decode_error::<Self>());
+        }
+        let mut counts = KeyCounts::default();
+        for _ in 0..runs {
+            let header = r.next_word().ok_or_else(decode_error::<Self>)?;
+            let len = header as u32 as usize;
+            let count = match header >> 32 {
+                ESCAPED => r.next_word().ok_or_else(decode_error::<Self>)?,
+                count => count,
+            };
+            if len > r.remaining() {
+                return Err(decode_error::<Self>());
+            }
+            let keys = counts.run_mut(count);
+            keys.reserve(len);
+            for _ in 0..len {
+                keys.push(r.next_word().ok_or_else(decode_error::<Self>)?);
+            }
+        }
+        Ok(counts)
+    }
+}
+
 /// Route locally aggregated `key → count` pairs to their owner PEs and return
 /// this PE's share of the global (sampled) counts, using the
 /// [`DhtFanout::Auto`] routing.
@@ -77,18 +233,21 @@ pub fn aggregate_counts_with<C: Communicator>(
 ) -> HashMap<u64, u64> {
     let p = comm.size();
     // Partition the local aggregate by owner.
-    let mut per_dest: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p];
+    let mut per_dest = vec![KeyCounts::default(); p];
     for (key, count) in local_counts {
-        per_dest[owner_of(key, p)].push((key, count));
+        per_dest[owner_of(key, p)].push(key, count);
     }
     let received = if fanout.is_direct(p) {
         comm.alltoall(per_dest)
     } else {
         comm.alltoall_indirect(per_dest)
     };
-    let mut owned: HashMap<u64, u64> = HashMap::new();
-    for chunk in received {
-        for (key, count) in chunk {
+    // The shares say how many entries arrive: size the map once (growing it
+    // re-hashes every key several times, which costs more than the routing).
+    let mut owned: HashMap<u64, u64> =
+        HashMap::with_capacity(received.iter().map(KeyCounts::len).sum());
+    for share in &received {
+        for (key, count) in share.iter() {
             debug_assert_eq!(
                 owner_of(key, p),
                 comm.rank(),
@@ -103,8 +262,131 @@ pub fn aggregate_counts_with<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::run_spmd;
+    use commsim::{run_spmd, run_spmd_mux, run_spmd_seq, CommError};
+    use datagen::Zipf;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use seqkit::hashagg::count_keys;
+
+    use crate::planner::Algorithm;
+    use crate::{FrequentParams, TopKFrequentResult};
+
+    fn wire(counts: &KeyCounts) -> Vec<u64> {
+        let mut out = Vec::new();
+        counts.encode(&mut out);
+        out
+    }
+
+    fn sorted(counts: &KeyCounts) -> Vec<(u64, u64)> {
+        let mut pairs: Vec<(u64, u64)> = counts.iter().collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// Encode, decode, and check the codec's two invariants; returns the
+    /// encoded length.
+    fn roundtrip(pairs: &[(u64, u64)]) -> usize {
+        let counts: KeyCounts = pairs.iter().copied().collect();
+        assert_eq!(counts.len(), pairs.len());
+        assert_eq!(counts.is_empty(), pairs.is_empty());
+        let words = wire(&counts);
+        assert_eq!(words.len(), counts.encoded_len(), "{pairs:?}");
+        let mut r = WordReader::new(&words);
+        let back = KeyCounts::decode(&mut r).expect("decode");
+        assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
+        assert_eq!(back, counts);
+        let mut expected = pairs.to_vec();
+        expected.sort_unstable();
+        assert_eq!(sorted(&back), expected);
+        words.len()
+    }
+
+    #[test]
+    fn key_counts_wire_layout_is_runs_of_equal_count_in_ascending_count() {
+        let counts: KeyCounts = [(7, 3), (4, 1), (9, 3), (5, 1), (6, 300)]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            wire(&counts),
+            vec![3, 1 << 32 | 2, 4, 5, 3 << 32 | 2, 7, 9, 300 << 32 | 1, 6]
+        );
+        // The first count that does not fit the header travels in its own word.
+        let fits = u64::from(u32::MAX) - 1;
+        let counts: KeyCounts = [(1, fits), (2, fits + 1)].into_iter().collect();
+        assert_eq!(
+            wire(&counts),
+            vec![2, fits << 32 | 1, 1, ESCAPED << 32 | 1, fits + 1, 2]
+        );
+    }
+
+    #[test]
+    fn key_counts_roundtrip_and_cost_one_word_per_key_and_per_run() {
+        assert_eq!(roundtrip(&[]), 1);
+        // All counts equal: one run.
+        let equal: Vec<(u64, u64)> = (0..100).map(|key| (key, 1)).collect();
+        assert_eq!(roundtrip(&equal), 1 + 100 + 1);
+        // All counts distinct, on both sides of the direct-indexed range: the
+        // pair form's size, never more.
+        let distinct: Vec<(u64, u64)> = (0..100).map(|key| (key, key * 7)).collect();
+        assert_eq!(roundtrip(&distinct), 1 + 2 * 100);
+        // The same key twice is two entries.
+        assert_eq!(roundtrip(&[(5, 2), (5, 2), (5, 9)]), 1 + 3 + 2);
+        // The count field's edge: 0 and 2³² − 2 fit it, 2³² − 1 and beyond
+        // take the escape word.
+        let edge = u64::from(u32::MAX);
+        assert_eq!(roundtrip(&[(1, 0), (2, 0)]), 1 + 2 + 1);
+        assert_eq!(roundtrip(&[(1, edge - 1), (2, edge - 1)]), 1 + 2 + 1);
+        assert_eq!(roundtrip(&[(1, edge), (2, edge)]), 1 + 2 + 2);
+        assert_eq!(roundtrip(&[(1, u64::MAX), (u64::MAX, u64::MAX)]), 1 + 2 + 2);
+        assert_eq!(
+            roundtrip(&[(1, 0), (2, edge - 1), (3, edge), (4, u64::MAX), (5, 0)]),
+            1 + 5 + 4 + 2
+        );
+    }
+
+    #[test]
+    fn key_counts_never_cost_more_than_pairs() {
+        let mut rng = StdRng::seed_from_u64(0x24);
+        for case in 0..200 {
+            let d = rng.gen_range(0..60usize);
+            // Skewed like a sample, flat, and wide enough to leave the
+            // direct-indexed range; no count needs the escape word.
+            let max_count = [4u64, 300, 1 << 31][case % 3];
+            let pairs: Vec<(u64, u64)> = (0..d)
+                .map(|_| (rng.gen_range(0..1u64 << 40), rng.gen_range(0..max_count)))
+                .collect();
+            let mut distinct: Vec<u64> = pairs.iter().map(|&(_, count)| count).collect();
+            distinct.sort_unstable();
+            distinct.dedup();
+            let words = roundtrip(&pairs);
+            assert_eq!(words, 1 + d + distinct.len(), "{pairs:?}");
+            assert!(words <= 1 + 2 * d);
+            // 1 + 2 + … + R ≤ m for R distinct positive counts summing to m.
+            let m: u64 = pairs.iter().map(|&(_, count)| count).sum();
+            let positive = distinct.iter().filter(|&&count| count > 0).count() as f64;
+            assert!(positive <= ((8.0 * m as f64 + 1.0).sqrt() - 1.0) / 2.0);
+        }
+    }
+
+    #[test]
+    fn corrupt_key_counts_fail_to_decode_without_panic_or_allocation() {
+        let decode = |words: &[u64]| KeyCounts::decode(&mut WordReader::new(words));
+        let is_decode_error = |r: CommResult<KeyCounts>| matches!(r, Err(CommError::Decode { .. }));
+        let good = wire(&[(1, 2), (3, 2), (4, u64::MAX)].into_iter().collect());
+        assert!(decode(&good).is_ok());
+        // Truncated anywhere: inside the keys, the escape word, a header,
+        // down to nothing.
+        for cut in 0..good.len() {
+            assert!(is_decode_error(decode(&good[..cut])), "cut at {cut}");
+        }
+        // A run count and a run length beyond the words that remain (a
+        // decoder that trusted either would loop or reserve 2⁶⁴ or 2³² words).
+        assert!(is_decode_error(decode(&[u64::MAX])));
+        assert!(is_decode_error(decode(&[3, 1 << 32, 1 << 32])));
+        assert!(is_decode_error(decode(&[1, 1 << 32 | 0xFFFF_FFFF, 7])));
+        assert!(is_decode_error(decode(&[1, 1 << 32 | 2, 7])));
+        assert!(is_decode_error(decode(&[1, ESCAPED << 32 | 1, 7])));
+    }
 
     #[test]
     fn counts_are_summed_across_pes_and_partitioned_by_owner() {
@@ -211,5 +493,129 @@ mod tests {
             "messages: {:?}",
             out.results
         );
+    }
+
+    fn zipf_parts(p: usize, per_pe: usize, universe: usize, seed: u64) -> Vec<Vec<u64>> {
+        let zipf = Zipf::new(universe, 1.0);
+        (0..p)
+            .map(|r| zipf.sample_many(per_pe, &mut StdRng::seed_from_u64(seed + r as u64)))
+            .collect()
+    }
+
+    /// The wire form changes what a share costs, not who owns what: under
+    /// both routings every PE ends up with the sequential oracle's map, and
+    /// under direct delivery a PE sends exactly `1 + d + R` words to each
+    /// other PE — its `d` keys for that owner in `R` runs.
+    #[test]
+    fn owned_maps_match_the_oracle_and_a_direct_share_costs_its_keys_and_runs() {
+        for p in [2usize, 5, 8] {
+            let locals: Vec<HashMap<u64, u64>> = zipf_parts(p, 4000, 1 << 10, 0x2400)
+                .into_iter()
+                .map(count_keys)
+                .collect();
+            let mut expected: Vec<HashMap<u64, u64>> = vec![HashMap::new(); p];
+            for (&key, &count) in locals.iter().flatten() {
+                *expected[owner_of(key, p)].entry(key).or_insert(0) += count;
+            }
+            let share_words = |src: usize, dst: usize| {
+                let share = locals[src]
+                    .iter()
+                    .filter(|(&key, _)| owner_of(key, p) == dst);
+                let runs: std::collections::BTreeSet<u64> =
+                    share.clone().map(|(_, &c)| c).collect();
+                (1 + share.count() + runs.len()) as u64
+            };
+            for fanout in [DhtFanout::Direct, DhtFanout::Hypercube] {
+                let out = run_spmd(p, |comm| {
+                    let before = comm.stats_snapshot();
+                    let owned = aggregate_counts_with(comm, locals[comm.rank()].clone(), fanout);
+                    (owned, comm.stats_snapshot().since(&before).sent_words)
+                });
+                for (rank, (owned, sent)) in out.results.iter().enumerate() {
+                    assert_eq!(owned, &expected[rank], "p={p} {fanout:?} rank {rank}");
+                    if fanout == DhtFanout::Direct {
+                        let words: u64 = (0..p)
+                            .filter(|&dst| dst != rank)
+                            .map(|dst| share_words(rank, dst))
+                            .sum();
+                        assert_eq!(*sent, words, "p={p} rank {rank}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Same answers, fewer words: every algorithm's result on one Zipf(1.0)
+    /// input (p = 4, n = 2¹⁷, k = 8, ε = 0.03 — PAC samples two thirds of it,
+    /// EC 297 elements), as recorded at commit fa30347 with `(key, count)`
+    /// pairs on the wire, under both routings and on all three engines.
+    #[test]
+    fn results_match_the_golden_values_recorded_with_pairs_on_the_wire() {
+        const SAMPLED: [(u64, u64); 8] = [
+            (1, 14497),
+            (2, 7490),
+            (3, 4938),
+            (4, 3829),
+            (5, 3018),
+            (6, 2509),
+            (7, 2043),
+            (8, 1831),
+        ];
+        const EXACT: [(u64, u64); 8] = [
+            (1, 14515),
+            (2, 7442),
+            (3, 4932),
+            (4, 3804),
+            (5, 2980),
+            (6, 2493),
+            (7, 2087),
+            (8, 1811),
+        ];
+        const CENTRALIZED: [(u64, u64); 8] = [
+            (1, 14509),
+            (2, 7401),
+            (3, 4926),
+            (4, 3807),
+            (5, 2975),
+            (6, 2501),
+            (7, 2067),
+            (8, 1779),
+        ];
+        let golden = |algorithm: Algorithm| {
+            let (items, sample_size, exact_counts) = match algorithm {
+                Algorithm::Pac => (SAMPLED, 85937, false),
+                Algorithm::Ec => (EXACT, 297, true),
+                Algorithm::Pec => (EXACT, 34072, true),
+                Algorithm::Naive | Algorithm::NaiveTree => (CENTRALIZED, 85956, false),
+            };
+            TopKFrequentResult {
+                items: items.to_vec(),
+                sample_size,
+                exact_counts,
+            }
+        };
+        let p = 4;
+        let parts = zipf_parts(p, 1 << 15, 1 << 12, 0x2400);
+        for fanout in [DhtFanout::Direct, DhtFanout::Hypercube] {
+            let params = FrequentParams::new(8, 0.03, 1e-3, 0x24).with_dht_fanout(fanout);
+            for algorithm in Algorithm::ALL {
+                let threads = run_spmd(p, |c| algorithm.run(c, &parts[c.rank()], &params));
+                let mux = run_spmd_mux(p, |c| algorithm.run(c, &parts[c.rank()], &params));
+                let inline = run_spmd_seq(p, |c| algorithm.run(c, &parts[c.rank()], &params));
+                for (engine, results) in [
+                    ("threads", &threads.results),
+                    ("mux", &mux.results),
+                    ("inline", &inline.results),
+                ] {
+                    for result in results {
+                        assert_eq!(
+                            result,
+                            &golden(algorithm),
+                            "{algorithm:?} {fanout:?} {engine}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,8 @@
 //!   tree.
 //!
 //! All algorithms share the distributed hash table of [`dht`] for sample
-//! counting and the result/parameter types defined here.
+//! counting, its [`dht::KeyCounts`] wire form (keys grouped by count) for
+//! every aggregate they ship, and the result/parameter types defined here.
 
 pub mod dht;
 pub mod ec;
@@ -32,6 +33,7 @@ pub mod naive;
 pub mod pac;
 pub mod pec;
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use commsim::Communicator;
@@ -150,9 +152,11 @@ pub fn exact_global_counts<C: Communicator>(comm: &C, local_data: &[u64]) -> Has
     let owned = dht::aggregate_counts(comm, local);
     // Gather all owned aggregates everywhere (oracle only — not part of the
     // communication-efficient algorithms).
-    let pairs: Vec<(u64, u64)> = owned.into_iter().collect();
-    let all: Vec<(u64, u64)> = comm.allgather(pairs).into_iter().flatten().collect();
-    all.into_iter().collect()
+    let owned: dht::KeyCounts = owned.into_iter().collect();
+    let all = comm.allgather(owned);
+    let mut counts = HashMap::with_capacity(all.iter().map(dht::KeyCounts::len).sum());
+    counts.extend(all.iter().flat_map(dht::KeyCounts::iter));
+    counts
 }
 
 /// Shared final step of the sampling algorithms: given this PE's share of a
@@ -160,7 +164,8 @@ pub fn exact_global_counts<C: Communicator>(comm: &C, local_data: &[u64]) -> Has
 /// global top-`k` entries by count, identical on every PE.
 ///
 /// Uses the unsorted selection algorithm of Section 4.1 on `(count, key)`
-/// pairs, then gathers only the `k` winners (`O(βk + α log p)`).
+/// pairs, then gathers only the `k` winners, grouped by count
+/// (`O(βk + α log p)`).
 pub fn select_top_counts<C: Communicator>(
     comm: &C,
     owned: &HashMap<u64, u64>,
@@ -182,10 +187,15 @@ pub fn select_top_counts<C: Communicator>(
     }
     // `distinct` is the selection's global input size: no second reduction.
     let selection = select_k_largest_known_total(comm, &items, distinct, k, seed);
-    let local_top: Vec<(u64, u64)> = selection.local_selected.into_iter().map(|r| r.0).collect();
-    let mut all: Vec<(u64, u64)> = comm.allgather(local_top).into_iter().flatten().collect();
-    all.sort_unstable_by(|a, b| b.cmp(a));
-    all.into_iter().map(|(count, key)| (key, count)).collect()
+    let local_top: dht::KeyCounts = selection
+        .local_selected
+        .into_iter()
+        .map(|Reverse((count, key))| (key, count))
+        .collect();
+    let all = comm.allgather(local_top);
+    let mut all: Vec<(u64, u64)> = all.iter().flat_map(dht::KeyCounts::iter).collect();
+    all.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
+    all
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use rand::SeedableRng;
 use seqkit::hashagg::{count_keys, merge_counts, top_k_by_count};
 use seqkit::sampling::bernoulli_sample;
 
-use super::{pac::sampling_probability, FrequentParams, TopKFrequentResult};
+use super::{dht::KeyCounts, pac::sampling_probability, FrequentParams, TopKFrequentResult};
 
 /// Tag for the Naive baseline's direct sends to the coordinator.
 const NAIVE_TAG: u64 = 0x7A1;
@@ -75,12 +75,12 @@ pub fn naive_top_k<C: Communicator>(
         // The coordinator receives p − 1 separate messages — the scalability
         // bottleneck the experiment is designed to show.
         for src in 1..comm.size() {
-            let incoming: Vec<(u64, u64)> = comm.recv(src, NAIVE_TAG);
-            merge_counts(&mut merged, incoming.into_iter().collect());
+            let incoming: KeyCounts = comm.recv(src, NAIVE_TAG);
+            merge_counts(&mut merged, incoming.iter());
         }
         Some(top_k_by_count(&merged, params.k))
     } else {
-        let outgoing: Vec<(u64, u64)> = local_counts.into_iter().collect();
+        let outgoing: KeyCounts = local_counts.into_iter().collect();
         comm.send(0, NAIVE_TAG, outgoing);
         None
     };
@@ -113,21 +113,20 @@ pub fn naive_tree_top_k<C: Communicator>(
     let (local_counts, local_size) = local_sample_counts(comm, local_data, params, n);
     let sample_size = comm.allreduce_sum(local_size);
 
-    // Merge hash maps (as sorted pair lists) up the reduction tree.
-    let local_pairs: Vec<(u64, u64)> = local_counts.into_iter().collect();
+    // Merge hash maps (on the wire: keys grouped by count) up the reduction
+    // tree.
+    let local: KeyCounts = local_counts.into_iter().collect();
     let merged = comm.reduce(
         0,
-        local_pairs,
-        &commsim::ReduceOp::custom(|a: &Vec<(u64, u64)>, b: &Vec<(u64, u64)>| {
-            let mut map: HashMap<u64, u64> = a.iter().copied().collect();
-            for &(k, c) in b {
-                *map.entry(k).or_insert(0) += c;
-            }
+        local,
+        &commsim::ReduceOp::custom(|a: &KeyCounts, b: &KeyCounts| {
+            let mut map: HashMap<u64, u64> = HashMap::with_capacity(a.len().max(b.len()));
+            merge_counts(&mut map, a.iter().chain(b.iter()));
             map.into_iter().collect()
         }),
     );
-    let items = merged.map(|pairs| {
-        let map: HashMap<u64, u64> = pairs.into_iter().collect();
+    let items = merged.map(|counts| {
+        let map: HashMap<u64, u64> = counts.iter().collect();
         top_k_by_count(&map, params.k)
     });
     let items = comm.broadcast(0, items);

@@ -27,8 +27,16 @@
 //!   ([`crate::unsorted`]'s level sample, pivot bracket and base case): per
 //!   level the sample's concatenating reduction onto PE `p − 1`, that PE's
 //!   pivot broadcast and the range-count all-reduction through PE 0, then
-//!   the same reduction and broadcast for the expected base-case survivors
-//!   — summed per PE, because the two roots are different PEs.
+//!   the same reduction and broadcast for the expected base-case survivors;
+//! * an aggregate on the wire is a [`KeyCounts`](crate::frequent::dht::KeyCounts)
+//!   — keys grouped by count — so a message of `d` keys whose counts sum to
+//!   `m` is charged `1 + d + R̂` words, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)`
+//!   being the most runs of distinct counts that mass can pay for;
+//! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
+//!   of the all-reductions, the baselines' coordinator) and rank `p − 1` (root
+//!   of the selection's samples), each direction on its own, and the busier
+//!   of the two is the prediction — the meter reads one PE's
+//!   `max(sent, received)`, not the sum of every collective's own bottleneck.
 //!
 //! Every planned execution ([`Plan::execute`]) meters reality with the
 //! existing [`commsim::StatsSnapshot`] deltas and records a [`PlanAudit`] —
@@ -610,15 +618,21 @@ impl Planner {
     /// every PE derives the identical [`RefreshPlan`] from the same inputs.
     pub fn plan_refresh(&self, p: usize, global_candidates: u64, k: usize) -> RefreshPlan {
         let d_local = global_candidates as f64 / p.max(1) as f64;
-        // Aggregation: route everyone's candidate pairs to their owners.
-        let (fanout, dht) = self.best_fanout(p, 2.0 * d_local);
-        // Distinct aggregate is at most the global pair count.
+        // The window counts' mass is not an input: every candidate is priced
+        // as a run of its own, the `1 + 2d` worst case.
+        let mass = f64::INFINITY;
+        // Aggregation: route everyone's candidates to their owners.
+        let (fanout, dht) = self.best_fanout(p, d_local, mass);
+        // Distinct aggregate is at most the global candidate count.
         let aggregate = global_candidates as f64;
-        let shared = dht.plus(predict::allreduce(p, 1.0));
+        let shared = Traffic::new(p).everywhere(dht).allreduce(1.0);
         let counts_only = shared
-            .plus(selection_cost(p, aggregate, k as f64))
-            .plus(allgather_pairs(p, k as f64));
-        let full_gather = shared.plus(allgather_pairs(p, aggregate));
+            .selection(aggregate, k as f64)
+            .everywhere(allgather_counts(p, k as f64, mass))
+            .bottleneck();
+        let full_gather = shared
+            .everywhere(allgather_counts(p, aggregate, mass))
+            .bottleneck();
         let use_counts_only =
             self.cost.predicted_cost(&counts_only) <= self.cost.predicted_cost(&full_gather);
         let predicted = if use_counts_only {
@@ -668,34 +682,26 @@ impl Planner {
         let d = |s: f64| expected_distinct(s, i.skew.universe, i.skew.exponent);
         let d_loc = |s: u64| d(s as f64 / p as f64);
 
-        match algorithm {
+        let (traffic, fanout, sample, k_star) = match algorithm {
             Algorithm::Pac => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let (fanout, dht) = self.best_fanout(p, 2.0 * d_loc(s));
-                let comm = predict::allreduce(p, 1.0) // global n
-                    .plus(dht)
-                    .plus(predict::allreduce(p, 1.0)) // global sample size
-                    .plus(self.top_counts_cost(p, d(s as f64), k));
-                (comm, fanout, s, i.k as u64)
+                let (fanout, traffic) =
+                    self.pac_stage(Traffic::new(p), s, d_loc(s), d(s as f64), k);
+                (traffic, fanout, s, i.k as u64)
             }
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let comm = self.ec_stage_cost(p, s, k_star, d_loc(s), d(s as f64));
-                let (fanout, _) = self.best_fanout(p, 2.0 * d_loc(s));
-                (comm, fanout, s, k_star as u64)
+                let (fanout, traffic) =
+                    self.ec_stage(Traffic::new(p), s, k_star, d_loc(s), d(s as f64));
+                (traffic, fanout, s, k_star as u64)
             }
             Algorithm::Pec => {
-                // Stage 1: the PAC machinery at the coarse ε₀.
+                // Stage 1: the PAC machinery at the coarse ε₀, and one more
+                // all-reduction for the k* count.
                 let epsilon0 = (i.epsilon * 20.0).min(0.05);
                 let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
-                let (_, dht0) = self.best_fanout(p, 2.0 * d_loc(s0));
-                let stage1 = predict::allreduce(p, 1.0)
-                    .plus(dht0)
-                    .plus(predict::allreduce(p, 1.0))
-                    .plus(self.top_counts_cost(p, d(s0 as f64), k))
-                    // one more allreduce: the k* count reduction
-                    .plus(predict::allreduce(p, 1.0));
+                let (_, stage1) = self.pac_stage(Traffic::new(p), s0, d_loc(s0), d(s0 as f64), k);
                 // Stage 2: EC with the Theorem-14 Zipf prediction of k*.
                 let z = i.skew.exponent.max(0.2);
                 let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
@@ -703,81 +709,100 @@ impl Planner {
                     .min(n as f64) as usize;
                 let k_star = k_star.max(i.k);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let stage2 = self.ec_stage_cost(p, s, k_star, d_loc(s), d(s as f64));
-                let (fanout, _) = self.best_fanout(p, 2.0 * d_loc(s));
-                (stage1.plus(stage2), fanout, s0 + s, k_star as u64)
+                let (fanout, traffic) =
+                    self.ec_stage(stage1.allreduce(1.0), s, k_star, d_loc(s), d(s as f64));
+                (traffic, fanout, s0 + s, k_star as u64)
             }
             Algorithm::Naive => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let dl = d_loc(s);
                 // The coordinator receives every PE's aggregated sample
                 // directly and broadcasts the winners.
-                let coordinator =
-                    PredictedComm::new((p as f64 - 1.0) * (2.0 * dl + 1.0), p as f64 - 1.0);
-                let comm = predict::allreduce(p, 1.0)
-                    .plus(coordinator)
-                    .plus(predict::broadcast(p, 2.0 * k + 1.0));
-                (comm, DhtFanout::Auto, s, i.k as u64)
+                let sample = key_counts_words(d_loc(s), s as f64 / p as f64);
+                let others = p as f64 - 1.0;
+                let traffic = Traffic::new(p).allreduce(1.0).exchange(
+                    REDUCER,
+                    PredictedComm::new(others * sample, others),
+                    sample,
+                    2.0 * k + 1.0,
+                );
+                (traffic, DhtFanout::Auto, s, i.k as u64)
             }
             Algorithm::NaiveTree => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
                 // Binomial merging tree: the root's child at level j carries
-                // the merged aggregate of a 2^j-PE subtree.
+                // the merged aggregate of a 2^j-PE subtree, a leaf its own.
+                let merged = |pes: f64| {
+                    let sample = s as f64 * pes / p as f64;
+                    key_counts_words(d(sample), sample)
+                };
                 let l = predict::rounds(p) as u32;
-                let mut root_recv = 0.0;
-                for j in 0..l {
-                    let subtree = (1u64 << j).min(p as u64) as f64;
-                    root_recv += 2.0 * d(s as f64 * subtree / p as f64) + 1.0;
-                }
-                let tree = PredictedComm::new(root_recv, l as f64);
-                let comm = predict::allreduce(p, 1.0)
-                    .plus(tree)
-                    .plus(predict::broadcast(p, 2.0 * k + 1.0));
-                (comm, DhtFanout::Auto, s, i.k as u64)
+                let root_recv: f64 = (0..l)
+                    .map(|j| merged((1u64 << j).min(p as u64) as f64))
+                    .sum();
+                let traffic = Traffic::new(p).allreduce(1.0).exchange(
+                    REDUCER,
+                    PredictedComm::new(root_recv, l as f64),
+                    merged(1.0),
+                    2.0 * k + 1.0,
+                );
+                (traffic, DhtFanout::Auto, s, i.k as u64)
             }
-        }
+        };
+        (traffic.bottleneck(), fanout, sample, k_star)
+    }
+
+    /// The PAC machinery: the size all-reduction, the DHT over the sample's
+    /// aggregate, the sample-size all-reduction and the top-`k` cut.
+    fn pac_stage(
+        &self,
+        traffic: Traffic,
+        sample: u64,
+        d_local: f64,
+        d_global: f64,
+        k: f64,
+    ) -> (DhtFanout, Traffic) {
+        let (fanout, dht) = self.best_fanout(traffic.p, d_local, sample as f64 / traffic.p as f64);
+        let traffic = traffic
+            .allreduce(1.0) // global n
+            .everywhere(dht)
+            .allreduce(1.0) // global sample size
+            .top_counts(d_global, k, sample as f64);
+        (fanout, traffic)
     }
 
     /// The EC machinery at a given `k*`: sample, DHT, candidate selection,
-    /// candidate all-gather, and the exact-count vector all-reduction.
-    fn ec_stage_cost(
+    /// candidate all-gather, and the exact-count vector all-reduction, with
+    /// the routing the DHT term was priced under.
+    fn ec_stage(
         &self,
-        p: usize,
+        traffic: Traffic,
         sample: u64,
         k_star: usize,
         d_local: f64,
         d_global: f64,
-    ) -> PredictedComm {
-        let (_, dht) = self.best_fanout(p, 2.0 * d_local);
+    ) -> (DhtFanout, Traffic) {
+        let (fanout, dht) = self.best_fanout(traffic.p, d_local, sample as f64 / traffic.p as f64);
         let aggregate = d_global.min(sample as f64);
         // `select_top_counts` clamps `k` to the aggregate's distinct count,
         // and the exact-count all-reduction is over the clamped candidate
         // set — model the same clamp or k* ≫ distinct over-charges EC badly.
         let k_eff = (k_star as f64).min(aggregate);
-        predict::allreduce(p, 1.0)
-            .plus(dht)
-            .plus(predict::allreduce(p, 1.0))
-            .plus(self.top_counts_cost(p, aggregate, k_eff))
-            .plus(predict::allreduce(p, k_eff + 1.0))
+        let traffic = traffic
+            .allreduce(1.0)
+            .everywhere(dht)
+            .allreduce(1.0)
+            .top_counts(aggregate, k_eff, sample as f64)
+            .allreduce(k_eff + 1.0);
+        (fanout, traffic)
     }
 
-    /// `select_top_counts`: the §4.1 unsorted selection over the aggregate
-    /// (its entry reduction is the distinct-count all-reduction) and the
-    /// winners' all-gather.  When `k` covers the whole aggregate the
-    /// selection short-circuits to one max-reduction and the winners'
-    /// all-gather *is* the aggregate.
-    fn top_counts_cost(&self, p: usize, aggregate: f64, k: f64) -> PredictedComm {
-        if k >= aggregate {
-            return predict::allreduce(p, 1.0)
-                .plus(predict::allreduce(p, 2.0))
-                .plus(allgather_pairs(p, aggregate));
-        }
-        selection_cost(p, aggregate, k).plus(allgather_pairs(p, k))
-    }
-
-    /// Choose the cheaper DHT routing for `m_total` payload words per PE and
-    /// return its prediction.
-    fn best_fanout(&self, p: usize, m_total: f64) -> (DhtFanout, PredictedComm) {
+    /// Choose the cheaper DHT routing for one PE's `d_local` distinct keys,
+    /// whose counts sum to `mass_local`, and return its prediction: one
+    /// [`KeyCounts`](crate::frequent::dht::KeyCounts) per destination, whose
+    /// leading word the all-to-all terms charge per message.
+    fn best_fanout(&self, p: usize, d_local: f64, mass_local: f64) -> (DhtFanout, PredictedComm) {
+        let shares = p.max(1) as f64;
+        let m_total = shares * (key_counts_words(d_local / shares, mass_local / shares) - 1.0);
         let direct = predict::alltoall_direct(p, m_total);
         let hypercube = predict::alltoall_hypercube(p, m_total);
         if self.cost.predicted_cost(&direct) <= self.cost.predicted_cost(&hypercube) {
@@ -788,10 +813,20 @@ impl Planner {
     }
 }
 
-/// All-gather of `total` 2-word `(key, count)` pairs spread evenly over the
-/// PEs: one `Vec` block per PE, which pays its own length word.
-fn allgather_pairs(p: usize, total: f64) -> PredictedComm {
-    predict::allgather(p, 2.0 * total / p.max(1) as f64 + 1.0)
+/// Words of one [`KeyCounts`](crate::frequent::dht::KeyCounts) of `d` keys
+/// whose counts sum to `mass`: `1 + d + R̂`, where `R̂ = min(d, ⌊(√(8·mass + 1)
+/// − 1)/2⌋)` is the most runs of distinct counts that mass can pay for
+/// (`1 + 2 + … + R ≤ mass`).
+fn key_counts_words(d: f64, mass: f64) -> f64 {
+    let runs = (((8.0 * mass + 1.0).sqrt() - 1.0) / 2.0).floor();
+    1.0 + d + runs.min(d)
+}
+
+/// All-gather of `total` keys with their counts, which sum to `mass`, spread
+/// evenly over the PEs: one `KeyCounts` block per PE.
+fn allgather_counts(p: usize, total: f64, mass: f64) -> PredictedComm {
+    let shares = p.max(1) as f64;
+    predict::allgather(p, key_counts_words(total / shares, mass / shares))
 }
 
 /// One PE's predicted traffic summed over a run of collectives, each
@@ -803,82 +838,141 @@ struct PeTraffic {
     received: PredictedComm,
 }
 
-/// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
-/// pairs spread across `p` PEs: the size all-reduction once at the entry,
-/// per narrowing level the [`level_sample`]'s concatenating reduction onto
-/// the sample root, that root's broadcast of the two pivots and the
-/// range-count vector all-reduction, and the same reduction and a
-/// one-element broadcast for the survivors once they fit the [`base_case`].
-/// The levels are the kernel's expected walk: sample element `i` of `m` has
-/// expected rank `(i + 1)·t/(m + 1)`, so the [`bracket`] around `q = k/t`
-/// predicts the three range sizes, and the walk recurses into the range
-/// holding `k` as the kernel does.
-///
-/// The all-reductions root at rank 0 and the sample at rank `p − 1`, and each
-/// of the two is a leaf of the other's tree: both are summed over the whole
-/// selection and the busier one is the prediction.  (Adding up the
-/// collectives' own bottlenecks would charge one PE for both roots, 2.5× the
-/// metered start-ups at p = 64.)
-fn selection_cost(p: usize, total: f64, k: f64) -> PredictedComm {
-    if p < 2 {
-        return PredictedComm::zero();
+/// The two PEs an algorithm's bottleneck can sit on, each with its traffic
+/// summed over the whole algorithm: the all-reductions (and the baselines'
+/// coordinator) root at rank 0, the selection's samples at rank `p − 1`, and
+/// each of the two is a leaf of the other's trees.  The busier one is the
+/// prediction.  (Adding up the collectives' own bottlenecks would charge one
+/// PE for both roots — 2.5× the metered start-ups of a selection at p = 64,
+/// and +39 % words on EC at p = 8, where selection and exact-count
+/// all-reduction are each half the traffic.)
+#[derive(Clone, Copy)]
+struct Traffic {
+    p: usize,
+    pes: [PeTraffic; 2],
+}
+
+/// [`Traffic`]'s index of rank 0.
+const REDUCER: usize = 0;
+/// [`Traffic`]'s index of rank `p − 1`.
+const SAMPLER: usize = 1;
+
+impl Traffic {
+    fn new(p: usize) -> Self {
+        Traffic {
+            p,
+            pes: [PeTraffic::default(); 2],
+        }
     }
-    // On the wire an element is its pair plus the tie-break tag.
-    const ELEMENT: f64 = 3.0;
-    const REDUCER: usize = 0;
-    const SAMPLER: usize = 1;
-    let mut pes = [PeTraffic::default(); 2];
-    // A reduction onto `root` followed by its broadcast: the root receives
-    // `up` and sends `down` words to each child; the other PE, a leaf of
-    // that tree, sends `up_leaf` words up and gets `down` words back.
-    let mut exchange = |root: usize, up: PredictedComm, up_leaf: f64, down: f64| {
-        pes[root].received = pes[root].received.plus(up);
-        pes[root].sent = pes[root].sent.plus(predict::broadcast(p, down));
-        let leaf = &mut pes[1 - root];
+
+    /// A collective that loads every PE alike, in both directions (the DHT's
+    /// all-to-all, an all-gather).
+    fn everywhere(mut self, comm: PredictedComm) -> Self {
+        for pe in &mut self.pes {
+            pe.sent = pe.sent.plus(comm);
+            pe.received = pe.received.plus(comm);
+        }
+        self
+    }
+
+    /// A reduction onto `root` followed by its broadcast: the root receives
+    /// `up` and sends `down` words to each child; the other PE, a leaf of
+    /// that tree, sends `up_leaf` words up and gets `down` words back.
+    fn exchange(mut self, root: usize, up: PredictedComm, up_leaf: f64, down: f64) -> Self {
+        if self.p < 2 {
+            return self;
+        }
+        let root_pe = &mut self.pes[root];
+        root_pe.received = root_pe.received.plus(up);
+        root_pe.sent = root_pe.sent.plus(predict::broadcast(self.p, down));
+        let leaf = &mut self.pes[1 - root];
         leaf.sent = leaf.sent.plus(PredictedComm::new(up_leaf, 1.0));
         leaf.received = leaf.received.plus(PredictedComm::new(down, 1.0));
-    };
-    // A PE's even share of `count` elements, as the words of its block.
-    let share = |count: f64| ELEMENT * count / p as f64;
-
-    let m = level_sample(p);
-    exchange(REDUCER, predict::reduce(p, 1.0), 1.0, 1.0);
-    let (mut t, mut k) = (total.max(0.0), k);
-    while t > base_case(p) as f64 {
-        // The pivots travel as an `Option` of a pair of elements.
-        let sample = share(m as f64);
-        let pivots = 1.0 + 2.0 * ELEMENT;
-        exchange(
-            SAMPLER,
-            predict::reduce_concat(p, sample),
-            sample + 1.0,
-            pivots,
-        );
-        exchange(REDUCER, predict::reduce(p, 4.0), 4.0, 4.0);
-        let (lo, hi) = bracket(m, (k / t).clamp(0.0, 1.0));
-        let below = t * (lo + 1) as f64 / (m + 1) as f64;
-        let upto = t * (hi + 1) as f64 / (m + 1) as f64;
-        (t, k) = if k <= below {
-            (below, k)
-        } else if k <= upto {
-            (upto - below, k - below)
-        } else {
-            (t - upto, k - upto)
-        };
+        self
     }
-    let rest = share(t);
-    exchange(
-        SAMPLER,
-        predict::reduce_concat(p, rest),
-        rest + 1.0,
-        ELEMENT,
-    );
 
-    let sums = pes.iter().flat_map(|pe| [pe.sent, pe.received]);
-    PredictedComm::new(
-        sums.clone().map(|c| c.words).fold(0.0, f64::max),
-        sums.map(|c| c.startups).fold(0.0, f64::max),
-    )
+    /// An all-reduction of `m` words through rank 0.
+    fn allreduce(self, m: f64) -> Self {
+        self.exchange(REDUCER, predict::reduce(self.p, m), m, m)
+    }
+
+    /// `select_top_counts`: the §4.1 unsorted selection over the aggregate
+    /// (its entry reduction is the distinct-count all-reduction) and the
+    /// winners' all-gather.  When `k` covers the whole aggregate the
+    /// selection short-circuits to one max-reduction and the winners'
+    /// all-gather *is* the aggregate.  `sample` is the global sample size —
+    /// all the mass the winners' counts can sum to.
+    fn top_counts(self, aggregate: f64, k: f64, sample: f64) -> Self {
+        if k >= aggregate {
+            return self
+                .allreduce(1.0)
+                .allreduce(2.0)
+                .everywhere(allgather_counts(self.p, aggregate, sample));
+        }
+        self.selection(aggregate, k)
+            .everywhere(allgather_counts(self.p, k, sample))
+    }
+
+    /// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
+    /// pairs spread across the PEs: the size all-reduction once at the entry,
+    /// per narrowing level the [`level_sample`]'s concatenating reduction onto
+    /// the sample root, that root's broadcast of the two pivots and the
+    /// range-count vector all-reduction, and the same reduction and a
+    /// one-element broadcast for the survivors once they fit the
+    /// [`base_case`].  The levels are the kernel's expected walk: sample
+    /// element `i` of `m` has expected rank `(i + 1)·t/(m + 1)`, so the
+    /// [`bracket`] around `q = k/t` predicts the three range sizes, and the
+    /// walk recurses into the range holding `k` as the kernel does.
+    fn selection(mut self, total: f64, k: f64) -> Self {
+        let p = self.p;
+        // On the wire an element is its pair plus the tie-break tag.
+        const ELEMENT: f64 = 3.0;
+        // A PE's even share of `count` elements, as the words of its block.
+        let share = |count: f64| ELEMENT * count / p as f64;
+
+        let m = level_sample(p);
+        self = self.allreduce(1.0);
+        let (mut t, mut k) = (total.max(0.0), k);
+        while t > base_case(p) as f64 {
+            // The pivots travel as an `Option` of a pair of elements.
+            let sample = share(m as f64);
+            let pivots = 1.0 + 2.0 * ELEMENT;
+            self = self
+                .exchange(
+                    SAMPLER,
+                    predict::reduce_concat(p, sample),
+                    sample + 1.0,
+                    pivots,
+                )
+                .allreduce(4.0);
+            let (lo, hi) = bracket(m, (k / t).clamp(0.0, 1.0));
+            let below = t * (lo + 1) as f64 / (m + 1) as f64;
+            let upto = t * (hi + 1) as f64 / (m + 1) as f64;
+            (t, k) = if k <= below {
+                (below, k)
+            } else if k <= upto {
+                (upto - below, k - below)
+            } else {
+                (t - upto, k - upto)
+            };
+        }
+        let rest = share(t);
+        self.exchange(
+            SAMPLER,
+            predict::reduce_concat(p, rest),
+            rest + 1.0,
+            ELEMENT,
+        )
+    }
+
+    /// The busier PE's busier direction, words and start-ups each.
+    fn bottleneck(&self) -> PredictedComm {
+        let sums = self.pes.iter().flat_map(|pe| [pe.sent, pe.received]);
+        PredictedComm::new(
+            sums.clone().map(|c| c.words).fold(0.0, f64::max),
+            sums.map(|c| c.startups).fold(0.0, f64::max),
+        )
+    }
 }
 
 #[cfg(test)]
@@ -987,7 +1081,7 @@ mod tests {
         );
     }
 
-    /// ROADMAP item 7: the level count `selection_cost` walks is the
+    /// ROADMAP item 7: the level count `Traffic::selection` walks is the
     /// kernel's, so its start-ups stay within ±50 % of a metered
     /// `select_k_smallest` — entry reduction, three collectives on two roots
     /// per narrowing level, base case — from few large PEs to many small ones.
@@ -1005,7 +1099,10 @@ mod tests {
                 crate::select_k_smallest(comm, &local, k, 7);
             });
             let measured = out.stats.bottleneck_messages() as f64;
-            let predicted = selection_cost(p, n as f64, k as f64).startups;
+            let predicted = Traffic::new(p)
+                .selection(n as f64, k as f64)
+                .bottleneck()
+                .startups;
             assert!(
                 (predicted - measured).abs() <= 0.5 * measured,
                 "p={p} n={n} k={k}: predicted {predicted} start-ups, metered {measured}"

@@ -36,8 +36,11 @@ where
     sums
 }
 
-/// Merge `src` into `dst` by adding counts.
-pub fn merge_counts<K: Eq + Hash>(dst: &mut HashMap<K, u64>, src: HashMap<K, u64>) {
+/// Merge the `(key, count)` entries of `src` into `dst` by adding counts.
+pub fn merge_counts<K: Eq + Hash>(
+    dst: &mut HashMap<K, u64>,
+    src: impl IntoIterator<Item = (K, u64)>,
+) {
     for (k, v) in src {
         *dst.entry(k).or_insert(0) += v;
     }

@@ -811,7 +811,14 @@ impl StreamService {
             // yields the same global top-`take`.
             items
         };
-        let mut all: Vec<(u64, u64)> = comm.allgather(winners).into_iter().flatten().collect();
+        // On the wire the winners are an aggregate like any other: ids
+        // grouped by count.
+        let winners: dht::KeyCounts = winners.into_iter().map(|(c, id)| (id, c)).collect();
+        let all = comm.allgather(winners);
+        let mut all: Vec<(u64, u64)> = all
+            .iter()
+            .flat_map(|part| part.iter().map(|(id, c)| (c, id)))
+            .collect();
         all.sort_unstable_by(|a, b| b.cmp(a));
         all.truncate(take);
         self.snapshot = all

@@ -9,7 +9,8 @@
 //! * the bulk queue drains any insert schedule in global order;
 //! * the word-count metering is additive;
 //! * the word codec round-trips every implementing type, with the wire
-//!   length equal to the metered word count;
+//!   length equal to the metered word count (and an aggregate grouped by
+//!   count never costs more than its pairs);
 //! * the SPMD collective suite gives identical results and identical metered
 //!   traffic on **all three** runners (threaded `Comm`; the replay engine's
 //!   `MuxComm` driven inline by `run_spmd_seq` and by a pool with fewer
@@ -23,6 +24,7 @@ use proptest::prelude::*;
 use topk_selection::commsim::{CommData, WordReader};
 use topk_selection::prelude::*;
 use topk_selection::topk::branch_bound::BnbNode;
+use topk_selection::topk::frequent::dht::KeyCounts;
 
 /// Round-trip a value through its wire encoding, checking the three
 /// codec invariants: exact declared length, equality after decode, and full
@@ -432,6 +434,35 @@ proptest! {
         codec_roundtrip((1u64, nums.clone(), false))?;
         codec_roundtrip((1u8, 2u16, 3u32, nums.clone()))?;
         codec_roundtrip(nums.iter().map(|&v| (v, v / 2)).collect::<Vec<(u64, u64)>>())?;
+    }
+
+    /// An aggregate on the wire: the multiset survives, counts on either side
+    /// of the header's 32-bit count field included, and below it `d` keys in
+    /// `R` runs cost `1 + d + R` words — never more than `d` pairs would.
+    #[test]
+    fn word_codec_roundtrips_key_counts(
+        keys in vec(0u64..u64::MAX, 0..40),
+        small in vec(0u64..6, 40..41),
+        wide in vec(0u64..u64::MAX, 40..41),
+    ) {
+        let skewed: Vec<(u64, u64)> = keys.iter().copied().zip(small.iter().copied()).collect();
+        let counts: KeyCounts = skewed.iter().copied().collect();
+        codec_roundtrip(counts.clone())?;
+        let mut runs: Vec<u64> = skewed.iter().map(|&(_, count)| count).collect();
+        runs.sort_unstable();
+        runs.dedup();
+        prop_assert_eq!(counts.word_count(), 1 + keys.len() + runs.len());
+        prop_assert!(counts.word_count() <= skewed.word_count());
+        let mut back: Vec<(u64, u64)> = counts.iter().collect();
+        back.sort_unstable();
+        let mut expected = skewed;
+        expected.sort_unstable();
+        prop_assert_eq!(back, expected);
+
+        // Counts from the whole u64 range, the escape boundary among them.
+        let edge = u64::from(u32::MAX);
+        let wide = wide.iter().copied().chain([0, edge - 1, edge, u64::MAX]);
+        codec_roundtrip(keys.iter().copied().cycle().zip(wide).collect::<KeyCounts>())?;
     }
 
     #[test]
