@@ -24,23 +24,34 @@
 //! Every aggregated sample of §7 — the DHT's per-destination shares, the
 //! Naive baselines' shipments to the coordinator, the winners' all-gather —
 //! crosses the wire as a [`KeyCounts`]: the keys grouped into *runs* of equal
-//! count, runs in ascending count.
+//! count, runs in ascending count, keys ascending inside a run, each run's
+//! keys Rice-coded as sorted gaps (the coding of Golomb-coded sets).
 //!
 //! ```text
-//! [ runs | header₁ key … key | header₂ key … key | … ]
-//!          header = count ≪ 32 | len
+//! [ runs | header₁ codes₁ | header₂ codes₂ | … ]
+//!          header = count ≪ 32 | r ≪ 26 | len
 //! ```
 //!
 //! A count of `2³² − 1` or more does not fit the header: its count field is
-//! all ones and the count follows in a word of its own.  A run of more than
-//! `2³² − 1` keys is split into several runs of the same count.  A message of
-//! `d` keys in `R` runs, none of them escaped, costs `1 + d + R` words.
-//! `R ≤ d`, so that is **never more than the `1 + 2d` words of `d` `(key,
-//! count)` pairs**, and as `1 + 2 + … + R ≤ m` for counts that sum to `m`,
-//! `R ≤ (√(8m + 1) − 1)/2`: a sample of a skewed input, where thousands of
-//! keys share each of the few small counts, costs little more than its keys.
-//! An escaped run costs one word more (only there can the pair form be
-//! shorter — no sampled count gets near 2³²).
+//! all ones and the count follows in a word of its own.  A run of `2²⁶` keys
+//! or more is split into several runs of the same count.  The `len` keys
+//! `x₁ ≤ … ≤ x_len` of a run travel as their gaps `x₁ − 0, x₂ − x₁, …`, each
+//! as its quotient `gap ≫ r` in unary (that many zero bits, then a one) and
+//! its `r` low bits, packed least significant bit first into whole words.
+//! The Rice parameter is `r = ⌊log₂ max(1, x_len / len)⌋`, so a gap costs
+//! about `r + 2` bits: dense keys — Zipf ranks, interned ids — cost a few bits
+//! each, and even random 64-bit keys save about `log₂ len` bits.  A run whose
+//! code would not be shorter than its `len` keys travels raw instead, flagged
+//! by `r = 63`.  Decoding accepts only this canonical order — `(count, key)`
+//! ascending through the message — so a decoded value's runs are sorted too.
+//!
+//! So a message of `d` keys in `R` runs, none of them escaped, costs at most
+//! `1 + d + R` words.  `R ≤ d`, so that is **never more than the `1 + 2d`
+//! words of `d` `(key, count)` pairs**, and as `1 + 2 + … + R ≤ m` for counts
+//! that sum to `m`, `R ≤ (√(8m + 1) − 1)/2`: a sample of a skewed input, where
+//! thousands of keys share each of the few small counts, costs little more
+//! than its codes.  An escaped run costs one word more (only there can the
+//! pair form be shorter — no sampled count gets near 2³²).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -83,10 +94,11 @@ impl DhtFanout {
 }
 
 /// A `key → count` multiset in the form it crosses the wire: the keys grouped
-/// by count (layout and cost in the [module docs](self)).  Keys are not
-/// deduplicated — a receiver sums what it gets into a map — and their order
-/// inside a run is the order they were pushed in, which is also what `==`
-/// compares (as a `Vec` of pairs would).
+/// by count, ascending inside each run (layout and cost in the [module
+/// docs](self)).  Keys are not deduplicated — a receiver sums what it gets
+/// into a map.  Each run is sorted once, when the value is collected, so the
+/// wire — and `==` — depend only on the multiset, not on the order the pairs
+/// came in (a `HashMap`'s, say).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KeyCounts {
     /// `small[c]` holds the keys of count `c < SMALL_COUNTS`, indexed
@@ -101,12 +113,16 @@ pub struct KeyCounts {
 const SMALL_COUNTS: usize = 256;
 /// The header's count field when the count follows in its own word.
 const ESCAPED: u64 = u32::MAX as u64;
+/// Bits of the header's length field.
+const LEN_BITS: u32 = 26;
 /// Longest run one header can announce.
-const MAX_RUN: usize = u32::MAX as usize;
+const MAX_RUN: usize = (1 << LEN_BITS) - 1;
+/// The header's Rice parameter for a run whose keys travel raw.
+const RAW: u32 = 63;
 
 impl KeyCounts {
-    /// Add `key` with `count`.
-    pub fn push(&mut self, key: u64, count: u64) {
+    /// Add `key` with `count`; the caller sorts the runs when it is done.
+    fn push(&mut self, key: u64, count: u64) {
         self.run_mut(count).push(key);
     }
 
@@ -120,7 +136,8 @@ impl KeyCounts {
         self.runs().next().is_none()
     }
 
-    /// The `(key, count)` entries, in ascending count.
+    /// The `(key, count)` entries, in ascending count, ascending key within a
+    /// count.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.runs()
             .flat_map(|(count, keys)| keys.iter().map(move |&key| (key, count)))
@@ -135,6 +152,14 @@ impl KeyCounts {
                 &mut self.small[c]
             }
             _ => self.large.entry(count).or_default(),
+        }
+    }
+
+    /// Establish the ascending key order inside every run.
+    fn sort_runs(&mut self) {
+        let small = self.small.iter_mut();
+        for keys in small.chain(self.large.values_mut()) {
+            keys.sort_unstable();
         }
     }
 
@@ -160,7 +185,129 @@ impl FromIterator<(u64, u64)> for KeyCounts {
         for (key, count) in pairs {
             counts.push(key, count);
         }
+        counts.sort_runs();
         counts
+    }
+}
+
+/// The gaps of ascending `keys`: the first key, then successive differences.
+fn gaps(keys: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    let previous = std::iter::once(&0).chain(keys);
+    keys.iter()
+        .zip(previous)
+        .map(|(key, previous)| key - previous)
+}
+
+/// How a run of ascending `keys` travels: its Rice parameter ([`RAW`] for
+/// raw keys) and the words it takes after its header.
+fn run_layout(keys: &[u64]) -> (u32, usize) {
+    let Some(&last) = keys.last() else {
+        return (RAW, 0);
+    };
+    let len = keys.len() as u64;
+    let r = (last / len).max(1).ilog2();
+    // The quotients sum to at most `last ≫ r < 2·len`: no overflow.
+    let bits = gaps(keys).map(|gap| gap >> r).sum::<u64>() + len * u64::from(1 + r);
+    let words = bits.div_ceil(64) as usize;
+    if r < RAW && words < keys.len() {
+        (r, words)
+    } else {
+        (RAW, keys.len())
+    }
+}
+
+/// Packs bits least significant first into whole words.
+struct BitWriter<'a> {
+    out: &'a mut Vec<u64>,
+    word: u64,
+    /// Bits of `word` filled, always below 64.
+    used: u32,
+}
+
+impl BitWriter<'_> {
+    /// Append the `bits ≤ 64` low bits of `value`, whose other bits are zero.
+    fn put(&mut self, value: u64, bits: u32) {
+        self.word |= value << self.used;
+        let free = 64 - self.used;
+        if bits < free {
+            self.used += bits;
+        } else {
+            self.out.push(self.word);
+            // Two shifts: `free` may be 64.
+            self.word = value >> (free - 1) >> 1;
+            self.used = bits - free;
+        }
+    }
+
+    /// `gap` as its quotient `gap ≫ r` in unary — that many zero bits, then a
+    /// one — and its `r < 63` low bits.
+    fn gap(&mut self, gap: u64, r: u32) {
+        let mut zeros = gap >> r;
+        while zeros >= 64 {
+            self.put(0, 64);
+            zeros -= 64;
+        }
+        self.put(1 << zeros, zeros as u32 + 1);
+        self.put(gap & ((1 << r) - 1), r);
+    }
+
+    /// Push the last, partly filled word.
+    fn finish(self) {
+        if self.used > 0 {
+            self.out.push(self.word);
+        }
+    }
+}
+
+/// Reads what [`BitWriter`] packed, taking a word from the reader only when
+/// it needs another bit.
+struct BitReader<'r, 'a> {
+    words: &'r mut WordReader<'a>,
+    /// The `left` unread bits of the current word, shifted down to bit 0;
+    /// the bits above them are zero.
+    word: u64,
+    left: u32,
+}
+
+impl BitReader<'_, '_> {
+    fn refill(&mut self) -> CommResult<()> {
+        self.word = self
+            .words
+            .next_word()
+            .ok_or_else(decode_error::<KeyCounts>)?;
+        self.left = 64;
+        Ok(())
+    }
+
+    /// One gap coded with Rice parameter `r < 63`.
+    fn gap(&mut self, r: u32) -> CommResult<u64> {
+        let mut quotient = 0u64;
+        while self.word == 0 {
+            // Every unread bit is a zero of the unary quotient.
+            quotient += u64::from(self.left);
+            self.refill()?;
+        }
+        let zeros = self.word.trailing_zeros();
+        quotient += u64::from(zeros);
+        // Two shifts: `zeros + 1` may be 64.
+        self.word = self.word >> zeros >> 1;
+        self.left -= zeros + 1;
+        if quotient > u64::MAX >> r {
+            return Err(decode_error::<KeyCounts>());
+        }
+        let mask = (1 << r) - 1;
+        let mut low = self.word & mask;
+        if r <= self.left {
+            self.word >>= r;
+            self.left -= r;
+        } else {
+            let got = self.left;
+            self.refill()?;
+            low |= (self.word << got) & mask;
+            self.word >>= r - got;
+            self.left -= r - got;
+        }
+        Ok(quotient << r | low)
     }
 }
 
@@ -168,44 +315,90 @@ impl WordCodec for KeyCounts {
     fn encoded_len(&self) -> usize {
         1 + self
             .wire_runs()
-            .map(|(count, keys)| 1 + usize::from(count >= ESCAPED) + keys.len())
+            .map(|(count, keys)| 1 + usize::from(count >= ESCAPED) + run_layout(keys).1)
             .sum::<usize>()
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.wire_runs().count() as u64);
         for (count, keys) in self.wire_runs() {
-            out.push(count.min(ESCAPED) << 32 | keys.len() as u64);
+            let (r, _) = run_layout(keys);
+            out.push(count.min(ESCAPED) << 32 | u64::from(r) << LEN_BITS | keys.len() as u64);
             if count >= ESCAPED {
                 out.push(count);
             }
-            out.extend_from_slice(keys);
+            if r == RAW {
+                out.extend_from_slice(keys);
+            } else {
+                let mut bits = BitWriter {
+                    out: &mut *out,
+                    word: 0,
+                    used: 0,
+                };
+                for gap in gaps(keys) {
+                    bits.gap(gap, r);
+                }
+                bits.finish();
+            }
         }
     }
 
+    /// Every encoding lists its `(count, key)` pairs in ascending order, and
+    /// only such a message decodes — so the decoded runs are sorted too.
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
         // Every run has a header word: a corrupt run count fails here and
-        // not after looping over it, and nothing below allocates more than
-        // the words that are really there.
+        // not after looping over it.  Every key takes a word of a raw run
+        // and at least a bit of a coded one, so nothing below reserves more
+        // keys than the remaining words can carry.
         if runs > r.remaining() as u64 {
             return Err(decode_error::<Self>());
         }
         let mut counts = KeyCounts::default();
+        let mut last = (0, 0);
         for _ in 0..runs {
             let header = r.next_word().ok_or_else(decode_error::<Self>)?;
-            let len = header as u32 as usize;
+            let len = (header & MAX_RUN as u64) as usize;
+            let rice = (header >> LEN_BITS) as u32 & RAW;
             let count = match header >> 32 {
                 ESCAPED => r.next_word().ok_or_else(decode_error::<Self>)?,
                 count => count,
             };
-            if len > r.remaining() {
+            let capacity = if rice == RAW {
+                r.remaining()
+            } else {
+                r.remaining().saturating_mul(64)
+            };
+            if len > capacity {
                 return Err(decode_error::<Self>());
             }
             let keys = counts.run_mut(count);
+            let start = keys.len();
             keys.reserve(len);
-            for _ in 0..len {
-                keys.push(r.next_word().ok_or_else(decode_error::<Self>)?);
+            if rice == RAW {
+                for _ in 0..len {
+                    keys.push(r.next_word().ok_or_else(decode_error::<Self>)?);
+                }
+            } else {
+                let mut bits = BitReader {
+                    words: &mut *r,
+                    word: 0,
+                    left: 0,
+                };
+                let mut key = 0u64;
+                for _ in 0..len {
+                    key = key
+                        .checked_add(bits.gap(rice)?)
+                        .ok_or_else(decode_error::<Self>)?;
+                    keys.push(key);
+                }
+            }
+            let run = &keys[start..];
+            if let (Some(&first), Some(&end)) = (run.first(), run.last()) {
+                if (count, first) < last || !run.is_sorted() {
+                    return Err(decode_error::<Self>());
+                }
+                last = (count, end);
             }
         }
         Ok(counts)
@@ -237,6 +430,7 @@ pub fn aggregate_counts_with<C: Communicator>(
     for (key, count) in local_counts {
         per_dest[owner_of(key, p)].push(key, count);
     }
+    per_dest.iter_mut().for_each(KeyCounts::sort_runs);
     let received = if fanout.is_direct(p) {
         comm.alltoall(per_dest)
     } else {
@@ -301,6 +495,11 @@ mod tests {
         words.len()
     }
 
+    /// The header of a run of `len` keys with `count` and Rice parameter `r`.
+    fn header(count: u64, r: u32, len: u64) -> u64 {
+        count << 32 | u64::from(r) << LEN_BITS | len
+    }
+
     #[test]
     fn key_counts_wire_layout_is_runs_of_equal_count_in_ascending_count() {
         let counts: KeyCounts = [(7, 3), (4, 1), (9, 3), (5, 1), (6, 300)]
@@ -308,58 +507,100 @@ mod tests {
             .collect();
         assert_eq!(
             wire(&counts),
-            vec![3, 1 << 32 | 2, 4, 5, 3 << 32 | 2, 7, 9, 300 << 32 | 1, 6]
+            vec![
+                3,
+                // Keys 4, 5: r = ⌊log₂(5/2)⌋ = 1, gaps 4 = 0b10·2 + 0 and
+                // 1 = 0·2 + 1 — bits `001 0` then `1 1`, lowest first.
+                header(1, 1, 2),
+                0b11_0100,
+                // Keys 7, 9: r = ⌊log₂(9/2)⌋ = 2, gaps 7 = 1·4 + 3 and
+                // 2 = 0·4 + 2 — bits `01 11` then `1 01`.
+                header(3, 2, 2),
+                0b101_1110,
+                // One key: its code would take a word too, so it travels raw.
+                header(300, RAW, 1),
+                6,
+            ]
         );
         // The first count that does not fit the header travels in its own word.
         let fits = u64::from(u32::MAX) - 1;
         let counts: KeyCounts = [(1, fits), (2, fits + 1)].into_iter().collect();
         assert_eq!(
             wire(&counts),
-            vec![2, fits << 32 | 1, 1, ESCAPED << 32 | 1, fits + 1, 2]
+            vec![
+                2,
+                header(fits, RAW, 1),
+                1,
+                header(ESCAPED, RAW, 1),
+                fits + 1,
+                2
+            ]
         );
+    }
+
+    /// The same multiset encodes to the same words whatever order its pairs
+    /// come in — a `HashMap`'s iteration order does not reach the wire.
+    #[test]
+    fn key_counts_encode_the_same_whatever_the_push_order() {
+        let mut rng = StdRng::seed_from_u64(0x25);
+        let pairs: Vec<(u64, u64)> = (0..500)
+            .map(|_| (rng.gen_range(0..1u64 << 12), rng.gen_range(1..5)))
+            .collect();
+        let forward: KeyCounts = pairs.iter().copied().collect();
+        let backward: KeyCounts = pairs.iter().rev().copied().collect();
+        assert_eq!(wire(&forward), wire(&backward));
+        assert_eq!(forward, backward);
     }
 
     #[test]
     fn key_counts_roundtrip_and_cost_one_word_per_key_and_per_run() {
         assert_eq!(roundtrip(&[]), 1);
-        // All counts equal: one run.
+        // All counts equal, dense keys: one run of 100 one-bit gaps and a
+        // leading zero, r = 0 — 199 bits in 4 words.
         let equal: Vec<(u64, u64)> = (0..100).map(|key| (key, 1)).collect();
-        assert_eq!(roundtrip(&equal), 1 + 100 + 1);
-        // All counts distinct, on both sides of the direct-indexed range: the
-        // pair form's size, never more.
+        assert_eq!(roundtrip(&equal), 1 + 1 + 4);
+        // All counts distinct, on both sides of the direct-indexed range: one
+        // raw key per run, the pair form's size.
         let distinct: Vec<(u64, u64)> = (0..100).map(|key| (key, key * 7)).collect();
         assert_eq!(roundtrip(&distinct), 1 + 2 * 100);
-        // The same key twice is two entries.
-        assert_eq!(roundtrip(&[(5, 2), (5, 2), (5, 9)]), 1 + 3 + 2);
+        // The same key twice is two entries (a zero gap).
+        assert_eq!(roundtrip(&[(5, 2), (5, 2), (5, 9)]), 1 + 2 + 1 + 1);
         // The count field's edge: 0 and 2³² − 2 fit it, 2³² − 1 and beyond
-        // take the escape word.
+        // take the escape word.  Keys 1 and 2 fit one coded word.
         let edge = u64::from(u32::MAX);
-        assert_eq!(roundtrip(&[(1, 0), (2, 0)]), 1 + 2 + 1);
-        assert_eq!(roundtrip(&[(1, edge - 1), (2, edge - 1)]), 1 + 2 + 1);
-        assert_eq!(roundtrip(&[(1, edge), (2, edge)]), 1 + 2 + 2);
+        assert_eq!(roundtrip(&[(1, 0), (2, 0)]), 1 + 1 + 1);
+        assert_eq!(roundtrip(&[(1, edge - 1), (2, edge - 1)]), 1 + 1 + 1);
+        assert_eq!(roundtrip(&[(1, edge), (2, edge)]), 1 + 2 + 1);
         assert_eq!(roundtrip(&[(1, u64::MAX), (u64::MAX, u64::MAX)]), 1 + 2 + 2);
         assert_eq!(
             roundtrip(&[(1, 0), (2, edge - 1), (3, edge), (4, u64::MAX), (5, 0)]),
-            1 + 5 + 4 + 2
+            1 + 4 + 2 + 4
         );
+        // Random 40-bit keys still save about log₂ d bits each: 64 keys in
+        // 36 words (r = 33, about 36 bits a key).
+        let mut rng = StdRng::seed_from_u64(0x25);
+        let random: Vec<(u64, u64)> = (0..64).map(|_| (rng.gen_range(0..1u64 << 40), 1)).collect();
+        assert_eq!(roundtrip(&random), 1 + 1 + 36);
     }
 
     #[test]
     fn key_counts_never_cost_more_than_pairs() {
         let mut rng = StdRng::seed_from_u64(0x24);
-        for case in 0..200 {
+        for case in 0..300 {
             let d = rng.gen_range(0..60usize);
             // Skewed like a sample, flat, and wide enough to leave the
-            // direct-indexed range; no count needs the escape word.
+            // direct-indexed range; no count needs the escape word.  Keys
+            // dense, 40-bit, and from the whole range.
             let max_count = [4u64, 300, 1 << 31][case % 3];
+            let max_key = [1u64 << 8, 1 << 40, u64::MAX][case / 3 % 3];
             let pairs: Vec<(u64, u64)> = (0..d)
-                .map(|_| (rng.gen_range(0..1u64 << 40), rng.gen_range(0..max_count)))
+                .map(|_| (rng.gen_range(0..max_key), rng.gen_range(0..max_count)))
                 .collect();
             let mut distinct: Vec<u64> = pairs.iter().map(|&(_, count)| count).collect();
             distinct.sort_unstable();
             distinct.dedup();
             let words = roundtrip(&pairs);
-            assert_eq!(words, 1 + d + distinct.len(), "{pairs:?}");
+            assert!(words <= 1 + d + distinct.len(), "{pairs:?}");
             assert!(words <= 1 + 2 * d);
             // 1 + 2 + … + R ≤ m for R distinct positive counts summing to m.
             let m: u64 = pairs.iter().map(|&(_, count)| count).sum();
@@ -372,20 +613,64 @@ mod tests {
     fn corrupt_key_counts_fail_to_decode_without_panic_or_allocation() {
         let decode = |words: &[u64]| KeyCounts::decode(&mut WordReader::new(words));
         let is_decode_error = |r: CommResult<KeyCounts>| matches!(r, Err(CommError::Decode { .. }));
-        let good = wire(&[(1, 2), (3, 2), (4, u64::MAX)].into_iter().collect());
+        // A coded run spread over several words, a raw run, an escaped one.
+        let mut pairs: Vec<(u64, u64)> = (0..200).map(|key| (key * 3, 2)).collect();
+        pairs.extend([(9, 5), (1 << 40, 5), (4, u64::MAX)]);
+        let good = wire(&pairs.into_iter().collect());
         assert!(decode(&good).is_ok());
-        // Truncated anywhere: inside the keys, the escape word, a header,
-        // down to nothing.
+        // Truncated anywhere: inside the codes, the raw keys, the escape
+        // word, a header, down to nothing.
         for cut in 0..good.len() {
             assert!(is_decode_error(decode(&good[..cut])), "cut at {cut}");
         }
-        // A run count and a run length beyond the words that remain (a
-        // decoder that trusted either would loop or reserve 2⁶⁴ or 2³² words).
+        // A run count beyond the words that remain (a decoder that trusted
+        // it would loop 2⁶⁴ times).
         assert!(is_decode_error(decode(&[u64::MAX])));
         assert!(is_decode_error(decode(&[3, 1 << 32, 1 << 32])));
-        assert!(is_decode_error(decode(&[1, 1 << 32 | 0xFFFF_FFFF, 7])));
-        assert!(is_decode_error(decode(&[1, 1 << 32 | 2, 7])));
-        assert!(is_decode_error(decode(&[1, ESCAPED << 32 | 1, 7])));
+        // A coded run longer than 64 keys per remaining word, a raw run
+        // longer than one key per remaining word (either would reserve more
+        // than the words can carry), and a count's escape word missing.
+        assert!(is_decode_error(decode(&[1, header(1, 0, 65), u64::MAX])));
+        assert!(is_decode_error(decode(&[
+            1,
+            header(1, 0, MAX_RUN as u64),
+            7
+        ])));
+        assert!(is_decode_error(decode(&[1, header(1, RAW, 2), 7])));
+        assert!(is_decode_error(decode(&[1, header(ESCAPED, RAW, 1), 7])));
+        // A unary quotient running off the end: no one bit in what is left.
+        assert!(is_decode_error(decode(&[1, header(1, 0, 1), 0])));
+        assert!(is_decode_error(decode(&[1, header(1, 0, 2), 1])));
+        // A gap beyond u64 (quotient 4 at r = 62), and two gaps of 3·2⁶² that
+        // each fit but whose sum, the second key, does not.
+        assert!(is_decode_error(decode(&[1, header(1, 62, 1), 1 << 4, 0])));
+        assert!(is_decode_error(decode(&[
+            1,
+            header(1, 62, 2),
+            1 << 3,
+            1 << 5,
+            0
+        ])));
+        assert!(decode(&[1, header(1, 62, 1), 1 << 3, 0]).is_ok());
+        // Out of the order every encoding follows: descending keys in a raw
+        // run, a run of lower count after a higher one, and a run of the same
+        // count that does not continue above the last key.
+        assert!(is_decode_error(decode(&[1, header(1, RAW, 2), 9, 4])));
+        assert!(is_decode_error(decode(&[
+            2,
+            header(3, RAW, 1),
+            4,
+            header(1, RAW, 1),
+            9
+        ])));
+        assert!(is_decode_error(decode(&[
+            2,
+            header(3, RAW, 1),
+            9,
+            header(3, RAW, 1),
+            4
+        ])));
+        assert!(decode(&[2, header(3, RAW, 1), 4, header(3, RAW, 1), 9]).is_ok());
     }
 
     #[test]
@@ -504,10 +789,10 @@ mod tests {
 
     /// The wire form changes what a share costs, not who owns what: under
     /// both routings every PE ends up with the sequential oracle's map, and
-    /// under direct delivery a PE sends exactly `1 + d + R` words to each
-    /// other PE — its `d` keys for that owner in `R` runs.
+    /// under direct delivery a PE sends each other PE exactly the
+    /// `encoded_len` of its keys for that owner.
     #[test]
-    fn owned_maps_match_the_oracle_and_a_direct_share_costs_its_keys_and_runs() {
+    fn owned_maps_match_the_oracle_and_a_direct_share_costs_its_encoded_len() {
         for p in [2usize, 5, 8] {
             let locals: Vec<HashMap<u64, u64>> = zipf_parts(p, 4000, 1 << 10, 0x2400)
                 .into_iter()
@@ -518,12 +803,12 @@ mod tests {
                 *expected[owner_of(key, p)].entry(key).or_insert(0) += count;
             }
             let share_words = |src: usize, dst: usize| {
-                let share = locals[src]
+                let share: KeyCounts = locals[src]
                     .iter()
-                    .filter(|(&key, _)| owner_of(key, p) == dst);
-                let runs: std::collections::BTreeSet<u64> =
-                    share.clone().map(|(_, &c)| c).collect();
-                (1 + share.count() + runs.len()) as u64
+                    .filter(|(&key, _)| owner_of(key, p) == dst)
+                    .map(|(&key, &count)| (key, count))
+                    .collect();
+                share.encoded_len() as u64
             };
             for fanout in [DhtFanout::Direct, DhtFanout::Hypercube] {
                 let out = run_spmd(p, |comm| {

@@ -29,9 +29,12 @@
 //!   pivot broadcast and the range-count all-reduction through PE 0, then
 //!   the same reduction and broadcast for the expected base-case survivors;
 //! * an aggregate on the wire is a [`KeyCounts`](crate::frequent::dht::KeyCounts)
-//!   — keys grouped by count — so a message of `d` keys whose counts sum to
-//!   `m` is charged `1 + d + R̂` words, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)`
-//!   being the most runs of distinct counts that mass can pay for;
+//!   — keys grouped by count, each run Rice-coded as sorted gaps — so a
+//!   message of `d` keys out of the fitted universe `U` whose counts sum to
+//!   `m` is charged `1 + R̂` header words, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)`
+//!   being the most runs of distinct counts that mass can pay for, plus
+//!   `d·(log₂(U/d) + 2)` bits of codes, capped at the `1 + d + R̂` words of
+//!   raw keys (the refresh plan knows no universe and pays the cap);
 //! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
 //!   of the all-reductions, the baselines' coordinator) and rank `p − 1` (root
 //!   of the selection's samples), each direction on its own, and the busier
@@ -618,20 +621,21 @@ impl Planner {
     /// every PE derives the identical [`RefreshPlan`] from the same inputs.
     pub fn plan_refresh(&self, p: usize, global_candidates: u64, k: usize) -> RefreshPlan {
         let d_local = global_candidates as f64 / p.max(1) as f64;
-        // The window counts' mass is not an input: every candidate is priced
-        // as a run of its own, the `1 + 2d` worst case.
+        // Neither the window counts' mass nor the ids' range is an input:
+        // every candidate is priced as a raw key in a run of its own, the
+        // `1 + 2d` worst case.
         let mass = f64::INFINITY;
         // Aggregation: route everyone's candidates to their owners.
-        let (fanout, dht) = self.best_fanout(p, d_local, mass);
+        let (fanout, dht) = self.best_fanout(p, d_local, mass, UNKNOWN_UNIVERSE);
         // Distinct aggregate is at most the global candidate count.
         let aggregate = global_candidates as f64;
         let shared = Traffic::new(p).everywhere(dht).allreduce(1.0);
         let counts_only = shared
             .selection(aggregate, k as f64)
-            .everywhere(allgather_counts(p, k as f64, mass))
+            .everywhere(allgather_counts(p, k as f64, mass, UNKNOWN_UNIVERSE))
             .bottleneck();
         let full_gather = shared
-            .everywhere(allgather_counts(p, aggregate, mass))
+            .everywhere(allgather_counts(p, aggregate, mass, UNKNOWN_UNIVERSE))
             .bottleneck();
         let use_counts_only =
             self.cost.predicted_cost(&counts_only) <= self.cost.predicted_cost(&full_gather);
@@ -681,19 +685,20 @@ impl Planner {
         // (one PE's share) under the fitted Zipf model.
         let d = |s: f64| expected_distinct(s, i.skew.universe, i.skew.exponent);
         let d_loc = |s: u64| d(s as f64 / p as f64);
+        let u = i.skew.universe as f64;
 
         let (traffic, fanout, sample, k_star) = match algorithm {
             Algorithm::Pac => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
                 let (fanout, traffic) =
-                    self.pac_stage(Traffic::new(p), s, d_loc(s), d(s as f64), k);
+                    self.pac_stage(Traffic::new(p), s, d_loc(s), d(s as f64), k, u);
                 (traffic, fanout, s, i.k as u64)
             }
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
                 let (fanout, traffic) =
-                    self.ec_stage(Traffic::new(p), s, k_star, d_loc(s), d(s as f64));
+                    self.ec_stage(Traffic::new(p), s, k_star, d_loc(s), d(s as f64), u);
                 (traffic, fanout, s, k_star as u64)
             }
             Algorithm::Pec => {
@@ -701,7 +706,8 @@ impl Planner {
                 // all-reduction for the k* count.
                 let epsilon0 = (i.epsilon * 20.0).min(0.05);
                 let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
-                let (_, stage1) = self.pac_stage(Traffic::new(p), s0, d_loc(s0), d(s0 as f64), k);
+                let (_, stage1) =
+                    self.pac_stage(Traffic::new(p), s0, d_loc(s0), d(s0 as f64), k, u);
                 // Stage 2: EC with the Theorem-14 Zipf prediction of k*.
                 let z = i.skew.exponent.max(0.2);
                 let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
@@ -710,14 +716,14 @@ impl Planner {
                 let k_star = k_star.max(i.k);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
                 let (fanout, traffic) =
-                    self.ec_stage(stage1.allreduce(1.0), s, k_star, d_loc(s), d(s as f64));
+                    self.ec_stage(stage1.allreduce(1.0), s, k_star, d_loc(s), d(s as f64), u);
                 (traffic, fanout, s0 + s, k_star as u64)
             }
             Algorithm::Naive => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
                 // The coordinator receives every PE's aggregated sample
                 // directly and broadcasts the winners.
-                let sample = key_counts_words(d_loc(s), s as f64 / p as f64);
+                let sample = key_counts_words(d_loc(s), s as f64 / p as f64, u);
                 let others = p as f64 - 1.0;
                 let traffic = Traffic::new(p).allreduce(1.0).exchange(
                     REDUCER,
@@ -733,7 +739,7 @@ impl Planner {
                 // the merged aggregate of a 2^j-PE subtree, a leaf its own.
                 let merged = |pes: f64| {
                     let sample = s as f64 * pes / p as f64;
-                    key_counts_words(d(sample), sample)
+                    key_counts_words(d(sample), sample, u)
                 };
                 let l = predict::rounds(p) as u32;
                 let root_recv: f64 = (0..l)
@@ -752,7 +758,8 @@ impl Planner {
     }
 
     /// The PAC machinery: the size all-reduction, the DHT over the sample's
-    /// aggregate, the sample-size all-reduction and the top-`k` cut.
+    /// aggregate, the sample-size all-reduction and the top-`k` cut.  Keys
+    /// are drawn from `universe` distinct values.
     fn pac_stage(
         &self,
         traffic: Traffic,
@@ -760,13 +767,15 @@ impl Planner {
         d_local: f64,
         d_global: f64,
         k: f64,
+        universe: f64,
     ) -> (DhtFanout, Traffic) {
-        let (fanout, dht) = self.best_fanout(traffic.p, d_local, sample as f64 / traffic.p as f64);
+        let mass_local = sample as f64 / traffic.p as f64;
+        let (fanout, dht) = self.best_fanout(traffic.p, d_local, mass_local, universe);
         let traffic = traffic
             .allreduce(1.0) // global n
             .everywhere(dht)
             .allreduce(1.0) // global sample size
-            .top_counts(d_global, k, sample as f64);
+            .top_counts(d_global, k, sample as f64, universe);
         (fanout, traffic)
     }
 
@@ -780,8 +789,10 @@ impl Planner {
         k_star: usize,
         d_local: f64,
         d_global: f64,
+        universe: f64,
     ) -> (DhtFanout, Traffic) {
-        let (fanout, dht) = self.best_fanout(traffic.p, d_local, sample as f64 / traffic.p as f64);
+        let mass_local = sample as f64 / traffic.p as f64;
+        let (fanout, dht) = self.best_fanout(traffic.p, d_local, mass_local, universe);
         let aggregate = d_global.min(sample as f64);
         // `select_top_counts` clamps `k` to the aggregate's distinct count,
         // and the exact-count all-reduction is over the clamped candidate
@@ -791,18 +802,27 @@ impl Planner {
             .allreduce(1.0)
             .everywhere(dht)
             .allreduce(1.0)
-            .top_counts(aggregate, k_eff, sample as f64)
+            .top_counts(aggregate, k_eff, sample as f64, universe)
             .allreduce(k_eff + 1.0);
         (fanout, traffic)
     }
 
-    /// Choose the cheaper DHT routing for one PE's `d_local` distinct keys,
-    /// whose counts sum to `mass_local`, and return its prediction: one
-    /// [`KeyCounts`](crate::frequent::dht::KeyCounts) per destination, whose
-    /// leading word the all-to-all terms charge per message.
-    fn best_fanout(&self, p: usize, d_local: f64, mass_local: f64) -> (DhtFanout, PredictedComm) {
+    /// Choose the cheaper DHT routing for one PE's `d_local` distinct keys of
+    /// `universe`, whose counts sum to `mass_local`, and return its
+    /// prediction: one [`KeyCounts`](crate::frequent::dht::KeyCounts) per
+    /// destination, whose leading word the all-to-all terms charge per
+    /// message.  A destination's share is `1/p` of the keys, but hashing
+    /// spreads them over the whole universe.
+    fn best_fanout(
+        &self,
+        p: usize,
+        d_local: f64,
+        mass_local: f64,
+        universe: f64,
+    ) -> (DhtFanout, PredictedComm) {
         let shares = p.max(1) as f64;
-        let m_total = shares * (key_counts_words(d_local / shares, mass_local / shares) - 1.0);
+        let share = key_counts_words(d_local / shares, mass_local / shares, universe);
+        let m_total = shares * (share - 1.0);
         let direct = predict::alltoall_direct(p, m_total);
         let hypercube = predict::alltoall_hypercube(p, m_total);
         if self.cost.predicted_cost(&direct) <= self.cost.predicted_cost(&hypercube) {
@@ -813,20 +833,27 @@ impl Planner {
     }
 }
 
+/// The universe of a caller that does not know its keys' range: its
+/// aggregates are priced as raw keys.
+const UNKNOWN_UNIVERSE: f64 = f64::INFINITY;
+
 /// Words of one [`KeyCounts`](crate::frequent::dht::KeyCounts) of `d` keys
-/// whose counts sum to `mass`: `1 + d + R̂`, where `R̂ = min(d, ⌊(√(8·mass + 1)
-/// − 1)/2⌋)` is the most runs of distinct counts that mass can pay for
-/// (`1 + 2 + … + R ≤ mass`).
-fn key_counts_words(d: f64, mass: f64) -> f64 {
-    let runs = (((8.0 * mass + 1.0).sqrt() - 1.0) / 2.0).floor();
-    1.0 + d + runs.min(d)
+/// out of `universe` whose counts sum to `mass`: a header word for each of
+/// `R̂ = min(d, ⌊(√(8·mass + 1) − 1)/2⌋)` runs — the most runs of distinct
+/// counts that mass can pay for (`1 + 2 + … + R ≤ mass`) — and `d` Rice-coded
+/// gaps of about `log₂(universe/d) + 2` bits each, but never more than the
+/// `1 + d + R̂` words of raw keys.
+fn key_counts_words(d: f64, mass: f64, universe: f64) -> f64 {
+    let runs = (((8.0 * mass + 1.0).sqrt() - 1.0) / 2.0).floor().min(d);
+    let bits = (universe / d.max(1.0)).log2().max(0.0) + 2.0;
+    1.0 + runs + (d * bits / 64.0).min(d)
 }
 
-/// All-gather of `total` keys with their counts, which sum to `mass`, spread
-/// evenly over the PEs: one `KeyCounts` block per PE.
-fn allgather_counts(p: usize, total: f64, mass: f64) -> PredictedComm {
+/// All-gather of `total` keys out of `universe` with their counts, which sum
+/// to `mass`, spread evenly over the PEs: one `KeyCounts` block per PE.
+fn allgather_counts(p: usize, total: f64, mass: f64, universe: f64) -> PredictedComm {
     let shares = p.max(1) as f64;
-    predict::allgather(p, key_counts_words(total / shares, mass / shares))
+    predict::allgather(p, key_counts_words(total / shares, mass / shares, universe))
 }
 
 /// One PE's predicted traffic summed over a run of collectives, each
@@ -901,16 +928,17 @@ impl Traffic {
     /// winners' all-gather.  When `k` covers the whole aggregate the
     /// selection short-circuits to one max-reduction and the winners'
     /// all-gather *is* the aggregate.  `sample` is the global sample size —
-    /// all the mass the winners' counts can sum to.
-    fn top_counts(self, aggregate: f64, k: f64, sample: f64) -> Self {
+    /// all the mass the winners' counts can sum to, and the keys are drawn
+    /// from `universe`.
+    fn top_counts(self, aggregate: f64, k: f64, sample: f64, universe: f64) -> Self {
         if k >= aggregate {
             return self
                 .allreduce(1.0)
                 .allreduce(2.0)
-                .everywhere(allgather_counts(self.p, aggregate, sample));
+                .everywhere(allgather_counts(self.p, aggregate, sample, universe));
         }
         self.selection(aggregate, k)
-            .everywhere(allgather_counts(self.p, k, sample))
+            .everywhere(allgather_counts(self.p, k, sample, universe))
     }
 
     /// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
@@ -1108,6 +1136,21 @@ mod tests {
                 "p={p} n={n} k={k}: predicted {predicted} start-ups, metered {measured}"
             );
         }
+    }
+
+    #[test]
+    fn key_counts_are_priced_as_codes_capped_at_raw_keys() {
+        // Mass 10 pays for at most 4 runs of distinct counts.  Unknown
+        // universe: 100 raw keys.
+        assert_eq!(
+            key_counts_words(100.0, 10.0, UNKNOWN_UNIVERSE),
+            1.0 + 4.0 + 100.0
+        );
+        // 100 keys out of 6400: gaps of 64, 8 bits a key.
+        assert_eq!(key_counts_words(100.0, 10.0, 6400.0), 1.0 + 4.0 + 12.5);
+        // Codes longer than a word a key are capped at the raw price.
+        assert_eq!(key_counts_words(2.0, 1.0, 1e30), 1.0 + 1.0 + 2.0);
+        assert_eq!(key_counts_words(0.0, 0.0, 6400.0), 1.0);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! 1. **Bounded regret** — across a quick-scale grid of (n, k, p, skew)
 //!    cells, the planner's pick never moves more than 1.3× the measured
 //!    bottleneck words/PE of the empirically best algorithm for that cell
-//!    (worst cell of the grid: 1.23×, a hypercube fan-out picked where the
-//!    direct routing moves fewer words).
+//!    (worst cell of the grid: 1.004× since aggregates are Rice-coded,
+//!    1.15× before, a hypercube fan-out picked where the direct routing
+//!    moves fewer words).
 //!    The model may misrank close calls; it must not pick a blowout.
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,

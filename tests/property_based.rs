@@ -436,33 +436,47 @@ proptest! {
         codec_roundtrip(nums.iter().map(|&v| (v, v / 2)).collect::<Vec<(u64, u64)>>())?;
     }
 
-    /// An aggregate on the wire: the multiset survives, counts on either side
-    /// of the header's 32-bit count field included, and below it `d` keys in
-    /// `R` runs cost `1 + d + R` words — never more than `d` pairs would.
+    /// An aggregate on the wire: the multiset survives — keys from the whole
+    /// u64 range, dense keys, the same key repeated, counts on either side of
+    /// the header's 32-bit count field — and below it `d` keys in `R` runs
+    /// cost at most `1 + d + R` words, never more than `d` pairs would.
     #[test]
     fn word_codec_roundtrips_key_counts(
         keys in vec(0u64..u64::MAX, 0..40),
-        small in vec(0u64..6, 40..41),
+        dense in vec(0u64..1 << 16, 0..200),
+        repeats in 1usize..4,
+        small in vec(0u64..6, 200..201),
         wide in vec(0u64..u64::MAX, 40..41),
     ) {
-        let skewed: Vec<(u64, u64)> = keys.iter().copied().zip(small.iter().copied()).collect();
-        let counts: KeyCounts = skewed.iter().copied().collect();
-        codec_roundtrip(counts.clone())?;
-        let mut runs: Vec<u64> = skewed.iter().map(|&(_, count)| count).collect();
-        runs.sort_unstable();
-        runs.dedup();
-        prop_assert_eq!(counts.word_count(), 1 + keys.len() + runs.len());
-        prop_assert!(counts.word_count() <= skewed.word_count());
-        let mut back: Vec<(u64, u64)> = counts.iter().collect();
-        back.sort_unstable();
-        let mut expected = skewed;
-        expected.sort_unstable();
-        prop_assert_eq!(back, expected);
+        let repeated = dense.iter().flat_map(|&key| std::iter::repeat_n(key, repeats));
+        for keys in [keys.clone(), dense.clone(), repeated.collect()] {
+            let skewed: Vec<(u64, u64)> = keys.iter().copied().zip(small.iter().copied()).collect();
+            let counts: KeyCounts = skewed.iter().copied().collect();
+            codec_roundtrip(counts.clone())?;
+            let mut runs: Vec<u64> = skewed.iter().map(|&(_, count)| count).collect();
+            runs.sort_unstable();
+            runs.dedup();
+            prop_assert!(counts.word_count() <= 1 + skewed.len() + runs.len());
+            prop_assert!(counts.word_count() <= skewed.word_count());
+            let mut back: Vec<(u64, u64)> = counts.iter().collect();
+            back.sort_unstable();
+            let mut expected = skewed;
+            expected.sort_unstable();
+            prop_assert_eq!(back, expected);
+        }
 
-        // Counts from the whole u64 range, the escape boundary among them.
+        // Counts from the whole u64 range, the escape boundary among them: a
+        // run whose count takes the escape word costs one word more.
         let edge = u64::from(u32::MAX);
         let wide = wide.iter().copied().chain([0, edge - 1, edge, u64::MAX]);
-        codec_roundtrip(keys.iter().copied().cycle().zip(wide).collect::<KeyCounts>())?;
+        let pairs: Vec<(u64, u64)> = keys.iter().copied().cycle().zip(wide).collect();
+        let counts: KeyCounts = pairs.iter().copied().collect();
+        codec_roundtrip(counts.clone())?;
+        let mut runs: Vec<u64> = pairs.iter().map(|&(_, count)| count).collect();
+        runs.sort_unstable();
+        runs.dedup();
+        let escaped = runs.iter().filter(|&&count| count >= edge).count();
+        prop_assert!(counts.word_count() <= 1 + pairs.len() + runs.len() + escaped);
     }
 
     #[test]
