@@ -5,14 +5,14 @@
 //! `--drift-every` batches, and one flash-crowd burst spikes a tail word for
 //! `--burst-len` batches.  Every PE ingests `--words-per-batch` words per
 //! mini-batch, the service publishes a global top-k every `--refresh-every`
-//! batches through the DHT aggregation + threshold-only selection, and
-//! point queries are served between batches from the published snapshot.
+//! batches through the DHT aggregation + `select_top_counts`, and point
+//! queries are served between batches from the published snapshot.
 //!
-//! Scored metrics (per the ROADMAP's "millions of users" scenario): **p95
-//! answer staleness** in globally ingested items, and **words per ingested
-//! item** (world bottleneck communication / items).  Both are deterministic
-//! in `(seed, rank, batch)`, so any two backends — and any two runs — agree
-//! bit for bit; `--reps > 1` checks that instead of assuming it.
+//! Scored metrics: **p95 answer staleness** in globally ingested items, and
+//! **words per ingested item** (world bottleneck communication / items).
+//! Both are deterministic in `(seed, rank, batch)`, so any two backends —
+//! and any two runs — agree bit for bit; `--reps > 1` checks that instead of
+//! assuming it.
 //!
 //! With `--replication r` the service runs failure-tolerant: per-batch
 //! membership rounds, serving shards replicated to `r` ring buddies, and
@@ -29,10 +29,6 @@
 //! while still alive; coverage shrinks, availability is held up by the
 //! replicas).
 //!
-//! `--plan-explain` switches the periodic refresh onto the cost-model
-//! planner's refresh plan ([`topk::planner::Planner::plan_refresh`]) and
-//! prints one `refresh-audit` row per refresh (predicted vs metered words).
-//!
 //! ```bash
 //! cargo run -p bench --release --bin stream_topk -- \
 //!     [--pes 8] [--batches 60] [--words-per-batch 500] [--vocab 2000] \
@@ -40,7 +36,7 @@
 //!     [--refresh-every 4] [--queries 4] [--drift-every 10] [--drift-step 25] \
 //!     [--burst-start 30] [--burst-len 5] [--burst-rank 150] \
 //!     [--burst-intensity 0.4] [--reps 1] [--seed 42] \
-//!     [--backend threaded|seq|mux] [--json] [--plan-explain] \
+//!     [--backend threaded|seq|mux] [--json] \
 //!     [--replication 2] [--query-lambda 8] \
 //!     [--chaos] [--crashes 1] [--delays 0] [--drops 0] \
 //!     [--crash-batch 30] [--assert-available 1.0]
@@ -48,20 +44,32 @@
 
 use bench::report::fmt_duration;
 use bench::{run_on, run_on_faulty, Backend, Table};
-use commsim::{FaultEvent, FaultPlan};
+use commsim::{Communicator, FaultEvent, FaultPlan};
 use datagen::{FlashCrowd, StreamProfile, TextCorpus};
-use topk::planner::RefreshAudit;
 use workloads::{BatchReport, StreamConfig, StreamReport, StreamService};
 
 /// One PE's observable outcome of a full service run (summary report,
-/// per-batch reports, final published top-k, refresh audits — empty unless
-/// `--plan-explain` routes refreshes through the planner).
-type PeOutcome = (
-    StreamReport,
-    Vec<BatchReport>,
-    Vec<(String, u64)>,
-    Vec<RefreshAudit>,
-);
+/// per-batch reports, final published top-k).
+type PeOutcome = (StreamReport, Vec<BatchReport>, Vec<(String, u64)>);
+
+/// One PE's full service run: a fresh service ingests `batches` mini-batches.
+fn serve<C: Communicator>(
+    comm: &C,
+    config: StreamConfig,
+    corpus: &TextCorpus,
+    profile: &StreamProfile,
+    batches: usize,
+) -> PeOutcome {
+    let mut service = StreamService::new(config);
+    for _ in 0..batches {
+        service.ingest_batch(comm, corpus, profile);
+    }
+    (
+        service.report(),
+        service.batch_reports().to_vec(),
+        service.serving_topk().to_vec(),
+    )
+}
 
 fn main() {
     let args = Args::parse();
@@ -77,7 +85,6 @@ fn main() {
         seed: args.seed,
         replication: args.replication,
         query_lambda: args.query_lambda,
-        planned_refresh: args.plan_explain,
     };
     let profile = StreamProfile {
         drift_every: args.drift_every,
@@ -129,35 +136,21 @@ fn main() {
         let batches = args.batches;
         let corpus = corpus.clone();
         let out = run_on!(args.backend, p, move |comm| {
-            let mut service = StreamService::new(config);
-            for _ in 0..batches {
-                service.ingest_batch(comm, &corpus, &profile);
-            }
-            (
-                service.report(),
-                service.batch_reports().to_vec(),
-                service.serving_topk().to_vec(),
-                service.refresh_audits().to_vec(),
-            )
+            serve(comm, config, &corpus, &profile, batches)
         });
         wall += out.elapsed;
         runs.push(out.results);
     }
     // Reproducibility: repeated runs must meter identical traffic per batch.
     for (rep, run) in runs.iter().enumerate().skip(1) {
-        for (pe, ((_, b, _, _), (_, b0, _, _))) in run.iter().zip(runs[0].iter()).enumerate() {
+        for (pe, ((_, b, _), (_, b0, _))) in run.iter().zip(runs[0].iter()).enumerate() {
             assert_eq!(
                 b, b0,
                 "rep {rep} PE {pe}: per-batch reports must be bit-identical across runs"
             );
         }
     }
-    let (report, batch_reports, topk, refresh_audits) = &runs[0][0];
-
-    // ----- planner refresh audits (only populated under --plan-explain) ----
-    for audit in refresh_audits {
-        println!("{}", audit.audit_line());
-    }
+    let (report, batch_reports, topk) = &runs[0][0];
 
     // ----- per-batch trace (sampled rows; refresh batches always shown) ----
     let mut trace = Table::new(
@@ -324,18 +317,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
     let base = run_on!(args.backend, p, {
         let corpus = corpus.clone();
         let profile = *profile;
-        move |comm| {
-            let mut service = StreamService::new(config);
-            for _ in 0..batches {
-                service.ingest_batch(comm, &corpus, &profile);
-            }
-            (
-                service.report(),
-                service.batch_reports().to_vec(),
-                service.serving_topk().to_vec(),
-                service.refresh_audits().to_vec(),
-            )
-        }
+        move |comm| serve(comm, config, &corpus, &profile, batches)
     });
 
     // Calibration: a victim that completes exactly its end-of-batch total
@@ -345,7 +327,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
         .results
         .iter()
         .enumerate()
-        .map(|(rank, (_, batch_reports, _, _))| (rank, batch_reports[crash_batch].sends_total))
+        .map(|(rank, (_, batch_reports, _))| (rank, batch_reports[crash_batch].sends_total))
         .collect();
 
     let mut sweep = Table::new(
@@ -387,18 +369,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
         let out = run_on_faulty!(args.backend, p, plan, {
             let corpus = corpus.clone();
             let profile = *profile;
-            move |comm| {
-                let mut service = StreamService::new(config);
-                for _ in 0..batches {
-                    service.ingest_batch(comm, &corpus, &profile);
-                }
-                (
-                    service.report(),
-                    service.batch_reports().to_vec(),
-                    service.serving_topk().to_vec(),
-                    service.refresh_audits().to_vec(),
-                )
-            }
+            move |comm| serve(comm, config, &corpus, &profile, batches)
         });
         let survivors = out.results.iter().filter(|r| r.is_some()).count();
         let first = out
@@ -409,7 +380,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
             .expect("at least one PE survives the sweep");
         (first, survivors)
     };
-    let (base_report, _, base_topk, _) = &base.results[0];
+    let (base_report, _, base_topk) = &base.results[0];
     add_row(&mut sweep, "none", "-", p, base_report);
     if let Some(min) = args.assert_available {
         assert!(
@@ -431,7 +402,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
                 _ => unreachable!("seeded_crashes only schedules crashes"),
             })
             .collect();
-        let ((report, _, _, _), survivors) = run_faulted(plan);
+        let ((report, _, _), survivors) = run_faulted(plan);
         add_row(
             &mut sweep,
             &format!("crash x{crashes}"),
@@ -468,7 +439,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
             plan = plan.delay_pair(0, dst, 1);
             pairs.push(format!("0>{dst}"));
         }
-        let ((report, _, topk, _), survivors) = run_faulted(plan);
+        let ((report, _, topk), survivors) = run_faulted(plan);
         assert_eq!(
             (
                 report.availability,
@@ -506,7 +477,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
             plan = plan.drop_message(victim, 0, 0);
             victims.push(victim.to_string());
         }
-        let ((report, _, _, _), survivors) = run_faulted(plan);
+        let ((report, _, _), survivors) = run_faulted(plan);
         assert!(
             report.coverage < 1.0,
             "a dropped heartbeat must evict its sender (coverage stayed {:.3})",
@@ -564,7 +535,6 @@ struct Args {
     drops: usize,
     crash_batch: Option<usize>,
     assert_available: Option<f64>,
-    plan_explain: bool,
 }
 
 impl Args {
@@ -598,7 +568,6 @@ impl Args {
             drops: 0,
             crash_batch: None,
             assert_available: None,
-            plan_explain: false,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -712,10 +681,6 @@ impl Args {
                 "--drops" => {
                     args.drops = argv[i + 1].parse().expect("--drops takes a number");
                     i += 2;
-                }
-                "--plan-explain" => {
-                    args.plan_explain = true;
-                    i += 1;
                 }
                 "--crash-batch" => {
                     args.crash_batch =

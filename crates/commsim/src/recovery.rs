@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::communicator::Communicator;
-use crate::error::CommError;
+use crate::error::{CommError, CommResult};
 use crate::message::CommData;
 use crate::subgroup::SubComm;
 use crate::{Rank, Tag};
@@ -412,8 +412,9 @@ pub trait Checkpoint: Sized {
     /// Serialize the state as machine words (the unit everything in this
     /// simulator is metered in).
     fn save(&self) -> Vec<u64>;
-    /// Rebuild the state from [`Checkpoint::save`]'s words.
-    fn restore(words: &[u64]) -> Self;
+    /// Rebuild the state from [`Checkpoint::save`]'s words; any other words
+    /// give [`CommError::Decode`], never a panic.
+    fn restore(words: &[u64]) -> CommResult<Self>;
 }
 
 /// Knobs of [`run_recoverable`] / [`RecoveryCtx`].
@@ -790,7 +791,7 @@ where
             victims += presumed - group.len();
             detect_batch.get_or_insert(done);
             rerun_phases += done - ckpt_phase;
-            state = S::restore(&last_ckpt);
+            state = S::restore(&last_ckpt).expect("a checkpoint restores from its own save");
             done = ckpt_phase;
             sends_at_phase_end.truncate(done);
         }
@@ -963,8 +964,8 @@ mod tests {
         fn save(&self) -> Vec<u64> {
             self.0.clone()
         }
-        fn restore(words: &[u64]) -> Self {
-            Log(words.to_vec())
+        fn restore(words: &[u64]) -> CommResult<Self> {
+            Ok(Log(words.to_vec()))
         }
     }
 

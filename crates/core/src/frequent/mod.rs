@@ -159,9 +159,10 @@ pub fn exact_global_counts<C: Communicator>(comm: &C, local_data: &[u64]) -> Has
     counts
 }
 
-/// Shared final step of the sampling algorithms: given this PE's share of a
-/// distributed hash table mapping key → (sampled or exact) count, return the
-/// global top-`k` entries by count, identical on every PE.
+/// Shared final step of the sampling algorithms and of the streaming
+/// service's refresh: given this PE's share of a distributed hash table
+/// mapping key → (sampled or exact) count, return the global top-`k` entries
+/// by count, identical on every PE.
 ///
 /// Uses the unsorted selection algorithm of Section 4.1 on `(count, key)`
 /// pairs, then gathers only the `k` winners, grouped by count

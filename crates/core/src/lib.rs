@@ -63,9 +63,7 @@ pub use bulk_pq::BulkParallelQueue;
 pub use frequent::{dht::DhtFanout, FrequentParams, TopKFrequentResult};
 pub use msselect::{multisequence_select, MsSelectResult};
 pub use multicriteria::{dta_top_k, rdta_top_k, LocalMulticriteria, MulticriteriaResult};
-pub use planner::{
-    Algorithm, Plan, PlanAudit, PlanInputs, Planner, RefreshAudit, RefreshPlan, SkewEstimate,
-};
+pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs, Planner, SkewEstimate};
 pub use recover::{
     run_frequent_recoverable, select_k_smallest_recoverable, FrequentCheckpoint,
     SelectionCheckpoint,
@@ -73,7 +71,6 @@ pub use recover::{
 pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
 pub use unsorted::{
-    select_k_largest, select_k_smallest, select_threshold, select_threshold_known_total,
-    UnsortedSelectionResult,
+    select_k_largest, select_k_smallest, select_threshold, UnsortedSelectionResult,
 };
 pub use util::OrderedF64;

@@ -1,8 +1,7 @@
 //! Cost-model-driven algorithm planner: `plan → execute → audit`.
 //!
-//! The repo has four frequent-objects algorithms ([`Algorithm`]), two
-//! all-to-all routings ([`DhtFanout`]), and a select-vs-full-gather choice
-//! (`counts_only`) in the streaming refresh — and until this module every caller
+//! The repo has five frequent-objects algorithms ([`Algorithm`]) and two
+//! all-to-all routings ([`DhtFanout`]), and until this module every caller
 //! picked by hand.  The planner makes the choice the way the paper does in
 //! its analysis: predict the per-PE bottleneck words and start-ups of every
 //! candidate from closed-form formulas, price them with the α/β
@@ -34,7 +33,7 @@
 //!   `m` is charged `1 + R̂` header words, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)`
 //!   being the most runs of distinct counts that mass can pay for, plus
 //!   `d·(log₂(U/d) + 2)` bits of codes, capped at the `1 + d + R̂` words of
-//!   raw keys (the refresh plan knows no universe and pays the cap);
+//!   raw keys;
 //! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
 //!   of the all-reductions, the baselines' coordinator) and rank `p − 1` (root
 //!   of the selection's samples), each direction on its own, and the busier
@@ -468,75 +467,6 @@ fn parse_fanout(s: &str) -> Option<DhtFanout> {
     }
 }
 
-/// A planned streaming refresh: the DHT routing plus the select-vs-full-gather
-/// choice (`counts_only`) for publishing the global top-k (see
-/// `workloads::stream`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefreshPlan {
-    /// World (or live-group) size the plan was made for.
-    pub p: usize,
-    /// Published top-k size.
-    pub k: usize,
-    /// Global candidate-pair count the plan assumed (sum of per-PE window
-    /// candidates; an upper bound on the distinct aggregate).
-    pub global_candidates: u64,
-    /// Chosen DHT routing for the aggregation.
-    pub fanout: DhtFanout,
-    /// `true` — cut with the §4.1 threshold-only entry point
-    /// ([`crate::select_threshold`]: only counts and samples travel) and gather
-    /// only the `k` winners; `false` — all-gather the whole aggregate and
-    /// cut locally (cheaper in start-ups when the aggregate is tiny).
-    pub counts_only: bool,
-    /// Prediction of the chosen path.
-    pub predicted: PredictedComm,
-    /// Prediction of the counts-only path (for the audit trail).
-    pub counts_only_predicted: PredictedComm,
-    /// Prediction of the full-gather path.
-    pub full_gather_predicted: PredictedComm,
-    /// Modeled time of the chosen path.
-    pub modeled_seconds: f64,
-}
-
-/// Prediction vs metered reality of one planned refresh.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefreshAudit {
-    /// Batch index of the refresh.
-    pub batch: usize,
-    /// Whether the counts-only path was taken.
-    pub counts_only: bool,
-    /// The routing the aggregation ran with.
-    pub fanout: DhtFanout,
-    /// The refresh plan's prediction.
-    pub predicted: PredictedComm,
-    /// This PE's metered bottleneck words of the refresh phase.
-    pub measured_words: u64,
-    /// This PE's metered bottleneck start-ups of the refresh phase.
-    pub measured_startups: u64,
-}
-
-impl RefreshAudit {
-    /// One-line parseable audit row (same conventions as
-    /// [`PlanAudit::audit_line`], prefix `refresh-audit`).
-    pub fn audit_line(&self) -> String {
-        format!(
-            "refresh-audit batch={} path={} fanout={} pred_words={:.1} meas_words={} \
-             pred_startups={:.1} meas_startups={} words_err={:.1}%",
-            self.batch,
-            if self.counts_only {
-                "counts-only"
-            } else {
-                "full-gather"
-            },
-            fanout_token(self.fanout),
-            self.predicted.words,
-            self.measured_words,
-            self.predicted.startups,
-            self.measured_startups,
-            relative_error(self.predicted.words, self.measured_words) * 100.0,
-        )
-    }
-}
-
 /// The planner: a [`CostModel`] plus the closed-form prediction formulas.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Planner {
@@ -614,47 +544,6 @@ impl Planner {
             delta,
             skew,
         })
-    }
-
-    /// Plan a streaming refresh over `global_candidates` candidate pairs
-    /// (summed over PEs) publishing a top-`k` — pure and deterministic, so
-    /// every PE derives the identical [`RefreshPlan`] from the same inputs.
-    pub fn plan_refresh(&self, p: usize, global_candidates: u64, k: usize) -> RefreshPlan {
-        let d_local = global_candidates as f64 / p.max(1) as f64;
-        // Neither the window counts' mass nor the ids' range is an input:
-        // every candidate is priced as a raw key in a run of its own, the
-        // `1 + 2d` worst case.
-        let mass = f64::INFINITY;
-        // Aggregation: route everyone's candidates to their owners.
-        let (fanout, dht) = self.best_fanout(p, d_local, mass, UNKNOWN_UNIVERSE);
-        // Distinct aggregate is at most the global candidate count.
-        let aggregate = global_candidates as f64;
-        let shared = Traffic::new(p).everywhere(dht).allreduce(1.0);
-        let counts_only = shared
-            .selection(aggregate, k as f64)
-            .everywhere(allgather_counts(p, k as f64, mass, UNKNOWN_UNIVERSE))
-            .bottleneck();
-        let full_gather = shared
-            .everywhere(allgather_counts(p, aggregate, mass, UNKNOWN_UNIVERSE))
-            .bottleneck();
-        let use_counts_only =
-            self.cost.predicted_cost(&counts_only) <= self.cost.predicted_cost(&full_gather);
-        let predicted = if use_counts_only {
-            counts_only
-        } else {
-            full_gather
-        };
-        RefreshPlan {
-            p,
-            k,
-            global_candidates,
-            fanout,
-            counts_only: use_counts_only,
-            predicted,
-            counts_only_predicted: counts_only,
-            full_gather_predicted: full_gather,
-            modeled_seconds: self.cost.predicted_cost(&predicted),
-        }
     }
 
     /// Price one algorithm, with the fan-out optimised under the model.
@@ -832,10 +721,6 @@ impl Planner {
         }
     }
 }
-
-/// The universe of a caller that does not know its keys' range: its
-/// aggregates are priced as raw keys.
-const UNKNOWN_UNIVERSE: f64 = f64::INFINITY;
 
 /// Words of one [`KeyCounts`](crate::frequent::dht::KeyCounts) of `d` keys
 /// out of `universe` whose counts sum to `mass`: a header word for each of
@@ -1090,27 +975,7 @@ mod tests {
         assert_eq!(Algorithm::parse("tree"), Some(Algorithm::NaiveTree));
     }
 
-    #[test]
-    fn refresh_plan_prefers_full_gather_for_tiny_aggregates() {
-        let planner = Planner::default();
-        // A handful of candidates: gathering everything beats running the
-        // whole selection kernel.
-        let tiny = planner.plan_refresh(8, 64, 10);
-        assert!(!tiny.counts_only);
-        // A huge aggregate: the threshold-only selection moves fewer
-        // words than all-gathering the aggregate.
-        let huge = planner.plan_refresh(8, 2_000_000, 10);
-        assert!(huge.counts_only);
-        assert!(
-            huge.counts_only_predicted.words < huge.full_gather_predicted.words,
-            "counts-only {} vs full {}",
-            huge.counts_only_predicted.words,
-            huge.full_gather_predicted.words
-        );
-    }
-
-    /// ROADMAP item 7: the level count `Traffic::selection` walks is the
-    /// kernel's, so its start-ups stay within ±50 % of a metered
+    /// The level count `Traffic::selection` walks is the kernel's, so its start-ups stay within ±50 % of a metered
     /// `select_k_smallest` — entry reduction, three collectives on two roots
     /// per narrowing level, base case — from few large PEs to many small ones.
     #[test]
@@ -1143,7 +1008,7 @@ mod tests {
         // Mass 10 pays for at most 4 runs of distinct counts.  Unknown
         // universe: 100 raw keys.
         assert_eq!(
-            key_counts_words(100.0, 10.0, UNKNOWN_UNIVERSE),
+            key_counts_words(100.0, 10.0, f64::INFINITY),
             1.0 + 4.0 + 100.0
         );
         // 100 keys out of 6400: gaps of 64, 8 bits a key.

@@ -16,10 +16,11 @@
 //! its first send of a phase, its membership heartbeat); a PE dying
 //! mid-collective fails fast instead.
 
+use commsim::codec::decode_error;
 use commsim::recovery::{
     run_recoverable, Checkpoint, RecoveryConfig, RecoveryError, RecoveryOutcome,
 };
-use commsim::{Communicator, WordCodec, WordReader};
+use commsim::{CommResult, Communicator, WordCodec, WordReader};
 
 use crate::frequent::FrequentParams;
 use crate::planner::Algorithm;
@@ -44,10 +45,10 @@ impl Checkpoint for SelectionCheckpoint {
     fn save(&self) -> Vec<u64> {
         self.thresholds.clone()
     }
-    fn restore(words: &[u64]) -> Self {
-        SelectionCheckpoint {
+    fn restore(words: &[u64]) -> CommResult<Self> {
+        Ok(SelectionCheckpoint {
             thresholds: words.to_vec(),
-        }
+        })
     }
 }
 
@@ -99,10 +100,14 @@ impl Checkpoint for FrequentCheckpoint {
         words
     }
 
-    fn restore(words: &[u64]) -> Self {
-        let published = WordCodec::decode(&mut WordReader::new(words))
-            .expect("checkpoint words come from FrequentCheckpoint::save");
-        FrequentCheckpoint { published }
+    /// Only a whole encoding restores: words left over are an error too.
+    fn restore(words: &[u64]) -> CommResult<Self> {
+        let mut reader = WordReader::new(words);
+        let published = WordCodec::decode(&mut reader)?;
+        if reader.remaining() > 0 {
+            return Err(decode_error::<Self>());
+        }
+        Ok(FrequentCheckpoint { published })
     }
 }
 
@@ -148,9 +153,9 @@ mod tests {
         let state = FrequentCheckpoint {
             published: vec![vec![(7, 40), (3, 12)], vec![], vec![(9, 5)]],
         };
-        assert_eq!(FrequentCheckpoint::restore(&state.save()), state);
+        assert_eq!(FrequentCheckpoint::restore(&state.save()), Ok(state));
         let empty = FrequentCheckpoint::default();
-        assert_eq!(FrequentCheckpoint::restore(&empty.save()), empty);
+        assert_eq!(FrequentCheckpoint::restore(&empty.save()), Ok(empty));
     }
 
     #[test]
@@ -162,11 +167,28 @@ mod tests {
         assert_eq!(state.save(), vec![2, 2, 7, 40, 3, 12, 1, 9, 5]);
     }
 
+    /// Regression: `restore` panicked on these words, which
+    /// `tests/property_based.rs::checkpoint_decoders_are_total` drew.
+    #[test]
+    fn corrupt_frequent_checkpoints_are_decode_errors() {
+        let found: &[u64] = &[
+            6_279_147_803_884_221_444,
+            14_001_680_151_603_847_907,
+            12_890_605_195_500_933_178,
+        ];
+        for words in [found, &[2, 2, 7, 40, 3], &[1, 1, 9, 5, 0]] {
+            assert!(matches!(
+                FrequentCheckpoint::restore(words),
+                Err(commsim::CommError::Decode { .. })
+            ));
+        }
+    }
+
     #[test]
     fn selection_checkpoint_round_trips() {
         let state = SelectionCheckpoint {
             thresholds: vec![10, 20, 30],
         };
-        assert_eq!(SelectionCheckpoint::restore(&state.save()), state);
+        assert_eq!(SelectionCheckpoint::restore(&state.save()), Ok(state));
     }
 }

@@ -289,23 +289,6 @@ where
     T: Ord + Clone + CommData,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
-    select_threshold_known_total(comm, local, total, k, seed)
-}
-
-/// [`select_threshold`] for callers that have already agreed on
-/// `total = Σ|local|` (it must be that sum, identical on every PE): the
-/// selection proper, without the entry's size all-reduction.
-pub fn select_threshold_known_total<C, T>(
-    comm: &C,
-    local: &[T],
-    total: usize,
-    k: usize,
-    seed: u64,
-) -> T
-where
-    C: Communicator,
-    T: Ord + Clone + CommData,
-{
     threshold_tagged(comm, local, total, k, seed).0 .0
 }
 
@@ -962,8 +945,8 @@ mod tests {
         }
     }
 
-    /// ROADMAP item 6, first instance: the narrowing is a stated expectation,
-    /// not a fitted one.  A level at `q = ½` keeps the share
+    /// The narrowing is a stated expectation, not a fitted one (a first
+    /// statistical check of a guarantee the module docs state).  A level at `q = ½` keeps the share
     /// `f = (c·√m + 2)/m` of its input (0.19 at m = 128, c = 2), so reaching
     /// the base case from `n` takes `⌈ln(n/2m) / ln(1/f)⌉` narrowing levels;
     /// the bound allows two more (the base-case level itself and one for the

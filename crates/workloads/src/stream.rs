@@ -1,4 +1,4 @@
-//! Streaming top-k service — the "millions of users" scenario.
+//! Streaming top-k service.
 //!
 //! The batch pipeline of [`crate::text`] answers *one* question about *one*
 //! corpus and terminates.  This module turns it into a long-running service:
@@ -10,10 +10,11 @@
 //! ids), re-interns newly seen vocabulary incrementally ([`StreamVocab`] —
 //! ids are append-only and stable, unlike the batch
 //! [`crate::text::distributed_intern`] which renumbers on every call), and
-//! periodically **refreshes a published global top-k** with the paper's §6
+//! periodically **refreshes a published global top-k** with the paper's §7
 //! machinery: per-PE window candidates are DHT-aggregated
-//! ([`topk::frequent::dht::aggregate_counts`]) and the global cut is made by
-//! the threshold-only entry point [`topk::select_threshold`].  Point queries
+//! ([`topk::frequent::dht::aggregate_counts`]), and
+//! [`topk::frequent::select_top_counts`] cuts them at rank k and gathers the
+//! winners, the publication step PAC, EC and PEC share.  Point queries
 //! ("current top-k", "count of X") are answered *between* batches from the
 //! last published snapshot — exactly how a serving system trades freshness
 //! for communication.
@@ -39,9 +40,7 @@ use commsim::recovery::Membership;
 use commsim::{Communicator, CostModel, Rank, StatsSnapshot, SubComm, Tag};
 use datagen::{StreamProfile, TextCorpus};
 use seqkit::{DecayingTopK, SlidingWindowTopK};
-use topk::frequent::dht;
-use topk::planner::{Planner, RefreshAudit};
-use topk::select_threshold_known_total;
+use topk::frequent::{dht, select_top_counts};
 use topk::util::{owner_of, splitmix64};
 
 use crate::text::tokenize;
@@ -89,15 +88,6 @@ pub struct StreamConfig {
     /// (scored analytically against the α/β cost model — zero communication,
     /// so enabling it never perturbs the metered words).  `0.0` disables it.
     pub query_lambda: f64,
-    /// Let the cost-model planner ([`topk::planner::Planner::plan_refresh`])
-    /// drive each periodic refresh: it picks the DHT fan-out and chooses
-    /// between the threshold-only selection cut and a full aggregate gather,
-    /// and every planned refresh records a [`RefreshAudit`] (prediction vs
-    /// metered words) retrievable via [`StreamService::refresh_audits`].
-    /// `false` — the default — keeps the fixed pre-planner refresh path,
-    /// bit-identical to earlier revisions.  Either path publishes the same
-    /// snapshot.
-    pub planned_refresh: bool,
 }
 
 impl Default for StreamConfig {
@@ -113,7 +103,6 @@ impl Default for StreamConfig {
             seed: 0x5EED,
             replication: 0,
             query_lambda: 0.0,
-            planned_refresh: false,
         }
     }
 }
@@ -332,9 +321,6 @@ pub struct StreamService {
     /// Metering baseline for the next batch; set *after* the per-batch
     /// `allreduce_max` so the metering collective itself is not scored.
     meter_base: Option<StatsSnapshot>,
-    /// Audit rows of the planned refreshes (empty unless
-    /// [`StreamConfig::planned_refresh`] is set).
-    refresh_audits: Vec<RefreshAudit>,
     // ----- failure-tolerance state (inert while `replication == 0`) -----
     /// The shared membership protocol ([`commsim::recovery::Membership`]):
     /// presumed-live group, suspicion bitmap, and eviction flag.  The group
@@ -391,7 +377,6 @@ impl StreamService {
             batch_reports: Vec::new(),
             total_bottleneck_words: 0,
             meter_base: None,
-            refresh_audits: Vec::new(),
             membership: Membership::new(),
             evicted: false,
             snapshot_group: Vec::new(),
@@ -760,70 +745,18 @@ impl StreamService {
     }
 
     /// Publish a fresh global top-k: DHT-aggregate the per-PE window
-    /// candidates, cut at rank k, and gather the winners.  The fixed path
-    /// always cuts with the threshold-only selection entry point; with
-    /// [`StreamConfig::planned_refresh`] the cost-model planner picks the
-    /// routing and the cut strategy per refresh and records an audit row.
-    /// Both paths publish the identical snapshot.
+    /// candidates, then cut at rank k and gather the winners with
+    /// [`select_top_counts`], the publication step of §7's algorithms.
     fn refresh<C: Communicator>(&mut self, comm: &C, t: usize) {
-        let before = comm.stats_snapshot();
-        let candidates = self.sliding.candidate_counts();
-        let plan = if self.config.planned_refresh {
-            let global_candidates = comm.allreduce_sum(candidates.len() as u64);
-            Some(Planner::default().plan_refresh(comm.size(), global_candidates, self.config.k))
-        } else {
-            None
-        };
-        let fanout = plan.map_or(topk::DhtFanout::Auto, |pl| pl.fanout);
-        let owned = dht::aggregate_counts_with(comm, candidates, fanout);
-        // Deterministic order before selection: the kernel's Bernoulli
-        // sampling is position-based, so hash-map iteration order must not
-        // leak into the buffer it samples.
-        let mut items: Vec<(u64, u64)> = owned.into_iter().map(|(id, c)| (c, id)).collect();
-        items.sort_unstable_by(|a, b| b.cmp(a));
-        // The owned aggregate *is* this PE's serving shard — kept for the
-        // replica pushes of the failure-tolerant mode.
-        self.shard = items.iter().map(|&(c, id)| (id, c)).collect();
-        let distinct = comm.allreduce_sum(items.len() as u64) as usize;
-        let take = self.config.k.min(distinct);
-        let counts_only = plan.is_none_or(|pl| pl.counts_only);
-        let winners: Vec<(u64, u64)> = if take == 0 {
-            Vec::new()
-        } else if counts_only {
-            let reversed: Vec<Reverse<(u64, u64)>> = items.iter().map(|&it| Reverse(it)).collect();
-            // `distinct` is the total the kernel's entry would reduce again.
-            let threshold = select_threshold_known_total(
-                comm,
-                &reversed,
-                distinct,
-                take,
-                self.config.seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-            );
-            // `(count, id)` pairs are unique, so exactly `take` items lie at
-            // or above the threshold across all PEs.
-            items
-                .into_iter()
-                .filter(|&it| Reverse(it) <= threshold)
-                .collect()
-        } else {
-            // Full gather: the aggregate is small enough that shipping all
-            // of it beats running the selection kernel; the local cut below
-            // yields the same global top-`take`.
-            items
-        };
-        // On the wire the winners are an aggregate like any other: ids
-        // grouped by count.
-        let winners: dht::KeyCounts = winners.into_iter().map(|(c, id)| (id, c)).collect();
-        let all = comm.allgather(winners);
-        let mut all: Vec<(u64, u64)> = all
-            .iter()
-            .flat_map(|part| part.iter().map(|(id, c)| (c, id)))
-            .collect();
-        all.sort_unstable_by(|a, b| b.cmp(a));
-        all.truncate(take);
-        self.snapshot = all
+        let owned = dht::aggregate_counts(comm, self.sliding.candidate_counts());
+        // The owned aggregate *is* this PE's serving shard — kept, most
+        // frequent first, for the replica pushes of the failure-tolerant mode.
+        self.shard = owned.iter().map(|(&id, &c)| (id, c)).collect();
+        self.shard.sort_unstable_by_key(|&(id, c)| Reverse((c, id)));
+        let seed = self.config.seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407);
+        self.snapshot = select_top_counts(comm, &owned, self.config.k, seed)
             .into_iter()
-            .map(|(c, id)| {
+            .map(|(id, c)| {
                 let word = self
                     .vocab
                     .resolve(id)
@@ -833,17 +766,6 @@ impl StreamService {
             })
             .collect();
         self.snapshot_items = self.items_global;
-        if let Some(pl) = plan {
-            let delta = comm.stats_snapshot().since(&before);
-            self.refresh_audits.push(RefreshAudit {
-                batch: t,
-                counts_only: pl.counts_only,
-                fanout: pl.fanout,
-                predicted: pl.predicted,
-                measured_words: delta.bottleneck_words(),
-                measured_startups: delta.bottleneck_messages(),
-            });
-        }
     }
 
     /// The communication-free batch record of an evicted service (see
@@ -913,12 +835,6 @@ impl StreamService {
     /// Per-batch records so far.
     pub fn batch_reports(&self) -> &[BatchReport] {
         &self.batch_reports
-    }
-
-    /// Audit rows of the planned refreshes, in batch order (empty unless
-    /// [`StreamConfig::planned_refresh`] is enabled).
-    pub fn refresh_audits(&self) -> &[RefreshAudit] {
-        &self.refresh_audits
     }
 
     /// `true` if the membership coordinator declared this live PE dead (a
@@ -1179,50 +1095,6 @@ mod tests {
             top.iter().any(|(w, _)| w == burst_word),
             "burst word {burst_word:?} missing from published top-k {top:?}"
         );
-    }
-
-    #[test]
-    fn planned_refresh_publishes_the_same_snapshot_and_audits() {
-        let profile = StreamProfile::stationary();
-        let fixed = drive(4, 7, quick_config(), profile);
-        let planned_config = StreamConfig {
-            planned_refresh: true,
-            ..quick_config()
-        };
-        let planned = run_spmd_seq(4, move |comm| {
-            let corpus = TextCorpus::new(500, 1.05, 42);
-            let mut service = StreamService::new(planned_config);
-            for _ in 0..7 {
-                service.ingest_batch(comm, &corpus, &profile);
-            }
-            (
-                service.serving_topk().to_vec(),
-                service.refresh_audits().to_vec(),
-            )
-        })
-        .results;
-        let (_, _, fixed_top) = &fixed[0];
-        let (planned_top, audits) = &planned[0];
-        assert_eq!(planned_top, fixed_top, "both paths publish the same top-k");
-        // Batches 0, 3 and 6 refresh (refresh_every = 3) — one audit each.
-        assert_eq!(audits.len(), 3);
-        for (audit, expect_batch) in audits.iter().zip([0usize, 3, 6]) {
-            assert_eq!(audit.batch, expect_batch);
-            assert!(audit.measured_words > 0);
-            assert!(audit.predicted.words > 0.0);
-            assert!(audit.audit_line().starts_with("refresh-audit "));
-        }
-        // The audits are deterministic per PE pair-wise across ranks' plans
-        // (the plan inputs are global), though measured words are per-PE.
-        for (top, a) in planned.iter() {
-            assert_eq!(top, planned_top);
-            assert_eq!(a.len(), 3);
-            for (x, y) in a.iter().zip(audits.iter()) {
-                assert_eq!(x.counts_only, y.counts_only);
-                assert_eq!(x.fanout, y.fanout);
-                assert_eq!(x.predicted, y.predicted);
-            }
-        }
     }
 
     #[test]

@@ -151,8 +151,9 @@ fn fig6_on_a_two_worker_pool_is_bit_identical_to_seq() {
     }
 }
 
-/// Not a regression test — a worker-pool speedup harness for ROADMAP item
-/// 1's remainder (showing pool speedup > 1 needs a multi-core container).
+/// Not a regression test — a worker-pool speedup harness: it shows whether
+/// a wider pool runs a wide world faster (a speedup > 1 needs several
+/// cores).
 /// Run with:
 ///
 /// ```bash

@@ -11,6 +11,8 @@
 //! * the word codec round-trips every implementing type, with the wire
 //!   length equal to the metered word count (and an aggregate grouped by
 //!   count never costs more than its pairs);
+//! * every decoder is total: random words and mutated encodings decode to a
+//!   value or to `CommError::Decode`, never to a panic;
 //! * the SPMD collective suite gives identical results and identical metered
 //!   traffic on **all three** runners (threaded `Comm`; the replay engine's
 //!   `MuxComm` driven inline by `run_spmd_seq` and by a pool with fewer
@@ -19,12 +21,16 @@
 //!   references; the two replay drivers share one engine and are never each
 //!   other's.
 
+use std::cmp::Reverse;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
-use topk_selection::commsim::{CommData, WordReader};
+use topk_selection::commsim::recovery::Checkpoint;
+use topk_selection::commsim::{CommData, CommError, CommResult, WordReader};
 use topk_selection::prelude::*;
 use topk_selection::topk::branch_bound::BnbNode;
 use topk_selection::topk::frequent::dht::KeyCounts;
+use topk_selection::topk::{FrequentCheckpoint, SelectionCheckpoint};
 
 /// Round-trip a value through its wire encoding, checking the three
 /// codec invariants: exact declared length, equality after decode, and full
@@ -57,6 +63,68 @@ where
     }
     prop_assert_eq!(reader.remaining(), 0, "decode must consume the encoding");
     Ok(())
+}
+
+/// What a decoder must survive besides valid encodings: a buffer of random
+/// words, and the draws that mutate a valid encoding.
+#[derive(Debug)]
+struct Garbage {
+    noise: Vec<u64>,
+    extra: u64,
+    at: usize,
+}
+
+fn garbage() -> impl Strategy<Value = Garbage> {
+    vec(0u64..u64::MAX, 2..18).prop_map(|words| Garbage {
+        extra: words[0],
+        at: words[1] as usize,
+        noise: words[2..].to_vec(),
+    })
+}
+
+/// `decode` is total on `garbage`'s words and on mutants of `wire`, a valid
+/// encoding: it returns a value or [`CommError::Decode`] for the random
+/// buffer, the same buffer cut to small words (length prefixes, tags and
+/// counts that pass the first checks), every truncation of `wire`, `wire`
+/// extended by a word, and `wire` with one bit flipped or one word replaced.
+/// A panic fails the case, reported with the same inputs.
+fn decoder_is_total<R>(
+    wire: &[u64],
+    garbage: &Garbage,
+    decode: impl Fn(&[u64]) -> CommResult<R>,
+) -> Result<(), TestCaseError> {
+    let small: Vec<u64> = garbage.noise.iter().map(|w| w % 8).collect();
+    let mut inputs = vec![garbage.noise.clone(), small];
+    inputs.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
+    inputs.push([wire, &[garbage.extra]].concat());
+    if !wire.is_empty() {
+        let at = garbage.at % wire.len();
+        let mut mutant = wire.to_vec();
+        mutant[at] ^= 1 << (garbage.extra % 64);
+        inputs.push(mutant.clone());
+        mutant[at] = garbage.extra;
+        inputs.push(mutant);
+    }
+    for words in &inputs {
+        if let Err(e) = decode(words) {
+            prop_assert!(
+                matches!(e, CommError::Decode { .. }),
+                "{:?} gave {}",
+                words,
+                e
+            );
+        }
+    }
+    Ok(())
+}
+
+/// [`decoder_is_total`] for `T`'s decoder around `value`'s encoding.
+fn codec_is_total<T: WordCodec>(value: &T, garbage: &Garbage) -> Result<(), TestCaseError> {
+    let mut wire = Vec::new();
+    value.encode(&mut wire);
+    decoder_is_total(&wire, garbage, |words| {
+        T::decode(&mut WordReader::new(words))
+    })
 }
 
 /// The collective program exercised on both backends: every paper collective
@@ -477,6 +545,123 @@ proptest! {
         runs.dedup();
         let escaped = runs.iter().filter(|&&count| count >= edge).count();
         prop_assert!(counts.word_count() <= 1 + pairs.len() + runs.len() + escaped);
+    }
+
+    #[test]
+    fn scalar_decoders_are_total(a in 0u64..u64::MAX, b in i64::MIN..i64::MAX, g in garbage()) {
+        codec_is_total(&(a as u8), &g)?;
+        codec_is_total(&(a as u16), &g)?;
+        codec_is_total(&(a as u32), &g)?;
+        codec_is_total(&a, &g)?;
+        codec_is_total(&(a as usize), &g)?;
+        codec_is_total(&(b as i8), &g)?;
+        codec_is_total(&(b as i16), &g)?;
+        codec_is_total(&(b as i32), &g)?;
+        codec_is_total(&b, &g)?;
+        codec_is_total(&(b as isize), &g)?;
+        codec_is_total(&((a as u128) << 64 | b as u64 as u128), &g)?;
+        codec_is_total(&((b as i128) << 64 | a as i128), &g)?;
+        codec_is_total(&f64::from_bits(a), &g)?;
+        codec_is_total(&f32::from_bits(a as u32), &g)?;
+        codec_is_total(&(), &g)?;
+    }
+
+    #[test]
+    fn bool_and_char_decoders_are_total(a in 0u64..u64::MAX, g in garbage()) {
+        codec_is_total(&(a % 2 == 1), &g)?;
+        codec_is_total(&char::from_u32(a as u32 % 0x11_0000).unwrap_or('\u{FFFD}'), &g)?;
+    }
+
+    #[test]
+    fn string_decoder_is_total(codes in vec(0u32..0x800, 0..24), g in garbage()) {
+        let text: String = codes.iter().filter_map(|&c| char::from_u32(c)).collect();
+        codec_is_total(&text, &g)?;
+    }
+
+    #[test]
+    fn vec_decoders_are_total(
+        nums in vec(0u64..u64::MAX, 0..12),
+        nested in vec(vec(0u64..100, 0..4), 0..4),
+        g in garbage(),
+    ) {
+        codec_is_total(&nums, &g)?;
+        codec_is_total(&nested, &g)?;
+        codec_is_total(&nums.iter().map(|v| v.to_string()).collect::<Vec<String>>(), &g)?;
+        codec_is_total(&nums.iter().map(|&v| (v, v / 2)).collect::<Vec<(u64, u64)>>(), &g)?;
+    }
+
+    #[test]
+    fn option_decoders_are_total(a in 0u64..u64::MAX, nums in vec(0u64..100, 0..6), g in garbage()) {
+        codec_is_total(&Some(a), &g)?;
+        codec_is_total(&None::<u64>, &g)?;
+        codec_is_total(&Some(nums.clone()), &g)?;
+        codec_is_total(&Some(Some(a % 2 == 0)), &g)?;
+        codec_is_total(&nums.iter().map(|&v| (v % 3 > 0).then_some(v)).collect::<Vec<_>>(), &g)?;
+    }
+
+    #[test]
+    fn tuple_decoders_are_total(a in 0u64..u64::MAX, nums in vec(0u64..100, 0..6), g in garbage()) {
+        codec_is_total(&(a, a % 2 == 0), &g)?;
+        codec_is_total(&(nums.clone(), a.to_string(), Some(a)), &g)?;
+        codec_is_total(&(a as u8, a as u16, a as u32, nums.clone()), &g)?;
+    }
+
+    #[test]
+    fn reverse_and_box_decoders_are_total(a in 0u64..u64::MAX, nums in vec(0u64..100, 0..6), g in garbage()) {
+        codec_is_total(&Reverse(a), &g)?;
+        codec_is_total(&Reverse((a, nums.clone())), &g)?;
+        codec_is_total(&Box::new(nums.clone()), &g)?;
+    }
+
+    #[test]
+    fn ordered_f64_decoder_is_total(a in 0u64..u64::MAX, g in garbage()) {
+        codec_is_total(&OrderedF64(f64::from_bits(a)), &g)?;
+        codec_is_total(&vec![OrderedF64(a as f64); 3], &g)?;
+    }
+
+    #[test]
+    fn bnb_node_decoder_is_total(a in 0u64..u64::MAX, b in 0u64..u64::MAX, g in garbage()) {
+        let node = BnbNode {
+            neg_bound: OrderedF64(-(b as f64)),
+            level: (a >> 32) as u32,
+            value: a,
+            weight: b,
+        };
+        codec_is_total(&node, &g)?;
+        codec_is_total(&vec![node; 2], &g)?;
+    }
+
+    #[test]
+    fn key_counts_decoder_is_total(
+        dense in vec(0u64..1 << 16, 0..60),
+        wide in vec(0u64..u64::MAX, 0..8),
+        counts in vec(0u64..6, 60..61),
+        g in garbage(),
+    ) {
+        let coded: KeyCounts = dense.iter().copied().zip(counts.iter().copied()).collect();
+        codec_is_total(&coded, &g)?;
+        let edge = u64::from(u32::MAX);
+        let raw: KeyCounts = wide.iter().copied().zip([1, edge, u64::MAX].into_iter().cycle()).collect();
+        codec_is_total(&raw, &g)?;
+    }
+
+    #[test]
+    fn checkpoint_decoders_are_total(
+        thresholds in vec(0u64..u64::MAX, 0..6),
+        published in vec(vec(0u64..1000, 0..6), 0..4),
+        g in garbage(),
+    ) {
+        let selection = SelectionCheckpoint {
+            thresholds: thresholds.clone(),
+        };
+        decoder_is_total(&selection.save(), &g, SelectionCheckpoint::restore)?;
+        let frequent = FrequentCheckpoint {
+            published: published
+                .iter()
+                .map(|phase| phase.iter().map(|&key| (key, key / 3)).collect())
+                .collect(),
+        };
+        decoder_is_total(&frequent.save(), &g, FrequentCheckpoint::restore)?;
     }
 
     #[test]

@@ -45,7 +45,6 @@ fn config() -> StreamConfig {
         seed: 0xBEEF,
         replication: 0,
         query_lambda: 0.0,
-        planned_refresh: false,
     }
 }
 
@@ -189,6 +188,170 @@ fn streaming_on_a_mux_worker_pool_matches_seq() {
                 ),
                 "rank {rank} traffic diverges under the {driver}"
             );
+        }
+    }
+}
+
+/// Batches of the golden-value run: refreshes at 0, 4, 8 and 12, the last
+/// one inside the flash-crowd burst.
+const GOLDEN_BATCHES: usize = 14;
+
+/// Per PE and batch of the golden-value run: the words and messages the PE
+/// sent, and the world bottleneck words.  Recorded when the refresh still
+/// ran its own copy of the DHT-aggregate / §4.1-cut / winners'-gather step.
+const GOLDEN_TRAFFIC: [[(u64, u64, u64); GOLDEN_BATCHES]; 2] = [
+    [
+        (654, 5, 654),
+        (157, 1, 157),
+        (54, 1, 72),
+        (24, 1, 26),
+        (195, 5, 195),
+        (26, 1, 26),
+        (2, 1, 6),
+        (2, 1, 5),
+        (173, 5, 173),
+        (2, 1, 6),
+        (2, 1, 4),
+        (2, 1, 4),
+        (145, 5, 145),
+        (4, 1, 4),
+    ],
+    [
+        (600, 5, 654),
+        (121, 1, 157),
+        (72, 1, 72),
+        (26, 1, 26),
+        (55, 5, 195),
+        (14, 1, 26),
+        (6, 1, 6),
+        (5, 1, 5),
+        (51, 5, 173),
+        (6, 1, 6),
+        (4, 1, 4),
+        (4, 1, 4),
+        (55, 5, 145),
+        (2, 1, 4),
+    ],
+];
+
+/// The snapshot each refresh of the golden-value run published, recorded
+/// with [`GOLDEN_TRAFFIC`].
+const GOLDEN_SNAPSHOTS: [(usize, [(&str, u64); 10]); 4] = [
+    (
+        0,
+        [
+            ("the", 324),
+            ("of", 152),
+            ("and", 103),
+            ("to", 64),
+            ("in", 43),
+            ("is", 32),
+            ("he", 22),
+            ("was", 21),
+            ("for", 15),
+            ("it", 12),
+        ],
+    ),
+    (
+        4,
+        [
+            ("the", 1578),
+            ("of", 700),
+            ("and", 455),
+            ("to", 311),
+            ("in", 220),
+            ("is", 169),
+            ("was", 107),
+            ("for", 83),
+            ("he", 79),
+            ("it", 70),
+        ],
+    ),
+    (
+        8,
+        [
+            ("when", 1258),
+            ("the", 1250),
+            ("who", 548),
+            ("of", 544),
+            ("and", 348),
+            ("will", 337),
+            ("to", 243),
+            ("more", 204),
+            ("in", 173),
+            ("no", 161),
+        ],
+    ),
+    (
+        12,
+        [
+            ("several", 3171),
+            ("when", 1435),
+            ("who", 630),
+            ("made", 555),
+            ("will", 386),
+            ("after", 247),
+            ("more", 234),
+            ("no", 179),
+            ("if", 151),
+            ("also", 131),
+        ],
+    ),
+];
+
+/// One PE's golden-value run: the default config (sketch capacity 64, so
+/// at p = 2 the global aggregate is at most 128 keys and the §4.1 cut is
+/// its base case) under drift and a burst.  Per batch: the batch report
+/// and the snapshot served after it.
+fn golden_body<C: Communicator>(comm: &C) -> Vec<(BatchReport, Vec<(String, u64)>)> {
+    let corpus = corpus();
+    let profile = profile();
+    let mut service = StreamService::new(StreamConfig {
+        seed: 0xBEEF,
+        ..StreamConfig::default()
+    });
+    (0..GOLDEN_BATCHES)
+        .map(|_| {
+            let report = service.ingest_batch(comm, &corpus, &profile).clone();
+            (report, service.serving_topk().to_vec())
+        })
+        .collect()
+}
+
+#[test]
+fn refreshes_match_the_golden_values_on_every_engine() {
+    let threaded = run_spmd(2, golden_body);
+    let inline = run_spmd_seq(2, golden_body);
+    let pool = run_spmd_mux_with(MuxConfig::new(2).with_workers(2), golden_body);
+    for (engine, out) in [
+        ("threads", &threaded),
+        ("inline driver", &inline),
+        ("worker pool", &pool),
+    ] {
+        for (rank, batches) in out.results.iter().enumerate() {
+            let mut golden_snapshots = GOLDEN_SNAPSHOTS.iter().peekable();
+            let mut published: &[(&str, u64)] = &[];
+            for (batch, (report, snapshot)) in batches.iter().enumerate() {
+                let traffic = (
+                    report.sent_words,
+                    report.sent_messages,
+                    report.bottleneck_words,
+                );
+                assert_eq!(
+                    traffic, GOLDEN_TRAFFIC[rank][batch],
+                    "{engine} rank {rank} batch {batch}: traffic"
+                );
+                if let Some((_, golden)) = golden_snapshots.next_if(|(b, _)| *b == batch) {
+                    assert!(report.refreshed);
+                    published = golden;
+                }
+                let snapshot: Vec<(&str, u64)> =
+                    snapshot.iter().map(|(w, c)| (w.as_str(), *c)).collect();
+                assert_eq!(
+                    snapshot, published,
+                    "{engine} rank {rank} batch {batch}: snapshot"
+                );
+            }
         }
     }
 }
