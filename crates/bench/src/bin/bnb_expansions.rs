@@ -8,7 +8,8 @@
 //!     [--backend threaded|seq|mux]
 //! ```
 
-use bench::{run_on, Backend, Table};
+use bench::Table;
+use commsim::{run_on, Backend, World};
 use topk::{knapsack_branch_bound_parallel, knapsack_branch_bound_sequential, KnapsackInstance};
 
 fn main() {
@@ -37,9 +38,10 @@ fn main() {
         let mut p = args.min_pes;
         while p <= args.max_pes {
             let instance_ref = instance.clone();
-            let out = run_on!(args.backend, p, move |comm| {
+            let out = run_on!(args.backend, World::new(p), move |comm| {
                 knapsack_branch_bound_parallel(comm, &instance_ref, 1, seed)
-            });
+            })
+            .fault_free();
             let parallel = out.results[0];
             assert_eq!(parallel.optimum, dp);
             table.add_row(vec![

@@ -17,7 +17,8 @@
 
 use bench::report::fmt_duration;
 use bench::scaling::pe_sweep;
-use bench::{run_on, Backend, Table};
+use bench::Table;
+use commsim::{run_on, Backend, World};
 use workloads::sched::{
     run_scheduler, ArrivalPattern, BatchPolicy, SchedulerOutcome, SchedulerParams,
 };
@@ -92,7 +93,10 @@ fn main() {
             let mut outcomes: Option<Vec<SchedulerOutcome>> = None;
             let mut words_per_rep: Vec<Vec<u64>> = Vec::with_capacity(args.reps);
             for _ in 0..args.reps {
-                let out = run_on!(args.backend, p, |comm| run_scheduler(comm, &params));
+                let out = run_on!(args.backend, World::new(p), |comm| run_scheduler(
+                    comm, &params
+                ))
+                .fault_free();
                 wall += out.elapsed;
                 words_per_rep.push(
                     out.results

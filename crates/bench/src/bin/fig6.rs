@@ -27,10 +27,10 @@
 //! over the surviving data.  Prints a parseable `recovery-audit` row.
 
 use bench::report::fmt_duration;
-use bench::scaling::{pe_sweep, Backend, Measurement};
-use bench::{run_on, run_on_faulty, Table};
+use bench::scaling::{pe_sweep, Measurement};
+use bench::Table;
 use commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use commsim::{Communicator, FaultPlan, Rank};
+use commsim::{run_on, Backend, Communicator, FaultPlan, Rank, World};
 use datagen::SkewedSelectionInput;
 use topk::recover::{select_k_smallest_recoverable, SelectionCheckpoint};
 use topk::unsorted::select_k_smallest;
@@ -99,9 +99,10 @@ fn run_chaos(args: &Args) {
     //    equals its phase-0 boundary dies at its first send of phase 1 —
     //    its membership heartbeat.  Rank 0 (the initial coordinator) is
     //    kept out of the candidate pool so the audit row has a stable home.
-    let baseline = run_on!(args.backend, p, |comm| {
+    let baseline = run_on!(args.backend, World::new(p), |comm| {
         fig6_chaos_body(comm, &generator, per_pe, k, phases, cfg)
-    });
+    })
+    .fault_free();
     let candidates: Vec<(Rank, u64)> = baseline
         .results
         .iter()
@@ -112,7 +113,7 @@ fn run_chaos(args: &Args) {
     let plan = FaultPlan::seeded_crashes(args.chaos_seed, &candidates, args.crashes);
 
     // 2. The chaos run.
-    let out = run_on_faulty!(args.backend, p, plan, |comm| {
+    let out = run_on!(args.backend, World::new(p).with_faults(plan), |comm| {
         fig6_chaos_body(comm, &generator, per_pe, k, phases, cfg)
     });
     let victims: Vec<Rank> = out
@@ -211,10 +212,10 @@ fn main() {
             let generator = SkewedSelectionInput::default();
             let reps = (0..args.reps)
                 .map(|_| {
-                    let out = run_on!(args.backend, p, |comm| {
+                    let out = run_on!(args.backend, World::new(p), |comm| {
                         fig6_body(comm, &generator, per_pe, k)
                     });
-                    Measurement::from_stats(p, out.elapsed, out.stats)
+                    Measurement::of(&out)
                 })
                 .collect();
             let m = Measurement::averaged(reps);

@@ -36,10 +36,10 @@
 
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
-use bench::scaling::{pe_sweep, scaled_epsilon, Backend, Measurement};
-use bench::{run_on, run_on_faulty, AlgoChoice, Table};
+use bench::scaling::{pe_sweep, scaled_epsilon, Measurement};
+use bench::{AlgoChoice, Table};
 use commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use commsim::{Communicator, FaultPlan, Rank};
+use commsim::{run_on, Backend, Communicator, FaultPlan, Rank, World};
 use datagen::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,9 +98,10 @@ fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
     //    send count at every phase boundary; victims die at their first
     //    send of phase 1 (the membership heartbeat).  Rank 0 is kept out
     //    of the candidate pool so the audit row has a stable home.
-    let baseline = run_on!(args.backend, p, |comm| {
+    let baseline = run_on!(args.backend, World::new(p), |comm| {
         fig7_chaos_body(comm, algo, per_pe, params, phases, cfg)
-    });
+    })
+    .fault_free();
     let candidates: Vec<(Rank, u64)> = baseline
         .results
         .iter()
@@ -111,7 +112,7 @@ fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
     let plan = FaultPlan::seeded_crashes(args.chaos_seed, &candidates, args.crashes);
 
     // 2. The chaos run.
-    let out = run_on_faulty!(args.backend, p, plan, |comm| {
+    let out = run_on!(args.backend, World::new(p).with_faults(plan), |comm| {
         fig7_chaos_body(comm, algo, per_pe, params, phases, cfg)
     });
     let victims: Vec<Rank> = out
@@ -233,15 +234,15 @@ fn main() {
                 let mut last = None;
                 let reps = (0..args.reps)
                     .map(|_| {
-                        let out = run_on!(args.backend, p, |comm| {
+                        let out = run_on!(args.backend, World::new(p), |comm| {
                             let local = local_input(comm.rank(), per_pe);
                             let plan =
                                 Planner::default().plan_for_data(comm, &local, 32, epsilon, 1e-4);
                             let (result, audit) = plan.execute(comm, &local, 0xF17);
                             (plan, audit, result.sample_size)
                         });
-                        let m = Measurement::from_stats(p, out.elapsed, out.stats);
-                        last = out.results.into_iter().next();
+                        let m = Measurement::of(&out);
+                        last = out.results.into_iter().next().flatten();
                         m
                     })
                     .collect();
@@ -277,12 +278,12 @@ fn main() {
                     let sample = std::sync::atomic::AtomicU64::new(0);
                     let reps = (0..args.reps)
                         .map(|_| {
-                            let out = run_on!(args.backend, p, |comm| {
+                            let out = run_on!(args.backend, World::new(p), |comm| {
                                 let local = local_input(comm.rank(), per_pe);
                                 let s = algo.run(comm, &local, &params).sample_size;
                                 sample.store(s, std::sync::atomic::Ordering::Relaxed);
                             });
-                            Measurement::from_stats(p, out.elapsed, out.stats)
+                            Measurement::of(&out)
                         })
                         .collect();
                     let m = Measurement::averaged(reps);

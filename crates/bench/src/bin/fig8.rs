@@ -27,9 +27,9 @@
 
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
-use bench::scaling::{pe_sweep, scaled_epsilon, Backend, Measurement};
-use bench::{run_on, AlgoChoice, Table};
-use commsim::Communicator;
+use bench::scaling::{pe_sweep, scaled_epsilon, Measurement};
+use bench::{AlgoChoice, Table};
+use commsim::{run_on, Backend, Communicator, World};
 use datagen::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -101,15 +101,15 @@ fn main() {
                 let mut last = None;
                 let reps = (0..args.reps)
                     .map(|_| {
-                        let out = run_on!(args.backend, p, |comm| {
+                        let out = run_on!(args.backend, World::new(p), |comm| {
                             let local = local_input(comm.rank(), per_pe);
                             let plan =
                                 Planner::default().plan_for_data(comm, &local, 32, epsilon, delta);
                             let (result, audit) = plan.execute(comm, &local, 0xF18);
                             (plan, audit, result.sample_size)
                         });
-                        let m = Measurement::from_stats(p, out.elapsed, out.stats);
-                        last = out.results.into_iter().next();
+                        let m = Measurement::of(&out);
+                        last = out.results.into_iter().next().flatten();
                         m
                     })
                     .collect();
@@ -145,12 +145,12 @@ fn main() {
                     let sample = std::sync::atomic::AtomicU64::new(0);
                     let reps = (0..args.reps)
                         .map(|_| {
-                            let out = run_on!(args.backend, p, |comm| {
+                            let out = run_on!(args.backend, World::new(p), |comm| {
                                 let local = local_input(comm.rank(), per_pe);
                                 let s = algo.run(comm, &local, &params).sample_size;
                                 sample.store(s, std::sync::atomic::Ordering::Relaxed);
                             });
-                            Measurement::from_stats(p, out.elapsed, out.stats)
+                            Measurement::of(&out)
                         })
                         .collect();
                     let m = Measurement::averaged(reps);

@@ -43,8 +43,8 @@
 //! ```
 
 use bench::report::fmt_duration;
-use bench::{run_on, run_on_faulty, Backend, Table};
-use commsim::{Communicator, FaultEvent, FaultPlan};
+use bench::Table;
+use commsim::{run_on, Backend, Communicator, FaultEvent, FaultPlan, World};
 use datagen::{FlashCrowd, StreamProfile, TextCorpus};
 use workloads::{BatchReport, StreamConfig, StreamReport, StreamService};
 
@@ -135,9 +135,10 @@ fn main() {
     for _ in 0..args.reps {
         let batches = args.batches;
         let corpus = corpus.clone();
-        let out = run_on!(args.backend, p, move |comm| {
+        let out = run_on!(args.backend, World::new(p), move |comm| {
             serve(comm, config, &corpus, &profile, batches)
-        });
+        })
+        .fault_free();
         wall += out.elapsed;
         runs.push(out.results);
     }
@@ -314,11 +315,14 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
     );
 
     let batches = args.batches;
-    let base = run_on!(args.backend, p, {
-        let corpus = corpus.clone();
-        let profile = *profile;
-        move |comm| serve(comm, config, &corpus, &profile, batches)
-    });
+    let run = |plan: FaultPlan| {
+        run_on!(args.backend, World::new(p).with_faults(plan), {
+            let corpus = corpus.clone();
+            let profile = *profile;
+            move |comm| serve(comm, config, &corpus, &profile, batches)
+        })
+    };
+    let base = run(FaultPlan::new()).fault_free();
 
     // Calibration: a victim that completes exactly its end-of-batch total
     // send count dies immediately before its next send, which is its first
@@ -366,11 +370,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
     // Run a faulted scenario and return the first live PE's outcome plus the
     // number of PEs that finished.
     let run_faulted = |plan: FaultPlan| {
-        let out = run_on_faulty!(args.backend, p, plan, {
-            let corpus = corpus.clone();
-            let profile = *profile;
-            move |comm| serve(comm, config, &corpus, &profile, batches)
-        });
+        let out = run(plan);
         let survivors = out.results.iter().filter(|r| r.is_some()).count();
         let first = out
             .results

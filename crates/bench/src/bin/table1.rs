@@ -27,8 +27,8 @@
 
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
-use bench::{AlgoChoice, Backend, Table};
-use commsim::Communicator;
+use bench::{AlgoChoice, Measurement, Table};
+use commsim::{run_on, Backend, Communicator, World};
 use datagen::{MulticriteriaWorkload, SkewedSelectionInput, UniformInput, WeightedZipfInput, Zipf};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,17 +63,6 @@ impl Scale {
         per_pe: 1 << 12,
         k: 1 << 6,
     };
-}
-
-/// Run a section body on the CLI-selected backend and collect a
-/// [`bench::Measurement`] — the backend-parametric analogue of
-/// [`bench::measure_spmd`], kept as a macro so the closure literal reaches
-/// each backend's run function for independent type inference.
-macro_rules! measure_on {
-    ($backend:expr, $p:expr, $f:expr) => {{
-        let out = bench::run_on!($backend, $p, $f);
-        bench::Measurement::from_stats($p, out.elapsed, out.stats)
-    }};
 }
 
 fn main() {
@@ -153,7 +142,7 @@ fn main() {
     println!("{}", table.to_markdown());
 }
 
-fn add(table: &mut Table, problem: &str, algorithm: &str, m: bench::Measurement) {
+fn add(table: &mut Table, problem: &str, algorithm: &str, m: Measurement) {
     table.add_row(vec![
         problem.to_string(),
         algorithm.to_string(),
@@ -167,13 +156,13 @@ fn add(table: &mut Table, problem: &str, algorithm: &str, m: bench::Measurement)
 /// §4.1 — new: Algorithm 1; old: gather everything onto one PE.
 fn unsorted_selection(table: &mut Table, s: Scale, backend: Backend) {
     let generator = SkewedSelectionInput::default();
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate(comm.rank(), s.per_pe);
         let _ = select_k_smallest(comm, &local, s.k, 1);
-    });
+    }));
     add(table, "unsorted selection", "new: Algorithm 1", m);
 
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate(comm.rank(), s.per_pe);
         // Baseline: ship all data to PE 0 and select there.
         let gathered = comm.gather(0, local);
@@ -182,7 +171,7 @@ fn unsorted_selection(table: &mut Table, s: Scale, backend: Backend) {
             let mut rng = StdRng::seed_from_u64(1);
             let _ = seqkit::select::quickselect(&mut all, s.k - 1, &mut rng);
         }
-    });
+    }));
     add(table, "unsorted selection", "old: gather to one PE", m);
 }
 
@@ -190,28 +179,28 @@ fn unsorted_selection(table: &mut Table, s: Scale, backend: Backend) {
 /// (the "old vs new" here is the latency: O(log² kp) vs O(log kp) rounds).
 fn sorted_selection(table: &mut Table, s: Scale, backend: Backend) {
     let generator = UniformInput::new(1 << 30, 2);
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate_sorted(comm.rank(), s.per_pe);
         let _ = multisequence_select(comm, &local, s.k, 3);
-    });
+    }));
     add(table, "sorted selection", "exact k (Algorithm 9)", m);
 
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate_sorted(comm.rank(), s.per_pe);
         let _ = approx_multisequence_select(comm, &local, s.k as u64, 2 * s.k as u64, 3);
-    });
+    }));
     add(table, "sorted selection", "flexible k (Algorithm 2)", m);
 }
 
 /// §5 — bulk queue: local insertion + selection-based deleteMin* vs a queue
 /// that sends every inserted element to a random PE (the prior approach).
 fn bulk_priority_queue(table: &mut Table, s: Scale, backend: Backend) {
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let mut q = BulkParallelQueue::new(comm);
         let rank = comm.rank() as u64;
         q.insert_bulk((0..s.per_pe as u64 / 8).map(|i| i * 17 + rank));
         let _ = q.delete_min(comm, s.k, 5);
-    });
+    }));
     add(
         table,
         "bulk priority queue",
@@ -219,7 +208,7 @@ fn bulk_priority_queue(table: &mut Table, s: Scale, backend: Backend) {
         m,
     );
 
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         // Baseline: every inserted element is sent to a random PE first
         // (the element-moving design of earlier parallel queues).
         let rank = comm.rank() as u64;
@@ -234,7 +223,7 @@ fn bulk_priority_queue(table: &mut Table, s: Scale, backend: Backend) {
         let mut q = BulkParallelQueue::new(comm);
         q.insert_bulk(received);
         let _ = q.delete_min(comm, s.k, 5);
-    });
+    }));
     add(
         table,
         "bulk priority queue",
@@ -260,14 +249,14 @@ fn top_k_frequent(
     };
     match algo {
         AlgoChoice::Auto => {
-            let out = bench::run_on!(backend, s.p, |comm| {
+            let out = run_on!(backend, World::new(s.p), |comm| {
                 let local = input(comm.rank());
                 let plan = Planner::default().plan_for_data(comm, &local, 32, 3e-3, 1e-3);
                 let (_, audit) = plan.execute(comm, &local, 11);
                 (plan, audit)
             });
-            let m = bench::Measurement::from_stats(s.p, out.elapsed, out.stats);
-            let (plan, audit) = out.results.into_iter().next().expect("p >= 1");
+            let m = Measurement::of(&out);
+            let (plan, audit) = out.fault_free().results.swap_remove(0);
             if plan_explain {
                 print_plan(&plan);
             }
@@ -289,10 +278,10 @@ fn top_k_frequent(
                 ],
             };
             for &(label, a) in &contenders {
-                let m = measure_on!(backend, s.p, |comm| {
+                let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
                     let local = input(comm.rank());
                     let _ = a.run(comm, &local, &params);
-                });
+                }));
                 add(table, "top-k most frequent", label, m);
             }
         }
@@ -303,10 +292,10 @@ fn top_k_frequent(
 fn sum_aggregation(table: &mut Table, s: Scale, backend: Backend) {
     let params = FrequentParams::new(32, 3e-3, 1e-3, 13);
     let generator = WeightedZipfInput::new(1 << 16, 1.0, 10.0, 17);
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate(comm.rank(), s.per_pe);
         let _ = sum_top_k(comm, &local, &params);
-    });
+    }));
     add(
         table,
         "top-k sum aggregation",
@@ -314,7 +303,7 @@ fn sum_aggregation(table: &mut Table, s: Scale, backend: Backend) {
         m,
     );
 
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local = generator.generate(comm.rank(), s.per_pe);
         // Baseline: aggregate every distinct key exactly at a coordinator.
         let agg = seqkit::hashagg::sum_by_key(local.iter().copied());
@@ -327,7 +316,7 @@ fn sum_aggregation(table: &mut Table, s: Scale, backend: Backend) {
             }
             let _ = seqkit::hashagg::top_k_by_sum(&merged, 32);
         }
-    });
+    }));
     add(
         table,
         "top-k sum aggregation",
@@ -348,14 +337,14 @@ fn multicriteria(table: &mut Table, s: Scale, backend: Backend) {
     let additive = MulticriteriaWorkload::additive_score;
 
     let lists = per_pe.clone();
-    let m = measure_on!(backend, s.p, move |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), move |comm| {
         let local = LocalMulticriteria::new(lists[comm.rank()].clone());
         let _ = dta_top_k(comm, &local, &additive, 32, 23);
-    });
+    }));
     add(table, "multicriteria top-k", "new: DTA (Algorithm 3)", m);
 
     let lists = per_pe.clone();
-    let m = measure_on!(backend, s.p, move |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), move |comm| {
         // Baseline: a master–worker threshold algorithm — every PE ships its
         // complete lists to the coordinator, which solves sequentially.
         let local = &lists[comm.rank()];
@@ -377,7 +366,7 @@ fn multicriteria(table: &mut Table, s: Scale, backend: Backend) {
             let ta = seqkit::ThresholdAlgorithm::new(&lists, additive);
             let _ = ta.run(32);
         }
-    });
+    }));
     add(table, "multicriteria top-k", "old: master–worker TA", m);
 }
 
@@ -394,10 +383,10 @@ fn redistribution(table: &mut Table, s: Scale, backend: Backend) {
             s.per_pe / 4 - imbalance
         }
     };
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local: Vec<u64> = (0..local_size(comm.rank()) as u64).collect();
         let _ = redistribute(comm, local);
-    });
+    }));
     add(
         table,
         "data redistribution",
@@ -405,7 +394,7 @@ fn redistribution(table: &mut Table, s: Scale, backend: Backend) {
         m,
     );
 
-    let m = measure_on!(backend, s.p, |comm| {
+    let m = Measurement::of(&run_on!(backend, World::new(s.p), |comm| {
         let local: Vec<u64> = (0..local_size(comm.rank()) as u64).collect();
         // Baseline: round-robin all-to-all regardless of need.
         let p = comm.size();
@@ -414,7 +403,7 @@ fn redistribution(table: &mut Table, s: Scale, backend: Backend) {
             per_dest[i % p].push(v);
         }
         let _: Vec<u64> = comm.alltoall(per_dest).into_iter().flatten().collect();
-    });
+    }));
     add(
         table,
         "data redistribution",

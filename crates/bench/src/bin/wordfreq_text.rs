@@ -26,8 +26,8 @@
 
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
-use bench::{run_on, AlgoChoice, Backend, Table};
-use commsim::{Communicator, SpmdOutput};
+use bench::{AlgoChoice, Table};
+use commsim::{run_on, Backend, Communicator, SpmdOutput, World};
 use datagen::TextCorpus;
 use topk::frequent::{absolute_error, exact_global_counts, relative_error};
 use topk::{FrequentParams, TopKFrequentResult};
@@ -72,12 +72,14 @@ fn main() {
     );
 
     // ----- interning setup (collective, metered separately) ---------------
-    let intern_out: SpmdOutput<(InternedShard, u64)> = run_on!(args.backend, p, |comm| {
-        let before = comm.stats_snapshot();
-        let shard = distributed_intern(comm, &tokens[comm.rank()]);
-        let words = comm.stats_snapshot().since(&before).bottleneck_words();
-        (shard, words)
-    });
+    let intern_out: SpmdOutput<(InternedShard, u64)> =
+        run_on!(args.backend, World::new(p), |comm| {
+            let before = comm.stats_snapshot();
+            let shard = distributed_intern(comm, &tokens[comm.rank()]);
+            let words = comm.stats_snapshot().since(&before).bottleneck_words();
+            (shard, words)
+        })
+        .fault_free();
     let intern_words = intern_out.results.iter().map(|(_, w)| *w).max().unwrap();
     let interned: Vec<InternedShard> = intern_out.results.into_iter().map(|(s, _)| s).collect();
     println!(
@@ -88,9 +90,10 @@ fn main() {
     );
 
     // ----- exact oracle ---------------------------------------------------
-    let oracle = run_on!(args.backend, p, |comm| {
+    let oracle = run_on!(args.backend, World::new(p), |comm| {
         exact_global_counts(comm, &interned[comm.rank()].ids)
-    });
+    })
+    .fault_free();
     let exact = oracle.results.into_iter().next().unwrap();
     let n: u64 = tokens.iter().map(|t| t.len() as u64).sum();
 
@@ -116,12 +119,13 @@ fn main() {
         let mut last = None;
         let mut words_per_rep: Vec<Vec<u64>> = Vec::with_capacity(args.reps);
         for _ in 0..args.reps {
-            let out = run_on!(args.backend, p, |comm| {
+            let out = run_on!(args.backend, World::new(p), |comm| {
                 let shard = &interned[comm.rank()];
                 let plan = plan_word_frequency(comm, shard, args.k, args.epsilon, 1e-3);
                 let (score, audit) = run_planned_scored(comm, shard, &plan, args.seed);
                 (plan, score, audit)
-            });
+            })
+            .fault_free();
             wall += out.elapsed;
             words_per_rep.push(
                 out.results
@@ -161,12 +165,13 @@ fn main() {
             let mut result: Option<TopKFrequentResult> = None;
             let mut words_per_rep: Vec<Vec<u64>> = Vec::with_capacity(args.reps);
             for _ in 0..args.reps {
-                let out = run_on!(args.backend, p, |comm| {
+                let out = run_on!(args.backend, World::new(p), |comm| {
                     let before = comm.stats_snapshot();
                     let r = algo.run(comm, &interned[comm.rank()].ids, &params);
                     let words = comm.stats_snapshot().since(&before).bottleneck_words();
                     (r, words)
-                });
+                })
+                .fault_free();
                 wall += out.elapsed;
                 words_per_rep.push(out.results.iter().map(|(_, w)| *w).collect());
                 result = Some(out.results.into_iter().next().unwrap().0);

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use commsim::{run_spmd, Comm, CostModel, WorldStats};
+use commsim::{CostModel, SpmdOutput, WorldStats};
 
 /// One measured configuration of a weak-scaling sweep.
 #[derive(Debug, Clone)]
@@ -25,16 +25,16 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Build a measurement from an SPMD run's statistics.
-    pub fn from_stats(num_pes: usize, wall_time: Duration, stats: WorldStats) -> Self {
-        let model = CostModel::default();
+    /// Measure an SPMD run from its statistics and wall time.
+    pub fn of<T>(out: &SpmdOutput<T>) -> Self {
+        let stats = out.stats.clone();
         Measurement {
-            num_pes,
-            wall_time,
+            num_pes: stats.num_pes(),
+            wall_time: out.elapsed,
             bottleneck_words: stats.bottleneck_words(),
             bottleneck_messages: stats.bottleneck_messages(),
             total_words: stats.total_words(),
-            modeled_comm_time: model.world_cost(&stats),
+            modeled_comm_time: CostModel::default().world_cost(&stats),
             stats,
         }
     }
@@ -42,8 +42,8 @@ impl Measurement {
     /// Collapse repetitions of one configuration into a single measurement:
     /// wall time is averaged, communication counters (identical across
     /// repetitions up to sampling randomness) are taken from the last.
-    /// The bins build the per-repetition measurements with
-    /// [`crate::run_on!`] and reduce them here.
+    /// The bins measure each repetition with [`Measurement::of`] and reduce
+    /// them here.
     pub fn averaged(mut repetitions: Vec<Measurement>) -> Self {
         assert!(!repetitions.is_empty(), "need at least one repetition");
         let avg_nanos = repetitions
@@ -54,58 +54,6 @@ impl Measurement {
         let mut last = repetitions.pop().expect("non-empty");
         last.wall_time = Duration::from_nanos(avg_nanos as u64);
         last
-    }
-}
-
-/// Run `body` as an SPMD region on `p` PEs and collect a [`Measurement`].
-///
-/// The body receives the communicator and is responsible for generating its
-/// own local input (deterministically from `comm.rank()`), exactly like the
-/// experiment binaries do.
-pub fn measure_spmd<F>(p: usize, body: F) -> Measurement
-where
-    F: Fn(&Comm) + Send + Sync,
-{
-    let out = run_spmd(p, |comm| body(comm));
-    Measurement::from_stats(p, out.elapsed, out.stats)
-}
-
-/// Which [`commsim::Communicator`] backend an experiment binary drives
-/// (selected with `--backend threaded|seq|mux` on the bins); dispatch a
-/// generic SPMD closure onto it with the [`crate::run_on!`] macro.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// One OS thread per PE (`run_spmd`) — wall-clock measurements.
-    Threaded,
-    /// The replay engine driven inline on the calling thread
-    /// (`run_spmd_seq`) — one deterministic schedule.
-    Seq,
-    /// The replay engine's cooperative tasks over a worker pool
-    /// (`run_spmd_mux`) — massive-p sweeps (p = 16 384 and beyond) with
-    /// bit-identical traffic metering.
-    Mux,
-}
-
-impl Backend {
-    /// Parse a `--backend` CLI value; panics on anything but
-    /// `threaded`/`seq`/`mux` (matching the bins' argument-error
-    /// convention).
-    pub fn parse(value: &str) -> Self {
-        match value {
-            "threaded" => Backend::Threaded,
-            "seq" => Backend::Seq,
-            "mux" => Backend::Mux,
-            other => panic!("unknown backend {other} (threaded|seq|mux)"),
-        }
-    }
-
-    /// The CLI name (for report labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Threaded => "threaded",
-            Backend::Seq => "seq",
-            Backend::Mux => "mux",
-        }
     }
 }
 
@@ -169,7 +117,7 @@ pub fn pe_sweep(max: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::Communicator;
+    use commsim::{run_spmd, Communicator};
 
     #[test]
     fn pe_sweep_is_powers_of_two() {
@@ -181,9 +129,9 @@ mod tests {
 
     #[test]
     fn measurement_captures_communication() {
-        let m = measure_spmd(4, |comm| {
+        let m = Measurement::of(&run_spmd(4, |comm| {
             let _ = comm.allreduce_sum(comm.rank() as u64);
-        });
+        }));
         assert_eq!(m.num_pes, 4);
         assert!(m.bottleneck_words > 0);
         assert!(m.total_words > 0);
@@ -210,7 +158,7 @@ mod tests {
 
     #[test]
     fn averaged_measurement_keeps_the_counters() {
-        let reps = (0..3).map(|_| measure_spmd(2, |comm| comm.barrier()));
+        let reps = (0..3).map(|_| Measurement::of(&run_spmd(2, |comm| comm.barrier())));
         let m = Measurement::averaged(reps.collect());
         assert_eq!(m.num_pes, 2);
         // A barrier moves no payload.

@@ -293,11 +293,14 @@ impl WordCodec for String {
     }
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let len = r.next_word().ok_or_else(decode_error::<Self>)? as usize;
-        if len.div_ceil(8) > r.remaining() {
+        let words = len.div_ceil(8);
+        if words > r.remaining() {
             return Err(decode_error::<Self>());
         }
-        let mut bytes = Vec::with_capacity(len);
-        for _ in 0..len.div_ceil(8) {
+        // Whole words are copied before the padding is cut: reserve them,
+        // or the last word reallocates.
+        let mut bytes = Vec::with_capacity(8 * words);
+        for _ in 0..words {
             let word = r.next_word().ok_or_else(decode_error::<Self>)?;
             bytes.extend_from_slice(&word.to_le_bytes());
         }

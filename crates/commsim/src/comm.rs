@@ -30,7 +30,7 @@ use crate::{Rank, Tag};
 /// a verdict about a wall-clock window; a quarter second is several orders of
 /// magnitude above any scheduling hiccup this repo's test loads produce, and
 /// a [`CommError::Timeout`] is retryable by contract anyway.  Overridable per
-/// run via [`crate::SpmdConfig::with_recv_failable_window`] — slow CI
+/// run via [`crate::World::with_recv_failable_window`] — slow CI
 /// runners widen it, tests of the timeout path shrink it.
 pub(crate) const DEFAULT_FAILABLE_WINDOW: Duration = Duration::from_millis(250);
 
@@ -78,7 +78,7 @@ pub struct Comm {
 
 impl Comm {
     /// Create a communicator from its transport endpoint and the shared
-    /// statistics registry.  Normally called by [`crate::runner::run_spmd`].
+    /// statistics registry.  Normally called by [`crate::World::threaded`].
     pub fn new(mailbox: Mailbox, stats: StatsRegistry) -> Self {
         Comm {
             mailbox,
@@ -91,7 +91,7 @@ impl Comm {
     }
 
     /// Create a communicator with an attached fault schedule.  Called by
-    /// [`crate::runner::run_spmd_faulty`].
+    /// [`crate::World::threaded`] under a non-empty fault plan.
     pub(crate) fn new_faulty(
         mailbox: Mailbox,
         stats: StatsRegistry,

@@ -10,9 +10,8 @@
 //!   full mesh of mpsc channels (wall-clock measurements, true parallelism);
 //! * [`crate::MuxComm`] — the replay backend: the same SPMD closures
 //!   re-executed by a park/wake scheduler, inline on one thread
-//!   ([`crate::run_spmd_seq`]: fast tests, reproducible debugging, no
-//!   stack-size tuning) or over a worker pool ([`crate::run_spmd_mux`]:
-//!   massive p).
+//!   ([`crate::World::seq`]: fast tests, reproducible debugging) or over a
+//!   worker pool ([`crate::World::mux`]: massive p).
 //!
 //! Backends implement only the primitive surface (`rank`/`size`, raw
 //! tagged send/receive, statistics); everything user-facing — validated

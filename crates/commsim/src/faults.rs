@@ -22,10 +22,9 @@
 //!   metered as usual, but the receiver never observes the message and its
 //!   per-pair sequence transparently skips over it.
 //!
-//! Fault plans are threaded through the backend entry points
-//! ([`crate::mux::run_spmd_seq_faulty`], [`crate::mux::run_spmd_mux_faulty`],
-//! [`crate::runner::run_spmd_faulty`]); the fault-free paths carry an
-//! `Option` that is `None`, so a plan-less run pays nothing.  Detection is
+//! A plan rides in a [`crate::World`] ([`crate::World::with_faults`]) to
+//! every engine; the empty plan compiles to no fault hook at all, so a
+//! fault-free run pays nothing.  Detection is
 //! surfaced through [`crate::Communicator::recv_failable`], which returns
 //! [`crate::CommError::PeerDead`] / [`crate::CommError::Timeout`] instead of
 //! deadlocking.
@@ -65,7 +64,7 @@ pub enum FaultEvent {
 }
 
 /// A deterministic schedule of [`FaultEvent`]s, built with the fluent
-/// constructors and handed to a `*_faulty` backend entry point.
+/// constructors and handed to a run through [`crate::World::with_faults`].
 ///
 /// An empty plan is exactly equivalent to no plan at all — results *and*
 /// metered words per PE are bit-identical (pinned by the fault-injection

@@ -18,22 +18,27 @@
 //!   for long vectors their root's path pays `βm·log p` rather than `βm`.
 //!
 //! The machine model is captured by the [`Communicator`] trait, and every
-//! algorithm built on this crate is generic over it.  Two engines host it,
-//! behind three runners (see `ARCHITECTURE.md` at the repository root for
-//! the full side-by-side treatment):
+//! algorithm built on this crate is generic over it.  A [`World`] configures
+//! one run — PEs, fault plan, pool size — and starts it on one of two
+//! engines through one method per [`Backend`] (see [`world`], and
+//! `ARCHITECTURE.md` at the repository root for the full side-by-side
+//! treatment):
 //!
-//! * **threaded** ([`Comm`], via [`run_spmd`]) — one OS thread per PE over a
-//!   lock-free sharded inbox transport (one shard of per-source SPSC queues
-//!   per destination PE, lazily materialised, park/unpark blocking); real
-//!   parallelism and wall-clock timings;
+//! * **threaded** ([`Comm`], via [`World::threaded`]) — one OS thread per PE
+//!   over a lock-free sharded inbox transport (one shard of per-source SPSC
+//!   queues per destination PE, lazily materialised, park/unpark blocking);
+//!   real parallelism and wall-clock timings;
 //! * **replay** ([`MuxComm`], see [`mux`]) — a blocked receive aborts the
 //!   PE's closure and a park/wake scheduler re-executes it later; no thread
 //!   or stack per PE, traffic metering bit-identical to the threaded
-//!   backend.  Two drivers: **multiplexed** ([`run_spmd_mux`]) schedules
+//!   backend.  Two drivers: **multiplexed** ([`World::mux`]) schedules
 //!   thousands of simulated PEs (p = 16 384 and beyond) over a small worker
-//!   pool; **sequential** ([`run_spmd_seq`]) runs the same scheduler inline
-//!   on the calling thread — one deterministic schedule, no `Send` bounds,
-//!   no stack-size tuning; fast tests and reproducible debugging.
+//!   pool; **sequential** ([`World::seq`]) runs the same scheduler inline on
+//!   the calling thread — one deterministic schedule, no `Send` bounds; fast
+//!   tests and reproducible debugging.
+//!
+//! [`run_on!`] runs one closure on a backend chosen at run time, and
+//! [`run_spmd`] / [`run_spmd_seq`] are the fault-free shorthands.
 //!
 //! Every message that crosses the "network" is metered: the number of
 //! machine words, the number of message start-ups, and per-PE send/receive
@@ -101,6 +106,7 @@ mod spsc;
 pub mod subgroup;
 pub mod topology;
 pub mod transport;
+pub mod world;
 
 pub use codec::{WordCodec, WordReader};
 pub use collectives::ReduceOp;
@@ -111,17 +117,15 @@ pub use error::{CommError, CommResult};
 pub use faults::{FaultEvent, FaultPlan};
 pub use message::CommData;
 pub use metrics::{PeStats, StatsSnapshot, WorldStats};
-pub use mux::{
-    run_spmd_mux, run_spmd_mux_faulty, run_spmd_mux_with, run_spmd_seq, run_spmd_seq_faulty,
-    MuxComm, MuxConfig, SeqConfig,
-};
+pub use mux::{run_spmd_mux_with, run_spmd_seq, MuxComm, MuxConfig};
 pub use recovery::{
     run_recoverable, Checkpoint, Membership, MembershipConfig, RankMask, RecoveryAudit,
     RecoveryConfig, RecoveryCtx, RecoveryError, RecoveryOutcome,
 };
-pub use runner::{run_spmd, run_spmd_faulty, run_spmd_with, SpmdConfig, SpmdOutput};
+pub use runner::run_spmd;
 pub use subgroup::SubComm;
 pub use transport::BufferPool;
+pub use world::{Backend, SpmdOutput, World};
 
 /// Rank of a processing element, `0..p`.
 pub type Rank = usize;

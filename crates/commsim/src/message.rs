@@ -22,7 +22,7 @@ use crate::codec::WordCodec;
 /// way to make a type sendable is to implement [`WordCodec`] for it:
 ///
 /// ```
-/// use commsim::{run_spmd_mux, CommResult, Communicator, WordCodec, WordReader};
+/// use commsim::{CommResult, Communicator, WordCodec, WordReader, World};
 ///
 /// struct Key(u64);
 /// impl WordCodec for Key {
@@ -37,22 +37,22 @@ use crate::codec::WordCodec;
 ///     }
 /// }
 ///
-/// let out = run_spmd_mux(2, |comm| {
+/// let out = World::new(2).mux(|comm| {
 ///     comm.send(1 - comm.rank(), 1, Key(comm.rank() as u64));
 ///     comm.recv::<Key>(1 - comm.rank(), 1).0
 /// });
-/// assert_eq!(out.results, vec![1, 0]);
+/// assert_eq!(out.fault_free().results, vec![1, 0]);
 /// ```
 ///
 /// A type without a word codec cannot be sent on any backend — a compile
 /// error, not a run-time fallback:
 ///
 /// ```compile_fail,E0277
-/// use commsim::{run_spmd_mux, Communicator};
+/// use commsim::{Communicator, World};
 ///
 /// struct Opaque(u64); // no `WordCodec` impl
 ///
-/// run_spmd_mux(2, |comm| {
+/// World::new(2).mux(|comm| {
 ///     comm.send(1 - comm.rank(), 1, Opaque(7));
 ///     comm.recv::<Opaque>(1 - comm.rank(), 1).0
 /// });

@@ -1,11 +1,11 @@
 //! The replay engine: SPMD worlds without a thread per PE.
 //!
-//! One engine, two drivers.  [`run_spmd_mux`] multiplexes **thousands of
+//! One engine, two drivers.  [`World::mux`] multiplexes **thousands of
 //! simulated PEs as cooperative tasks over a small worker pool**;
-//! [`run_spmd_seq`] runs the *same* scheduler loop **inline on the calling
-//! thread**.  Both execute the SPMD closures [`crate::runner::run_spmd`]
-//! does.  The threaded backend pins one OS thread (with an 8 MiB stack) per
-//! PE, which caps honest sweeps near p = 1024; this engine's cost per PE is
+//! [`World::seq`] runs the *same* scheduler loop **inline on the calling
+//! thread**.  Both execute the SPMD closures [`World::threaded`] does.  The
+//! threaded backend pins one OS thread (with an 8 MiB stack) per PE, which
+//! caps honest sweeps near p = 1024; this engine's cost per PE is
 //! one queue entry plus the messages it touches, so the paper's asymptotic
 //! claims — words/PE shrinking and start-ups staying polylogarithmic as p
 //! grows — can be *measured* at p = 16 384 and beyond instead of
@@ -66,7 +66,7 @@
 //!
 //! # The inline driver
 //!
-//! [`run_spmd_seq`] spawns nothing: the one scheduler loop runs on the
+//! [`World::seq`] spawns nothing: the one scheduler loop runs on the
 //! calling thread, on the caller's stack, so the closure and its results
 //! need not be `Send`/`Sync`, set-up is the `O(p)` world and nothing else,
 //! and — one worker, one deterministic queue — the schedule is **fully
@@ -119,14 +119,14 @@
 //! # Example
 //!
 //! ```
-//! use commsim::{run_spmd_mux, run_spmd_seq, Communicator};
+//! use commsim::{Communicator, World};
 //!
 //! // 512 simulated PEs run on a handful of worker threads ...
-//! let out = run_spmd_mux(512, |comm| comm.allreduce_sum(1u64));
-//! assert!(out.results.iter().all(|&s| s == 512));
+//! let out = World::new(512).mux(|comm| comm.allreduce_sum(1u64));
+//! assert!(out.results.iter().all(|&s| s == Some(512)));
 //! // ... or on this thread alone, with one deterministic schedule.
-//! let out = run_spmd_seq(4, |comm| comm.allreduce_sum(comm.rank() as u64));
-//! assert_eq!(out.results, vec![6, 6, 6, 6]);
+//! let out = World::new(4).seq(|comm| comm.allreduce_sum(comm.rank() as u64));
+//! assert_eq!(out.fault_free().results, vec![6, 6, 6, 6]);
 //! ```
 
 use std::cell::{Cell, RefCell};
@@ -140,86 +140,12 @@ use std::time::Instant;
 
 use crate::communicator::{validate_user_tag, Communicator, COLLECTIVE_TAG_BASE};
 use crate::error::{CommError, CommResult};
-use crate::faults::{CompiledFaults, Crashed, FaultPlan};
+use crate::faults::{CompiledFaults, Crashed};
 use crate::message::CommData;
 use crate::metrics::{StatsRegistry, StatsSnapshot};
-use crate::runner::SpmdOutput;
 use crate::transport::Envelope;
+use crate::world::{SpmdOutput, World, STACK_SIZE};
 use crate::{Rank, Tag};
-
-/// Configuration for [`run_spmd_mux_with`].
-#[derive(Debug, Clone)]
-pub struct MuxConfig {
-    /// Number of simulated PEs (tasks).
-    pub num_pes: usize,
-    /// Number of OS worker threads the tasks are multiplexed over.
-    /// Defaults to the machine's available parallelism, capped at
-    /// `num_pes`; clamped to at least 1 at run time.
-    pub num_workers: usize,
-    /// Stack size per *worker* (closures execute on worker stacks; the
-    /// same algorithms that need deep stacks under
-    /// [`crate::runner::run_spmd`] need them here).
-    pub stack_size: usize,
-    /// Fault schedule to inject; only honoured by [`run_spmd_mux_faulty`]
-    /// (the fault-free entry points reject a non-empty plan, because their
-    /// return type cannot express crashed PEs).
-    pub faults: Option<FaultPlan>,
-}
-
-impl MuxConfig {
-    /// Default configuration for `num_pes` simulated PEs.
-    pub fn new(num_pes: usize) -> Self {
-        let workers = thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
-        MuxConfig {
-            num_pes,
-            num_workers: workers.min(num_pes.max(1)),
-            stack_size: 8 * 1024 * 1024,
-            faults: None,
-        }
-    }
-
-    /// Override the worker-pool size (mainly for tests that force real
-    /// multiplexing with `num_workers << num_pes`).
-    pub fn with_workers(mut self, num_workers: usize) -> Self {
-        self.num_workers = num_workers;
-        self
-    }
-
-    /// Attach a fault plan (run with [`run_spmd_mux_faulty`]).
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-}
-
-/// Configuration for [`run_spmd_seq_faulty`]: the inline driver has no pool
-/// and no stacks to size, so this is `(p, faults)`.
-#[derive(Debug, Clone, Default)]
-pub struct SeqConfig {
-    /// Number of simulated PEs.
-    pub num_pes: usize,
-    /// Fault schedule to inject; `None` (or an empty plan) runs fault-free
-    /// and is bit-identical to [`run_spmd_seq`].
-    pub faults: Option<FaultPlan>,
-}
-
-impl SeqConfig {
-    /// Fault-free configuration for `num_pes` PEs.
-    pub fn new(num_pes: usize) -> Self {
-        SeqConfig {
-            num_pes,
-            faults: None,
-        }
-    }
-
-    /// Attach a fault plan.
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
-        self
-    }
-}
 
 /// Sentinel panic payload: "this execution cannot continue until message
 /// `index` of the pair `(src, dst)` exists".  The scheduler catches it and
@@ -568,8 +494,8 @@ impl MuxWorld {
 /// Communicator handle of one PE during one execution of its task on the
 /// replay engine.
 ///
-/// Created by [`run_spmd_mux`] and [`run_spmd_seq`] alike; user code only
-/// ever sees `&MuxComm`.
+/// Created by [`World::mux`] and [`World::seq`] alike; user code only ever
+/// sees `&MuxComm`.
 pub struct MuxComm {
     world: Arc<MuxWorld>,
     rank: Rank,
@@ -1024,175 +950,136 @@ where
     }
 }
 
-/// Run `f` on `p` simulated PEs multiplexed over a default-sized worker
-/// pool.
-///
-/// Drop-in alternative to [`crate::runner::run_spmd`]: same SPMD
-/// programming model, same [`SpmdOutput`], but PEs are cooperative tasks
-/// over `available_parallelism()` workers, so p can reach into the tens of
-/// thousands (see the module docs for the execution model and the purity
-/// requirements on `f` — the closure is executed multiple times).
+impl World {
+    /// Run `f` on the replay engine, its PEs multiplexed as cooperative tasks
+    /// over [`World::with_workers`] threads, under this world's fault plan.
+    ///
+    /// Same programming model and [`SpmdOutput`] as [`World::threaded`], but
+    /// p can reach into the tens of thousands (see the module docs for the
+    /// execution model and the purity requirements on `f` — the closure is
+    /// executed multiple times).  `results[rank]` is `None` exactly for the
+    /// PEs that crash-stopped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p == 0`, if any PE panics (propagated with the rank of the
+    /// offending PE), or if the program deadlocks (a receive that no matching
+    /// send can ever satisfy — reported with who-waits-on-whom diagnostics).
+    /// A *plain* receive that provably waits on a crashed peer panics with
+    /// [`CommError::PeerDead`] diagnostics (use
+    /// [`Communicator::recv_failable`] to observe failures as values).
+    pub fn mux<T, F>(&self, f: F) -> SpmdOutput<Option<T>>
+    where
+        T: Send,
+        F: Fn(&MuxComm) -> T + Send + Sync,
+    {
+        let workers = self.num_workers.unwrap_or_else(|| {
+            thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+        });
+        self.replay(|world, results| {
+            thread::scope(|scope| {
+                for w in 0..workers.clamp(1, world.p) {
+                    thread::Builder::new()
+                        .name(format!("mux-worker-{w}"))
+                        .stack_size(STACK_SIZE)
+                        .spawn_scoped(scope, || worker_loop(world, &f, results))
+                        .expect("failed to spawn mux worker thread");
+                }
+            });
+        })
+    }
+
+    /// Run `f` on the replay engine inline on the current thread,
+    /// deterministically, under this world's fault plan.
+    ///
+    /// As [`World::mux`], driven inline (see "The inline driver" in the
+    /// module docs): no thread is spawned, closures run on the caller's
+    /// stack, the schedule is the same on every run, and `f` and `T` need
+    /// not be `Send`/`Sync`.
+    ///
+    /// # Panics
+    ///
+    /// As [`World::mux`].
+    pub fn seq<T, F>(&self, f: F) -> SpmdOutput<Option<T>>
+    where
+        F: Fn(&MuxComm) -> T,
+    {
+        self.replay(|world, results| worker_loop(world, &f, results))
+    }
+
+    /// What both drivers share: set up the world, let `drive` run
+    /// [`worker_loop`] on it (on a pool, or inline), collect the results.
+    /// `None` marks PEs that crash-stopped.
+    fn replay<T>(
+        &self,
+        drive: impl FnOnce(&Arc<MuxWorld>, &Mutex<Vec<Option<T>>>),
+    ) -> SpmdOutput<Option<T>> {
+        let faults = self.compiled_faults();
+        let p = self.num_pes;
+        let start = Instant::now();
+        let world = Arc::new(MuxWorld::new(p, faults));
+        let results: Mutex<Vec<Option<T>>> = Mutex::new((0..p).map(|_| None).collect());
+        drive(&world, &results);
+        {
+            let sched = lock(&world.sched);
+            if let Some(msg) = &sched.failure {
+                panic!("{msg}");
+            }
+            assert_eq!(world.finished(&sched), p, "run ended with unfinished tasks");
+        }
+        let elapsed = start.elapsed();
+        SpmdOutput {
+            results: results
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .into_iter()
+                .enumerate()
+                .map(|(rank, v)| {
+                    if world.crashed[rank].load(Ordering::Acquire) {
+                        None
+                    } else {
+                        Some(v.expect("non-crashed PE of a completed run must have a result"))
+                    }
+                })
+                .collect(),
+            stats: world.stats.world(),
+            elapsed,
+        }
+    }
+}
+
+/// Run `f` on `p` simulated PEs on the current thread, deterministically:
+/// `World::new(p).seq(f)` with no PE able to crash.
 ///
 /// # Panics
 ///
-/// Panics if `p == 0`, if any PE panics (propagated with the rank of the
-/// offending PE), or if the program deadlocks (a receive that no matching
-/// send can ever satisfy — reported with who-waits-on-whom diagnostics).
-pub fn run_spmd_mux<T, F>(p: usize, f: F) -> SpmdOutput<T>
+/// As [`World::mux`].
+pub fn run_spmd_seq<T, F>(p: usize, f: F) -> SpmdOutput<T>
 where
-    T: Send,
-    F: Fn(&MuxComm) -> T + Send + Sync,
+    F: Fn(&MuxComm) -> T,
 {
-    run_spmd_mux_with(MuxConfig::new(p), f)
+    World::new(p).seq(f).fault_free()
 }
 
-/// Like [`run_spmd_mux`], with explicit worker-pool and stack-size
-/// configuration.  Rejects a non-empty fault plan — crashed PEs cannot be
-/// expressed in `SpmdOutput<T>`; use [`run_spmd_mux_faulty`] for that.
+/// The pool driver's configuration under its former name.  Only the
+/// `benchmark` package still spells it; everything else writes [`World`].
+pub type MuxConfig = World;
+
+/// `config.mux(f).fault_free()` under its former name; only the `benchmark`
+/// package still calls it.
 pub fn run_spmd_mux_with<T, F>(config: MuxConfig, f: F) -> SpmdOutput<T>
 where
     T: Send,
     F: Fn(&MuxComm) -> T + Send + Sync,
 {
-    assert!(
-        config.faults.as_ref().is_none_or(FaultPlan::is_empty),
-        "run_spmd_mux_with cannot express crashed PEs; use run_spmd_mux_faulty"
-    );
-    run_on_pool(config, None, f).fault_free()
-}
-
-/// Run `f` under a fault schedule (see [`crate::faults`]): the multiplexed
-/// counterpart of [`run_spmd_mux`] for chaos testing at scale.
-///
-/// `results[rank]` is `None` exactly for the PEs that crash-stopped; every
-/// surviving PE ran its closure to completion.  An empty (or absent) fault
-/// plan is bit-identical — results and metered words per PE — to
-/// [`run_spmd_mux_with`].
-pub fn run_spmd_mux_faulty<T, F>(config: MuxConfig, f: F) -> SpmdOutput<Option<T>>
-where
-    T: Send,
-    F: Fn(&MuxComm) -> T + Send + Sync,
-{
-    let compiled = config
-        .faults
-        .as_ref()
-        .and_then(|plan| plan.compile(config.num_pes));
-    run_on_pool(config, compiled, f)
-}
-
-/// Run `f` on `p` simulated PEs on the current thread, deterministically.
-///
-/// Same programming model and [`SpmdOutput`] as [`run_spmd_mux`], driven
-/// inline (see "The inline driver" in the module docs): no thread is
-/// spawned, closures run on the caller's stack, the schedule is the same on
-/// every run, and `f` and `T` need not be `Send`/`Sync`.
-///
-/// # Panics
-///
-/// As [`run_spmd_mux`].
-pub fn run_spmd_seq<T, F>(p: usize, f: F) -> SpmdOutput<T>
-where
-    F: Fn(&MuxComm) -> T,
-{
-    run_spmd_seq_faulty(SeqConfig::new(p), f).fault_free()
-}
-
-/// Run `f` under a fault schedule (see [`crate::faults`]): the inline
-/// counterpart of [`run_spmd_seq`] for chaos testing.
-///
-/// `results[rank]` is `None` exactly for the PEs that crash-stopped; every
-/// surviving PE ran its closure to completion.  An empty (or absent) fault
-/// plan is bit-identical — results and metered words per PE — to
-/// [`run_spmd_seq`].
-///
-/// # Panics
-///
-/// In addition to [`run_spmd_seq`]'s conditions: a *plain* receive that
-/// provably waits on a crashed peer panics with
-/// [`CommError::PeerDead`] diagnostics (use
-/// [`Communicator::recv_failable`] to observe failures as values instead).
-pub fn run_spmd_seq_faulty<T, F>(config: SeqConfig, f: F) -> SpmdOutput<Option<T>>
-where
-    F: Fn(&MuxComm) -> T,
-{
-    let compiled = config
-        .faults
-        .as_ref()
-        .and_then(|plan| plan.compile(config.num_pes));
-    run_replay(config.num_pes, compiled, |world, results| {
-        worker_loop(world, &f, results)
-    })
-}
-
-/// The pool driver: one scoped thread per worker, each running
-/// [`worker_loop`] until the world is finished.
-fn run_on_pool<T, F>(
-    config: MuxConfig,
-    faults: Option<CompiledFaults>,
-    f: F,
-) -> SpmdOutput<Option<T>>
-where
-    T: Send,
-    F: Fn(&MuxComm) -> T + Send + Sync,
-{
-    run_replay(config.num_pes, faults, |world, results| {
-        thread::scope(|scope| {
-            for w in 0..config.num_workers.clamp(1, world.p) {
-                thread::Builder::new()
-                    .name(format!("mux-worker-{w}"))
-                    .stack_size(config.stack_size)
-                    .spawn_scoped(scope, || worker_loop(world, &f, results))
-                    .expect("failed to spawn mux worker thread");
-            }
-        });
-    })
-}
-
-/// What every entry point shares: set up the world, let `drive` run
-/// [`worker_loop`] on it (on a pool, or inline), collect the results.
-/// `None` marks PEs that crash-stopped.
-fn run_replay<T>(
-    p: usize,
-    faults: Option<CompiledFaults>,
-    drive: impl FnOnce(&Arc<MuxWorld>, &Mutex<Vec<Option<T>>>),
-) -> SpmdOutput<Option<T>> {
-    assert!(p > 0, "an SPMD region needs at least one PE");
-
-    let start = Instant::now();
-    let world = Arc::new(MuxWorld::new(p, faults));
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..p).map(|_| None).collect());
-    drive(&world, &results);
-    {
-        let sched = lock(&world.sched);
-        if let Some(msg) = &sched.failure {
-            panic!("{msg}");
-        }
-        assert_eq!(world.finished(&sched), p, "run ended with unfinished tasks");
-    }
-    let elapsed = start.elapsed();
-    SpmdOutput {
-        results: results
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .enumerate()
-            .map(|(rank, v)| {
-                if world.crashed[rank].load(Ordering::Acquire) {
-                    None
-                } else {
-                    Some(v.expect("non-crashed PE of a completed run must have a result"))
-                }
-            })
-            .collect(),
-        stats: world.stats.world(),
-        elapsed,
-    }
+    config.mux(f).fault_free()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
+    use crate::faults::FaultPlan;
     use crate::runner::run_spmd;
     use std::rc::Rc;
 
@@ -1202,7 +1089,7 @@ mod tests {
         workers: usize,
         f: impl Fn(&MuxComm) -> T + Send + Sync,
     ) -> SpmdOutput<T> {
-        run_spmd_mux_with(MuxConfig::new(p).with_workers(workers), f)
+        World::new(p).with_workers(workers).mux(f).fault_free()
     }
 
     /// One body under both drivers of the engine: inline on this thread, and
@@ -1261,12 +1148,13 @@ mod tests {
 
     #[test]
     fn self_send_does_not_park() {
-        let out = run_spmd_mux(3, |comm| {
+        for (driver, out) in on_both_drivers(3, |comm| {
             comm.send(comm.rank(), 9, comm.rank() as u64);
             let v: u64 = comm.recv(comm.rank(), 9);
             v
-        });
-        assert_eq!(out.results, vec![0, 1, 2]);
+        }) {
+            assert_eq!(out.results, vec![0, 1, 2], "{driver}");
+        }
     }
 
     #[test]
@@ -1451,8 +1339,9 @@ mod tests {
             comm.stats_snapshot().since(&before).sent_words
         }
         let threaded = run_spmd(4, program);
-        assert_eq!(run_spmd_mux(4, program).results, threaded.results);
-        assert_eq!(run_spmd_seq(4, program).results, threaded.results);
+        for (driver, out) in on_both_drivers(4, program) {
+            assert_eq!(out.results, threaded.results, "{driver}");
+        }
     }
 
     #[test]
@@ -1624,7 +1513,7 @@ mod tests {
         // Two PEs out of 4096 talk; the run must not materialise state for
         // the silent pairs (this is a smoke test that big-p worlds are
         // cheap — the allocation-counting pin lives in tests/).
-        let out = run_spmd_mux(4096, |comm| match comm.rank() {
+        let out = World::new(4096).mux(|comm| match comm.rank() {
             0 => {
                 comm.send(1, 1, 42u64);
                 0u64
@@ -1632,7 +1521,7 @@ mod tests {
             1 => comm.recv(0, 1),
             _ => 0,
         });
-        assert_eq!(out.results[1], 42);
+        assert_eq!(out.results[1], Some(42));
         assert_eq!(out.stats.total_messages(), 1);
     }
 
@@ -1703,11 +1592,9 @@ mod tests {
                 .map(|src| format!("{:?}", comm.recv_failable::<u64>(src, 11)))
                 .collect()
         };
-        let inline = run_spmd_seq_faulty(SeqConfig::new(5).with_faults(plan()), program);
-        let pooled = run_spmd_mux_faulty(
-            MuxConfig::new(5).with_workers(3).with_faults(plan()),
-            program,
-        );
+        let world = World::new(5).with_workers(3).with_faults(plan());
+        let inline = world.seq(program);
+        let pooled = world.mux(program);
         assert_eq!(inline.results, pooled.results);
         assert_eq!(inline.results[3], None);
         let verdicts = inline.results[2].as_ref().expect("PE 2 survives");

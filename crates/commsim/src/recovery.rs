@@ -832,7 +832,8 @@ where
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::mux::{run_spmd_seq, run_spmd_seq_faulty, SeqConfig};
+    use crate::mux::run_spmd_seq;
+    use crate::world::World;
 
     #[test]
     fn rank_mask_set_contains_union_and_growth() {
@@ -894,7 +895,7 @@ mod tests {
     fn membership_round_detects_a_crashed_pe() {
         // Rank 2 dies at its very first send — its heartbeat.
         let plan = FaultPlan::new().crash_pe(2, 0);
-        let out = run_spmd_seq_faulty(SeqConfig::new(4).with_faults(plan), |comm| {
+        let out = World::new(4).with_faults(plan).seq(|comm| {
             let mut m = Membership::new();
             let group = m.round(comm).expect("survivor round");
             (group, m.is_evicted())
@@ -913,7 +914,7 @@ mod tests {
         // burns its timeout budget and evicts the (live) member, whose
         // verdict copy tells it so.
         let plan = FaultPlan::new().drop_message(1, 0, 0);
-        let out = run_spmd_seq_faulty(SeqConfig::new(3).with_faults(plan), |comm| {
+        let out = World::new(3).with_faults(plan).seq(|comm| {
             let mut m = Membership::new();
             let group = m.round(comm).expect("round completes");
             (group, m.is_evicted(), m.timeouts_observed())
@@ -935,7 +936,7 @@ mod tests {
     #[test]
     fn recv_with_retry_gives_up_with_a_typed_error() {
         let plan = FaultPlan::new().drop_message(1, 0, 0);
-        let out = run_spmd_seq_faulty(SeqConfig::new(2).with_faults(plan), |comm| {
+        let out = World::new(2).with_faults(plan).seq(|comm| {
             let ctx = RecoveryCtx::new(comm, RecoveryConfig::enabled());
             if comm.rank() == 0 {
                 let res = ctx.recv_with_retry::<u64>(1, 7, 2);
@@ -1029,7 +1030,7 @@ mod tests {
         let victim = 2;
         let crash_at = baseline.results[victim].sends_at_phase_end[0];
         let plan = FaultPlan::new().crash_pe(victim, crash_at);
-        let out = run_spmd_seq_faulty(SeqConfig::new(4).with_faults(plan), move |comm| {
+        let out = World::new(4).with_faults(plan).seq(move |comm| {
             run_recoverable(comm, cfg, 3, Log::default(), sum_phase).expect("survivors recover")
         });
         assert!(out.results[victim].is_none(), "the victim crash-stopped");

@@ -456,7 +456,7 @@ pub fn aggregate_counts_with<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{run_spmd, run_spmd_mux, run_spmd_seq, CommError};
+    use commsim::{run_spmd, run_spmd_seq, CommError, World};
     use datagen::Zipf;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -885,7 +885,9 @@ mod tests {
             let params = FrequentParams::new(8, 0.03, 1e-3, 0x24).with_dht_fanout(fanout);
             for algorithm in Algorithm::ALL {
                 let threads = run_spmd(p, |c| algorithm.run(c, &parts[c.rank()], &params));
-                let mux = run_spmd_mux(p, |c| algorithm.run(c, &parts[c.rank()], &params));
+                let mux = World::new(p)
+                    .mux(|c| algorithm.run(c, &parts[c.rank()], &params))
+                    .fault_free();
                 let inline = run_spmd_seq(p, |c| algorithm.run(c, &parts[c.rank()], &params));
                 for (engine, results) in [
                     ("threads", &threads.results),

@@ -29,7 +29,7 @@
 //!
 //! Both scenarios are generic over [`commsim::Communicator`], so they run
 //! bit-identically on the threaded `Comm` and the replay engine's `MuxComm`
-//! (`run_spmd_seq`, `run_spmd_mux`); the integration tests pin exactly that.
+//! (`World::seq`, `World::mux`); the integration tests pin exactly that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,16 +1,16 @@
-//! Backend walkthrough: one SPMD program, three runners.
+//! Backend walkthrough: one SPMD program, three backends.
 //!
-//! Demonstrates the `Communicator` trait introduced with the API redesign:
-//! the same generic closure runs on the threaded backend (`run_spmd`, one OS
-//! thread per PE) and on the replay engine under both of its drivers — the
-//! deterministic sequential one (`run_spmd_seq`, the scheduler inline on
-//! this thread) and the multiplexed one (`run_spmd_mux`, thousands of PEs as
-//! cooperative tasks over a small worker pool) — producing identical results
-//! and identical metered traffic.  Also shows the message path at work:
-//! every payload crosses the transport as its word encoding, and on the
-//! threaded backend the `pooled_reuses` counter proves the buffers are being
-//! recycled (the replay engine keeps every message for re-execution, which
-//! makes it honestly 0 — see ARCHITECTURE.md).
+//! Demonstrates the `Communicator` trait and the one way to start a world:
+//! `run_on!(backend, World::new(p), program)` runs the same generic program
+//! on every `Backend` — the threaded one (one OS thread per PE) and the
+//! replay engine under both of its drivers, the deterministic sequential one
+//! (the scheduler inline on this thread) and the multiplexed one (thousands
+//! of PEs as cooperative tasks over a small worker pool) — producing
+//! identical results and identical metered traffic.  Also shows the message
+//! path at work: every payload crosses the transport as its word encoding,
+//! and on the threaded backend the `pooled_reuses` counter proves the
+//! buffers are being recycled (the replay engine keeps every message for
+//! re-execution, which makes it honestly 0 — see ARCHITECTURE.md).
 //!
 //! ```bash
 //! cargo run --release --example backends
@@ -34,25 +34,19 @@ fn program<C: Communicator>(comm: &C) -> (u64, u64) {
 fn main() {
     let p = 8;
 
-    let threaded = run_spmd(p, program::<Comm>);
-    let sequential = run_spmd_seq(p, program::<MuxComm>);
-    let muxed = run_spmd_mux(p, program::<MuxComm>);
+    let reference = run_spmd(p, program);
 
-    assert_eq!(threaded.results, sequential.results);
-    assert_eq!(threaded.results, muxed.results);
-    assert_eq!(threaded.stats.total_words(), sequential.stats.total_words());
-    assert_eq!(threaded.stats.total_words(), muxed.stats.total_words());
-
-    println!("same program, three runners, p = {p}:");
-    // Only the threaded transport consumes messages, so only it has
-    // buffers to recycle; the replay engine reports 0 under either driver.
-    for (runner, out) in [
-        ("threaded", &threaded),
-        ("sequential", &sequential),
-        ("multiplexed", &muxed),
-    ] {
+    println!("same program, three backends, p = {p}:");
+    for backend in Backend::ALL {
+        let out = run_on!(backend, World::new(p), program).fault_free();
+        assert_eq!(out.results, reference.results);
+        assert_eq!(out.stats.total_words(), reference.stats.total_words());
+        // Only the threaded transport consumes messages, so only it has
+        // buffers to recycle; the replay engine reports 0 under either
+        // driver.
         println!(
-            "  {runner:<11} {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
+            "  {:<9} {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
+            backend.name(),
             out.stats.total_words(),
             out.stats.total_messages(),
             out.stats.total_pooled_reuses(),

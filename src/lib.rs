@@ -39,8 +39,8 @@ pub use workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use commsim::{
-        run_spmd, run_spmd_mux, run_spmd_mux_with, run_spmd_seq, run_spmd_with, Comm, Communicator,
-        CostModel, MuxComm, MuxConfig, ReduceOp, SpmdConfig, SpmdOutput, WordCodec,
+        run_on, run_spmd, run_spmd_seq, Backend, Comm, Communicator, CostModel, MuxComm, ReduceOp,
+        SpmdOutput, WordCodec, World,
     };
     pub use datagen::{
         MulticriteriaWorkload, NegativeBinomial, SkewedSelectionInput, UniformInput,

@@ -5,7 +5,7 @@
 //! code — what can differ is how a backend *executes* a program in which
 //! every PE receives in every round: the threaded transport interleaves
 //! freely; the replay engine parks and wakes tasks in least-progress-first
-//! order, inline on one thread (`run_spmd_seq`) or racing over a worker
+//! order, inline on one thread (`World::seq`) or racing over a worker
 //! pool.  For each world size (powers of two, their neighbours, primes) the
 //! results must equal the rank-order oracle and the per-PE traffic of every
 //! replay run must be bit-identical to the threaded one (the reference — the
@@ -105,11 +105,11 @@ fn allgather_is_bit_identical_on_all_three_backends() {
             ("seq", run_spmd_seq(p, program)),
             (
                 "mux/1",
-                run_spmd_mux_with(MuxConfig::new(p).with_workers(1), program),
+                World::new(p).with_workers(1).mux(program).fault_free(),
             ),
             (
                 "mux/3",
-                run_spmd_mux_with(MuxConfig::new(p).with_workers(3), program),
+                World::new(p).with_workers(3).mux(program).fault_free(),
             ),
         ];
         for (backend, out) in &others {

@@ -119,10 +119,10 @@ fn readme_links_the_architecture_book_and_it_covers_all_backends() {
         "README.md must link to ARCHITECTURE.md"
     );
     let arch = fs::read_to_string(root.join("ARCHITECTURE.md")).expect("ARCHITECTURE.md");
-    for backend in ["run_spmd", "run_spmd_seq", "run_spmd_mux"] {
+    for entry in ["World::threaded", "World::seq", "World::mux", "run_on!"] {
         assert!(
-            arch.contains(backend),
-            "ARCHITECTURE.md must document the `{backend}` entry point"
+            arch.contains(entry),
+            "ARCHITECTURE.md must document the `{entry}` entry point"
         );
     }
 }

@@ -15,8 +15,7 @@
 //!    same results and the same metered traffic.
 
 use topk_selection::commsim::{
-    run_spmd, run_spmd_faulty, run_spmd_mux, run_spmd_mux_faulty, run_spmd_seq,
-    run_spmd_seq_faulty, CommError, Communicator, FaultPlan, MuxConfig, SeqConfig, SpmdConfig,
+    run_on, run_spmd_seq, Backend, CommError, Communicator, FaultPlan, World,
 };
 
 /// A workload mixing point-to-point traffic with the collective suite, so
@@ -35,23 +34,11 @@ fn mixed_workload<C: Communicator>(comm: &C) -> (u64, u64, u64) {
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_plan_on_all_three_backends() {
     let p = 6;
-    let plain = [
-        ("threaded", run_spmd(p, mixed_workload)),
-        ("seq", run_spmd_seq(p, mixed_workload)),
-        ("mux", run_spmd_mux(p, mixed_workload)),
-    ];
-    let faulty = [
-        run_spmd_faulty(SpmdConfig::new(p).with_faults(FaultPlan::new()), |comm| {
-            mixed_workload(comm)
-        }),
-        run_spmd_seq_faulty(SeqConfig::new(p).with_faults(FaultPlan::new()), |comm| {
-            mixed_workload(comm)
-        }),
-        run_spmd_mux_faulty(MuxConfig::new(p).with_faults(FaultPlan::new()), |comm| {
-            mixed_workload(comm)
-        }),
-    ];
-    for ((name, base), ft) in plain.iter().zip(faulty.iter()) {
+    let empty = World::new(p).with_faults(FaultPlan::new());
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let base = run_on!(backend, World::new(p), mixed_workload).fault_free();
+        let ft = run_on!(backend, empty, mixed_workload);
         for rank in 0..p {
             assert_eq!(
                 Some(&base.results[rank]),
@@ -111,29 +98,10 @@ fn crash_witness<C: Communicator>(comm: &C) -> String {
 
 #[test]
 fn a_crashed_peer_is_reported_to_failable_receivers_on_every_backend() {
-    let p = 3;
-    let plan = || FaultPlan::new().crash_pe(2, 0);
-    let outs = [
-        (
-            "threaded",
-            run_spmd_faulty(SpmdConfig::new(p).with_faults(plan()), |comm| {
-                crash_witness(comm)
-            }),
-        ),
-        (
-            "seq",
-            run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan()), |comm| {
-                crash_witness(comm)
-            }),
-        ),
-        (
-            "mux",
-            run_spmd_mux_faulty(MuxConfig::new(p).with_faults(plan()), |comm| {
-                crash_witness(comm)
-            }),
-        ),
-    ];
-    for (name, out) in &outs {
+    let world = World::new(3).with_faults(FaultPlan::new().crash_pe(2, 0));
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let out = run_on!(backend, world, crash_witness);
         assert!(
             out.results[2].is_none(),
             "{name}: the crashed PE must yield None"
@@ -147,15 +115,16 @@ fn a_crashed_peer_is_reported_to_failable_receivers_on_every_backend() {
             Some("got 7"),
             "{name}: survivor traffic after the detection must flow"
         );
+        // The replay backend *proves* the death (production log final), so
+        // its verdict is the strong one, deterministically.
+        if backend == Backend::Seq {
+            assert_eq!(
+                out.results[0].as_deref(),
+                Some("PeerDead { rank: 2 }"),
+                "seq must return the proven-dead verdict, not a timeout"
+            );
+        }
     }
-    // The replay backend *proves* the death (production log final), so its
-    // verdict is the strong one, deterministically.
-    let (_, seq) = &outs[1];
-    assert_eq!(
-        seq.results[0].as_deref(),
-        Some("PeerDead { rank: 2 }"),
-        "seq must return the proven-dead verdict, not a timeout"
-    );
 }
 
 /// Rank 0's first message to rank 1 is held back by the plan; rank 0 then
@@ -179,31 +148,11 @@ fn delay_witness<C: Communicator>(comm: &C) -> u64 {
 #[test]
 fn delayed_messages_arrive_with_unchanged_results_and_metering() {
     let p = 3;
-    let plan = || FaultPlan::new().delay_pair(0, 1, 3);
-    let cases = [
-        (
-            "threaded",
-            run_spmd(p, delay_witness),
-            run_spmd_faulty(SpmdConfig::new(p).with_faults(plan()), |comm| {
-                delay_witness(comm)
-            }),
-        ),
-        (
-            "seq",
-            run_spmd_seq(p, delay_witness),
-            run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan()), |comm| {
-                delay_witness(comm)
-            }),
-        ),
-        (
-            "mux",
-            run_spmd_mux(p, delay_witness),
-            run_spmd_mux_faulty(MuxConfig::new(p).with_faults(plan()), |comm| {
-                delay_witness(comm)
-            }),
-        ),
-    ];
-    for (name, base, ft) in &cases {
+    let delayed = World::new(p).with_faults(FaultPlan::new().delay_pair(0, 1, 3));
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let base = run_on!(backend, World::new(p), delay_witness).fault_free();
+        let ft = run_on!(backend, delayed, delay_witness);
         for rank in 0..p {
             assert_eq!(
                 Some(&base.results[rank]),
@@ -238,29 +187,10 @@ fn drop_witness<C: Communicator>(comm: &C) -> u64 {
 
 #[test]
 fn dropped_messages_are_metered_at_the_sender_but_never_delivered() {
-    let p = 2;
-    let plan = || FaultPlan::new().drop_message(0, 1, 0);
-    let outs = [
-        (
-            "threaded",
-            run_spmd_faulty(SpmdConfig::new(p).with_faults(plan()), |comm| {
-                drop_witness(comm)
-            }),
-        ),
-        (
-            "seq",
-            run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan()), |comm| {
-                drop_witness(comm)
-            }),
-        ),
-        (
-            "mux",
-            run_spmd_mux_faulty(MuxConfig::new(p).with_faults(plan()), |comm| {
-                drop_witness(comm)
-            }),
-        ),
-    ];
-    for (name, out) in &outs {
+    let world = World::new(2).with_faults(FaultPlan::new().drop_message(0, 1, 0));
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let out = run_on!(backend, world, drop_witness);
         assert_eq!(
             out.results[1],
             Some(222),
@@ -321,7 +251,7 @@ fn seeded_crash_plans_build_and_replay_deterministically() {
 
     // And the induced executions replay bit-identically on the replay
     // backend: results *and* metered traffic.
-    let run = |plan: FaultPlan| run_spmd_seq_faulty(SeqConfig::new(8).with_faults(plan), probe_all);
+    let run = |plan: FaultPlan| World::new(8).with_faults(plan).seq(probe_all);
     let x = run(a);
     let y = run(b);
     assert_eq!(x.results, y.results, "replay must be deterministic");
@@ -368,7 +298,7 @@ fn seq_deadlock_dump_lists_the_per_pair_wait_map() {
 #[test]
 fn mux_deadlock_dump_lists_the_per_pair_wait_map() {
     let result = std::panic::catch_unwind(|| {
-        run_spmd_mux(3, |comm| match comm.rank() {
+        World::new(3).mux(|comm| match comm.rank() {
             0 => {
                 let _: u64 = comm.recv(1, 9);
             }
@@ -391,16 +321,15 @@ fn mux_deadlock_dump_lists_the_per_pair_wait_map() {
 #[test]
 fn plain_recv_from_a_crashed_peer_names_the_crash_not_a_deadlock() {
     let result = std::panic::catch_unwind(|| {
-        run_spmd_seq_faulty(
-            SeqConfig::new(2).with_faults(FaultPlan::new().crash_pe(1, 0)),
-            |comm| {
+        World::new(2)
+            .with_faults(FaultPlan::new().crash_pe(1, 0))
+            .seq(|comm| {
                 if comm.rank() == 0 {
                     let _: u64 = comm.recv(1, 3); // plain recv: upgraded to a panic
                 } else {
                     comm.send(0, 3, 1u64);
                 }
-            },
-        )
+            })
     });
     let msg = panic_message(result.unwrap_err());
     assert!(msg.contains("crashed"), "got: {msg}");
@@ -416,13 +345,13 @@ fn threaded_recv_failable_times_out_retries_then_suspects_a_slow_peer() {
     // the same trick slow CI runners use, in reverse: here the window is
     // *narrowed* so a deliberately slow sender forces observable timeouts.
     let plan = FaultPlan::new().drop_message(1, 0, 1_000);
-    let config = SpmdConfig::new(p)
+    let world = World::new(p)
         .with_faults(plan)
         .with_recv_failable_window(Duration::from_millis(5));
 
     // Per PE: (timeouts before the slow payload arrived, timeouts on the
     // suspect probe, payload received).
-    let out = run_spmd_faulty(config, |comm| -> (u32, u32, u64) {
+    let out = world.threaded(|comm| -> (u32, u32, u64) {
         if comm.rank() == 1 {
             // The slow sender: outlast several 5 ms windows, then deliver.
             std::thread::sleep(Duration::from_millis(60));

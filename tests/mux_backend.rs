@@ -11,7 +11,7 @@
 //! PE's sent/received words and message counts.
 //!
 //! The oracle is always the **threaded** backend (real threads, destructive
-//! queues, no replay).  `run_spmd_seq` and `run_spmd_mux*` are two drivers
+//! queues, no replay).  `World::seq` and `World::mux` are two drivers
 //! of one replay engine, so agreement between them alone would prove
 //! nothing about the engine; each is compared to the threaded run, and the
 //! inline run rides along as a third column.
@@ -57,7 +57,9 @@ fn fig6_traffic_is_bit_identical_across_all_three_backends() {
         for k in [1usize, 64, per_pe / 4] {
             let threaded = run_spmd(p, |comm| fig6_body(comm, per_pe, k));
             let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
-            let mux = run_spmd_mux(p, |comm| fig6_body(comm, per_pe, k));
+            let mux = World::new(p)
+                .mux(|comm| fig6_body(comm, per_pe, k))
+                .fault_free();
 
             assert_eq!(
                 threaded.results, seq.results,
@@ -88,16 +90,15 @@ fn fig6_traffic_is_bit_identical_across_all_three_backends() {
 fn fig6_path_multiplexes_many_pes_over_few_workers() {
     // More PEs than any machine has cores, squeezed through 4 workers: the
     // cooperative scheduler must still produce traffic bit-identical to 512
-    // real threads (small stacks keep them cheap).  (The full p = 16384 row
+    // real threads.  (The full p = 16384 row
     // lives in EXPERIMENTS.md — this keeps the same property pinned at
     // test-suite runtime.)
     let (p, per_pe, k) = (512usize, 32usize, 16usize);
-    let threaded = run_spmd_with(SpmdConfig::new(p).with_stack_size(512 << 10), |comm| {
-        fig6_body(comm, per_pe, k)
-    });
-    let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(4), |comm| {
-        fig6_body(comm, per_pe, k)
-    });
+    let threaded = run_spmd(p, |comm| fig6_body(comm, per_pe, k));
+    let mux = World::new(p)
+        .with_workers(4)
+        .mux(|comm| fig6_body(comm, per_pe, k))
+        .fault_free();
     let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
     for (driver, out) in [("mux", &mux), ("seq", &seq)] {
         assert_eq!(threaded.results, out.results, "{driver}");
@@ -129,9 +130,10 @@ fn fig6_on_a_two_worker_pool_is_bit_identical_to_seq() {
     let (per_pe, k) = (128usize, 32usize);
     for p in [4usize, 8] {
         let threaded = run_spmd(p, |comm| fig6_body(comm, per_pe, k));
-        let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(2), |comm| {
-            fig6_body(comm, per_pe, k)
-        });
+        let mux = World::new(p)
+            .with_workers(2)
+            .mux(|comm| fig6_body(comm, per_pe, k))
+            .fault_free();
         let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
         assert_eq!(threaded.results, mux.results, "p={p}: results diverge");
         assert_eq!(threaded.results, seq.results, "p={p}: seq results diverge");
@@ -169,14 +171,15 @@ fn fig6_on_a_two_worker_pool_is_bit_identical_to_seq() {
 #[ignore = "measurement harness, run explicitly with --ignored --nocapture"]
 fn measure_worker_pool_speedup() {
     let (p, per_pe, k) = (2048usize, 64usize, 32usize);
-    let baseline = run_spmd_mux_with(MuxConfig::new(p).with_workers(1), |comm| {
-        fig6_body(comm, per_pe, k)
-    });
+    let run = |workers| {
+        World::new(p)
+            .with_workers(workers)
+            .mux(|comm| fig6_body(comm, per_pe, k))
+    };
+    let baseline = run(1);
     for workers in [1usize, 2, 4, 8] {
         let t = std::time::Instant::now();
-        let out = run_spmd_mux_with(MuxConfig::new(p).with_workers(workers), |comm| {
-            fig6_body(comm, per_pe, k)
-        });
+        let out = run(workers);
         let elapsed = t.elapsed();
         assert_eq!(out.results, baseline.results);
         assert_eq!(
@@ -202,7 +205,7 @@ fn measure_worker_pool_speedup() {
 fn measure_empty_world_time_scaling() {
     for p in [2048usize, 4096, 8192, 16384] {
         let t = std::time::Instant::now();
-        let mux = run_spmd_mux(p, |comm| comm.rank());
+        let mux = World::new(p).mux(|comm| comm.rank());
         let mux_time = t.elapsed();
         assert_eq!(mux.results.len(), p);
         let t = std::time::Instant::now();
@@ -220,11 +223,13 @@ fn massive_p_collectives_complete_and_meter_consistently() {
     // run must complete and the metered totals must satisfy the obvious
     // conservation law (every word sent is received exactly once).
     let p = 4096usize;
-    let out = run_spmd_mux(p, |comm| {
-        let sum = comm.allreduce_sum(comm.rank() as u64);
-        let prefix = comm.prefix_sum_exclusive(1u64);
-        (sum, prefix)
-    });
+    let out = World::new(p)
+        .mux(|comm| {
+            let sum = comm.allreduce_sum(comm.rank() as u64);
+            let prefix = comm.prefix_sum_exclusive(1u64);
+            (sum, prefix)
+        })
+        .fault_free();
     let expect: u64 = (p as u64 - 1) * p as u64 / 2;
     for (rank, &(sum, prefix)) in out.results.iter().enumerate() {
         assert_eq!(sum, expect);

@@ -8,10 +8,7 @@
 use std::panic;
 use std::sync::Mutex;
 
-use topk_selection::commsim::{
-    run_spmd_faulty, run_spmd_mux_faulty, run_spmd_seq, run_spmd_seq_faulty, Communicator,
-    FaultPlan, MuxConfig, SeqConfig, SpmdConfig,
-};
+use topk_selection::commsim::{run_on, run_spmd_seq, Backend, Communicator, FaultPlan, World};
 
 /// What the hook was called with: the message of a string payload, or a
 /// marker for anything else (a sentinel would show up as that).
@@ -48,12 +45,10 @@ fn sentinels_bypass_the_panic_hook_and_user_panics_do_not() {
 
     // An injected crash-stop on all three backends: the victim unwinds with
     // the `Crashed` sentinel, the survivor finishes.
-    let plan = || FaultPlan::new().crash_pe(1, 0);
-    let threaded = run_spmd_faulty(SpmdConfig::new(2).with_faults(plan()), send_to_peer);
-    let seq = run_spmd_seq_faulty(SeqConfig::new(2).with_faults(plan()), send_to_peer);
-    let mux = run_spmd_mux_faulty(MuxConfig::new(2).with_faults(plan()), send_to_peer);
-    for results in [threaded.results, seq.results, mux.results] {
-        assert_eq!(results, vec![Some(()), None]);
+    let world = World::new(2).with_faults(FaultPlan::new().crash_pe(1, 0));
+    for backend in Backend::ALL {
+        let out = run_on!(backend, world, send_to_peer);
+        assert_eq!(out.results, vec![Some(()), None], "{}", backend.name());
     }
     assert_eq!(reported(), Vec::<String>::new(), "injected crash-stops");
 

@@ -18,7 +18,6 @@
 //!    pinning the hand-picked paths to their pre-planner behavior.
 
 use proptest::prelude::*;
-use topk_selection::commsim::{run_spmd, run_spmd_mux, run_spmd_seq, Communicator};
 use topk_selection::datagen::Zipf;
 use topk_selection::prelude::*;
 use topk_selection::topk::frequent::{ec::ec_top_k, naive, pac::pac_top_k, pec::pec_top_k};
@@ -119,15 +118,17 @@ fn every_planned_execution_emits_a_parseable_audit_row() {
 #[test]
 fn plans_and_explanations_are_identical_across_all_three_backends() {
     let (p, per_pe) = (4usize, 1usize << 10);
-    let threaded = run_spmd(p, move |comm| plan_body(comm, per_pe));
-    let seq = run_spmd_seq(p, move |comm| plan_body(comm, per_pe));
-    let mux = run_spmd_mux(p, move |comm| plan_body(comm, per_pe));
-    let reference = &threaded.results[0];
-    for (name, out) in [("threaded", &threaded), ("seq", &seq), ("mux", &mux)] {
-        for (rank, got) in out.results.iter().enumerate() {
+    let reference = run_spmd(p, move |comm| plan_body(comm, per_pe))
+        .results
+        .swap_remove(0);
+    for backend in Backend::ALL {
+        let out = run_on!(backend, World::new(p), move |comm| plan_body(comm, per_pe));
+        for (rank, got) in out.fault_free().results.iter().enumerate() {
             assert_eq!(
-                got, reference,
-                "{name} rank {rank}: plan or explanation diverges"
+                got,
+                &reference,
+                "{} rank {rank}: plan or explanation diverges",
+                backend.name()
             );
         }
     }
@@ -168,21 +169,17 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let per_pe = 1usize << log_per_pe;
-        let threaded = run_spmd(p, move |c| plan_anywhere(c, per_pe, exponent, k, seed));
-        let again = run_spmd(p, move |c| plan_anywhere(c, per_pe, exponent, k, seed));
-        let seq = run_spmd_seq(p, move |c| plan_anywhere(c, per_pe, exponent, k, seed));
-        let mux = run_spmd_mux(p, move |c| plan_anywhere(c, per_pe, exponent, k, seed));
-        let reference = &threaded.results[0];
-        for (name, out) in [
-            ("threaded-rerun", &again),
-            ("seq", &seq),
-            ("mux", &mux),
-            ("threaded", &threaded),
-        ] {
-            for (rank, got) in out.results.iter().enumerate() {
+        let run = |backend| {
+            run_on!(backend, World::new(p), move |c| plan_anywhere(c, per_pe, exponent, k, seed))
+                .fault_free()
+        };
+        // The threaded reference runs again in the loop: reruns agree too.
+        let reference = run(Backend::Threaded).results.swap_remove(0);
+        for backend in Backend::ALL {
+            for (rank, got) in run(backend).results.iter().enumerate() {
                 prop_assert_eq!(
-                    got, reference,
-                    "{} rank {}: plan or explanation diverges", name, rank
+                    got, &reference,
+                    "{} rank {}: plan or explanation diverges", backend.name(), rank
                 );
             }
         }

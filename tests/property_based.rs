@@ -355,8 +355,6 @@ proptest! {
         values in vec(0u64..1_000_000, 1..9),
         root_frac in 0.0f64..1.0,
     ) {
-        use topk_selection::commsim::{run_spmd_mux_with, MuxConfig};
-
         let p = values.len();
         let root = ((root_frac * p as f64) as usize).min(p - 1);
         // The same generic program on all three backends.  The mux run pins
@@ -367,9 +365,10 @@ proptest! {
         let vals = values.clone();
         let sequential = run_spmd_seq(p, move |comm| collective_program(comm, &vals, root));
         let vals = values.clone();
-        let muxed = run_spmd_mux_with(MuxConfig::new(p).with_workers(2), move |comm| {
-            collective_program(comm, &vals, root)
-        });
+        let muxed = World::new(p)
+            .with_workers(2)
+            .mux(move |comm| collective_program(comm, &vals, root))
+            .fault_free();
 
         let total: u64 = values.iter().sum();
         let min = *values.iter().min().expect("non-empty");
@@ -437,9 +436,9 @@ proptest! {
             select_k_smallest(comm, &parts_b[comm.rank()], k, seed).threshold
         });
         let parts_c = parts.clone();
-        let muxed = topk_selection::commsim::run_spmd_mux(p, move |comm| {
-            select_k_smallest(comm, &parts_c[comm.rank()], k, seed).threshold
-        });
+        let muxed = World::new(p)
+            .mux(move |comm| select_k_smallest(comm, &parts_c[comm.rank()], k, seed).threshold)
+            .fault_free();
         prop_assert_eq!(&threaded.results, &sequential.results);
         prop_assert_eq!(&threaded.results, &muxed.results);
         let reference = sorted_union(&parts);
@@ -920,10 +919,7 @@ proptest! {
         values in vec(0u64..1_000_000, 1..7),
         root_frac in 0.0f64..1.0,
     ) {
-        use topk_selection::commsim::{
-            run_spmd_faulty, run_spmd_mux_faulty, run_spmd_seq_faulty, FaultPlan, MuxConfig,
-            SeqConfig, SpmdConfig,
-        };
+        use topk_selection::commsim::FaultPlan;
         let p = values.len();
         let root = ((root_frac * p as f64) as usize).min(p - 1);
         // The plan-less reference is the threaded backend: the two replay
@@ -931,15 +927,10 @@ proptest! {
         let vals = values.clone();
         let base = run_spmd(p, move |comm| collective_program(comm, &vals, root));
 
-        let vals = values.clone();
-        let threaded = run_spmd_faulty(SpmdConfig::new(p).with_faults(FaultPlan::new()),
-            move |comm| collective_program(comm, &vals, root));
-        let vals = values.clone();
-        let seq = run_spmd_seq_faulty(SeqConfig::new(p).with_faults(FaultPlan::new()),
-            move |comm| collective_program(comm, &vals, root));
-        let vals = values.clone();
-        let mux = run_spmd_mux_faulty(MuxConfig::new(p).with_faults(FaultPlan::new()),
-            move |comm| collective_program(comm, &vals, root));
+        let world = World::new(p).with_faults(FaultPlan::new());
+        let threaded = world.threaded(|comm| collective_program(comm, &values, root));
+        let seq = world.seq(|comm| collective_program(comm, &values, root));
+        let mux = world.mux(|comm| collective_program(comm, &values, root));
 
         for (name, out) in [("threaded", &threaded), ("seq", &seq), ("mux", &mux)] {
             for rank in 0..p {
@@ -967,16 +958,14 @@ proptest! {
         seed in 0u64..u64::MAX,
         count in 0usize..4,
     ) {
-        use topk_selection::commsim::{run_spmd_seq_faulty, FaultPlan, SeqConfig};
+        use topk_selection::commsim::FaultPlan;
         let p = 6;
         let candidates: Vec<(usize, u64)> = (0..p).map(|r| (r, r as u64 % 2)).collect();
         let a = FaultPlan::seeded_crashes(seed, &candidates, count);
         let b = FaultPlan::seeded_crashes(seed, &candidates, count);
         prop_assert_eq!(a.events(), b.events());
 
-        let run = |plan: FaultPlan| {
-            run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan), fault_probe)
-        };
+        let run = |plan: FaultPlan| World::new(p).with_faults(plan).seq(fault_probe);
         let x = run(a);
         let y = run(b);
         prop_assert_eq!(&x.results, &y.results);

@@ -16,10 +16,7 @@
 //!    three backends.
 
 use topk_selection::commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use topk_selection::commsim::{
-    run_spmd, run_spmd_faulty, run_spmd_mux, run_spmd_mux_faulty, run_spmd_seq,
-    run_spmd_seq_faulty, Communicator, FaultPlan, MuxConfig, SeqConfig, SpmdConfig,
-};
+use topk_selection::commsim::{run_on, run_spmd_seq, Backend, Communicator, FaultPlan, World};
 use topk_selection::datagen::SkewedSelectionInput;
 use topk_selection::topk::planner::Algorithm;
 use topk_selection::topk::recover::{
@@ -74,25 +71,11 @@ fn disabled_recoverable_selection_is_bit_identical_to_the_direct_call() {
     // A single disabled phase keeps the caller's seed verbatim, so it must
     // reproduce the pre-recovery `select_k_smallest` call exactly: same
     // threshold AND the same per-PE metered traffic.
-    let runs = [
-        (
-            "threaded",
-            run_spmd(P, wrapped_selection),
-            run_spmd(P, direct_selection),
-        ),
-        (
-            "seq",
-            run_spmd_seq(P, wrapped_selection),
-            run_spmd_seq(P, direct_selection),
-        ),
-        (
-            "mux",
-            run_spmd_mux(P, wrapped_selection),
-            run_spmd_mux(P, direct_selection),
-        ),
-    ];
     let expected = oracle_threshold(&[0, 1, 2, 3]);
-    for (name, wrapped, direct) in &runs {
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let wrapped = run_on!(backend, World::new(P), wrapped_selection).fault_free();
+        let direct = run_on!(backend, World::new(P), direct_selection).fault_free();
         for r in 0..P {
             assert_eq!(
                 wrapped.results[r], direct.results[r],
@@ -142,24 +125,10 @@ fn direct_frequent<C: Communicator>(comm: &C) -> Vec<Vec<(u64, u64)>> {
 fn disabled_recoverable_frequent_is_bit_identical_to_the_direct_loop() {
     // Two disabled phases of the frequent-objects façade (params verbatim
     // each phase) versus the same two direct `Algorithm::run` calls.
-    let runs = [
-        (
-            "threaded",
-            run_spmd(P, wrapped_frequent),
-            run_spmd(P, direct_frequent),
-        ),
-        (
-            "seq",
-            run_spmd_seq(P, wrapped_frequent),
-            run_spmd_seq(P, direct_frequent),
-        ),
-        (
-            "mux",
-            run_spmd_mux(P, wrapped_frequent),
-            run_spmd_mux(P, direct_frequent),
-        ),
-    ];
-    for (name, wrapped, direct) in &runs {
+    for backend in Backend::ALL {
+        let name = backend.name();
+        let wrapped = run_on!(backend, World::new(P), wrapped_frequent).fault_free();
+        let direct = run_on!(backend, World::new(P), direct_frequent).fault_free();
         for r in 0..P {
             assert_eq!(
                 wrapped.results[r], direct.results[r],
@@ -241,18 +210,9 @@ fn one_crash_selection_recovers_over_survivors_on_all_three_backends() {
         .collect();
     let plan = FaultPlan::seeded_crashes(0xC7A05, &candidates, 1);
 
-    let seq = run_spmd_seq_faulty(SeqConfig::new(P).with_faults(plan.clone()), |c| {
-        chaos_body(c, phases)
-    });
-    assert_survivors_correct("seq", &seq.results, phases);
-
-    let mux = run_spmd_mux_faulty(MuxConfig::new(P).with_faults(plan.clone()), |c| {
-        chaos_body(c, phases)
-    });
-    assert_survivors_correct("mux", &mux.results, phases);
-
-    let threaded = run_spmd_faulty(SpmdConfig::new(P).with_faults(plan), |c| {
-        chaos_body(c, phases)
-    });
-    assert_survivors_correct("threaded", &threaded.results, phases);
+    let world = World::new(P).with_faults(plan);
+    for backend in Backend::ALL {
+        let out = run_on!(backend, world, |c| chaos_body(c, phases));
+        assert_survivors_correct(backend.name(), &out.results, phases);
+    }
 }

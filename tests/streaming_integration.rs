@@ -11,7 +11,6 @@
 //!    within the merged Misra–Gries error bound of the brute-force window
 //!    counts recomputed from the (deterministic) stream itself.
 
-use topk_selection::commsim::{run_spmd, run_spmd_mux, run_spmd_seq};
 use topk_selection::datagen::{FlashCrowd, StreamProfile, TextCorpus};
 use topk_selection::prelude::*;
 use topk_selection::workloads::BatchReport;
@@ -71,33 +70,28 @@ fn service_body<C: Communicator>(
 fn streaming_traffic_is_bit_identical_across_all_three_backends() {
     let (p, batches) = (4usize, 20usize);
     let threaded = run_spmd(p, move |comm| service_body(comm, batches));
-    let seq = run_spmd_seq(p, move |comm| service_body(comm, batches));
-    let mux = run_spmd_mux(p, move |comm| service_body(comm, batches));
-
-    for rank in 0..p {
-        let (tb, tt, ts) = &threaded.results[rank];
-        for (name, out) in [("seq", &seq), ("mux", &mux)] {
-            let (ob, ot, os) = &out.results[rank];
+    for backend in [Backend::Seq, Backend::Mux] {
+        let name = backend.name();
+        let out = run_on!(backend, World::new(p), move |comm| service_body(
+            comm, batches
+        ));
+        for rank in 0..p {
+            let (tb, tt, ts) = &threaded.results[rank];
+            let (ob, ot, os) = out.results[rank].as_ref().expect("fault-free");
             // Per-batch reports carry this PE's sent words/messages and the
             // world bottleneck for every batch — all must match exactly.
             assert_eq!(tb, ob, "{name} rank {rank}: per-batch reports diverge");
             assert_eq!(tt, ot, "{name} rank {rank}: published top-k diverges");
             assert_eq!(ts, os, "{name} rank {rank}: staleness diverges");
+            // The raw transport counters agree too (not just the service's
+            // view).
+            let (t, o) = (threaded.stats.pe(rank), out.stats.pe(rank));
+            assert_eq!(
+                (t.sent_messages, t.sent_words),
+                (o.sent_messages, o.sent_words),
+                "{name} rank {rank}: transport counters diverge"
+            );
         }
-    }
-    // The raw transport counters agree too (not just the service's view).
-    for rank in 0..p {
-        let t = threaded.stats.pe(rank);
-        let s = seq.stats.pe(rank);
-        let m = mux.stats.pe(rank);
-        assert_eq!(
-            (t.sent_messages, t.sent_words),
-            (s.sent_messages, s.sent_words)
-        );
-        assert_eq!(
-            (t.sent_messages, t.sent_words),
-            (m.sent_messages, m.sent_words)
-        );
     }
 }
 
@@ -165,9 +159,10 @@ fn streaming_on_a_mux_worker_pool_matches_seq() {
     let (p, batches) = (4usize, 10usize);
     let threaded = run_spmd(p, move |comm| service_body(comm, batches));
     let seq = run_spmd_seq(p, move |comm| service_body(comm, batches));
-    let mux = run_spmd_mux_with(MuxConfig::new(p).with_workers(2), move |comm| {
-        service_body(comm, batches)
-    });
+    let mux = World::new(p)
+        .with_workers(2)
+        .mux(move |comm| service_body(comm, batches))
+        .fault_free();
     for (driver, out) in [("worker pool", &mux), ("inline driver", &seq)] {
         assert_eq!(threaded.results, out.results, "{driver}");
         for rank in 0..p {
@@ -322,7 +317,7 @@ fn golden_body<C: Communicator>(comm: &C) -> Vec<(BatchReport, Vec<(String, u64)
 fn refreshes_match_the_golden_values_on_every_engine() {
     let threaded = run_spmd(2, golden_body);
     let inline = run_spmd_seq(2, golden_body);
-    let pool = run_spmd_mux_with(MuxConfig::new(2).with_workers(2), golden_body);
+    let pool = World::new(2).with_workers(2).mux(golden_body).fault_free();
     for (engine, out) in [
         ("threads", &threaded),
         ("inline driver", &inline),
@@ -360,7 +355,7 @@ fn refreshes_match_the_golden_values_on_every_engine() {
 // Failure tolerance (replication > 0) and the fault-injection pins
 // ---------------------------------------------------------------------------
 
-use topk_selection::commsim::{run_spmd_seq_faulty, FaultPlan, SeqConfig};
+use topk_selection::commsim::FaultPlan;
 use topk_selection::workloads::{ReplicaShard, StreamReport};
 
 fn ft_config() -> StreamConfig {
@@ -422,9 +417,9 @@ fn one_crash_among_sixteen_with_two_replicas_keeps_full_availability() {
     let at = base.results[victim].1[crash_batch].sends_total;
 
     let plan = FaultPlan::new().crash_pe(victim, at);
-    let out = run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan), move |comm| {
-        ft_service_body(comm, batches)
-    });
+    let out = World::new(p)
+        .with_faults(plan)
+        .seq(move |comm| ft_service_body(comm, batches));
 
     assert!(out.results[victim].is_none(), "the victim must crash-stop");
     let survivors: Vec<usize> = (0..p).filter(|r| *r != victim).collect();
@@ -509,10 +504,9 @@ fn one_crash_among_sixteen_with_two_replicas_keeps_full_availability() {
 fn empty_fault_plan_does_not_perturb_fault_free_streaming() {
     let (p, batches) = (4usize, 12usize);
     let base = run_spmd_seq(p, move |comm| service_body(comm, batches));
-    let ft = run_spmd_seq_faulty(
-        SeqConfig::new(p).with_faults(FaultPlan::new()),
-        move |comm| service_body(comm, batches),
-    );
+    let ft = World::new(p)
+        .with_faults(FaultPlan::new())
+        .seq(move |comm| service_body(comm, batches));
     for rank in 0..p {
         assert_eq!(
             Some(&base.results[rank]),
@@ -590,9 +584,9 @@ fn membership_masks_scale_to_one_hundred_twenty_eight_pes() {
     // Drop rank 100's very first heartbeat: to the coordinator that is
     // indistinguishable from a death, so no crash calibration run is needed.
     let plan = FaultPlan::new().drop_message(victim, 0, 0);
-    let out = run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan), move |comm| {
-        ft_body_with(comm, cfg, batches)
-    });
+    let out = World::new(p)
+        .with_faults(plan)
+        .seq(move |comm| ft_body_with(comm, cfg, batches));
 
     for rank in 0..p {
         assert!(out.results[rank].is_some(), "rank {rank} must finish");
@@ -636,9 +630,9 @@ fn a_dropped_heartbeat_evicts_a_live_pe_but_keeps_availability() {
     let (p, batches, victim) = (4usize, 6usize, 3usize);
     let cfg = ft_config();
     let plan = FaultPlan::new().drop_message(victim, 0, 0);
-    let out = run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan), move |comm| {
-        ft_body_with(comm, cfg, batches)
-    });
+    let out = World::new(p)
+        .with_faults(plan)
+        .seq(move |comm| ft_body_with(comm, cfg, batches));
 
     // Nobody crashed: every PE — including the evicted one — finishes.
     for rank in 0..p {
@@ -670,9 +664,9 @@ fn a_one_tick_delay_does_not_perturb_streaming() {
     let (p, batches) = (4usize, 12usize);
     let base = run_spmd_seq(p, move |comm| service_body(comm, batches));
     let plan = FaultPlan::new().delay_pair(0, 1, 1).delay_pair(0, 3, 1);
-    let delayed = run_spmd_seq_faulty(SeqConfig::new(p).with_faults(plan), move |comm| {
-        service_body(comm, batches)
-    });
+    let delayed = World::new(p)
+        .with_faults(plan)
+        .seq(move |comm| service_body(comm, batches));
     for rank in 0..p {
         assert_eq!(
             Some(&base.results[rank]),

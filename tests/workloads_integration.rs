@@ -6,7 +6,7 @@
 //!   identical results no matter how the corpus is split over PEs;
 //! * the multi-round bulk-queue scheduler is bit-identical between the
 //!   threaded backend (`Comm`) and the replay engine, driven inline
-//!   (`run_spmd_seq`) and on its worker pool (`run_spmd_mux`), **including**
+//!   (`World::seq`) and on its worker pool (`World::mux`), **including**
 //!   the per-round metered words (which exercises the replay engine's
 //!   per-execution counter reset) and every PE's message and word counters;
 //! * mid-closure phase metering of the frequent-objects algorithms agrees
@@ -54,7 +54,9 @@ fn scheduler_is_bit_identical_on_both_backends() {
         };
         let threaded = run_spmd(3, |comm| run_scheduler(comm, &params));
         let seq = run_spmd_seq(3, |comm| run_scheduler(comm, &params));
-        let mux = run_spmd_mux(3, |comm| run_scheduler(comm, &params));
+        let mux = World::new(3)
+            .mux(|comm| run_scheduler(comm, &params))
+            .fault_free();
         // Everything a PE's snapshot meters except `pooled_reuses`, which
         // is the backend's own business.
         let traffic = |stats: &WorldStats| -> Vec<[u64; 4]> {
