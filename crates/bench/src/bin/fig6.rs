@@ -26,11 +26,12 @@
 //! checkpoint, and the result is checked against a brute-force oracle
 //! over the surviving data.  Prints a parseable `recovery-audit` row.
 
+use bench::chaos::{run_chaos, RecoverableBody};
 use bench::report::fmt_duration;
 use bench::scaling::{pe_sweep, Measurement};
 use bench::Table;
-use commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use commsim::{run_on, Backend, Communicator, FaultPlan, Rank, World};
+use commsim::recovery::RecoveryOutcome;
+use commsim::{run_on, Backend, Communicator, World};
 use datagen::SkewedSelectionInput;
 use topk::recover::{select_k_smallest_recoverable, SelectionCheckpoint};
 use topk::unsorted::select_k_smallest;
@@ -51,39 +52,46 @@ fn fig6_body<C: Communicator>(comm: &C, generator: &SkewedSelectionInput, per_pe
 
 /// The chaos-mode body: the same selection, repeated `phases` times under
 /// the crash-stop recovery driver.
-fn fig6_chaos_body<C: Communicator>(
-    comm: &C,
-    generator: &SkewedSelectionInput,
+struct Fig6Chaos {
+    generator: SkewedSelectionInput,
     per_pe: usize,
     k: usize,
     phases: usize,
-    cfg: RecoveryConfig,
-) -> RecoveryOutcome<SelectionCheckpoint> {
-    let local: Vec<u64> = generator
-        .generate(comm.rank(), per_pe)
-        .iter()
-        .map(|&v| u64::MAX - v)
-        .collect();
-    select_k_smallest_recoverable(comm, &local, k, 0xF166 + comm.size() as u64, phases, cfg)
-        .expect("membership protocol violation")
+    ckpt_every: usize,
 }
 
-/// `--chaos`: run the selection with recovery enabled, crash `--crashes`
-/// PEs at a phase boundary, print the `recovery-audit` row, and check the
-/// surviving threshold against a brute-force oracle over the survivors'
-/// data.
-fn run_chaos(args: &Args) {
+impl RecoverableBody for Fig6Chaos {
+    type State = SelectionCheckpoint;
+
+    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<SelectionCheckpoint> {
+        let local: Vec<u64> = self
+            .generator
+            .generate(comm.rank(), self.per_pe)
+            .iter()
+            .map(|&v| u64::MAX - v)
+            .collect();
+        let seed = 0xF166 + comm.size() as u64;
+        select_k_smallest_recoverable(comm, &local, self.k, seed, self.phases, self.ckpt_every)
+            .expect("membership protocol violation")
+    }
+}
+
+/// `--chaos`: run the selection under the recovery driver with `--crashes`
+/// PEs crashed at a phase boundary ([`run_chaos`] prints the
+/// `recovery-audit` row), and check the surviving threshold against a
+/// brute-force oracle over the survivors' data.
+fn chaos(args: &Args) {
     let per_pe = 1usize << args.log_per_pe;
     let p = args.max_pes;
-    assert!(p >= 2, "--chaos needs at least 2 PEs");
-    assert!(
-        args.crashes < p,
-        "--crashes must leave at least one survivor"
-    );
     let k = args.k.unwrap_or(1 << 6).clamp(1, per_pe);
     let phases = args.reps.max(2);
-    let cfg = RecoveryConfig::enabled().with_checkpoint_every(args.ckpt_every);
-    let generator = SkewedSelectionInput::default();
+    let body = Fig6Chaos {
+        generator: SkewedSelectionInput::default(),
+        per_pe,
+        k,
+        phases,
+        ckpt_every: args.ckpt_every,
+    };
 
     println!("Figure 6 chaos mode: unsorted selection under injected crash-stops");
     println!(
@@ -94,46 +102,12 @@ fn run_chaos(args: &Args) {
         args.backend.name()
     );
 
-    // 1. Calibration: a fault-free recovery-enabled run records each PE's
-    //    send count at every phase boundary; a victim whose crash count
-    //    equals its phase-0 boundary dies at its first send of phase 1 —
-    //    its membership heartbeat.  Rank 0 (the initial coordinator) is
-    //    kept out of the candidate pool so the audit row has a stable home.
-    let baseline = run_on!(args.backend, World::new(p), |comm| {
-        fig6_chaos_body(comm, &generator, per_pe, k, phases, cfg)
-    })
-    .fault_free();
-    let candidates: Vec<(Rank, u64)> = baseline
-        .results
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(r, out)| (r, out.sends_at_phase_end[0]))
-        .collect();
-    let plan = FaultPlan::seeded_crashes(args.chaos_seed, &candidates, args.crashes);
+    let run = run_chaos(args.backend, p, args.chaos_seed, args.crashes, &body);
+    let victims = &run.victims;
 
-    // 2. The chaos run.
-    let out = run_on!(args.backend, World::new(p).with_faults(plan), |comm| {
-        fig6_chaos_body(comm, &generator, per_pe, k, phases, cfg)
-    });
-    let victims: Vec<Rank> = out
-        .results
-        .iter()
-        .enumerate()
-        .filter_map(|(r, res)| res.is_none().then_some(r))
-        .collect();
-    let survivor = out.results[0]
-        .as_ref()
-        .expect("rank 0 is never a victim candidate");
-    let audit = survivor
-        .audit
-        .as_ref()
-        .expect("recovery-enabled runs audit");
-    println!("{}", audit.audit_line());
-
-    // 3. Brute-force oracle: the final phase's threshold must be the k-th
-    //    smallest (dual order) of the survivors' pooled data.
-    let live = survivor.group.clone();
+    // Brute-force oracle: the final phase's threshold must be the k-th
+    // smallest (dual order) of the survivors' pooled data.
+    let live = run.survivor().group.clone();
     assert_eq!(
         live.len() + victims.len(),
         p,
@@ -141,12 +115,17 @@ fn run_chaos(args: &Args) {
     );
     let mut pooled: Vec<u64> = Vec::with_capacity(live.len() * per_pe);
     for &r in &live {
-        pooled.extend(generator.generate(r, per_pe).iter().map(|&v| u64::MAX - v));
+        pooled.extend(
+            body.generator
+                .generate(r, per_pe)
+                .iter()
+                .map(|&v| u64::MAX - v),
+        );
     }
     pooled.sort_unstable();
     let expected = pooled[k - 1];
     for &r in &live {
-        let res = out.results[r].as_ref().expect("live PE completed");
+        let res = run.results[r].as_ref().expect("live PE completed");
         assert!(!res.evicted, "no live PE is evicted in this harness");
         let last = *res.state.thresholds.last().expect("at least one phase ran");
         assert_eq!(
@@ -167,7 +146,7 @@ fn run_chaos(args: &Args) {
 fn main() {
     let args = Args::parse();
     if args.chaos {
-        run_chaos(&args);
+        chaos(&args);
         return;
     }
     let per_pe = 1usize << args.log_per_pe;

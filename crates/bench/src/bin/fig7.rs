@@ -34,12 +34,13 @@
 //! the published counts are checked against a brute-force count over the
 //! surviving data.  Prints a parseable `recovery-audit` row.
 
+use bench::chaos::{run_chaos, RecoverableBody};
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
 use bench::scaling::{pe_sweep, scaled_epsilon, Measurement};
 use bench::{AlgoChoice, Table};
-use commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use commsim::{run_on, Backend, Communicator, FaultPlan, Rank, World};
+use commsim::recovery::RecoveryOutcome;
+use commsim::{run_on, Backend, Communicator, World};
 use datagen::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,30 +51,38 @@ use topk::FrequentParams;
 
 /// The chaos-mode body: the frequent-objects facade, repeated `phases`
 /// times under the crash-stop recovery driver.
-fn fig7_chaos_body<C: Communicator>(
-    comm: &C,
+struct Fig7Chaos<'a> {
     algo: Algorithm,
     per_pe: usize,
-    params: &FrequentParams,
+    params: &'a FrequentParams,
     phases: usize,
-    cfg: RecoveryConfig,
-) -> RecoveryOutcome<FrequentCheckpoint> {
-    let local = local_input(comm.rank(), per_pe);
-    run_frequent_recoverable(comm, algo, &local, params, phases, cfg)
-        .expect("membership protocol violation")
+    ckpt_every: usize,
 }
 
-/// `--chaos`: run the frequent-objects facade with recovery enabled, crash
-/// `--crashes` PEs at a phase boundary, print the `recovery-audit` row,
-/// and (for the exact-counting algorithms) check the published counts
-/// against a brute-force count over the survivors' data.
-fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
+impl RecoverableBody for Fig7Chaos<'_> {
+    type State = FrequentCheckpoint;
+
+    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<FrequentCheckpoint> {
+        let local = local_input(comm.rank(), self.per_pe);
+        run_frequent_recoverable(
+            comm,
+            self.algo,
+            &local,
+            self.params,
+            self.phases,
+            self.ckpt_every,
+        )
+        .expect("membership protocol violation")
+    }
+}
+
+/// `--chaos`: run the frequent-objects facade under the recovery driver
+/// with `--crashes` PEs crashed at a phase boundary ([`run_chaos`] prints
+/// the `recovery-audit` row), and (for the exact-counting algorithms) check
+/// the published counts against a brute-force count over the survivors'
+/// data.
+fn chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
     let p = args.max_pes;
-    assert!(p >= 2, "--chaos needs at least 2 PEs");
-    assert!(
-        args.crashes < p,
-        "--crashes must leave at least one survivor"
-    );
     // EC by default: its exact counts make the brute-force oracle apply to
     // every published item regardless of which candidates were sampled.
     let algo = match args.algo {
@@ -81,7 +90,6 @@ fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
         _ => Algorithm::Ec,
     };
     let phases = args.reps.max(2);
-    let cfg = RecoveryConfig::enabled().with_checkpoint_every(args.ckpt_every);
 
     println!("Figure 7 chaos mode: top-k frequent objects under injected crash-stops");
     println!(
@@ -94,44 +102,19 @@ fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
         args.backend.name()
     );
 
-    // 1. Calibration: a fault-free recovery-enabled run records each PE's
-    //    send count at every phase boundary; victims die at their first
-    //    send of phase 1 (the membership heartbeat).  Rank 0 is kept out
-    //    of the candidate pool so the audit row has a stable home.
-    let baseline = run_on!(args.backend, World::new(p), |comm| {
-        fig7_chaos_body(comm, algo, per_pe, params, phases, cfg)
-    })
-    .fault_free();
-    let candidates: Vec<(Rank, u64)> = baseline
-        .results
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(r, out)| (r, out.sends_at_phase_end[0]))
-        .collect();
-    let plan = FaultPlan::seeded_crashes(args.chaos_seed, &candidates, args.crashes);
+    let body = Fig7Chaos {
+        algo,
+        per_pe,
+        params,
+        phases,
+        ckpt_every: args.ckpt_every,
+    };
+    let run = run_chaos(args.backend, p, args.chaos_seed, args.crashes, &body);
+    let victims = &run.victims;
+    let survivor = run.survivor();
 
-    // 2. The chaos run.
-    let out = run_on!(args.backend, World::new(p).with_faults(plan), |comm| {
-        fig7_chaos_body(comm, algo, per_pe, params, phases, cfg)
-    });
-    let victims: Vec<Rank> = out
-        .results
-        .iter()
-        .enumerate()
-        .filter_map(|(r, res)| res.is_none().then_some(r))
-        .collect();
-    let survivor = out.results[0]
-        .as_ref()
-        .expect("rank 0 is never a victim candidate");
-    let audit = survivor
-        .audit
-        .as_ref()
-        .expect("recovery-enabled runs audit");
-    println!("{}", audit.audit_line());
-
-    // 3. Oracles.  Completion + agreement always: every live PE ran all
-    //    phases and the final published list is identical group-wide.
+    // Oracles.  Completion + agreement always: every live PE ran all
+    // phases and the final published list is identical group-wide.
     let live = survivor.group.clone();
     assert_eq!(
         live.len() + victims.len(),
@@ -140,7 +123,7 @@ fn run_chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
     );
     let last = survivor.state.published.last().expect("at least one phase");
     for &r in &live {
-        let res = out.results[r].as_ref().expect("live PE completed");
+        let res = run.results[r].as_ref().expect("live PE completed");
         assert!(!res.evicted, "no live PE is evicted in this harness");
         assert_eq!(res.state.published.len(), phases, "PE {r} ran all phases");
         assert_eq!(
@@ -199,7 +182,7 @@ fn main() {
     };
     let params = FrequentParams::new(32, epsilon, 1e-4, 0xF17);
     if args.chaos {
-        run_chaos(&args, per_pe, &params);
+        chaos(&args, per_pe, &params);
         return;
     }
 

@@ -65,38 +65,63 @@ impl Scale {
     };
 }
 
+/// The command line; an unknown `--flag` is an error, a bare word names
+/// the section (as `--section` does, which wins).
+struct Args {
+    quick: bool,
+    section: String,
+    backend: Backend,
+    algo: AlgoChoice,
+    plan_explain: bool,
+}
+
+impl Args {
+    fn parse(argv: impl IntoIterator<Item = String>) -> Self {
+        let mut args = Args {
+            quick: false,
+            section: String::new(),
+            backend: Backend::Threaded,
+            algo: AlgoChoice::All,
+            plan_explain: false,
+        };
+        let mut positional: Option<String> = None;
+        let mut argv = argv.into_iter();
+        while let Some(arg) = argv.next() {
+            let mut value = |usage: &str| argv.next().expect(usage);
+            match arg.as_str() {
+                "--quick" => args.quick = true,
+                "--plan-explain" => args.plan_explain = true,
+                "--section" => args.section = value("--section takes a section name"),
+                "--backend" => {
+                    args.backend = Backend::parse(&value("--backend takes threaded|seq|mux"));
+                }
+                "--algo" => {
+                    args.algo = AlgoChoice::parse(&value("--algo takes an algorithm token"))
+                }
+                other if other.starts_with("--") => panic!("unknown argument {other}"),
+                other => {
+                    positional.get_or_insert_with(|| other.to_string());
+                }
+            }
+        }
+        if args.section.is_empty() {
+            args.section = positional.unwrap_or_default();
+        }
+        args
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick")
-        || std::env::var("TABLE1_QUICK").is_ok_and(|v| v != "0");
+    let args = Args::parse(std::env::args().skip(1));
+    let quick = args.quick || std::env::var("TABLE1_QUICK").is_ok_and(|v| v != "0");
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
-    let backend_pos = args.iter().position(|a| a == "--backend");
-    let backend = backend_pos
-        .map(|i| Backend::parse(args.get(i + 1).expect("--backend takes threaded|seq|mux")))
-        .unwrap_or(Backend::Threaded);
-    let algo_pos = args.iter().position(|a| a == "--algo");
-    let algo = algo_pos
-        .map(|i| AlgoChoice::parse(args.get(i + 1).expect("--algo takes an algorithm token")))
-        .unwrap_or(AlgoChoice::All);
-    let plan_explain = args.iter().any(|a| a == "--plan-explain");
-    let section = args
-        .iter()
-        .position(|a| a == "--section")
-        .and_then(|i| args.get(i + 1).cloned())
-        .or_else(|| {
-            // Positional section name; skip the values that belong to
-            // `--backend`/`--algo` so `table1 --backend seq` does not read
-            // "seq" as a section.
-            args.iter()
-                .enumerate()
-                .find(|&(i, a)| {
-                    !a.starts_with("--")
-                        && Some(i) != backend_pos.map(|b| b + 1)
-                        && Some(i) != algo_pos.map(|b| b + 1)
-                })
-                .map(|(_, a)| a.clone())
-        })
-        .unwrap_or_default();
+    let Args {
+        section,
+        backend,
+        algo,
+        plan_explain,
+        ..
+    } = args;
     let want = |name: &str| section.is_empty() || section == "all" || section == name;
 
     let Scale { p, per_pe, k } = scale;
@@ -410,4 +435,37 @@ fn redistribution(table: &mut Table, s: Scale, backend: Backend) {
         "old: unconditional all-to-all",
         m,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Args {
+        Args::parse(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn flags_and_a_bare_section_parse() {
+        let args = parse(&[
+            "--quick",
+            "--backend",
+            "seq",
+            "sorted",
+            "--algo",
+            "auto",
+            "--plan-explain",
+        ]);
+        assert!(args.quick && args.plan_explain);
+        assert_eq!(args.section, "sorted");
+        assert_eq!(args.backend, Backend::Seq);
+        assert_eq!(args.algo, AlgoChoice::Auto);
+        assert_eq!(parse(&["pq", "--section", "frequent"]).section, "frequent");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown argument --plan-explian")]
+    fn a_misspelt_flag_is_rejected() {
+        parse(&["--quick", "--plan-explian"]);
+    }
 }

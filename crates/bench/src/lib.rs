@@ -26,6 +26,7 @@
 //! of every curve (who wins, where the crossovers are, what scales and what
 //! does not) is, and EXPERIMENTS.md records both.
 
+pub mod chaos;
 pub mod planning;
 pub mod report;
 pub mod scaling;

@@ -119,8 +119,8 @@ pub use message::CommData;
 pub use metrics::{PeStats, StatsSnapshot, WorldStats};
 pub use mux::{run_spmd_mux_with, run_spmd_seq, MuxComm, MuxConfig};
 pub use recovery::{
-    run_recoverable, Checkpoint, Membership, MembershipConfig, RankMask, RecoveryAudit,
-    RecoveryConfig, RecoveryCtx, RecoveryError, RecoveryOutcome,
+    run_recoverable, Checkpoint, Membership, RankMask, RecoveryAudit, RecoveryError,
+    RecoveryOutcome,
 };
 pub use runner::run_spmd;
 pub use subgroup::SubComm;

@@ -17,13 +17,16 @@
 //!   caller can degrade instead of aborting the world.
 //! * [`Checkpoint`] — a small trait an algorithm state implements to become
 //!   restartable: serialize to machine words, rebuild from them.
-//! * [`RecoveryCtx`] — wraps a [`Communicator`] with bounded retry on
-//!   [`Communicator::recv_failable`], membership-driven survivor-subgroup
-//!   reformation, and ring-successor buddy checkpoints.
+//! * [`ring_push`] — the ring-successor push: one message to each of a PE's
+//!   `r` ring successors, one received from each of its `r` predecessors.
+//!   The driver's buddy checkpoints and the streaming service's replica
+//!   pushes both go through it.
 //! * [`run_recoverable`] — the driver: runs a closed sequence of phases,
 //!   opens each phase with a membership round, and on a detected crash
 //!   regroups the survivors, restores the last checkpoint, and re-runs the
-//!   phases since — emitting a parseable [`RecoveryAudit`] row.
+//!   phases since — emitting a parseable [`RecoveryAudit`] row.  Its one
+//!   setting is the checkpoint cadence; the retry budgets and the buddy
+//!   count are constants of this module.
 //!
 //! ## The crash model (where recovery is *not* attempted)
 //!
@@ -35,12 +38,13 @@
 //! fails fast with a `PeerDead` panic rather than attempting recovery,
 //! because half-delivered collective traffic cannot be rolled back.
 //!
-//! ## Zero cost when disabled
+//! ## The cost of a fault-free run
 //!
-//! With [`RecoveryConfig::disabled`], [`run_recoverable`] runs every phase
-//! over a full-world [`SubComm`] (a pure tag-striping layer: rank identity,
-//! zero added traffic), so results *and* metered words per PE are
-//! bit-identical to calling the enclosed algorithm directly — pinned by
+//! Without a crash every phase runs over a full-world [`SubComm`] (a pure
+//! tag-striping layer: rank identity, zero added traffic), so the results
+//! equal calling the enclosed algorithm directly, and each PE's metered
+//! words are the direct call's plus exactly the audit's `overhead_words`
+//! (membership and checkpoint traffic) — pinned by
 //! `tests/recovery_integration.rs`.
 
 use std::collections::HashMap;
@@ -51,6 +55,32 @@ use crate::error::{CommError, CommResult};
 use crate::message::CommData;
 use crate::subgroup::SubComm;
 use crate::{Rank, Tag};
+
+/// Consecutive [`CommError::Timeout`] verdicts the coordinator tolerates
+/// per heartbeat receive before it treats the member as dead.  On the
+/// replay backends a timeout is forced only at whole-world quiescence, so a
+/// live member that follows the protocol can never exhaust the budget; on
+/// the threaded backend this bounds the wall-clock cost of a dead-slow peer.
+const HEARTBEAT_RETRIES: usize = 4;
+
+/// Consecutive [`CommError::Timeout`] verdicts a *member* tolerates while
+/// waiting for the coordinator's verdict before presuming the coordinator
+/// dead and rotating.  This must comfortably exceed the coordinator's whole
+/// heartbeat budget: when the replay scheduler resolves a whole-world stall
+/// it times out *every* parked failure-detecting receive at once, so while
+/// the coordinator burns its [`HEARTBEAT_RETRIES`] budget on one lost
+/// heartbeat, every member waiting for the verdict accrues the same number
+/// of timeouts.  A member must outlast several such episodes — the verdict
+/// always arrives once the coordinator finishes, and a genuinely *crashed*
+/// coordinator is detected by the definitive `PeerDead` verdict long before
+/// this budget is touched.
+const VERDICT_RETRIES: usize = 4 * (HEARTBEAT_RETRIES + 1);
+
+/// Ring successors each PE pushes its checkpoint to.  Rollback needs none
+/// of them — the crash model restarts survivors from their *own* state —
+/// the buddies exist so an external operator could reconstruct a victim's
+/// last state, and their traffic is part of the metered overhead.
+const CHECKPOINT_BUDDIES: usize = 1;
 
 /// User tag of the per-round membership heartbeat (a multi-word `Vec<u64>`
 /// suspicion bitmap — see [`RankMask`]).
@@ -138,15 +168,17 @@ pub enum RecoveryError {
         /// The underlying transport error.
         source: CommError,
     },
-    /// A bounded-retry receive ([`RecoveryCtx::recv_with_retry`]) exhausted
-    /// its timeout budget without a definitive verdict.
+    /// A membership receive exhausted its timeout budget without a
+    /// definitive verdict.  [`Membership::round`] reads this, like
+    /// [`RecoveryError::PeerDead`], as the peer's death, so only
+    /// [`RecoveryError::Protocol`] reaches its caller.
     RetriesExhausted {
         /// Peer that kept timing out.
         from: Rank,
         /// Number of consecutive timeouts tolerated before giving up.
         retries: usize,
     },
-    /// A bounded-retry receive got the definitive dead-peer verdict.
+    /// A membership receive got the definitive dead-peer verdict.
     PeerDead {
         /// The crashed peer.
         rank: Rank,
@@ -171,41 +203,6 @@ impl fmt::Display for RecoveryError {
 
 impl std::error::Error for RecoveryError {}
 
-/// Retry budgets of the membership protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MembershipConfig {
-    /// Consecutive [`CommError::Timeout`] verdicts tolerated per heartbeat
-    /// receive before the coordinator treats the member as dead.  On the
-    /// replay backends a timeout is forced only at whole-world quiescence,
-    /// so a live member that follows the protocol can never exhaust the
-    /// budget; on the threaded backend this bounds the wall-clock cost of a
-    /// dead-slow peer.
-    pub heartbeat_retries: usize,
-    /// Consecutive [`CommError::Timeout`] verdicts a *member* tolerates
-    /// while waiting for the coordinator's verdict before presuming the
-    /// coordinator dead and rotating.  This must comfortably exceed the
-    /// coordinator's whole heartbeat budget: when the replay scheduler
-    /// resolves a whole-world stall it times out *every* parked
-    /// failure-detecting receive at once, so while the coordinator burns its
-    /// `heartbeat_retries` budget on one lost heartbeat, every member
-    /// waiting for the verdict accrues the same number of timeouts.  A
-    /// member must outlast several such episodes — the verdict always
-    /// arrives once the coordinator finishes, and a genuinely *crashed*
-    /// coordinator is detected by the definitive `PeerDead` verdict long
-    /// before this budget is touched.
-    pub verdict_retries: usize,
-}
-
-impl Default for MembershipConfig {
-    fn default() -> Self {
-        const HEARTBEAT_RETRIES: usize = 4;
-        MembershipConfig {
-            heartbeat_retries: HEARTBEAT_RETRIES,
-            verdict_retries: 4 * (HEARTBEAT_RETRIES + 1),
-        }
-    }
-}
-
 /// The heartbeat/rotating-coordinator membership protocol, extracted from
 /// the streaming service so any workload — batch or streaming — can agree on
 /// a live group between phases.
@@ -227,7 +224,6 @@ impl Default for MembershipConfig {
 /// reserved for protocol violations.
 #[derive(Debug, Clone, Default)]
 pub struct Membership {
-    config: MembershipConfig,
     /// Presumed-live world ranks, sorted.  Empty until the first round
     /// (which initializes it to the full world).
     group: Vec<Rank>,
@@ -241,19 +237,10 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// A fresh membership view with default retry budgets.  The live group
-    /// is initialized lazily (to the full world) by the first
-    /// [`Membership::round`].
+    /// A fresh membership view.  The live group is initialized lazily (to
+    /// the full world) by the first [`Membership::round`].
     pub fn new() -> Self {
         Membership::default()
-    }
-
-    /// A fresh membership view with explicit retry budgets.
-    pub fn with_config(config: MembershipConfig) -> Self {
-        Membership {
-            config,
-            ..Membership::default()
-        }
     }
 
     /// The presumed-live group (sorted world ranks).  Empty before the
@@ -304,33 +291,17 @@ impl Membership {
                 // Coordinator: collect one heartbeat per presumed member.
                 let mut dead = self.suspected.clone();
                 for &r in presumed.iter().filter(|&&r| r != me) {
-                    let mut timeouts = 0;
-                    loop {
-                        match comm.recv_failable::<Vec<u64>>(r, ALIVE_TAG) {
-                            Ok(suspicion) => {
-                                dead.union(&suspicion);
-                                break;
-                            }
-                            Err(CommError::PeerDead { .. }) => {
-                                dead.set(r);
-                                break;
-                            }
-                            Err(CommError::Timeout { .. }) => {
-                                self.timeouts += 1;
-                                timeouts += 1;
-                                if timeouts > self.config.heartbeat_retries {
-                                    dead.set(r);
-                                    break;
-                                }
-                            }
-                            Err(source) => {
-                                return Err(RecoveryError::Protocol {
-                                    from: r,
-                                    during: "heartbeat",
-                                    source,
-                                });
-                            }
-                        }
+                    match self.recv_with_retry::<_, Vec<u64>>(
+                        comm,
+                        r,
+                        ALIVE_TAG,
+                        HEARTBEAT_RETRIES,
+                        "heartbeat",
+                    ) {
+                        Ok(suspicion) => dead.union(&suspicion),
+                        Err(e @ RecoveryError::Protocol { .. }) => return Err(e),
+                        // Dead, or silent past the budget: out either way.
+                        Err(_) => dead.set(r),
                     }
                 }
                 let group: Vec<Rank> = presumed
@@ -355,26 +326,16 @@ impl Membership {
             }
             // Member: heartbeat, then wait for the coordinator's verdict.
             comm.send(coord, ALIVE_TAG, self.suspected.words());
-            let mut timeouts = 0;
-            let verdict = loop {
-                match comm.recv_failable::<Vec<u64>>(coord, MASK_TAG) {
-                    Ok(words) => break Some(RankMask::from_words(words)),
-                    Err(CommError::PeerDead { .. }) => break None,
-                    Err(CommError::Timeout { .. }) => {
-                        self.timeouts += 1;
-                        timeouts += 1;
-                        if timeouts > self.config.verdict_retries {
-                            break None;
-                        }
-                    }
-                    Err(source) => {
-                        return Err(RecoveryError::Protocol {
-                            from: coord,
-                            during: "verdict",
-                            source,
-                        });
-                    }
-                }
+            let verdict = match self.recv_with_retry::<_, Vec<u64>>(
+                comm,
+                coord,
+                MASK_TAG,
+                VERDICT_RETRIES,
+                "verdict",
+            ) {
+                Ok(words) => Some(RankMask::from_words(words)),
+                Err(e @ RecoveryError::Protocol { .. }) => return Err(e),
+                Err(_) => None,
             };
             match verdict {
                 Some(mask) => {
@@ -403,6 +364,44 @@ impl Membership {
             }
         }
     }
+
+    /// A failure-detecting receive with a bounded timeout budget: retries
+    /// [`CommError::Timeout`] up to `retries` times (each one counted in
+    /// [`Membership::timeouts_observed`]), then gives up with
+    /// [`RecoveryError::RetriesExhausted`]; a definitive
+    /// [`CommError::PeerDead`] becomes [`RecoveryError::PeerDead`] at once,
+    /// and any other error a [`RecoveryError::Protocol`] failure of step
+    /// `during`.
+    fn recv_with_retry<C: Communicator, T: CommData>(
+        &mut self,
+        comm: &C,
+        src: Rank,
+        tag: Tag,
+        retries: usize,
+        during: &'static str,
+    ) -> Result<T, RecoveryError> {
+        let mut timeouts = 0;
+        loop {
+            match comm.recv_failable::<T>(src, tag) {
+                Ok(v) => return Ok(v),
+                Err(CommError::PeerDead { rank }) => return Err(RecoveryError::PeerDead { rank }),
+                Err(CommError::Timeout { .. }) => {
+                    self.timeouts += 1;
+                    timeouts += 1;
+                    if timeouts > retries {
+                        return Err(RecoveryError::RetriesExhausted { from: src, retries });
+                    }
+                }
+                Err(source) => {
+                    return Err(RecoveryError::Protocol {
+                        from: src,
+                        during,
+                        source,
+                    });
+                }
+            }
+        }
+    }
 }
 
 /// Algorithm state that can be checkpointed and restored — the contract
@@ -417,59 +416,7 @@ pub trait Checkpoint: Sized {
     fn restore(words: &[u64]) -> CommResult<Self>;
 }
 
-/// Knobs of [`run_recoverable`] / [`RecoveryCtx`].
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// `false` — the zero-cost mode — skips membership, checkpoints, and
-    /// auditing entirely: phases run over a full-world subgroup and the run
-    /// is bit-identical (results and metered words per PE) to calling the
-    /// enclosed algorithm directly.
-    pub enabled: bool,
-    /// Take a coordinated checkpoint after every this many completed phases
-    /// (a checkpoint after the final phase is pointless and skipped).
-    pub checkpoint_every: usize,
-    /// Ring successors each PE pushes its checkpoint to.  `0` keeps
-    /// checkpoints local-only (rollback still works — the repo's crash model
-    /// restarts survivors from their *own* state, the buddies exist so an
-    /// external operator could reconstruct a victim's last state).
-    pub replication: usize,
-    /// Retry budgets of the per-phase membership round.
-    pub membership: MembershipConfig,
-}
-
-impl RecoveryConfig {
-    /// Recovery off: the bit-identical passthrough mode.
-    pub fn disabled() -> Self {
-        RecoveryConfig {
-            enabled: false,
-            checkpoint_every: 1,
-            replication: 1,
-            membership: MembershipConfig::default(),
-        }
-    }
-
-    /// Recovery on with default cadence (checkpoint after every phase, one
-    /// buddy copy).
-    pub fn enabled() -> Self {
-        RecoveryConfig {
-            enabled: true,
-            ..RecoveryConfig::disabled()
-        }
-    }
-
-    /// Override the checkpoint cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn with_checkpoint_every(mut self, every: usize) -> Self {
-        assert!(every > 0, "checkpoint cadence must be at least 1");
-        self.checkpoint_every = every;
-        self
-    }
-}
-
-/// What a recovery-enabled run did — the parseable audit row of the
+/// What a recoverable run did — the parseable audit row of the
 /// robustness layer, printed by the chaos harnesses and grepped by CI
 /// exactly like the planner's `plan-audit` row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -486,7 +433,7 @@ pub struct RecoveryAudit {
     /// Phases re-executed because of rollbacks to the last checkpoint.
     pub rerun_phases: usize,
     /// Words this PE spent on membership + checkpoint traffic (the
-    /// robustness tax, absent entirely when recovery is disabled).
+    /// robustness tax).
     pub overhead_words: u64,
     /// Live PEs when the run completed.
     pub survivors: usize,
@@ -552,8 +499,8 @@ pub struct RecoveryOutcome<S> {
     pub group: Vec<Rank>,
     /// `true` if this live PE was evicted mid-run and went quiescent.
     pub evicted: bool,
-    /// The audit row; `None` when recovery was disabled.
-    pub audit: Option<RecoveryAudit>,
+    /// The audit row.
+    pub audit: RecoveryAudit,
     /// This PE's cumulative sent-message count at the end of each completed
     /// phase — the calibration hook chaos harnesses use to aim a
     /// [`crate::FaultPlan`] crash at a phase boundary (a victim whose crash
@@ -562,153 +509,47 @@ pub struct RecoveryOutcome<S> {
     pub sends_at_phase_end: Vec<u64>,
 }
 
-/// A [`Communicator`] wrapped with the recovery machinery: membership-driven
-/// survivor regrouping, bounded-retry receives, and ring-successor buddy
-/// checkpoints.  [`run_recoverable`] drives one of these; workloads with
-/// bespoke control flow (like the streaming service) can drive the pieces
-/// directly.
-pub struct RecoveryCtx<'a, C: Communicator> {
-    comm: &'a C,
-    membership: Membership,
-    cfg: RecoveryConfig,
-    /// Bumped on every membership round; used as the [`SubComm`] tag-stripe
-    /// salt so re-runs after a regroup never collide with stale tags.
-    epoch: u64,
-    /// Last checkpoint blob received from each ring predecessor, by world
-    /// rank.
-    buddies: HashMap<Rank, Vec<u64>>,
+/// The ring-successor push: send `payload(s)` on `tag` to each of this PE's
+/// `copies` ring successors `s` in `comm` (capped at `comm.size() - 1`),
+/// nearest first, then receive one message on `tag` from each of its ring
+/// predecessors, nearest first.  Returns `(predecessor, payload)` pairs,
+/// ranks in `comm`.
+///
+/// Every push goes out before the first receive (sends never block), so the
+/// symmetric exchange cannot deadlock.  [`run_recoverable`] pushes its
+/// checkpoints with it; the streaming service pushes each part of its
+/// replica with one call per tag.
+pub fn ring_push<C: Communicator, T: CommData>(
+    comm: &C,
+    copies: usize,
+    tag: Tag,
+    mut payload: impl FnMut(Rank) -> T,
+) -> Vec<(Rank, T)> {
+    let g = comm.size();
+    let me = comm.rank();
+    let copies = copies.min(g - 1);
+    for j in 1..=copies {
+        let successor = (me + j) % g;
+        comm.send(successor, tag, payload(successor));
+    }
+    (1..=copies)
+        .map(|j| {
+            let predecessor = (me + g - j) % g;
+            (predecessor, comm.recv(predecessor, tag))
+        })
+        .collect()
 }
 
-impl<'a, C: Communicator> RecoveryCtx<'a, C> {
-    /// Wrap `comm` with the recovery machinery.
-    pub fn new(comm: &'a C, cfg: RecoveryConfig) -> Self {
-        RecoveryCtx {
-            comm,
-            membership: Membership::with_config(cfg.membership),
-            cfg,
-            epoch: 0,
-            buddies: HashMap::new(),
-        }
-    }
-
-    /// The wrapped communicator.
-    pub fn comm(&self) -> &C {
-        self.comm
-    }
-
-    /// The presumed-live group (full world before the first round).
-    pub fn group(&self) -> Vec<Rank> {
-        if self.membership.group().is_empty() {
-            (0..self.comm.size()).collect()
-        } else {
-            self.membership.group().to_vec()
-        }
-    }
-
-    /// `true` once this live PE has been evicted from the group.
-    pub fn is_evicted(&self) -> bool {
-        self.membership.is_evicted()
-    }
-
-    /// Total membership timeout verdicts retried through so far.
-    pub fn timeouts_observed(&self) -> u64 {
-        self.membership.timeouts_observed()
-    }
-
-    /// The current epoch (membership rounds completed); the tag-stripe salt
-    /// of the subgroup formed after the latest round.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Run one membership round and bump the epoch.  Returns the agreed
-    /// live group.
-    pub fn regroup(&mut self) -> Result<Vec<Rank>, RecoveryError> {
-        self.epoch += 1;
-        self.membership.round(self.comm)
-    }
-
-    /// The survivor subgroup of the latest round, salted with the current
-    /// epoch.
-    pub fn subgroup(&self) -> SubComm<'a, C> {
-        SubComm::new(self.comm, self.group(), self.epoch)
-    }
-
-    /// A failure-detecting receive with a bounded timeout-retry budget:
-    /// retries [`CommError::Timeout`] up to `retries` times, then gives up
-    /// with [`RecoveryError::RetriesExhausted`]; a definitive
-    /// [`CommError::PeerDead`] becomes [`RecoveryError::PeerDead`]
-    /// immediately.
-    pub fn recv_with_retry<T: CommData>(
-        &self,
-        src: Rank,
-        tag: Tag,
-        retries: usize,
-    ) -> Result<T, RecoveryError> {
-        let mut timeouts = 0;
-        loop {
-            match self.comm.recv_failable::<T>(src, tag) {
-                Ok(v) => return Ok(v),
-                Err(CommError::PeerDead { rank }) => return Err(RecoveryError::PeerDead { rank }),
-                Err(CommError::Timeout { .. }) => {
-                    timeouts += 1;
-                    if timeouts > retries {
-                        return Err(RecoveryError::RetriesExhausted { from: src, retries });
-                    }
-                }
-                Err(source) => {
-                    return Err(RecoveryError::Protocol {
-                        from: src,
-                        during: "recv_with_retry",
-                        source,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Push `blob` to this PE's `replication` ring successors in `sub` and
-    /// store the blobs received from its ring predecessors (the coordinated
-    /// buddy checkpoint, using the same ring-successor pattern as the
-    /// streaming replica machinery).  Returns the words this PE sent on
-    /// checkpoint traffic.
-    pub fn push_checkpoint(&mut self, sub: &SubComm<'_, C>, blob: &[u64]) -> u64 {
-        let g = sub.size();
-        let copies = self.cfg.replication.min(g - 1);
-        if copies == 0 {
-            return 0;
-        }
-        let before = sub.stats_snapshot();
-        let mine = sub.rank();
-        // All pushes first (sends never block), then the symmetric receives.
-        for j in 1..=copies {
-            sub.send((mine + j) % g, CKPT_TAG, blob.to_vec());
-        }
-        for j in 1..=copies {
-            let pred_gidx = (mine + g - j) % g;
-            let pred_world = sub.world_rank(pred_gidx);
-            let received: Vec<u64> = sub.recv(pred_gidx, CKPT_TAG);
-            self.buddies.insert(pred_world, received);
-        }
-        sub.stats_snapshot().since(&before).sent_words
-    }
-
-    /// The last checkpoint blob received from each ring predecessor, keyed
-    /// by world rank.
-    pub fn buddy_checkpoints(&self) -> &HashMap<Rank, Vec<u64>> {
-        &self.buddies
-    }
-}
-
-/// Run `phases` phases of an algorithm with crash-stop recovery.
+/// Run `phases` phases of an algorithm with crash-stop recovery,
+/// checkpointing after every `checkpoint_every` completed phases (a
+/// checkpoint after the final phase is pointless and skipped).
 ///
 /// Every phase receives the survivor subgroup, the mutable state, and the
-/// phase index.  With recovery enabled, each phase opens with a membership
-/// round; when the round reveals a shrunken group, the driver restores the
-/// state from the last coordinated checkpoint and re-runs the phases since
-/// it over the survivors (each attempt under a fresh epoch salt, so stale
-/// tags can never collide).  With recovery disabled the driver is a
-/// zero-overhead passthrough — see [`RecoveryConfig::disabled`].
+/// phase index.  Each phase opens with a membership round; when the round
+/// reveals a shrunken group, the driver restores the state from the last
+/// coordinated checkpoint and re-runs the phases since it over the
+/// survivors (each attempt under a fresh epoch salt, so stale tags can
+/// never collide).
 ///
 /// An evicted live PE returns early with [`RecoveryOutcome::evicted`] set;
 /// the survivors complete the run without it.
@@ -718,9 +559,13 @@ impl<'a, C: Communicator> RecoveryCtx<'a, C> {
 /// Returns [`RecoveryError`] only for protocol violations (a membership
 /// receive failing with something other than the retryable `Timeout` or the
 /// definitive `PeerDead`).
+///
+/// # Panics
+///
+/// Panics if `checkpoint_every == 0`.
 pub fn run_recoverable<C, S, F>(
     comm: &C,
-    cfg: RecoveryConfig,
+    checkpoint_every: usize,
     phases: usize,
     initial: S,
     mut phase: F,
@@ -730,27 +575,17 @@ where
     S: Checkpoint,
     F: FnMut(&SubComm<'_, C>, &mut S, usize),
 {
+    assert!(
+        checkpoint_every > 0,
+        "checkpoint cadence must be at least 1"
+    );
     let p = comm.size();
     let mut state = initial;
     let mut sends_at_phase_end = Vec::with_capacity(phases);
-
-    if !cfg.enabled {
-        let all: Vec<Rank> = (0..p).collect();
-        for i in 0..phases {
-            let sub = SubComm::new(comm, all.clone(), i as u64);
-            phase(&sub, &mut state, i);
-            sends_at_phase_end.push(comm.stats_snapshot().sent_messages);
-        }
-        return Ok(RecoveryOutcome {
-            state,
-            group: all,
-            evicted: false,
-            audit: None,
-            sends_at_phase_end,
-        });
-    }
-
-    let mut ctx = RecoveryCtx::new(comm, cfg);
+    let mut membership = Membership::new();
+    // Bumped on every membership round: the tag-stripe salt of the
+    // subgroup formed after it.
+    let mut epoch = 0u64;
     let mut last_ckpt = state.save();
     let mut ckpt_phase = 0usize;
     let mut done = 0usize;
@@ -761,31 +596,16 @@ where
     let mut group: Vec<Rank> = (0..p).collect();
 
     while done < phases {
-        let presumed = ctx.group().len();
+        let presumed = group.len();
         let before = comm.stats_snapshot();
-        group = ctx.regroup()?;
+        epoch += 1;
+        group = membership.round(comm)?;
         overhead_words += comm.stats_snapshot().since(&before).sent_words;
-        if ctx.is_evicted() {
+        if membership.is_evicted() {
             // The group moved on without us; go quiescent with the state we
             // have.  The survivors re-run our lost contribution from their
             // own checkpoints.
-            let audit = RecoveryAudit {
-                phases,
-                victims,
-                detect_batch,
-                retries: ctx.timeouts_observed(),
-                rerun_phases,
-                overhead_words,
-                survivors: group.len(),
-                world: p,
-            };
-            return Ok(RecoveryOutcome {
-                state,
-                group,
-                evicted: true,
-                audit: Some(audit),
-                sends_at_phase_end,
-            });
+            break;
         }
         if group.len() < presumed {
             victims += presumed - group.len();
@@ -795,13 +615,15 @@ where
             done = ckpt_phase;
             sends_at_phase_end.truncate(done);
         }
-        let sub = SubComm::new(comm, group.clone(), ctx.epoch());
+        let sub = SubComm::new(comm, group.clone(), epoch);
         phase(&sub, &mut state, done);
         done += 1;
-        if done % cfg.checkpoint_every == 0 && done < phases {
+        if done % checkpoint_every == 0 && done < phases {
             let before = comm.stats_snapshot();
             let blob = state.save();
-            ctx.push_checkpoint(&sub, &blob);
+            // The buddies' copies are for an operator, not for rollback
+            // (see `CHECKPOINT_BUDDIES`): received and dropped here.
+            ring_push(&sub, CHECKPOINT_BUDDIES, CKPT_TAG, |_| blob.clone());
             overhead_words += comm.stats_snapshot().since(&before).sent_words;
             last_ckpt = blob;
             ckpt_phase = done;
@@ -813,7 +635,7 @@ where
         phases,
         victims,
         detect_batch,
-        retries: ctx.timeouts_observed(),
+        retries: membership.timeouts_observed(),
         rerun_phases,
         overhead_words,
         survivors: group.len(),
@@ -822,8 +644,8 @@ where
     Ok(RecoveryOutcome {
         state,
         group,
-        evicted: false,
-        audit: Some(audit),
+        evicted: membership.is_evicted(),
+        audit,
         sends_at_phase_end,
     })
 }
@@ -928,7 +750,7 @@ mod tests {
         assert!(!ev0 && !ev2);
         assert!(ev1, "the live PE whose heartbeat was lost is evicted");
         assert!(
-            t0 > MembershipConfig::default().heartbeat_retries as u64,
+            t0 > HEARTBEAT_RETRIES as u64,
             "the coordinator retried through its whole budget (saw {t0} timeouts)"
         );
     }
@@ -937,15 +759,15 @@ mod tests {
     fn recv_with_retry_gives_up_with_a_typed_error() {
         let plan = FaultPlan::new().drop_message(1, 0, 0);
         let out = World::new(2).with_faults(plan).seq(|comm| {
-            let ctx = RecoveryCtx::new(comm, RecoveryConfig::enabled());
+            let mut m = Membership::new();
             if comm.rank() == 0 {
-                let res = ctx.recv_with_retry::<u64>(1, 7, 2);
+                let res = m.recv_with_retry::<_, u64>(comm, 1, 7, 2, "test");
                 comm.send(1, 8, 1u64);
                 format!("{res:?}")
             } else {
                 comm.send(0, 7, 42u64); // dropped
-                let fin = ctx
-                    .recv_with_retry::<u64>(0, 8, 1_000)
+                let fin = m
+                    .recv_with_retry::<_, u64>(comm, 0, 8, 1_000, "test")
                     .expect("final token");
                 format!("got {fin}")
             }
@@ -978,7 +800,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recovery_is_bit_identical_to_the_direct_loop() {
+    fn fault_free_recovery_meters_the_direct_loop_plus_its_overhead() {
         let direct = run_spmd_seq(4, |comm| {
             let mut log = Log::default();
             for i in 0..3 {
@@ -989,38 +811,30 @@ mod tests {
             log
         });
         let wrapped = run_spmd_seq(4, |comm| {
-            run_recoverable(
-                comm,
-                RecoveryConfig::disabled(),
-                3,
-                Log::default(),
-                sum_phase,
-            )
-            .expect("no protocol faults")
+            run_recoverable(comm, 1, 3, Log::default(), sum_phase).expect("no protocol faults")
         });
         for r in 0..4 {
-            assert_eq!(wrapped.results[r].state, direct.results[r]);
-            assert!(wrapped.results[r].audit.is_none());
+            let out = &wrapped.results[r];
+            assert_eq!(out.state, direct.results[r]);
             assert_eq!(
-                wrapped.stats.pe(r),
-                direct.stats.pe(r),
-                "metered traffic of PE {r} must be bit-identical"
+                wrapped.stats.pe(r).sent_words,
+                direct.stats.pe(r).sent_words + out.audit.overhead_words,
+                "PE {r} meters the direct loop plus exactly its overhead"
             );
         }
     }
 
     #[test]
     fn a_crash_rolls_back_to_the_checkpoint_and_reruns_over_survivors() {
-        let cfg = RecoveryConfig::enabled().with_checkpoint_every(2);
         // Calibrate: a fault-free recovery-enabled run tells us each PE's
         // send count at every phase boundary.
         let baseline = run_spmd_seq(4, move |comm| {
-            run_recoverable(comm, cfg, 3, Log::default(), sum_phase).expect("fault-free")
+            run_recoverable(comm, 2, 3, Log::default(), sum_phase).expect("fault-free")
         });
         let full_sum: u64 = (0..4).sum::<usize>() as u64;
         for out in &baseline.results {
             assert_eq!(out.state, Log(vec![full_sum; 3]));
-            let audit = out.audit.as_ref().expect("enabled run audits");
+            let audit = &out.audit;
             assert_eq!((audit.victims, audit.rerun_phases), (0, 0));
             assert_eq!(audit.detect_batch, None);
             assert!(audit.overhead_words > 0, "membership traffic is metered");
@@ -1031,7 +845,7 @@ mod tests {
         let crash_at = baseline.results[victim].sends_at_phase_end[0];
         let plan = FaultPlan::new().crash_pe(victim, crash_at);
         let out = World::new(4).with_faults(plan).seq(move |comm| {
-            run_recoverable(comm, cfg, 3, Log::default(), sum_phase).expect("survivors recover")
+            run_recoverable(comm, 2, 3, Log::default(), sum_phase).expect("survivors recover")
         });
         assert!(out.results[victim].is_none(), "the victim crash-stopped");
         let survivor_sum: u64 = 4; // ranks 0 + 1 + 3
@@ -1043,7 +857,7 @@ mod tests {
             assert_eq!(res.state, Log(vec![survivor_sum; 3]), "PE {r}");
             assert_eq!(res.group, vec![0, 1, 3]);
             assert!(!res.evicted);
-            let audit = res.audit.expect("audit row");
+            let audit = res.audit;
             assert_eq!(audit.victims, 1);
             assert_eq!(audit.detect_batch, Some(1));
             assert_eq!(audit.rerun_phases, 1);
@@ -1055,14 +869,18 @@ mod tests {
     #[test]
     fn checkpoints_reach_the_ring_successor_buddies() {
         let out = run_spmd_seq(3, |comm| {
-            let cfg = RecoveryConfig::enabled();
-            let mut ctx = RecoveryCtx::new(comm, cfg);
-            ctx.regroup().expect("fault-free round");
-            let sub = ctx.subgroup();
+            let group = Membership::new().round(comm).expect("fault-free round");
+            let sub = SubComm::new(comm, group, 1);
             let blob = vec![comm.rank() as u64 * 100];
-            let words = ctx.push_checkpoint(&sub, &blob);
+            let before = comm.stats_snapshot();
+            let buddies: HashMap<Rank, Vec<u64>> =
+                ring_push(&sub, CHECKPOINT_BUDDIES, CKPT_TAG, |_| blob.clone())
+                    .into_iter()
+                    .map(|(pred, received)| (sub.world_rank(pred), received))
+                    .collect();
+            let words = comm.stats_snapshot().since(&before).sent_words;
             assert!(words > 0);
-            ctx.buddy_checkpoints().clone()
+            buddies
         });
         for (rank, buddies) in out.results.iter().enumerate() {
             let pred = (rank + 2) % 3;

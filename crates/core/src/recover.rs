@@ -6,20 +6,19 @@
 //! phases under [`commsim::recovery::run_recoverable`] — membership round
 //! per phase, coordinated ring-buddy checkpoints, rollback-and-re-run over
 //! the survivors on a detected crash — and hand back the per-phase results
-//! plus the parseable `recovery-audit` row.
+//! plus the parseable `recovery-audit` row.  Their one recovery setting is
+//! the checkpoint cadence, `checkpoint_every`.
 //!
-//! With [`RecoveryConfig::disabled`] the wrappers are bit-identical
-//! passthroughs (results *and* metered words per PE) to calling
-//! [`select_k_smallest`] / [`Algorithm::run`] directly in a loop — pinned by
+//! A fault-free run returns what calling [`select_k_smallest`] /
+//! [`Algorithm::run`] directly in a loop returns, and meters its words per
+//! PE plus exactly the audit's `overhead_words` — pinned by
 //! `tests/recovery_integration.rs`.  The crash model is the repo-wide one:
 //! crashes land *between* phases (a victim's crash send-count calibrated to
 //! its first send of a phase, its membership heartbeat); a PE dying
 //! mid-collective fails fast instead.
 
 use commsim::codec::decode_error;
-use commsim::recovery::{
-    run_recoverable, Checkpoint, RecoveryConfig, RecoveryError, RecoveryOutcome,
-};
+use commsim::recovery::{run_recoverable, Checkpoint, RecoveryError, RecoveryOutcome};
 use commsim::{CommResult, Communicator, WordCodec, WordReader};
 
 use crate::frequent::FrequentParams;
@@ -27,7 +26,7 @@ use crate::planner::Algorithm;
 use crate::unsorted::select_k_smallest;
 
 /// Per-phase seed salt.  Phase 0 keeps the caller's seed verbatim, so a
-/// single-phase disabled run is RNG-identical to the direct call.
+/// fault-free single-phase run is RNG-identical to the direct call.
 fn phase_seed(seed: u64, phase: usize) -> u64 {
     seed ^ (phase as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -53,9 +52,9 @@ impl Checkpoint for SelectionCheckpoint {
 }
 
 /// Run `phases` repetitions of [`select_k_smallest`] with crash-stop
-/// recovery (the fig6 path).  Each phase selects over the survivor
-/// subgroup with a per-phase salted seed; the checkpointed state is the
-/// accumulated threshold log.
+/// recovery (the fig6 path), checkpointing every `checkpoint_every` phases.
+/// Each phase selects over the survivor subgroup with a per-phase salted
+/// seed; the checkpointed state is the accumulated threshold log.
 ///
 /// # Errors
 ///
@@ -68,11 +67,11 @@ pub fn select_k_smallest_recoverable<C: Communicator>(
     k: usize,
     seed: u64,
     phases: usize,
-    cfg: RecoveryConfig,
+    checkpoint_every: usize,
 ) -> Result<RecoveryOutcome<SelectionCheckpoint>, RecoveryError> {
     run_recoverable(
         comm,
-        cfg,
+        checkpoint_every,
         phases,
         SelectionCheckpoint::default(),
         |sub, state, i| {
@@ -113,7 +112,8 @@ impl Checkpoint for FrequentCheckpoint {
 
 /// Run `phases` repetitions of a §7 top-k most-frequent-objects algorithm
 /// ([`Algorithm::run`], the single dispatch point every frequent-objects
-/// caller goes through) with crash-stop recovery (the fig7 path).
+/// caller goes through) with crash-stop recovery (the fig7 path),
+/// checkpointing every `checkpoint_every` phases.
 ///
 /// # Errors
 ///
@@ -124,11 +124,11 @@ pub fn run_frequent_recoverable<C: Communicator>(
     local: &[u64],
     params: &FrequentParams,
     phases: usize,
-    cfg: RecoveryConfig,
+    checkpoint_every: usize,
 ) -> Result<RecoveryOutcome<FrequentCheckpoint>, RecoveryError> {
     run_recoverable(
         comm,
-        cfg,
+        checkpoint_every,
         phases,
         FrequentCheckpoint::default(),
         |sub, state, _i| {

