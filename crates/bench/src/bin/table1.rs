@@ -15,8 +15,8 @@
 //!     [--algo pac|ec|pec|naive|naive-tree|all|auto] [--plan-explain]
 //! ```
 //!
-//! `--quick` (or `TABLE1_QUICK=1`) shrinks the instance to a CI-friendly
-//! smoke size; the separations stay visible, the absolute numbers shrink.
+//! `--quick` shrinks the instance to a CI-friendly smoke size; the
+//! separations stay visible, the absolute numbers shrink.
 //! The metered words/startups columns are bit-identical on every backend;
 //! only the wall-time column depends on `--backend`.
 //!
@@ -112,16 +112,14 @@ impl Args {
 }
 
 fn main() {
-    let args = Args::parse(std::env::args().skip(1));
-    let quick = args.quick || std::env::var("TABLE1_QUICK").is_ok_and(|v| v != "0");
-    let scale = if quick { Scale::QUICK } else { Scale::FULL };
     let Args {
+        quick,
         section,
         backend,
         algo,
         plan_explain,
-        ..
-    } = args;
+    } = Args::parse(std::env::args().skip(1));
+    let scale = if quick { Scale::QUICK } else { Scale::FULL };
     let want = |name: &str| section.is_empty() || section == "all" || section == name;
 
     let Scale { p, per_pe, k } = scale;

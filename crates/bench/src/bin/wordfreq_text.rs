@@ -30,10 +30,10 @@ use bench::{AlgoChoice, Table};
 use commsim::{run_on, Backend, Communicator, SpmdOutput, World};
 use datagen::TextCorpus;
 use topk::frequent::{absolute_error, exact_global_counts, relative_error};
-use topk::{FrequentParams, TopKFrequentResult};
+use topk::{Algorithm, FrequentParams, TopKFrequentResult};
 use workloads::text::{
     distributed_intern, plan_word_frequency, run_planned_scored, split_text_shards, tokenize,
-    InternedShard, TextAlgorithm,
+    InternedShard,
 };
 
 fn main() {
@@ -156,9 +156,9 @@ fn main() {
             top.join(" "),
         ]);
     } else {
-        let contenders: Vec<TextAlgorithm> = match args.algo {
-            AlgoChoice::Fixed(a) => vec![TextAlgorithm::from_core(a)],
-            _ => TextAlgorithm::ALL.to_vec(),
+        let contenders: Vec<Algorithm> = match args.algo {
+            AlgoChoice::Fixed(a) => vec![a],
+            _ => Algorithm::ALL.to_vec(),
         };
         for algo in contenders {
             let mut wall = std::time::Duration::ZERO;

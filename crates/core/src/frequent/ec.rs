@@ -9,15 +9,9 @@
 //! all PEs with an all-gather, so the communication volume is
 //! `O((1/ε)·√(log p / p)·log(n/δ) + k*)` words per PE.
 
-use std::collections::HashMap;
-
 use commsim::Communicator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use seqkit::hashagg::count_keys;
-use seqkit::sampling::bernoulli_sample;
 
-use super::{dht, select_top_counts, FrequentParams, TopKFrequentResult};
+use super::{count_candidates, dht, sample_counts, FrequentParams};
 
 /// The candidate-set size that minimises communication volume
 /// (paper, discussion after Lemma 10):
@@ -37,87 +31,33 @@ pub fn required_sample_size(n: u64, k_star: usize, epsilon: f64, delta: f64) -> 
     size.ceil().min(n as f64) as u64
 }
 
-/// Count the occurrences of `candidates` in `local_data` exactly
-/// (`O(n/p)` with a hash set of the candidates).
-fn exact_local_counts(local_data: &[u64], candidates: &[u64]) -> Vec<u64> {
-    let index: HashMap<u64, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, &key)| (key, i))
-        .collect();
-    let mut counts = vec![0u64; candidates.len()];
-    for &x in local_data {
-        if let Some(&i) = index.get(&x) {
-            counts[i] += 1;
-        }
-    }
-    counts
-}
-
-/// Run Algorithm EC with an explicit candidate-set size `k*`.
-pub fn ec_top_k_with_kstar<C: Communicator>(
+/// Algorithm EC with candidate-set size `k*` on an input of global size
+/// `n > 0`: Lemma 10's sample for `k*`, counted in the DHT, and the exact
+/// counts of its top-`k*` keys cut to the best `k`; plus the global sample
+/// size.  [`Algorithm::Ec`](crate::planner::Algorithm::Ec) runs it with
+/// [`optimal_k_star`], PEC with the `k*` of its first sample.
+pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
+    n: u64,
     k_star: usize,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: true,
-        };
-    }
+) -> (Vec<(u64, u64)>, u64) {
     let k_star = k_star.max(params.k);
     let target = required_sample_size(n, k_star, params.epsilon, params.delta);
     let rho = (target as f64 / n as f64).clamp(0.0, 1.0);
-
-    // 1. Small Bernoulli sample, locally aggregated, counted in the DHT.
-    let mut rng = StdRng::seed_from_u64(params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD));
-    let sample = bernoulli_sample(local_data, rho, &mut rng);
-    let sample_size = comm.allreduce_sum(sample.len() as u64);
-    let owned =
-        dht::aggregate_counts_with(comm, count_keys(sample.iter().copied()), params.dht_fanout);
-
-    // 2. The k* most frequently sampled objects are the candidates.
-    let candidates_with_counts = select_top_counts(comm, &owned, k_star, params.seed ^ 0xEC);
-    let candidates: Vec<u64> = candidates_with_counts.iter().map(|&(key, _)| key).collect();
-
-    // 3. Exact counting: every PE counts the candidates in its local input;
-    //    a vector sum reduction yields exact global counts.
-    let local_exact = exact_local_counts(local_data, &candidates);
-    let global_exact = comm.allreduce_vec_sum(local_exact);
-
-    // 4. The k best exact counts are the answer (identical on every PE, so a
-    //    local sort suffices — the candidate list is only k* long).
-    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global_exact).collect();
-    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    items.truncate(params.k);
-
-    TopKFrequentResult {
-        items,
-        sample_size,
-        exact_counts: true,
-    }
-}
-
-/// Run Algorithm EC with the volume-optimal `k*` of the paper.
-pub fn ec_top_k<C: Communicator>(
-    comm: &C,
-    local_data: &[u64],
-    params: &FrequentParams,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: true,
-        };
-    }
-    let k_star = optimal_k_star(n, comm.size(), params);
-    ec_top_k_with_kstar(comm, local_data, params, k_star)
+    let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD);
+    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
+    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let items = count_candidates(
+        comm,
+        local_data,
+        &owned,
+        k_star,
+        params.k,
+        params.seed ^ 0xEC,
+    );
+    (items, sample_size)
 }
 
 #[cfg(test)]
@@ -125,8 +65,11 @@ mod tests {
     use super::*;
     use commsim::run_spmd;
     use datagen::Zipf;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     use crate::frequent::{exact_global_counts, relative_error};
+    use crate::planner::Algorithm;
 
     fn zipf_parts(p: usize, per_pe: usize, values: usize, s: f64, seed: u64) -> Vec<Vec<u64>> {
         let zipf = Zipf::new(values, s);
@@ -174,7 +117,7 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                ec_top_k(comm, local, &params),
+                Algorithm::Ec.run(comm, local, &params),
                 exact_global_counts(comm, local),
             )
         });
@@ -194,7 +137,7 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                ec_top_k(comm, local, &params),
+                Algorithm::Ec.run(comm, local, &params),
                 exact_global_counts(comm, local),
             )
         });
@@ -215,7 +158,7 @@ mod tests {
         let parts_ref = parts.clone();
         let params = FrequentParams::new(5, 5e-3, 1e-2, 29);
         let out = run_spmd(p, move |comm| {
-            ec_top_k(comm, &parts_ref[comm.rank()], &params)
+            Algorithm::Ec.run(comm, &parts_ref[comm.rank()], &params)
         });
         assert!(out.results.iter().all(|r| r.items == out.results[0].items));
     }
@@ -227,15 +170,17 @@ mod tests {
         let parts_ref = parts.clone();
         let params = FrequentParams::new(3, 1e-2, 1e-2, 37);
         let out = run_spmd(p, move |comm| {
-            ec_top_k_with_kstar(comm, &parts_ref[comm.rank()], &params, 20)
+            let local = &parts_ref[comm.rank()];
+            let n = comm.allreduce_sum(local.len() as u64);
+            top_k(comm, local, &params, n, 20).0
         });
-        assert!(out.results.iter().all(|r| r.items.len() == 3));
+        assert!(out.results.iter().all(|items| items.len() == 3));
     }
 
     #[test]
     fn empty_input_returns_empty_result() {
         let params = FrequentParams::new(4, 1e-2, 1e-2, 0);
-        let out = run_spmd(2, move |comm| ec_top_k(comm, &[], &params));
+        let out = run_spmd(2, move |comm| Algorithm::Ec.run(comm, &[], &params));
         assert!(out.results.iter().all(|r| r.items.is_empty()));
     }
 
@@ -252,7 +197,7 @@ mod tests {
         let params = FrequentParams::new(8, 1e-6, 1e-6, 43);
         let out = run_spmd(p, move |comm| {
             let before = comm.stats_snapshot();
-            let _ = ec_top_k(comm, &parts_ref[comm.rank()], &params);
+            let _ = Algorithm::Ec.run(comm, &parts_ref[comm.rank()], &params);
             comm.stats_snapshot().since(&before).bottleneck_words()
         });
         for &words in &out.results {

@@ -5,27 +5,36 @@
 //! because a globally frequent object need not be locally frequent anywhere;
 //! the paper's algorithms get around it by communicating only a small random
 //! sample plus, in the refined variants, a short list of candidates that are
-//! then counted exactly:
+//! then counted exactly.
 //!
-//! * [`pac`] — the basic probably-approximately-correct algorithm
-//!   (Section 7.1): Bernoulli sample, distributed hash-table counting,
-//!   unsorted selection of the k most frequently *sampled* objects.
-//!   Sample size `Θ(ε⁻² log(k/δ))`.
-//! * [`ec`] — exact counting (Section 7.2): much smaller sample
-//!   (`Θ(ε⁻¹ …)`), select the `k* ≥ k` most frequently sampled objects, then
-//!   count exactly those candidates in a second pass over the local input.
-//! * [`pec`] — probably exactly correct (Section 7.3): a first sample
-//!   estimates how large `k*` has to be for the true top-k to be among the
-//!   top-`k*` sampled objects; a Zipf-specialised variant (Theorem 14)
-//!   computes `k*` and the sample size in closed form.
+//! The algorithms are one pipeline with variations, and
+//! [`Algorithm::run`](crate::planner::Algorithm::run) is the one way to run
+//! it: it reduces `n` once, then calls the algorithm's stages, which share
+//!
+//! 1. one **sampling stage**: a Bernoulli sample at rate ρ, aggregated
+//!    locally, plus the global sample size;
+//! 2. the distributed hash table of [`dht`] that counts the sample (the
+//!    baselines ship the aggregate to a coordinator instead);
+//! 3. [`select_top_counts`], the §4.1 cut of the most frequently sampled keys;
+//! 4. for EC and PEC, one **exact-count stage**: the `k* ≥ k` candidates are
+//!    counted in the local input and summed with one vector all-reduction.
+//!
+//! The variations:
+//!
+//! * [`pac`] — probably approximately correct (Section 7.1): ρ for sample
+//!   size `Θ(ε⁻² log(k/δ))`; the top-k sample counts, scaled by `1/ρ`, are
+//!   the answer.
+//! * [`ec`] — exact counting (Section 7.2): a much smaller sample
+//!   (`Θ(ε⁻¹ …)`) whose top-`k*` keys are counted exactly.
+//! * [`pec`] — probably exactly correct (Section 7.3): EC with `k*` taken
+//!   from a first, coarse sample (Lemma 12), or in closed form under Zipf's
+//!   law ([`pec::pec_zipf_top_k`], Theorem 14).
 //! * [`naive`] — the two centralized baselines of the evaluation
-//!   (Section 10.2): `Naive` ships every PE's aggregated sample directly to a
-//!   coordinator, `Naive Tree` does the same through a merging reduction
-//!   tree.
+//!   (Section 10.2): PAC's sample, merged at a coordinator directly (`Naive`)
+//!   or through a merging reduction tree (`Naive Tree`).
 //!
-//! All algorithms share the distributed hash table of [`dht`] for sample
-//! counting, its [`dht::KeyCounts`] wire form (keys grouped by count) for
-//! every aggregate they ship, and the result/parameter types defined here.
+//! Every aggregate on the wire is a [`dht::KeyCounts`] (keys grouped by
+//! count).
 
 pub mod dht;
 pub mod ec;
@@ -37,6 +46,10 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use commsim::Communicator;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use seqkit::hashagg::count_keys;
+use seqkit::sampling::bernoulli_sample;
 
 use crate::unsorted::select_k_largest_known_total;
 
@@ -197,6 +210,64 @@ pub fn select_top_counts<C: Communicator>(
     let mut all: Vec<(u64, u64)> = all.iter().flat_map(dht::KeyCounts::iter).collect();
     all.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
     all
+}
+
+/// The sampling stage of every algorithm: a Bernoulli sample of
+/// `local_data` at rate `rho` from an RNG seeded with `rng_seed`, aggregated
+/// locally, and the global sample size (one sum reduction).
+fn sample_counts<C: Communicator>(
+    comm: &C,
+    local_data: &[u64],
+    rho: f64,
+    rng_seed: u64,
+) -> (HashMap<u64, u64>, u64) {
+    let sample = bernoulli_sample(local_data, rho, &mut StdRng::seed_from_u64(rng_seed));
+    let sample_size = comm.allreduce_sum(sample.len() as u64);
+    (count_keys(sample.iter().copied()), sample_size)
+}
+
+/// The exact-count stage of EC and PEC: cut the `k_star` most frequently
+/// sampled keys of this PE's DHT share `owned`, count those candidates in
+/// `local_data`, sum the counts with one vector all-reduction, and keep the
+/// `k` best.  The candidate list is identical on every PE, so the final sort
+/// is local.
+fn count_candidates<C: Communicator>(
+    comm: &C,
+    local_data: &[u64],
+    owned: &HashMap<u64, u64>,
+    k_star: usize,
+    k: usize,
+    seed: u64,
+) -> Vec<(u64, u64)> {
+    let candidates: Vec<u64> = select_top_counts(comm, owned, k_star, seed)
+        .into_iter()
+        .map(|(key, _)| key)
+        .collect();
+    let index: HashMap<u64, usize> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| (key, i))
+        .collect();
+    let mut local = vec![0u64; candidates.len()];
+    for x in local_data {
+        if let Some(&i) = index.get(x) {
+            local[i] += 1;
+        }
+    }
+    let global = comm.allreduce_vec_sum(local);
+    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
+    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    items.truncate(k);
+    items
+}
+
+/// Scale sampled counts back to estimates of true counts (PAC and the
+/// baselines, which report sample counts).
+fn scale_counts(items: Vec<(u64, u64)>, rho: f64) -> Vec<(u64, u64)> {
+    items
+        .into_iter()
+        .map(|(key, count)| (key, ((count as f64) / rho).round() as u64))
+        .collect()
 }
 
 #[cfg(test)]

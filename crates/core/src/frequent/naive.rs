@@ -19,57 +19,37 @@
 use std::collections::HashMap;
 
 use commsim::Communicator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use seqkit::hashagg::{count_keys, merge_counts, top_k_by_count};
-use seqkit::sampling::bernoulli_sample;
+use seqkit::hashagg::{merge_counts, top_k_by_count};
 
-use super::{dht::KeyCounts, pac::sampling_probability, FrequentParams, TopKFrequentResult};
+use super::dht::KeyCounts;
+use super::{pac::sampling_probability, sample_counts, scale_counts, FrequentParams};
 
 /// Tag for the Naive baseline's direct sends to the coordinator.
 const NAIVE_TAG: u64 = 0x7A1;
 
-/// Draw the PAC-rate sample and aggregate it locally.
-fn local_sample_counts<C: Communicator>(
+/// PAC's rate and the sampling stage at it, with the baselines' RNG seed.
+fn pac_rate_sample<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
     n: u64,
-) -> (HashMap<u64, u64>, u64) {
+) -> (f64, HashMap<u64, u64>, u64) {
     let rho = sampling_probability(n, params);
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x0A1 ^ (comm.rank() as u64) << 8);
-    let sample = bernoulli_sample(local_data, rho, &mut rng);
-    let size = sample.len() as u64;
-    (count_keys(sample.iter().copied()), size)
+    let rng_seed = params.seed ^ 0x0A1 ^ (comm.rank() as u64) << 8;
+    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
+    (rho, counts, sample_size)
 }
 
-/// Scale sampled counts back to estimates of true counts.
-fn scale_counts(items: Vec<(u64, u64)>, rho: f64) -> Vec<(u64, u64)> {
-    items
-        .into_iter()
-        .map(|(key, count)| (key, ((count as f64) / rho).round() as u64))
-        .collect()
-}
-
-/// The Naive baseline: direct point-to-point delivery of every PE's
-/// aggregated sample to the coordinator.
-pub fn naive_top_k<C: Communicator>(
+/// The Naive baseline on an input of global size `n > 0`: direct
+/// point-to-point delivery of every PE's aggregated sample to the
+/// coordinator.  Returns the scaled top-k and the global sample size.
+pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: false,
-        };
-    }
-    let rho = sampling_probability(n, params);
-    let (local_counts, local_size) = local_sample_counts(comm, local_data, params, n);
-    let sample_size = comm.allreduce_sum(local_size);
-
+    n: u64,
+) -> (Vec<(u64, u64)>, u64) {
+    let (rho, local_counts, sample_size) = pac_rate_sample(comm, local_data, params, n);
     let items: Option<Vec<(u64, u64)>> = if comm.is_root() {
         let mut merged = local_counts;
         // The coordinator receives p − 1 separate messages — the scalability
@@ -85,34 +65,21 @@ pub fn naive_top_k<C: Communicator>(
         None
     };
     let items = comm.broadcast(0, items);
-
-    TopKFrequentResult {
-        items: scale_counts(items, rho),
-        sample_size,
-        exact_counts: false,
-    }
+    (scale_counts(items, rho), sample_size)
 }
 
-/// The Naive Tree baseline: the aggregated samples flow up a binomial
-/// reduction tree, merging hash maps at every level (implemented with the
-/// generic tree reduction of the communication layer).
-pub fn naive_tree_top_k<C: Communicator>(
+/// The Naive Tree baseline on an input of global size `n > 0`: the
+/// aggregated samples flow up a binomial reduction tree, merging hash maps at
+/// every level (implemented with the generic tree reduction of the
+/// communication layer).  Returns the scaled top-k and the global sample
+/// size.
+pub(crate) fn tree_top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: false,
-        };
-    }
-    let rho = sampling_probability(n, params);
-    let (local_counts, local_size) = local_sample_counts(comm, local_data, params, n);
-    let sample_size = comm.allreduce_sum(local_size);
-
+    n: u64,
+) -> (Vec<(u64, u64)>, u64) {
+    let (rho, local_counts, sample_size) = pac_rate_sample(comm, local_data, params, n);
     // Merge hash maps (on the wire: keys grouped by count) up the reduction
     // tree.
     let local: KeyCounts = local_counts.into_iter().collect();
@@ -130,12 +97,7 @@ pub fn naive_tree_top_k<C: Communicator>(
         top_k_by_count(&map, params.k)
     });
     let items = comm.broadcast(0, items);
-
-    TopKFrequentResult {
-        items: scale_counts(items, rho),
-        sample_size,
-        exact_counts: false,
-    }
+    (scale_counts(items, rho), sample_size)
 }
 
 #[cfg(test)]
@@ -143,8 +105,10 @@ mod tests {
     use super::*;
     use commsim::run_spmd;
     use datagen::Zipf;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
-    use crate::frequent::pac::pac_top_k;
+    use crate::planner::Algorithm;
 
     fn zipf_parts(p: usize, per_pe: usize, values: usize, seed: u64) -> Vec<Vec<u64>> {
         let zipf = Zipf::new(values, 1.0);
@@ -165,9 +129,9 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                naive_top_k(comm, local, &params),
-                naive_tree_top_k(comm, local, &params),
-                pac_top_k(comm, local, &params),
+                Algorithm::Naive.run(comm, local, &params),
+                Algorithm::NaiveTree.run(comm, local, &params),
+                Algorithm::Pac.run(comm, local, &params),
             )
         });
         let (naive, tree, pac) = &out.results[0];
@@ -189,8 +153,8 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                naive_top_k(comm, local, &params),
-                naive_tree_top_k(comm, local, &params),
+                Algorithm::Naive.run(comm, local, &params),
+                Algorithm::NaiveTree.run(comm, local, &params),
             )
         });
         for (naive, tree) in &out.results {
@@ -207,7 +171,7 @@ mod tests {
         let params = FrequentParams::new(8, 2e-3, 1e-2, 19);
         let out = run_spmd(p, move |comm| {
             let before = comm.stats_snapshot();
-            let _ = naive_top_k(comm, &parts_ref[comm.rank()], &params);
+            let _ = Algorithm::Naive.run(comm, &parts_ref[comm.rank()], &params);
             comm.stats_snapshot().since(&before)
         });
         let coordinator = out.results[0].received_words;
@@ -234,7 +198,7 @@ mod tests {
         let params = FrequentParams::new(8, 2e-3, 1e-2, 29);
         let out = run_spmd(p, move |comm| {
             let before = comm.stats_snapshot();
-            let _ = naive_tree_top_k(comm, &parts_ref[comm.rank()], &params);
+            let _ = Algorithm::NaiveTree.run(comm, &parts_ref[comm.rank()], &params);
             comm.stats_snapshot().since(&before).received_messages
         });
         // No PE — including the root — receives more than O(log p) messages
@@ -251,8 +215,8 @@ mod tests {
         let params = FrequentParams::new(4, 1e-2, 1e-2, 0);
         let out = run_spmd(2, move |comm| {
             (
-                naive_top_k(comm, &[], &params),
-                naive_tree_top_k(comm, &[], &params),
+                Algorithm::Naive.run(comm, &[], &params),
+                Algorithm::NaiveTree.run(comm, &[], &params),
             )
         });
         assert!(out

@@ -14,12 +14,8 @@
 //! sense of [`super::absolute_error`]) is at most `εn`.
 
 use commsim::Communicator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use seqkit::hashagg::count_keys;
-use seqkit::sampling::bernoulli_sample;
 
-use super::{dht, select_top_counts, FrequentParams, TopKFrequentResult};
+use super::{dht, sample_counts, scale_counts, select_top_counts, FrequentParams};
 
 /// Minimum expected sample size required for an (ε, δ)-approximation
 /// (Equation 3): `ρn ≥ (4/ε²)·max((3/k)·ln(2n/δ), 2·ln(2k/δ))`.
@@ -39,47 +35,21 @@ pub fn sampling_probability(n: u64, params: &FrequentParams) -> f64 {
     (target as f64 / n as f64).clamp(0.0, 1.0)
 }
 
-/// Run Algorithm PAC on the distributed input `local_data`.
-///
-/// All PEs receive the same result: the `k` most frequently sampled objects
-/// with their counts scaled to estimates of the true counts.
-pub fn pac_top_k<C: Communicator>(
+/// Algorithm PAC on an input of global size `n > 0`: the `k` most frequently
+/// sampled objects with their counts scaled to estimates of the true counts,
+/// and the global sample size.  Identical on every PE.
+pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: false,
-        };
-    }
+    n: u64,
+) -> (Vec<(u64, u64)>, u64) {
     let rho = sampling_probability(n, params);
-
-    // 1. Local Bernoulli sample, aggregated locally before any communication.
-    let mut rng = StdRng::seed_from_u64(params.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37));
-    let sample = bernoulli_sample(local_data, rho, &mut rng);
-    let local_counts = count_keys(sample.iter().copied());
-    let local_sample_size = sample.len() as u64;
-
-    // 2. Distributed hash-table counting (fan-out per params.dht_fanout).
-    let owned = dht::aggregate_counts_with(comm, local_counts, params.dht_fanout);
-    let sample_size = comm.allreduce_sum(local_sample_size);
-
-    // 3. Select the k most frequently sampled objects and scale the counts.
+    let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37);
+    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
+    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
     let top = select_top_counts(comm, &owned, params.k, params.seed ^ 0xFACE);
-    let items = top
-        .into_iter()
-        .map(|(key, count)| (key, ((count as f64) / rho).round() as u64))
-        .collect();
-
-    TopKFrequentResult {
-        items,
-        sample_size,
-        exact_counts: false,
-    }
+    (scale_counts(top, rho), sample_size)
 }
 
 #[cfg(test)]
@@ -87,10 +57,12 @@ mod tests {
     use super::*;
     use commsim::run_spmd;
     use datagen::Zipf;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::HashMap;
 
     use crate::frequent::{absolute_error, exact_global_counts, relative_error};
+    use crate::planner::Algorithm;
 
     fn zipf_parts(p: usize, per_pe: usize, values: usize, s: f64, seed: u64) -> Vec<Vec<u64>> {
         let zipf = Zipf::new(values, s);
@@ -126,7 +98,7 @@ mod tests {
         let params = FrequentParams::new(8, 5e-3, 1e-3, 7);
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
-            let result = pac_top_k(comm, local, &params);
+            let result = Algorithm::Pac.run(comm, local, &params);
             let exact = exact_global_counts(comm, local);
             (result, exact)
         });
@@ -152,7 +124,7 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                pac_top_k(comm, local, &params),
+                Algorithm::Pac.run(comm, local, &params),
                 exact_global_counts(comm, local),
             )
         });
@@ -178,7 +150,7 @@ mod tests {
             local.extend(std::iter::repeat_n(b'A' as u64, 20));
             local.extend((0..40).map(|_| rng.gen_range(b'F' as u64..b'Z' as u64)));
             let params = FrequentParams::new(2, 0.05, 0.05, 9);
-            pac_top_k(comm, &local, &params)
+            Algorithm::Pac.run(comm, &local, &params)
         });
         for r in &out.results {
             assert_eq!(r.items[0].0, b'E' as u64);
@@ -189,7 +161,7 @@ mod tests {
     fn empty_input_returns_empty_result() {
         let out = run_spmd(2, |comm| {
             let params = FrequentParams::new(3, 0.01, 0.01, 0);
-            pac_top_k(comm, &[], &params)
+            Algorithm::Pac.run(comm, &[], &params)
         });
         assert!(out
             .results
@@ -202,7 +174,7 @@ mod tests {
         let out = run_spmd(3, |comm| {
             let local = vec![1u64, 1, 2, 2, 2];
             let params = FrequentParams::new(10, 0.05, 0.05, 1);
-            pac_top_k(comm, &local, &params)
+            Algorithm::Pac.run(comm, &local, &params)
         });
         for r in &out.results {
             assert_eq!(r.items.len(), 2);
@@ -223,7 +195,7 @@ mod tests {
             let parts_ref = parts.clone();
             run_spmd(p, move |comm| {
                 let before = comm.stats_snapshot();
-                let _ = pac_top_k(comm, &parts_ref[comm.rank()], &params);
+                let _ = Algorithm::Pac.run(comm, &parts_ref[comm.rank()], &params);
                 comm.stats_snapshot().since(&before).bottleneck_words()
             })
             .results
@@ -242,7 +214,7 @@ mod tests {
         let params = FrequentParams::new(16, 1e-1, 1e-1, 5);
         let out = run_spmd(p, move |comm| {
             let before = comm.stats_snapshot();
-            let _ = pac_top_k(comm, &parts_ref[comm.rank()], &params);
+            let _ = Algorithm::Pac.run(comm, &parts_ref[comm.rank()], &params);
             comm.stats_snapshot().since(&before).bottleneck_words()
         });
         for &words in &out.results {

@@ -4,10 +4,11 @@
 //! counting of *all likely relevant* objects yields the exact top-k with
 //! probability at least `1 − δ`.  PEC works in two stages:
 //!
-//! 1. a small first sample (the PAC machinery with a coarse ε₀) estimates the
-//!    sample count `ŝ_k` of the k-th most frequent object and, from it, how
-//!    deep into the sampled ranking the true top-k can plausibly have sunk
-//!    (Lemma 12); the resulting rank bound is the candidate-set size `k*`;
+//! 1. a small first sample (the PAC machinery with a coarse ε₀ =
+//!    `min(20·ε, 0.05)`) estimates the sample count `ŝ_k` of the k-th most
+//!    frequent object and, from it, how deep into the sampled ranking the
+//!    true top-k can plausibly have sunk (Lemma 12); the resulting rank bound
+//!    is the candidate-set size `k*`;
 //! 2. Algorithm EC runs with that `k*`, counting all candidates exactly.
 //!
 //! For inputs following Zipf's law the first stage is unnecessary: Theorem 14
@@ -15,63 +16,44 @@
 //! ([`pec_zipf_top_k`]).
 
 use commsim::Communicator;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use seqkit::hashagg::count_keys;
-use seqkit::sampling::bernoulli_sample;
+use seqkit::skew::generalized_harmonic;
 
-use super::ec::ec_top_k_with_kstar;
-use super::{dht, select_top_counts, FrequentParams, TopKFrequentResult};
+use super::{count_candidates, dht, ec, pac, sample_counts, select_top_counts};
+use super::{FrequentParams, TopKFrequentResult};
 
-/// Result of the first (estimation) stage of PEC.
-#[derive(Debug, Clone, Copy)]
-pub struct KStarEstimate {
-    /// The candidate-set size to use in the exact-counting stage.
-    pub k_star: usize,
-    /// The sample count of the k-th most frequently sampled object in the
-    /// first-stage sample.
-    pub s_k: u64,
-    /// Lemma 12's threshold: candidates are all objects whose first-stage
-    /// sample count is at least this value.
-    pub count_threshold: f64,
-    /// Size of the first-stage sample.
-    pub first_sample_size: u64,
+/// The first stage's coarse relative error ε₀ for a target ε.
+pub(crate) fn coarse_epsilon(epsilon: f64) -> f64 {
+    (epsilon * 20.0).min(0.05)
 }
 
-/// Stage 1: estimate `k*` from a coarse sample (Lemma 12).
+/// Stage 1 on an input of global size `n > 0` (Lemma 12): the candidate-set
+/// size `k*` and the size of the first sample it was read from.
 ///
 /// The candidate threshold is `E[ŝ_k] − √(2·E[ŝ_k]·ln(k/δ))`, with the
 /// observed `ŝ_k` standing in for its expectation (high-probability bound).
 /// `k*` is the number of sampled objects at or above the threshold, clamped
 /// to at least `k`.
-pub fn estimate_k_star<C: Communicator>(
+fn first_stage<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
-    epsilon0: f64,
-) -> KStarEstimate {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    assert!(n > 0, "cannot estimate k* on an empty input");
-    // First-stage sampling probability: the PAC size for the coarse ε₀.
+    n: u64,
+) -> (usize, u64) {
     let coarse = FrequentParams {
-        epsilon: epsilon0,
+        epsilon: coarse_epsilon(params.epsilon),
         ..*params
     };
-    let rho0 = super::pac::sampling_probability(n, &coarse);
-
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x9EC0 ^ comm.rank() as u64);
-    let sample = bernoulli_sample(local_data, rho0, &mut rng);
-    let first_sample_size = comm.allreduce_sum(sample.len() as u64);
-    let owned =
-        dht::aggregate_counts_with(comm, count_keys(sample.iter().copied()), params.dht_fanout);
+    let rho0 = pac::sampling_probability(n, &coarse);
+    let rng_seed = params.seed ^ 0x9EC0 ^ comm.rank() as u64;
+    let (counts, first_sample_size) = sample_counts(comm, local_data, rho0, rng_seed);
+    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
 
     // ŝ_k: the k-th largest sample count (0 if fewer than k distinct keys).
     let top_k = select_top_counts(comm, &owned, params.k, params.seed ^ 0x9EC1);
-    let s_k = top_k.last().map(|&(_, c)| c).unwrap_or(0);
+    let s_k = top_k.last().map(|&(_, c)| c).unwrap_or(0) as f64;
 
     // Lemma 12 threshold, using the high-probability lower bound for E[ŝ_k].
-    let s_k_f = s_k as f64;
-    let expectation_lb = (s_k_f - (2.0 * s_k_f * (1.0f64 / params.delta).ln()).sqrt()).max(0.0);
+    let expectation_lb = (s_k - (2.0 * s_k * (1.0f64 / params.delta).ln()).sqrt()).max(0.0);
     let count_threshold = (expectation_lb
         - (2.0 * expectation_lb * (params.k as f64 / params.delta).ln()).sqrt())
     .max(0.0);
@@ -83,40 +65,24 @@ pub fn estimate_k_star<C: Communicator>(
         .filter(|&&c| (c as f64) >= count_threshold && c > 0)
         .count() as u64;
     let above = comm.allreduce_sum(local_above) as usize;
-    let k_star = above.max(params.k);
-
-    KStarEstimate {
-        k_star,
-        s_k,
-        count_threshold,
-        first_sample_size,
-    }
+    (above.max(params.k), first_sample_size)
 }
 
-/// Run Algorithm PEC: estimate `k*` from a first sample with coarse relative
-/// error `epsilon0`, then count the top-`k*` sampled objects exactly.
+/// Algorithm PEC on an input of global size `n > 0`: `k*` from a first
+/// sample, then EC with that `k*`.  Returns the exact counts of the best `k`
+/// candidates and both samples' total size.
 ///
-/// The result's counts are exact; with probability at least `1 − δ` (and a
-/// sufficiently sloped input distribution) the reported set is exactly the
-/// true top-k.
-pub fn pec_top_k<C: Communicator>(
+/// With probability at least `1 − δ` (and a sufficiently sloped input
+/// distribution) the reported set is exactly the true top-k.
+pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
-    epsilon0: f64,
-) -> TopKFrequentResult {
-    let n = comm.allreduce_sum(local_data.len() as u64);
-    if n == 0 {
-        return TopKFrequentResult {
-            items: Vec::new(),
-            sample_size: 0,
-            exact_counts: true,
-        };
-    }
-    let estimate = estimate_k_star(comm, local_data, params, epsilon0);
-    let mut result = ec_top_k_with_kstar(comm, local_data, params, estimate.k_star);
-    result.sample_size += estimate.first_sample_size;
-    result
+    n: u64,
+) -> (Vec<(u64, u64)>, u64) {
+    let (k_star, first_sample_size) = first_stage(comm, local_data, params, n);
+    let (items, sample_size) = ec::top_k(comm, local_data, params, n, k_star);
+    (items, first_sample_size + sample_size)
 }
 
 /// The Zipf-specialised PEC (Theorem 14): for an input following Zipf's law
@@ -140,37 +106,23 @@ pub fn pec_zipf_top_k<C: Communicator>(
     }
     assert!(zipf_exponent > 0.0, "Zipf exponent must be positive");
     let k_f = params.k as f64;
-    let harmonic = datagen_free_harmonic(num_values, zipf_exponent);
+    let harmonic = generalized_harmonic(num_values as u64, zipf_exponent);
     let target = 4.0 * k_f.powf(zipf_exponent) * harmonic * (k_f / params.delta).ln();
     let rho = (target / n as f64).clamp(0.0, 1.0);
     let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / zipf_exponent) * k_f).ceil() as usize;
 
-    // Sample, count in the DHT, and hand the candidates to exact counting —
-    // the same pipeline as EC, but with the closed-form ρ and k*.
-    let mut rng = StdRng::seed_from_u64(params.seed ^ 0x21F ^ comm.rank() as u64);
-    let sample = bernoulli_sample(local_data, rho, &mut rng);
-    let sample_size = comm.allreduce_sum(sample.len() as u64);
-    let owned =
-        dht::aggregate_counts_with(comm, count_keys(sample.iter().copied()), params.dht_fanout);
-    let candidates_with_counts = select_top_counts(comm, &owned, k_star, params.seed ^ 0x21E);
-    let candidates: Vec<u64> = candidates_with_counts.iter().map(|&(key, _)| key).collect();
-
-    let index: std::collections::HashMap<u64, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, &key)| (key, i))
-        .collect();
-    let mut local_exact = vec![0u64; candidates.len()];
-    for &x in local_data {
-        if let Some(&i) = index.get(&x) {
-            local_exact[i] += 1;
-        }
-    }
-    let global_exact = comm.allreduce_vec_sum(local_exact);
-    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global_exact).collect();
-    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    items.truncate(params.k);
-
+    // EC's pipeline with the closed-form ρ and k*.
+    let rng_seed = params.seed ^ 0x21F ^ comm.rank() as u64;
+    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
+    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let items = count_candidates(
+        comm,
+        local_data,
+        &owned,
+        k_star,
+        params.k,
+        params.seed ^ 0x21E,
+    );
     TopKFrequentResult {
         items,
         sample_size,
@@ -178,19 +130,16 @@ pub fn pec_zipf_top_k<C: Communicator>(
     }
 }
 
-/// Generalized harmonic number `H_{n,s}` (duplicated from `datagen` to keep
-/// the core crate independent of the workload generators).
-fn datagen_free_harmonic(n: usize, s: f64) -> f64 {
-    (1..=n.max(1)).map(|i| (i as f64).powf(-s)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use commsim::run_spmd;
     use datagen::Zipf;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     use crate::frequent::exact_global_counts;
+    use crate::planner::Algorithm;
     use seqkit::hashagg::top_k_by_count;
 
     fn zipf_parts(p: usize, per_pe: usize, values: usize, s: f64, seed: u64) -> Vec<Vec<u64>> {
@@ -204,23 +153,22 @@ mod tests {
     }
 
     #[test]
-    fn k_star_estimate_is_at_least_k() {
+    fn first_stage_k_star_is_at_least_k() {
         let p = 4;
         let parts = zipf_parts(p, 10_000, 1 << 10, 1.0, 3);
         let parts_ref = parts.clone();
         let params = FrequentParams::new(8, 1e-3, 1e-2, 5);
         let out = run_spmd(p, move |comm| {
-            estimate_k_star(comm, &parts_ref[comm.rank()], &params, 5e-3)
+            let local = &parts_ref[comm.rank()];
+            let n = comm.allreduce_sum(local.len() as u64);
+            first_stage(comm, local, &params, n)
         });
-        for est in &out.results {
-            assert!(est.k_star >= 8, "k* = {}", est.k_star);
-            assert!(est.first_sample_size > 0);
+        for &(k_star, first_sample_size) in &out.results {
+            assert!(k_star >= 8, "k* = {k_star}");
+            assert!(first_sample_size > 0);
         }
         // All PEs agree on k*.
-        assert!(out
-            .results
-            .iter()
-            .all(|e| e.k_star == out.results[0].k_star));
+        assert!(out.results.iter().all(|e| e.0 == out.results[0].0));
     }
 
     #[test]
@@ -232,7 +180,7 @@ mod tests {
         let out = run_spmd(p, move |comm| {
             let local = &parts_ref[comm.rank()];
             (
-                pec_top_k(comm, local, &params, 3e-3),
+                Algorithm::Pec.run(comm, local, &params),
                 exact_global_counts(comm, local),
             )
         });
@@ -290,7 +238,7 @@ mod tests {
         let n = 1u64 << 30;
         let k: f64 = 32.0;
         let s = 1.0;
-        let harmonic = datagen_free_harmonic(1 << 20, s);
+        let harmonic = generalized_harmonic(1 << 20, s);
         let target = 4.0 * k.powf(s) * harmonic * (k / 1e-4f64).ln();
         assert!(
             (target / n as f64) < 0.01,
@@ -306,7 +254,7 @@ mod tests {
         let parts_ref = parts.clone();
         let params = FrequentParams::new(4, 1e-3, 1e-2, 23);
         let out = run_spmd(p, move |comm| {
-            pec_top_k(comm, &parts_ref[comm.rank()], &params, 1e-2)
+            Algorithm::Pec.run(comm, &parts_ref[comm.rank()], &params)
         });
         assert!(out.results.iter().all(|r| r.items == out.results[0].items));
     }
@@ -314,7 +262,7 @@ mod tests {
     #[test]
     fn empty_input_is_handled() {
         let params = FrequentParams::new(4, 1e-2, 1e-2, 0);
-        let out = run_spmd(2, move |comm| pec_top_k(comm, &[], &params, 1e-2));
+        let out = run_spmd(2, move |comm| Algorithm::Pec.run(comm, &[], &params));
         assert!(out.results.iter().all(|r| r.items.is_empty()));
     }
 }

@@ -18,10 +18,10 @@
 //! | §5 | Bulk-parallel priority queue | [`bulk_pq::BulkParallelQueue`] |
 //! | §5 | Branch-and-bound application | [`branch_bound::knapsack_branch_bound_parallel`] |
 //! | §6 | Multicriteria top-k (threshold algorithm) | [`multicriteria::dta_top_k`], [`multicriteria::rdta_top_k`] |
-//! | §7 | Top-k most frequent objects | [`frequent::pac::pac_top_k`], [`frequent::ec::ec_top_k`], [`frequent::pec::pec_top_k`] |
+//! | §7 | Top-k most frequent objects: PAC, EC, PEC, one pipeline ([`frequent`]) | [`planner::Algorithm::run`]; Theorem 14's Zipf PEC: [`frequent::pec::pec_zipf_top_k`] |
 //! | §8 | Top-k sum aggregation | [`sum_agg::sum_top_k`], [`sum_agg::sum_top_k_exact`] |
 //! | §9 | Adaptive data redistribution | [`redistribute::redistribute`] |
-//! | §10 | Baselines of the evaluation | [`frequent::naive`] |
+//! | §10 | Baselines of the evaluation | [`planner::Algorithm::Naive`], [`planner::Algorithm::NaiveTree`] ([`frequent::naive`]) |
 //!
 //! ## Example
 //!

@@ -58,17 +58,14 @@ use commsim::cost::predict;
 use commsim::{Communicator, CostModel, PredictedComm};
 
 use crate::frequent::dht::DhtFanout;
-use crate::frequent::ec::{self, ec_top_k};
-use crate::frequent::naive::{naive_top_k, naive_tree_top_k};
-use crate::frequent::pac::{self, pac_top_k};
-use crate::frequent::pec::pec_top_k;
+use crate::frequent::{ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
 use crate::unsorted::{base_case, bracket, level_sample};
 use seqkit::skew::{expected_distinct, fit_zipf_exponent};
 
 /// The §7 top-k most-frequent-objects algorithms as a dispatchable value —
-/// the single shared enum behind `workloads::text::TextAlgorithm` and the
-/// bench bins' `--algo` flags.
+/// the one enum the text workload, the recovery driver, the benchmark and
+/// the bench bins' `--algo` flags run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Probably approximately correct (Section 7.1).
@@ -76,8 +73,7 @@ pub enum Algorithm {
     /// Exact counting of sampled candidates (Section 7.2).
     Ec,
     /// Probably exactly correct (Section 7.3); the coarse first-stage ε₀ is
-    /// derived as `min(20·ε, 0.05)`, matching the convention of the existing
-    /// experiments.
+    /// `min(20·ε, 0.05)`.
     Pec,
     /// Centralized baseline: every PE ships its aggregate to a coordinator.
     Naive,
@@ -131,24 +127,38 @@ impl Algorithm {
         }
     }
 
-    /// Run this algorithm (collective).  This is the one dispatch point every
-    /// caller — text workload, bench bins, planned executions — goes through.
+    /// Run this algorithm on the distributed input `local_data` (collective).
+    /// This is the one way to run a §7 algorithm: every caller — text
+    /// workload, bench bins, planned executions — goes through it.  It
+    /// reduces the global input size `n` once and hands it to the
+    /// algorithm's stages ([`crate::frequent`]).  Every PE receives the same
+    /// result; an empty input gives an empty one.
     pub fn run<C: Communicator>(
         self,
         comm: &C,
         local_data: &[u64],
         params: &FrequentParams,
     ) -> TopKFrequentResult {
-        match self {
-            Algorithm::Pac => pac_top_k(comm, local_data, params),
-            Algorithm::Ec => ec_top_k(comm, local_data, params),
-            Algorithm::Pec => {
-                let epsilon0 = (params.epsilon * 20.0).min(0.05);
-                pec_top_k(comm, local_data, params, epsilon0)
-            }
-            Algorithm::Naive => naive_top_k(comm, local_data, params),
-            Algorithm::NaiveTree => naive_tree_top_k(comm, local_data, params),
+        let n = comm.allreduce_sum(local_data.len() as u64);
+        let mut result = TopKFrequentResult {
+            items: Vec::new(),
+            sample_size: 0,
+            exact_counts: matches!(self, Algorithm::Ec | Algorithm::Pec),
+        };
+        if n == 0 {
+            return result;
         }
+        (result.items, result.sample_size) = match self {
+            Algorithm::Pac => pac::top_k(comm, local_data, params, n),
+            Algorithm::Ec => {
+                let k_star = ec::optimal_k_star(n, comm.size(), params);
+                ec::top_k(comm, local_data, params, n, k_star)
+            }
+            Algorithm::Pec => pec::top_k(comm, local_data, params, n),
+            Algorithm::Naive => naive::top_k(comm, local_data, params, n),
+            Algorithm::NaiveTree => naive::tree_top_k(comm, local_data, params, n),
+        };
+        result
     }
 }
 
@@ -575,28 +585,27 @@ impl Planner {
         let d = |s: f64| expected_distinct(s, i.skew.universe, i.skew.exponent);
         let d_loc = |s: u64| d(s as f64 / p as f64);
         let u = i.skew.universe as f64;
+        // `Algorithm::run` reduces the global `n` once, whatever the algorithm.
+        let start = Traffic::new(p).allreduce(1.0);
 
         let (traffic, fanout, sample, k_star) = match algorithm {
             Algorithm::Pac => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let (fanout, traffic) =
-                    self.pac_stage(Traffic::new(p), s, d_loc(s), d(s as f64), k, u);
+                let (fanout, traffic) = self.pac_stage(start, s, d_loc(s), d(s as f64), k, u);
                 (traffic, fanout, s, i.k as u64)
             }
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let (fanout, traffic) =
-                    self.ec_stage(Traffic::new(p), s, k_star, d_loc(s), d(s as f64), u);
+                let (fanout, traffic) = self.ec_stage(start, s, k_star, d_loc(s), d(s as f64), u);
                 (traffic, fanout, s, k_star as u64)
             }
             Algorithm::Pec => {
                 // Stage 1: the PAC machinery at the coarse ε₀, and one more
                 // all-reduction for the k* count.
-                let epsilon0 = (i.epsilon * 20.0).min(0.05);
+                let epsilon0 = pec::coarse_epsilon(i.epsilon);
                 let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
-                let (_, stage1) =
-                    self.pac_stage(Traffic::new(p), s0, d_loc(s0), d(s0 as f64), k, u);
+                let (_, stage1) = self.pac_stage(start, s0, d_loc(s0), d(s0 as f64), k, u);
                 // Stage 2: EC with the Theorem-14 Zipf prediction of k*.
                 let z = i.skew.exponent.max(0.2);
                 let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
@@ -608,47 +617,42 @@ impl Planner {
                     self.ec_stage(stage1.allreduce(1.0), s, k_star, d_loc(s), d(s as f64), u);
                 (traffic, fanout, s0 + s, k_star as u64)
             }
-            Algorithm::Naive => {
+            Algorithm::Naive | Algorithm::NaiveTree => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                // The coordinator receives every PE's aggregated sample
-                // directly and broadcasts the winners.
-                let sample = key_counts_words(d_loc(s), s as f64 / p as f64, u);
-                let others = p as f64 - 1.0;
-                let traffic = Traffic::new(p).allreduce(1.0).exchange(
-                    REDUCER,
-                    PredictedComm::new(others * sample, others),
-                    sample,
-                    2.0 * k + 1.0,
-                );
-                (traffic, DhtFanout::Auto, s, i.k as u64)
-            }
-            Algorithm::NaiveTree => {
-                let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                // Binomial merging tree: the root's child at level j carries
-                // the merged aggregate of a 2^j-PE subtree, a leaf its own.
-                let merged = |pes: f64| {
-                    let sample = s as f64 * pes / p as f64;
-                    key_counts_words(d(sample), sample, u)
+                // What the coordinator receives, and what a leaf sends it.
+                let (up, up_leaf) = if algorithm == Algorithm::Naive {
+                    // Every PE's aggregated sample, directly.
+                    let sample = key_counts_words(d_loc(s), s as f64 / p as f64, u);
+                    let others = p as f64 - 1.0;
+                    (PredictedComm::new(others * sample, others), sample)
+                } else {
+                    // Binomial merging tree: the root's child at level j
+                    // carries the merged aggregate of a 2^j-PE subtree, a
+                    // leaf its own.
+                    let merged = |pes: f64| {
+                        let sample = s as f64 * pes / p as f64;
+                        key_counts_words(d(sample), sample, u)
+                    };
+                    let l = predict::rounds(p) as u32;
+                    let root_recv: f64 = (0..l)
+                        .map(|j| merged((1u64 << j).min(p as u64) as f64))
+                        .sum();
+                    (PredictedComm::new(root_recv, l as f64), merged(1.0))
                 };
-                let l = predict::rounds(p) as u32;
-                let root_recv: f64 = (0..l)
-                    .map(|j| merged((1u64 << j).min(p as u64) as f64))
-                    .sum();
-                let traffic = Traffic::new(p).allreduce(1.0).exchange(
-                    REDUCER,
-                    PredictedComm::new(root_recv, l as f64),
-                    merged(1.0),
-                    2.0 * k + 1.0,
-                );
+                // The sample-size all-reduction, the shipment, and the
+                // coordinator's broadcast of the winners.
+                let traffic = start
+                    .allreduce(1.0)
+                    .exchange(REDUCER, up, up_leaf, 2.0 * k + 1.0);
                 (traffic, DhtFanout::Auto, s, i.k as u64)
             }
         };
         (traffic.bottleneck(), fanout, sample, k_star)
     }
 
-    /// The PAC machinery: the size all-reduction, the DHT over the sample's
-    /// aggregate, the sample-size all-reduction and the top-`k` cut.  Keys
-    /// are drawn from `universe` distinct values.
+    /// The PAC machinery after the `n` reduction: the sample-size
+    /// all-reduction, the DHT over the sample's aggregate and the top-`k`
+    /// cut.  Keys are drawn from `universe` distinct values.
     fn pac_stage(
         &self,
         traffic: Traffic,
@@ -661,16 +665,16 @@ impl Planner {
         let mass_local = sample as f64 / traffic.p as f64;
         let (fanout, dht) = self.best_fanout(traffic.p, d_local, mass_local, universe);
         let traffic = traffic
-            .allreduce(1.0) // global n
-            .everywhere(dht)
             .allreduce(1.0) // global sample size
+            .everywhere(dht)
             .top_counts(d_global, k, sample as f64, universe);
         (fanout, traffic)
     }
 
-    /// The EC machinery at a given `k*`: sample, DHT, candidate selection,
-    /// candidate all-gather, and the exact-count vector all-reduction, with
-    /// the routing the DHT term was priced under.
+    /// The EC machinery at a given `k*` after the `n` reduction: the
+    /// sample-size all-reduction, DHT, candidate selection, candidate
+    /// all-gather, and the exact-count vector all-reduction, with the routing
+    /// the DHT term was priced under.
     fn ec_stage(
         &self,
         traffic: Traffic,
@@ -688,9 +692,8 @@ impl Planner {
         // set — model the same clamp or k* ≫ distinct over-charges EC badly.
         let k_eff = (k_star as f64).min(aggregate);
         let traffic = traffic
-            .allreduce(1.0)
+            .allreduce(1.0) // global sample size
             .everywhere(dht)
-            .allreduce(1.0)
             .top_counts(aggregate, k_eff, sample as f64, universe)
             .allreduce(k_eff + 1.0);
         (fanout, traffic)
@@ -973,6 +976,15 @@ mod tests {
         }
         assert_eq!(Algorithm::parse("auto"), None);
         assert_eq!(Algorithm::parse("tree"), Some(Algorithm::NaiveTree));
+    }
+
+    #[test]
+    fn all_algorithms_have_distinct_names() {
+        for label in [Algorithm::name, Algorithm::token] {
+            let labels: std::collections::HashSet<&str> =
+                Algorithm::ALL.iter().map(|&a| label(a)).collect();
+            assert_eq!(labels.len(), Algorithm::ALL.len());
+        }
     }
 
     /// The level count `Traffic::selection` walks is the kernel's, so its start-ups stay within ±50 % of a metered

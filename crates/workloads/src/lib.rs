@@ -46,5 +46,5 @@ pub use stream::{
 };
 pub use text::{
     distributed_intern, plan_word_frequency, resolve_items, run_planned_scored, split_text_shards,
-    tokenize, InternedShard, TextAlgorithm, WordFrequencyScore,
+    tokenize, InternedShard, WordFrequencyScore,
 };

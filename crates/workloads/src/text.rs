@@ -12,8 +12,9 @@
 //!    united with one allgather, and a word's id is its rank in the sorted
 //!    global vocabulary — independent of PE count, shard boundaries and
 //!    iteration order, which is what makes the whole pipeline reproducible.
-//! 3. **Count** with any §7 algorithm on the id stream ([`TextAlgorithm`]),
-//!    exactly as if the input had been integers all along.
+//! 3. **Count** with any §7 algorithm on the id stream
+//!    ([`topk::planner::Algorithm::run`]), exactly as if the input had been
+//!    integers all along.
 //! 4. **Resolve** the few winning ids back to words ([`resolve_items`]) and
 //!    score them against the exact oracle ([`WordFrequencyScore`]).
 //!
@@ -28,7 +29,7 @@ use commsim::Communicator;
 use seqkit::Interner;
 use topk::frequent::{absolute_error, exact_global_counts, relative_error};
 use topk::planner::{Algorithm, Plan, PlanAudit, Planner};
-use topk::{FrequentParams, TopKFrequentResult};
+use topk::TopKFrequentResult;
 
 /// Split `text` into lowercase ASCII-alphabetic words.
 ///
@@ -119,76 +120,6 @@ pub fn resolve_items(vocab: &[String], result: &TopKFrequentResult) -> Vec<(Stri
         .collect()
 }
 
-/// The §7 algorithms the text workload can drive, as a value (so drivers can
-/// sweep over [`TextAlgorithm::ALL`] uniformly).
-///
-/// Since the planner refactor this is a thin façade over
-/// [`topk::planner::Algorithm`] — the dispatch itself (including the PEC
-/// ε₀ = `min(20·ε, 0.05)` convention) lives in one place and the text
-/// workload, the streaming service and the bench bins all share it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TextAlgorithm {
-    /// Probably approximately correct (Section 7.1).
-    Pac,
-    /// Exact counting of sampled candidates (Section 7.2).
-    Ec,
-    /// Probably exactly correct (Section 7.3).
-    Pec,
-    /// Centralized baseline: every PE ships its aggregate to a coordinator.
-    Naive,
-    /// Centralized baseline through a merging reduction tree.
-    NaiveTree,
-}
-
-impl TextAlgorithm {
-    /// All algorithms, in the order the experiments report them.
-    pub const ALL: [TextAlgorithm; 5] = [
-        TextAlgorithm::Pac,
-        TextAlgorithm::Ec,
-        TextAlgorithm::Pec,
-        TextAlgorithm::Naive,
-        TextAlgorithm::NaiveTree,
-    ];
-
-    /// The planner-layer algorithm this variant dispatches to.
-    pub fn core(self) -> Algorithm {
-        match self {
-            TextAlgorithm::Pac => Algorithm::Pac,
-            TextAlgorithm::Ec => Algorithm::Ec,
-            TextAlgorithm::Pec => Algorithm::Pec,
-            TextAlgorithm::Naive => Algorithm::Naive,
-            TextAlgorithm::NaiveTree => Algorithm::NaiveTree,
-        }
-    }
-
-    /// The façade variant for a planner-layer algorithm.
-    pub fn from_core(algorithm: Algorithm) -> Self {
-        match algorithm {
-            Algorithm::Pac => TextAlgorithm::Pac,
-            Algorithm::Ec => TextAlgorithm::Ec,
-            Algorithm::Pec => TextAlgorithm::Pec,
-            Algorithm::Naive => TextAlgorithm::Naive,
-            Algorithm::NaiveTree => TextAlgorithm::NaiveTree,
-        }
-    }
-
-    /// Display name (matches the paper's figure legends).
-    pub fn name(self) -> &'static str {
-        self.core().name()
-    }
-
-    /// Run this algorithm on an interned id stream (collective); dispatches
-    /// through [`topk::planner::Algorithm::run`].
-    pub fn run<C: Communicator>(
-        self,
-        comm: &C,
-        ids: &[u64],
-        params: &FrequentParams,
-    ) -> TopKFrequentResult {
-        self.core().run(comm, ids, params)
-    }
-}
-
 /// Plan the word-frequency run from the data itself (collective): global `n`
 /// and a measured [`topk::planner::SkewEstimate`] feed the planner, which
 /// picks the algorithm, the DHT routing and the sample shape.  The returned
@@ -218,7 +149,7 @@ pub fn run_planned_scored<C: Communicator>(
     let n = comm.allreduce_sum(shard.ids.len() as u64);
     let (result, audit) = plan.execute(comm, &shard.ids, seed);
     let score = WordFrequencyScore::new(
-        TextAlgorithm::from_core(plan.algorithm),
+        plan.algorithm,
         &exact,
         &result,
         &shard.vocab,
@@ -232,7 +163,7 @@ pub fn run_planned_scored<C: Communicator>(
 #[derive(Debug, Clone, PartialEq)]
 pub struct WordFrequencyScore {
     /// Which algorithm produced it.
-    pub algorithm: TextAlgorithm,
+    pub algorithm: Algorithm,
     /// The reported words with their (estimated or exact) counts, most
     /// frequent first.
     pub top: Vec<(String, u64)>,
@@ -251,7 +182,7 @@ pub struct WordFrequencyScore {
 
 impl WordFrequencyScore {
     fn new(
-        algorithm: TextAlgorithm,
+        algorithm: Algorithm,
         exact: &HashMap<u64, u64>,
         result: &TopKFrequentResult,
         vocab: &[String],
@@ -372,25 +303,10 @@ mod tests {
             assert_eq!(s, score);
             assert_eq!(a, audit);
         }
-        assert_eq!(score.algorithm, TextAlgorithm::from_core(plan.algorithm));
+        assert_eq!(score.algorithm, plan.algorithm);
         assert_eq!(score.top[0].0, "the");
         assert!(audit.measured_words > 0);
         assert!(audit.predicted.words > 0.0);
         assert!(topk::planner::PlanAudit::parse(&audit.audit_line()).is_some());
-    }
-
-    #[test]
-    fn facade_round_trips_through_the_planner_layer() {
-        for &a in &TextAlgorithm::ALL {
-            assert_eq!(TextAlgorithm::from_core(a.core()), a);
-            assert_eq!(a.name(), a.core().name());
-        }
-    }
-
-    #[test]
-    fn all_algorithms_have_distinct_names() {
-        let names: std::collections::HashSet<&str> =
-            TextAlgorithm::ALL.iter().map(|a| a.name()).collect();
-        assert_eq!(names.len(), TextAlgorithm::ALL.len());
     }
 }

@@ -45,7 +45,7 @@ fn main() {
 
         // 2. Count on ids only — the algorithms never see a string.
         let before = comm.stats_snapshot();
-        let result = TextAlgorithm::Ec.run(comm, &shard.ids, &params);
+        let result = Algorithm::Ec.run(comm, &shard.ids, &params);
         let algo_words = comm.stats_snapshot().since(&before).bottleneck_words();
 
         // 3. Score against the exact oracle and resolve ids back to words.

@@ -23,9 +23,6 @@
 use topk_selection::prelude::*;
 use topk_selection::topk::frequent::{exact_global_counts, relative_error};
 
-/// A boxed top-k-frequent algorithm to compare.
-type Algo = Box<dyn Fn(&commsim::Comm, &[u64]) -> topk_selection::topk::TopKFrequentResult + Sync>;
-
 fn main() {
     let p = 8;
     let per_pe = 200_000;
@@ -47,39 +44,15 @@ fn main() {
     let exact_counts = exact.results[0].clone();
     let n = (p * per_pe) as u64;
 
-    let algorithms: Vec<(&str, Algo)> = vec![
-        (
-            "PAC (sampling + DHT + selection)",
-            Box::new(move |comm, local| pac_top_k(comm, local, &params)),
-        ),
-        (
-            "EC  (small sample + exact counting)",
-            Box::new(move |comm, local| ec_top_k(comm, local, &params)),
-        ),
-        (
-            "PEC (probably exactly correct)",
-            Box::new(move |comm, local| pec_top_k(comm, local, &params, 5e-3)),
-        ),
-        (
-            "Naive (centralized)",
-            Box::new(move |comm, local| naive_top_k(comm, local, &params)),
-        ),
-        (
-            "Naive Tree (tree reduction)",
-            Box::new(move |comm, local| naive_tree_top_k(comm, local, &params)),
-        ),
-    ];
-
     println!(
-        "{:<38} {:>12} {:>14} {:>12} {:>10}",
+        "{:<12} {:>12} {:>14} {:>12} {:>10}",
         "algorithm", "sample size", "comm words/PE", "rel. error", "wall time"
     );
-    for (name, algo) in &algorithms {
-        let shards = &shards;
+    for algo in Algorithm::ALL {
         let out = run_spmd(p, |comm| {
             let local = &shards[comm.rank()];
             let before = comm.stats_snapshot();
-            let result = algo(comm, local);
+            let result = algo.run(comm, local, &params);
             (
                 result,
                 comm.stats_snapshot().since(&before).bottleneck_words(),
@@ -89,13 +62,19 @@ fn main() {
         let bottleneck = out.results.iter().map(|(_, w)| *w).max().unwrap();
         let err = relative_error(&exact_counts, &result.keys(), n);
         println!(
-            "{:<38} {:>12} {:>14} {:>12.2e} {:>8.0?}",
-            name, result.sample_size, bottleneck, err, out.elapsed
+            "{:<12} {:>12} {:>14} {:>12.2e} {:>8.0?}",
+            algo.name(),
+            result.sample_size,
+            bottleneck,
+            err,
+            out.elapsed
         );
     }
 
     // Show the actual winners according to the exact-counting algorithm.
-    let out = run_spmd(p, |comm| ec_top_k(comm, &shards[comm.rank()], &params));
+    let out = run_spmd(p, |comm| {
+        Algorithm::Ec.run(comm, &shards[comm.rank()], &params)
+    });
     println!("\nmost frequent words (word id, exact count):");
     for (rank, (word, count)) in out.results[0].items.iter().enumerate() {
         println!("  #{:<2} word {:<6} count {}", rank + 1, word, count);

@@ -47,18 +47,16 @@ pub mod prelude {
         WeightedZipfInput, Zipf,
     };
     pub use seqkit::{Interner, ScoreList, ThresholdAlgorithm, Treap};
-    pub use topk::frequent::{
-        ec::ec_top_k, naive::naive_top_k, naive::naive_tree_top_k, pac::pac_top_k, pec::pec_top_k,
-    };
     pub use topk::{
         approx_multisequence_select, dta_top_k, knapsack_branch_bound_parallel,
         knapsack_branch_bound_sequential, multisequence_select, rdta_top_k, redistribute,
         select_k_largest, select_k_smallest, select_threshold, sum_top_k, sum_top_k_exact,
-        BulkParallelQueue, FrequentParams, KnapsackInstance, LocalMulticriteria, OrderedF64,
+        Algorithm, BulkParallelQueue, FrequentParams, KnapsackInstance, LocalMulticriteria,
+        OrderedF64,
     };
     pub use workloads::{
         distributed_intern, run_scheduler, split_text_shards, tokenize, ArrivalPattern,
         BatchPolicy, InternedShard, SchedulerOutcome, SchedulerParams, StreamConfig, StreamService,
-        StreamVocab, TextAlgorithm,
+        StreamVocab,
     };
 }

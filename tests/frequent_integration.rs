@@ -26,13 +26,10 @@ fn all_frequent_object_algorithms_respect_the_error_bound_on_zipf_input() {
     let out = run_spmd(p, move |comm| {
         let local = &parts_ref[comm.rank()];
         let exact = exact_global_counts(comm, local);
-        let results = vec![
-            ("pac", pac_top_k(comm, local, &params)),
-            ("ec", ec_top_k(comm, local, &params)),
-            ("pec", pec_top_k(comm, local, &params, 1e-2)),
-            ("naive", naive_top_k(comm, local, &params)),
-            ("naive_tree", naive_tree_top_k(comm, local, &params)),
-        ];
+        let results: Vec<_> = Algorithm::ALL
+            .iter()
+            .map(|algo| (algo.name(), algo.run(comm, local, &params)))
+            .collect();
         (exact, results)
     });
     let (exact, results) = &out.results[0];
@@ -69,8 +66,8 @@ fn exact_counting_algorithms_agree_with_the_oracle_exactly() {
         let local = &parts[comm.rank()];
         let exact = exact_global_counts(comm, local);
         (
-            ec_top_k(comm, local, &params),
-            pec_top_k(comm, local, &params, 1e-2),
+            Algorithm::Ec.run(comm, local, &params),
+            Algorithm::Pec.run(comm, local, &params),
             exact,
         )
     });

@@ -12,15 +12,13 @@
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,
 //!    because the skew estimate is combined through one integer allreduce.
-//! 3. **Facade bit-identity** — dispatching through [`Algorithm::run`] (the
-//!    layer every `--algo <token>` path uses) is bit-identical, results and
-//!    metered traffic both, to calling the underlying algorithm directly,
-//!    pinning the hand-picked paths to their pre-planner behavior.
+//! 3. **Exact start-ups** — the model charges every collective that EC,
+//!    Naive and Naive Tree run, so on fig7's quick input their predicted
+//!    start-ups equal the metered ones.
 
 use proptest::prelude::*;
 use topk_selection::datagen::Zipf;
 use topk_selection::prelude::*;
-use topk_selection::topk::frequent::{ec::ec_top_k, naive, pac::pac_top_k, pec::pec_top_k};
 use topk_selection::topk::planner::{Algorithm, Plan, PlanAudit, Planner};
 
 fn zipf_input(universe: usize, exponent: f64, seed: u64, rank: usize, per_pe: usize) -> Vec<u64> {
@@ -186,37 +184,41 @@ proptest! {
     }
 }
 
+/// fig7's quick input (`fig7 --per-pe 10`: Zipf(1.0) over 2^20 values,
+/// k = 32, ε capped at 0.05, δ = 10⁻⁴): each of EC, Naive and Naive Tree is
+/// planned, pinned to itself from `Planner::plan`'s candidates, executed,
+/// and its audit's predicted start-ups must equal the metered ones.
 #[test]
-fn fixed_dispatch_is_bit_identical_to_direct_algorithm_calls() {
-    let (p, per_pe) = (4usize, 1usize << 10);
-    let params = FrequentParams::new(16, 0.02, 1e-3, 0xD15);
-    for algo in Algorithm::ALL {
-        let via_facade = run_spmd_seq(p, move |comm| {
-            let local = zipf_input(1 << 14, 1.0, 0xD150, comm.rank(), per_pe);
-            let before = comm.stats_snapshot();
-            let r = algo.run(comm, &local, &params);
-            let delta = comm.stats_snapshot().since(&before);
-            (r, delta.sent_words, delta.sent_messages)
+fn predicted_startups_equal_the_metered_ones_for_ec_and_the_baselines() {
+    for p in [2usize, 4] {
+        let out = run_spmd_seq(p, |comm| {
+            let local = zipf_input(1 << 20, 1.0, 0xF17_0000, comm.rank(), 1 << 10);
+            let plan = Planner::default().plan_for_data(comm, &local, 32, 0.05, 1e-4);
+            [Algorithm::Ec, Algorithm::Naive, Algorithm::NaiveTree].map(|algorithm| {
+                let c = plan
+                    .candidates
+                    .iter()
+                    .find(|c| c.algorithm == algorithm)
+                    .unwrap();
+                let pinned = Plan {
+                    algorithm,
+                    fanout: c.fanout,
+                    sample_target: c.sample_target,
+                    k_star: c.k_star,
+                    predicted: c.predicted,
+                    modeled_seconds: c.modeled_seconds,
+                    ..plan.clone()
+                };
+                pinned.execute(comm, &local, 0xF17).1
+            })
         });
-        let direct = run_spmd_seq(p, move |comm| {
-            let local = zipf_input(1 << 14, 1.0, 0xD150, comm.rank(), per_pe);
-            let before = comm.stats_snapshot();
-            let r = match algo {
-                Algorithm::Pac => pac_top_k(comm, &local, &params),
-                Algorithm::Ec => ec_top_k(comm, &local, &params),
-                Algorithm::Pec => {
-                    let e0 = (params.epsilon * 20.0).min(0.05);
-                    pec_top_k(comm, &local, &params, e0)
-                }
-                Algorithm::Naive => naive::naive_top_k(comm, &local, &params),
-                Algorithm::NaiveTree => naive::naive_tree_top_k(comm, &local, &params),
-            };
-            let delta = comm.stats_snapshot().since(&before);
-            (r, delta.sent_words, delta.sent_messages)
-        });
-        assert_eq!(
-            via_facade.results, direct.results,
-            "{algo:?}: the Algorithm::run facade must be bit-identical to the direct call"
-        );
+        for audit in &out.results[0] {
+            assert_eq!(
+                audit.predicted.startups,
+                audit.measured_startups as f64,
+                "p={p}: {}",
+                audit.audit_line()
+            );
+        }
     }
 }

@@ -124,7 +124,7 @@ fn text_pipeline_phase_metering_is_identical_across_backends_and_runs() {
         .map(|r| tokenize(&corpus.shard_text(r, 1500)))
         .collect();
     let params = FrequentParams::new(8, 0.05, 1e-3, 99);
-    for algo in TextAlgorithm::ALL {
+    for algo in Algorithm::ALL {
         let run_threaded = || {
             run_spmd(4, |comm| {
                 let shard = distributed_intern(comm, &tokens[comm.rank()]);
