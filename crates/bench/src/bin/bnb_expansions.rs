@@ -8,12 +8,13 @@
 //!     [--backend threaded|seq|mux]
 //! ```
 
-use bench::Table;
+use bench::cli::Cli;
+use bench::{pe_sweep, Table};
 use commsim::{run_on, Backend, World};
 use topk::{knapsack_branch_bound_parallel, knapsack_branch_bound_sequential, KnapsackInstance};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     println!(
         "Branch-and-bound expansion overhead (K = m + O(hp)), {} random knapsack instances with {} items, backend: {}\n",
         args.instances,
@@ -35,8 +36,7 @@ fn main() {
         assert_eq!(sequential.optimum, dp);
         let h = instance.len() as u64;
 
-        let mut p = args.min_pes;
-        while p <= args.max_pes {
+        for p in pe_sweep(args.min_pes, args.max_pes) {
             let instance_ref = instance.clone();
             let out = run_on!(args.backend, World::new(p), move |comm| {
                 knapsack_branch_bound_parallel(comm, &instance_ref, 1, seed)
@@ -53,7 +53,6 @@ fn main() {
                 (parallel.expanded as i64 - sequential.expanded as i64).to_string(),
                 (h * p as u64).to_string(),
             ]);
-            p *= 2;
         }
     }
 
@@ -75,41 +74,15 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            items: 28,
-            instances: 5,
-            min_pes: 2,
-            max_pes: 8,
-            backend: Backend::Threaded,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            items: cli.value("--items", 28),
+            instances: cli.value("--instances", 5),
+            min_pes: cli.value("--min-pes", 2),
+            max_pes: cli.value("--max-pes", 8),
+            backend: cli.value("--backend", Backend::Threaded),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--items" => {
-                    args.items = argv[i + 1].parse().expect("--items takes a number");
-                    i += 2;
-                }
-                "--instances" => {
-                    args.instances = argv[i + 1].parse().expect("--instances takes a number");
-                    i += 2;
-                }
-                "--min-pes" => {
-                    args.min_pes = argv[i + 1].parse().expect("--min-pes takes a number");
-                    i += 2;
-                }
-                "--max-pes" => {
-                    args.max_pes = argv[i + 1].parse().expect("--max-pes takes a number");
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         assert!(args.min_pes >= 1, "--min-pes must be at least 1");
         assert!(
             args.max_pes >= args.min_pes,

@@ -15,6 +15,7 @@
 //!     [--reps 2] [--seed 7] [--backend threaded|seq|mux] [--json]
 //! ```
 
+use bench::cli::Cli;
 use bench::report::fmt_duration;
 use bench::scaling::pe_sweep;
 use bench::Table;
@@ -24,7 +25,7 @@ use workloads::sched::{
 };
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     let batch = args.batch;
     // The four scenarios: arrival skew stresses the local-insertion
     // property, the flexible band stresses the single-round selection.
@@ -64,7 +65,7 @@ fn main() {
         "Bulk-queue scheduling: {} rounds/run, {} jobs/round, batch {batch}",
         args.rounds, args.jobs
     );
-    println!("backend: {:?}\n", args.backend);
+    println!("backend: {}\n", args.backend.name());
 
     let mut table = Table::new(
         "Bulk-queue scheduling — per-scenario weak scaling",
@@ -81,7 +82,7 @@ fn main() {
     );
 
     for (name, batch_policy, arrival) in &scenarios {
-        for p in pe_sweep(args.max_pes) {
+        for p in pe_sweep(1, args.max_pes) {
             let params = SchedulerParams {
                 rounds: args.rounds,
                 jobs_per_round: args.jobs,
@@ -136,8 +137,9 @@ fn main() {
     println!(
         "Insertions are communication-free no matter how skewed the arrivals (the §5 \
          property); the flexible band halves the selection's communication rounds.\n\
-         words/PE bit-identical across {} repetitions on the {:?} backend.",
-        args.reps, args.backend
+         words/PE bit-identical across {} repetitions on the {} backend.",
+        args.reps,
+        args.backend.name()
     );
 }
 
@@ -153,56 +155,18 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            max_pes: 8,
-            rounds: 8,
-            jobs: 4096,
-            batch: 1024,
-            reps: 2,
-            seed: 7,
-            backend: Backend::Threaded,
-            json: false,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            max_pes: cli.value("--max-pes", 8),
+            rounds: cli.value("--rounds", 8),
+            jobs: cli.value("--jobs", 4096),
+            batch: cli.value("--batch", 1024),
+            reps: cli.value("--reps", 2),
+            seed: cli.value("--seed", 7),
+            backend: cli.value("--backend", Backend::Threaded),
+            json: cli.switch("--json"),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--max-pes" => {
-                    args.max_pes = argv[i + 1].parse().expect("--max-pes takes a number");
-                    i += 2;
-                }
-                "--rounds" => {
-                    args.rounds = argv[i + 1].parse().expect("--rounds takes a number");
-                    i += 2;
-                }
-                "--jobs" => {
-                    args.jobs = argv[i + 1].parse().expect("--jobs takes a number");
-                    i += 2;
-                }
-                "--batch" => {
-                    args.batch = argv[i + 1].parse().expect("--batch takes a number");
-                    i += 2;
-                }
-                "--reps" => {
-                    args.reps = argv[i + 1].parse().expect("--reps takes a number");
-                    i += 2;
-                }
-                "--seed" => {
-                    args.seed = argv[i + 1].parse().expect("--seed takes a number");
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--json" => {
-                    args.json = true;
-                    i += 1;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         assert!(args.reps >= 1, "--reps must be at least 1");
         assert!(args.batch >= 2, "--batch must be at least 2");
         args

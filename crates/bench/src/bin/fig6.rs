@@ -27,6 +27,7 @@
 //! over the surviving data.  Prints a parseable `recovery-audit` row.
 
 use bench::chaos::{run_chaos, RecoverableBody};
+use bench::cli::Cli;
 use bench::report::fmt_duration;
 use bench::scaling::{pe_sweep, Measurement};
 use bench::Table;
@@ -144,7 +145,7 @@ fn chaos(args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     if args.chaos {
         chaos(&args);
         return;
@@ -179,10 +180,7 @@ fn main() {
     );
 
     for &k in &ks {
-        for p in pe_sweep(args.max_pes)
-            .into_iter()
-            .filter(|&p| p >= args.min_pes)
-        {
+        for p in pe_sweep(args.min_pes, args.max_pes) {
             if k == 0 || k > p * per_pe {
                 // Infeasible point at reduced smoke scales: the global input
                 // holds fewer than k elements (or per-pe/4 rounded to 0).
@@ -231,68 +229,20 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            log_per_pe: 18,
-            max_pes: 16,
-            min_pes: 1,
-            reps: 3,
-            k: None,
-            backend: Backend::Threaded,
-            chaos: false,
-            crashes: 1,
-            chaos_seed: 0xC7A05,
-            ckpt_every: 2,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            log_per_pe: cli.value("--per-pe", 18),
+            max_pes: cli.value("--max-pes", 16),
+            min_pes: cli.value("--min-pes", 1),
+            reps: cli.value("--reps", 3),
+            k: cli.optional("--k"),
+            backend: cli.value("--backend", Backend::Threaded),
+            chaos: cli.switch("--chaos"),
+            crashes: cli.value("--crashes", 1),
+            chaos_seed: cli.value("--chaos-seed", 0xC7A05),
+            ckpt_every: cli.value("--ckpt-every", 2),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--per-pe" => {
-                    args.log_per_pe = argv[i + 1].parse().expect("--per-pe takes a log2 size");
-                    i += 2;
-                }
-                "--max-pes" => {
-                    args.max_pes = argv[i + 1].parse().expect("--max-pes takes a number");
-                    i += 2;
-                }
-                "--min-pes" => {
-                    args.min_pes = argv[i + 1].parse().expect("--min-pes takes a number");
-                    i += 2;
-                }
-                "--reps" => {
-                    args.reps = argv[i + 1].parse().expect("--reps takes a number");
-                    i += 2;
-                }
-                "--k" => {
-                    args.k = Some(argv[i + 1].parse().expect("--k takes a number"));
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--chaos" => {
-                    args.chaos = true;
-                    i += 1;
-                }
-                "--crashes" => {
-                    args.crashes = argv[i + 1].parse().expect("--crashes takes a number");
-                    i += 2;
-                }
-                "--chaos-seed" => {
-                    args.chaos_seed = argv[i + 1].parse().expect("--chaos-seed takes a number");
-                    i += 2;
-                }
-                "--ckpt-every" => {
-                    args.ckpt_every = argv[i + 1]
-                        .parse()
-                        .expect("--ckpt-every takes a phase count");
-                    i += 2;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         args
     }
 }

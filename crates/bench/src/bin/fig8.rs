@@ -25,20 +25,19 @@
 //! closed-form predictions alone.  `--plan-explain` prints each cell's full
 //! candidate table.
 
-use bench::planning::{print_audit, print_plan};
-use bench::report::fmt_duration;
-use bench::scaling::{pe_sweep, scaled_epsilon, Measurement};
-use bench::{AlgoChoice, Table};
-use commsim::{run_on, Backend, Communicator, World};
+use bench::cli::Cli;
+use bench::planning::frequent_panel;
+use bench::scaling::{pe_sweep, scaled_epsilon};
+use bench::AlgoChoice;
+use commsim::Backend;
 use datagen::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topk::frequent::pac::required_sample_size;
-use topk::planner::{Algorithm, Planner};
 use topk::FrequentParams;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     let per_pe = 1usize << args.log_per_pe;
     // Strict accuracy.  The paper uses ε = 10⁻⁶ at n/p = 2²⁸; what defines the
     // Figure-8 regime is (a) PAC's 1/ε² sample exceeds the input, so PAC and
@@ -78,96 +77,16 @@ fn main() {
         args.backend.name()
     );
 
-    let mut table = Table::new(
+    let table = frequent_panel(
         "Figure 8 — running time vs number of PEs (strict accuracy)",
-        &[
-            "algorithm",
-            "PEs",
-            "wall time",
-            "words/PE",
-            "startups/PE",
-            "sample",
-        ],
+        args.backend,
+        &pe_sweep(args.min_pes, args.max_pes),
+        args.reps,
+        args.algo,
+        args.plan_explain,
+        &params,
+        |rank| local_input(rank, per_pe),
     );
-
-    let pes: Vec<usize> = pe_sweep(args.max_pes)
-        .into_iter()
-        .filter(|&p| p >= args.min_pes)
-        .collect();
-
-    match args.algo {
-        AlgoChoice::Auto => {
-            for &p in &pes {
-                let mut last = None;
-                let reps = (0..args.reps)
-                    .map(|_| {
-                        let out = run_on!(args.backend, World::new(p), |comm| {
-                            let local = local_input(comm.rank(), per_pe);
-                            let plan =
-                                Planner::default().plan_for_data(comm, &local, 32, epsilon, delta);
-                            let (result, audit) = plan.execute(comm, &local, 0xF18);
-                            (plan, audit, result.sample_size)
-                        });
-                        let m = Measurement::of(&out);
-                        last = out.results.into_iter().next().flatten();
-                        m
-                    })
-                    .collect();
-                let m = Measurement::averaged(reps);
-                let (plan, audit, sample) = last.expect("at least one rep");
-                if args.plan_explain {
-                    print_plan(&plan);
-                }
-                print_audit(&audit);
-                table.add_row(vec![
-                    format!("auto({})", plan.algorithm.token()),
-                    p.to_string(),
-                    fmt_duration(m.wall_time),
-                    m.bottleneck_words.to_string(),
-                    m.bottleneck_messages.to_string(),
-                    sample.to_string(),
-                ]);
-            }
-        }
-        _ => {
-            let contenders: Vec<Algorithm> = match args.algo {
-                AlgoChoice::Fixed(a) => vec![a],
-                // The paper's Figure 8 panel; PEC is reachable via --algo pec.
-                _ => vec![
-                    Algorithm::Pac,
-                    Algorithm::Ec,
-                    Algorithm::Naive,
-                    Algorithm::NaiveTree,
-                ],
-            };
-            for &algo in &contenders {
-                for &p in &pes {
-                    let sample = std::sync::atomic::AtomicU64::new(0);
-                    let reps = (0..args.reps)
-                        .map(|_| {
-                            let out = run_on!(args.backend, World::new(p), |comm| {
-                                let local = local_input(comm.rank(), per_pe);
-                                let s = algo.run(comm, &local, &params).sample_size;
-                                sample.store(s, std::sync::atomic::Ordering::Relaxed);
-                            });
-                            Measurement::of(&out)
-                        })
-                        .collect();
-                    let m = Measurement::averaged(reps);
-                    table.add_row(vec![
-                        algo.name().to_string(),
-                        p.to_string(),
-                        fmt_duration(m.wall_time),
-                        m.bottleneck_words.to_string(),
-                        m.bottleneck_messages.to_string(),
-                        sample
-                            .load(std::sync::atomic::Ordering::Relaxed)
-                            .to_string(),
-                    ]);
-                }
-            }
-        }
-    }
     table.print();
     println!("{}", table.to_markdown());
 
@@ -207,61 +126,19 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            log_per_pe: 18,
-            max_pes: 16,
-            min_pes: 1,
-            reps: 2,
-            eps_cap: 0.05,
-            epsilon: None,
-            backend: Backend::Threaded,
-            algo: AlgoChoice::All,
-            plan_explain: false,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            log_per_pe: cli.value("--per-pe", 18),
+            max_pes: cli.value("--max-pes", 16),
+            min_pes: cli.value("--min-pes", 1),
+            reps: cli.value("--reps", 2),
+            eps_cap: cli.value("--eps-cap", 0.05),
+            epsilon: cli.optional("--epsilon"),
+            backend: cli.value("--backend", Backend::Threaded),
+            algo: cli.value("--algo", AlgoChoice::All),
+            plan_explain: cli.switch("--plan-explain"),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--per-pe" => {
-                    args.log_per_pe = argv[i + 1].parse().expect("--per-pe takes a log2 size");
-                    i += 2;
-                }
-                "--max-pes" => {
-                    args.max_pes = argv[i + 1].parse().expect("--max-pes takes a number");
-                    i += 2;
-                }
-                "--min-pes" => {
-                    args.min_pes = argv[i + 1].parse().expect("--min-pes takes a number");
-                    i += 2;
-                }
-                "--reps" => {
-                    args.reps = argv[i + 1].parse().expect("--reps takes a number");
-                    i += 2;
-                }
-                "--eps-cap" => {
-                    args.eps_cap = argv[i + 1].parse().expect("--eps-cap takes a float");
-                    i += 2;
-                }
-                "--epsilon" => {
-                    args.epsilon = Some(argv[i + 1].parse().expect("--epsilon takes a float"));
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--algo" => {
-                    args.algo = AlgoChoice::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--plan-explain" => {
-                    args.plan_explain = true;
-                    i += 1;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         args
     }
 }

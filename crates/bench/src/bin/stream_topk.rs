@@ -42,6 +42,7 @@
 //!     [--crash-batch 30] [--assert-available 1.0]
 //! ```
 
+use bench::cli::Cli;
 use bench::report::fmt_duration;
 use bench::Table;
 use commsim::{run_on, Backend, Communicator, FaultEvent, FaultPlan, World};
@@ -72,7 +73,7 @@ fn serve<C: Communicator>(
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     let p = args.pes;
     let config = StreamConfig {
         k: args.k,
@@ -99,8 +100,11 @@ fn main() {
     let corpus = TextCorpus::new(args.vocab, args.zipf, args.seed);
 
     println!(
-        "Streaming top-{} service: {p} PEs x {} batches x {} words/batch, backend: {:?}",
-        args.k, args.batches, args.words_per_batch, args.backend
+        "Streaming top-{} service: {p} PEs x {} batches x {} words/batch, backend: {}",
+        args.k,
+        args.batches,
+        args.words_per_batch,
+        args.backend.name()
     );
     if args.replication > 0 {
         println!(
@@ -235,8 +239,9 @@ fn main() {
     );
     if args.reps > 1 {
         println!(
-            "per-batch words/PE bit-identical across {} repetitions on the {:?} backend.",
-            args.reps, args.backend
+            "per-batch words/PE bit-identical across {} repetitions on the {} backend.",
+            args.reps,
+            args.backend.name()
         );
     }
 }
@@ -538,166 +543,38 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
+    fn from_cli(mut cli: Cli) -> Self {
         let mut args = Args {
-            pes: 8,
-            batches: 60,
-            words_per_batch: 500,
-            vocab: 2000,
-            zipf: 1.05,
-            k: 10,
-            window: 8,
-            capacity: 64,
-            refresh_every: 4,
-            queries: 4,
-            drift_every: 10,
-            drift_step: 25,
-            burst_start: 30,
-            burst_len: 5,
-            burst_rank: 150,
-            burst_intensity: 0.4,
-            reps: 1,
-            seed: 42,
-            backend: Backend::Threaded,
-            json: false,
-            replication: 0,
-            query_lambda: 0.0,
-            chaos: false,
-            crashes: 1,
-            delays: 0,
-            drops: 0,
-            crash_batch: None,
-            assert_available: None,
+            pes: cli.value("--pes", 8),
+            batches: cli.value("--batches", 60),
+            words_per_batch: cli.value("--words-per-batch", 500),
+            vocab: cli.value("--vocab", 2000),
+            zipf: cli.value("--zipf", 1.05),
+            k: cli.value("--k", 10),
+            window: cli.value("--window", 8),
+            capacity: cli.value("--capacity", 64),
+            refresh_every: cli.value("--refresh-every", 4),
+            queries: cli.value("--queries", 4),
+            drift_every: cli.value("--drift-every", 10),
+            drift_step: cli.value("--drift-step", 25),
+            burst_start: cli.value("--burst-start", 30),
+            burst_len: cli.value("--burst-len", 5),
+            burst_rank: cli.value("--burst-rank", 150),
+            burst_intensity: cli.value("--burst-intensity", 0.4),
+            reps: cli.value("--reps", 1),
+            seed: cli.value("--seed", 42),
+            backend: cli.value("--backend", Backend::Threaded),
+            json: cli.switch("--json"),
+            replication: cli.value("--replication", 0),
+            query_lambda: cli.value("--query-lambda", 0.0),
+            chaos: cli.switch("--chaos"),
+            crashes: cli.value("--crashes", 1),
+            delays: cli.value("--delays", 0),
+            drops: cli.value("--drops", 0),
+            crash_batch: cli.optional("--crash-batch"),
+            assert_available: cli.optional("--assert-available"),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--pes" => {
-                    args.pes = argv[i + 1].parse().expect("--pes takes a number");
-                    i += 2;
-                }
-                "--batches" => {
-                    args.batches = argv[i + 1].parse().expect("--batches takes a number");
-                    i += 2;
-                }
-                "--words-per-batch" => {
-                    args.words_per_batch = argv[i + 1]
-                        .parse()
-                        .expect("--words-per-batch takes a number");
-                    i += 2;
-                }
-                "--vocab" => {
-                    args.vocab = argv[i + 1].parse().expect("--vocab takes a number");
-                    i += 2;
-                }
-                "--zipf" => {
-                    args.zipf = argv[i + 1].parse().expect("--zipf takes a float");
-                    i += 2;
-                }
-                "--k" => {
-                    args.k = argv[i + 1].parse().expect("--k takes a number");
-                    i += 2;
-                }
-                "--window" => {
-                    args.window = argv[i + 1].parse().expect("--window takes a number");
-                    i += 2;
-                }
-                "--capacity" => {
-                    args.capacity = argv[i + 1].parse().expect("--capacity takes a number");
-                    i += 2;
-                }
-                "--refresh-every" => {
-                    args.refresh_every =
-                        argv[i + 1].parse().expect("--refresh-every takes a number");
-                    i += 2;
-                }
-                "--queries" => {
-                    args.queries = argv[i + 1].parse().expect("--queries takes a number");
-                    i += 2;
-                }
-                "--drift-every" => {
-                    args.drift_every = argv[i + 1].parse().expect("--drift-every takes a number");
-                    i += 2;
-                }
-                "--drift-step" => {
-                    args.drift_step = argv[i + 1].parse().expect("--drift-step takes a number");
-                    i += 2;
-                }
-                "--burst-start" => {
-                    args.burst_start = argv[i + 1].parse().expect("--burst-start takes a number");
-                    i += 2;
-                }
-                "--burst-len" => {
-                    args.burst_len = argv[i + 1].parse().expect("--burst-len takes a number");
-                    i += 2;
-                }
-                "--burst-rank" => {
-                    args.burst_rank = argv[i + 1].parse().expect("--burst-rank takes a number");
-                    i += 2;
-                }
-                "--burst-intensity" => {
-                    args.burst_intensity = argv[i + 1]
-                        .parse()
-                        .expect("--burst-intensity takes a float");
-                    i += 2;
-                }
-                "--reps" => {
-                    args.reps = argv[i + 1].parse().expect("--reps takes a number");
-                    i += 2;
-                }
-                "--seed" => {
-                    args.seed = argv[i + 1].parse().expect("--seed takes a number");
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--json" => {
-                    args.json = true;
-                    i += 1;
-                }
-                "--replication" => {
-                    args.replication = argv[i + 1].parse().expect("--replication takes a number");
-                    i += 2;
-                }
-                "--query-lambda" => {
-                    args.query_lambda = argv[i + 1].parse().expect("--query-lambda takes a float");
-                    i += 2;
-                }
-                "--chaos" => {
-                    args.chaos = true;
-                    i += 1;
-                }
-                "--crashes" => {
-                    args.crashes = argv[i + 1].parse().expect("--crashes takes a number");
-                    i += 2;
-                }
-                "--delays" => {
-                    args.delays = argv[i + 1].parse().expect("--delays takes a number");
-                    i += 2;
-                }
-                "--drops" => {
-                    args.drops = argv[i + 1].parse().expect("--drops takes a number");
-                    i += 2;
-                }
-                "--crash-batch" => {
-                    args.crash_batch =
-                        Some(argv[i + 1].parse().expect("--crash-batch takes a number"));
-                    i += 2;
-                }
-                "--assert-available" => {
-                    args.assert_available = Some(
-                        argv[i + 1]
-                            .parse()
-                            .expect("--assert-available takes a float"),
-                    );
-                    i += 2;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         if args.chaos {
             // Chaos without failure tolerance (or a query stream to score)
             // is pointless; pick serviceable defaults instead of erroring.

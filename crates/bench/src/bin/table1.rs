@@ -25,6 +25,7 @@
 //! prints a `plan-audit` row (plus the candidate table under
 //! `--plan-explain`); a concrete token runs just that algorithm.
 
+use bench::cli::Cli;
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Measurement, Table};
@@ -65,8 +66,18 @@ impl Scale {
     };
 }
 
-/// The command line; an unknown `--flag` is an error, a bare word names
-/// the section (as `--section` does, which wins).
+/// The names `--section` takes.
+const SECTIONS: [&str; 8] = [
+    "all",
+    "unsorted",
+    "sorted",
+    "pq",
+    "frequent",
+    "sumagg",
+    "multicriteria",
+    "redistribution",
+];
+
 struct Args {
     quick: bool,
     section: String,
@@ -76,37 +87,21 @@ struct Args {
 }
 
 impl Args {
-    fn parse(argv: impl IntoIterator<Item = String>) -> Self {
-        let mut args = Args {
-            quick: false,
-            section: String::new(),
-            backend: Backend::Threaded,
-            algo: AlgoChoice::All,
-            plan_explain: false,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            quick: cli.switch("--quick"),
+            section: cli.value("--section", "all".to_string()),
+            backend: cli.value("--backend", Backend::Threaded),
+            algo: cli.value("--algo", AlgoChoice::All),
+            plan_explain: cli.switch("--plan-explain"),
         };
-        let mut positional: Option<String> = None;
-        let mut argv = argv.into_iter();
-        while let Some(arg) = argv.next() {
-            let mut value = |usage: &str| argv.next().expect(usage);
-            match arg.as_str() {
-                "--quick" => args.quick = true,
-                "--plan-explain" => args.plan_explain = true,
-                "--section" => args.section = value("--section takes a section name"),
-                "--backend" => {
-                    args.backend = Backend::parse(&value("--backend takes threaded|seq|mux"));
-                }
-                "--algo" => {
-                    args.algo = AlgoChoice::parse(&value("--algo takes an algorithm token"))
-                }
-                other if other.starts_with("--") => panic!("unknown argument {other}"),
-                other => {
-                    positional.get_or_insert_with(|| other.to_string());
-                }
-            }
-        }
-        if args.section.is_empty() {
-            args.section = positional.unwrap_or_default();
-        }
+        cli.finish();
+        assert!(
+            SECTIONS.contains(&args.section.as_str()),
+            "unknown section {} ({})",
+            args.section,
+            SECTIONS.join("|")
+        );
         args
     }
 }
@@ -118,9 +113,9 @@ fn main() {
         backend,
         algo,
         plan_explain,
-    } = Args::parse(std::env::args().skip(1));
+    } = Args::from_cli(Cli::from_env());
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
-    let want = |name: &str| section.is_empty() || section == "all" || section == name;
+    let want = |name: &str| section == "all" || section == name;
 
     let Scale { p, per_pe, k } = scale;
     println!(
@@ -440,15 +435,16 @@ mod tests {
     use super::*;
 
     fn parse(argv: &[&str]) -> Args {
-        Args::parse(argv.iter().map(|a| a.to_string()))
+        Args::from_cli(Cli::new(argv.iter().copied()))
     }
 
     #[test]
-    fn flags_and_a_bare_section_parse() {
+    fn flags_and_a_section_parse() {
         let args = parse(&[
             "--quick",
             "--backend",
             "seq",
+            "--section",
             "sorted",
             "--algo",
             "auto",
@@ -458,12 +454,20 @@ mod tests {
         assert_eq!(args.section, "sorted");
         assert_eq!(args.backend, Backend::Seq);
         assert_eq!(args.algo, AlgoChoice::Auto);
-        assert_eq!(parse(&["pq", "--section", "frequent"]).section, "frequent");
+        assert_eq!(parse(&[]).section, "all");
     }
 
     #[test]
     #[should_panic(expected = "unknown argument --plan-explian")]
     fn a_misspelt_flag_is_rejected() {
         parse(&["--quick", "--plan-explian"]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "unknown section nosuch (all|unsorted|sorted|pq|frequent|sumagg|multicriteria|redistribution)"
+    )]
+    fn an_unknown_section_is_rejected() {
+        parse(&["--quick", "--section", "nosuch"]);
     }
 }

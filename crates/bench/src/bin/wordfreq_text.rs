@@ -24,6 +24,7 @@
 //! (prediction vs metered reality) printed; `--plan-explain` also prints the
 //! candidate table.
 
+use bench::cli::Cli;
 use bench::planning::{print_audit, print_plan};
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Table};
@@ -37,7 +38,7 @@ use workloads::text::{
 };
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::from_cli(Cli::from_env());
     let p = args.pes;
     let per_pe = 1usize << args.log_per_pe;
     let params = FrequentParams::new(args.k, args.epsilon, 1e-3, args.seed);
@@ -67,8 +68,9 @@ fn main() {
 
     println!("Word frequency on real text: top-{} words, {p} PEs", args.k);
     println!(
-        "corpus: {source}; ε = {:.1e}, δ = 1e-3, backend: {:?}\n",
-        args.epsilon, args.backend
+        "corpus: {source}; ε = {:.1e}, δ = 1e-3, backend: {}\n",
+        args.epsilon,
+        args.backend.name()
     );
 
     // ----- interning setup (collective, metered separately) ---------------
@@ -211,9 +213,10 @@ fn main() {
         print!("{}", table.to_json_lines());
     }
     println!(
-        "words/PE bit-identical across {} repetitions on the {:?} backend — \
+        "words/PE bit-identical across {} repetitions on the {} backend — \
          reproducibility checked, not assumed.",
-        args.reps, args.backend
+        args.reps,
+        args.backend.name()
     );
 }
 
@@ -234,81 +237,23 @@ struct Args {
 }
 
 impl Args {
-    fn parse() -> Self {
-        let mut args = Args {
-            pes: 8,
-            log_per_pe: 15,
-            vocab: 4096,
-            zipf: 1.05,
-            k: 16,
-            epsilon: 0.03,
-            reps: 2,
-            seed: 42,
-            text: None,
-            backend: Backend::Threaded,
-            json: false,
-            algo: AlgoChoice::All,
-            plan_explain: false,
+    fn from_cli(mut cli: Cli) -> Self {
+        let args = Args {
+            pes: cli.value("--pes", 8),
+            log_per_pe: cli.value("--per-pe", 15),
+            vocab: cli.value("--vocab", 4096),
+            zipf: cli.value("--zipf", 1.05),
+            k: cli.value("--k", 16),
+            epsilon: cli.value("--epsilon", 0.03),
+            reps: cli.value("--reps", 2),
+            seed: cli.value("--seed", 42),
+            text: cli.optional("--text"),
+            backend: cli.value("--backend", Backend::Threaded),
+            json: cli.switch("--json"),
+            algo: cli.value("--algo", AlgoChoice::All),
+            plan_explain: cli.switch("--plan-explain"),
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--pes" => {
-                    args.pes = argv[i + 1].parse().expect("--pes takes a number");
-                    i += 2;
-                }
-                "--per-pe" => {
-                    args.log_per_pe = argv[i + 1].parse().expect("--per-pe takes a log2 size");
-                    i += 2;
-                }
-                "--vocab" => {
-                    args.vocab = argv[i + 1].parse().expect("--vocab takes a number");
-                    i += 2;
-                }
-                "--zipf" => {
-                    args.zipf = argv[i + 1].parse().expect("--zipf takes a float");
-                    i += 2;
-                }
-                "--k" => {
-                    args.k = argv[i + 1].parse().expect("--k takes a number");
-                    i += 2;
-                }
-                "--epsilon" => {
-                    args.epsilon = argv[i + 1].parse().expect("--epsilon takes a float");
-                    i += 2;
-                }
-                "--reps" => {
-                    args.reps = argv[i + 1].parse().expect("--reps takes a number");
-                    i += 2;
-                }
-                "--seed" => {
-                    args.seed = argv[i + 1].parse().expect("--seed takes a number");
-                    i += 2;
-                }
-                "--text" => {
-                    args.text = Some(argv[i + 1].clone());
-                    i += 2;
-                }
-                "--backend" => {
-                    args.backend = Backend::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--json" => {
-                    args.json = true;
-                    i += 1;
-                }
-                "--algo" => {
-                    args.algo = AlgoChoice::parse(&argv[i + 1]);
-                    i += 2;
-                }
-                "--plan-explain" => {
-                    args.plan_explain = true;
-                    i += 1;
-                }
-                other => panic!("unknown argument {other}"),
-            }
-        }
+        cli.finish();
         assert!(args.reps >= 1, "--reps must be at least 1");
         args
     }

@@ -19,7 +19,12 @@
 //!     stream, with a `--chaos` mode under injected faults.
 //!
 //! Every bin takes `--backend threaded|seq|mux` ([`commsim::Backend`]) and
-//! starts its worlds with [`commsim::run_on!`].
+//! starts its worlds with [`commsim::run_on!`].  Every bin reads its
+//! command line through [`cli::Cli`], one call per flag with the bin's own
+//! default: `--flag value` pairs and bare switches, in any order, the last
+//! of a repeated flag winning.  An unknown flag, a valued flag without a
+//! value and a value that does not parse each panic with a message naming
+//! the flag.
 //!
 //! Absolute times are not comparable with the paper's Infiniband cluster —
 //! see ARCHITECTURE.md and EXPERIMENTS.md "Machine notes" — but the *shape*
@@ -27,6 +32,7 @@
 //! does not) is, and EXPERIMENTS.md records both.
 
 pub mod chaos;
+pub mod cli;
 pub mod planning;
 pub mod report;
 pub mod scaling;

@@ -101,17 +101,13 @@ pub fn scaled_epsilon(base: f64, base_log: u32, log_per_pe: u32, cap: f64) -> Sc
     }
 }
 
-/// The PE counts of a weak-scaling sweep: powers of two from 1 to `max`
-/// (inclusive if `max` itself is a power of two, else the largest power of
-/// two below it is the last step).
-pub fn pe_sweep(max: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut p = 1;
-    while p <= max {
-        out.push(p);
-        p *= 2;
-    }
-    out
+/// The PE counts of a weak-scaling sweep: the powers of two from `min` to
+/// `max`, both inclusive.
+pub fn pe_sweep(min: usize, max: usize) -> Vec<usize> {
+    std::iter::successors(Some(1usize), |p| p.checked_mul(2))
+        .take_while(|&p| p <= max)
+        .filter(|&p| p >= min)
+        .collect()
 }
 
 #[cfg(test)]
@@ -121,10 +117,12 @@ mod tests {
 
     #[test]
     fn pe_sweep_is_powers_of_two() {
-        assert_eq!(pe_sweep(1), vec![1]);
-        assert_eq!(pe_sweep(8), vec![1, 2, 4, 8]);
-        assert_eq!(pe_sweep(10), vec![1, 2, 4, 8]);
-        assert_eq!(pe_sweep(16), vec![1, 2, 4, 8, 16]);
+        assert_eq!(pe_sweep(1, 1), vec![1]);
+        assert_eq!(pe_sweep(1, 8), vec![1, 2, 4, 8]);
+        assert_eq!(pe_sweep(1, 10), vec![1, 2, 4, 8]);
+        assert_eq!(pe_sweep(2, 16), vec![2, 4, 8, 16]);
+        assert_eq!(pe_sweep(3, 10), vec![4, 8]);
+        assert_eq!(pe_sweep(4096, 4096), vec![4096]);
     }
 
     #[test]

@@ -57,15 +57,6 @@ impl Backend {
     /// Every backend, in CLI order.
     pub const ALL: [Backend; 3] = [Backend::Threaded, Backend::Seq, Backend::Mux];
 
-    /// Parse a `--backend` value; panics on anything but
-    /// `threaded`/`seq`/`mux` (the bins' argument-error convention).
-    pub fn parse(value: &str) -> Self {
-        Self::ALL
-            .into_iter()
-            .find(|b| b.name() == value)
-            .unwrap_or_else(|| panic!("unknown backend {value} (threaded|seq|mux)"))
-    }
-
     /// The CLI name (for report labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -73,6 +64,18 @@ impl Backend {
             Backend::Seq => "seq",
             Backend::Mux => "mux",
         }
+    }
+}
+
+/// Parse a `--backend` value: one of the [`Backend::name`]s.
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    fn from_str(value: &str) -> Result<Self, String> {
+        Self::ALL
+            .into_iter()
+            .find(|b| b.name() == value)
+            .ok_or_else(|| "expected threaded|seq|mux".to_string())
     }
 }
 
@@ -220,8 +223,9 @@ mod tests {
     #[test]
     fn backend_names_round_trip() {
         for backend in Backend::ALL {
-            assert_eq!(Backend::parse(backend.name()), backend);
+            assert_eq!(backend.name().parse(), Ok(backend));
         }
+        assert!("Threaded".parse::<Backend>().is_err());
     }
 
     #[test]
