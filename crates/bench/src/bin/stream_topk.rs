@@ -5,39 +5,39 @@
 //! `--drift-every` batches, and one flash-crowd burst spikes a tail word for
 //! `--burst-len` batches.  Every PE ingests `--words-per-batch` words per
 //! mini-batch, the service publishes a global top-k every `--refresh-every`
-//! batches through the DHT aggregation + `select_top_counts`, and point
-//! queries are served between batches from the published snapshot.
+//! batches through the DHT aggregation + `select_top_counts`, and a modeled
+//! Poisson stream of `--query-lambda` point queries per batch is answered
+//! between batches from the published snapshot, scored against the α/β
+//! cost model.
 //!
-//! Scored metrics: **p95 answer staleness** in globally ingested items, and
-//! **words per ingested item** (world bottleneck communication / items).
-//! Both are deterministic in `(seed, rank, batch)`, so any two backends —
-//! and any two runs — agree bit for bit; `--reps > 1` checks that instead of
-//! assuming it.
+//! Scored metrics: **p95 answer staleness** of those queries in globally
+//! ingested items, **words per ingested item** (world bottleneck
+//! communication / items), and the queries' availability and modeled
+//! latency percentiles.  All are deterministic in `(seed, rank, batch)`, so
+//! any two backends — and any two runs — agree bit for bit; `--reps > 1`
+//! checks that instead of assuming it.
 //!
 //! With `--replication r` the service runs failure-tolerant: per-batch
 //! membership rounds, serving shards replicated to `r` ring buddies, and
-//! degraded refreshes over the survivor subgroup.  `--query-lambda` scores a
-//! modeled Poisson point-query stream (availability + latency percentiles)
-//! against the α/β cost model.  `--chaos` sweeps crash-stops calibrated to
-//! batch boundaries: a fault-free calibration rep records every PE's
-//! cumulative send count per batch, so a victim's `at_send_count` lands it
-//! exactly at its first send — the membership probe — of the batch after
-//! `--crash-batch`.  `--delays D` extends the sweep with message-delay runs
-//! (one-send-tick holds on D coordinator→member pairs — below the detection
-//! threshold, so staleness and availability must be unaffected) and
-//! `--drops D` with dropped-heartbeat runs (the victim is timeout-evicted
-//! while still alive; coverage shrinks, availability is held up by the
-//! replicas).
+//! degraded refreshes over the survivor subgroup.  `--chaos` sweeps
+//! crash-stops calibrated to batch boundaries: a fault-free calibration rep
+//! records every PE's cumulative send count per batch, so a victim's
+//! `at_send_count` lands it exactly at its first send — the membership
+//! probe — of the batch after `--crash-batch`.  `--delays D` extends the
+//! sweep with message-delay runs (one-send-tick holds on D
+//! coordinator→member pairs — below the detection threshold, so staleness
+//! and availability must be unaffected) and `--drops D` with
+//! dropped-heartbeat runs (the victim is timeout-evicted while still alive;
+//! coverage shrinks, availability is held up by the replicas).
 //!
 //! ```bash
 //! cargo run -p bench --release --bin stream_topk -- \
 //!     [--pes 8] [--batches 60] [--words-per-batch 500] [--vocab 2000] \
 //!     [--zipf 1.05] [--k 10] [--window 8] [--capacity 64] \
-//!     [--refresh-every 4] [--queries 4] [--drift-every 10] [--drift-step 25] \
-//!     [--burst-start 30] [--burst-len 5] [--burst-rank 150] \
-//!     [--burst-intensity 0.4] [--reps 1] [--seed 42] \
-//!     [--backend threaded|seq|mux] [--json] \
-//!     [--replication 2] [--query-lambda 8] \
+//!     [--refresh-every 4] [--query-lambda 4] [--drift-every 10] \
+//!     [--drift-step 25] [--burst-start 30] [--burst-len 5] \
+//!     [--burst-rank 150] [--burst-intensity 0.4] [--reps 1] [--seed 42] \
+//!     [--backend threaded|seq|mux] [--json] [--replication 2] \
 //!     [--chaos] [--crashes 1] [--delays 0] [--drops 0] \
 //!     [--crash-batch 30] [--assert-available 1.0]
 //! ```
@@ -79,9 +79,7 @@ fn main() {
         k: args.k,
         window: args.window,
         sketch_capacity: args.capacity,
-        decay: 0.9,
         refresh_every: args.refresh_every,
-        queries_per_batch: args.queries,
         words_per_batch: args.words_per_batch,
         seed: args.seed,
         replication: args.replication,
@@ -190,7 +188,6 @@ fn main() {
             "batches",
             "items",
             "vocab",
-            "queries/PE",
             "p95 staleness (items)",
             "max staleness (items)",
             "total words",
@@ -203,7 +200,6 @@ fn main() {
         report.batches.to_string(),
         report.items_global.to_string(),
         report.vocab_size.to_string(),
-        report.queries.to_string(),
         report.p95_staleness_items.to_string(),
         report.max_staleness_items.to_string(),
         report.total_bottleneck_words.to_string(),
@@ -214,15 +210,11 @@ fn main() {
     println!("{}", summary.to_markdown());
 
     let queries = query_table(args.query_lambda, report);
-    if let Some(q) = &queries {
-        q.print();
-    }
+    queries.print();
     if args.json {
         print!("{}", trace.to_json_lines());
         print!("{}", summary.to_json_lines());
-        if let Some(q) = &queries {
-            print!("{}", q.to_json_lines());
-        }
+        print!("{}", queries.to_json_lines());
     }
 
     let top: Vec<String> = topk
@@ -246,12 +238,8 @@ fn main() {
     }
 }
 
-/// The availability / modeled-latency table of the Poisson query stream,
-/// or `None` when the stream is disabled (`λ = 0`).
-fn query_table(lambda: f64, report: &StreamReport) -> Option<Table> {
-    if lambda <= 0.0 {
-        return None;
-    }
+/// The availability / modeled-latency table of the Poisson query stream.
+fn query_table(lambda: f64, report: &StreamReport) -> Table {
     let mut table = Table::new(
         "Poisson query stream — availability and modeled latency",
         &[
@@ -273,7 +261,7 @@ fn query_table(lambda: f64, report: &StreamReport) -> Option<Table> {
         format!("{:.3e}", report.p95_query_latency),
         format!("{:.3e}", report.p99_query_latency),
     ]);
-    Some(table)
+    table
 }
 
 /// The chaos sweep: one fault-free calibration/baseline rep, then one run
@@ -521,7 +509,6 @@ struct Args {
     window: usize,
     capacity: usize,
     refresh_every: usize,
-    queries: usize,
     drift_every: usize,
     drift_step: usize,
     burst_start: usize,
@@ -554,7 +541,6 @@ impl Args {
             window: cli.value("--window", 8),
             capacity: cli.value("--capacity", 64),
             refresh_every: cli.value("--refresh-every", 4),
-            queries: cli.value("--queries", 4),
             drift_every: cli.value("--drift-every", 10),
             drift_step: cli.value("--drift-step", 25),
             burst_start: cli.value("--burst-start", 30),
@@ -566,7 +552,7 @@ impl Args {
             backend: cli.value("--backend", Backend::Threaded),
             json: cli.switch("--json"),
             replication: cli.value("--replication", 0),
-            query_lambda: cli.value("--query-lambda", 0.0),
+            query_lambda: cli.value("--query-lambda", 4.0),
             chaos: cli.switch("--chaos"),
             crashes: cli.value("--crashes", 1),
             delays: cli.value("--delays", 0),
@@ -575,15 +561,10 @@ impl Args {
             assert_available: cli.optional("--assert-available"),
         };
         cli.finish();
-        if args.chaos {
-            // Chaos without failure tolerance (or a query stream to score)
-            // is pointless; pick serviceable defaults instead of erroring.
-            if args.replication == 0 {
-                args.replication = 2;
-            }
-            if args.query_lambda <= 0.0 {
-                args.query_lambda = 8.0;
-            }
+        if args.chaos && args.replication == 0 {
+            // Chaos without failure tolerance is pointless; pick a
+            // serviceable default instead of erroring.
+            args.replication = 2;
         }
         assert!(args.reps >= 1, "--reps must be at least 1");
         assert!(args.batches >= 1, "--batches must be at least 1");

@@ -19,9 +19,10 @@
 //!   that the distributed multicriteria top-k approximates (Section 6),
 //! * [`heavy_hitters`] — the classical deterministic frequent-object summary
 //!   (Misra–Gries) used as a sequential baseline for Section 7,
-//! * [`windowed`] — sliding-window (ring of mergeable sub-sketches) and
-//!   exponentially-decaying (scaled counters) variants of the above for the
-//!   never-terminating streaming top-k service,
+//! * [`windowed`] — a sliding-window variant of the above (a ring of
+//!   mergeable sub-sketches), the sketch of the never-terminating streaming
+//!   top-k service, and an exponentially-decaying one (scaled counters),
+//!   kept for its benchmark probe,
 //! * [`hashagg`] — hash-based key aggregation used for local counting in the
 //!   frequent-objects and sum-aggregation algorithms (Sections 7 and 8),
 //! * [`skew`] — one-pass sampled Zipf-exponent and universe-size estimation,

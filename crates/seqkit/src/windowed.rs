@@ -1,9 +1,9 @@
 //! Windowed frequent-object summaries for unbounded streams.
 //!
 //! The batch algorithms of [`crate::heavy_hitters`] summarise a stream seen
-//! *once, in full*.  A long-running top-k service (ROADMAP's "millions of
-//! users" scenario) instead needs answers about the **recent** stream while
-//! data keeps arriving, under two standard recency semantics:
+//! *once, in full*.  A long-running top-k service (the streaming service of
+//! the `workloads` crate) instead needs answers about the **recent** stream
+//! while data keeps arriving, under one of two standard recency semantics:
 //!
 //! * [`SlidingWindowTopK`] — exact-window semantics: only the last `W`
 //!   mini-batches count.  Implemented as a ring of per-batch
@@ -24,8 +24,8 @@
 //!
 //! Both structures are deterministic in their input sequence (ties in the
 //! candidate rankings are broken by key), which is what lets the distributed
-//! streaming service feed their candidates into communication without
-//! perturbing the metered words/PE across backends.
+//! streaming service feed the sliding window's candidates into communication
+//! without perturbing the metered words/PE across backends.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;

@@ -14,12 +14,12 @@
 //!   [`text::split_text_shards`] for user-supplied files.
 //! * [`stream`] — **streaming top-k service**: the text pipeline turned
 //!   into a never-terminating service — PEs ingest an unbounded
-//!   non-stationary document stream in mini-batches, keep sliding-window
-//!   and exponentially-decaying top-k sketches current, re-intern new
-//!   vocabulary incrementally with stable ids, periodically publish a global
-//!   top-k through the §7 aggregation + `select_top_counts`, and answer
-//!   point queries between batches, scoring p95 answer staleness and words
-//!   per ingested item.
+//!   non-stationary document stream in mini-batches, keep a sliding-window
+//!   top-k sketch current, re-intern new vocabulary incrementally with
+//!   stable ids, periodically publish a global top-k through the §7
+//!   aggregation + `select_top_counts`, and answer a modeled Poisson stream
+//!   of point queries between batches, scoring p95 answer staleness and
+//!   words per ingested item.
 //! * [`sched`] — **multi-round bulk-queue scheduling** (Section 5): a job
 //!   scheduler driving [`topk::BulkParallelQueue`] round after round —
 //!   skewed/bursty arrival streams, `insert_bulk` + `delete_min` /

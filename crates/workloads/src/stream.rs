@@ -4,26 +4,26 @@
 //! corpus and terminates.  This module turns it into a long-running service:
 //! every PE ingests an unbounded document stream in mini-batches
 //! ([`datagen::TextCorpus::stream_batch_text`] with a non-stationary
-//! [`datagen::StreamProfile`]), maintains **sliding-window** and
-//! **exponentially-decaying** top-k summaries
-//! ([`seqkit::SlidingWindowTopK`] / [`seqkit::DecayingTopK`] over interned
-//! ids), re-interns newly seen vocabulary incrementally ([`StreamVocab`] —
+//! [`datagen::StreamProfile`]), maintains a **sliding-window** top-k summary
+//! ([`seqkit::SlidingWindowTopK`] over interned ids), re-interns newly seen
+//! vocabulary incrementally ([`StreamVocab`] —
 //! ids are append-only and stable, unlike the batch
 //! [`crate::text::distributed_intern`] which renumbers on every call), and
 //! periodically **refreshes a published global top-k** with the paper's §7
 //! machinery: per-PE window candidates are DHT-aggregated
 //! ([`topk::frequent::dht::aggregate_counts`]), and
 //! [`topk::frequent::select_top_counts`] cuts them at rank k and gathers the
-//! winners, the publication step PAC, EC and PEC share.  Point queries
-//! ("current top-k", "count of X") are answered *between* batches from the
-//! last published snapshot — exactly how a serving system trades freshness
-//! for communication.
+//! winners, the publication step PAC, EC and PEC share.  Point queries are
+//! answered *between* batches from the last published snapshot — exactly
+//! how a serving system trades freshness for communication.  They arrive as
+//! a modeled Poisson stream ([`StreamConfig::query_lambda`] per batch),
+//! scored analytically, so serving them meters no words.
 //!
 //! Two scored metrics fall out, both reported by [`StreamReport`]:
 //!
-//! * **p95 answer staleness**, measured in *globally ingested items* since
-//!   the serving snapshot was published (item counts, not wall clock, so the
-//!   metric is bit-identical across backends), and
+//! * **p95 answer staleness** of those queries, measured in *globally
+//!   ingested items* since the serving snapshot was published (item counts,
+//!   not wall clock, so the metric is bit-identical across backends), and
 //! * **words per ingested item**, the world bottleneck communication volume
 //!   divided by the number of items ingested — the streaming analogue of the
 //!   paper's words/PE columns.
@@ -47,7 +47,7 @@ use std::collections::HashMap;
 use commsim::recovery::{ring_push, Membership};
 use commsim::{Communicator, CostModel, Rank, StatsSnapshot, SubComm, Tag};
 use datagen::{StreamProfile, TextCorpus};
-use seqkit::{DecayingTopK, SlidingWindowTopK};
+use seqkit::SlidingWindowTopK;
 use topk::frequent::{dht, select_top_counts};
 use topk::util::{owner_of, splitmix64};
 
@@ -73,13 +73,9 @@ pub struct StreamConfig {
     pub window: usize,
     /// Counters per Misra–Gries sub-sketch (and per merged window summary).
     pub sketch_capacity: usize,
-    /// Per-batch decay factor of the exponentially-decaying summary.
-    pub decay: f64,
     /// Publish a fresh global top-k every this many batches (`1` = every
     /// batch; larger trades staleness for communication).
     pub refresh_every: usize,
-    /// Point queries served per PE between consecutive batches.
-    pub queries_per_batch: usize,
     /// Words each PE ingests per mini-batch.
     pub words_per_batch: usize,
     /// Seed of the selection kernel's RNG (the corpus has its own seed).
@@ -92,9 +88,10 @@ pub struct StreamConfig {
     /// survivor subgroup, and replica failover (any world size — the
     /// membership bitmaps grow with `p`).
     pub replication: usize,
-    /// Mean arrivals per batch of the modeled Poisson point-query stream
-    /// (scored analytically against the α/β cost model — zero communication,
-    /// so enabling it never perturbs the metered words).  `0.0` disables it.
+    /// Mean arrivals per batch of the modeled Poisson point-query stream,
+    /// which scores staleness, availability and latency (analytically
+    /// against the α/β cost model — zero communication, so it never perturbs
+    /// the metered words).  Must be finite and positive.
     pub query_lambda: f64,
 }
 
@@ -104,13 +101,11 @@ impl Default for StreamConfig {
             k: 10,
             window: 8,
             sketch_capacity: 64,
-            decay: 0.9,
             refresh_every: 4,
-            queries_per_batch: 4,
             words_per_batch: 1000,
             seed: 0x5EED,
             replication: 0,
-            query_lambda: 0.0,
+            query_lambda: 4.0,
         }
     }
 }
@@ -247,11 +242,10 @@ pub struct StreamReport {
     pub items_global: u64,
     /// Final global vocabulary size.
     pub vocab_size: usize,
-    /// Point queries served per PE.
-    pub queries: usize,
-    /// 95th percentile of answer staleness, in globally ingested items.
+    /// 95th percentile of the routed queries' answer staleness, in globally
+    /// ingested items.
     pub p95_staleness_items: u64,
-    /// Worst-case answer staleness, in globally ingested items.
+    /// Worst-case routed-query answer staleness, in globally ingested items.
     pub max_staleness_items: u64,
     /// Sum over batches of the world bottleneck words.
     pub total_bottleneck_words: u64,
@@ -313,7 +307,6 @@ pub struct StreamService {
     config: StreamConfig,
     vocab: StreamVocab,
     sliding: SlidingWindowTopK<u64>,
-    decaying: DecayingTopK<u64>,
     /// The published global top-k: `(word, windowed count estimate)`, most
     /// frequent first; identical on every PE.
     snapshot: Vec<(String, u64)>,
@@ -322,7 +315,7 @@ pub struct StreamService {
     /// Globally ingested items so far.
     items_global: u64,
     batches_done: usize,
-    /// Staleness of every query served, in globally ingested items.
+    /// Staleness of every routed query, in globally ingested items.
     staleness: Vec<u64>,
     batch_reports: Vec<BatchReport>,
     total_bottleneck_words: u64,
@@ -370,9 +363,12 @@ impl StreamService {
             "refresh_every must be at least 1"
         );
         assert!(config.words_per_batch >= 1, "batches must be non-empty");
+        assert!(
+            config.query_lambda.is_finite() && config.query_lambda > 0.0,
+            "query_lambda must be finite and positive"
+        );
         StreamService {
             sliding: SlidingWindowTopK::new(config.window, config.sketch_capacity),
-            decaying: DecayingTopK::new(config.sketch_capacity, config.decay),
             config,
             vocab: StreamVocab::new(),
             snapshot: Vec::new(),
@@ -400,7 +396,7 @@ impl StreamService {
     /// Bootstrap a recovering PE from a buddy's replica of its shard: the
     /// vocabulary log is replayed (so every id resolves exactly as it did
     /// before the crash) and the replicated aggregate becomes the serving
-    /// shard.  The window sketches restart empty — the sliding window
+    /// shard.  The window sketch restarts empty — the sliding window
     /// refills within `config.window` batches, which is the documented
     /// recovery semantics (windowed counts are transient by design).
     pub fn rejoin(config: StreamConfig, replica: &ReplicaShard) -> Self {
@@ -414,9 +410,9 @@ impl StreamService {
     /// call this together, with the same corpus and profile).
     ///
     /// One call = one full service cycle: generate this PE's documents,
-    /// tokenize, intern new vocabulary, update both windowed sketches,
-    /// publish a fresh global top-k if the refresh cadence says so, serve
-    /// the configured point queries from the current snapshot, and meter the
+    /// tokenize, intern new vocabulary, update the window sketch, publish a
+    /// fresh global top-k if the refresh cadence says so, score the batch's
+    /// Poisson point queries against the current snapshot, and meter the
     /// batch's communication.
     ///
     /// With `replication > 0` the cycle opens with a membership round and
@@ -484,7 +480,6 @@ impl StreamService {
         let ids = self.vocab.ingest(group, &tokens);
         for &id in &ids {
             self.sliding.insert(id);
-            self.decaying.insert(id);
         }
         self.items_global += (self.config.words_per_batch * live.len()) as u64;
 
@@ -503,21 +498,10 @@ impl StreamService {
             replication_words = self.replicate(group, t, live);
         }
 
-        // Serve the between-batch point queries from the published snapshot.
-        // In this discrete-time model every query after batch `t` sees the
-        // same ingest state, so they share one staleness value — recorded
-        // once per query so the percentile weighs batches by query volume.
+        // Score the between-batch point queries against the published
+        // snapshot (analytic, zero traffic).
         let staleness_now = self.items_global - self.snapshot_items;
-        for q in 0..self.config.queries_per_batch {
-            if q % 2 == 0 {
-                let _ = self.query_topk();
-            } else {
-                let _ = self.query_count(corpus.stream_hot_word(profile, t));
-            }
-        }
-
-        // Score the modeled Poisson query stream (analytic, zero traffic).
-        self.score_routed_queries(t, live);
+        self.score_routed_queries(t, live, staleness_now);
 
         // Meter the batch, then reset the baseline *after* the metering
         // collectives so their own traffic is never scored.
@@ -531,9 +515,8 @@ impl StreamService {
         self.total_bottleneck_words += world_words;
         self.total_replication_words += replication_words;
 
-        // Close the batch: both sketches advance one step.
+        // Close the batch: the window advances one step.
         self.sliding.advance();
-        self.decaying.advance();
         self.batches_done += 1;
 
         self.batch_reports.push(BatchReport {
@@ -607,15 +590,17 @@ impl StreamService {
     /// The queries are *analytic*: every PE derives the identical stream
     /// from `(seed, t)` and scores it against the α/β cost model, so the
     /// exercise is communication-free and cannot perturb the metered words.
-    /// Each query picks a front-end PE (uniform over the live group) and a
-    /// vocabulary id; the serving shard is the id's owner under the
-    /// *snapshot* group (the map the replicas were built against), its
-    /// holders are the owner plus the `replication` ring successors.  A
-    /// query is answered iff some holder is still alive; it is free iff the
-    /// front-end itself holds a copy, and costs one modeled round-trip
-    /// (`2α + βm`) otherwise.
-    fn score_routed_queries(&mut self, t: usize, live: &[Rank]) {
-        if self.config.query_lambda <= 0.0 || self.vocab.is_empty() {
+    /// Every arrival after batch `t` sees the same ingest state, so each
+    /// records the same `staleness` — once per arrival, so the percentiles
+    /// weigh batches by query volume.  Each query picks a front-end PE
+    /// (uniform over the live group) and a vocabulary id; the serving shard
+    /// is the id's owner under the *snapshot* group (the map the replicas
+    /// were built against), its holders are the owner plus the
+    /// `replication` ring successors.  A query is answered iff some holder
+    /// is still alive; it is free iff the front-end itself holds a copy, and
+    /// costs one modeled round-trip (`2α + βm`) otherwise.
+    fn score_routed_queries(&mut self, t: usize, live: &[Rank], staleness: u64) {
+        if self.vocab.is_empty() {
             return;
         }
         let seed = self
@@ -637,6 +622,7 @@ impl StreamService {
                 .map(|j| snapshot_group[(owner_gidx + j) % g])
                 .collect();
             self.routed_queries += 1;
+            self.staleness.push(staleness);
             if holders.iter().any(|h| live.contains(h)) {
                 self.answered_queries += 1;
                 let latency = if holders.contains(&front_end) {
@@ -694,42 +680,9 @@ impl StreamService {
         self.batch_reports.last().expect("just pushed")
     }
 
-    /// Serve a "current top-k" query from the published snapshot.  Returns
-    /// the answer and its staleness in globally ingested items; records the
-    /// staleness for the report's percentiles.
-    pub fn query_topk(&mut self) -> (Vec<(String, u64)>, u64) {
-        let staleness = self.items_global - self.snapshot_items;
-        self.staleness.push(staleness);
-        (self.snapshot.clone(), staleness)
-    }
-
-    /// Serve a "windowed count of `word`" query from the published snapshot
-    /// (`0` if the word is below the published top-k — the serving answer, a
-    /// lower bound, not the oracle).  Returns the answer and its staleness.
-    pub fn query_count(&mut self, word: &str) -> (u64, u64) {
-        let staleness = self.items_global - self.snapshot_items;
-        self.staleness.push(staleness);
-        let count = self
-            .snapshot
-            .iter()
-            .find(|(w, _)| w == word)
-            .map_or(0, |&(_, c)| c);
-        (count, staleness)
-    }
-
     /// The published global top-k (identical on every PE).
     pub fn serving_topk(&self) -> &[(String, u64)] {
         &self.snapshot
-    }
-
-    /// The sliding-window sketch (for oracle tests and local introspection).
-    pub fn sliding(&self) -> &SlidingWindowTopK<u64> {
-        &self.sliding
-    }
-
-    /// The exponentially-decaying sketch.
-    pub fn decaying(&self) -> &DecayingTopK<u64> {
-        &self.decaying
     }
 
     /// The incremental vocabulary.
@@ -754,11 +707,6 @@ impl StreamService {
         self.membership.group()
     }
 
-    /// Live fraction of the world at the last refresh.
-    pub fn coverage(&self) -> f64 {
-        self.coverage
-    }
-
     /// The replicas this PE holds for its ring predecessors, keyed by the
     /// primary's world rank.
     pub fn replicas(&self) -> &HashMap<Rank, ReplicaShard> {
@@ -773,33 +721,16 @@ impl StreamService {
 
     /// Summarise the run so far (identical on every PE).
     pub fn report(&self) -> StreamReport {
-        let mut sorted = self.staleness.clone();
-        sorted.sort_unstable();
-        let pct = |q: f64| -> u64 {
-            if sorted.is_empty() {
-                0
-            } else {
-                let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-                sorted[idx.min(sorted.len() - 1)]
-            }
-        };
+        let mut staleness = self.staleness.clone();
+        staleness.sort_unstable();
         let mut latencies = self.query_latencies.clone();
-        latencies.sort_unstable_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let lat_pct = |q: f64| -> f64 {
-            if latencies.is_empty() {
-                0.0
-            } else {
-                let idx = ((q * latencies.len() as f64).ceil() as usize).max(1) - 1;
-                latencies[idx.min(latencies.len() - 1)]
-            }
-        };
+        latencies.sort_unstable_by(f64::total_cmp);
         StreamReport {
             batches: self.batches_done,
             items_global: self.items_global,
             vocab_size: self.vocab.len(),
-            queries: self.staleness.len(),
-            p95_staleness_items: pct(0.95),
-            max_staleness_items: sorted.last().copied().unwrap_or(0),
+            p95_staleness_items: nearest_rank(&staleness, 0.95),
+            max_staleness_items: staleness.last().copied().unwrap_or(0),
             total_bottleneck_words: self.total_bottleneck_words,
             words_per_item: if self.items_global == 0 {
                 0.0
@@ -815,11 +746,20 @@ impl StreamService {
             } else {
                 self.answered_queries as f64 / self.routed_queries as f64
             },
-            p50_query_latency: lat_pct(0.50),
-            p95_query_latency: lat_pct(0.95),
-            p99_query_latency: lat_pct(0.99),
+            p50_query_latency: nearest_rank(&latencies, 0.50),
+            p95_query_latency: nearest_rank(&latencies, 0.95),
+            p99_query_latency: nearest_rank(&latencies, 0.99),
             total_replication_words: self.total_replication_words,
         }
+    }
+}
+
+/// Nearest-rank `q`-quantile of an ascending slice: its `⌈q·n⌉`-th element
+/// (`T::default()` when empty).
+fn nearest_rank<T: Copy + Default>(sorted: &[T], q: f64) -> T {
+    match sorted.len() {
+        0 => T::default(),
+        n => sorted[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
     }
 }
 
@@ -876,7 +816,6 @@ mod tests {
             window: 4,
             sketch_capacity: 48,
             refresh_every: 3,
-            queries_per_batch: 2,
             words_per_batch: 300,
             ..StreamConfig::default()
         }
@@ -938,7 +877,7 @@ mod tests {
         assert_eq!(top0[0].0, "the");
         assert_eq!(r0.batches, 7);
         assert_eq!(r0.items_global, 7 * 4 * 300);
-        assert_eq!(r0.queries, 7 * 2);
+        assert!(r0.routed_queries > 0 && r0.answered_queries == r0.routed_queries);
         assert!(r0.words_per_item > 0.0);
     }
 
@@ -1003,21 +942,20 @@ mod tests {
     }
 
     #[test]
-    fn count_queries_answer_from_the_snapshot() {
-        let profile = StreamProfile::stationary();
-        let out = run_spmd_seq(2, move |comm| {
-            let corpus = TextCorpus::new(500, 1.05, 42);
-            let mut service = StreamService::new(quick_config());
-            for _ in 0..4 {
-                service.ingest_batch(comm, &corpus, &profile);
-            }
-            let (hot_count, _) = service.query_count("the");
-            let (missing_count, stale) = service.query_count("zzzznotaword");
-            (hot_count, missing_count, stale)
+    #[should_panic(expected = "query_lambda must be finite and positive")]
+    fn a_zero_query_rate_is_rejected() {
+        StreamService::new(StreamConfig {
+            query_lambda: 0.0,
+            ..StreamConfig::default()
         });
-        for &(hot, missing, _) in &out.results {
-            assert!(hot > 0, "the hottest word must have a published count");
-            assert_eq!(missing, 0);
-        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query_lambda must be finite and positive")]
+    fn a_nan_query_rate_is_rejected() {
+        StreamService::new(StreamConfig {
+            query_lambda: f64::NAN,
+            ..StreamConfig::default()
+        });
     }
 }

@@ -13,7 +13,7 @@
 
 use topk_selection::datagen::{FlashCrowd, StreamProfile, TextCorpus};
 use topk_selection::prelude::*;
-use topk_selection::workloads::BatchReport;
+use topk_selection::workloads::{BatchReport, StreamReport};
 
 fn corpus() -> TextCorpus {
     TextCorpus::new(600, 1.05, 2024)
@@ -37,13 +37,11 @@ fn config() -> StreamConfig {
         k: 8,
         window: 4,
         sketch_capacity: 48,
-        decay: 0.9,
         refresh_every: 3,
-        queries_per_batch: 2,
         words_per_batch: 250,
         seed: 0xBEEF,
         replication: 0,
-        query_lambda: 0.0,
+        query_lambda: 4.0,
     }
 }
 
@@ -51,18 +49,17 @@ fn config() -> StreamConfig {
 fn service_body<C: Communicator>(
     comm: &C,
     batches: usize,
-) -> (Vec<BatchReport>, Vec<(String, u64)>, u64) {
+) -> (Vec<BatchReport>, Vec<(String, u64)>, StreamReport) {
     let corpus = corpus();
     let profile = profile();
     let mut service = StreamService::new(config());
     for _ in 0..batches {
         service.ingest_batch(comm, &corpus, &profile);
     }
-    let report = service.report();
     (
         service.batch_reports().to_vec(),
         service.serving_topk().to_vec(),
-        report.p95_staleness_items,
+        service.report(),
     )
 }
 
@@ -76,13 +73,15 @@ fn streaming_traffic_is_bit_identical_across_all_three_backends() {
             comm, batches
         ));
         for rank in 0..p {
-            let (tb, tt, ts) = &threaded.results[rank];
-            let (ob, ot, os) = out.results[rank].as_ref().expect("fault-free");
+            let (tb, tt, tr) = &threaded.results[rank];
+            let (ob, ot, or) = out.results[rank].as_ref().expect("fault-free");
             // Per-batch reports carry this PE's sent words/messages and the
             // world bottleneck for every batch — all must match exactly.
             assert_eq!(tb, ob, "{name} rank {rank}: per-batch reports diverge");
             assert_eq!(tt, ot, "{name} rank {rank}: published top-k diverges");
-            assert_eq!(ts, os, "{name} rank {rank}: staleness diverges");
+            // The summary covers the scored query stream: routed and
+            // answered counts, staleness and latency percentiles.
+            assert_eq!(tr, or, "{name} rank {rank}: run summary diverges");
             // The raw transport counters agree too (not just the service's
             // view).
             let (t, o) = (threaded.stats.pe(rank), out.stats.pe(rank));
@@ -356,7 +355,7 @@ fn refreshes_match_the_golden_values_on_every_engine() {
 // ---------------------------------------------------------------------------
 
 use topk_selection::commsim::FaultPlan;
-use topk_selection::workloads::{ReplicaShard, StreamReport};
+use topk_selection::workloads::ReplicaShard;
 
 fn ft_config() -> StreamConfig {
     StreamConfig {
@@ -572,7 +571,6 @@ fn membership_masks_scale_to_one_hundred_twenty_eight_pes() {
         window: 2,
         sketch_capacity: 12,
         refresh_every: 2,
-        queries_per_batch: 1,
         words_per_batch: 12,
         replication: 1,
         query_lambda: 0.5,
@@ -871,7 +869,6 @@ fn ft_golden_report() -> StreamReport {
         batches: FT_GOLDEN_BATCHES,
         items_global: 3840,
         vocab_size: 476,
-        queries: 16,
         p95_staleness_items: 480,
         max_staleness_items: 480,
         total_bottleneck_words: 4004,
