@@ -5,10 +5,10 @@
 //! `--drift-every` batches, and one flash-crowd burst spikes a tail word for
 //! `--burst-len` batches.  Every PE ingests `--words-per-batch` words per
 //! mini-batch, the service publishes a global top-k every `--refresh-every`
-//! batches through the DHT aggregation + `select_top_counts`, and a modeled
-//! Poisson stream of `--query-lambda` point queries per batch is answered
-//! between batches from the published snapshot, scored against the α/β
-//! cost model.
+//! batches through the DHT aggregation + `select_top_counts`' top-k merge,
+//! and a modeled Poisson stream of `--query-lambda` point queries per batch
+//! is answered between batches from the published snapshot, scored against
+//! the α/β cost model.
 //!
 //! Scored metrics: **p95 answer staleness** of those queries in globally
 //! ingested items, **words per ingested item** (world bottleneck

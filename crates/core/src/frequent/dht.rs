@@ -22,7 +22,7 @@
 //! # The wire form of an aggregate
 //!
 //! Every aggregated sample of §7 — the DHT's per-destination shares, the
-//! Naive baselines' shipments to the coordinator, the winners' all-gather —
+//! Naive baselines' shipments to the coordinator, the top-`k` merge's lists —
 //! crosses the wire as a [`KeyCounts`]: the keys grouped into *runs* of equal
 //! count, runs in ascending count, keys ascending inside a run, each run's
 //! keys Rice-coded as sorted gaps (the coding of Golomb-coded sets).

@@ -5,8 +5,9 @@
 //! instead takes a much smaller sample (`∝ 1/ε`), uses it only to *identify*
 //! a candidate set — the `k* ≥ k` most frequently sampled objects — and then
 //! counts those candidates **exactly** with one extra pass over the local
-//! input and a vector-valued sum reduction.  The candidate list is spread to
-//! all PEs with an all-gather, so the communication volume is
+//! input and a vector-valued sum reduction.  The candidate list reaches every
+//! PE through the top-`k*` merge of the DHT shares
+//! ([`super::select_top_counts`]), so the communication volume is
 //! `O((1/ε)·√(log p / p)·log(n/δ) + k*)` words per PE.
 
 use commsim::Communicator;
@@ -49,14 +50,7 @@ pub(crate) fn top_k<C: Communicator>(
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD);
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
     let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
-    let items = count_candidates(
-        comm,
-        local_data,
-        &owned,
-        k_star,
-        params.k,
-        params.seed ^ 0xEC,
-    );
+    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
     (items, sample_size)
 }
 

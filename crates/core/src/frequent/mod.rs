@@ -15,7 +15,8 @@
 //!    locally, plus the global sample size;
 //! 2. the distributed hash table of [`dht`] that counts the sample (the
 //!    baselines ship the aggregate to a coordinator instead);
-//! 3. [`select_top_counts`], the §4.1 cut of the most frequently sampled keys;
+//! 3. [`select_top_counts`], the top-`k` merge of the DHT shares: `⌈log₂ p⌉`
+//!    exchanges of at most `k` coded entries;
 //! 4. for EC and PEC, one **exact-count stage**: the `k* ≥ k` candidates are
 //!    counted in the local input and summed with one vector all-reduction.
 //!
@@ -51,8 +52,6 @@ use rand::SeedableRng;
 use seqkit::hashagg::count_keys;
 use seqkit::sampling::bernoulli_sample;
 
-use crate::unsorted::select_k_largest_known_total;
-
 /// Parameters shared by all top-k most-frequent-objects algorithms.
 #[derive(Debug, Clone, Copy)]
 pub struct FrequentParams {
@@ -64,7 +63,7 @@ pub struct FrequentParams {
     /// Failure probability δ: with probability at least `1 − δ` the reported
     /// error is at most `εn`.
     pub delta: f64,
-    /// Seed for all randomness (sampling, selection pivots).
+    /// Seed for all randomness (the samples).
     pub seed: u64,
     /// Routing fan-out of the sample-counting distributed hash table.  The
     /// default [`dht::DhtFanout::Auto`] uses direct delivery at small `p`
@@ -172,44 +171,53 @@ pub fn exact_global_counts<C: Communicator>(comm: &C, local_data: &[u64]) -> Has
     counts
 }
 
+/// User tag of [`select_top_counts`]' merge rounds.
+const TOP_COUNTS_TAG: u64 = 0x70C;
+
 /// Shared final step of the sampling algorithms and of the streaming
 /// service's refresh: given this PE's share of a distributed hash table
 /// mapping key → (sampled or exact) count, return the global top-`k` entries
-/// by count, identical on every PE.
+/// by count, most frequent first (larger key first among equal counts),
+/// identical on every PE.
 ///
-/// Uses the unsorted selection algorithm of Section 4.1 on `(count, key)`
-/// pairs, then gathers only the `k` winners, grouped by count
-/// (`O(βk + α log p)`).
+/// The hash table leaves every key on one PE with its final count, so the
+/// global top-`k` is the top-`k` of the union of the PEs' local top-`k`
+/// lists.  A dissemination merge computes it: in round `j` every PE sends the
+/// `k` best entries it holds, as a [`dht::KeyCounts`], to PE
+/// `(rank + 2^j) mod p`, receives from `(rank − 2^j) mod p` and keeps the `k`
+/// best of the union.  After `⌈log₂ p⌉` rounds each PE has merged every PE's
+/// list (`O(βk log p + α log p)`).  When `p` is not a power of two the last
+/// window wraps and a PE receives entries it already holds; a key has one
+/// owner and one count, so dropping the duplicate pairs is exact.
 pub fn select_top_counts<C: Communicator>(
     comm: &C,
     owned: &HashMap<u64, u64>,
     k: usize,
-    seed: u64,
 ) -> Vec<(u64, u64)> {
-    let mut items: Vec<(u64, u64)> = owned.iter().map(|(&key, &count)| (count, key)).collect();
-    // Sort the aggregate before it feeds the selection's Bernoulli pivot
-    // sampler: `HashMap` iteration order varies per process (`RandomState`),
-    // and the sampler is order-sensitive, so without this the pivots — and
-    // with them the metered words/PE — differed between runs of the same
-    // binary (see EXPERIMENTS.md, PR 2).  One local O(d log d) sort on the
-    // (small) distinct-key aggregate makes the whole pipeline reproducible.
-    items.sort_unstable();
-    let distinct = comm.allreduce_sum(items.len() as u64) as usize;
-    let k = k.min(distinct);
-    if k == 0 {
-        return Vec::new();
+    let (p, rank) = (comm.size(), comm.rank());
+    let mut top: Vec<(u64, u64)> = owned.iter().map(|(&key, &count)| (key, count)).collect();
+    keep_top(&mut top, k);
+    let mut dist = 1;
+    while dist < p {
+        // Toward higher ranks, as the Bruck all-gather sends: the replay
+        // backends start PEs in ascending rank order, so a list is already
+        // stored when its receiver first runs.
+        let outgoing: dht::KeyCounts = top.iter().copied().collect();
+        comm.send((rank + dist) % p, TOP_COUNTS_TAG, outgoing);
+        let incoming: dht::KeyCounts = comm.recv((rank + p - dist) % p, TOP_COUNTS_TAG);
+        top.extend(incoming.iter());
+        keep_top(&mut top, k);
+        dist *= 2;
     }
-    // `distinct` is the selection's global input size: no second reduction.
-    let selection = select_k_largest_known_total(comm, &items, distinct, k, seed);
-    let local_top: dht::KeyCounts = selection
-        .local_selected
-        .into_iter()
-        .map(|Reverse((count, key))| (key, count))
-        .collect();
-    let all = comm.allgather(local_top);
-    let mut all: Vec<(u64, u64)> = all.iter().flat_map(dht::KeyCounts::iter).collect();
-    all.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
-    all
+    top
+}
+
+/// Cut `entries` to its `k` distinct best `(key, count)` pairs, ordered by
+/// `Reverse((count, key))`.
+fn keep_top(entries: &mut Vec<(u64, u64)>, k: usize) {
+    entries.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
+    entries.dedup();
+    entries.truncate(k);
 }
 
 /// The sampling stage of every algorithm: a Bernoulli sample of
@@ -237,9 +245,8 @@ fn count_candidates<C: Communicator>(
     owned: &HashMap<u64, u64>,
     k_star: usize,
     k: usize,
-    seed: u64,
 ) -> Vec<(u64, u64)> {
-    let candidates: Vec<u64> = select_top_counts(comm, owned, k_star, seed)
+    let candidates: Vec<u64> = select_top_counts(comm, owned, k_star)
         .into_iter()
         .map(|(key, _)| key)
         .collect();
@@ -379,7 +386,7 @@ mod tests {
             let mut owned = HashMap::new();
             owned.insert(comm.rank() as u64, comm.rank() as u64 * 10 + 5);
             owned.insert(comm.rank() as u64 + 10, 1);
-            select_top_counts(comm, &owned, 2, 3)
+            select_top_counts(comm, &owned, 2)
         });
         for items in &out.results {
             assert_eq!(items.len(), 2);
@@ -396,8 +403,50 @@ mod tests {
             } else {
                 HashMap::new()
             };
-            select_top_counts(comm, &owned, 10, 1)
+            select_top_counts(comm, &owned, 10)
         });
         assert!(out.results.iter().all(|items| items == &vec![(5, 9)]));
+    }
+
+    /// Every PE sends and receives one message per round, `⌈log₂ p⌉` in all.
+    /// Round `j`'s message is the coded top-`k` of the `2^j` PEs at and below
+    /// the sender (mod `p`): never more than `k` entries, and metered at its
+    /// `encoded_len`.
+    #[test]
+    fn the_merge_sends_one_coded_top_k_list_per_round() {
+        use commsim::WordCodec;
+        let k = 6;
+        // PE r owns 10 + r keys; counts repeat, so distinct keys tie.
+        let share = |r: usize| -> HashMap<u64, u64> {
+            let r = r as u64;
+            (0..10 + r)
+                .map(|i| (100 * r + i, (i * 7 + r) % 5 + 1))
+                .collect()
+        };
+        for p in [2usize, 3, 5, 8] {
+            let rounds = u64::from(p.next_power_of_two().trailing_zeros());
+            let out = run_spmd(p, |comm| {
+                let before = comm.stats_snapshot();
+                select_top_counts(comm, &share(comm.rank()), k);
+                comm.stats_snapshot().since(&before)
+            });
+            for (rank, stats) in out.results.iter().enumerate() {
+                assert_eq!(stats.sent_messages, rounds, "p={p} rank {rank}");
+                assert_eq!(stats.received_messages, rounds, "p={p} rank {rank}");
+                let words: u64 = (0..rounds)
+                    .map(|j| {
+                        let mut window: Vec<(u64, u64)> = (0..1usize << j)
+                            .flat_map(|i| share((rank + p - i) % p))
+                            .collect();
+                        window.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
+                        window.truncate(k);
+                        let message: dht::KeyCounts = window.into_iter().collect();
+                        assert!(message.encoded_len() <= 1 + 2 * k);
+                        message.encoded_len() as u64
+                    })
+                    .sum();
+                assert_eq!(stats.sent_words, words, "p={p} rank {rank}");
+            }
+        }
     }
 }

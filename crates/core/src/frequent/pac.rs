@@ -5,9 +5,9 @@
 //!    expected time `O(ρ·n/p)`).
 //! 2. The sampled objects are counted in a distributed hash table
 //!    ([`super::dht`]).
-//! 3. The `k` most frequently *sampled* objects are identified with the
-//!    unsorted selection algorithm of Section 4.1 and reported with their
-//!    sample counts scaled by `1/ρ`.
+//! 3. The `k` most frequently *sampled* objects are merged from the DHT
+//!    shares' local top-`k` lists ([`super::select_top_counts`]) and
+//!    reported with their sample counts scaled by `1/ρ`.
 //!
 //! With the sample size of Equation (3), the result is an
 //! (ε, δ)-approximation: with probability at least `1 − δ` the error (in the
@@ -48,7 +48,7 @@ pub(crate) fn top_k<C: Communicator>(
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37);
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
     let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
-    let top = select_top_counts(comm, &owned, params.k, params.seed ^ 0xFACE);
+    let top = select_top_counts(comm, &owned, params.k);
     (scale_counts(top, rho), sample_size)
 }
 
@@ -184,10 +184,9 @@ mod tests {
 
     #[test]
     fn metered_volume_is_identical_across_repeated_runs() {
-        // The sampled-count aggregate used to be fed to the selection pivot
-        // sampler in HashMap (RandomState) order, so two runs of the same
-        // binary reported different words/PE; select_top_counts now sorts
-        // the aggregate first, making the whole pipeline reproducible.
+        // Nothing on the wire may depend on a HashMap's (RandomState)
+        // iteration order: two runs of the same binary must meter the same
+        // words/PE.
         let p = 4;
         let parts = zipf_parts(p, 5_000, 1 << 10, 1.0, 99);
         let params = FrequentParams::new(8, 2e-2, 1e-2, 13);

@@ -49,7 +49,7 @@ fn first_stage<C: Communicator>(
     let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
 
     // ŝ_k: the k-th largest sample count (0 if fewer than k distinct keys).
-    let top_k = select_top_counts(comm, &owned, params.k, params.seed ^ 0x9EC1);
+    let top_k = select_top_counts(comm, &owned, params.k);
     let s_k = top_k.last().map(|&(_, c)| c).unwrap_or(0) as f64;
 
     // Lemma 12 threshold, using the high-probability lower bound for E[ŝ_k].
@@ -115,14 +115,7 @@ pub fn pec_zipf_top_k<C: Communicator>(
     let rng_seed = params.seed ^ 0x21F ^ comm.rank() as u64;
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
     let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
-    let items = count_candidates(
-        comm,
-        local_data,
-        &owned,
-        k_star,
-        params.k,
-        params.seed ^ 0x21E,
-    );
+    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
     TopKFrequentResult {
         items,
         sample_size,

@@ -21,12 +21,10 @@
 //!   model ([`SkewEstimate`], measured by [`SkewEstimate::measure`] with the
 //!   one-pass estimator of `seqkit::skew` when the caller does not know its
 //!   distribution);
-//! * the §4.1 unsorted selection shared by all sampling algorithms is
-//!   modeled level by level with the kernel's own schedule
-//!   ([`crate::unsorted`]'s level sample, pivot bracket and base case): per
-//!   level the sample's concatenating reduction onto PE `p − 1`, that PE's
-//!   pivot broadcast and the range-count all-reduction through PE 0, then
-//!   the same reduction and broadcast for the expected base-case survivors;
+//! * the top-`k` merge shared by all sampling algorithms
+//!   ([`select_top_counts`](crate::frequent::select_top_counts)) costs every
+//!   PE `⌈log₂ p⌉` start-ups, round `j`'s message carrying the best
+//!   `min(k, d·2^j/p)` of the `d` aggregated keys;
 //! * an aggregate on the wire is a [`KeyCounts`](crate::frequent::dht::KeyCounts)
 //!   — keys grouped by count, each run Rice-coded as sorted gaps — so a
 //!   message of `d` keys out of the fitted universe `U` whose counts sum to
@@ -35,10 +33,10 @@
 //!   `d·(log₂(U/d) + 2)` bits of codes, capped at the `1 + d + R̂` words of
 //!   raw keys;
 //! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
-//!   of the all-reductions, the baselines' coordinator) and rank `p − 1` (root
-//!   of the selection's samples), each direction on its own, and the busier
-//!   of the two is the prediction — the meter reads one PE's
-//!   `max(sent, received)`, not the sum of every collective's own bottleneck.
+//!   of the all-reductions, the baselines' coordinator) and for a leaf, each
+//!   direction on its own, and the busier of the two is the prediction — the
+//!   meter reads one PE's `max(sent, received)`, not the sum of every
+//!   collective's own bottleneck.
 //!
 //! Every planned execution ([`Plan::execute`]) meters reality with the
 //! existing [`commsim::StatsSnapshot`] deltas and records a [`PlanAudit`] —
@@ -60,7 +58,6 @@ use commsim::{Communicator, CostModel, PredictedComm};
 use crate::frequent::dht::DhtFanout;
 use crate::frequent::{ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
-use crate::unsorted::{base_case, bracket, level_sample};
 use seqkit::skew::{expected_distinct, fit_zipf_exponent};
 
 /// The §7 top-k most-frequent-objects algorithms as a dispatchable value —
@@ -375,17 +372,6 @@ pub struct PlanAudit {
 }
 
 impl PlanAudit {
-    /// Relative prediction error of the words term:
-    /// `(predicted − measured) / measured` (`0` when nothing was measured).
-    pub fn words_error(&self) -> f64 {
-        relative_error(self.predicted.words, self.measured_words)
-    }
-
-    /// Relative prediction error of the start-ups term.
-    pub fn startups_error(&self) -> f64 {
-        relative_error(self.predicted.startups, self.measured_startups)
-    }
-
     /// The stable one-line audit format the CI smoke checks grep for:
     ///
     /// ```text
@@ -393,22 +379,28 @@ impl PlanAudit {
     /// meas_words=150 pred_startups=40.0 meas_startups=38 words_err=-17.7% startups_err=5.3%
     /// ```
     ///
-    /// (One line; round-trips through [`PlanAudit::parse`].)
+    /// (One line; round-trips through [`PlanAudit::parse`]: the errors are
+    /// derived from the printed one-decimal predictions, which is all a
+    /// parsed row has.)
     pub fn audit_line(&self) -> String {
+        let words = format!("{:.1}", self.predicted.words);
+        let startups = format!("{:.1}", self.predicted.startups);
+        let error = |printed: &str, measured| {
+            let printed = printed.parse().expect("a printed f64 parses");
+            relative_error(printed, measured) * 100.0
+        };
         format!(
-            "plan-audit algo={} fanout={} p={} n={} k={} pred_words={:.1} meas_words={} \
-             pred_startups={:.1} meas_startups={} words_err={:.1}% startups_err={:.1}%",
+            "plan-audit algo={} fanout={} p={} n={} k={} pred_words={words} meas_words={} \
+             pred_startups={startups} meas_startups={} words_err={:.1}% startups_err={:.1}%",
             self.algorithm.token(),
             fanout_token(self.fanout),
             self.p,
             self.n,
             self.k,
-            self.predicted.words,
             self.measured_words,
-            self.predicted.startups,
             self.measured_startups,
-            self.words_error() * 100.0,
-            self.startups_error() * 100.0,
+            error(&words, self.measured_words),
+            error(&startups, self.measured_startups),
         )
     }
 
@@ -452,6 +444,8 @@ impl PlanAudit {
     }
 }
 
+/// Relative prediction error `(predicted − measured) / measured` (`0` when
+/// nothing was measured).
 fn relative_error(predicted: f64, measured: u64) -> f64 {
     if measured == 0 {
         0.0
@@ -641,9 +635,7 @@ impl Planner {
                 };
                 // The sample-size all-reduction, the shipment, and the
                 // coordinator's broadcast of the winners.
-                let traffic = start
-                    .allreduce(1.0)
-                    .exchange(REDUCER, up, up_leaf, 2.0 * k + 1.0);
+                let traffic = start.allreduce(1.0).exchange(up, up_leaf, 2.0 * k + 1.0);
                 (traffic, DhtFanout::Auto, s, i.k as u64)
             }
         };
@@ -663,7 +655,7 @@ impl Planner {
         universe: f64,
     ) -> (DhtFanout, Traffic) {
         let mass_local = sample as f64 / traffic.p as f64;
-        let (fanout, dht) = self.best_fanout(traffic.p, d_local, mass_local, universe);
+        let (fanout, dht) = Self::best_fanout(traffic.p, d_local, mass_local, universe);
         let traffic = traffic
             .allreduce(1.0) // global sample size
             .everywhere(dht)
@@ -672,9 +664,9 @@ impl Planner {
     }
 
     /// The EC machinery at a given `k*` after the `n` reduction: the
-    /// sample-size all-reduction, DHT, candidate selection, candidate
-    /// all-gather, and the exact-count vector all-reduction, with the routing
-    /// the DHT term was priced under.
+    /// sample-size all-reduction, DHT, the candidates' top-`k*` merge, and
+    /// the exact-count vector all-reduction, with the routing the DHT term
+    /// was priced under.
     fn ec_stage(
         &self,
         traffic: Traffic,
@@ -685,11 +677,11 @@ impl Planner {
         universe: f64,
     ) -> (DhtFanout, Traffic) {
         let mass_local = sample as f64 / traffic.p as f64;
-        let (fanout, dht) = self.best_fanout(traffic.p, d_local, mass_local, universe);
+        let (fanout, dht) = Self::best_fanout(traffic.p, d_local, mass_local, universe);
         let aggregate = d_global.min(sample as f64);
-        // `select_top_counts` clamps `k` to the aggregate's distinct count,
-        // and the exact-count all-reduction is over the clamped candidate
-        // set — model the same clamp or k* ≫ distinct over-charges EC badly.
+        // `select_top_counts` returns at most the aggregate's distinct keys,
+        // and the exact-count all-reduction is over that candidate set —
+        // model the same clamp or k* ≫ distinct over-charges EC badly.
         let k_eff = (k_star as f64).min(aggregate);
         let traffic = traffic
             .allreduce(1.0) // global sample size
@@ -699,14 +691,14 @@ impl Planner {
         (fanout, traffic)
     }
 
-    /// Choose the cheaper DHT routing for one PE's `d_local` distinct keys of
-    /// `universe`, whose counts sum to `mass_local`, and return its
-    /// prediction: one [`KeyCounts`](crate::frequent::dht::KeyCounts) per
-    /// destination, whose leading word the all-to-all terms charge per
-    /// message.  A destination's share is `1/p` of the keys, but hashing
-    /// spreads them over the whole universe.
+    /// Choose the DHT routing that moves fewer words — the plan's own
+    /// criterion — for one PE's `d_local` distinct keys of `universe`, whose
+    /// counts sum to `mass_local`, and return its prediction: one
+    /// [`KeyCounts`](crate::frequent::dht::KeyCounts) per destination, whose
+    /// leading word the all-to-all terms charge per message.  A destination's
+    /// share is `1/p` of the keys, but hashing spreads them over the whole
+    /// universe.
     fn best_fanout(
-        &self,
         p: usize,
         d_local: f64,
         mass_local: f64,
@@ -717,7 +709,7 @@ impl Planner {
         let m_total = shares * (share - 1.0);
         let direct = predict::alltoall_direct(p, m_total);
         let hypercube = predict::alltoall_hypercube(p, m_total);
-        if self.cost.predicted_cost(&direct) <= self.cost.predicted_cost(&hypercube) {
+        if direct.words <= hypercube.words {
             (DhtFanout::Direct, direct)
         } else {
             (DhtFanout::Hypercube, hypercube)
@@ -737,13 +729,6 @@ fn key_counts_words(d: f64, mass: f64, universe: f64) -> f64 {
     1.0 + runs + (d * bits / 64.0).min(d)
 }
 
-/// All-gather of `total` keys out of `universe` with their counts, which sum
-/// to `mass`, spread evenly over the PEs: one `KeyCounts` block per PE.
-fn allgather_counts(p: usize, total: f64, mass: f64, universe: f64) -> PredictedComm {
-    let shares = p.max(1) as f64;
-    predict::allgather(p, key_counts_words(total / shares, mass / shares, universe))
-}
-
 /// One PE's predicted traffic summed over a run of collectives, each
 /// direction on its own: the metered bottleneck is `max(sent, received)` of
 /// a PE's sums, not the sum of each collective's busier direction.
@@ -754,23 +739,15 @@ struct PeTraffic {
 }
 
 /// The two PEs an algorithm's bottleneck can sit on, each with its traffic
-/// summed over the whole algorithm: the all-reductions (and the baselines'
-/// coordinator) root at rank 0, the selection's samples at rank `p − 1`, and
-/// each of the two is a leaf of the other's trees.  The busier one is the
-/// prediction.  (Adding up the collectives' own bottlenecks would charge one
-/// PE for both roots — 2.5× the metered start-ups of a selection at p = 64,
-/// and +39 % words on EC at p = 8, where selection and exact-count
-/// all-reduction are each half the traffic.)
+/// summed over the whole algorithm: rank 0, the root of the all-reductions
+/// and the baselines' coordinator, and a leaf of those trees.  The busier
+/// one is the prediction.
 #[derive(Clone, Copy)]
 struct Traffic {
     p: usize,
+    /// Rank 0, then a leaf.
     pes: [PeTraffic; 2],
 }
-
-/// [`Traffic`]'s index of rank 0.
-const REDUCER: usize = 0;
-/// [`Traffic`]'s index of rank `p − 1`.
-const SAMPLER: usize = 1;
 
 impl Traffic {
     fn new(p: usize) -> Self {
@@ -781,7 +758,7 @@ impl Traffic {
     }
 
     /// A collective that loads every PE alike, in both directions (the DHT's
-    /// all-to-all, an all-gather).
+    /// all-to-all, a merge round).
     fn everywhere(mut self, comm: PredictedComm) -> Self {
         for pe in &mut self.pes {
             pe.sent = pe.sent.plus(comm);
@@ -790,17 +767,16 @@ impl Traffic {
         self
     }
 
-    /// A reduction onto `root` followed by its broadcast: the root receives
-    /// `up` and sends `down` words to each child; the other PE, a leaf of
-    /// that tree, sends `up_leaf` words up and gets `down` words back.
-    fn exchange(mut self, root: usize, up: PredictedComm, up_leaf: f64, down: f64) -> Self {
+    /// A reduction onto rank 0 followed by its broadcast: the root receives
+    /// `up` and sends `down` words to each child; a leaf sends `up_leaf`
+    /// words up and gets `down` words back.
+    fn exchange(mut self, up: PredictedComm, up_leaf: f64, down: f64) -> Self {
         if self.p < 2 {
             return self;
         }
-        let root_pe = &mut self.pes[root];
-        root_pe.received = root_pe.received.plus(up);
-        root_pe.sent = root_pe.sent.plus(predict::broadcast(self.p, down));
-        let leaf = &mut self.pes[1 - root];
+        let [root, leaf] = &mut self.pes;
+        root.received = root.received.plus(up);
+        root.sent = root.sent.plus(predict::broadcast(self.p, down));
         leaf.sent = leaf.sent.plus(PredictedComm::new(up_leaf, 1.0));
         leaf.received = leaf.received.plus(PredictedComm::new(down, 1.0));
         self
@@ -808,77 +784,22 @@ impl Traffic {
 
     /// An all-reduction of `m` words through rank 0.
     fn allreduce(self, m: f64) -> Self {
-        self.exchange(REDUCER, predict::reduce(self.p, m), m, m)
+        self.exchange(predict::reduce(self.p, m), m, m)
     }
 
-    /// `select_top_counts`: the §4.1 unsorted selection over the aggregate
-    /// (its entry reduction is the distinct-count all-reduction) and the
-    /// winners' all-gather.  When `k` covers the whole aggregate the
-    /// selection short-circuits to one max-reduction and the winners'
-    /// all-gather *is* the aggregate.  `sample` is the global sample size —
-    /// all the mass the winners' counts can sum to, and the keys are drawn
-    /// from `universe`.
-    fn top_counts(self, aggregate: f64, k: f64, sample: f64, universe: f64) -> Self {
-        if k >= aggregate {
-            return self
-                .allreduce(1.0)
-                .allreduce(2.0)
-                .everywhere(allgather_counts(self.p, aggregate, sample, universe));
+    /// `select_top_counts`' merge of the `aggregate` keys, spread evenly
+    /// over the PEs, down to `k`: in round `j` every PE sends and receives
+    /// the best `min(k, aggregate·2^j/p)` entries of a window of `2^j < p`
+    /// PEs.  `sample` is the global sample size — all the mass the entries'
+    /// counts can sum to — and the keys are drawn from `universe`.
+    fn top_counts(mut self, aggregate: f64, k: f64, sample: f64, universe: f64) -> Self {
+        let p = self.p as f64;
+        for j in 0..predict::rounds(self.p) as i32 {
+            let entries = k.min(aggregate * 2f64.powi(j) / p);
+            let words = key_counts_words(entries, sample, universe);
+            self = self.everywhere(PredictedComm::new(words, 1.0));
         }
-        self.selection(aggregate, k)
-            .everywhere(allgather_counts(self.p, k, sample, universe))
-    }
-
-    /// The §4.1 unsorted selection of rank `k` among `total` `(count, key)`
-    /// pairs spread across the PEs: the size all-reduction once at the entry,
-    /// per narrowing level the [`level_sample`]'s concatenating reduction onto
-    /// the sample root, that root's broadcast of the two pivots and the
-    /// range-count vector all-reduction, and the same reduction and a
-    /// one-element broadcast for the survivors once they fit the
-    /// [`base_case`].  The levels are the kernel's expected walk: sample
-    /// element `i` of `m` has expected rank `(i + 1)·t/(m + 1)`, so the
-    /// [`bracket`] around `q = k/t` predicts the three range sizes, and the
-    /// walk recurses into the range holding `k` as the kernel does.
-    fn selection(mut self, total: f64, k: f64) -> Self {
-        let p = self.p;
-        // On the wire an element is its pair plus the tie-break tag.
-        const ELEMENT: f64 = 3.0;
-        // A PE's even share of `count` elements, as the words of its block.
-        let share = |count: f64| ELEMENT * count / p as f64;
-
-        let m = level_sample(p);
-        self = self.allreduce(1.0);
-        let (mut t, mut k) = (total.max(0.0), k);
-        while t > base_case(p) as f64 {
-            // The pivots travel as an `Option` of a pair of elements.
-            let sample = share(m as f64);
-            let pivots = 1.0 + 2.0 * ELEMENT;
-            self = self
-                .exchange(
-                    SAMPLER,
-                    predict::reduce_concat(p, sample),
-                    sample + 1.0,
-                    pivots,
-                )
-                .allreduce(4.0);
-            let (lo, hi) = bracket(m, (k / t).clamp(0.0, 1.0));
-            let below = t * (lo + 1) as f64 / (m + 1) as f64;
-            let upto = t * (hi + 1) as f64 / (m + 1) as f64;
-            (t, k) = if k <= below {
-                (below, k)
-            } else if k <= upto {
-                (upto - below, k - below)
-            } else {
-                (t - upto, k - upto)
-            };
-        }
-        let rest = share(t);
-        self.exchange(
-            SAMPLER,
-            predict::reduce_concat(p, rest),
-            rest + 1.0,
-            ELEMENT,
-        )
+        self
     }
 
     /// The busier PE's busier direction, words and start-ups each.
@@ -987,32 +908,28 @@ mod tests {
         }
     }
 
-    /// The level count `Traffic::selection` walks is the kernel's, so its start-ups stay within ±50 % of a metered
-    /// `select_k_smallest` — entry reduction, three collectives on two roots
-    /// per narrowing level, base case — from few large PEs to many small ones.
+    /// The error fields are computed from the printed prediction, so a
+    /// parsed row re-renders identically: 194.252 prints as 194.3, which is
+    /// 0.7 % above 193 (the unrounded value is 0.6 % above).
     #[test]
-    fn selection_cost_startups_follow_the_metered_kernel() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        for (p, n, k) in [
-            (2usize, 1usize << 18, 32usize),
-            (4, 1 << 14, 32),
-            (64, 1 << 12, 1 << 11),
-        ] {
-            let out = commsim::run_spmd_seq(p, |comm| {
-                let mut rng = StdRng::seed_from_u64(0x5E1 + comm.rank() as u64);
-                let local: Vec<u64> = (0..n / p).map(|_| rng.gen_range(0..1u64 << 40)).collect();
-                crate::select_k_smallest(comm, &local, k, 7);
-            });
-            let measured = out.stats.bottleneck_messages() as f64;
-            let predicted = Traffic::new(p)
-                .selection(n as f64, k as f64)
-                .bottleneck()
-                .startups;
-            assert!(
-                (predicted - measured).abs() <= 0.5 * measured,
-                "p={p} n={n} k={k}: predicted {predicted} start-ups, metered {measured}"
-            );
-        }
+    fn audit_line_errors_follow_the_printed_prediction() {
+        let audit = PlanAudit {
+            algorithm: Algorithm::Pac,
+            fanout: DhtFanout::Direct,
+            p: 4,
+            n: 4096,
+            k: 8,
+            predicted: PredictedComm::new(194.252, 12.0),
+            measured_words: 193,
+            measured_startups: 12,
+        };
+        let line = audit.audit_line();
+        assert!(
+            line.ends_with("pred_words=194.3 meas_words=193 pred_startups=12.0 meas_startups=12 words_err=0.7% startups_err=0.0%"),
+            "{line}"
+        );
+        let parsed = PlanAudit::parse(&line).expect("audit line must parse");
+        assert_eq!(parsed.audit_line(), line);
     }
 
     #[test]

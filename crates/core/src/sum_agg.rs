@@ -113,7 +113,7 @@ pub fn sum_top_k<C: Communicator>(
             exact_sums: false,
         };
     }
-    let top = select_top_counts(comm, &owned, params.k, params.seed ^ 0x50F);
+    let top = select_top_counts(comm, &owned, params.k);
     let items = top
         .into_iter()
         .map(|(key, sampled)| (key, sampled as f64 * v_avg))
@@ -143,7 +143,7 @@ pub fn sum_top_k_exact<C: Communicator>(
         };
     }
     let k_star = k_star.max(params.k);
-    let candidates_with_counts = select_top_counts(comm, &owned, k_star, params.seed ^ 0x5EF);
+    let candidates_with_counts = select_top_counts(comm, &owned, k_star);
     let candidates: Vec<u64> = candidates_with_counts.iter().map(|&(key, _)| key).collect();
 
     // Exact sums of the candidates: a lookup in the local aggregate suffices

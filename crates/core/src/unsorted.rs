@@ -107,19 +107,19 @@ const BRACKET_SIGMAS: f64 = 2.0;
 const BASE_CASE_SAMPLES: usize = 2;
 
 /// Expected total sample size of one level on `p` PEs.
-pub(crate) fn level_sample(p: usize) -> usize {
+fn level_sample(p: usize) -> usize {
     SAMPLE.max((p as f64).sqrt().ceil() as usize)
 }
 
 /// Largest remaining input the base case collects on `p` PEs.
-pub(crate) fn base_case(p: usize) -> usize {
+fn base_case(p: usize) -> usize {
     BASE_CASE_SAMPLES * level_sample(p)
 }
 
 /// Sample ranks (0-based, `lo ≤ hi < m`) of the two pivots bracketing the
 /// quantile `q` in a sample of `m ≥ 1` elements: `q·m ± Δ` with
 /// `Δ = BRACKET_SIGMAS·√(m·q·(1−q)) + 1`, clamped to the sample.
-pub(crate) fn bracket(m: usize, q: f64) -> (usize, usize) {
+fn bracket(m: usize, q: f64) -> (usize, usize) {
     let pos = q * m as f64;
     let delta = BRACKET_SIGMAS * (m as f64 * q * (1.0 - q)).sqrt() + 1.0;
     let lo = ((pos - delta).floor().max(0.0) as usize).min(m - 1);

@@ -17,9 +17,9 @@
 //!   non-stationary document stream in mini-batches, keep a sliding-window
 //!   top-k sketch current, re-intern new vocabulary incrementally with
 //!   stable ids, periodically publish a global top-k through the §7
-//!   aggregation + `select_top_counts`, and answer a modeled Poisson stream
-//!   of point queries between batches, scoring p95 answer staleness and
-//!   words per ingested item.
+//!   aggregation + `select_top_counts`' top-k merge, and answer a modeled
+//!   Poisson stream of point queries between batches, scoring p95 answer
+//!   staleness and words per ingested item.
 //! * [`sched`] — **multi-round bulk-queue scheduling** (Section 5): a job
 //!   scheduler driving [`topk::BulkParallelQueue`] round after round —
 //!   skewed/bursty arrival streams, `insert_bulk` + `delete_min` /

@@ -12,12 +12,12 @@
 //! periodically **refreshes a published global top-k** with the paper's §7
 //! machinery: per-PE window candidates are DHT-aggregated
 //! ([`topk::frequent::dht::aggregate_counts`]), and
-//! [`topk::frequent::select_top_counts`] cuts them at rank k and gathers the
-//! winners, the publication step PAC, EC and PEC share.  Point queries are
-//! answered *between* batches from the last published snapshot — exactly
-//! how a serving system trades freshness for communication.  They arrive as
-//! a modeled Poisson stream ([`StreamConfig::query_lambda`] per batch),
-//! scored analytically, so serving them meters no words.
+//! [`topk::frequent::select_top_counts`] merges the shares' top-k lists in
+//! `⌈log₂ p⌉` exchanges, the publication step PAC, EC and PEC share.  Point
+//! queries are answered *between* batches from the last published snapshot
+//! — exactly how a serving system trades freshness for communication.  They
+//! arrive as a modeled Poisson stream ([`StreamConfig::query_lambda`] per
+//! batch), scored analytically, so serving them meters no words.
 //!
 //! Two scored metrics fall out, both reported by [`StreamReport`]:
 //!
@@ -78,7 +78,7 @@ pub struct StreamConfig {
     pub refresh_every: usize,
     /// Words each PE ingests per mini-batch.
     pub words_per_batch: usize,
-    /// Seed of the selection kernel's RNG (the corpus has its own seed).
+    /// Seed of the modeled query stream (the corpus has its own seed).
     pub seed: u64,
     /// Number of buddy PEs each serving shard is replicated to (ring
     /// successors in the live group).  `0` — the default — disables the
@@ -491,7 +491,7 @@ impl StreamService {
         let refreshed = t % self.config.refresh_every == 0;
         let mut replication_words = 0;
         if refreshed {
-            self.refresh(group, t);
+            self.refresh(group);
             self.snapshot_group = live.to_vec();
             self.degraded = live.len() < comm.size();
             self.coverage = live.len() as f64 / comm.size() as f64;
@@ -636,16 +636,15 @@ impl StreamService {
     }
 
     /// Publish a fresh global top-k: DHT-aggregate the per-PE window
-    /// candidates, then cut at rank k and gather the winners with
+    /// candidates, then merge the shares' top-k lists with
     /// [`select_top_counts`], the publication step of §7's algorithms.
-    fn refresh<C: Communicator>(&mut self, comm: &C, t: usize) {
+    fn refresh<C: Communicator>(&mut self, comm: &C) {
         let owned = dht::aggregate_counts(comm, self.sliding.candidate_counts());
         // The owned aggregate *is* this PE's serving shard — kept, most
         // frequent first, for the replica pushes of the failure-tolerant mode.
         self.shard = owned.iter().map(|(&id, &c)| (id, c)).collect();
         self.shard.sort_unstable_by_key(|&(id, c)| Reverse((c, id)));
-        let seed = self.config.seed ^ (t as u64).wrapping_mul(0xA24B_AED4_963E_E407);
-        self.snapshot = select_top_counts(comm, &owned, self.config.k, seed)
+        self.snapshot = select_top_counts(comm, &owned, self.config.k)
             .into_iter()
             .map(|(id, c)| {
                 let word = self

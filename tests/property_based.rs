@@ -6,6 +6,7 @@
 //! * the flexible-k selection always lands inside its band;
 //! * the treap behaves exactly like a sorted vector;
 //! * redistribution never loses or invents elements and always balances;
+//! * the top-k merge of DHT shares is the sequential top-k of their union;
 //! * the bulk queue drains any insert schedule in global order;
 //! * the word-count metering is additive;
 //! * the word codec round-trips every implementing type, with the wire
@@ -22,6 +23,8 @@
 //!   other's.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -30,6 +33,7 @@ use topk_selection::commsim::{CommData, CommError, CommResult, WordReader};
 use topk_selection::prelude::*;
 use topk_selection::topk::branch_bound::BnbNode;
 use topk_selection::topk::frequent::dht::KeyCounts;
+use topk_selection::topk::frequent::select_top_counts;
 use topk_selection::topk::{FrequentCheckpoint, SelectionCheckpoint};
 
 /// Round-trip a value through its wire encoding, checking the three
@@ -209,6 +213,43 @@ proptest! {
         prop_assert!(out.results.iter().all(|r| r.threshold == reference[k - 1]));
         let selected: usize = out.results.iter().map(|r| r.local_selected.len()).sum();
         prop_assert_eq!(selected, k);
+    }
+
+    /// Keys each on one PE (as the DHT leaves them), counts from a few values
+    /// so that distinct keys tie, PEs left empty, and `k` below, at and above
+    /// the number of keys `d`.
+    #[test]
+    fn top_counts_merge_is_the_sequential_top_k_of_the_union(
+        draws in vec(0u64..u64::MAX, 0..60),
+        p_index in 0usize..6,
+        crowded in 0usize..2,
+    ) {
+        let p = [1usize, 2, 3, 5, 7, 8][p_index];
+        // A draw is a 20-bit key, a count in 1..=5 and an owner; a key's first
+        // draw decides its count and owner.  A crowded input leaves the upper
+        // half of the PEs empty.
+        let owners = if crowded == 1 { p.div_ceil(2) } else { p };
+        let mut shares = vec![HashMap::new(); p];
+        let mut union = HashMap::new();
+        for &draw in &draws {
+            let (key, count) = (draw >> 44, 1 + draw % 5);
+            if let Entry::Vacant(slot) = union.entry(key) {
+                slot.insert(count);
+                shares[(draw >> 8) as usize % owners].insert(key, count);
+            }
+        }
+        let mut oracle: Vec<(u64, u64)> = union.into_iter().collect();
+        oracle.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
+        let d = oracle.len();
+        let ks = [1, 7, d.saturating_sub(1), d, d + 5];
+        let out = run_spmd_seq(p, |comm| {
+            ks.map(|k| select_top_counts(comm, &shares[comm.rank()], k))
+        });
+        for (rank, tops) in out.results.iter().enumerate() {
+            for (k, top) in ks.iter().zip(tops) {
+                prop_assert_eq!(top, &oracle[..d.min(*k)], "p={} k={} rank {}", p, k, rank);
+            }
+        }
     }
 
     #[test]

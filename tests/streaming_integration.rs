@@ -191,45 +191,47 @@ fn streaming_on_a_mux_worker_pool_matches_seq() {
 const GOLDEN_BATCHES: usize = 14;
 
 /// Per PE and batch of the golden-value run: the words and messages the PE
-/// sent, and the world bottleneck words.  Recorded when the refresh still
-/// ran its own copy of the DHT-aggregate / §4.1-cut / winners'-gather step.
+/// sent, and the world bottleneck words.  A refresh batch sends the DHT
+/// share and one top-k merge message (p = 2: one round).  The snapshots
+/// were recorded when the refresh still ran the §4.1 selection and a
+/// winners' all-gather; the merge publishes the same ones.
 const GOLDEN_TRAFFIC: [[(u64, u64, u64); GOLDEN_BATCHES]; 2] = [
     [
-        (654, 5, 654),
+        (565, 3, 601),
         (157, 1, 157),
         (54, 1, 72),
         (24, 1, 26),
-        (195, 5, 195),
+        (67, 3, 67),
         (26, 1, 26),
         (2, 1, 6),
         (2, 1, 5),
-        (173, 5, 173),
+        (64, 3, 64),
         (2, 1, 6),
         (2, 1, 4),
         (2, 1, 4),
-        (145, 5, 145),
+        (62, 3, 62),
         (4, 1, 4),
     ],
     [
-        (600, 5, 654),
+        (601, 3, 601),
         (121, 1, 157),
         (72, 1, 72),
         (26, 1, 26),
-        (55, 5, 195),
+        (58, 3, 67),
         (14, 1, 26),
         (6, 1, 6),
         (5, 1, 5),
-        (51, 5, 173),
+        (58, 3, 64),
         (6, 1, 6),
         (4, 1, 4),
         (4, 1, 4),
-        (55, 5, 145),
+        (60, 3, 62),
         (2, 1, 4),
     ],
 ];
 
-/// The snapshot each refresh of the golden-value run published, recorded
-/// with [`GOLDEN_TRAFFIC`].
+/// The snapshot each refresh of the golden-value run published (see
+/// [`GOLDEN_TRAFFIC`] for when it was recorded).
 const GOLDEN_SNAPSHOTS: [(usize, [(&str, u64); 10]); 4] = [
     (
         0,
@@ -294,9 +296,8 @@ const GOLDEN_SNAPSHOTS: [(usize, [(&str, u64); 10]); 4] = [
 ];
 
 /// One PE's golden-value run: the default config (sketch capacity 64, so
-/// at p = 2 the global aggregate is at most 128 keys and the §4.1 cut is
-/// its base case) under drift and a burst.  Per batch: the batch report
-/// and the snapshot served after it.
+/// at p = 2 the global aggregate is at most 128 keys) under drift and a
+/// burst.  Per batch: the batch report and the snapshot served after it.
 fn golden_body<C: Communicator>(comm: &C) -> Vec<(BatchReport, Vec<(String, u64)>)> {
     let corpus = corpus();
     let profile = profile();
@@ -751,47 +752,48 @@ type ReplicaRow = (usize, usize, usize, usize, u64, u64);
 
 /// Per PE and batch of the fault-free run at p = 4 with [`ft_config`].
 /// Recorded when the failure-tolerant mode ran its own copy of the batch
-/// cycle and of the ring-successor push.
+/// cycle and of the ring-successor push; the traffic fields re-recorded when
+/// the refresh's top-k became a merge.
 const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
     [
-        (169, true, 0, 1280, 17, 1351, 4, 794, 21),
-        (96, false, 480, 182, 5, 184, 4, 0, 30),
-        (54, true, 0, 914, 17, 982, 4, 722, 51),
-        (51, false, 480, 99, 5, 117, 4, 0, 60),
-        (30, true, 0, 547, 17, 621, 4, 412, 81),
-        (34, false, 480, 63, 5, 74, 4, 0, 90),
-        (24, true, 0, 529, 17, 626, 4, 348, 111),
-        (18, false, 480, 49, 5, 49, 4, 0, 120),
+        (169, true, 0, 1217, 14, 1217, 4, 794, 18),
+        (96, false, 480, 182, 5, 184, 4, 0, 27),
+        (54, true, 0, 860, 14, 895, 4, 722, 45),
+        (51, false, 480, 99, 5, 117, 4, 0, 54),
+        (30, true, 0, 513, 14, 542, 4, 412, 72),
+        (34, false, 480, 63, 5, 74, 4, 0, 81),
+        (24, true, 0, 464, 14, 464, 4, 348, 99),
+        (18, false, 480, 49, 5, 49, 4, 0, 108),
     ],
     [
-        (169, true, 0, 1308, 15, 1351, 4, 794, 17),
-        (96, false, 480, 178, 3, 184, 4, 0, 22),
-        (54, true, 0, 945, 15, 982, 4, 722, 39),
-        (51, false, 480, 117, 3, 117, 4, 0, 44),
-        (30, true, 0, 565, 15, 621, 4, 412, 61),
-        (34, false, 480, 52, 3, 74, 4, 0, 66),
-        (24, true, 0, 566, 15, 626, 4, 348, 83),
-        (18, false, 480, 39, 3, 49, 4, 0, 88),
+        (169, true, 0, 1215, 12, 1217, 4, 794, 14),
+        (96, false, 480, 178, 3, 184, 4, 0, 19),
+        (54, true, 0, 866, 12, 895, 4, 722, 33),
+        (51, false, 480, 117, 3, 117, 4, 0, 38),
+        (30, true, 0, 485, 12, 542, 4, 412, 52),
+        (34, false, 480, 52, 3, 74, 4, 0, 57),
+        (24, true, 0, 450, 12, 464, 4, 348, 71),
+        (18, false, 480, 39, 3, 49, 4, 0, 76),
     ],
     [
-        (169, true, 0, 1217, 15, 1351, 4, 794, 19),
-        (96, false, 480, 182, 3, 184, 4, 0, 26),
-        (54, true, 0, 890, 15, 982, 4, 722, 45),
-        (51, false, 480, 89, 3, 117, 4, 0, 52),
-        (30, true, 0, 543, 15, 621, 4, 412, 71),
-        (34, false, 480, 68, 3, 74, 4, 0, 78),
-        (24, true, 0, 460, 15, 626, 4, 348, 97),
-        (18, false, 480, 25, 3, 49, 4, 0, 104),
+        (169, true, 0, 1178, 12, 1217, 4, 794, 16),
+        (96, false, 480, 182, 3, 184, 4, 0, 23),
+        (54, true, 0, 857, 12, 895, 4, 722, 39),
+        (51, false, 480, 89, 3, 117, 4, 0, 46),
+        (30, true, 0, 516, 12, 542, 4, 412, 62),
+        (34, false, 480, 68, 3, 74, 4, 0, 69),
+        (24, true, 0, 421, 12, 464, 4, 348, 85),
+        (18, false, 480, 25, 3, 49, 4, 0, 92),
     ],
     [
-        (169, true, 0, 1188, 15, 1351, 4, 794, 17),
-        (96, false, 480, 180, 3, 184, 4, 0, 22),
-        (54, true, 0, 876, 15, 982, 4, 722, 39),
-        (51, false, 480, 99, 3, 117, 4, 0, 44),
-        (30, true, 0, 536, 15, 621, 4, 412, 61),
-        (34, false, 480, 74, 3, 74, 4, 0, 66),
-        (24, true, 0, 418, 15, 626, 4, 348, 83),
-        (18, false, 480, 39, 3, 49, 4, 0, 88),
+        (169, true, 0, 1188, 12, 1217, 4, 794, 14),
+        (96, false, 480, 180, 3, 184, 4, 0, 19),
+        (54, true, 0, 882, 12, 895, 4, 722, 33),
+        (51, false, 480, 99, 3, 117, 4, 0, 38),
+        (30, true, 0, 542, 12, 542, 4, 412, 52),
+        (34, false, 480, 74, 3, 74, 4, 0, 57),
+        (24, true, 0, 426, 12, 464, 4, 348, 71),
+        (18, false, 480, 39, 3, 49, 4, 0, 76),
     ],
 ];
 
@@ -823,10 +825,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         0,
         [
-            (19, true, 0, 1186, 16, 1196, 3, 1050, 80),
-            (24, false, 360, 38, 4, 50, 3, 0, 88),
-            (18, true, 0, 448, 15, 505, 3, 284, 107),
-            (19, false, 360, 44, 4, 44, 3, 0, 115),
+            (19, true, 0, 1132, 13, 1132, 3, 1050, 71),
+            (24, false, 360, 38, 4, 50, 3, 0, 79),
+            (18, true, 0, 388, 12, 388, 3, 284, 95),
+            (19, false, 360, 44, 4, 44, 3, 0, 103),
         ],
         &[
             (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
@@ -837,10 +839,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         1,
         [
-            (19, true, 0, 1109, 13, 1196, 3, 1050, 59),
-            (24, false, 360, 36, 3, 50, 3, 0, 64),
-            (18, true, 0, 420, 13, 505, 3, 284, 79),
-            (19, false, 360, 26, 3, 44, 3, 0, 84),
+            (19, true, 0, 1086, 11, 1132, 3, 1050, 51),
+            (24, false, 360, 36, 3, 50, 3, 0, 56),
+            (18, true, 0, 364, 11, 388, 3, 284, 69),
+            (19, false, 360, 26, 3, 44, 3, 0, 74),
         ],
         &[
             (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
@@ -850,10 +852,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         3,
         [
-            (19, true, 0, 480, 14, 1196, 3, 1050, 60),
-            (24, false, 360, 50, 3, 50, 3, 0, 65),
-            (18, true, 0, 330, 14, 505, 3, 284, 81),
-            (19, false, 360, 38, 3, 44, 3, 0, 86),
+            (19, true, 0, 487, 11, 1132, 3, 1050, 51),
+            (24, false, 360, 50, 3, 50, 3, 0, 56),
+            (18, true, 0, 331, 11, 388, 3, 284, 69),
+            (19, false, 360, 38, 3, 44, 3, 0, 74),
         ],
         &[
             (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
@@ -871,8 +873,8 @@ fn ft_golden_report() -> StreamReport {
         vocab_size: 476,
         p95_staleness_items: 480,
         max_staleness_items: 480,
-        total_bottleneck_words: 4004,
-        words_per_item: 1.0427083333333333,
+        total_bottleneck_words: 3542,
+        words_per_item: 0.9223958333333333,
         degraded: false,
         coverage: 1.0,
         routed_queries: 52,
@@ -890,8 +892,8 @@ fn ft_golden_crash_report() -> StreamReport {
     StreamReport {
         items_global: 3360,
         vocab_size: 450,
-        total_bottleneck_words: 4429,
-        words_per_item: 1.318154761904762,
+        total_bottleneck_words: 4027,
+        words_per_item: 1.1985119047619048,
         degraded: true,
         coverage: 0.75,
         total_replication_words: 2850,
