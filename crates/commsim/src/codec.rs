@@ -9,6 +9,9 @@
 //! backend recycles buffers), and [`crate::CommData`] — the bound the
 //! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
 //! This module is therefore the single owner of each type's layout.
+//! Layouts finer than a word — the [`PackedCounts`] vector here and the
+//! Rice-coded `KeyCounts` of the frequent-objects algorithms — pack their
+//! bits through its one bit coder, [`BitWriter`] and [`BitReader`].
 //!
 //! Two invariants tie the codec to the cost model:
 //!
@@ -423,6 +426,259 @@ impl<A: WordCodec, B: WordCodec, C: WordCodec, D: WordCodec> WordCodec for (A, B
     }
 }
 
+/// The low `bits ≤ 64` bits of `word`.
+#[inline]
+fn low_bits(word: u64, bits: u32) -> u64 {
+    word & u64::MAX.checked_shr(64 - bits).unwrap_or(0)
+}
+
+/// Packs bits least significant first into whole words — the one bit coder
+/// of the wire, shared by the [`PackedCounts`] vector and the Rice-coded
+/// `KeyCounts` of the frequent-objects algorithms.
+#[derive(Debug)]
+pub struct BitWriter<'a> {
+    out: &'a mut Vec<u64>,
+    word: u64,
+    /// Bits of `word` filled, always below 64.
+    used: u32,
+}
+
+impl<'a> BitWriter<'a> {
+    /// Append bits to `out`, starting on a fresh word.
+    #[inline]
+    pub fn new(out: &'a mut Vec<u64>) -> Self {
+        BitWriter {
+            out,
+            word: 0,
+            used: 0,
+        }
+    }
+
+    /// Append the `bits ≤ 64` low bits of `value`, whose other bits are zero.
+    #[inline]
+    pub fn put(&mut self, value: u64, bits: u32) {
+        debug_assert!(bits <= 64 && value == low_bits(value, bits));
+        self.word |= value << self.used;
+        let free = 64 - self.used;
+        if bits < free {
+            self.used += bits;
+        } else {
+            self.out.push(self.word);
+            // Two shifts: `free` may be 64.
+            self.word = value >> (free - 1) >> 1;
+            self.used = bits - free;
+        }
+    }
+
+    /// `value` Rice-coded with parameter `r < 63`: its quotient `value ≫ r`
+    /// in unary — that many zero bits, then a one — and its `r` low bits.
+    #[inline]
+    pub fn rice(&mut self, value: u64, r: u32) {
+        let mut zeros = value >> r;
+        while zeros >= 64 {
+            self.put(0, 64);
+            zeros -= 64;
+        }
+        self.put(1 << zeros, zeros as u32 + 1);
+        self.put(low_bits(value, r), r);
+    }
+
+    /// Push the last, partly filled word; its unused high bits stay zero.
+    pub fn finish(self) {
+        if self.used > 0 {
+            self.out.push(self.word);
+        }
+    }
+}
+
+/// Reads what [`BitWriter`] packed, taking a word from the reader only when
+/// it needs another bit.  Every failure is a [`CommError::Decode`] naming
+/// the type being decoded.
+#[derive(Debug)]
+pub struct BitReader<'r, 'a> {
+    words: &'r mut WordReader<'a>,
+    /// The `left` unread bits of the current word, shifted down to bit 0;
+    /// the bits above them are zero.
+    word: u64,
+    left: u32,
+    expected: &'static str,
+}
+
+impl<'r, 'a> BitReader<'r, 'a> {
+    /// Read bits from `words`, starting on a fresh word, as part of decoding
+    /// a `T`.
+    pub fn new<T>(words: &'r mut WordReader<'a>) -> Self {
+        BitReader {
+            words,
+            word: 0,
+            left: 0,
+            expected: std::any::type_name::<T>(),
+        }
+    }
+
+    fn error(&self) -> CommError {
+        CommError::Decode {
+            expected: self.expected,
+        }
+    }
+
+    #[inline]
+    fn refill(&mut self) -> CommResult<()> {
+        self.word = self.words.next_word().ok_or_else(|| self.error())?;
+        self.left = 64;
+        Ok(())
+    }
+
+    /// The next `bits ≤ 64` bits as a number, least significant first.
+    #[inline]
+    pub fn take(&mut self, bits: u32) -> CommResult<u64> {
+        debug_assert!(bits <= 64);
+        let mut value = low_bits(self.word, bits);
+        if bits <= self.left {
+            self.word = self.word.checked_shr(bits).unwrap_or(0);
+            self.left -= bits;
+        } else {
+            let got = self.left;
+            self.refill()?;
+            value |= low_bits(self.word << got, bits);
+            self.word = self.word.checked_shr(bits - got).unwrap_or(0);
+            self.left -= bits - got;
+        }
+        Ok(value)
+    }
+
+    /// One value Rice-coded with parameter `r < 63`.
+    #[inline]
+    pub fn rice(&mut self, r: u32) -> CommResult<u64> {
+        let mut quotient = 0u64;
+        while self.word == 0 {
+            // Every unread bit is a zero of the unary quotient.
+            quotient += u64::from(self.left);
+            self.refill()?;
+        }
+        let zeros = self.word.trailing_zeros();
+        quotient += u64::from(zeros);
+        // Two shifts: `zeros + 1` may be 64.
+        self.word = self.word >> zeros >> 1;
+        self.left -= zeros + 1;
+        if quotient > u64::MAX >> r {
+            return Err(self.error());
+        }
+        Ok(quotient << r | self.take(r)?)
+    }
+
+    /// End the bit stream: the unread bits of the last word are
+    /// [`BitWriter::finish`]'s padding and must be zero.
+    pub fn finish(self) -> CommResult<()> {
+        if self.word == 0 {
+            Ok(())
+        } else {
+            Err(self.error())
+        }
+    }
+}
+
+/// A vector of counts that crosses the wire at the bit length of its largest
+/// entry — EC's and PEC's exact candidate counts, summed by an all-reduction
+/// with [`ReduceOp::sum`](crate::ReduceOp::sum).
+///
+/// ```text
+/// [ len ≪ 7 | w | entries, w bits each, least significant bit first ]
+/// ```
+///
+/// `w ≤ 64` is the bit length of the largest entry (0 when every entry is
+/// zero), so a message costs `1 + ⌈len·w/64⌉` words: a count bounded by `n`
+/// takes `⌈log₂(n + 1)⌉` bits, not a word.  Decoding accepts only this
+/// canonical form: a wider `w` than the largest entry needs, non-zero
+/// padding, or fewer words than `len·w` bits are a [`CommError::Decode`].
+///
+/// ```
+/// use commsim::codec::{PackedCounts, WordCodec, WordReader};
+///
+/// let counts = PackedCounts(vec![5, 0, 7, 2]);
+/// let mut wire = Vec::new();
+/// counts.encode(&mut wire);
+/// // Four 3-bit entries: 101 000 111 010, lowest first.
+/// assert_eq!(wire, vec![4 << 7 | 3, 0b010_111_000_101]);
+/// assert_eq!(PackedCounts::decode(&mut WordReader::new(&wire)).unwrap(), counts);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedCounts(pub Vec<u64>);
+
+impl PackedCounts {
+    /// Longest vector a decoder accepts.  A zero-width message carries any
+    /// length in its header word alone, and decoding it allocates the
+    /// zeros: the cap keeps a corrupt header from allocating unboundedly.
+    const MAX_LEN: usize = 1 << 24;
+
+    /// Bits of the header below the length.
+    const WIDTH_BITS: u32 = 7;
+
+    /// Bit length of the largest entry.
+    fn width(&self) -> u32 {
+        let max = self.0.iter().copied().max().unwrap_or(0);
+        u64::BITS - max.leading_zeros()
+    }
+}
+
+/// Entry-wise sum, for [`ReduceOp::sum`](crate::ReduceOp::sum): every PE of
+/// an all-reduction contributes a vector of the same length.
+impl std::ops::Add for PackedCounts {
+    type Output = PackedCounts;
+
+    fn add(mut self, other: PackedCounts) -> PackedCounts {
+        assert_eq!(
+            self.0.len(),
+            other.0.len(),
+            "PackedCounts of unequal lengths added"
+        );
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+        self
+    }
+}
+
+impl WordCodec for PackedCounts {
+    fn encoded_len(&self) -> usize {
+        1 + (self.0.len() * self.width() as usize).div_ceil(64)
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        assert!(self.0.len() <= Self::MAX_LEN, "PackedCounts too long");
+        let w = self.width();
+        out.push((self.0.len() as u64) << Self::WIDTH_BITS | u64::from(w));
+        let mut bits = BitWriter::new(out);
+        for &count in &self.0 {
+            bits.put(count, w);
+        }
+        bits.finish();
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let header = r.next_word().ok_or_else(decode_error::<Self>)?;
+        let w = low_bits(header, Self::WIDTH_BITS) as u32;
+        let len = header >> Self::WIDTH_BITS;
+        // Checked in this order, `len·w` cannot overflow.
+        if w > 64
+            || len > Self::MAX_LEN as u64
+            || (len * u64::from(w)).div_ceil(64) > r.remaining() as u64
+        {
+            return Err(decode_error::<Self>());
+        }
+        let mut bits = BitReader::new::<Self>(r);
+        let counts = (0..len)
+            .map(|_| bits.take(w))
+            .collect::<CommResult<Vec<u64>>>()?;
+        bits.finish()?;
+        let counts = PackedCounts(counts);
+        if counts.width() != w {
+            return Err(decode_error::<Self>());
+        }
+        Ok(counts)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,6 +794,112 @@ mod tests {
         assert!(Vec::<()>::decode(&mut WordReader::new(&bogus)).is_err());
         // Honest zero-width vectors still round-trip.
         roundtrip(vec![(); 7]);
+    }
+
+    #[test]
+    fn packed_counts_cost_one_header_word_and_w_bits_an_entry() {
+        let packed = |counts: &[u64]| {
+            let counts = PackedCounts(counts.to_vec());
+            roundtrip(counts.clone());
+            let mut wire = Vec::new();
+            counts.encode(&mut wire);
+            wire
+        };
+        assert_eq!(packed(&[]), vec![0]);
+        assert_eq!(packed(&[0; 1000]), vec![1000 << 7]);
+        // 21 three-bit entries fill 63 bits of one word, the 22nd spills.
+        assert_eq!(packed(&[7; 21]).len(), 2);
+        assert_eq!(packed(&[7; 22]).len(), 3);
+        // Full-width entries are whole words.
+        assert_eq!(packed(&[u64::MAX, 1, 0]), vec![3 << 7 | 64, u64::MAX, 1, 0]);
+        // An entry straddles two words: 1 + ⌈5·33/64⌉ = 4 words.
+        assert_eq!(packed(&[1 << 32, 3, 5, 7, 9]).len(), 4);
+    }
+
+    #[test]
+    fn packed_counts_sum_entry_wise() {
+        let sum = PackedCounts(vec![1, 2, 0]) + PackedCounts(vec![4, 0, 0]);
+        assert_eq!(sum, PackedCounts(vec![5, 2, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn packed_counts_of_unequal_lengths_do_not_add() {
+        let _ = PackedCounts(vec![1, 2]) + PackedCounts(vec![1]);
+    }
+
+    /// Only the canonical encoding decodes; every other message is a
+    /// [`CommError::Decode`], never a panic.
+    #[test]
+    fn non_canonical_packed_counts_fail_to_decode() {
+        let decode = |words: &[u64]| PackedCounts::decode(&mut WordReader::new(words));
+        let rejected = |words: &[u64]| matches!(decode(words), Err(CommError::Decode { .. }));
+        // [5, 0, 7, 2] at w = 3, as encoded.
+        let entries = 0b010_111_000_101;
+        assert_eq!(
+            decode(&[4 << 7 | 3, entries]).unwrap(),
+            PackedCounts(vec![5, 0, 7, 2])
+        );
+        // `w` above the bit length of the largest entry: the same numbers at
+        // four bits, and an all-zero vector at one.
+        assert!(rejected(&[4 << 7 | 4, 0b0010_0111_0000_0101]));
+        assert!(rejected(&[2 << 7 | 1, 0]));
+        assert!(rejected(&[1 << 7 | 64, 1]));
+        // The empty vector has width 0 only.
+        assert!(rejected(&[5]));
+        // `w > 64`, with or without words behind it.
+        for w in 65..128 {
+            assert!(rejected(&[w]));
+            assert!(rejected(&[1 << 7 | w, u64::MAX, u64::MAX]));
+        }
+        // Non-zero padding bits in the last word, just above the entries
+        // and at the top.
+        assert!(rejected(&[4 << 7 | 3, entries | 1 << 12]));
+        assert!(rejected(&[4 << 7 | 3, entries | 1 << 63]));
+        // `len·w` bits longer than the remaining words: one entry short, a
+        // word short, and a length far beyond the buffer.
+        assert!(rejected(&[22 << 7 | 3, u64::MAX >> 1]));
+        assert!(rejected(&[3 << 7 | 64, 1, 2]));
+        assert!(rejected(&[u64::MAX << 7 | 1, 1]));
+        // Nothing at all, and a zero-width length beyond the cap (decoding
+        // it would allocate the zeros).
+        assert!(rejected(&[]));
+        assert!(rejected(&[((PackedCounts::MAX_LEN as u64) + 1) << 7]));
+        assert!(decode(&[(PackedCounts::MAX_LEN as u64) << 7]).is_ok());
+    }
+
+    #[test]
+    fn bit_coder_round_trips_fixed_widths_and_rice_codes() {
+        let mut wire = Vec::new();
+        let mut bits = BitWriter::new(&mut wire);
+        bits.put(0b101, 3);
+        bits.rice(1000, 4);
+        bits.put(u64::MAX, 64);
+        bits.rice(200, 0);
+        bits.put(0, 0);
+        bits.put(1, 1);
+        bits.finish();
+        // 3 + (62 + 1 + 4) + 64 + (200 + 1) + 1 = 336 bits.
+        assert_eq!(wire.len(), 6);
+        let mut words = WordReader::new(&wire);
+        let mut bits = BitReader::new::<u64>(&mut words);
+        assert_eq!(bits.take(3).unwrap(), 0b101);
+        assert_eq!(bits.rice(4).unwrap(), 1000);
+        assert_eq!(bits.take(64).unwrap(), u64::MAX);
+        assert_eq!(bits.rice(0).unwrap(), 200);
+        assert_eq!(bits.take(0).unwrap(), 0);
+        assert_eq!(bits.take(1).unwrap(), 1);
+        bits.finish().unwrap();
+        assert_eq!(words.remaining(), 0);
+        // Reading past the last word fails and names the decoded type.
+        let mut words = WordReader::new(&wire[..1]);
+        let mut bits = BitReader::new::<String>(&mut words);
+        assert!(matches!(
+            bits.take(65 - 1).and_then(|_| bits.take(1)),
+            Err(CommError::Decode {
+                expected: "alloc::string::String"
+            })
+        ));
     }
 
     #[test]

@@ -242,8 +242,11 @@ pub trait Communicator {
         self.allreduce(value, ReduceOp::max())
     }
 
-    /// Element-wise sum all-reduction of a vector: a selection level's three
-    /// partition counts, EC's and PEC's exact counts of the `k*` candidates.
+    /// Element-wise sum all-reduction of a vector of whole words: a
+    /// selection level's three partition counts, the skew fit's sums.  (EC's
+    /// and PEC's exact counts of the `k*` candidates travel bit-packed, as a
+    /// [`PackedCounts`](crate::codec::PackedCounts) summed by
+    /// [`Communicator::allreduce`].)
     fn allreduce_vec_sum(&self, value: Vec<u64>) -> Vec<u64>
     where
         Self: Sized,

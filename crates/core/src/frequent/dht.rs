@@ -37,13 +37,16 @@
 //! or more is split into several runs of the same count.  The `len` keys
 //! `x₁ ≤ … ≤ x_len` of a run travel as their gaps `x₁ − 0, x₂ − x₁, …`, each
 //! as its quotient `gap ≫ r` in unary (that many zero bits, then a one) and
-//! its `r` low bits, packed least significant bit first into whole words.
+//! its `r` low bits, packed least significant bit first into whole words by
+//! [`commsim::codec::BitWriter`] — the wire's one bit coder, which also packs
+//! EC's and PEC's exact counts ([`commsim::codec::PackedCounts`]).
 //! The Rice parameter is `r = ⌊log₂ max(1, x_len / len)⌋`, so a gap costs
 //! about `r + 2` bits: dense keys — Zipf ranks, interned ids — cost a few bits
 //! each, and even random 64-bit keys save about `log₂ len` bits.  A run whose
 //! code would not be shorter than its `len` keys travels raw instead, flagged
 //! by `r = 63`.  Decoding accepts only this canonical order — `(count, key)`
-//! ascending through the message — so a decoded value's runs are sorted too.
+//! ascending through the message — so a decoded value's runs are sorted too,
+//! and only zero padding after a coded run.
 //!
 //! So a message of `d` keys in `R` runs, none of them escaped, costs at most
 //! `1 + d + R` words.  `R ≤ d`, so that is **never more than the `1 + 2d`
@@ -55,7 +58,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use commsim::codec::{decode_error, WordCodec, WordReader};
+use commsim::codec::{decode_error, BitReader, BitWriter, WordCodec, WordReader};
 use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
@@ -216,101 +219,6 @@ fn run_layout(keys: &[u64]) -> (u32, usize) {
     }
 }
 
-/// Packs bits least significant first into whole words.
-struct BitWriter<'a> {
-    out: &'a mut Vec<u64>,
-    word: u64,
-    /// Bits of `word` filled, always below 64.
-    used: u32,
-}
-
-impl BitWriter<'_> {
-    /// Append the `bits ≤ 64` low bits of `value`, whose other bits are zero.
-    fn put(&mut self, value: u64, bits: u32) {
-        self.word |= value << self.used;
-        let free = 64 - self.used;
-        if bits < free {
-            self.used += bits;
-        } else {
-            self.out.push(self.word);
-            // Two shifts: `free` may be 64.
-            self.word = value >> (free - 1) >> 1;
-            self.used = bits - free;
-        }
-    }
-
-    /// `gap` as its quotient `gap ≫ r` in unary — that many zero bits, then a
-    /// one — and its `r < 63` low bits.
-    fn gap(&mut self, gap: u64, r: u32) {
-        let mut zeros = gap >> r;
-        while zeros >= 64 {
-            self.put(0, 64);
-            zeros -= 64;
-        }
-        self.put(1 << zeros, zeros as u32 + 1);
-        self.put(gap & ((1 << r) - 1), r);
-    }
-
-    /// Push the last, partly filled word.
-    fn finish(self) {
-        if self.used > 0 {
-            self.out.push(self.word);
-        }
-    }
-}
-
-/// Reads what [`BitWriter`] packed, taking a word from the reader only when
-/// it needs another bit.
-struct BitReader<'r, 'a> {
-    words: &'r mut WordReader<'a>,
-    /// The `left` unread bits of the current word, shifted down to bit 0;
-    /// the bits above them are zero.
-    word: u64,
-    left: u32,
-}
-
-impl BitReader<'_, '_> {
-    fn refill(&mut self) -> CommResult<()> {
-        self.word = self
-            .words
-            .next_word()
-            .ok_or_else(decode_error::<KeyCounts>)?;
-        self.left = 64;
-        Ok(())
-    }
-
-    /// One gap coded with Rice parameter `r < 63`.
-    fn gap(&mut self, r: u32) -> CommResult<u64> {
-        let mut quotient = 0u64;
-        while self.word == 0 {
-            // Every unread bit is a zero of the unary quotient.
-            quotient += u64::from(self.left);
-            self.refill()?;
-        }
-        let zeros = self.word.trailing_zeros();
-        quotient += u64::from(zeros);
-        // Two shifts: `zeros + 1` may be 64.
-        self.word = self.word >> zeros >> 1;
-        self.left -= zeros + 1;
-        if quotient > u64::MAX >> r {
-            return Err(decode_error::<KeyCounts>());
-        }
-        let mask = (1 << r) - 1;
-        let mut low = self.word & mask;
-        if r <= self.left {
-            self.word >>= r;
-            self.left -= r;
-        } else {
-            let got = self.left;
-            self.refill()?;
-            low |= (self.word << got) & mask;
-            self.word >>= r - got;
-            self.left -= r - got;
-        }
-        Ok(quotient << r | low)
-    }
-}
-
 impl WordCodec for KeyCounts {
     fn encoded_len(&self) -> usize {
         1 + self
@@ -330,13 +238,9 @@ impl WordCodec for KeyCounts {
             if r == RAW {
                 out.extend_from_slice(keys);
             } else {
-                let mut bits = BitWriter {
-                    out: &mut *out,
-                    word: 0,
-                    used: 0,
-                };
+                let mut bits = BitWriter::new(out);
                 for gap in gaps(keys) {
-                    bits.gap(gap, r);
+                    bits.rice(gap, r);
                 }
                 bits.finish();
             }
@@ -380,18 +284,15 @@ impl WordCodec for KeyCounts {
                     keys.push(r.next_word().ok_or_else(decode_error::<Self>)?);
                 }
             } else {
-                let mut bits = BitReader {
-                    words: &mut *r,
-                    word: 0,
-                    left: 0,
-                };
+                let mut bits = BitReader::new::<Self>(r);
                 let mut key = 0u64;
                 for _ in 0..len {
                     key = key
-                        .checked_add(bits.gap(rice)?)
+                        .checked_add(bits.rice(rice)?)
                         .ok_or_else(decode_error::<Self>)?;
                     keys.push(key);
                 }
+                bits.finish()?;
             }
             let run = &keys[start..];
             if let (Some(&first), Some(&end)) = (run.first(), run.last()) {
@@ -652,6 +553,9 @@ mod tests {
             0
         ])));
         assert!(decode(&[1, header(1, 62, 1), 1 << 3, 0]).is_ok());
+        // Padding bits after a coded run's last code must be zero.
+        assert!(decode(&[1, header(1, 0, 1), 1]).is_ok());
+        assert!(is_decode_error(decode(&[1, header(1, 0, 1), 1 | 1 << 5])));
         // Out of the order every encoding follows: descending keys in a raw
         // run, a run of lower count after a higher one, and a run of the same
         // count that does not continue above the last key.

@@ -5,10 +5,12 @@
 //! instead takes a much smaller sample (`∝ 1/ε`), uses it only to *identify*
 //! a candidate set — the `k* ≥ k` most frequently sampled objects — and then
 //! counts those candidates **exactly** with one extra pass over the local
-//! input and a vector-valued sum reduction.  The candidate list reaches every
-//! PE through the top-`k*` merge of the DHT shares
+//! input and a vector-valued sum reduction, whose counts cross the wire
+//! bit-packed at `⌈log₂ n⌉` bits each
+//! ([`PackedCounts`](commsim::codec::PackedCounts)).  The candidate list
+//! reaches every PE through the top-`k*` merge of the DHT shares
 //! ([`super::select_top_counts`]), so the communication volume is
-//! `O((1/ε)·√(log p / p)·log(n/δ) + k*)` words per PE.
+//! `O((1/ε)·√(log p / p)·log(n/δ) + k*·⌈log₂ n⌉/64)` words per PE.
 
 use commsim::Communicator;
 

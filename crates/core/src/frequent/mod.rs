@@ -18,7 +18,9 @@
 //! 3. [`select_top_counts`], the top-`k` merge of the DHT shares: `⌈log₂ p⌉`
 //!    exchanges of at most `k` coded entries;
 //! 4. for EC and PEC, one **exact-count stage**: the `k* ≥ k` candidates are
-//!    counted in the local input and summed with one vector all-reduction.
+//!    counted in the local input and summed with one all-reduction of a
+//!    bit-packed [`PackedCounts`] vector: a message's partial sums travel at
+//!    the bit length of its largest, `⌈log₂(n + 1)⌉` bits at most.
 //!
 //! The variations:
 //!
@@ -46,7 +48,8 @@ pub mod pec;
 use std::cmp::Reverse;
 use std::collections::HashMap;
 
-use commsim::Communicator;
+use commsim::codec::PackedCounts;
+use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqkit::hashagg::count_keys;
@@ -235,10 +238,9 @@ fn sample_counts<C: Communicator>(
 }
 
 /// The exact-count stage of EC and PEC: cut the `k_star` most frequently
-/// sampled keys of this PE's DHT share `owned`, count those candidates in
-/// `local_data`, sum the counts with one vector all-reduction, and keep the
-/// `k` best.  The candidate list is identical on every PE, so the final sort
-/// is local.
+/// sampled keys of this PE's DHT share `owned`, count those candidates
+/// exactly ([`global_counts`]) and keep the `k` best.  The candidate list is
+/// identical on every PE, so the final sort is local.
 fn count_candidates<C: Communicator>(
     comm: &C,
     local_data: &[u64],
@@ -250,6 +252,18 @@ fn count_candidates<C: Communicator>(
         .into_iter()
         .map(|(key, _)| key)
         .collect();
+    let global = global_counts(comm, local_data, &candidates);
+    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
+    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    items.truncate(k);
+    items
+}
+
+/// The global number of occurrences of each of `candidates` (the same list
+/// on every PE): count them in `local_data` and sum the counts with one
+/// all-reduction of a [`PackedCounts`], so every partial sum crosses the wire
+/// at the bit length of its largest entry, not as whole words.
+fn global_counts<C: Communicator>(comm: &C, local_data: &[u64], candidates: &[u64]) -> Vec<u64> {
     let index: HashMap<u64, usize> = candidates
         .iter()
         .enumerate()
@@ -261,11 +275,7 @@ fn count_candidates<C: Communicator>(
             local[i] += 1;
         }
     }
-    let global = comm.allreduce_vec_sum(local);
-    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
-    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    items.truncate(k);
-    items
+    comm.allreduce(PackedCounts(local), ReduceOp::sum()).0
 }
 
 /// Scale sampled counts back to estimates of true counts (PAC and the
@@ -446,6 +456,81 @@ mod tests {
                     })
                     .sum();
                 assert_eq!(stats.sent_words, words, "p={p} rank {rank}");
+            }
+        }
+    }
+
+    /// The exact-count stage is one all-reduction of a [`PackedCounts`]:
+    /// every reduce message carries the sender's partial sums over its
+    /// binomial subtree and every broadcast message the global sums, each
+    /// metered at `1 + ⌈len·w/64⌉` words for `w` the bit length of its
+    /// largest entry, in as many messages as the whole-word vector sum
+    /// takes.
+    #[test]
+    fn the_exact_counts_cross_the_wire_bit_packed() {
+        use commsim::topology::{binomial_children, binomial_subtree_size};
+        let candidates: Vec<u64> = (0..40).collect();
+        // PE r holds candidate i `(7i + 13r) mod 29` times, and a key that
+        // is no candidate.
+        let times = |key: u64, r: usize| (key * 7 + r as u64 * 13) % 29;
+        let local =
+            |r: usize| -> Vec<u64> { candidates.iter().map(|&key| times(key, r)).collect() };
+        let data = |r: usize| -> Vec<u64> {
+            let mut data = vec![1000 + r as u64];
+            for &key in &candidates {
+                data.extend(std::iter::repeat_n(key, times(key, r) as usize));
+            }
+            data
+        };
+        let sum = |ranks: std::ops::Range<usize>| -> Vec<u64> {
+            let mut sum = vec![0; candidates.len()];
+            for r in ranks {
+                sum.iter_mut().zip(local(r)).for_each(|(s, c)| *s += c);
+            }
+            sum
+        };
+        let packed_words = |counts: &[u64]| {
+            let w = u64::BITS - counts.iter().max().unwrap().leading_zeros();
+            1 + (counts.len() as u64 * u64::from(w)).div_ceil(64)
+        };
+        for p in [2usize, 3, 5, 8] {
+            let global = sum(0..p);
+            let out = run_spmd(p, |comm| {
+                let before = comm.stats_snapshot();
+                let counts = global_counts(comm, &data(comm.rank()), &candidates);
+                let packed = comm.stats_snapshot().since(&before);
+                let before = comm.stats_snapshot();
+                comm.allreduce_vec_sum(local(comm.rank()));
+                (counts, packed, comm.stats_snapshot().since(&before))
+            });
+            for (rank, (counts, packed, whole)) in out.results.iter().enumerate() {
+                assert_eq!(counts, &global, "p={p} rank {rank}");
+                // A reduce message carries the sender's subtree sum to its
+                // parent, a broadcast message the global sums to a child;
+                // the root has no parent.
+                let children = binomial_children(rank, 0, p);
+                let up = |r: usize| packed_words(&sum(r..r + binomial_subtree_size(r, 0, p)));
+                let down = children.len() as u64 * packed_words(&global);
+                let from_children: u64 = children.iter().map(|&c| up(c)).sum();
+                let (to_parent, from_parent) = match rank {
+                    0 => (0, 0),
+                    _ => (up(rank), packed_words(&global)),
+                };
+                assert_eq!(packed.sent_words, to_parent + down, "p={p} rank {rank}");
+                assert_eq!(
+                    packed.received_words,
+                    from_children + from_parent,
+                    "p={p} rank {rank}"
+                );
+                assert_eq!(
+                    packed.sent_messages, whole.sent_messages,
+                    "p={p} rank {rank}"
+                );
+                assert_eq!(
+                    packed.received_messages, whole.received_messages,
+                    "p={p} rank {rank}"
+                );
+                assert!(packed.sent_words < whole.sent_words || whole.sent_words == 0);
             }
         }
     }

@@ -32,6 +32,9 @@
 //!   being the most runs of distinct counts that mass can pay for, plus
 //!   `d·(log₂(U/d) + 2)` bits of codes, capped at the `1 + d + R̂` words of
 //!   raw keys;
+//! * EC's and PEC's exact counts cross the wire as a
+//!   [`PackedCounts`](commsim::codec::PackedCounts), charged `1 + ⌈k*·w/64⌉`
+//!   words with `w` the bit length of the fitted top count `n/H(U, s)`;
 //! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
 //!   of the all-reductions, the baselines' coordinator) and for a leaf, each
 //!   direction on its own, and the busier of the two is the prediction — the
@@ -58,7 +61,7 @@ use commsim::{Communicator, CostModel, PredictedComm};
 use crate::frequent::dht::DhtFanout;
 use crate::frequent::{ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
-use seqkit::skew::{expected_distinct, fit_zipf_exponent};
+use seqkit::skew::{expected_distinct, fit_zipf_exponent, generalized_harmonic};
 
 /// The §7 top-k most-frequent-objects algorithms as a dispatchable value —
 /// the one enum the text workload, the recovery driver, the benchmark and
@@ -591,7 +594,7 @@ impl Planner {
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let (fanout, traffic) = self.ec_stage(start, s, k_star, d_loc(s), d(s as f64), u);
+                let (fanout, traffic) = self.ec_stage(start, i, s, k_star, d_loc(s), d(s as f64));
                 (traffic, fanout, s, k_star as u64)
             }
             Algorithm::Pec => {
@@ -607,8 +610,8 @@ impl Planner {
                     .min(n as f64) as usize;
                 let k_star = k_star.max(i.k);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let (fanout, traffic) =
-                    self.ec_stage(stage1.allreduce(1.0), s, k_star, d_loc(s), d(s as f64), u);
+                let stage1 = stage1.allreduce(1.0);
+                let (fanout, traffic) = self.ec_stage(stage1, i, s, k_star, d_loc(s), d(s as f64));
                 (traffic, fanout, s0 + s, k_star as u64)
             }
             Algorithm::Naive | Algorithm::NaiveTree => {
@@ -665,17 +668,18 @@ impl Planner {
 
     /// The EC machinery at a given `k*` after the `n` reduction: the
     /// sample-size all-reduction, DHT, the candidates' top-`k*` merge, and
-    /// the exact-count vector all-reduction, with the routing the DHT term
-    /// was priced under.
+    /// the exact-count all-reduction, with the routing the DHT term was
+    /// priced under.  Keys are drawn from the fitted universe of `i`.
     fn ec_stage(
         &self,
         traffic: Traffic,
+        i: &PlanInputs,
         sample: u64,
         k_star: usize,
         d_local: f64,
         d_global: f64,
-        universe: f64,
     ) -> (DhtFanout, Traffic) {
+        let universe = i.skew.universe as f64;
         let mass_local = sample as f64 / traffic.p as f64;
         let (fanout, dht) = Self::best_fanout(traffic.p, d_local, mass_local, universe);
         let aggregate = d_global.min(sample as f64);
@@ -687,7 +691,7 @@ impl Planner {
             .allreduce(1.0) // global sample size
             .everywhere(dht)
             .top_counts(aggregate, k_eff, sample as f64, universe)
-            .allreduce(k_eff + 1.0);
+            .allreduce(packed_counts_words(k_eff, i));
         (fanout, traffic)
     }
 
@@ -727,6 +731,17 @@ fn key_counts_words(d: f64, mass: f64, universe: f64) -> f64 {
     let runs = (((8.0 * mass + 1.0).sqrt() - 1.0) / 2.0).floor().min(d);
     let bits = (universe / d.max(1.0)).log2().max(0.0) + 2.0;
     1.0 + runs + (d * bits / 64.0).min(d)
+}
+
+/// Words of the [`PackedCounts`](commsim::codec::PackedCounts) of `len`
+/// exact counts: a header word and `len` entries at the bit length of the
+/// largest, the fitted top count `n/H(U, s)` — never more than `n`'s own
+/// `⌈log₂(n + 1)⌉` bits.
+fn packed_counts_words(len: f64, i: &PlanInputs) -> f64 {
+    let n = i.n as f64;
+    let top = n / generalized_harmonic(i.skew.universe, i.skew.exponent);
+    let bits = (top + 1.0).log2().ceil().min((n + 1.0).log2().ceil());
+    1.0 + (len * bits / 64.0).ceil()
 }
 
 /// One PE's predicted traffic summed over a run of collectives, each
@@ -945,6 +960,17 @@ mod tests {
         // Codes longer than a word a key are capped at the raw price.
         assert_eq!(key_counts_words(2.0, 1.0, 1e30), 1.0 + 1.0 + 2.0);
         assert_eq!(key_counts_words(0.0, 0.0, 6400.0), 1.0);
+    }
+
+    #[test]
+    fn exact_counts_are_priced_at_the_fitted_top_counts_bit_length() {
+        // n = 2¹⁹ over Zipf(1.0) on 2¹⁶ keys: top count n/H ≈ 44 900, 16 bits.
+        let zipf = inputs(1 << 19, 32, 2, 1.0, 1 << 16);
+        assert_eq!(packed_counts_words(2240.0, &zipf), 1.0 + 560.0);
+        assert_eq!(packed_counts_words(0.0, &zipf), 1.0);
+        // One key takes all of n: ⌈log₂(n + 1)⌉ = 20 bits.
+        let one_key = inputs(1 << 19, 32, 2, 1.0, 1);
+        assert_eq!(packed_counts_words(64.0, &one_key), 1.0 + 20.0);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! 1. **Bounded regret** — across a quick-scale grid of (n, k, p, skew)
 //!    cells, the planner's pick never moves more than 1.3× the measured
 //!    bottleneck words/PE of the empirically best algorithm for that cell.
-//!    Since the top-k is a merge, PAC is the measured argmin in 11 of the 12
-//!    cells; the worst cell reads 1.12× (p = 2, n/p = 512, s = 0.8: Naive
-//!    picked at 66 words against PAC's 59).
+//!    Since EC's exact counts travel bit-packed, EC is the measured argmin in
+//!    9 of the 12 cells, PAC in 2 and Naive in 1; the worst cell reads
+//!    1.17× (p = 8, n/p = 512, s = 0.8: PAC picked at 195 words against
+//!    EC's 166).
 //!    The model may misrank close calls; it must not pick a blowout.
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,

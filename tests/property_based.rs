@@ -10,8 +10,9 @@
 //! * the bulk queue drains any insert schedule in global order;
 //! * the word-count metering is additive;
 //! * the word codec round-trips every implementing type, with the wire
-//!   length equal to the metered word count (and an aggregate grouped by
-//!   count never costs more than its pairs);
+//!   length equal to the metered word count (an aggregate grouped by count
+//!   never costs more than its pairs, and a packed count vector costs its
+//!   header plus its entries' bits);
 //! * every decoder is total: random words and mutated encodings decode to a
 //!   value or to `CommError::Decode`, never to a panic;
 //! * the SPMD collective suite gives identical results and identical metered
@@ -28,6 +29,7 @@ use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
+use topk_selection::commsim::codec::PackedCounts;
 use topk_selection::commsim::recovery::Checkpoint;
 use topk_selection::commsim::{CommData, CommError, CommResult, WordReader};
 use topk_selection::prelude::*;
@@ -587,6 +589,27 @@ proptest! {
         prop_assert!(counts.word_count() <= 1 + pairs.len() + runs.len() + escaped);
     }
 
+    /// A [`PackedCounts`] of `len` entries whose largest has bit length `w`
+    /// round-trips in exactly `1 + ⌈len·w/64⌉` words.
+    #[test]
+    fn word_codec_roundtrips_packed_counts(
+        words in vec(0u64..u64::MAX, 0..3001),
+        width in 0u32..=64,
+        top in 0usize..3001,
+    ) {
+        let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let mut counts: Vec<u64> = words.iter().map(|&word| word & mask).collect();
+        if let Some(count) = counts.get_mut(top % words.len().max(1)) {
+            // The largest entry sets the width's top bit.
+            *count |= mask ^ (mask >> 1);
+        }
+        let len = counts.len();
+        let packed = PackedCounts(counts);
+        codec_roundtrip(packed.clone())?;
+        let width = if len == 0 { 0 } else { width as usize };
+        prop_assert_eq!(packed.word_count(), 1 + (len * width).div_ceil(64));
+    }
+
     #[test]
     fn scalar_decoders_are_total(a in 0u64..u64::MAX, b in i64::MIN..i64::MAX, g in garbage()) {
         codec_is_total(&(a as u8), &g)?;
@@ -683,6 +706,17 @@ proptest! {
         let edge = u64::from(u32::MAX);
         let raw: KeyCounts = wide.iter().copied().zip([1, edge, u64::MAX].into_iter().cycle()).collect();
         codec_is_total(&raw, &g)?;
+    }
+
+    #[test]
+    fn packed_counts_decoder_is_total(
+        words in vec(0u64..u64::MAX, 0..40),
+        width in 0u32..=64,
+        g in garbage(),
+    ) {
+        let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+        let packed = PackedCounts(words.iter().map(|&word| word & mask).collect());
+        codec_is_total(&packed, &g)?;
     }
 
     #[test]
