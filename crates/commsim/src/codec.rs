@@ -10,7 +10,7 @@
 //! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
 //! This module is therefore the single owner of each type's layout.
 //! Layouts finer than a word — the [`PackedCounts`] vector here and the
-//! Rice-coded `KeyCounts` of the frequent-objects algorithms — pack their
+//! `KeyCounts` bit stream of the frequent-objects algorithms — pack their
 //! bits through its one bit coder, [`BitWriter`] and [`BitReader`].
 //!
 //! Two invariants tie the codec to the cost model:
@@ -432,9 +432,21 @@ fn low_bits(word: u64, bits: u32) -> u64 {
     word & u64::MAX.checked_shr(64 - bits).unwrap_or(0)
 }
 
+/// Largest Rice parameter [`BitWriter::rice`] takes.
+pub const MAX_RICE: u32 = 62;
+
+/// Bit length of `value`: 0 for 0, 64 for `2⁶³` and above.
+#[inline]
+fn bit_length(value: u64) -> u32 {
+    u64::BITS - value.leading_zeros()
+}
+
 /// Packs bits least significant first into whole words — the one bit coder
-/// of the wire, shared by the [`PackedCounts`] vector and the Rice-coded
-/// `KeyCounts` of the frequent-objects algorithms.
+/// of the wire, shared by the [`PackedCounts`] vector and the `KeyCounts`
+/// of the frequent-objects algorithms.  It writes three codes: fixed-width
+/// numbers ([`put`](Self::put)), Rice codes for gaps of a known scale
+/// ([`rice`](Self::rice)), and a universal code for any `u64`
+/// ([`number`](Self::number)).
 #[derive(Debug)]
 pub struct BitWriter<'a> {
     out: &'a mut Vec<u64>,
@@ -470,10 +482,12 @@ impl<'a> BitWriter<'a> {
         }
     }
 
-    /// `value` Rice-coded with parameter `r < 63`: its quotient `value ≫ r`
-    /// in unary — that many zero bits, then a one — and its `r` low bits.
+    /// `value` Rice-coded with parameter `r ≤ MAX_RICE`: its quotient
+    /// `value ≫ r` in unary — that many zero bits, then a one — and its `r`
+    /// low bits.
     #[inline]
     pub fn rice(&mut self, value: u64, r: u32) {
+        debug_assert!(r <= MAX_RICE);
         let mut zeros = value >> r;
         while zeros >= 64 {
             self.put(0, 64);
@@ -481,6 +495,36 @@ impl<'a> BitWriter<'a> {
         }
         self.put(1 << zeros, zeros as u32 + 1);
         self.put(low_bits(value, r), r);
+    }
+
+    /// Bits of [`rice`](Self::rice)`(value, r)`.
+    #[inline]
+    pub fn rice_bits(value: u64, r: u32) -> u64 {
+        (value >> r) + 1 + u64::from(r)
+    }
+
+    /// `value` in an Elias-δ-style code that takes every `u64`, 0 too: the
+    /// bit length `L ≤ 64` of `value`, itself coded as its own bit length
+    /// in unary and its low bits below the leading one, then the `L − 1`
+    /// bits of `value` below its leading one.  0 costs 1 bit, 1 costs 2, a
+    /// number of bit length 32 costs 43 and `u64::MAX` 77.
+    #[inline]
+    pub fn number(&mut self, value: u64) {
+        let len = bit_length(value);
+        let width = bit_length(u64::from(len));
+        self.put(1 << width, width + 1);
+        let below = width.saturating_sub(1);
+        self.put(low_bits(u64::from(len), below), below);
+        let below = len.saturating_sub(1);
+        self.put(low_bits(value, below), below);
+    }
+
+    /// Bits of [`number`](Self::number)`(value)`.
+    #[inline]
+    pub fn number_bits(value: u64) -> u64 {
+        let len = bit_length(value);
+        let width = bit_length(u64::from(len));
+        u64::from(width + 1 + width.saturating_sub(1) + len.saturating_sub(1))
     }
 
     /// Push the last, partly filled word; its unused high bits stay zero.
@@ -547,7 +591,15 @@ impl<'r, 'a> BitReader<'r, 'a> {
         Ok(value)
     }
 
-    /// One value Rice-coded with parameter `r < 63`.
+    /// Bits not yet read: the rest of the current word and every word the
+    /// reader still holds.  A decoder bounds a length by it before it
+    /// reserves space: every code takes at least one bit.
+    #[inline]
+    pub fn bits_left(&self) -> u64 {
+        u64::from(self.left) + 64 * self.words.remaining() as u64
+    }
+
+    /// One value Rice-coded with parameter `r ≤ MAX_RICE`.
     #[inline]
     pub fn rice(&mut self, r: u32) -> CommResult<u64> {
         let mut quotient = 0u64;
@@ -565,6 +617,26 @@ impl<'r, 'a> BitReader<'r, 'a> {
             return Err(self.error());
         }
         Ok(quotient << r | self.take(r)?)
+    }
+
+    /// One value of [`BitWriter::number`]'s code.  Only the code of a `u64`
+    /// decodes: a bit length above 64 is a [`CommError::Decode`].
+    #[inline]
+    pub fn number(&mut self) -> CommResult<u64> {
+        // The bit length's own bit length: 7 at most.
+        let width = self.rice(0)?;
+        if width > 7 {
+            return Err(self.error());
+        }
+        let len = match width as u32 {
+            0 => 0,
+            width => 1 << (width - 1) | self.take(width - 1)?,
+        };
+        match len as u32 {
+            0 => Ok(0),
+            len @ 1..=64 => Ok(1 << (len - 1) | self.take(len - 1)?),
+            _ => Err(self.error()),
+        }
     }
 
     /// End the bit stream: the unread bits of the last word are
@@ -616,8 +688,7 @@ impl PackedCounts {
 
     /// Bit length of the largest entry.
     fn width(&self) -> u32 {
-        let max = self.0.iter().copied().max().unwrap_or(0);
-        u64::BITS - max.leading_zeros()
+        bit_length(self.0.iter().copied().max().unwrap_or(0))
     }
 }
 
@@ -900,6 +971,69 @@ mod tests {
                 expected: "alloc::string::String"
             })
         ));
+    }
+
+    /// Every `u64` round-trips through the universal code in exactly
+    /// [`BitWriter::number_bits`] bits, back to back in one stream.
+    #[test]
+    fn number_code_round_trips_every_power_of_two_and_the_extremes() {
+        let mut values = vec![0, 1, 1 << 32, u64::MAX];
+        for shift in 0..64 {
+            values.extend([1 << shift, (1 << shift) - 1, (1u64 << shift) + 1]);
+        }
+        let mut wire = Vec::new();
+        let mut bits = BitWriter::new(&mut wire);
+        for &value in &values {
+            bits.number(value);
+        }
+        bits.finish();
+        let total: u64 = values.iter().map(|&v| BitWriter::number_bits(v)).sum();
+        assert_eq!(wire.len() as u64, total.div_ceil(64));
+        let mut words = WordReader::new(&wire);
+        let mut bits = BitReader::new::<u64>(&mut words);
+        for &value in &values {
+            let left = bits.bits_left();
+            assert_eq!(bits.number().unwrap(), value);
+            assert_eq!(left - bits.bits_left(), BitWriter::number_bits(value));
+        }
+        bits.finish().unwrap();
+        // The sizes the doc names: 1 bit for 0, 2 for 1, 43 for bit length
+        // 32, 77 for the largest.
+        let sizes = [0, 1, u32::MAX.into(), u64::MAX].map(BitWriter::number_bits);
+        assert_eq!(sizes, [1, 2, 43, 77]);
+        // 0, 1 and 2 bit by bit, lowest first: `1`; `01`; `001 0 0` — bit
+        // length 2 is width 2 in unary, its low bit 0, then 2's low bit 0.
+        // Read from the top, the word is 00100 · 10 · 1.
+        let mut wire = Vec::new();
+        let mut bits = BitWriter::new(&mut wire);
+        [0, 1, 2].into_iter().for_each(|v| bits.number(v));
+        bits.finish();
+        assert_eq!(wire, vec![0b0010_0101]);
+    }
+
+    /// A bit length above 64 — width 7 with low bits beyond 64, or a width
+    /// of 8 zeros and more — is a decode error, never a panic.
+    #[test]
+    fn number_code_rejects_bit_lengths_above_64() {
+        let decode = |words: &[u64]| {
+            let mut words = WordReader::new(words);
+            BitReader::new::<u64>(&mut words).number()
+        };
+        // Width 7 (`0000000 1`) and low bits 000000: length 64, then 63 ones.
+        assert_eq!(decode(&[1 << 7 | u64::MAX << 14, u64::MAX]), Ok(u64::MAX));
+        // Low bits 000001: length 65.
+        assert!(matches!(
+            decode(&[1 << 7 | 1 << 8, u64::MAX]),
+            Err(CommError::Decode { .. })
+        ));
+        // Width 8.
+        assert!(matches!(
+            decode(&[1 << 8, u64::MAX]),
+            Err(CommError::Decode { .. })
+        ));
+        // Nothing to read, and a unary width that never ends.
+        assert!(decode(&[]).is_err());
+        assert!(decode(&[0, 0]).is_err());
     }
 
     #[test]

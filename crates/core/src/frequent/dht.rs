@@ -25,40 +25,49 @@
 //! Naive baselines' shipments to the coordinator, the top-`k` merge's lists —
 //! crosses the wire as a [`KeyCounts`]: the keys grouped into *runs* of equal
 //! count, runs in ascending count, keys ascending inside a run, each run's
-//! keys Rice-coded as sorted gaps (the coding of Golomb-coded sets).
+//! keys Rice-coded as sorted gaps (the coding of Golomb-coded sets).  After a
+//! first word, the run count `R`, everything is one bit stream:
 //!
 //! ```text
-//! [ runs | header₁ codes₁ | header₂ codes₂ | … ]
-//!          header = count ≪ 32 | r ≪ 26 | len
+//! [ R | per run: δ(count step) · δ(len − 1) · r (6 bits) · len Rice(r) gaps | zero padding ]
 //! ```
 //!
-//! A count of `2³² − 1` or more does not fit the header: its count field is
-//! all ones and the count follows in a word of its own.  A run of `2²⁶` keys
-//! or more is split into several runs of the same count.  The `len` keys
+//! `δ` is [`commsim::codec::BitWriter::number`]'s universal code, an
+//! Elias-δ code that takes 0 and every `u64`: a number of bit length `L`
+//! costs about `L + 2·log₂ L` bits.  The first run codes its count, every
+//! later one the step `count − previous − 1` above its predecessor, so the
+//! small, dense counts of a sample cost a few bits a run.  The `len` keys
 //! `x₁ ≤ … ≤ x_len` of a run travel as their gaps `x₁ − 0, x₂ − x₁, …`, each
 //! as its quotient `gap ≫ r` in unary (that many zero bits, then a one) and
-//! its `r` low bits, packed least significant bit first into whole words by
-//! [`commsim::codec::BitWriter`] — the wire's one bit coder, which also packs
-//! EC's and PEC's exact counts ([`commsim::codec::PackedCounts`]).
-//! The Rice parameter is `r = ⌊log₂ max(1, x_len / len)⌋`, so a gap costs
-//! about `r + 2` bits: dense keys — Zipf ranks, interned ids — cost a few bits
-//! each, and even random 64-bit keys save about `log₂ len` bits.  A run whose
-//! code would not be shorter than its `len` keys travels raw instead, flagged
-//! by `r = 63`.  Decoding accepts only this canonical order — `(count, key)`
-//! ascending through the message — so a decoded value's runs are sorted too,
-//! and only zero padding after a coded run.
+//! its `r` low bits.  The Rice parameter is
+//! `r = min(62, ⌊log₂ max(1, x_len / len)⌋)`, so a gap costs about `r + 2`
+//! bits: dense keys — Zipf ranks, interned ids — cost a few bits each, and
+//! even random 64-bit keys save about `log₂ len` bits.  All of it is packed
+//! least significant bit first by [`commsim::codec::BitWriter`], the wire's
+//! one bit coder, which also packs EC's and PEC's exact counts
+//! ([`commsim::codec::PackedCounts`]).
 //!
-//! So a message of `d` keys in `R` runs, none of them escaped, costs at most
-//! `1 + d + R` words.  `R ≤ d`, so that is **never more than the `1 + 2d`
-//! words of `d` `(key, count)` pairs**, and as `1 + 2 + … + R ≤ m` for counts
-//! that sum to `m`, `R ≤ (√(8m + 1) − 1)/2`: a sample of a skewed input, where
-//! thousands of keys share each of the few small counts, costs little more
-//! than its codes.  An escaped run costs one word more (only there can the
-//! pair form be shorter — no sampled count gets near 2³²).
+//! Decoding accepts only this canonical form.  Counts strictly ascend and
+//! keys never descend inside a run by construction, so a decoded value's
+//! runs are sorted too; a Rice parameter other than the one the decoded keys
+//! imply, a bit length above 64, a count beyond `u64` and non-zero padding
+//! are decode errors.
+//!
+//! So a message of `d` keys in `R` runs costs one word plus its codes and
+//! headers in whole words, with no padding but the last word's.  A run
+//! header takes 8 bits at the least and about 20 on a sample's shares.  While
+//! every count step stays below `2³²`, a run of `len` keys takes at most
+//! `64·(len + 1)` bits, so the message takes at most `1 + d + R` words;
+//! `R ≤ d`, so that is **never more than the `1 + 2d` words of `d`
+//! `(key, count)` pairs**.  As `1 + 2 + … + R ≤ m` for counts that sum to
+//! `m`, `R ≤ (√(8m + 1) − 1)/2`: a sample of a skewed input, where thousands
+//! of keys share each of the few small counts, costs little more than its
+//! key codes.  A larger step costs at most a word more (only there can the
+//! pair form be shorter — no sampled count gets near `2³²`).
 
 use std::collections::{BTreeMap, HashMap};
 
-use commsim::codec::{decode_error, BitReader, BitWriter, WordCodec, WordReader};
+use commsim::codec::{decode_error, BitReader, BitWriter, WordCodec, WordReader, MAX_RICE};
 use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
@@ -114,14 +123,8 @@ pub struct KeyCounts {
 
 /// Counts below this are grouped by direct indexing.
 const SMALL_COUNTS: usize = 256;
-/// The header's count field when the count follows in its own word.
-const ESCAPED: u64 = u32::MAX as u64;
-/// Bits of the header's length field.
-const LEN_BITS: u32 = 26;
-/// Longest run one header can announce.
-const MAX_RUN: usize = (1 << LEN_BITS) - 1;
-/// The header's Rice parameter for a run whose keys travel raw.
-const RAW: u32 = 63;
+/// Bits of a run header's Rice parameter.
+const RICE_FIELD: u32 = 6;
 
 impl KeyCounts {
     /// Add `key` with `count`; the caller sorts the runs when it is done.
@@ -175,10 +178,16 @@ impl KeyCounts {
             .filter(|(_, keys)| !keys.is_empty())
     }
 
-    /// The runs as the wire carries them: none longer than [`MAX_RUN`].
-    fn wire_runs(&self) -> impl Iterator<Item = (u64, &[u64])> {
-        self.runs()
-            .flat_map(|(count, keys)| keys.chunks(MAX_RUN).map(move |run| (count, run)))
+    /// The runs as the wire carries them: `(count step, keys, r)`, the step
+    /// from the previous run's count (the count itself for the first run)
+    /// and the keys' Rice parameter.
+    fn wire_runs(&self) -> impl Iterator<Item = (u64, &[u64], u32)> {
+        let mut previous = None;
+        self.runs().map(move |(count, keys)| {
+            let step = previous.map_or(count, |previous: u64| count - previous - 1);
+            previous = Some(count);
+            (step, keys, rice_parameter(keys))
+        })
     }
 }
 
@@ -201,107 +210,86 @@ fn gaps(keys: &[u64]) -> impl Iterator<Item = u64> + '_ {
         .map(|(key, previous)| key - previous)
 }
 
-/// How a run of ascending `keys` travels: its Rice parameter ([`RAW`] for
-/// raw keys) and the words it takes after its header.
-fn run_layout(keys: &[u64]) -> (u32, usize) {
-    let Some(&last) = keys.last() else {
-        return (RAW, 0);
-    };
-    let len = keys.len() as u64;
-    let r = (last / len).max(1).ilog2();
-    // The quotients sum to at most `last ≫ r < 2·len`: no overflow.
-    let bits = gaps(keys).map(|gap| gap >> r).sum::<u64>() + len * u64::from(1 + r);
-    let words = bits.div_ceil(64) as usize;
-    if r < RAW && words < keys.len() {
-        (r, words)
-    } else {
-        (RAW, keys.len())
-    }
+/// The Rice parameter of a run of ascending `keys`:
+/// `min(MAX_RICE, ⌊log₂ max(1, last / len)⌋)`, so a gap costs about `r + 2`
+/// bits.
+fn rice_parameter(keys: &[u64]) -> u32 {
+    let last = keys.last().copied().unwrap_or(0);
+    let len = keys.len().max(1) as u64;
+    (last / len).max(1).ilog2().min(MAX_RICE)
 }
 
 impl WordCodec for KeyCounts {
     fn encoded_len(&self) -> usize {
-        1 + self
+        let bits: u64 = self
             .wire_runs()
-            .map(|(count, keys)| 1 + usize::from(count >= ESCAPED) + run_layout(keys).1)
-            .sum::<usize>()
+            .map(|(step, keys, r)| {
+                let header = BitWriter::number_bits(step)
+                    + BitWriter::number_bits(keys.len() as u64 - 1)
+                    + u64::from(RICE_FIELD);
+                let codes: u64 = gaps(keys).map(|gap| BitWriter::rice_bits(gap, r)).sum();
+                header + codes
+            })
+            .sum();
+        1 + bits.div_ceil(64) as usize
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
-        out.push(self.wire_runs().count() as u64);
-        for (count, keys) in self.wire_runs() {
-            let (r, _) = run_layout(keys);
-            out.push(count.min(ESCAPED) << 32 | u64::from(r) << LEN_BITS | keys.len() as u64);
-            if count >= ESCAPED {
-                out.push(count);
-            }
-            if r == RAW {
-                out.extend_from_slice(keys);
-            } else {
-                let mut bits = BitWriter::new(out);
-                for gap in gaps(keys) {
-                    bits.rice(gap, r);
-                }
-                bits.finish();
+        out.push(self.runs().count() as u64);
+        let mut bits = BitWriter::new(out);
+        for (step, keys, r) in self.wire_runs() {
+            bits.number(step);
+            bits.number(keys.len() as u64 - 1);
+            bits.put(u64::from(r), RICE_FIELD);
+            for gap in gaps(keys) {
+                bits.rice(gap, r);
             }
         }
+        bits.finish();
     }
 
-    /// Every encoding lists its `(count, key)` pairs in ascending order, and
-    /// only such a message decodes — so the decoded runs are sorted too.
+    /// Counts ascend and keys never descend by construction, so the decoded
+    /// runs are sorted; the rest of the canonical form is checked.
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
-        // Every run has a header word: a corrupt run count fails here and
-        // not after looping over it.  Every key takes a word of a raw run
-        // and at least a bit of a coded one, so nothing below reserves more
-        // keys than the remaining words can carry.
-        if runs > r.remaining() as u64 {
+        let mut bits = BitReader::new::<Self>(r);
+        // Every run takes a bit or more, and so does every key: a corrupt
+        // run count or length fails here, not after looping over it or
+        // reserving it.
+        if runs > bits.bits_left() {
             return Err(decode_error::<Self>());
         }
         let mut counts = KeyCounts::default();
-        let mut last = (0, 0);
+        let mut previous: Option<u64> = None;
         for _ in 0..runs {
-            let header = r.next_word().ok_or_else(decode_error::<Self>)?;
-            let len = (header & MAX_RUN as u64) as usize;
-            let rice = (header >> LEN_BITS) as u32 & RAW;
-            let count = match header >> 32 {
-                ESCAPED => r.next_word().ok_or_else(decode_error::<Self>)?,
-                count => count,
-            };
-            let capacity = if rice == RAW {
-                r.remaining()
-            } else {
-                r.remaining().saturating_mul(64)
-            };
-            if len > capacity {
+            let step = bits.number()?;
+            let count = match previous {
+                None => Some(step),
+                Some(previous) => previous.checked_add(step).and_then(|c| c.checked_add(1)),
+            }
+            .ok_or_else(decode_error::<Self>)?;
+            previous = Some(count);
+            let len_minus_one = bits.number()?;
+            let rice = bits.take(RICE_FIELD)? as u32;
+            if len_minus_one >= bits.bits_left() || rice > MAX_RICE {
                 return Err(decode_error::<Self>());
             }
+            let len = len_minus_one + 1;
+            // A fresh run: its count is above every count before it.
             let keys = counts.run_mut(count);
-            let start = keys.len();
-            keys.reserve(len);
-            if rice == RAW {
-                for _ in 0..len {
-                    keys.push(r.next_word().ok_or_else(decode_error::<Self>)?);
-                }
-            } else {
-                let mut bits = BitReader::new::<Self>(r);
-                let mut key = 0u64;
-                for _ in 0..len {
-                    key = key
-                        .checked_add(bits.rice(rice)?)
-                        .ok_or_else(decode_error::<Self>)?;
-                    keys.push(key);
-                }
-                bits.finish()?;
+            keys.reserve(len as usize);
+            let mut key = 0u64;
+            for _ in 0..len {
+                key = key
+                    .checked_add(bits.rice(rice)?)
+                    .ok_or_else(decode_error::<Self>)?;
+                keys.push(key);
             }
-            let run = &keys[start..];
-            if let (Some(&first), Some(&end)) = (run.first(), run.last()) {
-                if (count, first) < last || !run.is_sorted() {
-                    return Err(decode_error::<Self>());
-                }
-                last = (count, end);
+            if rice_parameter(keys) != rice {
+                return Err(decode_error::<Self>());
             }
         }
+        bits.finish()?;
         Ok(counts)
     }
 }
@@ -396,9 +384,18 @@ mod tests {
         words.len()
     }
 
-    /// The header of a run of `len` keys with `count` and Rice parameter `r`.
-    fn header(count: u64, r: u32, len: u64) -> u64 {
-        count << 32 | u64::from(r) << LEN_BITS | len
+    /// Words from bits written in stream order, `'0'` and `'1'` (spaces
+    /// ignored), packed lowest bit first — the wire's order, spelled out by
+    /// hand.
+    fn stream(bits: &str) -> Vec<u64> {
+        let bits: Vec<u64> = bits
+            .bytes()
+            .filter(|b| *b != b' ')
+            .map(|b| u64::from(b - b'0'))
+            .collect();
+        bits.chunks(64)
+            .map(|chunk| chunk.iter().enumerate().map(|(i, &bit)| bit << i).sum())
+            .collect()
     }
 
     #[test]
@@ -406,37 +403,30 @@ mod tests {
         let counts: KeyCounts = [(7, 3), (4, 1), (9, 3), (5, 1), (6, 300)]
             .into_iter()
             .collect();
-        assert_eq!(
-            wire(&counts),
-            vec![
-                3,
-                // Keys 4, 5: r = ⌊log₂(5/2)⌋ = 1, gaps 4 = 0b10·2 + 0 and
-                // 1 = 0·2 + 1 — bits `001 0` then `1 1`, lowest first.
-                header(1, 1, 2),
-                0b11_0100,
-                // Keys 7, 9: r = ⌊log₂(9/2)⌋ = 2, gaps 7 = 1·4 + 3 and
-                // 2 = 0·4 + 2 — bits `01 11` then `1 01`.
-                header(3, 2, 2),
-                0b101_1110,
-                // One key: its code would take a word too, so it travels raw.
-                header(300, RAW, 1),
-                6,
-            ]
-        );
-        // The first count that does not fit the header travels in its own word.
-        let fits = u64::from(u32::MAX) - 1;
-        let counts: KeyCounts = [(1, fits), (2, fits + 1)].into_iter().collect();
-        assert_eq!(
-            wire(&counts),
-            vec![
-                2,
-                header(fits, RAW, 1),
-                1,
-                header(ESCAPED, RAW, 1),
-                fits + 1,
-                2
-            ]
-        );
+        let mut expected = vec![3];
+        expected.extend(stream(concat!(
+            // Count 1, keys 4 and 5: δ(1) = `01`, δ(len − 1 = 1) = `01`,
+            // r = ⌊log₂(5/2)⌋ = 1 in six bits; gaps 4 = 2·2 + 0 and
+            // 1 = 0·2 + 1 — quotient in unary, then the low bit.
+            "01 01 100000 001 0 1 1 ",
+            // Count 3, step 3 − 1 − 1 = 1; keys 7 and 9: r = ⌊log₂(9/2)⌋ = 2;
+            // gaps 7 = 1·4 + 3 and 2 = 0·4 + 2.
+            "01 01 010000 01 11 1 01 ",
+            // Count 300, step 296 of bit length 9: width 4 in unary, 9's low
+            // three bits, 296's low eight; δ(0) = `1`; key 6: r = 2, gap
+            // 6 = 1·4 + 2.  60 bits in all, one word.
+            "00001 100 00010100 1 010000 01 01",
+        )));
+        assert_eq!(wire(&counts), expected);
+        // The largest counts: the first step is u64::MAX − 1 (bit length 64,
+        // width 7, 63 low bits), the next one 0.  97 bits, two words.
+        let counts: KeyCounts = [(2, u64::MAX), (1, u64::MAX - 1)].into_iter().collect();
+        let mut expected = vec![2];
+        let ones = "1".repeat(62);
+        expected.extend(stream(&format!(
+            "00000001 000000 0{ones} 1 000000 01  1 1 100000 01 0"
+        )));
+        assert_eq!(wire(&counts), expected);
     }
 
     /// The same multiset encodes to the same words whatever order its pairs
@@ -454,34 +444,36 @@ mod tests {
     }
 
     #[test]
-    fn key_counts_roundtrip_and_cost_one_word_per_key_and_per_run() {
+    fn key_counts_roundtrip_and_cost_their_bits_in_whole_words() {
         assert_eq!(roundtrip(&[]), 1);
-        // All counts equal, dense keys: one run of 100 one-bit gaps and a
-        // leading zero, r = 0 — 199 bits in 4 words.
+        // All counts equal, dense keys: one run, a 20-bit header (δ(1),
+        // δ(99), r = 0) and 100 one-bit gaps and a leading zero — 219 bits in
+        // 4 words.
         let equal: Vec<(u64, u64)> = (0..100).map(|key| (key, 1)).collect();
-        assert_eq!(roundtrip(&equal), 1 + 1 + 4);
-        // All counts distinct, on both sides of the direct-indexed range: one
-        // raw key per run, the pair form's size.
+        assert_eq!(roundtrip(&equal), 1 + 4);
+        // All counts distinct, on both sides of the direct-indexed range:
+        // one key per run, headers of 8 to 13 bits and codes of about
+        // log₂ key + 2 bits — 31 words, where pairs take 201.
         let distinct: Vec<(u64, u64)> = (0..100).map(|key| (key, key * 7)).collect();
-        assert_eq!(roundtrip(&distinct), 1 + 2 * 100);
+        assert_eq!(roundtrip(&distinct), 1 + 31);
         // The same key twice is two entries (a zero gap).
-        assert_eq!(roundtrip(&[(5, 2), (5, 2), (5, 9)]), 1 + 2 + 1 + 1);
-        // The count field's edge: 0 and 2³² − 2 fit it, 2³² − 1 and beyond
-        // take the escape word.  Keys 1 and 2 fit one coded word.
+        assert_eq!(roundtrip(&[(5, 2), (5, 2), (5, 9)]), 1 + 1);
+        // Counts at every size: 0 costs one bit, 2³² − 2 and 2³² − 1 each 43,
+        // u64::MAX 77.  Keys 1 and 2 fit with either in one word.
         let edge = u64::from(u32::MAX);
-        assert_eq!(roundtrip(&[(1, 0), (2, 0)]), 1 + 1 + 1);
-        assert_eq!(roundtrip(&[(1, edge - 1), (2, edge - 1)]), 1 + 1 + 1);
-        assert_eq!(roundtrip(&[(1, edge), (2, edge)]), 1 + 2 + 1);
-        assert_eq!(roundtrip(&[(1, u64::MAX), (u64::MAX, u64::MAX)]), 1 + 2 + 2);
+        assert_eq!(roundtrip(&[(1, 0), (2, 0)]), 1 + 1);
+        assert_eq!(roundtrip(&[(1, edge - 1), (2, edge - 1)]), 1 + 1);
+        assert_eq!(roundtrip(&[(1, edge), (2, edge)]), 1 + 1);
+        assert_eq!(roundtrip(&[(1, u64::MAX), (u64::MAX, u64::MAX)]), 1 + 4);
         assert_eq!(
             roundtrip(&[(1, 0), (2, edge - 1), (3, edge), (4, u64::MAX), (5, 0)]),
-            1 + 4 + 2 + 4
+            1 + 3
         );
         // Random 40-bit keys still save about log₂ d bits each: 64 keys in
         // 36 words (r = 33, about 36 bits a key).
         let mut rng = StdRng::seed_from_u64(0x25);
         let random: Vec<(u64, u64)> = (0..64).map(|_| (rng.gen_range(0..1u64 << 40), 1)).collect();
-        assert_eq!(roundtrip(&random), 1 + 1 + 36);
+        assert_eq!(roundtrip(&random), 1 + 36);
     }
 
     #[test]
@@ -490,7 +482,7 @@ mod tests {
         for case in 0..300 {
             let d = rng.gen_range(0..60usize);
             // Skewed like a sample, flat, and wide enough to leave the
-            // direct-indexed range; no count needs the escape word.  Keys
+            // direct-indexed range; no count step reaches 2³².  Keys
             // dense, 40-bit, and from the whole range.
             let max_count = [4u64, 300, 1 << 31][case % 3];
             let max_key = [1u64 << 8, 1 << 40, u64::MAX][case / 3 % 3];
@@ -510,71 +502,112 @@ mod tests {
         }
     }
 
+    /// A message of `runs` runs whose bit stream `write` writes.
+    fn message(runs: u64, write: impl FnOnce(&mut BitWriter)) -> Vec<u64> {
+        let mut out = vec![runs];
+        let mut bits = BitWriter::new(&mut out);
+        write(&mut bits);
+        bits.finish();
+        out
+    }
+
+    /// Write one run: its count step, its length, `r` and the gaps coded
+    /// with it.
+    fn run(bits: &mut BitWriter, step: u64, r: u32, gaps: &[u64]) {
+        bits.number(step);
+        bits.number(gaps.len() as u64 - 1);
+        bits.put(u64::from(r), RICE_FIELD);
+        gaps.iter().for_each(|&gap| bits.rice(gap, r));
+    }
+
     #[test]
     fn corrupt_key_counts_fail_to_decode_without_panic_or_allocation() {
         let decode = |words: &[u64]| KeyCounts::decode(&mut WordReader::new(words));
         let is_decode_error = |r: CommResult<KeyCounts>| matches!(r, Err(CommError::Decode { .. }));
-        // A coded run spread over several words, a raw run, an escaped one.
+        // Coded runs spread over several words, a key near u64::MAX, and
+        // counts at both ends of the range.
         let mut pairs: Vec<(u64, u64)> = (0..200).map(|key| (key * 3, 2)).collect();
-        pairs.extend([(9, 5), (1 << 40, 5), (4, u64::MAX)]);
+        pairs.extend([(9, 5), (1 << 40, 5), (4, u64::MAX), (u64::MAX - 1, 0)]);
         let good = wire(&pairs.into_iter().collect());
         assert!(decode(&good).is_ok());
-        // Truncated anywhere: inside the codes, the raw keys, the escape
-        // word, a header, down to nothing.
+        // Truncated anywhere: inside the codes, a header, down to nothing.
         for cut in 0..good.len() {
             assert!(is_decode_error(decode(&good[..cut])), "cut at {cut}");
         }
-        // A run count beyond the words that remain (a decoder that trusted
-        // it would loop 2⁶⁴ times).
-        assert!(is_decode_error(decode(&[u64::MAX])));
-        assert!(is_decode_error(decode(&[3, 1 << 32, 1 << 32])));
-        // A coded run longer than 64 keys per remaining word, a raw run
-        // longer than one key per remaining word (either would reserve more
-        // than the words can carry), and a count's escape word missing.
-        assert!(is_decode_error(decode(&[1, header(1, 0, 65), u64::MAX])));
-        assert!(is_decode_error(decode(&[
-            1,
-            header(1, 0, MAX_RUN as u64),
-            7
-        ])));
-        assert!(is_decode_error(decode(&[1, header(1, RAW, 2), 7])));
-        assert!(is_decode_error(decode(&[1, header(ESCAPED, RAW, 1), 7])));
-        // A unary quotient running off the end: no one bit in what is left.
-        assert!(is_decode_error(decode(&[1, header(1, 0, 1), 0])));
-        assert!(is_decode_error(decode(&[1, header(1, 0, 2), 1])));
+        // Keys 4 and 5 at count 1, as encoded (r = 1), decode.
+        let keys_4_5 = |r: u32| message(1, |bits| run(bits, 1, r, &[4, 1]));
+        let decoded = decode(&keys_4_5(1)).unwrap();
+        assert_eq!(decoded.iter().collect::<Vec<_>>(), [(4, 1), (5, 1)]);
+        // The same keys at another Rice parameter than they imply decode to
+        // the same keys, but are not the canonical form; r = 63 is beyond
+        // the coder.
+        assert!(is_decode_error(decode(&keys_4_5(0))));
+        assert!(is_decode_error(decode(&keys_4_5(2))));
+        assert!(is_decode_error(decode(&message(1, |bits| {
+            run(bits, 1, 62, &[1]);
+        }))));
+        assert!(is_decode_error(decode(&message(1, |bits| {
+            bits.number(1);
+            bits.number(0);
+            bits.put(63, RICE_FIELD);
+            bits.put(1, 1);
+            bits.put(0, 63);
+        }))));
+        // Non-zero padding after the last code: just above it and at the top.
+        let padded = keys_4_5(1);
+        assert!(is_decode_error(decode(&[padded[0], padded[1] | 1 << 16])));
+        assert!(is_decode_error(decode(&[padded[0], padded[1] | 1 << 63])));
+        // A length code above 64: width 7 in unary and low bits 000001 — bit
+        // length 65 — in the count step, and in a run's length.
+        let long = |bits: &mut BitWriter| {
+            bits.put(1 << 7, 8);
+            bits.put(1, 6);
+            bits.put(u64::MAX, 64);
+        };
+        assert!(is_decode_error(decode(&message(1, long))));
+        assert!(is_decode_error(decode(&message(1, |bits| {
+            bits.number(1);
+            long(bits);
+        }))));
+        // A count step beyond u64: the first run at u64::MAX, then a step of
+        // 0; and a step of u64::MAX after count 0.
+        for (first, second) in [(u64::MAX, 0), (0, u64::MAX)] {
+            assert!(is_decode_error(decode(&message(2, |bits| {
+                run(bits, first, 0, &[1]);
+                run(bits, second, 0, &[1]);
+            }))));
+        }
+        // A run longer than the bits left (a decoder that trusted it would
+        // reserve it): 46 keys where the header leaves 45 bits of ones, and
+        // 2⁶⁴ − 1 keys.
+        for len in [46, u64::MAX] {
+            assert!(is_decode_error(decode(&message(1, |bits| {
+                bits.number(1);
+                bits.number(len - 1);
+                bits.put(0, RICE_FIELD);
+                bits.put(u64::MAX >> 19, 45);
+            }))));
+        }
         // A gap beyond u64 (quotient 4 at r = 62), and two gaps of 3·2⁶² that
         // each fit but whose sum, the second key, does not.
-        assert!(is_decode_error(decode(&[1, header(1, 62, 1), 1 << 4, 0])));
-        assert!(is_decode_error(decode(&[
-            1,
-            header(1, 62, 2),
-            1 << 3,
-            1 << 5,
-            0
-        ])));
-        assert!(decode(&[1, header(1, 62, 1), 1 << 3, 0]).is_ok());
-        // Padding bits after a coded run's last code must be zero.
-        assert!(decode(&[1, header(1, 0, 1), 1]).is_ok());
-        assert!(is_decode_error(decode(&[1, header(1, 0, 1), 1 | 1 << 5])));
-        // Out of the order every encoding follows: descending keys in a raw
-        // run, a run of lower count after a higher one, and a run of the same
-        // count that does not continue above the last key.
-        assert!(is_decode_error(decode(&[1, header(1, RAW, 2), 9, 4])));
-        assert!(is_decode_error(decode(&[
-            2,
-            header(3, RAW, 1),
-            4,
-            header(1, RAW, 1),
-            9
-        ])));
-        assert!(is_decode_error(decode(&[
-            2,
-            header(3, RAW, 1),
-            9,
-            header(3, RAW, 1),
-            4
-        ])));
-        assert!(decode(&[2, header(3, RAW, 1), 4, header(3, RAW, 1), 9]).is_ok());
+        assert!(is_decode_error(decode(&message(1, |bits| {
+            bits.number(1);
+            bits.number(0);
+            bits.put(62, RICE_FIELD);
+            bits.put(1 << 4, 5);
+            bits.put(0, 62);
+        }))));
+        assert!(is_decode_error(decode(&message(1, |bits| {
+            run(bits, 1, 62, &[3 << 62, 3 << 62]);
+        }))));
+        assert!(decode(&message(1, |bits| run(bits, 1, 62, &[3 << 62]))).is_ok());
+        // A run count beyond the bits that remain (a decoder that trusted it
+        // would loop 2⁶⁴ times), and one more run than the stream holds.
+        assert!(is_decode_error(decode(&[u64::MAX])));
+        assert!(is_decode_error(decode(&[65, u64::MAX])));
+        let mut two = keys_4_5(1);
+        two[0] = 2;
+        assert!(is_decode_error(decode(&two)));
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!   (Section 10.2): PAC's sample, merged at a coordinator directly (`Naive`)
 //!   or through a merging reduction tree (`Naive Tree`).
 //!
-//! Every aggregate on the wire is a [`dht::KeyCounts`] (keys grouped by
-//! count).
+//! Every aggregate on the wire is a [`dht::KeyCounts`]: keys grouped by
+//! count, then one bit stream of coded run headers and Rice-coded key gaps.
 
 pub mod dht;
 pub mod ec;

@@ -26,12 +26,12 @@
 //!   PE `⌈log₂ p⌉` start-ups, round `j`'s message carrying the best
 //!   `min(k, d·2^j/p)` of the `d` aggregated keys;
 //! * an aggregate on the wire is a [`KeyCounts`](crate::frequent::dht::KeyCounts)
-//!   — keys grouped by count, each run Rice-coded as sorted gaps — so a
-//!   message of `d` keys out of the fitted universe `U` whose counts sum to
-//!   `m` is charged `1 + R̂` header words, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)`
-//!   being the most runs of distinct counts that mass can pay for, plus
-//!   `d·(log₂(U/d) + 2)` bits of codes, capped at the `1 + d + R̂` words of
-//!   raw keys;
+//!   — keys grouped by count, each run Rice-coded as sorted gaps, all in one
+//!   bit stream — so a message of `d` keys out of the fitted universe `U`
+//!   whose counts sum to `m` is charged a word for its run count and
+//!   `⌈(d·(log₂(U/d) + 2) + 20·R̂)/64⌉` words of codes, at most 64 bits a
+//!   key, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)` being the most runs of distinct
+//!   counts that mass can pay for, each with a header of about 20 bits;
 //! * EC's and PEC's exact counts cross the wire as a
 //!   [`PackedCounts`](commsim::codec::PackedCounts), charged `1 + ⌈k*·w/64⌉`
 //!   words with `w` the bit length of the fitted top count `n/H(U, s)`;
@@ -722,16 +722,20 @@ impl Planner {
 }
 
 /// Words of one [`KeyCounts`](crate::frequent::dht::KeyCounts) of `d` keys
-/// out of `universe` whose counts sum to `mass`: a header word for each of
-/// `R̂ = min(d, ⌊(√(8·mass + 1) − 1)/2⌋)` runs — the most runs of distinct
-/// counts that mass can pay for (`1 + 2 + … + R ≤ mass`) — and `d` Rice-coded
-/// gaps of about `log₂(universe/d) + 2` bits each, but never more than the
-/// `1 + d + R̂` words of raw keys.
+/// out of `universe` whose counts sum to `mass`: a word for the run count,
+/// then one bit stream of `d` Rice-coded gaps of about `log₂(universe/d) + 2`
+/// bits each — never more than 64 — and a header of [`RUN_HEADER_BITS`] for
+/// each of `R̂ = min(d, ⌊(√(8·mass + 1) − 1)/2⌋)` runs, the most runs of
+/// distinct counts that mass can pay for (`1 + 2 + … + R ≤ mass`).
 fn key_counts_words(d: f64, mass: f64, universe: f64) -> f64 {
     let runs = (((8.0 * mass + 1.0).sqrt() - 1.0) / 2.0).floor().min(d);
-    let bits = (universe / d.max(1.0)).log2().max(0.0) + 2.0;
-    1.0 + runs + (d * bits / 64.0).min(d)
+    let key_bits = ((universe / d.max(1.0)).log2().max(0.0) + 2.0).min(64.0);
+    1.0 + ((d * key_bits + runs * RUN_HEADER_BITS) / 64.0).ceil()
 }
+
+/// The bits a run header costs on a sample's shares: its count step, its
+/// length and its Rice parameter, each a few bits.
+const RUN_HEADER_BITS: f64 = 20.0;
 
 /// Words of the [`PackedCounts`](commsim::codec::PackedCounts) of `len`
 /// exact counts: a header word and `len` entries at the bit length of the
@@ -948,17 +952,16 @@ mod tests {
     }
 
     #[test]
-    fn key_counts_are_priced_as_codes_capped_at_raw_keys() {
-        // Mass 10 pays for at most 4 runs of distinct counts.  Unknown
-        // universe: 100 raw keys.
-        assert_eq!(
-            key_counts_words(100.0, 10.0, f64::INFINITY),
-            1.0 + 4.0 + 100.0
-        );
-        // 100 keys out of 6400: gaps of 64, 8 bits a key.
-        assert_eq!(key_counts_words(100.0, 10.0, 6400.0), 1.0 + 4.0 + 12.5);
-        // Codes longer than a word a key are capped at the raw price.
-        assert_eq!(key_counts_words(2.0, 1.0, 1e30), 1.0 + 1.0 + 2.0);
+    fn key_counts_are_priced_as_key_codes_and_run_headers_in_one_bit_stream() {
+        // Mass 10 pays for at most 4 runs of distinct counts, 80 header bits.
+        // Unknown universe: 64 bits a key, 6 480 bits in all.
+        assert_eq!(key_counts_words(100.0, 10.0, f64::INFINITY), 1.0 + 102.0);
+        // 100 keys out of 6400: gaps of 64, 8 bits a key — 880 bits.
+        assert_eq!(key_counts_words(100.0, 10.0, 6400.0), 1.0 + 14.0);
+        // Codes longer than a word a key are capped at 64 bits.
+        assert_eq!(key_counts_words(2.0, 1.0, 1e30), 1.0 + 3.0);
+        // Dense keys: 3 bits a key and 20 a header share the words.
+        assert_eq!(key_counts_words(64.0, 1.0, 128.0), 1.0 + 4.0);
         assert_eq!(key_counts_words(0.0, 0.0, 6400.0), 1.0);
     }
 

@@ -5,10 +5,10 @@
 //! 1. **Bounded regret** — across a quick-scale grid of (n, k, p, skew)
 //!    cells, the planner's pick never moves more than 1.3× the measured
 //!    bottleneck words/PE of the empirically best algorithm for that cell.
-//!    Since EC's exact counts travel bit-packed, EC is the measured argmin in
-//!    9 of the 12 cells, PAC in 2 and Naive in 1; the worst cell reads
-//!    1.17× (p = 8, n/p = 512, s = 0.8: PAC picked at 195 words against
-//!    EC's 166).
+//!    Since every aggregate crosses the wire as one bit stream, PAC is the
+//!    measured argmin in 9 of the 12 cells and EC in 3 (s = 0.8,
+//!    n/p = 2048); the worst cell reads 1.25× (p = 4, n/p = 2048, s = 1.3:
+//!    EC picked at 90 words against PAC's 72).
 //!    The model may misrank close calls; it must not pick a blowout.
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,

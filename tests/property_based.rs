@@ -547,9 +547,10 @@ proptest! {
     }
 
     /// An aggregate on the wire: the multiset survives — keys from the whole
-    /// u64 range, dense keys, the same key repeated, counts on either side of
-    /// the header's 32-bit count field — and below it `d` keys in `R` runs
-    /// cost at most `1 + d + R` words, never more than `d` pairs would.
+    /// u64 range, dense keys, the same key repeated, counts of every bit
+    /// length up to 64 — and while the count steps stay below 2³², `d` keys
+    /// in `R` runs cost at most `1 + d + R` words, never more than `d` pairs
+    /// would.
     #[test]
     fn word_codec_roundtrips_key_counts(
         keys in vec(0u64..u64::MAX, 0..40),
@@ -575,8 +576,8 @@ proptest! {
             prop_assert_eq!(back, expected);
         }
 
-        // Counts from the whole u64 range, the escape boundary among them: a
-        // run whose count takes the escape word costs one word more.
+        // Counts from the whole u64 range, 2³² − 1 among them: a run of a count
+        // that large may cost one word more, for its longer count-step code.
         let edge = u64::from(u32::MAX);
         let wide = wide.iter().copied().chain([0, edge - 1, edge, u64::MAX]);
         let pairs: Vec<(u64, u64)> = keys.iter().copied().cycle().zip(wide).collect();

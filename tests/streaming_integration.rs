@@ -194,38 +194,39 @@ const GOLDEN_BATCHES: usize = 14;
 /// sent, and the world bottleneck words.  A refresh batch sends the DHT
 /// share and one top-k merge message (p = 2: one round).  The snapshots
 /// were recorded when the refresh still ran the §4.1 selection and a
-/// winners' all-gather; the merge publishes the same ones.
+/// winners' all-gather; the merge publishes the same ones.  The traffic was
+/// re-recorded when `KeyCounts` became one bit stream.
 const GOLDEN_TRAFFIC: [[(u64, u64, u64); GOLDEN_BATCHES]; 2] = [
     [
-        (565, 3, 601),
+        (537, 3, 579),
         (157, 1, 157),
         (54, 1, 72),
         (24, 1, 26),
-        (67, 3, 67),
+        (33, 3, 33),
         (26, 1, 26),
         (2, 1, 6),
         (2, 1, 5),
-        (64, 3, 64),
+        (17, 3, 17),
         (2, 1, 6),
         (2, 1, 4),
         (2, 1, 4),
-        (62, 3, 62),
+        (16, 3, 17),
         (4, 1, 4),
     ],
     [
-        (601, 3, 601),
+        (579, 3, 579),
         (121, 1, 157),
         (72, 1, 72),
         (26, 1, 26),
-        (58, 3, 67),
+        (24, 3, 33),
         (14, 1, 26),
         (6, 1, 6),
         (5, 1, 5),
-        (58, 3, 64),
+        (15, 3, 17),
         (6, 1, 6),
         (4, 1, 4),
         (4, 1, 4),
-        (60, 3, 62),
+        (17, 3, 17),
         (2, 1, 4),
     ],
 ];
@@ -753,46 +754,47 @@ type ReplicaRow = (usize, usize, usize, usize, u64, u64);
 /// Per PE and batch of the fault-free run at p = 4 with [`ft_config`].
 /// Recorded when the failure-tolerant mode ran its own copy of the batch
 /// cycle and of the ring-successor push; the traffic fields re-recorded when
-/// the refresh's top-k became a merge.
+/// the refresh's top-k became a merge, and when `KeyCounts` became one bit
+/// stream.
 const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
     [
-        (169, true, 0, 1217, 14, 1217, 4, 794, 18),
+        (169, true, 0, 1187, 14, 1187, 4, 794, 18),
         (96, false, 480, 182, 5, 184, 4, 0, 27),
-        (54, true, 0, 860, 14, 895, 4, 722, 45),
+        (54, true, 0, 827, 14, 849, 4, 722, 45),
         (51, false, 480, 99, 5, 117, 4, 0, 54),
-        (30, true, 0, 513, 14, 542, 4, 412, 72),
+        (30, true, 0, 474, 14, 508, 4, 412, 72),
         (34, false, 480, 63, 5, 74, 4, 0, 81),
-        (24, true, 0, 464, 14, 464, 4, 348, 99),
+        (24, true, 0, 422, 14, 422, 4, 348, 99),
         (18, false, 480, 49, 5, 49, 4, 0, 108),
     ],
     [
-        (169, true, 0, 1215, 12, 1217, 4, 794, 14),
+        (169, true, 0, 1183, 12, 1187, 4, 794, 14),
         (96, false, 480, 178, 3, 184, 4, 0, 19),
-        (54, true, 0, 866, 12, 895, 4, 722, 33),
+        (54, true, 0, 829, 12, 849, 4, 722, 33),
         (51, false, 480, 117, 3, 117, 4, 0, 38),
-        (30, true, 0, 485, 12, 542, 4, 412, 52),
+        (30, true, 0, 448, 12, 508, 4, 412, 52),
         (34, false, 480, 52, 3, 74, 4, 0, 57),
-        (24, true, 0, 450, 12, 464, 4, 348, 71),
+        (24, true, 0, 407, 12, 422, 4, 348, 71),
         (18, false, 480, 39, 3, 49, 4, 0, 76),
     ],
     [
-        (169, true, 0, 1178, 12, 1217, 4, 794, 16),
+        (169, true, 0, 1155, 12, 1187, 4, 794, 16),
         (96, false, 480, 182, 3, 184, 4, 0, 23),
-        (54, true, 0, 857, 12, 895, 4, 722, 39),
+        (54, true, 0, 820, 12, 849, 4, 722, 39),
         (51, false, 480, 89, 3, 117, 4, 0, 46),
-        (30, true, 0, 516, 12, 542, 4, 412, 62),
+        (30, true, 0, 480, 12, 508, 4, 412, 62),
         (34, false, 480, 68, 3, 74, 4, 0, 69),
-        (24, true, 0, 421, 12, 464, 4, 348, 85),
+        (24, true, 0, 381, 12, 422, 4, 348, 85),
         (18, false, 480, 25, 3, 49, 4, 0, 92),
     ],
     [
-        (169, true, 0, 1188, 12, 1217, 4, 794, 14),
+        (169, true, 0, 1161, 12, 1187, 4, 794, 14),
         (96, false, 480, 180, 3, 184, 4, 0, 19),
-        (54, true, 0, 882, 12, 895, 4, 722, 33),
+        (54, true, 0, 846, 12, 849, 4, 722, 33),
         (51, false, 480, 99, 3, 117, 4, 0, 38),
-        (30, true, 0, 542, 12, 542, 4, 412, 52),
+        (30, true, 0, 508, 12, 508, 4, 412, 52),
         (34, false, 480, 74, 3, 74, 4, 0, 57),
-        (24, true, 0, 426, 12, 464, 4, 348, 71),
+        (24, true, 0, 391, 12, 422, 4, 348, 71),
         (18, false, 480, 39, 3, 49, 4, 0, 76),
     ],
 ];
@@ -825,9 +827,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         0,
         [
-            (19, true, 0, 1132, 13, 1132, 3, 1050, 71),
+            (19, true, 0, 1099, 13, 1099, 3, 1050, 71),
             (24, false, 360, 38, 4, 50, 3, 0, 79),
-            (18, true, 0, 388, 12, 388, 3, 284, 95),
+            (18, true, 0, 352, 12, 352, 3, 284, 95),
             (19, false, 360, 44, 4, 44, 3, 0, 103),
         ],
         &[
@@ -839,9 +841,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         1,
         [
-            (19, true, 0, 1086, 11, 1132, 3, 1050, 51),
+            (19, true, 0, 1050, 11, 1099, 3, 1050, 51),
             (24, false, 360, 36, 3, 50, 3, 0, 56),
-            (18, true, 0, 364, 11, 388, 3, 284, 69),
+            (18, true, 0, 323, 11, 352, 3, 284, 69),
             (19, false, 360, 26, 3, 44, 3, 0, 74),
         ],
         &[
@@ -852,9 +854,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         3,
         [
-            (19, true, 0, 487, 11, 1132, 3, 1050, 51),
+            (19, true, 0, 452, 11, 1099, 3, 1050, 51),
             (24, false, 360, 50, 3, 50, 3, 0, 56),
-            (18, true, 0, 331, 11, 388, 3, 284, 69),
+            (18, true, 0, 297, 11, 352, 3, 284, 69),
             (19, false, 360, 38, 3, 44, 3, 0, 74),
         ],
         &[
@@ -873,8 +875,8 @@ fn ft_golden_report() -> StreamReport {
         vocab_size: 476,
         p95_staleness_items: 480,
         max_staleness_items: 480,
-        total_bottleneck_words: 3542,
-        words_per_item: 0.9223958333333333,
+        total_bottleneck_words: 3390,
+        words_per_item: 0.8828125,
         degraded: false,
         coverage: 1.0,
         routed_queries: 52,
@@ -892,8 +894,8 @@ fn ft_golden_crash_report() -> StreamReport {
     StreamReport {
         items_global: 3360,
         vocab_size: 450,
-        total_bottleneck_words: 4027,
-        words_per_item: 1.1985119047619048,
+        total_bottleneck_words: 3882,
+        words_per_item: 1.1553571428571427,
         degraded: true,
         coverage: 0.75,
         total_replication_words: 2850,

@@ -278,15 +278,15 @@ fn decoders_reserve_no_more_than_their_remaining_words_can_carry() {
         size_of::<Vec<u64>>(),
     );
 
-    // `KeyCounts`: a coded run holds at most 64 keys per remaining word, and
-    // a run that grows an earlier one of its count at most doubles it —
-    // 2·64 keys of 8 bytes per word.  The floor is the direct-index table of
-    // counts below 256, at most doubled by amortized growth.
-    let per_word = 2 * 64 * size_of::<u64>();
+    // `KeyCounts`: a run's length is bounded by the bits left before it is
+    // reserved, and every run has a count of its own, so a run holds at most
+    // 64 keys of 8 bytes per remaining word.  The floor is the direct-index
+    // table of counts below 256, at most doubled by amortized growth.
+    let per_word = 64 * size_of::<u64>();
     let table = 2 * 256 * size_of::<Vec<u64>>();
-    let coded: KeyCounts = (0..60u64).map(|k| (k * 3, k % 6)).collect();
-    let raw: KeyCounts = nums.iter().map(|&k| (k, u64::MAX)).collect();
-    for counts in [coded, raw] {
+    let dense: KeyCounts = (0..60u64).map(|k| (k * 3, k % 6)).collect();
+    let wide: KeyCounts = nums.iter().map(|&k| (k, u64::MAX)).collect();
+    for counts in [dense, wide] {
         codec_reserves_at_most(counts, per_word, table);
     }
 
