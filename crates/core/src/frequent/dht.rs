@@ -807,7 +807,7 @@ mod tests {
             let (items, sample_size, exact_counts) = match algorithm {
                 Algorithm::Pac => (SAMPLED, 85937, false),
                 Algorithm::Ec => (EXACT, 297, true),
-                Algorithm::Pec => (EXACT, 34072, true),
+                Algorithm::Pec => (EXACT, 30888, true),
                 Algorithm::Naive | Algorithm::NaiveTree => (CENTRALIZED, 85956, false),
             };
             TopKFrequentResult {

@@ -34,19 +34,16 @@ pub fn required_sample_size(n: u64, k_star: usize, epsilon: f64, delta: f64) -> 
     size.ceil().min(n as f64) as u64
 }
 
-/// Algorithm EC with candidate-set size `k*` on an input of global size
-/// `n > 0`: Lemma 10's sample for `k*`, counted in the DHT, and the exact
-/// counts of its top-`k*` keys cut to the best `k`; plus the global sample
-/// size.  [`Algorithm::Ec`](crate::planner::Algorithm::Ec) runs it with
-/// [`optimal_k_star`], PEC with the `k*` of its first sample.
+/// Algorithm EC on an input of global size `n > 0`: Lemma 10's sample for
+/// the [`optimal_k_star`] candidates, counted in the DHT, and the exact counts
+/// of its top-`k*` keys cut to the best `k`; plus the global sample size.
 pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
     n: u64,
-    k_star: usize,
 ) -> (Vec<(u64, u64)>, u64) {
-    let k_star = k_star.max(params.k);
+    let k_star = optimal_k_star(n, comm.size(), params);
     let target = required_sample_size(n, k_star, params.epsilon, params.delta);
     let rho = (target as f64 / n as f64).clamp(0.0, 1.0);
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD);
@@ -157,20 +154,6 @@ mod tests {
             Algorithm::Ec.run(comm, &parts_ref[comm.rank()], &params)
         });
         assert!(out.results.iter().all(|r| r.items == out.results[0].items));
-    }
-
-    #[test]
-    fn explicit_kstar_is_respected() {
-        let p = 2;
-        let parts = zipf_parts(p, 2_000, 128, 1.0, 31);
-        let parts_ref = parts.clone();
-        let params = FrequentParams::new(3, 1e-2, 1e-2, 37);
-        let out = run_spmd(p, move |comm| {
-            let local = &parts_ref[comm.rank()];
-            let n = comm.allreduce_sum(local.len() as u64);
-            top_k(comm, local, &params, n, 20).0
-        });
-        assert!(out.results.iter().all(|items| items.len() == 3));
     }
 
     #[test]

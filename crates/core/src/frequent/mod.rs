@@ -17,7 +17,8 @@
 //!    baselines ship the aggregate to a coordinator instead);
 //! 3. [`select_top_counts`], the top-`k` merge of the DHT shares: `⌈log₂ p⌉`
 //!    exchanges of at most `k` coded entries;
-//! 4. for EC and PEC, one **exact-count stage**: the `k* ≥ k` candidates are
+//! 4. for EC, and for PEC unless its sample is the whole input, one
+//!    **exact-count stage**: the `k* ≥ k` candidates of that same sample are
 //!    counted in the local input and summed with one all-reduction of a
 //!    bit-packed [`PackedCounts`] vector: a message's partial sums travel at
 //!    the bit length of its largest, `⌈log₂(n + 1)⌉` bits at most.
@@ -29,9 +30,11 @@
 //!   the answer.
 //! * [`ec`] — exact counting (Section 7.2): a much smaller sample
 //!   (`Θ(ε⁻¹ …)`) whose top-`k*` keys are counted exactly.
-//! * [`pec`] — probably exactly correct (Section 7.3): EC with `k*` taken
-//!   from a first, coarse sample (Lemma 12), or in closed form under Zipf's
-//!   law ([`pec::pec_zipf_top_k`], Theorem 14).
+//! * [`pec`] — probably exactly correct (Section 7.3): one coarse sample,
+//!   whose objects above Lemma 12's count threshold are its `k*` candidates,
+//!   counted exactly; a sample of the whole input is exact and ends after the
+//!   merge.  Under Zipf's law `k*` has a closed form instead
+//!   ([`pec::pec_zipf_top_k`], Theorem 14).
 //! * [`naive`] — the two centralized baselines of the evaluation
 //!   (Section 10.2): PAC's sample, merged at a coordinator directly (`Naive`)
 //!   or through a merging reduction tree (`Naive Tree`).
@@ -105,7 +108,7 @@ pub struct TopKFrequentResult {
     pub items: Vec<(u64, u64)>,
     /// Global number of sampled elements the algorithm communicated about.
     pub sample_size: u64,
-    /// `true` if the reported counts are exact (EC/PEC after exact counting).
+    /// `true` if the reported counts are exact (EC and PEC).
     pub exact_counts: bool,
 }
 
@@ -239,8 +242,9 @@ fn sample_counts<C: Communicator>(
 
 /// The exact-count stage of EC and PEC: cut the `k_star` most frequently
 /// sampled keys of this PE's DHT share `owned`, count those candidates
-/// exactly ([`global_counts`]) and keep the `k` best.  The candidate list is
-/// identical on every PE, so the final sort is local.
+/// exactly ([`global_counts`]) and keep the `k` best by [`keep_top`]'s order,
+/// the one every top-k list uses.  The candidate list is identical on every
+/// PE, so the final cut is local.
 fn count_candidates<C: Communicator>(
     comm: &C,
     local_data: &[u64],
@@ -254,8 +258,7 @@ fn count_candidates<C: Communicator>(
         .collect();
     let global = global_counts(comm, local_data, &candidates);
     let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
-    items.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    items.truncate(k);
+    keep_top(&mut items, k);
     items
 }
 
@@ -416,6 +419,49 @@ mod tests {
             select_top_counts(comm, &owned, 10)
         });
         assert!(out.results.iter().all(|items| items == &vec![(5, 9)]));
+    }
+
+    /// Every top-k list breaks ties by [`keep_top`]'s order, larger key
+    /// first among equal counts.  On an input whose k-th count is tied four
+    /// ways, EC, PEC on both of its branches and PAC at rate 1 therefore
+    /// keep the same keys in the same order.
+    #[test]
+    fn every_algorithm_breaks_a_tie_at_the_kth_count_alike() {
+        use crate::planner::Algorithm;
+        // 100 000 elements: key 1 ×30 000, key 2 ×20 000, keys 3–6
+        // ×10 000 each and keys 100–2 099 ×5 each, dealt round robin.
+        let mut data: Vec<u64> = Vec::with_capacity(100_000);
+        for (key, times) in [(1, 30_000), (2, 20_000), (3, 10_000)] {
+            data.extend(std::iter::repeat_n(key, times));
+        }
+        data.extend((4..=6).flat_map(|key| std::iter::repeat_n(key, 10_000)));
+        data.extend((100..2_100u64).flat_map(|key| std::iter::repeat_n(key, 5)));
+        let p = 2;
+        let part = |r: usize| -> Vec<u64> { data.iter().copied().skip(r).step_by(p).collect() };
+        let n = data.len() as u64;
+        // ε₀ = 20ε: PAC needs the whole input at ε = 0.0025, where PEC
+        // samples at ε₀ = 0.05; at ε₀ = 0.002 PEC's sample is the input.
+        let sampled = FrequentParams::new(4, 0.0025, 1e-2, 3);
+        let whole = FrequentParams::new(4, 1e-4, 1e-2, 3);
+        let coarse = |params: FrequentParams| FrequentParams {
+            epsilon: pec::coarse_epsilon(params.epsilon),
+            ..params
+        };
+        assert_eq!(pac::sampling_probability(n, &sampled), 1.0);
+        assert!(pac::sampling_probability(n, &coarse(sampled)) < 1.0);
+        assert_eq!(pac::sampling_probability(n, &coarse(whole)), 1.0);
+        let want = vec![(1, 30_000), (2, 20_000), (6, 10_000), (5, 10_000)];
+        for (algorithm, params) in [
+            (Algorithm::Pac, sampled),
+            (Algorithm::Ec, sampled),
+            (Algorithm::Pec, sampled),
+            (Algorithm::Pec, whole),
+        ] {
+            let out = run_spmd(p, |comm| algorithm.run(comm, &part(comm.rank()), &params));
+            for result in &out.results {
+                assert_eq!(result.items, want, "{algorithm:?} ε = {}", params.epsilon);
+            }
+        }
     }
 
     /// Every PE sends and receives one message per round, `⌈log₂ p⌉` in all.

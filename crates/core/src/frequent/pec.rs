@@ -2,75 +2,61 @@
 //!
 //! If the frequency distribution has any significant gap (Figure 5), exact
 //! counting of *all likely relevant* objects yields the exact top-k with
-//! probability at least `1 − δ`.  PEC works in two stages:
+//! probability at least `1 − δ`.  PEC is one sampling stage:
 //!
-//! 1. a small first sample (the PAC machinery with a coarse ε₀ =
-//!    `min(20·ε, 0.05)`) estimates the sample count `ŝ_k` of the k-th most
-//!    frequent object and, from it, how deep into the sampled ranking the
-//!    true top-k can plausibly have sunk (Lemma 12); the resulting rank bound
-//!    is the candidate-set size `k*`;
-//! 2. Algorithm EC runs with that `k*`, counting all candidates exactly.
+//! 1. a sample at the PAC rate ρ₀ for a coarse ε₀ = `min(20·ε, 0.05)`,
+//!    counted in the distributed hash table;
+//! 2. its top-`k` merge gives the sample count `ŝ_k` of the k-th most
+//!    frequently sampled object and, from it, a count threshold every true
+//!    top-k object clears with probability at least `1 − δ` (Lemma 12,
+//!    [`candidate_threshold`]); the `k*` sampled objects at or above it are
+//!    the candidates;
+//! 3. the candidates of that same sample are counted exactly.
 //!
-//! For inputs following Zipf's law the first stage is unnecessary: Theorem 14
+//! When ρ₀ is clamped to 1 the sample is the input, the hash table's counts
+//! are exact, and step 2's top-`k` merge is the answer: step 3 is skipped.
+//! Every PE derives ρ₀ from `(n, k, ε₀, δ)`, so the branch costs no message.
+//!
+//! For inputs following Zipf's law the threshold is unnecessary: Theorem 14
 //! gives the sample size and `k* ≈ (2+√2)^{1/s}·k` in closed form
 //! ([`pec_zipf_top_k`]).
 
 use commsim::Communicator;
 use seqkit::skew::generalized_harmonic;
 
-use super::{count_candidates, dht, ec, pac, sample_counts, select_top_counts};
+use super::{count_candidates, dht, pac, sample_counts, select_top_counts};
 use super::{FrequentParams, TopKFrequentResult};
 
-/// The first stage's coarse relative error ε₀ for a target ε.
+/// The coarse relative error ε₀ PEC samples at for a target ε.
 pub(crate) fn coarse_epsilon(epsilon: f64) -> f64 {
     (epsilon * 20.0).min(0.05)
 }
 
-/// Stage 1 on an input of global size `n > 0` (Lemma 12): the candidate-set
-/// size `k*` and the size of the first sample it was read from.
+/// Lemma 12's candidate threshold on sample counts drawn at rate `rho`,
+/// given the k-th largest sample count `s_k`.
 ///
-/// The candidate threshold is `E[ŝ_k] − √(2·E[ŝ_k]·ln(k/δ))`, with the
-/// observed `ŝ_k` standing in for its expectation (high-probability bound).
-/// `k*` is the number of sampled objects at or above the threshold, clamped
-/// to at least `k`.
-fn first_stage<C: Communicator>(
-    comm: &C,
-    local_data: &[u64],
-    params: &FrequentParams,
-    n: u64,
-) -> (usize, u64) {
-    let coarse = FrequentParams {
-        epsilon: coarse_epsilon(params.epsilon),
-        ..*params
+/// A sampled count is a sum of Bernoulli(`rho`) variables with mean `E` and
+/// variance `E·(1 − rho)`, each within 1 of its mean, so Bernstein's
+/// inequality (Boucheron, Lugosi & Massart 2013, Theorem 2.10) bounds its
+/// lower tail: it falls below `E − t(E, L)` with probability at most `e^{−L}`
+/// for `t(E, L) = √(2·E·(1 − rho)·L) + 2L/3`.  With the observed `s_k`
+/// standing in for its expectation, `E_lb = s_k − t(s_k, ln(1/δ))` bounds
+/// `E[ŝ_k]` from below, and an object whose expected sample count is at least
+/// `E_lb` lies below `E_lb − t(E_lb, ln(k/δ))` with probability at most
+/// `δ/k`; a union bound over the top k gives `1 − δ`.  At `rho = 1` the
+/// variance term vanishes and only the range term `2L/3` remains.
+fn candidate_threshold(s_k: f64, rho: f64, k: usize, delta: f64) -> f64 {
+    let t = |expectation: f64, log_inverse: f64| {
+        (2.0 * expectation * (1.0 - rho) * log_inverse).sqrt() + 2.0 * log_inverse / 3.0
     };
-    let rho0 = pac::sampling_probability(n, &coarse);
-    let rng_seed = params.seed ^ 0x9EC0 ^ comm.rank() as u64;
-    let (counts, first_sample_size) = sample_counts(comm, local_data, rho0, rng_seed);
-    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
-
-    // ŝ_k: the k-th largest sample count (0 if fewer than k distinct keys).
-    let top_k = select_top_counts(comm, &owned, params.k);
-    let s_k = top_k.last().map(|&(_, c)| c).unwrap_or(0) as f64;
-
-    // Lemma 12 threshold, using the high-probability lower bound for E[ŝ_k].
-    let expectation_lb = (s_k - (2.0 * s_k * (1.0f64 / params.delta).ln()).sqrt()).max(0.0);
-    let count_threshold = (expectation_lb
-        - (2.0 * expectation_lb * (params.k as f64 / params.delta).ln()).sqrt())
-    .max(0.0);
-
-    // k* = number of sampled objects with count ≥ threshold (each PE counts
-    // its owned keys; one sum reduction).
-    let local_above = owned
-        .values()
-        .filter(|&&c| (c as f64) >= count_threshold && c > 0)
-        .count() as u64;
-    let above = comm.allreduce_sum(local_above) as usize;
-    (above.max(params.k), first_sample_size)
+    let expectation_lb = (s_k - t(s_k, (1.0 / delta).ln())).max(0.0);
+    (expectation_lb - t(expectation_lb, (k as f64 / delta).ln())).max(0.0)
 }
 
-/// Algorithm PEC on an input of global size `n > 0`: `k*` from a first
-/// sample, then EC with that `k*`.  Returns the exact counts of the best `k`
-/// candidates and both samples' total size.
+/// Algorithm PEC on an input of global size `n > 0`: one sample at the
+/// coarse rate ρ₀, and the exact counts of the best `k` of its `k*`
+/// candidates — every sampled object at or above [`candidate_threshold`],
+/// at least `k` of them; plus the sample's global size.
 ///
 /// With probability at least `1 − δ` (and a sufficiently sloped input
 /// distribution) the reported set is exactly the true top-k.
@@ -80,15 +66,35 @@ pub(crate) fn top_k<C: Communicator>(
     params: &FrequentParams,
     n: u64,
 ) -> (Vec<(u64, u64)>, u64) {
-    let (k_star, first_sample_size) = first_stage(comm, local_data, params, n);
-    let (items, sample_size) = ec::top_k(comm, local_data, params, n, k_star);
-    (items, first_sample_size + sample_size)
+    let coarse = FrequentParams {
+        epsilon: coarse_epsilon(params.epsilon),
+        ..*params
+    };
+    let rho0 = pac::sampling_probability(n, &coarse);
+    let rng_seed = params.seed ^ 0x9EC0 ^ comm.rank() as u64;
+    let (counts, sample_size) = sample_counts(comm, local_data, rho0, rng_seed);
+    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let top_k = select_top_counts(comm, &owned, params.k);
+    if rho0 >= 1.0 {
+        // The sample is the input: its counts are exact.
+        return (top_k, sample_size);
+    }
+
+    // ŝ_k: the k-th largest sample count (0 if fewer than k distinct keys).
+    let s_k = top_k.last().map_or(0, |&(_, c)| c) as f64;
+    let threshold = candidate_threshold(s_k, rho0, params.k, params.delta);
+    // k*: the sampled objects at or above the threshold (each PE counts its
+    // owned keys; one sum reduction).
+    let local_above = owned.values().filter(|&&c| c as f64 >= threshold).count() as u64;
+    let k_star = (comm.allreduce_sum(local_above) as usize).max(params.k);
+    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
+    (items, sample_size)
 }
 
 /// The Zipf-specialised PEC (Theorem 14): for an input following Zipf's law
 /// with exponent `s` over `num_values` distinct objects, the sample size
 /// `ρn = 4·k^s·H_{n,s}·ln(k/δ)` and `k* = ⌈(2+√2)^{1/s}·k⌉` suffice — no
-/// first-stage sample is needed.
+/// threshold is read off the sample.
 pub fn pec_zipf_top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
@@ -145,23 +151,48 @@ mod tests {
             .collect()
     }
 
+    /// Bernstein's deviation shrinks with the sampling rate's variance
+    /// factor `1 − ρ`: the threshold rises toward `ŝ_k` as ρ grows, and at
+    /// ρ = 1 only the two range terms `2·ln(1/δ)/3 + 2·ln(k/δ)/3` remain.
     #[test]
-    fn first_stage_k_star_is_at_least_k() {
-        let p = 4;
-        let parts = zipf_parts(p, 10_000, 1 << 10, 1.0, 3);
-        let parts_ref = parts.clone();
-        let params = FrequentParams::new(8, 1e-3, 1e-2, 5);
-        let out = run_spmd(p, move |comm| {
-            let local = &parts_ref[comm.rank()];
-            let n = comm.allreduce_sum(local.len() as u64);
-            first_stage(comm, local, &params, n)
+    fn the_threshold_tightens_as_the_sampling_rate_grows() {
+        let (s_k, k, delta) = (1000.0, 8, 1e-3);
+        let at = |rho| candidate_threshold(s_k, rho, k, delta);
+        assert!(at(0.1) < at(0.5) && at(0.5) < at(0.9) && at(0.9) < s_k);
+        let range = 2.0 * ((1.0f64 / delta).ln() + (k as f64 / delta).ln()) / 3.0;
+        assert!((at(1.0) - (s_k - range)).abs() < 1e-9);
+        // A k-th count too small to bound from below admits every key.
+        assert_eq!(candidate_threshold(3.0, 0.5, k, delta), 0.0);
+    }
+
+    /// When ρ₀ is clamped to 1 PEC is PAC at rate 1: the same result, the
+    /// same messages, and no count stage.
+    #[test]
+    fn a_sample_of_the_whole_input_skips_the_count_stage() {
+        let p = 3;
+        let parts = zipf_parts(p, 2_000, 256, 1.0, 19);
+        let params = FrequentParams::new(4, 1e-3, 1e-2, 29);
+        let n = (p * 2_000) as u64;
+        let coarse = FrequentParams {
+            epsilon: coarse_epsilon(params.epsilon),
+            ..params
+        };
+        assert_eq!(pac::sampling_probability(n, &coarse), 1.0);
+        assert_eq!(pac::sampling_probability(n, &params), 1.0);
+        let out = run_spmd(p, |comm| {
+            [Algorithm::Pac, Algorithm::Pec].map(|algorithm| {
+                let before = comm.stats_snapshot();
+                let result = algorithm.run(comm, &parts[comm.rank()], &params);
+                let s = comm.stats_snapshot().since(&before);
+                let traffic = (s.sent_messages, s.sent_words);
+                (result, (traffic, s.received_messages, s.received_words))
+            })
         });
-        for &(k_star, first_sample_size) in &out.results {
-            assert!(k_star >= 8, "k* = {k_star}");
-            assert!(first_sample_size > 0);
+        for [(pac, pac_traffic), (pec, pec_traffic)] in &out.results {
+            assert_eq!((&pec.items, pec.sample_size), (&pac.items, n));
+            assert!(pec.exact_counts);
+            assert_eq!(pec_traffic, pac_traffic);
         }
-        // All PEs agree on k*.
-        assert!(out.results.iter().all(|e| e.0 == out.results[0].0));
     }
 
     #[test]

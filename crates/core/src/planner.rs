@@ -13,8 +13,11 @@
 //!
 //! * sample sizes come from the very functions the algorithms call —
 //!   [`pac::required_sample_size`] (Section 7.1), [`ec::optimal_k_star`] +
-//!   [`ec::required_sample_size`] (Section 7.2), and the Zipf closed form
-//!   `k* = (2+√2)^{1/z}·k` of Theorem 14 for PEC's candidate set;
+//!   [`ec::required_sample_size`] (Section 7.2); PEC draws one sample, PAC's
+//!   at its coarse ε₀, and when that sample is not the whole input counts
+//!   `k*` of its keys exactly, priced at the Zipf closed form
+//!   `k* = (2+√2)^{1/z}·k` of Theorem 14 (a sample of the whole input ends
+//!   after PAC's merge);
 //! * the number of *distinct* keys a sample contains — the quantity every
 //!   DHT and coordinator volume actually scales with — is the Poissonized
 //!   expectation [`seqkit::skew::expected_distinct`] under a fitted Zipf
@@ -150,10 +153,7 @@ impl Algorithm {
         }
         (result.items, result.sample_size) = match self {
             Algorithm::Pac => pac::top_k(comm, local_data, params, n),
-            Algorithm::Ec => {
-                let k_star = ec::optimal_k_star(n, comm.size(), params);
-                ec::top_k(comm, local_data, params, n, k_star)
-            }
+            Algorithm::Ec => ec::top_k(comm, local_data, params, n),
             Algorithm::Pec => pec::top_k(comm, local_data, params, n),
             Algorithm::Naive => naive::top_k(comm, local_data, params, n),
             Algorithm::NaiveTree => naive::tree_top_k(comm, local_data, params, n),
@@ -588,31 +588,44 @@ impl Planner {
         let (traffic, fanout, sample, k_star) = match algorithm {
             Algorithm::Pac => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let (fanout, traffic) = self.pac_stage(start, s, d_loc(s), d(s as f64), k, u);
+                let (fanout, traffic) = self.sampling_stage(start, s, d_loc(s), d(s as f64), k, u);
                 (traffic, fanout, s, i.k as u64)
             }
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
                 let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let (fanout, traffic) = self.ec_stage(start, i, s, k_star, d_loc(s), d(s as f64));
+                // The merge returns at most the sample's distinct keys, and
+                // the exact counts are of that candidate set.
+                let k_eff = (k_star as f64).min(d(s as f64));
+                let (fanout, traffic) =
+                    self.sampling_stage(start, s, d_loc(s), d(s as f64), k_eff, u);
+                let traffic = traffic.allreduce(packed_counts_words(k_eff, i));
                 (traffic, fanout, s, k_star as u64)
             }
             Algorithm::Pec => {
-                // Stage 1: the PAC machinery at the coarse ε₀, and one more
-                // all-reduction for the k* count.
+                // The PAC machinery at the coarse ε₀; a sample of the whole
+                // input is exact and ends there.
                 let epsilon0 = pec::coarse_epsilon(i.epsilon);
                 let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
-                let (_, stage1) = self.pac_stage(start, s0, d_loc(s0), d(s0 as f64), k, u);
-                // Stage 2: EC with the Theorem-14 Zipf prediction of k*.
-                let z = i.skew.exponent.max(0.2);
-                let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
-                    .ceil()
-                    .min(n as f64) as usize;
-                let k_star = k_star.max(i.k);
-                let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                let stage1 = stage1.allreduce(1.0);
-                let (fanout, traffic) = self.ec_stage(stage1, i, s, k_star, d_loc(s), d(s as f64));
-                (traffic, fanout, s0 + s, k_star as u64)
+                let d0 = d(s0 as f64);
+                let (fanout, traffic) = self.sampling_stage(start, s0, d_loc(s0), d0, k, u);
+                if s0 >= n {
+                    (traffic, fanout, s0, i.k as u64)
+                } else {
+                    // k* from the Theorem-14 Zipf closed form; its sum
+                    // reduction, the candidates' merge and exact counts.
+                    let z = i.skew.exponent.max(0.2);
+                    let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
+                        .ceil()
+                        .min(n as f64)
+                        .max(k);
+                    let k_eff = k_star.min(d0);
+                    let traffic = traffic
+                        .allreduce(1.0)
+                        .top_counts(d0, k_eff, s0 as f64, u)
+                        .allreduce(packed_counts_words(k_eff, i));
+                    (traffic, fanout, s0, k_star as u64)
+                }
             }
             Algorithm::Naive | Algorithm::NaiveTree => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
@@ -645,10 +658,11 @@ impl Planner {
         (traffic.bottleneck(), fanout, sample, k_star)
     }
 
-    /// The PAC machinery after the `n` reduction: the sample-size
+    /// The sampling stage after the `n` reduction: the sample-size
     /// all-reduction, the DHT over the sample's aggregate and the top-`k`
-    /// cut.  Keys are drawn from `universe` distinct values.
-    fn pac_stage(
+    /// merge (PAC's answer, PEC's `ŝ_k`, EC's candidates).  Keys are drawn
+    /// from `universe` distinct values.
+    fn sampling_stage(
         &self,
         traffic: Traffic,
         sample: u64,
@@ -663,35 +677,6 @@ impl Planner {
             .allreduce(1.0) // global sample size
             .everywhere(dht)
             .top_counts(d_global, k, sample as f64, universe);
-        (fanout, traffic)
-    }
-
-    /// The EC machinery at a given `k*` after the `n` reduction: the
-    /// sample-size all-reduction, DHT, the candidates' top-`k*` merge, and
-    /// the exact-count all-reduction, with the routing the DHT term was
-    /// priced under.  Keys are drawn from the fitted universe of `i`.
-    fn ec_stage(
-        &self,
-        traffic: Traffic,
-        i: &PlanInputs,
-        sample: u64,
-        k_star: usize,
-        d_local: f64,
-        d_global: f64,
-    ) -> (DhtFanout, Traffic) {
-        let universe = i.skew.universe as f64;
-        let mass_local = sample as f64 / traffic.p as f64;
-        let (fanout, dht) = Self::best_fanout(traffic.p, d_local, mass_local, universe);
-        let aggregate = d_global.min(sample as f64);
-        // `select_top_counts` returns at most the aggregate's distinct keys,
-        // and the exact-count all-reduction is over that candidate set —
-        // model the same clamp or k* ≫ distinct over-charges EC badly.
-        let k_eff = (k_star as f64).min(aggregate);
-        let traffic = traffic
-            .allreduce(1.0) // global sample size
-            .everywhere(dht)
-            .top_counts(aggregate, k_eff, sample as f64, universe)
-            .allreduce(packed_counts_words(k_eff, i));
         (fanout, traffic)
     }
 

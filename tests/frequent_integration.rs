@@ -3,8 +3,8 @@
 //! evaluation section.
 
 use topk_selection::prelude::*;
-use topk_selection::seqkit::hashagg::top_k_by_count;
-use topk_selection::topk::frequent::{exact_global_counts, relative_error};
+use topk_selection::seqkit::hashagg::{count_keys, top_k_by_count};
+use topk_selection::topk::frequent::{absolute_error, exact_global_counts, relative_error};
 
 #[test]
 fn all_frequent_object_algorithms_respect_the_error_bound_on_zipf_input() {
@@ -93,6 +93,55 @@ fn exact_counting_algorithms_agree_with_the_oracle_exactly() {
     for &(key, count) in ec.items.iter().chain(pec.items.iter()) {
         assert_eq!(count, exact[&key]);
     }
+}
+
+/// PEC's guarantee (Lemma 12): every true top-k object clears the candidate
+/// threshold of its one sample with probability at least `1 − δ`, and the
+/// candidates of that sample are counted exactly, so the answer is the exact
+/// top-k.  The sweep runs 300 fixed seeds on `run_spmd_seq`, 50 in each
+/// cell of Zipf s ∈ {0.8, 1.0, 1.3} × p ∈ {2, 4} over 2^12 values, with
+/// k = 8, ε = 0.01 (so ε₀ = 0.05) and δ = 10⁻³.  At p = 2 a PE holds 2^15
+/// elements and PEC samples about half of them (ρ₀ < 1); at p = 4 a PE holds
+/// 2^12 and the sample is the whole input (ρ₀ = 1).
+///
+/// The bound asserted: at most 1 of the 300 answers is inexact (absolute
+/// error above 0).  At δ = 10⁻³ the union bound allows 0.3 expected failures;
+/// two would happen with probability below 4 % even if it were tight.  Every
+/// reported count must equal the oracle's, in every run.
+#[test]
+fn pec_is_exact_on_a_fixed_seed_sweep_of_both_branches() {
+    let mut inexact = Vec::new();
+    for (cell, (exponent, p)) in [0.8, 1.0, 1.3]
+        .into_iter()
+        .flat_map(|s| [(s, 2usize), (s, 4)])
+        .enumerate()
+    {
+        let per_pe = if p == 2 { 1 << 15 } else { 1 << 12 };
+        let zipf = Zipf::new(1 << 12, exponent);
+        for seed in 0..50u64 {
+            let parts: Vec<Vec<u64>> = (0..p)
+                .map(|r| {
+                    use rand::SeedableRng;
+                    let data_seed = (cell as u64) << 32 | seed << 8 | r as u64;
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(data_seed);
+                    zipf.sample_many(per_pe, &mut rng)
+                })
+                .collect();
+            let exact = count_keys(parts.iter().flatten().copied());
+            let params = FrequentParams::new(8, 0.01, 1e-3, seed);
+            let out = run_spmd_seq(p, |comm| {
+                Algorithm::Pec.run(comm, &parts[comm.rank()], &params)
+            });
+            let result = &out.results[0];
+            for &(key, count) in &result.items {
+                assert_eq!(count, exact[&key], "s={exponent} p={p} seed {seed}");
+            }
+            if absolute_error(&exact, &result.keys()) > 0 {
+                inexact.push((exponent, p, seed));
+            }
+        }
+    }
+    assert!(inexact.len() <= 1, "inexact top-k in {inexact:?}");
 }
 
 #[test]

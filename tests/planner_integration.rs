@@ -14,8 +14,9 @@
 //!    its `explain()` rendering) is identical on every PE of every backend,
 //!    because the skew estimate is combined through one integer allreduce.
 //! 3. **Exact start-ups** — the model charges every collective and merge
-//!    round each algorithm runs, so on fig7's quick input every algorithm's
-//!    predicted start-ups equal the metered ones.
+//!    round each algorithm runs, so on fig7's quick input and on an input
+//!    where PEC samples (both of its branches) every algorithm's predicted
+//!    start-ups equal the metered ones.
 
 use proptest::prelude::*;
 use topk_selection::datagen::Zipf;
@@ -185,17 +186,27 @@ proptest! {
     }
 }
 
-/// fig7's quick input (`fig7 --per-pe 10`: Zipf(1.0) over 2^20 values,
-/// k = 32, ε capped at 0.05, δ = 10⁻⁴): each algorithm is planned, pinned to
-/// itself from `Planner::plan`'s candidates, executed, and its audit's
-/// predicted start-ups must equal the metered ones.
+/// Each algorithm is planned, pinned to itself from `Planner::plan`'s
+/// candidates, executed, and its audit's predicted start-ups must equal the
+/// metered ones, on Zipf(1.0) inputs with ε = 0.05: fig7's quick input
+/// (`fig7 --per-pe 10`: 2^20 values, k = 32, δ = 10⁻⁴) at p = 2 and 4, where
+/// PEC's coarse sample is the whole input and its counts are exact, and
+/// 2^13 elements per PE over 2^14 values at p = 4 with k = 4, δ = 10⁻²,
+/// where PEC samples about two thirds of the input and counts its
+/// candidates.
 #[test]
 fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
-    for p in [2usize, 4] {
+    // (p, elements per PE, values, k, δ, PEC samples the whole input)
+    let inputs = [
+        (2usize, 1usize << 10, 1usize << 20, 32usize, 1e-4, true),
+        (4, 1 << 10, 1 << 20, 32, 1e-4, true),
+        (4, 1 << 13, 1 << 14, 4, 1e-2, false),
+    ];
+    for (p, per_pe, universe, k, delta, whole) in inputs {
         let out = run_spmd_seq(p, |comm| {
-            let local = zipf_input(1 << 20, 1.0, 0xF17_0000, comm.rank(), 1 << 10);
-            let plan = Planner::default().plan_for_data(comm, &local, 32, 0.05, 1e-4);
-            Algorithm::ALL.map(|algorithm| {
+            let local = zipf_input(universe, 1.0, 0xF17_0000, comm.rank(), per_pe);
+            let plan = Planner::default().plan_for_data(comm, &local, k, 0.05, delta);
+            let audits = Algorithm::ALL.map(|algorithm| {
                 let c = plan
                     .candidates
                     .iter()
@@ -211,9 +222,14 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
                     ..plan.clone()
                 };
                 pinned.execute(comm, &local, 0xF17).1
-            })
+            });
+            (plan, audits)
         });
-        for audit in &out.results[0] {
+        let (plan, audits) = &out.results[0];
+        let pec = &plan.candidates[2];
+        assert_eq!(pec.algorithm, Algorithm::Pec);
+        assert_eq!(pec.sample_target == (p * per_pe) as u64, whole, "p={p}");
+        for audit in audits {
             assert_eq!(
                 audit.predicted.startups,
                 audit.measured_startups as f64,

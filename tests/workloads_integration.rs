@@ -155,6 +155,30 @@ fn text_pipeline_phase_metering_is_identical_across_backends_and_runs() {
     }
 }
 
+/// `wordfreq_text`'s quick input (`--pes 4 --per-pe 11 --vocab 512`: Zipf
+/// 1.05, seed 42, k = 16, ε = 0.03, δ = 10⁻³): PEC's coarse sample is the
+/// whole input, so its answer is the exact top-k with exact counts.  When
+/// PEC drew a second sample for its candidates, it missed by 9 here.
+#[test]
+fn pec_is_exact_on_the_word_frequency_quick_input() {
+    let corpus = TextCorpus::new(512, 1.05, 42);
+    let tokens: Vec<Vec<String>> = (0..4)
+        .map(|r| tokenize(&corpus.shard_text(r, 1 << 11)))
+        .collect();
+    let params = FrequentParams::new(16, 0.03, 1e-3, 42);
+    let out = run_spmd_seq(4, |comm| {
+        let shard = distributed_intern(comm, &tokens[comm.rank()]);
+        let exact = exact_global_counts(comm, &shard.ids);
+        (Algorithm::Pec.run(comm, &shard.ids, &params), exact)
+    });
+    let (result, exact) = &out.results[0];
+    assert!(result.exact_counts);
+    assert_eq!(absolute_error(exact, &result.keys()), 0);
+    for &(key, count) in &result.items {
+        assert_eq!(count, exact[&key]);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Error metric: the regression case that motivated this PR
 // ---------------------------------------------------------------------------
