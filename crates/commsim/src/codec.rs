@@ -9,9 +9,10 @@
 //! backend recycles buffers), and [`crate::CommData`] — the bound the
 //! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
 //! This module is therefore the single owner of each type's layout.
-//! Layouts finer than a word — the [`PackedCounts`] vector here and the
-//! `KeyCounts` bit stream of the frequent-objects algorithms — pack their
-//! bits through its one bit coder, [`BitWriter`] and [`BitReader`].
+//! Layouts finer than a word — the [`PackedCounts`] vector here, the
+//! `KeyCounts` bit stream of the frequent-objects algorithms and the
+//! `SortedBlock` stream of the unsorted selection's level samples — pack
+//! their bits through its one bit coder, [`BitWriter`] and [`BitReader`].
 //!
 //! Two invariants tie the codec to the cost model:
 //!
@@ -437,13 +438,22 @@ pub const MAX_RICE: u32 = 62;
 
 /// Bit length of `value`: 0 for 0, 64 for `2⁶³` and above.
 #[inline]
-fn bit_length(value: u64) -> u32 {
+pub const fn bit_length(value: u64) -> u32 {
     u64::BITS - value.leading_zeros()
 }
 
+/// The Rice parameter of `count` gaps summing to `total`:
+/// `min(MAX_RICE, ⌊log₂ max(1, total / count)⌋)`, 0 for no gap.  At it the
+/// unary quotients of the gaps take under `2·count` bits, so a gap costs
+/// under `r + 3` bits on average.
+pub fn rice_parameter(total: u128, count: usize) -> u32 {
+    (total / count.max(1) as u128).max(1).ilog2().min(MAX_RICE)
+}
+
 /// Packs bits least significant first into whole words — the one bit coder
-/// of the wire, shared by the [`PackedCounts`] vector and the `KeyCounts`
-/// of the frequent-objects algorithms.  It writes three codes: fixed-width
+/// of the wire, shared by the [`PackedCounts`] vector, the `KeyCounts` of
+/// the frequent-objects algorithms and the `SortedBlock` of the unsorted
+/// selection.  It writes three codes: fixed-width
 /// numbers ([`put`](Self::put)), Rice codes for gaps of a known scale
 /// ([`rice`](Self::rice)), and a universal code for any `u64`
 /// ([`number`](Self::number)).

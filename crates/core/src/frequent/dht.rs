@@ -67,7 +67,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use commsim::codec::{decode_error, BitReader, BitWriter, WordCodec, WordReader, MAX_RICE};
+use commsim::codec::{self, decode_error, BitReader, BitWriter, WordCodec, WordReader, MAX_RICE};
 use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
@@ -210,13 +210,12 @@ fn gaps(keys: &[u64]) -> impl Iterator<Item = u64> + '_ {
         .map(|(key, previous)| key - previous)
 }
 
-/// The Rice parameter of a run of ascending `keys`:
-/// `min(MAX_RICE, ⌊log₂ max(1, last / len)⌋)`, so a gap costs about `r + 2`
-/// bits.
+/// The Rice parameter of a run of ascending `keys`, whose gaps sum to the
+/// last key: `min(MAX_RICE, ⌊log₂ max(1, last / len)⌋)`, so a gap costs
+/// about `r + 2` bits.
 fn rice_parameter(keys: &[u64]) -> u32 {
     let last = keys.last().copied().unwrap_or(0);
-    let len = keys.len().max(1) as u64;
-    (last / len).max(1).ilog2().min(MAX_RICE)
+    codec::rice_parameter(last.into(), keys.len())
 }
 
 impl WordCodec for KeyCounts {

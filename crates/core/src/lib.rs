@@ -73,4 +73,4 @@ pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
 pub use unsorted::{
     select_k_largest, select_k_smallest, select_threshold, UnsortedSelectionResult,
 };
-pub use util::OrderedF64;
+pub use util::{OrderedF64, SelectKey};

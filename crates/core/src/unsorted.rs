@@ -15,7 +15,7 @@
 //!
 //! The start-up budget is the pseudo-code's: **one** size all-reduction at
 //! the entry, then per narrowing level exactly **three** collectives on
-//! **two** roots — the sample's concatenating reduction onto PE `p − 1` and
+//! **two** roots — the sample's merging reduction onto PE `p − 1` and
 //! that PE's broadcast of the two pivots (`agree_pivots`; once more per
 //! empty-sample retry), then the range-count vector all-reduction
 //! `(n_a, n_b, n_c)` through PE 0 — and a reduction plus a broadcast on
@@ -34,10 +34,16 @@
 //! pivots down, counts up, counts down), `4·⌈log₂ p⌉` message hops, where the
 //! all-gather's dissemination rounds made it `3·⌈log₂ p⌉`.
 //!
-//! The blocks reach the root in whatever order the reduction tree combines
-//! them — concatenation does not commute.  That is sound here because the
-//! root only runs `select_nth_unstable` over keys the tie-break has made
-//! unique: the element of a given rank does not depend on the order.
+//! Every PE sorts its share into a [`SortedBlock`] before it sends it, and
+//! every hop of the reduction merges two blocks.  A merge of disjoint blocks
+//! is associative and commutative, as [`ReduceOp`] asks, so the root receives
+//! the sorted union whatever order the tree combines the shares in, and it
+//! reads a pivot or the base case's answer by its index.  A block of `u64`
+//! keys crosses the wire as one bit stream of Rice-coded value gaps and
+//! packed tags (the layout is on [`SortedBlock`]); on §10.1's Zipf input
+//! that takes a selection's bottleneck words to about an eighth of what the
+//! two-word `(value, tag)` pairs cost (EXPERIMENTS.md).  Other keys cross as
+//! their pairs' words ([`SelectKey`]).
 //!
 //! The survivor count of the next level is one of the counts every PE has
 //! just agreed on, so it is carried through the loop and never reduced
@@ -61,7 +67,7 @@ use rand::SeedableRng;
 use seqkit::sampling::{bernoulli_sample, bernoulli_sample_retain};
 use seqkit::select::partition_three_way_counts;
 
-use crate::util::{tag_unique, tie_break_offset};
+use crate::util::{tag_unique, tie_break_offset, SelectKey, SortedBlock};
 
 /// Result of a distributed unsorted selection.
 #[derive(Debug, Clone)]
@@ -81,11 +87,14 @@ pub struct UnsortedSelectionResult<T> {
 /// Floor of the expected level sample (elements in total, over all PEs); the
 /// paper's `|S| = √p` takes over beyond p = 16 384.
 ///
-/// A narrowing level costs three collectives and `2m` words on the sample
-/// root (the `m` tagged elements it collects) and keeps the share
-/// `f(m) = (c·√m + 2)/m` of the survivors at `q = ½`, a `√m/c` narrowing.
-/// For a fixed product of narrowings the word total `Σ 2mᵢ` is smallest
-/// when all `mᵢ` are equal (AM–GM), so every level draws the same sample.
+/// A narrowing level costs three collectives and the `m` tagged elements the
+/// sample root collects, and keeps the share `f(m) = (c·√m + 2)/m` of the
+/// survivors at `q = ½`, a `√m/c` narrowing.  For a fixed product of
+/// narrowings the element total `Σ mᵢ` is smallest when all `mᵢ` are equal
+/// (AM–GM), so every level draws the same sample.  The sweep cited below
+/// priced an element at the two words of an uncoded pair; it has not been
+/// re-run at the price of a coded `u64` element, a fraction of a word
+/// ([`SortedBlock`]).
 /// At `|S| = √p ≤ 8` (p ≤ 64) the bracket covers the whole sample and the
 /// level is random-pivot quickselect; `m = 128` narrows 5.2× per level
 /// (`f = 0.19`).  A larger sample buys start-ups with words and a smaller
@@ -128,17 +137,14 @@ fn bracket(m: usize, q: f64) -> (usize, usize) {
 }
 
 /// The two pivots bracketing global rank `k` of `total` from the collected
-/// level sample (reordered in place); `None` if the sample is empty.  Two
-/// `select_nth_unstable` calls instead of a sort: on the replay backends the
-/// sample root repeats this on every re-execution.
-fn pick_pivots<K: Ord + Clone>(sample: &mut [K], k: usize, total: usize) -> Option<(K, K)> {
+/// level sample, which arrives sorted: two indexed reads.  `None` if the
+/// sample is empty.
+fn pick_pivots<K: Clone>(sample: &[K], k: usize, total: usize) -> Option<(K, K)> {
     if sample.is_empty() {
         return None;
     }
     let (lo, hi) = bracket(sample.len(), k as f64 / total as f64);
-    let hi_pivot = sample.select_nth_unstable(hi).1.clone();
-    let lo_pivot = sample[..=hi].select_nth_unstable(lo).1.clone();
-    Some((lo_pivot, hi_pivot))
+    Some((sample[lo].clone(), sample[hi].clone()))
 }
 
 /// The PE that collects a level's sample and the base case: the last one,
@@ -147,49 +153,56 @@ fn sample_root(p: usize) -> usize {
     p - 1
 }
 
-/// Concatenate every PE's `block` on the [`sample_root`], which computes
-/// `decide` of the union and broadcasts it: one reduction and one broadcast,
-/// the exchange behind [`agree_pivots`] and [`base_case_select`].
+/// Collect every PE's `block` of tagged elements on the [`sample_root`],
+/// which computes `decide` of their sorted union and broadcasts it: one
+/// reduction and one broadcast, the exchange behind [`agree_pivots`] and
+/// [`base_case_select`].
 ///
-/// The reduction's operation is concatenation, which is associative but —
-/// against [`ReduceOp`]'s contract — not commutative: the union arrives in
-/// the tree's combining order, so `decide` must not depend on the order of
-/// its input.
-fn decide_on_root<C, K, R>(comm: &C, block: Vec<K>, decide: impl FnOnce(Vec<K>) -> R) -> R
+/// Each PE sorts its block before it sends it, and the reduction merges
+/// sorted blocks — an associative and commutative operation, as
+/// [`ReduceOp`] asks — so `decide` sees the union in ascending order.
+fn decide_on_root<C, T, R>(
+    comm: &C,
+    block: Vec<(T, u64)>,
+    decide: impl FnOnce(&[(T, u64)]) -> R,
+) -> R
 where
     C: Communicator,
-    K: Clone + CommData,
+    T: SelectKey,
     R: Clone + CommData,
 {
     let root = sample_root(comm.size());
-    let concat = ReduceOp::custom(|a: &Vec<K>, b: &Vec<K>| [a.as_slice(), b.as_slice()].concat());
-    let decided = comm.reduce(root, block, &concat).map(decide);
+    let merge = ReduceOp::custom(SortedBlock::merge);
+    let decided = comm
+        .reduce(root, SortedBlock::new(block), &merge)
+        .map(|union| decide(union.pairs()));
     comm.broadcast(root, decided)
 }
 
 /// Agree on the two pivots bracketing global rank `k` of `total` from the
 /// PEs' shares of a level sample.  `None` — on every PE alike — if the whole
 /// sample is empty: the caller doubles its rate and draws again.
-fn agree_pivots<C, K>(comm: &C, local_sample: Vec<K>, k: usize, total: usize) -> Option<(K, K)>
+fn agree_pivots<C, T>(
+    comm: &C,
+    local_sample: Vec<(T, u64)>,
+    k: usize,
+    total: usize,
+) -> Option<((T, u64), (T, u64))>
 where
     C: Communicator,
-    K: Ord + Clone + CommData,
+    T: SelectKey,
 {
-    decide_on_root(comm, local_sample, |mut sample| {
-        pick_pivots(&mut sample, k, total)
-    })
+    decide_on_root(comm, local_sample, |sample| pick_pivots(sample, k, total))
 }
 
 /// The base case: the element of global rank `k` among the PEs' remaining
 /// `survivors` (at most [`base_case`] in total), selected on the sample root.
-fn base_case_select<C, K>(comm: &C, survivors: Vec<K>, k: usize) -> K
+fn base_case_select<C, T>(comm: &C, survivors: Vec<(T, u64)>, k: usize) -> (T, u64)
 where
     C: Communicator,
-    K: Ord + Clone + CommData,
+    T: SelectKey,
 {
-    decide_on_root(comm, survivors, |mut all| {
-        all.select_nth_unstable(k - 1).1.clone()
-    })
+    decide_on_root(comm, survivors, |all| all[k - 1].clone())
 }
 
 /// Bernoulli rate that draws [`level_sample`] elements of `total` in
@@ -211,7 +224,7 @@ pub fn select_k_smallest<C, T>(
 ) -> UnsortedSelectionResult<T>
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
+    T: SelectKey,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
     select_k_smallest_known_total(comm, local, total, k, seed)
@@ -229,7 +242,7 @@ pub(crate) fn select_k_smallest_known_total<C, T>(
 ) -> UnsortedSelectionResult<T>
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
+    T: SelectKey,
 {
     let (threshold, offset, levels) = threshold_tagged(comm, local, total, k, seed);
     // The recursion consumed its tagged copy; the selected set is recovered
@@ -259,7 +272,7 @@ fn threshold_tagged<C, T>(
 ) -> ((T, u64), u64, usize)
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
+    T: SelectKey,
 {
     assert!(k >= 1, "k must be at least 1");
     assert!(k <= total, "k = {k} exceeds the global input size {total}");
@@ -286,7 +299,7 @@ where
 pub fn select_threshold<C, T>(comm: &C, local: &[T], k: usize, seed: u64) -> T
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
+    T: SelectKey,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
     threshold_tagged(comm, local, total, k, seed).0 .0
@@ -302,8 +315,7 @@ pub fn select_k_largest<C, T>(
 ) -> UnsortedSelectionResult<std::cmp::Reverse<T>>
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
-    std::cmp::Reverse<T>: CommData,
+    T: SelectKey,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
     select_k_largest_known_total(comm, local, total, k, seed)
@@ -320,8 +332,7 @@ pub(crate) fn select_k_largest_known_total<C, T>(
 ) -> UnsortedSelectionResult<std::cmp::Reverse<T>>
 where
     C: Communicator,
-    T: Ord + Clone + CommData,
-    std::cmp::Reverse<T>: CommData,
+    T: SelectKey,
 {
     let reversed: Vec<std::cmp::Reverse<T>> =
         local.iter().cloned().map(std::cmp::Reverse).collect();
@@ -408,21 +419,21 @@ where
 /// broadcast, the range-count vector all-reduction); the chosen range's
 /// agreed count becomes the next level's `total`, so the survivor count is
 /// never reduced.
-fn select_recursive<C, K>(
+fn select_recursive<C, T>(
     comm: &C,
-    mut s: Vec<K>,
+    mut s: Vec<(T, u64)>,
     mut total: usize,
     mut k: usize,
     rng: &mut StdRng,
     levels: &mut usize,
-) -> K
+) -> (T, u64)
 where
     C: Communicator,
-    K: Ord + Clone + CommData,
+    T: SelectKey,
 {
     let p = comm.size();
     // Sample pre-drawn by the previous level's fused narrowing sweep.
-    let mut pending_sample: Option<Vec<K>> = None;
+    let mut pending_sample: Option<Vec<(T, u64)>> = None;
     loop {
         *levels += 1;
         debug_assert!(k >= 1 && k <= total);
@@ -531,18 +542,18 @@ mod tests {
     /// lower pivot, or into `c` although one lies above the upper pivot.
     /// (A bracket that reaches the sample's edge includes the outer range
     /// beyond it: no sample element separates the two.)
-    fn select_recursive_two_pass<C, K>(
+    fn select_recursive_two_pass<C, T>(
         comm: &C,
-        mut s: Vec<K>,
+        mut s: Vec<(T, u64)>,
         mut total: usize,
         mut k: usize,
         rng: &mut StdRng,
         levels: &mut usize,
         misses: &mut usize,
-    ) -> K
+    ) -> (T, u64)
     where
         C: Communicator,
-        K: Ord + Clone + CommData,
+        T: SelectKey,
     {
         let p = comm.size();
         loop {
@@ -562,12 +573,12 @@ mod tests {
             let mut outside = (false, false);
             let (lo_pivot, hi_pivot) = loop {
                 let local_sample = bernoulli_sample(&s, rho, rng);
-                let pivots = decide_on_root(comm, local_sample, |mut sample| {
+                let pivots = decide_on_root(comm, local_sample, |sample| {
                     if !sample.is_empty() {
                         let (lo_idx, hi_idx) = bracket(sample.len(), k as f64 / total as f64);
                         outside = (lo_idx > 0, hi_idx + 1 < sample.len());
                     }
-                    pick_pivots(&mut sample, k, total)
+                    pick_pivots(sample, k, total)
                 });
                 if let Some(pivots) = pivots {
                     break pivots;
@@ -604,7 +615,7 @@ mod tests {
     ) -> (UnsortedSelectionResult<T>, usize)
     where
         C: Communicator,
-        T: Ord + Clone + CommData,
+        T: SelectKey,
     {
         // Mirror the real entry point's up-front size check so the metered
         // traffic of the two variants is comparable one-to-one.
@@ -1007,7 +1018,10 @@ mod tests {
             ("seven_values", random_parts(4, per_pe, 7, 41)),
             (
                 "one_pe_holds_everything",
-                [random_parts(1, 4 * per_pe, 1 << 40, 43), vec![vec![]; 3]].concat(),
+                random_parts(1, 4 * per_pe, 1 << 40, 43)
+                    .into_iter()
+                    .chain(vec![vec![]; 3])
+                    .collect(),
             ),
             (
                 "ascending_by_rank",
@@ -1047,34 +1061,65 @@ mod tests {
     /// The words of a selection at p = 2, where every collective is one
     /// exchange and rank 0 — the busier PE: it sends its shares to the sample
     /// root, rank 1, which answers with two pivots — sends exactly: 1 word at
-    /// the entry; per narrowing level its share of the sample (2 words per
-    /// tagged element, 1 header word) and the 3 + 1 words of the range counts;
-    /// in the base case its share of the ≤ 2m survivors (2 words each, 1
-    /// header word).  On evenly spread input a share is half: `m` words of a
-    /// level's sample, at most `2m` words of the base case.  `SLACK` = 64
-    /// words per level is 4σ of a PE's Bernoulli share of the sample (64 ± 8
-    /// elements of 2 words); the base-case level gets the same for the
-    /// imbalance of the survivors.  `HEADER` = 6 covers a level's header and
-    /// count words.
+    /// the entry; per narrowing level its share of the sample as one coded
+    /// block and the 3 + 1 words of the range counts; in the base case its
+    /// share of the ≤ 2m survivors as one coded block.
+    ///
+    /// On both inputs here — uniform values below 2^40, and §10.1's Zipf
+    /// ranks below 2^14, where values repeat — rank 0's block of `len`
+    /// elements takes at most `HEADER + len·ELEMENT` bits:
+    ///
+    /// * `HEADER` = 89: δ(len) ≤ 15 bits for `len < 256`, the 23 field bits
+    ///   and δ(first value) ≤ 51 bits for a value below 2^40;
+    /// * `ELEMENT` = 56: a value gap's Rice code takes under `r_v + 3` bits
+    ///   on average (the unary quotients of `c` gaps take under `2c` bits at
+    ///   `r_v = ⌊log₂ mean gap⌋`), and `r_v ≤ 35` for a block of 33 or more
+    ///   elements, whose gaps sum below 2^40; rank 0's dense tag is its
+    ///   index, raw at `w_i ≤ 15` bits or Rice-coded in a run at `r_t ≤ 14`
+    ///   (its dense gaps are below 2^15), under 17 bits on average.  A block
+    ///   of 32 elements or fewer takes at most `32·(43 + 17)` bits, less than
+    ///   96 elements' `ELEMENT` bits.
+    ///
+    /// On evenly spread input a share is half: `m/2` elements of a level's
+    /// sample, at most `m` of the base case's.  `SLACK` = 32 elements is 4σ
+    /// of a PE's Bernoulli share of the sample (64 ± 8); the base case gets
+    /// the same for the imbalance of the survivors.  So a level costs at
+    /// most 90 words and the base case 142 — where a level's 64 uncoded
+    /// two-word pairs alone take 129.
     #[test]
-    fn words_at_p2_are_one_sample_per_level_plus_the_base_case() {
-        const SLACK: u64 = 64;
-        const HEADER: u64 = 6;
+    fn words_at_p2_are_one_coded_sample_per_level_plus_the_base_case() {
+        const HEADER: u64 = 89;
+        const ELEMENT: u64 = 56;
+        const SLACK: u64 = 32;
+        const COUNT_WORDS: u64 = 4;
         let m = level_sample(2) as u64;
+        let block = |len: u64| (HEADER + len * ELEMENT).div_ceil(64);
+        let level = block(m / 2 + SLACK) + COUNT_WORDS;
+        let base_case = block(m + SLACK);
+        assert_eq!((level, base_case), (90, 142));
         let n = 1usize << 16;
-        let parts = random_parts(2, n / 2, 1 << 40, 53);
-        for k in [n / 1024, n / 32, n / 2] {
-            for seed in 0..20u64 {
-                let out = run_spmd_seq(2, |comm| {
-                    select_k_smallest(comm, &parts[comm.rank()], k, seed).recursion_levels
-                });
-                let narrowing = out.results[0] as u64 - 1;
-                let bound = narrowing * (m + SLACK + HEADER) + 2 * m + SLACK + HEADER;
-                assert!(
-                    out.stats.bottleneck_words() <= bound,
-                    "k={k} seed={seed}: {} words in {narrowing} narrowing levels, bound {bound}",
-                    out.stats.bottleneck_words()
-                );
+        let inputs = [
+            ("uniform", random_parts(2, n / 2, 1 << 40, 53)),
+            (
+                "zipf",
+                datagen::SkewedSelectionInput::default().generate_all(2, n / 2),
+            ),
+        ];
+        for (name, parts) in &inputs {
+            for k in [n / 1024, n / 32, n / 2] {
+                for seed in 0..20u64 {
+                    let out = run_spmd_seq(2, |comm| {
+                        select_k_smallest(comm, &parts[comm.rank()], k, seed).recursion_levels
+                    });
+                    let narrowing = out.results[0] as u64 - 1;
+                    let bound = 1 + narrowing * level + base_case;
+                    assert!(
+                        out.stats.bottleneck_words() <= bound,
+                        "{name} k={k} seed={seed}: {} words in {narrowing} narrowing levels, \
+                         bound {bound}",
+                        out.stats.bottleneck_words()
+                    );
+                }
             }
         }
     }

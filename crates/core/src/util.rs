@@ -1,6 +1,7 @@
 //! Small shared utilities for the distributed algorithms.
 
-use commsim::{CommResult, Communicator, ReduceOp, WordCodec, WordReader};
+use commsim::codec::{bit_length, decode_error, rice_parameter, BitReader, BitWriter, MAX_RICE};
+use commsim::{CommData, CommResult, Communicator, ReduceOp, WordCodec, WordReader};
 
 /// A totally ordered `f64` wrapper (ordered by `f64::total_cmp`), used for
 /// scores and value sums that have to flow through `Ord`-based selection and
@@ -93,6 +94,8 @@ pub fn tag_unique<T: Clone>(local: &[T], global_offset: u64) -> Vec<(T, u64)> {
 
 /// Bits of a tie-break word that hold the local index; the rank sits above.
 const TIE_BREAK_INDEX_BITS: u32 = 40;
+/// Bits of a tie-break word above the index: the rank.
+const TIE_BREAK_RANK_BITS: u32 = u64::BITS - TIE_BREAK_INDEX_BITS;
 
 /// Tie-break tag of PE `rank`'s first element: local element `i` gets the
 /// word `tie_break_offset(..) + i`, i.e. `rank << 40 | i`.
@@ -111,11 +114,335 @@ pub fn tie_break_offset(rank: usize, p: usize, local_len: usize) -> u64 {
         "local input of {local_len} elements does not fit the 40-bit tie-break index"
     );
     assert!(
-        p as u64 <= 1 << (u64::BITS - TIE_BREAK_INDEX_BITS),
+        p as u64 <= 1 << TIE_BREAK_RANK_BITS,
         "{p} PEs do not fit the 24-bit tie-break rank"
     );
     debug_assert!(rank < p);
     (rank as u64) << TIE_BREAK_INDEX_BITS
+}
+
+/// A key the §4.1 selection ([`crate::unsorted`]) selects on.  Its level
+/// samples and base case cross the wire as [`SortedBlock`]s of tie-broken
+/// `(key, tag)` pairs, and the key type owns that block's wire form.
+///
+/// The default form is the pairs' own words, a `Vec<(Self, u64)>`: a length
+/// word, then each pair.  A key type takes it with an empty impl.  `u64`
+/// overrides it with one bit stream at about the block's information content
+/// (the layout on [`SortedBlock`]).
+pub trait SelectKey: Ord + Clone + CommData {
+    /// Exact number of words [`SelectKey::encode_block`] appends.
+    fn block_len(block: &SortedBlock<Self>) -> usize {
+        block.pairs.encoded_len()
+    }
+
+    /// Append the wire form of `block` to `out`.
+    fn encode_block(block: &SortedBlock<Self>, out: &mut Vec<u64>) {
+        block.pairs.encode(out);
+    }
+
+    /// Decode the pairs [`SelectKey::encode_block`] wrote, consuming exactly
+    /// its words; [`SortedBlock`]'s decoder checks their order.
+    fn decode_block(r: &mut WordReader<'_>) -> CommResult<Vec<(Self, u64)>> {
+        Vec::decode(r)
+    }
+}
+
+impl SelectKey for String {}
+impl SelectKey for OrderedF64 {}
+impl<A: SelectKey, B: SelectKey> SelectKey for (A, B) {}
+impl<T: SelectKey> SelectKey for std::cmp::Reverse<T> {}
+
+/// Distinct tie-broken `(key, tag)` pairs in ascending order: one PE's share
+/// of a §4.1 level sample or base case, or — merged hop by hop up a reduction
+/// tree — the union of several shares.  Merging is associative and
+/// commutative, so a union does not depend on the order the tree combines
+/// the shares in.
+///
+/// A block of `u64` keys crosses the wire as one bit stream, packed by
+/// [`BitWriter`].  The tag `rank ≪ 40 | index` of [`tie_break_offset`] travels
+/// as its *dense* word `rank ≪ w_i | index`, which orders alike:
+///
+/// ```text
+/// δ(len) · r_v (6 bits) · w_r (5 bits) · w_i (6 bits) · r_t (6 bits)
+///   · δ(value₁) · raw(tag₁)
+///   · per later element: Rice(value gap, r_v) · tag
+/// ```
+///
+/// `δ` is [`BitWriter::number`]'s universal code and `raw` the dense word at
+/// `w_r + w_i` bits.  An element's tag is `raw` where the value changes and
+/// Rice(dense gap − 1, `r_t`) inside a run of equal values, whose dense
+/// words strictly ascend.  The four fields are functions of the block:
+/// `w_r` and `w_i` are the bit lengths of its largest rank and largest
+/// index, and a Rice parameter is [`rice_parameter`] of the gaps it codes
+/// (the value gaps; the in-run dense gaps less one), so a gap costs under
+/// `r + 3` bits on average.  The empty block is `δ(0)` alone, one word.
+///
+/// Decoding accepts only this canonical form: a field other than the one the
+/// decoded pairs imply, a rank of `2^w_r` or more, a value or dense word
+/// beyond `u64`, a length beyond the bits left and non-zero padding are
+/// decode errors.  Other keys take [`SelectKey`]'s default words, and their
+/// decoder rejects pairs out of order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SortedBlock<T> {
+    pairs: Vec<(T, u64)>,
+}
+
+impl<T: SelectKey> SortedBlock<T> {
+    /// Sort `pairs` into a block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two pairs are equal.
+    pub fn new(mut pairs: Vec<(T, u64)>) -> Self {
+        pairs.sort_unstable();
+        assert!(
+            pairs.windows(2).all(|w| w[0] < w[1]),
+            "a sorted block holds distinct pairs"
+        );
+        SortedBlock { pairs }
+    }
+
+    /// The pairs, ascending.
+    pub fn pairs(&self) -> &[(T, u64)] {
+        &self.pairs
+    }
+
+    /// The union of two blocks of disjoint pairs, merged in one pass.
+    pub fn merge(&self, other: &Self) -> Self {
+        let (mut a, mut b) = (self.pairs.as_slice(), other.pairs.as_slice());
+        let mut pairs = Vec::with_capacity(a.len() + b.len());
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            debug_assert!(x != y, "merged blocks share a pair");
+            if x < y {
+                pairs.push(x.clone());
+                a = &a[1..];
+            } else {
+                pairs.push(y.clone());
+                b = &b[1..];
+            }
+        }
+        pairs.extend_from_slice(a);
+        pairs.extend_from_slice(b);
+        SortedBlock { pairs }
+    }
+}
+
+impl<T: SelectKey> WordCodec for SortedBlock<T> {
+    fn encoded_len(&self) -> usize {
+        T::block_len(self)
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        T::encode_block(self, out);
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let pairs = T::decode_block(r)?;
+        if pairs.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(decode_error::<Self>());
+        }
+        Ok(SortedBlock { pairs })
+    }
+}
+
+impl SelectKey for u64 {
+    fn block_len(block: &SortedBlock<u64>) -> usize {
+        let pairs = &block.pairs;
+        let bits: u64 = block_codes(pairs, StreamFields::of(pairs))
+            .map(|code| code.bits())
+            .sum();
+        bits.div_ceil(64) as usize
+    }
+
+    fn encode_block(block: &SortedBlock<u64>, out: &mut Vec<u64>) {
+        let pairs = &block.pairs;
+        let mut bits = BitWriter::new(out);
+        for code in block_codes(pairs, StreamFields::of(pairs)) {
+            code.write(&mut bits);
+        }
+        bits.finish();
+    }
+
+    fn decode_block(r: &mut WordReader<'_>) -> CommResult<Vec<(u64, u64)>> {
+        let error = decode_error::<SortedBlock<u64>>;
+        let mut bits = BitReader::new::<SortedBlock<u64>>(r);
+        let len = bits.number()?;
+        if len == 0 {
+            bits.finish()?;
+            return Ok(Vec::new());
+        }
+        let fields = StreamFields {
+            value_rice: bits.take(RICE_FIELD)? as u32,
+            rank_width: bits.take(RANK_FIELD)? as u32,
+            index_width: bits.take(INDEX_FIELD)? as u32,
+            tag_rice: bits.take(RICE_FIELD)? as u32,
+        };
+        // Every element takes a bit or more: a corrupt length fails here,
+        // not after reserving it.
+        if fields.value_rice > MAX_RICE
+            || fields.tag_rice > MAX_RICE
+            || fields.rank_width > TIE_BREAK_RANK_BITS
+            || fields.index_width > TIE_BREAK_INDEX_BITS
+            || len > bits.bits_left()
+        {
+            return Err(error());
+        }
+        let width = fields.tag_width();
+        let mut pairs = Vec::with_capacity(len as usize);
+        let mut value = bits.number()?;
+        let mut dense = bits.take(width)?;
+        pairs.push((value, fields.tag(dense)));
+        for _ in 1..len {
+            let gap = bits.rice(fields.value_rice)?;
+            value = value.checked_add(gap).ok_or_else(error)?;
+            dense = if gap == 0 {
+                let next = dense
+                    .checked_add(bits.rice(fields.tag_rice)?)
+                    .and_then(|dense| dense.checked_add(1))
+                    .ok_or_else(error)?;
+                // The rank above `w_i` must fit its `w_r` bits.
+                if next.checked_shr(width).unwrap_or(0) != 0 {
+                    return Err(error());
+                }
+                next
+            } else {
+                bits.take(width)?
+            };
+            pairs.push((value, fields.tag(dense)));
+        }
+        bits.finish()?;
+        if StreamFields::of(&pairs) != fields {
+            return Err(error());
+        }
+        Ok(pairs)
+    }
+}
+
+/// Bits of a Rice-parameter field.
+const RICE_FIELD: u32 = bit_length(MAX_RICE as u64);
+/// Bits of the rank-width field.
+const RANK_FIELD: u32 = bit_length(TIE_BREAK_RANK_BITS as u64);
+/// Bits of the index-width field.
+const INDEX_FIELD: u32 = bit_length(TIE_BREAK_INDEX_BITS as u64);
+
+/// The four header fields of a `u64` block's stream ([`SortedBlock`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StreamFields {
+    value_rice: u32,
+    rank_width: u32,
+    index_width: u32,
+    tag_rice: u32,
+}
+
+impl StreamFields {
+    /// The fields `pairs`, distinct and ascending, imply.
+    fn of(pairs: &[(u64, u64)]) -> Self {
+        // The bit length of a maximum is that of the bitwise or.
+        let (ranks, indices) = pairs.iter().fold((0, 0), |(ranks, indices), &(_, tag)| {
+            (
+                ranks | tag >> TIE_BREAK_INDEX_BITS,
+                indices | tag & INDEX_MASK,
+            )
+        });
+        let mut fields = StreamFields {
+            value_rice: 0,
+            rank_width: bit_length(ranks),
+            index_width: bit_length(indices),
+            tag_rice: 0,
+        };
+        let (mut in_run, mut in_run_gaps) = (0u128, 0usize);
+        for w in pairs.windows(2).filter(|w| w[0].0 == w[1].0) {
+            in_run += u128::from(fields.dense(w[1].1) - fields.dense(w[0].1) - 1);
+            in_run_gaps += 1;
+        }
+        let span = match (pairs.first(), pairs.last()) {
+            (Some(first), Some(last)) => last.0 - first.0,
+            _ => 0,
+        };
+        fields.value_rice = rice_parameter(span.into(), pairs.len().saturating_sub(1));
+        fields.tag_rice = rice_parameter(in_run, in_run_gaps);
+        fields
+    }
+
+    /// Bits of a raw dense word.
+    fn tag_width(self) -> u32 {
+        self.rank_width + self.index_width
+    }
+
+    /// The dense word of `tag`: its rank right above its `w_i` index bits.
+    fn dense(self, tag: u64) -> u64 {
+        (tag >> TIE_BREAK_INDEX_BITS) << self.index_width | tag & INDEX_MASK
+    }
+
+    /// The tag of a dense word below `2^(w_r + w_i)`.
+    fn tag(self, dense: u64) -> u64 {
+        (dense >> self.index_width) << TIE_BREAK_INDEX_BITS | dense & ((1 << self.index_width) - 1)
+    }
+}
+
+/// The index bits of a tie-break word.
+const INDEX_MASK: u64 = (1 << TIE_BREAK_INDEX_BITS) - 1;
+
+/// One code of a `u64` block's stream.
+#[derive(Debug, Clone, Copy)]
+enum Code {
+    /// [`BitWriter::number`].
+    Number(u64),
+    /// [`BitWriter::rice`] with its parameter.
+    Rice(u64, u32),
+    /// [`BitWriter::put`] at a fixed width.
+    Raw(u64, u32),
+}
+
+impl Code {
+    fn bits(self) -> u64 {
+        match self {
+            Code::Number(value) => BitWriter::number_bits(value),
+            Code::Rice(value, r) => BitWriter::rice_bits(value, r),
+            Code::Raw(_, width) => width.into(),
+        }
+    }
+
+    fn write(self, bits: &mut BitWriter) {
+        match self {
+            Code::Number(value) => bits.number(value),
+            Code::Rice(value, r) => bits.rice(value, r),
+            Code::Raw(value, width) => bits.put(value, width),
+        }
+    }
+}
+
+/// The stream of `pairs`, distinct and ascending, under `fields` — the
+/// fields they imply, or other ones for a test of the decoder.
+fn block_codes(pairs: &[(u64, u64)], fields: StreamFields) -> impl Iterator<Item = Code> + '_ {
+    let header = [
+        Code::Raw(fields.value_rice.into(), RICE_FIELD),
+        Code::Raw(fields.rank_width.into(), RANK_FIELD),
+        Code::Raw(fields.index_width.into(), INDEX_FIELD),
+        Code::Raw(fields.tag_rice.into(), RICE_FIELD),
+    ];
+    let header_codes = if pairs.is_empty() { 0 } else { header.len() };
+    let previous = std::iter::once(None).chain(pairs.iter().map(Some));
+    let elements = pairs
+        .iter()
+        .zip(previous)
+        .flat_map(move |(&(value, tag), previous)| {
+            let raw = Code::Raw(fields.dense(tag), fields.tag_width());
+            match previous {
+                None => [Code::Number(value), raw],
+                Some(&(previous, previous_tag)) if previous == value => {
+                    let gap = fields.dense(tag) - fields.dense(previous_tag) - 1;
+                    [
+                        Code::Rice(0, fields.value_rice),
+                        Code::Rice(gap, fields.tag_rice),
+                    ]
+                }
+                Some(&(previous, _)) => [Code::Rice(value - previous, fields.value_rice), raw],
+            }
+        });
+    std::iter::once(Code::Number(pairs.len() as u64))
+        .chain(header.into_iter().take(header_codes))
+        .chain(elements)
 }
 
 #[cfg(test)]
@@ -230,5 +557,312 @@ mod tests {
     #[should_panic(expected = "tie-break rank")]
     fn tie_break_rejects_worlds_beyond_24_rank_bits() {
         tie_break_offset(0, (1 << 24) + 1, 0);
+    }
+
+    /// Encode `block`, check the codec's invariants and return the words.
+    fn roundtrip<T: SelectKey + std::fmt::Debug>(block: &SortedBlock<T>) -> Vec<u64> {
+        let mut words = Vec::new();
+        block.encode(&mut words);
+        assert_eq!(words.len(), block.encoded_len(), "{block:?}");
+        let mut r = WordReader::new(&words);
+        assert_eq!(&SortedBlock::<T>::decode(&mut r).expect("decode"), block);
+        assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
+        words
+    }
+
+    /// Words from bits written in stream order, `'0'` and `'1'` (spaces
+    /// ignored), packed lowest bit first.
+    fn stream(bits: &str) -> Vec<u64> {
+        let bits: Vec<u64> = bits
+            .bytes()
+            .filter(|b| *b != b' ')
+            .map(|b| u64::from(b - b'0'))
+            .collect();
+        bits.chunks(64)
+            .map(|chunk| chunk.iter().enumerate().map(|(i, &bit)| bit << i).sum())
+            .collect()
+    }
+
+    /// The tag of local element `index` on PE `rank`.
+    fn tag(rank: u64, index: u64) -> u64 {
+        rank << TIE_BREAK_INDEX_BITS | index
+    }
+
+    #[test]
+    fn sorted_blocks_merge_in_either_order() {
+        let a = SortedBlock::new(vec![(5u64, tag(0, 2)), (1, tag(0, 0)), (5, tag(0, 1))]);
+        let b = SortedBlock::new(vec![(5u64, tag(1, 0)), (0, tag(1, 1))]);
+        let union = a.merge(&b);
+        assert_eq!(union, b.merge(&a));
+        assert_eq!(
+            union.pairs(),
+            [
+                (0, tag(1, 1)),
+                (1, tag(0, 0)),
+                (5, tag(0, 1)),
+                (5, tag(0, 2)),
+                (5, tag(1, 0))
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct pairs")]
+    fn a_sorted_block_rejects_a_repeated_pair() {
+        SortedBlock::new(vec![(3u64, 7u64), (3, 7)]);
+    }
+
+    /// The stream bit by bit: three equal values on three PEs, so the run of
+    /// their tags crosses rank boundaries.
+    #[test]
+    fn u64_block_wire_layout_is_value_gaps_and_dense_tags() {
+        let block = SortedBlock::new(vec![(9u64, tag(0, 5)), (9, tag(1, 3)), (9, tag(3, 0))]);
+        // Ranks 0, 1, 3: w_r = 2; indices 5, 3, 0: w_i = 3.  Dense words
+        // 0·8 + 5 = 5, 1·8 + 3 = 11, 3·8 + 0 = 24; their gaps less one, 5
+        // and 12, have mean 8: r_t = 3.  One value: r_v = 0.
+        let expected = stream(concat!(
+            // δ(3): bit length 2 is width 2 in unary, its low bit 0, then
+            // 3's low bit 1.
+            "001 0 1 ",
+            // r_v = 0, w_r = 2, w_i = 3, r_t = 3, lowest bit first.
+            "000000 01000 110000 110000 ",
+            // δ(9): bit length 4 is width 3 in unary and low bits 00, then
+            // 9's low bits 001; the first tag raw: 5 in w_r + w_i = 5 bits.
+            "0001 00 100 10100 ",
+            // Value gap 0 at r_v = 0, then the dense gap less one, 5 =
+            // 0·8 + 5, at r_t = 3; value gap 0, then 12 = 1·8 + 4.  53 bits,
+            // one word.
+            "1 1 101 1 01 001",
+        ));
+        assert_eq!(roundtrip(&block), expected);
+    }
+
+    #[test]
+    fn u64_blocks_cost_their_bits_in_whole_words() {
+        // The empty block is δ(0), one bit.
+        assert_eq!(roundtrip(&SortedBlock::<u64>::new(Vec::new())), vec![1]);
+        // One value on 100 elements of one PE: a 12-bit length, the 23-bit
+        // fields, δ(5) in 6 bits, a 7-bit first tag (w_r = 0, w_i = 7) and
+        // two one-bit codes (zero gaps at r_v = r_t = 0) for each of the 99
+        // others — 246 bits in 4 words, where the pairs take 201.
+        let run: Vec<(u64, u64)> = (0..100).map(|i| (5, tag(0, i))).collect();
+        assert_eq!(run.encoded_len(), 201);
+        assert_eq!(roundtrip(&SortedBlock::new(run)).len(), 4);
+        // The same run spread over 4 PEs, 25 elements each, in rank order:
+        // w_r = 2, w_i = 5, every dense gap 1 except the three that cross a
+        // rank boundary, 8 each (gap less one 7: r_t = ⌊log₂(21/99)⌋ = 0,
+        // so each costs 8 unary bits).  12 + 23 + 6 + 7 bits, then 99 value
+        // bits and 99 + 3·7 tag bits: 267 bits in 5 words.
+        let spread: Vec<(u64, u64)> = (0..100).map(|i| (5, tag(i / 25, i % 25))).collect();
+        assert_eq!(roundtrip(&SortedBlock::new(spread)).len(), 5);
+        // Values at both ends of u64 and every tag field at its widest.
+        let (low, high) = ((0u64, 0u64), (u64::MAX, u64::MAX));
+        roundtrip(&SortedBlock::new(vec![low, high]));
+        roundtrip(&SortedBlock::new(vec![low, (u64::MAX, tag(5, 9)), high]));
+    }
+
+    /// Other keys cross as their pairs' words, and their decoder too accepts
+    /// only ascending distinct pairs.
+    #[test]
+    fn plain_keys_keep_the_words_of_their_pairs() {
+        let pairs = vec![("b".to_string(), 1u64), ("a".to_string(), 9)];
+        let block = SortedBlock::new(pairs.clone());
+        assert_eq!(roundtrip(&block).len(), pairs.encoded_len());
+        let mut wire = Vec::new();
+        pairs.encode(&mut wire);
+        let decoded = SortedBlock::<String>::decode(&mut WordReader::new(&wire));
+        assert!(matches!(decoded, Err(commsim::CommError::Decode { .. })));
+        let reversed = SortedBlock::new(vec![(std::cmp::Reverse((3u64, 4u64)), 0u64)]);
+        assert_eq!(roundtrip(&reversed).len(), 1 + 3);
+    }
+
+    /// The words of `pairs`' stream under `fields`.
+    fn written(pairs: &[(u64, u64)], fields: StreamFields) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut bits = BitWriter::new(&mut out);
+        block_codes(pairs, fields).for_each(|code| code.write(&mut bits));
+        bits.finish();
+        out
+    }
+
+    /// A stream of `len` elements under `fields`, whose elements `write`
+    /// writes.
+    fn by_hand(len: u64, fields: StreamFields, write: impl FnOnce(&mut BitWriter)) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut bits = BitWriter::new(&mut out);
+        bits.number(len);
+        bits.put(fields.value_rice.into(), RICE_FIELD);
+        bits.put(fields.rank_width.into(), RANK_FIELD);
+        bits.put(fields.index_width.into(), INDEX_FIELD);
+        bits.put(fields.tag_rice.into(), RICE_FIELD);
+        write(&mut bits);
+        bits.finish();
+        out
+    }
+
+    /// Only the canonical stream decodes; every other message is a decode
+    /// error, never a panic.
+    #[test]
+    fn non_canonical_u64_blocks_fail_to_decode() {
+        let decode = |words: &[u64]| SortedBlock::<u64>::decode(&mut WordReader::new(words));
+        let rejected =
+            |words: &[u64]| matches!(decode(words), Err(commsim::CommError::Decode { .. }));
+        // Spread values and a run across ranks: every field above zero.
+        let pairs = vec![
+            (9u64, tag(0, 5)),
+            (9, tag(1, 3)),
+            (9, tag(3, 0)),
+            (40, tag(2, 1)),
+            (300, tag(0, 6)),
+        ];
+        let fields = StreamFields::of(&pairs);
+        assert_eq!(
+            fields,
+            StreamFields {
+                value_rice: 6,
+                rank_width: 2,
+                index_width: 3,
+                tag_rice: 3
+            }
+        );
+        let good = written(&pairs, fields);
+        assert_eq!(decode(&good).unwrap().pairs(), pairs);
+        // Truncated anywhere, down to nothing.
+        for cut in 0..good.len() {
+            assert!(rejected(&good[..cut]), "cut at {cut}");
+        }
+        // Each field one above what the pairs imply, and each Rice parameter
+        // one below: the same pairs, but not their canonical stream.  (A
+        // narrower width cannot hold the largest tag raw; an in-run gap that
+        // carries a rank past it is below.)
+        let off_by_one = [
+            StreamFields {
+                value_rice: 7,
+                ..fields
+            },
+            StreamFields {
+                value_rice: 5,
+                ..fields
+            },
+            StreamFields {
+                rank_width: 3,
+                ..fields
+            },
+            StreamFields {
+                index_width: 4,
+                ..fields
+            },
+            StreamFields {
+                tag_rice: 4,
+                ..fields
+            },
+            StreamFields {
+                tag_rice: 2,
+                ..fields
+            },
+        ];
+        for other in off_by_one {
+            let words = written(&pairs, other);
+            assert_ne!(words, good);
+            assert!(rejected(&words), "{other:?}");
+        }
+        // Fields beyond the coder or the tag layout.
+        for other in [
+            StreamFields {
+                value_rice: 63,
+                ..fields
+            },
+            StreamFields {
+                tag_rice: 63,
+                ..fields
+            },
+            StreamFields {
+                rank_width: 25,
+                ..fields
+            },
+            StreamFields {
+                index_width: 41,
+                ..fields
+            },
+        ] {
+            assert!(
+                rejected(&by_hand(1, other, |bits| bits.number(0))),
+                "{other:?}"
+            );
+        }
+        // Non-zero padding after the last code: just above it and at the
+        // top.
+        let one = written(&pairs[..1], StreamFields::of(&pairs[..1]));
+        assert_eq!(one.len(), 1);
+        assert!(decode(&one).is_ok());
+        assert!(rejected(&[one[0] | 1 << 62]));
+        assert!(rejected(&[one[0] | 1 << 63]));
+        // A rank of 2^w_r: w_r = 0, w_i = 1, the first tag index 1; then
+        // the same value with dense gap 1 reaches dense word 2, rank 1.
+        let narrow = StreamFields {
+            value_rice: 0,
+            rank_width: 0,
+            index_width: 1,
+            tag_rice: 0,
+        };
+        let carried = |gap_less_one| {
+            by_hand(2, narrow, |bits| {
+                bits.number(4);
+                bits.put(1, 1);
+                bits.rice(0, 0);
+                bits.rice(gap_less_one, 0);
+            })
+        };
+        assert!(rejected(&carried(0)));
+        // A dense word beyond u64: at full width, the first tag all ones
+        // and an in-run gap after it.
+        let full = StreamFields {
+            value_rice: 0,
+            rank_width: TIE_BREAK_RANK_BITS,
+            index_width: TIE_BREAK_INDEX_BITS,
+            tag_rice: 0,
+        };
+        assert!(rejected(&by_hand(2, full, |bits| {
+            bits.number(4);
+            bits.put(u64::MAX, 64);
+            bits.rice(0, 0);
+            bits.rice(0, 0);
+        })));
+        // A value gap beyond u64: 2⁶³ after a first value of 2⁶³, where
+        // after 2⁶³ − 1 it reaches u64::MAX (and implies r_v = 62).
+        let gap_fields = StreamFields {
+            value_rice: 62,
+            rank_width: 0,
+            index_width: 1,
+            tag_rice: 0,
+        };
+        let value_gap = |first| {
+            by_hand(2, gap_fields, |bits| {
+                bits.number(first);
+                bits.put(0, 1);
+                bits.rice(1 << 63, 62);
+                bits.put(1, 1);
+            })
+        };
+        assert!(rejected(&value_gap(1 << 63)));
+        assert_eq!(
+            decode(&value_gap((1 << 63) - 1)).unwrap().pairs(),
+            [((1 << 63) - 1, tag(0, 0)), (u64::MAX, tag(0, 1))]
+        );
+        // A length beyond the bits left (a decoder that trusted it would
+        // reserve it), and one element more than the stream holds.
+        assert!(rejected(&by_hand(1 << 40, fields, |bits| bits.number(9))));
+        assert!(rejected(&by_hand(u64::MAX, fields, |bits| bits.number(9))));
+        assert!(rejected(&by_hand(
+            2,
+            StreamFields::of(&pairs[..1]),
+            |bits| {
+                bits.number(9);
+                bits.put(5, 3);
+            }
+        )));
+        // Nothing at all, and a length code above 64 bits.
+        assert!(rejected(&[]));
+        assert!(rejected(&[1 << 8]));
     }
 }

@@ -12,7 +12,8 @@
 //! * the word codec round-trips every implementing type, with the wire
 //!   length equal to the metered word count (an aggregate grouped by count
 //!   never costs more than its pairs, and a packed count vector costs its
-//!   header plus its entries' bits);
+//!   header plus its entries' bits, and a sorted block of tagged `u64`
+//!   selection keys is one bit stream);
 //! * every decoder is total: random words and mutated encodings decode to a
 //!   value or to `CommError::Decode`, never to a panic;
 //! * the SPMD collective suite gives identical results and identical metered
@@ -36,6 +37,7 @@ use topk_selection::prelude::*;
 use topk_selection::topk::branch_bound::BnbNode;
 use topk_selection::topk::frequent::dht::KeyCounts;
 use topk_selection::topk::frequent::select_top_counts;
+use topk_selection::topk::util::SortedBlock;
 use topk_selection::topk::{FrequentCheckpoint, SelectionCheckpoint};
 
 /// Round-trip a value through its wire encoding, checking the three
@@ -192,6 +194,20 @@ fn sorted_union(parts: &[Vec<u64>]) -> Vec<u64> {
     let mut all: Vec<u64> = parts.iter().flatten().copied().collect();
     all.sort_unstable();
     all
+}
+
+/// Distinct tagged pairs for a [`SortedBlock`]: each value `repeats` times
+/// (cycled), each copy on the next of `ranks`' PEs at the next multiple of
+/// `stride` as its local index, so equal values form runs across ranks.
+fn tagged_pairs(values: &[u64], repeats: &[usize], ranks: &[u64], stride: u64) -> Vec<(u64, u64)> {
+    let copies = values
+        .iter()
+        .zip(repeats.iter().cycle())
+        .flat_map(|(&value, &times)| std::iter::repeat_n(value, times));
+    copies
+        .enumerate()
+        .map(|(i, value)| (value, ranks[i % ranks.len()] << 40 | (i as u64 * stride)))
+        .collect()
 }
 
 proptest! {
@@ -693,6 +709,36 @@ proptest! {
         };
         codec_is_total(&node, &g)?;
         codec_is_total(&vec![node; 2], &g)?;
+    }
+
+    /// A block of `u64` keys round-trips through its bit stream in exactly
+    /// its encoded length: values from the whole range and dense ones,
+    /// repeated across up to four ranks, indices dense and spread.
+    #[test]
+    fn word_codec_roundtrips_sorted_blocks(
+        values in vec(0u64..u64::MAX, 0..30),
+        dense in vec(0u64..64, 0..30),
+        repeats in vec(1usize..5, 1..8),
+        ranks in vec(0u64..1 << 24, 1..5),
+        stride in 1u64..1 << 20,
+    ) {
+        for values in [&values, &dense] {
+            codec_roundtrip(SortedBlock::new(tagged_pairs(values, &repeats, &ranks, stride)))?;
+        }
+    }
+
+    #[test]
+    fn sorted_block_decoder_is_total(
+        values in vec(0u64..1 << 16, 0..40),
+        repeats in vec(1usize..4, 1..6),
+        ranks in vec(0u64..64, 1..4),
+        stride in 1u64..1 << 10,
+        g in garbage(),
+    ) {
+        let pairs = tagged_pairs(&values, &repeats, &ranks, stride);
+        let strings: Vec<(String, u64)> = pairs.iter().map(|&(v, tag)| (v.to_string(), tag)).collect();
+        codec_is_total(&SortedBlock::new(pairs), &g)?;
+        codec_is_total(&SortedBlock::new(strings), &g)?;
     }
 
     #[test]
