@@ -50,7 +50,7 @@ impl Table {
     }
 
     /// Render as fixed-width text.
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let widths = self.widths();
         let mut out = String::new();
         out.push_str(&format!("## {}\n", self.title));

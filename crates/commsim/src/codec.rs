@@ -73,12 +73,6 @@ impl<'a> WordReader<'a> {
     pub fn remaining(&self) -> usize {
         self.words.len() - self.pos
     }
-
-    /// Number of words consumed so far.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 /// A value with a u64-word wire encoding — the one message representation.

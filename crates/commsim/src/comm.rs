@@ -79,7 +79,7 @@ pub struct Comm {
 impl Comm {
     /// Create a communicator from its transport endpoint and the shared
     /// statistics registry.  Normally called by [`crate::World::threaded`].
-    pub fn new(mailbox: Mailbox, stats: StatsRegistry) -> Self {
+    pub(crate) fn new(mailbox: Mailbox, stats: StatsRegistry) -> Self {
         Comm {
             mailbox,
             stats,

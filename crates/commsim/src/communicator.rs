@@ -317,7 +317,7 @@ pub trait Communicator {
     /// Blocks may differ in size: PE `r` then receives `⌈log₂ p⌉` words plus
     /// every other block once, and sends at most `⌈log₂ p⌉` copies of the
     /// concatenation.  Blocks travel toward higher ranks because the replay
-    /// backends start PEs in ascending rank order (see [`crate::mux`]).
+    /// backends start PEs in ascending rank order (see [`crate::MuxComm`]).
     fn allgather<T: CommData + Clone>(&self, value: T) -> Vec<T>
     where
         Self: Sized,

@@ -9,7 +9,7 @@
 //!
 //! The [`predict`] submodule goes the other way: closed-form *predictions*
 //! of the per-PE bottleneck words and start-ups of each collective, matching
-//! the implementations in [`crate::collectives`] (binomial trees, the
+//! the collectives of [`crate::Communicator`] (binomial trees, the
 //! dissemination all-gather, direct vs hypercube all-to-all).  The
 //! cost-model planner (`topk::planner`) composes these per-collective
 //! [`PredictedComm`] terms into per-algorithm predictions and audits them
@@ -35,11 +35,6 @@ impl PredictedComm {
         Self { words, startups }
     }
 
-    /// The zero prediction (no communication).
-    pub fn zero() -> Self {
-        Self::default()
-    }
-
     /// Sequential composition: both phases are paid in full.
     pub fn plus(self, other: PredictedComm) -> Self {
         Self {
@@ -61,10 +56,10 @@ impl PredictedComm {
 ///
 /// Every function returns the [`PredictedComm`] of the *busiest* PE (usually
 /// the root of the binomial tree), matching what
-/// [`StatsSnapshot::bottleneck_words`] meters, for the implementations in
-/// [`crate::collectives`].  `m` arguments count payload machine words as the
-/// codec sends them (`Vec` payloads pay one extra length word, which the
-/// caller includes).
+/// [`StatsSnapshot::bottleneck_words`] meters, for the implementations of
+/// [`crate::Communicator`]'s collectives.  `m` arguments count payload
+/// machine words as the codec sends them (`Vec` payloads pay one extra
+/// length word, which the caller includes).
 pub mod predict {
     use super::PredictedComm;
     use crate::topology::dissemination_rounds;
@@ -186,7 +181,7 @@ impl CostModel {
 
     /// Modeled communication time of one PE given its counters: the PE pays
     /// α per start-up and β per word on its busier direction.
-    pub fn pe_cost(&self, s: &StatsSnapshot) -> f64 {
+    fn pe_cost(&self, s: &StatsSnapshot) -> f64 {
         self.alpha * s.bottleneck_messages() as f64 + self.beta * s.bottleneck_words() as f64
     }
 
@@ -208,7 +203,7 @@ impl CostModel {
     }
 
     /// Modeled time of a closed-form prediction — the analytic analogue of
-    /// [`CostModel::pe_cost`].
+    /// one PE's term of [`CostModel::world_cost`].
     pub fn predicted_cost(&self, p: &PredictedComm) -> f64 {
         self.alpha * p.startups + self.beta * p.words
     }
@@ -278,7 +273,7 @@ mod tests {
         let b = PredictedComm::new(5.0, 1.0);
         assert_eq!(a.plus(b), PredictedComm::new(15.0, 3.0));
         assert_eq!(b.scaled(3.0), PredictedComm::new(15.0, 3.0));
-        assert_eq!(PredictedComm::zero().plus(a), a);
+        assert_eq!(PredictedComm::default().plus(a), a);
         let m = CostModel::new(2.0, 0.5);
         assert_eq!(m.predicted_cost(&a), 2.0 * 2.0 + 0.5 * 10.0);
     }

@@ -1,38 +1,9 @@
-//! Deterministic fault injection for the simulated machine.
-//!
-//! A [`FaultPlan`] is a *schedule* of failures, fixed before the SPMD program
-//! starts and replayed exactly: the same plan against the same program yields
-//! the same crashes, the same delayed deliveries and the same lost messages
-//! on every run and on every backend.  Three event kinds are supported:
-//!
-//! * [`FaultEvent::CrashPe`] — PE `rank` halts (crash-stop, no recovery)
-//!   immediately before performing its `at_send_count`-th message send,
-//!   counted from 0 across the whole run.  `at_send_count = 0` means the PE
-//!   dies before sending anything; `at_send_count = n` means exactly `n`
-//!   sends complete.  Messages sent before the crash are delivered normally
-//!   (they were already "on the wire").
-//! * [`FaultEvent::DelayPair`] — every message on the ordered pair
-//!   `(src, dst)` is withheld from the receiver until the *sender* has
-//!   performed `rounds` further send operations (to any destination), or the
-//!   sender has terminated (finished or crashed), whichever comes first.
-//!   Tying the release clock to the sender's own send counter keeps the
-//!   schedule deterministic on every backend, including the threaded one.
-//! * [`FaultEvent::DropMessage`] — the `nth` message (0-based) on the ordered
-//!   pair `(src, dst)` is lost after the sender has paid for it: the send is
-//!   metered as usual, but the receiver never observes the message and its
-//!   per-pair sequence transparently skips over it.
-//!
-//! A plan rides in a [`crate::World`] ([`crate::World::with_faults`]) to
-//! every engine; the empty plan compiles to no fault hook at all, so a
-//! fault-free run pays nothing.  Detection is
-//! surfaced through [`crate::Communicator::recv_failable`], which returns
-//! [`crate::CommError::PeerDead`] / [`crate::CommError::Timeout`] instead of
-//! deadlocking.
+//! Deterministic fault injection for the simulated machine: [`FaultPlan`].
 
 use crate::Rank;
 use std::collections::{BTreeSet, HashMap};
 
-/// One scheduled failure.  See the [module docs](self) for exact semantics.
+/// One scheduled failure.  See [`FaultPlan`] for exact semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEvent {
     /// PE `rank` crash-stops immediately before its `at_send_count`-th send.
@@ -65,6 +36,34 @@ pub enum FaultEvent {
 
 /// A deterministic schedule of [`FaultEvent`]s, built with the fluent
 /// constructors and handed to a run through [`crate::World::with_faults`].
+///
+/// A plan is a *schedule* of failures, fixed before the SPMD program
+/// starts and replayed exactly: the same plan against the same program yields
+/// the same crashes, the same delayed deliveries and the same lost messages
+/// on every run and on every backend.  Three event kinds are supported:
+///
+/// * [`FaultEvent::CrashPe`] — PE `rank` halts (crash-stop, no recovery)
+///   immediately before performing its `at_send_count`-th message send,
+///   counted from 0 across the whole run.  `at_send_count = 0` means the PE
+///   dies before sending anything; `at_send_count = n` means exactly `n`
+///   sends complete.  Messages sent before the crash are delivered normally
+///   (they were already "on the wire").
+/// * [`FaultEvent::DelayPair`] — every message on the ordered pair
+///   `(src, dst)` is withheld from the receiver until the *sender* has
+///   performed `rounds` further send operations (to any destination), or the
+///   sender has terminated (finished or crashed), whichever comes first.
+///   Tying the release clock to the sender's own send counter keeps the
+///   schedule deterministic on every backend, including the threaded one.
+/// * [`FaultEvent::DropMessage`] — the `nth` message (0-based) on the ordered
+///   pair `(src, dst)` is lost after the sender has paid for it: the send is
+///   metered as usual, but the receiver never observes the message and its
+///   per-pair sequence transparently skips over it.
+///
+/// A plan rides in its [`crate::World`] to every engine; the empty plan
+/// compiles to no fault hook at all, so a fault-free run pays nothing.
+/// Detection is surfaced through [`crate::Communicator::recv_failable`],
+/// which returns [`crate::CommError::PeerDead`] /
+/// [`crate::CommError::Timeout`] instead of deadlocking.
 ///
 /// An empty plan is exactly equivalent to no plan at all — results *and*
 /// metered words per PE are bit-identical (pinned by the fault-injection

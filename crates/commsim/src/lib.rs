@@ -20,7 +20,7 @@
 //! The machine model is captured by the [`Communicator`] trait, and every
 //! algorithm built on this crate is generic over it.  A [`World`] configures
 //! one run — PEs, fault plan, pool size — and starts it on one of two
-//! engines through one method per [`Backend`] (see [`world`], and
+//! engines through one method per [`Backend`] (see [`World`], and
 //! `ARCHITECTURE.md` at the repository root for the full side-by-side
 //! treatment):
 //!
@@ -28,7 +28,7 @@
 //!   over a lock-free sharded inbox transport (one shard of per-source SPSC
 //!   queues per destination PE, lazily materialised, park/unpark blocking);
 //!   real parallelism and wall-clock timings;
-//! * **replay** ([`MuxComm`], see [`mux`]) — a blocked receive aborts the
+//! * **replay** ([`MuxComm`]) — a blocked receive aborts the
 //!   PE's closure and a park/wake scheduler re-executes it later; no thread
 //!   or stack per PE, traffic metering bit-identical to the threaded
 //!   backend.  Two drivers: **multiplexed** ([`World::mux`]) schedules
@@ -91,22 +91,22 @@
 #![deny(unsafe_code)]
 
 pub mod codec;
-pub mod collectives;
-pub mod comm;
-pub mod communicator;
+mod collectives;
+mod comm;
+mod communicator;
 pub mod cost;
-pub mod error;
-pub mod faults;
-pub mod message;
-pub mod metrics;
-pub mod mux;
+mod error;
+mod faults;
+mod message;
+mod metrics;
+mod mux;
 pub mod recovery;
-pub mod runner;
+mod runner;
 mod spsc;
-pub mod subgroup;
+mod subgroup;
 pub mod topology;
 pub mod transport;
-pub mod world;
+mod world;
 
 pub use codec::{WordCodec, WordReader};
 pub use collectives::ReduceOp;
@@ -116,11 +116,10 @@ pub use cost::{CostModel, PredictedComm};
 pub use error::{CommError, CommResult};
 pub use faults::{FaultEvent, FaultPlan};
 pub use message::CommData;
-pub use metrics::{PeStats, StatsSnapshot, WorldStats};
+pub use metrics::{StatsSnapshot, WorldStats};
 pub use mux::{run_spmd_mux_with, run_spmd_seq, MuxComm, MuxConfig};
 pub use recovery::{
-    run_recoverable, Checkpoint, Membership, RankMask, RecoveryAudit, RecoveryError,
-    RecoveryOutcome,
+    run_recoverable, Checkpoint, Membership, RecoveryAudit, RecoveryError, RecoveryOutcome,
 };
 pub use runner::run_spmd;
 pub use subgroup::SubComm;

@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// ordering is sufficient: the thread join provides the synchronisation
 /// edge).
 #[derive(Debug, Default)]
-pub struct PeStats {
+pub(crate) struct PeStats {
     sent_messages: AtomicU64,
     sent_words: AtomicU64,
     received_messages: AtomicU64,
@@ -207,7 +207,7 @@ impl WorldStats {
     }
 
     /// Average sent words per PE.
-    pub fn mean_sent_words(&self) -> f64 {
+    fn mean_sent_words(&self) -> f64 {
         if self.per_pe.is_empty() {
             0.0
         } else {
@@ -230,7 +230,7 @@ impl WorldStats {
 /// Shared handles to the per-PE counters, created by the runner and handed to
 /// each [`crate::Comm`].
 #[derive(Debug, Clone)]
-pub struct StatsRegistry {
+pub(crate) struct StatsRegistry {
     stats: Arc<Vec<PeStats>>,
 }
 

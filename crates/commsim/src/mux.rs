@@ -188,7 +188,7 @@ enum Avail {
 /// receive before the run is declared a busy-poll livelock (a spinning
 /// task never yields to the scheduler, so with every worker spinning — or
 /// inline — the sender it waits for never runs).
-pub const BUSY_POLL_LIMIT: u64 = 1 << 20;
+const BUSY_POLL_LIMIT: u64 = 1 << 20;
 
 /// One line of the deadlock dump's per-pair wait map — who waits on whom,
 /// the pair's production status and the peer's liveness, so a fault-induced

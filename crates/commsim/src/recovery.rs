@@ -3,7 +3,7 @@
 //!
 //! PR 8 made the *streaming* workload failure-tolerant, but the whole
 //! recovery stack — the heartbeat/rotating-coordinator membership round, the
-//! [`RankMask`] wire format, survivor regrouping over [`SubComm`] — lived as
+//! rank-bitmap wire format, survivor regrouping over [`SubComm`] — lived as
 //! private machinery inside `workloads::stream`, so every *batch* algorithm
 //! still deadlocked or panicked on the first injected crash.  This module
 //! promotes that machinery into the communication layer, where a production
@@ -84,10 +84,10 @@ const CHECKPOINT_BUDDIES: usize = 1;
 
 /// User tag of the per-round membership heartbeat (a multi-word `Vec<u64>`
 /// suspicion bitmap — see [`RankMask`]).
-pub const ALIVE_TAG: Tag = 0xF17A;
+const ALIVE_TAG: Tag = 0xF17A;
 /// User tag of the coordinator's membership verdict (a multi-word `Vec<u64>`
 /// live bitmap).
-pub const MASK_TAG: Tag = 0xF17B;
+const MASK_TAG: Tag = 0xF17B;
 /// User tag of a ring-successor checkpoint push (the [`Checkpoint::save`]
 /// words).  `0xF17C`/`0xF17D` belong to the streaming replica pushes.
 const CKPT_TAG: Tag = 0xF17E;
@@ -97,30 +97,30 @@ const CKPT_TAG: Tag = 0xF17E;
 /// Earlier revisions used a single `u64`, which capped the failure-tolerant
 /// mode at `p ≤ 64`; the mask grows with the world.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RankMask {
+struct RankMask {
     bits: Vec<u64>,
 }
 
 impl RankMask {
     /// An empty mask sized for a `p`-PE world.
-    pub fn for_world(p: usize) -> Self {
+    fn for_world(p: usize) -> Self {
         RankMask {
             bits: vec![0; p.div_ceil(64)],
         }
     }
 
     /// A mask built from its wire representation.
-    pub fn from_words(words: Vec<u64>) -> Self {
+    fn from_words(words: Vec<u64>) -> Self {
         RankMask { bits: words }
     }
 
     /// `true` if the mask has no words at all (never sized).
-    pub fn is_unsized(&self) -> bool {
+    fn is_unsized(&self) -> bool {
         self.bits.is_empty()
     }
 
     /// Add rank `r` to the set, growing the mask if needed.
-    pub fn set(&mut self, r: Rank) {
+    fn set(&mut self, r: Rank) {
         let w = r / 64;
         if w >= self.bits.len() {
             self.bits.resize(w + 1, 0);
@@ -129,14 +129,14 @@ impl RankMask {
     }
 
     /// `true` if rank `r` is in the set.
-    pub fn contains(&self, r: Rank) -> bool {
+    fn contains(&self, r: Rank) -> bool {
         self.bits
             .get(r / 64)
             .is_some_and(|w| w & (1 << (r % 64)) != 0)
     }
 
     /// In-place union with another mask's wire words.
-    pub fn union(&mut self, words: &[u64]) {
+    fn union(&mut self, words: &[u64]) {
         if words.len() > self.bits.len() {
             self.bits.resize(words.len(), 0);
         }
@@ -146,7 +146,7 @@ impl RankMask {
     }
 
     /// The wire representation.
-    pub fn words(&self) -> Vec<u64> {
+    fn words(&self) -> Vec<u64> {
         self.bits.clone()
     }
 }
@@ -257,7 +257,7 @@ impl Membership {
     }
 
     /// Total timeout verdicts observed across all rounds so far.
-    pub fn timeouts_observed(&self) -> u64 {
+    fn timeouts_observed(&self) -> u64 {
         self.timeouts
     }
 

@@ -36,7 +36,7 @@ use crate::metrics::StatsSnapshot;
 use crate::{Rank, Tag};
 
 /// Width of one salted collective-tag stripe (see the module docs).
-pub const TAG_STRIDE: u64 = 1 << 16;
+const TAG_STRIDE: u64 = 1 << 16;
 
 /// A communicator restricted to a subgroup of the world's PEs.
 ///

@@ -69,7 +69,7 @@ pub fn virtual_rank(rank: Rank, root: Rank, p: usize) -> usize {
 
 /// Map a virtual rank relative to `root` back to the physical rank.
 #[inline]
-pub fn physical_rank(vrank: usize, root: Rank, p: usize) -> Rank {
+fn physical_rank(vrank: usize, root: Rank, p: usize) -> Rank {
     (vrank + root) % p
 }
 

@@ -15,7 +15,7 @@
 //! addresses senders can reach without synchronising on the table, so the
 //! table is the price of the no-lock send path — `ARCHITECTURE.md`
 //! discusses the trade-off and why truly O(touched-pairs) worlds are the
-//! multiplexed backend's job ([`crate::mux`]).
+//! multiplexed backend's job ([`crate::MuxComm`]).
 //!
 //! There is no mutex and no condvar anywhere on the message path:
 //!
@@ -410,14 +410,6 @@ impl Mailbox {
     /// Number of PEs in the transport.
     pub fn size(&self) -> usize {
         self.mesh.shards.len()
-    }
-
-    /// Number of inbox shards — one per destination PE, i.e. the same
-    /// quantity as [`Mailbox::size`], under the name the structural pin
-    /// test asserts on: the inbox stays `O(p)` shards (the *queues* inside
-    /// them are per-pair, but own no heap until used).
-    pub fn shard_count(&self) -> usize {
-        self.size()
     }
 
     /// Send an envelope to `dst` (never blocks; queues are unbounded and
@@ -825,7 +817,7 @@ mod tests {
     fn shard_count_is_one_per_destination() {
         for p in [1usize, 2, 16, 64] {
             let boxes = Mailbox::full_mesh(p);
-            assert_eq!(boxes[0].shard_count(), p, "shards must stay O(p)");
+            assert_eq!(boxes[0].size(), p, "shards must stay O(p)");
         }
     }
 

@@ -1,33 +1,4 @@
-//! One way to start a world.
-//!
-//! A [`World`] configures one SPMD region on the §2 machine: `p` PEs, a
-//! [`FaultPlan`] (the empty plan — the default — is fault-free), the worker
-//! pool of the multiplexed driver and the detection window of the threaded
-//! backend's failure-detecting receives.  Each engine has exactly one entry,
-//! a method named after its [`Backend`]: [`World::threaded`] (one OS thread
-//! per PE, [`crate::runner`]), [`World::seq`] and [`World::mux`] (the replay
-//! engine inline or over a pool, [`crate::mux`]).  All three return
-//! [`SpmdOutput<Option<T>>`]: `None` marks a PE the plan crash-stopped, and
-//! [`SpmdOutput::fault_free`] unwraps a run in which none did.
-//!
-//! A closure has a single parameter type — `&Comm` on threads, `&MuxComm` on
-//! the replay engine — so no method can take one closure and pick the
-//! backend at run time.  [`run_on!`](crate::run_on) pastes the closure
-//! into each engine's entry instead:
-//!
-//! ```
-//! use commsim::{run_on, Backend, Communicator, FaultPlan, World};
-//!
-//! // PE 3 crash-stops before its first send; the others finish.
-//! let world = World::new(4).with_faults(FaultPlan::new().crash_pe(3, 0));
-//! for backend in Backend::ALL {
-//!     let out = run_on!(backend, world, |comm| {
-//!         comm.send(comm.rank(), 1, 7u64);
-//!         comm.recv::<u64>(comm.rank(), 1)
-//!     });
-//!     assert_eq!(out.results, vec![Some(7), Some(7), Some(7), None], "{}", backend.name());
-//! }
-//! ```
+//! One way to start a world: [`World`].
 
 use std::time::Duration;
 
@@ -95,7 +66,35 @@ macro_rules! run_on {
     };
 }
 
-/// The configuration of one SPMD region; see the [module docs](self).
+/// The configuration of one SPMD region on the §2 machine: `p` PEs, a
+/// [`FaultPlan`] (the empty plan — the default — is fault-free), the worker
+/// pool of the multiplexed driver and the detection window of the threaded
+/// backend's failure-detecting receives.  Each engine has exactly one entry,
+/// a method named after its [`Backend`]: [`World::threaded`] (one OS thread
+/// per PE, [`Comm`](crate::Comm)), [`World::seq`] and [`World::mux`] (the
+/// replay engine inline or over a pool, [`MuxComm`](crate::MuxComm)).  All
+/// three return [`SpmdOutput<Option<T>>`]: `None` marks a PE the plan
+/// crash-stopped, and [`SpmdOutput::fault_free`] unwraps a run in which none
+/// did.
+///
+/// A closure has a single parameter type — `&Comm` on threads, `&MuxComm` on
+/// the replay engine — so no method can take one closure and pick the
+/// backend at run time.  [`run_on!`](crate::run_on) pastes the closure
+/// into each engine's entry instead:
+///
+/// ```
+/// use commsim::{run_on, Backend, Communicator, FaultPlan, World};
+///
+/// // PE 3 crash-stops before its first send; the others finish.
+/// let world = World::new(4).with_faults(FaultPlan::new().crash_pe(3, 0));
+/// for backend in Backend::ALL {
+///     let out = run_on!(backend, world, |comm| {
+///         comm.send(comm.rank(), 1, 7u64);
+///         comm.recv::<u64>(comm.rank(), 1)
+///     });
+///     assert_eq!(out.results, vec![Some(7), Some(7), Some(7), None], "{}", backend.name());
+/// }
+/// ```
 #[derive(Debug, Clone)]
 pub struct World {
     /// Number of simulated PEs.
@@ -128,7 +127,7 @@ impl World {
         self
     }
 
-    /// Inject the fault schedule `plan` (see [`crate::faults`]).  The empty
+    /// Inject the fault schedule `plan` (see [`FaultPlan`]).  The empty
     /// plan, the default, leaves a run bit-identical to one no fault hook
     /// ever saw.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {

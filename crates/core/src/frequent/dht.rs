@@ -16,8 +16,8 @@
 //! right trade at large `p` but pure overhead at small `p`, where direct
 //! delivery's `p − 1` start-ups are no worse than `log₂ p` rounds and every
 //! key crosses the wire exactly once.  `Auto` (the default everywhere,
-//! including [`super::FrequentParams`]) switches between the two at
-//! [`DhtFanout::AUTO_DIRECT_MAX_PES`] PEs.
+//! including [`super::FrequentParams`]) delivers directly up to `p = 8`
+//! and routes over the hypercube beyond.
 //!
 //! # The wire form of an aggregate
 //!
@@ -75,8 +75,8 @@ use crate::util::owner_of;
 /// How locally aggregated `key → count` shares are routed to their owner PEs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DhtFanout {
-    /// Direct delivery up to [`DhtFanout::AUTO_DIRECT_MAX_PES`] PEs,
-    /// hypercube routing beyond — the volume-optimal choice at small `p`
+    /// Direct delivery up to 8 PEs (`AUTO_DIRECT_MAX_PES`), hypercube
+    /// routing beyond — the volume-optimal choice at small `p`
     /// without giving up the logarithmic latency at large `p`.
     #[default]
     Auto,
@@ -93,10 +93,10 @@ impl DhtFanout {
     /// delivery: at `p ≤ 8` the start-up gap (`p − 1` vs `⌈log₂ p⌉`) is at
     /// most 4 messages while hypercube routing would multiply the sample
     /// volume — the dominant cost of PAC/EC at quick scale — by up to 3×.
-    pub const AUTO_DIRECT_MAX_PES: usize = 8;
+    const AUTO_DIRECT_MAX_PES: usize = 8;
 
     /// Whether this fan-out uses direct delivery at `p` PEs.
-    pub fn is_direct(self, p: usize) -> bool {
+    fn is_direct(self, p: usize) -> bool {
         match self {
             DhtFanout::Direct => true,
             DhtFanout::Hypercube => false,

@@ -28,14 +28,14 @@
 //! * [`pac`] — probably approximately correct (Section 7.1): ρ for sample
 //!   size `Θ(ε⁻² log(k/δ))`; the top-k sample counts, scaled by `1/ρ`, are
 //!   the answer.
-//! * [`ec`] — exact counting (Section 7.2): a much smaller sample
+//! * `ec` — exact counting (Section 7.2): a much smaller sample
 //!   (`Θ(ε⁻¹ …)`) whose top-`k*` keys are counted exactly.
-//! * [`pec`] — probably exactly correct (Section 7.3): one coarse sample,
+//! * `pec` — probably exactly correct (Section 7.3): one coarse sample,
 //!   whose objects above Lemma 12's count threshold are its `k*` candidates,
 //!   counted exactly; a sample of the whole input is exact and ends after the
 //!   merge.  Under Zipf's law `k*` has a closed form instead
-//!   ([`pec::pec_zipf_top_k`], Theorem 14).
-//! * [`naive`] — the two centralized baselines of the evaluation
+//!   ([`crate::pec_zipf_top_k`], Theorem 14).
+//! * `naive` — the two centralized baselines of the evaluation
 //!   (Section 10.2): PAC's sample, merged at a coordinator directly (`Naive`)
 //!   or through a merging reduction tree (`Naive Tree`).
 //!
@@ -43,10 +43,10 @@
 //! count, then one bit stream of coded run headers and Rice-coded key gaps.
 
 pub mod dht;
-pub mod ec;
-pub mod naive;
+pub(crate) mod ec;
+pub(crate) mod naive;
 pub mod pac;
-pub mod pec;
+pub(crate) mod pec;
 
 use std::cmp::Reverse;
 use std::collections::HashMap;

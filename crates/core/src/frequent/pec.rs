@@ -9,7 +9,7 @@
 //! 2. its top-`k` merge gives the sample count `ŝ_k` of the k-th most
 //!    frequently sampled object and, from it, a count threshold every true
 //!    top-k object clears with probability at least `1 − δ` (Lemma 12,
-//!    [`candidate_threshold`]); the `k*` sampled objects at or above it are
+//!    `candidate_threshold`); the `k*` sampled objects at or above it are
 //!    the candidates;
 //! 3. the candidates of that same sample are counted exactly.
 //!

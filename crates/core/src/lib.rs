@@ -12,16 +12,16 @@
 //!
 //! | Paper section | Problem | Entry point |
 //! |---|---|---|
-//! | §4.1 | Selection from unsorted input | [`unsorted::select_k_smallest`] |
-//! | §4.2 / App. A | Selection from locally sorted input | [`msselect::multisequence_select`] |
-//! | §4.3 | Flexible-`k` selection | [`amsselect::approx_multisequence_select`] |
-//! | §5 | Bulk-parallel priority queue | [`bulk_pq::BulkParallelQueue`] |
-//! | §5 | Branch-and-bound application | [`branch_bound::knapsack_branch_bound_parallel`] |
-//! | §6 | Multicriteria top-k (threshold algorithm) | [`multicriteria::dta_top_k`], [`multicriteria::rdta_top_k`] |
-//! | §7 | Top-k most frequent objects: PAC, EC, PEC, one pipeline ([`frequent`]) | [`planner::Algorithm::run`]; Theorem 14's Zipf PEC: [`frequent::pec::pec_zipf_top_k`] |
-//! | §8 | Top-k sum aggregation | [`sum_agg::sum_top_k`], [`sum_agg::sum_top_k_exact`] |
-//! | §9 | Adaptive data redistribution | [`redistribute::redistribute`] |
-//! | §10 | Baselines of the evaluation | [`planner::Algorithm::Naive`], [`planner::Algorithm::NaiveTree`] ([`frequent::naive`]) |
+//! | §4.1 | Selection from unsorted input | [`select_k_smallest`] |
+//! | §4.2 / App. A | Selection from locally sorted input | [`multisequence_select`] |
+//! | §4.3 | Flexible-`k` selection | [`approx_multisequence_select`] |
+//! | §5 | Bulk-parallel priority queue | [`BulkParallelQueue`] |
+//! | §5 | Branch-and-bound application | [`knapsack_branch_bound_parallel`] |
+//! | §6 | Multicriteria top-k (threshold algorithm) | [`dta_top_k`], [`rdta_top_k`] |
+//! | §7 | Top-k most frequent objects: PAC, EC, PEC, one pipeline ([`frequent`]) | [`Algorithm::run`]; Theorem 14's Zipf PEC: [`pec_zipf_top_k`] |
+//! | §8 | Top-k sum aggregation | [`sum_top_k`], [`sum_top_k_exact`] |
+//! | §9 | Adaptive data redistribution | [`redistribute()`] |
+//! | §10 | Baselines of the evaluation | [`Algorithm::Naive`], [`Algorithm::NaiveTree`] |
 //!
 //! ## Example
 //!
@@ -42,16 +42,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod amsselect;
+mod amsselect;
 pub mod branch_bound;
-pub mod bulk_pq;
+mod bulk_pq;
 pub mod frequent;
-pub mod msselect;
+mod msselect;
 pub mod multicriteria;
 pub mod planner;
 pub mod recover;
-pub mod redistribute;
-pub mod sum_agg;
+mod redistribute;
+mod sum_agg;
 pub mod unsorted;
 pub mod util;
 
@@ -60,7 +60,7 @@ pub use branch_bound::{
     knapsack_branch_bound_parallel, knapsack_branch_bound_sequential, BnbResult, KnapsackInstance,
 };
 pub use bulk_pq::BulkParallelQueue;
-pub use frequent::{dht::DhtFanout, FrequentParams, TopKFrequentResult};
+pub use frequent::{dht::DhtFanout, pec::pec_zipf_top_k, FrequentParams, TopKFrequentResult};
 pub use msselect::{multisequence_select, MsSelectResult};
 pub use multicriteria::{dta_top_k, rdta_top_k, LocalMulticriteria, MulticriteriaResult};
 pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs, Planner, SkewEstimate};
@@ -70,7 +70,5 @@ pub use recover::{
 };
 pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
-pub use unsorted::{
-    select_k_largest, select_k_smallest, select_threshold, UnsortedSelectionResult,
-};
+pub use unsorted::{select_k_smallest, select_threshold, UnsortedSelectionResult};
 pub use util::{OrderedF64, SelectKey};

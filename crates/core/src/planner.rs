@@ -12,8 +12,8 @@
 //! hypercube collectives) with the paper's sample sizes:
 //!
 //! * sample sizes come from the very functions the algorithms call —
-//!   [`pac::required_sample_size`] (Section 7.1), [`ec::optimal_k_star`] +
-//!   [`ec::required_sample_size`] (Section 7.2); PEC draws one sample, PAC's
+//!   [`pac::required_sample_size`] (Section 7.1), `ec::optimal_k_star` +
+//!   `ec::required_sample_size` (Section 7.2); PEC draws one sample, PAC's
 //!   at its coarse ε₀, and when that sample is not the whole input counts
 //!   `k*` of its keys exactly, priced at the Zipf closed form
 //!   `k* = (2+√2)^{1/z}·k` of Theorem 14 (a sample of the whole input ends

@@ -55,11 +55,11 @@
 //! the input.
 //!
 //! Every entry point runs that one recursion over one tagged copy of `local`.
-//! [`select_k_smallest`] / [`select_k_largest`] return the *threshold* (the
-//! element of global rank `k` under a tie-broken total order) and each PE's
-//! local part of the selected set, whose sizes sum to exactly `k` across all
-//! PEs; [`select_threshold`] returns the threshold alone and skips the filter
-//! that materialises the set.
+//! [`select_k_smallest`] and its dual for the largest elements return the
+//! *threshold* (the element of global rank `k` under a tie-broken total
+//! order) and each PE's local part of the selected set, whose sizes sum to
+//! exactly `k` across all PEs; [`select_threshold`] returns the threshold
+//! alone and skips the filter that materialises the set.
 
 use commsim::{CommData, Communicator, ReduceOp};
 use rand::rngs::StdRng;
@@ -305,24 +305,11 @@ where
     threshold_tagged(comm, local, total, k, seed).0 .0
 }
 
-/// Select the `k` globally **largest** elements (dual problem, used by the
-/// frequent-objects algorithms which want the largest counts).
-pub fn select_k_largest<C, T>(
-    comm: &C,
-    local: &[T],
-    k: usize,
-    seed: u64,
-) -> UnsortedSelectionResult<std::cmp::Reverse<T>>
-where
-    C: Communicator,
-    T: SelectKey,
-{
-    let total = comm.allreduce_sum(local.len() as u64) as usize;
-    select_k_largest_known_total(comm, local, total, k, seed)
-}
-
-/// [`select_k_largest`] for callers that have already agreed on
-/// `total = Σ|local|` (see [`select_k_smallest_known_total`]).
+/// Select the `k` globally **largest** elements (the dual problem) for
+/// callers that have already agreed on `total = Σ|local|` (see
+/// [`select_k_smallest_known_total`]).  Its caller is `multicriteria`'s
+/// `select_best_candidates`, the last step of both [`crate::dta_top_k`] and
+/// [`crate::rdta_top_k`].
 pub(crate) fn select_k_largest_known_total<C, T>(
     comm: &C,
     local: &[T],
@@ -1311,9 +1298,10 @@ mod tests {
         let p = 3;
         let parts = random_parts(p, 200, 10_000, 21);
         let k = 25;
+        let total = parts.iter().map(Vec::len).sum();
         let parts_ref = parts.clone();
         let out = run_spmd(p, move |comm| {
-            select_k_largest(comm, &parts_ref[comm.rank()], k, 6)
+            select_k_largest_known_total(comm, &parts_ref[comm.rank()], total, k, 6)
                 .threshold
                 .0
         });

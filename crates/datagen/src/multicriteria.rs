@@ -47,7 +47,7 @@ impl MulticriteriaWorkload {
 
     /// Scores of every object in every criterion: `scores[c][o]` is the score
     /// of object `o` under criterion `c`, each in `(0, 1)`.
-    pub fn global_scores(&self) -> Vec<Vec<f64>> {
+    fn global_scores(&self) -> Vec<Vec<f64>> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         // A latent "quality" per object drives the correlated part.
         let quality: Vec<f64> = (0..self.num_objects).map(|_| rng.gen::<f64>()).collect();

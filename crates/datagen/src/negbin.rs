@@ -53,7 +53,7 @@ impl NegativeBinomial {
 
 /// Marsaglia–Tsang Gamma(shape, scale) sampler (shape ≥ 1 direct; shape < 1
 /// via the boosting trick).
-pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, scale: f64, rng: &mut R) -> f64 {
+fn sample_gamma<R: Rng + ?Sized>(shape: f64, scale: f64, rng: &mut R) -> f64 {
     assert!(
         shape > 0.0 && scale > 0.0,
         "gamma parameters must be positive"
@@ -83,7 +83,7 @@ pub fn sample_gamma<R: Rng + ?Sized>(shape: f64, scale: f64, rng: &mut R) -> f64
 
 /// Poisson sampler: Knuth's product method for small means, normal
 /// approximation with continuity correction for large means.
-pub fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
+fn sample_poisson<R: Rng + ?Sized>(lambda: f64, rng: &mut R) -> u64 {
     assert!(lambda >= 0.0, "lambda must be non-negative");
     if lambda == 0.0 {
         return 0;

@@ -390,7 +390,7 @@ pub struct FlashCrowd {
 
 impl FlashCrowd {
     /// `true` iff `batch` falls inside the burst window.
-    pub fn active_at(&self, batch: usize) -> bool {
+    fn active_at(&self, batch: usize) -> bool {
         batch >= self.start && batch < self.start + self.len
     }
 }
@@ -408,7 +408,7 @@ impl StreamProfile {
 
     /// The permutation rotation in effect at `batch` (number of vocabulary
     /// positions Zipf rank 1 has shifted by).
-    pub fn rotation_at(&self, batch: usize) -> usize {
+    fn rotation_at(&self, batch: usize) -> usize {
         batch
             .checked_div(self.drift_every)
             .map_or(0, |steps| steps * self.drift_step)
@@ -462,7 +462,7 @@ impl TextCorpus {
 
     /// Draw the word sequence of one PE's shard: `num_words` words,
     /// deterministic in `(seed, rank)` only.
-    pub fn shard_words(&self, rank: usize, num_words: usize) -> Vec<&str> {
+    fn shard_words(&self, rank: usize, num_words: usize) -> Vec<&str> {
         let mut rng = self.shard_rng(rank, WORD_STREAM);
         (0..num_words)
             .map(|_| {
@@ -473,7 +473,7 @@ impl TextCorpus {
     }
 
     /// Render one PE's shard as English-looking text: the exact word sequence
-    /// of [`shard_words`](Self::shard_words) dressed with sentence structure
+    /// of `shard_words` dressed with sentence structure
     /// (capitalised sentence starts, occasional commas, terminal `.`/`!`/`?`
     /// and paragraph breaks).  A lowercasing alphabetic tokenizer recovers
     /// exactly the `shard_words` sequence, which is what makes the pipeline's
@@ -489,9 +489,9 @@ impl TextCorpus {
     /// Draw the word sequence of one PE's mini-batch of an **unbounded
     /// stream**: `num_words` words, deterministic in `(seed, rank, batch)`
     /// only, with the non-stationarity of `profile` applied — the Zipf rank
-    /// → word mapping rotated by [`StreamProfile::rotation_at`], and the
-    /// flash-crowd word substituted with probability `intensity` during the
-    /// burst window.
+    /// → word mapping rotated by `drift_step` positions every `drift_every`
+    /// batches, and the flash-crowd word substituted with probability
+    /// `intensity` during the burst window.
     pub fn stream_batch_words(
         &self,
         profile: &StreamProfile,

@@ -91,11 +91,6 @@ impl Zipf {
     }
 }
 
-/// The generalized harmonic number `H_{n,s} = Σ_{i=1}^{n} i^{-s}`.
-pub fn generalized_harmonic(n: usize, s: f64) -> f64 {
-    (1..=n).map(|i| (i as f64).powf(-s)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +99,12 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
+    }
+
+    /// The oracle for `Zipf::harmonic`: the generalized harmonic number
+    /// `H_{n,s} = Σ_{i=1}^{n} i^{-s}`, summed directly.
+    fn generalized_harmonic(n: usize, s: f64) -> f64 {
+        (1..=n).map(|i| (i as f64).powf(-s)).sum()
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 
     /// Process one element with a positive integer weight (equivalent to
     /// `weight` repetitions).
-    pub fn insert_weighted(&mut self, key: K, weight: u64) {
+    fn insert_weighted(&mut self, key: K, weight: u64) {
         if weight == 0 {
             return;
         }

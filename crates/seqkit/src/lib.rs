@@ -7,7 +7,7 @@
 //!
 //! * [`select`] — in-place quickselect and the Floyd–Rivest two-pivot
 //!   selection used to pick pivots close to a target rank,
-//! * [`treap`] — an augmented search tree supporting `insert`, `delete`,
+//! * [`Treap`] — an augmented search tree supporting `insert`, `delete`,
 //!   `select(i)`, `rank(x)`, `split` and `concat` in logarithmic time, the
 //!   backbone of the bulk-parallel priority queue (paper Section 5),
 //! * [`sampling`] — Bernoulli sampling via geometric skip values and the
@@ -17,18 +17,18 @@
 //!   sequences (multisequence selection, paper Section 4.2),
 //! * [`threshold`] — Fagin's sequential threshold algorithm, the baseline
 //!   that the distributed multicriteria top-k approximates (Section 6),
-//! * [`heavy_hitters`] — the classical deterministic frequent-object summary
+//! * [`MisraGries`] — the classical deterministic frequent-object summary
 //!   (Misra–Gries) used as a sequential baseline for Section 7,
-//! * [`windowed`] — a sliding-window variant of the above (a ring of
-//!   mergeable sub-sketches), the sketch of the never-terminating streaming
-//!   top-k service, and an exponentially-decaying one (scaled counters),
-//!   kept for its benchmark probe,
+//! * [`SlidingWindowTopK`] — a sliding-window variant of the above (a ring
+//!   of mergeable sub-sketches), the sketch of the never-terminating
+//!   streaming top-k service, and [`DecayingTopK`], an exponentially-decaying
+//!   one (scaled counters), kept for its benchmark probe,
 //! * [`hashagg`] — hash-based key aggregation used for local counting in the
 //!   frequent-objects and sum-aggregation algorithms (Sections 7 and 8),
 //! * [`skew`] — one-pass sampled Zipf-exponent and universe-size estimation,
 //!   the input-side half of the cost-model planner (`topk::planner`): callers
 //!   that do not know their distribution fit one from the data,
-//! * [`intern`] — dense string ↔ `u64` id interning, the sequential half of
+//! * [`Interner`] — dense string ↔ `u64` id interning, the sequential half of
 //!   the real-text word-frequency pipeline (the paper's Figure 4 scenario):
 //!   string keys are interned once so the distributed machinery can keep
 //!   moving machine words.
@@ -37,15 +37,15 @@
 #![forbid(unsafe_code)]
 
 pub mod hashagg;
-pub mod heavy_hitters;
-pub mod intern;
+mod heavy_hitters;
+mod intern;
 pub mod sampling;
 pub mod select;
 pub mod skew;
 pub mod sorted;
 pub mod threshold;
-pub mod treap;
-pub mod windowed;
+mod treap;
+mod windowed;
 
 pub use heavy_hitters::MisraGries;
 pub use intern::Interner;

@@ -62,7 +62,7 @@ pub fn geometric_deviate<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
 /// Iterator over the *indices* of a Bernoulli(ρ) sample of `0..len`,
 /// generated with geometric skips in expected time `O(ρ·len)`.
 #[derive(Debug, Clone)]
-pub struct BernoulliSampler {
+struct BernoulliSampler {
     len: u64,
     rho: f64,
     /// Next candidate index (absolute), or `len` when exhausted.
@@ -74,7 +74,7 @@ impl BernoulliSampler {
     /// Create a sampler over `len` positions with sampling probability `rho`.
     ///
     /// `rho = 0` yields an empty sample; `rho = 1` yields every index.
-    pub fn new(len: usize, rho: f64) -> Self {
+    fn new(len: usize, rho: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rho),
             "sampling probability must be in [0, 1], got {rho}"
@@ -88,7 +88,7 @@ impl BernoulliSampler {
     }
 
     /// Advance and return the next sampled index.
-    pub fn next_index<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<usize> {
+    fn next_index<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<usize> {
         if self.rho <= 0.0 {
             return None;
         }

@@ -38,9 +38,9 @@ pub struct SkewFit {
 }
 
 /// Smallest exponent the fit reports (≈ uniform data).
-pub const MIN_EXPONENT: f64 = 0.05;
+const MIN_EXPONENT: f64 = 0.05;
 /// Largest exponent the fit reports (≈ a single dominating key).
-pub const MAX_EXPONENT: f64 = 4.0;
+const MAX_EXPONENT: f64 = 4.0;
 
 /// Fit a Zipf exponent and universe estimate to `data` (see module docs).
 ///

@@ -70,8 +70,8 @@ fn size<T>(node: &Option<Box<Node<T>>>) -> usize {
 #[derive(Debug, Clone)]
 pub struct Treap<T> {
     root: Option<Box<Node<T>>>,
-    /// xorshift64* state used to draw node priorities; deterministic given
-    /// the seed so that tests are reproducible.
+    /// xorshift64* state used to draw node priorities; it starts from a
+    /// fixed odd constant, so tests are reproducible.
     prio_state: u64,
 }
 
@@ -95,14 +95,9 @@ impl<T: Ord + Clone> FromIterator<T> for Treap<T> {
 impl<T: Ord + Clone> Treap<T> {
     /// Create an empty treap.
     pub fn new() -> Self {
-        Self::with_seed(0x9E37_79B9_7F4A_7C15)
-    }
-
-    /// Create an empty treap whose priority sequence is derived from `seed`.
-    pub fn with_seed(seed: u64) -> Self {
         Treap {
             root: None,
-            prio_state: seed | 1,
+            prio_state: 0x9E37_79B9_7F4A_7C15,
         }
     }
 

@@ -75,7 +75,7 @@ impl<K: Eq + Hash + Clone + Ord> SlidingWindowTopK<K> {
     }
 
     /// Total number of elements inside the window.
-    pub fn window_count(&self) -> u64 {
+    fn window_count(&self) -> u64 {
         self.ring.iter().map(|s| s.processed()).sum()
     }
 
@@ -210,7 +210,7 @@ impl<K: Eq + Hash + Clone + Ord> DecayingTopK<K> {
     }
 
     /// Total decayed weight of everything processed, in current units.
-    pub fn decayed_total(&self) -> f64 {
+    fn decayed_total(&self) -> f64 {
         self.total_scaled / self.scale
     }
 

@@ -12,7 +12,7 @@
 //!   PAC/EC/PEC/Naive algorithms over interned corpora.  Pair it with
 //!   `datagen::TextCorpus` for synthetic-English input or
 //!   [`text::split_text_shards`] for user-supplied files.
-//! * [`stream`] — **streaming top-k service**: the text pipeline turned
+//! * [`StreamService`] — **streaming top-k service**: the text pipeline turned
 //!   into a never-terminating service — PEs ingest an unbounded
 //!   non-stationary document stream in mini-batches, keep a sliding-window
 //!   top-k sketch current, re-intern new vocabulary incrementally with
@@ -35,7 +35,7 @@
 #![forbid(unsafe_code)]
 
 pub mod sched;
-pub mod stream;
+mod stream;
 pub mod text;
 
 pub use sched::{

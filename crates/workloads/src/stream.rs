@@ -158,7 +158,7 @@ impl StreamVocab {
     /// equals "unknown globally", so the allgathered delta is precisely the
     /// set of globally new words; sorting and deduplicating the union makes
     /// the appended order canonical regardless of which PE contributed what.
-    pub fn ingest<C: Communicator>(&mut self, comm: &C, tokens: &[String]) -> Vec<u64> {
+    fn ingest<C: Communicator>(&mut self, comm: &C, tokens: &[String]) -> Vec<u64> {
         let mut fresh: Vec<String> = tokens
             .iter()
             .filter(|t| !self.index.contains_key(*t))
@@ -180,7 +180,7 @@ impl StreamVocab {
     /// Rebuild a vocabulary by replaying an id-ordered log (a buddy's
     /// [`ReplicaShard::vocab_log`]): word `log[i]` gets id `i`, exactly as it
     /// did on the PE that interned it.
-    pub fn from_log(log: &[String]) -> Self {
+    fn from_log(log: &[String]) -> Self {
         let mut v = StreamVocab::new();
         for word in log {
             let id = v.vocab.len() as u64;

@@ -39,24 +39,21 @@ pub use workloads;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use commsim::{
-        run_on, run_spmd, run_spmd_seq, Backend, Comm, Communicator, CostModel, MuxComm, ReduceOp,
+        run_on, run_spmd, run_spmd_seq, Backend, Comm, Communicator, CostModel, MuxComm,
         SpmdOutput, WordCodec, World,
     };
     pub use datagen::{
-        MulticriteriaWorkload, NegativeBinomial, SkewedSelectionInput, UniformInput,
-        WeightedZipfInput, Zipf,
+        MulticriteriaWorkload, SkewedSelectionInput, UniformInput, WeightedZipfInput, Zipf,
     };
-    pub use seqkit::{Interner, ScoreList, ThresholdAlgorithm, Treap};
+    pub use seqkit::{ThresholdAlgorithm, Treap};
     pub use topk::{
         approx_multisequence_select, dta_top_k, knapsack_branch_bound_parallel,
         knapsack_branch_bound_sequential, multisequence_select, rdta_top_k, redistribute,
-        select_k_largest, select_k_smallest, select_threshold, sum_top_k, sum_top_k_exact,
-        Algorithm, BulkParallelQueue, FrequentParams, KnapsackInstance, LocalMulticriteria,
-        OrderedF64,
+        select_k_smallest, select_threshold, sum_top_k, sum_top_k_exact, Algorithm,
+        BulkParallelQueue, FrequentParams, KnapsackInstance, LocalMulticriteria, OrderedF64,
     };
     pub use workloads::{
         distributed_intern, run_scheduler, split_text_shards, tokenize, ArrivalPattern,
-        BatchPolicy, InternedShard, SchedulerOutcome, SchedulerParams, StreamConfig, StreamService,
-        StreamVocab,
+        BatchPolicy, SchedulerOutcome, SchedulerParams, StreamConfig, StreamService,
     };
 }
