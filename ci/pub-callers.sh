@@ -4,7 +4,9 @@
 # Lists each `pub` fn, struct, enum, trait, type, const and static declared
 # under crates/*/src (the bins under src/bin excluded) and requires a mention
 # of its name in another .rs file under crates/, src/, tests/, examples/ or
-# benchmark/.  A `pub use` statement and a comment line are not mentions.
+# benchmark/.  Each name a library crate's root (`crates/*/src/lib.rs`)
+# re-exports with `pub use` must likewise be mentioned outside that crate's
+# src/.  A `pub use` statement and a comment line are not mentions.
 # ci/pub-callers.tsv lists the allowed exceptions, one per row:
 # `file<TAB>name<TAB>reason`; blank lines and `#` lines are skipped.  A row
 # without a reason, or one whose item is gone or has a caller by now, fails
@@ -36,8 +38,21 @@ grep -v '/src/bin/' "$tmp/files" | grep '^crates/[^/]*/src/' |
   xargs grep -HE "^$decl" | sed -E "s/^([^:]*):$decl.*/\\1\\t\\5/" |
   sort -u >"$tmp/items"
 
+# file<TAB>name of every name a crate root's `pub use` statement exports
+# (the umbrella's prelude included): each statement, up to its `;`, split at
+# its braces and commas, keeping the last path segment or the `as` alias.
+for lib in crates/*/src/lib.rs src/lib.rs; do
+  awk '
+    /^[ \t]*pub[ \t]+use[ \t]/ { in_use = 1 }
+    in_use { stmt = stmt " " $0; if (index($0, ";")) { print stmt; stmt = ""; in_use = 0 } }
+  ' "$lib" |
+    sed -E 's/^ *pub[[:space:]]+use[[:space:]]+//; s/;.*//; s/^[^{]*\{//; s/\}//g' |
+    tr ',' '\n' | sed -E 's/.*[[:space:]]as[[:space:]]+//; s/.*:://; s/[[:space:]]//g' |
+    grep -vxE '|self|\*' | sed "s|^|$lib\t|"
+done | sort -u >"$tmp/uses"
+
 status=0
-declare -A allowed=()
+declare -A allowed=() item_rows=()
 while IFS=$'\t' read -r file name reason; do
   case "$file" in '' | '#'*) continue ;; esac
   if [ -z "${reason:-}" ]; then
@@ -45,13 +60,20 @@ while IFS=$'\t' read -r file name reason; do
     status=1
   fi
   allowed["$file	$name"]=1
+  [[ $file =~ ^(crates/[^/]+/src/) ]] && item_rows["${BASH_REMATCH[1]}	$name"]=1
 done <ci/pub-callers.tsv
+
+# named_outside NAME SCOPE: a corpus file outside SCOPE names NAME; a
+# crate's bins under SCOPE/bin/ are crates of their own.
+named_outside() {
+  (cd "$tmp/corpus" && grep -rlw --include='*.rs' -- "$1" .) | sed 's|^\./||' |
+    awk -v scope="$2" 'index($0, scope) != 1 || index($0, scope "bin/") == 1' | grep -q .
+}
 
 declare -A seen=()
 while IFS=$'\t' read -r file name; do
   seen["$file	$name"]=1
-  if (cd "$tmp/corpus" && grep -rlw --include='*.rs' -- "$name" .) |
-    sed 's|^\./||' | grep -qvx -- "$file"; then
+  if named_outside "$name" "$file"; then
     if [ -n "${allowed["$file	$name"]:-}" ]; then
       echo "pub-callers: $file: $name has a caller now; drop its ci/pub-callers.tsv row" >&2
       status=1
@@ -61,6 +83,25 @@ while IFS=$'\t' read -r file name; do
     status=1
   fi
 done <"$tmp/items"
+
+# A library crate root's re-export needs a caller in another crate: a
+# mention, or another crate root's `pub use`.  A row for the item itself
+# covers its re-export too.
+while IFS=$'\t' read -r file name; do
+  case "$file" in crates/*) ;; *) continue ;; esac
+  seen["$file	$name"]=1
+  src=${file%lib.rs}
+  if named_outside "$name" "$src" ||
+    awk -F'\t' -v f="$file" -v n="$name" '$2 == n && $1 != f { hit = 1 } END { exit !hit }' "$tmp/uses"; then
+    if [ -n "${allowed["$file	$name"]:-}" ]; then
+      echo "pub-callers: $file: $name has a caller now; drop its ci/pub-callers.tsv row" >&2
+      status=1
+    fi
+  elif [ -z "${allowed["$file	$name"]:-}${item_rows["$src	$name"]:-}" ]; then
+    echo "pub-callers: $file: re-exported $name is named in no other crate" >&2
+    status=1
+  fi
+done <"$tmp/uses"
 
 for key in "${!allowed[@]}"; do
   if [ -z "${seen["$key"]:-}" ]; then

@@ -31,6 +31,8 @@
 //! of every curve (who wins, where the crossovers are, what scales and what
 //! does not) is, and EXPERIMENTS.md records both.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod cli;
 pub mod planning;

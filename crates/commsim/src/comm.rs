@@ -1,8 +1,8 @@
 //! The threaded per-PE communicator handle.
 //!
 //! A [`Comm`] is one backend of the [`Communicator`] trait: each simulated PE
-//! runs on its own OS thread and owns a [`Comm`] wired into the lock-free
-//! sharded inbox transport (per-source SPSC queues, park/unpark blocking —
+//! runs on its own OS thread and owns a [`Comm`] wired into the
+//! sharded inbox transport (per-pair mutex queues, park/unpark blocking —
 //! see [`crate::transport`]).  All traffic is metered into the per-PE
 //! counters of the run's [`crate::metrics::StatsRegistry`], and every
 //! payload's word buffer is drawn from (and returned to) a per-PE

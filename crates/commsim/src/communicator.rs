@@ -57,7 +57,7 @@ use crate::{Rank, Tag};
 /// First tag reserved for internal use by collective operations.  User tags
 /// passed to [`Communicator::send`] / [`Communicator::recv`] must be below
 /// this value.
-pub const COLLECTIVE_TAG_BASE: Tag = 1 << 32;
+pub(crate) const COLLECTIVE_TAG_BASE: Tag = 1 << 32;
 
 /// The single place where user tags are validated; both backends inherit it
 /// through the provided [`Communicator::send`] / [`Communicator::recv`].
@@ -72,8 +72,8 @@ pub(crate) fn validate_user_tag(tag: Tag) {
 /// A PE's window onto the rest of the simulated machine.
 ///
 /// The *required* methods are the backend surface: identity, raw tagged
-/// point-to-point transfer (tags above [`COLLECTIVE_TAG_BASE`] allowed —
-/// that space belongs to the collectives), and metering.  The *provided*
+/// point-to-point transfer (tags at and above 2^32 allowed — that space
+/// belongs to the collectives), and metering.  The *provided*
 /// methods are the algorithm-facing API: validated sends and receives plus
 /// the paper's collectives, implemented once on top of the primitives so
 /// that every backend behaves identically.
@@ -106,7 +106,7 @@ pub trait Communicator {
     fn next_collective_tag(&self) -> Tag;
 
     /// Unvalidated send used by the collectives (may use the reserved tag
-    /// space at and above [`COLLECTIVE_TAG_BASE`]).  This is backend /
+    /// space at and above 2^32).  This is backend /
     /// collective-implementation surface: algorithm code must call
     /// [`Communicator::send`] instead — sending with a reserved tag from
     /// user code collides with the collectives' internal tag sequence and

@@ -25,9 +25,9 @@
 //! treatment):
 //!
 //! * **threaded** ([`Comm`], via [`World::threaded`]) — one OS thread per PE
-//!   over a lock-free sharded inbox transport (one shard of per-source SPSC
-//!   queues per destination PE, lazily materialised, park/unpark blocking);
-//!   real parallelism and wall-clock timings;
+//!   over a sharded inbox transport (one shard of per-source mutex queues
+//!   per destination PE, installed on a pair's first send, park/unpark
+//!   blocking); real parallelism and wall-clock timings;
 //! * **replay** ([`MuxComm`]) — a blocked receive aborts the
 //!   PE's closure and a park/wake scheduler re-executes it later; no thread
 //!   or stack per PE, traffic metering bit-identical to the threaded
@@ -84,11 +84,7 @@
 //! modeled `α·startups + β·words` cost.
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the lock-free transport core (`spsc`, and the
-// `transport` module that upholds its single-producer/single-consumer
-// contract) opts back in with a scoped `#![allow(unsafe_code)]` — every
-// other module stays free of `unsafe`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 mod collectives;
@@ -102,7 +98,6 @@ mod metrics;
 mod mux;
 pub mod recovery;
 mod runner;
-mod spsc;
 mod subgroup;
 pub mod topology;
 pub mod transport;
@@ -111,7 +106,7 @@ mod world;
 pub use codec::{WordCodec, WordReader};
 pub use collectives::ReduceOp;
 pub use comm::Comm;
-pub use communicator::{Communicator, COLLECTIVE_TAG_BASE};
+pub use communicator::Communicator;
 pub use cost::{CostModel, PredictedComm};
 pub use error::{CommError, CommResult};
 pub use faults::{FaultEvent, FaultPlan};
@@ -123,7 +118,6 @@ pub use recovery::{
 };
 pub use runner::run_spmd;
 pub use subgroup::SubComm;
-pub use transport::BufferPool;
 pub use world::{Backend, SpmdOutput, World};
 
 /// Rank of a processing element, `0..p`.

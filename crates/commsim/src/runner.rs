@@ -1,7 +1,7 @@
 //! The threaded SPMD executor: [`World::threaded`].
 //!
 //! It spawns one thread per simulated PE, hands each a [`Comm`] handle wired
-//! into the lock-free sharded inbox transport (`O(p)` setup, see
+//! into the sharded inbox transport (`O(p)` setup, see
 //! [`crate::transport`]), runs the user closure on every PE, and collects the
 //! per-PE return values together with the aggregated communication
 //! statistics and the wall-clock time of the region.  [`run_spmd`] is its

@@ -1,42 +1,42 @@
 //! Point-to-point transport between simulated PEs.
 //!
-//! The transport is a **lock-free sharded inbox**: one shard per
-//! *destination* PE, each holding a table of `p` per-source queue slots
-//! plus a one-slot parking cell for the shard's blocked receiver.  A slot
-//! is one lazily installed pointer (`LazyQueue`): the single-producer/
-//! single-consumer segmented queue (`spsc::SpscQueue`) behind it is
-//! heap-allocated by the pair's (unique) producer on the pair's **first
-//! send**, so constructing the transport for `p` PEs allocates `O(p)`
-//! shards and the per-pair cost — queue header and segments alike — is
-//! paid only for pairs that actually communicate (pinned by the
-//! counting-allocator test `transport_alloc.rs` and measured by the
-//! `transport_setup` bench).  What remains eager is the pointer *table*
-//! itself (`p` words per shard): lock-free slot addressing needs stable
-//! addresses senders can reach without synchronising on the table, so the
-//! table is the price of the no-lock send path — `ARCHITECTURE.md`
-//! discusses the trade-off and why truly O(touched-pairs) worlds are the
-//! multiplexed backend's job ([`crate::MuxComm`]).
+//! The transport is a **sharded inbox**: one shard per *destination* PE,
+//! each holding a table of `p` per-source queue slots plus a parking cell
+//! for the shard's blocked receiver.  A slot is a `OnceLock` holding the
+//! pair's queue, a boxed `Mutex<VecDeque<Envelope>>`, installed by the
+//! pair's **first send** (or by a receive that blocks on the pair).  So
+//! constructing the transport for `p` PEs allocates `O(p)` shards, and only
+//! pairs that communicate pay for a queue (pinned by the counting-allocator
+//! test `tests/transport_alloc.rs`).  The slot table is the one eager
+//! per-pair cost, 16 bytes per ordered pair: it gives every sender a fixed
+//! address for its queue, reached without a lock on the table.  Worlds too
+//! large for that table are the multiplexed backend's job
+//! ([`crate::MuxComm`]).
 //!
-//! There is no mutex and no condvar anywhere on the message path:
-//!
-//! * **send** — the source mailbox appends to its private queue inside the
-//!   destination's shard (plain slot write + one atomic publish increment)
-//!   and wakes the destination's receiver only if one is registered as
-//!   parked (a single atomic load in the common case).  Senders to the same
-//!   destination never touch shared state, so a thousand PEs flooding one
-//!   hotspot no longer convoy on that shard's lock.
-//! * **recv** — the destination mailbox pops its shard's queue for the
-//!   requested source; on empty it spins briefly (messages usually arrive
-//!   within microseconds mid-collective), then registers itself in the
-//!   shard's one-slot parking cell (`spsc::ParkSlot`) and parks via
-//!   [`std::thread::park`].  Registration and the sender's publish
-//!   increment form a Dekker pair (both `SeqCst`): either the sender sees
-//!   the registration and unparks, or the receiver's post-registration
-//!   re-check finds the message — a wakeup cannot be lost.
+//! * **send** — the source mailbox pushes onto its pair's queue under the
+//!   pair's mutex.  Only that sender and the destination's receiver ever
+//!   take it, so senders to one destination share no lock.  The sender then
+//!   loads the shard's `waiting_on` and unparks the receiver only if it is
+//!   parked on this source: one atomic load in the common case.
+//! * **recv** — the destination mailbox pops the pair's queue.  On empty it
+//!   spins briefly (messages usually arrive within microseconds
+//!   mid-collective), then stores its thread and then the source it waits
+//!   on in the parking cell, pops again, and parks.  The pair's mutex orders
+//!   that pop against the sender's push: either the pop finds the message,
+//!   or the push came after it and the sender's load sees the registration
+//!   and unparks.  A wake-up cannot be lost.  A stray unpark is a spurious
+//!   wake-up, which the park loop absorbs.
 //! * **disconnect** — dropping a mailbox stores its liveness flag `false`
-//!   and wakes every registered receiver, so a blocking receive whose peer
-//!   is gone fails fast with [`CommError::Disconnected`] after draining
-//!   anything still queued (exactly the former mpsc hang-up semantics).
+//!   and wakes every parked receiver, so a blocking receive whose peer is
+//!   gone fails fast with [`CommError::Disconnected`] after draining what
+//!   is still queued.
+//!
+//! The transport meters nothing (the communicator counts words and
+//! start-ups), so how it queues moves wall time only.  Against the
+//! lock-free single-producer queues it replaced, the gated threaded
+//! workloads (all at p = 2) ran no slower, p = 2 ping-pong got faster, and
+//! a p = 256 hotspot where every PE floods one destination got slower
+//! (EXPERIMENTS.md, "The threaded transport without `unsafe`").
 //!
 //! Per-source FIFO order is preserved (each ordered pair has its own
 //! queue), which together with the SPMD structure of all algorithms in this
@@ -47,20 +47,19 @@
 //! Payloads travel in one representation: the value's
 //! [`WordCodec`](crate::codec::WordCodec) encoding in a pooled `Vec<u64>`
 //! buffer, tagged with the encoded type's `TypeId` (see [`Envelope`]).  The
-//! [`BufferPool`] is untouched by the lock-free rewrite: it is
-//! per-communicator, not shared.
-#![allow(unsafe_code)]
+//! [`BufferPool`] is per-communicator, not shared.
 
 use std::any::TypeId;
-use std::cell::{Cell, RefCell};
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 use crate::codec::{decode_error, WordReader};
 use crate::error::{CommError, CommResult};
 use crate::message::CommData;
-use crate::spsc::{ParkSlot, SpscQueue};
 use crate::{Rank, Tag};
 
 /// A small per-communicator free list of message buffers.
@@ -234,106 +233,85 @@ impl Envelope {
     }
 }
 
-/// A lazily materialised per-pair queue slot: one pointer word until the
-/// pair's first message, then the pair's [`SpscQueue`], heap-allocated and
-/// installed by the pair's unique producer.
-///
-/// The slot itself is the only thing allocated eagerly (as part of the
-/// shard's table); an ordered pair that never communicates costs exactly
-/// these 8 bytes.  The pointer is written at most once (null → queue) and
-/// freed only when the shard drops, so a reference derived from a non-null
-/// load stays valid for the life of the mesh.
-///
-/// Ordering: install (`SeqCst` store) happens before the producer's first
-/// publish increment, and every consumer attempt re-loads the pointer
-/// (`SeqCst`), so the existing Dekker-pair argument between publish and
-/// park-registration (see the module docs) extends unchanged — a consumer
-/// that misses the install also misses the publish, re-checks after
-/// registering, and cannot lose a wakeup.
-struct LazyQueue {
-    ptr: AtomicPtr<SpscQueue<Envelope>>,
+/// One ordered pair's FIFO queue.  Its sender and the destination's receiver
+/// are the only threads that ever lock it.
+type PairQueue = Mutex<VecDeque<Envelope>>;
+
+/// Lock `mutex`, ignoring poison: every update under the transport's locks
+/// is one push, pop or store, which leaves the data valid at every step, so
+/// a PE that panics must not take its peers' queues down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl LazyQueue {
+/// Where a shard's receiver parks: its thread, and the source it waits on.
+///
+/// A sender's fast path is one load of `waiting_on`.  The receiver stores
+/// its thread before `waiting_on`, so a sender that sees the registration
+/// finds the thread to unpark.  Wake-ups are not exactly-once: a stale
+/// registration costs the receiver a spurious wake-up at worst.
+struct ParkSlot {
+    /// Rank the parked receiver waits on, or [`ParkSlot::NONE`].
+    waiting_on: AtomicUsize,
+    /// The receiver's thread, stored on every registration (a mailbox may
+    /// move between threads).
+    thread: Mutex<Option<Thread>>,
+}
+
+impl ParkSlot {
+    /// `waiting_on` while no receiver is parked.
+    const NONE: usize = usize::MAX;
+
     fn new() -> Self {
-        LazyQueue {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
+        ParkSlot {
+            waiting_on: AtomicUsize::new(Self::NONE),
+            thread: Mutex::new(None),
         }
     }
 
-    /// Producer side: the pair's queue, installed on first use.
-    ///
-    /// # Safety
-    ///
-    /// Only the pair's unique producer may call this: the slot is written
-    /// with a plain store (no CAS), which is race-free precisely because
-    /// each `(src, dst)` slot has exactly one writer — PE `src`'s mailbox,
-    /// which is unclonable and `!Sync`.
-    unsafe fn get_or_install(&self) -> &SpscQueue<Envelope> {
-        let p = self.ptr.load(Ordering::SeqCst);
-        if !p.is_null() {
-            // SAFETY: non-null means installed; never freed before drop.
-            return unsafe { &*p };
-        }
-        let fresh = Box::into_raw(Box::new(SpscQueue::new()));
-        self.ptr.store(fresh, Ordering::SeqCst);
-        // SAFETY: just leaked from a live Box; freed only in Drop.
-        unsafe { &*fresh }
+    /// Register the calling thread as parked on messages from `src`.
+    fn register(&self, src: Rank) {
+        *lock(&self.thread) = Some(thread::current());
+        self.waiting_on.store(src, Ordering::SeqCst);
     }
 
-    /// Consumer side: the pair's queue, or `None` while the pair has never
-    /// sent (an unmaterialised queue is indistinguishable from an empty
-    /// one).  Re-loads the pointer so a concurrent install becomes visible.
-    fn get(&self) -> Option<&SpscQueue<Envelope>> {
-        let p = self.ptr.load(Ordering::SeqCst);
-        if p.is_null() {
-            None
-        } else {
-            // SAFETY: non-null means installed; never freed before drop.
-            Some(unsafe { &*p })
+    fn clear(&self) {
+        self.waiting_on.store(Self::NONE, Ordering::SeqCst);
+    }
+
+    /// Unpark the receiver if it is parked on `src`, or on any source when
+    /// `src` is `None` (a disconnecting peer wakes every receiver).
+    fn wake(&self, src: Option<Rank>) {
+        let waiting_on = self.waiting_on.load(Ordering::SeqCst);
+        let parked = match src {
+            Some(src) => waiting_on == src,
+            None => waiting_on != Self::NONE,
+        };
+        if parked {
+            if let Some(thread) = &*lock(&self.thread) {
+                thread.unpark();
+            }
         }
     }
 }
 
-impl Drop for LazyQueue {
-    fn drop(&mut self) {
-        let p = *self.ptr.get_mut();
-        if !p.is_null() {
-            // SAFETY: installed exactly once by the producer and never
-            // freed elsewhere; `&mut self` proves no reference survives.
-            drop(unsafe { Box::from_raw(p) });
-        }
-    }
-}
-
-/// One destination's inbox shard: every message addressed to that PE, held
-/// in lazily materialised lock-free per-source FIFO queues, plus the
-/// parking cell its (unique) receiver blocks in.
+/// One destination's inbox shard: every message addressed to that PE, in
+/// lazily installed per-source FIFO queues, plus the parking cell its
+/// receiver blocks in.
 struct Shard {
-    /// `queues[src]` holds the messages sent by PE `src`, in send order.
-    /// PE `src`'s mailbox is the queue's unique producer and this shard's
-    /// owner the unique consumer, so each queue runs the single-producer/
-    /// single-consumer lock-free protocol of [`SpscQueue`].  A pair that
-    /// never communicates owns no heap beyond its pointer slot.
-    queues: Vec<LazyQueue>,
-    /// Parking cell of the shard's receiver.  Senders (and disconnecting
-    /// peers) wake it with one atomic load in the quiescent case; see
-    /// [`ParkSlot`] for the exactly-once handoff.
+    /// `queues[src]` holds the messages sent by PE `src`, in send order.  A
+    /// pair that never communicates owns no heap beyond its slot.
+    queues: Vec<OnceLock<Box<PairQueue>>>,
     parked: ParkSlot,
 }
 
 impl Shard {
-    /// One pop attempt from `src`'s queue (`None`: never materialised or
-    /// currently empty).
-    ///
-    /// # Safety
-    ///
-    /// Caller must be the shard's unique consumer (the mailbox of the
-    /// shard's destination rank).
-    unsafe fn try_pop(&self, src: Rank) -> Option<Envelope> {
-        let queue = self.queues[src].get()?;
-        // SAFETY: unique consumer per the caller's contract.
-        unsafe { queue.pop() }
+    /// `src`'s queue, installed if neither end of the pair has touched it.
+    /// A blocking receive installs it too, so the receiver's last pop
+    /// before it parks and the sender's push always meet at the pair's
+    /// mutex — the lost-wake-up argument of the module docs rests on that.
+    fn queue(&self, src: Rank) -> &PairQueue {
+        self.queues[src].get_or_init(Box::default)
     }
 }
 
@@ -348,8 +326,8 @@ struct SharedMesh {
 }
 
 /// Spin iterations of a blocking receive before it parks the thread: a few
-/// busy spins for the multi-core case where the sender is mid-publish,
-/// then scheduler yields that let a sender run on a loaded (or single-CPU)
+/// busy spins for the multi-core case where the sender is mid-push, then
+/// scheduler yields that let a sender run on a loaded (or single-CPU)
 /// machine.  Past the budget the receiver parks — collectives block for
 /// whole message latencies, and a parked thread costs nothing.
 const SPIN_BUSY: usize = 16;
@@ -359,35 +337,25 @@ const SPIN_YIELD: usize = 4;
 ///
 /// Sending to `dst` appends to this PE's queue inside `dst`'s shard;
 /// receiving from `src` pops this PE's shard's queue for `src` — FIFO order
-/// per ordered pair, exactly like the former channel mesh.
-///
-/// A mailbox is the *unique* endpoint of its rank: it cannot be cloned, and
-/// it is deliberately `!Sync` (calls are serialized by ownership even when
-/// the mailbox moves between threads).  That uniqueness is what upholds the
-/// single-producer/single-consumer contract of the underlying lock-free
-/// queues — every `unsafe` block below discharges its obligation by
-/// pointing at it.
+/// per ordered pair.  A mailbox is the unique endpoint of its rank: it
+/// cannot be cloned, and its shard's parking cell holds one receiver.
 pub struct Mailbox {
     rank: Rank,
     mesh: Arc<SharedMesh>,
-    /// Opts out of `Sync`: two threads sharing `&Mailbox` could otherwise
-    /// race the producer/consumer cursors of the lock-free queues.
-    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl Mailbox {
     /// Build the sharded transport for `p` PEs and return one mailbox per
-    /// PE.  Allocates `O(p)` shards — one pointer table per destination;
-    /// each pair's lock-free queue (header and segments alike) is deferred
-    /// to that pair's first send — not the `O(p²)` channels of a full mesh
-    /// (pinned by the allocation-counting integration test
-    /// `transport_alloc.rs`).
+    /// PE.  Allocates `O(p)` shards — one slot table per destination; each
+    /// pair's queue is deferred to that pair's first send — not the `O(p²)`
+    /// channels of a full mesh (pinned by the allocation-counting
+    /// integration test `transport_alloc.rs`).
     pub fn full_mesh(p: usize) -> Vec<Mailbox> {
         assert!(p > 0, "need at least one PE");
         let mesh = Arc::new(SharedMesh {
             shards: (0..p)
                 .map(|_| Shard {
-                    queues: (0..p).map(|_| LazyQueue::new()).collect(),
+                    queues: (0..p).map(|_| OnceLock::new()).collect(),
                     parked: ParkSlot::new(),
                 })
                 .collect(),
@@ -397,7 +365,6 @@ impl Mailbox {
             .map(|rank| Mailbox {
                 rank,
                 mesh: Arc::clone(&mesh),
-                _not_sync: PhantomData,
             })
             .collect()
     }
@@ -412,15 +379,18 @@ impl Mailbox {
         self.mesh.shards.len()
     }
 
-    /// Send an envelope to `dst` (never blocks; queues are unbounded and
-    /// the sender takes no lock).
-    pub fn send(&self, dst: Rank, env: Envelope) -> CommResult<()> {
+    fn check_rank(&self, rank: Rank) -> CommResult<()> {
         let size = self.size();
-        let shard = self
-            .mesh
-            .shards
-            .get(dst)
-            .ok_or(CommError::InvalidRank { rank: dst, size })?;
+        if rank < size {
+            Ok(())
+        } else {
+            Err(CommError::InvalidRank { rank, size })
+        }
+    }
+
+    /// Send an envelope to `dst` (never blocks; queues are unbounded).
+    pub fn send(&self, dst: Rank, env: Envelope) -> CommResult<()> {
+        self.check_rank(dst)?;
         // A send sequenced after the destination's teardown (program order
         // or any happens-before edge) sees `alive == false` and fails.  A
         // send racing *concurrently* with the teardown may still win and
@@ -430,19 +400,11 @@ impl Mailbox {
         if !self.mesh.alive[dst].load(Ordering::SeqCst) {
             return Err(CommError::Disconnected { from: dst });
         }
-        // SAFETY: this mailbox is the unique endpoint of rank `self.rank`
-        // (unclonable, `!Sync`), so it is the unique producer of the
-        // `(self.rank, dst)` queue — which covers both the lazy install
-        // (single writer of the slot) and the push.
-        unsafe { shard.queues[self.rank].get_or_install().push(env) };
-        // Publish-then-check: the queue's publish increment and the
-        // receiver's park registration are both `SeqCst`, so either this
-        // load sees a registration for our rank (and `wake` unparks
-        // exactly one receiver), or the receiver's post-registration
-        // re-pop sees our message.  A receiver blocked on a *different*
-        // source is deliberately left asleep.  The common send-before-recv
-        // case is one atomic load.
-        shard.parked.wake(self.rank);
+        let shard = &self.mesh.shards[dst];
+        lock(shard.queue(self.rank)).push_back(env);
+        // After the push and its unlock: a receiver whose last pop missed
+        // this message registered before that pop, so this load sees it.
+        shard.parked.wake(Some(self.rank));
         Ok(())
     }
 
@@ -452,49 +414,7 @@ impl Mailbox {
     /// no message from it remains queued — the sharded equivalent of a
     /// hung-up mpsc channel.
     pub fn recv(&self, src: Rank) -> CommResult<Envelope> {
-        let size = self.size();
-        if src >= size {
-            return Err(CommError::InvalidRank { rank: src, size });
-        }
-        let shard = &self.mesh.shards[self.rank];
-        // SAFETY (here and below): this mailbox is the unique endpoint of
-        // its rank, hence the unique consumer of every queue in its shard.
-        // Each attempt re-loads the pair's lazy slot, so a queue installed
-        // by the sender mid-wait becomes visible.
-        if let Some(env) = unsafe { shard.try_pop(src) } {
-            return Ok(env);
-        }
-        // Spin-then-park.  Spin phase: cheap busy spins, then yields.
-        for spin in 0..(SPIN_BUSY + SPIN_YIELD) {
-            if spin < SPIN_BUSY {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-            if let Some(env) = unsafe { shard.try_pop(src) } {
-                return Ok(env);
-            }
-            if !self.mesh.alive[src].load(Ordering::SeqCst) {
-                return self.drain_disconnected(shard, src);
-            }
-        }
-        // Park phase: register, re-check (the Dekker pair with senders and
-        // with a disconnecting peer), park; repeat on spurious or
-        // wrong-source wakeups.  `register` replaces any handle a previous
-        // iteration left behind.
-        loop {
-            shard.parked.register(src);
-            if let Some(env) = unsafe { shard.try_pop(src) } {
-                shard.parked.clear();
-                return Ok(env);
-            }
-            if !self.mesh.alive[src].load(Ordering::SeqCst) {
-                let result = self.drain_disconnected(shard, src);
-                shard.parked.clear();
-                return result;
-            }
-            std::thread::park();
-        }
+        self.recv_until(src, None)
     }
 
     /// Blocking receive with a deadline: like [`Mailbox::recv`], but gives up
@@ -506,83 +426,63 @@ impl Mailbox {
     /// tears its mailbox down during unwinding, which surfaces here as
     /// [`CommError::Disconnected`]; a peer that is merely slow surfaces as
     /// [`CommError::Timeout`], which the caller may retry.
-    pub fn recv_deadline(&self, src: Rank, timeout: std::time::Duration) -> CommResult<Envelope> {
-        let size = self.size();
-        if src >= size {
-            return Err(CommError::InvalidRank { rank: src, size });
-        }
-        let deadline = std::time::Instant::now() + timeout;
+    pub fn recv_deadline(&self, src: Rank, timeout: Duration) -> CommResult<Envelope> {
+        self.recv_until(src, Some(Instant::now() + timeout))
+    }
+
+    /// The one receive loop: spin, then park until a message from `src`
+    /// arrives, `src` hangs up, or `deadline` passes.
+    fn recv_until(&self, src: Rank, deadline: Option<Instant>) -> CommResult<Envelope> {
+        self.check_rank(src)?;
         let shard = &self.mesh.shards[self.rank];
-        // SAFETY (here and below): unique consumer, as in `recv`.
-        if let Some(env) = unsafe { shard.try_pop(src) } {
-            return Ok(env);
-        }
-        for spin in 0..(SPIN_BUSY + SPIN_YIELD) {
+        let queue = shard.queue(src);
+        let pop = || lock(queue).pop_front();
+        for spin in 0..SPIN_BUSY + SPIN_YIELD {
+            if let Some(env) = pop() {
+                return Ok(env);
+            }
             if spin < SPIN_BUSY {
                 std::hint::spin_loop();
             } else {
-                std::thread::yield_now();
+                thread::yield_now();
             }
-            if let Some(env) = unsafe { shard.try_pop(src) } {
-                return Ok(env);
+        }
+        // Register, then pop again before every park: the pop pairs with
+        // the sender's push through the pair's mutex, and the `alive` load
+        // with a disconnecting peer's store through `SeqCst` (see `Drop`).
+        shard.parked.register(src);
+        let result = loop {
+            // Read the clock before the pop, so a timeout is reported only
+            // for a pop made after the deadline.
+            let now = Instant::now();
+            if let Some(env) = pop() {
+                break Ok(env);
             }
             if !self.mesh.alive[src].load(Ordering::SeqCst) {
-                return self.drain_disconnected(shard, src);
+                // `src` pushed everything before it stored `alive == false`.
+                break pop().ok_or(CommError::Disconnected { from: src });
             }
-        }
-        // Park phase with a clock: identical Dekker pairing to `recv`, plus
-        // a deadline check after every wakeup (park_timeout bounds the wait
-        // so an expired deadline is noticed even without a wakeup).
-        loop {
-            shard.parked.register(src);
-            if let Some(env) = unsafe { shard.try_pop(src) } {
-                shard.parked.clear();
-                return Ok(env);
+            match deadline {
+                None => thread::park(),
+                Some(deadline) if now < deadline => thread::park_timeout(deadline - now),
+                Some(_) => break Err(CommError::Timeout { from: src }),
             }
-            if !self.mesh.alive[src].load(Ordering::SeqCst) {
-                let result = self.drain_disconnected(shard, src);
-                shard.parked.clear();
-                return result;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                shard.parked.clear();
-                // One last pop: a sender may have published between the
-                // re-check above and the registration clear.
-                return match unsafe { shard.try_pop(src) } {
-                    Some(env) => Ok(env),
-                    None => Err(CommError::Timeout { from: src }),
-                };
-            }
-            std::thread::park_timeout(deadline - now);
-        }
-    }
-
-    /// Final pop after observing `src` dead: the liveness store is the last
-    /// thing a dropping mailbox does after its sends, so one more pop after
-    /// seeing `alive == false` is guaranteed to surface anything still
-    /// queued — only then is the hang-up reported.
-    fn drain_disconnected(&self, shard: &Shard, src: Rank) -> CommResult<Envelope> {
-        // SAFETY: unique consumer, as in `recv`.
-        match unsafe { shard.try_pop(src) } {
-            Some(env) => Ok(env),
-            None => Err(CommError::Disconnected { from: src }),
-        }
+        };
+        shard.parked.clear();
+        result
     }
 
     /// Non-blocking receive of the next message from `src`, if one is queued.
     pub fn try_recv(&self, src: Rank) -> CommResult<Option<Envelope>> {
-        let size = self.size();
-        if src >= size {
-            return Err(CommError::InvalidRank { rank: src, size });
-        }
-        let shard = &self.mesh.shards[self.rank];
-        // SAFETY: unique consumer, as in `recv`.
-        if let Some(env) = unsafe { shard.try_pop(src) } {
+        self.check_rank(src)?;
+        // Polling installs no queue, so every pop re-reads the slot.
+        let slot = &self.mesh.shards[self.rank].queues[src];
+        let pop = || slot.get().and_then(|queue| lock(queue).pop_front());
+        if let Some(env) = pop() {
             return Ok(Some(env));
         }
         if !self.mesh.alive[src].load(Ordering::SeqCst) {
-            return self.drain_disconnected(shard, src).map(Some);
+            return pop().map(Some).ok_or(CommError::Disconnected { from: src });
         }
         Ok(None)
     }
@@ -590,18 +490,18 @@ impl Mailbox {
 
 impl Drop for Mailbox {
     fn drop(&mut self) {
-        // Mark this sender dead and wake every registered receiver so a
-        // peer waiting on a message that can no longer arrive fails fast
-        // with `Disconnected` instead of hanging (mirrors mpsc hang-up).
+        // Mark this sender dead and wake every parked receiver, so a peer
+        // waiting on a message that can no longer arrive fails fast with
+        // `Disconnected` instead of hanging (mirrors mpsc hang-up).
         //
         // The store and the receivers' registrations are `SeqCst` Dekker
-        // pairs: a receiver registers before loading `alive`, we store
-        // `alive` before loading the park slots — so a receiver that saw
+        // pairs: a receiver stores `waiting_on` before loading `alive`, we
+        // store `alive` before loading `waiting_on` — so a receiver that saw
         // `alive == true` is visible here and gets unparked, while a
         // quiescent world tears down with one atomic load per shard.
         self.mesh.alive[self.rank].store(false, Ordering::SeqCst);
         for shard in &self.mesh.shards {
-            shard.parked.wake(ParkSlot::ANY);
+            shard.parked.wake(None);
         }
     }
 }
@@ -609,7 +509,7 @@ impl Drop for Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
+    use std::thread::JoinHandle;
 
     #[test]
     fn envelope_roundtrip() {
@@ -822,10 +722,9 @@ mod tests {
     }
 
     #[test]
-    fn fifo_survives_segment_boundaries() {
-        // Push far more messages than one queue segment holds before
-        // draining, so the chain allocation/linking/freeing paths of the
-        // lock-free queue all run.
+    fn fifo_survives_queue_growth() {
+        // Push far more messages than the pair's queue first reserves
+        // before draining, so it grows several times with messages in it.
         let mut boxes = Mailbox::full_mesh(2);
         let b1 = boxes.pop().unwrap();
         let b0 = boxes.pop().unwrap();
@@ -912,5 +811,113 @@ mod tests {
         });
         b0.send(1, Envelope::new(0, 0, 21u64)).unwrap();
         assert_eq!(t.join().unwrap(), 42);
+    }
+
+    /// A blocking receive under test: `recv`, or `recv_deadline` with a
+    /// window no case below should reach.
+    type Receive = fn(&Mailbox, Rank) -> CommResult<Envelope>;
+
+    const LONG: Duration = Duration::from_secs(60);
+
+    fn recv_long(b: &Mailbox, src: Rank) -> CommResult<Envelope> {
+        b.recv_deadline(src, LONG)
+    }
+
+    /// Block until PE `rank`'s receiver has registered in its park cell as
+    /// waiting on `src`, so the caller acts on a parked receiver — or until
+    /// the receiver returned without parking, which its result then shows.
+    fn wait_until_parked<T>(mesh: &SharedMesh, rank: Rank, src: Rank, receiver: &JoinHandle<T>) {
+        while mesh.shards[rank].parked.waiting_on.load(Ordering::SeqCst) != src
+            && !receiver.is_finished()
+        {
+            thread::yield_now();
+        }
+    }
+
+    /// PE 2 parks on source 1 while source 0 floods it with 10 000
+    /// messages, none of which may be returned in its place; source 1's one
+    /// message then comes back as `Ok`, and the flood stays queued in order.
+    fn a_wrong_source_flood_does_not_hide_the_awaited_message(receive: Receive) {
+        let mut boxes = Mailbox::full_mesh(3);
+        let b2 = boxes.pop().unwrap();
+        let b1 = boxes.pop().unwrap();
+        let b0 = boxes.pop().unwrap();
+        let flood = 10_000u64;
+        let mesh = Arc::clone(&b2.mesh);
+        let receiver = thread::spawn(move || {
+            let got = receive(&b2, 1);
+            (b2, got)
+        });
+        wait_until_parked(&mesh, 2, 1, &receiver);
+        for i in 0..flood {
+            b0.send(2, Envelope::new(i, 0, i)).unwrap();
+        }
+        b1.send(2, Envelope::new(7, 1, 7u64)).unwrap();
+        let (b2, got) = receiver.join().unwrap();
+        let env = got.unwrap();
+        assert_eq!((env.from, env.tag), (1, 7));
+        for i in 0..flood {
+            assert_eq!(b2.try_recv(0).unwrap().unwrap().tag, i);
+        }
+        assert!(b2.try_recv(0).unwrap().is_none());
+    }
+
+    /// PE 0 sends three messages to a parked PE 1 and hangs up: PE 1 gets
+    /// all three in order, then `Disconnected` — long before `LONG`.
+    fn a_mid_wait_hang_up_disconnects_after_the_queue_drains(receive: Receive) {
+        let mut boxes = Mailbox::full_mesh(2);
+        let b1 = boxes.pop().unwrap();
+        let b0 = boxes.pop().unwrap();
+        let start = Instant::now();
+        let mesh = Arc::clone(&b1.mesh);
+        let receiver = thread::spawn(move || (0..4).map(|_| receive(&b1, 0)).collect::<Vec<_>>());
+        wait_until_parked(&mesh, 1, 0, &receiver);
+        for i in 0..3u64 {
+            b0.send(1, Envelope::new(i, 0, i)).unwrap();
+        }
+        drop(b0);
+        let got = receiver.join().unwrap();
+        for (i, env) in got[..3].iter().enumerate() {
+            assert_eq!(env.as_ref().unwrap().tag, i as Tag);
+        }
+        assert!(matches!(got[3], Err(CommError::Disconnected { from: 0 })));
+        assert!(start.elapsed() < LONG / 2, "the hang-up was not noticed");
+    }
+
+    #[test]
+    fn recv_deadline_times_out_on_a_live_silent_peer_no_earlier_than_the_window() {
+        let boxes = Mailbox::full_mesh(2);
+        let window = Duration::from_millis(50);
+        let start = Instant::now();
+        let err = boxes[1].recv_deadline(0, window).unwrap_err();
+        assert!(matches!(err, CommError::Timeout { from: 0 }));
+        assert!(start.elapsed() >= window, "timed out before the window");
+    }
+
+    #[test]
+    fn recv_deadline_parked_on_one_source_ignores_another_sources_flood() {
+        a_wrong_source_flood_does_not_hide_the_awaited_message(recv_long);
+    }
+
+    #[test]
+    fn recv_deadline_reports_a_mid_wait_hang_up_after_the_queue_drains() {
+        a_mid_wait_hang_up_disconnects_after_the_queue_drains(recv_long);
+    }
+
+    #[test]
+    fn recv_waits_out_a_silent_peer_ignores_a_flood_and_reports_a_hang_up() {
+        // A live peer that stays silent leaves `recv` parked, with no
+        // deadline to report instead; its later message wakes it.
+        let mut boxes = Mailbox::full_mesh(2);
+        let b1 = boxes.pop().unwrap();
+        let b0 = boxes.pop().unwrap();
+        let mesh = Arc::clone(&b1.mesh);
+        let receiver = thread::spawn(move || b1.recv(0).map(|env| env.tag));
+        wait_until_parked(&mesh, 1, 0, &receiver);
+        b0.send(1, Envelope::new(3, 0, 3u64)).unwrap();
+        assert_eq!(receiver.join().unwrap().unwrap(), 3);
+
+        a_wrong_source_flood_does_not_hide_the_awaited_message(Mailbox::recv);
+        a_mid_wait_hang_up_disconnects_after_the_queue_drains(Mailbox::recv);
     }
 }

@@ -60,7 +60,7 @@ pub use branch_bound::{
     knapsack_branch_bound_parallel, knapsack_branch_bound_sequential, BnbResult, KnapsackInstance,
 };
 pub use bulk_pq::BulkParallelQueue;
-pub use frequent::{dht::DhtFanout, pec::pec_zipf_top_k, FrequentParams, TopKFrequentResult};
+pub use frequent::{pec::pec_zipf_top_k, FrequentParams, TopKFrequentResult};
 pub use msselect::{multisequence_select, MsSelectResult};
 pub use multicriteria::{dta_top_k, rdta_top_k, LocalMulticriteria, MulticriteriaResult};
 pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs, Planner, SkewEstimate};
@@ -71,4 +71,4 @@ pub use recover::{
 pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
 pub use unsorted::{select_k_smallest, select_threshold, UnsortedSelectionResult};
-pub use util::{OrderedF64, SelectKey};
+pub use util::OrderedF64;

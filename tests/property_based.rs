@@ -878,7 +878,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Property (lock-free shards): for an arbitrary interleaved schedule of
+    /// Property (sharded transport): for an arbitrary interleaved schedule of
     /// multi-source sends — every PE sends to an arbitrary sequence of
     /// destinations, concurrently with every other PE — the transport
     /// delivers **every** message (the exact per-pair counts are known from
@@ -887,7 +887,7 @@ proptest! {
     /// number as tag and payload, asserted on receipt), with nothing left
     /// over afterwards.
     #[test]
-    fn lockfree_shards_preserve_fifo_and_lose_no_message_under_interleaving(
+    fn sharded_transport_preserves_fifo_and_loses_no_message_under_interleaving(
         raw_schedules in vec(vec(0usize..8, 0..80), 2..5),
     ) {
         use topk_selection::commsim::transport::{Envelope, Mailbox};

@@ -5,12 +5,11 @@
 //! million allocations.  The sharded inbox brought that down to one queue
 //! table per destination (`p + O(1)` allocations), but each table still
 //! held `p` *eager* ~64-byte queue headers — `p²` bytes of headers paid at
-//! construction.  Since the lazy-materialisation pass, a table slot is a
-//! single pointer word and the queue behind it (header and segments alike)
-//! is allocated by the pair's producer on the pair's **first send**, so
-//! construction performs `p + O(1)` allocations totalling ~8 bytes per
-//! pair, and the remaining per-pair cost is paid only for pairs that
-//! actually communicate.
+//! construction.  Since the lazy-materialisation pass, a table slot is an
+//! empty `OnceLock` of 16 bytes, and the pair's queue behind it is
+//! allocated on the pair's **first send**, so construction performs
+//! `p + O(1)` allocations totalling ~16 bytes per pair, and the remaining
+//! per-pair cost is paid only for pairs that actually communicate.
 //!
 //! Counting real allocator traffic (instead of asserting on a struct
 //! field) means a regression back to quadratic setup — in allocation
@@ -117,12 +116,13 @@ fn transport_construction_allocates_linearly_not_quadratically() {
 fn transport_construction_pays_one_pointer_not_a_header_per_pair() {
     let _ = construction_cost(2);
 
-    // The pointer *table* is the one deliberately-eager p² cost (8 bytes
-    // per ordered pair, needed for lock-free slot addressing — see the
-    // transport module docs and ARCHITECTURE.md).  Before the lazy pass
-    // each pair held a full ~64-byte queue header instead, so a bound of
-    // 16 bytes/pair both admits the table (plus O(p) slack) and fails any
-    // regression back to eager headers.
+    // The slot *table* is the one deliberately-eager p² cost (16 bytes per
+    // ordered pair: each sender's queue sits at a fixed address it reaches
+    // without locking the table — see the transport module docs and
+    // ARCHITECTURE.md).  Before the lazy pass each pair held a full
+    // ~64-byte queue header instead, so a bound of 16 bytes/pair both
+    // admits the table (plus O(p) slack) and fails any regression back to
+    // eager headers.
     for p in [64usize, 1024] {
         let (_, bytes) = construction_cost(p);
         let budget = 16 * p * p + 512 * p;
@@ -141,9 +141,9 @@ fn queue_heap_is_deferred_to_the_first_send() {
     let _ = construction_cost(2);
     let boxes = Mailbox::full_mesh(8);
     let before = allocations();
-    // First message of the pair (0, 1): installs that queue (header +
-    // first segment + envelope internals) — allocation happens *now*, not
-    // at construction.
+    // First message of the pair (0, 1): installs that queue (its box, its
+    // first buffer, envelope internals) — allocation happens *now*, not at
+    // construction.
     boxes[0]
         .send(1, Envelope::new(0, 0, 7u64))
         .expect("send to live peer");
