@@ -9,23 +9,24 @@
 //! `O(ρ·|M|)` rather than `O(|M|)` by generating geometric *skip* distances
 //! between successive sampled elements.
 //!
-//! # RNG identity of the fused sweep
+//! # RNG identity of the fused sweeps
 //!
-//! The distributed unsorted selection narrows its candidate vector and
-//! draws the *next* level's pivot sample in a single pass
-//! ([`bernoulli_sample_retain`]).  Fusing the two sweeps is only sound
-//! because it is **RNG-identical** to the two-pass formulation: the skip
-//! sampler's index space is seeded with the exact survivor count (known
-//! ahead of the sweep from the counting pass), so the fused sweep consumes
-//! the generator in precisely the draws, in precisely the order, that
-//! `bernoulli_sample` over the narrowed vector would have.  Identical RNG
+//! Two sweeps draw a Bernoulli sample in the same pass as other work over
+//! the data: [`bernoulli_sample_retain`] narrows a vector and samples its
+//! survivors, and [`partition_counts_sample_middle`](crate::select::partition_counts_sample_middle)
+//! counts three ranges and samples the middle one — the sweep of every
+//! level of the distributed unsorted selection.  Each is only sound because
+//! it is **RNG-identical** to its two-pass formulation: the skip sampler
+//! numbers the kept elements as the sweep meets them and draws one skip per
+//! sampled element plus the one that ends the sample, so the fused sweep
+//! consumes the generator in precisely the draws, in precisely the order,
+//! that `bernoulli_sample` over the kept elements would have.  Identical RNG
 //! stream ⇒ identical pivot samples ⇒ identical recursion path ⇒ identical
-//! metered words/PE — which is what lets the experiment tables treat the
-//! fusion as a pure local-CPU optimisation (pinned by the
-//! `fused_retain_sample_matches_two_pass_bit_for_bit` regression test
-//! below).
-//! Change the draw order and every words/PE column in EXPERIMENTS.md
-//! silently shifts.
+//! metered words/PE (pinned by the
+//! `fused_retain_sample_matches_two_pass_bit_for_bit` test below and
+//! `counting_sweep_samples_the_middle_like_bernoulli_sample` in
+//! `select`).  Change the draw order and every words/PE column in
+//! EXPERIMENTS.md silently shifts.
 
 use rand::Rng;
 
@@ -62,7 +63,7 @@ pub fn geometric_deviate<R: Rng + ?Sized>(p: f64, rng: &mut R) -> u64 {
 /// Iterator over the *indices* of a Bernoulli(ρ) sample of `0..len`,
 /// generated with geometric skips in expected time `O(ρ·len)`.
 #[derive(Debug, Clone)]
-struct BernoulliSampler {
+pub(crate) struct BernoulliSampler {
     len: u64,
     rho: f64,
     /// Next candidate index (absolute), or `len` when exhausted.
@@ -74,7 +75,7 @@ impl BernoulliSampler {
     /// Create a sampler over `len` positions with sampling probability `rho`.
     ///
     /// `rho = 0` yields an empty sample; `rho = 1` yields every index.
-    fn new(len: usize, rho: f64) -> Self {
+    pub(crate) fn new(len: usize, rho: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rho),
             "sampling probability must be in [0, 1], got {rho}"
@@ -88,7 +89,7 @@ impl BernoulliSampler {
     }
 
     /// Advance and return the next sampled index.
-    fn next_index<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<usize> {
+    pub(crate) fn next_index<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<usize> {
         if self.rho <= 0.0 {
             return None;
         }
@@ -129,9 +130,8 @@ pub fn bernoulli_sample<T: Clone, R: Rng + ?Sized>(data: &[T], rho: f64, rng: &m
 /// (stable, in place, like [`Vec::retain`]) and, in the same pass, draw a
 /// Bernoulli(ρ) sample of the *surviving* elements with geometric skips.
 ///
-/// `retained_len` must be the exact number of survivors (callers in the
-/// distributed selection know it ahead of the sweep from the counting
-/// pass); it seeds the skip sampler's index space so that the returned
+/// `retained_len` must be the exact number of survivors (a caller knows it
+/// ahead of the sweep from a counting pass); it seeds the skip sampler's index space so that the returned
 /// sample — and crucially the *sequence of RNG draws* — is bit-identical to
 /// `bernoulli_sample(&retained, rho, rng)` run over the retained vector
 /// afterwards.  One sweep instead of two, same distribution, same stream.

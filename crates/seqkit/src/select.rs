@@ -17,6 +17,8 @@
 
 use rand::Rng;
 
+use crate::sampling::{bernoulli_sample, BernoulliSampler};
+
 /// Select the element with rank `k` (0-based, i.e. the `(k+1)`-smallest) from
 /// `data`, reordering `data` in the process.  Expected `O(n)` time.
 ///
@@ -193,9 +195,9 @@ pub fn partition_three_way_in_place<T: Ord>(
 /// without moving, cloning, or allocating anything.
 ///
 /// The distributed selection algorithm only needs these *counts* to pick the
-/// recursion range (the global range sizes come from a vector all-reduction);
-/// combined with a stable `Vec::retain` narrowing this makes its per-level
-/// local work allocation-free.
+/// recursion range; it runs them fused with its next level's sample
+/// ([`partition_counts_sample_middle`]), and with a stable `Vec::retain`
+/// narrowing that makes its per-level local work allocation-free.
 ///
 /// The loop is **branchless**: each element contributes two comparison
 /// results (`e < ℓ` and `e > r`) as `0/1` arithmetic — no data-dependent
@@ -213,26 +215,112 @@ pub fn partition_three_way_counts<T: Ord>(
     hi_pivot: &T,
 ) -> (usize, usize, usize) {
     debug_assert!(lo_pivot <= hi_pivot);
-    let mut below = [0usize; 4];
-    let mut above = [0usize; 4];
+    let (a, c) = count_outside(data, |e| e < lo_pivot, |e| e > hi_pivot);
+    (a, data.len() - a - c, c)
+}
+
+/// The branchless count behind [`partition_three_way_counts`]: how many
+/// elements of `data` are `below` and how many `above`, as `0/1` sums in
+/// four independent accumulators.
+#[inline(always)]
+fn count_outside<T>(
+    data: &[T],
+    below: impl Fn(&T) -> bool,
+    above: impl Fn(&T) -> bool,
+) -> (usize, usize) {
+    let mut lower = [0usize; 4];
+    let mut upper = [0usize; 4];
     let mut chunks = data.chunks_exact(4);
     for chunk in &mut chunks {
-        below[0] += usize::from(chunk[0] < *lo_pivot);
-        above[0] += usize::from(chunk[0] > *hi_pivot);
-        below[1] += usize::from(chunk[1] < *lo_pivot);
-        above[1] += usize::from(chunk[1] > *hi_pivot);
-        below[2] += usize::from(chunk[2] < *lo_pivot);
-        above[2] += usize::from(chunk[2] > *hi_pivot);
-        below[3] += usize::from(chunk[3] < *lo_pivot);
-        above[3] += usize::from(chunk[3] > *hi_pivot);
+        lower[0] += usize::from(below(&chunk[0]));
+        upper[0] += usize::from(above(&chunk[0]));
+        lower[1] += usize::from(below(&chunk[1]));
+        upper[1] += usize::from(above(&chunk[1]));
+        lower[2] += usize::from(below(&chunk[2]));
+        upper[2] += usize::from(above(&chunk[2]));
+        lower[3] += usize::from(below(&chunk[3]));
+        upper[3] += usize::from(above(&chunk[3]));
     }
-    let mut a = below[0] + below[1] + below[2] + below[3];
-    let mut c = above[0] + above[1] + above[2] + above[3];
+    let mut a = lower[0] + lower[1] + lower[2] + lower[3];
+    let mut c = upper[0] + upper[1] + upper[2] + upper[3];
     for e in chunks.remainder() {
-        a += usize::from(e < lo_pivot);
-        c += usize::from(e > hi_pivot);
+        a += usize::from(below(e));
+        c += usize::from(above(e));
     }
-    (a, data.len() - a - c, c)
+    (a, c)
+}
+
+/// Elements per block of [`partition_counts_sample_middle`]'s sweep.
+const SWEEP_BLOCK: usize = 256;
+
+/// [`partition_three_way_counts`] fused with a Bernoulli(ρ) sample of the
+/// middle range, in one sweep over `data`.  `None` is an open side of the
+/// bracket: `lo = None` counts nothing below and `hi = None` nothing above.
+/// Returns the three range sizes and the sampled middle elements in data
+/// order.
+///
+/// The sample — and the sequence of RNG draws — is bit-identical to
+/// collecting the middle range in order and calling [`bernoulli_sample`] on
+/// it: the skip sampler numbers the middle elements as it meets them, and it
+/// draws one skip per sampled element plus the one that ends the sample
+/// either way.  The sweep counts each block of 256 elements branchlessly and
+/// walks a block element by element only when the next sampled middle index
+/// falls inside it, up to its last sampled element, so at a low rate it
+/// costs what the counting pass costs.
+pub fn partition_counts_sample_middle<T: Ord + Clone, R: Rng + ?Sized>(
+    data: &[T],
+    lo: Option<&T>,
+    hi: Option<&T>,
+    rho: f64,
+    rng: &mut R,
+) -> ((usize, usize, usize), Vec<T>) {
+    match (lo, hi) {
+        (Some(lo), Some(hi)) => {
+            debug_assert!(lo <= hi);
+            sweep_counting_middle(data, |e| e < lo, |e| e > hi, rho, rng)
+        }
+        (Some(lo), None) => sweep_counting_middle(data, |e| e < lo, |_| false, rho, rng),
+        (None, Some(hi)) => sweep_counting_middle(data, |_| false, |e| e > hi, rho, rng),
+        (None, None) => ((0, data.len(), 0), bernoulli_sample(data, rho, rng)),
+    }
+}
+
+/// The sweep of [`partition_counts_sample_middle`] for one bracket shape.
+fn sweep_counting_middle<T: Clone, R: Rng + ?Sized>(
+    data: &[T],
+    below: impl Fn(&T) -> bool + Copy,
+    above: impl Fn(&T) -> bool + Copy,
+    rho: f64,
+    rng: &mut R,
+) -> ((usize, usize, usize), Vec<T>) {
+    // The middle has at most `data.len()` elements: a skip past its actual
+    // end is drawn all the same and never reached.
+    let mut sampler = BernoulliSampler::new(data.len(), rho);
+    let mut target = sampler.next_index(rng);
+    let mut sample = Vec::new();
+    let (mut a, mut middle, mut c) = (0usize, 0usize, 0usize);
+    for block in data.chunks(SWEEP_BLOCK) {
+        let (block_a, block_c) = count_outside(block, below, above);
+        let block_middle = block.len() - block_a - block_c;
+        let end = middle + block_middle;
+        let in_block = |target: Option<usize>| target.is_some_and(|t| t < end);
+        if in_block(target) {
+            let in_middle = block.iter().filter(|e| !below(e) && !above(e));
+            for (index, e) in (middle..).zip(in_middle) {
+                if target == Some(index) {
+                    sample.push(e.clone());
+                    target = sampler.next_index(rng);
+                    if !in_block(target) {
+                        break;
+                    }
+                }
+            }
+        }
+        a += block_a;
+        c += block_c;
+        middle += block_middle;
+    }
+    ((a, middle, c), sample)
 }
 
 #[cfg(test)]
@@ -419,6 +507,54 @@ mod tests {
                     (a.len(), b.len(), c.len()),
                     "n={n} pivots=({lo},{hi})"
                 );
+            }
+        }
+    }
+
+    /// The fused count-and-sample sweep must be indistinguishable — counts,
+    /// sample *and* RNG stream — from counting, collecting the middle range
+    /// and sampling it with `bernoulli_sample`, for every bracket shape and
+    /// across the sweep's block boundaries.
+    #[test]
+    fn counting_sweep_samples_the_middle_like_bernoulli_sample() {
+        use crate::sampling::bernoulli_sample;
+        let mut r = rng();
+        for n in [0usize, 1, 255, 256, 257, 3000] {
+            let data: Vec<u64> = (0..n).map(|_| r.gen_range(0..1000)).collect();
+            let brackets = [
+                (Some(250u64), Some(750u64)),
+                (Some(500), None),
+                (None, Some(20)),
+                (None, None),
+                (Some(3), Some(3)),
+            ];
+            for (lo, hi) in brackets {
+                for rho in [0.0, 0.003, 0.1, 0.5, 1.0] {
+                    for seed in 0..5u64 {
+                        let middle: Vec<u64> = data
+                            .iter()
+                            .copied()
+                            .filter(|e| {
+                                lo.is_none_or(|lo| *e >= lo) && hi.is_none_or(|hi| *e <= hi)
+                            })
+                            .collect();
+                        let a = lo.map_or(0, |lo| data.iter().filter(|e| **e < lo).count());
+                        let c = hi.map_or(0, |hi| data.iter().filter(|e| **e > hi).count());
+                        let mut rng_ref = StdRng::seed_from_u64(seed);
+                        let sample_ref = bernoulli_sample(&middle, rho, &mut rng_ref);
+                        let mut rng_fused = StdRng::seed_from_u64(seed);
+                        let got = partition_counts_sample_middle(
+                            &data,
+                            lo.as_ref(),
+                            hi.as_ref(),
+                            rho,
+                            &mut rng_fused,
+                        );
+                        let case = format!("n={n} bracket=({lo:?},{hi:?}) rho={rho} seed={seed}");
+                        assert_eq!(got, ((a, middle.len(), c), sample_ref), "{case}");
+                        assert_eq!(rng_fused.gen::<u64>(), rng_ref.gen::<u64>(), "{case}");
+                    }
+                }
             }
         }
     }
