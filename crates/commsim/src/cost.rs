@@ -127,8 +127,10 @@ pub mod predict {
     }
 
     /// Direct all-to-all delivery of `m_total` payload words per PE spread
-    /// over `p−1` destinations (each destination message pays its own length
-    /// word when the payload is a `Vec`): `p−1` start-ups, volume-optimal.
+    /// over `p−1` destinations — a PE keeps its own share, so `m_total`
+    /// counts only what it sends (each destination message pays its own
+    /// length word when the payload is a `Vec`): `p−1` start-ups,
+    /// volume-optimal.
     pub fn alltoall_direct(p: usize, m_total: f64) -> PredictedComm {
         PredictedComm::new(m_total + (p as f64 - 1.0), p as f64 - 1.0)
     }
@@ -340,17 +342,6 @@ mod tests {
 
         let out = run_spmd(p, move |comm| {
             let items: Vec<Vec<u64>> = (0..p).map(|_| vec![7u64; payload / p]).collect();
-            comm.alltoall(items);
-        });
-        check(
-            "alltoall direct",
-            predict::alltoall_direct(p, payload as f64),
-            out.stats.bottleneck_words(),
-            out.stats.bottleneck_messages(),
-        );
-
-        let out = run_spmd(p, move |comm| {
-            let items: Vec<Vec<u64>> = (0..p).map(|_| vec![7u64; payload / p]).collect();
             comm.alltoall_indirect(items);
         });
         check(
@@ -359,5 +350,28 @@ mod tests {
             out.stats.bottleneck_words(),
             out.stats.bottleneck_messages(),
         );
+    }
+
+    /// Direct delivery keeps a PE's own share and sends the other `p − 1`,
+    /// each with its length word, so its prediction at the `(p − 1)`-share
+    /// payload is not a bracket but the metered value itself.
+    #[test]
+    fn alltoall_direct_predicts_the_metered_bottleneck_exactly() {
+        use crate::communicator::Communicator;
+        use crate::runner::run_spmd;
+
+        let share = 8usize;
+        for p in [2usize, 5, 8, 64] {
+            let out = run_spmd(p, move |comm| {
+                comm.alltoall(vec![vec![7u64; share]; p]);
+            });
+            let pred = predict::alltoall_direct(p, ((p - 1) * share) as f64);
+            assert_eq!(pred.words, out.stats.bottleneck_words() as f64, "p={p}");
+            assert_eq!(
+                pred.startups,
+                out.stats.bottleneck_messages() as f64,
+                "p={p}"
+            );
+        }
     }
 }

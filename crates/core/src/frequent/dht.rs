@@ -11,13 +11,13 @@
 //! `(destination, origin, payload)` triples as they are, so an owner
 //! receives one payload per origin PE and sums them itself.
 //!
-//! The routing *fan-out* is tunable ([`DhtFanout`]): hypercube routing pays
-//! a `log₂ p` volume multiplier for its `O(log p)` start-ups, which is the
-//! right trade at large `p` but pure overhead at small `p`, where direct
-//! delivery's `p − 1` start-ups are no worse than `log₂ p` rounds and every
-//! key crosses the wire exactly once.  `Auto` (the default everywhere,
-//! including [`super::FrequentParams`]) delivers directly up to `p = 8`
-//! and routes over the hypercube beyond.
+//! The routing is a function of `p` alone (`routes_directly`).  Hypercube
+//! routing pays a `log₂ p` volume multiplier for its `O(log p)` start-ups,
+//! which is the right trade at large `p` but pure overhead at small `p`,
+//! where direct delivery's `p − 1` start-ups are no worse than `log₂ p`
+//! rounds and every key crosses the wire exactly once.  So the table
+//! delivers directly up to `p = 8` and routes over the hypercube beyond;
+//! no caller chooses, and the planner prices the route this rule takes.
 //!
 //! # The wire form of an aggregate
 //!
@@ -72,37 +72,17 @@ use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
 
-/// How locally aggregated `key → count` shares are routed to their owner PEs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DhtFanout {
-    /// Direct delivery up to 8 PEs (`AUTO_DIRECT_MAX_PES`), hypercube
-    /// routing beyond — the volume-optimal choice at small `p`
-    /// without giving up the logarithmic latency at large `p`.
-    #[default]
-    Auto,
-    /// Always direct: every key crosses the wire once
-    /// (`O(β·m + α·p)` per PE).
-    Direct,
-    /// Always hypercube-routed, as the paper describes for large clusters
-    /// (`O(β·m·log p + α·log p)` per PE).
-    Hypercube,
-}
+/// Largest PE count at which the table delivers directly: at `p ≤ 8` the
+/// start-up gap (`p − 1` vs `⌈log₂ p⌉`) is at most 4 messages, while
+/// hypercube routing would multiply the sample volume — the dominant cost of
+/// PAC/EC at quick scale — by up to 3×.
+const DIRECT_MAX_PES: usize = 8;
 
-impl DhtFanout {
-    /// Largest PE count at which [`DhtFanout::Auto`] still uses direct
-    /// delivery: at `p ≤ 8` the start-up gap (`p − 1` vs `⌈log₂ p⌉`) is at
-    /// most 4 messages while hypercube routing would multiply the sample
-    /// volume — the dominant cost of PAC/EC at quick scale — by up to 3×.
-    const AUTO_DIRECT_MAX_PES: usize = 8;
-
-    /// Whether this fan-out uses direct delivery at `p` PEs.
-    fn is_direct(self, p: usize) -> bool {
-        match self {
-            DhtFanout::Direct => true,
-            DhtFanout::Hypercube => false,
-            DhtFanout::Auto => p <= Self::AUTO_DIRECT_MAX_PES,
-        }
-    }
+/// Whether [`aggregate_counts`] delivers directly at `p` PEs (`O(β·m + α·p)`
+/// per PE, every key on the wire once) rather than over the hypercube
+/// (`O(β·m·log p + α·log p)`, as the paper describes for large clusters).
+pub(crate) fn routes_directly(p: usize) -> bool {
+    p <= DIRECT_MAX_PES
 }
 
 /// A `key → count` multiset in the form it crosses the wire: the keys grouped
@@ -294,8 +274,8 @@ impl WordCodec for KeyCounts {
 }
 
 /// Route locally aggregated `key → count` pairs to their owner PEs and return
-/// this PE's share of the global (sampled) counts, using the
-/// [`DhtFanout::Auto`] routing.
+/// this PE's share of the global (sampled) counts, delivered directly up to
+/// 8 PEs and over the hypercube beyond (the [module docs](self)).
 ///
 /// Every key appears in the result of exactly one PE, with the global sum of
 /// all PEs' local counts for it.
@@ -303,14 +283,15 @@ pub fn aggregate_counts<C: Communicator>(
     comm: &C,
     local_counts: HashMap<u64, u64>,
 ) -> HashMap<u64, u64> {
-    aggregate_counts_with(comm, local_counts, DhtFanout::Auto)
+    route(comm, local_counts, routes_directly(comm.size()))
 }
 
-/// [`aggregate_counts`] with an explicit routing fan-out.
-pub fn aggregate_counts_with<C: Communicator>(
+/// [`aggregate_counts`] by direct delivery or over the hypercube; the tests
+/// force either routing through it.
+fn route<C: Communicator>(
     comm: &C,
     local_counts: HashMap<u64, u64>,
-    fanout: DhtFanout,
+    direct: bool,
 ) -> HashMap<u64, u64> {
     let p = comm.size();
     // Partition the local aggregate by owner.
@@ -319,7 +300,7 @@ pub fn aggregate_counts_with<C: Communicator>(
         per_dest[owner_of(key, p)].push(key, count);
     }
     per_dest.iter_mut().for_each(KeyCounts::sort_runs);
-    let received = if fanout.is_direct(p) {
+    let received = if direct {
         comm.alltoall(per_dest)
     } else {
         comm.alltoall_indirect(per_dest)
@@ -662,32 +643,32 @@ mod tests {
     }
 
     #[test]
-    fn auto_fanout_switches_from_direct_to_hypercube() {
-        assert!(DhtFanout::Auto.is_direct(2));
-        assert!(DhtFanout::Auto.is_direct(DhtFanout::AUTO_DIRECT_MAX_PES));
-        assert!(!DhtFanout::Auto.is_direct(DhtFanout::AUTO_DIRECT_MAX_PES + 1));
-        assert!(DhtFanout::Direct.is_direct(1024));
-        assert!(!DhtFanout::Hypercube.is_direct(2));
+    fn the_table_delivers_directly_up_to_8_pes_and_over_the_hypercube_beyond() {
+        assert!(routes_directly(1));
+        assert!(routes_directly(2));
+        assert!(routes_directly(DIRECT_MAX_PES));
+        assert!(!routes_directly(DIRECT_MAX_PES + 1));
+        assert!(!routes_directly(1024));
     }
 
     #[test]
-    fn direct_fanout_moves_fewer_words_than_hypercube_at_small_p() {
+    fn direct_delivery_moves_fewer_words_than_hypercube_at_small_p() {
         // Hypercube routing forwards each pair up to log2(p) times; direct
         // delivery sends it once.  Same owned result either way.
         let p = 8;
-        let run = |fanout: DhtFanout| {
+        let run = |direct: bool| {
             run_spmd(p, move |comm| {
                 let local: HashMap<u64, u64> = (0..64u64)
                     .map(|k| (k * 8 + comm.rank() as u64, 1))
                     .collect();
                 let before = comm.stats_snapshot();
-                let owned = aggregate_counts_with(comm, local, fanout);
+                let owned = route(comm, local, direct);
                 let words = comm.stats_snapshot().since(&before).bottleneck_words();
                 (words, owned.len())
             })
         };
-        let direct = run(DhtFanout::Direct);
-        let hypercube = run(DhtFanout::Hypercube);
+        let direct = run(true);
+        let hypercube = run(false);
         // Compare exactly the aggregation phase (the per-PE snapshot deltas),
         // summed over the PEs.
         let dw: u64 = direct.results.iter().map(|&(w, _)| w).sum();
@@ -723,13 +704,13 @@ mod tests {
             .collect()
     }
 
-    /// The wire form changes what a share costs, not who owns what: under
-    /// both routings every PE ends up with the sequential oracle's map, and
-    /// under direct delivery a PE sends each other PE exactly the
-    /// `encoded_len` of its keys for that owner.
+    /// The wire form changes what a share costs, not who owns what: on both
+    /// sides of the routing rule every PE ends up with the sequential
+    /// oracle's map, and under direct delivery a PE sends each other PE
+    /// exactly the `encoded_len` of its keys for that owner.
     #[test]
     fn owned_maps_match_the_oracle_and_a_direct_share_costs_its_encoded_len() {
-        for p in [2usize, 5, 8] {
+        for p in [2usize, 5, 8, 16] {
             let locals: Vec<HashMap<u64, u64>> = zipf_parts(p, 4000, 1 << 10, 0x2400)
                 .into_iter()
                 .map(count_keys)
@@ -746,21 +727,19 @@ mod tests {
                     .collect();
                 share.encoded_len() as u64
             };
-            for fanout in [DhtFanout::Direct, DhtFanout::Hypercube] {
-                let out = run_spmd(p, |comm| {
-                    let before = comm.stats_snapshot();
-                    let owned = aggregate_counts_with(comm, locals[comm.rank()].clone(), fanout);
-                    (owned, comm.stats_snapshot().since(&before).sent_words)
-                });
-                for (rank, (owned, sent)) in out.results.iter().enumerate() {
-                    assert_eq!(owned, &expected[rank], "p={p} {fanout:?} rank {rank}");
-                    if fanout == DhtFanout::Direct {
-                        let words: u64 = (0..p)
-                            .filter(|&dst| dst != rank)
-                            .map(|dst| share_words(rank, dst))
-                            .sum();
-                        assert_eq!(*sent, words, "p={p} rank {rank}");
-                    }
+            let out = run_spmd(p, |comm| {
+                let before = comm.stats_snapshot();
+                let owned = aggregate_counts(comm, locals[comm.rank()].clone());
+                (owned, comm.stats_snapshot().since(&before).sent_words)
+            });
+            for (rank, (owned, sent)) in out.results.iter().enumerate() {
+                assert_eq!(owned, &expected[rank], "p={p} rank {rank}");
+                if routes_directly(p) {
+                    let words: u64 = (0..p)
+                        .filter(|&dst| dst != rank)
+                        .map(|dst| share_words(rank, dst))
+                        .sum();
+                    assert_eq!(*sent, words, "p={p} rank {rank}");
                 }
             }
         }
@@ -817,27 +796,71 @@ mod tests {
         };
         let p = 4;
         let parts = zipf_parts(p, 1 << 15, 1 << 12, 0x2400);
-        for fanout in [DhtFanout::Direct, DhtFanout::Hypercube] {
-            let params = FrequentParams::new(8, 0.03, 1e-3, 0x24).with_dht_fanout(fanout);
-            for algorithm in Algorithm::ALL {
-                let threads = run_spmd(p, |c| algorithm.run(c, &parts[c.rank()], &params));
-                let mux = World::new(p)
-                    .mux(|c| algorithm.run(c, &parts[c.rank()], &params))
-                    .fault_free();
-                let inline = run_spmd_seq(p, |c| algorithm.run(c, &parts[c.rank()], &params));
-                for (engine, results) in [
-                    ("threads", &threads.results),
-                    ("mux", &mux.results),
-                    ("inline", &inline.results),
-                ] {
-                    for result in results {
-                        assert_eq!(
-                            result,
-                            &golden(algorithm),
-                            "{algorithm:?} {fanout:?} {engine}"
-                        );
-                    }
+        let params = FrequentParams::new(8, 0.03, 1e-3, 0x24);
+        for algorithm in Algorithm::ALL {
+            for (engine, results) in on_every_engine(p, &parts, algorithm, &params) {
+                for (result, _) in results {
+                    assert_eq!(result, golden(algorithm), "{algorithm:?} {engine}");
                 }
+            }
+        }
+    }
+
+    /// One PE's result and its traffic: messages and words, each direction.
+    type Metered = (TopKFrequentResult, [u64; 4]);
+
+    fn run_metered<C: Communicator>(
+        comm: &C,
+        parts: &[Vec<u64>],
+        algorithm: Algorithm,
+        params: &FrequentParams,
+    ) -> Metered {
+        let result = algorithm.run(comm, &parts[comm.rank()], params);
+        let s = comm.stats_snapshot();
+        let traffic = [
+            s.sent_messages,
+            s.sent_words,
+            s.received_messages,
+            s.received_words,
+        ];
+        (result, traffic)
+    }
+
+    /// Every PE's [`run_metered`] on the threaded engine and on the replay
+    /// engine's pool and inline drivers.
+    fn on_every_engine(
+        p: usize,
+        parts: &[Vec<u64>],
+        algorithm: Algorithm,
+        params: &FrequentParams,
+    ) -> [(&'static str, Vec<Metered>); 3] {
+        let mux = World::new(p).mux(|c| run_metered(c, parts, algorithm, params));
+        [
+            (
+                "threads",
+                run_spmd(p, |c| run_metered(c, parts, algorithm, params)).results,
+            ),
+            ("mux", mux.fault_free().results),
+            (
+                "inline",
+                run_spmd_seq(p, |c| run_metered(c, parts, algorithm, params)).results,
+            ),
+        ]
+    }
+
+    /// Above 8 PEs every §7 algorithm's table crosses the hypercube: the
+    /// three engines agree on every PE's answer and on its metered traffic.
+    #[test]
+    fn every_algorithm_agrees_across_engines_over_the_hypercube() {
+        let p = 16;
+        assert!(!routes_directly(p));
+        let parts = zipf_parts(p, 1 << 11, 1 << 12, 0x2416);
+        let params = FrequentParams::new(8, 0.03, 1e-3, 0x24);
+        for algorithm in Algorithm::ALL {
+            let [(_, reference), rest @ ..] = on_every_engine(p, &parts, algorithm, &params);
+            assert!(reference.windows(2).all(|w| w[0].0 == w[1].0));
+            for (engine, results) in rest {
+                assert_eq!(results, reference, "{algorithm:?} {engine}");
             }
         }
     }

@@ -48,7 +48,7 @@ pub(crate) fn top_k<C: Communicator>(
     let rho = (target as f64 / n as f64).clamp(0.0, 1.0);
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD);
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let owned = dht::aggregate_counts(comm, counts);
     let items = count_candidates(comm, local_data, &owned, k_star, params.k);
     (items, sample_size)
 }

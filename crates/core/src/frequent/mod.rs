@@ -13,7 +13,8 @@
 //!
 //! 1. one **sampling stage**: a Bernoulli sample at rate ρ, aggregated
 //!    locally, plus the global sample size;
-//! 2. the distributed hash table of [`dht`] that counts the sample (the
+//! 2. the distributed hash table of [`dht`] that counts the sample, by
+//!    direct delivery up to 8 PEs and over the hypercube beyond (the
 //!    baselines ship the aggregate to a coordinator instead);
 //! 3. [`select_top_counts`], the top-`k` merge of the DHT shares: `⌈log₂ p⌉`
 //!    exchanges of at most `k` coded entries;
@@ -58,7 +59,9 @@ use rand::SeedableRng;
 use seqkit::hashagg::count_keys;
 use seqkit::sampling::bernoulli_sample;
 
-/// Parameters shared by all top-k most-frequent-objects algorithms.
+/// Parameters shared by all top-k most-frequent-objects algorithms.  The
+/// hash table's routing is not one of them: [`dht::aggregate_counts`]
+/// derives it from `p` alone.
 #[derive(Debug, Clone, Copy)]
 pub struct FrequentParams {
     /// Number of most frequent objects to report.
@@ -71,15 +74,10 @@ pub struct FrequentParams {
     pub delta: f64,
     /// Seed for all randomness (the samples).
     pub seed: u64,
-    /// Routing fan-out of the sample-counting distributed hash table.  The
-    /// default [`dht::DhtFanout::Auto`] uses direct delivery at small `p`
-    /// (volume-optimal: no `log p` forwarding multiplier) and hypercube
-    /// routing at large `p` (latency-optimal, as the paper describes).
-    pub dht_fanout: dht::DhtFanout,
 }
 
 impl FrequentParams {
-    /// Convenience constructor (uses the [`dht::DhtFanout::Auto`] routing).
+    /// Convenience constructor.
     pub fn new(k: usize, epsilon: f64, delta: f64, seed: u64) -> Self {
         assert!(k >= 1, "k must be at least 1");
         assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
@@ -89,14 +87,7 @@ impl FrequentParams {
             epsilon,
             delta,
             seed,
-            dht_fanout: dht::DhtFanout::Auto,
         }
-    }
-
-    /// Override the distributed-hash-table routing fan-out.
-    pub fn with_dht_fanout(mut self, fanout: dht::DhtFanout) -> Self {
-        self.dht_fanout = fanout;
-        self
     }
 }
 

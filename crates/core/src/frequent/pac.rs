@@ -47,7 +47,7 @@ pub(crate) fn top_k<C: Communicator>(
     let rho = sampling_probability(n, params);
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37);
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let owned = dht::aggregate_counts(comm, counts);
     let top = select_top_counts(comm, &owned, params.k);
     (scale_counts(top, rho), sample_size)
 }

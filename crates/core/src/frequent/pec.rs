@@ -73,7 +73,7 @@ pub(crate) fn top_k<C: Communicator>(
     let rho0 = pac::sampling_probability(n, &coarse);
     let rng_seed = params.seed ^ 0x9EC0 ^ comm.rank() as u64;
     let (counts, sample_size) = sample_counts(comm, local_data, rho0, rng_seed);
-    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let owned = dht::aggregate_counts(comm, counts);
     let top_k = select_top_counts(comm, &owned, params.k);
     if rho0 >= 1.0 {
         // The sample is the input: its counts are exact.
@@ -120,7 +120,7 @@ pub fn pec_zipf_top_k<C: Communicator>(
     // EC's pipeline with the closed-form ρ and k*.
     let rng_seed = params.seed ^ 0x21F ^ comm.rank() as u64;
     let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts_with(comm, counts, params.dht_fanout);
+    let owned = dht::aggregate_counts(comm, counts);
     let items = count_candidates(comm, local_data, &owned, k_star, params.k);
     TopKFrequentResult {
         items,

@@ -1,11 +1,14 @@
 //! Cost-model-driven algorithm planner: `plan → execute → audit`.
 //!
-//! The repo has five frequent-objects algorithms ([`Algorithm`]) and two
-//! all-to-all routings ([`DhtFanout`]), and until this module every caller
-//! picked by hand.  The planner makes the choice the way the paper does in
-//! its analysis: predict the per-PE bottleneck words and start-ups of every
-//! candidate from closed-form formulas, price them with the α/β
-//! [`CostModel`], and dispatch to the argmin.
+//! The repo has five frequent-objects algorithms ([`Algorithm`]), and until
+//! this module every caller picked by hand.  The planner makes the choice
+//! the way the paper does in its analysis: predict the per-PE bottleneck
+//! words and start-ups of every candidate from closed-form formulas, price
+//! them with the α/β [`CostModel`], and dispatch to the argmin.  The hash
+//! table's routing is not a choice: it is a function of `p` inside
+//! [`aggregate_counts`](crate::frequent::dht::aggregate_counts) — direct up
+//! to 8 PEs, hypercube beyond — and every candidate is priced on the route
+//! that rule takes.
 //!
 //! The prediction formulas compose the per-collective terms of
 //! [`commsim::cost::predict`] (which match the implemented binomial-tree and
@@ -61,8 +64,7 @@
 use commsim::cost::predict;
 use commsim::{Communicator, CostModel, PredictedComm};
 
-use crate::frequent::dht::DhtFanout;
-use crate::frequent::{ec, naive, pac, pec};
+use crate::frequent::{dht, ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
 use seqkit::skew::{expected_distinct, fit_zipf_exponent, generalized_harmonic};
 
@@ -242,13 +244,11 @@ pub struct PlanInputs {
     pub skew: SkewEstimate,
 }
 
-/// One algorithm's prediction, with the fan-out already optimised.
+/// One algorithm's prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanCandidate {
     /// The algorithm this candidate prices.
     pub algorithm: Algorithm,
-    /// The cheaper of the two DHT routings under the cost model.
-    pub fanout: DhtFanout,
     /// Predicted bottleneck words and start-ups per PE.
     pub predicted: PredictedComm,
     /// `α·startups + β·words` under the planner's cost model.
@@ -267,8 +267,6 @@ pub struct Plan {
     /// Chosen algorithm (argmin of predicted bottleneck words; modeled
     /// α/β time breaks ties).
     pub algorithm: Algorithm,
-    /// Chosen DHT routing.
-    pub fanout: DhtFanout,
     /// Predicted global sample size of the chosen algorithm.
     pub sample_target: u64,
     /// Predicted candidate-set size of the chosen algorithm.
@@ -283,10 +281,9 @@ pub struct Plan {
 
 impl Plan {
     /// The [`FrequentParams`] a planned execution runs with: the caller's
-    /// accuracy targets plus the plan's routing choice.
+    /// accuracy targets.
     pub fn params(&self, seed: u64) -> FrequentParams {
         FrequentParams::new(self.inputs.k, self.inputs.epsilon, self.inputs.delta, seed)
-            .with_dht_fanout(self.fanout)
     }
 
     /// Execute the plan (collective) and audit the prediction: the algorithm
@@ -307,7 +304,6 @@ impl Plan {
         let measured_startups = comm.allreduce_max(delta.bottleneck_messages());
         let audit = PlanAudit {
             algorithm: self.algorithm,
-            fanout: self.fanout,
             p: self.inputs.p,
             n: self.inputs.n,
             k: self.inputs.k,
@@ -334,18 +330,16 @@ impl Plan {
                 " "
             };
             out.push_str(&format!(
-                " {marker} {:<10} fanout={:<9} pred_words={:<12.1} pred_startups={:<6.1} modeled={:.3e}s\n",
+                " {marker} {:<10} pred_words={:<12.1} pred_startups={:<6.1} modeled={:.3e}s\n",
                 c.algorithm.token(),
-                fanout_token(c.fanout),
                 c.predicted.words,
                 c.predicted.startups,
                 c.modeled_seconds,
             ));
         }
         out.push_str(&format!(
-            "  chosen algo={} fanout={} sample_target={} k_star={}",
+            "  chosen algo={} sample_target={} k_star={}",
             self.algorithm.token(),
-            fanout_token(self.fanout),
             self.sample_target,
             self.k_star
         ));
@@ -358,8 +352,6 @@ impl Plan {
 pub struct PlanAudit {
     /// The executed algorithm.
     pub algorithm: Algorithm,
-    /// The DHT routing it ran with.
-    pub fanout: DhtFanout,
     /// World size.
     pub p: usize,
     /// Global input size.
@@ -378,13 +370,14 @@ impl PlanAudit {
     /// The stable one-line audit format the CI smoke checks grep for:
     ///
     /// ```text
-    /// plan-audit algo=pac fanout=direct p=4 n=4096 k=32 pred_words=123.4 \
-    /// meas_words=150 pred_startups=40.0 meas_startups=38 words_err=-17.7% startups_err=5.3%
+    /// plan-audit algo=pac p=4 n=4096 k=32 pred_words=123.4 meas_words=150 \
+    /// pred_startups=40.0 meas_startups=38 words_err=-17.7% startups_err=5.3%
     /// ```
     ///
     /// (One line; round-trips through [`PlanAudit::parse`]: the errors are
     /// derived from the printed one-decimal predictions, which is all a
-    /// parsed row has.)
+    /// parsed row has.  The hash table's route is not printed: it is a
+    /// function of `p`.)
     pub fn audit_line(&self) -> String {
         let words = format!("{:.1}", self.predicted.words);
         let startups = format!("{:.1}", self.predicted.startups);
@@ -393,10 +386,9 @@ impl PlanAudit {
             relative_error(printed, measured) * 100.0
         };
         format!(
-            "plan-audit algo={} fanout={} p={} n={} k={} pred_words={words} meas_words={} \
+            "plan-audit algo={} p={} n={} k={} pred_words={words} meas_words={} \
              pred_startups={startups} meas_startups={} words_err={:.1}% startups_err={:.1}%",
             self.algorithm.token(),
-            fanout_token(self.fanout),
             self.p,
             self.n,
             self.k,
@@ -413,7 +405,6 @@ impl PlanAudit {
     pub fn parse(line: &str) -> Option<PlanAudit> {
         let rest = line.trim().strip_prefix("plan-audit ")?;
         let mut algorithm = None;
-        let mut fanout = None;
         let (mut p, mut n, mut k) = (None, None, None);
         let (mut pred_words, mut meas_words) = (None, None);
         let (mut pred_startups, mut meas_startups) = (None, None);
@@ -421,7 +412,6 @@ impl PlanAudit {
             let (key, value) = field.split_once('=')?;
             match key {
                 "algo" => algorithm = Algorithm::parse(value),
-                "fanout" => fanout = parse_fanout(value),
                 "p" => p = value.parse::<usize>().ok(),
                 "n" => n = value.parse::<u64>().ok(),
                 "k" => k = value.parse::<usize>().ok(),
@@ -430,13 +420,12 @@ impl PlanAudit {
                 "pred_startups" => pred_startups = value.parse::<f64>().ok(),
                 "meas_startups" => meas_startups = value.parse::<u64>().ok(),
                 // The error fields are derived; tolerate and ignore them
-                // (and any future additions).
+                // (and any future additions, or fields older rows carry).
                 _ => {}
             }
         }
         Some(PlanAudit {
             algorithm: algorithm?,
-            fanout: fanout?,
             p: p?,
             n: n?,
             k: k?,
@@ -454,23 +443,6 @@ fn relative_error(predicted: f64, measured: u64) -> f64 {
         0.0
     } else {
         (predicted - measured as f64) / measured as f64
-    }
-}
-
-fn fanout_token(f: DhtFanout) -> &'static str {
-    match f {
-        DhtFanout::Auto => "auto",
-        DhtFanout::Direct => "direct",
-        DhtFanout::Hypercube => "hypercube",
-    }
-}
-
-fn parse_fanout(s: &str) -> Option<DhtFanout> {
-    match s {
-        "auto" => Some(DhtFanout::Auto),
-        "direct" => Some(DhtFanout::Direct),
-        "hypercube" => Some(DhtFanout::Hypercube),
-        _ => None,
     }
 }
 
@@ -520,7 +492,6 @@ impl Planner {
         Plan {
             inputs,
             algorithm: best.algorithm,
-            fanout: best.fanout,
             sample_target: best.sample_target,
             k_star: best.k_star,
             predicted: best.predicted,
@@ -553,12 +524,11 @@ impl Planner {
         })
     }
 
-    /// Price one algorithm, with the fan-out optimised under the model.
+    /// Price one algorithm.
     fn candidate(&self, algorithm: Algorithm, i: &PlanInputs) -> PlanCandidate {
-        let (predicted, fanout, sample_target, k_star) = self.predict_algorithm(algorithm, i);
+        let (predicted, sample_target, k_star) = self.predict_algorithm(algorithm, i);
         PlanCandidate {
             algorithm,
-            fanout,
             predicted,
             modeled_seconds: self.cost.predicted_cost(&predicted),
             sample_target,
@@ -567,12 +537,8 @@ impl Planner {
     }
 
     /// The per-algorithm closed-form prediction (see the module docs for the
-    /// formula provenance).  Returns (prediction, fanout, sample, k*).
-    fn predict_algorithm(
-        &self,
-        algorithm: Algorithm,
-        i: &PlanInputs,
-    ) -> (PredictedComm, DhtFanout, u64, u64) {
+    /// formula provenance).  Returns (prediction, sample, k*).
+    fn predict_algorithm(&self, algorithm: Algorithm, i: &PlanInputs) -> (PredictedComm, u64, u64) {
         let p = i.p;
         let n = i.n.max(1);
         let k = i.k as f64;
@@ -585,11 +551,11 @@ impl Planner {
         // `Algorithm::run` reduces the global `n` once, whatever the algorithm.
         let start = Traffic::new(p).allreduce(1.0);
 
-        let (traffic, fanout, sample, k_star) = match algorithm {
+        let (traffic, sample, k_star) = match algorithm {
             Algorithm::Pac => {
                 let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let (fanout, traffic) = self.sampling_stage(start, s, d_loc(s), d(s as f64), k, u);
-                (traffic, fanout, s, i.k as u64)
+                let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k, u);
+                (traffic, s, i.k as u64)
             }
             Algorithm::Ec => {
                 let k_star = ec::optimal_k_star(n, p, &params);
@@ -597,10 +563,9 @@ impl Planner {
                 // The merge returns at most the sample's distinct keys, and
                 // the exact counts are of that candidate set.
                 let k_eff = (k_star as f64).min(d(s as f64));
-                let (fanout, traffic) =
-                    self.sampling_stage(start, s, d_loc(s), d(s as f64), k_eff, u);
-                let traffic = traffic.allreduce(packed_counts_words(k_eff, i));
-                (traffic, fanout, s, k_star as u64)
+                let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k_eff, u)
+                    .allreduce(packed_counts_words(k_eff, i));
+                (traffic, s, k_star as u64)
             }
             Algorithm::Pec => {
                 // The PAC machinery at the coarse ε₀; a sample of the whole
@@ -608,9 +573,9 @@ impl Planner {
                 let epsilon0 = pec::coarse_epsilon(i.epsilon);
                 let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
                 let d0 = d(s0 as f64);
-                let (fanout, traffic) = self.sampling_stage(start, s0, d_loc(s0), d0, k, u);
+                let traffic = sampling_stage(start, s0, d_loc(s0), d0, k, u);
                 if s0 >= n {
-                    (traffic, fanout, s0, i.k as u64)
+                    (traffic, s0, i.k as u64)
                 } else {
                     // k* from the Theorem-14 Zipf closed form; its sum
                     // reduction, the candidates' merge and exact counts.
@@ -624,7 +589,7 @@ impl Planner {
                         .allreduce(1.0)
                         .top_counts(d0, k_eff, s0 as f64, u)
                         .allreduce(packed_counts_words(k_eff, i));
-                    (traffic, fanout, s0, k_star as u64)
+                    (traffic, s0, k_star as u64)
                 }
             }
             Algorithm::Naive | Algorithm::NaiveTree => {
@@ -652,57 +617,47 @@ impl Planner {
                 // The sample-size all-reduction, the shipment, and the
                 // coordinator's broadcast of the winners.
                 let traffic = start.allreduce(1.0).exchange(up, up_leaf, 2.0 * k + 1.0);
-                (traffic, DhtFanout::Auto, s, i.k as u64)
+                (traffic, s, i.k as u64)
             }
         };
-        (traffic.bottleneck(), fanout, sample, k_star)
+        (traffic.bottleneck(), sample, k_star)
     }
+}
 
-    /// The sampling stage after the `n` reduction: the sample-size
-    /// all-reduction, the DHT over the sample's aggregate and the top-`k`
-    /// merge (PAC's answer, PEC's `ŝ_k`, EC's candidates).  Keys are drawn
-    /// from `universe` distinct values.
-    fn sampling_stage(
-        &self,
-        traffic: Traffic,
-        sample: u64,
-        d_local: f64,
-        d_global: f64,
-        k: f64,
-        universe: f64,
-    ) -> (DhtFanout, Traffic) {
-        let mass_local = sample as f64 / traffic.p as f64;
-        let (fanout, dht) = Self::best_fanout(traffic.p, d_local, mass_local, universe);
-        let traffic = traffic
-            .allreduce(1.0) // global sample size
-            .everywhere(dht)
-            .top_counts(d_global, k, sample as f64, universe);
-        (fanout, traffic)
-    }
+/// The sampling stage after the `n` reduction: the sample-size
+/// all-reduction, the DHT over the sample's aggregate and the top-`k` merge
+/// (PAC's answer, PEC's `ŝ_k`, EC's candidates).  Keys are drawn from
+/// `universe` distinct values.
+fn sampling_stage(
+    traffic: Traffic,
+    sample: u64,
+    d_local: f64,
+    d_global: f64,
+    k: f64,
+    universe: f64,
+) -> Traffic {
+    let mass_local = sample as f64 / traffic.p as f64;
+    traffic
+        .allreduce(1.0) // global sample size
+        .everywhere(dht_exchange(traffic.p, d_local, mass_local, universe))
+        .top_counts(d_global, k, sample as f64, universe)
+}
 
-    /// Choose the DHT routing that moves fewer words — the plan's own
-    /// criterion — for one PE's `d_local` distinct keys of `universe`, whose
-    /// counts sum to `mass_local`, and return its prediction: one
-    /// [`KeyCounts`](crate::frequent::dht::KeyCounts) per destination, whose
-    /// leading word the all-to-all terms charge per message.  A destination's
-    /// share is `1/p` of the keys, but hashing spreads them over the whole
-    /// universe.
-    fn best_fanout(
-        p: usize,
-        d_local: f64,
-        mass_local: f64,
-        universe: f64,
-    ) -> (DhtFanout, PredictedComm) {
-        let shares = p.max(1) as f64;
-        let share = key_counts_words(d_local / shares, mass_local / shares, universe);
-        let m_total = shares * (share - 1.0);
-        let direct = predict::alltoall_direct(p, m_total);
-        let hypercube = predict::alltoall_hypercube(p, m_total);
-        if direct.words <= hypercube.words {
-            (DhtFanout::Direct, direct)
-        } else {
-            (DhtFanout::Hypercube, hypercube)
-        }
+/// The DHT's all-to-all of one PE's `d_local` distinct keys of `universe`,
+/// whose counts sum to `mass_local`, on the route
+/// [`aggregate_counts`](crate::frequent::dht::aggregate_counts) takes at `p`:
+/// one [`KeyCounts`](crate::frequent::dht::KeyCounts) per destination, whose
+/// leading word the all-to-all terms charge per message.  A destination's
+/// share is `1/p` of the keys, but hashing spreads them over the whole
+/// universe.  Direct delivery keeps the PE's own share and sends the other
+/// `p − 1`; the hypercube term is charged all `p`.
+fn dht_exchange(p: usize, d_local: f64, mass_local: f64, universe: f64) -> PredictedComm {
+    let shares = p.max(1) as f64;
+    let payload = key_counts_words(d_local / shares, mass_local / shares, universe) - 1.0;
+    if dht::routes_directly(p) {
+        predict::alltoall_direct(p, (shares - 1.0) * payload)
+    } else {
+        predict::alltoall_hypercube(p, shares * payload)
     }
 }
 
@@ -872,7 +827,6 @@ mod tests {
     fn audit_lines_round_trip_through_parse() {
         let audit = PlanAudit {
             algorithm: Algorithm::NaiveTree,
-            fanout: DhtFanout::Hypercube,
             p: 16,
             n: 123_456,
             k: 32,
@@ -883,7 +837,6 @@ mod tests {
         let line = audit.audit_line();
         let parsed = PlanAudit::parse(&line).expect("audit line must parse");
         assert_eq!(parsed.algorithm, audit.algorithm);
-        assert_eq!(parsed.fanout, audit.fanout);
         assert_eq!((parsed.p, parsed.n, parsed.k), (16, 123_456, 32));
         assert_eq!(parsed.measured_words, 1500);
         assert_eq!(parsed.measured_startups, 55);
@@ -919,7 +872,6 @@ mod tests {
     fn audit_line_errors_follow_the_printed_prediction() {
         let audit = PlanAudit {
             algorithm: Algorithm::Pac,
-            fanout: DhtFanout::Direct,
             p: 4,
             n: 4096,
             k: 8,

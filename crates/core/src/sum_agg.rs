@@ -95,7 +95,7 @@ fn sample_and_count<C: Communicator>(
     }
     let local_sample_size: u64 = local_samples.values().sum();
     let sample_size = comm.allreduce_sum(local_sample_size);
-    let owned = dht::aggregate_counts_with(comm, local_samples, params.dht_fanout);
+    let owned = dht::aggregate_counts(comm, local_samples);
     (owned, v_avg, sample_size, local_agg)
 }
 

@@ -3,20 +3,21 @@
 //! Three properties carry the dispatch layer:
 //!
 //! 1. **Bounded regret** — across a quick-scale grid of (n, k, p, skew)
-//!    cells, the planner's pick never moves more than 1.3× the measured
+//!    cells, the planner's pick never moves more than 1.05× the measured
 //!    bottleneck words/PE of the empirically best algorithm for that cell.
-//!    Since every aggregate crosses the wire as one bit stream, PAC is the
-//!    measured argmin in 9 of the 12 cells and EC in 3 (s = 0.8,
-//!    n/p = 2048); the worst cell reads 1.25× (p = 4, n/p = 2048, s = 1.3:
-//!    EC picked at 90 words against PAC's 72).
-//!    The model may misrank close calls; it must not pick a blowout.
+//!    PAC is the measured argmin in 9 of the 12 cells and EC in 3 (s = 0.8,
+//!    n/p = 2048), and the planner picks the argmin in every cell (1.00×):
+//!    it prices the hash table on the route the code takes, direct delivery
+//!    charged for the `p − 1` shares a PE sends.  The bound leaves room for
+//!    a close call, not for a misranking.
 //! 2. **Determinism across backends** — the plan derived from the data (and
 //!    its `explain()` rendering) is identical on every PE of every backend,
 //!    because the skew estimate is combined through one integer allreduce.
 //! 3. **Exact start-ups** — the model charges every collective and merge
-//!    round each algorithm runs, so on fig7's quick input and on an input
-//!    where PEC samples (both of its branches) every algorithm's predicted
-//!    start-ups equal the metered ones.
+//!    round each algorithm runs, so on fig7's quick input, on both sides of
+//!    the hash table's routing rule, and on an input where PEC samples (both
+//!    of its branches) every algorithm's predicted start-ups equal the
+//!    metered ones.
 
 use proptest::prelude::*;
 use topk_selection::datagen::Zipf;
@@ -66,9 +67,9 @@ fn the_planned_pick_stays_within_bounded_factor_of_the_empirical_argmin() {
                 // The audit's measurement is the same metering window the
                 // fixed runs used, so the regret bound reads off it.
                 assert!(
-                    audit.measured_words as f64 <= 1.3 * best as f64,
+                    audit.measured_words as f64 <= 1.05 * best as f64,
                     "cell p={p} per_pe={per_pe} s={exponent}: planner picked {picked:?} \
-                     moving {} words/PE, empirical best is {best} (bound 1.3x)",
+                     moving {} words/PE, empirical best is {best} (bound 1.05x)",
                     audit.measured_words
                 );
             }
@@ -97,15 +98,13 @@ fn every_planned_execution_emits_a_parseable_audit_row() {
             "audit line must re-render identically"
         );
         assert_eq!(
-            (
-                parsed.algorithm,
-                parsed.fanout,
-                parsed.p,
-                parsed.n,
-                parsed.k
-            ),
-            (audit.algorithm, audit.fanout, audit.p, audit.n, audit.k)
+            (parsed.algorithm, parsed.p, parsed.n, parsed.k),
+            (audit.algorithm, audit.p, audit.n, audit.k)
         );
+        // A row that still names the hash table's route, as rows did while
+        // it was a plan field, parses to the same audit.
+        let old = line.replacen(" p=", " fanout=direct p=", 1);
+        assert_eq!(PlanAudit::parse(&old), Some(parsed));
         assert_eq!(
             (parsed.measured_words, parsed.measured_startups),
             (audit.measured_words, audit.measured_startups)
@@ -190,10 +189,11 @@ proptest! {
 /// candidates, executed, and its audit's predicted start-ups must equal the
 /// metered ones, on Zipf(1.0) inputs with ε = 0.05: fig7's quick input
 /// (`fig7 --per-pe 10`: 2^20 values, k = 32, δ = 10⁻⁴) at p = 2 and 4, where
-/// PEC's coarse sample is the whole input and its counts are exact, and
-/// 2^13 elements per PE over 2^14 values at p = 4 with k = 4, δ = 10⁻²,
-/// where PEC samples about two thirds of the input and counts its
-/// candidates.
+/// the hash table delivers directly, and at p = 16, where it routes over the
+/// hypercube — PEC's coarse sample is the whole input and its counts are
+/// exact at all three — and 2^13 elements per PE over 2^14 values at p = 4
+/// with k = 4, δ = 10⁻², where PEC samples about two thirds of the input and
+/// counts its candidates.
 #[test]
 fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
     // (p, elements per PE, values, k, δ, PEC samples the whole input)
@@ -201,6 +201,7 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
         (2usize, 1usize << 10, 1usize << 20, 32usize, 1e-4, true),
         (4, 1 << 10, 1 << 20, 32, 1e-4, true),
         (4, 1 << 13, 1 << 14, 4, 1e-2, false),
+        (16, 1 << 10, 1 << 20, 32, 1e-4, true),
     ];
     for (p, per_pe, universe, k, delta, whole) in inputs {
         let out = run_spmd_seq(p, |comm| {
@@ -214,7 +215,6 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
                     .unwrap();
                 let pinned = Plan {
                     algorithm,
-                    fanout: c.fanout,
                     sample_target: c.sample_target,
                     k_star: c.k_star,
                     predicted: c.predicted,
