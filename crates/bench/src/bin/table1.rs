@@ -12,11 +12,15 @@
 //! cargo run -p bench --release --bin table1 -- [--quick] \
 //!     [--section all|unsorted|sorted|pq|frequent|sumagg|multicriteria|redistribution] \
 //!     [--backend threaded|seq|mux] \
-//!     [--algo pac|ec|pec|naive|naive-tree|all|auto] [--plan-explain]
+//!     [--algo pac|ec|pec|naive|naive-tree|all|auto] [--plan-explain] \
+//!     [--pes 4,16,64]
 //! ```
 //!
 //! `--quick` shrinks the instance to a CI-friendly smoke size; the
 //! separations stay visible, the absolute numbers shrink.
+//! `--pes` prints one table per PE count in its comma-separated list, at the
+//! instance's `n/p` and `k`; without it the table runs at the instance's own
+//! PE count (4 quick, 16 full).
 //! The metered words/startups columns are bit-identical on every backend;
 //! only the wall-time column depends on `--backend`.
 //!
@@ -84,6 +88,24 @@ struct Args {
     backend: Backend,
     algo: AlgoChoice,
     plan_explain: bool,
+    pes: Option<PeList>,
+}
+
+/// `--pes`'s value: a comma-separated list of PE counts.
+struct PeList(Vec<usize>);
+
+impl std::str::FromStr for PeList {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Self, String> {
+        text.split(',')
+            .map(|p| match p.trim().parse::<usize>() {
+                Ok(p) if p >= 1 => Ok(p),
+                _ => Err(format!("expected a PE count ≥ 1, got {p:?}")),
+            })
+            .collect::<Result<_, _>>()
+            .map(PeList)
+    }
 }
 
 impl Args {
@@ -94,6 +116,7 @@ impl Args {
             backend: cli.value("--backend", Backend::Threaded),
             algo: cli.value("--algo", AlgoChoice::All),
             plan_explain: cli.switch("--plan-explain"),
+            pes: cli.optional("--pes"),
         };
         cli.finish();
         assert!(
@@ -113,8 +136,22 @@ fn main() {
         backend,
         algo,
         plan_explain,
+        pes,
     } = Args::from_cli(Cli::from_env());
     let scale = if quick { Scale::QUICK } else { Scale::FULL };
+    for p in pes.map_or(vec![scale.p], |list| list.0) {
+        print_table(Scale { p, ..scale }, &section, backend, algo, plan_explain);
+    }
+}
+
+/// One Table 1 at one instance size.
+fn print_table(
+    scale: Scale,
+    section: &str,
+    backend: Backend,
+    algo: AlgoChoice,
+    plan_explain: bool,
+) {
     let want = |name: &str| section == "all" || section == name;
 
     let Scale { p, per_pe, k } = scale;

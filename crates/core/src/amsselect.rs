@@ -12,10 +12,12 @@
 //! verifies whether the estimate's rank landed inside `k̲..k̄`; if not, the
 //! algorithm recurses on the narrowed range exactly like quickselect.
 
-use commsim::{CommData, Communicator, ReduceOp};
+use commsim::{CommData, Communicator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqkit::sampling::geometric_deviate;
+
+use crate::util::{global_max, global_min};
 
 /// Result of an approximate multisequence selection.
 #[derive(Debug, Clone)]
@@ -58,35 +60,6 @@ fn max_estimator_probability(k_lo: u64, k_hi: u64, n: u64) -> f64 {
     let base = (n - k_hi) as f64 / (n - k_lo + 1) as f64;
     let exponent = 1.0 / ((k_hi - k_lo + 1) as f64);
     (1.0 - base.powf(exponent)).clamp(f64::MIN_POSITIVE, 1.0)
-}
-
-/// All-reduce a per-PE estimate where `None` means "no local sample"
-/// (treated as +∞ for the min-based estimator).
-fn reduce_estimate_min<C: Communicator, K: Ord + Clone + CommData>(
-    comm: &C,
-    value: Option<K>,
-) -> Option<K> {
-    comm.allreduce(
-        value,
-        ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(x), Some(y)) => Some(x.clone().min(y.clone())),
-        }),
-    )
-}
-
-/// Dual of [`reduce_estimate_min`] (`None` = −∞).
-fn reduce_estimate_max<C: Communicator, K: Ord + Clone + CommData>(
-    comm: &C,
-    value: Option<K>,
-) -> Option<K> {
-    comm.allreduce(
-        value,
-        ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(x), Some(y)) => Some(x.clone().max(y.clone())),
-        }),
-    )
 }
 
 /// Select between `k̲` and `k̄` globally smallest elements from locally sorted
@@ -168,7 +141,7 @@ where
             } else {
                 Some(window[x as usize - 1].clone())
             };
-            let v = reduce_estimate_min(comm, candidate);
+            let v = global_min(comm, candidate);
             let j = v
                 .as_ref()
                 .map(|v| window.partition_point(|e| e <= v))
@@ -184,7 +157,7 @@ where
             } else {
                 Some(window[window.len() - x as usize].clone())
             };
-            let v = reduce_estimate_max(comm, candidate);
+            let v = global_max(comm, candidate);
             let j = v
                 .as_ref()
                 .map(|v| window.partition_point(|e| e <= v))
@@ -203,7 +176,7 @@ where
                     // Fall back to everything ≤ the global max of the window:
                     // select the whole window.
                     let local_max = window.last().cloned();
-                    let v = reduce_estimate_max(comm, local_max).expect("non-empty global window");
+                    let v = global_max(comm, local_max).expect("non-empty global window");
                     let j = window.partition_point(|e| e <= &v);
                     let k = comm.allreduce_sum(j as u64);
                     return AmsSelectResult {

@@ -15,8 +15,14 @@
 //! two-word sum of `(local_len, min(local_len, k̄))`, the global length and
 //! the total size of the windows the selection will search — and hands both
 //! to the selection kernel's known-size entry, so a delete costs what its
-//! kernel costs and nothing in front of it (`1 + 2·rounds` collectives; see
-//! [`crate::msselect`] for the schedule of a round).
+//! kernel costs and nothing in front of it.  A fixed delete is that entry,
+//! two collectives per pivot round, and — unless a pivot hits rank `k`
+//! exactly — one collective for the base case that ends the selection: once
+//! the batch boundary lies within `e` elements of an edge of the remaining
+//! windows, the PEs ship those `e` edge candidates (a single extremum for
+//! `e = 1`) instead of pivoting further (see [`crate::msselect`] for the
+//! schedule and the cut on `p·e`).  A flexible delete is the entry and two
+//! collectives per estimation round.
 //!
 //! Elements are tie-broken with a globally unique insertion id, so a fixed
 //! batch always contains *exactly* `k` elements in total.
@@ -26,7 +32,7 @@ use seqkit::Treap;
 
 use crate::amsselect::approx_multisequence_select_known_total;
 use crate::msselect::multisequence_select_known_sizes;
-use crate::util::allreduce_sum_pair;
+use crate::util::{allreduce_sum_pair, global_min};
 
 /// A distributed bulk-parallel priority queue.
 ///
@@ -83,15 +89,7 @@ where
 
     /// The globally smallest element without removing it (one all-reduction).
     pub fn peek_min<C: Communicator>(&self, comm: &C) -> Option<T> {
-        let local_min = self.local.min().cloned();
-        comm.allreduce(
-            local_min,
-            commsim::ReduceOp::custom(|a: &Option<(T, u64)>, b: &Option<(T, u64)>| match (a, b) {
-                (None, x) | (x, None) => x.clone(),
-                (Some(x), Some(y)) => Some(x.clone().min(y.clone())),
-            }),
-        )
-        .map(|(v, _)| v)
+        global_min(comm, self.local.min().cloned()).map(|(v, _)| v)
     }
 
     /// `deleteMin*` with a fixed batch size: remove and return the `k`
@@ -372,9 +370,10 @@ mod tests {
 
     /// The queue adds nothing to its selection kernels' start-ups: the one
     /// entry reduction is the kernel's own, not a second one in front of it.
-    /// At p = 64 rank 0 sends ⌈log₂ p⌉ = 6 messages per collective; a fixed
-    /// delete issues `1 + 2·rounds` collectives, one fewer if its last round
-    /// picked a lone element, a flexible one `1 + 2·rounds`.
+    /// At p = 64 rank 0 sends ⌈log₂ p⌉ = 6 messages per collective.  This
+    /// fixed delete ends in the base case, so it issues the entry, two
+    /// collectives for each of its `rounds − 1` pivot rounds and one for the
+    /// base case; a flexible one issues `1 + 2·rounds`.
     #[test]
     fn delete_min_startup_budget_is_one_entry_reduction_plus_the_rounds() {
         use crate::amsselect::approx_multisequence_select;
@@ -410,8 +409,7 @@ mod tests {
         let ((rounds, kernel, queue), (flexible_rounds, flexible_queue)) = out.results[0];
         assert!(rounds >= 2, "expected pivot rounds, got {rounds}");
         assert_eq!(queue, kernel);
-        let lone_final = 1 + 2 * rounds - queue / 6;
-        assert!(lone_final <= 1 && queue == 6 * (1 + 2 * rounds - lone_final));
+        assert_eq!(queue, 6 * (1 + 2 * (rounds - 1) + 1), "rounds={rounds}");
         assert_eq!(flexible_queue, 6 * (1 + 2 * flexible_rounds));
     }
 

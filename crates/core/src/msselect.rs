@@ -20,13 +20,65 @@
 //! remaining window.  A caller that already holds the second sum skips it
 //! (`multisequence_select_known_sizes`; the bulk queue does).
 //!
-//! **Counting round: exactly two.**  One min-by-key all-reduction agrees the
+//! **Pivot round: exactly two.**  One min-by-key all-reduction agrees the
 //! pivot, one sum all-reduction ranks it.  The remaining window size is
 //! updated from the agreed rank like `k` is, never reduced again.  A round
 //! whose pivot has rank exactly `k` is the last one: the pivot is the answer.
 //!
-//! **Lone-element final round: one.**  When a single element remains, the
-//! pivot reduction alone returns it.
+//! **Base case: one.**  Before the first round and after every branch
+//! update, every PE knows `e = min(k, remaining − k + 1)`, the target's
+//! distance to the nearer edge of the remaining window.  The target is then
+//! among the `e` window elements nearest that edge on each PE — near the
+//! bottom the first `min(w, k)` of a `w`-element window, near the top the
+//! last `min(w, remaining − k + 1)` — at most `p·e` candidates.  Once `p·e`
+//! is at most the cut below, the PEs ship those candidates in one collective
+//! and every PE picks the answer locally; no pivot round follows.
+//!
+//! * `e = 1`: the target is the smallest (`k = 1`) or largest
+//!   (`k = remaining`) remaining element, and the collective is the
+//!   optional-extremum all-reduction of each PE's edge element and its tag.
+//!   Its `s + 2` words per message undercut a pivot round's `s + 4` at every
+//!   `p`, so `e = 1` is always under the cut.  A lone remaining element is
+//!   this case.
+//! * `e ≥ 2`: one all-gather of each PE's at most `e` edge elements as a bare
+//!   `Vec<T>`.  Tags stay implied: a block's PE is its index in the gather,
+//!   and inside a block the position orders like the tag.  Every PE picks
+//!   the candidate of tie-broken rank `k` from the bottom, or
+//!   `remaining − k + 1` from the top.
+//!
+//! # The cut
+//!
+//! The cut prices the all-gather in §2's currency, bottleneck words, against
+//! the pivot rounds it replaces.  With `l = ⌈log₂ p⌉` and elements `s` words
+//! wide, a pivot round all-reduces an `(s + 3)`-word bid and a one-word
+//! count: `l·(s + 4)` words.  The all-gather of full blocks costs
+//! `l + (p − 1)·(1 + e·s)` words (one length word per message and per
+//! block).  A round's decision is one of three (left, hit, right), so
+//! locating the target among `p·e` candidates takes at least `log₃(p·e)`
+//! rounds.  The all-gather fires while it is the cheaper of the two:
+//!
+//! ```text
+//! l + (p − 1)·(1 + e·s)  <  log₃(p·e) · l·(s + 4)
+//! ```
+//!
+//! The left side grows linearly in `e`, the right one logarithmically.  The
+//! cut is `p·E`, where `E` is the largest `e` up to which the inequality
+//! holds from `e = 2` on, or 1 if it fails at 2.  It depends on `p` and `s`
+//! alone, so every PE derives the same cut without a message:
+//!
+//! | `s` | p = 2 | p = 3 | p = 4 | p = 8 | p = 16 | p ≥ 32 |
+//! |---|---|---|---|---|---|---|
+//! | 1 (`u64`) | 24 | 45 | 36 | 48 | 48 | `p` |
+//! | 2 (the bulk queue's `(u64, id)`) | 10 | 21 | 16 | 24 | 16 | `p` |
+//!
+//! A cut of `p` is `e = 1` only: beyond a few dozen PEs the all-gather's
+//! `p − 1` blocks cost more words than any pivot rounds it could save.  On
+//! one PE both sides are zero, nothing is strictly cheaper, and the cut is
+//! `p = 1`.  `s` is `⌈size_of::<T>() / 8⌉`: the encoded width of the
+//! fixed-width element types the kernels run on, and for any type a width
+//! every PE derives alike.  Measured on `bulkpq_churn` (p = 2), the pivot
+//! loop took 2.50, 2.62 and 2.80 more rounds from `e` = 8, 9 and 11, where
+//! `log₃(2e)` is 2.52, 2.63 and 2.81 (EXPERIMENTS.md, "§4.2 selection ends in one collective").
 //!
 //! # How the pivot is agreed
 //!
@@ -63,15 +115,15 @@
 //! than uniform pivots alone would take, every mean inside
 //! `2⌈log₂ remaining₀⌉` (EXPERIMENTS.md, "Bulk-PQ start-ups").
 //!
-//! Every round removes at least the pivot from the remaining window, so the
-//! loop terminates structurally, without a round cap.
+//! Every round removes at least the pivot from the remaining window, and a
+//! window of one element is the base case, so the loop terminates
+//! structurally, without a round cap.
 
 use commsim::{CommData, Communicator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::unsorted::global_min;
-use crate::util::{allreduce_sum_pair, splitmix64, tie_break_offset};
+use crate::util::{allreduce_sum_pair, global_max, global_min, splitmix64, tie_break_offset};
 
 /// Result of a multisequence selection.
 #[derive(Debug, Clone)]
@@ -81,10 +133,12 @@ pub struct MsSelectResult<T> {
     /// Number of *local* elements among the `k` globally smallest
     /// (sums to exactly `k` over all PEs).
     pub local_count: usize,
-    /// Number of selection rounds.  A round costs two collectives — the
-    /// pivot's min-by-key all-reduction and the rank all-reduction — except
-    /// a last round that finds a single element remaining, which costs the
-    /// first only; each is `O(α log p)`.
+    /// Number of selection rounds.  A pivot round costs two collectives —
+    /// the pivot's min-by-key all-reduction and the rank all-reduction — and
+    /// the base case that ends a selection costs one, the extremum
+    /// all-reduction or the all-gather of the edge candidates; each is
+    /// `O(α log p)`.  Every round but the last is a pivot round; the last is
+    /// the base case unless its pivot had rank exactly `k`.
     pub rounds: usize,
 }
 
@@ -173,20 +227,23 @@ where
     let mut rng = pe_rng(seed, comm.rank());
     // ⌈log₂ remaining₀⌉ rounds offer the proportional element.
     let proportional_rounds = (u64::BITS - (remaining - 1).leading_zeros()) as usize;
+    let p = comm.size() as u64;
+    let cut = base_case_cut(comm.size(), word_width::<T>());
     let mut rounds = 0usize;
 
     let threshold: Key<T> = loop {
         rounds += 1;
         debug_assert!(k >= 1 && k <= remaining);
+        let edge = Edge::of(k, remaining);
+        if p.saturating_mul(edge.distance()) <= cut {
+            break select_at_edge(comm, sorted_local, lo, hi, offset, edge);
+        }
         let offer = if rounds <= proportional_rounds {
             Offer::Proportional { k, remaining }
         } else {
             Offer::Uniform
         };
         let pivot = agree_pivot(comm, sorted_local, lo, hi, offset, offer, &mut rng);
-        if remaining == 1 {
-            break pivot;
-        }
 
         // The pivot's rank among the remaining elements.
         let (below, through) = split_at_bound(sorted_local, lo, hi, offset, &pivot);
@@ -215,6 +272,110 @@ where
         local_count,
         rounds,
     }
+}
+
+/// Where the target sits in the remaining window: the `e`-th element from
+/// the nearer edge (module docs, "Base case").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Edge {
+    /// Rank `e` from the bottom: `e = k ≤ remaining − k + 1`.
+    Bottom(u64),
+    /// Rank `e` from the top: `e = remaining − k + 1 < k`.
+    Top(u64),
+}
+
+impl Edge {
+    fn of(k: u64, remaining: u64) -> Self {
+        let from_top = remaining - k + 1;
+        if k <= from_top {
+            Edge::Bottom(k)
+        } else {
+            Edge::Top(from_top)
+        }
+    }
+
+    fn distance(self) -> u64 {
+        match self {
+            Edge::Bottom(e) | Edge::Top(e) => e,
+        }
+    }
+}
+
+/// Words an element of `T` is priced at: `⌈size_of::<T>() / 8⌉`, at least
+/// one — the encoded width of the fixed-width element types, and the same
+/// on every PE for any type.
+fn word_width<T>() -> usize {
+    std::mem::size_of::<T>().div_ceil(8).max(1)
+}
+
+/// The base case's cut on `p·e` for elements of `s` words on `p` PEs: `p·E`
+/// for the largest `E` up to which the all-gather of `e` edge elements per
+/// PE costs fewer bottleneck words than the `log₃(p·e)` pivot rounds it
+/// replaces (module docs, "The cut").  At least `p`: `e = 1` always fires.
+fn base_case_cut(p: usize, s: usize) -> u64 {
+    let l = p.next_power_of_two().trailing_zeros() as f64;
+    let (p_f, s_f) = (p as f64, s as f64);
+    let gather_is_cheaper =
+        |e: f64| l + (p_f - 1.0) * (1.0 + e * s_f) < (p_f * e).log(3.0) * l * (s_f + 4.0);
+    let mut e = 1u64;
+    while gather_is_cheaper((e + 1) as f64) {
+        e += 1;
+    }
+    p as u64 * e
+}
+
+/// The base case: one collective ships the candidates within `edge`'s
+/// distance of the window edge, and every PE picks the target among them.
+/// The tag of the returned key is exact on the PE that owns the element; on
+/// every other PE it is the first tag of the owner, which orders the same
+/// against that PE's elements, since another PE's tags all lie below or all
+/// above its own.
+fn select_at_edge<C, T>(
+    comm: &C,
+    sorted_local: &[T],
+    lo: usize,
+    hi: usize,
+    offset: u64,
+    edge: Edge,
+) -> Key<T>
+where
+    C: Communicator,
+    T: Ord + Clone + CommData,
+{
+    let take = (hi - lo).min(edge.distance() as usize);
+    let start = match edge {
+        Edge::Bottom(_) => lo,
+        Edge::Top(_) => hi - take,
+    };
+    let block = &sorted_local[start..start + take];
+    if edge.distance() == 1 {
+        // The target is the remaining windows' extremum.
+        let mine = block.first().map(|x| (x.clone(), offset + start as u64));
+        let target = match edge {
+            Edge::Bottom(_) => global_min(comm, mine),
+            Edge::Top(_) => global_max(comm, mine),
+        };
+        return target.expect("some PE holds a remaining element");
+    }
+    let blocks = comm.allgather(block.to_vec());
+    // (value, PE, position in block) orders like the tie-broken key.
+    let mut candidates: Vec<(&T, usize, usize)> = blocks
+        .iter()
+        .enumerate()
+        .flat_map(|(pe, b)| b.iter().enumerate().map(move |(i, x)| (x, pe, i)))
+        .collect();
+    let e = edge.distance() as usize;
+    let index = match edge {
+        Edge::Bottom(_) => e - 1,
+        Edge::Top(_) => candidates.len() - e,
+    };
+    let &mut (value, owner, i) = candidates.select_nth_unstable(index).1;
+    let tag = if owner == comm.rank() {
+        offset + (start + i) as u64
+    } else {
+        tie_break_offset(owner, comm.size(), 0)
+    };
+    (value.clone(), tag)
 }
 
 /// This PE's random stream: the seed mixed with the rank, so that
@@ -390,29 +551,130 @@ mod tests {
         }
     }
 
-    /// The start-up budget is exact.  At p = 64 rank 0 sends ⌈log₂ p⌉ = 6
-    /// messages per collective, and a selection of `rounds` rounds issues
-    /// the entry reduction and two collectives per round — one, if the last
-    /// round found a lone element and skipped the ranking.  `lone_final`
-    /// is what each case's schedule ends in; both endings are covered.
+    /// The start-up budget is exact.  Rank 0 sends ⌈log₂ p⌉ messages per
+    /// collective, and a selection of `rounds` rounds issues the entry
+    /// reduction, two collectives per pivot round and one for the base case
+    /// that ends it — unless a pivot hit rank `k`, and then every round was
+    /// a pivot round.  `base_final` is what each case's schedule ends in.
+    /// At p = 64 the base case can only be the extremum reduction
+    /// (`e = 1`); at p = 4 the all-gather fires up to `e = 9`.  Both endings
+    /// are covered at both sizes.
     #[test]
     fn startup_budget_is_two_collectives_per_round() {
-        let p = 64;
-        let parts = sorted_parts(p, 8, 1 << 30, 41);
-        for (k, seed, lone_final) in [(1usize, 1u64, false), (40, 2, false), (120, 3, true)] {
-            let parts_ref = parts.clone();
+        let cases = [
+            (64usize, 1usize, 1u64, true),
+            (64, 40, 2, true),
+            (64, 120, 3, true),
+            (64, 300, 4, false),
+            (4, 30, 1, false),
+            (4, 100, 2, true),
+            (4, 100, 5, true),
+        ];
+        for (p, k, seed, base_final) in cases {
+            let parts = sorted_parts(p, 400 / p, 1 << 30, 41);
             let out = run_spmd_seq(p, move |comm| {
                 let before = comm.stats_snapshot();
-                let rounds = multisequence_select(comm, &parts_ref[comm.rank()], k, seed).rounds;
+                let rounds = multisequence_select(comm, &parts[comm.rank()], k, seed).rounds;
                 (rounds, comm.stats_snapshot().since(&before).sent_messages)
             });
             let (rounds, sent) = out.results[0];
-            assert!(rounds >= 2, "k={k}: expected pivot rounds");
+            let l = u64::from(p.trailing_zeros());
             assert_eq!(
                 sent,
-                6 * (1 + 2 * rounds as u64 - u64::from(lone_final)),
-                "k={k} seed={seed} rounds={rounds}"
+                l * (1 + 2 * rounds as u64 - u64::from(base_final)),
+                "p={p} k={k} seed={seed} rounds={rounds}"
             );
+        }
+    }
+
+    /// The cuts the module docs tabulate, and the cut's two floors.
+    #[test]
+    fn base_case_cut_matches_the_module_table() {
+        let cuts = |s: usize| [2, 3, 4, 8, 16, 32, 64].map(|p| base_case_cut(p, s));
+        assert_eq!(cuts(1), [24, 45, 36, 48, 48, 32, 64]);
+        assert_eq!(cuts(2), [10, 21, 16, 24, 16, 32, 64]);
+        assert_eq!(base_case_cut(1, 1), 1, "one PE: nothing is cheaper");
+        assert_eq!(base_case_cut(1 << 14, 1), 1 << 14, "e = 1 always fires");
+        assert_eq!((word_width::<u64>(), word_width::<(u64, u64)>()), (1, 2));
+    }
+
+    /// Small inputs of every awkward shape, one SPMD region per shape and
+    /// backend, every `k` in `1..=n`: the threshold is the union oracle's
+    /// and each PE's count is its share of the `k` smallest under the
+    /// tie-broken order.  At these sizes every `k` near an edge ends in the
+    /// base case, so an off-by-one in either edge's pick fails here.
+    #[test]
+    fn every_k_of_edge_case_inputs_matches_the_oracle_on_every_backend() {
+        use commsim::{run_on, Backend, World};
+
+        let shapes = |p: usize| -> Vec<(&'static str, Vec<Vec<u64>>)> {
+            let mut rng = StdRng::seed_from_u64(p as u64);
+            let mut part = |len: usize, max: u64| -> Vec<u64> {
+                let mut v: Vec<u64> = (0..len).map(|_| rng.gen_range(0..max)).collect();
+                v.sort_unstable();
+                v
+            };
+            vec![
+                (
+                    "ragged",
+                    (0..p)
+                        .map(|r| part((3 + 7 * r) % 10 + 2 * r + 1, 50))
+                        .collect(),
+                ),
+                (
+                    "empty",
+                    (0..p)
+                        .map(|r| part(if r % 2 == 1 { 0 } else { 12 }, 50))
+                        .collect(),
+                ),
+                ("duplicates", (0..p).map(|r| part(8 + 3 * r, 3)).collect()),
+                ("all-equal", (0..p).map(|r| vec![7; 6 + r]).collect()),
+            ]
+        };
+        // (threshold, per-PE counts) of the k smallest (value, PE, index).
+        let oracle = |parts: &[Vec<u64>], k: usize| -> (u64, Vec<usize>) {
+            let mut all: Vec<(u64, usize, usize)> = parts
+                .iter()
+                .enumerate()
+                .flat_map(|(r, part)| part.iter().enumerate().map(move |(i, &x)| (x, r, i)))
+                .collect();
+            all.sort_unstable();
+            let mut counts = vec![0; parts.len()];
+            all[..k].iter().for_each(|&(_, r, _)| counts[r] += 1);
+            (all[k - 1].0, counts)
+        };
+        for p in [1usize, 2, 3, 5] {
+            for (shape, parts) in shapes(p) {
+                let n: usize = parts.iter().map(Vec::len).sum();
+                let expected: Vec<(u64, Vec<usize>)> = (1..=n).map(|k| oracle(&parts, k)).collect();
+                assert_eq!(
+                    expected[n - 1].0,
+                    select_in_sorted_union(&parts, n).unwrap()
+                );
+                for backend in Backend::ALL {
+                    let parts_ref = parts.clone();
+                    let out = run_on!(backend, World::new(p), move |comm| {
+                        (1..=n)
+                            .map(|k| {
+                                let r = multisequence_select(comm, &parts_ref[comm.rank()], k, 9);
+                                (r.threshold, r.local_count)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                    .fault_free();
+                    for (k, (threshold, counts)) in (1..=n).zip(&expected) {
+                        let at = format!("p={p} {shape} k={k} {}", backend.name());
+                        assert_eq!(
+                            *threshold,
+                            select_in_sorted_union(&parts, k).unwrap(),
+                            "{at}"
+                        );
+                        for (rank, result) in out.results.iter().enumerate() {
+                            assert_eq!(result[k - 1], (*threshold, counts[rank]), "{at} PE {rank}");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use seqkit::threshold::{ObjectId, ScoreList, ThresholdAlgorithm};
 
 use crate::unsorted::select_k_largest_known_total;
-use crate::util::OrderedF64;
+use crate::util::{global_min, OrderedF64};
 
 /// One PE's share of a multicriteria workload: `m` local score lists over the
 /// objects this PE owns (every list ranks the same local object set).
@@ -212,16 +212,7 @@ where
                 // The whole list is selected: the cut is the globally
                 // smallest score of list i.
                 let local_min = local.lists[i].iter().map(|(_, s)| OrderedF64(s)).min();
-                let global_min = comm.allreduce(
-                    local_min,
-                    ReduceOp::custom(|a: &Option<OrderedF64>, b: &Option<OrderedF64>| {
-                        match (a, b) {
-                            (None, x) | (x, None) => *x,
-                            (Some(x), Some(y)) => Some(*x.min(y)),
-                        }
-                    }),
-                );
-                cut_scores[i] = global_min.map(|v| v.0).unwrap_or(0.0);
+                cut_scores[i] = global_min(comm, local_min).map(|v| v.0).unwrap_or(0.0);
             } else {
                 let k_hi = (2 * big_k).min(total);
                 let sel = crate::amsselect::approx_multisequence_select(

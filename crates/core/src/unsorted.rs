@@ -76,12 +76,12 @@
 //! alone and skips the filter that materialises the set.
 
 use commsim::codec::{decode_error, BitReader, BitWriter};
-use commsim::{CommData, CommResult, Communicator, ReduceOp, WordCodec, WordReader};
+use commsim::{CommResult, Communicator, ReduceOp, WordCodec, WordReader};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqkit::select::partition_counts_sample_middle;
 
-use crate::util::{tag_unique, tie_break_offset, SelectKey, SortedBlock};
+use crate::util::{global_max, global_min, tag_unique, tie_break_offset, SelectKey, SortedBlock};
 
 /// Result of a distributed unsorted selection.
 #[derive(Debug, Clone)]
@@ -554,32 +554,6 @@ where
     let reversed: Vec<std::cmp::Reverse<T>> =
         local.iter().cloned().map(std::cmp::Reverse).collect();
     select_k_smallest_known_total(comm, &reversed, total, k, seed)
-}
-
-/// Global minimum over per-PE optional values (`None` = "this PE has no
-/// elements left").
-pub(crate) fn global_min<C: Communicator, K: Ord + Clone + CommData>(
-    comm: &C,
-    value: Option<K>,
-) -> Option<K> {
-    comm.allreduce(
-        value,
-        ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(x), Some(y)) => Some(x.clone().min(y.clone())),
-        }),
-    )
-}
-
-/// Global maximum over per-PE optional values.
-fn global_max<C: Communicator, K: Ord + Clone + CommData>(comm: &C, value: Option<K>) -> Option<K> {
-    comm.allreduce(
-        value,
-        ReduceOp::custom(|a: &Option<K>, b: &Option<K>| match (a, b) {
-            (None, x) | (x, None) => x.clone(),
-            (Some(x), Some(y)) => Some(x.clone().max(y.clone())),
-        }),
-    )
 }
 
 /// Core recursion of Algorithm 1 on tie-broken keys: one round trip to the

@@ -76,6 +76,39 @@ pub(crate) fn allreduce_sum_pair<C: Communicator>(comm: &C, a: u64, b: u64) -> (
     )
 }
 
+/// Global minimum over per-PE optional values, where `None` is a PE with
+/// nothing to offer (`+∞`): one all-reduction of the `Option`.
+pub(crate) fn global_min<C: Communicator, K: Ord + Clone + CommData>(
+    comm: &C,
+    value: Option<K>,
+) -> Option<K> {
+    global_extremum(comm, value, Ord::min)
+}
+
+/// Dual of [`global_min`] (`None` = `−∞`).
+pub(crate) fn global_max<C: Communicator, K: Ord + Clone + CommData>(
+    comm: &C,
+    value: Option<K>,
+) -> Option<K> {
+    global_extremum(comm, value, Ord::max)
+}
+
+/// The one optional-extremum all-reduction behind [`global_min`] and
+/// [`global_max`]: `pick` combines two present values, `None` is neutral.
+fn global_extremum<C: Communicator, K: Ord + Clone + CommData>(
+    comm: &C,
+    value: Option<K>,
+    pick: fn(K, K) -> K,
+) -> Option<K> {
+    comm.allreduce(
+        value,
+        ReduceOp::custom(move |a: &Option<K>, b: &Option<K>| match (a, b) {
+            (None, x) | (x, None) => x.clone(),
+            (Some(x), Some(y)) => Some(pick(x.clone(), y.clone())),
+        }),
+    )
+}
+
 /// Tag a local element with a globally unique identifier
 /// `(element, global_index)` so that the total order becomes unique, as the
 /// paper assumes without loss of generality ("we can make the value v of
