@@ -13,7 +13,9 @@
 //! Scored metrics: **p95 answer staleness** of those queries in globally
 //! ingested items, **words per ingested item** (world bottleneck
 //! communication / items), and the queries' availability and modeled
-//! latency percentiles.  All are deterministic in `(seed, rank, batch)`, so
+//! latency percentiles.  The service meters each PE on its own; the world
+//! figures here are [`workloads::world_report`]'s fold over every PE's
+//! per-batch reports.  All are deterministic in `(seed, rank, batch)`, so
 //! any two backends — and any two runs — agree bit for bit; `--reps > 1`
 //! checks that instead of assuming it.
 //!
@@ -47,7 +49,7 @@ use bench::report::fmt_duration;
 use bench::Table;
 use commsim::{run_on, Backend, Communicator, FaultEvent, FaultPlan, World};
 use datagen::{FlashCrowd, StreamProfile, TextCorpus};
-use workloads::{BatchReport, StreamConfig, StreamReport, StreamService};
+use workloads::{world_report, BatchReport, StreamConfig, StreamReport, StreamService};
 
 /// One PE's observable outcome of a full service run (summary report,
 /// per-batch reports, final published top-k).
@@ -153,7 +155,11 @@ fn main() {
             );
         }
     }
-    let (report, batch_reports, topk) = &runs[0][0];
+    let pes: Vec<&[BatchReport]> = runs[0].iter().map(|(_, b, _)| b.as_slice()).collect();
+    let (own_report, batch_reports, topk) = &runs[0][0];
+    let report = &world_report(own_report, &pes);
+    // Each batch's busiest PE.
+    let world_words = |t: usize| pes.iter().map(|b| b[t].bottleneck_words).max();
 
     // ----- per-batch trace (sampled rows; refresh batches always shown) ----
     let mut trace = Table::new(
@@ -174,7 +180,7 @@ fn main() {
                 b.new_vocab.to_string(),
                 if b.refreshed { "yes" } else { "" }.to_string(),
                 b.staleness_items.to_string(),
-                b.bottleneck_words.to_string(),
+                world_words(b.batch).unwrap_or(0).to_string(),
             ]);
         }
     }
@@ -360,20 +366,33 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
                 format!("{:.3e}", r.p95_query_latency),
             ]);
         };
-    // Run a faulted scenario and return the first live PE's outcome plus the
-    // number of PEs that finished.
+    // Run a faulted scenario and return the first live PE's outcome, with
+    // the world's report, plus the number of PEs that finished.  A victim
+    // counts for the batches up to its crash, which it ran as in the
+    // fault-free run.
     let run_faulted = |plan: FaultPlan| {
         let out = run(plan);
         let survivors = out.results.iter().filter(|r| r.is_some()).count();
-        let first = out
+        let pes: Vec<&[BatchReport]> = out
             .results
-            .into_iter()
+            .iter()
+            .zip(&base.results)
+            .map(|(outcome, (_, fault_free, _))| match outcome {
+                Some((_, batch_reports, _)) => batch_reports.as_slice(),
+                None => &fault_free[..=crash_batch],
+            })
+            .collect();
+        let (report, _, topk) = out
+            .results
+            .iter()
             .flatten()
             .next()
             .expect("at least one PE survives the sweep");
-        (first, survivors)
+        ((world_report(report, &pes), topk.clone()), survivors)
     };
-    let (base_report, _, base_topk) = &base.results[0];
+    let base_pes: Vec<&[BatchReport]> = base.results.iter().map(|(_, b, _)| b.as_slice()).collect();
+    let base_report = &world_report(&base.results[0].0, &base_pes);
+    let base_topk = &base.results[0].2;
     add_row(&mut sweep, "none", "-", p, base_report);
     if let Some(min) = args.assert_available {
         assert!(
@@ -395,7 +414,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
                 _ => unreachable!("seeded_crashes only schedules crashes"),
             })
             .collect();
-        let ((report, _, _), survivors) = run_faulted(plan);
+        let ((report, _), survivors) = run_faulted(plan);
         add_row(
             &mut sweep,
             &format!("crash x{crashes}"),
@@ -432,7 +451,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
             plan = plan.delay_pair(0, dst, 1);
             pairs.push(format!("0>{dst}"));
         }
-        let ((report, _, topk), survivors) = run_faulted(plan);
+        let ((report, topk), survivors) = run_faulted(plan);
         assert_eq!(
             (
                 report.availability,
@@ -470,7 +489,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
             plan = plan.drop_message(victim, 0, 0);
             victims.push(victim.to_string());
         }
-        let ((report, _, _), survivors) = run_faulted(plan);
+        let ((report, _), survivors) = run_faulted(plan);
         assert!(
             report.coverage < 1.0,
             "a dropped heartbeat must evict its sender (coverage stayed {:.3})",

@@ -27,12 +27,14 @@
 //! Elements are tie-broken with a globally unique insertion id, so a fixed
 //! batch always contains *exactly* `k` elements in total.
 
+use std::ops::Add;
+
 use commsim::{CommData, Communicator};
 use seqkit::Treap;
 
 use crate::amsselect::approx_multisequence_select_known_total;
 use crate::msselect::multisequence_select_known_sizes;
-use crate::util::{allreduce_sum_pair, global_min};
+use crate::util::{allreduce_pair, global_min};
 
 /// A distributed bulk-parallel priority queue.
 ///
@@ -157,7 +159,7 @@ where
     /// selection will search.
     fn global_len_and_window<C: Communicator>(&self, comm: &C, k: usize) -> (u64, u64) {
         let len = self.local.len() as u64;
-        allreduce_sum_pair(comm, len, len.min(k as u64))
+        allreduce_pair(comm, (len, len.min(k as u64)), u64::add, u64::add)
     }
 
     /// Remove and return all local elements (ascending).

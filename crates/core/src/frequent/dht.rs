@@ -9,7 +9,10 @@
 //! [`KeyCounts`] per destination, and aggregation on arrival.  Nothing is
 //! merged on the way: the hypercube routing forwards
 //! `(destination, origin, payload)` triples as they are, so an owner
-//! receives one payload per origin PE and sums them itself.
+//! receives one payload per origin PE and sums them itself.  Every payload
+//! also carries its origin's sample size, so the same sum gives every PE the
+//! global sample size (`aggregate_sample`): the §7 and §8 algorithms learn
+//! it without a reduction of their own.
 //!
 //! The routing is a function of `p` alone (`routes_directly`).  Hypercube
 //! routing pays a `log₂ p` volume multiplier for its `O(log p)` start-ups,
@@ -52,6 +55,21 @@
 //! runs are sorted too; a Rice parameter other than the one the decoded keys
 //! imply, a bit length above 64, a count beyond `u64` and non-zero padding
 //! are decode errors.
+//!
+//! A share of the hash table, and a Naive shipment, is a `Share`: the same
+//! form with the size of the origin PE's sample, its *tally*, in the high
+//! half of the first word, which the run count leaves empty.  A tally of
+//! `2³² − 1` or more, which no sample here reaches, fills that half with
+//! ones, and the rest of it, `tally − (2³² − 1)`, leads the bit stream.
+//!
+//! ```text
+//! [ min(tally, 2³² − 1)·2³² + R | δ(rest) if escaped · per run: … as above … | zero padding ]
+//! ```
+//!
+//! So the tally costs a share nothing: a tally-free share — an aggregate
+//! that is no sample, as the streaming refresh and the counting oracle
+//! route — is bit for bit its `KeyCounts`, and a sample's share costs what
+//! its keys cost.
 //!
 //! So a message of `d` keys in `R` runs costs one word plus its codes and
 //! headers in whole words, with no padding but the last word's.  A run
@@ -198,10 +216,10 @@ fn rice_parameter(keys: &[u64]) -> u32 {
     codec::rice_parameter(last.into(), keys.len())
 }
 
-impl WordCodec for KeyCounts {
-    fn encoded_len(&self) -> usize {
-        let bits: u64 = self
-            .wire_runs()
+impl KeyCounts {
+    /// Bits of the runs in the stream: headers and key codes.
+    fn stream_bits(&self) -> u64 {
+        self.wire_runs()
             .map(|(step, keys, r)| {
                 let header = BitWriter::number_bits(step)
                     + BitWriter::number_bits(keys.len() as u64 - 1)
@@ -209,13 +227,11 @@ impl WordCodec for KeyCounts {
                 let codes: u64 = gaps(keys).map(|gap| BitWriter::rice_bits(gap, r)).sum();
                 header + codes
             })
-            .sum();
-        1 + bits.div_ceil(64) as usize
+            .sum()
     }
 
-    fn encode(&self, out: &mut Vec<u64>) {
-        out.push(self.runs().count() as u64);
-        let mut bits = BitWriter::new(out);
+    /// Write the runs into the stream.
+    fn write_runs(&self, bits: &mut BitWriter) {
         for (step, keys, r) in self.wire_runs() {
             bits.number(step);
             bits.number(keys.len() as u64 - 1);
@@ -224,14 +240,12 @@ impl WordCodec for KeyCounts {
                 bits.rice(gap, r);
             }
         }
-        bits.finish();
     }
 
-    /// Counts ascend and keys never descend by construction, so the decoded
-    /// runs are sorted; the rest of the canonical form is checked.
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
-        let mut bits = BitReader::new::<Self>(r);
+    /// Read `runs` runs from the stream.  Counts ascend and keys never
+    /// descend by construction, so the decoded runs are sorted; the rest of
+    /// the canonical form is checked.
+    fn read_runs(runs: u64, bits: &mut BitReader) -> CommResult<Self> {
         // Every run takes a bit or more, and so does every key: a corrupt
         // run count or length fails here, not after looping over it or
         // reserving it.
@@ -268,38 +282,149 @@ impl WordCodec for KeyCounts {
                 return Err(decode_error::<Self>());
             }
         }
+        Ok(counts)
+    }
+}
+
+impl WordCodec for KeyCounts {
+    fn encoded_len(&self) -> usize {
+        1 + self.stream_bits().div_ceil(64) as usize
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.runs().count() as u64);
+        let mut bits = BitWriter::new(out);
+        self.write_runs(&mut bits);
+        bits.finish();
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
+        let mut bits = BitReader::new::<Self>(r);
+        let counts = KeyCounts::read_runs(runs, &mut bits)?;
         bits.finish()?;
         Ok(counts)
     }
 }
 
+/// One origin PE's aggregated sample for one receiver: the hash table's
+/// shares and the Naive baselines' shipments.  Beside its keys it carries
+/// the origin's *tally*, the size of the sample they were counted from, so
+/// every receiver learns the global sample size without a collective of its
+/// own.  On the wire the tally sits in the high half of the [`KeyCounts`]'
+/// run-count word, so a share with a zero tally is its [`KeyCounts`], word
+/// for word (the [module docs](self)).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Share {
+    /// The size of the origin's sample (0 for an aggregate that is no
+    /// sample).
+    pub(crate) tally: u64,
+    /// The origin's keys for the receiver.
+    pub(crate) counts: KeyCounts,
+}
+
+/// The largest tally the run-count word holds; from it on the rest of the
+/// tally leads the bit stream.
+const TALLY_ESCAPE: u64 = u32::MAX as u64;
+
+impl Share {
+    /// The run-count word: the run count below bit 32, the tally (up to the
+    /// escape) above.
+    fn first_word(&self) -> u64 {
+        let runs = self.counts.runs().count() as u64;
+        assert!(runs < 1 << 32, "a share holds fewer than 2³² runs");
+        runs | self.tally.min(TALLY_ESCAPE) << 32
+    }
+
+    /// The rest of an escaped tally, coded at the head of the bit stream.
+    fn tally_rest(&self) -> Option<u64> {
+        self.tally.checked_sub(TALLY_ESCAPE)
+    }
+}
+
+impl WordCodec for Share {
+    fn encoded_len(&self) -> usize {
+        let rest = self.tally_rest().map_or(0, BitWriter::number_bits);
+        1 + (rest + self.counts.stream_bits()).div_ceil(64) as usize
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        out.push(self.first_word());
+        let mut bits = BitWriter::new(out);
+        if let Some(rest) = self.tally_rest() {
+            bits.number(rest);
+        }
+        self.counts.write_runs(&mut bits);
+        bits.finish();
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let first = r.next_word().ok_or_else(decode_error::<Self>)?;
+        let mut bits = BitReader::new::<Self>(r);
+        let tally = match first >> 32 {
+            TALLY_ESCAPE => TALLY_ESCAPE
+                .checked_add(bits.number()?)
+                .ok_or_else(decode_error::<Self>)?,
+            tally => tally,
+        };
+        let counts = KeyCounts::read_runs(first & TALLY_ESCAPE, &mut bits)?;
+        bits.finish()?;
+        Ok(Share { tally, counts })
+    }
+}
+
 /// Route locally aggregated `key → count` pairs to their owner PEs and return
-/// this PE's share of the global (sampled) counts, delivered directly up to
-/// 8 PEs and over the hypercube beyond (the [module docs](self)).
+/// this PE's share of the global counts, delivered directly up to 8 PEs and
+/// over the hypercube beyond (the [module docs](self)).
 ///
 /// Every key appears in the result of exactly one PE, with the global sum of
-/// all PEs' local counts for it.
+/// all PEs' local counts for it.  This is `aggregate_sample` of an
+/// aggregate that is no sample: its shares carry a zero tally.
 pub fn aggregate_counts<C: Communicator>(
     comm: &C,
     local_counts: HashMap<u64, u64>,
 ) -> HashMap<u64, u64> {
-    route(comm, local_counts, routes_directly(comm.size()))
+    aggregate_sample(comm, local_counts, 0).0
 }
 
-/// [`aggregate_counts`] by direct delivery or over the hypercube; the tests
+/// [`aggregate_counts`] of this PE's aggregated sample of `sample_size`
+/// elements: every share carries that size as its tally, and every PE
+/// receives one share from every PE, so the tallies it receives sum to the
+/// global sample size.  Returns this PE's owned counts and that sum, the
+/// same on every PE.
+pub(crate) fn aggregate_sample<C: Communicator>(
+    comm: &C,
+    local_counts: HashMap<u64, u64>,
+    sample_size: u64,
+) -> (HashMap<u64, u64>, u64) {
+    let direct = routes_directly(comm.size());
+    route(comm, local_counts, sample_size, direct)
+}
+
+/// [`aggregate_sample`] by direct delivery or over the hypercube; the tests
 /// force either routing through it.
 fn route<C: Communicator>(
     comm: &C,
     local_counts: HashMap<u64, u64>,
+    tally: u64,
     direct: bool,
-) -> HashMap<u64, u64> {
+) -> (HashMap<u64, u64>, u64) {
     let p = comm.size();
     // Partition the local aggregate by owner.
-    let mut per_dest = vec![KeyCounts::default(); p];
+    let mut per_dest = vec![
+        Share {
+            tally,
+            counts: KeyCounts::default(),
+        };
+        p
+    ];
     for (key, count) in local_counts {
-        per_dest[owner_of(key, p)].push(key, count);
+        per_dest[owner_of(key, p)].counts.push(key, count);
     }
-    per_dest.iter_mut().for_each(KeyCounts::sort_runs);
+    for share in &mut per_dest {
+        share.counts.sort_runs();
+    }
+    // Both routes hand every PE one share from every origin.
     let received = if direct {
         comm.alltoall(per_dest)
     } else {
@@ -308,9 +433,9 @@ fn route<C: Communicator>(
     // The shares say how many entries arrive: size the map once (growing it
     // re-hashes every key several times, which costs more than the routing).
     let mut owned: HashMap<u64, u64> =
-        HashMap::with_capacity(received.iter().map(KeyCounts::len).sum());
+        HashMap::with_capacity(received.iter().map(|share| share.counts.len()).sum());
     for share in &received {
-        for (key, count) in share.iter() {
+        for (key, count) in share.counts.iter() {
             debug_assert_eq!(
                 owner_of(key, p),
                 comm.rank(),
@@ -319,7 +444,7 @@ fn route<C: Communicator>(
             *owned.entry(key).or_insert(0) += count;
         }
     }
-    owned
+    (owned, received.iter().map(|share| share.tally).sum())
 }
 
 #[cfg(test)]
@@ -590,6 +715,48 @@ mod tests {
         assert!(is_decode_error(decode(&two)));
     }
 
+    /// A share is its `KeyCounts` with the tally in the run-count word's
+    /// high half: it costs the same words whatever the tally, until the
+    /// tally reaches the escape and its rest leads the stream.  Every
+    /// truncation, and an escaped tally beyond `u64`, fail to decode.
+    #[test]
+    fn a_share_carries_its_tally_in_the_run_count_word() {
+        let decode = |words: &[u64]| Share::decode(&mut WordReader::new(words));
+        let pairs: Vec<(u64, u64)> = (0..90).map(|key| (key * 5, key % 4 + 1)).collect();
+        let counts: KeyCounts = pairs.into_iter().collect();
+        let keys = wire(&counts);
+        for tally in [0, 1, 4_000, TALLY_ESCAPE - 1, TALLY_ESCAPE, u64::MAX] {
+            let share = Share {
+                tally,
+                counts: counts.clone(),
+            };
+            let mut words = Vec::new();
+            share.encode(&mut words);
+            assert_eq!(words.len(), share.encoded_len());
+            assert_eq!(words[0], keys[0] | tally.min(TALLY_ESCAPE) << 32);
+            if tally < TALLY_ESCAPE {
+                assert_eq!(words[1..], keys[1..], "tally {tally}");
+            } else {
+                let rest = BitWriter::number_bits(tally - TALLY_ESCAPE);
+                let bits = rest + counts.stream_bits();
+                assert_eq!(words.len() as u64, 1 + bits.div_ceil(64));
+            }
+            let mut r = WordReader::new(&words);
+            assert_eq!(Share::decode(&mut r).unwrap(), share);
+            assert_eq!(r.remaining(), 0);
+            for cut in 0..words.len() {
+                assert!(decode(&words[..cut]).is_err(), "tally {tally} cut {cut}");
+            }
+        }
+        // An escaped tally whose rest overflows `u64`, and a plain
+        // `KeyCounts` whose run count carries a tally.
+        let overflow = message(TALLY_ESCAPE << 32, |bits| bits.number(u64::MAX));
+        assert!(decode(&overflow).is_err());
+        let mut tallied = keys.clone();
+        tallied[0] |= 7 << 32;
+        assert!(KeyCounts::decode(&mut WordReader::new(&tallied)).is_err());
+    }
+
     #[test]
     fn counts_are_summed_across_pes_and_partitioned_by_owner() {
         let p = 4;
@@ -662,7 +829,7 @@ mod tests {
                     .map(|k| (k * 8 + comm.rank() as u64, 1))
                     .collect();
                 let before = comm.stats_snapshot();
-                let owned = route(comm, local, direct);
+                let (owned, _) = route(comm, local, 0, direct);
                 let words = comm.stats_snapshot().since(&before).bottleneck_words();
                 (words, owned.len())
             })

@@ -14,7 +14,7 @@
 
 use commsim::Communicator;
 
-use super::{count_candidates, dht, sample_counts, FrequentParams};
+use super::{count_candidates, counted_sample, select_top_counts, FrequentParams};
 
 /// The candidate-set size that minimises communication volume
 /// (paper, discussion after Lemma 10):
@@ -47,9 +47,9 @@ pub(crate) fn top_k<C: Communicator>(
     let target = required_sample_size(n, k_star, params.epsilon, params.delta);
     let rho = (target as f64 / n as f64).clamp(0.0, 1.0);
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0xABCD);
-    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts(comm, counts);
-    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
+    let (owned, sample_size) = counted_sample(comm, local_data, rho, rng_seed);
+    let candidates = select_top_counts(comm, &owned, k_star);
+    let items = count_candidates(comm, local_data, candidates, params.k);
     (items, sample_size)
 }
 

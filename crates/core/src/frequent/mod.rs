@@ -12,17 +12,27 @@
 //! it: it reduces `n` once, then calls the algorithm's stages, which share
 //!
 //! 1. one **sampling stage**: a Bernoulli sample at rate ρ, aggregated
-//!    locally, plus the global sample size;
+//!    locally, without a message;
 //! 2. the distributed hash table of [`dht`] that counts the sample, by
 //!    direct delivery up to 8 PEs and over the hypercube beyond (the
-//!    baselines ship the aggregate to a coordinator instead);
+//!    baselines ship the aggregate to a coordinator instead).  Every share
+//!    carries its origin's sample size, and every PE receives one share from
+//!    every PE, so the shares' tallies sum to the global sample size on
+//!    every PE (the coordinator broadcasts the sum with its answer);
 //! 3. [`select_top_counts`], the top-`k` merge of the DHT shares: `⌈log₂ p⌉`
 //!    exchanges of at most `k` coded entries;
 //! 4. for EC, and for PEC unless its sample is the whole input, one
-//!    **exact-count stage**: the `k* ≥ k` candidates of that same sample are
-//!    counted in the local input and summed with one all-reduction of a
-//!    bit-packed [`PackedCounts`] vector: a message's partial sums travel at
-//!    the bit length of its largest, `⌈log₂(n + 1)⌉` bits at most.
+//!    **exact-count stage**: candidates of that same sample — EC's top `k*`,
+//!    PEC's keys at or above its threshold — are counted in the local input
+//!    and summed with one all-reduction of a bit-packed [`PackedCounts`]
+//!    vector: a message's partial sums travel at the bit length of its
+//!    largest, `⌈log₂(n + 1)⌉` bits at most.
+//!
+//! Every collective of the pipeline feeds a decision: the `n` reduction
+//! sets the rate, the hash table counts, the merge picks the answer or the
+//! candidates, and the count all-reduction counts them.  What no decision
+//! reads — the sample size a result reports — rides a message that is sent
+//! anyway.
 //!
 //! The variations:
 //!
@@ -32,9 +42,9 @@
 //! * `ec` — exact counting (Section 7.2): a much smaller sample
 //!   (`Θ(ε⁻¹ …)`) whose top-`k*` keys are counted exactly.
 //! * `pec` — probably exactly correct (Section 7.3): one coarse sample,
-//!   whose objects above Lemma 12's count threshold are its `k*` candidates,
-//!   counted exactly; a sample of the whole input is exact and ends after the
-//!   merge.  Under Zipf's law `k*` has a closed form instead
+//!   whose objects at or above Lemma 12's count threshold are its
+//!   candidates, counted exactly; a sample of the whole input is exact and
+//!   ends after the merge.  Under Zipf's law `k*` has a closed form instead
 //!   ([`crate::pec_zipf_top_k`], Theorem 14).
 //! * `naive` — the two centralized baselines of the evaluation
 //!   (Section 10.2): PAC's sample, merged at a coordinator directly (`Naive`)
@@ -97,7 +107,10 @@ pub struct TopKFrequentResult {
     /// The reported objects with their (estimated or exact) counts, sorted by
     /// decreasing count.  Identical on every PE.
     pub items: Vec<(u64, u64)>,
-    /// Global number of sampled elements the algorithm communicated about.
+    /// Global number of sampled elements the algorithm communicated about:
+    /// the sum of the PEs' sample sizes, which every hash-table share (or
+    /// baseline shipment) carries beside its keys — no collective of its own
+    /// computes it.
     pub sample_size: u64,
     /// `true` if the reported counts are exact (EC and PEC).
     pub exact_counts: bool,
@@ -219,34 +232,38 @@ fn keep_top(entries: &mut Vec<(u64, u64)>, k: usize) {
 
 /// The sampling stage of every algorithm: a Bernoulli sample of
 /// `local_data` at rate `rho` from an RNG seeded with `rng_seed`, aggregated
-/// locally, and the global sample size (one sum reduction).
-fn sample_counts<C: Communicator>(
+/// locally, and its size.  Local: the global size rides the shares that
+/// carry the aggregate ([`dht::Share`]).
+fn sample_counts(local_data: &[u64], rho: f64, rng_seed: u64) -> (HashMap<u64, u64>, u64) {
+    let sample = bernoulli_sample(local_data, rho, &mut StdRng::seed_from_u64(rng_seed));
+    (count_keys(sample.iter().copied()), sample.len() as u64)
+}
+
+/// [`sample_counts`] counted in the hash table: this PE's share of the
+/// sample's global counts, and the global sample size, which the shares'
+/// tallies deliver to every PE.
+fn counted_sample<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     rho: f64,
     rng_seed: u64,
 ) -> (HashMap<u64, u64>, u64) {
-    let sample = bernoulli_sample(local_data, rho, &mut StdRng::seed_from_u64(rng_seed));
-    let sample_size = comm.allreduce_sum(sample.len() as u64);
-    (count_keys(sample.iter().copied()), sample_size)
+    let (counts, sample_size) = sample_counts(local_data, rho, rng_seed);
+    dht::aggregate_sample(comm, counts, sample_size)
 }
 
-/// The exact-count stage of EC and PEC: cut the `k_star` most frequently
-/// sampled keys of this PE's DHT share `owned`, count those candidates
-/// exactly ([`global_counts`]) and keep the `k` best by [`keep_top`]'s order,
-/// the one every top-k list uses.  The candidate list is identical on every
-/// PE, so the final cut is local.
+/// The exact-count stage of EC and PEC: count the keys of `candidates`, the
+/// merged list of sampled keys every PE holds, exactly ([`global_counts`])
+/// and keep the `k` best by [`keep_top`]'s order, the one every top-k list
+/// uses.  The candidate list is identical on every PE, so the final cut is
+/// local.
 fn count_candidates<C: Communicator>(
     comm: &C,
     local_data: &[u64],
-    owned: &HashMap<u64, u64>,
-    k_star: usize,
+    candidates: Vec<(u64, u64)>,
     k: usize,
 ) -> Vec<(u64, u64)> {
-    let candidates: Vec<u64> = select_top_counts(comm, owned, k_star)
-        .into_iter()
-        .map(|(key, _)| key)
-        .collect();
+    let candidates: Vec<u64> = candidates.into_iter().map(|(key, _)| key).collect();
     let global = global_counts(comm, local_data, &candidates);
     let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
     keep_top(&mut items, k);

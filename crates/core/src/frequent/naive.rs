@@ -14,89 +14,100 @@
 //!   still concentrates the whole aggregated sample at the coordinator.
 //!
 //! Both return their answer on every PE (one broadcast of `k` pairs), so
-//! results are directly comparable with the distributed algorithms.
+//! results are directly comparable with the distributed algorithms.  Every
+//! shipment carries its sender's sample size beside its keys (a
+//! `dht::Share`), so the coordinator's broadcast carries the global sample
+//! size too, and no PE reduces it on its own.
 
 use std::collections::HashMap;
 
 use commsim::Communicator;
 use seqkit::hashagg::{merge_counts, top_k_by_count};
 
-use super::dht::KeyCounts;
+use super::dht::Share;
 use super::{pac::sampling_probability, sample_counts, scale_counts, FrequentParams};
 
 /// Tag for the Naive baseline's direct sends to the coordinator.
 const NAIVE_TAG: u64 = 0x7A1;
 
-/// PAC's rate and the sampling stage at it, with the baselines' RNG seed.
+/// PAC's rate and this PE's aggregated sample at it, with the baselines' RNG
+/// seed, as the share it ships: its keys and its size.
 fn pac_rate_sample<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
     n: u64,
-) -> (f64, HashMap<u64, u64>, u64) {
+) -> (f64, Share) {
     let rho = sampling_probability(n, params);
     let rng_seed = params.seed ^ 0x0A1 ^ (comm.rank() as u64) << 8;
-    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    (rho, counts, sample_size)
+    let (counts, tally) = sample_counts(local_data, rho, rng_seed);
+    let counts = counts.into_iter().collect();
+    (rho, Share { tally, counts })
 }
 
 /// The Naive baseline on an input of global size `n > 0`: direct
 /// point-to-point delivery of every PE's aggregated sample to the
-/// coordinator.  Returns the scaled top-k and the global sample size.
+/// coordinator.  Returns the scaled top-k and the global sample size, the
+/// sum of the shipments' tallies, which the coordinator broadcasts with the
+/// winners.
 pub(crate) fn top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
     n: u64,
 ) -> (Vec<(u64, u64)>, u64) {
-    let (rho, local_counts, sample_size) = pac_rate_sample(comm, local_data, params, n);
-    let items: Option<Vec<(u64, u64)>> = if comm.is_root() {
-        let mut merged = local_counts;
+    let (rho, share) = pac_rate_sample(comm, local_data, params, n);
+    let answer = if comm.is_root() {
+        let mut merged: HashMap<u64, u64> = share.counts.iter().collect();
+        let mut total = share.tally;
         // The coordinator receives p − 1 separate messages — the scalability
         // bottleneck the experiment is designed to show.
         for src in 1..comm.size() {
-            let incoming: KeyCounts = comm.recv(src, NAIVE_TAG);
-            merge_counts(&mut merged, incoming.iter());
+            let incoming: Share = comm.recv(src, NAIVE_TAG);
+            merge_counts(&mut merged, incoming.counts.iter());
+            total += incoming.tally;
         }
-        Some(top_k_by_count(&merged, params.k))
+        Some((total, top_k_by_count(&merged, params.k)))
     } else {
-        let outgoing: KeyCounts = local_counts.into_iter().collect();
-        comm.send(0, NAIVE_TAG, outgoing);
+        comm.send(0, NAIVE_TAG, share);
         None
     };
-    let items = comm.broadcast(0, items);
+    let (sample_size, items) = comm.broadcast(0, answer);
     (scale_counts(items, rho), sample_size)
 }
 
 /// The Naive Tree baseline on an input of global size `n > 0`: the
-/// aggregated samples flow up a binomial reduction tree, merging hash maps at
-/// every level (implemented with the generic tree reduction of the
-/// communication layer).  Returns the scaled top-k and the global sample
-/// size.
+/// aggregated samples flow up a binomial reduction tree, merging hash maps
+/// and summing their tallies at every level (implemented with the generic
+/// tree reduction of the communication layer).  Returns the scaled top-k and
+/// the global sample size, both broadcast by the root.
 pub(crate) fn tree_top_k<C: Communicator>(
     comm: &C,
     local_data: &[u64],
     params: &FrequentParams,
     n: u64,
 ) -> (Vec<(u64, u64)>, u64) {
-    let (rho, local_counts, sample_size) = pac_rate_sample(comm, local_data, params, n);
+    let (rho, share) = pac_rate_sample(comm, local_data, params, n);
     // Merge hash maps (on the wire: keys grouped by count) up the reduction
     // tree.
-    let local: KeyCounts = local_counts.into_iter().collect();
     let merged = comm.reduce(
         0,
-        local,
-        &commsim::ReduceOp::custom(|a: &KeyCounts, b: &KeyCounts| {
-            let mut map: HashMap<u64, u64> = HashMap::with_capacity(a.len().max(b.len()));
-            merge_counts(&mut map, a.iter().chain(b.iter()));
-            map.into_iter().collect()
+        share,
+        &commsim::ReduceOp::custom(|a: &Share, b: &Share| {
+            let mut map: HashMap<u64, u64> =
+                HashMap::with_capacity(a.counts.len().max(b.counts.len()));
+            merge_counts(&mut map, a.counts.iter().chain(b.counts.iter()));
+            Share {
+                tally: a.tally + b.tally,
+                counts: map.into_iter().collect(),
+            }
         }),
     );
-    let items = merged.map(|counts| {
-        let map: HashMap<u64, u64> = counts.iter().collect();
-        top_k_by_count(&map, params.k)
+    let answer = merged.map(|share| {
+        let map: HashMap<u64, u64> = share.counts.iter().collect();
+        (share.tally, top_k_by_count(&map, params.k))
     });
-    let items = comm.broadcast(0, items);
+    let (sample_size, items) = comm.broadcast(0, answer);
     (scale_counts(items, rho), sample_size)
 }
 

@@ -15,7 +15,7 @@
 
 use commsim::Communicator;
 
-use super::{dht, sample_counts, scale_counts, select_top_counts, FrequentParams};
+use super::{counted_sample, scale_counts, select_top_counts, FrequentParams};
 
 /// Minimum expected sample size required for an (ε, δ)-approximation
 /// (Equation 3): `ρn ≥ (4/ε²)·max((3/k)·ln(2n/δ), 2·ln(2k/δ))`.
@@ -46,8 +46,7 @@ pub(crate) fn top_k<C: Communicator>(
 ) -> (Vec<(u64, u64)>, u64) {
     let rho = sampling_probability(n, params);
     let rng_seed = params.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37);
-    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts(comm, counts);
+    let (owned, sample_size) = counted_sample(comm, local_data, rho, rng_seed);
     let top = select_top_counts(comm, &owned, params.k);
     (scale_counts(top, rho), sample_size)
 }

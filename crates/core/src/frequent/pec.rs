@@ -9,8 +9,10 @@
 //! 2. its top-`k` merge gives the sample count `ŝ_k` of the k-th most
 //!    frequently sampled object and, from it, a count threshold every true
 //!    top-k object clears with probability at least `1 − δ` (Lemma 12,
-//!    `candidate_threshold`); the `k*` sampled objects at or above it are
-//!    the candidates;
+//!    `candidate_threshold`); the sampled objects at or above it are the
+//!    candidates, merged from the hash table's shares without a cap — the
+//!    threshold is at most `ŝ_k`, so they include the sample's top-k, and
+//!    no PE needs their number;
 //! 3. the candidates of that same sample are counted exactly.
 //!
 //! When ρ₀ is clamped to 1 the sample is the input, the hash table's counts
@@ -21,10 +23,12 @@
 //! gives the sample size and `k* ≈ (2+√2)^{1/s}·k` in closed form
 //! ([`pec_zipf_top_k`]).
 
+use std::collections::HashMap;
+
 use commsim::Communicator;
 use seqkit::skew::generalized_harmonic;
 
-use super::{count_candidates, dht, pac, sample_counts, select_top_counts};
+use super::{count_candidates, counted_sample, pac, select_top_counts};
 use super::{FrequentParams, TopKFrequentResult};
 
 /// The coarse relative error ε₀ PEC samples at for a target ε.
@@ -54,9 +58,9 @@ fn candidate_threshold(s_k: f64, rho: f64, k: usize, delta: f64) -> f64 {
 }
 
 /// Algorithm PEC on an input of global size `n > 0`: one sample at the
-/// coarse rate ρ₀, and the exact counts of the best `k` of its `k*`
-/// candidates — every sampled object at or above [`candidate_threshold`],
-/// at least `k` of them; plus the sample's global size.
+/// coarse rate ρ₀, and the exact counts of the best `k` of its candidates —
+/// every sampled object at or above [`candidate_threshold`]; plus the
+/// sample's global size.
 ///
 /// With probability at least `1 − δ` (and a sufficiently sloped input
 /// distribution) the reported set is exactly the true top-k.
@@ -72,23 +76,41 @@ pub(crate) fn top_k<C: Communicator>(
     };
     let rho0 = pac::sampling_probability(n, &coarse);
     let rng_seed = params.seed ^ 0x9EC0 ^ comm.rank() as u64;
-    let (counts, sample_size) = sample_counts(comm, local_data, rho0, rng_seed);
-    let owned = dht::aggregate_counts(comm, counts);
+    let (owned, sample_size) = counted_sample(comm, local_data, rho0, rng_seed);
     let top_k = select_top_counts(comm, &owned, params.k);
     if rho0 >= 1.0 {
         // The sample is the input: its counts are exact.
         return (top_k, sample_size);
     }
 
-    // ŝ_k: the k-th largest sample count (0 if fewer than k distinct keys).
+    // ŝ_k: the k-th largest sample count (the smallest one if there are
+    // fewer than k distinct keys).
     let s_k = top_k.last().map_or(0, |&(_, c)| c) as f64;
     let threshold = candidate_threshold(s_k, rho0, params.k, params.delta);
-    // k*: the sampled objects at or above the threshold (each PE counts its
-    // owned keys; one sum reduction).
-    let local_above = owned.values().filter(|&&c| c as f64 >= threshold).count() as u64;
-    let k_star = (comm.allreduce_sum(local_above) as usize).max(params.k);
-    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
+    let candidates = candidates_above(comm, &owned, threshold);
+    let items = count_candidates(comm, local_data, candidates, params.k);
     (items, sample_size)
+}
+
+/// The candidates of a `threshold` no higher than `ŝ_k`: every sampled key
+/// whose count reaches it, merged from the PEs' shares `owned` uncapped, most
+/// frequently sampled first.
+///
+/// Every top-`k` key's count is at least `ŝ_k`, so every one of them clears
+/// the threshold: the list is the top-`k*` of the sample for `k*` the number
+/// of keys at or above the threshold, or every sampled key if there are
+/// fewer than `k`.  No PE needs `k*` to cut its list, so none is reduced.
+fn candidates_above<C: Communicator>(
+    comm: &C,
+    owned: &HashMap<u64, u64>,
+    threshold: f64,
+) -> Vec<(u64, u64)> {
+    let above: HashMap<u64, u64> = owned
+        .iter()
+        .filter(|&(_, &count)| count as f64 >= threshold)
+        .map(|(&key, &count)| (key, count))
+        .collect();
+    select_top_counts(comm, &above, usize::MAX)
 }
 
 /// The Zipf-specialised PEC (Theorem 14): for an input following Zipf's law
@@ -119,9 +141,9 @@ pub fn pec_zipf_top_k<C: Communicator>(
 
     // EC's pipeline with the closed-form ρ and k*.
     let rng_seed = params.seed ^ 0x21F ^ comm.rank() as u64;
-    let (counts, sample_size) = sample_counts(comm, local_data, rho, rng_seed);
-    let owned = dht::aggregate_counts(comm, counts);
-    let items = count_candidates(comm, local_data, &owned, k_star, params.k);
+    let (owned, sample_size) = counted_sample(comm, local_data, rho, rng_seed);
+    let candidates = select_top_counts(comm, &owned, k_star);
+    let items = count_candidates(comm, local_data, candidates, params.k);
     TopKFrequentResult {
         items,
         sample_size,
@@ -135,11 +157,12 @@ mod tests {
     use commsim::run_spmd;
     use datagen::Zipf;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use seqkit::hashagg::top_k_by_count;
 
     use crate::frequent::exact_global_counts;
     use crate::planner::Algorithm;
-    use seqkit::hashagg::top_k_by_count;
+    use crate::util::owner_of;
 
     fn zipf_parts(p: usize, per_pe: usize, values: usize, s: f64, seed: u64) -> Vec<Vec<u64>> {
         let zipf = Zipf::new(values, s);
@@ -163,6 +186,72 @@ mod tests {
         assert!((at(1.0) - (s_k - range)).abs() < 1e-9);
         // A k-th count too small to bound from below admits every key.
         assert_eq!(candidate_threshold(3.0, 0.5, k, delta), 0.0);
+    }
+
+    /// The cut PEC made before its candidates were merged uncapped: every
+    /// PE counts its owned keys at or above `threshold`, one sum reduction
+    /// gives `k* = max(k, that count)`, and the top-`k*` merge of the whole
+    /// shares is the candidate list.
+    fn top_k_star_merge<C: Communicator>(
+        comm: &C,
+        owned: &HashMap<u64, u64>,
+        threshold: f64,
+        k: usize,
+    ) -> Vec<(u64, u64)> {
+        let mine = owned.values().filter(|&&c| c as f64 >= threshold).count() as u64;
+        let k_star = (comm.allreduce_sum(mine) as usize).max(k);
+        select_top_counts(comm, owned, k_star)
+    }
+
+    /// For every threshold at most `ŝ_k` the uncapped merge of the keys at or
+    /// above it returns the old top-`k*` merge's candidates, in its order, on
+    /// every PE: over random `p ∈ 1..=9`, counts so small that many keys tie
+    /// at every threshold, fewer distinct keys than `k`, and every integer
+    /// threshold from 0 to `ŝ_k`, a fractional one and Lemma 12's own.
+    #[test]
+    fn the_threshold_cut_returns_the_candidates_of_the_top_k_star_merge() {
+        let mut rng = StdRng::seed_from_u64(0x42EC);
+        for case in 0..40 {
+            let p = rng.gen_range(1..=9usize);
+            let k = rng.gen_range(1..=12usize);
+            let distinct = if case % 4 == 0 {
+                rng.gen_range(0..k)
+            } else {
+                rng.gen_range(k..150)
+            };
+            let sample: Vec<(u64, u64)> = (0..distinct as u64)
+                .map(|i| (3 * i + 1, rng.gen_range(1..=8)))
+                .collect();
+            let mut shares = vec![HashMap::new(); p];
+            for &(key, count) in &sample {
+                shares[owner_of(key, p)].insert(key, count);
+            }
+            // ŝ_k, or the smallest count if there are fewer than k keys.
+            let mut by_count: Vec<u64> = sample.iter().map(|&(_, count)| count).collect();
+            by_count.sort_unstable_by(|a, b| b.cmp(a));
+            let s_k = match k.min(distinct) {
+                0 => 0,
+                i => by_count[i - 1],
+            };
+            let mut thresholds: Vec<f64> = (0..=s_k).map(|t| t as f64).collect();
+            thresholds.push(s_k as f64 - 0.5);
+            thresholds.push(candidate_threshold(s_k as f64, 0.5, k, 0.1));
+            for threshold in thresholds {
+                let out = run_spmd(p, |comm| {
+                    let share = &shares[comm.rank()];
+                    (
+                        candidates_above(comm, share, threshold),
+                        top_k_star_merge(comm, share, threshold, k),
+                    )
+                });
+                for (rank, (cut, reference)) in out.results.iter().enumerate() {
+                    assert_eq!(
+                        cut, reference,
+                        "case {case}: p={p} k={k} threshold={threshold} rank {rank}"
+                    );
+                }
+            }
+        }
     }
 
     /// When ρ₀ is clamped to 1 PEC is PAC at rate 1: the same result, the

@@ -119,11 +119,13 @@
 //! window of one element is the base case, so the loop terminates
 //! structurally, without a round cap.
 
+use std::ops::Add;
+
 use commsim::{CommData, Communicator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::util::{allreduce_sum_pair, global_max, global_min, splitmix64, tie_break_offset};
+use crate::util::{allreduce_pair, global_max, global_min, splitmix64, tie_break_offset};
 
 /// Result of a multisequence selection.
 #[derive(Debug, Clone)]
@@ -185,7 +187,8 @@ where
 {
     let local_n = sorted_local.len() as u64;
     // One reduction for both the global size and the first window size.
-    let (total, remaining) = allreduce_sum_pair(comm, local_n, local_n.min(k as u64));
+    let window = local_n.min(k as u64);
+    let (total, remaining) = allreduce_pair(comm, (local_n, window), u64::add, u64::add);
     assert!(k >= 1, "k must be at least 1");
     assert!(
         k as u64 <= total,

@@ -66,6 +66,7 @@ use commsim::{Communicator, CostModel, PredictedComm};
 
 use crate::frequent::{dht, ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
+use crate::util::allreduce_pair;
 use seqkit::skew::{expected_distinct, fit_zipf_exponent, generalized_harmonic};
 
 /// The §7 top-k most-frequent-objects algorithms as a dispatchable value —
@@ -288,8 +289,9 @@ impl Plan {
 
     /// Execute the plan (collective) and audit the prediction: the algorithm
     /// phase is metered with [`commsim::StatsSnapshot`] deltas and the world
-    /// bottlenecks are agreed with two max-reductions *after* the metering
-    /// window closes, so the audit traffic never pollutes the measurement.
+    /// bottlenecks are agreed with one pair max-reduction *after* the
+    /// metering window closes, so the audit traffic never pollutes the
+    /// measurement.
     pub fn execute<C: Communicator>(
         &self,
         comm: &C,
@@ -300,8 +302,8 @@ impl Plan {
         let before = comm.stats_snapshot();
         let result = self.algorithm.run(comm, local_data, &params);
         let delta = comm.stats_snapshot().since(&before);
-        let measured_words = comm.allreduce_max(delta.bottleneck_words());
-        let measured_startups = comm.allreduce_max(delta.bottleneck_messages());
+        let local = (delta.bottleneck_words(), delta.bottleneck_messages());
+        let (measured_words, measured_startups) = allreduce_pair(comm, local, u64::max, u64::max);
         let audit = PlanAudit {
             algorithm: self.algorithm,
             p: self.inputs.p,
@@ -577,8 +579,9 @@ impl Planner {
                 if s0 >= n {
                     (traffic, s0, i.k as u64)
                 } else {
-                    // k* from the Theorem-14 Zipf closed form; its sum
-                    // reduction, the candidates' merge and exact counts.
+                    // k* from the Theorem-14 Zipf closed form; the merge of
+                    // the candidates (no PE reduces their number) and their
+                    // exact counts.
                     let z = i.skew.exponent.max(0.2);
                     let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
                         .ceil()
@@ -586,7 +589,6 @@ impl Planner {
                         .max(k);
                     let k_eff = k_star.min(d0);
                     let traffic = traffic
-                        .allreduce(1.0)
                         .top_counts(d0, k_eff, s0 as f64, u)
                         .allreduce(packed_counts_words(k_eff, i));
                     (traffic, s0, k_star as u64)
@@ -614,9 +616,10 @@ impl Planner {
                         .sum();
                     (PredictedComm::new(root_recv, l as f64), merged(1.0))
                 };
-                // The sample-size all-reduction, the shipment, and the
-                // coordinator's broadcast of the winners.
-                let traffic = start.allreduce(1.0).exchange(up, up_leaf, 2.0 * k + 1.0);
+                // The shipment (its sample size rides it), and the
+                // coordinator's broadcast of the global sample size and the
+                // winners.
+                let traffic = start.exchange(up, up_leaf, 2.0 * k + 2.0);
                 (traffic, s, i.k as u64)
             }
         };
@@ -624,8 +627,8 @@ impl Planner {
     }
 }
 
-/// The sampling stage after the `n` reduction: the sample-size
-/// all-reduction, the DHT over the sample's aggregate and the top-`k` merge
+/// The sampling stage after the `n` reduction: the DHT over the sample's
+/// aggregate, whose shares carry the sample size, and the top-`k` merge
 /// (PAC's answer, PEC's `ŝ_k`, EC's candidates).  Keys are drawn from
 /// `universe` distinct values.
 fn sampling_stage(
@@ -638,7 +641,6 @@ fn sampling_stage(
 ) -> Traffic {
     let mass_local = sample as f64 / traffic.p as f64;
     traffic
-        .allreduce(1.0) // global sample size
         .everywhere(dht_exchange(traffic.p, d_local, mass_local, universe))
         .top_counts(d_global, k, sample as f64, universe)
 }

@@ -18,6 +18,7 @@
 //!   their exact sums from the local aggregates with one vector reduction.
 
 use std::collections::HashMap;
+use std::ops::Add;
 
 use commsim::Communicator;
 use rand::rngs::StdRng;
@@ -26,7 +27,7 @@ use seqkit::hashagg::sum_by_key;
 use seqkit::sampling::value_proportional_sample_count;
 
 use crate::frequent::{dht, select_top_counts, FrequentParams};
-use crate::util::OrderedF64;
+use crate::util::allreduce_pair;
 
 /// Result of a top-k sum aggregation.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,12 +59,14 @@ pub fn required_sample_size(n: u64, p: usize, epsilon: f64, delta: f64) -> u64 {
 /// Locally aggregate, sample proportionally to value, and count the samples
 /// in the distributed hash table.  Returns (owned sampled counts, v_avg,
 /// global sample size, local aggregate).
+///
+/// Two collectives: one pair all-reduction of the input size and the value
+/// total, and the hash table, whose shares carry the PEs' sample sizes.
 fn sample_and_count<C: Communicator>(
     comm: &C,
     local_pairs: &[(u64, f64)],
     params: &FrequentParams,
 ) -> (HashMap<u64, u64>, f64, u64, HashMap<u64, f64>) {
-    let n = comm.allreduce_sum(local_pairs.len() as u64);
     // Local aggregation first (Section 8.1): the sample is drawn from the
     // per-key local sums, not from the raw pairs.
     let local_agg = sum_by_key(local_pairs.iter().copied());
@@ -73,12 +76,8 @@ fn sample_and_count<C: Communicator>(
     let mut by_key: Vec<(u64, f64)> = local_agg.iter().map(|(&key, &sum)| (key, sum)).collect();
     by_key.sort_unstable_by_key(|&(key, _)| key);
     let local_total: f64 = by_key.iter().map(|&(_, sum)| sum).sum();
-    let global_total = comm
-        .allreduce(
-            OrderedF64(local_total),
-            commsim::ReduceOp::custom(|a: &OrderedF64, b: &OrderedF64| OrderedF64(a.0 + b.0)),
-        )
-        .0;
+    let local = (local_pairs.len() as u64, local_total);
+    let (n, global_total) = allreduce_pair(comm, local, u64::add, f64::add);
     if global_total <= 0.0 || n == 0 {
         return (HashMap::new(), 1.0, 0, local_agg);
     }
@@ -94,8 +93,7 @@ fn sample_and_count<C: Communicator>(
         }
     }
     let local_sample_size: u64 = local_samples.values().sum();
-    let sample_size = comm.allreduce_sum(local_sample_size);
-    let owned = dht::aggregate_counts(comm, local_samples);
+    let (owned, sample_size) = dht::aggregate_sample(comm, local_samples, local_sample_size);
     (owned, v_avg, sample_size, local_agg)
 }
 

@@ -67,12 +67,24 @@ pub fn owner_of(key: u64, p: usize) -> usize {
     (splitmix64(key) % p as u64) as usize
 }
 
-/// Component-wise sum all-reduction of two counts in one two-word message
-/// (a `Vec` of two would carry a third word, its length).
-pub(crate) fn allreduce_sum_pair<C: Communicator>(comm: &C, a: u64, b: u64) -> (u64, u64) {
+/// Component-wise all-reduction of a pair in one message: `op_a` combines
+/// the first components, `op_b` the second.  (A `Vec` of two would carry a
+/// third word, its length.)  The pair follows the reduction tree either
+/// component would follow alone, so a sum of `f64`s adds in the same order.
+pub(crate) fn allreduce_pair<C, A, B>(
+    comm: &C,
+    pair: (A, B),
+    op_a: fn(A, A) -> A,
+    op_b: fn(B, B) -> B,
+) -> (A, B)
+where
+    C: Communicator,
+    A: CommData + Copy,
+    B: CommData + Copy,
+{
     comm.allreduce(
-        (a, b),
-        ReduceOp::custom(|x: &(u64, u64), y: &(u64, u64)| (x.0 + y.0, x.1 + y.1)),
+        pair,
+        ReduceOp::custom(move |x: &(A, B), y: &(A, B)| (op_a(x.0, y.0), op_b(x.1, y.1))),
     )
 }
 

@@ -19,7 +19,8 @@
 //!   stable ids, periodically publish a global top-k through the §7
 //!   aggregation + `select_top_counts`' top-k merge, and answer a modeled
 //!   Poisson stream of point queries between batches, scoring p95 answer
-//!   staleness and words per ingested item.
+//!   staleness and words per ingested item.  A batch meters its own PE;
+//!   [`world_report`] folds the PEs' reports into the world's figures.
 //! * [`sched`] — **multi-round bulk-queue scheduling** (Section 5): a job
 //!   scheduler driving [`topk::BulkParallelQueue`] round after round —
 //!   skewed/bursty arrival streams, `insert_bulk` + `delete_min` /
@@ -42,7 +43,7 @@ pub use sched::{
     run_scheduler, ArrivalPattern, BatchPolicy, RoundReport, SchedulerOutcome, SchedulerParams,
 };
 pub use stream::{
-    BatchReport, ReplicaShard, StreamConfig, StreamReport, StreamService, StreamVocab,
+    world_report, BatchReport, ReplicaShard, StreamConfig, StreamReport, StreamService, StreamVocab,
 };
 pub use text::{
     distributed_intern, plan_word_frequency, resolve_items, run_planned_scored, split_text_shards,

@@ -24,9 +24,17 @@
 //! * **p95 answer staleness** of those queries, measured in *globally
 //!   ingested items* since the serving snapshot was published (item counts,
 //!   not wall clock, so the metric is bit-identical across backends), and
-//! * **words per ingested item**, the world bottleneck communication volume
+//! * **words per ingested item**, this PE's bottleneck communication volume
 //!   divided by the number of items ingested — the streaming analogue of the
 //!   paper's words/PE columns.
+//!
+//! A batch meters itself without a collective: every traffic figure of
+//! [`BatchReport`] and [`StreamReport`] is this PE's own.  The world figures
+//! — each batch's busiest PE — are a fold over every PE's reports outside
+//! the region ([`world_report`]), the way [`commsim::WorldStats`] meters
+//! every other workload.  So a plain batch sends only its vocabulary
+//! all-gather, and a refresh adds the hash table's all-to-all and the
+//! merge's `⌈log₂ p⌉` rounds.
 //!
 //! Everything the service communicates is a deterministic function of
 //! `(seed, rank, batch)`, so per-batch metered words/PE are bit-identical
@@ -212,28 +220,28 @@ pub struct BatchReport {
     pub sent_words: u64,
     /// Messages this PE sent during the batch.
     pub sent_messages: u64,
-    /// World bottleneck words of this batch (`max` over PEs of
-    /// `max(sent, received)` — identical on every PE).
+    /// This PE's bottleneck words of the batch, `max(sent, received)`; the
+    /// world's is the maximum over the PEs ([`world_report`]).
     pub bottleneck_words: u64,
     /// PEs that participated in this batch (equals the world size until a
     /// crash is detected; always the world size with `replication == 0`).
     pub live_pes: usize,
-    /// Bottleneck words this batch spent on replica pushes (the robustness
+    /// Words this PE sent on replica pushes during the batch (the robustness
     /// tax; `0` with `replication == 0`).
     pub replication_words: u64,
     /// This PE's *total* message sends since the service started, sampled
-    /// at the very end of the batch (after the metering collective, whose
-    /// traffic the per-batch `sent_messages` deliberately excludes).  This
-    /// is the calibration hook for boundary-aligned chaos crashes: a
-    /// `FaultEvent::CrashPe` with `at_send_count` equal to this value dies
-    /// exactly at its first send of the *next* batch — the membership
-    /// heartbeat — and is detected cleanly, never mid-collective.
+    /// at the very end of the batch.  This is the calibration hook for
+    /// boundary-aligned chaos crashes: a `FaultEvent::CrashPe` with
+    /// `at_send_count` equal to this value dies exactly at its first send of
+    /// the *next* batch — the membership heartbeat — and is detected
+    /// cleanly, never mid-collective.
     ///
     /// [`FaultEvent::CrashPe`]: commsim::FaultEvent::CrashPe
     pub sends_total: u64,
 }
 
-/// Summary of a service run (identical on every PE).
+/// Summary of a service run: identical on every PE but for the traffic
+/// fields, which are this PE's own ([`world_report`] folds them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamReport {
     /// Mini-batches ingested.
@@ -247,7 +255,7 @@ pub struct StreamReport {
     pub p95_staleness_items: u64,
     /// Worst-case routed-query answer staleness, in globally ingested items.
     pub max_staleness_items: u64,
-    /// Sum over batches of the world bottleneck words.
+    /// Sum over batches of this PE's bottleneck words.
     pub total_bottleneck_words: u64,
     /// `total_bottleneck_words / items_global` — the scored communication
     /// metric of the streaming scenario.
@@ -272,9 +280,42 @@ pub struct StreamReport {
     pub p95_query_latency: f64,
     /// 99th percentile of the modeled routed-query latency.
     pub p99_query_latency: f64,
-    /// Sum over batches of the bottleneck replica-push words — the total
+    /// Sum over batches of this PE's replica-push words — the total
     /// robustness tax (`0` with `replication == 0`).
     pub total_replication_words: u64,
+}
+
+/// The world view of a run, folded outside the region: `report` (any PE's)
+/// with its traffic fields replaced by the sums over batches of each batch's
+/// maximum over `pes`, every PE's per-batch reports.  A PE whose reports end
+/// early — a crash victim, its reports up to the crash taken from a
+/// fault-free run — counts for the batches it reports.
+pub fn world_report(report: &StreamReport, pes: &[&[BatchReport]]) -> StreamReport {
+    let batches = pes.iter().map(|reports| reports.len()).max().unwrap_or(0);
+    let total = |field: fn(&BatchReport) -> u64| -> u64 {
+        (0..batches)
+            .map(|t| {
+                let at_t = pes.iter().filter_map(|reports| reports.get(t));
+                at_t.map(field).max().unwrap_or(0)
+            })
+            .sum()
+    };
+    let total_bottleneck_words = total(|b| b.bottleneck_words);
+    StreamReport {
+        total_bottleneck_words,
+        words_per_item: per_item(total_bottleneck_words, report.items_global),
+        total_replication_words: total(|b| b.replication_words),
+        ..report.clone()
+    }
+}
+
+/// `words / items`, `0.0` when nothing was ingested.
+fn per_item(words: u64, items: u64) -> f64 {
+    if items == 0 {
+        0.0
+    } else {
+        words as f64 / items as f64
+    }
 }
 
 /// A buddy's copy of one PE's serving shard, pushed at every refresh (see
@@ -319,9 +360,6 @@ pub struct StreamService {
     staleness: Vec<u64>,
     batch_reports: Vec<BatchReport>,
     total_bottleneck_words: u64,
-    /// Metering baseline for the next batch; set *after* the per-batch
-    /// `allreduce_max` so the metering collective itself is not scored.
-    meter_base: Option<StatsSnapshot>,
     // ----- failure-tolerance state (inert while `replication == 0`) -----
     /// The shared membership protocol ([`commsim::recovery::Membership`]):
     /// presumed-live group, suspicion bitmap, and eviction flag.  The group
@@ -378,7 +416,6 @@ impl StreamService {
             staleness: Vec::new(),
             batch_reports: Vec::new(),
             total_bottleneck_words: 0,
-            meter_base: None,
             membership: Membership::new(),
             snapshot_group: Vec::new(),
             degraded: false,
@@ -424,10 +461,7 @@ impl StreamService {
         corpus: &TextCorpus,
         profile: &StreamProfile,
     ) -> &BatchReport {
-        let before = self
-            .meter_base
-            .take()
-            .unwrap_or_else(|| comm.stats_snapshot());
+        let before = comm.stats_snapshot();
         if self.config.replication == 0 {
             let world: Vec<Rank> = (0..comm.size()).collect();
             return self.cycle(comm, comm, &world, before, corpus, profile);
@@ -503,16 +537,11 @@ impl StreamService {
         let staleness_now = self.items_global - self.snapshot_items;
         self.score_routed_queries(t, live, staleness_now);
 
-        // Meter the batch, then reset the baseline *after* the metering
-        // collectives so their own traffic is never scored.
-        let delta = comm.stats_snapshot().since(&before);
-        let world_words = group.allreduce_max(delta.bottleneck_words());
-        if self.config.replication > 0 {
-            replication_words = group.allreduce_max(replication_words);
-        }
+        // Meter the batch: this PE's own counters, no collective.
         let end_of_batch = comm.stats_snapshot();
-        self.meter_base = Some(end_of_batch);
-        self.total_bottleneck_words += world_words;
+        let delta = end_of_batch.since(&before);
+        let words = delta.bottleneck_words();
+        self.total_bottleneck_words += words;
         self.total_replication_words += replication_words;
 
         // Close the batch: the window advances one step.
@@ -526,7 +555,7 @@ impl StreamService {
             staleness_items: staleness_now,
             sent_words: delta.sent_words,
             sent_messages: delta.sent_messages,
-            bottleneck_words: world_words,
+            bottleneck_words: words,
             live_pes: live.len(),
             replication_words,
             sends_total: end_of_batch.sent_messages,
@@ -662,7 +691,6 @@ impl StreamService {
     /// [`Self::is_evicted`]): nothing is ingested, nothing is sent, and
     /// `live_pes` reports the group that moved on without this PE.
     fn evicted_report<C: Communicator>(&mut self, comm: &C) -> &BatchReport {
-        self.meter_base = None;
         self.batch_reports.push(BatchReport {
             batch: self.batches_done,
             new_vocab: 0,
@@ -718,7 +746,8 @@ impl StreamService {
         &self.shard
     }
 
-    /// Summarise the run so far (identical on every PE).
+    /// Summarise the run so far: identical on every PE but for the traffic
+    /// fields, this PE's own.
     pub fn report(&self) -> StreamReport {
         let mut staleness = self.staleness.clone();
         staleness.sort_unstable();
@@ -731,11 +760,7 @@ impl StreamService {
             p95_staleness_items: nearest_rank(&staleness, 0.95),
             max_staleness_items: staleness.last().copied().unwrap_or(0),
             total_bottleneck_words: self.total_bottleneck_words,
-            words_per_item: if self.items_global == 0 {
-                0.0
-            } else {
-                self.total_bottleneck_words as f64 / self.items_global as f64
-            },
+            words_per_item: per_item(self.total_bottleneck_words, self.items_global),
             degraded: self.degraded,
             coverage: self.coverage,
             routed_queries: self.routed_queries,
@@ -860,14 +885,25 @@ mod tests {
         let profile = StreamProfile::stationary();
         let results = drive(4, 7, quick_config(), profile);
         let (r0, b0, top0) = &results[0];
+        let pes: Vec<&[BatchReport]> = results.iter().map(|(_, b, _)| b.as_slice()).collect();
+        let world = world_report(r0, &pes);
         for (r, b, top) in &results {
-            assert_eq!(r, r0, "summary must be identical on every PE");
+            // Every field but this PE's own traffic is global.
+            let traffic_free = |r: &StreamReport| StreamReport {
+                total_bottleneck_words: 0,
+                words_per_item: 0.0,
+                total_replication_words: 0,
+                ..r.clone()
+            };
+            assert_eq!(traffic_free(r), traffic_free(r0), "summary must agree");
             assert_eq!(top, top0, "published top-k must be identical");
             assert_eq!(b.len(), 7);
-            // World bottleneck columns agree even though local sent_words
-            // differ per PE.
+            let own: u64 = b.iter().map(|batch| batch.bottleneck_words).sum();
+            assert_eq!(r.total_bottleneck_words, own);
+            assert!(own <= world.total_bottleneck_words);
+            // The fold is the same from any PE's summary.
+            assert_eq!(world_report(r, &pes), world);
             for (mine, first) in b.iter().zip(b0.iter()) {
-                assert_eq!(mine.bottleneck_words, first.bottleneck_words);
                 assert_eq!(mine.refreshed, first.refreshed);
                 assert_eq!(mine.staleness_items, first.staleness_items);
             }
@@ -877,7 +913,7 @@ mod tests {
         assert_eq!(r0.batches, 7);
         assert_eq!(r0.items_global, 7 * 4 * 300);
         assert!(r0.routed_queries > 0 && r0.answered_queries == r0.routed_queries);
-        assert!(r0.words_per_item > 0.0);
+        assert!(r0.words_per_item > 0.0 && world.words_per_item >= r0.words_per_item);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use topk_selection::prelude::*;
 use topk_selection::seqkit::hashagg::{count_keys, top_k_by_count};
 use topk_selection::topk::frequent::{absolute_error, exact_global_counts, relative_error};
+use topk_selection::topk::TopKFrequentResult;
 
 #[test]
 fn all_frequent_object_algorithms_respect_the_error_bound_on_zipf_input() {
@@ -214,4 +215,124 @@ fn branch_and_bound_application_end_to_end() {
         knapsack_branch_bound_parallel(comm, &instance, 2, 5)
     });
     assert!(out.results.iter().all(|r| r.optimum == dp));
+}
+
+/// FNV-1a over words: a compact, order-sensitive digest.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a §7 result: the sample size, the exactness flag, the
+/// length and the items.
+fn result_digest(result: &TopKFrequentResult) -> u64 {
+    let head = [
+        result.sample_size,
+        u64::from(result.exact_counts),
+        result.items.len() as u64,
+    ];
+    let items = result.items.iter().flat_map(|&(key, count)| [key, count]);
+    fnv1a(head.into_iter().chain(items))
+}
+
+/// The sample size rides the hash table's shares (the baselines'
+/// shipments), not a reduction of its own: on every engine, at p = 1 to 5
+/// and at p = 16, where the table crosses the hypercube, every PE of every
+/// algorithm reports the sample size and the result recorded when one sum
+/// all-reduction of the PEs' sample lengths computed it.  PEC samples 40 %
+/// of this input, so its candidates are its threshold's.
+#[test]
+fn sample_sizes_ride_the_shares_and_every_result_is_unchanged() {
+    // `(sample size, result digest)` per algorithm in `Algorithm::ALL`
+    // order: PAC, EC, PEC, Naive, Naive Tree.
+    const RECORDED: [(usize, [(u64, u64); 5]); 5] = [
+        (
+            1,
+            [
+                (3975, 0x512ab27d83315d68),
+                (46, 0x7075fa1c2c3cc79b),
+                (15560, 0x336ab091690d86a6),
+                (3874, 0x10475c720524c0a6),
+                (3874, 0x10475c720524c0a6),
+            ],
+        ),
+        (
+            2,
+            [
+                (3911, 0x555e897ac206dd5b),
+                (63, 0xf62e3120988c3206),
+                (15471, 0xd3839e4fccf4e3fb),
+                (3886, 0x00dc3657e49f25c5),
+                (3886, 0x00dc3657e49f25c5),
+            ],
+        ),
+        (
+            3,
+            [
+                (3899, 0x328bdef6999ad827),
+                (64, 0xa357d7a1ce5d65f7),
+                (15432, 0x6f68dc79603b8526),
+                (3928, 0xc73a77131ce4992a),
+                (3928, 0xc73a77131ce4992a),
+            ],
+        ),
+        (
+            5,
+            [
+                (3872, 0xa501fb05de98c971),
+                (70, 0x7c9c01c60c49d1fa),
+                (15426, 0xb5605366f5d0b7fc),
+                (3904, 0xea3fdee96460d2ba),
+                (3904, 0xea3fdee96460d2ba),
+            ],
+        ),
+        (
+            16,
+            [
+                (3867, 0xf3689ae8cd39475a),
+                (74, 0x2fe16717f4567b11),
+                (15355, 0xe5943c8988099c17),
+                (3844, 0x98a2237c0fbb6f39),
+                (3844, 0x98a2237c0fbb6f39),
+            ],
+        ),
+    ];
+    use rand::SeedableRng;
+    let zipf = Zipf::new(1 << 12, 1.0);
+    let data = zipf.sample_many(40_000, &mut rand::rngs::StdRng::seed_from_u64(0x42));
+    let params = FrequentParams::new(32, 0.1, 0.5, 0x42);
+    for (p, recorded) in RECORDED {
+        let parts: Vec<Vec<u64>> = (0..p)
+            .map(|r| data.iter().copied().skip(r).step_by(p).collect())
+            .collect();
+        for (algorithm, (sample_size, digest)) in Algorithm::ALL.into_iter().zip(recorded) {
+            let engines = [
+                (
+                    "threads",
+                    run_spmd(p, |comm| algorithm.run(comm, &parts[comm.rank()], &params)).results,
+                ),
+                (
+                    "worker pool",
+                    World::new(p)
+                        .with_workers(2)
+                        .mux(|comm| algorithm.run(comm, &parts[comm.rank()], &params))
+                        .fault_free()
+                        .results,
+                ),
+                (
+                    "inline driver",
+                    run_spmd_seq(p, |comm| algorithm.run(comm, &parts[comm.rank()], &params))
+                        .results,
+                ),
+            ];
+            for (engine, results) in engines {
+                for (rank, result) in results.iter().enumerate() {
+                    let at = format!("{algorithm:?} p={p} {engine} rank {rank}");
+                    assert_eq!(result.sample_size, sample_size, "{at}: sample size");
+                    assert_eq!(result_digest(result), digest, "{at}: result");
+                }
+            }
+        }
+    }
 }

@@ -13,7 +13,8 @@
 
 use topk_selection::datagen::{FlashCrowd, StreamProfile, TextCorpus};
 use topk_selection::prelude::*;
-use topk_selection::workloads::{BatchReport, StreamReport};
+use topk_selection::topk::frequent::dht;
+use topk_selection::workloads::{world_report, BatchReport, StreamReport};
 
 fn corpus() -> TextCorpus {
     TextCorpus::new(600, 1.05, 2024)
@@ -42,6 +43,17 @@ fn config() -> StreamConfig {
         seed: 0xBEEF,
         replication: 0,
         query_lambda: 4.0,
+    }
+}
+
+/// A run summary without its traffic fields, which are each PE's own: the
+/// part every PE must agree on.
+fn non_traffic(report: &StreamReport) -> StreamReport {
+    StreamReport {
+        total_bottleneck_words: 0,
+        words_per_item: 0.0,
+        total_replication_words: 0,
+        ..report.clone()
     }
 }
 
@@ -75,8 +87,8 @@ fn streaming_traffic_is_bit_identical_across_all_three_backends() {
         for rank in 0..p {
             let (tb, tt, tr) = &threaded.results[rank];
             let (ob, ot, or) = out.results[rank].as_ref().expect("fault-free");
-            // Per-batch reports carry this PE's sent words/messages and the
-            // world bottleneck for every batch — all must match exactly.
+            // Per-batch reports carry this PE's sent words/messages and its
+            // bottleneck for every batch — all must match exactly.
             assert_eq!(tb, ob, "{name} rank {rank}: per-batch reports diverge");
             assert_eq!(tt, ot, "{name} rank {rank}: published top-k diverges");
             // The summary covers the scored query stream: routed and
@@ -90,6 +102,51 @@ fn streaming_traffic_is_bit_identical_across_all_three_backends() {
                 (o.sent_messages, o.sent_words),
                 "{name} rank {rank}: transport counters diverge"
             );
+        }
+    }
+}
+
+/// A batch meters itself without a collective: at `replication = 0` a plain
+/// batch sends and receives only its vocabulary all-gather's messages, and a
+/// refresh adds the hash table's all-to-all and the merge's `⌈log₂ p⌉`
+/// rounds, nothing else — on every PE, at p = 1 to 9 (9 crosses the
+/// hypercube).
+#[test]
+fn a_plain_batch_sends_only_its_allgather_and_a_refresh_its_table_and_merge() {
+    for p in [1usize, 2, 3, 5, 9] {
+        let rounds = u64::from(p.next_power_of_two().trailing_zeros());
+        let out = run_spmd_seq(p, |comm| {
+            let messages = |before: topk_selection::commsim::StatsSnapshot| {
+                let delta = comm.stats_snapshot().since(&before);
+                (delta.sent_messages, delta.received_messages)
+            };
+            let before = comm.stats_snapshot();
+            comm.allgather(Vec::<String>::new());
+            let allgather = messages(before);
+            let before = comm.stats_snapshot();
+            dht::aggregate_counts(comm, Default::default());
+            let table = messages(before);
+            let (corpus, profile) = (corpus(), profile());
+            let mut service = StreamService::new(config());
+            let batches: Vec<(bool, (u64, u64))> = (0..7)
+                .map(|_| {
+                    let before = comm.stats_snapshot();
+                    let refreshed = service.ingest_batch(comm, &corpus, &profile).refreshed;
+                    (refreshed, messages(before))
+                })
+                .collect();
+            (allgather, table, batches)
+        });
+        for (rank, (allgather, table, batches)) in out.results.iter().enumerate() {
+            let refresh = (
+                allgather.0 + table.0 + rounds,
+                allgather.1 + table.1 + rounds,
+            );
+            for (batch, &(refreshed, messages)) in batches.iter().enumerate() {
+                let want = if refreshed { refresh } else { *allgather };
+                assert_eq!(messages, want, "p={p} rank {rank} batch {batch}");
+            }
+            assert!(batches.iter().filter(|(refreshed, _)| *refreshed).count() == 3);
         }
     }
 }
@@ -191,8 +248,9 @@ fn streaming_on_a_mux_worker_pool_matches_seq() {
 const GOLDEN_BATCHES: usize = 14;
 
 /// Per PE and batch of the golden-value run: the words and messages the PE
-/// sent, and the world bottleneck words.  A refresh batch sends the DHT
-/// share and one top-k merge message (p = 2: one round).  The snapshots
+/// sent, and the world bottleneck words — the maximum of the PEs' own,
+/// folded over the ranks.  A refresh batch sends the DHT share and one top-k
+/// merge message (p = 2: one round).  The snapshots
 /// were recorded when the refresh still ran the §4.1 selection and a
 /// winners' all-gather; the merge publishes the same ones.  The traffic was
 /// re-recorded when `KeyCounts` became one bit stream.
@@ -324,15 +382,16 @@ fn refreshes_match_the_golden_values_on_every_engine() {
         ("inline driver", &inline),
         ("worker pool", &pool),
     ] {
+        // Each batch's busiest PE.
+        let world_words = |batch: usize| {
+            let pes = out.results.iter().map(|batches| &batches[batch].0);
+            pes.map(|report| report.bottleneck_words).max().unwrap()
+        };
         for (rank, batches) in out.results.iter().enumerate() {
             let mut golden_snapshots = GOLDEN_SNAPSHOTS.iter().peekable();
             let mut published: &[(&str, u64)] = &[];
             for (batch, (report, snapshot)) in batches.iter().enumerate() {
-                let traffic = (
-                    report.sent_words,
-                    report.sent_messages,
-                    report.bottleneck_words,
-                );
+                let traffic = (report.sent_words, report.sent_messages, world_words(batch));
                 assert_eq!(
                     traffic, GOLDEN_TRAFFIC[rank][batch],
                     "{engine} rank {rank} batch {batch}: traffic"
@@ -454,7 +513,11 @@ fn one_crash_among_sixteen_with_two_replicas_keeps_full_availability() {
         let (r, _, t, g, _) = out.results[rank].as_ref().unwrap();
         assert_eq!(t, topk, "rank {rank}: snapshot diverges");
         assert_eq!(g, group, "rank {rank}: live group diverges");
-        assert_eq!(r, report, "rank {rank}: run summary diverges");
+        assert_eq!(
+            non_traffic(r),
+            non_traffic(report),
+            "rank {rank}: run summary diverges"
+        );
     }
 
     // Oracle bound over the surviving coverage: the last refresh aggregated
@@ -615,7 +678,11 @@ fn membership_masks_scale_to_one_hundred_twenty_eight_pes() {
         let (r, _, evicted, g, _) = out.results[rank].as_ref().unwrap();
         assert!(!evicted, "rank {rank} must not be evicted");
         assert_eq!(g, group, "rank {rank}: live group diverges");
-        assert_eq!(r, report, "rank {rank}: run summary diverges");
+        assert_eq!(
+            non_traffic(r),
+            non_traffic(report),
+            "rank {rank}: run summary diverges"
+        );
     }
 }
 
@@ -744,7 +811,8 @@ const FT_CRASH_AFTER: usize = 3;
 /// One [`BatchReport`] of the failure-tolerant golden run, batch index
 /// implied: `(new_vocab, refreshed, staleness_items, sent_words,
 /// sent_messages, bottleneck_words, live_pes, replication_words,
-/// sends_total)`.
+/// sends_total)`, the bottleneck and replica-push words the world's: each
+/// the maximum of the PEs' own, folded over the ranks.
 type BatchRow = (usize, bool, u64, u64, u64, u64, usize, u64, u64);
 
 /// One held replica: `(owner, epoch, count pairs, vocab log length, digest
@@ -755,47 +823,47 @@ type ReplicaRow = (usize, usize, usize, usize, u64, u64);
 /// Recorded when the failure-tolerant mode ran its own copy of the batch
 /// cycle and of the ring-successor push; the traffic fields re-recorded when
 /// the refresh's top-k became a merge, and when `KeyCounts` became one bit
-/// stream.
+/// stream; the send totals when a batch stopped reducing its own meter.
 const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
     [
-        (169, true, 0, 1187, 14, 1187, 4, 794, 18),
-        (96, false, 480, 182, 5, 184, 4, 0, 27),
-        (54, true, 0, 827, 14, 849, 4, 722, 45),
-        (51, false, 480, 99, 5, 117, 4, 0, 54),
-        (30, true, 0, 474, 14, 508, 4, 412, 72),
-        (34, false, 480, 63, 5, 74, 4, 0, 81),
-        (24, true, 0, 422, 14, 422, 4, 348, 99),
-        (18, false, 480, 49, 5, 49, 4, 0, 108),
+        (169, true, 0, 1187, 14, 1187, 4, 794, 14),
+        (96, false, 480, 182, 5, 184, 4, 0, 19),
+        (54, true, 0, 827, 14, 849, 4, 722, 33),
+        (51, false, 480, 99, 5, 117, 4, 0, 38),
+        (30, true, 0, 474, 14, 508, 4, 412, 52),
+        (34, false, 480, 63, 5, 74, 4, 0, 57),
+        (24, true, 0, 422, 14, 422, 4, 348, 71),
+        (18, false, 480, 49, 5, 49, 4, 0, 76),
     ],
     [
-        (169, true, 0, 1183, 12, 1187, 4, 794, 14),
-        (96, false, 480, 178, 3, 184, 4, 0, 19),
-        (54, true, 0, 829, 12, 849, 4, 722, 33),
-        (51, false, 480, 117, 3, 117, 4, 0, 38),
-        (30, true, 0, 448, 12, 508, 4, 412, 52),
-        (34, false, 480, 52, 3, 74, 4, 0, 57),
-        (24, true, 0, 407, 12, 422, 4, 348, 71),
-        (18, false, 480, 39, 3, 49, 4, 0, 76),
+        (169, true, 0, 1183, 12, 1187, 4, 794, 12),
+        (96, false, 480, 178, 3, 184, 4, 0, 15),
+        (54, true, 0, 829, 12, 849, 4, 722, 27),
+        (51, false, 480, 117, 3, 117, 4, 0, 30),
+        (30, true, 0, 448, 12, 508, 4, 412, 42),
+        (34, false, 480, 52, 3, 74, 4, 0, 45),
+        (24, true, 0, 407, 12, 422, 4, 348, 57),
+        (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1155, 12, 1187, 4, 794, 16),
-        (96, false, 480, 182, 3, 184, 4, 0, 23),
-        (54, true, 0, 820, 12, 849, 4, 722, 39),
-        (51, false, 480, 89, 3, 117, 4, 0, 46),
-        (30, true, 0, 480, 12, 508, 4, 412, 62),
-        (34, false, 480, 68, 3, 74, 4, 0, 69),
-        (24, true, 0, 381, 12, 422, 4, 348, 85),
-        (18, false, 480, 25, 3, 49, 4, 0, 92),
+        (169, true, 0, 1155, 12, 1187, 4, 794, 12),
+        (96, false, 480, 182, 3, 184, 4, 0, 15),
+        (54, true, 0, 820, 12, 849, 4, 722, 27),
+        (51, false, 480, 89, 3, 117, 4, 0, 30),
+        (30, true, 0, 480, 12, 508, 4, 412, 42),
+        (34, false, 480, 68, 3, 74, 4, 0, 45),
+        (24, true, 0, 381, 12, 422, 4, 348, 57),
+        (18, false, 480, 25, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1161, 12, 1187, 4, 794, 14),
-        (96, false, 480, 180, 3, 184, 4, 0, 19),
-        (54, true, 0, 846, 12, 849, 4, 722, 33),
-        (51, false, 480, 99, 3, 117, 4, 0, 38),
-        (30, true, 0, 508, 12, 508, 4, 412, 52),
-        (34, false, 480, 74, 3, 74, 4, 0, 57),
-        (24, true, 0, 391, 12, 422, 4, 348, 71),
-        (18, false, 480, 39, 3, 49, 4, 0, 76),
+        (169, true, 0, 1161, 12, 1187, 4, 794, 12),
+        (96, false, 480, 180, 3, 184, 4, 0, 15),
+        (54, true, 0, 846, 12, 849, 4, 722, 27),
+        (51, false, 480, 99, 3, 117, 4, 0, 30),
+        (30, true, 0, 508, 12, 508, 4, 412, 42),
+        (34, false, 480, 74, 3, 74, 4, 0, 45),
+        (24, true, 0, 391, 12, 422, 4, 348, 57),
+        (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
 ];
 
@@ -827,10 +895,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         0,
         [
-            (19, true, 0, 1099, 13, 1099, 3, 1050, 71),
-            (24, false, 360, 38, 4, 50, 3, 0, 79),
-            (18, true, 0, 352, 12, 352, 3, 284, 95),
-            (19, false, 360, 44, 4, 44, 3, 0, 103),
+            (19, true, 0, 1099, 13, 1099, 3, 1050, 51),
+            (24, false, 360, 38, 4, 50, 3, 0, 55),
+            (18, true, 0, 352, 12, 352, 3, 284, 67),
+            (19, false, 360, 44, 4, 44, 3, 0, 71),
         ],
         &[
             (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
@@ -841,10 +909,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         1,
         [
-            (19, true, 0, 1050, 11, 1099, 3, 1050, 51),
-            (24, false, 360, 36, 3, 50, 3, 0, 56),
-            (18, true, 0, 323, 11, 352, 3, 284, 69),
-            (19, false, 360, 26, 3, 44, 3, 0, 74),
+            (19, true, 0, 1050, 11, 1099, 3, 1050, 41),
+            (24, false, 360, 36, 3, 50, 3, 0, 44),
+            (18, true, 0, 323, 11, 352, 3, 284, 55),
+            (19, false, 360, 26, 3, 44, 3, 0, 58),
         ],
         &[
             (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
@@ -854,10 +922,10 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         3,
         [
-            (19, true, 0, 452, 11, 1099, 3, 1050, 51),
-            (24, false, 360, 50, 3, 50, 3, 0, 56),
-            (18, true, 0, 297, 11, 352, 3, 284, 69),
-            (19, false, 360, 38, 3, 44, 3, 0, 74),
+            (19, true, 0, 452, 11, 1099, 3, 1050, 41),
+            (24, false, 360, 50, 3, 50, 3, 0, 44),
+            (18, true, 0, 297, 11, 352, 3, 284, 55),
+            (19, false, 360, 38, 3, 44, 3, 0, 58),
         ],
         &[
             (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
@@ -867,7 +935,8 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     ),
 ];
 
-/// The run summary of the fault-free golden run (identical on every PE).
+/// The run summary of the fault-free golden run, its traffic fields folded
+/// over the PEs.
 fn ft_golden_report() -> StreamReport {
     StreamReport {
         batches: FT_GOLDEN_BATCHES,
@@ -889,7 +958,8 @@ fn ft_golden_report() -> StreamReport {
     }
 }
 
-/// The run summary every survivor of the crash run reports.
+/// The run summary of the crash run's survivors, its traffic fields folded
+/// over the PEs (the victim's up to its crash).
 fn ft_golden_crash_report() -> StreamReport {
     StreamReport {
         items_global: 3360,
@@ -910,16 +980,24 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     })
 }
 
-fn batch_row(b: &BatchReport) -> BatchRow {
+/// Batch `t`'s maximum of `field` over `pes`, every PE's per-batch reports
+/// (a PE whose reports end before `t` does not count).
+fn busiest(pes: &[&[BatchReport]], t: usize, field: fn(&BatchReport) -> u64) -> u64 {
+    let at_t = pes.iter().filter_map(|reports| reports.get(t));
+    at_t.map(field).max().unwrap_or(0)
+}
+
+/// `b`'s row, its world columns folded over `pes`.
+fn batch_row(b: &BatchReport, pes: &[&[BatchReport]]) -> BatchRow {
     (
         b.new_vocab,
         b.refreshed,
         b.staleness_items,
         b.sent_words,
         b.sent_messages,
-        b.bottleneck_words,
+        busiest(pes, b.batch, |b| b.bottleneck_words),
         b.live_pes,
-        b.replication_words,
+        busiest(pes, b.batch, |b| b.replication_words),
         b.sends_total,
     )
 }
@@ -942,10 +1020,13 @@ fn replica_row(s: &ReplicaShard) -> ReplicaRow {
     )
 }
 
-/// Assert one PE's failure-tolerant run against its golden rows.
+/// Assert one PE's failure-tolerant run against its golden rows: its own
+/// fields, and the world's traffic folded over `pes`, every PE's per-batch
+/// reports (a crash victim's up to its crash).
 fn assert_ft_golden(
     label: &str,
     got: &FtOutcome,
+    pes: &[&[BatchReport]],
     batches: &[BatchRow],
     report: &StreamReport,
     replicas: &[ReplicaRow],
@@ -954,9 +1035,13 @@ fn assert_ft_golden(
     assert_eq!(got_batches.len(), batches.len(), "{label}: batch count");
     for (t, (b, want)) in got_batches.iter().zip(batches).enumerate() {
         assert_eq!(b.batch, t, "{label}: batch index");
-        assert_eq!(&batch_row(b), want, "{label} batch {t}");
+        assert_eq!(&batch_row(b, pes), want, "{label} batch {t}");
     }
-    assert_eq!(got_report, report, "{label}: run summary");
+    assert_eq!(
+        &world_report(got_report, pes),
+        report,
+        "{label}: run summary"
+    );
     let got_replicas: Vec<ReplicaRow> = got_replicas.iter().map(replica_row).collect();
     assert_eq!(got_replicas, replicas, "{label}: replicas");
 }
@@ -978,10 +1063,12 @@ fn ft_batches_match_the_golden_values_on_every_engine() {
         ("inline driver", &inline.results),
         ("worker pool", &pool.results),
     ] {
+        let pes: Vec<&[BatchReport]> = out.iter().map(|got| got.1.as_slice()).collect();
         for (rank, got) in out.iter().enumerate() {
             assert_ft_golden(
                 &format!("{engine} rank {rank}"),
                 got,
+                &pes,
                 &FT_GOLDEN[rank],
                 &ft_golden_report(),
                 FT_GOLDEN_REPLICAS[rank],
@@ -989,6 +1076,8 @@ fn ft_batches_match_the_golden_values_on_every_engine() {
         }
     }
 
+    // The victim ran its batches up to the crash as in the fault-free run.
+    let victim = &inline.results[FT_VICTIM].1[..=FT_CRASH_AFTER];
     let at = FT_GOLDEN[FT_VICTIM][FT_CRASH_AFTER].8;
     let world = World::new(4).with_faults(FaultPlan::new().crash_pe(FT_VICTIM, at));
     let inline = world
@@ -1002,6 +1091,11 @@ fn ft_batches_match_the_golden_values_on_every_engine() {
             out.results[FT_VICTIM].is_none(),
             "{engine}: the victim crash-stops"
         );
+        let pes: Vec<&[BatchReport]> = out
+            .results
+            .iter()
+            .map(|got| got.as_ref().map_or(victim, |got| got.1.as_slice()))
+            .collect();
         for (rank, after, replicas) in FT_GOLDEN_SURVIVORS {
             let batches: Vec<BatchRow> = FT_GOLDEN[rank][..=FT_CRASH_AFTER]
                 .iter()
@@ -1012,6 +1106,7 @@ fn ft_batches_match_the_golden_values_on_every_engine() {
             assert_ft_golden(
                 &format!("{engine} crash run rank {rank}"),
                 got,
+                &pes,
                 &batches,
                 &ft_golden_crash_report(),
                 replicas,
