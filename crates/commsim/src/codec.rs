@@ -9,10 +9,11 @@
 //! backend recycles buffers), and [`crate::CommData`] — the bound the
 //! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
 //! This module is therefore the single owner of each type's layout.
-//! Layouts finer than a word — the [`PackedCounts`] vector here, the
-//! `KeyCounts` bit stream of the frequent-objects algorithms and the
-//! `SortedBlock` stream of the unsorted selection's level samples — pack
-//! their bits through its one bit coder, [`BitWriter`] and [`BitReader`].
+//! Layouts finer than a word — the [`PackedCounts`] vector here, each count
+//! Rice-coded against the one before it, the `KeyCounts` bit stream of the
+//! frequent-objects algorithms, and the unsorted selection's level messages,
+//! whose counts and `SortedBlock` sample share one stream — pack their bits
+//! through its one bit coder, [`BitWriter`] and [`BitReader`].
 //!
 //! Two invariants tie the codec to the cost model:
 //!
@@ -654,45 +655,80 @@ impl<'r, 'a> BitReader<'r, 'a> {
     }
 }
 
-/// A vector of counts that crosses the wire at the bit length of its largest
-/// entry — EC's and PEC's exact candidate counts, summed by an all-reduction
-/// with [`ReduceOp::sum`](crate::ReduceOp::sum).
+/// A vector of counts, each coded against the one before it — EC's and PEC's
+/// exact candidate counts, summed by an all-reduction with
+/// [`ReduceOp::sum`](crate::ReduceOp::sum).  The candidates arrive sorted by
+/// their sample counts, so neighbouring exact counts are close, and a count
+/// costs about its own bit length.
 ///
 /// ```text
-/// [ len ≪ 7 | w | entries, w bits each, least significant bit first ]
+/// δ(len) · δ(c₁) · per later count c: Rice(c, r) or escape · δ(c) | padding
 /// ```
 ///
-/// `w ≤ 64` is the bit length of the largest entry (0 when every entry is
-/// zero), so a message costs `1 + ⌈len·w/64⌉` words: a count bounded by `n`
-/// takes `⌈log₂(n + 1)⌉` bits, not a word.  Decoding accepts only this
-/// canonical form: a wider `w` than the largest entry needs, non-zero
-/// padding, or fewer words than `len·w` bits are a [`CommError::Decode`].
+/// `δ` is [`BitWriter::number`]'s universal code.  A later count's Rice
+/// parameter is `r = bit_length(previous) − 1` (0 after a 0 or a 1, and at
+/// most [`MAX_RICE`]), so a count of the previous one's bit length costs
+/// `r + 2` bits and a smaller one `r + 1`.  A count whose quotient `c ≫ r`
+/// reaches [`PackedCounts::ESCAPE`] is written as that quotient in unary —
+/// `ESCAPE + 1` bits — followed by `δ(c)`.  So an escaped entry costs
+/// `ESCAPE + 1 + δ(c)` bits, a Rice-coded one at most `ESCAPE + r`, and no
+/// entry more than `ESCAPE + 1 + δ(m)` for `m` the larger of it and its
+/// predecessor: 94 bits at `u64::MAX`, and in a vector of counts bounded by
+/// `n` never more than `ESCAPE + 1 + δ(n)`.
+///
+/// Decoding accepts only this canonical form: an escape below the cut, a
+/// unary quotient above it, a length beyond the bits left, non-zero padding
+/// or too few words are a [`CommError::Decode`].
 ///
 /// ```
 /// use commsim::codec::{PackedCounts, WordCodec, WordReader};
 ///
-/// let counts = PackedCounts(vec![5, 0, 7, 2]);
+/// let counts = PackedCounts(vec![5, 4, 7, 2]);
 /// let mut wire = Vec::new();
 /// counts.encode(&mut wire);
-/// // Four 3-bit entries: 101 000 111 010, lowest first.
-/// assert_eq!(wire, vec![4 << 7 | 3, 0b010_111_000_101]);
+/// // δ(4), δ(5), then 4 and 7 at r = 2 (the bit length of 5, less one):
+/// // quotient 1 and low bits 00 and 11; then 2, quotient 0 and low bits 10.
+/// // 23 bits, read from the top: each code's bits and the codes reversed.
+/// assert_eq!(wire, vec![0b10_1_11_10_00_10_01_1_100_00_1_100]);
+/// assert_eq!(counts.encoded_len(), 1);
 /// assert_eq!(PackedCounts::decode(&mut WordReader::new(&wire)).unwrap(), counts);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedCounts(pub Vec<u64>);
 
 impl PackedCounts {
-    /// Longest vector a decoder accepts.  A zero-width message carries any
-    /// length in its header word alone, and decoding it allocates the
-    /// zeros: the cap keeps a corrupt header from allocating unboundedly.
-    const MAX_LEN: usize = 1 << 24;
+    /// Longest vector a decoder accepts.  A count takes a bit or more, so a
+    /// length beyond the bits left fails first; the cap bounds what a
+    /// corrupt length can reserve on the longest messages.
+    const MAX_LEN: u64 = 1 << 24;
 
-    /// Bits of the header below the length.
-    const WIDTH_BITS: u32 = 7;
+    /// The unary quotient at which a count escapes to `δ(c)`.
+    ///
+    /// A Rice code costs `q + 1 + r` bits and `δ(c)` costs
+    /// `r + bit_length(q) − 1 + 2·bit_length(bit_length(c))`: its top
+    /// `bit_length(q)` bits past the `r` low ones, and the length prefix.
+    /// For every count below 2⁶³ the prefix takes at most 12 bits, so the
+    /// Rice code is the longer one from `q − bit_length(q) ≥ 11` on — from
+    /// `q = 15`, and 16 is the first power of two there.  Below the cut every
+    /// count at most 8× its predecessor stays a Rice code (`c ≤ 8·previous <
+    /// 16·2^r`), which is every step of a candidate vector sorted by sample
+    /// count bar an outlier, and past it an entry costs at most
+    /// `ESCAPE + 1` bits more than `δ(c)` alone.
+    pub const ESCAPE: u64 = 16;
 
-    /// Bit length of the largest entry.
-    fn width(&self) -> u32 {
-        bit_length(self.0.iter().copied().max().unwrap_or(0))
+    /// The Rice parameter of the count after `previous`.
+    fn rice_after(previous: u64) -> u32 {
+        bit_length(previous).saturating_sub(1).min(MAX_RICE)
+    }
+
+    /// Bits of `count` coded after `previous`.
+    fn count_bits(count: u64, previous: u64) -> u64 {
+        let r = Self::rice_after(previous);
+        if count >> r < Self::ESCAPE {
+            BitWriter::rice_bits(count, r)
+        } else {
+            Self::ESCAPE + 1 + BitWriter::number_bits(count)
+        }
     }
 }
 
@@ -716,41 +752,63 @@ impl std::ops::Add for PackedCounts {
 
 impl WordCodec for PackedCounts {
     fn encoded_len(&self) -> usize {
-        1 + (self.0.len() * self.width() as usize).div_ceil(64)
+        let counts = &self.0;
+        let first = counts.first().map_or(0, |&c| BitWriter::number_bits(c));
+        let later: u64 = counts
+            .windows(2)
+            .map(|w| Self::count_bits(w[1], w[0]))
+            .sum();
+        (BitWriter::number_bits(counts.len() as u64) + first + later).div_ceil(64) as usize
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
-        assert!(self.0.len() <= Self::MAX_LEN, "PackedCounts too long");
-        let w = self.width();
-        out.push((self.0.len() as u64) << Self::WIDTH_BITS | u64::from(w));
+        assert!(
+            self.0.len() as u64 <= Self::MAX_LEN,
+            "PackedCounts too long"
+        );
         let mut bits = BitWriter::new(out);
-        for &count in &self.0 {
-            bits.put(count, w);
+        bits.number(self.0.len() as u64);
+        if let Some(&first) = self.0.first() {
+            bits.number(first);
+        }
+        for w in self.0.windows(2) {
+            let r = Self::rice_after(w[0]);
+            if w[1] >> r < Self::ESCAPE {
+                bits.rice(w[1], r);
+            } else {
+                bits.rice(Self::ESCAPE, 0);
+                bits.number(w[1]);
+            }
         }
         bits.finish();
     }
 
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let header = r.next_word().ok_or_else(decode_error::<Self>)?;
-        let w = low_bits(header, Self::WIDTH_BITS) as u32;
-        let len = header >> Self::WIDTH_BITS;
-        // Checked in this order, `len·w` cannot overflow.
-        if w > 64
-            || len > Self::MAX_LEN as u64
-            || (len * u64::from(w)).div_ceil(64) > r.remaining() as u64
-        {
-            return Err(decode_error::<Self>());
-        }
         let mut bits = BitReader::new::<Self>(r);
-        let counts = (0..len)
-            .map(|_| bits.take(w))
-            .collect::<CommResult<Vec<u64>>>()?;
-        bits.finish()?;
-        let counts = PackedCounts(counts);
-        if counts.width() != w {
+        let len = bits.number()?;
+        // Every count takes a bit or more: a corrupt length fails here, not
+        // after reserving it.
+        if len > Self::MAX_LEN || len > bits.bits_left() {
             return Err(decode_error::<Self>());
         }
-        Ok(counts)
+        let mut counts = Vec::with_capacity(len as usize);
+        if len > 0 {
+            counts.push(bits.number()?);
+        }
+        for _ in 1..len {
+            let rice = Self::rice_after(counts[counts.len() - 1]);
+            let count = match bits.rice(0)? {
+                quotient if quotient < Self::ESCAPE => quotient << rice | bits.take(rice)?,
+                Self::ESCAPE => match bits.number()? {
+                    count if count >> rice >= Self::ESCAPE => count,
+                    _ => return Err(decode_error::<Self>()),
+                },
+                _ => return Err(decode_error::<Self>()),
+            };
+            counts.push(count);
+        }
+        bits.finish()?;
+        Ok(PackedCounts(counts))
     }
 }
 
@@ -871,24 +929,95 @@ mod tests {
         roundtrip(vec![(); 7]);
     }
 
+    /// Bits of `counts`' stream, derived apart from the encoder: `δ(len)`,
+    /// `δ` of the first count, then each later count at the Rice parameter
+    /// of its predecessor's leading bit, or escaped.
+    fn packed_bits(counts: &[u64]) -> u64 {
+        let delta = BitWriter::number_bits;
+        let mut bits = delta(counts.len() as u64) + counts.first().map_or(0, |&c| delta(c));
+        for w in counts.windows(2) {
+            let r = match w[0] {
+                0 | 1 => 0,
+                previous => (63 - previous.leading_zeros()).min(MAX_RICE),
+            };
+            let quotient = w[1] >> r;
+            bits += if quotient < PackedCounts::ESCAPE {
+                quotient + 1 + u64::from(r)
+            } else {
+                PackedCounts::ESCAPE + 1 + delta(w[1])
+            };
+        }
+        bits
+    }
+
+    /// Round-trip `counts` and check its words are its stream's bits,
+    /// padded: `1 + ⌈bits/64⌉` less the header word a fixed width needed.
+    fn packed(counts: &[u64]) -> Vec<u64> {
+        let counts = PackedCounts(counts.to_vec());
+        roundtrip(counts.clone());
+        let mut wire = Vec::new();
+        counts.encode(&mut wire);
+        assert_eq!(
+            wire.len() as u64,
+            packed_bits(&counts.0).div_ceil(64),
+            "{counts:?}"
+        );
+        wire
+    }
+
     #[test]
-    fn packed_counts_cost_one_header_word_and_w_bits_an_entry() {
-        let packed = |counts: &[u64]| {
-            let counts = PackedCounts(counts.to_vec());
-            roundtrip(counts.clone());
-            let mut wire = Vec::new();
-            counts.encode(&mut wire);
-            wire
-        };
-        assert_eq!(packed(&[]), vec![0]);
-        assert_eq!(packed(&[0; 1000]), vec![1000 << 7]);
-        // 21 three-bit entries fill 63 bits of one word, the 22nd spills.
-        assert_eq!(packed(&[7; 21]).len(), 2);
-        assert_eq!(packed(&[7; 22]).len(), 3);
-        // Full-width entries are whole words.
-        assert_eq!(packed(&[u64::MAX, 1, 0]), vec![3 << 7 | 64, u64::MAX, 1, 0]);
-        // An entry straddles two words: 1 + ⌈5·33/64⌉ = 4 words.
-        assert_eq!(packed(&[1 << 32, 3, 5, 7, 9]).len(), 4);
+    fn packed_counts_cost_their_codes_bits_in_whole_words() {
+        // The empty vector is δ(0), one bit.
+        assert_eq!(packed(&[]), vec![1]);
+        // Zeros cost a bit each after the first: δ(1000) is 17 bits, then
+        // 1 000 one-bit codes.
+        assert_eq!(packed(&[0; 1000]).len(), 1017usize.div_ceil(64));
+        // A count of its predecessor's bit length costs r + 2 bits: 21
+        // nine-bit codes (r = 7) after δ(22) and δ(200) (10 + 15 bits) take
+        // 214 bits in 4 words.
+        assert_eq!(packed_bits(&[200; 22]), 214);
+        // u64::MAX: δ is 77 bits, and the count after it codes at r = 62.
+        assert_eq!(packed_bits(&[u64::MAX, 1, 0]), 5 + 77 + 63 + 1);
+        packed(&[u64::MAX, 1, 0]);
+        packed(&[u64::MAX; 5]);
+        // After a zero, every non-zero count from 16 on escapes.
+        assert_eq!(packed_bits(&[0, u64::MAX]), 5 + 1 + 17 + 77);
+        packed(&[0, u64::MAX, 0, 15, 16, 1 << 40]);
+        // Ascending, descending and alternating vectors, small and wide.
+        let ascending: Vec<u64> = (0..300).map(|i| i * i * 7).collect();
+        let descending: Vec<u64> = ascending.iter().rev().copied().collect();
+        let alternating: Vec<u64> = (0..300)
+            .map(|i| if i % 2 == 0 { 3 } else { 1 << (i % 60) })
+            .collect();
+        for counts in [ascending, descending, alternating] {
+            packed(&counts);
+        }
+        // Zipf-like counts sorted descending cost about their bit lengths
+        // and a unary bit, 34 words, where the largest one's width, 16 bits
+        // for each of the 200, took 51.
+        let zipf: Vec<u64> = (1..=200u64).map(|j| 40_000 / j).collect();
+        assert_eq!(packed(&zipf).len(), 34);
+    }
+
+    /// The escape sits at quotient [`PackedCounts::ESCAPE`]: at r = 2
+    /// (after 4), 63 is the last Rice code and 64 the first escape, and an
+    /// entry never costs more than `ESCAPE + 1 + δ(m)` bits for `m` the
+    /// larger of it and its predecessor.
+    #[test]
+    fn packed_counts_escape_at_the_cut() {
+        assert_eq!(PackedCounts::count_bits(63, 4), 15 + 1 + 2);
+        assert_eq!(
+            PackedCounts::count_bits(64, 4),
+            16 + 1 + BitWriter::number_bits(64)
+        );
+        packed(&[4, 63, 4, 64]);
+        for previous in [0, 1, 4, 1 << 20, u64::MAX] {
+            for count in [0, 1, 63, 64, 1 << 30, u64::MAX] {
+                let entry = PackedCounts::count_bits(count, previous);
+                let larger = count.max(previous);
+                assert!(entry <= PackedCounts::ESCAPE + 1 + BitWriter::number_bits(larger));
+            }
+        }
     }
 
     #[test]
@@ -909,38 +1038,69 @@ mod tests {
     fn non_canonical_packed_counts_fail_to_decode() {
         let decode = |words: &[u64]| PackedCounts::decode(&mut WordReader::new(words));
         let rejected = |words: &[u64]| matches!(decode(words), Err(CommError::Decode { .. }));
-        // [5, 0, 7, 2] at w = 3, as encoded.
-        let entries = 0b010_111_000_101;
-        assert_eq!(
-            decode(&[4 << 7 | 3, entries]).unwrap(),
-            PackedCounts(vec![5, 0, 7, 2])
-        );
-        // `w` above the bit length of the largest entry: the same numbers at
-        // four bits, and an all-zero vector at one.
-        assert!(rejected(&[4 << 7 | 4, 0b0010_0111_0000_0101]));
-        assert!(rejected(&[2 << 7 | 1, 0]));
-        assert!(rejected(&[1 << 7 | 64, 1]));
-        // The empty vector has width 0 only.
-        assert!(rejected(&[5]));
-        // `w > 64`, with or without words behind it.
-        for w in 65..128 {
-            assert!(rejected(&[w]));
-            assert!(rejected(&[1 << 7 | w, u64::MAX, u64::MAX]));
+        let by_hand = |write: &dyn Fn(&mut BitWriter)| {
+            let mut wire = Vec::new();
+            let mut bits = BitWriter::new(&mut wire);
+            write(&mut bits);
+            bits.finish();
+            wire
+        };
+        // [4, 64] as encoded: 64 escapes at r = 2.
+        let canonical = by_hand(&|bits| {
+            bits.number(2);
+            bits.number(4);
+            bits.rice(PackedCounts::ESCAPE, 0);
+            bits.number(64);
+        });
+        assert_eq!(canonical, packed(&[4, 64]));
+        assert_eq!(decode(&canonical).unwrap(), PackedCounts(vec![4, 64]));
+        // An escape below the cut: 63 and 5 are Rice codes after 4.
+        for count in [63, 5, 0] {
+            assert!(rejected(&by_hand(&|bits| {
+                bits.number(2);
+                bits.number(4);
+                bits.rice(PackedCounts::ESCAPE, 0);
+                bits.number(count);
+            })));
         }
-        // Non-zero padding bits in the last word, just above the entries
-        // and at the top.
-        assert!(rejected(&[4 << 7 | 3, entries | 1 << 12]));
-        assert!(rejected(&[4 << 7 | 3, entries | 1 << 63]));
-        // `len·w` bits longer than the remaining words: one entry short, a
-        // word short, and a length far beyond the buffer.
-        assert!(rejected(&[22 << 7 | 3, u64::MAX >> 1]));
-        assert!(rejected(&[3 << 7 | 64, 1, 2]));
-        assert!(rejected(&[u64::MAX << 7 | 1, 1]));
-        // Nothing at all, and a zero-width length beyond the cap (decoding
-        // it would allocate the zeros).
-        assert!(rejected(&[]));
-        assert!(rejected(&[((PackedCounts::MAX_LEN as u64) + 1) << 7]));
-        assert!(decode(&[(PackedCounts::MAX_LEN as u64) << 7]).is_ok());
+        // A unary quotient past the cut, with bits behind it.
+        assert!(rejected(&by_hand(&|bits| {
+            bits.number(2);
+            bits.number(4);
+            bits.rice(PackedCounts::ESCAPE + 1, 0);
+            bits.put(u64::MAX, 64);
+        })));
+        // Every truncation of a stream of several words, down to nothing.
+        let long = packed(&(0..200).map(|i| i * 977).collect::<Vec<u64>>());
+        assert!(long.len() > 3);
+        for cut in 0..long.len() {
+            assert!(rejected(&long[..cut]), "cut at {cut}");
+        }
+        // Non-zero padding just above the codes and at the top.
+        let short = packed(&[5, 4, 7, 2]);
+        assert!(decode(&short).is_ok());
+        assert!(rejected(&[short[0] | 1 << 23]));
+        assert!(rejected(&[short[0] | 1 << 63]));
+        // A length beyond the bits left (a decoder that trusted it would
+        // reserve it), beyond the cap with the bits behind it, and a length
+        // code above 64 bits.
+        assert!(rejected(&by_hand(&|bits| {
+            bits.number(1 << 40);
+            bits.number(9);
+        })));
+        let beyond_cap = PackedCounts::MAX_LEN + 1;
+        let mut ones = by_hand(&|bits| bits.number(beyond_cap));
+        ones.extend(std::iter::repeat_n(
+            u64::MAX,
+            (beyond_cap / 64 + 2) as usize,
+        ));
+        assert!(rejected(&ones));
+        assert!(rejected(&[1 << 8]));
+        // A first count above 64 bits.
+        assert!(rejected(&by_hand(&|bits| {
+            bits.number(1);
+            bits.put(1 << 8, 9);
+        })));
     }
 
     #[test]

@@ -244,7 +244,8 @@ pub trait Communicator {
 
     /// Element-wise sum all-reduction of a vector of whole words: a
     /// selection level's three partition counts, the skew fit's sums.  (EC's
-    /// and PEC's exact counts of the `k*` candidates travel bit-packed, as a
+    /// and PEC's exact counts of the `k*` candidates travel coded, each
+    /// against the one before it, as a
     /// [`PackedCounts`](crate::codec::PackedCounts) summed by
     /// [`Communicator::allreduce`].)
     fn allreduce_vec_sum(&self, value: Vec<u64>) -> Vec<u64>

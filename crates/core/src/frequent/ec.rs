@@ -6,11 +6,14 @@
 //! a candidate set — the `k* ≥ k` most frequently sampled objects — and then
 //! counts those candidates **exactly** with one extra pass over the local
 //! input and a vector-valued sum reduction, whose counts cross the wire
-//! bit-packed at `⌈log₂ n⌉` bits each
-//! ([`PackedCounts`](commsim::codec::PackedCounts)).  The candidate list
-//! reaches every PE through the top-`k*` merge of the DHT shares
-//! ([`super::select_top_counts`]), so the communication volume is
-//! `O((1/ε)·√(log p / p)·log(n/δ) + k*·⌈log₂ n⌉/64)` words per PE.
+//! each Rice-coded against the one before it
+//! ([`PackedCounts`](commsim::codec::PackedCounts)): the `j`-th largest of
+//! `k*` counts costs about `log₂(c_j + 1) + 1.5` bits, and never more than
+//! `PackedCounts::ESCAPE + 1 + δ(n)` (δ the universal code).  The candidate list reaches every PE through the
+//! top-`k*` merge of the DHT shares ([`super::select_top_counts`]), so the
+//! communication volume is
+//! `O((1/ε)·√(log p / p)·log(n/δ) + Σ_j (log₂(c_j + 1) + 2)/64)` words per
+//! PE, which is `O(… + k*·⌈log₂ n⌉/64)` at worst.
 
 use commsim::Communicator;
 

@@ -24,9 +24,11 @@
 //! 4. for EC, and for PEC unless its sample is the whole input, one
 //!    **exact-count stage**: candidates of that same sample — EC's top `k*`,
 //!    PEC's keys at or above its threshold — are counted in the local input
-//!    and summed with one all-reduction of a bit-packed [`PackedCounts`]
-//!    vector: a message's partial sums travel at the bit length of its
-//!    largest, `⌈log₂(n + 1)⌉` bits at most.
+//!    and summed with one all-reduction of a [`PackedCounts`] vector: the
+//!    candidates arrive in sample-count order, so each partial sum is
+//!    Rice-coded against the one before it: near its predecessor it costs
+//!    its own bit length (at most `⌈log₂(n + 1)⌉`) and a unary bit or two,
+//!    and never more than `17 + δ(n)` bits.
 //!
 //! Every collective of the pipeline feeds a decision: the `n` reduction
 //! sets the rate, the hash table counts, the merge picks the answer or the
@@ -273,7 +275,8 @@ fn count_candidates<C: Communicator>(
 /// The global number of occurrences of each of `candidates` (the same list
 /// on every PE): count them in `local_data` and sum the counts with one
 /// all-reduction of a [`PackedCounts`], so every partial sum crosses the wire
-/// at the bit length of its largest entry, not as whole words.
+/// at about its own bit length, coded against the one before it, not as a
+/// whole word.
 fn global_counts<C: Communicator>(comm: &C, local_data: &[u64], candidates: &[u64]) -> Vec<u64> {
     let index: HashMap<u64, usize> = candidates
         .iter()
@@ -517,9 +520,9 @@ mod tests {
     /// The exact-count stage is one all-reduction of a [`PackedCounts`]:
     /// every reduce message carries the sender's partial sums over its
     /// binomial subtree and every broadcast message the global sums, each
-    /// metered at `1 + ⌈len·w/64⌉` words for `w` the bit length of its
-    /// largest entry, in as many messages as the whole-word vector sum
-    /// takes.
+    /// metered at its stream's bits in whole words — each count coded
+    /// against the one before it — in as many messages as the whole-word
+    /// vector sum takes.
     #[test]
     fn the_exact_counts_cross_the_wire_bit_packed() {
         use commsim::topology::{binomial_children, binomial_subtree_size};
@@ -543,9 +546,20 @@ mod tests {
             }
             sum
         };
+        // δ(len), δ of the first count, then each later one Rice-coded at
+        // its predecessor's bit length less one, or escaped to δ past the
+        // cut.
         let packed_words = |counts: &[u64]| {
-            let w = u64::BITS - counts.iter().max().unwrap().leading_zeros();
-            1 + (counts.len() as u64 * u64::from(w)).div_ceil(64)
+            let delta = commsim::codec::BitWriter::number_bits;
+            let mut bits = delta(counts.len() as u64) + delta(counts[0]);
+            for w in counts.windows(2) {
+                let r = (u64::BITS - w[0].leading_zeros()).saturating_sub(1);
+                bits += match w[1] >> r {
+                    q if q < PackedCounts::ESCAPE => q + 1 + u64::from(r),
+                    _ => PackedCounts::ESCAPE + 1 + delta(w[1]),
+                };
+            }
+            bits.div_ceil(64)
         };
         for p in [2usize, 3, 5, 8] {
             let global = sum(0..p);

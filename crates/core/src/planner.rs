@@ -39,8 +39,10 @@
 //!   key, `R̂ = min(d, ⌊(√(8m + 1) − 1)/2⌋)` being the most runs of distinct
 //!   counts that mass can pay for, each with a header of about 20 bits;
 //! * EC's and PEC's exact counts cross the wire as a
-//!   [`PackedCounts`](commsim::codec::PackedCounts), charged `1 + ⌈k*·w/64⌉`
-//!   words with `w` the bit length of the fitted top count `n/H(U, s)`;
+//!   [`PackedCounts`](commsim::codec::PackedCounts), each count coded
+//!   against the one before it, charged
+//!   `⌈(δ(k*) + Σ_j (log₂(top/j^s + 1) + 1.5))/64⌉` words for the fitted
+//!   Zipf's counts `top/j^s`, `top = n/H(U, s)`;
 //! * the collectives of an algorithm are summed **per PE**, for rank 0 (root
 //!   of the all-reductions, the baselines' coordinator) and for a leaf, each
 //!   direction on its own, and the busier of the two is the prediction — the
@@ -680,15 +682,27 @@ fn key_counts_words(d: f64, mass: f64, universe: f64) -> f64 {
 const RUN_HEADER_BITS: f64 = 20.0;
 
 /// Words of the [`PackedCounts`](commsim::codec::PackedCounts) of `len`
-/// exact counts: a header word and `len` entries at the bit length of the
-/// largest, the fitted top count `n/H(U, s)` — never more than `n`'s own
-/// `⌈log₂(n + 1)⌉` bits.
+/// exact counts: one bit stream of `δ(len)` and each count coded against
+/// the one before it.  The candidates arrive in sample-count order, so they
+/// are priced as the fitted Zipf's top counts in rank order, `top/j^s` for
+/// `j = 1 … len` with `top = n/H(U, s)`, each at
+/// `log₂(top/j^s + 1) + PACKED_COUNT_EXTRA_BITS` bits.
 fn packed_counts_words(len: f64, i: &PlanInputs) -> f64 {
-    let n = i.n as f64;
-    let top = n / generalized_harmonic(i.skew.universe, i.skew.exponent);
-    let bits = (top + 1.0).log2().ceil().min((n + 1.0).log2().ceil());
-    1.0 + (len * bits / 64.0).ceil()
+    let s = i.skew.exponent;
+    let top = i.n as f64 / generalized_harmonic(i.skew.universe, s);
+    let len = len.round().max(0.0) as u64;
+    let counts: f64 = (1..=len)
+        .map(|j| (top / (j as f64).powf(s) + 1.0).log2() + PACKED_COUNT_EXTRA_BITS)
+        .sum();
+    let length = commsim::codec::BitWriter::number_bits(len) as f64;
+    ((length + counts) / 64.0).ceil()
 }
+
+/// The bits a packed count costs beyond `log₂(c + 1)`.  A count of its
+/// predecessor's bit length is a Rice code of `bit_length(c) + 1` bits (a
+/// unary quotient of 1 and the `bit_length(c) − 1` low bits), and a bit
+/// length exceeds `log₂(c + 1)` by about half a bit over a band of counts.
+const PACKED_COUNT_EXTRA_BITS: f64 = 1.5;
 
 /// One PE's predicted traffic summed over a run of collectives, each
 /// direction on its own: the metered bottleneck is `max(sent, received)` of
@@ -905,14 +919,24 @@ mod tests {
     }
 
     #[test]
-    fn exact_counts_are_priced_at_the_fitted_top_counts_bit_length() {
-        // n = 2¹⁹ over Zipf(1.0) on 2¹⁶ keys: top count n/H ≈ 44 900, 16 bits.
+    fn exact_counts_are_priced_at_the_fitted_counts_own_bit_lengths() {
+        // n = 2¹⁹ over Zipf(1.0) on 2¹⁶ keys: top count n/H ≈ 44 900.  The
+        // j-th count's log₂ falls from 15.5 by log₂ j, 9.7 bits below it on
+        // average over 2 240 counts, so a count costs about 5.8 + 1.5 bits:
+        // under half the 16-bit width of the largest.
         let zipf = inputs(1 << 19, 32, 2, 1.0, 1 << 16);
-        assert_eq!(packed_counts_words(2240.0, &zipf), 1.0 + 560.0);
+        let words = packed_counts_words(2240.0, &zipf);
+        assert!((250.0..265.0).contains(&words), "{words}");
+        // The empty vector is δ(0), one word.
         assert_eq!(packed_counts_words(0.0, &zipf), 1.0);
-        // One key takes all of n: ⌈log₂(n + 1)⌉ = 20 bits.
+        // A count of 1 costs 2.5 bits: 64 of them and δ(64), 12 bits, take
+        // 172 bits.
+        let flat = inputs(1 << 16, 32, 2, 0.0, 1 << 16);
+        assert_eq!(packed_counts_words(64.0, &flat), 3.0);
+        // One key takes all of n: its count costs log₂(n + 1) + 1.5 bits,
+        // δ(1) 2 more.
         let one_key = inputs(1 << 19, 32, 2, 1.0, 1);
-        assert_eq!(packed_counts_words(64.0, &one_key), 1.0 + 20.0);
+        assert_eq!(packed_counts_words(1.0, &one_key), 1.0);
     }
 
     #[test]

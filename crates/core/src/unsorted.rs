@@ -33,7 +33,10 @@
 //!
 //! Its broadcast is one compact `Decision`: the two counts the PEs need to
 //! narrow (the third is `total` less them), which sides of the next bracket
-//! are closed, and the pivots or the answer as a coded block.  The first
+//! are closed, and the pivots or the answer as a coded block.  Each report
+//! and each decision is one bit stream — its flags and δ-coded counts, then
+//! its block — padded to a word once: a message costs
+//! `⌈(header + block bits)/64⌉` words.  The first
 //! level is cold.  A bracket that reaches an edge of its sample stays open
 //! on that side (`ℓ = −∞` or `r = +∞`): no sample element separates the
 //! outer range beyond it from the middle, so the target cannot miss there.
@@ -53,11 +56,11 @@
 //! of disjoint blocks is associative and commutative, as [`ReduceOp`] asks,
 //! so the root receives the sorted union whatever order the tree combines
 //! the shares in, and it reads a pivot or the answer by its index.  A block
-//! of `u64` keys crosses the wire as one bit stream of Rice-coded value gaps
-//! and packed tags (the layout is on [`SortedBlock`]); on §10.1's Zipf input
-//! that takes a selection's bottleneck words to about an eighth of what the
-//! two-word `(value, tag)` pairs cost (EXPERIMENTS.md).  Other keys cross as
-//! their pairs' words ([`SelectKey`]).
+//! of `u64` keys is Rice-coded value gaps and packed tags (the layout is on
+//! [`SortedBlock`]); on §10.1's Zipf input that takes a selection's
+//! bottleneck words to about an eighth of what the two-word `(value, tag)`
+//! pairs cost (EXPERIMENTS.md).  Other keys write their pairs' words into
+//! the stream ([`SelectKey`]).
 //!
 //! The survivor count of the next level is one of the counts the root has
 //! just broadcast, so it is carried through the loop and never reduced
@@ -227,9 +230,9 @@ fn sample_root(p: usize) -> usize {
 /// each hop combines: the elements below the bracket and inside it, and a
 /// sorted Bernoulli sample of the middle range.
 ///
-/// On the wire the two counts are one bit stream of two
-/// [`BitWriter::number`] codes, padded to a word, and the sample follows as
-/// its block.
+/// On the wire it is one bit stream, `[δ(below) · δ(middle) · sample |
+/// padding]`: the two [`BitWriter::number`] codes, then the sample's block
+/// ([`SortedBlock`]), padded once at the end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LevelReport<T> {
     below: u64,
@@ -250,24 +253,24 @@ impl<T: SelectKey> LevelReport<T> {
 
 impl<T: SelectKey> WordCodec for LevelReport<T> {
     fn encoded_len(&self) -> usize {
-        let bits = BitWriter::number_bits(self.below) + BitWriter::number_bits(self.middle);
-        bits.div_ceil(64) as usize + self.sample.encoded_len()
+        let counts = BitWriter::number_bits(self.below) + BitWriter::number_bits(self.middle);
+        (counts + T::block_bits(&self.sample)).div_ceil(64) as usize
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
         let mut bits = BitWriter::new(out);
         bits.number(self.below);
         bits.number(self.middle);
+        T::write_block(&self.sample, &mut bits);
         bits.finish();
-        self.sample.encode(out);
     }
 
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
         let mut bits = BitReader::new::<Self>(r);
         let below = bits.number()?;
         let middle = bits.number()?;
+        let sample = SortedBlock::read(&mut bits)?;
         bits.finish()?;
-        let sample = SortedBlock::decode(r)?;
         Ok(LevelReport {
             below,
             middle,
@@ -325,17 +328,17 @@ impl<T: SelectKey> Decision<T> {
     }
 }
 
-/// `[flags (3 bits) · δ(below) · δ(middle) | padding]`, the counts absent
-/// for an answer, then the carried pairs as one [`SortedBlock`]: a
-/// decision takes a word and the block's words, where the counts and two
-/// pivots as plain `Option` pairs took nine.
+/// `[flags (3 bits) · δ(below) · δ(middle) · carried | padding]`, the counts
+/// absent for an answer and the carried pairs one [`SortedBlock`], all in
+/// one bit stream: a decision takes its bits in whole words once, where the
+/// counts and two pivots as plain `Option` pairs took nine words.
 impl<T: SelectKey> WordCodec for Decision<T> {
     fn encoded_len(&self) -> usize {
         let counts_bits = self.header().1.map_or(0, |(below, middle)| {
             BitWriter::number_bits(below) + BitWriter::number_bits(middle)
         });
-        (u64::from(DECISION_FLAGS) + counts_bits).div_ceil(64) as usize
-            + self.carried().encoded_len()
+        let bits = u64::from(DECISION_FLAGS) + counts_bits + T::block_bits(&self.carried());
+        bits.div_ceil(64) as usize
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
@@ -346,8 +349,8 @@ impl<T: SelectKey> WordCodec for Decision<T> {
             bits.number(below);
             bits.number(middle);
         }
+        T::write_block(&self.carried(), &mut bits);
         bits.finish();
-        self.carried().encode(out);
     }
 
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
@@ -360,8 +363,9 @@ impl<T: SelectKey> WordCodec for Decision<T> {
         } else {
             return Err(decode_error::<Self>());
         };
+        let block = SortedBlock::<T>::read(&mut bits)?;
         bits.finish()?;
-        let mut pairs = SortedBlock::<T>::decode(r)?.pairs().to_vec().into_iter();
+        let mut pairs = block.pairs().to_vec().into_iter();
         let (lo_closed, hi_closed) = (flags & 2 != 0, flags & 4 != 0);
         let carried = if counts.is_none() {
             1
@@ -1048,8 +1052,8 @@ mod tests {
                 bits.number(1);
                 bits.number(2);
             }
+            u64::write_block(block, &mut bits);
             bits.finish();
-            block.encode(&mut words);
             let decoded = Decision::<u64>::decode(&mut WordReader::new(&words));
             assert!(matches!(decoded, Err(commsim::CommError::Decode { .. })));
         }
@@ -1066,6 +1070,155 @@ mod tests {
             LevelReport::decode(&mut WordReader::new(&words)).unwrap(),
             report
         );
+    }
+
+    /// The tag of local element `index` on PE `rank`.
+    fn tag(rank: usize, index: u64) -> u64 {
+        tie_break_offset(rank, rank + 1, 0) + index
+    }
+
+    /// PE `rank`'s report and decision, of shapes that vary with the rank:
+    /// samples of 0 to 6 pairs, every kind of decision, counts up to 2⁴⁰.
+    fn level_messages<T: SelectKey>(
+        rank: usize,
+        key: impl Fn(u64) -> T,
+    ) -> (LevelReport<T>, Decision<T>) {
+        let pairs: Vec<(T, u64)> = (0..rank as u64 % 7)
+            .map(|i| (key(i * i * 1009 + rank as u64 % 3), tag(rank, i)))
+            .collect();
+        let report = LevelReport {
+            below: rank as u64 * 977,
+            middle: 1 << (rank % 41),
+            sample: SortedBlock::new(pairs),
+        };
+        let pivot = |i: u64| (key(i * 31 + rank as u64), tag(rank, i));
+        let (lo, hi) = (pivot(2).min(pivot(3)), pivot(2).max(pivot(3)));
+        let decision = match rank % 4 {
+            0 => Decision::Answer(pivot(1)),
+            kind => Decision::Next {
+                below: rank as u64,
+                middle: 1 << (rank % 33),
+                bracket: Bracket {
+                    lo: (kind != 1).then_some(lo),
+                    hi: (kind == 3).then_some(hi),
+                },
+            },
+        };
+        (report, decision)
+    }
+
+    /// The header bits of a report and a decision: their counts' codes and
+    /// the decision's flags.
+    fn header_bits<T: SelectKey>(report: &LevelReport<T>, decision: &Decision<T>) -> [u64; 2] {
+        let counts = |below, middle| BitWriter::number_bits(below) + BitWriter::number_bits(middle);
+        let decision = u64::from(DECISION_FLAGS)
+            + match decision {
+                Decision::Answer(_) => 0,
+                Decision::Next { below, middle, .. } => counts(*below, *middle),
+            };
+        [counts(report.below, report.middle), decision]
+    }
+
+    /// Every level message is one bit stream: it meters exactly
+    /// `⌈(header + block bits)/64⌉` words — never more than the
+    /// `⌈header/64⌉ + ⌈block bits/64⌉` of a header padded apart — on
+    /// threads, the replay engine's pool and its inline driver, at p = 2, 5
+    /// and 64, for `u64` keys and the default part of `String` keys.  Each
+    /// PE sends its report and decision to the next and decodes its
+    /// predecessor's.
+    #[test]
+    fn level_messages_meter_their_bits_in_whole_words_on_every_backend() {
+        fn check<T: SelectKey + std::fmt::Debug>(key: fn(u64) -> T) {
+            for p in [2usize, 5, 64] {
+                let mut expected = Vec::new();
+                for rank in 0..p {
+                    let (report, decision) = level_messages(rank, key);
+                    let [report_header, decision_header] = header_bits(&report, &decision);
+                    let blocks = [
+                        T::block_bits(&report.sample),
+                        T::block_bits(&decision.carried()),
+                    ];
+                    let mut words = 0;
+                    for (header, block) in
+                        [(report_header, blocks[0]), (decision_header, blocks[1])]
+                    {
+                        let joined = (header + block).div_ceil(64);
+                        assert!(joined <= header.div_ceil(64) + block.div_ceil(64));
+                        words += joined;
+                    }
+                    assert_eq!(
+                        words,
+                        (report.encoded_len() + decision.encoded_len()) as u64,
+                        "p={p} rank {rank}"
+                    );
+                    expected.push(words);
+                }
+                for backend in [Backend::Threaded, Backend::Mux, Backend::Seq] {
+                    let out = run_on!(backend, World::new(p).with_workers(2), |comm| {
+                        let (rank, p) = (comm.rank(), comm.size());
+                        let before = comm.stats_snapshot();
+                        let (report, decision) = level_messages(rank, key);
+                        comm.send((rank + 1) % p, 0, report);
+                        comm.send((rank + 1) % p, 1, decision);
+                        let from = (rank + p - 1) % p;
+                        let got: LevelReport<T> = comm.recv(from, 0);
+                        let decided: Decision<T> = comm.recv(from, 1);
+                        assert_eq!((got, decided), level_messages(from, key));
+                        comm.stats_snapshot().since(&before).sent_words
+                    })
+                    .fault_free();
+                    assert_eq!(out.results, expected, "{backend:?} p={p}");
+                }
+            }
+        }
+        check(|v| v);
+        check(|v| format!("key-{v}"));
+    }
+
+    /// Random words and mutants of valid messages — every truncation, the
+    /// message extended by a word, every single bit flipped, every word
+    /// replaced by a draw — decode to a value or to a decode error, never
+    /// to a panic: the property tests' `codec_is_total`, over every bit.
+    #[test]
+    fn level_message_decoders_are_total() {
+        fn total<M: WordCodec>(value: &M, rng: &mut StdRng) {
+            let mut wire = Vec::new();
+            value.encode(&mut wire);
+            let noise: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+            let small: Vec<u64> = noise.iter().map(|w| w % 8).collect();
+            let mut inputs = vec![noise, small];
+            inputs.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
+            let mut extended = wire.clone();
+            extended.push(rng.gen());
+            inputs.push(extended);
+            for at in 0..wire.len() {
+                for bit in 0..64 {
+                    let mut mutant = wire.clone();
+                    mutant[at] ^= 1 << bit;
+                    inputs.push(mutant);
+                }
+                let mut mutant = wire.clone();
+                mutant[at] = rng.gen();
+                inputs.push(mutant);
+            }
+            for words in &inputs {
+                if let Err(e) = M::decode(&mut WordReader::new(words)) {
+                    assert!(
+                        matches!(e, commsim::CommError::Decode { .. }),
+                        "{words:?} gave {e}"
+                    );
+                }
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(5);
+        for rank in 0..24 {
+            let (report, decision) = level_messages(rank, |v| v);
+            total(&report, &mut rng);
+            total(&decision, &mut rng);
+            let (report, decision) = level_messages(rank, |v| format!("{v}"));
+            total(&report, &mut rng);
+            total(&decision, &mut rng);
+        }
     }
 
     /// Where the data lies relative to the two roots must not matter:
@@ -1325,14 +1478,14 @@ mod tests {
     /// The words of a selection at p = 2, where every collective is one
     /// exchange.  Rank 0 sends 1 word at the entry (the all-reduction's
     /// broadcast) and per level one report: its two counts, below 2^16 here,
-    /// as two δ codes of at most 25 bits in one word, and its sample — the
-    /// whole middle on the last level — as one coded block.  Rank 1, the
-    /// sample root, sends 1 word at the entry and per level one decision:
-    /// the flags and counts in one word and at most two pivots as a block of
-    /// at most 3 words (`HEADER`, a value gap's Rice code of at most 42 bits
-    /// and two tags of at most 16 each), so 4 words.  A level that ends on
-    /// the `k = 1` / `k = total` shortcut sends a 3-word optional pair either
-    /// way.
+    /// as two δ codes of at most `COUNTS` = 50 bits, and its sample — the
+    /// whole middle on the last level — as one coded block in the same
+    /// stream.  Rank 1, the sample root, sends 1 word at the entry and per
+    /// level one decision: 3 flag bits, the counts, and at most two pivots
+    /// as a block of at most 163 bits (`HEADER`, a value gap's Rice code of
+    /// at most 42 bits and two tags of at most 16 each), so 4 words.  A
+    /// level that ends on the `k = 1` / `k = total` shortcut sends a 3-word
+    /// optional pair either way.
     ///
     /// On both inputs here — uniform values below 2^40, and §10.1's Zipf
     /// ranks below 2^14, where values repeat — rank 0's block of `len`
@@ -1351,7 +1504,8 @@ mod tests {
     ///
     /// The sample sizes are the collecting reference's, pinned bit-identical
     /// above.  So the bound is exact in its layout: an entry word, then per
-    /// level the larger of `1 + ⌈(HEADER + len·ELEMENT)/64⌉` and a decision.
+    /// level the larger of `⌈(COUNTS + HEADER + len·ELEMENT)/64⌉` and a
+    /// decision.
     /// And the samples are one per level plus the whole middle: over the 20
     /// seeds of a cell the two PEs sample at most `m` elements per level
     /// before the last and `3m` on it in the mean (a whole middle has an
@@ -1359,12 +1513,13 @@ mod tests {
     /// on the input: on the Zipf input rank 0 holds most of the small values.
     #[test]
     fn words_at_p2_are_one_coded_sample_per_level_plus_the_base_case() {
+        const COUNTS: u64 = 50;
         const HEADER: u64 = 89;
         const ELEMENT: u64 = 56;
         const DECISION_WORDS: u64 = 4;
         const SHORTCUT_WORDS: u64 = 3;
         let m = level_sample(2) as u64;
-        let block = |len: u64| (HEADER + len * ELEMENT).div_ceil(64);
+        let report = |len: u64| (COUNTS + HEADER + len * ELEMENT).div_ceil(64);
         let n = 1usize << 16;
         let inputs = [
             ("uniform", random_parts(2, n / 2, 1 << 40, 53)),
@@ -1388,7 +1543,7 @@ mod tests {
                     let bound = 1
                         + samples
                             .iter()
-                            .map(|&len| (1 + block(len as u64)).max(DECISION_WORDS))
+                            .map(|&len| report(len as u64).max(DECISION_WORDS))
                             .sum::<u64>()
                         + shortcuts * SHORTCUT_WORDS;
                     assert!(

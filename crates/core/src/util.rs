@@ -168,27 +168,54 @@ pub fn tie_break_offset(rank: usize, p: usize, local_len: usize) -> u64 {
 
 /// A key the §4.1 selection ([`crate::unsorted`]) selects on.  Its level
 /// samples and base case cross the wire as [`SortedBlock`]s of tie-broken
-/// `(key, tag)` pairs, and the key type owns that block's wire form.
+/// `(key, tag)` pairs inside the bit stream of a level message, and the key
+/// type owns that block's part of the stream.
 ///
-/// The default form is the pairs' own words, a `Vec<(Self, u64)>`: a length
-/// word, then each pair.  A key type takes it with an empty impl.  `u64`
-/// overrides it with one bit stream at about the block's information content
-/// (the layout on [`SortedBlock`]).
+/// The default part is the pairs' own words: `δ(len) · δ(words)`, then the
+/// `words` words of the pairs' encodings, each a 64-bit field.  A key type
+/// takes it with an empty impl.  `u64` overrides it with codes at about the
+/// block's information content (the layout on [`SortedBlock`]).
 pub trait SelectKey: Ord + Clone + CommData {
-    /// Exact number of words [`SelectKey::encode_block`] appends.
-    fn block_len(block: &SortedBlock<Self>) -> usize {
-        block.pairs.encoded_len()
+    /// Exact number of bits [`SelectKey::write_block`] writes.
+    fn block_bits(block: &SortedBlock<Self>) -> u64 {
+        let words: usize = block.pairs.iter().map(WordCodec::encoded_len).sum();
+        let words = words as u64;
+        BitWriter::number_bits(block.pairs.len() as u64)
+            + BitWriter::number_bits(words)
+            + 64 * words
     }
 
-    /// Append the wire form of `block` to `out`.
-    fn encode_block(block: &SortedBlock<Self>, out: &mut Vec<u64>) {
-        block.pairs.encode(out);
+    /// Write `block` into `bits`.
+    fn write_block(block: &SortedBlock<Self>, bits: &mut BitWriter) {
+        let mut words = Vec::new();
+        block.pairs.iter().for_each(|pair| pair.encode(&mut words));
+        bits.number(block.pairs.len() as u64);
+        bits.number(words.len() as u64);
+        words.into_iter().for_each(|word| bits.put(word, 64));
     }
 
-    /// Decode the pairs [`SelectKey::encode_block`] wrote, consuming exactly
-    /// its words; [`SortedBlock`]'s decoder checks their order.
-    fn decode_block(r: &mut WordReader<'_>) -> CommResult<Vec<(Self, u64)>> {
-        Vec::decode(r)
+    /// Read the pairs [`SelectKey::write_block`] wrote, consuming exactly its
+    /// bits; [`SortedBlock`]'s reader checks their order.
+    fn read_block(bits: &mut BitReader<'_, '_>) -> CommResult<Vec<(Self, u64)>> {
+        let error = decode_error::<SortedBlock<Self>>;
+        let len = bits.number()?;
+        let words = bits.number()?;
+        // A pair takes a word or more (its tag), and a word 64 bits: a
+        // corrupt count fails here, not after reserving it.
+        if len > words || words > bits.bits_left() / 64 {
+            return Err(error());
+        }
+        let words = (0..words)
+            .map(|_| bits.take(64))
+            .collect::<CommResult<Vec<u64>>>()?;
+        let mut r = WordReader::new(&words);
+        let pairs = (0..len)
+            .map(|_| <(Self, u64)>::decode(&mut r))
+            .collect::<CommResult<Vec<_>>>()?;
+        if r.remaining() != 0 {
+            return Err(error());
+        }
+        Ok(pairs)
     }
 }
 
@@ -203,9 +230,12 @@ impl<T: SelectKey> SelectKey for std::cmp::Reverse<T> {}
 /// commutative, so a union does not depend on the order the tree combines
 /// the shares in.
 ///
-/// A block of `u64` keys crosses the wire as one bit stream, packed by
-/// [`BitWriter`].  The tag `rank ≪ 40 | index` of [`tie_break_offset`] travels
-/// as its *dense* word `rank ≪ w_i | index`, which orders alike:
+/// A block is a part of a bit stream, packed by [`BitWriter`]: the level
+/// messages of [`crate::unsorted`] write their counts and then the block
+/// into one stream, and a block sent alone ([`WordCodec`]) is its part
+/// padded to a word.  A block of `u64` keys is coded at about its
+/// information content.  The tag `rank ≪ 40 | index` of [`tie_break_offset`]
+/// travels as its *dense* word `rank ≪ w_i | index`, which orders alike:
 ///
 /// ```text
 /// δ(len) · r_v (6 bits) · w_r (5 bits) · w_i (6 bits) · r_t (6 bits)
@@ -220,13 +250,13 @@ impl<T: SelectKey> SelectKey for std::cmp::Reverse<T> {}
 /// `w_r` and `w_i` are the bit lengths of its largest rank and largest
 /// index, and a Rice parameter is [`rice_parameter`] of the gaps it codes
 /// (the value gaps; the in-run dense gaps less one), so a gap costs under
-/// `r + 3` bits on average.  The empty block is `δ(0)` alone, one word.
+/// `r + 3` bits on average.  The empty block is `δ(0)` alone, one bit.
 ///
 /// Decoding accepts only this canonical form: a field other than the one the
 /// decoded pairs imply, a rank of `2^w_r` or more, a value or dense word
 /// beyond `u64`, a length beyond the bits left and non-zero padding are
-/// decode errors.  Other keys take [`SelectKey`]'s default words, and their
-/// decoder rejects pairs out of order.
+/// decode errors.  Other keys take [`SelectKey`]'s default part, and their
+/// reader rejects pairs out of order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortedBlock<T> {
     pairs: Vec<(T, u64)>,
@@ -270,19 +300,10 @@ impl<T: SelectKey> SortedBlock<T> {
         pairs.extend_from_slice(b);
         SortedBlock { pairs }
     }
-}
 
-impl<T: SelectKey> WordCodec for SortedBlock<T> {
-    fn encoded_len(&self) -> usize {
-        T::block_len(self)
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        T::encode_block(self, out);
-    }
-
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let pairs = T::decode_block(r)?;
+    /// Read a block [`SelectKey::write_block`] wrote: its pairs must ascend.
+    pub(crate) fn read(bits: &mut BitReader<'_, '_>) -> CommResult<Self> {
+        let pairs = T::read_block(bits)?;
         if pairs.windows(2).any(|w| w[0] >= w[1]) {
             return Err(decode_error::<Self>());
         }
@@ -290,30 +311,45 @@ impl<T: SelectKey> WordCodec for SortedBlock<T> {
     }
 }
 
-impl SelectKey for u64 {
-    fn block_len(block: &SortedBlock<u64>) -> usize {
-        let pairs = &block.pairs;
-        let bits: u64 = block_codes(pairs, StreamFields::of(pairs))
-            .map(|code| code.bits())
-            .sum();
-        bits.div_ceil(64) as usize
+/// A block alone: its part of a stream, padded to a word.
+impl<T: SelectKey> WordCodec for SortedBlock<T> {
+    fn encoded_len(&self) -> usize {
+        T::block_bits(self).div_ceil(64) as usize
     }
 
-    fn encode_block(block: &SortedBlock<u64>, out: &mut Vec<u64>) {
-        let pairs = &block.pairs;
+    fn encode(&self, out: &mut Vec<u64>) {
         let mut bits = BitWriter::new(out);
-        for code in block_codes(pairs, StreamFields::of(pairs)) {
-            code.write(&mut bits);
-        }
+        T::write_block(self, &mut bits);
         bits.finish();
     }
 
-    fn decode_block(r: &mut WordReader<'_>) -> CommResult<Vec<(u64, u64)>> {
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let mut bits = BitReader::new::<Self>(r);
+        let block = Self::read(&mut bits)?;
+        bits.finish()?;
+        Ok(block)
+    }
+}
+
+impl SelectKey for u64 {
+    fn block_bits(block: &SortedBlock<u64>) -> u64 {
+        let pairs = &block.pairs;
+        block_codes(pairs, StreamFields::of(pairs))
+            .map(|code| code.bits())
+            .sum()
+    }
+
+    fn write_block(block: &SortedBlock<u64>, bits: &mut BitWriter) {
+        let pairs = &block.pairs;
+        for code in block_codes(pairs, StreamFields::of(pairs)) {
+            code.write(bits);
+        }
+    }
+
+    fn read_block(bits: &mut BitReader<'_, '_>) -> CommResult<Vec<(u64, u64)>> {
         let error = decode_error::<SortedBlock<u64>>;
-        let mut bits = BitReader::new::<SortedBlock<u64>>(r);
         let len = bits.number()?;
         if len == 0 {
-            bits.finish()?;
             return Ok(Vec::new());
         }
         let fields = StreamFields {
@@ -355,7 +391,6 @@ impl SelectKey for u64 {
             };
             pairs.push((value, fields.tag(dense)));
         }
-        bits.finish()?;
         if StreamFields::of(&pairs) != fields {
             return Err(error());
         }
@@ -706,19 +741,40 @@ mod tests {
         roundtrip(&SortedBlock::new(vec![low, (u64::MAX, tag(5, 9)), high]));
     }
 
-    /// Other keys cross as their pairs' words, and their decoder too accepts
-    /// only ascending distinct pairs.
+    /// The default part of a block, `δ(len) · δ(words) · words`, written by
+    /// hand from `pairs` in the order given, its word count off by
+    /// `miscount` (and as many zero words more, when that is positive).
+    fn default_part<T: SelectKey>(pairs: &[(T, u64)], miscount: i64) -> Vec<u64> {
+        let mut words = Vec::new();
+        pairs.iter().for_each(|pair| pair.encode(&mut words));
+        let mut out = Vec::new();
+        let mut bits = BitWriter::new(&mut out);
+        bits.number(pairs.len() as u64);
+        bits.number(words.len().saturating_add_signed(miscount as isize) as u64);
+        words.resize(words.len() + miscount.max(0) as usize, 0);
+        words.iter().for_each(|&word| bits.put(word, 64));
+        bits.finish();
+        out
+    }
+
+    /// Other keys cross as their pairs' words behind two δ codes, and their
+    /// reader too accepts only ascending distinct pairs, and only a word
+    /// count that the pairs use up.
     #[test]
     fn plain_keys_keep_the_words_of_their_pairs() {
         let pairs = vec![("b".to_string(), 1u64), ("a".to_string(), 9)];
         let block = SortedBlock::new(pairs.clone());
+        // δ(2) and δ(6) take 5 + 6 bits ahead of the six words.
+        assert_eq!(String::block_bits(&block), 5 + 6 + 6 * 64);
+        assert_eq!(roundtrip(&block), default_part(block.pairs(), 0));
         assert_eq!(roundtrip(&block).len(), pairs.encoded_len());
-        let mut wire = Vec::new();
-        pairs.encode(&mut wire);
-        let decoded = SortedBlock::<String>::decode(&mut WordReader::new(&wire));
-        assert!(matches!(decoded, Err(commsim::CommError::Decode { .. })));
         let reversed = SortedBlock::new(vec![(std::cmp::Reverse((3u64, 4u64)), 0u64)]);
         assert_eq!(roundtrip(&reversed).len(), 1 + 3);
+        for (pairs, miscount) in [(&pairs[..], 0), (block.pairs(), 1), (block.pairs(), -1)] {
+            let wire = default_part(pairs, miscount);
+            let decoded = SortedBlock::<String>::decode(&mut WordReader::new(&wire));
+            assert!(matches!(decoded, Err(commsim::CommError::Decode { .. })));
+        }
     }
 
     /// The words of `pairs`' stream under `fields`.

@@ -11,9 +11,9 @@
 //! * the word-count metering is additive;
 //! * the word codec round-trips every implementing type, with the wire
 //!   length equal to the metered word count (an aggregate grouped by count
-//!   never costs more than its pairs, and a packed count vector costs its
-//!   header plus its entries' bits, and a sorted block of tagged `u64`
-//!   selection keys is one bit stream);
+//!   never costs more than its pairs, a packed count vector costs its
+//!   codes' bits, each count coded against the one before it, and a sorted
+//!   block of tagged `u64` selection keys is one bit stream);
 //! * every decoder is total: random words and mutated encodings decode to a
 //!   value or to `CommError::Decode`, never to a panic;
 //! * the SPMD collective suite gives identical results and identical metered
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use topk_selection::commsim::codec::PackedCounts;
+use topk_selection::commsim::codec::{BitWriter, PackedCounts, MAX_RICE};
 use topk_selection::commsim::recovery::Checkpoint;
 use topk_selection::commsim::{CommData, CommError, CommResult, WordReader};
 use topk_selection::prelude::*;
@@ -606,13 +606,19 @@ proptest! {
         prop_assert!(counts.word_count() <= 1 + pairs.len() + runs.len() + escaped);
     }
 
-    /// A [`PackedCounts`] of `len` entries whose largest has bit length `w`
-    /// round-trips in exactly `1 + ⌈len·w/64⌉` words.
+    /// A [`PackedCounts`] round-trips in exactly its stream's bits in whole
+    /// words — `δ(len)`, `δ` of the first count, then each later count
+    /// Rice-coded at its predecessor's bit length less one, or escaped to
+    /// `δ` from quotient [`PackedCounts::ESCAPE`] on — and no entry costs
+    /// more than `ESCAPE + 1` bits beyond `δ` of it or its predecessor.
+    /// Counts as drawn, ascending, descending and alternating between the
+    /// two ends.
     #[test]
     fn word_codec_roundtrips_packed_counts(
         words in vec(0u64..u64::MAX, 0..3001),
         width in 0u32..=64,
         top in 0usize..3001,
+        order in 0u8..4,
     ) {
         let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
         let mut counts: Vec<u64> = words.iter().map(|&word| word & mask).collect();
@@ -620,11 +626,30 @@ proptest! {
             // The largest entry sets the width's top bit.
             *count |= mask ^ (mask >> 1);
         }
-        let len = counts.len();
+        match order {
+            1 => counts.sort_unstable(),
+            2 => counts.sort_unstable_by(|a, b| b.cmp(a)),
+            3 => {
+                counts.sort_unstable();
+                let (low, high) = counts.split_at(counts.len() / 2);
+                counts = low.iter().zip(high.iter().rev()).flat_map(|(&a, &b)| [a, b]).collect();
+            }
+            _ => {}
+        }
+        let delta = BitWriter::number_bits;
+        let mut bits = delta(counts.len() as u64) + counts.first().map_or(0, |&c| delta(c));
+        for w in counts.windows(2) {
+            let r = (u64::BITS - w[0].leading_zeros()).saturating_sub(1).min(MAX_RICE);
+            let entry = match w[1] >> r {
+                q if q < PackedCounts::ESCAPE => q + 1 + u64::from(r),
+                _ => PackedCounts::ESCAPE + 1 + delta(w[1]),
+            };
+            prop_assert!(entry <= PackedCounts::ESCAPE + 1 + delta(w[0].max(w[1])));
+            bits += entry;
+        }
         let packed = PackedCounts(counts);
         codec_roundtrip(packed.clone())?;
-        let width = if len == 0 { 0 } else { width as usize };
-        prop_assert_eq!(packed.word_count(), 1 + (len * width).div_ceil(64));
+        prop_assert_eq!(packed.word_count() as u64, bits.div_ceil(64));
     }
 
     #[test]
