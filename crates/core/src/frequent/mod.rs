@@ -186,11 +186,12 @@ pub fn exact_global_counts<C: Communicator>(comm: &C, local_data: &[u64]) -> Has
 /// User tag of [`select_top_counts`]' merge rounds.
 const TOP_COUNTS_TAG: u64 = 0x70C;
 
-/// Shared final step of the sampling algorithms and of the streaming
-/// service's refresh: given this PE's share of a distributed hash table
-/// mapping key → (sampled or exact) count, return the global top-`k` entries
-/// by count, most frequent first (larger key first among equal counts),
-/// identical on every PE.
+/// Shared final step of the sampling algorithms, of the streaming service's
+/// refresh and of §6's DTA and RDTA (each object keyed by its score's
+/// order-preserving `u64`): given this PE's share of a distributed hash
+/// table mapping key → (sampled or exact) count, return the global top-`k`
+/// entries by count, most frequent first (larger key first among equal
+/// counts), identical on every PE.
 ///
 /// The hash table leaves every key on one PE with its final count, so the
 /// global top-`k` is the top-`k` of the union of the PEs' local top-`k`

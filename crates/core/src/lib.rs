@@ -17,7 +17,7 @@
 //! | §4.3 | Flexible-`k` selection | [`approx_multisequence_select`] |
 //! | §5 | Bulk-parallel priority queue | [`BulkParallelQueue`] |
 //! | §5 | Branch-and-bound application | [`knapsack_branch_bound_parallel`] |
-//! | §6 | Multicriteria top-k (threshold algorithm) | [`dta_top_k`], [`rdta_top_k`] |
+//! | §6 | Multicriteria top-k (threshold algorithm): exact-count stop, RDTA's verified bound, the §7 merge for extraction | [`dta_top_k`], [`rdta_top_k`] |
 //! | §7 | Top-k most frequent objects: PAC, EC, PEC, one pipeline ([`frequent`]) | [`Algorithm::run`]; Theorem 14's Zipf PEC: [`pec_zipf_top_k`] |
 //! | §8 | Top-k sum aggregation | [`sum_top_k`], [`sum_top_k_exact`] |
 //! | §9 | Adaptive data redistribution | [`redistribute()`] |

@@ -7,29 +7,43 @@
 //! *local* objects sorted by decreasing score — the distributed analogue of
 //! the inverted-index lists a search engine keeps.
 //!
+//! Objects rank by `Reverse((score, object))`: the higher score first, and
+//! the larger id first at a tie — the order of §7's top-k merge, which
+//! [`seqkit::threshold`]'s TA and its exhaustive oracle use as well.
+//!
 //! Two algorithms are provided:
 //!
 //! * [`rdta_top_k`] — for randomly distributed objects (RDTA): every PE runs
-//!   the sequential threshold algorithm locally for `k̂ = O(k/p + log p)`
-//!   results, the local thresholds are combined with a max-reduction, and the
-//!   candidates are verified against the global threshold; on failure `k̂` is
-//!   doubled.
+//!   the sequential threshold algorithm locally for its `k̂ = O(k/p + log p)`
+//!   best objects.  A PE that holds objects beyond those `k̂` bounds them by
+//!   its `k̂`-th candidate's score, and one maximum-reduction makes the
+//!   largest such score the global bound.  Once at least `k` candidates lie
+//!   strictly above it, or no PE holds an unreported object, the candidates
+//!   contain the answer; otherwise `k̂` doubles.
 //! * [`dta_top_k`] — for arbitrary distribution (DTA, Algorithm 3): an
 //!   exponential search guesses the number `K` of list rows the sequential TA
 //!   would scan; each guess uses the flexible-`k` multisequence selection of
 //!   Section 4.3 to cut every list at (approximately) its globally K-th
-//!   largest score, and a small per-PE sample estimates how many objects in
-//!   the cut prefixes beat the threshold `t(x_1, …, x_m)`.  Once the estimate
-//!   is at least `2k`, the prefixes are scanned and the `k` best hits are
-//!   extracted with the unsorted selection algorithm.
+//!   largest score.  An object outside every cut prefix scores at most
+//!   `t(x_1, …, x_m)` of the cut scores — TA's bound — so the search stops
+//!   as soon as the prefixes hold at least `k` objects scoring strictly
+//!   above it, a count every PE takes exactly on its own prefixes and one
+//!   sum-reduction adds up, or once every list is cut whole.
+//!
+//! Both end in §7's top-k merge ([`select_top_counts`]) over the PEs'
+//! candidates: `⌈log₂ p⌉` exchanges of at most `k` `(object, score key)`
+//! entries, the score key being [`OrderedF64`]'s order-preserving map to
+//! `u64`.  Every object has one owner, so the merge's duplicate rule is
+//! exact.
 
-use commsim::{Communicator, ReduceOp};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+
+use commsim::Communicator;
 use seqkit::threshold::{ObjectId, ScoreList, ThresholdAlgorithm};
 
-use crate::unsorted::select_k_largest_known_total;
-use crate::util::{global_min, OrderedF64};
+use crate::amsselect::approx_multisequence_select_known_total;
+use crate::frequent::select_top_counts;
+use crate::util::{global_max, global_min, OrderedF64};
 
 /// One PE's share of a multicriteria workload: `m` local score lists over the
 /// objects this PE owns (every list ranks the same local object set).
@@ -61,10 +75,14 @@ impl LocalMulticriteria {
 /// Result of a distributed multicriteria top-k query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MulticriteriaResult {
-    /// The `k` most relevant objects with their aggregate scores, sorted by
-    /// decreasing score.  Identical on every PE.
+    /// The `k` most relevant objects with their aggregate scores, in the
+    /// order `Reverse((score, object))`: decreasing score, the larger id
+    /// first at a tie.  Identical on every PE.
     pub items: Vec<(ObjectId, f64)>,
-    /// The final threshold `t(x_1, …, x_m)`.
+    /// DTA: the final threshold `t(x_1, …, x_m)` of the cut scores.  RDTA:
+    /// the verified bound, the largest `k̂`-th candidate score of a PE that
+    /// holds unreported objects (`−∞` once no PE does).  No object outside
+    /// the candidates scores above it.
     pub threshold: f64,
     /// DTA: the final per-list prefix parameter `K`; RDTA: the final `k̂`.
     pub scan_parameter: usize,
@@ -72,38 +90,22 @@ pub struct MulticriteriaResult {
     pub rounds: usize,
 }
 
-/// Extract the global top-`k` among locally scored candidate objects.
-/// Candidates are `(object, aggregate score)` pairs owned by this PE; the
-/// result (identical on every PE) is sorted by decreasing score.
-fn select_best_candidates<C: Communicator>(
+/// The global top-`k` of the PEs' candidates, identical on every PE: §7's
+/// top-k merge ([`select_top_counts`]) over `(object, score key)` entries,
+/// decoded back to scores.
+fn merge_candidates<C: Communicator>(
     comm: &C,
     candidates: &[(ObjectId, f64)],
     k: usize,
-    seed: u64,
 ) -> Vec<(ObjectId, f64)> {
-    let items: Vec<(OrderedF64, u64)> = candidates
+    let keyed: HashMap<ObjectId, u64> = candidates
         .iter()
-        .map(|&(o, s)| (OrderedF64(s), o))
+        .map(|&(object, score)| (object, OrderedF64(score).key()))
         .collect();
-    let total = comm.allreduce_sum(items.len() as u64) as usize;
-    let k = k.min(total);
-    if k == 0 {
-        return Vec::new();
-    }
-    let selection = select_k_largest_known_total(comm, &items, total, k, seed);
-    let local_top: Vec<(u64, u64)> = selection
-        .local_selected
+    select_top_counts(comm, &keyed, k)
         .into_iter()
-        .map(|r| (r.0 .1, r.0 .0 .0.to_bits()))
-        .collect();
-    let mut all: Vec<(ObjectId, f64)> = comm
-        .allgather(local_top)
-        .into_iter()
-        .flatten()
-        .map(|(o, bits)| (o, f64::from_bits(bits)))
-        .collect();
-    all.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    all
+        .map(|(object, key)| (object, OrderedF64::from_key(key).0))
+        .collect()
 }
 
 /// RDTA: multicriteria top-k for randomly distributed objects.
@@ -112,7 +114,6 @@ pub fn rdta_top_k<C, F>(
     local: &LocalMulticriteria,
     score_fn: &F,
     k: usize,
-    seed: u64,
 ) -> MulticriteriaResult
 where
     C: Communicator,
@@ -122,37 +123,30 @@ where
     let p = comm.size();
     // Balls-into-bins bound: k̂ = O(k/p + log p).
     let mut k_hat = k.div_ceil(p) + (p.max(2) as f64).log2().ceil() as usize + 1;
+    // Every list ranks the same local objects.
+    let local_objects = local.lists.iter().map(ScoreList::len).max().unwrap_or(0);
+    let ta = ThresholdAlgorithm::new(&local.lists, |scores: &[f64]| score_fn(scores));
     let mut rounds = 0usize;
-    let total_objects =
-        comm.allreduce_sum(local.lists.first().map(|l| l.len() as u64).unwrap_or(0));
 
     loop {
         rounds += 1;
-        // Local sequential TA for the k̂ locally best objects.
-        let ta = ThresholdAlgorithm::new(&local.lists, |scores: &[f64]| score_fn(scores));
-        let local_result = ta.run(k_hat);
-        let local_threshold = OrderedF64(local_result.threshold);
-        // Global threshold: no unscanned object anywhere can beat it.
-        let global_threshold = comm.allreduce_max(local_threshold).0;
-
-        // Verify: are at least k candidates at or above the global threshold?
-        let strong: Vec<(ObjectId, f64)> = local_result
-            .top_k
-            .iter()
-            .copied()
-            .filter(|&(_, s)| s >= global_threshold)
-            .collect();
-        let strong_count = comm.allreduce_sum(strong.len() as u64);
-        let candidates_exhausted = (k_hat as u64) * (p as u64) >= total_objects;
-
-        if strong_count >= k as u64 || candidates_exhausted {
-            // Enough verified candidates: the k best of *all* candidates are
-            // the answer.
-            let candidates: Vec<(ObjectId, f64)> = local_result.top_k.clone();
-            let items = select_best_candidates(comm, &candidates, k, seed ^ rounds as u64);
+        // The k̂ locally best objects; every other local object scores at
+        // most the k̂-th one.
+        let candidates = ta.run(k_hat).top_k;
+        let unreported = candidates
+            .last()
+            .filter(|_| local_objects > candidates.len())
+            .map(|&(_, score)| OrderedF64(score));
+        let bound = global_max(comm, unreported).map(|b| b.0);
+        // Verified once k candidates beat every unreported object.
+        let verified = bound.is_none_or(|bound| {
+            let above = candidates.iter().filter(|&&(_, s)| s > bound).count();
+            comm.allreduce_sum(above as u64) >= k as u64
+        });
+        if verified {
             return MulticriteriaResult {
-                items,
-                threshold: global_threshold,
+                items: merge_candidates(comm, &candidates, k),
+                threshold: bound.unwrap_or(f64::NEG_INFINITY),
                 scan_parameter: k_hat,
                 rounds,
             };
@@ -177,7 +171,6 @@ where
     let m = local.num_criteria();
     assert!(m >= 1, "need at least one criterion");
     let p = comm.size();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD7A ^ (comm.rank() as u64) << 3);
 
     // Per-list ascending key views (negated scores) for the flexible-k
     // multisequence selection, and the global list lengths.
@@ -190,9 +183,7 @@ where
             keys
         })
         .collect();
-    let list_totals: Vec<u64> = (0..m)
-        .map(|i| comm.allreduce_sum(local.lists[i].len() as u64))
-        .collect();
+    let list_totals = comm.allreduce_vec_sum(local.lists.iter().map(|l| l.len() as u64).collect());
     let max_total = list_totals.iter().copied().max().unwrap_or(0);
 
     let mut big_k = k.div_ceil(m * p).max(1) as u64;
@@ -201,99 +192,49 @@ where
     loop {
         rounds += 1;
         // Cut every list at (approximately) its globally K-th largest score.
-        let mut cut_scores = vec![0.0f64; m];
-        for i in 0..m {
-            let total = list_totals[i];
-            if total == 0 {
-                cut_scores[i] = 0.0;
-                continue;
-            }
-            if big_k >= total {
-                // The whole list is selected: the cut is the globally
-                // smallest score of list i.
-                let local_min = local.lists[i].iter().map(|(_, s)| OrderedF64(s)).min();
-                cut_scores[i] = global_min(comm, local_min).map(|v| v.0).unwrap_or(0.0);
-            } else {
-                let k_hi = (2 * big_k).min(total);
-                let sel = crate::amsselect::approx_multisequence_select(
-                    comm,
-                    &neg_keys[i],
-                    big_k,
-                    k_hi,
-                    seed ^ (rounds as u64) << 8 ^ i as u64,
-                );
-                cut_scores[i] = -sel.threshold.0;
-            }
-        }
-        let threshold = {
-            let t = score_fn(&cut_scores);
-            // All PEs computed the same cut scores, hence the same threshold.
-            t
-        };
-
-        // Per-PE, per-list hit estimation by sampling (Algorithm 3's inner
-        // loop): y = O(log K) samples per list.
-        let y = 8 + 2 * (64 - (big_k.max(1)).leading_zeros() as usize);
-        let mut local_hit_estimate = 0.0f64;
-        let mut exact_local_hits = 0u64;
-        let mut prefixes: Vec<&[(ObjectId, f64)]> = Vec::with_capacity(m);
-        for (list, &cut) in local.lists.iter().zip(&cut_scores).take(m) {
-            prefixes.push(list.prefix_at_least(cut));
-        }
-        for (i, &prefix) in prefixes.iter().enumerate() {
-            if prefix.is_empty() {
-                continue;
-            }
-            let mut rejected = 0usize;
-            let mut hits = 0usize;
-            for _ in 0..y {
-                let (object, _) = prefix[rng.gen_range(0..prefix.len())];
-                // Reject the sample if the object already appears in an
-                // earlier list's prefix (avoids double counting).
-                let duplicate = (0..i).any(|j| local.lists[j].score_of(object) >= cut_scores[j]);
-                if duplicate {
-                    rejected += 1;
-                } else if local.aggregate_score(object, score_fn) >= threshold {
-                    hits += 1;
+        let cut_scores: Vec<f64> = (0..m)
+            .map(|i| {
+                let total = list_totals[i];
+                if total == 0 {
+                    0.0
+                } else if big_k >= total {
+                    // The whole list is selected: the cut is the globally
+                    // smallest score of list i.
+                    let local_min = local.lists[i].iter().map(|(_, s)| OrderedF64(s)).min();
+                    global_min(comm, local_min).map_or(0.0, |v| v.0)
+                } else {
+                    let sel = approx_multisequence_select_known_total(
+                        comm,
+                        &neg_keys[i],
+                        total,
+                        big_k,
+                        (2 * big_k).min(total),
+                        seed ^ (rounds as u64) << 8 ^ i as u64,
+                    );
+                    -sel.threshold.0
                 }
-            }
-            local_hit_estimate +=
-                prefix.len() as f64 * (1.0 - rejected as f64 / y as f64) * (hits as f64 / y as f64);
-            // Exact local hits (used for the robust termination check below;
-            // the prefixes are short, so this is cheap).
-            for &(object, _) in prefix {
-                let duplicate = (0..i).any(|j| local.lists[j].score_of(object) >= cut_scores[j]);
-                if !duplicate && local.aggregate_score(object, score_fn) >= threshold {
-                    exact_local_hits += 1;
-                }
-            }
-        }
-        let estimated_hits = comm
-            .allreduce(
-                OrderedF64(local_hit_estimate),
-                ReduceOp::custom(|a: &OrderedF64, b: &OrderedF64| OrderedF64(a.0 + b.0)),
-            )
-            .0;
-        let exact_hits = comm.allreduce_sum(exact_local_hits);
-
+            })
+            .collect();
+        // All PEs computed the same cut scores, hence the same threshold.
+        let threshold = score_fn(&cut_scores);
         let exhausted = big_k >= max_total;
-        if exhausted || (estimated_hits >= 2.0 * k as f64 && exact_hits >= k as u64) {
-            // Extraction: collect this PE's hits and select the global top-k.
-            let mut candidates: Vec<(ObjectId, f64)> = Vec::new();
-            let mut seen: std::collections::HashSet<ObjectId> = std::collections::HashSet::new();
-            for prefix in &prefixes {
-                for &(object, _) in *prefix {
-                    if seen.insert(object) {
-                        let score = local.aggregate_score(object, score_fn);
-                        if score >= threshold || exhausted {
-                            candidates.push((object, score));
-                        }
-                    }
-                }
-            }
-            let items = select_best_candidates(comm, &candidates, k, seed ^ 0xD7B);
+
+        // This PE's hits: the distinct objects of its cut prefixes that
+        // score strictly above the threshold, or all of them once every
+        // list is cut whole.
+        let mut seen = HashSet::new();
+        let hits: Vec<(ObjectId, f64)> = local
+            .lists
+            .iter()
+            .zip(&cut_scores)
+            .flat_map(|(list, &cut)| list.prefix_at_least(cut))
+            .filter(|&&(object, _)| seen.insert(object))
+            .map(|&(object, _)| (object, local.aggregate_score(object, score_fn)))
+            .filter(|&(_, score)| exhausted || score > threshold)
+            .collect();
+        if exhausted || comm.allreduce_sum(hits.len() as u64) >= k as u64 {
             return MulticriteriaResult {
-                items,
+                items: merge_candidates(comm, &hits, k),
                 threshold,
                 scan_parameter: big_k as usize,
                 rounds,
@@ -336,7 +277,7 @@ mod tests {
         let per_pe = workload.local_lists(p);
         run_spmd(p, move |comm| {
             let local = LocalMulticriteria::new(per_pe[comm.rank()].clone());
-            rdta_top_k(comm, &local, &additive, k, 7)
+            rdta_top_k(comm, &local, &additive, k)
         })
         .into_results()
     }

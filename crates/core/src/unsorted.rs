@@ -72,11 +72,11 @@
 //! input.
 //!
 //! Every entry point runs that one recursion over one tagged copy of `local`.
-//! [`select_k_smallest`] and its dual for the largest elements return the
-//! *threshold* (the element of global rank `k` under a tie-broken total
-//! order) and each PE's local part of the selected set, whose sizes sum to
-//! exactly `k` across all PEs; [`select_threshold`] returns the threshold
-//! alone and skips the filter that materialises the set.
+//! [`select_k_smallest`] returns the *threshold* (the element of global rank
+//! `k` under a tie-broken total order) and each PE's local part of the
+//! selected set, whose sizes sum to exactly `k` across all PEs;
+//! [`select_threshold`] returns the threshold alone and skips the filter
+//! that materialises the set.
 
 use commsim::codec::{decode_error, BitReader, BitWriter};
 use commsim::{CommResult, Communicator, ReduceOp, WordCodec, WordReader};
@@ -328,54 +328,70 @@ impl<T: SelectKey> Decision<T> {
     }
 }
 
+/// A [`Decision`] with its carried block built once: what the root
+/// broadcasts, so no hop of the broadcast tree rebuilds the block to size
+/// or to write its message.
+#[derive(Debug, Clone)]
+struct Decided<T> {
+    decision: Decision<T>,
+    carried: SortedBlock<T>,
+}
+
+impl<T: SelectKey> From<Decision<T>> for Decided<T> {
+    fn from(decision: Decision<T>) -> Self {
+        let carried = decision.carried();
+        Decided { decision, carried }
+    }
+}
+
 /// `[flags (3 bits) · δ(below) · δ(middle) · carried | padding]`, the counts
 /// absent for an answer and the carried pairs one [`SortedBlock`], all in
 /// one bit stream: a decision takes its bits in whole words once, where the
 /// counts and two pivots as plain `Option` pairs took nine words.
-impl<T: SelectKey> WordCodec for Decision<T> {
+impl<T: SelectKey> WordCodec for Decided<T> {
     fn encoded_len(&self) -> usize {
-        let counts_bits = self.header().1.map_or(0, |(below, middle)| {
+        let counts_bits = self.decision.header().1.map_or(0, |(below, middle)| {
             BitWriter::number_bits(below) + BitWriter::number_bits(middle)
         });
-        let bits = u64::from(DECISION_FLAGS) + counts_bits + T::block_bits(&self.carried());
+        let bits = u64::from(DECISION_FLAGS) + counts_bits + T::block_bits(&self.carried);
         bits.div_ceil(64) as usize
     }
 
     fn encode(&self, out: &mut Vec<u64>) {
-        let (flags, counts) = self.header();
+        let (flags, counts) = self.decision.header();
         let mut bits = BitWriter::new(out);
         bits.put(flags, DECISION_FLAGS);
         if let Some((below, middle)) = counts {
             bits.number(below);
             bits.number(middle);
         }
-        T::write_block(&self.carried(), &mut bits);
+        T::write_block(&self.carried, &mut bits);
         bits.finish();
     }
 
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut bits = BitReader::new::<Self>(r);
+        let mut bits = BitReader::new::<Decision<T>>(r);
         let flags = bits.take(DECISION_FLAGS)?;
         let counts = if flags == 1 {
             None
         } else if flags & 1 == 0 {
             Some((bits.number()?, bits.number()?))
         } else {
-            return Err(decode_error::<Self>());
+            return Err(decode_error::<Decision<T>>());
         };
-        let block = SortedBlock::<T>::read(&mut bits)?;
+        let carried = SortedBlock::<T>::read(&mut bits)?;
         bits.finish()?;
-        let mut pairs = block.pairs().to_vec().into_iter();
+        let mut pairs = carried.pairs().to_vec().into_iter();
         let (lo_closed, hi_closed) = (flags & 2 != 0, flags & 4 != 0);
-        let carried = if counts.is_none() {
+        let expected = if counts.is_none() {
             1
         } else {
             usize::from(lo_closed) + usize::from(hi_closed)
         };
-        if pairs.len() != carried {
-            return Err(decode_error::<Self>());
+        if pairs.len() != expected {
+            return Err(decode_error::<Decision<T>>());
         }
-        Ok(match counts {
+        let decision = match counts {
             None => Decision::Answer(pairs.next().expect("one carried pair")),
             Some((below, middle)) => Decision::Next {
                 below,
@@ -385,7 +401,24 @@ impl<T: SelectKey> WordCodec for Decision<T> {
                     hi: hi_closed.then(|| pairs.next()).flatten(),
                 },
             },
-        })
+        };
+        Ok(Decided { decision, carried })
+    }
+}
+
+/// A decision alone crosses as its [`Decided`] form, the block built for
+/// the one message.
+impl<T: SelectKey> WordCodec for Decision<T> {
+    fn encoded_len(&self) -> usize {
+        Decided::from(self.clone()).encoded_len()
+    }
+
+    fn encode(&self, out: &mut Vec<u64>) {
+        Decided::from(self.clone()).encode(out);
+    }
+
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        Decided::decode(r).map(|decided| decided.decision)
     }
 }
 
@@ -461,23 +494,6 @@ where
     T: SelectKey,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
-    select_k_smallest_known_total(comm, local, total, k, seed)
-}
-
-/// [`select_k_smallest`] for callers that have already agreed on
-/// `total = Σ|local|` (it must be that sum, identical on every PE): the
-/// selection proper, without the entry's size all-reduction.
-pub(crate) fn select_k_smallest_known_total<C, T>(
-    comm: &C,
-    local: &[T],
-    total: usize,
-    k: usize,
-    seed: u64,
-) -> UnsortedSelectionResult<T>
-where
-    C: Communicator,
-    T: SelectKey,
-{
     let (threshold, offset, levels) = threshold_tagged(comm, local, total, k, seed);
     // The recursion consumed its tagged copy; the selected set is recovered
     // directly from `local` and the offset, so no second one is materialised.
@@ -539,27 +555,6 @@ where
     threshold_tagged(comm, local, total, k, seed).0 .0
 }
 
-/// Select the `k` globally **largest** elements (the dual problem) for
-/// callers that have already agreed on `total = Σ|local|` (see
-/// [`select_k_smallest_known_total`]).  Its caller is `multicriteria`'s
-/// `select_best_candidates`, the last step of both [`crate::dta_top_k`] and
-/// [`crate::rdta_top_k`].
-pub(crate) fn select_k_largest_known_total<C, T>(
-    comm: &C,
-    local: &[T],
-    total: usize,
-    k: usize,
-    seed: u64,
-) -> UnsortedSelectionResult<std::cmp::Reverse<T>>
-where
-    C: Communicator,
-    T: SelectKey,
-{
-    let reversed: Vec<std::cmp::Reverse<T>> =
-        local.iter().cloned().map(std::cmp::Reverse).collect();
-    select_k_smallest_known_total(comm, &reversed, total, k, seed)
-}
-
 /// Core recursion of Algorithm 1 on tie-broken keys: one round trip to the
 /// [`sample_root`] per level (module docs).
 ///
@@ -617,8 +612,8 @@ where
         };
         let decided = comm
             .reduce(root, report, &merge)
-            .map(|all| decide(all, p, k, total));
-        let (below, middle, next) = match comm.broadcast(root, decided) {
+            .map(|all| Decided::from(decide(all, p, k, total)));
+        let (below, middle, next) = match comm.broadcast(root, decided).decision {
             Decision::Answer(answer) => return answer,
             Decision::Next {
                 below,
@@ -1747,23 +1742,6 @@ mod tests {
             .results
             .iter()
             .all(|&(lo, hi)| lo == all_min && hi == all_max));
-    }
-
-    #[test]
-    fn select_k_largest_is_the_dual() {
-        let p = 3;
-        let parts = random_parts(p, 200, 10_000, 21);
-        let k = 25;
-        let total = parts.iter().map(Vec::len).sum();
-        let parts_ref = parts.clone();
-        let out = run_spmd(p, move |comm| {
-            select_k_largest_known_total(comm, &parts_ref[comm.rank()], total, k, 6)
-                .threshold
-                .0
-        });
-        let mut all: Vec<u64> = parts.iter().flatten().copied().collect();
-        all.sort_unstable_by(|a, b| b.cmp(a));
-        assert!(out.results.iter().all(|&t| t == all[k - 1]));
     }
 
     #[test]

@@ -49,6 +49,30 @@ impl From<f64> for OrderedF64 {
     }
 }
 
+impl OrderedF64 {
+    /// The order-preserving `u64` key of the value: `a.key() < b.key()` iff
+    /// `a < b`.  `total_cmp`'s sign flip — a negative value's bits are all
+    /// inverted, a positive value's sign bit is set — so a score can rank
+    /// where a count does.
+    pub(crate) fn key(self) -> u64 {
+        let bits = self.0.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// The inverse of [`OrderedF64::key`].
+    pub(crate) fn from_key(key: u64) -> Self {
+        OrderedF64(f64::from_bits(if key >> 63 == 1 {
+            key & !(1 << 63)
+        } else {
+            !key
+        }))
+    }
+}
+
 /// SplitMix64 — the hash used to assign keys to owner PEs in the distributed
 /// hash table.  It behaves close enough to a random function for the
 /// balls-into-bins argument of the paper (Section 7.1) and is deterministic,
@@ -566,6 +590,31 @@ mod tests {
             let mut r = WordReader::new(&words);
             let back = OrderedF64::decode(&mut r).expect("decode");
             assert_eq!(back.0.to_bits(), v.to_bits());
+        }
+    }
+
+    #[test]
+    fn ordered_f64_keys_sort_like_total_cmp_and_invert() {
+        let mut values = vec![
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.25,
+            1.0,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        values.sort_by(f64::total_cmp);
+        let keys: Vec<u64> = values.iter().map(|&v| OrderedF64(v).key()).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{values:?}");
+        for (&v, &key) in values.iter().zip(&keys) {
+            assert_eq!(OrderedF64::from_key(key).0.to_bits(), v.to_bits());
         }
     }
 

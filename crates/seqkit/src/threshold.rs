@@ -6,14 +6,16 @@
 //! the highest aggregated relevance.  In each of `K` iterations TA scans one
 //! row (one object from each list), resolves the scanned objects' exact
 //! aggregate scores by random access into the other lists, and stops once at
-//! least `k` scanned objects score at least `t(x_1, …, x_m)` where `x_i` is
-//! the lowest score scanned in list `i` — no unscanned object can beat that
-//! threshold.
+//! least `k` scanned objects score strictly above `t(x_1, …, x_m)` where
+//! `x_i` is the lowest score scanned in list `i` — no unscanned object scores
+//! above that threshold, so none can outrank them, whatever its id.  Objects
+//! rank by `Reverse((score, object))`: the larger id first at a tie.
 //!
 //! The distributed algorithms (RDTA, DTA) approximate the set of rows TA
 //! scans; this implementation is both their correctness oracle and the
 //! source of the reference value `K` used in the DTA analysis.
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 /// Identifier of an object appearing in the score lists.
@@ -70,11 +72,18 @@ impl ScoreList {
     }
 }
 
+/// The ranking of scored objects: `Reverse((score, object))` — decreasing
+/// score (`f64::total_cmp`), the larger id first at a tie.  The distributed
+/// algorithms rank by it too: it is the order of their top-k merge.
+fn rank_order(a: &(ObjectId, f64), b: &(ObjectId, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(b.0.cmp(&a.0))
+}
+
 /// Result of a threshold-algorithm run.
 #[derive(Debug, Clone)]
 pub struct ThresholdResult {
-    /// The `k` most relevant objects with their aggregate scores, sorted by
-    /// decreasing score.
+    /// The `k` most relevant objects with their aggregate scores, best
+    /// first by `Reverse((score, object))`.
     pub top_k: Vec<(ObjectId, f64)>,
     /// Number of rows scanned (the paper's `K`).
     pub rows_scanned: usize,
@@ -128,14 +137,17 @@ impl<'a, F: Fn(&[f64]) -> f64> ThresholdAlgorithm<'a, F> {
                 }
             }
             let threshold = (self.score_fn)(&last_row_scores);
-            candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            candidates.sort_by(rank_order);
             candidates.truncate(k.max(1) * 4 + 64); // keep a small working set
-            let enough_above = candidates
+
+            // An unscanned object scores at most the threshold, so it can
+            // only outrank a candidate that does not lie strictly above it.
+            let above = candidates
                 .iter()
                 .take(k)
-                .filter(|&&(_, s)| s >= threshold)
+                .filter(|&&(_, s)| s > threshold)
                 .count();
-            if enough_above >= k.min(candidates.len()) && candidates.len() >= k {
+            if above == k {
                 candidates.truncate(k);
                 return ThresholdResult {
                     top_k: candidates,
@@ -146,7 +158,7 @@ impl<'a, F: Fn(&[f64]) -> f64> ThresholdAlgorithm<'a, F> {
             }
         }
 
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        candidates.sort_by(rank_order);
         candidates.truncate(k);
         let threshold = (self.score_fn)(&last_row_scores);
         ThresholdResult {
@@ -159,8 +171,8 @@ impl<'a, F: Fn(&[f64]) -> f64> ThresholdAlgorithm<'a, F> {
 }
 
 /// Exhaustive reference: aggregate every object appearing in any list and
-/// return the top-`k`.  `O(N·m)` — the oracle the TA variants are tested
-/// against.
+/// return the top-`k` by `Reverse((score, object))`.  `O(N·m)` — the oracle
+/// the TA variants are tested against.
 pub fn exhaustive_top_k<F: Fn(&[f64]) -> f64>(
     lists: &[ScoreList],
     score_fn: F,
@@ -179,7 +191,7 @@ pub fn exhaustive_top_k<F: Fn(&[f64]) -> f64>(
             (o, score_fn(&scores))
         })
         .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    scored.sort_by(rank_order);
     scored.truncate(k);
     scored
 }

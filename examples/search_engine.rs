@@ -65,7 +65,7 @@ fn main() {
     let out = run_spmd(p, move |comm| {
         let local = LocalMulticriteria::new(per_pe_rdta[comm.rank()].clone());
         let before = comm.stats_snapshot();
-        let result = rdta_top_k(comm, &local, &additive, k, 7);
+        let result = rdta_top_k(comm, &local, &additive, k);
         (
             result,
             comm.stats_snapshot().since(&before).bottleneck_words(),

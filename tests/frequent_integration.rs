@@ -4,6 +4,8 @@
 
 use topk_selection::prelude::*;
 use topk_selection::seqkit::hashagg::{count_keys, top_k_by_count};
+use topk_selection::seqkit::threshold::exhaustive_top_k;
+use topk_selection::seqkit::ScoreList;
 use topk_selection::topk::frequent::{absolute_error, exact_global_counts, relative_error};
 use topk_selection::topk::TopKFrequentResult;
 
@@ -190,7 +192,7 @@ fn multicriteria_algorithms_match_the_sequential_threshold_algorithm() {
     let out = run_spmd(p, move |comm| {
         let local = LocalMulticriteria::new(per_pe2[comm.rank()].clone());
         let dta = dta_top_k(comm, &local, &additive, k, 3);
-        let rdta = rdta_top_k(comm, &local, &additive, k, 3);
+        let rdta = rdta_top_k(comm, &local, &additive, k);
         (dta, rdta)
     });
     let (dta, rdta) = &out.results[0];
@@ -203,6 +205,119 @@ fn multicriteria_algorithms_match_the_sequential_threshold_algorithm() {
         .results
         .iter()
         .all(|(d, r)| d.items == dta.items && r.items == rdta.items));
+}
+
+/// Which PE of `p` owns an object.
+type Owner = fn(u64, usize) -> usize;
+
+/// Objects with their aggregate scores, best first.
+type Ranking = Vec<(u64, f64)>;
+
+/// PE `owner(object, p)`'s share of `lists`: its objects, in every list.
+fn place(lists: &[ScoreList], p: usize, owner: Owner) -> Vec<Vec<ScoreList>> {
+    (0..p)
+        .map(|pe| {
+            lists
+                .iter()
+                .map(|list| {
+                    ScoreList::new(list.iter().filter(|&(o, _)| owner(o, p) == pe).collect())
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Round-robin placement, the generator's own.
+fn round_robin(object: u64, p: usize) -> usize {
+    object as usize % p
+}
+
+/// Half the objects on PE 0, a quarter on PE 1, …: most PEs of a large
+/// world hold nothing.
+fn halving(object: u64, p: usize) -> usize {
+    ((object + 1).trailing_zeros() as usize).min(p - 1)
+}
+
+/// DTA's and RDTA's answers on every PE of a `p`-PE world on `backend`.
+fn run_both(backend: Backend, per_pe: Vec<Vec<ScoreList>>, k: usize) -> Vec<(Ranking, Ranking)> {
+    let additive = MulticriteriaWorkload::additive_score;
+    run_on!(
+        backend,
+        World::new(per_pe.len()).with_workers(2),
+        move |comm| {
+            let local = LocalMulticriteria::new(per_pe[comm.rank()].clone());
+            let dta = dta_top_k(comm, &local, &additive, k, 5);
+            let rdta = rdta_top_k(comm, &local, &additive, k);
+            (dta.items, rdta.items)
+        }
+    )
+    .fault_free()
+    .results
+}
+
+/// DTA and RDTA return the oracle's answer — ids, scores and order — on
+/// every PE, for every world size, placement, shape and `k`, on threads, the
+/// replay engine's pool and its inline driver.  The shapes include RDTA's
+/// hard cases: independent criteria, where a PE's unreported objects can
+/// score above its TA threshold (1 000 objects, m = 2, p = 4, k = 32 lost
+/// object 772 to 117 when RDTA verified against the thresholds), and a
+/// placement that leaves most PEs empty.
+#[test]
+fn multicriteria_algorithms_match_the_oracle_across_worlds_shapes_and_backends() {
+    let additive = MulticriteriaWorkload::additive_score;
+    let shapes: [(MulticriteriaWorkload, Owner); 4] = [
+        (MulticriteriaWorkload::new(1000, 2, 0.0, 100), round_robin),
+        (MulticriteriaWorkload::new(300, 3, 0.6, 11), round_robin),
+        (MulticriteriaWorkload::new(400, 1, 0.5, 5), round_robin),
+        (MulticriteriaWorkload::new(600, 3, 0.3, 7), halving),
+    ];
+    for (workload, owner) in &shapes {
+        let lists = workload.global_lists();
+        for k in [1, 5, 32, 100] {
+            let want = exhaustive_top_k(&lists, additive, k);
+            for p in [1, 2, 3, 4, 5, 8, 16] {
+                let per_pe = place(&lists, p, *owner);
+                for backend in Backend::ALL {
+                    for (rank, (dta, rdta)) in
+                        run_both(backend, per_pe.clone(), k).iter().enumerate()
+                    {
+                        let case = format!("{workload:?} p={p} k={k} {backend:?} PE {rank}");
+                        assert_eq!(dta, &want, "DTA, {case}");
+                        assert_eq!(rdta, &want, "RDTA, {case}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Scores of eight levels tie everywhere: the distributed algorithms, TA
+/// and the oracle keep the same ids, the larger ones at a tie.  Kept small:
+/// on tied lists every flexible-`k` cut runs to its round cap, and the
+/// replay engine re-executes a PE once per blocking receive.
+#[test]
+fn multicriteria_ties_keep_the_larger_ids_everywhere() {
+    let additive = MulticriteriaWorkload::additive_score;
+    let lists: Vec<ScoreList> = MulticriteriaWorkload::new(60, 2, 0.5, 41)
+        .global_lists()
+        .iter()
+        .map(|list| ScoreList::new(list.iter().map(|(o, s)| (o, (s * 8.0).ceil())).collect()))
+        .collect();
+    for k in [1, 7, 30] {
+        let want = exhaustive_top_k(&lists, additive, k);
+        assert!(want.windows(2).all(|w| w[0].1 > w[1].1 || w[0].0 > w[1].0));
+        assert_eq!(ThresholdAlgorithm::new(&lists, additive).run(k).top_k, want);
+        for (backend, p) in [
+            (Backend::Threaded, 1),
+            (Backend::Threaded, 4),
+            (Backend::Mux, 2),
+        ] {
+            for (dta, rdta) in run_both(backend, place(&lists, p, round_robin), k) {
+                assert_eq!(dta, want, "DTA, p={p} k={k} {backend:?}");
+                assert_eq!(rdta, want, "RDTA, p={p} k={k} {backend:?}");
+            }
+        }
+    }
 }
 
 #[test]
