@@ -30,7 +30,7 @@
 //! `--plan-explain`); a concrete token runs just that algorithm.
 
 use bench::cli::Cli;
-use bench::planning::{print_audit, print_plan};
+use bench::planning::print_audit;
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Measurement, Table};
 use commsim::{run_on, Backend, Communicator, World};
@@ -38,7 +38,7 @@ use datagen::{MulticriteriaWorkload, SkewedSelectionInput, UniformInput, Weighte
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use topk::multicriteria::{dta_top_k, LocalMulticriteria};
-use topk::planner::{Algorithm, Planner};
+use topk::planner::{self, Algorithm};
 use topk::{
     approx_multisequence_select, multisequence_select, redistribute, select_k_smallest, sum_top_k,
     BulkParallelQueue, FrequentParams,
@@ -306,14 +306,14 @@ fn top_k_frequent(
         AlgoChoice::Auto => {
             let out = run_on!(backend, World::new(s.p), |comm| {
                 let local = input(comm.rank());
-                let plan = Planner::default().plan_for_data(comm, &local, 32, 3e-3, 1e-3);
+                let plan = planner::plan_for_data(comm, &local, 32, 3e-3, 1e-3);
                 let (_, audit) = plan.execute(comm, &local, 11);
                 (plan, audit)
             });
             let m = Measurement::of(&out);
             let (plan, audit) = out.fault_free().results.swap_remove(0);
             if plan_explain {
-                print_plan(&plan);
+                println!("{}", plan.explain());
             }
             print_audit(&audit);
             add(

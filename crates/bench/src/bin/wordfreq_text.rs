@@ -25,16 +25,15 @@
 //! candidate table.
 
 use bench::cli::Cli;
-use bench::planning::{print_audit, print_plan};
+use bench::planning::print_audit;
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Table};
 use commsim::{run_on, Backend, Communicator, SpmdOutput, World};
 use datagen::TextCorpus;
 use topk::frequent::{absolute_error, exact_global_counts, relative_error};
-use topk::{Algorithm, FrequentParams, TopKFrequentResult};
+use topk::{planner, Algorithm, FrequentParams, TopKFrequentResult};
 use workloads::text::{
-    distributed_intern, plan_word_frequency, run_planned_scored, split_text_shards, tokenize,
-    InternedShard,
+    distributed_intern, run_planned_scored, split_text_shards, tokenize, InternedShard,
 };
 
 fn main() {
@@ -123,7 +122,7 @@ fn main() {
         for _ in 0..args.reps {
             let out = run_on!(args.backend, World::new(p), |comm| {
                 let shard = &interned[comm.rank()];
-                let plan = plan_word_frequency(comm, shard, args.k, args.epsilon, 1e-3);
+                let plan = planner::plan_for_data(comm, &shard.ids, args.k, args.epsilon, 1e-3);
                 let (score, audit) = run_planned_scored(comm, shard, &plan, args.seed);
                 (plan, score, audit)
             })
@@ -143,7 +142,7 @@ fn main() {
         );
         let (plan, score, audit) = last.expect("at least one rep");
         if args.plan_explain {
-            print_plan(&plan);
+            println!("{}", plan.explain());
         }
         print_audit(&audit);
         let top: Vec<&str> = score.top.iter().take(3).map(|(w, _)| w.as_str()).collect();

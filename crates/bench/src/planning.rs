@@ -1,6 +1,5 @@
-//! CLI glue for the cost-model planner: the `--algo` value, the
-//! plan-explain / plan-audit printing shared by the bench bins, and the §7
-//! panel of Figures 7 and 8.
+//! CLI glue for the cost-model planner: the `--algo` value, the plan-audit
+//! printing shared by the bench bins, and the §7 panel of Figures 7 and 8.
 //!
 //! Every bin that runs a §7 frequent-objects algorithm accepts
 //! `--algo <pac|ec|pec|naive|naive-tree|all|auto>`:
@@ -9,15 +8,17 @@
 //!   (hand-picked dispatch, bit-identical metering — pinned by
 //!   `tests/planner_integration.rs`),
 //! * `all` sweeps the bin's default algorithm list,
-//! * `auto` hands the choice to [`topk::planner::Planner`]: the plan is
-//!   derived from the data, executed, and audited — and the audit row
+//! * `auto` hands the choice to [`topk::planner::plan_for_data`]: the plan
+//!   is derived from the data, executed, and audited — and the audit row
 //!   (prediction vs metered reality) is printed in the stable
-//!   [`PlanAudit::audit_line`] format the CI smoke checks parse.
+//!   [`PlanAudit::audit_line`] format the CI smoke checks parse, after the
+//!   plan's [`explain`](topk::planner::Plan::explain) table under
+//!   `--plan-explain`.
 
 use std::str::FromStr;
 
 use commsim::{run_on, Backend, Communicator, World};
-use topk::planner::{Algorithm, Plan, PlanAudit, Planner};
+use topk::planner::{self, Algorithm, PlanAudit};
 use topk::FrequentParams;
 
 use crate::report::fmt_duration;
@@ -49,11 +50,6 @@ impl FromStr for AlgoChoice {
                 }),
         }
     }
-}
-
-/// Print a plan's multi-line explanation (the `--plan-explain` output).
-pub fn print_plan(plan: &Plan) {
-    println!("{}", plan.explain());
 }
 
 /// Print a plan audit's one-line row, asserting it round-trips through
@@ -120,7 +116,7 @@ pub fn frequent_panel(
                         match fixed {
                             Some(a) => (None, a.run(comm, &local, params).sample_size),
                             None => {
-                                let plan = Planner::default().plan_for_data(
+                                let plan = planner::plan_for_data(
                                     comm,
                                     &local,
                                     params.k,
@@ -144,7 +140,7 @@ pub fn frequent_panel(
                 (None, planned) => {
                     let (plan, audit) = planned.expect("a planned cell returns its plan");
                     if plan_explain {
-                        print_plan(&plan);
+                        println!("{}", plan.explain());
                     }
                     print_audit(&audit);
                     format!("auto({})", plan.algorithm.token())

@@ -176,11 +176,6 @@ impl CostModel {
         Self { alpha, beta }
     }
 
-    /// Modeled cost of a single message of `words` machine words.
-    pub fn message(&self, words: usize) -> f64 {
-        self.alpha + self.beta * words as f64
-    }
-
     /// Modeled communication time of one PE given its counters: the PE pays
     /// α per start-up and β per word on its busier direction.
     fn pe_cost(&self, s: &StatsSnapshot) -> f64 {
@@ -203,12 +198,6 @@ impl CostModel {
         let bandwidth = self.beta * w.bottleneck_words() as f64;
         (latency, bandwidth)
     }
-
-    /// Modeled time of a closed-form prediction — the analytic analogue of
-    /// one PE's term of [`CostModel::world_cost`].
-    pub fn predicted_cost(&self, p: &PredictedComm) -> f64 {
-        self.alpha * p.startups + self.beta * p.words
-    }
 }
 
 #[cfg(test)]
@@ -224,13 +213,6 @@ mod tests {
             received_words: words,
             pooled_reuses: 0,
         }
-    }
-
-    #[test]
-    fn message_cost_is_affine() {
-        let m = CostModel::new(2.0, 0.5);
-        assert_eq!(m.message(0), 2.0);
-        assert_eq!(m.message(10), 7.0);
     }
 
     #[test]
@@ -276,8 +258,6 @@ mod tests {
         assert_eq!(a.plus(b), PredictedComm::new(15.0, 3.0));
         assert_eq!(b.scaled(3.0), PredictedComm::new(15.0, 3.0));
         assert_eq!(PredictedComm::default().plus(a), a);
-        let m = CostModel::new(2.0, 0.5);
-        assert_eq!(m.predicted_cost(&a), 2.0 * 2.0 + 0.5 * 10.0);
     }
 
     /// The per-collective predictions must track the metered counters of the

@@ -113,6 +113,12 @@ fn candidates_above<C: Communicator>(
     select_top_counts(comm, &above, usize::MAX)
 }
 
+/// Theorem 14's candidate count for a Zipf input of exponent `s`:
+/// `k* = ⌈(2+√2)^{1/s}·k⌉`.  The planner prices PEC's count stage at it.
+pub(crate) fn zipf_k_star(k: usize, s: f64) -> f64 {
+    ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / s) * k as f64).ceil()
+}
+
 /// The Zipf-specialised PEC (Theorem 14): for an input following Zipf's law
 /// with exponent `s` over `num_values` distinct objects, the sample size
 /// `ρn = 4·k^s·H_{n,s}·ln(k/δ)` and `k* = ⌈(2+√2)^{1/s}·k⌉` suffice — no
@@ -137,7 +143,7 @@ pub fn pec_zipf_top_k<C: Communicator>(
     let harmonic = generalized_harmonic(num_values as u64, zipf_exponent);
     let target = 4.0 * k_f.powf(zipf_exponent) * harmonic * (k_f / params.delta).ln();
     let rho = (target / n as f64).clamp(0.0, 1.0);
-    let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / zipf_exponent) * k_f).ceil() as usize;
+    let k_star = zipf_k_star(params.k, zipf_exponent) as usize;
 
     // EC's pipeline with the closed-form ρ and k*.
     let rng_seed = params.seed ^ 0x21F ^ comm.rank() as u64;

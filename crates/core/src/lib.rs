@@ -63,7 +63,7 @@ pub use bulk_pq::BulkParallelQueue;
 pub use frequent::{pec::pec_zipf_top_k, FrequentParams, TopKFrequentResult};
 pub use msselect::{multisequence_select, MsSelectResult};
 pub use multicriteria::{dta_top_k, rdta_top_k, LocalMulticriteria, MulticriteriaResult};
-pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs, Planner, SkewEstimate};
+pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs};
 pub use recover::{
     run_frequent_recoverable, select_k_smallest_recoverable, FrequentCheckpoint,
     SelectionCheckpoint,

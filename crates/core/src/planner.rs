@@ -3,9 +3,9 @@
 //! The repo has five frequent-objects algorithms ([`Algorithm`]), and until
 //! this module every caller picked by hand.  The planner makes the choice
 //! the way the paper does in its analysis: predict the per-PE bottleneck
-//! words and start-ups of every candidate from closed-form formulas, price
-//! them with the α/β [`CostModel`], and dispatch to the argmin.  The hash
-//! table's routing is not a choice: it is a function of `p` inside
+//! words and start-ups of every candidate from closed-form formulas and run
+//! the one that moves the fewest words ([`plan`]).  The hash table's routing
+//! is not a choice: it is a function of `p` inside
 //! [`aggregate_counts`](crate::frequent::dht::aggregate_counts) — direct up
 //! to 8 PEs, hypercube beyond — and every candidate is priced on the route
 //! that rule takes.
@@ -19,14 +19,15 @@
 //!   `ec::required_sample_size` (Section 7.2); PEC draws one sample, PAC's
 //!   at its coarse ε₀, and when that sample is not the whole input counts
 //!   `k*` of its keys exactly, priced at the Zipf closed form
-//!   `k* = (2+√2)^{1/z}·k` of Theorem 14 (a sample of the whole input ends
+//!   `k* = ⌈(2+√2)^{1/z}·k⌉` of Theorem 14 (a sample of the whole input ends
 //!   after PAC's merge);
 //! * the number of *distinct* keys a sample contains — the quantity every
 //!   DHT and coordinator volume actually scales with — is the Poissonized
-//!   expectation [`seqkit::skew::expected_distinct`] under a fitted Zipf
-//!   model ([`SkewEstimate`], measured by [`SkewEstimate::measure`] with the
+//!   expectation [`seqkit::skew::expected_distinct`] under a Zipf model of
+//!   the input ([`PlanInputs::zipf_exponent`] over
+//!   [`PlanInputs::universe`] keys), fitted by [`plan_for_data`] with the
 //!   one-pass estimator of `seqkit::skew` when the caller does not know its
-//!   distribution);
+//!   distribution;
 //! * the top-`k` merge shared by all sampling algorithms
 //!   ([`select_top_counts`](crate::frequent::select_top_counts)) costs every
 //!   PE `⌈log₂ p⌉` start-ups, round `j`'s message carrying the best
@@ -59,12 +60,12 @@
 //! the paper's claims rest on is itself under regression test.
 //!
 //! Everything here is deterministic: plans are pure functions of their
-//! inputs, and [`SkewEstimate::measure`] combines the per-PE fits through
-//! fixed-point integer all-reductions, so every PE — and every backend —
+//! inputs, and [`plan_for_data`] combines the per-PE fits through one
+//! fixed-point integer all-reduction, so every PE — and every backend —
 //! derives the *identical* plan (pinned by `tests/planner_integration.rs`).
 
 use commsim::cost::predict;
-use commsim::{Communicator, CostModel, PredictedComm};
+use commsim::{Communicator, PredictedComm};
 
 use crate::frequent::{dht, ec, naive, pac, pec};
 use crate::frequent::{FrequentParams, TopKFrequentResult};
@@ -167,69 +168,6 @@ impl Algorithm {
     }
 }
 
-/// A fitted (or asserted) skew model of the input distribution: Zipf
-/// exponent plus universe size, the two numbers the expected-distinct
-/// predictions need.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkewEstimate {
-    /// Zipf exponent of the modeled distribution.
-    pub exponent: f64,
-    /// Number of distinct keys in the modeled distribution.
-    pub universe: u64,
-    /// Elements the fit examined globally (`0` when asserted, not measured).
-    pub sampled: u64,
-    /// Mean per-PE distinct keys among the sampled elements (diagnostic).
-    pub distinct: u64,
-}
-
-impl SkewEstimate {
-    /// An asserted skew model, for callers that know their distribution
-    /// (e.g. the bench bins generating their own Zipf input).
-    pub fn known(exponent: f64, universe: u64) -> Self {
-        SkewEstimate {
-            exponent,
-            universe: universe.max(1),
-            sampled: 0,
-            distinct: 0,
-        }
-    }
-
-    /// Measure a skew model from the data (collective): every PE fits the
-    /// one-pass estimator of [`seqkit::skew`] on its local shard, and the
-    /// fits are combined into one global model with a single fixed-point
-    /// integer vector all-reduction — so the result (and therefore every
-    /// plan derived from it) is bit-identical on every PE and backend.
-    pub fn measure<C: Communicator>(comm: &C, local_data: &[u64]) -> Self {
-        let fit = fit_zipf_exponent(local_data, 1 << 16);
-        // Fixed-point weighted sums: exponent and universe weighted by the
-        // local sample size.  Integer sums are associative, so the combined
-        // model cannot depend on reduction order.
-        let combined = comm.allreduce_vec_sum(vec![
-            fit.sampled,
-            fit.distinct,
-            ((fit.exponent * 1e6).round() as u64).saturating_mul(fit.sampled),
-            fit.universe.saturating_mul(fit.sampled),
-            1,
-        ]);
-        let (sampled, distinct_sum, exp_fp, uni_fp, pes) = (
-            combined[0],
-            combined[1],
-            combined[2],
-            combined[3],
-            combined[4].max(1),
-        );
-        if sampled == 0 {
-            return SkewEstimate::known(1.0, 1);
-        }
-        SkewEstimate {
-            exponent: (exp_fp as f64 / sampled as f64) / 1e6,
-            universe: (uni_fp / sampled).max(1),
-            sampled,
-            distinct: distinct_sum / pes,
-        }
-    }
-}
-
 /// Everything a plan is a function of.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanInputs {
@@ -243,8 +181,10 @@ pub struct PlanInputs {
     pub epsilon: f64,
     /// Failure probability δ.
     pub delta: f64,
-    /// Skew model of the input distribution.
-    pub skew: SkewEstimate,
+    /// Zipf exponent of the modeled input distribution.
+    pub zipf_exponent: f64,
+    /// Number of distinct keys of the modeled distribution, at least 1.
+    pub universe: u64,
 }
 
 /// One algorithm's prediction.
@@ -254,8 +194,6 @@ pub struct PlanCandidate {
     pub algorithm: Algorithm,
     /// Predicted bottleneck words and start-ups per PE.
     pub predicted: PredictedComm,
-    /// `α·startups + β·words` under the planner's cost model.
-    pub modeled_seconds: f64,
     /// Predicted global sample size the algorithm will draw.
     pub sample_target: u64,
     /// Predicted candidate-set size (`k` itself for PAC and the baselines).
@@ -267,26 +205,20 @@ pub struct PlanCandidate {
 pub struct Plan {
     /// The inputs the plan was derived from.
     pub inputs: PlanInputs,
-    /// Chosen algorithm (argmin of predicted bottleneck words; modeled
-    /// α/β time breaks ties).
+    /// Chosen algorithm: the least predicted bottleneck words, then the
+    /// fewest predicted start-ups, then the first in [`Algorithm::ALL`].
     pub algorithm: Algorithm,
-    /// Predicted global sample size of the chosen algorithm.
-    pub sample_target: u64,
-    /// Predicted candidate-set size of the chosen algorithm.
-    pub k_star: u64,
-    /// Predicted bottleneck words and start-ups per PE.
-    pub predicted: PredictedComm,
-    /// Modeled time of the chosen algorithm.
-    pub modeled_seconds: f64,
     /// Every algorithm's prediction, in [`Algorithm::ALL`] order.
     pub candidates: Vec<PlanCandidate>,
 }
 
 impl Plan {
-    /// The [`FrequentParams`] a planned execution runs with: the caller's
-    /// accuracy targets.
-    pub fn params(&self, seed: u64) -> FrequentParams {
-        FrequentParams::new(self.inputs.k, self.inputs.epsilon, self.inputs.delta, seed)
+    /// The chosen algorithm's prediction.
+    pub fn chosen(&self) -> &PlanCandidate {
+        self.candidates
+            .iter()
+            .find(|c| c.algorithm == self.algorithm)
+            .expect("every algorithm has a candidate")
     }
 
     /// Execute the plan (collective) and audit the prediction: the algorithm
@@ -300,7 +232,8 @@ impl Plan {
         local_data: &[u64],
         seed: u64,
     ) -> (TopKFrequentResult, PlanAudit) {
-        let params = self.params(seed);
+        let i = &self.inputs;
+        let params = FrequentParams::new(i.k, i.epsilon, i.delta, seed);
         let before = comm.stats_snapshot();
         let result = self.algorithm.run(comm, local_data, &params);
         let delta = comm.stats_snapshot().since(&before);
@@ -308,10 +241,10 @@ impl Plan {
         let (measured_words, measured_startups) = allreduce_pair(comm, local, u64::max, u64::max);
         let audit = PlanAudit {
             algorithm: self.algorithm,
-            p: self.inputs.p,
-            n: self.inputs.n,
-            k: self.inputs.k,
-            predicted: self.predicted,
+            p: i.p,
+            n: i.n,
+            k: i.k,
+            predicted: self.chosen().predicted,
             measured_words,
             measured_startups,
         };
@@ -325,7 +258,7 @@ impl Plan {
         let i = &self.inputs;
         let mut out = format!(
             "plan: n={} p={} k={} eps={:.3e} delta={:.3e} skew={:.2} universe={}\n",
-            i.n, i.p, i.k, i.epsilon, i.delta, i.skew.exponent, i.skew.universe
+            i.n, i.p, i.k, i.epsilon, i.delta, i.zipf_exponent, i.universe
         );
         for c in &self.candidates {
             let marker = if c.algorithm == self.algorithm {
@@ -334,18 +267,18 @@ impl Plan {
                 " "
             };
             out.push_str(&format!(
-                " {marker} {:<10} pred_words={:<12.1} pred_startups={:<6.1} modeled={:.3e}s\n",
+                " {marker} {:<10} pred_words={:<12.1} pred_startups={:.1}\n",
                 c.algorithm.token(),
                 c.predicted.words,
                 c.predicted.startups,
-                c.modeled_seconds,
             ));
         }
+        let chosen = self.chosen();
         out.push_str(&format!(
             "  chosen algo={} sample_target={} k_star={}",
             self.algorithm.token(),
-            self.sample_target,
-            self.k_star
+            chosen.sample_target,
+            chosen.k_star
         ));
         out
     }
@@ -450,182 +383,156 @@ fn relative_error(predicted: f64, measured: u64) -> f64 {
     }
 }
 
-/// The planner: a [`CostModel`] plus the closed-form prediction formulas.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Planner {
-    /// The machine model predictions are priced with.
-    pub cost: CostModel,
-}
-
-impl Default for Planner {
-    fn default() -> Self {
-        Planner::new(CostModel::default())
+/// Plan from known inputs — pure, deterministic, communication-free.
+///
+/// The paper's claims — and the bound the planner is held to — are about
+/// communication *volume*, so the pick is the candidate with the least
+/// predicted bottleneck words; the fewer predicted start-ups break a tie
+/// (e.g. the two centralized baselines at p ≤ 2, whose volumes coincide),
+/// and a tie in both goes to the first in [`Algorithm::ALL`].
+pub fn plan(inputs: PlanInputs) -> Plan {
+    let candidates: Vec<PlanCandidate> = Algorithm::ALL
+        .iter()
+        .map(|&algorithm| candidate(algorithm, &inputs))
+        .collect();
+    let order = |c: &PlanCandidate| (c.predicted.words, c.predicted.startups);
+    let best = candidates
+        .iter()
+        .reduce(|best, c| if order(c) < order(best) { c } else { best })
+        .expect("Algorithm::ALL is non-empty");
+    Plan {
+        inputs,
+        algorithm: best.algorithm,
+        candidates,
     }
 }
 
-impl Planner {
-    /// A planner over an explicit machine model.
-    pub fn new(cost: CostModel) -> Self {
-        Planner { cost }
-    }
+/// Plan for concrete data (collective): every PE fits the one-pass Zipf
+/// estimator of [`seqkit::skew`] on its local shard, and one fixed-point
+/// integer vector all-reduction sums the global `n` and the fits weighted by
+/// their local sample sizes — integer sums are associative, so the combined
+/// model, and the pure [`plan`] derived from it, is bit-identical on every
+/// PE and backend.
+pub fn plan_for_data<C: Communicator>(
+    comm: &C,
+    local_data: &[u64],
+    k: usize,
+    epsilon: f64,
+    delta: f64,
+) -> Plan {
+    let fit = fit_zipf_exponent(local_data, 1 << 16);
+    let sums = comm.allreduce_vec_sum(vec![
+        local_data.len() as u64,
+        fit.sampled,
+        ((fit.exponent * 1e6).round() as u64).saturating_mul(fit.sampled),
+        fit.universe.saturating_mul(fit.sampled),
+    ]);
+    let (n, sampled, exponent_sum, universe_sum) = (sums[0], sums[1], sums[2], sums[3]);
+    let (zipf_exponent, universe) = match sampled {
+        0 => (1.0, 1),
+        _ => (
+            (exponent_sum as f64 / sampled as f64) / 1e6,
+            (universe_sum / sampled).max(1),
+        ),
+    };
+    plan(PlanInputs {
+        n,
+        k,
+        p: comm.size(),
+        epsilon,
+        delta,
+        zipf_exponent,
+        universe,
+    })
+}
 
-    /// Plan from known inputs — pure, deterministic, communication-free.
-    pub fn plan(&self, inputs: PlanInputs) -> Plan {
-        let candidates: Vec<PlanCandidate> = Algorithm::ALL
-            .iter()
-            .map(|&algorithm| self.candidate(algorithm, &inputs))
-            .collect();
-        // The paper's claims — and the bound the planner is held to — are
-        // about communication *volume*, so the pick is the words argmin;
-        // the modeled α/β time only breaks ties (e.g. the two centralized
-        // baselines at p ≤ 2, whose volumes coincide).
-        let best = candidates
-            .iter()
-            .copied()
-            .reduce(|best, c| {
-                if c.predicted.words < best.predicted.words
-                    || (c.predicted.words == best.predicted.words
-                        && c.modeled_seconds < best.modeled_seconds)
-                {
-                    c
-                } else {
-                    best
-                }
-            })
-            .expect("Algorithm::ALL is non-empty");
-        Plan {
-            inputs,
-            algorithm: best.algorithm,
-            sample_target: best.sample_target,
-            k_star: best.k_star,
-            predicted: best.predicted,
-            modeled_seconds: best.modeled_seconds,
-            candidates,
+/// Price one algorithm (see the module docs for the formula provenance).
+fn candidate(algorithm: Algorithm, i: &PlanInputs) -> PlanCandidate {
+    let p = i.p;
+    let n = i.n.max(1);
+    let k = i.k as f64;
+    let params = FrequentParams::new(i.k, i.epsilon, i.delta, 0);
+    // Expected distinct keys in a sample of size `s` (global) or `s/p`
+    // (one PE's share) under the fitted Zipf model.
+    let d = |s: f64| expected_distinct(s, i.universe, i.zipf_exponent);
+    let d_loc = |s: u64| d(s as f64 / p as f64);
+    let u = i.universe as f64;
+    // `Algorithm::run` reduces the global `n` once, whatever the algorithm.
+    let start = Traffic::new(p).allreduce(1.0);
+
+    let (traffic, sample, k_star) = match algorithm {
+        Algorithm::Pac => {
+            let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
+            let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k, u);
+            (traffic, s, i.k as u64)
         }
-    }
-
-    /// Plan for concrete data (collective): global `n` by sum-reduction, the
-    /// skew model by [`SkewEstimate::measure`], then the pure [`plan`].
-    ///
-    /// [`plan`]: Self::plan
-    pub fn plan_for_data<C: Communicator>(
-        &self,
-        comm: &C,
-        local_data: &[u64],
-        k: usize,
-        epsilon: f64,
-        delta: f64,
-    ) -> Plan {
-        let n = comm.allreduce_sum(local_data.len() as u64);
-        let skew = SkewEstimate::measure(comm, local_data);
-        self.plan(PlanInputs {
-            n,
-            k,
-            p: comm.size(),
-            epsilon,
-            delta,
-            skew,
-        })
-    }
-
-    /// Price one algorithm.
-    fn candidate(&self, algorithm: Algorithm, i: &PlanInputs) -> PlanCandidate {
-        let (predicted, sample_target, k_star) = self.predict_algorithm(algorithm, i);
-        PlanCandidate {
-            algorithm,
-            predicted,
-            modeled_seconds: self.cost.predicted_cost(&predicted),
-            sample_target,
-            k_star,
+        Algorithm::Ec => {
+            let k_star = ec::optimal_k_star(n, p, &params);
+            let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
+            // The merge returns at most the sample's distinct keys, and
+            // the exact counts are of that candidate set.
+            let k_eff = (k_star as f64).min(d(s as f64));
+            let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k_eff, u)
+                .allreduce(packed_counts_words(k_eff, i));
+            (traffic, s, k_star as u64)
         }
-    }
-
-    /// The per-algorithm closed-form prediction (see the module docs for the
-    /// formula provenance).  Returns (prediction, sample, k*).
-    fn predict_algorithm(&self, algorithm: Algorithm, i: &PlanInputs) -> (PredictedComm, u64, u64) {
-        let p = i.p;
-        let n = i.n.max(1);
-        let k = i.k as f64;
-        let params = FrequentParams::new(i.k, i.epsilon, i.delta, 0);
-        // Expected distinct keys in a sample of size `s` (global) or `s/p`
-        // (one PE's share) under the fitted Zipf model.
-        let d = |s: f64| expected_distinct(s, i.skew.universe, i.skew.exponent);
-        let d_loc = |s: u64| d(s as f64 / p as f64);
-        let u = i.skew.universe as f64;
-        // `Algorithm::run` reduces the global `n` once, whatever the algorithm.
-        let start = Traffic::new(p).allreduce(1.0);
-
-        let (traffic, sample, k_star) = match algorithm {
-            Algorithm::Pac => {
-                let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k, u);
-                (traffic, s, i.k as u64)
-            }
-            Algorithm::Ec => {
-                let k_star = ec::optimal_k_star(n, p, &params);
-                let s = ec::required_sample_size(n, k_star, i.epsilon, i.delta);
-                // The merge returns at most the sample's distinct keys, and
-                // the exact counts are of that candidate set.
-                let k_eff = (k_star as f64).min(d(s as f64));
-                let traffic = sampling_stage(start, s, d_loc(s), d(s as f64), k_eff, u)
+        Algorithm::Pec => {
+            // The PAC machinery at the coarse ε₀; a sample of the whole
+            // input is exact and ends there.
+            let epsilon0 = pec::coarse_epsilon(i.epsilon);
+            let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
+            let d0 = d(s0 as f64);
+            let traffic = sampling_stage(start, s0, d_loc(s0), d0, k, u);
+            if s0 >= n {
+                (traffic, s0, i.k as u64)
+            } else {
+                // k* from the Theorem-14 Zipf closed form; the merge of
+                // the candidates (no PE reduces their number) and their
+                // exact counts.
+                let k_star = pec::zipf_k_star(i.k, i.zipf_exponent.max(0.2))
+                    .min(n as f64)
+                    .max(k);
+                let k_eff = k_star.min(d0);
+                let traffic = traffic
+                    .top_counts(d0, k_eff, s0 as f64, u)
                     .allreduce(packed_counts_words(k_eff, i));
-                (traffic, s, k_star as u64)
+                (traffic, s0, k_star as u64)
             }
-            Algorithm::Pec => {
-                // The PAC machinery at the coarse ε₀; a sample of the whole
-                // input is exact and ends there.
-                let epsilon0 = pec::coarse_epsilon(i.epsilon);
-                let s0 = pac::required_sample_size(n, i.k, epsilon0, i.delta);
-                let d0 = d(s0 as f64);
-                let traffic = sampling_stage(start, s0, d_loc(s0), d0, k, u);
-                if s0 >= n {
-                    (traffic, s0, i.k as u64)
-                } else {
-                    // k* from the Theorem-14 Zipf closed form; the merge of
-                    // the candidates (no PE reduces their number) and their
-                    // exact counts.
-                    let z = i.skew.exponent.max(0.2);
-                    let k_star = ((2.0 + std::f64::consts::SQRT_2).powf(1.0 / z) * k)
-                        .ceil()
-                        .min(n as f64)
-                        .max(k);
-                    let k_eff = k_star.min(d0);
-                    let traffic = traffic
-                        .top_counts(d0, k_eff, s0 as f64, u)
-                        .allreduce(packed_counts_words(k_eff, i));
-                    (traffic, s0, k_star as u64)
-                }
-            }
-            Algorithm::Naive | Algorithm::NaiveTree => {
-                let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
-                // What the coordinator receives, and what a leaf sends it.
-                let (up, up_leaf) = if algorithm == Algorithm::Naive {
-                    // Every PE's aggregated sample, directly.
-                    let sample = key_counts_words(d_loc(s), s as f64 / p as f64, u);
-                    let others = p as f64 - 1.0;
-                    (PredictedComm::new(others * sample, others), sample)
-                } else {
-                    // Binomial merging tree: the root's child at level j
-                    // carries the merged aggregate of a 2^j-PE subtree, a
-                    // leaf its own.
-                    let merged = |pes: f64| {
-                        let sample = s as f64 * pes / p as f64;
-                        key_counts_words(d(sample), sample, u)
-                    };
-                    let l = predict::rounds(p) as u32;
-                    let root_recv: f64 = (0..l)
-                        .map(|j| merged((1u64 << j).min(p as u64) as f64))
-                        .sum();
-                    (PredictedComm::new(root_recv, l as f64), merged(1.0))
+        }
+        Algorithm::Naive | Algorithm::NaiveTree => {
+            let s = pac::required_sample_size(n, i.k, i.epsilon, i.delta);
+            // What the coordinator receives, and what a leaf sends it.
+            let (up, up_leaf) = if algorithm == Algorithm::Naive {
+                // Every PE's aggregated sample, directly.
+                let sample = key_counts_words(d_loc(s), s as f64 / p as f64, u);
+                let others = p as f64 - 1.0;
+                (PredictedComm::new(others * sample, others), sample)
+            } else {
+                // Binomial merging tree: the root's child at level j
+                // carries the merged aggregate of a 2^j-PE subtree, a
+                // leaf its own.
+                let merged = |pes: f64| {
+                    let sample = s as f64 * pes / p as f64;
+                    key_counts_words(d(sample), sample, u)
                 };
-                // The shipment (its sample size rides it), and the
-                // coordinator's broadcast of the global sample size and the
-                // winners.
-                let traffic = start.exchange(up, up_leaf, 2.0 * k + 2.0);
-                (traffic, s, i.k as u64)
-            }
-        };
-        (traffic.bottleneck(), sample, k_star)
+                let l = predict::rounds(p) as u32;
+                let root_recv: f64 = (0..l)
+                    .map(|j| merged((1u64 << j).min(p as u64) as f64))
+                    .sum();
+                (PredictedComm::new(root_recv, l as f64), merged(1.0))
+            };
+            // The shipment (its sample size rides it), and the
+            // coordinator's broadcast of the global sample size and the
+            // winners.
+            let traffic = start.exchange(up, up_leaf, 2.0 * k + 2.0);
+            (traffic, s, i.k as u64)
+        }
+    };
+    PlanCandidate {
+        algorithm,
+        predicted: traffic.bottleneck(),
+        sample_target: sample,
+        k_star,
     }
 }
 
@@ -688,8 +595,8 @@ const RUN_HEADER_BITS: f64 = 20.0;
 /// `j = 1 … len` with `top = n/H(U, s)`, each at
 /// `log₂(top/j^s + 1) + PACKED_COUNT_EXTRA_BITS` bits.
 fn packed_counts_words(len: f64, i: &PlanInputs) -> f64 {
-    let s = i.skew.exponent;
-    let top = i.n as f64 / generalized_harmonic(i.skew.universe, s);
+    let s = i.zipf_exponent;
+    let top = i.n as f64 / generalized_harmonic(i.universe, s);
     let len = len.round().max(0.0) as u64;
     let counts: f64 = (1..=len)
         .map(|j| (top / (j as f64).powf(s) + 1.0).log2() + PACKED_COUNT_EXTRA_BITS)
@@ -798,16 +705,16 @@ mod tests {
             p,
             epsilon: 0.05,
             delta: 1e-4,
-            skew: SkewEstimate::known(exponent, universe),
+            zipf_exponent: exponent,
+            universe,
         }
     }
 
     #[test]
     fn plans_are_pure_functions_of_their_inputs() {
-        let planner = Planner::default();
         let i = inputs(1 << 20, 32, 16, 1.0, 1 << 18);
-        let a = planner.plan(i);
-        let b = planner.plan(i);
+        let a = plan(i);
+        let b = plan(i);
         assert_eq!(a, b);
         assert_eq!(a.explain(), b.explain());
         assert_eq!(a.candidates.len(), Algorithm::ALL.len());
@@ -815,12 +722,17 @@ mod tests {
 
     #[test]
     fn the_chosen_candidate_is_the_predicted_words_argmin() {
-        let plan = Planner::default().plan(inputs(1 << 18, 32, 8, 1.1, 1 << 16));
-        for c in &plan.candidates {
-            assert!(plan.predicted.words <= c.predicted.words + 1e-9);
-            if plan.predicted.words == c.predicted.words {
-                assert!(plan.modeled_seconds <= c.modeled_seconds + 1e-12);
+        // p ≤ 2 ties the two baselines' words; the start-ups decide.
+        for p in [2, 8] {
+            let plan = plan(inputs(1 << 18, 32, p, 1.1, 1 << 16));
+            let order = |c: &PlanCandidate| (c.predicted.words, c.predicted.startups);
+            let chosen = plan.chosen();
+            for c in &plan.candidates {
+                assert!(order(chosen) <= order(c), "p={p}: {chosen:?} over {c:?}");
             }
+            // A tie in both goes to the first in `Algorithm::ALL`.
+            let first = plan.candidates.iter().find(|c| order(c) == order(chosen));
+            assert_eq!(first.unwrap().algorithm, plan.algorithm);
         }
     }
 
@@ -828,7 +740,7 @@ mod tests {
     fn large_p_abandons_the_centralized_baseline() {
         // At p = 256 the Naive coordinator's (p−1)·aggregate volume dwarfs
         // every sampling algorithm; the planner must not pick it.
-        let plan = Planner::default().plan(inputs(1 << 26, 32, 256, 1.0, 1 << 20));
+        let plan = plan(inputs(1 << 26, 32, 256, 1.0, 1 << 20));
         assert!(
             !matches!(plan.algorithm, Algorithm::Naive),
             "picked {:?}",
@@ -836,7 +748,7 @@ mod tests {
         );
         let naive = plan.candidates[3];
         assert_eq!(naive.algorithm, Algorithm::Naive);
-        assert!(naive.predicted.words > 1.5 * plan.predicted.words);
+        assert!(naive.predicted.words > 1.5 * plan.chosen().predicted.words);
     }
 
     #[test]
@@ -937,12 +849,5 @@ mod tests {
         // δ(1) 2 more.
         let one_key = inputs(1 << 19, 32, 2, 1.0, 1);
         assert_eq!(packed_counts_words(1.0, &one_key), 1.0);
-    }
-
-    #[test]
-    fn skew_estimate_known_is_communication_free_metadata() {
-        let s = SkewEstimate::known(1.3, 0);
-        assert_eq!(s.universe, 1);
-        assert_eq!(s.sampled, 0);
     }
 }

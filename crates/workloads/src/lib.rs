@@ -46,6 +46,6 @@ pub use stream::{
     world_report, BatchReport, ReplicaShard, StreamConfig, StreamReport, StreamService, StreamVocab,
 };
 pub use text::{
-    distributed_intern, plan_word_frequency, resolve_items, run_planned_scored, split_text_shards,
-    tokenize, InternedShard, WordFrequencyScore,
+    distributed_intern, resolve_items, run_planned_scored, split_text_shards, tokenize,
+    InternedShard, WordFrequencyScore,
 };

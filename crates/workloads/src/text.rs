@@ -14,7 +14,8 @@
 //!    iteration order, which is what makes the whole pipeline reproducible.
 //! 3. **Count** with any §7 algorithm on the id stream
 //!    ([`topk::planner::Algorithm::run`]), exactly as if the input had been
-//!    integers all along.
+//!    integers all along — or with the one the planner picks for the ids
+//!    ([`topk::planner::plan_for_data`], run by [`run_planned_scored`]).
 //! 4. **Resolve** the few winning ids back to words ([`resolve_items`]) and
 //!    score them against the exact oracle ([`WordFrequencyScore`]).
 //!
@@ -28,7 +29,7 @@ use std::collections::HashMap;
 use commsim::Communicator;
 use seqkit::Interner;
 use topk::frequent::{absolute_error, exact_global_counts, relative_error};
-use topk::planner::{Algorithm, Plan, PlanAudit, Planner};
+use topk::planner::{Algorithm, Plan, PlanAudit};
 use topk::TopKFrequentResult;
 
 /// Split `text` into lowercase ASCII-alphabetic words.
@@ -120,22 +121,9 @@ pub fn resolve_items(vocab: &[String], result: &TopKFrequentResult) -> Vec<(Stri
         .collect()
 }
 
-/// Plan the word-frequency run from the data itself (collective): global `n`
-/// and a measured [`topk::planner::SkewEstimate`] feed the planner, which
-/// picks the algorithm, the DHT routing and the sample shape.  The returned
-/// plan is identical on every PE and backend.
-pub fn plan_word_frequency<C: Communicator>(
-    comm: &C,
-    shard: &InternedShard,
-    k: usize,
-    epsilon: f64,
-    delta: f64,
-) -> Plan {
-    Planner::default().plan_for_data(comm, &shard.ids, k, epsilon, delta)
-}
-
-/// Execute a plan on an interned shard and score the answer against the
-/// exact oracle (collective).  Returns the oracle score together with the
+/// Execute a plan on an interned shard — one [`topk::planner::plan_for_data`]
+/// derived from `shard.ids` — and score the answer against the exact oracle
+/// (collective).  Returns the oracle score together with the
 /// plan's [`PlanAudit`] — predicted vs metered words/PE and start-ups of the
 /// algorithm phase.  `words_per_pe` in the score is the *world* bottleneck
 /// (the audit's measured words), so the score, too, is identical on every PE.
@@ -146,14 +134,13 @@ pub fn run_planned_scored<C: Communicator>(
     seed: u64,
 ) -> (WordFrequencyScore, PlanAudit) {
     let exact = exact_global_counts(comm, &shard.ids);
-    let n = comm.allreduce_sum(shard.ids.len() as u64);
     let (result, audit) = plan.execute(comm, &shard.ids, seed);
     let score = WordFrequencyScore::new(
         plan.algorithm,
         &exact,
         &result,
         &shard.vocab,
-        n,
+        plan.inputs.n,
         audit.measured_words,
     );
     (score, audit)
@@ -291,7 +278,7 @@ mod tests {
             .collect();
         let out = run_spmd_seq(4, |comm| {
             let shard = distributed_intern(comm, &shards[comm.rank()]);
-            let plan = plan_word_frequency(comm, &shard, 4, 0.02, 1e-3);
+            let plan = topk::planner::plan_for_data(comm, &shard.ids, 4, 0.02, 1e-3);
             let (score, audit) = run_planned_scored(comm, &shard, &plan, 77);
             (plan, score, audit)
         });

@@ -10,9 +10,11 @@
 //!    it prices the hash table on the route the code takes, direct delivery
 //!    charged for the `p − 1` shares a PE sends.  The bound leaves room for
 //!    a close call, not for a misranking.
-//! 2. **Determinism across backends** — the plan derived from the data (and
-//!    its `explain()` rendering) is identical on every PE of every backend,
-//!    because the skew estimate is combined through one integer allreduce.
+//! 2. **Determinism across backends, at one collective** — the plan derived
+//!    from the data (and its `explain()` rendering) is identical on every PE
+//!    of every backend, because `plan_for_data` sums `n` and the per-PE Zipf
+//!    fits in one integer all-reduction, and that reduction is all the
+//!    planning step sends.
 //! 3. **Exact start-ups** — the model charges every collective and merge
 //!    round each algorithm runs, so on fig7's quick input, on both sides of
 //!    the hash table's routing rule, and on an input where PEC samples (both
@@ -22,7 +24,8 @@
 use proptest::prelude::*;
 use topk_selection::datagen::Zipf;
 use topk_selection::prelude::*;
-use topk_selection::topk::planner::{Algorithm, Plan, PlanAudit, Planner};
+use topk_selection::seqkit::skew::fit_zipf_exponent;
+use topk_selection::topk::planner::{self, Algorithm, Plan, PlanAudit, PlanInputs};
 
 fn zipf_input(universe: usize, exponent: f64, seed: u64, rank: usize, per_pe: usize) -> Vec<u64> {
     use rand::SeedableRng;
@@ -59,7 +62,7 @@ fn the_planned_pick_stays_within_bounded_factor_of_the_empirical_argmin() {
 
                 let out = run_spmd_seq(p, move |comm| {
                     let local = zipf_input(1 << 14, exponent, 0x9F1D00, comm.rank(), per_pe);
-                    let plan = Planner::default().plan_for_data(comm, &local, k, 0.02, 1e-3);
+                    let plan = planner::plan_for_data(comm, &local, k, 0.02, 1e-3);
                     let (_, audit) = plan.execute(comm, &local, 0x9F1D);
                     (plan.algorithm, audit)
                 });
@@ -82,7 +85,7 @@ fn every_planned_execution_emits_a_parseable_audit_row() {
     let (p, per_pe) = (4usize, 1usize << 10);
     let out = run_spmd_seq(p, move |comm| {
         let local = zipf_input(1 << 14, 1.0, 0xA0D1, comm.rank(), per_pe);
-        let plan = Planner::default().plan_for_data(comm, &local, 8, 0.03, 1e-3);
+        let plan = planner::plan_for_data(comm, &local, 8, 0.03, 1e-3);
         let (_, audit) = plan.execute(comm, &local, 0xA0D1);
         audit
     });
@@ -135,7 +138,7 @@ fn plans_and_explanations_are_identical_across_all_three_backends() {
 
 fn plan_body<C: Communicator>(comm: &C, per_pe: usize) -> (Plan, String) {
     let local = zipf_input(1 << 14, 1.1, 0xB0B, comm.rank(), per_pe);
-    let plan = Planner::default().plan_for_data(comm, &local, 12, 0.02, 1e-4);
+    let plan = planner::plan_for_data(comm, &local, 12, 0.02, 1e-4);
     let explain = plan.explain();
     (plan, explain)
 }
@@ -148,7 +151,7 @@ fn plan_anywhere<C: Communicator>(
     seed: u64,
 ) -> (Plan, String) {
     let local = zipf_input(1 << 13, exponent, seed, comm.rank(), per_pe);
-    let plan = Planner::default().plan_for_data(comm, &local, k, 0.03, 1e-3);
+    let plan = planner::plan_for_data(comm, &local, k, 0.03, 1e-3);
     let explain = plan.explain();
     (plan, explain)
 }
@@ -185,7 +188,7 @@ proptest! {
     }
 }
 
-/// Each algorithm is planned, pinned to itself from `Planner::plan`'s
+/// Each algorithm is planned, pinned to itself from `planner::plan`'s
 /// candidates, executed, and its audit's predicted start-ups must equal the
 /// metered ones, on Zipf(1.0) inputs with ε = 0.05: fig7's quick input
 /// (`fig7 --per-pe 10`: 2^20 values, k = 32, δ = 10⁻⁴) at p = 2 and 4, where
@@ -206,22 +209,16 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
     for (p, per_pe, universe, k, delta, whole) in inputs {
         let out = run_spmd_seq(p, |comm| {
             let local = zipf_input(universe, 1.0, 0xF17_0000, comm.rank(), per_pe);
-            let plan = Planner::default().plan_for_data(comm, &local, k, 0.05, delta);
+            let plan = planner::plan_for_data(comm, &local, k, 0.05, delta);
             let audits = Algorithm::ALL.map(|algorithm| {
-                let c = plan
-                    .candidates
-                    .iter()
-                    .find(|c| c.algorithm == algorithm)
-                    .unwrap();
                 let pinned = Plan {
                     algorithm,
-                    sample_target: c.sample_target,
-                    k_star: c.k_star,
-                    predicted: c.predicted,
-                    modeled_seconds: c.modeled_seconds,
                     ..plan.clone()
                 };
-                pinned.execute(comm, &local, 0xF17).1
+                let audit = pinned.execute(comm, &local, 0xF17).1;
+                // The audit carries the pinned algorithm's own prediction.
+                assert_eq!(audit.predicted, pinned.chosen().predicted);
+                audit
             });
             (plan, audits)
         });
@@ -236,6 +233,65 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
                 "p={p}: {}",
                 audit.audit_line()
             );
+        }
+    }
+}
+
+/// Planning from data costs one all-reduction: the global `n` and the three
+/// sums the fitted Zipf model is combined from.  On threads and on the inline
+/// driver, every PE's metered traffic in `plan_for_data` equals that of one
+/// hand-made `allreduce_vec_sum` of the same four entries, and the plan is
+/// the pure `planner::plan` of the fit those entries give.
+#[test]
+fn plan_for_data_is_one_all_reduction() {
+    fn traffic(d: &topk_selection::commsim::StatsSnapshot) -> [u64; 4] {
+        [
+            d.sent_words,
+            d.sent_messages,
+            d.received_words,
+            d.received_messages,
+        ]
+    }
+    fn body<C: Communicator>(comm: &C) -> ([u64; 4], [u64; 4], Plan, Plan) {
+        let (k, epsilon, delta) = (8, 0.02, 1e-3);
+        let per_pe = 700 + 300 * comm.rank();
+        let local = zipf_input(1 << 12, 1.1, 0x0A11, comm.rank(), per_pe);
+
+        let before = comm.stats_snapshot();
+        let planned = planner::plan_for_data(comm, &local, k, epsilon, delta);
+        let planning = comm.stats_snapshot().since(&before);
+
+        let before = comm.stats_snapshot();
+        let fit = fit_zipf_exponent(&local, 1 << 16);
+        let exponent = (fit.exponent * 1e6).round() as u64;
+        let sums = comm.allreduce_vec_sum(vec![
+            local.len() as u64,
+            fit.sampled,
+            exponent * fit.sampled,
+            fit.universe * fit.sampled,
+        ]);
+        let by_hand = comm.stats_snapshot().since(&before);
+        let expected = planner::plan(PlanInputs {
+            n: sums[0],
+            k,
+            p: comm.size(),
+            epsilon,
+            delta,
+            zipf_exponent: (sums[2] as f64 / sums[1] as f64) / 1e6,
+            universe: (sums[3] / sums[1]).max(1),
+        });
+        (traffic(&planning), traffic(&by_hand), planned, expected)
+    }
+    for p in [2usize, 3, 5] {
+        for (driver, results) in [
+            ("threads", run_spmd(p, body).results),
+            ("inline", run_spmd_seq(p, body).results),
+        ] {
+            for (rank, (planning, by_hand, planned, expected)) in results.iter().enumerate() {
+                assert_eq!(planning, by_hand, "{driver} p={p} rank {rank}");
+                assert_eq!(planned, expected, "{driver} p={p} rank {rank}");
+                assert_eq!(planned.inputs.n, (700 * p + 150 * p * (p - 1)) as u64);
+            }
         }
     }
 }
