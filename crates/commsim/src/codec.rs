@@ -12,15 +12,19 @@
 //! Layouts finer than a word — the [`PackedCounts`] vector here, each count
 //! Rice-coded against the one before it, the `KeyCounts` bit stream of the
 //! frequent-objects algorithms, and the unsorted selection's level messages,
-//! whose counts and `SortedBlock` sample share one stream — pack their bits
-//! through its one bit coder, [`BitWriter`] and [`BitReader`].
+//! whose counts and `SortedBlock` sample share one stream — are one bit
+//! stream each, a [`BitCodec`]: the type writes its stream once into a
+//! [`BitSink`] and reads it back from a [`BitReader`], and one blanket
+//! [`WordCodec`] impl pads it to words.
 //!
 //! Two invariants tie the codec to the cost model:
 //!
 //! 1. `encoded_len()` is the metered message size
 //!    ([`crate::CommData::word_count`] returns it), and `encode` appends
-//!    exactly that many words — checked by a debug assertion on every send
-//!    and by the property tests;
+//!    exactly that many words.  For a [`BitCodec`] this holds by
+//!    construction — its `encoded_len` is its one `write` run into a bit
+//!    counter — and for every type it is checked by a debug assertion on
+//!    every send and by the property tests;
 //! 2. `decode(encode(x)) == x` and consumes exactly `encoded_len()` words —
 //!    the transport rejects a decode that leaves words over.
 //!
@@ -83,9 +87,9 @@ impl<'a> WordReader<'a> {
 /// ([`crate::CommData::word_count`]), so the metered size and the physical
 /// size coincide.
 ///
-/// Implementations exist for all scalar primitives, `()`, `String`, and the
-/// standard containers (`Option`, `Vec`, `Box`, `Reverse`, tuples) of codec
-/// types.  A downstream type becomes sendable by implementing this trait
+/// Implementations exist for all scalar primitives, `()`, `String`, the
+/// standard containers (`Option`, `Vec`, `Reverse`, tuples) of codec types
+/// and every [`BitCodec`].  A downstream type becomes sendable by implementing this trait
 /// (see `topk::OrderedF64` for a one-word example).
 ///
 /// ```
@@ -303,7 +307,10 @@ impl WordCodec for String {
             let word = r.next_word().ok_or_else(decode_error::<Self>)?;
             bytes.extend_from_slice(&word.to_le_bytes());
         }
-        bytes.truncate(len);
+        // The padding is zero, as `encode` writes it: no other words decode.
+        if bytes.drain(len..).any(|byte| byte != 0) {
+            return Err(decode_error::<Self>());
+        }
         String::from_utf8(bytes).map_err(|_| decode_error::<Self>())
     }
 }
@@ -353,18 +360,6 @@ impl<T: WordCodec> WordCodec for Option<T> {
             1 => Ok(Some(T::decode(r)?)),
             _ => Err(decode_error::<Self>()),
         }
-    }
-}
-
-impl<T: WordCodec> WordCodec for Box<T> {
-    fn encoded_len(&self) -> usize {
-        self.as_ref().encoded_len()
-    }
-    fn encode(&self, out: &mut Vec<u64>) {
-        self.as_ref().encode(out);
-    }
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        T::decode(r).map(Box::new)
     }
 }
 
@@ -428,7 +423,7 @@ fn low_bits(word: u64, bits: u32) -> u64 {
     word & u64::MAX.checked_shr(64 - bits).unwrap_or(0)
 }
 
-/// Largest Rice parameter [`BitWriter::rice`] takes.
+/// Largest Rice parameter [`BitSink::rice`] takes.
 pub const MAX_RICE: u32 = 62;
 
 /// Bit length of `value`: 0 for 0, 64 for `2⁶³` and above.
@@ -445,13 +440,50 @@ pub fn rice_parameter(total: u128, count: usize) -> u32 {
     (total / count.max(1) as u128).max(1).ilog2().min(MAX_RICE)
 }
 
+/// Where a bit stream goes: [`BitWriter`] packs it into words, and the bit
+/// counter behind [`BitCodec`]'s word length only counts it.  Fixed-width
+/// numbers ([`put`](Self::put)) are the one primitive; Rice codes for gaps
+/// of a known scale ([`rice`](Self::rice)) and a universal code for any
+/// `u64` ([`number`](Self::number)) are written through it, so a code's
+/// length has one definition, its writer.
+pub trait BitSink {
+    /// Append the `bits ≤ 64` low bits of `value`, whose other bits are zero.
+    fn put(&mut self, value: u64, bits: u32);
+
+    /// `value` Rice-coded with parameter `r ≤ MAX_RICE`: its quotient
+    /// `value ≫ r` in unary — that many zero bits, then a one — and its `r`
+    /// low bits.
+    #[inline]
+    fn rice(&mut self, value: u64, r: u32) {
+        debug_assert!(r <= MAX_RICE);
+        let mut zeros = value >> r;
+        while zeros >= 64 {
+            self.put(0, 64);
+            zeros -= 64;
+        }
+        self.put(1 << zeros, zeros as u32 + 1);
+        self.put(low_bits(value, r), r);
+    }
+
+    /// `value` in an Elias-δ-style code that takes every `u64`, 0 too: the
+    /// bit length `L ≤ 64` of `value`, itself coded as its own bit length
+    /// in unary and its low bits below the leading one, then the `L − 1`
+    /// bits of `value` below its leading one.  0 costs 1 bit, 1 costs 2, a
+    /// number of bit length 32 costs 43 and `u64::MAX` 77.
+    #[inline]
+    fn number(&mut self, value: u64) {
+        let len = bit_length(value);
+        let width = bit_length(u64::from(len));
+        self.put(1 << width, width + 1);
+        let below = width.saturating_sub(1);
+        self.put(low_bits(u64::from(len), below), below);
+        let below = len.saturating_sub(1);
+        self.put(low_bits(value, below), below);
+    }
+}
+
 /// Packs bits least significant first into whole words — the one bit coder
-/// of the wire, shared by the [`PackedCounts`] vector, the `KeyCounts` of
-/// the frequent-objects algorithms and the `SortedBlock` of the unsorted
-/// selection.  It writes three codes: fixed-width
-/// numbers ([`put`](Self::put)), Rice codes for gaps of a known scale
-/// ([`rice`](Self::rice)), and a universal code for any `u64`
-/// ([`number`](Self::number)).
+/// of the wire, which every [`BitCodec`] writes through.
 #[derive(Debug)]
 pub struct BitWriter<'a> {
     out: &'a mut Vec<u64>,
@@ -471,9 +503,24 @@ impl<'a> BitWriter<'a> {
         }
     }
 
-    /// Append the `bits ≤ 64` low bits of `value`, whose other bits are zero.
+    /// Bits of [`number`](BitSink::number)`(value)`, counted by writing it.
+    pub fn number_bits(value: u64) -> u64 {
+        let mut counter = BitCounter::default();
+        counter.number(value);
+        counter.bits
+    }
+
+    /// Push the last, partly filled word; its unused high bits stay zero.
+    pub fn finish(self) {
+        if self.used > 0 {
+            self.out.push(self.word);
+        }
+    }
+}
+
+impl BitSink for BitWriter<'_> {
     #[inline]
-    pub fn put(&mut self, value: u64, bits: u32) {
+    fn put(&mut self, value: u64, bits: u32) {
         debug_assert!(bits <= 64 && value == low_bits(value, bits));
         self.word |= value << self.used;
         let free = 64 - self.used;
@@ -486,57 +533,55 @@ impl<'a> BitWriter<'a> {
             self.used = bits - free;
         }
     }
+}
 
-    /// `value` Rice-coded with parameter `r ≤ MAX_RICE`: its quotient
-    /// `value ≫ r` in unary — that many zero bits, then a one — and its `r`
-    /// low bits.
+/// Counts the bits written into it: a stream's length, without the stream.
+#[derive(Debug, Default)]
+struct BitCounter {
+    bits: u64,
+}
+
+impl BitSink for BitCounter {
     #[inline]
-    pub fn rice(&mut self, value: u64, r: u32) {
-        debug_assert!(r <= MAX_RICE);
-        let mut zeros = value >> r;
-        while zeros >= 64 {
-            self.put(0, 64);
-            zeros -= 64;
-        }
-        self.put(1 << zeros, zeros as u32 + 1);
-        self.put(low_bits(value, r), r);
+    fn put(&mut self, _value: u64, bits: u32) {
+        self.bits += u64::from(bits);
+    }
+}
+
+/// A value whose wire form is one bit stream, padded once to whole words.
+/// Its layout is stated once, in [`write`](Self::write) and its inverse
+/// [`read`](Self::read); the blanket [`WordCodec`] impl frames it:
+/// `encode` runs `write` into a [`BitWriter`] and pads, `encoded_len` runs
+/// the same `write` into a bit counter, and `decode` runs `read` over a
+/// [`BitReader`] and rejects non-zero padding.  So the metered length is
+/// the written length by construction.
+pub trait BitCodec: Sized {
+    /// Write the value's stream.
+    fn write(&self, bits: &mut impl BitSink);
+
+    /// Read what [`write`](Self::write) wrote, consuming exactly its bits.
+    /// Only the canonical stream of a value decodes.
+    fn read(bits: &mut BitReader) -> CommResult<Self>;
+}
+
+impl<T: BitCodec> WordCodec for T {
+    fn encoded_len(&self) -> usize {
+        let mut counter = BitCounter::default();
+        self.write(&mut counter);
+        counter.bits.div_ceil(64) as usize
     }
 
-    /// Bits of [`rice`](Self::rice)`(value, r)`.
-    #[inline]
-    pub fn rice_bits(value: u64, r: u32) -> u64 {
-        (value >> r) + 1 + u64::from(r)
+    fn encode(&self, out: &mut Vec<u64>) {
+        let mut bits = BitWriter::new(out);
+        self.write(&mut bits);
+        bits.finish();
     }
 
-    /// `value` in an Elias-δ-style code that takes every `u64`, 0 too: the
-    /// bit length `L ≤ 64` of `value`, itself coded as its own bit length
-    /// in unary and its low bits below the leading one, then the `L − 1`
-    /// bits of `value` below its leading one.  0 costs 1 bit, 1 costs 2, a
-    /// number of bit length 32 costs 43 and `u64::MAX` 77.
-    #[inline]
-    pub fn number(&mut self, value: u64) {
-        let len = bit_length(value);
-        let width = bit_length(u64::from(len));
-        self.put(1 << width, width + 1);
-        let below = width.saturating_sub(1);
-        self.put(low_bits(u64::from(len), below), below);
-        let below = len.saturating_sub(1);
-        self.put(low_bits(value, below), below);
-    }
-
-    /// Bits of [`number`](Self::number)`(value)`.
-    #[inline]
-    pub fn number_bits(value: u64) -> u64 {
-        let len = bit_length(value);
-        let width = bit_length(u64::from(len));
-        u64::from(width + 1 + width.saturating_sub(1) + len.saturating_sub(1))
-    }
-
-    /// Push the last, partly filled word; its unused high bits stay zero.
-    pub fn finish(self) {
-        if self.used > 0 {
-            self.out.push(self.word);
-        }
+    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
+        let mut bits = BitReader::new::<Self>(r);
+        let value = Self::read(&mut bits)?;
+        bits.finish()?;
+        Ok(value)
     }
 }
 
@@ -624,7 +669,7 @@ impl<'r, 'a> BitReader<'r, 'a> {
         Ok(quotient << r | self.take(r)?)
     }
 
-    /// One value of [`BitWriter::number`]'s code.  Only the code of a `u64`
+    /// One value of [`BitSink::number`]'s code.  Only the code of a `u64`
     /// decodes: a bit length above 64 is a [`CommError::Decode`].
     #[inline]
     pub fn number(&mut self) -> CommResult<u64> {
@@ -665,7 +710,7 @@ impl<'r, 'a> BitReader<'r, 'a> {
 /// δ(len) · δ(c₁) · per later count c: Rice(c, r) or escape · δ(c) | padding
 /// ```
 ///
-/// `δ` is [`BitWriter::number`]'s universal code.  A later count's Rice
+/// `δ` is [`BitSink::number`]'s universal code.  A later count's Rice
 /// parameter is `r = bit_length(previous) − 1` (0 after a 0 or a 1, and at
 /// most [`MAX_RICE`]), so a count of the previous one's bit length costs
 /// `r + 2` bits and a smaller one `r + 1`.  A count whose quotient `c ≫ r`
@@ -720,16 +765,6 @@ impl PackedCounts {
     fn rice_after(previous: u64) -> u32 {
         bit_length(previous).saturating_sub(1).min(MAX_RICE)
     }
-
-    /// Bits of `count` coded after `previous`.
-    fn count_bits(count: u64, previous: u64) -> u64 {
-        let r = Self::rice_after(previous);
-        if count >> r < Self::ESCAPE {
-            BitWriter::rice_bits(count, r)
-        } else {
-            Self::ESCAPE + 1 + BitWriter::number_bits(count)
-        }
-    }
 }
 
 /// Entry-wise sum, for [`ReduceOp::sum`](crate::ReduceOp::sum): every PE of
@@ -750,23 +785,12 @@ impl std::ops::Add for PackedCounts {
     }
 }
 
-impl WordCodec for PackedCounts {
-    fn encoded_len(&self) -> usize {
-        let counts = &self.0;
-        let first = counts.first().map_or(0, |&c| BitWriter::number_bits(c));
-        let later: u64 = counts
-            .windows(2)
-            .map(|w| Self::count_bits(w[1], w[0]))
-            .sum();
-        (BitWriter::number_bits(counts.len() as u64) + first + later).div_ceil(64) as usize
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
+impl BitCodec for PackedCounts {
+    fn write(&self, bits: &mut impl BitSink) {
         assert!(
             self.0.len() as u64 <= Self::MAX_LEN,
             "PackedCounts too long"
         );
-        let mut bits = BitWriter::new(out);
         bits.number(self.0.len() as u64);
         if let Some(&first) = self.0.first() {
             bits.number(first);
@@ -780,11 +804,9 @@ impl WordCodec for PackedCounts {
                 bits.number(w[1]);
             }
         }
-        bits.finish();
     }
 
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut bits = BitReader::new::<Self>(r);
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
         let len = bits.number()?;
         // Every count takes a bit or more: a corrupt length fails here, not
         // after reserving it.
@@ -807,7 +829,6 @@ impl WordCodec for PackedCounts {
             };
             counts.push(count);
         }
-        bits.finish()?;
         Ok(PackedCounts(counts))
     }
 }
@@ -887,8 +908,13 @@ mod tests {
     fn invalid_utf8_is_rejected() {
         let mut wire = Vec::new();
         "abcd".to_string().encode(&mut wire);
-        wire[1] |= 0xFF; // corrupt the packed bytes
-        assert!(String::decode(&mut WordReader::new(&wire)).is_err());
+        let mut corrupt = wire.clone();
+        corrupt[1] |= 0xFF; // corrupt the packed bytes
+        assert!(String::decode(&mut WordReader::new(&corrupt)).is_err());
+        // A non-zero padding byte, which the decoded string would not keep.
+        let mut padded = wire.clone();
+        padded[1] |= 1 << 63;
+        assert!(String::decode(&mut WordReader::new(&padded)).is_err());
     }
 
     #[test]
@@ -898,7 +924,6 @@ mod tests {
         roundtrip(vec![vec![1u64], vec![], vec![2, 3]]);
         roundtrip(Some(7u64));
         roundtrip(None::<u64>);
-        roundtrip(Box::new(9u64));
         roundtrip(std::cmp::Reverse(4u64));
         roundtrip((1u64, 2u32));
         roundtrip((1u64, vec![2u64, 3], false));
@@ -929,29 +954,33 @@ mod tests {
         roundtrip(vec![(); 7]);
     }
 
-    /// Bits of `counts`' stream, derived apart from the encoder: `δ(len)`,
-    /// `δ` of the first count, then each later count at the Rice parameter
-    /// of its predecessor's leading bit, or escaped.
+    /// Bits of `count` coded after `previous`, derived apart from the
+    /// encoder: a Rice code at the parameter of the predecessor's leading
+    /// bit, or the escape and `δ(count)`.
+    fn entry_bits(count: u64, previous: u64) -> u64 {
+        let r = match previous {
+            0 | 1 => 0,
+            previous => (63 - previous.leading_zeros()).min(MAX_RICE),
+        };
+        let quotient = count >> r;
+        if quotient < PackedCounts::ESCAPE {
+            quotient + 1 + u64::from(r)
+        } else {
+            PackedCounts::ESCAPE + 1 + BitWriter::number_bits(count)
+        }
+    }
+
+    /// Bits of `counts`' stream: `δ(len)`, `δ` of the first count, then each
+    /// later count's [`entry_bits`].
     fn packed_bits(counts: &[u64]) -> u64 {
         let delta = BitWriter::number_bits;
-        let mut bits = delta(counts.len() as u64) + counts.first().map_or(0, |&c| delta(c));
-        for w in counts.windows(2) {
-            let r = match w[0] {
-                0 | 1 => 0,
-                previous => (63 - previous.leading_zeros()).min(MAX_RICE),
-            };
-            let quotient = w[1] >> r;
-            bits += if quotient < PackedCounts::ESCAPE {
-                quotient + 1 + u64::from(r)
-            } else {
-                PackedCounts::ESCAPE + 1 + delta(w[1])
-            };
-        }
-        bits
+        let first = counts.first().map_or(0, |&c| delta(c));
+        let later: u64 = counts.windows(2).map(|w| entry_bits(w[1], w[0])).sum();
+        delta(counts.len() as u64) + first + later
     }
 
     /// Round-trip `counts` and check its words are its stream's bits,
-    /// padded: `1 + ⌈bits/64⌉` less the header word a fixed width needed.
+    /// padded to `⌈bits/64⌉` words.
     fn packed(counts: &[u64]) -> Vec<u64> {
         let counts = PackedCounts(counts.to_vec());
         roundtrip(counts.clone());
@@ -962,6 +991,15 @@ mod tests {
             packed_bits(&counts.0).div_ceil(64),
             "{counts:?}"
         );
+        wire
+    }
+
+    /// The words of a stream that `write` writes by hand.
+    fn by_hand(write: impl FnOnce(&mut BitWriter)) -> Vec<u64> {
+        let mut wire = Vec::new();
+        let mut bits = BitWriter::new(&mut wire);
+        write(&mut bits);
+        bits.finish();
         wire
     }
 
@@ -1005,17 +1043,31 @@ mod tests {
     /// larger of it and its predecessor.
     #[test]
     fn packed_counts_escape_at_the_cut() {
-        assert_eq!(PackedCounts::count_bits(63, 4), 15 + 1 + 2);
+        let after_4 = |last: &dyn Fn(&mut BitWriter)| {
+            by_hand(|bits| {
+                bits.number(2);
+                bits.number(4);
+                last(bits);
+            })
+        };
+        assert_eq!(packed(&[4, 63]), after_4(&|bits| bits.rice(63, 2)));
         assert_eq!(
-            PackedCounts::count_bits(64, 4),
-            16 + 1 + BitWriter::number_bits(64)
+            packed(&[4, 64]),
+            after_4(&|bits| {
+                bits.rice(PackedCounts::ESCAPE, 0);
+                bits.number(64);
+            })
         );
+        assert_eq!(entry_bits(63, 4), 15 + 1 + 2);
         packed(&[4, 63, 4, 64]);
         for previous in [0, 1, 4, 1 << 20, u64::MAX] {
             for count in [0, 1, 63, 64, 1 << 30, u64::MAX] {
-                let entry = PackedCounts::count_bits(count, previous);
+                packed(&[previous, count]);
                 let larger = count.max(previous);
-                assert!(entry <= PackedCounts::ESCAPE + 1 + BitWriter::number_bits(larger));
+                assert!(
+                    entry_bits(count, previous)
+                        <= PackedCounts::ESCAPE + 1 + BitWriter::number_bits(larger)
+                );
             }
         }
     }
@@ -1032,31 +1084,16 @@ mod tests {
         let _ = PackedCounts(vec![1, 2]) + PackedCounts(vec![1]);
     }
 
-    /// Only the canonical encoding decodes; every other message is a
-    /// [`CommError::Decode`], never a panic.
+    /// Streams no single bit flip of a canonical one reaches are still a
+    /// [`CommError::Decode`], never a panic (truncations and flipped bits
+    /// are `topk`'s bit-stream property, run over every bit-stream type).
     #[test]
     fn non_canonical_packed_counts_fail_to_decode() {
         let decode = |words: &[u64]| PackedCounts::decode(&mut WordReader::new(words));
         let rejected = |words: &[u64]| matches!(decode(words), Err(CommError::Decode { .. }));
-        let by_hand = |write: &dyn Fn(&mut BitWriter)| {
-            let mut wire = Vec::new();
-            let mut bits = BitWriter::new(&mut wire);
-            write(&mut bits);
-            bits.finish();
-            wire
-        };
-        // [4, 64] as encoded: 64 escapes at r = 2.
-        let canonical = by_hand(&|bits| {
-            bits.number(2);
-            bits.number(4);
-            bits.rice(PackedCounts::ESCAPE, 0);
-            bits.number(64);
-        });
-        assert_eq!(canonical, packed(&[4, 64]));
-        assert_eq!(decode(&canonical).unwrap(), PackedCounts(vec![4, 64]));
         // An escape below the cut: 63 and 5 are Rice codes after 4.
         for count in [63, 5, 0] {
-            assert!(rejected(&by_hand(&|bits| {
+            assert!(rejected(&by_hand(|bits| {
                 bits.number(2);
                 bits.number(4);
                 bits.rice(PackedCounts::ESCAPE, 0);
@@ -1064,32 +1101,21 @@ mod tests {
             })));
         }
         // A unary quotient past the cut, with bits behind it.
-        assert!(rejected(&by_hand(&|bits| {
+        assert!(rejected(&by_hand(|bits| {
             bits.number(2);
             bits.number(4);
             bits.rice(PackedCounts::ESCAPE + 1, 0);
             bits.put(u64::MAX, 64);
         })));
-        // Every truncation of a stream of several words, down to nothing.
-        let long = packed(&(0..200).map(|i| i * 977).collect::<Vec<u64>>());
-        assert!(long.len() > 3);
-        for cut in 0..long.len() {
-            assert!(rejected(&long[..cut]), "cut at {cut}");
-        }
-        // Non-zero padding just above the codes and at the top.
-        let short = packed(&[5, 4, 7, 2]);
-        assert!(decode(&short).is_ok());
-        assert!(rejected(&[short[0] | 1 << 23]));
-        assert!(rejected(&[short[0] | 1 << 63]));
         // A length beyond the bits left (a decoder that trusted it would
         // reserve it), beyond the cap with the bits behind it, and a length
         // code above 64 bits.
-        assert!(rejected(&by_hand(&|bits| {
+        assert!(rejected(&by_hand(|bits| {
             bits.number(1 << 40);
             bits.number(9);
         })));
         let beyond_cap = PackedCounts::MAX_LEN + 1;
-        let mut ones = by_hand(&|bits| bits.number(beyond_cap));
+        let mut ones = by_hand(|bits| bits.number(beyond_cap));
         ones.extend(std::iter::repeat_n(
             u64::MAX,
             (beyond_cap / 64 + 2) as usize,
@@ -1097,7 +1123,7 @@ mod tests {
         assert!(rejected(&ones));
         assert!(rejected(&[1 << 8]));
         // A first count above 64 bits.
-        assert!(rejected(&by_hand(&|bits| {
+        assert!(rejected(&by_hand(|bits| {
             bits.number(1);
             bits.put(1 << 8, 9);
         })));

@@ -131,12 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_values_delegate() {
-        assert_eq!(Box::new(7u64).word_count(), 1);
-        assert_eq!(Box::new(vec![1u64, 2]).word_count(), 3);
-    }
-
-    #[test]
     fn reverse_wrapper_delegates() {
         assert_eq!(std::cmp::Reverse(7u64).word_count(), 1);
         assert_eq!(std::cmp::Reverse(vec![1u64, 2]).word_count(), 3);

@@ -35,7 +35,7 @@
 //! [ R | per run: δ(count step) · δ(len − 1) · r (6 bits) · len Rice(r) gaps | zero padding ]
 //! ```
 //!
-//! `δ` is [`commsim::codec::BitWriter::number`]'s universal code, an
+//! `δ` is [`commsim::codec::BitSink::number`]'s universal code, an
 //! Elias-δ code that takes 0 and every `u64`: a number of bit length `L`
 //! costs about `L + 2·log₂ L` bits.  The first run codes its count, every
 //! later one the step `count − previous − 1` above its predecessor, so the
@@ -85,7 +85,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use commsim::codec::{self, decode_error, BitReader, BitWriter, WordCodec, WordReader, MAX_RICE};
+use commsim::codec::{self, decode_error, BitCodec, BitReader, BitSink, MAX_RICE};
 use commsim::{CommResult, Communicator};
 
 use crate::util::owner_of;
@@ -217,21 +217,8 @@ fn rice_parameter(keys: &[u64]) -> u32 {
 }
 
 impl KeyCounts {
-    /// Bits of the runs in the stream: headers and key codes.
-    fn stream_bits(&self) -> u64 {
-        self.wire_runs()
-            .map(|(step, keys, r)| {
-                let header = BitWriter::number_bits(step)
-                    + BitWriter::number_bits(keys.len() as u64 - 1)
-                    + u64::from(RICE_FIELD);
-                let codes: u64 = gaps(keys).map(|gap| BitWriter::rice_bits(gap, r)).sum();
-                header + codes
-            })
-            .sum()
-    }
-
     /// Write the runs into the stream.
-    fn write_runs(&self, bits: &mut BitWriter) {
+    fn write_runs(&self, bits: &mut impl BitSink) {
         for (step, keys, r) in self.wire_runs() {
             bits.number(step);
             bits.number(keys.len() as u64 - 1);
@@ -286,24 +273,16 @@ impl KeyCounts {
     }
 }
 
-impl WordCodec for KeyCounts {
-    fn encoded_len(&self) -> usize {
-        1 + self.stream_bits().div_ceil(64) as usize
+/// The run count leads the stream as a whole word.
+impl BitCodec for KeyCounts {
+    fn write(&self, bits: &mut impl BitSink) {
+        bits.put(self.runs().count() as u64, 64);
+        self.write_runs(bits);
     }
 
-    fn encode(&self, out: &mut Vec<u64>) {
-        out.push(self.runs().count() as u64);
-        let mut bits = BitWriter::new(out);
-        self.write_runs(&mut bits);
-        bits.finish();
-    }
-
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let runs = r.next_word().ok_or_else(decode_error::<Self>)?;
-        let mut bits = BitReader::new::<Self>(r);
-        let counts = KeyCounts::read_runs(runs, &mut bits)?;
-        bits.finish()?;
-        Ok(counts)
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
+        let runs = bits.take(64)?;
+        KeyCounts::read_runs(runs, bits)
     }
 }
 
@@ -342,33 +321,24 @@ impl Share {
     }
 }
 
-impl WordCodec for Share {
-    fn encoded_len(&self) -> usize {
-        let rest = self.tally_rest().map_or(0, BitWriter::number_bits);
-        1 + (rest + self.counts.stream_bits()).div_ceil(64) as usize
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        out.push(self.first_word());
-        let mut bits = BitWriter::new(out);
+impl BitCodec for Share {
+    fn write(&self, bits: &mut impl BitSink) {
+        bits.put(self.first_word(), 64);
         if let Some(rest) = self.tally_rest() {
             bits.number(rest);
         }
-        self.counts.write_runs(&mut bits);
-        bits.finish();
+        self.counts.write_runs(bits);
     }
 
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let first = r.next_word().ok_or_else(decode_error::<Self>)?;
-        let mut bits = BitReader::new::<Self>(r);
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
+        let first = bits.take(64)?;
         let tally = match first >> 32 {
             TALLY_ESCAPE => TALLY_ESCAPE
                 .checked_add(bits.number()?)
                 .ok_or_else(decode_error::<Self>)?,
             tally => tally,
         };
-        let counts = KeyCounts::read_runs(first & TALLY_ESCAPE, &mut bits)?;
-        bits.finish()?;
+        let counts = KeyCounts::read_runs(first & TALLY_ESCAPE, bits)?;
         Ok(Share { tally, counts })
     }
 }
@@ -450,13 +420,15 @@ fn route<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{run_spmd, run_spmd_seq, CommError, World};
+    use commsim::codec::BitWriter;
+    use commsim::{run_spmd, run_spmd_seq, CommError, WordCodec, WordReader, World};
     use datagen::Zipf;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use seqkit::hashagg::count_keys;
 
     use crate::planner::Algorithm;
+    use crate::util::tests::check_bit_stream;
     use crate::{FrequentParams, TopKFrequentResult};
 
     fn wire(counts: &KeyCounts) -> Vec<u64> {
@@ -522,7 +494,7 @@ mod tests {
             // 6 = 1·4 + 2.  60 bits in all, one word.
             "00001 100 00010100 1 010000 01 01",
         )));
-        assert_eq!(wire(&counts), expected);
+        assert_eq!(check_bit_stream(&counts), expected);
         // The largest counts: the first step is u64::MAX − 1 (bit length 64,
         // width 7, 63 low bits), the next one 0.  97 bits, two words.
         let counts: KeyCounts = [(2, u64::MAX), (1, u64::MAX - 1)].into_iter().collect();
@@ -531,7 +503,8 @@ mod tests {
         expected.extend(stream(&format!(
             "00000001 000000 0{ones} 1 000000 01  1 1 100000 01 0"
         )));
-        assert_eq!(wire(&counts), expected);
+        assert_eq!(check_bit_stream(&counts), expected);
+        check_bit_stream(&KeyCounts::default());
     }
 
     /// The same multiset encodes to the same words whatever order its pairs
@@ -633,12 +606,7 @@ mod tests {
         // counts at both ends of the range.
         let mut pairs: Vec<(u64, u64)> = (0..200).map(|key| (key * 3, 2)).collect();
         pairs.extend([(9, 5), (1 << 40, 5), (4, u64::MAX), (u64::MAX - 1, 0)]);
-        let good = wire(&pairs.into_iter().collect());
-        assert!(decode(&good).is_ok());
-        // Truncated anywhere: inside the codes, a header, down to nothing.
-        for cut in 0..good.len() {
-            assert!(is_decode_error(decode(&good[..cut])), "cut at {cut}");
-        }
+        check_bit_stream(&pairs.into_iter().collect::<KeyCounts>());
         // Keys 4 and 5 at count 1, as encoded (r = 1), decode.
         let keys_4_5 = |r: u32| message(1, |bits| run(bits, 1, r, &[4, 1]));
         let decoded = decode(&keys_4_5(1)).unwrap();
@@ -658,10 +626,6 @@ mod tests {
             bits.put(1, 1);
             bits.put(0, 63);
         }))));
-        // Non-zero padding after the last code: just above it and at the top.
-        let padded = keys_4_5(1);
-        assert!(is_decode_error(decode(&[padded[0], padded[1] | 1 << 16])));
-        assert!(is_decode_error(decode(&[padded[0], padded[1] | 1 << 63])));
         // A length code above 64: width 7 in unary and low bits 000001 — bit
         // length 65 — in the count step, and in a run's length.
         let long = |bits: &mut BitWriter| {
@@ -717,8 +681,8 @@ mod tests {
 
     /// A share is its `KeyCounts` with the tally in the run-count word's
     /// high half: it costs the same words whatever the tally, until the
-    /// tally reaches the escape and its rest leads the stream.  Every
-    /// truncation, and an escaped tally beyond `u64`, fail to decode.
+    /// tally reaches the escape and its rest leads the stream.  An escaped
+    /// tally beyond `u64` fails to decode.
     #[test]
     fn a_share_carries_its_tally_in_the_run_count_word() {
         let decode = |words: &[u64]| Share::decode(&mut WordReader::new(words));
@@ -730,23 +694,17 @@ mod tests {
                 tally,
                 counts: counts.clone(),
             };
-            let mut words = Vec::new();
-            share.encode(&mut words);
-            assert_eq!(words.len(), share.encoded_len());
+            let words = check_bit_stream(&share);
             assert_eq!(words[0], keys[0] | tally.min(TALLY_ESCAPE) << 32);
-            if tally < TALLY_ESCAPE {
-                assert_eq!(words[1..], keys[1..], "tally {tally}");
-            } else {
-                let rest = BitWriter::number_bits(tally - TALLY_ESCAPE);
-                let bits = rest + counts.stream_bits();
-                assert_eq!(words.len() as u64, 1 + bits.div_ceil(64));
-            }
-            let mut r = WordReader::new(&words);
-            assert_eq!(Share::decode(&mut r).unwrap(), share);
-            assert_eq!(r.remaining(), 0);
-            for cut in 0..words.len() {
-                assert!(decode(&words[..cut]).is_err(), "tally {tally} cut {cut}");
-            }
+            let rest = match tally.checked_sub(TALLY_ESCAPE) {
+                None => keys[1..].to_vec(),
+                Some(rest) => message(0, |bits| {
+                    bits.number(rest);
+                    counts.write_runs(bits);
+                })[1..]
+                    .to_vec(),
+            };
+            assert_eq!(words[1..], rest, "tally {tally}");
         }
         // An escaped tally whose rest overflows `u64`, and a plain
         // `KeyCounts` whose run count carries a tally.

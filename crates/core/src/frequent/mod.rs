@@ -9,7 +9,8 @@
 //!
 //! The algorithms are one pipeline with variations, and
 //! [`Algorithm::run`](crate::planner::Algorithm::run) is the one way to run
-//! it: it reduces `n` once, then calls the algorithm's stages, which share
+//! it: it reduces `n` once (a planned execution takes the `n` its plan
+//! summed), then calls the algorithm's stages, which share
 //!
 //! 1. one **sampling stage**: a Bernoulli sample at rate ρ, aggregated
 //!    locally, without a message;

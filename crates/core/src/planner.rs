@@ -138,10 +138,11 @@ impl Algorithm {
 
     /// Run this algorithm on the distributed input `local_data` (collective).
     /// This is the one way to run a §7 algorithm: every caller — text
-    /// workload, bench bins, planned executions — goes through it.  It
-    /// reduces the global input size `n` once and hands it to the
-    /// algorithm's stages ([`crate::frequent`]).  Every PE receives the same
-    /// result; an empty input gives an empty one.
+    /// workload, bench bins — goes through it, and a planned execution
+    /// ([`Plan::execute`]) through its known-`n` form, since the plan has
+    /// summed `n` already.  It reduces the global input size `n` once and
+    /// hands it to the algorithm's stages ([`crate::frequent`]).  Every PE
+    /// receives the same result; an empty input gives an empty one.
     pub fn run<C: Communicator>(
         self,
         comm: &C,
@@ -149,6 +150,18 @@ impl Algorithm {
         params: &FrequentParams,
     ) -> TopKFrequentResult {
         let n = comm.allreduce_sum(local_data.len() as u64);
+        self.run_known_n(comm, local_data, params, n)
+    }
+
+    /// [`Algorithm::run`] on an input whose global size `n` every PE
+    /// already holds: no reduction of its own.
+    pub(crate) fn run_known_n<C: Communicator>(
+        self,
+        comm: &C,
+        local_data: &[u64],
+        params: &FrequentParams,
+        n: u64,
+    ) -> TopKFrequentResult {
         let mut result = TopKFrequentResult {
             items: Vec::new(),
             sample_size: 0,
@@ -221,11 +234,12 @@ impl Plan {
             .expect("every algorithm has a candidate")
     }
 
-    /// Execute the plan (collective) and audit the prediction: the algorithm
-    /// phase is metered with [`commsim::StatsSnapshot`] deltas and the world
-    /// bottlenecks are agreed with one pair max-reduction *after* the
-    /// metering window closes, so the audit traffic never pollutes the
-    /// measurement.
+    /// Execute the plan (collective) on the `local_data` it was planned for
+    /// ([`plan_for_data`]'s), whose global size is the plan's `n`, and audit
+    /// the prediction: the algorithm phase is metered with
+    /// [`commsim::StatsSnapshot`] deltas and the world bottlenecks are
+    /// agreed with one pair max-reduction *after* the metering window
+    /// closes, so the audit traffic never pollutes the measurement.
     pub fn execute<C: Communicator>(
         &self,
         comm: &C,
@@ -235,7 +249,7 @@ impl Plan {
         let i = &self.inputs;
         let params = FrequentParams::new(i.k, i.epsilon, i.delta, seed);
         let before = comm.stats_snapshot();
-        let result = self.algorithm.run(comm, local_data, &params);
+        let result = self.algorithm.run_known_n(comm, local_data, &params, i.n);
         let delta = comm.stats_snapshot().since(&before);
         let local = (delta.bottleneck_words(), delta.bottleneck_messages());
         let (measured_words, measured_startups) = allreduce_pair(comm, local, u64::max, u64::max);
@@ -457,8 +471,8 @@ fn candidate(algorithm: Algorithm, i: &PlanInputs) -> PlanCandidate {
     let d = |s: f64| expected_distinct(s, i.universe, i.zipf_exponent);
     let d_loc = |s: u64| d(s as f64 / p as f64);
     let u = i.universe as f64;
-    // `Algorithm::run` reduces the global `n` once, whatever the algorithm.
-    let start = Traffic::new(p).allreduce(1.0);
+    // A planned execution starts from the `n` its plan summed.
+    let start = Traffic::new(p);
 
     let (traffic, sample, k_star) = match algorithm {
         Algorithm::Pac => {
@@ -536,10 +550,9 @@ fn candidate(algorithm: Algorithm, i: &PlanInputs) -> PlanCandidate {
     }
 }
 
-/// The sampling stage after the `n` reduction: the DHT over the sample's
-/// aggregate, whose shares carry the sample size, and the top-`k` merge
-/// (PAC's answer, PEC's `ŝ_k`, EC's candidates).  Keys are drawn from
-/// `universe` distinct values.
+/// The sampling stage: the DHT over the sample's aggregate, whose shares
+/// carry the sample size, and the top-`k` merge (PAC's answer, PEC's `ŝ_k`,
+/// EC's candidates).  Keys are drawn from `universe` distinct values.
 fn sampling_stage(
     traffic: Traffic,
     sample: u64,

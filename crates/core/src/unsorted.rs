@@ -78,8 +78,8 @@
 //! [`select_threshold`] returns the threshold alone and skips the filter
 //! that materialises the set.
 
-use commsim::codec::{decode_error, BitReader, BitWriter};
-use commsim::{CommResult, Communicator, ReduceOp, WordCodec, WordReader};
+use commsim::codec::{decode_error, BitCodec, BitReader, BitSink};
+use commsim::{CommResult, Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqkit::select::partition_counts_sample_middle;
@@ -231,7 +231,7 @@ fn sample_root(p: usize) -> usize {
 /// sorted Bernoulli sample of the middle range.
 ///
 /// On the wire it is one bit stream, `[δ(below) · δ(middle) · sample |
-/// padding]`: the two [`BitWriter::number`] codes, then the sample's block
+/// padding]`: the two [`BitSink::number`] codes, then the sample's block
 /// ([`SortedBlock`]), padded once at the end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct LevelReport<T> {
@@ -251,30 +251,18 @@ impl<T: SelectKey> LevelReport<T> {
     }
 }
 
-impl<T: SelectKey> WordCodec for LevelReport<T> {
-    fn encoded_len(&self) -> usize {
-        let counts = BitWriter::number_bits(self.below) + BitWriter::number_bits(self.middle);
-        (counts + T::block_bits(&self.sample)).div_ceil(64) as usize
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        let mut bits = BitWriter::new(out);
+impl<T: SelectKey> BitCodec for LevelReport<T> {
+    fn write(&self, bits: &mut impl BitSink) {
         bits.number(self.below);
         bits.number(self.middle);
-        T::write_block(&self.sample, &mut bits);
-        bits.finish();
+        self.sample.write(bits);
     }
 
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut bits = BitReader::new::<Self>(r);
-        let below = bits.number()?;
-        let middle = bits.number()?;
-        let sample = SortedBlock::read(&mut bits)?;
-        bits.finish()?;
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
         Ok(LevelReport {
-            below,
-            middle,
-            sample,
+            below: bits.number()?,
+            middle: bits.number()?,
+            sample: SortedBlock::read(bits)?,
         })
     }
 }
@@ -331,7 +319,7 @@ impl<T: SelectKey> Decision<T> {
 /// A [`Decision`] with its carried block built once: what the root
 /// broadcasts, so no hop of the broadcast tree rebuilds the block to size
 /// or to write its message.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Decided<T> {
     decision: Decision<T>,
     carried: SortedBlock<T>,
@@ -348,39 +336,27 @@ impl<T: SelectKey> From<Decision<T>> for Decided<T> {
 /// absent for an answer and the carried pairs one [`SortedBlock`], all in
 /// one bit stream: a decision takes its bits in whole words once, where the
 /// counts and two pivots as plain `Option` pairs took nine words.
-impl<T: SelectKey> WordCodec for Decided<T> {
-    fn encoded_len(&self) -> usize {
-        let counts_bits = self.decision.header().1.map_or(0, |(below, middle)| {
-            BitWriter::number_bits(below) + BitWriter::number_bits(middle)
-        });
-        let bits = u64::from(DECISION_FLAGS) + counts_bits + T::block_bits(&self.carried);
-        bits.div_ceil(64) as usize
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
+impl<T: SelectKey> BitCodec for Decided<T> {
+    fn write(&self, bits: &mut impl BitSink) {
         let (flags, counts) = self.decision.header();
-        let mut bits = BitWriter::new(out);
         bits.put(flags, DECISION_FLAGS);
         if let Some((below, middle)) = counts {
             bits.number(below);
             bits.number(middle);
         }
-        T::write_block(&self.carried, &mut bits);
-        bits.finish();
+        self.carried.write(bits);
     }
 
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut bits = BitReader::new::<Decision<T>>(r);
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
         let flags = bits.take(DECISION_FLAGS)?;
         let counts = if flags == 1 {
             None
         } else if flags & 1 == 0 {
             Some((bits.number()?, bits.number()?))
         } else {
-            return Err(decode_error::<Decision<T>>());
+            return Err(decode_error::<Self>());
         };
-        let carried = SortedBlock::<T>::read(&mut bits)?;
-        bits.finish()?;
+        let carried = SortedBlock::<T>::read(bits)?;
         let mut pairs = carried.pairs().to_vec().into_iter();
         let (lo_closed, hi_closed) = (flags & 2 != 0, flags & 4 != 0);
         let expected = if counts.is_none() {
@@ -389,7 +365,7 @@ impl<T: SelectKey> WordCodec for Decided<T> {
             usize::from(lo_closed) + usize::from(hi_closed)
         };
         if pairs.len() != expected {
-            return Err(decode_error::<Decision<T>>());
+            return Err(decode_error::<Self>());
         }
         let decision = match counts {
             None => Decision::Answer(pairs.next().expect("one carried pair")),
@@ -403,22 +379,6 @@ impl<T: SelectKey> WordCodec for Decided<T> {
             },
         };
         Ok(Decided { decision, carried })
-    }
-}
-
-/// A decision alone crosses as its [`Decided`] form, the block built for
-/// the one message.
-impl<T: SelectKey> WordCodec for Decision<T> {
-    fn encoded_len(&self) -> usize {
-        Decided::from(self.clone()).encoded_len()
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        Decided::from(self.clone()).encode(out);
-    }
-
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        Decided::decode(r).map(|decided| decided.decision)
     }
 }
 
@@ -630,7 +590,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{run_on, run_spmd, run_spmd_seq, Backend, World};
+    use crate::util::tests::check_bit_stream;
+    use commsim::codec::BitWriter;
+    use commsim::{run_on, run_spmd, run_spmd_seq, Backend, WordCodec, WordReader, World};
     use rand::Rng;
     use seqkit::sampling::bernoulli_sample;
 
@@ -684,8 +646,9 @@ mod tests {
             };
             let decided = comm
                 .reduce(sample_root(p), report, &merge)
-                .map(|all| decide(all, p, k, total));
-            let (below, middle_total, next) = match comm.broadcast(sample_root(p), decided) {
+                .map(|all| Decided::from(decide(all, p, k, total)));
+            let decision = comm.broadcast(sample_root(p), decided).decision;
+            let (below, middle_total, next) = match decision {
                 Decision::Answer(answer) => {
                     trail.answered = true;
                     return answer;
@@ -992,8 +955,9 @@ mod tests {
     }
 
     /// Every decision the root can broadcast round-trips through its wire
-    /// form, and a form whose flags do not match its carried pairs is a
-    /// decode error.
+    /// form, and so does a level report.  Flags that do not match the
+    /// carried pairs are a decode error: one bit flipped in the flags of a
+    /// two-pivot decision or of an answer gives them.
     #[test]
     fn decisions_round_trip_and_reject_mismatched_flags() {
         let (lo, hi) = ((3u64, 1u64 << 40), (7u64, 2));
@@ -1029,42 +993,14 @@ mod tests {
                 },
             },
         ];
-        for decision in &decisions {
-            let mut words = Vec::new();
-            decision.encode(&mut words);
-            assert_eq!(words.len(), decision.encoded_len(), "{decision:?}");
-            let mut r = WordReader::new(&words);
-            assert_eq!(&Decision::<u64>::decode(&mut r).unwrap(), decision);
-            assert_eq!(r.remaining(), 0);
+        for decision in decisions {
+            check_bit_stream(&Decided::from(decision));
         }
-        // Two pivots, one flag; an answer with a lower-side flag.
-        let two = SortedBlock::new(vec![lo, hi]);
-        for (flags, counts, block) in [(2u64, true, &two), (3, false, &two)] {
-            let mut words = Vec::new();
-            let mut bits = BitWriter::new(&mut words);
-            bits.put(flags, DECISION_FLAGS);
-            if counts {
-                bits.number(1);
-                bits.number(2);
-            }
-            u64::write_block(block, &mut bits);
-            bits.finish();
-            let decoded = Decision::<u64>::decode(&mut WordReader::new(&words));
-            assert!(matches!(decoded, Err(commsim::CommError::Decode { .. })));
-        }
-        // A level report of two counts and a sample.
-        let report = LevelReport {
+        check_bit_stream(&LevelReport {
             below: 12,
             middle: 1 << 20,
-            sample: two.clone(),
-        };
-        let mut words = Vec::new();
-        report.encode(&mut words);
-        assert_eq!(words.len(), report.encoded_len());
-        assert_eq!(
-            LevelReport::decode(&mut WordReader::new(&words)).unwrap(),
-            report
-        );
+            sample: SortedBlock::new(vec![lo, hi]),
+        });
     }
 
     /// The tag of local element `index` on PE `rank`.
@@ -1077,7 +1013,7 @@ mod tests {
     fn level_messages<T: SelectKey>(
         rank: usize,
         key: impl Fn(u64) -> T,
-    ) -> (LevelReport<T>, Decision<T>) {
+    ) -> (LevelReport<T>, Decided<T>) {
         let pairs: Vec<(T, u64)> = (0..rank as u64 % 7)
             .map(|i| (key(i * i * 1009 + rank as u64 % 3), tag(rank, i)))
             .collect();
@@ -1099,19 +1035,29 @@ mod tests {
                 },
             },
         };
-        (report, decision)
+        (report, Decided::from(decision))
     }
 
     /// The header bits of a report and a decision: their counts' codes and
     /// the decision's flags.
-    fn header_bits<T: SelectKey>(report: &LevelReport<T>, decision: &Decision<T>) -> [u64; 2] {
+    fn header_bits<T: SelectKey>(report: &LevelReport<T>, decided: &Decided<T>) -> [u64; 2] {
         let counts = |below, middle| BitWriter::number_bits(below) + BitWriter::number_bits(middle);
         let decision = u64::from(DECISION_FLAGS)
-            + match decision {
+            + match decided.decision {
                 Decision::Answer(_) => 0,
-                Decision::Next { below, middle, .. } => counts(*below, *middle),
+                Decision::Next { below, middle, .. } => counts(below, middle),
             };
         [counts(report.below, report.middle), decision]
+    }
+
+    /// Bits of `block`'s stream, as its reader consumes them.
+    fn bits_read<T: SelectKey>(block: &SortedBlock<T>) -> u64 {
+        let mut words = Vec::new();
+        block.encode(&mut words);
+        let mut words = WordReader::new(&words);
+        let mut bits = BitReader::new::<SortedBlock<T>>(&mut words);
+        SortedBlock::<T>::read(&mut bits).expect("a block decodes");
+        64 * block.encoded_len() as u64 - bits.bits_left()
     }
 
     /// Every level message is one bit stream: it meters exactly
@@ -1127,12 +1073,9 @@ mod tests {
             for p in [2usize, 5, 64] {
                 let mut expected = Vec::new();
                 for rank in 0..p {
-                    let (report, decision) = level_messages(rank, key);
-                    let [report_header, decision_header] = header_bits(&report, &decision);
-                    let blocks = [
-                        T::block_bits(&report.sample),
-                        T::block_bits(&decision.carried()),
-                    ];
+                    let (report, decided) = level_messages(rank, key);
+                    let [report_header, decision_header] = header_bits(&report, &decided);
+                    let blocks = [bits_read(&report.sample), bits_read(&decided.carried)];
                     let mut words = 0;
                     for (header, block) in
                         [(report_header, blocks[0]), (decision_header, blocks[1])]
@@ -1143,7 +1086,7 @@ mod tests {
                     }
                     assert_eq!(
                         words,
-                        (report.encoded_len() + decision.encoded_len()) as u64,
+                        (report.encoded_len() + decided.encoded_len()) as u64,
                         "p={p} rank {rank}"
                     );
                     expected.push(words);
@@ -1152,12 +1095,12 @@ mod tests {
                     let out = run_on!(backend, World::new(p).with_workers(2), |comm| {
                         let (rank, p) = (comm.rank(), comm.size());
                         let before = comm.stats_snapshot();
-                        let (report, decision) = level_messages(rank, key);
+                        let (report, decided) = level_messages(rank, key);
                         comm.send((rank + 1) % p, 0, report);
-                        comm.send((rank + 1) % p, 1, decision);
+                        comm.send((rank + 1) % p, 1, decided);
                         let from = (rank + p - 1) % p;
                         let got: LevelReport<T> = comm.recv(from, 0);
-                        let decided: Decision<T> = comm.recv(from, 1);
+                        let decided: Decided<T> = comm.recv(from, 1);
                         assert_eq!((got, decided), level_messages(from, key));
                         comm.stats_snapshot().since(&before).sent_words
                     })
@@ -1170,49 +1113,18 @@ mod tests {
         check(|v| format!("key-{v}"));
     }
 
-    /// Random words and mutants of valid messages — every truncation, the
-    /// message extended by a word, every single bit flipped, every word
-    /// replaced by a draw — decode to a value or to a decode error, never
-    /// to a panic: the property tests' `codec_is_total`, over every bit.
+    /// Every level message of both key kinds keeps the bit-stream property
+    /// ([`check_bit_stream`]): only canonical streams decode, and none
+    /// panics.
     #[test]
-    fn level_message_decoders_are_total() {
-        fn total<M: WordCodec>(value: &M, rng: &mut StdRng) {
-            let mut wire = Vec::new();
-            value.encode(&mut wire);
-            let noise: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
-            let small: Vec<u64> = noise.iter().map(|w| w % 8).collect();
-            let mut inputs = vec![noise, small];
-            inputs.extend((0..wire.len()).map(|cut| wire[..cut].to_vec()));
-            let mut extended = wire.clone();
-            extended.push(rng.gen());
-            inputs.push(extended);
-            for at in 0..wire.len() {
-                for bit in 0..64 {
-                    let mut mutant = wire.clone();
-                    mutant[at] ^= 1 << bit;
-                    inputs.push(mutant);
-                }
-                let mut mutant = wire.clone();
-                mutant[at] = rng.gen();
-                inputs.push(mutant);
-            }
-            for words in &inputs {
-                if let Err(e) = M::decode(&mut WordReader::new(words)) {
-                    assert!(
-                        matches!(e, commsim::CommError::Decode { .. }),
-                        "{words:?} gave {e}"
-                    );
-                }
-            }
-        }
-        let mut rng = StdRng::seed_from_u64(5);
+    fn level_messages_are_canonical_bit_streams() {
         for rank in 0..24 {
-            let (report, decision) = level_messages(rank, |v| v);
-            total(&report, &mut rng);
-            total(&decision, &mut rng);
-            let (report, decision) = level_messages(rank, |v| format!("{v}"));
-            total(&report, &mut rng);
-            total(&decision, &mut rng);
+            let (report, decided) = level_messages(rank, |v| v);
+            check_bit_stream(&report);
+            check_bit_stream(&decided);
+            let (report, decided) = level_messages(rank, |v| format!("{v}"));
+            check_bit_stream(&report);
+            check_bit_stream(&decided);
         }
     }
 

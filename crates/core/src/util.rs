@@ -1,6 +1,8 @@
 //! Small shared utilities for the distributed algorithms.
 
-use commsim::codec::{bit_length, decode_error, rice_parameter, BitReader, BitWriter, MAX_RICE};
+use commsim::codec::{
+    bit_length, decode_error, rice_parameter, BitCodec, BitReader, BitSink, MAX_RICE,
+};
 use commsim::{CommData, CommResult, Communicator, ReduceOp, WordCodec, WordReader};
 
 /// A totally ordered `f64` wrapper (ordered by `f64::total_cmp`), used for
@@ -200,17 +202,8 @@ pub fn tie_break_offset(rank: usize, p: usize, local_len: usize) -> u64 {
 /// takes it with an empty impl.  `u64` overrides it with codes at about the
 /// block's information content (the layout on [`SortedBlock`]).
 pub trait SelectKey: Ord + Clone + CommData {
-    /// Exact number of bits [`SelectKey::write_block`] writes.
-    fn block_bits(block: &SortedBlock<Self>) -> u64 {
-        let words: usize = block.pairs.iter().map(WordCodec::encoded_len).sum();
-        let words = words as u64;
-        BitWriter::number_bits(block.pairs.len() as u64)
-            + BitWriter::number_bits(words)
-            + 64 * words
-    }
-
     /// Write `block` into `bits`.
-    fn write_block(block: &SortedBlock<Self>, bits: &mut BitWriter) {
+    fn write_block(block: &SortedBlock<Self>, bits: &mut impl BitSink) {
         let mut words = Vec::new();
         block.pairs.iter().for_each(|pair| pair.encode(&mut words));
         bits.number(block.pairs.len() as u64);
@@ -254,10 +247,9 @@ impl<T: SelectKey> SelectKey for std::cmp::Reverse<T> {}
 /// commutative, so a union does not depend on the order the tree combines
 /// the shares in.
 ///
-/// A block is a part of a bit stream, packed by [`BitWriter`]: the level
-/// messages of [`crate::unsorted`] write their counts and then the block
-/// into one stream, and a block sent alone ([`WordCodec`]) is its part
-/// padded to a word.  A block of `u64` keys is coded at about its
+/// A block is a bit stream ([`BitCodec`]): the level messages of
+/// [`crate::unsorted`] write their counts and then the block into one
+/// stream, and a block sent alone is its stream padded to a word.  A block of `u64` keys is coded at about its
 /// information content.  The tag `rank ≪ 40 | index` of [`tie_break_offset`]
 /// travels as its *dense* word `rank ≪ w_i | index`, which orders alike:
 ///
@@ -267,7 +259,7 @@ impl<T: SelectKey> SelectKey for std::cmp::Reverse<T> {}
 ///   · per later element: Rice(value gap, r_v) · tag
 /// ```
 ///
-/// `δ` is [`BitWriter::number`]'s universal code and `raw` the dense word at
+/// `δ` is [`BitSink::number`]'s universal code and `raw` the dense word at
 /// `w_r + w_i` bits.  An element's tag is `raw` where the value changes and
 /// Rice(dense gap − 1, `r_t`) inside a run of equal values, whose dense
 /// words strictly ascend.  The four fields are functions of the block:
@@ -324,9 +316,16 @@ impl<T: SelectKey> SortedBlock<T> {
         pairs.extend_from_slice(b);
         SortedBlock { pairs }
     }
+}
 
-    /// Read a block [`SelectKey::write_block`] wrote: its pairs must ascend.
-    pub(crate) fn read(bits: &mut BitReader<'_, '_>) -> CommResult<Self> {
+/// A block is its key type's part of a stream ([`SelectKey::write_block`]);
+/// its reader also checks that the pairs ascend.
+impl<T: SelectKey> BitCodec for SortedBlock<T> {
+    fn write(&self, bits: &mut impl BitSink) {
+        T::write_block(self, bits);
+    }
+
+    fn read(bits: &mut BitReader) -> CommResult<Self> {
         let pairs = T::read_block(bits)?;
         if pairs.windows(2).any(|w| w[0] >= w[1]) {
             return Err(decode_error::<Self>());
@@ -335,39 +334,10 @@ impl<T: SelectKey> SortedBlock<T> {
     }
 }
 
-/// A block alone: its part of a stream, padded to a word.
-impl<T: SelectKey> WordCodec for SortedBlock<T> {
-    fn encoded_len(&self) -> usize {
-        T::block_bits(self).div_ceil(64) as usize
-    }
-
-    fn encode(&self, out: &mut Vec<u64>) {
-        let mut bits = BitWriter::new(out);
-        T::write_block(self, &mut bits);
-        bits.finish();
-    }
-
-    fn decode(r: &mut WordReader<'_>) -> CommResult<Self> {
-        let mut bits = BitReader::new::<Self>(r);
-        let block = Self::read(&mut bits)?;
-        bits.finish()?;
-        Ok(block)
-    }
-}
-
 impl SelectKey for u64 {
-    fn block_bits(block: &SortedBlock<u64>) -> u64 {
+    fn write_block(block: &SortedBlock<u64>, bits: &mut impl BitSink) {
         let pairs = &block.pairs;
-        block_codes(pairs, StreamFields::of(pairs))
-            .map(|code| code.bits())
-            .sum()
-    }
-
-    fn write_block(block: &SortedBlock<u64>, bits: &mut BitWriter) {
-        let pairs = &block.pairs;
-        for code in block_codes(pairs, StreamFields::of(pairs)) {
-            code.write(bits);
-        }
+        write_u64_block(pairs, StreamFields::of(pairs), bits);
     }
 
     fn read_block(bits: &mut BitReader<'_, '_>) -> CommResult<Vec<(u64, u64)>> {
@@ -487,72 +457,87 @@ impl StreamFields {
 /// The index bits of a tie-break word.
 const INDEX_MASK: u64 = (1 << TIE_BREAK_INDEX_BITS) - 1;
 
-/// One code of a `u64` block's stream.
-#[derive(Debug, Clone, Copy)]
-enum Code {
-    /// [`BitWriter::number`].
-    Number(u64),
-    /// [`BitWriter::rice`] with its parameter.
-    Rice(u64, u32),
-    /// [`BitWriter::put`] at a fixed width.
-    Raw(u64, u32),
-}
-
-impl Code {
-    fn bits(self) -> u64 {
-        match self {
-            Code::Number(value) => BitWriter::number_bits(value),
-            Code::Rice(value, r) => BitWriter::rice_bits(value, r),
-            Code::Raw(_, width) => width.into(),
+/// Write the stream of `pairs`, distinct and ascending, under `fields` —
+/// the fields they imply, or other ones for a test of the decoder.
+fn write_u64_block(pairs: &[(u64, u64)], fields: StreamFields, bits: &mut impl BitSink) {
+    bits.number(pairs.len() as u64);
+    let Some(&(first, first_tag)) = pairs.first() else {
+        return;
+    };
+    bits.put(fields.value_rice.into(), RICE_FIELD);
+    bits.put(fields.rank_width.into(), RANK_FIELD);
+    bits.put(fields.index_width.into(), INDEX_FIELD);
+    bits.put(fields.tag_rice.into(), RICE_FIELD);
+    bits.number(first);
+    bits.put(fields.dense(first_tag), fields.tag_width());
+    for w in pairs.windows(2) {
+        let ((previous, previous_tag), (value, tag)) = (w[0], w[1]);
+        bits.rice(value - previous, fields.value_rice);
+        if value == previous {
+            let gap = fields.dense(tag) - fields.dense(previous_tag) - 1;
+            bits.rice(gap, fields.tag_rice);
+        } else {
+            bits.put(fields.dense(tag), fields.tag_width());
         }
     }
-
-    fn write(self, bits: &mut BitWriter) {
-        match self {
-            Code::Number(value) => bits.number(value),
-            Code::Rice(value, r) => bits.rice(value, r),
-            Code::Raw(value, width) => bits.put(value, width),
-        }
-    }
-}
-
-/// The stream of `pairs`, distinct and ascending, under `fields` — the
-/// fields they imply, or other ones for a test of the decoder.
-fn block_codes(pairs: &[(u64, u64)], fields: StreamFields) -> impl Iterator<Item = Code> + '_ {
-    let header = [
-        Code::Raw(fields.value_rice.into(), RICE_FIELD),
-        Code::Raw(fields.rank_width.into(), RANK_FIELD),
-        Code::Raw(fields.index_width.into(), INDEX_FIELD),
-        Code::Raw(fields.tag_rice.into(), RICE_FIELD),
-    ];
-    let header_codes = if pairs.is_empty() { 0 } else { header.len() };
-    let previous = std::iter::once(None).chain(pairs.iter().map(Some));
-    let elements = pairs
-        .iter()
-        .zip(previous)
-        .flat_map(move |(&(value, tag), previous)| {
-            let raw = Code::Raw(fields.dense(tag), fields.tag_width());
-            match previous {
-                None => [Code::Number(value), raw],
-                Some(&(previous, previous_tag)) if previous == value => {
-                    let gap = fields.dense(tag) - fields.dense(previous_tag) - 1;
-                    [
-                        Code::Rice(0, fields.value_rice),
-                        Code::Rice(gap, fields.tag_rice),
-                    ]
-                }
-                Some(&(previous, _)) => [Code::Rice(value - previous, fields.value_rice), raw],
-            }
-        });
-    std::iter::once(Code::Number(pairs.len() as u64))
-        .chain(header.into_iter().take(header_codes))
-        .chain(elements)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use commsim::codec::{BitWriter, PackedCounts};
     use commsim::CommData;
+
+    /// The property every bit stream of the wire keeps, checked on
+    /// `value`: it round-trips, `encoded_len` is the number of words
+    /// written, every truncation and the stream extended by a word fail to
+    /// decode, and every single bit flipped decodes to a
+    /// [`commsim::CommError::Decode`] or to a value that re-encodes to
+    /// exactly the flipped words — only a canonical stream decodes, and no
+    /// stream panics.  A decode must consume every word, as the transport's
+    /// does.  Returns the words.
+    pub(crate) fn check_bit_stream<T>(value: &T) -> Vec<u64>
+    where
+        T: BitCodec + PartialEq + std::fmt::Debug,
+    {
+        let encode = |value: &T| {
+            let mut words = Vec::new();
+            value.encode(&mut words);
+            words
+        };
+        let decode = |words: &[u64]| {
+            let mut r = WordReader::new(words);
+            let value = T::decode(&mut r)?;
+            match r.remaining() {
+                0 => Ok(value),
+                _ => Err(decode_error::<T>()),
+            }
+        };
+        let words = encode(value);
+        assert_eq!(words.len(), value.encoded_len(), "{value:?}");
+        assert_eq!(decode(&words).as_ref(), Ok(value));
+        let extended = [&words[..], &[0]].concat();
+        let cuts = (0..words.len()).map(|cut| &words[..cut]);
+        for short in cuts.chain([&extended[..]]) {
+            assert!(decode(short).is_err(), "{value:?} decodes from {short:?}");
+        }
+        for at in 0..words.len() {
+            for bit in 0..64 {
+                let mut flipped = words.clone();
+                flipped[at] ^= 1 << bit;
+                match decode(&flipped) {
+                    Ok(other) => {
+                        assert_eq!(encode(&other), flipped, "{value:?} flipped to {other:?}")
+                    }
+                    Err(e) => assert!(
+                        matches!(e, commsim::CommError::Decode { .. }),
+                        "{flipped:?} gave {e}"
+                    ),
+                }
+            }
+        }
+        words
+    }
 
     #[test]
     fn ordered_f64_sorts_like_f64() {
@@ -688,17 +673,6 @@ mod tests {
         tie_break_offset(0, (1 << 24) + 1, 0);
     }
 
-    /// Encode `block`, check the codec's invariants and return the words.
-    fn roundtrip<T: SelectKey + std::fmt::Debug>(block: &SortedBlock<T>) -> Vec<u64> {
-        let mut words = Vec::new();
-        block.encode(&mut words);
-        assert_eq!(words.len(), block.encoded_len(), "{block:?}");
-        let mut r = WordReader::new(&words);
-        assert_eq!(&SortedBlock::<T>::decode(&mut r).expect("decode"), block);
-        assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");
-        words
-    }
-
     /// Words from bits written in stream order, `'0'` and `'1'` (spaces
     /// ignored), packed lowest bit first.
     fn stream(bits: &str) -> Vec<u64> {
@@ -763,31 +737,34 @@ mod tests {
             // one word.
             "1 1 101 1 01 001",
         ));
-        assert_eq!(roundtrip(&block), expected);
+        assert_eq!(check_bit_stream(&block), expected);
     }
 
     #[test]
     fn u64_blocks_cost_their_bits_in_whole_words() {
         // The empty block is δ(0), one bit.
-        assert_eq!(roundtrip(&SortedBlock::<u64>::new(Vec::new())), vec![1]);
+        assert_eq!(
+            check_bit_stream(&SortedBlock::<u64>::new(Vec::new())),
+            vec![1]
+        );
         // One value on 100 elements of one PE: a 12-bit length, the 23-bit
         // fields, δ(5) in 6 bits, a 7-bit first tag (w_r = 0, w_i = 7) and
         // two one-bit codes (zero gaps at r_v = r_t = 0) for each of the 99
         // others — 246 bits in 4 words, where the pairs take 201.
         let run: Vec<(u64, u64)> = (0..100).map(|i| (5, tag(0, i))).collect();
         assert_eq!(run.encoded_len(), 201);
-        assert_eq!(roundtrip(&SortedBlock::new(run)).len(), 4);
+        assert_eq!(check_bit_stream(&SortedBlock::new(run)).len(), 4);
         // The same run spread over 4 PEs, 25 elements each, in rank order:
         // w_r = 2, w_i = 5, every dense gap 1 except the three that cross a
         // rank boundary, 8 each (gap less one 7: r_t = ⌊log₂(21/99)⌋ = 0,
         // so each costs 8 unary bits).  12 + 23 + 6 + 7 bits, then 99 value
         // bits and 99 + 3·7 tag bits: 267 bits in 5 words.
         let spread: Vec<(u64, u64)> = (0..100).map(|i| (5, tag(i / 25, i % 25))).collect();
-        assert_eq!(roundtrip(&SortedBlock::new(spread)).len(), 5);
+        assert_eq!(check_bit_stream(&SortedBlock::new(spread)).len(), 5);
         // Values at both ends of u64 and every tag field at its widest.
         let (low, high) = ((0u64, 0u64), (u64::MAX, u64::MAX));
-        roundtrip(&SortedBlock::new(vec![low, high]));
-        roundtrip(&SortedBlock::new(vec![low, (u64::MAX, tag(5, 9)), high]));
+        check_bit_stream(&SortedBlock::new(vec![low, high]));
+        check_bit_stream(&SortedBlock::new(vec![low, (u64::MAX, tag(5, 9)), high]));
     }
 
     /// The default part of a block, `δ(len) · δ(words) · words`, written by
@@ -806,6 +783,22 @@ mod tests {
         out
     }
 
+    /// `commsim`'s `PackedCounts` keeps the bit-stream property too.
+    #[test]
+    fn packed_counts_are_canonical_bit_streams() {
+        let zipf: Vec<u64> = (1..=40u64).map(|j| 40_000 / j).collect();
+        for counts in [
+            vec![],
+            vec![0],
+            vec![5, 4, 7, 2],
+            vec![4, 64, 63, 0, 16],
+            vec![u64::MAX, 1, 0, 1 << 40],
+            zipf,
+        ] {
+            check_bit_stream(&PackedCounts(counts));
+        }
+    }
+
     /// Other keys cross as their pairs' words behind two δ codes, and their
     /// reader too accepts only ascending distinct pairs, and only a word
     /// count that the pairs use up.
@@ -813,12 +806,12 @@ mod tests {
     fn plain_keys_keep_the_words_of_their_pairs() {
         let pairs = vec![("b".to_string(), 1u64), ("a".to_string(), 9)];
         let block = SortedBlock::new(pairs.clone());
-        // δ(2) and δ(6) take 5 + 6 bits ahead of the six words.
-        assert_eq!(String::block_bits(&block), 5 + 6 + 6 * 64);
-        assert_eq!(roundtrip(&block), default_part(block.pairs(), 0));
-        assert_eq!(roundtrip(&block).len(), pairs.encoded_len());
+        // δ(2) and δ(6) take 5 + 6 bits ahead of the six words: the words
+        // of the pairs.
+        assert_eq!(check_bit_stream(&block), default_part(block.pairs(), 0));
+        assert_eq!(check_bit_stream(&block).len(), pairs.encoded_len());
         let reversed = SortedBlock::new(vec![(std::cmp::Reverse((3u64, 4u64)), 0u64)]);
-        assert_eq!(roundtrip(&reversed).len(), 1 + 3);
+        assert_eq!(check_bit_stream(&reversed).len(), 1 + 3);
         for (pairs, miscount) in [(&pairs[..], 0), (block.pairs(), 1), (block.pairs(), -1)] {
             let wire = default_part(pairs, miscount);
             let decoded = SortedBlock::<String>::decode(&mut WordReader::new(&wire));
@@ -830,7 +823,7 @@ mod tests {
     fn written(pairs: &[(u64, u64)], fields: StreamFields) -> Vec<u64> {
         let mut out = Vec::new();
         let mut bits = BitWriter::new(&mut out);
-        block_codes(pairs, fields).for_each(|code| code.write(&mut bits));
+        write_u64_block(pairs, fields, &mut bits);
         bits.finish();
         out
     }
@@ -850,8 +843,8 @@ mod tests {
         out
     }
 
-    /// Only the canonical stream decodes; every other message is a decode
-    /// error, never a panic.
+    /// Streams no single bit flip of a canonical one reaches still decode
+    /// to a decode error, never to a panic or a value.
     #[test]
     fn non_canonical_u64_blocks_fail_to_decode() {
         let decode = |words: &[u64]| SortedBlock::<u64>::decode(&mut WordReader::new(words));
@@ -875,12 +868,8 @@ mod tests {
                 tag_rice: 3
             }
         );
-        let good = written(&pairs, fields);
-        assert_eq!(decode(&good).unwrap().pairs(), pairs);
-        // Truncated anywhere, down to nothing.
-        for cut in 0..good.len() {
-            assert!(rejected(&good[..cut]), "cut at {cut}");
-        }
+        let good = check_bit_stream(&SortedBlock::new(pairs.clone()));
+        assert_eq!(written(&pairs, fields), good);
         // Each field one above what the pairs imply, and each Rice parameter
         // one below: the same pairs, but not their canonical stream.  (A
         // narrower width cannot hold the largest tag raw; an in-run gap that
@@ -940,13 +929,6 @@ mod tests {
                 "{other:?}"
             );
         }
-        // Non-zero padding after the last code: just above it and at the
-        // top.
-        let one = written(&pairs[..1], StreamFields::of(&pairs[..1]));
-        assert_eq!(one.len(), 1);
-        assert!(decode(&one).is_ok());
-        assert!(rejected(&[one[0] | 1 << 62]));
-        assert!(rejected(&[one[0] | 1 << 63]));
         // A rank of 2^w_r: w_r = 0, w_i = 1, the first tag index 1; then
         // the same value with dense gap 1 reaches dense word 2, rank 1.
         let narrow = StreamFields {

@@ -267,16 +267,11 @@ fn decoders_reserve_no_more_than_their_remaining_words_can_carry() {
     let options: Vec<Option<u64>> = nums.iter().map(|&v| (v % 3 > 0).then_some(v)).collect();
     codec_reserves_at_most(options, size_of::<Option<u64>>(), 0);
 
-    // Containers of a `Vec` add nothing per word; a `Box` adds its one slot.
+    // Containers of a `Vec` add nothing per word.
     codec_reserves_at_most(Some(nums.clone()), size_of::<u64>(), 0);
     codec_reserves_at_most((nums.clone(), "tail".to_string(), Some(3u64)), 8, 0);
     codec_reserves_at_most((1u8, 2u16, 3u32, nums.clone()), size_of::<u64>(), 0);
     codec_reserves_at_most(std::cmp::Reverse((5u64, nums.clone())), size_of::<u64>(), 0);
-    codec_reserves_at_most(
-        Box::new(nums.clone()),
-        size_of::<u64>(),
-        size_of::<Vec<u64>>(),
-    );
 
     // `KeyCounts`: a run's length is bounded by the bits left before it is
     // reserved, and every run has a count of its own, so a run holds at most
