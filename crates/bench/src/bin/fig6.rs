@@ -34,7 +34,7 @@ use bench::Table;
 use commsim::recovery::RecoveryOutcome;
 use commsim::{run_on, Backend, Communicator, World};
 use datagen::SkewedSelectionInput;
-use topk::recover::{select_k_smallest_recoverable, SelectionCheckpoint};
+use topk::recover::select_k_smallest_recoverable;
 use topk::unsorted::select_k_smallest;
 
 /// One PE's share of the figure-6 workload: generate the skewed local
@@ -62,9 +62,10 @@ struct Fig6Chaos {
 }
 
 impl RecoverableBody for Fig6Chaos {
-    type State = SelectionCheckpoint;
+    /// The threshold of each phase.
+    type State = Vec<u64>;
 
-    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<SelectionCheckpoint> {
+    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<Vec<u64>> {
         let local: Vec<u64> = self
             .generator
             .generate(comm.rank(), self.per_pe)
@@ -128,7 +129,7 @@ fn chaos(args: &Args) {
     for &r in &live {
         let res = run.results[r].as_ref().expect("live PE completed");
         assert!(!res.evicted, "no live PE is evicted in this harness");
-        let last = *res.state.thresholds.last().expect("at least one phase ran");
+        let last = *res.state.last().expect("at least one phase ran");
         assert_eq!(
             last, expected,
             "PE {r}: final threshold must equal the brute-force k-th smallest \

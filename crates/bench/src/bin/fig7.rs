@@ -46,7 +46,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use topk::planner::Algorithm;
-use topk::recover::{run_frequent_recoverable, FrequentCheckpoint};
+use topk::recover::run_frequent_recoverable;
 use topk::FrequentParams;
 
 /// The chaos-mode body: the frequent-objects facade, repeated `phases`
@@ -60,9 +60,10 @@ struct Fig7Chaos<'a> {
 }
 
 impl RecoverableBody for Fig7Chaos<'_> {
-    type State = FrequentCheckpoint;
+    /// The list each phase published.
+    type State = Vec<Vec<(u64, u64)>>;
 
-    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<FrequentCheckpoint> {
+    fn run<C: Communicator>(&self, comm: &C) -> RecoveryOutcome<Self::State> {
         let local = local_input(comm.rank(), self.per_pe);
         run_frequent_recoverable(
             comm,
@@ -121,13 +122,13 @@ fn chaos(args: &Args, per_pe: usize, params: &FrequentParams) {
         p,
         "every PE is live or a victim"
     );
-    let last = survivor.state.published.last().expect("at least one phase");
+    let last = survivor.state.last().expect("at least one phase");
     for &r in &live {
         let res = run.results[r].as_ref().expect("live PE completed");
         assert!(!res.evicted, "no live PE is evicted in this harness");
-        assert_eq!(res.state.published.len(), phases, "PE {r} ran all phases");
+        assert_eq!(res.state.len(), phases, "PE {r} ran all phases");
         assert_eq!(
-            res.state.published.last().expect("at least one phase"),
+            res.state.last().expect("at least one phase"),
             last,
             "PE {r}: final published list must agree group-wide"
         );

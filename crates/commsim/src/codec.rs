@@ -19,13 +19,13 @@
 //!
 //! Two invariants tie the codec to the cost model:
 //!
-//! 1. `encoded_len()` is the metered message size
-//!    ([`crate::CommData::word_count`] returns it), and `encode` appends
-//!    exactly that many words.  For a [`BitCodec`] this holds by
-//!    construction — its `encoded_len` is its one `write` run into a bit
-//!    counter — and for every type it is checked by a debug assertion on
-//!    every send and by the property tests;
-//! 2. `decode(encode(x)) == x` and consumes exactly `encoded_len()` words —
+//! 1. the metered message size is the number of words `encode` appends.
+//!    This holds by construction for every type: a send encodes once and
+//!    every backend meters the buffer it filled
+//!    ([`Envelope::words`](crate::transport::Envelope::words)), and
+//!    [`WordCodec::encoded_len`] and [`crate::CommData::word_count`] are
+//!    that same `encode` run into a scratch buffer;
+//! 2. `decode(encode(x)) == x` and consumes every word `encode` wrote —
 //!    the transport rejects a decode that leaves words over.
 //!
 //! The codec is deliberately not self-describing: SPMD programs are
@@ -82,10 +82,10 @@ impl<'a> WordReader<'a> {
 
 /// A value with a u64-word wire encoding — the one message representation.
 ///
-/// `encode` must append exactly `encoded_len()` words to `out`;
-/// `encoded_len()` is what the cost model meters
-/// ([`crate::CommData::word_count`]), so the metered size and the physical
-/// size coincide.
+/// Its contract is two methods, [`encode`](Self::encode) and its inverse
+/// [`decode`](Self::decode).  A message is the words `encode` writes: every
+/// backend meters the length of the buffer it filled, so no type states its
+/// length a second time.
 ///
 /// Implementations exist for all scalar primitives, `()`, `String`, the
 /// standard containers (`Option`, `Vec`, `Reverse`, tuples) of codec types
@@ -103,24 +103,27 @@ impl<'a> WordReader<'a> {
 /// assert_eq!(decoded, value);
 /// ```
 pub trait WordCodec: Sized {
-    /// Exact number of words [`WordCodec::encode`] appends.
-    fn encoded_len(&self) -> usize;
-
     /// Append the wire encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u64>);
 
     /// Decode a value from the reader, consuming exactly the words `encode`
     /// produced for it.
     fn decode(r: &mut WordReader<'_>) -> CommResult<Self>;
+
+    /// Number of words [`encode`](Self::encode) appends, found by encoding
+    /// into a scratch buffer.  No send calls it — a send meters the buffer
+    /// it encoded into — so it is for tests and probes that size a value
+    /// without sending it.
+    fn encoded_len(&self) -> usize {
+        let mut words = Vec::new();
+        self.encode(&mut words);
+        words.len()
+    }
 }
 
 macro_rules! codec_unsigned {
     ($($t:ty),* $(,)?) => {$(
         impl WordCodec for $t {
-            #[inline]
-            fn encoded_len(&self) -> usize {
-                1
-            }
             #[inline]
             fn encode(&self, out: &mut Vec<u64>) {
                 out.push(*self as u64);
@@ -140,10 +143,6 @@ macro_rules! codec_signed {
     ($($t:ty),* $(,)?) => {$(
         impl WordCodec for $t {
             #[inline]
-            fn encoded_len(&self) -> usize {
-                1
-            }
-            #[inline]
             fn encode(&self, out: &mut Vec<u64>) {
                 // Sign-extend through i64 so the full word round-trips.
                 out.push(*self as i64 as u64);
@@ -161,10 +160,6 @@ codec_signed!(i8, i16, i32, i64, isize);
 
 impl WordCodec for bool {
     #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
-    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(*self));
     }
@@ -179,10 +174,6 @@ impl WordCodec for bool {
 }
 
 impl WordCodec for char {
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
     #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(u32::from(*self)));
@@ -199,10 +190,6 @@ impl WordCodec for char {
 
 impl WordCodec for f64 {
     #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
-    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.to_bits());
     }
@@ -215,10 +202,6 @@ impl WordCodec for f64 {
 }
 
 impl WordCodec for f32 {
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        1
-    }
     #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(u64::from(self.to_bits()));
@@ -234,10 +217,6 @@ impl WordCodec for f32 {
 
 impl WordCodec for u128 {
     #[inline]
-    fn encoded_len(&self) -> usize {
-        2
-    }
-    #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         out.push((*self >> 64) as u64);
         out.push(*self as u64);
@@ -251,10 +230,6 @@ impl WordCodec for u128 {
 }
 
 impl WordCodec for i128 {
-    #[inline]
-    fn encoded_len(&self) -> usize {
-        2
-    }
     #[inline]
     fn encode(&self, out: &mut Vec<u64>) {
         (*self as u128).encode(out);
@@ -271,10 +246,6 @@ impl WordCodec for i128 {
 /// (used by barriers and pure synchronisation messages).
 impl WordCodec for () {
     #[inline]
-    fn encoded_len(&self) -> usize {
-        0
-    }
-    #[inline]
     fn encode(&self, _out: &mut Vec<u64>) {}
     #[inline]
     fn decode(_r: &mut WordReader<'_>) -> CommResult<Self> {
@@ -283,9 +254,6 @@ impl WordCodec for () {
 }
 
 impl WordCodec for String {
-    fn encoded_len(&self) -> usize {
-        1 + self.len().div_ceil(8)
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.len() as u64);
         for chunk in self.as_bytes().chunks(8) {
@@ -316,9 +284,6 @@ impl WordCodec for String {
 }
 
 impl<T: WordCodec> WordCodec for Vec<T> {
-    fn encoded_len(&self) -> usize {
-        1 + self.iter().map(WordCodec::encoded_len).sum::<usize>()
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         out.push(self.len() as u64);
         for v in self {
@@ -342,9 +307,6 @@ impl<T: WordCodec> WordCodec for Vec<T> {
 }
 
 impl<T: WordCodec> WordCodec for Option<T> {
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, WordCodec::encoded_len)
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         match self {
             None => out.push(0),
@@ -364,9 +326,6 @@ impl<T: WordCodec> WordCodec for Option<T> {
 }
 
 impl<T: WordCodec> WordCodec for std::cmp::Reverse<T> {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len()
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         self.0.encode(out);
     }
@@ -376,9 +335,6 @@ impl<T: WordCodec> WordCodec for std::cmp::Reverse<T> {
 }
 
 impl<A: WordCodec, B: WordCodec> WordCodec for (A, B) {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         self.0.encode(out);
         self.1.encode(out);
@@ -389,9 +345,6 @@ impl<A: WordCodec, B: WordCodec> WordCodec for (A, B) {
 }
 
 impl<A: WordCodec, B: WordCodec, C: WordCodec> WordCodec for (A, B, C) {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len()
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         self.0.encode(out);
         self.1.encode(out);
@@ -403,9 +356,6 @@ impl<A: WordCodec, B: WordCodec, C: WordCodec> WordCodec for (A, B, C) {
 }
 
 impl<A: WordCodec, B: WordCodec, C: WordCodec, D: WordCodec> WordCodec for (A, B, C, D) {
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len() + self.2.encoded_len() + self.3.encoded_len()
-    }
     fn encode(&self, out: &mut Vec<u64>) {
         self.0.encode(out);
         self.1.encode(out);
@@ -441,7 +391,7 @@ pub fn rice_parameter(total: u128, count: usize) -> u32 {
 }
 
 /// Where a bit stream goes: [`BitWriter`] packs it into words, and the bit
-/// counter behind [`BitCodec`]'s word length only counts it.  Fixed-width
+/// counter behind [`BitWriter::number_bits`] only counts it.  Fixed-width
 /// numbers ([`put`](Self::put)) are the one primitive; Rice codes for gaps
 /// of a known scale ([`rice`](Self::rice)) and a universal code for any
 /// `u64` ([`number`](Self::number)) are written through it, so a code's
@@ -551,10 +501,8 @@ impl BitSink for BitCounter {
 /// A value whose wire form is one bit stream, padded once to whole words.
 /// Its layout is stated once, in [`write`](Self::write) and its inverse
 /// [`read`](Self::read); the blanket [`WordCodec`] impl frames it:
-/// `encode` runs `write` into a [`BitWriter`] and pads, `encoded_len` runs
-/// the same `write` into a bit counter, and `decode` runs `read` over a
-/// [`BitReader`] and rejects non-zero padding.  So the metered length is
-/// the written length by construction.
+/// `encode` runs `write` into a [`BitWriter`] and pads, and `decode` runs
+/// `read` over a [`BitReader`] and rejects non-zero padding.
 pub trait BitCodec: Sized {
     /// Write the value's stream.
     fn write(&self, bits: &mut impl BitSink);
@@ -565,12 +513,6 @@ pub trait BitCodec: Sized {
 }
 
 impl<T: BitCodec> WordCodec for T {
-    fn encoded_len(&self) -> usize {
-        let mut counter = BitCounter::default();
-        self.write(&mut counter);
-        counter.bits.div_ceil(64) as usize
-    }
-
     fn encode(&self, out: &mut Vec<u64>) {
         let mut bits = BitWriter::new(out);
         self.write(&mut bits);
@@ -735,7 +677,6 @@ impl<'r, 'a> BitReader<'r, 'a> {
 /// // quotient 1 and low bits 00 and 11; then 2, quotient 0 and low bits 10.
 /// // 23 bits, read from the top: each code's bits and the codes reversed.
 /// assert_eq!(wire, vec![0b10_1_11_10_00_10_01_1_100_00_1_100]);
-/// assert_eq!(counts.encoded_len(), 1);
 /// assert_eq!(PackedCounts::decode(&mut WordReader::new(&wire)).unwrap(), counts);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -840,7 +781,6 @@ mod tests {
     fn roundtrip<T: WordCodec + PartialEq + std::fmt::Debug>(value: T) {
         let mut wire = Vec::new();
         value.encode(&mut wire);
-        assert_eq!(wire.len(), value.encoded_len(), "encoded_len of {value:?}");
         let mut r = WordReader::new(&wire);
         let back = T::decode(&mut r).expect("decode");
         assert_eq!(back, value);
@@ -1224,16 +1164,5 @@ mod tests {
         // Nothing to read, and a unary width that never ends.
         assert!(decode(&[]).is_err());
         assert!(decode(&[0, 0]).is_err());
-    }
-
-    #[test]
-    fn encoded_len_matches_word_count() {
-        use crate::message::CommData;
-        let v = vec![1u64, 2, 3];
-        assert_eq!(v.encoded_len(), v.word_count());
-        let s = "hello world".to_string();
-        assert_eq!(s.encoded_len(), s.word_count());
-        let t = (1u64, Some(2u64), vec![3u64]);
-        assert_eq!(t.encoded_len(), t.word_count());
     }
 }

@@ -15,8 +15,6 @@
 //!   the exact protocol the streaming service ran, with one improvement: the
 //!   formerly-`panic!`ing arms now surface a typed [`RecoveryError`] so a
 //!   caller can degrade instead of aborting the world.
-//! * [`Checkpoint`] — a small trait an algorithm state implements to become
-//!   restartable: serialize to machine words, rebuild from them.
 //! * [`ring_push`] — the ring-successor push: one message to each of a PE's
 //!   `r` ring successors, one received from each of its `r` predecessors.
 //!   The driver's buddy checkpoints and the streaming service's replica
@@ -24,7 +22,9 @@
 //! * [`run_recoverable`] — the driver: runs a closed sequence of phases,
 //!   opens each phase with a membership round, and on a detected crash
 //!   regroups the survivors, restores the last checkpoint, and re-runs the
-//!   phases since — emitting a parseable [`RecoveryAudit`] row.  Its one
+//!   phases since — emitting a parseable [`RecoveryAudit`] row.  A
+//!   checkpoint is a clone of the state, and a buddy push sends the state
+//!   itself: any [`CommData`] value is restartable.  Its one
 //!   setting is the checkpoint cadence; the retry budgets and the buddy
 //!   count are constants of this module.
 //!
@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::communicator::Communicator;
-use crate::error::{CommError, CommResult};
+use crate::error::CommError;
 use crate::message::CommData;
 use crate::subgroup::SubComm;
 use crate::{Rank, Tag};
@@ -88,8 +88,8 @@ const ALIVE_TAG: Tag = 0xF17A;
 /// User tag of the coordinator's membership verdict (a multi-word `Vec<u64>`
 /// live bitmap).
 const MASK_TAG: Tag = 0xF17B;
-/// User tag of a ring-successor checkpoint push (the [`Checkpoint::save`]
-/// words).  `0xF17C`/`0xF17D` belong to the streaming replica pushes.
+/// User tag of a ring-successor checkpoint push (the typed state).
+/// `0xF17C`/`0xF17D` belong to the streaming replica pushes.
 const CKPT_TAG: Tag = 0xF17E;
 
 /// A set of world ranks as a multi-word bitmap — the wire format of the
@@ -404,18 +404,6 @@ impl Membership {
     }
 }
 
-/// Algorithm state that can be checkpointed and restored — the contract
-/// [`run_recoverable`] uses to roll a computation back to the last
-/// coordinated checkpoint after a crash.
-pub trait Checkpoint: Sized {
-    /// Serialize the state as machine words (the unit everything in this
-    /// simulator is metered in).
-    fn save(&self) -> Vec<u64>;
-    /// Rebuild the state from [`Checkpoint::save`]'s words; any other words
-    /// give [`CommError::Decode`], never a panic.
-    fn restore(words: &[u64]) -> CommResult<Self>;
-}
-
 /// What a recoverable run did — the parseable audit row of the
 /// robustness layer, printed by the chaos harnesses and grepped by CI
 /// exactly like the planner's `plan-audit` row.
@@ -516,9 +504,10 @@ pub struct RecoveryOutcome<S> {
 /// ranks in `comm`.
 ///
 /// Every push goes out before the first receive (sends never block), so the
-/// symmetric exchange cannot deadlock.  [`run_recoverable`] pushes its
-/// checkpoints with it; the streaming service pushes each part of its
-/// replica with one call per tag.
+/// symmetric exchange cannot deadlock.  A push is one typed message, metered
+/// as the words its encoding writes.  [`run_recoverable`] pushes its
+/// checkpointed state with it; the streaming service pushes each part of
+/// its replica with one call per tag.
 pub fn ring_push<C: Communicator, T: CommData>(
     comm: &C,
     copies: usize,
@@ -572,7 +561,7 @@ pub fn run_recoverable<C, S, F>(
 ) -> Result<RecoveryOutcome<S>, RecoveryError>
 where
     C: Communicator,
-    S: Checkpoint,
+    S: CommData + Clone,
     F: FnMut(&SubComm<'_, C>, &mut S, usize),
 {
     assert!(
@@ -586,7 +575,7 @@ where
     // Bumped on every membership round: the tag-stripe salt of the
     // subgroup formed after it.
     let mut epoch = 0u64;
-    let mut last_ckpt = state.save();
+    let mut last_ckpt = state.clone();
     let mut ckpt_phase = 0usize;
     let mut done = 0usize;
     let mut victims = 0usize;
@@ -611,7 +600,7 @@ where
             victims += presumed - group.len();
             detect_batch.get_or_insert(done);
             rerun_phases += done - ckpt_phase;
-            state = S::restore(&last_ckpt).expect("a checkpoint restores from its own save");
+            state = last_ckpt.clone();
             done = ckpt_phase;
             sends_at_phase_end.truncate(done);
         }
@@ -620,12 +609,11 @@ where
         done += 1;
         if done % checkpoint_every == 0 && done < phases {
             let before = comm.stats_snapshot();
-            let blob = state.save();
             // The buddies' copies are for an operator, not for rollback
             // (see `CHECKPOINT_BUDDIES`): received and dropped here.
-            ring_push(&sub, CHECKPOINT_BUDDIES, CKPT_TAG, |_| blob.clone());
+            ring_push(&sub, CHECKPOINT_BUDDIES, CKPT_TAG, |_| state.clone());
             overhead_words += comm.stats_snapshot().since(&before).sent_words;
-            last_ckpt = blob;
+            last_ckpt = state.clone();
             ckpt_phase = done;
         }
         sends_at_phase_end.push(comm.stats_snapshot().sent_messages);
@@ -779,30 +767,17 @@ mod tests {
         assert_eq!(out.results[1], Some("got 1".to_string()));
     }
 
-    /// Toy checkpointable state: a log of per-phase values.
-    #[derive(Debug, Clone, PartialEq, Default)]
-    struct Log(Vec<u64>);
-
-    impl Checkpoint for Log {
-        fn save(&self) -> Vec<u64> {
-            self.0.clone()
-        }
-        fn restore(words: &[u64]) -> CommResult<Self> {
-            Ok(Log(words.to_vec()))
-        }
-    }
-
     /// One phase: allgather the world ranks of the live group and log their
     /// sum (a value that changes when the group shrinks).
-    fn sum_phase<C: Communicator>(sub: &SubComm<'_, C>, state: &mut Log, _i: usize) {
+    fn sum_phase<C: Communicator>(sub: &SubComm<'_, C>, state: &mut Vec<u64>, _i: usize) {
         let ranks = sub.allgather(sub.world_rank(sub.rank()) as u64);
-        state.0.push(ranks.iter().sum());
+        state.push(ranks.iter().sum());
     }
 
     #[test]
     fn fault_free_recovery_meters_the_direct_loop_plus_its_overhead() {
         let direct = run_spmd_seq(4, |comm| {
-            let mut log = Log::default();
+            let mut log = Vec::new();
             for i in 0..3 {
                 let all: Vec<Rank> = (0..comm.size()).collect();
                 let sub = SubComm::new(comm, all, i as u64);
@@ -811,7 +786,7 @@ mod tests {
             log
         });
         let wrapped = run_spmd_seq(4, |comm| {
-            run_recoverable(comm, 1, 3, Log::default(), sum_phase).expect("no protocol faults")
+            run_recoverable(comm, 1, 3, Vec::new(), sum_phase).expect("no protocol faults")
         });
         for r in 0..4 {
             let out = &wrapped.results[r];
@@ -829,11 +804,11 @@ mod tests {
         // Calibrate: a fault-free recovery-enabled run tells us each PE's
         // send count at every phase boundary.
         let baseline = run_spmd_seq(4, move |comm| {
-            run_recoverable(comm, 2, 3, Log::default(), sum_phase).expect("fault-free")
+            run_recoverable(comm, 2, 3, Vec::new(), sum_phase).expect("fault-free")
         });
         let full_sum: u64 = (0..4).sum::<usize>() as u64;
         for out in &baseline.results {
-            assert_eq!(out.state, Log(vec![full_sum; 3]));
+            assert_eq!(out.state, vec![full_sum; 3]);
             let audit = &out.audit;
             assert_eq!((audit.victims, audit.rerun_phases), (0, 0));
             assert_eq!(audit.detect_batch, None);
@@ -845,7 +820,7 @@ mod tests {
         let crash_at = baseline.results[victim].sends_at_phase_end[0];
         let plan = FaultPlan::new().crash_pe(victim, crash_at);
         let out = World::new(4).with_faults(plan).seq(move |comm| {
-            run_recoverable(comm, 2, 3, Log::default(), sum_phase).expect("survivors recover")
+            run_recoverable(comm, 2, 3, Vec::new(), sum_phase).expect("survivors recover")
         });
         assert!(out.results[victim].is_none(), "the victim crash-stopped");
         let survivor_sum: u64 = 4; // ranks 0 + 1 + 3
@@ -854,7 +829,7 @@ mod tests {
             // Phase 0's full-world result was rolled back (the checkpoint
             // cadence of 2 had not checkpointed yet), so all three phases
             // re-ran over the survivors.
-            assert_eq!(res.state, Log(vec![survivor_sum; 3]), "PE {r}");
+            assert_eq!(res.state, vec![survivor_sum; 3], "PE {r}");
             assert_eq!(res.group, vec![0, 1, 3]);
             assert!(!res.evicted);
             let audit = res.audit;

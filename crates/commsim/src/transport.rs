@@ -142,6 +142,7 @@ impl Envelope {
     }
 
     /// Wrap a payload, drawing the buffer from `pool` when one is supplied.
+    /// The value is encoded once, and the words written are the message.
     /// The boolean reports whether pooled capacity was reused.
     pub fn encode<T: CommData>(
         tag: Tag,
@@ -149,23 +150,16 @@ impl Envelope {
         value: T,
         pool: Option<&BufferPool>,
     ) -> (Self, bool) {
-        let words = value.word_count();
         let (mut buf, popped) = match pool {
             Some(pool) => pool.take(),
             None => (Vec::new(), false),
         };
-        // Only count a reuse when the pooled capacity actually covers this
-        // message — otherwise reserve() allocates and the counter would
-        // overstate the win on mixed scalar/vector traffic.
-        let reused = popped && buf.capacity() >= words;
-        buf.reserve(words);
+        let capacity = buf.capacity();
         value.encode(&mut buf);
-        debug_assert_eq!(
-            buf.len(),
-            words,
-            "encode of {} must append exactly encoded_len() words",
-            std::any::type_name::<T>()
-        );
+        // Only count a reuse when the pooled capacity covered this message:
+        // an encode that grew the buffer allocated, and counting it would
+        // overstate the win on mixed scalar/vector traffic.
+        let reused = popped && buf.capacity() == capacity;
         let env = Envelope {
             tag,
             from,
@@ -546,9 +540,6 @@ mod tests {
         // TypeId, so only the fully-consumed check can catch it.
         struct Short;
         impl crate::codec::WordCodec for Short {
-            fn encoded_len(&self) -> usize {
-                2
-            }
             fn encode(&self, out: &mut Vec<u64>) {
                 out.extend([1, 2]);
             }
@@ -594,6 +585,41 @@ mod tests {
         // ...which cannot cover a large vector: no reuse is reported.
         let (_, reused) = Envelope::encode(1, 0, vec![0u64; 256], Some(&pool));
         assert!(!reused);
+    }
+
+    /// A bit stream that counts its writes: a send must write it once.
+    struct Counted(u64);
+
+    static WRITES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    impl crate::codec::BitCodec for Counted {
+        fn write(&self, bits: &mut impl crate::codec::BitSink) {
+            WRITES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            bits.put(self.0, 64);
+        }
+        fn read(bits: &mut crate::codec::BitReader) -> CommResult<Self> {
+            bits.take(64).map(Counted)
+        }
+    }
+
+    /// One `write` per send on the threaded backend, and per first send
+    /// under the inline driver, whose replays keep the stored message.
+    #[test]
+    fn a_send_writes_its_stream_once() {
+        use crate::{run_spmd, run_spmd_seq, Communicator};
+        use std::sync::atomic::Ordering;
+        fn swap<C: Communicator>(comm: &C) -> u64 {
+            comm.send(1 - comm.rank(), 1, Counted(comm.rank() as u64));
+            comm.recv::<Counted>(1 - comm.rank(), 1).0
+        }
+        let threads = run_spmd(2, swap);
+        assert_eq!(threads.results, vec![1, 0]);
+        assert_eq!(threads.stats.total_messages(), 2);
+        assert_eq!(WRITES.swap(0, Ordering::Relaxed), 2, "threads");
+        let inline = run_spmd_seq(2, swap);
+        assert_eq!(inline.results, vec![1, 0]);
+        assert_eq!(inline.stats.total_messages(), 2);
+        assert_eq!(WRITES.swap(0, Ordering::Relaxed), 2, "inline driver");
     }
 
     #[test]

@@ -125,10 +125,6 @@ pub struct BnbNode {
 /// Four words: the fields' own encodings in declaration order (the bound
 /// as its IEEE-754 bit pattern — exact round-trip, NaNs included).
 impl WordCodec for BnbNode {
-    fn encoded_len(&self) -> usize {
-        4
-    }
-
     fn encode(&self, out: &mut Vec<u64>) {
         self.neg_bound.encode(out);
         self.level.encode(out);
@@ -291,7 +287,7 @@ pub fn knapsack_branch_bound_parallel<C: Communicator>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use commsim::{run_spmd, CommData};
+    use commsim::run_spmd;
 
     #[test]
     fn bnb_node_word_codec_round_trips_exactly() {
@@ -303,7 +299,7 @@ mod tests {
         };
         let mut words = Vec::new();
         node.encode(&mut words);
-        assert_eq!(words.len(), node.word_count());
+        assert_eq!(words.len(), 4);
         let mut r = WordReader::new(&words);
         let back = BnbNode::decode(&mut r).expect("decode");
         assert_eq!(back.neg_bound.0.to_bits(), node.neg_bound.0.to_bits());

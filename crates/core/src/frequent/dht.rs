@@ -450,7 +450,6 @@ mod tests {
         assert_eq!(counts.len(), pairs.len());
         assert_eq!(counts.is_empty(), pairs.is_empty());
         let words = wire(&counts);
-        assert_eq!(words.len(), counts.encoded_len(), "{pairs:?}");
         let mut r = WordReader::new(&words);
         let back = KeyCounts::decode(&mut r).expect("decode");
         assert_eq!(r.remaining(), 0, "decode must consume the whole encoding");

@@ -64,10 +64,7 @@ pub use frequent::{pec::pec_zipf_top_k, FrequentParams, TopKFrequentResult};
 pub use msselect::{multisequence_select, MsSelectResult};
 pub use multicriteria::{dta_top_k, rdta_top_k, LocalMulticriteria, MulticriteriaResult};
 pub use planner::{Algorithm, Plan, PlanAudit, PlanInputs};
-pub use recover::{
-    run_frequent_recoverable, select_k_smallest_recoverable, FrequentCheckpoint,
-    SelectionCheckpoint,
-};
+pub use recover::{run_frequent_recoverable, select_k_smallest_recoverable};
 pub use redistribute::{redistribute, RedistributionReport};
 pub use sum_agg::{sum_top_k, sum_top_k_exact, TopKSumResult};
 pub use unsorted::{select_k_smallest, select_threshold, UnsortedSelectionResult};

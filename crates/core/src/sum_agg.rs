@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::ops::Add;
 
-use commsim::Communicator;
+use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use seqkit::hashagg::sum_by_key;
@@ -146,24 +146,12 @@ pub fn sum_top_k_exact<C: Communicator>(
 
     // Exact sums of the candidates: a lookup in the local aggregate suffices
     // (the paper notes no second pass over the input is needed here).
-    let local_exact: Vec<u64> = candidates
+    let local_exact: Vec<f64> = candidates
         .iter()
-        .map(|key| local_agg.get(key).copied().unwrap_or(0.0).to_bits())
+        .map(|key| local_agg.get(key).copied().unwrap_or(0.0))
         .collect();
-    // Sum f64 values elementwise via a custom reduction on the bit patterns.
-    let global_exact = comm.allreduce(
-        local_exact,
-        commsim::ReduceOp::custom(|a: &Vec<u64>, b: &Vec<u64>| {
-            a.iter()
-                .zip(b.iter())
-                .map(|(&x, &y)| (f64::from_bits(x) + f64::from_bits(y)).to_bits())
-                .collect()
-        }),
-    );
-    let mut items: Vec<(u64, f64)> = candidates
-        .into_iter()
-        .zip(global_exact.into_iter().map(f64::from_bits))
-        .collect();
+    let global_exact = comm.allreduce(local_exact, ReduceOp::elementwise_sum());
+    let mut items: Vec<(u64, f64)> = candidates.into_iter().zip(global_exact).collect();
     items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
     items.truncate(params.k);
     TopKSumResult {

@@ -20,9 +20,7 @@ use topk_selection::commsim::{
 };
 use topk_selection::datagen::SkewedSelectionInput;
 use topk_selection::topk::planner::Algorithm;
-use topk_selection::topk::recover::{
-    run_frequent_recoverable, select_k_smallest_recoverable, SelectionCheckpoint,
-};
+use topk_selection::topk::recover::{run_frequent_recoverable, select_k_smallest_recoverable};
 use topk_selection::topk::{select_k_smallest, FrequentParams};
 
 const P: usize = 4;
@@ -79,7 +77,7 @@ fn wrapped_selection<C: Communicator>(comm: &C) -> (u64, u64) {
     let out =
         select_k_smallest_recoverable(comm, &local_data(comm.rank()), K, SEED, 1, CHECKPOINT_EVERY)
             .expect("fault-free");
-    (out.state.thresholds[0], out.audit.overhead_words)
+    (out.state[0], out.audit.overhead_words)
 }
 
 fn direct_selection<C: Communicator>(comm: &C) -> u64 {
@@ -118,7 +116,7 @@ fn wrapped_frequent<C: Communicator>(comm: &C) -> (Vec<Vec<(u64, u64)>>, u64) {
         CHECKPOINT_EVERY,
     )
     .expect("fault-free");
-    (out.state.published, out.audit.overhead_words)
+    (out.state, out.audit.overhead_words)
 }
 
 fn direct_frequent<C: Communicator>(comm: &C) -> Vec<Vec<(u64, u64)>> {
@@ -147,7 +145,7 @@ fn fault_free_recoverable_frequent_meters_the_direct_loop_plus_its_overhead() {
 // 2. Crash-stop survival (the fig6 chaos path, pinned as a test).
 // ---------------------------------------------------------------------------
 
-fn chaos_body<C: Communicator>(comm: &C, phases: usize) -> RecoveryOutcome<SelectionCheckpoint> {
+fn chaos_body<C: Communicator>(comm: &C, phases: usize) -> RecoveryOutcome<Vec<u64>> {
     select_k_smallest_recoverable(comm, &local_data(comm.rank()), K, SEED, phases, 2)
         .expect("membership protocol violation")
 }
@@ -155,11 +153,7 @@ fn chaos_body<C: Communicator>(comm: &C, phases: usize) -> RecoveryOutcome<Selec
 /// Shared assertions over a one-crash chaos run: the victim is gone, every
 /// survivor finished all phases, and the final threshold matches the
 /// brute-force oracle over the surviving data.
-fn assert_survivors_correct(
-    name: &str,
-    out: &[Option<RecoveryOutcome<SelectionCheckpoint>>],
-    phases: usize,
-) {
+fn assert_survivors_correct(name: &str, out: &[Option<RecoveryOutcome<Vec<u64>>>], phases: usize) {
     let victims: Vec<usize> = (0..P).filter(|&r| out[r].is_none()).collect();
     assert_eq!(victims.len(), 1, "{name}: exactly one injected crash");
     let survivor = out[0].as_ref().expect("rank 0 is never a candidate");
@@ -178,12 +172,12 @@ fn assert_survivors_correct(
         let res = out[r].as_ref().expect("live PE completed");
         assert!(!res.evicted, "{name}: no live PE evicted");
         assert_eq!(
-            res.state.thresholds.len(),
+            res.state.len(),
             phases,
             "{name} PE {r}: all phases completed"
         );
         assert_eq!(
-            *res.state.thresholds.last().expect("phases > 0"),
+            *res.state.last().expect("phases > 0"),
             expected,
             "{name} PE {r}: final threshold matches the oracle over survivors"
         );

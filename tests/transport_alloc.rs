@@ -28,11 +28,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use topk_selection::commsim::codec::{WordCodec, WordReader, MAX_DECODE_LEN};
-use topk_selection::commsim::recovery::Checkpoint;
 use topk_selection::commsim::transport::Mailbox;
 use topk_selection::commsim::CommResult;
 use topk_selection::topk::frequent::dht::KeyCounts;
-use topk_selection::topk::{FrequentCheckpoint, SelectionCheckpoint};
 
 /// Forwards to the system allocator, counting every `alloc` call and the
 /// bytes it requests — **per thread**: the harness runs this file's tests
@@ -285,25 +283,12 @@ fn decoders_reserve_no_more_than_their_remaining_words_can_carry() {
         codec_reserves_at_most(counts, per_word, table);
     }
 
-    // The checkpoint codecs: the selection log is one word per threshold;
-    // the frequent log is a `Vec<Vec<(u64, u64)>>`.
-    let selection = SelectionCheckpoint {
-        thresholds: nums.clone(),
-    };
-    reserves_at_most("SelectionCheckpoint", &selection.save(), 8, 0, |words| {
-        SelectionCheckpoint::restore(words)
-    });
-    let frequent = FrequentCheckpoint {
-        published: nums
-            .chunks(4)
-            .map(|c| c.iter().map(|&k| (k, k / 3)).collect())
-            .collect(),
-    };
-    reserves_at_most(
-        "FrequentCheckpoint",
-        &frequent.save(),
-        size_of::<Vec<(u64, u64)>>(),
-        0,
-        FrequentCheckpoint::restore,
-    );
+    // The recoverable façades' checkpointed states: a selection run's
+    // thresholds are a `Vec<u64>`, pinned above as `nums`; a frequent run's
+    // published lists are a `Vec<Vec<(u64, u64)>>`.
+    let published: Vec<Vec<(u64, u64)>> = nums
+        .chunks(4)
+        .map(|c| c.iter().map(|&k| (k, k / 3)).collect())
+        .collect();
+    codec_reserves_at_most(published, size_of::<Vec<(u64, u64)>>(), 0);
 }
