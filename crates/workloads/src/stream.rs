@@ -577,13 +577,10 @@ impl StreamService {
         let base = |pushed: &HashMap<Rank, usize>, buddy: Rank| {
             pushed.get(&buddy).copied().unwrap_or(0).min(vocab_len)
         };
+        // The batch, the buddy's vocabulary base and the aggregate counts.
         let metas = ring_push(group, copies, REPLICA_META_TAG, |successor| {
-            let mut meta: Vec<u64> = Vec::with_capacity(3 + 2 * self.shard.len());
-            meta.push(t as u64);
-            meta.push(base(&self.replica_pushed, live[successor]) as u64);
-            meta.push(self.shard.len() as u64);
-            meta.extend(self.shard.iter().flat_map(|&(id, count)| [id, count]));
-            meta
+            let from = base(&self.replica_pushed, live[successor]);
+            (t as u64, from as u64, self.shard.clone())
         });
         let deltas = ring_push(group, copies, REPLICA_VOCAB_TAG, |successor| {
             let buddy = live[successor];
@@ -591,13 +588,9 @@ impl StreamService {
             self.replica_pushed.insert(buddy, vocab_len);
             self.vocab.words()[from..].to_vec()
         });
-        for ((predecessor, meta), (_, delta)) in metas.into_iter().zip(deltas) {
+        for ((predecessor, (epoch, base, counts)), (_, delta)) in metas.into_iter().zip(deltas) {
             let owner = live[predecessor];
-            let epoch = meta[0] as usize;
-            let base = meta[1] as usize;
-            let n = meta[2] as usize;
-            let counts: Vec<(u64, u64)> =
-                (0..n).map(|i| (meta[3 + 2 * i], meta[4 + 2 * i])).collect();
+            let (epoch, base) = (epoch as usize, base as usize);
             let shard = self.replicas.entry(owner).or_insert_with(|| ReplicaShard {
                 owner,
                 epoch,

@@ -823,46 +823,48 @@ type ReplicaRow = (usize, usize, usize, usize, u64, u64);
 /// Recorded when the failure-tolerant mode ran its own copy of the batch
 /// cycle and of the ring-successor push; the traffic fields re-recorded when
 /// the refresh's top-k became a merge, and when `KeyCounts` became one bit
-/// stream; the send totals when a batch stopped reducing its own meter.
+/// stream; the send totals when a batch stopped reducing its own meter; the
+/// refresh batches' words when a replica's counts crossed as a typed tuple
+/// instead of a hand-packed `Vec<u64>` (one length word less per push).
 const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
     [
-        (169, true, 0, 1187, 14, 1187, 4, 794, 14),
+        (169, true, 0, 1185, 14, 1185, 4, 792, 14),
         (96, false, 480, 182, 5, 184, 4, 0, 19),
-        (54, true, 0, 827, 14, 849, 4, 722, 33),
+        (54, true, 0, 825, 14, 847, 4, 720, 33),
         (51, false, 480, 99, 5, 117, 4, 0, 38),
-        (30, true, 0, 474, 14, 508, 4, 412, 52),
+        (30, true, 0, 472, 14, 506, 4, 410, 52),
         (34, false, 480, 63, 5, 74, 4, 0, 57),
-        (24, true, 0, 422, 14, 422, 4, 348, 71),
+        (24, true, 0, 420, 14, 420, 4, 346, 71),
         (18, false, 480, 49, 5, 49, 4, 0, 76),
     ],
     [
-        (169, true, 0, 1183, 12, 1187, 4, 794, 12),
+        (169, true, 0, 1181, 12, 1185, 4, 792, 12),
         (96, false, 480, 178, 3, 184, 4, 0, 15),
-        (54, true, 0, 829, 12, 849, 4, 722, 27),
+        (54, true, 0, 827, 12, 847, 4, 720, 27),
         (51, false, 480, 117, 3, 117, 4, 0, 30),
-        (30, true, 0, 448, 12, 508, 4, 412, 42),
+        (30, true, 0, 446, 12, 506, 4, 410, 42),
         (34, false, 480, 52, 3, 74, 4, 0, 45),
-        (24, true, 0, 407, 12, 422, 4, 348, 57),
+        (24, true, 0, 405, 12, 420, 4, 346, 57),
         (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1155, 12, 1187, 4, 794, 12),
+        (169, true, 0, 1153, 12, 1185, 4, 792, 12),
         (96, false, 480, 182, 3, 184, 4, 0, 15),
-        (54, true, 0, 820, 12, 849, 4, 722, 27),
+        (54, true, 0, 818, 12, 847, 4, 720, 27),
         (51, false, 480, 89, 3, 117, 4, 0, 30),
-        (30, true, 0, 480, 12, 508, 4, 412, 42),
+        (30, true, 0, 478, 12, 506, 4, 410, 42),
         (34, false, 480, 68, 3, 74, 4, 0, 45),
-        (24, true, 0, 381, 12, 422, 4, 348, 57),
+        (24, true, 0, 379, 12, 420, 4, 346, 57),
         (18, false, 480, 25, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1161, 12, 1187, 4, 794, 12),
+        (169, true, 0, 1159, 12, 1185, 4, 792, 12),
         (96, false, 480, 180, 3, 184, 4, 0, 15),
-        (54, true, 0, 846, 12, 849, 4, 722, 27),
+        (54, true, 0, 844, 12, 847, 4, 720, 27),
         (51, false, 480, 99, 3, 117, 4, 0, 30),
-        (30, true, 0, 508, 12, 508, 4, 412, 42),
+        (30, true, 0, 506, 12, 506, 4, 410, 42),
         (34, false, 480, 74, 3, 74, 4, 0, 45),
-        (24, true, 0, 391, 12, 422, 4, 348, 57),
+        (24, true, 0, 389, 12, 420, 4, 346, 57),
         (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
 ];
@@ -895,9 +897,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         0,
         [
-            (19, true, 0, 1099, 13, 1099, 3, 1050, 51),
+            (19, true, 0, 1097, 13, 1097, 3, 1048, 51),
             (24, false, 360, 38, 4, 50, 3, 0, 55),
-            (18, true, 0, 352, 12, 352, 3, 284, 67),
+            (18, true, 0, 350, 12, 350, 3, 282, 67),
             (19, false, 360, 44, 4, 44, 3, 0, 71),
         ],
         &[
@@ -909,9 +911,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         1,
         [
-            (19, true, 0, 1050, 11, 1099, 3, 1050, 41),
+            (19, true, 0, 1048, 11, 1097, 3, 1048, 41),
             (24, false, 360, 36, 3, 50, 3, 0, 44),
-            (18, true, 0, 323, 11, 352, 3, 284, 55),
+            (18, true, 0, 321, 11, 350, 3, 282, 55),
             (19, false, 360, 26, 3, 44, 3, 0, 58),
         ],
         &[
@@ -922,9 +924,9 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         3,
         [
-            (19, true, 0, 452, 11, 1099, 3, 1050, 41),
+            (19, true, 0, 450, 11, 1097, 3, 1048, 41),
             (24, false, 360, 50, 3, 50, 3, 0, 44),
-            (18, true, 0, 297, 11, 352, 3, 284, 55),
+            (18, true, 0, 295, 11, 350, 3, 282, 55),
             (19, false, 360, 38, 3, 44, 3, 0, 58),
         ],
         &[
@@ -944,8 +946,8 @@ fn ft_golden_report() -> StreamReport {
         vocab_size: 476,
         p95_staleness_items: 480,
         max_staleness_items: 480,
-        total_bottleneck_words: 3390,
-        words_per_item: 0.8828125,
+        total_bottleneck_words: 3382,
+        words_per_item: 0.8807291666666667,
         degraded: false,
         coverage: 1.0,
         routed_queries: 52,
@@ -954,7 +956,7 @@ fn ft_golden_report() -> StreamReport {
         p50_query_latency: 0.0,
         p95_query_latency: 3.01e-6,
         p99_query_latency: 3.01e-6,
-        total_replication_words: 2276,
+        total_replication_words: 2268,
     }
 }
 
@@ -964,11 +966,11 @@ fn ft_golden_crash_report() -> StreamReport {
     StreamReport {
         items_global: 3360,
         vocab_size: 450,
-        total_bottleneck_words: 3882,
-        words_per_item: 1.1553571428571427,
+        total_bottleneck_words: 3874,
+        words_per_item: 1.1529761904761904,
         degraded: true,
         coverage: 0.75,
-        total_replication_words: 2850,
+        total_replication_words: 2842,
         ..ft_golden_report()
     }
 }
