@@ -42,7 +42,7 @@ use topk_selection::topk::util::SortedBlock;
 /// invariants: equality after decode, and full consumption of the encoding.
 fn codec_roundtrip<T>(value: T) -> Result<(), TestCaseError>
 where
-    T: WordCodec + CommData + PartialEq + std::fmt::Debug,
+    T: WordCodec + PartialEq + std::fmt::Debug,
 {
     let mut wire = Vec::new();
     value.encode(&mut wire);
