@@ -1,8 +1,11 @@
 //! Distributed hash table for sample counting (paper §7.1).
 //!
 //! Sampled objects are counted by hashing: a local count with key `x` is sent
-//! to PE `h(x)`, where `h` behaves like a random function, so the counting
-//! load spreads evenly over the PEs.  The paper routes these messages with
+//! to its owner PE [`owner_of`]`(x, p)`, a hash that behaves like a random
+//! function, so the counting load spreads evenly over the PEs.  The owner is
+//! a rotation of `x mod p` by a hash of `x div p`, so it is a bijection on
+//! each quotient, and a share names its keys by their quotients alone (the
+//! wire form below).  The paper routes these messages with
 //! *indirect delivery* to keep the latency at `O(log p)` start-ups per PE;
 //! this module does three things: local aggregation before sending (the
 //! caller hands in a `key → count` map), a routed all-to-all of one
@@ -56,6 +59,18 @@
 //! imply, a bit length above 64, a count beyond `u64` and non-zero padding
 //! are decode errors.
 //!
+//! A share of the hash table codes its keys' *quotients* `x div p` in place
+//! of the keys.  It only ever goes to the keys' owner, and [`owner_of`] maps
+//! the `p` keys of one quotient to `p` distinct PEs, so the owner rebuilds
+//! each key from its quotient and its own rank ([`key_of`]).  The quotients
+//! of a share span `1/p` of the keys' range while the share holds as many
+//! keys, so its Rice parameter drops by `log₂ p` and every gap costs about
+//! `log₂ p` bits less: the receiver's knowledge that it owns every key is
+//! not paid for again on the wire.  This holds on both routes, because the
+//! hypercube forwards each payload unchanged to its one destination.  Naive
+//! shipments and the merge's lists go to a PE that owns nothing in
+//! particular, so they carry the keys.
+//!
 //! A share of the hash table, and a Naive shipment, is a `Share`: the same
 //! form with the size of the origin PE's sample, its *tally*, in the high
 //! half of the first word, which the run count leaves empty.  A tally of
@@ -88,7 +103,7 @@ use std::collections::{BTreeMap, HashMap};
 use commsim::codec::{self, decode_error, BitCodec, BitReader, BitSink, MAX_RICE};
 use commsim::{CommResult, Communicator};
 
-use crate::util::owner_of;
+use crate::util::{key_of, owner_of};
 
 /// Largest PE count at which the table delivers directly: at `p ≤ 8` the
 /// start-up gap (`p − 1` vs `⌈log₂ p⌉`) is at most 4 messages, while
@@ -287,7 +302,9 @@ impl BitCodec for KeyCounts {
 }
 
 /// One origin PE's aggregated sample for one receiver: the hash table's
-/// shares and the Naive baselines' shipments.  Beside its keys it carries
+/// shares, whose keys are the quotients `key / p` of the receiver's keys,
+/// and the Naive baselines' shipments, whose keys are the keys.  Beside its
+/// keys it carries
 /// the origin's *tally*, the size of the sample they were counted from, so
 /// every receiver learns the global sample size without a collective of its
 /// own.  On the wire the tally sits in the high half of the [`KeyCounts`]'
@@ -345,7 +362,8 @@ impl BitCodec for Share {
 
 /// Route locally aggregated `key → count` pairs to their owner PEs and return
 /// this PE's share of the global counts, delivered directly up to 8 PEs and
-/// over the hypercube beyond (the [module docs](self)).
+/// over the hypercube beyond, each share coding its keys' quotients (the
+/// [module docs](self)).
 ///
 /// Every key appears in the result of exactly one PE, with the global sum of
 /// all PEs' local counts for it.  This is `aggregate_sample` of an
@@ -380,7 +398,8 @@ fn route<C: Communicator>(
     direct: bool,
 ) -> (HashMap<u64, u64>, u64) {
     let p = comm.size();
-    // Partition the local aggregate by owner.
+    // Partition the local aggregate by owner; a share carries its keys'
+    // quotients, which its owner turns back into keys.
     let mut per_dest = vec![
         Share {
             tally,
@@ -389,7 +408,9 @@ fn route<C: Communicator>(
         p
     ];
     for (key, count) in local_counts {
-        per_dest[owner_of(key, p)].counts.push(key, count);
+        per_dest[owner_of(key, p)]
+            .counts
+            .push(key / p as u64, count);
     }
     for share in &mut per_dest {
         share.counts.sort_runs();
@@ -405,7 +426,8 @@ fn route<C: Communicator>(
     let mut owned: HashMap<u64, u64> =
         HashMap::with_capacity(received.iter().map(|share| share.counts.len()).sum());
     for share in &received {
-        for (key, count) in share.counts.iter() {
+        for (quotient, count) in share.counts.iter() {
+            let key = key_of(quotient, comm.rank(), p);
             debug_assert_eq!(
                 owner_of(key, p),
                 comm.rank(),
@@ -831,7 +853,7 @@ mod tests {
     /// The wire form changes what a share costs, not who owns what: on both
     /// sides of the routing rule every PE ends up with the sequential
     /// oracle's map, and under direct delivery a PE sends each other PE
-    /// exactly the `encoded_len` of its keys for that owner.
+    /// exactly the `encoded_len` of its keys' quotients for that owner.
     #[test]
     fn owned_maps_match_the_oracle_and_a_direct_share_costs_its_encoded_len() {
         for p in [2usize, 5, 8, 16] {
@@ -847,7 +869,7 @@ mod tests {
                 let share: KeyCounts = locals[src]
                     .iter()
                     .filter(|(&key, _)| owner_of(key, p) == dst)
-                    .map(|(&key, &count)| (key, count))
+                    .map(|(&key, &count)| (key / p as u64, count))
                     .collect();
                 share.encoded_len() as u64
             };

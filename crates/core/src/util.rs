@@ -82,10 +82,54 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Owner PE of a key in a distributed hash table over `p` PEs.
+/// Owner PE of a key in a distributed hash table over `p` PEs:
+/// `(key mod p + h(key div p)) mod p` with `h` = [`splitmix64`].
+///
+/// For a fixed quotient `q = key div p` the map from `key mod p` to the owner
+/// is a rotation, a bijection on `0..p`: the `p` keys of one quotient go to
+/// `p` distinct PEs, and an owner that knows a key's quotient knows the key
+/// ([`key_of`]).  So a share of the hash table codes quotients, `log₂ p` bits
+/// a key less than the keys (the [`dht`](crate::frequent::dht) wire form).
+///
+/// Balance, the balls-into-bins argument of §7.1: distinct quotients are
+/// hashed, so their rotations behave like independent random offsets.  Dense
+/// ids spread exactly evenly over each full quotient, and keys that agree
+/// mod `p` (every key ≡ c, a stride of `p`) have distinct quotients, so they
+/// land on the PEs the hash picks, as under a plain hash of the key.
 #[inline]
 pub fn owner_of(key: u64, p: usize) -> usize {
-    (splitmix64(key) % p as u64) as usize
+    let p = p as u64;
+    add_mod(key % p, splitmix64(key / p) % p, p) as usize
+}
+
+/// The key of quotient `quotient` that PE `owner` owns among `p` PEs: the
+/// inverse of [`owner_of`], `quotient·p + ((owner − h(quotient)) mod p)`, so
+/// `key_of(key / p, owner_of(key, p), p) == key` for every `key`.
+///
+/// # Panics
+///
+/// If no `u64` key of that quotient has that owner, which only happens for
+/// a quotient above every key's (`u64::MAX / p` and its last residues): a
+/// share only carries quotients of keys its owner owns.
+#[inline]
+pub fn key_of(quotient: u64, owner: usize, p: usize) -> u64 {
+    let (p, owner) = (p as u64, owner as u64);
+    debug_assert!(owner < p, "owner {owner} of {p} PEs");
+    let residue = add_mod(owner, p - splitmix64(quotient) % p, p);
+    quotient
+        .checked_mul(p)
+        .and_then(|base| base.checked_add(residue))
+        .expect("a share carries only quotients of keys its owner owns")
+}
+
+/// `(a + b) mod p` for `a < p` and `b ≤ p`, without the overflow of `a + b`.
+#[inline]
+fn add_mod(a: u64, b: u64, p: u64) -> u64 {
+    if a >= p - b {
+        a - (p - b)
+    } else {
+        a + b
+    }
 }
 
 /// Component-wise all-reduction of a pair in one message: `op_a` combines
@@ -610,6 +654,64 @@ pub(crate) mod tests {
             min > 800 && max < 1200,
             "owner distribution too skewed: {counts:?}"
         );
+    }
+
+    /// `key_of` inverts `owner_of` on random keys, on both ends of the range
+    /// and on multiples of `p`, and one quotient's `p` keys have `p` distinct
+    /// owners.
+    #[test]
+    fn key_of_inverts_owner_of_for_every_quotient() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x0E4E);
+        for p in [1usize, 2, 3, 5, 8, 16, 64, 1000] {
+            let pu = p as u64;
+            let top = u64::MAX / pu * pu;
+            let mut keys = vec![0, 1, pu - 1, pu, u64::MAX, u64::MAX - 1, top, top - pu];
+            keys.extend((0..2000).map(|_| rng.gen::<u64>()));
+            keys.extend((0..500).map(|_| rng.gen_range(0..u64::MAX / pu) * pu));
+            for key in keys {
+                let owner = owner_of(key, p);
+                assert!(owner < p, "p={p} key={key}");
+                assert_eq!(key_of(key / pu, owner, p), key, "p={p} key={key}");
+            }
+            for quotient in [0, 1, rng.gen_range(0..u64::MAX / pu)] {
+                let mut owners: Vec<usize> =
+                    (0..pu).map(|r| owner_of(quotient * pu + r, p)).collect();
+                owners.sort_unstable();
+                assert_eq!(owners, (0..p).collect::<Vec<_>>(), "p={p} q={quotient}");
+            }
+        }
+    }
+
+    /// §7.1's balance: `n = 2¹⁶` dense ids, and `n` keys that are all ≡ 0 and
+    /// all ≡ `p − 1` (mod `p`), put within six standard deviations of the
+    /// binomial `B(n, 1/p)` of `n/p` keys on every PE.  Dense ids spread
+    /// exactly: one key of each full quotient per PE.
+    #[test]
+    fn owners_stay_within_a_binomial_bound_of_n_over_p() {
+        let n = 1u64 << 16;
+        for p in [2usize, 3, 5, 8, 16, 64, 1000] {
+            let pu = p as u64;
+            let mean = n as f64 / p as f64;
+            let bound = 6.0 * (mean * (1.0 - 1.0 / p as f64)).sqrt();
+            let load = |keys: &mut dyn Iterator<Item = u64>| {
+                let mut counts = vec![0u64; p];
+                keys.for_each(|key| counts[owner_of(key, p)] += 1);
+                counts
+            };
+            let dense = load(&mut (0..n));
+            assert!(dense.iter().all(|&c| c.abs_diff(n / pu) <= 1), "p={p}");
+            for residue in [0, pu - 1] {
+                let strided = load(&mut (0..n).map(|i| i * pu + residue));
+                for count in strided {
+                    assert!(
+                        (count as f64 - mean).abs() <= bound,
+                        "p={p} residue={residue}: {count} keys, n/p = {mean:.1} ± {bound:.1}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

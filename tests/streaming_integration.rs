@@ -253,38 +253,39 @@ const GOLDEN_BATCHES: usize = 14;
 /// merge message (p = 2: one round).  The snapshots
 /// were recorded when the refresh still ran the §4.1 selection and a
 /// winners' all-gather; the merge publishes the same ones.  The traffic was
-/// re-recorded when `KeyCounts` became one bit stream.
+/// re-recorded when `KeyCounts` became one bit stream, and when a share
+/// began to carry its keys' quotients (`key / p`) instead of the keys.
 const GOLDEN_TRAFFIC: [[(u64, u64, u64); GOLDEN_BATCHES]; 2] = [
     [
-        (537, 3, 579),
+        (535, 3, 578),
         (157, 1, 157),
         (54, 1, 72),
         (24, 1, 26),
-        (33, 3, 33),
+        (32, 3, 32),
         (26, 1, 26),
         (2, 1, 6),
         (2, 1, 5),
-        (17, 3, 17),
+        (16, 3, 16),
         (2, 1, 6),
         (2, 1, 4),
         (2, 1, 4),
-        (16, 3, 17),
+        (16, 3, 16),
         (4, 1, 4),
     ],
     [
-        (579, 3, 579),
+        (578, 3, 578),
         (121, 1, 157),
         (72, 1, 72),
         (26, 1, 26),
-        (24, 3, 33),
+        (25, 3, 32),
         (14, 1, 26),
         (6, 1, 6),
         (5, 1, 5),
-        (15, 3, 17),
+        (15, 3, 16),
         (6, 1, 6),
         (4, 1, 4),
         (4, 1, 4),
-        (17, 3, 17),
+        (15, 3, 16),
         (2, 1, 4),
     ],
 ];
@@ -826,45 +827,48 @@ type ReplicaRow = (usize, usize, usize, usize, u64, u64);
 /// stream; the send totals when a batch stopped reducing its own meter; the
 /// refresh batches' words when a replica's counts crossed as a typed tuple
 /// instead of a hand-packed `Vec<u64>` (one length word less per push).
+/// The traffic fields and the replicas re-recorded when the hash table's
+/// owner became a bijection on each quotient and a share began to carry
+/// its keys' quotients: the shards a PE owns, and so its replicas, moved.
 const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
     [
-        (169, true, 0, 1185, 14, 1185, 4, 792, 14),
+        (169, true, 0, 1163, 14, 1205, 4, 788, 14),
         (96, false, 480, 182, 5, 184, 4, 0, 19),
-        (54, true, 0, 825, 14, 847, 4, 720, 33),
+        (54, true, 0, 817, 14, 842, 4, 708, 33),
         (51, false, 480, 99, 5, 117, 4, 0, 38),
-        (30, true, 0, 472, 14, 506, 4, 410, 52),
+        (30, true, 0, 475, 14, 494, 4, 414, 52),
         (34, false, 480, 63, 5, 74, 4, 0, 57),
-        (24, true, 0, 420, 14, 420, 4, 346, 71),
+        (24, true, 0, 409, 14, 409, 4, 342, 71),
         (18, false, 480, 49, 5, 49, 4, 0, 76),
     ],
     [
-        (169, true, 0, 1181, 12, 1185, 4, 792, 12),
+        (169, true, 0, 1205, 12, 1205, 4, 788, 12),
         (96, false, 480, 178, 3, 184, 4, 0, 15),
-        (54, true, 0, 827, 12, 847, 4, 720, 27),
+        (54, true, 0, 842, 12, 842, 4, 708, 27),
         (51, false, 480, 117, 3, 117, 4, 0, 30),
-        (30, true, 0, 446, 12, 506, 4, 410, 42),
+        (30, true, 0, 461, 12, 494, 4, 414, 42),
         (34, false, 480, 52, 3, 74, 4, 0, 45),
-        (24, true, 0, 405, 12, 420, 4, 346, 57),
+        (24, true, 0, 400, 12, 409, 4, 342, 57),
         (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1153, 12, 1185, 4, 792, 12),
+        (169, true, 0, 1166, 12, 1205, 4, 788, 12),
         (96, false, 480, 182, 3, 184, 4, 0, 15),
-        (54, true, 0, 818, 12, 847, 4, 720, 27),
+        (54, true, 0, 827, 12, 842, 4, 708, 27),
         (51, false, 480, 89, 3, 117, 4, 0, 30),
-        (30, true, 0, 478, 12, 506, 4, 410, 42),
+        (30, true, 0, 470, 12, 494, 4, 414, 42),
         (34, false, 480, 68, 3, 74, 4, 0, 45),
-        (24, true, 0, 379, 12, 420, 4, 346, 57),
+        (24, true, 0, 390, 12, 409, 4, 342, 57),
         (18, false, 480, 25, 3, 49, 4, 0, 60),
     ],
     [
-        (169, true, 0, 1159, 12, 1185, 4, 792, 12),
+        (169, true, 0, 1143, 12, 1205, 4, 788, 12),
         (96, false, 480, 180, 3, 184, 4, 0, 15),
-        (54, true, 0, 844, 12, 847, 4, 720, 27),
+        (54, true, 0, 828, 12, 842, 4, 708, 27),
         (51, false, 480, 99, 3, 117, 4, 0, 30),
-        (30, true, 0, 506, 12, 506, 4, 410, 42),
+        (30, true, 0, 494, 12, 494, 4, 414, 42),
         (34, false, 480, 74, 3, 74, 4, 0, 45),
-        (24, true, 0, 389, 12, 420, 4, 346, 57),
+        (24, true, 0, 388, 12, 409, 4, 342, 57),
         (18, false, 480, 39, 3, 49, 4, 0, 60),
     ],
 ];
@@ -873,20 +877,20 @@ const FT_GOLDEN: [[BatchRow; FT_GOLDEN_BATCHES]; 4] = [
 /// predecessors').
 const FT_GOLDEN_REPLICAS: [&[ReplicaRow]; 4] = [
     &[
-        (2, 6, 17, 458, 0x7a0923c781c63f7c, 0x8afab9c0f1e3a686),
-        (3, 6, 24, 458, 0x9c8abf84284f4449, 0x8afab9c0f1e3a686),
+        (2, 6, 20, 458, 0xdd2d02a2987e0334, 0x8afab9c0f1e3a686),
+        (3, 6, 24, 458, 0xf72fea5c5290bda9, 0x8afab9c0f1e3a686),
     ],
     &[
-        (0, 6, 25, 458, 0x994f8c29c231439c, 0x8afab9c0f1e3a686),
-        (3, 6, 24, 458, 0x9c8abf84284f4449, 0x8afab9c0f1e3a686),
+        (0, 6, 23, 458, 0xd966623b75898684, 0x8afab9c0f1e3a686),
+        (3, 6, 24, 458, 0xf72fea5c5290bda9, 0x8afab9c0f1e3a686),
     ],
     &[
-        (0, 6, 25, 458, 0x994f8c29c231439c, 0x8afab9c0f1e3a686),
-        (1, 6, 23, 458, 0x278af23f8bf23467, 0x8afab9c0f1e3a686),
+        (0, 6, 23, 458, 0xd966623b75898684, 0x8afab9c0f1e3a686),
+        (1, 6, 22, 458, 0x53c85e8490641b0b, 0x8afab9c0f1e3a686),
     ],
     &[
-        (1, 6, 23, 458, 0x278af23f8bf23467, 0x8afab9c0f1e3a686),
-        (2, 6, 17, 458, 0x7a0923c781c63f7c, 0x8afab9c0f1e3a686),
+        (1, 6, 22, 458, 0x53c85e8490641b0b, 0x8afab9c0f1e3a686),
+        (2, 6, 20, 458, 0xdd2d02a2987e0334, 0x8afab9c0f1e3a686),
     ],
 ];
 
@@ -897,42 +901,42 @@ const FT_GOLDEN_SURVIVORS: [(usize, [BatchRow; 4], &[ReplicaRow]); 3] = [
     (
         0,
         [
-            (19, true, 0, 1097, 13, 1097, 3, 1048, 51),
+            (19, true, 0, 1082, 13, 1091, 3, 1044, 51),
             (24, false, 360, 38, 4, 50, 3, 0, 55),
-            (18, true, 0, 350, 12, 350, 3, 282, 67),
+            (18, true, 0, 345, 12, 345, 3, 286, 67),
             (19, false, 360, 44, 4, 44, 3, 0, 71),
         ],
         &[
-            (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
-            (2, 2, 15, 319, 0x4d042f3afabfa6f8, 0x4a4d11b9c71ca67b),
-            (3, 6, 21, 431, 0x9af375f93c2508c5, 0xcf500503c6e609a9),
+            (1, 6, 20, 431, 0x8b3e69ac457d5ef7, 0xcf500503c6e609a9),
+            (2, 2, 17, 319, 0x3f8f4b418c15b183, 0x4a4d11b9c71ca67b),
+            (3, 6, 26, 431, 0xa0310598fa809ada, 0xcf500503c6e609a9),
         ],
     ),
     (
         1,
         [
-            (19, true, 0, 1048, 11, 1097, 3, 1048, 41),
+            (19, true, 0, 1076, 11, 1091, 3, 1044, 41),
             (24, false, 360, 36, 3, 50, 3, 0, 44),
-            (18, true, 0, 321, 11, 350, 3, 282, 55),
+            (18, true, 0, 306, 11, 345, 3, 286, 55),
             (19, false, 360, 26, 3, 44, 3, 0, 58),
         ],
         &[
-            (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
-            (3, 6, 21, 431, 0x9af375f93c2508c5, 0xcf500503c6e609a9),
+            (0, 6, 24, 431, 0xbe35fccf4b5117f3, 0xcf500503c6e609a9),
+            (3, 6, 26, 431, 0xa0310598fa809ada, 0xcf500503c6e609a9),
         ],
     ),
     (
         3,
         [
-            (19, true, 0, 450, 11, 1097, 3, 1048, 41),
+            (19, true, 0, 438, 11, 1091, 3, 1044, 41),
             (24, false, 360, 50, 3, 50, 3, 0, 44),
-            (18, true, 0, 295, 11, 350, 3, 282, 55),
+            (18, true, 0, 315, 11, 345, 3, 286, 55),
             (19, false, 360, 38, 3, 44, 3, 0, 58),
         ],
         &[
-            (0, 6, 25, 431, 0x22ce21e8b547e339, 0xcf500503c6e609a9),
-            (1, 6, 24, 431, 0x362b2fc0ae2f4462, 0xcf500503c6e609a9),
-            (2, 2, 15, 319, 0x4d042f3afabfa6f8, 0x4a4d11b9c71ca67b),
+            (0, 6, 24, 431, 0xbe35fccf4b5117f3, 0xcf500503c6e609a9),
+            (1, 6, 20, 431, 0x8b3e69ac457d5ef7, 0xcf500503c6e609a9),
+            (2, 2, 17, 319, 0x3f8f4b418c15b183, 0x4a4d11b9c71ca67b),
         ],
     ),
 ];
@@ -946,8 +950,8 @@ fn ft_golden_report() -> StreamReport {
         vocab_size: 476,
         p95_staleness_items: 480,
         max_staleness_items: 480,
-        total_bottleneck_words: 3382,
-        words_per_item: 0.8807291666666667,
+        total_bottleneck_words: 3374,
+        words_per_item: 0.8786458333333333,
         degraded: false,
         coverage: 1.0,
         routed_queries: 52,
@@ -956,7 +960,7 @@ fn ft_golden_report() -> StreamReport {
         p50_query_latency: 0.0,
         p95_query_latency: 3.01e-6,
         p99_query_latency: 3.01e-6,
-        total_replication_words: 2268,
+        total_replication_words: 2252,
     }
 }
 
@@ -966,11 +970,11 @@ fn ft_golden_crash_report() -> StreamReport {
     StreamReport {
         items_global: 3360,
         vocab_size: 450,
-        total_bottleneck_words: 3874,
-        words_per_item: 1.1529761904761904,
+        total_bottleneck_words: 3878,
+        words_per_item: 1.1541666666666666,
         degraded: true,
         coverage: 0.75,
-        total_replication_words: 2842,
+        total_replication_words: 2826,
         ..ft_golden_report()
     }
 }
