@@ -136,9 +136,14 @@ impl std::fmt::Debug for Envelope {
 }
 
 impl Envelope {
-    /// Wrap a payload without a buffer pool (tests and one-off sends).
+    /// Wrap a payload without a buffer pool: tests, one-off sends and every
+    /// send of the replay engine, whose store keeps each message for the
+    /// rest of the region.  The buffer is shrunk to its words, so a kept
+    /// message holds none of the spare capacity the encode's growth left.
     pub fn new<T: CommData>(tag: Tag, from: Rank, value: T) -> Self {
-        Self::encode(tag, from, value, None).0
+        let mut env = Self::encode(tag, from, value, None).0;
+        env.buf.shrink_to_fit();
+        env
     }
 
     /// Wrap a payload, drawing the buffer from `pool` when one is supplied.
@@ -514,6 +519,19 @@ mod tests {
         assert_eq!(tag, 7);
         assert_eq!(words, 4);
         assert_eq!(v, vec![1, 2, 3]);
+    }
+
+    /// An un-pooled envelope, the replay store's, keeps exactly its words:
+    /// the encode's doubling leaves no capacity behind.
+    #[test]
+    fn an_unpooled_envelope_holds_exactly_its_words() {
+        for len in [0usize, 1, 2, 3, 5, 100, 1000, 4097] {
+            let env = Envelope::new(1, 0, vec![7u64; len]);
+            assert_eq!(env.words(), len + 1);
+            assert_eq!(env.buf.capacity(), env.words(), "len {len}");
+        }
+        let env = Envelope::new(1, 0, 42u64);
+        assert_eq!(env.buf.capacity(), env.words());
     }
 
     #[test]
