@@ -302,14 +302,13 @@ impl BitCodec for KeyCounts {
 }
 
 /// One origin PE's aggregated sample for one receiver: the hash table's
-/// shares, whose keys are the quotients `key / p` of the receiver's keys,
-/// and the Naive baselines' shipments, whose keys are the keys.  Beside its
-/// keys it carries
-/// the origin's *tally*, the size of the sample they were counted from, so
-/// every receiver learns the global sample size without a collective of its
-/// own.  On the wire the tally sits in the high half of the [`KeyCounts`]'
-/// run-count word, so a share with a zero tally is its [`KeyCounts`], word
-/// for word (the [module docs](self)).
+/// shares, which carry the quotients `key / p` of the receiver's keys, and
+/// the Naive baselines' shipments, which carry the keys.  Beside its keys
+/// it carries the origin's *tally*, the size of the sample they were
+/// counted from, so every receiver learns the global sample size without a
+/// collective of its own.  On the wire the tally sits in the high half of
+/// the [`KeyCounts`]' run-count word, so a share with a zero tally is its
+/// [`KeyCounts`], word for word (the [module docs](self)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Share {
     /// The size of the origin's sample (0 for an aggregate that is no

@@ -575,14 +575,13 @@ fn sampling_stage(
 /// share is `1/p` of the keys.  Direct delivery keeps the PE's own share and
 /// sends the other `p − 1`; the hypercube term is charged all `p`.
 ///
-/// The price spreads a share's keys over the whole universe, but a share
+/// The price spreads a share's keys over the whole universe, while a share
 /// ships its keys' quotients `key / p`, which span `universe / p`: it
-/// charges about `log₂ p` bits a key more than the wire carries.  The
-/// quotient price, `universe / p` here, moves the regret grid's pick from
-/// EC to PAC in three of its twelve cells (up to 1.21× the argmin at
-/// `p = 2`, `n/p = 2¹¹`, `s = 1.3`), because EC's own price runs about a
-/// third above its meter there; the price stays until EC's is mended too
-/// (ROADMAP item 9).
+/// charges about `log₂ p` bits a key more than the wire carries.  It stays
+/// because EC's own price runs about a third above its meter on skewed
+/// inputs: with the quotient price alone, PAC wins cells of the planner's
+/// regret grid where EC moves fewer words (up to 1.21× the argmin at
+/// `p = 2`, `n/p = 2¹¹`, `s = 1.3`).
 fn dht_exchange(p: usize, d_local: f64, mass_local: f64, universe: f64) -> PredictedComm {
     let shares = p.max(1) as f64;
     let payload = key_counts_words(d_local / shares, mass_local / shares, universe) - 1.0;
