@@ -102,6 +102,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use commsim::codec::{self, decode_error, BitCodec, BitReader, BitSink, MAX_RICE};
 use commsim::{CommResult, Communicator};
+use seqkit::hashagg::{KeyMap, KeyState};
 
 use crate::util::{key_of, owner_of};
 
@@ -365,12 +366,10 @@ impl BitCodec for Share {
 /// [module docs](self)).
 ///
 /// Every key appears in the result of exactly one PE, with the global sum of
-/// all PEs' local counts for it.  This is `aggregate_sample` of an
-/// aggregate that is no sample: its shares carry a zero tally.
-pub fn aggregate_counts<C: Communicator>(
-    comm: &C,
-    local_counts: HashMap<u64, u64>,
-) -> HashMap<u64, u64> {
+/// all PEs' local counts for it, in a [`KeyMap`].  This is
+/// `aggregate_sample` of an aggregate that is no sample: its shares carry a
+/// zero tally.
+pub fn aggregate_counts<C: Communicator>(comm: &C, local_counts: HashMap<u64, u64>) -> KeyMap<u64> {
     aggregate_sample(comm, local_counts, 0).0
 }
 
@@ -381,9 +380,9 @@ pub fn aggregate_counts<C: Communicator>(
 /// same on every PE.
 pub(crate) fn aggregate_sample<C: Communicator>(
     comm: &C,
-    local_counts: HashMap<u64, u64>,
+    local_counts: impl IntoIterator<Item = (u64, u64)>,
     sample_size: u64,
-) -> (HashMap<u64, u64>, u64) {
+) -> (KeyMap<u64>, u64) {
     let direct = routes_directly(comm.size());
     route(comm, local_counts, sample_size, direct)
 }
@@ -392,10 +391,10 @@ pub(crate) fn aggregate_sample<C: Communicator>(
 /// force either routing through it.
 fn route<C: Communicator>(
     comm: &C,
-    local_counts: HashMap<u64, u64>,
+    local_counts: impl IntoIterator<Item = (u64, u64)>,
     tally: u64,
     direct: bool,
-) -> (HashMap<u64, u64>, u64) {
+) -> (KeyMap<u64>, u64) {
     let p = comm.size();
     // Partition the local aggregate by owner; a share carries its keys'
     // quotients, which its owner turns back into keys.
@@ -422,8 +421,10 @@ fn route<C: Communicator>(
     };
     // The shares say how many entries arrive: size the map once (growing it
     // re-hashes every key several times, which costs more than the routing).
-    let mut owned: HashMap<u64, u64> =
-        HashMap::with_capacity(received.iter().map(|share| share.counts.len()).sum());
+    let mut owned: KeyMap<u64> = HashMap::with_capacity_and_hasher(
+        received.iter().map(|share| share.counts.len()).sum(),
+        KeyState::default(),
+    );
     for share in &received {
         for (quotient, count) in share.counts.iter() {
             let key = key_of(quotient, comm.rank(), p);
@@ -860,7 +861,7 @@ mod tests {
                 .into_iter()
                 .map(count_keys)
                 .collect();
-            let mut expected: Vec<HashMap<u64, u64>> = vec![HashMap::new(); p];
+            let mut expected: Vec<KeyMap<u64>> = vec![KeyMap::default(); p];
             for (&key, &count) in locals.iter().flatten() {
                 *expected[owner_of(key, p)].entry(key).or_insert(0) += count;
             }

@@ -13,7 +13,12 @@
 //! summed), then calls the algorithm's stages, which share
 //!
 //! 1. one **sampling stage**: a Bernoulli sample at rate ρ, aggregated
-//!    locally, without a message;
+//!    locally, without a message, in a [`KeyMap`] — seqkit's `u64`-keyed
+//!    map, which hashes a key with one folded multiply under a seed drawn
+//!    per map, where std's map runs SipHash.  At ρ = 1 the sample is the
+//!    whole input, and this count is most of an algorithm's local work; the
+//!    hash table's shares, the exact-count stage's candidate index and the
+//!    baselines' merges use the same map;
 //! 2. the distributed hash table of [`dht`] that counts the sample, by
 //!    direct delivery up to 8 PEs and over the hypercube beyond (the
 //!    baselines ship the aggregate to a coordinator instead).  Every share
@@ -64,12 +69,13 @@ pub(crate) mod pec;
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use commsim::codec::PackedCounts;
 use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::hashagg::count_keys;
+use seqkit::hashagg::{count_u64_keys, KeyMap};
 use seqkit::sampling::bernoulli_sample;
 
 /// Parameters shared by all top-k most-frequent-objects algorithms.  The
@@ -203,13 +209,21 @@ const TOP_COUNTS_TAG: u64 = 0x70C;
 /// list (`O(βk log p + α log p)`).  When `p` is not a power of two the last
 /// window wraps and a PE receives entries it already holds; a key has one
 /// owner and one count, so dropping the duplicate pairs is exact.
-pub fn select_top_counts<C: Communicator>(
+///
+/// The owned keys are distinct and the merge's order is total on them, so
+/// the first cut selects the `k` best before it sorts them: a share of tens
+/// of thousands of keys is partitioned once, not sorted.
+pub fn select_top_counts<C: Communicator, S: BuildHasher>(
     comm: &C,
-    owned: &HashMap<u64, u64>,
+    owned: &HashMap<u64, u64, S>,
     k: usize,
 ) -> Vec<(u64, u64)> {
     let (p, rank) = (comm.size(), comm.rank());
     let mut top: Vec<(u64, u64)> = owned.iter().map(|(&key, &count)| (key, count)).collect();
+    if k > 0 && top.len() > k {
+        top.select_nth_unstable_by_key(k - 1, |&(key, count)| Reverse((count, key)));
+        top.truncate(k);
+    }
     keep_top(&mut top, k);
     let mut dist = 1;
     while dist < p {
@@ -236,11 +250,11 @@ fn keep_top(entries: &mut Vec<(u64, u64)>, k: usize) {
 
 /// The sampling stage of every algorithm: a Bernoulli sample of
 /// `local_data` at rate `rho` from an RNG seeded with `rng_seed`, aggregated
-/// locally, and its size.  Local: the global size rides the shares that
-/// carry the aggregate ([`dht::Share`]).
-fn sample_counts(local_data: &[u64], rho: f64, rng_seed: u64) -> (HashMap<u64, u64>, u64) {
+/// locally in a [`KeyMap`], and its size.  Local: the global size rides the
+/// shares that carry the aggregate ([`dht::Share`]).
+fn sample_counts(local_data: &[u64], rho: f64, rng_seed: u64) -> (KeyMap<u64>, u64) {
     let sample = bernoulli_sample(local_data, rho, &mut StdRng::seed_from_u64(rng_seed));
-    (count_keys(sample.iter().copied()), sample.len() as u64)
+    (count_u64_keys(sample.iter().copied()), sample.len() as u64)
 }
 
 /// [`sample_counts`] counted in the hash table: this PE's share of the
@@ -251,7 +265,7 @@ fn counted_sample<C: Communicator>(
     local_data: &[u64],
     rho: f64,
     rng_seed: u64,
-) -> (HashMap<u64, u64>, u64) {
+) -> (KeyMap<u64>, u64) {
     let (counts, sample_size) = sample_counts(local_data, rho, rng_seed);
     dht::aggregate_sample(comm, counts, sample_size)
 }
@@ -280,7 +294,7 @@ fn count_candidates<C: Communicator>(
 /// at about its own bit length, coded against the one before it, not as a
 /// whole word.
 fn global_counts<C: Communicator>(comm: &C, local_data: &[u64], candidates: &[u64]) -> Vec<u64> {
-    let index: HashMap<u64, usize> = candidates
+    let index: KeyMap<usize> = candidates
         .iter()
         .enumerate()
         .map(|(i, &key)| (key, i))

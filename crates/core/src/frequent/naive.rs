@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use commsim::Communicator;
-use seqkit::hashagg::{merge_counts, top_k_by_count};
+use seqkit::hashagg::{merge_counts, top_k_by_count, KeyMap, KeyState};
 
 use super::dht::Share;
 use super::{pac::sampling_probability, sample_counts, scale_counts, FrequentParams};
@@ -58,7 +58,7 @@ pub(crate) fn top_k<C: Communicator>(
 ) -> (Vec<(u64, u64)>, u64) {
     let (rho, share) = pac_rate_sample(comm, local_data, params, n);
     let answer = if comm.is_root() {
-        let mut merged: HashMap<u64, u64> = share.counts.iter().collect();
+        let mut merged: KeyMap<u64> = share.counts.iter().collect();
         let mut total = share.tally;
         // The coordinator receives p − 1 separate messages — the scalability
         // bottleneck the experiment is designed to show.
@@ -94,8 +94,10 @@ pub(crate) fn tree_top_k<C: Communicator>(
         0,
         share,
         &commsim::ReduceOp::custom(|a: &Share, b: &Share| {
-            let mut map: HashMap<u64, u64> =
-                HashMap::with_capacity(a.counts.len().max(b.counts.len()));
+            let mut map: KeyMap<u64> = HashMap::with_capacity_and_hasher(
+                a.counts.len().max(b.counts.len()),
+                KeyState::default(),
+            );
             merge_counts(&mut map, a.counts.iter().chain(b.counts.iter()));
             Share {
                 tally: a.tally + b.tally,
@@ -104,7 +106,7 @@ pub(crate) fn tree_top_k<C: Communicator>(
         }),
     );
     let answer = merged.map(|share| {
-        let map: HashMap<u64, u64> = share.counts.iter().collect();
+        let map: KeyMap<u64> = share.counts.iter().collect();
         (share.tally, top_k_by_count(&map, params.k))
     });
     let (sample_size, items) = comm.broadcast(0, answer);

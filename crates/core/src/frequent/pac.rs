@@ -183,22 +183,28 @@ mod tests {
 
     #[test]
     fn metered_volume_is_identical_across_repeated_runs() {
-        // Nothing on the wire may depend on a HashMap's (RandomState)
-        // iteration order: two runs of the same binary must meter the same
-        // words/PE.
+        // Nothing on the wire may depend on a map's iteration order: every
+        // run draws fresh per-map hash seeds, so two runs of every algorithm
+        // must meter the same words/PE.
         let p = 4;
         let parts = zipf_parts(p, 5_000, 1 << 10, 1.0, 99);
         let params = FrequentParams::new(8, 2e-2, 1e-2, 13);
-        let run = || {
-            let parts_ref = parts.clone();
-            run_spmd(p, move |comm| {
-                let before = comm.stats_snapshot();
-                let _ = Algorithm::Pac.run(comm, &parts_ref[comm.rank()], &params);
-                comm.stats_snapshot().since(&before).bottleneck_words()
-            })
-            .results
-        };
-        assert_eq!(run(), run(), "PAC words/PE must not depend on hash order");
+        for algorithm in Algorithm::ALL {
+            let run = || {
+                let parts_ref = parts.clone();
+                run_spmd(p, move |comm| {
+                    let before = comm.stats_snapshot();
+                    let _ = algorithm.run(comm, &parts_ref[comm.rank()], &params);
+                    comm.stats_snapshot().since(&before).bottleneck_words()
+                })
+                .results
+            };
+            assert_eq!(
+                run(),
+                run(),
+                "{algorithm:?} words/PE must not depend on hash order"
+            );
+        }
     }
 
     #[test]

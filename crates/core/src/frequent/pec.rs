@@ -24,8 +24,10 @@
 //! ([`pec_zipf_top_k`]).
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 use commsim::Communicator;
+use seqkit::hashagg::KeyMap;
 use seqkit::skew::generalized_harmonic;
 
 use super::{count_candidates, counted_sample, pac, select_top_counts};
@@ -100,12 +102,15 @@ pub(crate) fn top_k<C: Communicator>(
 /// the threshold: the list is the top-`k*` of the sample for `k*` the number
 /// of keys at or above the threshold, or every sampled key if there are
 /// fewer than `k`.  No PE needs `k*` to cut its list, so none is reduced.
-fn candidates_above<C: Communicator>(
+///
+/// The cut map is filled in `owned`'s iteration order; its own seed keeps
+/// that order from clustering its buckets.
+fn candidates_above<C: Communicator, S: BuildHasher>(
     comm: &C,
-    owned: &HashMap<u64, u64>,
+    owned: &HashMap<u64, u64, S>,
     threshold: f64,
 ) -> Vec<(u64, u64)> {
-    let above: HashMap<u64, u64> = owned
+    let above: KeyMap<u64> = owned
         .iter()
         .filter(|&(_, &count)| count as f64 >= threshold)
         .map(|(&key, &count)| (key, count))

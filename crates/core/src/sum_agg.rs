@@ -17,13 +17,12 @@
 //! * [`sum_top_k_exact`] — identify candidates from the sample, then compute
 //!   their exact sums from the local aggregates with one vector reduction.
 
-use std::collections::HashMap;
 use std::ops::Add;
 
 use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::hashagg::sum_by_key;
+use seqkit::hashagg::{sum_by_key, KeyMap};
 use seqkit::sampling::value_proportional_sample_count;
 
 use crate::frequent::{dht, select_top_counts, FrequentParams};
@@ -66,26 +65,26 @@ fn sample_and_count<C: Communicator>(
     comm: &C,
     local_pairs: &[(u64, f64)],
     params: &FrequentParams,
-) -> (HashMap<u64, u64>, f64, u64, HashMap<u64, f64>) {
+) -> (KeyMap<u64>, f64, u64, KeyMap<f64>) {
     // Local aggregation first (Section 8.1): the sample is drawn from the
     // per-key local sums, not from the raw pairs.
     let local_agg = sum_by_key(local_pairs.iter().copied());
     // Everything order-sensitive below — the `f64` total and the RNG draws —
-    // walks the aggregate in key order: `HashMap` iteration order differs
-    // between runs of one binary, and with it the sample and the words/PE.
+    // walks the aggregate in key order: a map's iteration order follows its
+    // per-map seed, and the sample and the words/PE would follow it too.
     let mut by_key: Vec<(u64, f64)> = local_agg.iter().map(|(&key, &sum)| (key, sum)).collect();
     by_key.sort_unstable_by_key(|&(key, _)| key);
     let local_total: f64 = by_key.iter().map(|&(_, sum)| sum).sum();
     let local = (local_pairs.len() as u64, local_total);
     let (n, global_total) = allreduce_pair(comm, local, u64::add, f64::add);
     if global_total <= 0.0 || n == 0 {
-        return (HashMap::new(), 1.0, 0, local_agg);
+        return (KeyMap::default(), 1.0, 0, local_agg);
     }
     let target = required_sample_size(n, comm.size(), params.epsilon, params.delta);
     let v_avg = (global_total / target as f64).max(f64::MIN_POSITIVE);
 
     let mut rng = StdRng::seed_from_u64(params.seed ^ 0x5AA5 ^ (comm.rank() as u64) << 4);
-    let mut local_samples: HashMap<u64, u64> = HashMap::new();
+    let mut local_samples = KeyMap::default();
     for &(key, sum) in &by_key {
         let count = value_proportional_sample_count(sum, v_avg, &mut rng);
         if count > 0 {

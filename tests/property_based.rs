@@ -220,7 +220,7 @@ proptest! {
 
     /// Keys each on one PE (as the DHT leaves them), counts from a few values
     /// so that distinct keys tie, PEs left empty, and `k` below, at and above
-    /// the number of keys `d`.
+    /// the number of keys `d`, up to PEC's uncapped `usize::MAX`.
     #[test]
     fn top_counts_merge_is_the_sequential_top_k_of_the_union(
         draws in vec(0u64..u64::MAX, 0..60),
@@ -244,7 +244,7 @@ proptest! {
         let mut oracle: Vec<(u64, u64)> = union.into_iter().collect();
         oracle.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
         let d = oracle.len();
-        let ks = [1, 7, d.saturating_sub(1), d, d + 5];
+        let ks = [1, 7, d.saturating_sub(1), d, d + 5, usize::MAX];
         let out = run_spmd_seq(p, |comm| {
             ks.map(|k| select_top_counts(comm, &shares[comm.rank()], k))
         });
