@@ -24,7 +24,7 @@
 //! pass places `N` crash-stops at a phase boundary, the chaos pass
 //! detects them, regroups the survivors, rolls back to the last
 //! checkpoint, and the result is checked against a brute-force oracle
-//! over the surviving data.  Prints a parseable `recovery-audit` row.
+//! over the surviving data.  Prints a one-line `recovery-audit` row.
 
 use bench::chaos::{run_chaos, RecoverableBody};
 use bench::cli::Cli;

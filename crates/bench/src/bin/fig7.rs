@@ -32,7 +32,7 @@
 //! calibration pass places `N` crash-stops at a phase boundary, the chaos
 //! pass regroups the survivors and rolls back to the last checkpoint, and
 //! the published counts are checked against a brute-force count over the
-//! surviving data.  Prints a parseable `recovery-audit` row.
+//! surviving data.  Prints a one-line `recovery-audit` row.
 
 use bench::chaos::{run_chaos, RecoverableBody};
 use bench::cli::Cli;

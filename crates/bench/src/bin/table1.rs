@@ -30,7 +30,6 @@
 //! `--plan-explain`); a concrete token runs just that algorithm.
 
 use bench::cli::Cli;
-use bench::planning::print_audit;
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Measurement, Table};
 use commsim::{run_on, Backend, Communicator, World};
@@ -41,7 +40,7 @@ use topk::multicriteria::{dta_top_k, LocalMulticriteria};
 use topk::planner::{self, Algorithm};
 use topk::{
     approx_multisequence_select, multisequence_select, redistribute, select_k_smallest, sum_top_k,
-    BulkParallelQueue, FrequentParams,
+    BulkParallelQueue, FrequentParams, OrderedF64,
 };
 
 /// Instance size shared by every section of the table.
@@ -315,7 +314,7 @@ fn top_k_frequent(
             if plan_explain {
                 println!("{}", plan.explain());
             }
-            print_audit(&audit);
+            println!("{}", audit.audit_line());
             add(
                 table,
                 "top-k most frequent",
@@ -369,7 +368,8 @@ fn sum_aggregation(table: &mut Table, s: Scale, backend: Backend) {
             for (k, bits) in parts.into_iter().flatten() {
                 *merged.entry(k).or_insert(0.0) += f64::from_bits(bits);
             }
-            let _ = seqkit::hashagg::top_k_by_sum(&merged, 32);
+            let mut top: Vec<(u64, f64)> = merged.into_iter().collect();
+            seqkit::hashagg::top_k_by_key(&mut top, 32, |&(key, sum)| (OrderedF64(sum), key));
         }
     }));
     add(

@@ -25,7 +25,6 @@
 //! candidate table.
 
 use bench::cli::Cli;
-use bench::planning::print_audit;
 use bench::report::fmt_duration;
 use bench::{AlgoChoice, Table};
 use commsim::{run_on, Backend, Communicator, SpmdOutput, World};
@@ -144,7 +143,7 @@ fn main() {
         if args.plan_explain {
             println!("{}", plan.explain());
         }
-        print_audit(&audit);
+        println!("{}", audit.audit_line());
         let top: Vec<&str> = score.top.iter().take(3).map(|(w, _)| w.as_str()).collect();
         table.add_row(vec![
             format!("auto({})", plan.algorithm.token()),

@@ -1,7 +1,7 @@
 //! The `--chaos` harness of the batch figures: fig6 and fig7 run their
 //! recoverable bodies through [`run_chaos`].
 
-use commsim::recovery::{RecoveryAudit, RecoveryOutcome};
+use commsim::recovery::RecoveryOutcome;
 use commsim::{run_on, Backend, Communicator, FaultPlan, Rank, World};
 
 /// One PE's share of a chaos run: an algorithm driven by
@@ -34,9 +34,7 @@ impl<S> ChaosRun<S> {
 }
 
 /// Run `body` on `p` PEs of `backend` with `crashes` seeded crash-stops at a
-/// phase boundary, and print the survivors' `recovery-audit` row after
-/// asserting that it parses back to the same audit, as
-/// [`crate::planning::print_audit`] does for `plan-audit` rows.
+/// phase boundary, and print the survivors' `recovery-audit` row.
 ///
 /// A fault-free calibration run records each PE's send count at every
 /// phase boundary; a victim whose crash count equals its phase-0 boundary
@@ -70,12 +68,6 @@ pub fn run_chaos<B: RecoverableBody>(
     let results = run_on!(backend, world, |comm| body.run(comm)).results;
     let victims = (0..p).filter(|&r| results[r].is_none()).collect();
     let run = ChaosRun { results, victims };
-    let audit = &run.survivor().audit;
-    let line = audit.audit_line();
-    assert!(
-        RecoveryAudit::parse(&line).as_ref() == Some(audit),
-        "recovery audit row must round-trip through the parser: {line}"
-    );
-    println!("{line}");
+    println!("{}", run.survivor().audit.audit_line());
     run
 }

@@ -11,14 +11,14 @@
 //! * `auto` hands the choice to [`topk::planner::plan_for_data`]: the plan
 //!   is derived from the data, executed, and audited — and the audit row
 //!   (prediction vs metered reality) is printed in the stable
-//!   [`PlanAudit::audit_line`] format the CI smoke checks parse, after the
-//!   plan's [`explain`](topk::planner::Plan::explain) table under
-//!   `--plan-explain`.
+//!   [`PlanAudit::audit_line`](topk::PlanAudit::audit_line) format, which
+//!   the CI smoke goldens pin byte for byte, after the plan's
+//!   [`explain`](topk::planner::Plan::explain) table under `--plan-explain`.
 
 use std::str::FromStr;
 
 use commsim::{run_on, Backend, Communicator, World};
-use topk::planner::{self, Algorithm, PlanAudit};
+use topk::planner::{self, Algorithm};
 use topk::FrequentParams;
 
 use crate::report::fmt_duration;
@@ -50,18 +50,6 @@ impl FromStr for AlgoChoice {
                 }),
         }
     }
-}
-
-/// Print a plan audit's one-line row, asserting it round-trips through
-/// [`PlanAudit::parse`] first — the CI smoke checks parse every emitted row,
-/// so an unparseable row is a bug worth failing loudly on.
-pub fn print_audit(audit: &PlanAudit) {
-    let line = audit.audit_line();
-    assert!(
-        PlanAudit::parse(&line).is_some(),
-        "plan audit row must round-trip through the parser: {line}"
-    );
-    println!("{line}");
 }
 
 /// The weak-scaling panel of Figures 7 and 8: one row per algorithm and PE
@@ -142,7 +130,7 @@ pub fn frequent_panel(
                     if plan_explain {
                         println!("{}", plan.explain());
                     }
-                    print_audit(&audit);
+                    println!("{}", audit.audit_line());
                     format!("auto({})", plan.algorithm.token())
                 }
             };

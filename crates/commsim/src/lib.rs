@@ -113,7 +113,7 @@ pub use faults::{FaultEvent, FaultPlan};
 pub use message::CommData;
 pub use metrics::{StatsSnapshot, WorldStats};
 pub use mux::{run_spmd_mux_with, run_spmd_seq, MuxComm, MuxConfig};
-pub use recovery::{run_recoverable, Membership, RecoveryAudit, RecoveryError, RecoveryOutcome};
+pub use recovery::{run_recoverable, Membership, RecoveryError, RecoveryOutcome};
 pub use runner::run_spmd;
 pub use subgroup::SubComm;
 pub use world::{Backend, SpmdOutput, World};

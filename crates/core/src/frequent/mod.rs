@@ -75,7 +75,7 @@ use commsim::codec::PackedCounts;
 use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::hashagg::{count_u64_keys, KeyMap};
+use seqkit::hashagg::{count_u64_keys, top_k_by_key, KeyMap};
 use seqkit::sampling::bernoulli_sample;
 
 /// Parameters shared by all top-k most-frequent-objects algorithms.  The
@@ -210,21 +210,16 @@ const TOP_COUNTS_TAG: u64 = 0x70C;
 /// window wraps and a PE receives entries it already holds; a key has one
 /// owner and one count, so dropping the duplicate pairs is exact.
 ///
-/// The owned keys are distinct and the merge's order is total on them, so
-/// the first cut selects the `k` best before it sorts them: a share of tens
-/// of thousands of keys is partitioned once, not sorted.
+/// The owned keys are distinct, so the first cut is [`top_k_by_key`]'s,
+/// which selects before it sorts: a share of tens of thousands of keys is
+/// partitioned once, not sorted.
 pub fn select_top_counts<C: Communicator, S: BuildHasher>(
     comm: &C,
     owned: &HashMap<u64, u64, S>,
     k: usize,
 ) -> Vec<(u64, u64)> {
     let (p, rank) = (comm.size(), comm.rank());
-    let mut top: Vec<(u64, u64)> = owned.iter().map(|(&key, &count)| (key, count)).collect();
-    if k > 0 && top.len() > k {
-        top.select_nth_unstable_by_key(k - 1, |&(key, count)| Reverse((count, key)));
-        top.truncate(k);
-    }
-    keep_top(&mut top, k);
+    let mut top = local_top_k(owned.iter().map(|(&key, &count)| (key, count)), k);
     let mut dist = 1;
     while dist < p {
         // Toward higher ranks, as the Bruck all-gather sends: the replay
@@ -240,8 +235,20 @@ pub fn select_top_counts<C: Communicator, S: BuildHasher>(
     top
 }
 
-/// Cut `entries` to its `k` distinct best `(key, count)` pairs, ordered by
-/// `Reverse((count, key))`.
+/// The `k` best of `entries`, `(key, count)` pairs of distinct keys, by
+/// [`top_k_by_key`]'s order: the larger count first, the larger key first
+/// among equal counts.  The first cut of [`select_top_counts`] and the
+/// baselines' answer.
+fn local_top_k(entries: impl IntoIterator<Item = (u64, u64)>, k: usize) -> Vec<(u64, u64)> {
+    let mut top: Vec<(u64, u64)> = entries.into_iter().collect();
+    top_k_by_key(&mut top, k, |&(key, count)| (count, key));
+    top
+}
+
+/// The merge round's union step: cut `entries` to its `k` distinct best
+/// `(key, count)` pairs, in [`local_top_k`]'s order.  A wrapped window
+/// brings pairs the PE already holds, and they must be dropped before the
+/// cut, or a duplicate would take a distinct key's place.
 fn keep_top(entries: &mut Vec<(u64, u64)>, k: usize) {
     entries.sort_unstable_by_key(|&(key, count)| Reverse((count, key)));
     entries.dedup();
@@ -272,9 +279,9 @@ fn counted_sample<C: Communicator>(
 
 /// The exact-count stage of EC and PEC: count the keys of `candidates`, the
 /// merged list of sampled keys every PE holds, exactly ([`global_counts`])
-/// and keep the `k` best by [`keep_top`]'s order, the one every top-k list
-/// uses.  The candidate list is identical on every PE, so the final cut is
-/// local.
+/// and keep the `k` best by [`local_top_k`]'s order, the one every top-k
+/// list uses.  The candidate list is identical on every PE, so the final
+/// cut is local.
 fn count_candidates<C: Communicator>(
     comm: &C,
     local_data: &[u64],
@@ -283,9 +290,7 @@ fn count_candidates<C: Communicator>(
 ) -> Vec<(u64, u64)> {
     let candidates: Vec<u64> = candidates.into_iter().map(|(key, _)| key).collect();
     let global = global_counts(comm, local_data, &candidates);
-    let mut items: Vec<(u64, u64)> = candidates.into_iter().zip(global).collect();
-    keep_top(&mut items, k);
-    items
+    local_top_k(candidates.into_iter().zip(global), k)
 }
 
 /// The global number of occurrences of each of `candidates` (the same list
@@ -448,10 +453,11 @@ mod tests {
         assert!(out.results.iter().all(|items| items == &vec![(5, 9)]));
     }
 
-    /// Every top-k list breaks ties by [`keep_top`]'s order, larger key
+    /// Every top-k list breaks ties by [`local_top_k`]'s order, larger key
     /// first among equal counts.  On an input whose k-th count is tied four
-    /// ways, EC, PEC on both of its branches and PAC at rate 1 therefore
-    /// keep the same keys in the same order.
+    /// ways, EC, PEC on both of its branches, and PAC and both centralized
+    /// baselines at PAC's rate 1 therefore keep the same keys in the same
+    /// order.
     #[test]
     fn every_algorithm_breaks_a_tie_at_the_kth_count_alike() {
         use crate::planner::Algorithm;
@@ -480,6 +486,8 @@ mod tests {
         let want = vec![(1, 30_000), (2, 20_000), (6, 10_000), (5, 10_000)];
         for (algorithm, params) in [
             (Algorithm::Pac, sampled),
+            (Algorithm::Naive, sampled),
+            (Algorithm::NaiveTree, sampled),
             (Algorithm::Ec, sampled),
             (Algorithm::Pec, sampled),
             (Algorithm::Pec, whole),

@@ -5,8 +5,9 @@
 //! rate as Algorithm PAC:
 //!
 //! * **Naive** — every PE sends its aggregated local sample directly to a
-//!   coordinator (PE 0), which merges the `p − 1` hash maps and selects the
-//!   top-k with a sequential quickselect.  The coordinator receives `p − 1`
+//!   coordinator (PE 0), which merges the `p − 1` hash maps and cuts the
+//!   top-k as every §7 algorithm does (the larger key first at a tie), by a
+//!   partition and a sort of the `k` best.  The coordinator receives `p − 1`
 //!   messages, so the running time grows linearly with `p` — "completely
 //!   unscalable" in the paper's words.
 //! * **Naive Tree** — the same data flows through a binomial reduction tree
@@ -22,10 +23,10 @@
 use std::collections::HashMap;
 
 use commsim::Communicator;
-use seqkit::hashagg::{merge_counts, top_k_by_count, KeyMap, KeyState};
+use seqkit::hashagg::{merge_counts, KeyMap, KeyState};
 
 use super::dht::Share;
-use super::{pac::sampling_probability, sample_counts, scale_counts, FrequentParams};
+use super::{local_top_k, pac::sampling_probability, sample_counts, scale_counts, FrequentParams};
 
 /// Tag for the Naive baseline's direct sends to the coordinator.
 const NAIVE_TAG: u64 = 0x7A1;
@@ -67,7 +68,7 @@ pub(crate) fn top_k<C: Communicator>(
             merge_counts(&mut merged, incoming.counts.iter());
             total += incoming.tally;
         }
-        Some((total, top_k_by_count(&merged, params.k)))
+        Some((total, local_top_k(merged, params.k)))
     } else {
         comm.send(0, NAIVE_TAG, share);
         None
@@ -105,10 +106,7 @@ pub(crate) fn tree_top_k<C: Communicator>(
             }
         }),
     );
-    let answer = merged.map(|share| {
-        let map: KeyMap<u64> = share.counts.iter().collect();
-        (share.tally, top_k_by_count(&map, params.k))
-    });
+    let answer = merged.map(|share| (share.tally, local_top_k(share.counts.iter(), params.k)));
     let (sample_size, items) = comm.broadcast(0, answer);
     (scale_counts(items, rho), sample_size)
 }

@@ -169,9 +169,8 @@ mod tests {
     use datagen::Zipf;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use seqkit::hashagg::top_k_by_count;
 
-    use crate::frequent::exact_global_counts;
+    use crate::frequent::{exact_global_counts, local_top_k};
     use crate::planner::Algorithm;
     use crate::util::owner_of;
 
@@ -310,7 +309,7 @@ mod tests {
         });
         let (result, exact) = &out.results[0];
         assert!(result.exact_counts);
-        let truth: Vec<u64> = top_k_by_count(exact, 6)
+        let truth: Vec<u64> = local_top_k(exact.iter().map(|(&key, &c)| (key, c)), 6)
             .into_iter()
             .map(|(k, _)| k)
             .collect();
@@ -343,7 +342,7 @@ mod tests {
             )
         });
         let (result, exact) = &out.results[0];
-        let truth: Vec<u64> = top_k_by_count(exact, 8)
+        let truth: Vec<u64> = local_top_k(exact.iter().map(|(&key, &c)| (key, c)), 8)
             .into_iter()
             .map(|(k, _)| k)
             .collect();

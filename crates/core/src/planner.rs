@@ -52,12 +52,11 @@
 //!
 //! Every planned execution ([`Plan::execute`]) meters reality with the
 //! existing [`commsim::StatsSnapshot`] deltas and records a [`PlanAudit`] —
-//! predicted
-//! vs measured words/PE and start-ups plus their relative errors — in a
-//! stable, parseable one-line format ([`PlanAudit::audit_line`] /
-//! [`PlanAudit::parse`]).  The audit rows are what EXPERIMENTS.md's
-//! prediction-error table and the CI smoke checks consume: the cost model
-//! the paper's claims rest on is itself under regression test.
+//! predicted vs measured words/PE and start-ups plus their relative errors —
+//! rendered as one stable line ([`PlanAudit::audit_line`]).  The audit rows
+//! are what EXPERIMENTS.md's prediction-error table is built from, and the
+//! CI smoke goldens pin every byte of them: the cost model the paper's
+//! claims rest on is itself under regression test.
 //!
 //! Everything here is deterministic: plans are pure functions of their
 //! inputs, and [`plan_for_data`] combines the per-PE fits through one
@@ -325,10 +324,9 @@ impl PlanAudit {
     /// pred_startups=40.0 meas_startups=38 words_err=-17.7% startups_err=5.3%
     /// ```
     ///
-    /// (One line; round-trips through [`PlanAudit::parse`]: the errors are
-    /// derived from the printed one-decimal predictions, which is all a
-    /// parsed row has.  The hash table's route is not printed: it is a
-    /// function of `p`.)
+    /// (One line.  The errors are derived from the printed one-decimal
+    /// predictions, so a reader can recompute them from the row.  The hash
+    /// table's route is not printed: it is a function of `p`.)
     pub fn audit_line(&self) -> String {
         let words = format!("{:.1}", self.predicted.words);
         let startups = format!("{:.1}", self.predicted.startups);
@@ -348,42 +346,6 @@ impl PlanAudit {
             error(&words, self.measured_words),
             error(&startups, self.measured_startups),
         )
-    }
-
-    /// Parse an [`audit_line`](Self::audit_line) back.  Returns `None` for
-    /// anything that is not a well-formed audit row (the CI smokes parse
-    /// every emitted row and fail on `None`).
-    pub fn parse(line: &str) -> Option<PlanAudit> {
-        let rest = line.trim().strip_prefix("plan-audit ")?;
-        let mut algorithm = None;
-        let (mut p, mut n, mut k) = (None, None, None);
-        let (mut pred_words, mut meas_words) = (None, None);
-        let (mut pred_startups, mut meas_startups) = (None, None);
-        for field in rest.split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "algo" => algorithm = Algorithm::parse(value),
-                "p" => p = value.parse::<usize>().ok(),
-                "n" => n = value.parse::<u64>().ok(),
-                "k" => k = value.parse::<usize>().ok(),
-                "pred_words" => pred_words = value.parse::<f64>().ok(),
-                "meas_words" => meas_words = value.parse::<u64>().ok(),
-                "pred_startups" => pred_startups = value.parse::<f64>().ok(),
-                "meas_startups" => meas_startups = value.parse::<u64>().ok(),
-                // The error fields are derived; tolerate and ignore them
-                // (and any future additions, or fields older rows carry).
-                _ => {}
-            }
-        }
-        Some(PlanAudit {
-            algorithm: algorithm?,
-            p: p?,
-            n: n?,
-            k: k?,
-            predicted: PredictedComm::new(pred_words?, pred_startups?),
-            measured_words: meas_words?,
-            measured_startups: meas_startups?,
-        })
     }
 }
 
@@ -772,7 +734,7 @@ mod tests {
     }
 
     #[test]
-    fn audit_lines_round_trip_through_parse() {
+    fn audit_lines_render_every_field() {
         let audit = PlanAudit {
             algorithm: Algorithm::NaiveTree,
             p: 16,
@@ -782,16 +744,11 @@ mod tests {
             measured_words: 1500,
             measured_startups: 55,
         };
-        let line = audit.audit_line();
-        let parsed = PlanAudit::parse(&line).expect("audit line must parse");
-        assert_eq!(parsed.algorithm, audit.algorithm);
-        assert_eq!((parsed.p, parsed.n, parsed.k), (16, 123_456, 32));
-        assert_eq!(parsed.measured_words, 1500);
-        assert_eq!(parsed.measured_startups, 55);
-        assert!((parsed.predicted.words - 1234.5).abs() < 0.06);
-        assert!((parsed.predicted.startups - 42.0).abs() < 0.06);
-        assert!(PlanAudit::parse("not an audit line").is_none());
-        assert!(PlanAudit::parse("plan-audit algo=pac").is_none());
+        assert_eq!(
+            audit.audit_line(),
+            "plan-audit algo=naive-tree p=16 n=123456 k=32 pred_words=1234.5 meas_words=1500 \
+             pred_startups=42.0 meas_startups=55 words_err=-17.7% startups_err=-23.6%"
+        );
     }
 
     #[test]
@@ -814,8 +771,8 @@ mod tests {
     }
 
     /// The error fields are computed from the printed prediction, so a
-    /// parsed row re-renders identically: 194.252 prints as 194.3, which is
-    /// 0.7 % above 193 (the unrounded value is 0.6 % above).
+    /// reader recomputes them from the row: 194.252 prints as 194.3, which
+    /// is 0.7 % above 193 (the unrounded value is 0.6 % above).
     #[test]
     fn audit_line_errors_follow_the_printed_prediction() {
         let audit = PlanAudit {
@@ -827,13 +784,11 @@ mod tests {
             measured_words: 193,
             measured_startups: 12,
         };
-        let line = audit.audit_line();
-        assert!(
-            line.ends_with("pred_words=194.3 meas_words=193 pred_startups=12.0 meas_startups=12 words_err=0.7% startups_err=0.0%"),
-            "{line}"
+        assert_eq!(
+            audit.audit_line(),
+            "plan-audit algo=pac p=4 n=4096 k=8 pred_words=194.3 meas_words=193 \
+             pred_startups=12.0 meas_startups=12 words_err=0.7% startups_err=0.0%"
         );
-        let parsed = PlanAudit::parse(&line).expect("audit line must parse");
-        assert_eq!(parsed.audit_line(), line);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! phases under [`commsim::recovery::run_recoverable`] — membership round
 //! per phase, coordinated ring-buddy checkpoints, rollback-and-re-run over
 //! the survivors on a detected crash — and hand back the per-phase results
-//! plus the parseable `recovery-audit` row.  Their one recovery setting is
+//! plus the one-line `recovery-audit` row.  Their one recovery setting is
 //! the checkpoint cadence, `checkpoint_every`.
 //!
 //! A fault-free run returns what calling [`select_k_smallest`] /

@@ -16,17 +16,22 @@
 //!   (Theorem 15, `(ε, δ)`-approximation);
 //! * [`sum_top_k_exact`] — identify candidates from the sample, then compute
 //!   their exact sums from the local aggregates with one vector reduction.
+//!
+//! Both rank as §7 does: the larger sum first, the larger key first at a
+//! tie — [`sum_top_k`] through [`select_top_counts`]' merge, and
+//! [`sum_top_k_exact`]'s local cut after its reduction through the same
+//! kernel, [`top_k_by_key`].
 
 use std::ops::Add;
 
 use commsim::{Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::hashagg::{sum_by_key, KeyMap};
+use seqkit::hashagg::{sum_by_key, top_k_by_key, KeyMap};
 use seqkit::sampling::value_proportional_sample_count;
 
 use crate::frequent::{dht, select_top_counts, FrequentParams};
-use crate::util::allreduce_pair;
+use crate::util::{allreduce_pair, OrderedF64};
 
 /// Result of a top-k sum aggregation.
 #[derive(Debug, Clone, PartialEq)]
@@ -151,8 +156,7 @@ pub fn sum_top_k_exact<C: Communicator>(
         .collect();
     let global_exact = comm.allreduce(local_exact, ReduceOp::elementwise_sum());
     let mut items: Vec<(u64, f64)> = candidates.into_iter().zip(global_exact).collect();
-    items.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    items.truncate(params.k);
+    top_k_by_key(&mut items, params.k, |&(key, sum)| (OrderedF64(sum), key));
     TopKSumResult {
         items,
         sample_size,
@@ -218,6 +222,25 @@ mod tests {
         // The exact top key must be the true top key.
         let true_top = WeightedZipfInput::exact_top_k(&inputs, 1)[0].0;
         assert_eq!(result.items[0].0, true_top);
+    }
+
+    /// The exact variant breaks a tie at the k-th sum as every §7 list
+    /// does, the larger key first: keys 3–6 sum to 100 each, exactly, and
+    /// every key is a candidate.
+    #[test]
+    fn the_exact_variant_keeps_the_larger_key_at_a_tie() {
+        let params = FrequentParams::new(4, 1e-2, 1e-2, 3);
+        let out = run_spmd(2, move |comm| {
+            let local: Vec<(u64, f64)> = [(1, 150.0), (2, 100.0)]
+                .into_iter()
+                .chain((3..=6).map(|key| (key, 50.0)))
+                .collect();
+            sum_top_k_exact(comm, &local, &params, 6)
+        });
+        let want = vec![(1, 300.0), (2, 200.0), (6, 100.0), (5, 100.0)];
+        for result in &out.results {
+            assert_eq!(result.items, want);
+        }
     }
 
     #[test]

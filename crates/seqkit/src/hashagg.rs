@@ -4,8 +4,9 @@
 //! aggregation (Section 8) first aggregate their *local* input in a hash
 //! table — "apply local aggregation when inserting the sample into the
 //! distributed hash table" (Section 7.4) — and only then communicate the much
-//! smaller aggregate.  These helpers implement that local step plus the
-//! "top-k by aggregate" post-processing used everywhere in Sections 7 and 8.
+//! smaller aggregate.  These helpers implement that local step plus
+//! [`top_k_by_key`], the one top-k cut every ranked answer of Sections 7 and
+//! 8 goes through, with one tie rule: the larger key wins a tie.
 //!
 //! Every aggregate of those sections is keyed by a `u64`, and hashing the key
 //! is a large part of counting it: a [`KeyMap`] hashes a key with
@@ -16,6 +17,7 @@
 //! clustering.  The seed is no keyed PRF, though: the hasher gives up
 //! SipHash's guarantee against chosen collisions (see [`KeyState`]).
 
+use std::cmp::Reverse;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -167,37 +169,25 @@ pub fn merge_counts<K: Eq + Hash, S: BuildHasher>(
     }
 }
 
-/// The `k` keys with the largest counts, sorted by decreasing count
-/// (ties broken deterministically by key order for reproducibility).
+/// Cut `entries` to the `k` entries of largest `rank`, best first.
 ///
-/// The order is total on distinct keys, so selecting the `k` best first and
-/// sorting only those gives the full sort's prefix.
-pub fn top_k_by_count<K: Eq + Hash + Ord + Clone, S>(
-    counts: &HashMap<K, u64, S>,
-    k: usize,
-) -> Vec<(K, u64)> {
+/// Every ranked answer of Sections 7 and 8 goes through this cut, and every
+/// caller ranks by `(value, key)`: the larger value first, and the larger key
+/// first among equal values — the order §6's threshold algorithm ranks by
+/// too.  It selects the `k` best before it sorts them, so a list of tens of
+/// thousands of entries is partitioned once and only its `k` best are
+/// sorted.  When `rank` is total on the entries (distinct keys), the result
+/// is the full sort's prefix.
+pub fn top_k_by_key<T, R: Ord>(entries: &mut Vec<T>, k: usize, mut rank: impl FnMut(&T) -> R) {
     if k == 0 {
-        return Vec::new();
+        entries.clear();
+        return;
     }
-    let order = |a: &(K, u64), b: &(K, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-    let mut entries: Vec<(K, u64)> = counts.iter().map(|(key, &c)| (key.clone(), c)).collect();
     if entries.len() > k {
-        entries.select_nth_unstable_by(k - 1, order);
+        entries.select_nth_unstable_by_key(k - 1, |entry| Reverse(rank(entry)));
         entries.truncate(k);
     }
-    entries.sort_unstable_by(order);
-    entries
-}
-
-/// The `k` keys with the largest sums, sorted by decreasing sum.
-pub fn top_k_by_sum<K: Eq + Hash + Ord + Clone, S>(
-    sums: &HashMap<K, f64, S>,
-    k: usize,
-) -> Vec<(K, f64)> {
-    let mut entries: Vec<(K, f64)> = sums.iter().map(|(key, &s)| (key.clone(), s)).collect();
-    entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-    entries.truncate(k);
-    entries
+    entries.sort_unstable_by_key(|entry| Reverse(rank(entry)));
 }
 
 #[cfg(test)]
@@ -237,21 +227,25 @@ mod tests {
         assert_eq!(a[&3], 1);
     }
 
-    #[test]
-    fn top_k_by_count_orders_and_truncates() {
-        let counts = count_keys(vec![5u64, 5, 5, 3, 3, 9]);
-        let top = top_k_by_count(&counts, 2);
-        assert_eq!(top, vec![(5, 3), (3, 2)]);
-        let all = top_k_by_count(&counts, 10);
-        assert_eq!(all.len(), 3);
-        assert!(top_k_by_count(&counts, 0).is_empty());
+    /// The larger value first, and the larger key first among equal values.
+    fn by_count(counts: &HashMap<u64, u64, impl BuildHasher>, k: usize) -> Vec<(u64, u64)> {
+        let mut entries: Vec<(u64, u64)> = counts.iter().map(|(&key, &c)| (key, c)).collect();
+        top_k_by_key(&mut entries, k, |&(key, count)| (count, key));
+        entries
     }
 
     #[test]
-    fn top_k_breaks_ties_deterministically() {
+    fn top_k_by_key_orders_and_truncates() {
+        let counts = count_keys(vec![5u64, 5, 5, 3, 3, 9]);
+        assert_eq!(by_count(&counts, 2), vec![(5, 3), (3, 2)]);
+        assert_eq!(by_count(&counts, 10).len(), 3);
+        assert!(by_count(&counts, 0).is_empty());
+    }
+
+    #[test]
+    fn top_k_by_key_keeps_the_larger_key_at_a_tie() {
         let counts = count_keys(vec![1u64, 2, 3, 4]);
-        let top = top_k_by_count(&counts, 2);
-        assert_eq!(top, vec![(1, 1), (2, 1)]);
+        assert_eq!(by_count(&counts, 2), vec![(4, 1), (3, 1)]);
     }
 
     /// On a map where 250 keys share each of four counts, the `u64` kernel
@@ -259,7 +253,7 @@ mod tests {
     /// sort's prefix for every `k`, cuts inside a tie and at its edges
     /// included, in a std map and in a [`KeyMap`] alike.
     #[test]
-    fn top_k_by_count_is_the_full_sorts_prefix_under_heavy_ties() {
+    fn top_k_by_key_is_the_full_sorts_prefix_under_heavy_ties() {
         let keys: Vec<u64> = (0..1_000u64)
             .flat_map(|key| std::iter::repeat_n(key * 7, 1 + key as usize % 4))
             .collect();
@@ -268,20 +262,12 @@ mod tests {
         assert_eq!(kernel.len(), std_map.len());
         assert!(std_map.iter().all(|(key, count)| kernel[key] == *count));
         let mut reference: Vec<(u64, u64)> = std_map.iter().map(|(&key, &c)| (key, c)).collect();
-        reference.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        reference.sort_by(|a, b| b.1.cmp(&a.1).then(b.0.cmp(&a.0)));
         for k in [0, 1, 2, 249, 250, 251, 500, 999, 1_000, 1_500] {
             let want = &reference[..k.min(reference.len())];
-            assert_eq!(top_k_by_count(&kernel, k), want, "k = {k}");
-            assert_eq!(top_k_by_count(&std_map, k), want, "k = {k}");
+            assert_eq!(by_count(&kernel, k), want, "k = {k}");
+            assert_eq!(by_count(&std_map, k), want, "k = {k}");
         }
-    }
-
-    #[test]
-    fn top_k_by_sum_orders_by_value() {
-        let sums = sum_by_key(vec![(1u64, 1.0), (2, 10.0), (3, 5.0)]);
-        let top = top_k_by_sum(&sums, 2);
-        assert_eq!(top[0].0, 2);
-        assert_eq!(top[1].0, 3);
     }
 
     /// The key families of the spread test, `2¹⁶` keys each: dense ids,

@@ -22,10 +22,13 @@
 //!   smallest counter exactly as in Space-Saving, so estimates are
 //!   over-estimates with error at most `decayed_total / capacity`.
 //!
-//! Both structures are deterministic in their input sequence (ties in the
-//! candidate rankings are broken by key), which is what lets the distributed
-//! streaming service feed the sliding window's candidates into communication
-//! without perturbing the metered words/PE across backends.
+//! Both structures are deterministic in their input sequence: the same
+//! insertions leave the same counters (Space-Saving's eviction breaks a tie
+//! by key).  The distributed streaming service ships the sliding window's
+//! [`candidate_counts`](SlidingWindowTopK::candidate_counts) as a map whose
+//! iteration order is arbitrary; its words/PE stay identical across backends
+//! because the hash table's shares (`topk`'s `KeyCounts`) sort their keys
+//! before they code them, not because of any ranking here.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -105,16 +108,6 @@ impl<K: Eq + Hash + Clone + Ord> SlidingWindowTopK<K> {
     /// Estimated in-window frequency of `key` (an under-estimate).
     pub fn estimate(&self, key: &K) -> u64 {
         self.merged().estimate(key)
-    }
-
-    /// Window candidates with their estimates, sorted by decreasing estimate
-    /// with ties broken by ascending key — a **total** order, so the
-    /// candidate list is identical across runs regardless of hash-map
-    /// iteration order.
-    pub fn candidates(&self) -> Vec<(K, u64)> {
-        let mut v = self.merged().candidates();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
     }
 
     /// The window candidates as a `key → estimate` map (input shape of the
@@ -236,6 +229,7 @@ impl<K: Eq + Hash + Clone + Ord> DecayingTopK<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashagg::top_k_by_key;
 
     /// Brute-force decayed count of `key` after the batch sequence
     /// `batches`, where batch `b`'s occurrences weigh `λ^(last − b)`.
@@ -338,21 +332,13 @@ mod tests {
         // keys b..b+4, so exactly keys 9, 10, 11 are hot in all three and
         // must be the top-3 candidate set (their relative order depends on
         // per-key sketch error, so compare as a set).
-        let mut top3: Vec<u64> = sketch.candidates()[..3].iter().map(|&(k, _)| k).collect();
+        let mut top: Vec<(u64, u64)> = sketch.candidate_counts().into_iter().collect();
+        top_k_by_key(&mut top, 3, |&(key, estimate)| (estimate, key));
+        let mut top3: Vec<u64> = top.iter().map(|&(k, _)| k).collect();
         top3.sort_unstable();
-        assert_eq!(top3, vec![9, 10, 11], "all: {:?}", sketch.candidates());
+        assert_eq!(top3, vec![9, 10, 11], "top: {top:?}");
         // Old hot keys (from expired batches) must not outrank live ones.
         assert!(!top3.contains(&0));
-    }
-
-    #[test]
-    fn candidates_are_totally_ordered() {
-        let mut sketch = SlidingWindowTopK::new(2, 8);
-        for x in [5u64, 3, 5, 3, 9, 9] {
-            sketch.insert(x);
-        }
-        // 3, 5, 9 all have count 2: ties must break by ascending key.
-        assert_eq!(sketch.candidates(), vec![(3, 2), (5, 2), (9, 2)]);
     }
 
     #[test]

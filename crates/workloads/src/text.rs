@@ -294,6 +294,8 @@ mod tests {
         assert_eq!(score.top[0].0, "the");
         assert!(audit.measured_words > 0);
         assert!(audit.predicted.words > 0.0);
-        assert!(topk::planner::PlanAudit::parse(&audit.audit_line()).is_some());
+        let head = format!("plan-audit algo={} p=4 ", plan.algorithm.token());
+        let line = audit.audit_line();
+        assert!(line.starts_with(&head), "{line}");
     }
 }
