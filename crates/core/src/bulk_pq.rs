@@ -5,8 +5,11 @@
 //! smallest elements.  The communication-efficient construction of the paper
 //! keeps every inserted element **local** — insertion costs no communication
 //! at all — and implements `deleteMin*` with the multisequence selection
-//! algorithms of Section 4 running over per-PE search trees
-//! ([`seqkit::Treap`]) instead of sorted arrays:
+//! algorithms of Section 4 running over per-PE search trees (std's
+//! [`BTreeSet`], a B-tree) instead of sorted arrays.  A `deleteMin*` only
+//! reads and removes a prefix of each tree — the selection's window is an
+//! in-order walk of its first `k` elements, the batch a `split_off` — so
+//! the tree needs no rank or concatenation operations of its own:
 //!
 //! * fixed batch size `k`:    expected `O(α log² kp)` (Theorem 5),
 //! * flexible batch `k̲..k̄`:  expected `O(α log kp)` when `k̄ − k̲ = Ω(k̲)`.
@@ -27,10 +30,10 @@
 //! Elements are tie-broken with a globally unique insertion id, so a fixed
 //! batch always contains *exactly* `k` elements in total.
 
+use std::collections::BTreeSet;
 use std::ops::Add;
 
 use commsim::{CommData, Communicator};
-use seqkit::Treap;
 
 use crate::amsselect::approx_multisequence_select_known_total;
 use crate::msselect::multisequence_select_known_sizes;
@@ -43,7 +46,7 @@ use crate::util::{allreduce_pair, global_min};
 /// the same parameters (the usual SPMD contract).
 #[derive(Debug, Clone)]
 pub struct BulkParallelQueue<T> {
-    local: Treap<(T, u64)>,
+    local: BTreeSet<(T, u64)>,
     rank: usize,
     num_pes: usize,
     next_insert: u64,
@@ -56,7 +59,7 @@ where
     /// Create an empty queue on this PE.
     pub fn new<C: Communicator>(comm: &C) -> Self {
         BulkParallelQueue {
-            local: Treap::new(),
+            local: BTreeSet::new(),
             rank: comm.rank(),
             num_pes: comm.size(),
             next_insert: 0,
@@ -91,7 +94,7 @@ where
 
     /// The globally smallest element without removing it (one all-reduction).
     pub fn peek_min<C: Communicator>(&self, comm: &C) -> Option<T> {
-        global_min(comm, self.local.min().cloned()).map(|(v, _)| v)
+        global_min(comm, self.local.first().cloned()).map(|(v, _)| v)
     }
 
     /// `deleteMin*` with a fixed batch size: remove and return the `k`
@@ -117,7 +120,7 @@ where
         }
         // Sorted access to the k smallest local candidates; elements beyond
         // local rank k can never be in the batch.
-        let window = self.local.smallest(k);
+        let window = self.smallest(k);
         let result = multisequence_select_known_sizes(comm, &window, k, remaining, seed);
         self.remove_smallest(result.local_count)
     }
@@ -142,7 +145,7 @@ where
         if global <= k_hi as u64 {
             return self.drain_local();
         }
-        let window = self.local.smallest(k_hi);
+        let window = self.smallest(k_hi);
         let result = approx_multisequence_select_known_total(
             comm,
             &window,
@@ -162,19 +165,29 @@ where
         allreduce_pair(comm, (len, len.min(k as u64)), u64::add, u64::add)
     }
 
-    /// Remove and return all local elements (ascending).
-    fn drain_local(&mut self) -> Vec<T> {
-        let t = std::mem::take(&mut self.local);
-        t.to_sorted_vec().into_iter().map(|(v, _)| v).collect()
+    /// The `k` smallest local elements in ascending order (all of them if
+    /// `k > local_len`): the window a `deleteMin*`'s selection searches.
+    fn smallest(&self, k: usize) -> Vec<(T, u64)> {
+        self.local.iter().take(k).cloned().collect()
     }
 
-    /// Remove and return the `count` smallest local elements (ascending).
+    /// Remove and return all local elements (ascending).
+    fn drain_local(&mut self) -> Vec<T> {
+        std::mem::take(&mut self.local)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect()
+    }
+
+    /// Remove and return the `count` smallest local elements (ascending):
+    /// the tree splits at the element of index `count`, which stays with
+    /// everything above it.
     fn remove_smallest(&mut self, count: usize) -> Vec<T> {
-        let t = std::mem::take(&mut self.local);
-        let (removed, rest) = t.split_at_rank(count);
-        self.local = rest;
-        removed
-            .to_sorted_vec()
+        let rest = match self.local.iter().nth(count).cloned() {
+            Some(cut) => self.local.split_off(&cut),
+            None => BTreeSet::new(),
+        };
+        std::mem::replace(&mut self.local, rest)
             .into_iter()
             .map(|(v, _)| v)
             .collect()
@@ -370,6 +383,93 @@ mod tests {
         assert_eq!(total, 77);
     }
 
+    /// `remove_smallest` cuts by position, not by value: on all-equal items
+    /// it takes the oldest insertion ids first, whatever the count.
+    #[test]
+    fn remove_smallest_cuts_all_equal_items_by_insertion_order() {
+        let out = run_spmd(1, |comm| {
+            let mut q = BulkParallelQueue::new(comm);
+            q.insert_bulk(std::iter::repeat_n(7u64, 10));
+            let ids = |q: &BulkParallelQueue<u64>| -> Vec<u64> {
+                q.local.iter().map(|&(_, id)| id).collect()
+            };
+            assert!(q.remove_smallest(0).is_empty());
+            assert_eq!(ids(&q), (0..10).collect::<Vec<u64>>());
+            assert_eq!(q.remove_smallest(1), vec![7]);
+            assert_eq!(ids(&q), (1..10).collect::<Vec<u64>>());
+            // More than half of the 9 left.
+            assert_eq!(q.remove_smallest(6), vec![7; 6]);
+            assert_eq!(ids(&q), vec![7, 8, 9]);
+            // Exactly `local_len`.
+            assert_eq!(q.remove_smallest(q.local_len()), vec![7; 3]);
+            assert_eq!(q.local_len(), 0);
+            assert!(q.remove_smallest(1).is_empty());
+            q.insert(7);
+            assert_eq!(ids(&q), vec![10]);
+        });
+        assert_eq!(out.results.len(), 1);
+    }
+
+    /// Fixed and flexible deletes, interleaved with inserts, on items drawn
+    /// from four values: every batch is the prefix of a global `BinaryHeap`
+    /// model of the same multiset.
+    #[test]
+    fn interleaved_fixed_and_flexible_deletes_match_a_heap_model() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        const ROUNDS: usize = 10;
+        for p in 1..=3usize {
+            // waves[0] is the initial fill; waves[r + 1] arrives after batch r.
+            let waves: Vec<Vec<Vec<u64>>> = (0..=ROUNDS as u64)
+                .map(|w| random_parts(p, if w == 0 { 60 } else { 12 }, 4, 100 * p as u64 + w))
+                .collect();
+            let waves_ref = waves.clone();
+            let out = run_spmd(p, move |comm| {
+                let mut q = BulkParallelQueue::new(comm);
+                q.insert_bulk(waves_ref[0][comm.rank()].iter().copied());
+                (0..ROUNDS)
+                    .map(|round| {
+                        let batch = if round % 2 == 0 {
+                            q.delete_min(comm, 17, round as u64)
+                        } else {
+                            q.delete_min_flexible(comm, 8, 24, round as u64)
+                        };
+                        q.insert_bulk(waves_ref[round + 1][comm.rank()].iter().copied());
+                        batch
+                    })
+                    .collect::<Vec<Vec<u64>>>()
+            });
+            let mut model: BinaryHeap<Reverse<u64>> =
+                waves[0].iter().flatten().copied().map(Reverse).collect();
+            for round in 0..ROUNDS {
+                let mut batch: Vec<u64> = out
+                    .results
+                    .iter()
+                    .flat_map(|batches| batches[round].iter().copied())
+                    .collect();
+                batch.sort_unstable();
+                // A queue holding no more than the batch's upper end drains.
+                if round % 2 == 0 {
+                    assert_eq!(batch.len(), 17.min(model.len()), "p={p} round {round}");
+                } else if model.len() <= 24 {
+                    assert_eq!(batch.len(), model.len(), "p={p} round {round}");
+                } else {
+                    assert!(
+                        (8..=24).contains(&batch.len()),
+                        "p={p} round {round}: batch size {}",
+                        batch.len()
+                    );
+                }
+                let expected: Vec<u64> = (0..batch.len())
+                    .map(|_| model.pop().expect("model holds the batch").0)
+                    .collect();
+                assert_eq!(batch, expected, "p={p} round {round}");
+                model.extend(waves[round + 1].iter().flatten().copied().map(Reverse));
+            }
+        }
+    }
+
     /// The queue adds nothing to its selection kernels' start-ups: the one
     /// entry reduction is the kernel's own, not a second one in front of it.
     /// At p = 64 rank 0 sends ⌈log₂ p⌉ = 6 messages per collective.  This
@@ -391,13 +491,13 @@ mod tests {
             // The public kernels on the very windows the queue will search.
             let (k, k_lo, k_hi) = (300usize, 200usize, 400usize);
             let start = sent();
-            let fixed_rounds = multisequence_select(comm, &q.local.smallest(k), k, 5).rounds;
+            let fixed_rounds = multisequence_select(comm, &q.smallest(k), k, 5).rounds;
             let fixed_kernel = sent() - start;
             let start = sent();
             q.delete_min(comm, k, 5);
             let fixed_queue = sent() - start;
 
-            let window = q.local.smallest(k_hi);
+            let window = q.smallest(k_hi);
             let flexible_rounds =
                 approx_multisequence_select(comm, &window, k_lo as u64, k_hi as u64, 7).rounds;
             let start = sent();

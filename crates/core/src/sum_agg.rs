@@ -226,21 +226,24 @@ mod tests {
 
     /// The exact variant breaks a tie at the k-th sum as every §7 list
     /// does, the larger key first: keys 3–6 sum to 100 each, exactly, and
-    /// every key is a candidate.
+    /// every key is a candidate.  The generator's oracle cuts the same way.
     #[test]
     fn the_exact_variant_keeps_the_larger_key_at_a_tie() {
         let params = FrequentParams::new(4, 1e-2, 1e-2, 3);
+        let local: Vec<(u64, f64)> = [(1, 150.0), (2, 100.0)]
+            .into_iter()
+            .chain((3..=6).map(|key| (key, 50.0)))
+            .collect();
+        let inputs = vec![local.clone(), local];
+        let inputs_ref = inputs.clone();
         let out = run_spmd(2, move |comm| {
-            let local: Vec<(u64, f64)> = [(1, 150.0), (2, 100.0)]
-                .into_iter()
-                .chain((3..=6).map(|key| (key, 50.0)))
-                .collect();
-            sum_top_k_exact(comm, &local, &params, 6)
+            sum_top_k_exact(comm, &inputs_ref[comm.rank()], &params, 6)
         });
         let want = vec![(1, 300.0), (2, 200.0), (6, 100.0), (5, 100.0)];
         for result in &out.results {
             assert_eq!(result.items, want);
         }
+        assert_eq!(WeightedZipfInput::exact_top_k(&inputs, 4), want);
     }
 
     #[test]

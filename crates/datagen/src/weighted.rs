@@ -9,6 +9,7 @@
 use crate::zipf::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use seqkit::hashagg::top_k_by_key;
 use std::collections::HashMap;
 
 /// Generator for weighted (key, value) workloads with Zipfian keys.
@@ -67,14 +68,21 @@ impl WeightedZipfInput {
         sums
     }
 
-    /// The exact top-`k` keys by value sum, sorted by decreasing sum.
+    /// The exact top-`k` keys by value sum, sorted by decreasing sum; at a
+    /// tie the larger key wins, as in every ranked answer of `topk`.
     pub fn exact_top_k(inputs: &[Vec<(u64, f64)>], k: usize) -> Vec<(u64, f64)> {
-        let sums = Self::exact_sums(inputs);
-        let mut entries: Vec<(u64, f64)> = sums.into_iter().collect();
-        entries.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        entries.truncate(k);
+        let mut entries: Vec<(u64, f64)> = Self::exact_sums(inputs).into_iter().collect();
+        top_k_by_key(&mut entries, k, |&(key, sum)| (total_order(sum), key));
         entries
     }
+}
+
+/// `f64::total_cmp`'s order as an integer: `total_order(a) < total_order(b)`
+/// iff `a.total_cmp(&b)` is `Less` (a negative value's magnitude bits are
+/// flipped, so it ranks below every larger one).
+fn total_order(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 #[cfg(test)]
@@ -112,6 +120,40 @@ mod tests {
         let top = WeightedZipfInput::exact_top_k(&inputs, 2);
         assert_eq!(top[0].0, 2);
         assert_eq!(top[1].0, 3);
+    }
+
+    #[test]
+    fn exact_top_k_keeps_the_larger_key_at_a_tied_sum() {
+        let inputs = vec![
+            vec![(4u64, 2.0), (9, 1.5), (7, 3.0)],
+            vec![(9u64, 0.5), (2, 2.0), (5, 1.0)],
+        ];
+        // Keys 9, 4 and 2 tie at 2.0 behind key 7's 3.0.
+        let top = WeightedZipfInput::exact_top_k(&inputs, 3);
+        assert_eq!(top, vec![(7, 3.0), (9, 2.0), (4, 2.0)]);
+    }
+
+    #[test]
+    fn total_order_ranks_like_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -2.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in values {
+            for b in values {
+                assert_eq!(
+                    total_order(a).cmp(&total_order(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     #[test]

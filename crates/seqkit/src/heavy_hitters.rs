@@ -88,12 +88,10 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// All currently tracked candidates with their estimates, sorted by
-    /// decreasing estimate.
-    pub fn candidates(&self) -> Vec<(K, u64)> {
-        let mut v: Vec<(K, u64)> = self.counters.iter().map(|(k, &c)| (k.clone(), c)).collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v
+    /// The tracked candidates as a `key → estimate` map, in no order: the
+    /// summary's own counters, handed over without a copy.
+    pub(crate) fn into_counts(self) -> HashMap<K, u64> {
+        self.counters
     }
 
     /// Additive error bound of the estimates: `processed / (capacity + 1)`.
@@ -124,6 +122,7 @@ impl<K: Eq + Hash + Clone> MisraGries<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashagg::top_k_by_key;
 
     /// A stream where key 0 appears 500 times, key 1 300 times, and keys
     /// 100.. appear once each (2000 singletons).
@@ -173,7 +172,7 @@ mod tests {
         for &x in &stream {
             mg.insert(x);
         }
-        for (k, est) in mg.candidates() {
+        for (k, est) in mg.into_counts() {
             let truth = stream.iter().filter(|&&x| x == k).count() as u64;
             assert!(est <= truth, "key {k}: estimate {est} > truth {truth}");
         }
@@ -206,14 +205,11 @@ mod tests {
         }
         left.merge(&right);
         assert_eq!(left.processed(), stream.len() as u64);
-        let top: Vec<u64> = left
-            .candidates()
-            .into_iter()
-            .take(2)
-            .map(|(k, _)| k)
-            .collect();
-        assert!(top.contains(&0));
-        assert!(top.contains(&1));
+        let mut top: Vec<(u64, u64)> = left.into_counts().into_iter().collect();
+        top_k_by_key(&mut top, 2, |&(key, estimate)| (estimate, key));
+        let mut top2: Vec<u64> = top.iter().map(|&(k, _)| k).collect();
+        top2.sort_unstable();
+        assert_eq!(top2, vec![0, 1], "top: {top:?}");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!
 //! * [`select`] — in-place quickselect and the Floyd–Rivest two-pivot
 //!   selection used to pick pivots close to a target rank,
-//! * [`Treap`] — an augmented search tree supporting `insert`, `delete`,
-//!   `select(i)`, `rank(x)`, `split` and `concat` in logarithmic time, the
-//!   backbone of the bulk-parallel priority queue (paper Section 5),
+//! * [`Treap`] — a randomized order-statistic search tree (`insert`,
+//!   `smallest(k)`, `split_at_rank`), kept only for the benchmark probe
+//!   that times it; the bulk-parallel priority queue (paper Section 5)
+//!   keeps its elements in std's `BTreeSet`,
 //! * [`sampling`] — Bernoulli sampling via geometric skip values and the
 //!   geometric random deviates used by the flexible-`k` selection
 //!   (paper Sections 2 and 4.3),

@@ -1,23 +1,14 @@
-//! An augmented search tree (treap) with order statistics.
+//! An order-statistic search tree (randomized treap), kept for one
+//! benchmark probe.
 //!
-//! The bulk-parallel priority queue of the paper's Section 5 replaces the
-//! per-PE sequential priority queues of earlier work by "search tree data
-//! structures that support insertion, deletion, selection, ranking, splitting
-//! and concatenation of objects in logarithmic time".  This module provides
-//! exactly that data structure: a randomized treap whose nodes store subtree
-//! sizes, giving
+//! Only the benchmark's `treap_kernels` probe uses this type: it times the
+//! per-PE tree operations a `bulkpq_churn` round once ran.  The bulk
+//! priority queue itself (`topk::BulkParallelQueue`, paper §5) keeps its
+//! elements in std's `BTreeSet`, so the tree offers only what the probe
+//! calls: `insert`, `smallest(k)` and `split_at_rank`, each `O(log n)`
+//! expected (`smallest` plus `O(k)`).
 //!
-//! * `insert`, `remove`          — `O(log n)` expected,
-//! * `select(i)` (i-th smallest) — `O(log n)` expected,
-//! * `rank(x)` (# elements ≤ x)  — `O(log n)` expected,
-//! * `split(x)` / `concat`       — `O(log n)` expected,
-//! * `min` / `max`               — `O(log n)` expected (`O(1)` amortised via
-//!   the cached extrema the bulk queue keeps on top of this structure).
-//!
-//! Duplicate keys are allowed (the paper breaks ties by pairing values with
-//! their origin, but the data structure itself does not need uniqueness).
-
-use std::cmp::Ordering;
+//! Duplicate keys are allowed.
 
 /// Internal tree node.
 #[derive(Debug, Clone)]
@@ -50,7 +41,8 @@ fn size<T>(node: &Option<Box<Node<T>>>) -> usize {
     node.as_ref().map_or(0, |n| n.size)
 }
 
-/// A randomized order-statistic search tree over keys of type `T`.
+/// A randomized order-statistic search tree over keys of type `T`; only the
+/// benchmark's `treap_kernels` probe uses it.
 ///
 /// ```
 /// use seqkit::Treap;
@@ -60,12 +52,10 @@ fn size<T>(node: &Option<Box<Node<T>>>) -> usize {
 ///     t.insert(x);
 /// }
 /// assert_eq!(t.len(), 5);
-/// assert_eq!(t.select(0), Some(&1));   // smallest
-/// assert_eq!(t.select(4), Some(&9));   // largest
-/// assert_eq!(t.rank(&6), 3);           // three elements ≤ 6
-/// let (le, gt) = t.split(&5);
-/// assert_eq!(le.len(), 3);
-/// assert_eq!(gt.len(), 2);
+/// assert_eq!(t.smallest(3), vec![1, 1, 5]);
+/// let (lo, hi) = t.split_at_rank(2);
+/// assert_eq!(lo.smallest(2), vec![1, 1]);
+/// assert_eq!(hi.smallest(3), vec![5, 7, 9]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Treap<T> {
@@ -130,99 +120,6 @@ impl<T: Ord + Clone> Treap<T> {
         self.root = merge(merge(le, Some(node)), gt);
     }
 
-    /// Remove one occurrence of `key`; returns `true` if it was present.
-    /// Expected `O(log n)`.
-    pub fn remove(&mut self, key: &T) -> bool {
-        let root = self.root.take();
-        let (removed, root) = remove_one(root, key);
-        self.root = root;
-        removed
-    }
-
-    /// `true` iff at least one occurrence of `key` is stored.
-    pub fn contains(&self, key: &T) -> bool {
-        let mut cur = &self.root;
-        while let Some(node) = cur {
-            match key.cmp(&node.key) {
-                Ordering::Less => cur = &node.left,
-                Ordering::Greater => cur = &node.right,
-                Ordering::Equal => return true,
-            }
-        }
-        false
-    }
-
-    /// The i-th smallest key (0-based), or `None` if `i >= len`.
-    /// Expected `O(log n)`.
-    pub fn select(&self, mut i: usize) -> Option<&T> {
-        let mut cur = &self.root;
-        while let Some(node) = cur {
-            let left = size(&node.left);
-            match i.cmp(&left) {
-                Ordering::Less => cur = &node.left,
-                Ordering::Equal => return Some(&node.key),
-                Ordering::Greater => {
-                    i -= left + 1;
-                    cur = &node.right;
-                }
-            }
-        }
-        None
-    }
-
-    /// Number of stored keys `≤ key` (the paper's `T.rank(x)`).
-    /// Expected `O(log n)`.
-    pub fn rank(&self, key: &T) -> usize {
-        let mut cur = &self.root;
-        let mut acc = 0;
-        while let Some(node) = cur {
-            if *key < node.key {
-                cur = &node.left;
-            } else {
-                acc += size(&node.left) + 1;
-                cur = &node.right;
-            }
-        }
-        acc
-    }
-
-    /// Smallest key, or `None` if empty.
-    pub fn min(&self) -> Option<&T> {
-        let mut cur = self.root.as_ref()?;
-        while let Some(left) = cur.left.as_ref() {
-            cur = left;
-        }
-        Some(&cur.key)
-    }
-
-    /// Largest key, or `None` if empty.
-    pub fn max(&self) -> Option<&T> {
-        let mut cur = self.root.as_ref()?;
-        while let Some(right) = cur.right.as_ref() {
-            cur = right;
-        }
-        Some(&cur.key)
-    }
-
-    /// Split into `(≤ key, > key)`, consuming `self` (the paper's
-    /// `T.split(x)`). Expected `O(log n)`.
-    pub fn split(mut self, key: &T) -> (Treap<T>, Treap<T>) {
-        let root = self.root.take();
-        let (le, gt) = split_le(root, key);
-        let seed_a = self.next_priority();
-        let seed_b = self.next_priority();
-        (
-            Treap {
-                root: le,
-                prio_state: seed_a | 1,
-            },
-            Treap {
-                root: gt,
-                prio_state: seed_b | 1,
-            },
-        )
-    }
-
     /// Split off the `count` smallest keys: returns `(smallest count, rest)`.
     /// Expected `O(log n)`.
     pub fn split_at_rank(mut self, count: usize) -> (Treap<T>, Treap<T>) {
@@ -242,44 +139,11 @@ impl<T: Ord + Clone> Treap<T> {
         )
     }
 
-    /// Concatenate two treaps where every key of `self` is `≤` every key of
-    /// `other` (the paper's `concat(T1, T2)`). Expected `O(log n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if the key ranges overlap.
-    pub fn concat(mut self, mut other: Treap<T>) -> Treap<T> {
-        debug_assert!(
-            match (self.max(), other.min()) {
-                (Some(a), Some(b)) => a <= b,
-                _ => true,
-            },
-            "concat requires all keys of the left treap to be ≤ the right treap"
-        );
-        let left = self.root.take();
-        let right = other.root.take();
-        let seed = self.next_priority();
-        Treap {
-            root: merge(left, right),
-            prio_state: seed | 1,
-        }
-    }
-
-    /// In-order (sorted) iteration over the stored keys.
-    pub fn iter(&self) -> TreapIter<'_, T> {
-        let mut stack = Vec::new();
-        push_left_spine(&self.root, &mut stack);
-        TreapIter { stack }
-    }
-
-    /// Collect the keys in sorted order.
-    pub fn to_sorted_vec(&self) -> Vec<T> {
-        self.iter().cloned().collect()
-    }
-
     /// The `k` smallest keys in sorted order (all keys if `k > len`).
     pub fn smallest(&self, k: usize) -> Vec<T> {
-        self.iter().take(k).cloned().collect()
+        let mut out = Vec::with_capacity(k.min(self.len()));
+        push_smallest(&self.root, k, &mut out);
+        out
     }
 }
 
@@ -328,10 +192,7 @@ fn split_at_size<T: Ord + Clone>(node: Link<T>, count: usize) -> (Link<T>, Link<
 }
 
 /// Merge two treaps with `left` keys ≤ `right` keys.
-fn merge<T: Ord + Clone>(
-    left: Option<Box<Node<T>>>,
-    right: Option<Box<Node<T>>>,
-) -> Option<Box<Node<T>>> {
+fn merge<T: Ord + Clone>(left: Link<T>, right: Link<T>) -> Link<T> {
     match (left, right) {
         (None, r) => r,
         (l, None) => l,
@@ -349,51 +210,16 @@ fn merge<T: Ord + Clone>(
     }
 }
 
-/// Remove one occurrence of `key`; returns whether a node was removed.
-fn remove_one<T: Ord + Clone>(node: Option<Box<Node<T>>>, key: &T) -> (bool, Option<Box<Node<T>>>) {
-    match node {
-        None => (false, None),
-        Some(mut n) => match key.cmp(&n.key) {
-            Ordering::Less => {
-                let (removed, left) = remove_one(n.left.take(), key);
-                n.left = left;
-                n.update_size();
-                (removed, Some(n))
-            }
-            Ordering::Greater => {
-                let (removed, right) = remove_one(n.right.take(), key);
-                n.right = right;
-                n.update_size();
-                (removed, Some(n))
-            }
-            Ordering::Equal => (true, merge(n.left.take(), n.right.take())),
-        },
+/// Append the keys of `node` to `out` in order until `out` holds `k`.
+fn push_smallest<T: Clone>(node: &Link<T>, k: usize, out: &mut Vec<T>) {
+    let Some(n) = node else { return };
+    if out.len() >= k {
+        return;
     }
-}
-
-fn push_left_spine<'a, T>(mut node: &'a Option<Box<Node<T>>>, stack: &mut Vec<&'a Node<T>>) {
-    while let Some(n) = node {
-        stack.push(n);
-        node = &n.left;
-    }
-}
-
-/// In-order iterator over a [`Treap`].
-pub struct TreapIter<'a, T> {
-    stack: Vec<&'a Node<T>>,
-}
-
-impl<'a, T> Iterator for TreapIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let node = self.stack.pop()?;
-        let mut cur = &node.right;
-        while let Some(n) = cur {
-            self.stack.push(n);
-            cur = &n.left;
-        }
-        Some(&node.key)
+    push_smallest(&n.left, k, out);
+    if out.len() < k {
+        out.push(n.key.clone());
+        push_smallest(&n.right, k, out);
     }
 }
 
@@ -401,77 +227,36 @@ impl<'a, T> Iterator for TreapIter<'a, T> {
 mod tests {
     use super::*;
 
+    /// All keys in sorted order.
+    fn sorted<T: Ord + Clone>(t: &Treap<T>) -> Vec<T> {
+        t.smallest(t.len())
+    }
+
     #[test]
-    fn insert_select_rank_roundtrip() {
+    fn insert_keeps_keys_sorted() {
         let mut t = Treap::new();
+        assert!(t.is_empty());
         for x in [50u64, 10, 30, 20, 40] {
             t.insert(x);
         }
         assert_eq!(t.len(), 5);
-        assert_eq!(t.to_sorted_vec(), vec![10, 20, 30, 40, 50]);
-        assert_eq!(t.select(0), Some(&10));
-        assert_eq!(t.select(2), Some(&30));
-        assert_eq!(t.select(4), Some(&50));
-        assert_eq!(t.select(5), None);
-        assert_eq!(t.rank(&5), 0);
-        assert_eq!(t.rank(&30), 3);
-        assert_eq!(t.rank(&100), 5);
+        assert!(!t.is_empty());
+        assert_eq!(sorted(&t), vec![10, 20, 30, 40, 50]);
     }
 
     #[test]
     fn duplicates_are_counted() {
-        let mut t = Treap::new();
-        for x in [3u64, 3, 3, 1, 5] {
-            t.insert(x);
-        }
+        let t = Treap::from_iter([3u64, 3, 3, 1, 5]);
         assert_eq!(t.len(), 5);
-        assert_eq!(t.rank(&3), 4);
-        assert!(t.remove(&3));
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.rank(&3), 3);
-        assert!(t.contains(&3));
-    }
-
-    #[test]
-    fn remove_missing_key_is_a_noop() {
-        let mut t = Treap::from_iter([1u64, 2, 3]);
-        assert!(!t.remove(&9));
-        assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn min_and_max() {
-        let t = Treap::from_iter([7u64, 2, 9, 4]);
-        assert_eq!(t.min(), Some(&2));
-        assert_eq!(t.max(), Some(&9));
-        let empty: Treap<u64> = Treap::new();
-        assert_eq!(empty.min(), None);
-    }
-
-    #[test]
-    fn split_by_key_partitions_correctly() {
-        let t = Treap::from_iter(0u64..100);
-        let (le, gt) = t.split(&41);
-        assert_eq!(le.len(), 42);
-        assert_eq!(gt.len(), 58);
-        assert_eq!(le.max(), Some(&41));
-        assert_eq!(gt.min(), Some(&42));
-    }
-
-    #[test]
-    fn split_by_absent_key() {
-        let t = Treap::from_iter([10u64, 20, 30]);
-        let (le, gt) = t.split(&25);
-        assert_eq!(le.to_sorted_vec(), vec![10, 20]);
-        assert_eq!(gt.to_sorted_vec(), vec![30]);
+        assert_eq!(sorted(&t), vec![1, 3, 3, 3, 5]);
     }
 
     #[test]
     fn split_at_rank_gives_exact_counts() {
         let t = Treap::from_iter((0u64..50).rev());
         let (lo, hi) = t.split_at_rank(13);
-        assert_eq!(lo.to_sorted_vec(), (0..13).collect::<Vec<u64>>());
-        assert_eq!(hi.len(), 37);
+        assert_eq!(sorted(&lo), (0..13).collect::<Vec<u64>>());
+        assert_eq!(sorted(&hi), (13..50).collect::<Vec<u64>>());
         // Degenerate splits.
         let t = Treap::from_iter(0u64..5);
         let (lo, hi) = t.clone().split_at_rank(0);
@@ -480,14 +265,6 @@ mod tests {
         let (lo, hi) = t.split_at_rank(100);
         assert_eq!(lo.len(), 5);
         assert_eq!(hi.len(), 0);
-    }
-
-    #[test]
-    fn concat_restores_split() {
-        let t = Treap::from_iter(0u64..64);
-        let (le, gt) = t.split(&20);
-        let joined = le.concat(gt);
-        assert_eq!(joined.to_sorted_vec(), (0..64).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -513,39 +290,24 @@ mod tests {
             reference.push(v);
         }
         reference.sort_unstable();
-        assert_eq!(t.to_sorted_vec(), reference);
+        assert_eq!(sorted(&t), reference);
     }
 
     #[test]
-    fn rank_and_select_are_inverse_on_distinct_keys() {
-        let t = Treap::from_iter((0u64..500).map(|x| x * 3));
-        for i in 0..500 {
-            let key = *t.select(i).unwrap();
-            assert_eq!(t.rank(&key), i + 1);
-        }
-    }
-
-    #[test]
-    fn expected_depth_is_logarithmic() {
-        // A treap over 4096 ordered insertions must not degenerate into a
-        // path; check that select() still works near the ends quickly (depth
-        // is probabilistic, so only sanity-check the structure size here).
+    fn ordered_insertions_stay_shallow_enough_to_walk() {
+        // 4096 ordered insertions must not degenerate into a path: the
+        // recursive walks of `smallest` and the splits would then recurse
+        // 4096 deep (depth is probabilistic, so only sanity-check here).
         let t = Treap::from_iter(0u64..4096);
         assert_eq!(t.len(), 4096);
-        assert_eq!(t.select(0), Some(&0));
-        assert_eq!(t.select(4095), Some(&4095));
+        assert_eq!(t.smallest(1), vec![0]);
+        assert_eq!(sorted(&t).last(), Some(&4095));
     }
 
     #[test]
     fn works_with_tuple_keys_for_tie_breaking() {
         // The paper makes orderings unique by pairing value with origin.
-        let mut t: Treap<(u64, usize)> = Treap::new();
-        t.insert((5, 1));
-        t.insert((5, 0));
-        t.insert((3, 2));
-        assert_eq!(t.select(0), Some(&(3, 2)));
-        assert_eq!(t.select(1), Some(&(5, 0)));
-        assert_eq!(t.select(2), Some(&(5, 1)));
-        assert_eq!(t.rank(&(5, 0)), 2);
+        let t: Treap<(u64, usize)> = Treap::from_iter([(5, 1), (5, 0), (3, 2)]);
+        assert_eq!(sorted(&t), vec![(3, 2), (5, 0), (5, 1)]);
     }
 }

@@ -19,8 +19,8 @@
 //!
 //! * [`commsim`] — the simulated distributed-memory machine (SPMD runtime,
 //!   collectives, communication metering),
-//! * [`seqkit`] — sequential building blocks (selection, order-statistic
-//!   trees, sampling, threshold algorithm),
+//! * [`seqkit`] — sequential building blocks (selection, sampling,
+//!   threshold algorithm, hash aggregation, stream summaries),
 //! * [`datagen`] — synthetic workload generators matching the paper's
 //!   evaluation section,
 //! * [`topk`] — the paper's distributed algorithms themselves,
@@ -45,7 +45,7 @@ pub mod prelude {
     pub use datagen::{
         MulticriteriaWorkload, SkewedSelectionInput, UniformInput, WeightedZipfInput, Zipf,
     };
-    pub use seqkit::{ThresholdAlgorithm, Treap};
+    pub use seqkit::ThresholdAlgorithm;
     pub use topk::{
         approx_multisequence_select, dta_top_k, knapsack_branch_bound_parallel,
         knapsack_branch_bound_sequential, multisequence_select, rdta_top_k, redistribute,

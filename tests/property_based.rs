@@ -4,7 +4,8 @@
 //!   requested rank, for arbitrary per-PE inputs (including empty PEs,
 //!   duplicates and adversarial skew);
 //! * the flexible-k selection always lands inside its band;
-//! * the treap behaves exactly like a sorted vector;
+//! * the treap's `smallest` and `split_at_rank` behave exactly like a sorted
+//!   vector's prefix and cut;
 //! * redistribution never loses or invents elements and always balances;
 //! * the top-k merge of DHT shares is the sequential top-k of their union;
 //! * the bulk queue drains any insert schedule in global order;
@@ -33,6 +34,7 @@ use proptest::prelude::*;
 use topk_selection::commsim::codec::{BitWriter, PackedCounts, MAX_RICE};
 use topk_selection::commsim::{CommData, CommError, CommResult, WordReader};
 use topk_selection::prelude::*;
+use topk_selection::seqkit::Treap;
 use topk_selection::topk::branch_bound::BnbNode;
 use topk_selection::topk::frequent::dht::KeyCounts;
 use topk_selection::topk::frequent::select_top_counts;
@@ -314,34 +316,39 @@ proptest! {
     #[test]
     fn treap_behaves_like_a_sorted_vector(
         values in vec(0u64..500, 0..300),
-        probe in 0u64..500,
+        extra in vec(0u64..500, 0..20),
+        k in 0usize..320,
     ) {
-        let treap = Treap::from_iter(values.iter().copied());
+        let mut treap = Treap::from_iter(values.iter().copied());
         let mut reference = values.clone();
+        for &x in &extra {
+            treap.insert(x);
+            reference.push(x);
+        }
         reference.sort_unstable();
         prop_assert_eq!(treap.len(), reference.len());
-        prop_assert_eq!(treap.to_sorted_vec(), reference.clone());
-        prop_assert_eq!(treap.rank(&probe), reference.iter().filter(|&&x| x <= probe).count());
-        if !reference.is_empty() {
-            prop_assert_eq!(treap.min(), reference.first());
-            prop_assert_eq!(treap.max(), reference.last());
-            let mid = reference.len() / 2;
-            prop_assert_eq!(treap.select(mid), Some(&reference[mid]));
-        }
+        prop_assert_eq!(treap.is_empty(), reference.is_empty());
+        prop_assert_eq!(treap.smallest(reference.len()), reference.clone());
+        prop_assert_eq!(treap.smallest(k), reference[..k.min(reference.len())].to_vec());
     }
 
     #[test]
     fn treap_split_concat_roundtrip(
         values in vec(0u64..500, 1..200),
-        pivot in 0u64..500,
+        count in 0usize..220,
     ) {
         let treap = Treap::from_iter(values.iter().copied());
-        let reference = treap.to_sorted_vec();
-        let (le, gt) = treap.split(&pivot);
-        prop_assert!(le.to_sorted_vec().iter().all(|&x| x <= pivot));
-        prop_assert!(gt.to_sorted_vec().iter().all(|&x| x > pivot));
-        let rejoined = le.concat(gt);
-        prop_assert_eq!(rejoined.to_sorted_vec(), reference);
+        let reference = treap.smallest(treap.len());
+        let (lo, hi) = treap.clone().split_at_rank(count);
+        let cut = count.min(reference.len());
+        prop_assert_eq!(lo.len(), cut);
+        prop_assert_eq!(hi.len(), reference.len() - cut);
+        // The two halves, concatenated in order, are the whole tree again.
+        let mut rejoined = lo.smallest(lo.len());
+        rejoined.extend(hi.smallest(hi.len()));
+        prop_assert_eq!(rejoined, reference);
+        // The source is untouched by a split of its clone.
+        prop_assert_eq!(treap.len(), values.len());
     }
 
     #[test]
