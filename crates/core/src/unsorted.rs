@@ -71,7 +71,13 @@
 //! sample element beyond it, so every level after a cold one shrinks the
 //! input.
 //!
-//! Every entry point runs that one recursion over one tagged copy of `local`.
+//! Every entry point runs that one recursion over `local` itself: element
+//! `i` carries the implicit tag `offset + i` until the first narrowing, so
+//! only survivors are ever copied with their tags.  Each level reads its
+//! input once — a level with a pivot counts, samples and copies out its
+//! middle range in one branch-free sweep, comparing `u64` pairs as one
+//! `u128` ([`SelectKey::pair_lt`]) — and only a miss costs a second,
+//! filtering pass (`select_recursive`).
 //! [`select_k_smallest`] returns the *threshold* (the element of global rank
 //! `k` under a tie-broken total order) and each PE's local part of the
 //! selected set, whose sizes sum to exactly `k` across all PEs;
@@ -82,9 +88,10 @@ use commsim::codec::{decode_error, BitCodec, BitReader, BitSink};
 use commsim::{CommResult, Communicator, ReduceOp};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqkit::select::partition_counts_sample_middle;
+use seqkit::sampling::bernoulli_sample_with;
+use seqkit::select::{compact_filter, partition_counts_sample_compact};
 
-use crate::util::{global_max, global_min, tag_unique, tie_break_offset, SelectKey, SortedBlock};
+use crate::util::{global_max, global_min, tie_break_offset, SelectKey, SortedBlock};
 
 /// Result of a distributed unsorted selection.
 #[derive(Debug, Clone)]
@@ -191,9 +198,9 @@ impl<T: SelectKey> Bracket<T> {
         }
     }
 
-    /// Whether `e` lies in the middle range.
-    fn contains(&self, e: &(T, u64)) -> bool {
-        self.lo.as_ref().is_none_or(|lo| lo <= e) && self.hi.as_ref().is_none_or(|hi| e <= hi)
+    /// Whether neither side is closed: a cold level's bracket.
+    fn is_open(&self) -> bool {
+        self.lo.is_none() && self.hi.is_none()
     }
 }
 
@@ -426,14 +433,146 @@ fn decide<T: SelectKey>(report: LevelReport<T>, p: usize, k: usize, total: usize
     }
 }
 
-/// Narrow `s` in place to `range` of `bracket` — a stable filter, so the
-/// survivors keep their relative order and no buffer is allocated.
-fn narrow<T: SelectKey>(s: &mut Vec<(T, u64)>, bracket: &Bracket<T>, range: Range) {
+/// A level's input on this PE.  Until the first narrowing it is `local`
+/// itself, element `i` carrying the implicit tag `offset + i`; only the
+/// survivors of a narrowing are ever stored with their tags.
+enum Input<'a, T> {
+    Local { local: &'a [T], offset: u64 },
+    Tagged(Vec<(T, u64)>),
+}
+
+impl<T: SelectKey> Input<'_, T> {
+    fn len(&self) -> usize {
+        match self {
+            Input::Local { local, .. } => local.len(),
+            Input::Tagged(s) => s.len(),
+        }
+    }
+
+    /// The smallest tagged element, if any.
+    fn min(&self) -> Option<(T, u64)> {
+        match self {
+            Input::Local { local, offset } => local.iter().zip(*offset..).min(),
+            Input::Tagged(s) => s.iter().map(|(v, t)| (v, *t)).min(),
+        }
+        .map(|(v, t)| (v.clone(), t))
+    }
+
+    /// The largest tagged element, if any.
+    fn max(&self) -> Option<(T, u64)> {
+        match self {
+            Input::Local { local, offset } => local.iter().zip(*offset..).max(),
+            Input::Tagged(s) => s.iter().map(|(v, t)| (v, *t)).max(),
+        }
+        .map(|(v, t)| (v.clone(), t))
+    }
+
+    /// The level's sweep against `bracket` ([`sweep`]).
+    fn sweep(
+        &self,
+        bracket: &Bracket<T>,
+        rho: f64,
+        rng: &mut StdRng,
+        middle: &mut Vec<(T, u64)>,
+    ) -> ((usize, usize, usize), Vec<(T, u64)>) {
+        match self {
+            Input::Local { local, offset } => sweep(
+                local,
+                |i, v| (v, offset + i as u64),
+                bracket,
+                rho,
+                rng,
+                middle,
+            ),
+            Input::Tagged(s) => sweep(s, |_, (v, t)| (v, *t), bracket, rho, rng, middle),
+        }
+    }
+
+    /// Append the elements of `range` of `bracket`, an outer range, to `out`.
+    fn narrow_into(&self, bracket: &Bracket<T>, range: Range, out: &mut Vec<(T, u64)>) {
+        match self {
+            Input::Local { local, offset } => {
+                narrow_into(local, |i, v| (v, offset + i as u64), bracket, range, out)
+            }
+            Input::Tagged(s) => narrow_into(s, |_, (v, t)| (v, *t), bracket, range, out),
+        }
+    }
+}
+
+/// One level's pass over `data`, whose element `i` is the pair `pair(i, e)`:
+/// a cold level only samples it; a level with a pivot counts it against
+/// `bracket`, samples the middle range and appends that range to `middle`,
+/// in one branch-free sweep ([`partition_counts_sample_compact`]).  Returns
+/// the three range sizes and the sample.
+fn sweep<T: SelectKey, E>(
+    data: &[E],
+    pair: impl Fn(usize, &E) -> (&T, u64),
+    bracket: &Bracket<T>,
+    rho: f64,
+    rng: &mut StdRng,
+    middle: &mut Vec<(T, u64)>,
+) -> ((usize, usize, usize), Vec<(T, u64)>) {
+    let emit = |i, e: &E| {
+        let (v, t) = pair(i, e);
+        (v.clone(), t)
+    };
+    let never = |_, _: &E| false;
+    match (&bracket.lo, &bracket.hi) {
+        (None, None) => (
+            (0, data.len(), 0),
+            bernoulli_sample_with(data, rho, rng, emit),
+        ),
+        (Some((lo, lo_tag)), Some((hi, hi_tag))) => partition_counts_sample_compact(
+            data,
+            |i, e| T::pair_lt(pair(i, e), (lo, *lo_tag)),
+            |i, e| T::pair_lt((hi, *hi_tag), pair(i, e)),
+            emit,
+            rho,
+            rng,
+            middle,
+        ),
+        (Some((lo, lo_tag)), None) => partition_counts_sample_compact(
+            data,
+            |i, e| T::pair_lt(pair(i, e), (lo, *lo_tag)),
+            never,
+            emit,
+            rho,
+            rng,
+            middle,
+        ),
+        (None, Some((hi, hi_tag))) => partition_counts_sample_compact(
+            data,
+            never,
+            |i, e| T::pair_lt((hi, *hi_tag), pair(i, e)),
+            emit,
+            rho,
+            rng,
+            middle,
+        ),
+    }
+}
+
+/// Append the elements of `data` in `range` of `bracket`, an outer range
+/// beyond a closed side, to `out` in one branch-free stable filter; element
+/// `i` is the pair `pair(i, e)`.
+fn narrow_into<T: SelectKey, E>(
+    data: &[E],
+    pair: impl Fn(usize, &E) -> (&T, u64),
+    bracket: &Bracket<T>,
+    range: Range,
+    out: &mut Vec<(T, u64)>,
+) {
+    let emit = |i, e: &E| {
+        let (v, t) = pair(i, e);
+        (v.clone(), t)
+    };
     match (range, &bracket.lo, &bracket.hi) {
-        (Range::Middle, None, None) => {}
-        (Range::Middle, _, _) => s.retain(|e| bracket.contains(e)),
-        (Range::Below, Some(lo), _) => s.retain(|e| e < lo),
-        (Range::Above, _, Some(hi)) => s.retain(|e| e > hi),
+        (Range::Below, Some((lo, tag)), _) => {
+            compact_filter(data, |i, e| T::pair_lt(pair(i, e), (lo, *tag)), emit, out)
+        }
+        (Range::Above, _, Some((hi, tag))) => {
+            compact_filter(data, |i, e| T::pair_lt((hi, *tag), pair(i, e)), emit, out)
+        }
         _ => unreachable!("an open side has no elements beyond it"),
     }
 }
@@ -454,17 +593,18 @@ where
     T: SelectKey,
 {
     let total = comm.allreduce_sum(local.len() as u64) as usize;
-    let (threshold, offset, levels) = threshold_tagged(comm, local, total, k, seed);
-    // The recursion consumed its tagged copy; the selected set is recovered
-    // directly from `local` and the offset, so no second one is materialised.
-    let local_selected: Vec<T> = local
-        .iter()
-        .enumerate()
-        .filter(|&(i, v)| (v, offset + i as u64) <= (&threshold.0, threshold.1))
-        .map(|(_, v)| v.clone())
-        .collect();
+    let ((threshold, tag), offset, levels) = threshold_tagged(comm, local, total, k, seed);
+    // The selected set is cut from `local` and the implicit tags, in one
+    // branch-free filter.
+    let mut local_selected = Vec::new();
+    compact_filter(
+        local,
+        |i, v| !T::pair_lt((&threshold, tag), (v, offset + i as u64)),
+        |_, v| v.clone(),
+        &mut local_selected,
+    );
     UnsortedSelectionResult {
-        threshold: threshold.0,
+        threshold,
         local_selected,
         recursion_levels: levels,
     }
@@ -489,12 +629,12 @@ where
 
     // Make the order unique: (value, packed (rank, local index)).
     let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
-    let tagged = tag_unique(local, offset);
+    let input = Input::Local { local, offset };
 
     let mut rng =
         StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
     let mut levels = 0usize;
-    let threshold = select_recursive(comm, tagged, total, k, &mut rng, &mut levels);
+    let threshold = select_recursive(comm, input, total, k, &mut rng, &mut levels);
     (threshold, offset, levels)
 }
 
@@ -502,8 +642,7 @@ where
 /// materialising the selected set.
 ///
 /// This is [`select_k_smallest`] minus its final filter over `local`: the
-/// same recursion over one tagged copy of `local`, hence the same RNG
-/// stream, levels and messages (pinned by
+/// same recursion, hence the same RNG stream, levels and messages (pinned by
 /// `threshold_only_path_is_bit_identical_to_the_full_path` below), so the
 /// fig6 words/PE columns apply to both entry points.
 pub fn select_threshold<C, T>(comm: &C, local: &[T], k: usize, seed: u64) -> T
@@ -518,23 +657,25 @@ where
 /// Core recursion of Algorithm 1 on tie-broken keys: one round trip to the
 /// [`sample_root`] per level (module docs).
 ///
-/// The remaining local input lives in one owned buffer `s` that only ever
-/// *shrinks*, and a level sweeps it at most twice: once to count it against
-/// the level's bracket and sample the middle range in the same pass
-/// ([`partition_counts_sample_middle`] — a branchless count per block of
-/// elements, walked one by one only where the next sampled index falls),
-/// and once to narrow it with a stable in-place `Vec::retain` after the
-/// decision.  No per-level heap allocation is performed for the data itself
-/// — for `Copy` keys such as `u64` the whole recursion reuses the level-0
-/// buffer.  The sweep draws the RNG exactly as collecting the middle and
-/// calling `bernoulli_sample` on it would (pinned by
+/// The input starts as `local` with its implicit tags ([`Input`]) and is
+/// read once per level.  A cold level only samples it.  A level with a pivot
+/// runs one branch-free sweep ([`partition_counts_sample_compact`]) that
+/// counts it against the bracket, samples the middle range and copies that
+/// range into a spare buffer.  After a hit (the target in the middle, ≈ 87 %
+/// of such levels) the spare buffer is the next level's input, with no
+/// second pass; after a miss one branch-free filter ([`compact_filter`])
+/// copies the outer range there instead.  So the tagged pairs are only ever
+/// survivors, and the two buffers swap: each is reserved once, at the size
+/// of the input it first receives a narrowing of, and never grows.  The
+/// sweep draws the RNG exactly as collecting the middle and calling
+/// `bernoulli_sample` on it would (pinned by
 /// `one_sweep_level_is_bit_identical_to_the_collecting_reference` below).
 ///
-/// `total` is the agreed global size of `s` on entry; the chosen range's
-/// agreed count becomes the next level's `total`.
+/// `total` is the agreed global size of the input on entry; the chosen
+/// range's agreed count becomes the next level's `total`.
 fn select_recursive<C, T>(
     comm: &C,
-    mut s: Vec<(T, u64)>,
+    mut input: Input<'_, T>,
     mut total: usize,
     mut k: usize,
     rng: &mut StdRng,
@@ -548,23 +689,25 @@ where
     let root = sample_root(p);
     let merge = ReduceOp::custom(LevelReport::merge);
     let mut bracket = Bracket::open();
+    let mut spare = Vec::new();
     loop {
         *levels += 1;
         debug_assert!(k >= 1 && k <= total);
 
         // Cheap base cases: the extremes need only a single reduction.
         if k == 1 {
-            return global_min(comm, s.iter().min().cloned())
-                .expect("k = 1 requires a non-empty input");
+            return global_min(comm, input.min()).expect("k = 1 requires a non-empty input");
         }
         if k == total {
-            return global_max(comm, s.iter().max().cloned())
-                .expect("k = total requires a non-empty input");
+            return global_max(comm, input.max()).expect("k = total requires a non-empty input");
         }
 
         let rho = sample_rate(p, k, total, bracket.lo.is_some(), bracket.hi.is_some());
-        let ((below, middle, _), sample) =
-            partition_counts_sample_middle(&s, bracket.lo.as_ref(), bracket.hi.as_ref(), rho, rng);
+        spare.clear();
+        if !bracket.is_open() {
+            spare.reserve(input.len());
+        }
+        let ((below, middle, _), sample) = input.sweep(&bracket, rho, rng, &mut spare);
         let report = LevelReport {
             below: below as u64,
             middle: middle as u64,
@@ -582,7 +725,17 @@ where
             } => (below as usize, middle as usize, bracket),
         };
         let (range, next_k, next_total) = locate(k, total, below, middle);
-        narrow(&mut s, &bracket, range);
+        // A cold level's middle is its whole input, which stays.
+        if !bracket.is_open() {
+            if range != Range::Middle {
+                spare.clear();
+                input.narrow_into(&bracket, range, &mut spare);
+            }
+            spare = match std::mem::replace(&mut input, Input::Tagged(spare)) {
+                Input::Tagged(s) => s,
+                Input::Local { .. } => Vec::new(),
+            };
+        }
         (k, total, bracket) = (next_k, next_total, next);
     }
 }
@@ -633,7 +786,11 @@ mod tests {
                 Some(lo) => s.iter().filter(|e| *e < lo).count(),
                 None => 0,
             };
-            let middle: Vec<(T, u64)> = s.iter().filter(|e| bracket.contains(e)).cloned().collect();
+            let contains = |e: &&(T, u64)| {
+                bracket.lo.as_ref().is_none_or(|lo| lo <= *e)
+                    && bracket.hi.as_ref().is_none_or(|hi| *e <= hi)
+            };
+            let middle: Vec<(T, u64)> = s.iter().filter(contains).cloned().collect();
             let sample = bernoulli_sample(&middle, rho, rng);
             trail.samples.push(sample.len());
             trail
@@ -706,7 +863,7 @@ mod tests {
         let total = comm.allreduce_sum(local.len() as u64) as usize;
         assert!(k >= 1 && k <= total);
         let offset = tie_break_offset(comm.rank(), comm.size(), local.len());
-        let tagged = tag_unique(local, offset);
+        let tagged: Vec<(T, u64)> = local.iter().cloned().zip(offset..).collect();
         let mut rng =
             StdRng::seed_from_u64(seed ^ (comm.rank() as u64).wrapping_mul(0x9E3779B97F4A7C15));
         let (mut levels, mut trail) = (0usize, Trail::default());
@@ -758,14 +915,15 @@ mod tests {
     }
 
     /// Ranks the identity tests select: the extremes (base-case shortcuts
-    /// and their prediction by the previous level) and four ranks away from
+    /// and their prediction by the previous level) and five ranks away from
     /// them, which must narrow at least twice.
-    fn identity_ranks(n: usize) -> [(usize, usize); 8] {
+    fn identity_ranks(n: usize) -> [(usize, usize); 9] {
         let near = n / 100;
         [
             (1, 0),
             (2, 1),
             (near, 2),
+            (n / 32, 2),
             (n / 3, 2),
             (n / 2, 2),
             (n - near, 2),
@@ -778,57 +936,87 @@ mod tests {
     /// driver can observe — threshold, selected sets, recursion depth and
     /// per-PE metered words/messages (the fig6 words/PE columns) —
     /// bit-identical to the collecting reference, across input shapes, PE
-    /// counts, ranks and seeds.
+    /// counts, ranks and seeds.  Besides the `u64` shapes: §10.1's
+    /// paper-scale Zipf input, whose ranks `n/100` to `n/16` all hold value
+    /// 1, so the pivots of `k = n/100` and `n/32` share one value and their
+    /// tags decide every comparison; and `String` keys, which take the
+    /// default tuple order, with an empty PE.
     #[test]
     fn one_sweep_level_is_bit_identical_to_the_collecting_reference() {
         for (name, parts) in identity_shapes(11) {
-            let n: usize = parts.iter().map(Vec::len).sum();
-            let p = parts.len();
-            for (k, min_narrowing) in identity_ranks(n) {
-                for seed in [1u64, 99] {
-                    let one_sweep = run_spmd_seq(p, |comm| {
-                        let before = comm.stats_snapshot();
-                        let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
-                        (r, comm.stats_snapshot().since(&before))
-                    });
-                    let collecting = run_spmd_seq(p, |comm| {
-                        let before = comm.stats_snapshot();
-                        let (r, _) =
-                            select_k_smallest_collecting(comm, &parts[comm.rank()], k, seed);
-                        (r, comm.stats_snapshot().since(&before))
-                    });
-                    for ((f, fs), (t, ts)) in
-                        one_sweep.results.iter().zip(collecting.results.iter())
-                    {
-                        assert!(
-                            f.recursion_levels > min_narrowing,
-                            "{name} k={k} seed={seed}: {} levels",
-                            f.recursion_levels
-                        );
-                        assert_eq!(f.threshold, t.threshold, "{name} k={k} seed={seed}");
-                        assert_eq!(
-                            f.local_selected, t.local_selected,
-                            "{name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            f.recursion_levels, t.recursion_levels,
-                            "{name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            fs.sent_words, ts.sent_words,
-                            "metered words diverged: {name} k={k} seed={seed}"
-                        );
-                        assert_eq!(
-                            fs.sent_messages, ts.sent_messages,
-                            "metered messages diverged: {name} k={k} seed={seed}"
-                        );
-                    }
+            assert_matches_the_collecting_reference(name, &parts);
+        }
+        let paper = datagen::SkewedSelectionInput::paper_scale(11).generate_all(2, 1 << 15);
+        let mut sorted: Vec<u64> = paper.iter().flatten().copied().collect();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        assert_eq!(
+            (sorted[n / 100 - 1], sorted[n / 16]),
+            (1, 1),
+            "one tie group"
+        );
+        assert_matches_the_collecting_reference("paper_scale", &paper);
+        let strings: Vec<Vec<String>> = random_parts(3, 1 << 14, 1 << 40, 23)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, part)| match rank {
+                1 => Vec::new(),
+                _ => part.into_iter().map(|v| format!("key-{v}")).collect(),
+            })
+            .collect();
+        assert_matches_the_collecting_reference("strings_and_an_empty_pe", &strings);
+    }
+
+    /// Every [`identity_ranks`] selection of `parts`, on two seeds, through
+    /// `select_k_smallest` and the collecting reference: the same
+    /// thresholds, selected sets, levels and metered traffic on every PE.
+    fn assert_matches_the_collecting_reference<T>(name: &str, parts: &[Vec<T>])
+    where
+        T: SelectKey + std::fmt::Debug + Send + Sync,
+    {
+        let n: usize = parts.iter().map(Vec::len).sum();
+        let p = parts.len();
+        for (k, min_narrowing) in identity_ranks(n) {
+            for seed in [1u64, 99] {
+                let one_sweep = run_spmd_seq(p, |comm| {
+                    let before = comm.stats_snapshot();
+                    let r = select_k_smallest(comm, &parts[comm.rank()], k, seed);
+                    (r, comm.stats_snapshot().since(&before))
+                });
+                let collecting = run_spmd_seq(p, |comm| {
+                    let before = comm.stats_snapshot();
+                    let (r, _) = select_k_smallest_collecting(comm, &parts[comm.rank()], k, seed);
+                    (r, comm.stats_snapshot().since(&before))
+                });
+                for ((f, fs), (t, ts)) in one_sweep.results.iter().zip(collecting.results.iter()) {
+                    assert!(
+                        f.recursion_levels > min_narrowing,
+                        "{name} k={k} seed={seed}: {} levels",
+                        f.recursion_levels
+                    );
+                    assert_eq!(f.threshold, t.threshold, "{name} k={k} seed={seed}");
                     assert_eq!(
-                        one_sweep.stats.bottleneck_words(),
-                        collecting.stats.bottleneck_words(),
+                        f.local_selected, t.local_selected,
                         "{name} k={k} seed={seed}"
                     );
+                    assert_eq!(
+                        f.recursion_levels, t.recursion_levels,
+                        "{name} k={k} seed={seed}"
+                    );
+                    assert_eq!(
+                        fs.sent_words, ts.sent_words,
+                        "metered words diverged: {name} k={k} seed={seed}"
+                    );
+                    assert_eq!(
+                        fs.sent_messages, ts.sent_messages,
+                        "metered messages diverged: {name} k={k} seed={seed}"
+                    );
                 }
+                assert_eq!(
+                    one_sweep.stats.bottleneck_words(),
+                    collecting.stats.bottleneck_words(),
+                    "{name} k={k} seed={seed}"
+                );
             }
         }
     }

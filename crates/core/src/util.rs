@@ -186,22 +186,6 @@ fn global_extremum<C: Communicator, K: Ord + Clone + CommData>(
     )
 }
 
-/// Tag a local element with a globally unique identifier
-/// `(element, global_index)` so that the total order becomes unique, as the
-/// paper assumes without loss of generality ("we can make the value v of
-/// object x unique by replacing it by the pair (v, x)").
-///
-/// `global_offset` is the tag of this PE's first element: the selection
-/// kernels pass [`tie_break_offset`], which needs no communication; an
-/// exclusive prefix sum of the local sizes gives the same order.
-pub fn tag_unique<T: Clone>(local: &[T], global_offset: u64) -> Vec<(T, u64)> {
-    local
-        .iter()
-        .enumerate()
-        .map(|(i, x)| (x.clone(), global_offset + i as u64))
-        .collect()
-}
-
 /// Bits of a tie-break word that hold the local index; the rank sits above.
 const TIE_BREAK_INDEX_BITS: u32 = 40;
 /// Bits of a tie-break word above the index: the rank.
@@ -239,8 +223,15 @@ pub fn tie_break_offset(rank: usize, p: usize, local_len: usize) -> u64 {
 /// The default part is the pairs' own words: `δ(len) · δ(words)`, then the
 /// `words` words of the pairs' encodings, each a 64-bit field.  A key type
 /// takes it with an empty impl.  `u64` overrides it with codes at about the
-/// block's information content (the layout on [`SortedBlock`]).
+/// block's information content (the layout on [`SortedBlock`]), and compares
+/// its pairs without a branch ([`SelectKey::pair_lt`]).
 pub trait SelectKey: Ord + Clone + CommData {
+    /// Whether the tie-broken pair `a` orders before `b`: the tuple order,
+    /// which the selection's sweeps compare every element with.
+    fn pair_lt(a: (&Self, u64), b: (&Self, u64)) -> bool {
+        a < b
+    }
+
     /// Write `block` into `bits`.
     fn write_block(block: &SortedBlock<Self>, bits: &mut impl BitSink) {
         let mut words = Vec::new();
@@ -373,7 +364,20 @@ impl<T: SelectKey> BitCodec for SortedBlock<T> {
     }
 }
 
+/// The pair `(key, tag)` as one `u128`, the key in the high word: it orders
+/// like the tuple.
+fn pair_word((key, tag): (&u64, u64)) -> u128 {
+    u128::from(*key) << 64 | u128::from(tag)
+}
+
 impl SelectKey for u64 {
+    /// One `u128` comparison: inside a tie group — where a §10.1 level's
+    /// pivots fall, both on value 1 at `k = n/32` — the tuple order's
+    /// second comparison is a branch that mispredicts.
+    fn pair_lt(a: (&u64, u64), b: (&u64, u64)) -> bool {
+        pair_word(a) < pair_word(b)
+    }
+
     fn write_block(block: &SortedBlock<u64>, bits: &mut impl BitSink) {
         let pairs = &block.pairs;
         write_u64_block(pairs, StreamFields::of(pairs), bits);
@@ -699,15 +703,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn unique_tagging_preserves_values_and_is_unique() {
-        let tagged = tag_unique(&[7u64, 7, 7], 100);
-        assert_eq!(tagged, vec![(7, 100), (7, 101), (7, 102)]);
-        let mut ids: Vec<u64> = tagged.iter().map(|&(_, id)| id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), 3);
-    }
-
-    #[test]
     fn packed_tie_break_sorts_like_value_and_global_index() {
         // Duplicate-heavy parts, two of them empty.
         let parts: Vec<Vec<u64>> = vec![
@@ -722,8 +717,9 @@ pub(crate) mod tests {
         let mut by_packed_tag = Vec::new();
         let mut global_offset = 0u64;
         for (rank, part) in parts.iter().enumerate() {
-            by_global_index.extend(tag_unique(part, global_offset));
-            by_packed_tag.extend(tag_unique(part, tie_break_offset(rank, p, part.len())));
+            let packed_offset = tie_break_offset(rank, p, part.len());
+            by_global_index.extend(part.iter().copied().zip(global_offset..));
+            by_packed_tag.extend(part.iter().copied().zip(packed_offset..));
             global_offset += part.len() as u64;
         }
         // Sort positions (not the tags themselves, which differ) under both

@@ -3,8 +3,12 @@
 //! In its simplest form Zipf's Law states that the frequency of the object of
 //! rank `i` among `N` objects is proportional to `i^{-s}` (paper Sections 7.3
 //! and 10).  The generator precomputes the cumulative distribution and draws
-//! samples by inverse-transform binary search, so drawing is `O(log N)` per
-//! object and the measured frequencies match the analytic ones closely.
+//! samples by inverse transform, so the measured frequencies match the
+//! analytic ones closely.  A guide table over `2^b ≤ N` equal buckets of the
+//! unit interval (Chen & Asau 1974) narrows each draw's search to the ranks
+//! whose cumulative probability falls in its bucket: O(1) expected steps on
+//! the head, where most of a Zipf law's mass lies, and a short binary search
+//! in the tail, where many ranks share a bucket.
 
 use rand::Rng;
 
@@ -17,6 +21,10 @@ pub struct Zipf {
     cdf: Vec<f64>,
     /// Generalized harmonic number `H_{N,s}` (the normalisation constant).
     harmonic: f64,
+    /// `guide[j]` is the first index `i` with `cdf[i] ≥ j / buckets`, for
+    /// `j` in `0..=buckets`, where `buckets = guide.len() − 1` is the
+    /// largest power of two at most `num_values`.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -39,11 +47,24 @@ impl Zipf {
         for c in &mut cdf {
             *c /= harmonic;
         }
+        let buckets = 1usize << num_values.ilog2();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut index = 0usize;
+        for j in 0..=buckets {
+            // Exact: `j` and `buckets` are at most 2^53, and `buckets` is a
+            // power of two.
+            let edge = j as f64 / buckets as f64;
+            while index < num_values && cdf[index] < edge {
+                index += 1;
+            }
+            guide.push(u32::try_from(index).expect("at most 2^32 ranks"));
+        }
         Zipf {
             num_values,
             exponent,
             cdf,
             harmonic,
+            guide,
         }
     }
 
@@ -72,8 +93,22 @@ impl Zipf {
     /// Draw one rank (1-based) by inverse-transform sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
-        let idx = self.cdf.partition_point(|&c| c < u);
-        (idx.min(self.num_values - 1) + 1) as u64
+        (self.first_at_least(u).min(self.num_values - 1) + 1) as u64
+    }
+
+    /// The first index whose cumulative probability is at least `u ∈ [0, 1)`
+    /// — `cdf.partition_point(|&c| c < u)` — searched inside `u`'s bucket.
+    ///
+    /// With `j = ⌊u·buckets⌋` (exact: `buckets` is a power of two),
+    /// `j/buckets ≤ u < (j+1)/buckets`, so every index before `guide[j]` has
+    /// `cdf < u` and the one at `guide[j+1]`, if any, has `cdf > u`: the
+    /// answer lies in `guide[j] ..= guide[j+1]`, and the search there finds
+    /// the same index as the search over the whole table.
+    fn first_at_least(&self, u: f64) -> usize {
+        let buckets = self.guide.len() - 1;
+        let j = ((u * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        lo + self.cdf[lo..hi].partition_point(|&c| c < u)
     }
 
     /// Draw `n` ranks.
@@ -187,6 +222,55 @@ mod tests {
     #[should_panic(expected = "at least one value")]
     fn empty_support_is_rejected() {
         let _ = Zipf::new(0, 1.0);
+    }
+
+    /// The guide table's search finds what the binary search over the whole
+    /// table finds: on one RNG stream, at every bucket edge and the doubles
+    /// beside it, and at every cumulative probability and the doubles beside
+    /// it, for supports that are and are not powers of two.
+    #[test]
+    fn guided_search_matches_the_whole_table_search() {
+        for (n, s) in [
+            (1usize, 1.0),
+            (2, 0.0),
+            (7, 1.0),
+            (64, 1.1),
+            (1000, 1.2),
+            (4096, 0.5),
+        ] {
+            let z = Zipf::new(n, s);
+            let whole = |u: f64| z.cdf.partition_point(|&c| c < u);
+            let mut us: Vec<f64> = Vec::new();
+            let mut r = rng();
+            us.extend((0..20_000).map(|_| r.gen::<f64>()));
+            let buckets = z.guide.len() - 1;
+            for j in 0..buckets {
+                us.push(j as f64 / buckets as f64);
+            }
+            us.extend(z.cdf.iter().copied());
+            let neighbours: Vec<f64> = us
+                .iter()
+                .flat_map(|&u| [u.next_down(), u.next_up()])
+                .collect();
+            us.extend(neighbours);
+            for u in us.into_iter().filter(|u| (0.0..1.0).contains(u)) {
+                assert_eq!(z.first_at_least(u), whole(u), "n={n} s={s} u={u:e}");
+            }
+            assert_eq!(buckets, 1 << n.ilog2(), "n={n}");
+        }
+    }
+
+    /// The guided draw is the draw it replaced: the same ranks off one RNG
+    /// stream as the binary search over the whole table.
+    #[test]
+    fn guided_draws_match_the_binary_search_draws() {
+        let z = Zipf::new(1 << 12, 1.1);
+        let (mut a, mut b) = (rng(), rng());
+        for _ in 0..50_000 {
+            let u: f64 = b.gen();
+            let expected = (z.cdf.partition_point(|&c| c < u).min(z.num_values - 1) + 1) as u64;
+            assert_eq!(z.sample(&mut a), expected);
+        }
     }
 
     #[test]

@@ -13,20 +13,22 @@
 //!
 //! Two sweeps draw a Bernoulli sample in the same pass as other work over
 //! the data: [`bernoulli_sample_retain`] narrows a vector and samples its
-//! survivors, and [`partition_counts_sample_middle`](crate::select::partition_counts_sample_middle)
-//! counts three ranges and samples the middle one — the sweep of every
-//! level of the distributed unsorted selection.  Each is only sound because
-//! it is **RNG-identical** to its two-pass formulation: the skip sampler
-//! numbers the kept elements as the sweep meets them and draws one skip per
-//! sampled element plus the one that ends the sample, so the fused sweep
-//! consumes the generator in precisely the draws, in precisely the order,
-//! that `bernoulli_sample` over the kept elements would have.  Identical RNG
-//! stream ⇒ identical pivot samples ⇒ identical recursion path ⇒ identical
-//! metered words/PE (pinned by the
+//! survivors, and
+//! [`partition_counts_sample_compact`](crate::select::partition_counts_sample_compact)
+//! counts three ranges, samples the middle one and copies it out — the sweep
+//! of every level of the distributed unsorted selection that has a pivot.
+//! Each is only sound because it is **RNG-identical** to its two-pass
+//! formulation: the skip sampler numbers the kept elements as the sweep
+//! meets them and draws one skip per sampled element plus the one that ends
+//! the sample, so the fused sweep consumes the generator in precisely the
+//! draws, in precisely the order, that `bernoulli_sample` over the kept
+//! elements would have.  Identical RNG stream ⇒ identical pivot samples ⇒
+//! identical recursion path ⇒ identical metered words/PE (pinned by the
 //! `fused_retain_sample_matches_two_pass_bit_for_bit` test below and
-//! `counting_sweep_samples_the_middle_like_bernoulli_sample` in
-//! `select`).  Change the draw order and every words/PE column in
-//! EXPERIMENTS.md silently shifts.
+//! `counting_sweep_samples_the_middle_like_bernoulli_sample` in `select`).
+//! Change the draw order and every words/PE column in EXPERIMENTS.md
+//! silently shifts.  A level without a pivot samples its whole input with
+//! [`bernoulli_sample_with`], which keeps each sampled element's index.
 
 use rand::Rng;
 
@@ -118,10 +120,21 @@ impl BernoulliSampler {
 /// Bernoulli sample of the elements of `data` with probability `rho`,
 /// preserving input order.  Expected time `O(ρ·n)`.
 pub fn bernoulli_sample<T: Clone, R: Rng + ?Sized>(data: &[T], rho: f64, rng: &mut R) -> Vec<T> {
+    bernoulli_sample_with(data, rho, rng, |_, e| e.clone())
+}
+
+/// [`bernoulli_sample`] that keeps `emit(index, element)` of each sampled
+/// element: the same draws, the same indices.
+pub fn bernoulli_sample_with<T, O, R: Rng + ?Sized>(
+    data: &[T],
+    rho: f64,
+    rng: &mut R,
+    emit: impl Fn(usize, &T) -> O,
+) -> Vec<O> {
     let mut out = Vec::with_capacity(((data.len() as f64) * rho).ceil() as usize + 1);
     let mut sampler = BernoulliSampler::new(data.len(), rho);
     while let Some(i) = sampler.next_index(rng) {
-        out.push(data[i].clone());
+        out.push(emit(i, &data[i]));
     }
     out
 }

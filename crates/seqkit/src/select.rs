@@ -12,12 +12,15 @@
 //!   distributed-memory analogue of this idea, so having the sequential
 //!   version around is useful both as a local subroutine and as a baseline.
 //!
-//! Also provided is the three-way partition by a pivot pair `(ℓ, r)` that the
-//! distributed algorithm (its Algorithm 1) applies to the local data.
+//! Also provided are the three-way partition by a pivot pair `(ℓ, r)` that the
+//! distributed algorithm (its Algorithm 1) applies to the local data, and the
+//! branch-free sweeps its levels run: [`partition_counts_sample_compact`]
+//! counts the three ranges, samples the middle one and copies it out in one
+//! pass, and [`compact_filter`] is a stable filter in one pass.
 
 use rand::Rng;
 
-use crate::sampling::{bernoulli_sample, BernoulliSampler};
+use crate::sampling::BernoulliSampler;
 
 /// Select the element with rank `k` (0-based, i.e. the `(k+1)`-smallest) from
 /// `data`, reordering `data` in the process.  Expected `O(n)` time.
@@ -195,9 +198,8 @@ pub fn partition_three_way_in_place<T: Ord>(
 /// without moving, cloning, or allocating anything.
 ///
 /// The distributed selection algorithm only needs these *counts* to pick the
-/// recursion range; it runs them fused with its next level's sample
-/// ([`partition_counts_sample_middle`]), and with a stable `Vec::retain`
-/// narrowing that makes its per-level local work allocation-free.
+/// recursion range; it runs them fused with its next level's sample and the
+/// compaction of its middle range ([`partition_counts_sample_compact`]).
 ///
 /// The loop is **branchless**: each element contributes two comparison
 /// results (`e < ℓ` and `e > r`) as `0/1` arithmetic — no data-dependent
@@ -250,77 +252,115 @@ fn count_outside<T>(
     (a, c)
 }
 
-/// Elements per block of [`partition_counts_sample_middle`]'s sweep.
+/// Elements per block of the compacting sweeps: an offset in a block fits a
+/// byte.
 const SWEEP_BLOCK: usize = 256;
 
-/// [`partition_three_way_counts`] fused with a Bernoulli(ρ) sample of the
-/// middle range, in one sweep over `data`.  `None` is an open side of the
-/// bracket: `lo = None` counts nothing below and `hi = None` nothing above.
-/// Returns the three range sizes and the sampled middle elements in data
-/// order.
+/// The branch-free pass under [`partition_counts_sample_compact`] and
+/// [`compact_filter`]: it counts the elements of `data` that lie `below` and
+/// `above`, and hands each block of [`SWEEP_BLOCK`] elements to
+/// `visit(base, block, offsets)` with the offsets of its other elements, in
+/// order.  `below` and `above` see each element with its index in `data`.
 ///
-/// The sample — and the sequence of RNG draws — is bit-identical to
-/// collecting the middle range in order and calling [`bernoulli_sample`] on
-/// it: the skip sampler numbers the middle elements as it meets them, and it
-/// draws one skip per sampled element plus the one that ends the sample
-/// either way.  The sweep counts each block of 256 elements branchlessly and
-/// walks a block element by element only when the next sampled middle index
-/// falls inside it, up to its last sampled element, so at a low rate it
-/// costs what the counting pass costs.
-pub fn partition_counts_sample_middle<T: Ord + Clone, R: Rng + ?Sized>(
-    data: &[T],
-    lo: Option<&T>,
-    hi: Option<&T>,
-    rho: f64,
-    rng: &mut R,
-) -> ((usize, usize, usize), Vec<T>) {
-    match (lo, hi) {
-        (Some(lo), Some(hi)) => {
-            debug_assert!(lo <= hi);
-            sweep_counting_middle(data, |e| e < lo, |e| e > hi, rho, rng)
+/// The offsets are the offset buffer of BlockQuicksort (Edelkamp & Weiß,
+/// ESA 2016): every element's offset is written, and the fill only advances
+/// past one in neither outer range, so no branch depends on the data.
+#[inline(always)]
+fn sweep_blocks<E>(
+    data: &[E],
+    below: impl Fn(usize, &E) -> bool,
+    above: impl Fn(usize, &E) -> bool,
+    mut visit: impl FnMut(usize, &[E], &[u8]),
+) -> (usize, usize) {
+    let (mut a, mut c) = (0usize, 0usize);
+    let mut offsets = [0u8; SWEEP_BLOCK];
+    for (base, block) in (0..).step_by(SWEEP_BLOCK).zip(data.chunks(SWEEP_BLOCK)) {
+        let mut filled = 0usize;
+        for (offset, e) in block.iter().enumerate() {
+            let (lt, gt) = (below(base + offset, e), above(base + offset, e));
+            a += usize::from(lt);
+            c += usize::from(gt);
+            // `filled ≤ offset < SWEEP_BLOCK`: the mask only drops the
+            // bounds check.
+            offsets[filled % SWEEP_BLOCK] = offset as u8;
+            filled += usize::from(!(lt | gt));
         }
-        (Some(lo), None) => sweep_counting_middle(data, |e| e < lo, |_| false, rho, rng),
-        (None, Some(hi)) => sweep_counting_middle(data, |_| false, |e| e > hi, rho, rng),
-        (None, None) => ((0, data.len(), 0), bernoulli_sample(data, rho, rng)),
+        visit(base, block, &offsets[..filled]);
     }
+    (a, c)
 }
 
-/// The sweep of [`partition_counts_sample_middle`] for one bracket shape.
-fn sweep_counting_middle<T: Clone, R: Rng + ?Sized>(
-    data: &[T],
-    below: impl Fn(&T) -> bool + Copy,
-    above: impl Fn(&T) -> bool + Copy,
+/// `emit` of the elements of `block` at `offsets`; `base` is the block's
+/// index in its data.
+fn emit_offsets<'a, E, O>(
+    base: usize,
+    block: &'a [E],
+    offsets: &'a [u8],
+    emit: &'a impl Fn(usize, &E) -> O,
+) -> impl Iterator<Item = O> + 'a {
+    offsets.iter().map(move |&offset| {
+        let offset = usize::from(offset);
+        emit(base + offset, &block[offset])
+    })
+}
+
+/// One sweep over `data` that counts the elements `below` and `above` a
+/// bracket, draws a Bernoulli(ρ) sample of the rest — the middle range —
+/// and appends the whole middle range to `middle`, each element as
+/// `emit(index, element)`.  Returns the three range sizes and the sample in
+/// data order.
+///
+/// The sample — and the sequence of RNG draws — is bit-identical to
+/// collecting the middle range in order and calling
+/// [`bernoulli_sample`](crate::sampling::bernoulli_sample) on it: the skip
+/// sampler numbers the middle elements as the sweep meets them, and it
+/// draws one skip per sampled element plus the one that ends the sample
+/// either way.  Each block's sampled elements are read off its
+/// offsets, so the sample costs no pass of its own, and neither does the
+/// compaction: a caller that needs the middle range next has it.
+pub fn partition_counts_sample_compact<E, O, R: Rng + ?Sized>(
+    data: &[E],
+    below: impl Fn(usize, &E) -> bool,
+    above: impl Fn(usize, &E) -> bool,
+    emit: impl Fn(usize, &E) -> O,
     rho: f64,
     rng: &mut R,
-) -> ((usize, usize, usize), Vec<T>) {
+    middle: &mut Vec<O>,
+) -> ((usize, usize, usize), Vec<O>) {
     // The middle has at most `data.len()` elements: a skip past its actual
     // end is drawn all the same and never reached.
     let mut sampler = BernoulliSampler::new(data.len(), rho);
     let mut target = sampler.next_index(rng);
     let mut sample = Vec::new();
-    let (mut a, mut middle, mut c) = (0usize, 0usize, 0usize);
-    for block in data.chunks(SWEEP_BLOCK) {
-        let (block_a, block_c) = count_outside(block, below, above);
-        let block_middle = block.len() - block_a - block_c;
-        let end = middle + block_middle;
-        let in_block = |target: Option<usize>| target.is_some_and(|t| t < end);
-        if in_block(target) {
-            let in_middle = block.iter().filter(|e| !below(e) && !above(e));
-            for (index, e) in (middle..).zip(in_middle) {
-                if target == Some(index) {
-                    sample.push(e.clone());
-                    target = sampler.next_index(rng);
-                    if !in_block(target) {
-                        break;
-                    }
-                }
-            }
+    let mut seen = 0usize;
+    let (a, c) = sweep_blocks(data, below, above, |base, block, offsets| {
+        let end = seen + offsets.len();
+        while let Some(index) = target.filter(|&index| index < end) {
+            let offset = usize::from(offsets[index - seen]);
+            sample.push(emit(base + offset, &block[offset]));
+            target = sampler.next_index(rng);
         }
-        a += block_a;
-        c += block_c;
-        middle += block_middle;
-    }
-    ((a, middle, c), sample)
+        middle.extend(emit_offsets(base, block, offsets, &emit));
+        seen = end;
+    });
+    ((a, seen, c), sample)
+}
+
+/// A stable filter over `data` in one branch-free sweep: appends
+/// `emit(index, element)` of every element that `keep` accepts to `out`, in
+/// data order.
+pub fn compact_filter<E, O>(
+    data: &[E],
+    keep: impl Fn(usize, &E) -> bool,
+    emit: impl Fn(usize, &E) -> O,
+    out: &mut Vec<O>,
+) {
+    sweep_blocks(
+        data,
+        |_, _| false,
+        |index, e| !keep(index, e),
+        |base, block, offsets| out.extend(emit_offsets(base, block, offsets, &emit)),
+    );
 }
 
 #[cfg(test)]
@@ -511,10 +551,11 @@ mod tests {
         }
     }
 
-    /// The fused count-and-sample sweep must be indistinguishable — counts,
-    /// sample *and* RNG stream — from counting, collecting the middle range
-    /// and sampling it with `bernoulli_sample`, for every bracket shape and
-    /// across the sweep's block boundaries.
+    /// The compacting sweep must be indistinguishable — counts, sample,
+    /// middle range *and* RNG stream — from counting, collecting the middle
+    /// range and sampling it with `bernoulli_sample`, for every bracket shape
+    /// and across the sweep's block boundaries.  Each element is emitted
+    /// with its index, so an index off by a block would show.
     #[test]
     fn counting_sweep_samples_the_middle_like_bernoulli_sample() {
         use crate::sampling::bernoulli_sample;
@@ -529,32 +570,57 @@ mod tests {
                 (Some(3), Some(3)),
             ];
             for (lo, hi) in brackets {
+                let below = |e: u64| lo.is_some_and(|lo| e < lo);
+                let above = |e: u64| hi.is_some_and(|hi| e > hi);
+                let middle: Vec<(u64, usize)> = (0..n)
+                    .map(|i| (data[i], i))
+                    .filter(|&(e, _)| !below(e) && !above(e))
+                    .collect();
+                let a = data.iter().filter(|&&e| below(e)).count();
+                let c = data.iter().filter(|&&e| above(e)).count();
                 for rho in [0.0, 0.003, 0.1, 0.5, 1.0] {
                     for seed in 0..5u64 {
-                        let middle: Vec<u64> = data
-                            .iter()
-                            .copied()
-                            .filter(|e| {
-                                lo.is_none_or(|lo| *e >= lo) && hi.is_none_or(|hi| *e <= hi)
-                            })
-                            .collect();
-                        let a = lo.map_or(0, |lo| data.iter().filter(|e| **e < lo).count());
-                        let c = hi.map_or(0, |hi| data.iter().filter(|e| **e > hi).count());
                         let mut rng_ref = StdRng::seed_from_u64(seed);
                         let sample_ref = bernoulli_sample(&middle, rho, &mut rng_ref);
-                        let mut rng_fused = StdRng::seed_from_u64(seed);
-                        let got = partition_counts_sample_middle(
+                        let mut rng_sweep = StdRng::seed_from_u64(seed);
+                        let mut compacted = vec![(7, 7)];
+                        let got = partition_counts_sample_compact(
                             &data,
-                            lo.as_ref(),
-                            hi.as_ref(),
+                            |_, &e| below(e),
+                            |_, &e| above(e),
+                            |i, &e| (e, i),
                             rho,
-                            &mut rng_fused,
+                            &mut rng_sweep,
+                            &mut compacted,
                         );
                         let case = format!("n={n} bracket=({lo:?},{hi:?}) rho={rho} seed={seed}");
                         assert_eq!(got, ((a, middle.len(), c), sample_ref), "{case}");
-                        assert_eq!(rng_fused.gen::<u64>(), rng_ref.gen::<u64>(), "{case}");
+                        assert_eq!(compacted[0], (7, 7), "{case}: appends");
+                        assert_eq!(compacted[1..], middle, "{case}");
+                        assert_eq!(rng_sweep.gen::<u64>(), rng_ref.gen::<u64>(), "{case}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The branch-free filter keeps what `Iterator::filter` keeps, in order,
+    /// with each element's index, across block boundaries and for the
+    /// all-kept and none-kept extremes.
+    #[test]
+    fn compact_filter_is_a_stable_filter() {
+        let mut r = rng();
+        for n in [0usize, 1, 255, 256, 257, 1000] {
+            let data: Vec<u64> = (0..n).map(|_| r.gen_range(0..10)).collect();
+            for cut in [0u64, 3, 7, 10] {
+                let keep = |i: usize, e: &u64| *e < cut || i % 97 == 0;
+                let expected: Vec<(usize, u64)> = (0..n)
+                    .filter(|&i| keep(i, &data[i]))
+                    .map(|i| (i, data[i]))
+                    .collect();
+                let mut got = Vec::new();
+                compact_filter(&data, keep, |i, &e| (i, e), &mut got);
+                assert_eq!(got, expected, "n={n} cut={cut}");
             }
         }
     }

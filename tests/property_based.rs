@@ -15,6 +15,7 @@
 //!   never costs more than its pairs, a packed count vector costs its
 //!   codes' bits, each count coded against the one before it, and a sorted
 //!   block of tagged `u64` selection keys is one bit stream);
+//! * `u64`'s branch-free pair comparison is the tuple order;
 //! * every decoder is total: random words and mutated encodings decode to a
 //!   value or to `CommError::Decode`, never to a panic;
 //! * the SPMD collective suite gives identical results and identical metered
@@ -38,7 +39,7 @@ use topk_selection::seqkit::Treap;
 use topk_selection::topk::branch_bound::BnbNode;
 use topk_selection::topk::frequent::dht::KeyCounts;
 use topk_selection::topk::frequent::select_top_counts;
-use topk_selection::topk::util::SortedBlock;
+use topk_selection::topk::util::{SelectKey, SortedBlock};
 
 /// Round-trip a value through its wire encoding, checking the two codec
 /// invariants: equality after decode, and full consumption of the encoding.
@@ -195,6 +196,18 @@ fn tagged_pairs(values: &[u64], repeats: &[usize], ranks: &[u64], stride: u64) -
         .enumerate()
         .map(|(i, value)| (value, ranks[i % ranks.len()] << 40 | (i as u64 * stride)))
         .collect()
+}
+
+/// A word at an extreme: 0, `u64::MAX` or the word below it, one of the
+/// four words around `center`, or any word.
+fn extreme_word(center: u64) -> impl Strategy<Value = u64> {
+    (0..=u64::MAX).prop_map(move |word| match word % 5 {
+        0 => 0,
+        1 => u64::MAX,
+        2 => u64::MAX - 1,
+        3 => center - 2 + (word >> 3) % 4,
+        _ => word,
+    })
 }
 
 proptest! {
@@ -739,6 +752,28 @@ proptest! {
     ) {
         for values in [&values, &dense] {
             codec_roundtrip(SortedBlock::new(tagged_pairs(values, &repeats, &ranks, stride)))?;
+        }
+    }
+
+    /// `u64`'s one-`u128` pair comparison is the tuple order, at the
+    /// extremes of both words: keys 0, `u64::MAX` and equal keys, tags 0,
+    /// `u64::MAX` and around the rank boundary `1 << 40` of the tie-break
+    /// word.
+    #[test]
+    fn u64_pair_comparison_is_the_tuple_order(
+        a in extreme_word(1 << 20),
+        b in extreme_word(1 << 20),
+        a_tag in extreme_word(1 << 40),
+        b_tag in extreme_word(1 << 40),
+        equal_keys in 0u8..2,
+    ) {
+        let b = if equal_keys == 1 { a } else { b };
+        for (x, y) in [((a, a_tag), (b, b_tag)), ((b, b_tag), (a, a_tag)), ((a, a_tag), (a, a_tag))] {
+            prop_assert_eq!(
+                u64::pair_lt((&x.0, x.1), (&y.0, y.1)),
+                x < y,
+                "{:?} < {:?}", x, y
+            );
         }
     }
 
