@@ -4,10 +4,9 @@
 //! word is also the natural *physical* unit of the simulated wire.  The
 //! [`WordCodec`] trait encodes a value into a `Vec<u64>` buffer and decodes
 //! it back, and it is the **only** message representation: every payload
-//! crosses every backend as a plain word buffer (drawn from a
-//! per-communicator [`buffer pool`](crate::transport::BufferPool) where the
-//! backend recycles buffers), and [`crate::CommData`] — the bound the
-//! communicator API takes — is a blanket over `WordCodec + Send + 'static`.
+//! crosses every backend as a plain word buffer, and [`crate::CommData`] —
+//! the bound the communicator API takes — is a blanket over
+//! `WordCodec + Send + 'static`.
 //! This module is therefore the single owner of each type's layout.
 //! Layouts finer than a word — the [`PackedCounts`] vector here, each count
 //! Rice-coded against the one before it, the `KeyCounts` bit stream of the

@@ -93,10 +93,10 @@ pub trait Communicator {
     /// received so far).  Take one before and one after a phase and subtract
     /// to meter the phase.
     ///
-    /// Note for the sequential backend: messages are metered the first time
-    /// they are executed, so mid-closure snapshots taken during replay
-    /// rounds see the already-accumulated totals; whole-run statistics are
-    /// exact on both backends.
+    /// On every backend such a mid-closure delta describes one run of the
+    /// closure: the replay engine zeroes a PE's counters each time it
+    /// re-executes the closure from the start, so its deltas equal the
+    /// threaded backend's.
     fn stats_snapshot(&self) -> StatsSnapshot;
 
     /// Allocate the internal tag for the next collective operation.  Because

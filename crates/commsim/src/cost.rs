@@ -211,7 +211,6 @@ mod tests {
             sent_words: words,
             received_messages: msgs,
             received_words: words,
-            pooled_reuses: 0,
         }
     }
 
@@ -223,7 +222,6 @@ mod tests {
             sent_words: 10,
             received_messages: 5,
             received_words: 3,
-            pooled_reuses: 0,
         };
         // 5 start-ups (receive side dominates) + 10 words (send side dominates)
         assert_eq!(m.pe_cost(&s), 15.0);

@@ -69,10 +69,11 @@
 //! [`CommData`], the bound the communicator API takes, is a blanket over
 //! `WordCodec + Send + 'static`, and a message's metered size *is* its wire
 //! length.  A type without a codec does not compile as a payload; implement
-//! `WordCodec` to make one sendable.  The buffer pool
-//! ([`transport::BufferPool`]) recycles capacity between receives and sends,
-//! and the `pooled_reuses` statistic ([`StatsSnapshot::pooled_reuses`])
-//! counts the savings.
+//! `WordCodec` to make one sendable.  A [`StatsSnapshot`] holds the paper's
+//! four counts — messages and words, sent and received — and every backend
+//! meters them bit-identically; the threaded backend's buffer pool, which
+//! recycles capacity between receives and sends, is private to it and
+//! meters nothing.
 //!
 //! ## What is (deliberately) simulated
 //!

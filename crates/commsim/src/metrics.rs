@@ -25,7 +25,6 @@ pub(crate) struct PeStats {
     sent_words: AtomicU64,
     received_messages: AtomicU64,
     received_words: AtomicU64,
-    pooled_reuses: AtomicU64,
 }
 
 impl PeStats {
@@ -49,13 +48,6 @@ impl PeStats {
             .fetch_add(words as u64, Ordering::Relaxed);
     }
 
-    /// Record that a send reused a pooled word buffer instead of
-    /// allocating a fresh one.
-    #[inline]
-    pub fn record_pooled_reuse(&self) {
-        self.pooled_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Zero every counter.  Used by the replay scheduler
     /// ([`crate::mux`]), which re-executes closures from the start: resetting at
     /// the beginning of each execution makes the counters describe exactly
@@ -67,7 +59,6 @@ impl PeStats {
         self.sent_words.store(0, Ordering::Relaxed);
         self.received_messages.store(0, Ordering::Relaxed);
         self.received_words.store(0, Ordering::Relaxed);
-        self.pooled_reuses.store(0, Ordering::Relaxed);
     }
 
     /// Snapshot the counters.
@@ -77,7 +68,6 @@ impl PeStats {
             sent_words: self.sent_words.load(Ordering::Relaxed),
             received_messages: self.received_messages.load(Ordering::Relaxed),
             received_words: self.received_words.load(Ordering::Relaxed),
-            pooled_reuses: self.pooled_reuses.load(Ordering::Relaxed),
         }
     }
 }
@@ -96,9 +86,6 @@ pub struct StatsSnapshot {
     pub received_messages: u64,
     /// Machine words this PE received.
     pub received_words: u64,
-    /// Sends that reused a pooled word buffer instead of allocating
-    /// (see [`crate::transport::BufferPool`]).
-    pub pooled_reuses: u64,
 }
 
 impl StatsSnapshot {
@@ -111,7 +98,6 @@ impl StatsSnapshot {
                 .received_messages
                 .saturating_sub(earlier.received_messages),
             received_words: self.received_words.saturating_sub(earlier.received_words),
-            pooled_reuses: self.pooled_reuses.saturating_sub(earlier.pooled_reuses),
         }
     }
 
@@ -122,7 +108,6 @@ impl StatsSnapshot {
             sent_words: self.sent_words + other.sent_words,
             received_messages: self.received_messages + other.received_messages,
             received_words: self.received_words + other.received_words,
-            pooled_reuses: self.pooled_reuses + other.pooled_reuses,
         }
     }
 
@@ -176,13 +161,6 @@ impl WorldStats {
     /// Total number of messages (start-ups, counted on the send side).
     pub fn total_messages(&self) -> u64 {
         self.per_pe.iter().map(|s| s.sent_messages).sum()
-    }
-
-    /// Total number of sends that reused a pooled buffer — the direct
-    /// evidence that `Vec<u64>`-class payloads crossed the transport without
-    /// fresh allocations.
-    pub fn total_pooled_reuses(&self) -> u64 {
-        self.per_pe.iter().map(|s| s.pooled_reuses).sum()
     }
 
     /// Bottleneck communication volume: `max` over PEs of
@@ -291,20 +269,17 @@ mod tests {
             sent_words: 2,
             received_messages: 3,
             received_words: 4,
-            pooled_reuses: 5,
         };
         let b = StatsSnapshot {
             sent_messages: 10,
             sent_words: 20,
             received_messages: 30,
             received_words: 40,
-            pooled_reuses: 50,
         };
         let c = a.plus(&b);
         assert_eq!(c.sent_messages, 11);
         assert_eq!(c.received_words, 44);
-        assert_eq!(c.pooled_reuses, 55);
-        assert_eq!(c.since(&b).pooled_reuses, 5);
+        assert_eq!(c.since(&b), a);
     }
 
     #[test]
@@ -314,29 +289,9 @@ mod tests {
             sent_words: 100,
             received_messages: 9,
             received_words: 40,
-            pooled_reuses: 0,
         };
         assert_eq!(s.bottleneck_words(), 100);
         assert_eq!(s.bottleneck_messages(), 9);
-    }
-
-    #[test]
-    fn pooled_reuses_are_recorded_and_aggregated() {
-        let s = PeStats::new();
-        s.record_pooled_reuse();
-        s.record_pooled_reuse();
-        assert_eq!(s.snapshot().pooled_reuses, 2);
-        let w = WorldStats::from_snapshots(vec![
-            StatsSnapshot {
-                pooled_reuses: 2,
-                ..Default::default()
-            },
-            StatsSnapshot {
-                pooled_reuses: 3,
-                ..Default::default()
-            },
-        ]);
-        assert_eq!(w.total_pooled_reuses(), 5);
     }
 
     #[test]
@@ -347,21 +302,18 @@ mod tests {
                 sent_words: 10,
                 received_messages: 1,
                 received_words: 30,
-                pooled_reuses: 0,
             },
             StatsSnapshot {
                 sent_messages: 2,
                 sent_words: 50,
                 received_messages: 2,
                 received_words: 20,
-                pooled_reuses: 0,
             },
             StatsSnapshot {
                 sent_messages: 3,
                 sent_words: 5,
                 received_messages: 3,
                 received_words: 15,
-                pooled_reuses: 0,
             },
         ];
         let w = WorldStats::from_snapshots(snaps);

@@ -98,18 +98,14 @@
 //! (pinned by regression tests).  On a pool the scheduling order is *not*
 //! deterministic (workers race for tasks), but message matching per ordered
 //! pair is FIFO by index, so deterministic closures produce identical
-//! results and identical traffic regardless of the schedule.  Two caveats:
-//!
-//! * [`Communicator::try_recv`] outcomes depend on arrival timing on a pool
-//!   (as on the threaded backend); first-execution outcomes are recorded in
-//!   a decision log and replayed verbatim so each task stays internally
-//!   consistent.  A **busy-poll loop** of empty probes with no blocking
-//!   receive in between never yields to the scheduler — inline, and on a
-//!   pool with every worker spinning, the awaited sender never runs — so
-//!   it is cut off with a panic after [`BUSY_POLL_LIMIT`] probes;
-//! * the `pooled_reuses` statistic is always zero here — stored word
-//!   buffers are kept for replay, never recycled through a
-//!   [`crate::transport::BufferPool`].
+//! results and identical traffic regardless of the schedule.  One caveat:
+//! [`Communicator::try_recv`] outcomes depend on arrival timing on a pool
+//! (as on the threaded backend); first-execution outcomes are recorded in
+//! a decision log and replayed verbatim so each task stays internally
+//! consistent.  A **busy-poll loop** of empty probes with no blocking
+//! receive in between never yields to the scheduler — inline, and on a
+//! pool with every worker spinning, the awaited sender never runs — so
+//! it is cut off with a panic after [`BUSY_POLL_LIMIT`] probes.
 //!
 //! A blocked receive that no send can ever satisfy is reported as a
 //! deadlock with who-waits-on-whom diagnostics: when every task is either

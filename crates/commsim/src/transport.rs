@@ -45,9 +45,9 @@
 //! there is no need for out-of-order message matching.
 //!
 //! Payloads travel in one representation: the value's
-//! [`WordCodec`](crate::codec::WordCodec) encoding in a pooled `Vec<u64>`
-//! buffer, tagged with the encoded type's `TypeId` (see [`Envelope`]).  The
-//! [`BufferPool`] is per-communicator, not shared.
+//! [`WordCodec`](crate::codec::WordCodec) encoding in a `Vec<u64>` buffer,
+//! tagged with the encoded type's `TypeId` (see [`Envelope`]).  The threaded
+//! communicator draws that buffer from a private per-communicator pool.
 
 use std::any::TypeId;
 use std::cell::RefCell;
@@ -62,15 +62,16 @@ use crate::error::{CommError, CommResult};
 use crate::message::CommData;
 use crate::{Rank, Tag};
 
-/// A small per-communicator free list of message buffers.
+/// A small per-communicator free list of message buffers, private to the
+/// threaded backend.
 ///
 /// Buffers released by [`Envelope::open_pooled`] are cleared and parked here;
 /// [`BufferPool::take`] hands them back to the next send, so that in steady
 /// state a PE's sends reuse the capacity freed by its receives and the
-/// message path allocates nothing at all.  Reuses are counted into the
-/// `pooled_reuses` statistic (see [`crate::metrics::StatsSnapshot`]).
+/// message path allocates nothing at all.  The pool moves wall time only:
+/// the metered words of a message are its encoding's length either way.
 #[derive(Debug, Default)]
-pub struct BufferPool {
+pub(crate) struct BufferPool {
     free: RefCell<Vec<Vec<u64>>>,
 }
 
@@ -78,23 +79,14 @@ impl BufferPool {
     /// Buffers parked beyond this limit are dropped instead of pooled.
     const MAX_BUFFERS: usize = 64;
 
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take a cleared buffer; the boolean is `true` when it came from the
-    /// free list (as opposed to starting from a fresh, unallocated vector).
-    pub fn take(&self) -> (Vec<u64>, bool) {
-        match self.free.borrow_mut().pop() {
-            Some(buf) => (buf, true),
-            None => (Vec::new(), false),
-        }
+    /// Take a cleared buffer: a parked one, or a fresh, unallocated vector.
+    fn take(&self) -> Vec<u64> {
+        self.free.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Park a spent buffer for reuse (dropped when the pool is full or the
     /// buffer never allocated).
-    pub fn put(&self, mut buf: Vec<u64>) {
+    fn put(&self, mut buf: Vec<u64>) {
         if buf.capacity() == 0 {
             return;
         }
@@ -106,7 +98,8 @@ impl BufferPool {
     }
 
     /// Number of buffers currently parked.
-    pub fn parked(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
         self.free.borrow().len()
     }
 }
@@ -141,37 +134,27 @@ impl Envelope {
     /// rest of the region.  The buffer is shrunk to its words, so a kept
     /// message holds none of the spare capacity the encode's growth left.
     pub fn new<T: CommData>(tag: Tag, from: Rank, value: T) -> Self {
-        let mut env = Self::encode(tag, from, value, None).0;
+        let mut env = Self::encode(tag, from, value, None);
         env.buf.shrink_to_fit();
         env
     }
 
     /// Wrap a payload, drawing the buffer from `pool` when one is supplied.
     /// The value is encoded once, and the words written are the message.
-    /// The boolean reports whether pooled capacity was reused.
-    pub fn encode<T: CommData>(
+    pub(crate) fn encode<T: CommData>(
         tag: Tag,
         from: Rank,
         value: T,
         pool: Option<&BufferPool>,
-    ) -> (Self, bool) {
-        let (mut buf, popped) = match pool {
-            Some(pool) => pool.take(),
-            None => (Vec::new(), false),
-        };
-        let capacity = buf.capacity();
+    ) -> Self {
+        let mut buf = pool.map_or_else(Vec::new, BufferPool::take);
         value.encode(&mut buf);
-        // Only count a reuse when the pooled capacity covered this message:
-        // an encode that grew the buffer allocated, and counting it would
-        // overstate the win on mixed scalar/vector traffic.
-        let reused = popped && buf.capacity() == capacity;
-        let env = Envelope {
+        Envelope {
             tag,
             from,
             type_id: TypeId::of::<T>(),
             buf,
-        };
-        (env, reused)
+        }
     }
 
     /// Number of machine words of the payload — the wire length, which is
@@ -219,7 +202,7 @@ impl Envelope {
 
     /// Like [`Envelope::open`], but parks the spent buffer in `pool` so the
     /// receiver's next sends can reuse its capacity.
-    pub fn open_pooled<T: CommData>(
+    pub(crate) fn open_pooled<T: CommData>(
         self,
         pool: Option<&BufferPool>,
     ) -> CommResult<(Tag, usize, T)> {
@@ -577,32 +560,19 @@ mod tests {
 
     #[test]
     fn pool_roundtrip_reuses_capacity() {
-        let pool = BufferPool::new();
-        // First send: nothing pooled yet.
-        let (env, reused) = Envelope::encode(1, 0, vec![1u64, 2, 3], Some(&pool));
-        assert!(!reused);
+        let pool = BufferPool::default();
+        let env = Envelope::encode(1, 0, vec![1u64, 2, 3], Some(&pool));
+        let first = env.buf.as_ptr();
         // Open returns the buffer to the pool.
         let (_, _, v): (_, _, Vec<u64>) = env.open_pooled(Some(&pool)).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
         assert_eq!(pool.parked(), 1);
-        // Second send reuses the parked capacity.
-        let (env, reused) = Envelope::encode(1, 0, vec![4u64], Some(&pool));
-        assert!(reused);
+        // The next send encodes into that very buffer.
+        let env = Envelope::encode(1, 0, vec![4u64], Some(&pool));
+        assert_eq!(env.buf.as_ptr(), first);
         assert_eq!(pool.parked(), 0);
         let (_, _, v): (_, _, Vec<u64>) = env.open_pooled(Some(&pool)).unwrap();
         assert_eq!(v, vec![4]);
-    }
-
-    #[test]
-    fn undersized_pooled_buffers_do_not_count_as_reuse() {
-        let pool = BufferPool::new();
-        // A scalar send parks a tiny buffer...
-        let (env, _) = Envelope::encode(1, 0, 7u64, Some(&pool));
-        let _: (_, _, u64) = env.open_pooled(Some(&pool)).unwrap();
-        assert_eq!(pool.parked(), 1);
-        // ...which cannot cover a large vector: no reuse is reported.
-        let (_, reused) = Envelope::encode(1, 0, vec![0u64; 256], Some(&pool));
-        assert!(!reused);
     }
 
     /// A bit stream that counts its writes: a send must write it once.
@@ -642,13 +612,13 @@ mod tests {
 
     #[test]
     fn pool_is_bounded() {
-        let pool = BufferPool::new();
+        let pool = BufferPool::default();
         for _ in 0..(BufferPool::MAX_BUFFERS + 10) {
             pool.put(Vec::with_capacity(4));
         }
         assert_eq!(pool.parked(), BufferPool::MAX_BUFFERS);
         // Zero-capacity buffers are not worth parking.
-        let pool = BufferPool::new();
+        let pool = BufferPool::default();
         pool.put(Vec::new());
         assert_eq!(pool.parked(), 0);
     }

@@ -11,9 +11,12 @@
 //! [`Interner`] is the sequential building block: insertion order defines the
 //! ids (`0, 1, 2, …`), lookups are `O(1)` hashes, and `resolve` is an array
 //! index.  The *parallel* layer that makes ids globally consistent across PEs
-//! lives in the `workloads` crate (`workloads::text::distributed_intern`) and
-//! is built from sorted vocabularies, so it does not depend on this type's
-//! insertion order.
+//! lives in the `workloads` crate: every PE holds an identical `Interner` and
+//! appends the same sorted batch of globally new words to it, so insertion
+//! order — and with it every id — agrees on all PEs.  Run once on an empty
+//! `Interner`, that step is `workloads::text::distributed_intern`, where a
+//! word's id is its rank in the sorted global vocabulary; the streaming
+//! service runs it on every batch, so ids already handed out stay stable.
 
 use std::collections::HashMap;
 

@@ -43,7 +43,7 @@ pub use sched::{
     run_scheduler, ArrivalPattern, BatchPolicy, RoundReport, SchedulerOutcome, SchedulerParams,
 };
 pub use stream::{
-    world_report, BatchReport, ReplicaShard, StreamConfig, StreamReport, StreamService, StreamVocab,
+    world_report, BatchReport, ReplicaShard, StreamConfig, StreamReport, StreamService,
 };
 pub use text::{
     distributed_intern, resolve_items, run_planned_scored, split_text_shards, tokenize,

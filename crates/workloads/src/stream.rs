@@ -6,11 +6,12 @@
 //! ([`datagen::TextCorpus::stream_batch_text`] with a non-stationary
 //! [`datagen::StreamProfile`]), maintains a **sliding-window** top-k summary
 //! ([`seqkit::SlidingWindowTopK`] over interned ids), re-interns newly seen
-//! vocabulary incrementally ([`StreamVocab`] —
-//! ids are append-only and stable, unlike the batch
-//! [`crate::text::distributed_intern`] which renumbers on every call), and
-//! periodically **refreshes a published global top-k** with the paper's §7
-//! machinery: per-PE window candidates are DHT-aggregated
+//! vocabulary incrementally (a [`seqkit::Interner`] that every batch
+//! extends by its sorted globally new words — ids are append-only and
+//! stable, unlike the batch [`crate::text::distributed_intern`], which
+//! numbers a whole corpus at once), and periodically **refreshes a
+//! published global top-k** with the paper's §7 machinery: per-PE window
+//! candidates are DHT-aggregated
 //! ([`topk::frequent::dht::aggregate_counts`]), and
 //! [`topk::frequent::select_top_counts`] merges the shares' top-k lists in
 //! `⌈log₂ p⌉` exchanges, the publication step PAC, EC and PEC share.  Point
@@ -55,11 +56,11 @@ use std::collections::HashMap;
 use commsim::recovery::{ring_push, Membership};
 use commsim::{Communicator, CostModel, Rank, StatsSnapshot, SubComm, Tag};
 use datagen::{StreamProfile, TextCorpus};
-use seqkit::SlidingWindowTopK;
+use seqkit::{Interner, SlidingWindowTopK};
 use topk::frequent::{dht, select_top_counts};
 use topk::util::{owner_of, splitmix64};
 
-use crate::text::tokenize;
+use crate::text::{intern_new_words, tokenize};
 
 /// User tag of a replica push's numeric part (epoch, log base, counts).
 /// (`0xF17A`/`0xF17B` belong to the shared membership protocol of
@@ -115,92 +116,6 @@ impl Default for StreamConfig {
             replication: 0,
             query_lambda: 4.0,
         }
-    }
-}
-
-/// Incremental distributed interning: a global `word → u64 id` map that only
-/// ever **grows**, kept identical on every PE.
-///
-/// The batch [`crate::text::distributed_intern`] assigns ids by rank in the
-/// sorted global vocabulary — re-running it after new words arrive renumbers
-/// everything, which would invalidate every id already inside the window
-/// sketches.  Here ids are *append-only*: each batch gathers only the words
-/// no PE has seen before (sorted and deduplicated, so the delta is canonical)
-/// and appends them in that order, so existing ids are stable forever and the
-/// per-batch communication is proportional to the *new* vocabulary, which
-/// under Zipf traffic decays rapidly after warm-up.
-#[derive(Debug, Clone, Default)]
-pub struct StreamVocab {
-    /// id → word; the id of a word is its index, identical on every PE.
-    vocab: Vec<String>,
-    /// word → id (the inverse map).
-    index: HashMap<String, u64>,
-}
-
-impl StreamVocab {
-    /// An empty vocabulary.
-    pub fn new() -> Self {
-        StreamVocab::default()
-    }
-
-    /// Number of interned words.
-    pub fn len(&self) -> usize {
-        self.vocab.len()
-    }
-
-    /// `true` if no word has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.vocab.is_empty()
-    }
-
-    /// The word behind `id`.
-    pub fn resolve(&self, id: u64) -> Option<&str> {
-        self.vocab.get(id as usize).map(String::as_str)
-    }
-
-    /// Intern a batch of tokens, growing the global vocabulary by exactly the
-    /// words *no* PE had seen before (collective — all PEs must call this
-    /// together).  Returns the token stream mapped to ids.
-    ///
-    /// Because the vocabulary is identical on every PE, "unknown locally"
-    /// equals "unknown globally", so the allgathered delta is precisely the
-    /// set of globally new words; sorting and deduplicating the union makes
-    /// the appended order canonical regardless of which PE contributed what.
-    fn ingest<C: Communicator>(&mut self, comm: &C, tokens: &[String]) -> Vec<u64> {
-        let mut fresh: Vec<String> = tokens
-            .iter()
-            .filter(|t| !self.index.contains_key(*t))
-            .cloned()
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        let mut delta: Vec<String> = comm.allgather(fresh).into_iter().flatten().collect();
-        delta.sort_unstable();
-        delta.dedup();
-        for word in delta {
-            let id = self.vocab.len() as u64;
-            self.index.insert(word.clone(), id);
-            self.vocab.push(word);
-        }
-        tokens.iter().map(|t| self.index[t.as_str()]).collect()
-    }
-
-    /// Rebuild a vocabulary by replaying an id-ordered log (a buddy's
-    /// [`ReplicaShard::vocab_log`]): word `log[i]` gets id `i`, exactly as it
-    /// did on the PE that interned it.
-    fn from_log(log: &[String]) -> Self {
-        let mut v = StreamVocab::new();
-        for word in log {
-            let id = v.vocab.len() as u64;
-            v.index.insert(word.clone(), id);
-            v.vocab.push(word.clone());
-        }
-        v
-    }
-
-    /// The interned words in id order.
-    pub fn words(&self) -> &[String] {
-        &self.vocab
     }
 }
 
@@ -346,7 +261,8 @@ pub struct ReplicaShard {
 #[derive(Debug)]
 pub struct StreamService {
     config: StreamConfig,
-    vocab: StreamVocab,
+    /// The global vocabulary, identical on every PE; ids are append-only.
+    vocab: Interner,
     sliding: SlidingWindowTopK<u64>,
     /// The published global top-k: `(word, windowed count estimate)`, most
     /// frequent first; identical on every PE.
@@ -408,7 +324,7 @@ impl StreamService {
         StreamService {
             sliding: SlidingWindowTopK::new(config.window, config.sketch_capacity),
             config,
-            vocab: StreamVocab::new(),
+            vocab: Interner::new(),
             snapshot: Vec::new(),
             snapshot_items: 0,
             items_global: 0,
@@ -438,7 +354,7 @@ impl StreamService {
     /// recovery semantics (windowed counts are transient by design).
     pub fn rejoin(config: StreamConfig, replica: &ReplicaShard) -> Self {
         let mut service = StreamService::new(config);
-        service.vocab = StreamVocab::from_log(&replica.vocab_log);
+        service.vocab = Interner::from_words(&replica.vocab_log);
         service.shard = replica.counts.clone();
         service
     }
@@ -511,7 +427,7 @@ impl StreamService {
         let tokens = tokenize(&text);
         debug_assert_eq!(tokens.len(), self.config.words_per_batch);
         let vocab_before = self.vocab.len();
-        let ids = self.vocab.ingest(group, &tokens);
+        let ids = intern_new_words(group, &mut self.vocab, &tokens);
         for &id in &ids {
             self.sliding.insert(id);
         }
@@ -706,7 +622,7 @@ impl StreamService {
     }
 
     /// The incremental vocabulary.
-    pub fn vocab(&self) -> &StreamVocab {
+    pub fn vocab(&self) -> &Interner {
         &self.vocab
     }
 
@@ -841,7 +757,7 @@ mod tests {
     #[test]
     fn incremental_interning_is_id_stable_and_global() {
         let out = run_spmd_seq(3, |comm| {
-            let mut vocab = StreamVocab::new();
+            let mut vocab = Interner::new();
             let batch1: Vec<String> = match comm.rank() {
                 0 => vec!["bee", "ant"],
                 1 => vec!["cat", "ant"],
@@ -850,13 +766,13 @@ mod tests {
             .into_iter()
             .map(String::from)
             .collect();
-            let ids1 = vocab.ingest(comm, &batch1);
+            let ids1 = intern_new_words(comm, &mut vocab, &batch1);
             let snapshot: Vec<String> = (0..vocab.len())
                 .map(|i| vocab.resolve(i as u64).unwrap().to_string())
                 .collect();
             // Second batch: one genuinely new word plus repeats.
             let batch2: Vec<String> = vec!["emu".to_string(), "ant".to_string()];
-            let ids2 = vocab.ingest(comm, &batch2);
+            let ids2 = intern_new_words(comm, &mut vocab, &batch2);
             (ids1, snapshot, ids2, vocab.len())
         });
         // Batch-1 vocabulary is the sorted union: ant bee cat dog.

@@ -7,11 +7,12 @@
 //! 1. **Tokenize** each PE's raw text shard into lowercase words
 //!    ([`tokenize`] — deterministic, ASCII-alphabetic tokens).
 //! 2. **Intern** words into dense `u64` ids that are *globally consistent*
-//!    across PEs ([`distributed_intern`]): each PE compresses its shard with
-//!    a sequential [`seqkit::Interner`], the sorted local vocabularies are
-//!    united with one allgather, and a word's id is its rank in the sorted
-//!    global vocabulary — independent of PE count, shard boundaries and
-//!    iteration order, which is what makes the whole pipeline reproducible.
+//!    across PEs ([`distributed_intern`]): each PE's sorted distinct words
+//!    are united with one allgather, and a word's id is its rank in the
+//!    sorted global vocabulary — independent of PE count, shard boundaries
+//!    and iteration order, which is what makes the whole pipeline
+//!    reproducible.  The streaming service grows its vocabulary with the
+//!    same step, one batch at a time.
 //! 3. **Count** with any §7 algorithm on the id stream
 //!    ([`topk::planner::Algorithm::run`]), exactly as if the input had been
 //!    integers all along — or with the one the planner picks for the ids
@@ -24,7 +25,7 @@
 //! claims are about the counting algorithms, not corpus distribution), which
 //! is why [`run_planned_scored`] meters the algorithm phase alone.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use commsim::Communicator;
 use seqkit::Interner;
@@ -88,27 +89,51 @@ impl InternedShard {
 /// Make word ids globally consistent (collective — all PEs must call this
 /// together).
 ///
-/// Each PE first collapses its token stream with a sequential
-/// [`seqkit::Interner`] (so the allgather carries each *distinct* word once,
-/// not every occurrence), then the sorted local vocabularies are united and
-/// a word's global id is its rank in the sorted union.  Sorting is what
+/// Each PE all-gathers its sorted distinct words, and a word's global id is
+/// its rank in the sorted union — the streaming service's per-batch
+/// interning step, run once on an empty vocabulary.  Sorting is what
 /// decouples ids from insertion order: any sharding of the same corpus onto
 /// any number of PEs produces the same `word → id` map.
 pub fn distributed_intern<C: Communicator>(comm: &C, tokens: &[String]) -> InternedShard {
-    let mut local_vocab = Interner::from_words(tokens.iter().map(String::as_str)).into_words();
-    local_vocab.sort_unstable();
-    let mut vocab: Vec<String> = comm.allgather(local_vocab).into_iter().flatten().collect();
-    vocab.sort_unstable();
-    vocab.dedup();
-    let ids = tokens
+    let mut vocab = Interner::new();
+    let ids = intern_new_words(comm, &mut vocab, tokens);
+    InternedShard {
+        vocab: vocab.into_words(),
+        ids,
+    }
+}
+
+/// Grow `vocab` by exactly the words of `tokens` that no PE had interned
+/// yet, and map `tokens` to ids (collective — all PEs must call this
+/// together, each with the same `vocab`).
+///
+/// Because `vocab` is identical on every PE, "unknown here" equals "unknown
+/// everywhere": each PE all-gathers its distinct new words, sorted, and
+/// every PE appends the sorted union in order.  So ids already handed out
+/// never change, and the words sent are each PE's new vocabulary, each
+/// distinct word once.
+pub(crate) fn intern_new_words<C: Communicator>(
+    comm: &C,
+    vocab: &mut Interner,
+    tokens: &[String],
+) -> Vec<u64> {
+    let fresh: HashSet<&str> = tokens
         .iter()
-        .map(|t| {
-            vocab
-                .binary_search(t)
-                .expect("token must be in the gathered vocabulary") as u64
-        })
+        .map(String::as_str)
+        .filter(|t| vocab.get(t).is_none())
         .collect();
-    InternedShard { vocab, ids }
+    let mut fresh: Vec<String> = fresh.into_iter().map(str::to_string).collect();
+    fresh.sort_unstable();
+    let mut delta: Vec<String> = comm.allgather(fresh).into_iter().flatten().collect();
+    delta.sort_unstable();
+    delta.dedup();
+    for word in &delta {
+        vocab.intern(word);
+    }
+    tokens
+        .iter()
+        .map(|t| vocab.get(t).expect("every token was interned"))
+        .collect()
 }
 
 /// Resolve a result's `(id, count)` items back to `(word, count)` using the

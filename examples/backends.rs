@@ -6,11 +6,9 @@
 //! replay engine under both of its drivers, the deterministic sequential one
 //! (the scheduler inline on this thread) and the multiplexed one (thousands
 //! of PEs as cooperative tasks over a small worker pool) — producing
-//! identical results and identical metered traffic.  Also shows the message
-//! path at work: every payload crosses the transport as its word encoding,
-//! and on the threaded backend the `pooled_reuses` counter proves the
-//! buffers are being recycled (the replay engine keeps every message for
-//! re-execution, which makes it honestly 0 — see ARCHITECTURE.md).
+//! identical results and identical metered traffic: every payload crosses
+//! the transport as its word encoding, and every backend meters the same
+//! per-PE messages and words.
 //!
 //! ```bash
 //! cargo run --release --example backends
@@ -40,16 +38,12 @@ fn main() {
     for backend in Backend::ALL {
         let out = run_on!(backend, World::new(p), program).fault_free();
         assert_eq!(out.results, reference.results);
-        assert_eq!(out.stats.total_words(), reference.stats.total_words());
-        // Only the threaded transport consumes messages, so only it has
-        // buffers to recycle; the replay engine reports 0 under either
-        // driver.
+        assert_eq!(out.stats.per_pe(), reference.stats.per_pe());
         println!(
-            "  {:<9} {:>9} words {:>5} msgs {:>5} pooled reuses   {:?}",
+            "  {:<9} {:>9} words {:>5} msgs   {:?}",
             backend.name(),
             out.stats.total_words(),
             out.stats.total_messages(),
-            out.stats.total_pooled_reuses(),
             out.elapsed
         );
     }

@@ -14,14 +14,10 @@
 //! queues, no replay).  `World::seq` and `World::mux` are two drivers
 //! of one replay engine, so agreement between them alone would prove
 //! nothing about the engine; each is compared to the threaded run, and the
-//! inline run rides along as a third column.
-//!
-//! Pool-reuse counters are deliberately excluded from the comparison: the
-//! replay engine stores every message permanently for re-execution and never
-//! recycles buffers (a documented divergence, see the `commsim::mux` module
-//! docs), so `pooled_reuses` is the one counter allowed to differ.
+//! inline run rides along as a third column.  Whole per-PE snapshots are
+//! compared: every counter a `StatsSnapshot` holds is one the paper's cost
+//! model prices, so none is exempt.
 
-use topk_selection::commsim::StatsSnapshot;
 use topk_selection::prelude::*;
 
 /// The figure-6 per-PE body, generic over the backend: generate the skewed
@@ -37,17 +33,6 @@ fn fig6_body<C: Communicator>(comm: &C, per_pe: usize, k: usize) -> u64 {
         0xF166 + comm.size() as u64,
     )
     .threshold
-}
-
-/// The traffic counters that must be bit-identical across backends
-/// (everything except `pooled_reuses`).
-fn traffic(s: &StatsSnapshot) -> (u64, u64, u64, u64) {
-    (
-        s.sent_messages,
-        s.sent_words,
-        s.received_messages,
-        s.received_words,
-    )
 }
 
 #[test]
@@ -69,19 +54,16 @@ fn fig6_traffic_is_bit_identical_across_all_three_backends() {
                 threaded.results, mux.results,
                 "p={p} k={k}: mux results diverge"
             );
-            for rank in 0..p {
-                let t = traffic(threaded.stats.pe(rank));
-                assert_eq!(
-                    t,
-                    traffic(seq.stats.pe(rank)),
-                    "p={p} k={k} rank={rank}: seq traffic diverges"
-                );
-                assert_eq!(
-                    t,
-                    traffic(mux.stats.pe(rank)),
-                    "p={p} k={k} rank={rank}: mux traffic diverges"
-                );
-            }
+            assert_eq!(
+                threaded.stats.per_pe(),
+                seq.stats.per_pe(),
+                "p={p} k={k}: seq traffic diverges"
+            );
+            assert_eq!(
+                threaded.stats.per_pe(),
+                mux.stats.per_pe(),
+                "p={p} k={k}: mux traffic diverges"
+            );
         }
     }
 }
@@ -112,13 +94,11 @@ fn fig6_path_multiplexes_many_pes_over_few_workers() {
             out.stats.bottleneck_messages(),
             "{driver}: bottleneck start-ups diverge at p={p}"
         );
-        for rank in 0..p {
-            assert_eq!(
-                traffic(threaded.stats.pe(rank)),
-                traffic(out.stats.pe(rank)),
-                "{driver}: rank {rank} traffic diverges at p={p}"
-            );
-        }
+        assert_eq!(
+            threaded.stats.per_pe(),
+            out.stats.per_pe(),
+            "{driver}: per-PE traffic diverges at p={p}"
+        );
     }
 }
 
@@ -137,19 +117,16 @@ fn fig6_on_a_two_worker_pool_is_bit_identical_to_seq() {
         let seq = run_spmd_seq(p, |comm| fig6_body(comm, per_pe, k));
         assert_eq!(threaded.results, mux.results, "p={p}: results diverge");
         assert_eq!(threaded.results, seq.results, "p={p}: seq results diverge");
-        for rank in 0..p {
-            let t = traffic(threaded.stats.pe(rank));
-            assert_eq!(
-                t,
-                traffic(mux.stats.pe(rank)),
-                "p={p} rank={rank}: traffic diverges under the 2-worker pool"
-            );
-            assert_eq!(
-                t,
-                traffic(seq.stats.pe(rank)),
-                "p={p} rank={rank}: traffic diverges under the inline driver"
-            );
-        }
+        assert_eq!(
+            threaded.stats.per_pe(),
+            mux.stats.per_pe(),
+            "p={p}: traffic diverges under the 2-worker pool"
+        );
+        assert_eq!(
+            threaded.stats.per_pe(),
+            seq.stats.per_pe(),
+            "p={p}: traffic diverges under the inline driver"
+        );
     }
 }
 

@@ -22,6 +22,7 @@
 //!    metered ones.
 
 use proptest::prelude::*;
+use topk_selection::commsim::StatsSnapshot;
 use topk_selection::datagen::Zipf;
 use topk_selection::prelude::*;
 use topk_selection::seqkit::skew::fit_zipf_exponent;
@@ -235,15 +236,7 @@ fn predicted_startups_equal_the_metered_ones_for_every_algorithm() {
 /// the pure `planner::plan` of the fit those entries give.
 #[test]
 fn plan_for_data_is_one_all_reduction() {
-    fn traffic(d: &topk_selection::commsim::StatsSnapshot) -> [u64; 4] {
-        [
-            d.sent_words,
-            d.sent_messages,
-            d.received_words,
-            d.received_messages,
-        ]
-    }
-    fn body<C: Communicator>(comm: &C) -> ([u64; 4], [u64; 4], Plan, Plan) {
+    fn body<C: Communicator>(comm: &C) -> (StatsSnapshot, StatsSnapshot, Plan, Plan) {
         let (k, epsilon, delta) = (8, 0.02, 1e-3);
         let per_pe = 700 + 300 * comm.rank();
         let local = zipf_input(1 << 12, 1.1, 0x0A11, comm.rank(), per_pe);
@@ -271,7 +264,7 @@ fn plan_for_data_is_one_all_reduction() {
             zipf_exponent: (sums[2] as f64 / sums[1] as f64) / 1e6,
             universe: (sums[3] / sums[1]).max(1),
         });
-        (traffic(&planning), traffic(&by_hand), planned, expected)
+        (planning, by_hand, planned, expected)
     }
     for p in [2usize, 3, 5] {
         for (driver, results) in [

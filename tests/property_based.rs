@@ -833,12 +833,11 @@ proptest! {
     }
 
     #[test]
-    fn vec_payloads_meter_their_word_count_and_reuse_pooled_buffers(
+    fn vec_payloads_meter_their_word_count(
         payload in vec(0u64..u64::MAX, 0..60),
     ) {
         // A Vec<u64> must be metered exactly like the generic word_count
-        // contract says, and the pooled counter must see reuse on a
-        // ping-pong exchange.
+        // contract says, on both legs of a ping-pong exchange.
         let words = payload.word_count() as u64;
         let data = payload.clone();
         let out = run_spmd(2, move |comm| {
@@ -852,9 +851,6 @@ proptest! {
         });
         prop_assert_eq!(out.stats.total_words(), 2 * words);
         prop_assert_eq!(out.stats.total_messages(), 2);
-        // PE 1 echoes the same vector back: its send reuses the buffer its
-        // receive just returned to the pool.
-        prop_assert!(out.stats.total_pooled_reuses() >= 1);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use std::collections::HashMap;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use topk_selection::commsim::WorldStats;
 use topk_selection::datagen::text::BASE_WORDS;
 use topk_selection::datagen::TextCorpus;
 use topk_selection::prelude::*;
@@ -57,22 +56,6 @@ fn scheduler_is_bit_identical_on_both_backends() {
         let mux = World::new(3)
             .mux(|comm| run_scheduler(comm, &params))
             .fault_free();
-        // Everything a PE's snapshot meters except `pooled_reuses`, which
-        // is the backend's own business.
-        let traffic = |stats: &WorldStats| -> Vec<[u64; 4]> {
-            stats
-                .per_pe()
-                .iter()
-                .map(|s| {
-                    [
-                        s.sent_messages,
-                        s.sent_words,
-                        s.received_messages,
-                        s.received_words,
-                    ]
-                })
-                .collect()
-        };
         for (name, replay) in [("seq", &seq), ("mux", &mux)] {
             // RoundReport includes the batch contents, backlog *and* the
             // per-round metered words — all must match exactly.
@@ -84,8 +67,8 @@ fn scheduler_is_bit_identical_on_both_backends() {
             // which they differed would show up first as a different round
             // count, i.e. in the per-PE message counters.
             assert_eq!(
-                traffic(&threaded.stats),
-                traffic(&replay.stats),
+                threaded.stats.per_pe(),
+                replay.stats.per_pe(),
                 "{batch:?}/{arrival:?}: per-PE metering differs on {name}"
             );
         }
