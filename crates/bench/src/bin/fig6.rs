@@ -25,6 +25,8 @@
 //! detects them, regroups the survivors, rolls back to the last
 //! checkpoint, and the result is checked against a brute-force oracle
 //! over the surviving data.  Prints a one-line `recovery-audit` row.
+//! Injected faults run on the replay engine only, so `--chaos` needs
+//! `--backend seq|mux` and refuses the threaded default.
 
 use bench::chaos::{run_chaos, RecoverableBody};
 use bench::cli::Cli;

@@ -32,7 +32,9 @@
 //! calibration pass places `N` crash-stops at a phase boundary, the chaos
 //! pass regroups the survivors and rolls back to the last checkpoint, and
 //! the published counts are checked against a brute-force count over the
-//! surviving data.  Prints a one-line `recovery-audit` row.
+//! surviving data.  Prints a one-line `recovery-audit` row.  Injected
+//! faults run on the replay engine only, so `--chaos` needs
+//! `--backend seq|mux` and refuses the threaded default.
 
 use bench::chaos::{run_chaos, RecoverableBody};
 use bench::cli::Cli;

@@ -30,7 +30,9 @@
 //! coordinator→member pairs — below the detection threshold, so staleness
 //! and availability must be unaffected) and `--drops D` with
 //! dropped-heartbeat runs (the victim is timeout-evicted while still alive;
-//! coverage shrinks, availability is held up by the replicas).
+//! coverage shrinks, availability is held up by the replicas).  Injected
+//! faults run on the replay engine only, so `--chaos` needs
+//! `--backend seq|mux` and refuses the threaded default.
 //!
 //! ```bash
 //! cargo run -p bench --release --bin stream_topk -- \
@@ -44,6 +46,7 @@
 //!     [--crash-batch 30] [--assert-available 1.0]
 //! ```
 
+use bench::chaos::require_replay_backend;
 use bench::cli::Cli;
 use bench::report::fmt_duration;
 use bench::Table;
@@ -270,8 +273,8 @@ fn query_table(lambda: f64, report: &StreamReport) -> Table {
     table
 }
 
-/// The chaos sweep: one fault-free calibration/baseline rep, then one run
-/// per fault scenario —
+/// The chaos sweep, on a replay driver: one fault-free calibration/baseline
+/// rep, then one run per fault scenario —
 ///
 /// * `1..=--crashes` crash-stops, victims picked by
 ///   [`FaultPlan::seeded_crashes`] with `at_send_count` calibrated so every
@@ -284,6 +287,7 @@ fn query_table(lambda: f64, report: &StreamReport) -> Table {
 ///   coordinator times the victim out and evicts it *while it is still
 ///   alive*; coverage shrinks like a crash but the victim parks quietly.
 fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &TextCorpus) {
+    require_replay_backend(args.backend);
     let p = args.pes;
     assert!(
         config.replication >= 1,

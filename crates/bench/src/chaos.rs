@@ -33,8 +33,23 @@ impl<S> ChaosRun<S> {
     }
 }
 
-/// Run `body` on `p` PEs of `backend` with `crashes` seeded crash-stops at a
-/// phase boundary, and print the survivors' `recovery-audit` row.
+/// Refuse a `--chaos` run on `backend` unless it is a replay driver: a
+/// fault plan runs on the replay engine only.  Called before the
+/// calibration pass, so a threaded run stops before doing any work.
+///
+/// # Panics
+///
+/// Panics on [`Backend::Threaded`], naming the backends that run `--chaos`.
+pub fn require_replay_backend(backend: Backend) {
+    assert!(
+        backend != Backend::Threaded,
+        "--chaos injects faults, which run on the replay engine only: pass --backend seq|mux"
+    );
+}
+
+/// Run `body` on `p` PEs of `backend` (a replay driver) with `crashes`
+/// seeded crash-stops at a phase boundary, and print the survivors'
+/// `recovery-audit` row.
 ///
 /// A fault-free calibration run records each PE's send count at every
 /// phase boundary; a victim whose crash count equals its phase-0 boundary
@@ -44,7 +59,8 @@ impl<S> ChaosRun<S> {
 ///
 /// # Panics
 ///
-/// Panics if `p < 2` or `crashes >= p`.
+/// Panics if `backend` is threaded (see [`require_replay_backend`]), if
+/// `p < 2` or if `crashes >= p`.
 pub fn run_chaos<B: RecoverableBody>(
     backend: Backend,
     p: usize,
@@ -52,6 +68,7 @@ pub fn run_chaos<B: RecoverableBody>(
     crashes: usize,
     body: &B,
 ) -> ChaosRun<B::State> {
+    require_replay_backend(backend);
     assert!(p >= 2, "--chaos needs at least 2 PEs");
     assert!(crashes < p, "--crashes must leave at least one survivor");
     let baseline = run_on!(backend, World::new(p), |comm| body.run(comm)).fault_free();

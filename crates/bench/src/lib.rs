@@ -19,10 +19,11 @@
 //!     stream, with a `--chaos` mode under injected faults.
 //!
 //! Every bin takes `--backend threaded|seq|mux` ([`commsim::Backend`]) and
-//! starts its worlds with [`commsim::run_on!`].  Every bin reads its
-//! command line through [`cli::Cli`], one call per flag with the bin's own
-//! default: `--flag value` pairs and bare switches, in any order, the last
-//! of a repeated flag winning.  An unknown flag, a valued flag without a
+//! starts its worlds with [`commsim::run_on!`]; a `--chaos` mode injects
+//! faults, which run on the replay engine only, so it takes `seq` or `mux`.
+//! Every bin reads its command line through [`cli::Cli`], one call per flag
+//! with the bin's own default: `--flag value` pairs and bare switches, in
+//! any order, the last of a repeated flag winning.  An unknown flag, a valued flag without a
 //! value and a value that does not parse each panic with a message naming
 //! the flag.
 //!

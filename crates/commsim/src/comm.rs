@@ -10,53 +10,18 @@
 //! [`BufferPool`], which saves allocations and meters nothing.  Like the
 //! mailbox it wraps, a `Comm` is the unique communication endpoint of its
 //! rank: it moves freely between threads but is never shared between them.
+//!
+//! A threaded run is always fault-free: a [`crate::FaultPlan`] runs on the
+//! replay engine only, so a `Comm` has no fault hook, and its
+//! [`Communicator::recv_failable`] is the trait's plain blocking receive.
 
-use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::cell::Cell;
 
-use crate::communicator::{validate_user_tag, Communicator, COLLECTIVE_TAG_BASE};
-use crate::error::CommError;
-use crate::faults::{CompiledFaults, Crashed};
+use crate::communicator::{Communicator, COLLECTIVE_TAG_BASE};
 use crate::message::CommData;
 use crate::metrics::{StatsRegistry, StatsSnapshot};
 use crate::transport::{BufferPool, Envelope, Mailbox};
 use crate::{Rank, Tag};
-
-/// Default detection window of [`Communicator::recv_failable`] on the
-/// threaded backend.  Real threads have no global quiescence point the way
-/// the replay backends do, so "the message has not arrived yet" is only ever
-/// a verdict about a wall-clock window; a quarter second is several orders of
-/// magnitude above any scheduling hiccup this repo's test loads produce, and
-/// a [`CommError::Timeout`] is retryable by contract anyway.  Overridable per
-/// run via [`crate::World::with_recv_failable_window`] — slow CI
-/// runners widen it, tests of the timeout path shrink it.
-pub(crate) const DEFAULT_FAILABLE_WINDOW: Duration = Duration::from_millis(250);
-
-/// Per-PE fault-injection state of the threaded backend (present only when
-/// the run carries a non-empty [`crate::FaultPlan`]; the fault-free hot path
-/// skips all of it with one `Option` check).
-pub(crate) struct FaultState {
-    /// The compiled fault schedule, shared by all PEs of the run.
-    plan: Arc<CompiledFaults>,
-    /// `crashed[r]` is set by the runner *before* PE `r`'s mailbox tears
-    /// down, so an observer that sees the teardown (`Disconnected`) and then
-    /// loads the flag cannot miss the crash.
-    crashed: Arc<Vec<AtomicBool>>,
-    /// Send-operation clock of this PE (crash trigger and delay release are
-    /// both counted in units of this clock, matching the replay backends).
-    send_ops: Cell<u64>,
-    /// `pair_sent[dst]` counts messages this PE addressed to `dst` (the
-    /// "nth pair message" coordinate of drop events).
-    pair_sent: RefCell<Vec<u64>>,
-    /// Per-destination holdback queues of delayed envelopes, each stamped
-    /// with the send-op count at which it releases.  A pair with a delay
-    /// routes *every* message through its queue, so per-pair FIFO order is
-    /// preserved.
-    holdback: RefCell<Vec<VecDeque<(u64, Envelope)>>>,
-}
 
 /// Communicator handle owned by one PE thread for the duration of an SPMD
 /// region (the threaded backend of [`Communicator`]).
@@ -70,11 +35,6 @@ pub struct Comm {
     /// bugs (a mismatch manifests as a tag error instead of silent data
     /// corruption).
     collective_seq: Cell<u64>,
-    /// Fault-injection state; `None` on fault-free runs.
-    faults: Option<FaultState>,
-    /// Wall-clock detection window of [`Communicator::recv_failable`]
-    /// (only consulted when a fault plan is attached).
-    failable_window: Duration,
 }
 
 impl Comm {
@@ -86,42 +46,17 @@ impl Comm {
             stats,
             pool: BufferPool::default(),
             collective_seq: Cell::new(0),
-            faults: None,
-            failable_window: DEFAULT_FAILABLE_WINDOW,
         }
     }
 
-    /// Create a communicator with an attached fault schedule.  Called by
-    /// [`crate::World::threaded`] under a non-empty fault plan.
-    pub(crate) fn new_faulty(
-        mailbox: Mailbox,
-        stats: StatsRegistry,
-        plan: Arc<CompiledFaults>,
-        crashed: Arc<Vec<AtomicBool>>,
-        failable_window: Duration,
-    ) -> Self {
-        let p = mailbox.size();
-        Comm {
-            mailbox,
-            stats,
-            pool: BufferPool::default(),
-            collective_seq: Cell::new(0),
-            failable_window,
-            faults: Some(FaultState {
-                plan,
-                crashed,
-                send_ops: Cell::new(0),
-                pair_sent: RefCell::new(vec![0; p]),
-                holdback: RefCell::new((0..p).map(|_| VecDeque::new()).collect()),
-            }),
-        }
-    }
-
-    /// Encode `value` into a pooled buffer and meter the send.
-    fn encode_metered<T: CommData>(&self, tag: Tag, value: T) -> Envelope {
-        let env = Envelope::encode(tag, self.rank(), value, Some(&self.pool));
-        self.stats.pe(self.rank()).record_send(env.words());
-        env
+    /// Block for the next envelope from `src`, then open and meter it.  A
+    /// peer that hangs up first is a bug in a fault-free run, and panics.
+    fn recv_metered<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
+        let env = self
+            .mailbox
+            .recv(src)
+            .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
+        self.open_metered(env, src, expected)
     }
 
     /// Open a received envelope, meter it, and panic on transport-level
@@ -138,83 +73,6 @@ impl Comm {
             .and_then(|()| env.open_pooled::<T>(Some(&self.pool)))
             .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
         (tag, value)
-    }
-
-    /// Panic for a failed receive, upgrading `Disconnected` from a peer that
-    /// is known to have crash-stopped into the definitive peer-dead message
-    /// (which points the caller at [`Communicator::recv_failable`]).
-    fn recv_panic(&self, src: Rank, e: CommError) -> ! {
-        if matches!(e, CommError::Disconnected { .. }) {
-            if let Some(fs) = &self.faults {
-                if fs.crashed[src].load(Ordering::SeqCst) {
-                    let err = CommError::PeerDead { rank: src };
-                    panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)");
-                }
-            }
-        }
-        panic!("recv from {src}: {e}");
-    }
-
-    /// The fault-injecting send path: counts the send-op clock, triggers a
-    /// scheduled crash, meters-then-swallows dropped messages, and routes
-    /// delayed pairs through the holdback queue.
-    fn send_faulty<T: CommData>(&self, dst: Rank, tag: Tag, value: T, fs: &FaultState) {
-        let op = fs.send_ops.get();
-        if fs.plan.crash_at(self.rank()) == Some(op) {
-            crate::mux::unwind_with(Crashed { rank: self.rank() });
-        }
-        fs.send_ops.set(op + 1);
-        let env = self.encode_metered(tag, value);
-        let nth = {
-            let mut pair_sent = fs.pair_sent.borrow_mut();
-            let nth = pair_sent[dst];
-            pair_sent[dst] = nth + 1;
-            nth
-        };
-        if fs.plan.is_dropped(self.rank(), dst, nth) {
-            // Metered at the sender (the network carried it), never
-            // delivered — the receiver's FIFO simply does not contain it.
-        } else if let Some(delay) = fs.plan.delay_for(self.rank(), dst) {
-            fs.holdback.borrow_mut()[dst].push_back((op + delay, env));
-        } else if self.mailbox.send(dst, env).is_err() {
-            // The destination finished or crashed and tore its mailbox down
-            // — under fault injection that is not a bug in the algorithm
-            // (e.g. a membership probe to a PE that just died); the message
-            // is lost in flight, like on a real network.
-        }
-        self.flush_holdback(op + 1, fs);
-    }
-
-    /// Deliver every held-back envelope whose release point the send-op
-    /// clock has reached.  Delivery failures are ignored: the destination
-    /// finished (or crashed) and tore its mailbox down, so the delayed
-    /// message is simply lost in flight — exactly what a real network does.
-    fn flush_holdback(&self, now_ops: u64, fs: &FaultState) {
-        let mut holdback = fs.holdback.borrow_mut();
-        for (dst, queue) in holdback.iter_mut().enumerate() {
-            while queue
-                .front()
-                .is_some_and(|(release, _)| *release <= now_ops)
-            {
-                let (_, env) = queue.pop_front().expect("front was just checked");
-                let _ = self.mailbox.send(dst, env);
-            }
-        }
-    }
-}
-
-impl Drop for Comm {
-    fn drop(&mut self) {
-        // Terminal release: a finished (or crashed) sender withholds nothing
-        // — flush every queue regardless of release point, *before* the
-        // mailbox teardown marks this PE dead.
-        if let Some(fs) = self.faults.take() {
-            for (dst, queue) in fs.holdback.into_inner().into_iter().enumerate() {
-                for (_, env) in queue {
-                    let _ = self.mailbox.send(dst, env);
-                }
-            }
-        }
     }
 }
 
@@ -240,57 +98,26 @@ impl Communicator for Comm {
     }
 
     fn send_raw<T: CommData>(&self, dst: Rank, tag: Tag, value: T) {
-        if let Some(fs) = &self.faults {
-            self.send_faulty(dst, tag, value, fs);
-            return;
-        }
-        let env = self.encode_metered(tag, value);
+        let env = Envelope::encode(tag, self.rank(), value, Some(&self.pool));
+        self.stats.pe(self.rank()).record_send(env.words());
         if let Err(e) = self.mailbox.send(dst, env) {
             panic!("send to {dst}: {e}");
         }
     }
 
     fn recv_raw<T: CommData>(&self, src: Rank, expected_tag: Tag) -> T {
-        let env = self
-            .mailbox
-            .recv(src)
-            .unwrap_or_else(|e| self.recv_panic(src, e));
-        self.open_metered(env, src, Some(expected_tag)).1
+        self.recv_metered(src, Some(expected_tag)).1
     }
 
     fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
-        let env = self
-            .mailbox
-            .recv(src)
-            .unwrap_or_else(|e| self.recv_panic(src, e));
-        self.open_metered(env, src, None)
+        self.recv_metered(src, None)
     }
 
     fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
         match self.mailbox.try_recv(src) {
             Ok(Some(env)) => Some(self.open_metered(env, src, None)),
             Ok(None) => None,
-            Err(e) => self.recv_panic(src, e),
-        }
-    }
-
-    fn recv_failable<T: CommData>(&self, src: Rank, tag: Tag) -> crate::CommResult<T> {
-        validate_user_tag(tag);
-        if self.faults.is_none() {
-            // Fault-free runs keep the plain blocking semantics (and the
-            // plain metering) of `recv_raw`.
-            return Ok(self.recv_raw(src, tag));
-        }
-        match self.mailbox.recv_deadline(src, self.failable_window) {
-            Ok(env) => Ok(self.open_metered(env, src, Some(tag)).1),
-            Err(CommError::Disconnected { .. }) => {
-                // Whether the peer crash-stopped or ran to completion
-                // without sending, its mailbox is gone and the awaited
-                // message can never arrive: a definitive verdict.
-                Err(CommError::PeerDead { rank: src })
-            }
-            Err(e @ CommError::Timeout { .. }) => Err(e),
-            Err(e) => self.recv_panic(src, e),
+            Err(e) => panic!("recv from {src}: {e}"),
         }
     }
 }

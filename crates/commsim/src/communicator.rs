@@ -6,8 +6,9 @@
 //! that surface, so every algorithm in the workspace is written against
 //! `C: Communicator` and runs unchanged on any backend:
 //!
-//! * [`crate::Comm`] — the threaded backend: one OS thread per PE over a
-//!   full mesh of mpsc channels (wall-clock measurements, true parallelism);
+//! * [`crate::Comm`] — the threaded backend: one OS thread per PE over the
+//!   sharded inbox transport of per-pair mutex queues
+//!   ([`crate::transport`]; wall-clock measurements, true parallelism);
 //! * [`crate::MuxComm`] — the replay backend: the same SPMD closures
 //!   re-executed by a park/wake scheduler, inline on one thread
 //!   ([`crate::World::seq`]: fast tests, reproducible debugging) or over a
@@ -16,7 +17,7 @@
 //! Backends implement only the primitive surface (`rank`/`size`, raw
 //! tagged send/receive, statistics); everything user-facing — validated
 //! point-to-point messaging and all collectives — is *provided* by the trait,
-//! which is what guarantees the two backends enforce identical semantics
+//! which is what guarantees that every backend enforces identical semantics
 //! (tag validation lives in exactly one place: [`Communicator::send`] /
 //! [`Communicator::recv`]).
 //!
@@ -29,7 +30,7 @@
 //!
 //! # Example
 //!
-//! An SPMD program written once, run on both backends:
+//! An SPMD program written once, run on two backends:
 //!
 //! ```
 //! use commsim::{run_spmd, run_spmd_seq, Communicator};
@@ -59,7 +60,7 @@ use crate::{Rank, Tag};
 /// this value.
 pub(crate) const COLLECTIVE_TAG_BASE: Tag = 1 << 32;
 
-/// The single place where user tags are validated; both backends inherit it
+/// The single place where user tags are validated; every backend inherits it
 /// through the provided [`Communicator::send`] / [`Communicator::recv`].
 #[inline]
 pub(crate) fn validate_user_tag(tag: Tag) {
@@ -130,16 +131,17 @@ pub trait Communicator {
     /// blocking forever on a peer that will never answer it returns
     /// [`crate::CommError::PeerDead`] (the backend *proved* the peer crashed
     /// with its send log exhausted — definitive, never spurious) or
-    /// [`crate::CommError::Timeout`] (the detection window elapsed; the peer
-    /// may merely be slow, so retrying is legitimate).  A tag or type
-    /// mismatch on a message that *does* arrive is still a programming error
-    /// and panics, exactly as [`Communicator::recv`] does.
+    /// [`crate::CommError::Timeout`] (the whole world stalled with this
+    /// receive unanswered; the peer may merely be waiting too, so retrying
+    /// is legitimate).  A tag or type mismatch on a message that *does*
+    /// arrive is still a programming error and panics, exactly as
+    /// [`Communicator::recv`] does.
     ///
-    /// The default implementation simply blocks (fault-free backends cannot
-    /// observe failures); the three bundled backends override it with their
-    /// fault-aware paths.  Deterministic backends (seq/mux) resolve timeouts
-    /// only at whole-world quiescence and replay the verdict verbatim, so
-    /// fault schedules stay reproducible.
+    /// The default implementation simply blocks: a backend without fault
+    /// injection cannot observe a failure.  The threaded backend keeps it,
+    /// since its runs are fault-free; the replay engine overrides it and
+    /// resolves timeouts only at whole-world quiescence, replaying each
+    /// verdict verbatim, so a fault schedule's verdicts are reproducible.
     fn recv_failable<T: CommData>(&self, src: Rank, tag: Tag) -> crate::CommResult<T> {
         validate_user_tag(tag);
         Ok(self.recv_raw(src, tag))

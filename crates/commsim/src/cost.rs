@@ -105,16 +105,6 @@ pub mod predict {
         PredictedComm::new(l * m, l)
     }
 
-    /// Binomial-tree gather of `m_local` words per PE: the bottleneck is the
-    /// root's child owning half the tree (it forwards `p/2 · m_local` words
-    /// in one message) plus the root's `ceil(log2 p)` receives totalling
-    /// `(p−1)·m_local`.  Each gathered element is tagged with its virtual
-    /// rank (one extra word).
-    pub fn gather(p: usize, m_local: f64) -> PredictedComm {
-        let l = rounds(p);
-        PredictedComm::new((p as f64 - 1.0) * (m_local + 1.0), l)
-    }
-
     /// Dissemination all-gather of one `m_local`-word block per PE (a `Vec`
     /// block's own length word included): `⌈log₂ p⌉` rounds, each one
     /// message whose outer `Vec` pays one length word, and every block but

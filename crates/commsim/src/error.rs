@@ -67,9 +67,10 @@ pub enum CommError {
         /// Rank of the crashed peer.
         rank: usize,
     },
-    /// A failure-detecting receive gave up waiting: the awaited message had
-    /// not arrived within the backend's detection window.  The peer may be
-    /// slow rather than dead — retrying is legitimate.
+    /// A failure-detecting receive gave up waiting: the whole world stalled
+    /// with the awaited message unsent (the replay engine forces the verdict
+    /// only at quiescence, and replays it verbatim).  The peer may be live
+    /// and waiting too — retrying is legitimate.
     Timeout {
         /// Rank the receive was waiting on.
         from: usize,

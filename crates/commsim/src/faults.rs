@@ -40,7 +40,8 @@ pub enum FaultEvent {
 /// A plan is a *schedule* of failures, fixed before the SPMD program
 /// starts and replayed exactly: the same plan against the same program yields
 /// the same crashes, the same delayed deliveries and the same lost messages
-/// on every run and on every backend.  Three event kinds are supported:
+/// on every run and on both drivers of the replay engine.  Three event kinds
+/// are supported:
 ///
 /// * [`FaultEvent::CrashPe`] — PE `rank` halts (crash-stop, no recovery)
 ///   immediately before performing its `at_send_count`-th message send,
@@ -53,17 +54,19 @@ pub enum FaultEvent {
 ///   performed `rounds` further send operations (to any destination), or the
 ///   sender has terminated (finished or crashed), whichever comes first.
 ///   Tying the release clock to the sender's own send counter keeps the
-///   schedule deterministic on every backend, including the threaded one.
+///   schedule deterministic however the scheduler orders the PEs.
 /// * [`FaultEvent::DropMessage`] — the `nth` message (0-based) on the ordered
 ///   pair `(src, dst)` is lost after the sender has paid for it: the send is
 ///   metered as usual, but the receiver never observes the message and its
 ///   per-pair sequence transparently skips over it.
 ///
-/// A plan rides in its [`crate::World`] to every engine; the empty plan
-/// compiles to no fault hook at all, so a fault-free run pays nothing.
-/// Detection is surfaced through [`crate::Communicator::recv_failable`],
-/// which returns [`crate::CommError::PeerDead`] /
-/// [`crate::CommError::Timeout`] instead of deadlocking.
+/// A plan rides in its [`crate::World`] to the replay engine,
+/// [`crate::World::seq`] or [`crate::World::mux`]; [`crate::World::threaded`]
+/// refuses a non-empty one.  The empty plan compiles to no fault hook at
+/// all, so a fault-free run pays nothing, on threads too.  Detection is
+/// surfaced through [`crate::Communicator::recv_failable`], which returns
+/// [`crate::CommError::PeerDead`] / [`crate::CommError::Timeout`] instead of
+/// deadlocking, with the same verdict on every run.
 ///
 /// An empty plan is exactly equivalent to no plan at all — results *and*
 /// metered words per PE are bit-identical (pinned by the fault-injection
@@ -225,8 +228,9 @@ impl CompiledFaults {
 }
 
 /// Panic payload thrown inside a PE's closure when its scheduled crash point
-/// is reached.  The backend runners catch it and record the PE as crashed;
-/// anything else unwinding out of a PE is still a real bug and propagates.
+/// is reached.  The replay scheduler catches it and records the PE as
+/// crashed; anything else unwinding out of a PE is still a real bug and
+/// propagates.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Crashed {
     /// Rank that hit its crash point.

@@ -27,11 +27,13 @@
 //! * **threaded** ([`Comm`], via [`World::threaded`]) — one OS thread per PE
 //!   over a sharded inbox transport (one shard of per-source mutex queues
 //!   per destination PE, installed on a pair's first send, park/unpark
-//!   blocking); real parallelism and wall-clock timings;
+//!   blocking); real parallelism and wall-clock timings, fault-free runs
+//!   only;
 //! * **replay** ([`MuxComm`]) — a blocked receive aborts the
 //!   PE's closure and a park/wake scheduler re-executes it later; no thread
 //!   or stack per PE, traffic metering bit-identical to the threaded
-//!   backend.  Two drivers: **multiplexed** ([`World::mux`]) schedules
+//!   backend, and the one engine that injects a [`FaultPlan`], with exact
+//!   failure verdicts.  Two drivers: **multiplexed** ([`World::mux`]) schedules
 //!   thousands of simulated PEs (p = 16 384 and beyond) over a small worker
 //!   pool; **sequential** ([`World::seq`]) runs the same scheduler inline on
 //!   the calling thread — one deterministic schedule, no `Send` bounds; fast

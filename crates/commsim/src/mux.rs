@@ -159,8 +159,7 @@ struct Blocked {
 }
 
 /// Abort the current execution of a PE's closure by unwinding with
-/// `sentinel` as the payload, for the scheduler (or the threaded runner) to
-/// catch.  `resume_unwind` starts the unwind without calling the panic hook:
+/// `sentinel` as the payload, for the scheduler to catch.  `resume_unwind` starts the unwind without calling the panic hook:
 /// a sentinel is control flow, not a failure anyone should see reported.
 /// Out of line and cold, so that the receive path it ends stays small.
 #[cold]

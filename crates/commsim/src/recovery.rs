@@ -56,10 +56,11 @@ use crate::subgroup::SubComm;
 use crate::{Rank, Tag};
 
 /// Consecutive [`CommError::Timeout`] verdicts the coordinator tolerates
-/// per heartbeat receive before it treats the member as dead.  On the
-/// replay backends a timeout is forced only at whole-world quiescence, so a
-/// live member that follows the protocol can never exhaust the budget; on
-/// the threaded backend this bounds the wall-clock cost of a dead-slow peer.
+/// per heartbeat receive before it treats the member as dead.  The replay
+/// engine, the only one that injects faults, forces a timeout only at
+/// whole-world quiescence, so a live member that follows the protocol can
+/// never exhaust the budget; a member whose heartbeat was dropped exhausts
+/// it in a fixed number of stalls.
 const HEARTBEAT_RETRIES: usize = 4;
 
 /// Consecutive [`CommError::Timeout`] verdicts a *member* tolerates while

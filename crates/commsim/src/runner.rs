@@ -5,7 +5,8 @@
 //! [`crate::transport`]), runs the user closure on every PE, and collects the
 //! per-PE return values together with the aggregated communication
 //! statistics and the wall-clock time of the region.  [`run_spmd`] is its
-//! fault-free form.
+//! unwrapped form.  A threaded world is fault-free: fault plans run on the
+//! replay engine only.
 //!
 //! For a deterministic run of the same closures without spawning threads,
 //! see [`World::seq`]; for thousands of PEs over a few threads,
@@ -13,20 +14,16 @@
 //! engines produce the same [`SpmdOutput`] shape, and closures written
 //! against the [`crate::Communicator`] trait work with any of them.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use crate::comm::Comm;
-use crate::faults::Crashed;
 use crate::metrics::StatsRegistry;
 use crate::transport::Mailbox;
 use crate::world::{SpmdOutput, World, STACK_SIZE};
 
 /// Run `f` on `p` simulated PEs, one OS thread each, and collect the
-/// results: `World::new(p).threaded(f)` with no PE able to crash.
+/// results: `World::new(p).threaded(f)` with its results unwrapped.
 ///
 /// `f` is invoked once per PE with that PE's [`Comm`] handle; it must treat
 /// its captured environment as *read-only shared state* (captured references
@@ -47,34 +44,30 @@ where
 }
 
 impl World {
-    /// Run `f` on one OS thread per PE under this world's fault plan.
+    /// Run `f` on one OS thread per PE.
     ///
-    /// `results[rank]` is `None` exactly for the PEs that crash-stopped;
-    /// every surviving PE ran its closure to completion.  Unlike the replay
-    /// engine, whose [`CommError::Timeout`] verdicts are deterministic
-    /// (forced only at whole-world quiescence and replayed verbatim), this
-    /// backend detects slowness with a real wall-clock window
-    /// ([`World::with_recv_failable_window`]) — timeout verdicts here depend
-    /// on scheduling.  Crash and drop effects, and all traffic metering,
-    /// remain deterministic.
+    /// Every entry of `results` is `Some`: the threaded backend injects no
+    /// faults, so no PE crash-stops.  The `Option` keeps the output the
+    /// shape every engine returns, so [`run_on!`](crate::run_on) stays
+    /// uniform.
     ///
     /// # Panics
     ///
-    /// As [`run_spmd`].
-    ///
-    /// [`CommError::Timeout`]: crate::CommError::Timeout
+    /// As [`run_spmd`], and if the world carries a non-empty
+    /// [`FaultPlan`](crate::FaultPlan): fault plans run on the replay engine
+    /// only, [`World::seq`] or [`World::mux`].
     pub fn threaded<T, F>(&self, f: F) -> SpmdOutput<Option<T>>
     where
         T: Send,
         F: Fn(&Comm) -> T + Send + Sync,
     {
-        let faults = self.compiled_faults().map(Arc::new);
+        assert!(
+            self.compiled_faults().is_none(),
+            "a fault plan runs on the replay engine only: use World::seq or World::mux"
+        );
         let p = self.num_pes;
         let registry = StatsRegistry::new(p);
         let mailboxes = Mailbox::full_mesh(p);
-        let crashed: Arc<Vec<AtomicBool>> =
-            Arc::new((0..p).map(|_| AtomicBool::new(false)).collect());
-        let failable_window = self.recv_failable_window;
         let f = &f;
 
         let start = Instant::now();
@@ -82,41 +75,11 @@ impl World {
             let mut handles = Vec::with_capacity(p);
             for (rank, mailbox) in mailboxes.into_iter().enumerate() {
                 let registry = registry.clone();
-                let faults = faults.clone();
-                let crashed = Arc::clone(&crashed);
                 let builder = thread::Builder::new()
                     .name(format!("pe-{rank}"))
                     .stack_size(STACK_SIZE);
                 let handle = builder
-                    .spawn_scoped(scope, move || {
-                        let comm = match faults {
-                            Some(plan) => Comm::new_faulty(
-                                mailbox,
-                                registry,
-                                plan,
-                                Arc::clone(&crashed),
-                                failable_window,
-                            ),
-                            None => Comm::new(mailbox, registry),
-                        };
-                        match catch_unwind(AssertUnwindSafe(|| f(&comm))) {
-                            Ok(v) => Some(v),
-                            Err(payload) => {
-                                if payload.downcast_ref::<Crashed>().is_some() {
-                                    // Publish the crash verdict *before* the
-                                    // communicator (and with it the mailbox)
-                                    // drops: an observer that sees the
-                                    // teardown and then loads this flag
-                                    // cannot miss it.
-                                    crashed[rank].store(true, Ordering::SeqCst);
-                                    drop(comm);
-                                    None
-                                } else {
-                                    resume_unwind(payload)
-                                }
-                            }
-                        }
-                    })
+                    .spawn_scoped(scope, move || f(&Comm::new(mailbox, registry)))
                     .expect("failed to spawn PE thread");
                 handles.push(handle);
             }
@@ -124,7 +87,7 @@ impl World {
                 .into_iter()
                 .enumerate()
                 .map(|(rank, h)| match h.join() {
-                    Ok(v) => v,
+                    Ok(v) => Some(v),
                     Err(panic) => {
                         let msg = panic
                             .downcast_ref::<String>()

@@ -29,7 +29,9 @@
 //! * **disconnect** — dropping a mailbox stores its liveness flag `false`
 //!   and wakes every parked receiver, so a blocking receive whose peer is
 //!   gone fails fast with [`CommError::Disconnected`] after draining what
-//!   is still queued.
+//!   is still queued.  A receive has no deadline: a message or a hang-up
+//!   ends it, and detecting a slow or crashed peer is the replay engine's
+//!   job (fault plans run there only).
 //!
 //! The transport meters nothing (the communicator counts words and
 //! start-ups), so how it queues moves wall time only.  Against the
@@ -55,7 +57,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, Thread};
-use std::time::{Duration, Instant};
 
 use crate::codec::{decode_error, WordReader};
 use crate::error::{CommError, CommResult};
@@ -390,31 +391,13 @@ impl Mailbox {
         Ok(())
     }
 
-    /// Blocking receive of the next message from `src` (FIFO per pair).
+    /// Blocking receive of the next message from `src` (FIFO per pair):
+    /// spin, then park until a message from `src` arrives or `src` hangs up.
     ///
     /// Returns [`CommError::Disconnected`] when `src`'s mailbox is gone and
     /// no message from it remains queued — the sharded equivalent of a
     /// hung-up mpsc channel.
     pub fn recv(&self, src: Rank) -> CommResult<Envelope> {
-        self.recv_until(src, None)
-    }
-
-    /// Blocking receive with a deadline: like [`Mailbox::recv`], but gives up
-    /// with [`CommError::Timeout`] once `timeout` has elapsed without a
-    /// message from `src` arriving.
-    ///
-    /// This is the threaded backend's failure-detection window (see
-    /// [`crate::Communicator::recv_failable`]): a peer that crash-stopped
-    /// tears its mailbox down during unwinding, which surfaces here as
-    /// [`CommError::Disconnected`]; a peer that is merely slow surfaces as
-    /// [`CommError::Timeout`], which the caller may retry.
-    pub fn recv_deadline(&self, src: Rank, timeout: Duration) -> CommResult<Envelope> {
-        self.recv_until(src, Some(Instant::now() + timeout))
-    }
-
-    /// The one receive loop: spin, then park until a message from `src`
-    /// arrives, `src` hangs up, or `deadline` passes.
-    fn recv_until(&self, src: Rank, deadline: Option<Instant>) -> CommResult<Envelope> {
         self.check_rank(src)?;
         let shard = &self.mesh.shards[self.rank];
         let queue = shard.queue(src);
@@ -434,9 +417,6 @@ impl Mailbox {
         // with a disconnecting peer's store through `SeqCst` (see `Drop`).
         shard.parked.register(src);
         let result = loop {
-            // Read the clock before the pop, so a timeout is reported only
-            // for a pop made after the deadline.
-            let now = Instant::now();
             if let Some(env) = pop() {
                 break Ok(env);
             }
@@ -444,11 +424,7 @@ impl Mailbox {
                 // `src` pushed everything before it stored `alive == false`.
                 break pop().ok_or(CommError::Disconnected { from: src });
             }
-            match deadline {
-                None => thread::park(),
-                Some(deadline) if now < deadline => thread::park_timeout(deadline - now),
-                Some(_) => break Err(CommError::Timeout { from: src }),
-            }
+            thread::park();
         };
         shard.parked.clear();
         result
@@ -827,16 +803,6 @@ mod tests {
         assert_eq!(t.join().unwrap(), 42);
     }
 
-    /// A blocking receive under test: `recv`, or `recv_deadline` with a
-    /// window no case below should reach.
-    type Receive = fn(&Mailbox, Rank) -> CommResult<Envelope>;
-
-    const LONG: Duration = Duration::from_secs(60);
-
-    fn recv_long(b: &Mailbox, src: Rank) -> CommResult<Envelope> {
-        b.recv_deadline(src, LONG)
-    }
-
     /// Block until PE `rank`'s receiver has registered in its park cell as
     /// waiting on `src`, so the caller acts on a parked receiver — or until
     /// the receiver returned without parking, which its result then shows.
@@ -851,7 +817,8 @@ mod tests {
     /// PE 2 parks on source 1 while source 0 floods it with 10 000
     /// messages, none of which may be returned in its place; source 1's one
     /// message then comes back as `Ok`, and the flood stays queued in order.
-    fn a_wrong_source_flood_does_not_hide_the_awaited_message(receive: Receive) {
+    #[test]
+    fn recv_parked_on_one_source_ignores_another_sources_flood() {
         let mut boxes = Mailbox::full_mesh(3);
         let b2 = boxes.pop().unwrap();
         let b1 = boxes.pop().unwrap();
@@ -859,7 +826,7 @@ mod tests {
         let flood = 10_000u64;
         let mesh = Arc::clone(&b2.mesh);
         let receiver = thread::spawn(move || {
-            let got = receive(&b2, 1);
+            let got = b2.recv(1);
             (b2, got)
         });
         wait_until_parked(&mesh, 2, 1, &receiver);
@@ -877,14 +844,14 @@ mod tests {
     }
 
     /// PE 0 sends three messages to a parked PE 1 and hangs up: PE 1 gets
-    /// all three in order, then `Disconnected` — long before `LONG`.
-    fn a_mid_wait_hang_up_disconnects_after_the_queue_drains(receive: Receive) {
+    /// all three in order, then `Disconnected`.
+    #[test]
+    fn recv_reports_a_mid_wait_hang_up_after_the_queue_drains() {
         let mut boxes = Mailbox::full_mesh(2);
         let b1 = boxes.pop().unwrap();
         let b0 = boxes.pop().unwrap();
-        let start = Instant::now();
         let mesh = Arc::clone(&b1.mesh);
-        let receiver = thread::spawn(move || (0..4).map(|_| receive(&b1, 0)).collect::<Vec<_>>());
+        let receiver = thread::spawn(move || (0..4).map(|_| b1.recv(0)).collect::<Vec<_>>());
         wait_until_parked(&mesh, 1, 0, &receiver);
         for i in 0..3u64 {
             b0.send(1, Envelope::new(i, 0, i)).unwrap();
@@ -895,33 +862,12 @@ mod tests {
             assert_eq!(env.as_ref().unwrap().tag, i as Tag);
         }
         assert!(matches!(got[3], Err(CommError::Disconnected { from: 0 })));
-        assert!(start.elapsed() < LONG / 2, "the hang-up was not noticed");
     }
 
     #[test]
-    fn recv_deadline_times_out_on_a_live_silent_peer_no_earlier_than_the_window() {
-        let boxes = Mailbox::full_mesh(2);
-        let window = Duration::from_millis(50);
-        let start = Instant::now();
-        let err = boxes[1].recv_deadline(0, window).unwrap_err();
-        assert!(matches!(err, CommError::Timeout { from: 0 }));
-        assert!(start.elapsed() >= window, "timed out before the window");
-    }
-
-    #[test]
-    fn recv_deadline_parked_on_one_source_ignores_another_sources_flood() {
-        a_wrong_source_flood_does_not_hide_the_awaited_message(recv_long);
-    }
-
-    #[test]
-    fn recv_deadline_reports_a_mid_wait_hang_up_after_the_queue_drains() {
-        a_mid_wait_hang_up_disconnects_after_the_queue_drains(recv_long);
-    }
-
-    #[test]
-    fn recv_waits_out_a_silent_peer_ignores_a_flood_and_reports_a_hang_up() {
-        // A live peer that stays silent leaves `recv` parked, with no
-        // deadline to report instead; its later message wakes it.
+    fn recv_waits_out_a_silent_peer() {
+        // A live peer that stays silent leaves `recv` parked until its
+        // later message wakes it.
         let mut boxes = Mailbox::full_mesh(2);
         let b1 = boxes.pop().unwrap();
         let b0 = boxes.pop().unwrap();
@@ -930,8 +876,5 @@ mod tests {
         wait_until_parked(&mesh, 1, 0, &receiver);
         b0.send(1, Envelope::new(3, 0, 3u64)).unwrap();
         assert_eq!(receiver.join().unwrap().unwrap(), 3);
-
-        a_wrong_source_flood_does_not_hide_the_awaited_message(Mailbox::recv);
-        a_mid_wait_hang_up_disconnects_after_the_queue_drains(Mailbox::recv);
     }
 }

@@ -1,4 +1,5 @@
-//! One way to start a world: [`World`].
+//! One way to start a world: [`World`].  Its fault plan runs on the replay
+//! engine only; the threaded entry takes fault-free worlds.
 
 use std::time::Duration;
 
@@ -14,7 +15,7 @@ pub(crate) const STACK_SIZE: usize = 8 << 20;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// One OS thread per PE ([`World::threaded`]) — real concurrency and
-    /// wall-clock timings.
+    /// wall-clock timings; fault-free worlds only.
     Threaded,
     /// The replay engine inline on the calling thread ([`World::seq`]) — one
     /// deterministic schedule, no `Send` bounds.
@@ -67,15 +68,15 @@ macro_rules! run_on {
 }
 
 /// The configuration of one SPMD region on the §2 machine: `p` PEs, a
-/// [`FaultPlan`] (the empty plan — the default — is fault-free), the worker
-/// pool of the multiplexed driver and the detection window of the threaded
-/// backend's failure-detecting receives.  Each engine has exactly one entry,
+/// [`FaultPlan`] (the empty plan — the default — is fault-free) and the
+/// worker pool of the multiplexed driver.  Each engine has exactly one entry,
 /// a method named after its [`Backend`]: [`World::threaded`] (one OS thread
 /// per PE, [`Comm`](crate::Comm)), [`World::seq`] and [`World::mux`] (the
 /// replay engine inline or over a pool, [`MuxComm`](crate::MuxComm)).  All
 /// three return [`SpmdOutput<Option<T>>`]: `None` marks a PE the plan
 /// crash-stopped, and [`SpmdOutput::fault_free`] unwraps a run in which none
-/// did.
+/// did.  A non-empty plan runs on the replay engine only; the threaded
+/// entry refuses one.
 ///
 /// A closure has a single parameter type — `&Comm` on threads, `&MuxComm` on
 /// the replay engine — so no method can take one closure and pick the
@@ -87,7 +88,7 @@ macro_rules! run_on {
 ///
 /// // PE 3 crash-stops before its first send; the others finish.
 /// let world = World::new(4).with_faults(FaultPlan::new().crash_pe(3, 0));
-/// for backend in Backend::ALL {
+/// for backend in [Backend::Seq, Backend::Mux] {
 ///     let out = run_on!(backend, world, |comm| {
 ///         comm.send(comm.rank(), 1, 7u64);
 ///         comm.recv::<u64>(comm.rank(), 1)
@@ -104,7 +105,6 @@ pub struct World {
     pub(crate) num_workers: Option<usize>,
     /// The empty plan is fault-free.
     pub(crate) faults: FaultPlan,
-    pub(crate) recv_failable_window: Duration,
 }
 
 impl World {
@@ -114,7 +114,6 @@ impl World {
             num_pes,
             num_workers: None,
             faults: FaultPlan::new(),
-            recv_failable_window: crate::comm::DEFAULT_FAILABLE_WINDOW,
         }
     }
 
@@ -127,25 +126,12 @@ impl World {
         self
     }
 
-    /// Inject the fault schedule `plan` (see [`FaultPlan`]).  The empty
-    /// plan, the default, leaves a run bit-identical to one no fault hook
-    /// ever saw.
+    /// Inject the fault schedule `plan` (see [`FaultPlan`]) into a replay
+    /// run, [`World::seq`] or [`World::mux`].  The empty plan, the default,
+    /// leaves a run on any engine bit-identical to one no fault hook ever
+    /// saw.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// Override the wall-clock detection window of
-    /// [`crate::Communicator::recv_failable`] on the threaded backend under
-    /// a non-empty plan (fault-free runs use plain blocking receives; the
-    /// replay engine detects at quiescence).  The 250 ms default is far
-    /// above any scheduling hiccup this repo's test loads produce; slow CI
-    /// runners can widen it instead of flaking, and tests of the timeout
-    /// path shrink it to keep retries cheap.  Timeout verdicts are retryable
-    /// by contract, so the knob trades detection latency against spurious
-    /// retries — it cannot change what a correct protocol computes.
-    pub fn with_recv_failable_window(mut self, window: Duration) -> Self {
-        self.recv_failable_window = window;
         self
     }
 
@@ -207,12 +193,10 @@ mod tests {
     fn builder_sets_every_value() {
         let world = World::new(3)
             .with_workers(2)
-            .with_faults(FaultPlan::new().crash_pe(1, 0))
-            .with_recv_failable_window(Duration::from_millis(5));
+            .with_faults(FaultPlan::new().crash_pe(1, 0));
         assert_eq!(world.num_pes, 3);
         assert_eq!(world.num_workers, Some(2));
         assert_eq!(world.faults.events().len(), 1);
-        assert_eq!(world.recv_failable_window, Duration::from_millis(5));
         for backend in Backend::ALL {
             let out = run_on!(backend, World::new(3), |comm| comm.size());
             assert_eq!(out.fault_free().results, vec![3, 3, 3], "{backend:?}");

@@ -43,10 +43,10 @@ fn sentinels_bypass_the_panic_hook_and_user_panics_do_not() {
     assert_eq!(out.results[0], vec![6; 4]);
     assert_eq!(reported(), Vec::<String>::new(), "blocked receives");
 
-    // An injected crash-stop on all three backends: the victim unwinds with
-    // the `Crashed` sentinel, the survivor finishes.
+    // An injected crash-stop on both replay drivers: the victim unwinds
+    // with the `Crashed` sentinel, the survivor finishes.
     let world = World::new(2).with_faults(FaultPlan::new().crash_pe(1, 0));
-    for backend in Backend::ALL {
+    for backend in [Backend::Seq, Backend::Mux] {
         let out = run_on!(backend, world, send_to_peer);
         assert_eq!(out.results, vec![Some(()), None], "{}", backend.name());
     }
