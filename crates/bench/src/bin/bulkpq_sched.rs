@@ -12,7 +12,7 @@
 //! ```bash
 //! cargo run -p bench --release --bin bulkpq_sched -- \
 //!     [--max-pes 8] [--rounds 8] [--jobs 4096] [--batch 1024] \
-//!     [--reps 2] [--seed 7] [--backend threaded|seq|mux] [--json]
+//!     [--reps 2] [--seed 7] [--backend threaded|seq|mux]
 //! ```
 
 use bench::cli::Cli;
@@ -131,9 +131,6 @@ fn main() {
 
     table.print();
     println!("{}", table.to_markdown());
-    if args.json {
-        print!("{}", table.to_json_lines());
-    }
     println!(
         "Insertions are communication-free no matter how skewed the arrivals (the §5 \
          property); the flexible band halves the selection's communication rounds.\n\
@@ -151,7 +148,6 @@ struct Args {
     reps: usize,
     seed: u64,
     backend: Backend,
-    json: bool,
 }
 
 impl Args {
@@ -164,7 +160,6 @@ impl Args {
             reps: cli.value("--reps", 2),
             seed: cli.value("--seed", 7),
             backend: cli.value("--backend", Backend::Threaded),
-            json: cli.switch("--json"),
         };
         cli.finish();
         assert!(args.reps >= 1, "--reps must be at least 1");

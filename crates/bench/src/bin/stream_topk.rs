@@ -2,13 +2,13 @@
 //!
 //! Drives [`workloads::StreamService`] over a non-stationary synthetic
 //! document stream: topic drift rotates the Zipf rank → word mapping every
-//! `--drift-every` batches, and one flash-crowd burst spikes a tail word for
-//! `--burst-len` batches.  Every PE ingests `--words-per-batch` words per
-//! mini-batch, the service publishes a global top-k every `--refresh-every`
-//! batches through the DHT aggregation + `select_top_counts`' top-k merge,
-//! and a modeled Poisson stream of `--query-lambda` point queries per batch
-//! is answered between batches from the published snapshot, scored against
-//! the α/β cost model.
+//! [`DRIFT_EVERY`] batches, and one flash-crowd burst spikes a tail word for
+//! [`BURST_LEN`] batches from `--burst-start` on.  Every PE ingests
+//! `--words-per-batch` words per mini-batch, the service publishes a global
+//! top-k every `--refresh-every` batches through the DHT aggregation +
+//! `select_top_counts`' top-k merge, and a modeled Poisson stream of
+//! `--query-lambda` point queries per batch is answered between batches from
+//! the published snapshot, scored against the α/β cost model.
 //!
 //! Scored metrics: **p95 answer staleness** of those queries in globally
 //! ingested items, **words per ingested item** (world bottleneck
@@ -25,7 +25,7 @@
 //! crash-stops calibrated to batch boundaries: a fault-free calibration rep
 //! records every PE's cumulative send count per batch, so a victim's
 //! `at_send_count` lands it exactly at its first send — the membership
-//! probe — of the batch after `--crash-batch`.  `--delays D` extends the
+//! probe — of the batch after the middle one.  `--delays D` extends the
 //! sweep with message-delay runs (one-send-tick holds on D
 //! coordinator→member pairs — below the detection threshold, so staleness
 //! and availability must be unaffected) and `--drops D` with
@@ -37,14 +37,13 @@
 //! ```bash
 //! cargo run -p bench --release --bin stream_topk -- \
 //!     [--pes 8] [--batches 60] [--words-per-batch 500] [--vocab 2000] \
-//!     [--zipf 1.05] [--k 10] [--window 8] [--capacity 64] \
-//!     [--refresh-every 4] [--query-lambda 4] [--drift-every 10] \
-//!     [--drift-step 25] [--burst-start 30] [--burst-len 5] \
-//!     [--burst-rank 150] [--burst-intensity 0.4] [--reps 1] [--seed 42] \
-//!     [--backend threaded|seq|mux] [--json] [--replication 2] \
+//!     [--k 10] [--refresh-every 4] [--query-lambda 4] [--burst-start 30] \
+//!     [--reps 1] [--seed 42] [--backend threaded|seq|mux] [--replication 2] \
 //!     [--chaos] [--crashes 1] [--delays 0] [--drops 0] \
-//!     [--crash-batch 30] [--assert-available 1.0]
+//!     [--assert-available 1.0]
 //! ```
+//!
+//! The stream's shape and the service's sketch are the constants below.
 
 use bench::chaos::require_replay_backend;
 use bench::cli::Cli;
@@ -57,6 +56,23 @@ use workloads::{world_report, BatchReport, StreamConfig, StreamReport, StreamSer
 /// One PE's observable outcome of a full service run (summary report,
 /// per-batch reports, final published top-k).
 type PeOutcome = (StreamReport, Vec<BatchReport>, Vec<(String, u64)>);
+
+/// Zipf exponent of the synthetic corpus.
+const ZIPF: f64 = 1.05;
+/// Sliding-window length, in batches.
+const WINDOW: usize = 8;
+/// Counters per PE in the window's sketch.
+const SKETCH_CAPACITY: usize = 64;
+/// Batches between two topic-drift rotations.
+const DRIFT_EVERY: usize = 10;
+/// Ranks one topic-drift rotation shifts the rank → word mapping by.
+const DRIFT_STEP: usize = 25;
+/// Batches the flash-crowd burst lasts.
+const BURST_LEN: usize = 5;
+/// 1-based vocabulary rank of the burst word.
+const BURST_RANK: usize = 150;
+/// Share of each PE's words the burst word takes while it lasts.
+const BURST_INTENSITY: f64 = 0.4;
 
 /// One PE's full service run: a fresh service ingests `batches` mini-batches.
 fn serve<C: Communicator>(
@@ -82,8 +98,8 @@ fn main() {
     let p = args.pes;
     let config = StreamConfig {
         k: args.k,
-        window: args.window,
-        sketch_capacity: args.capacity,
+        window: WINDOW,
+        sketch_capacity: SKETCH_CAPACITY,
         refresh_every: args.refresh_every,
         words_per_batch: args.words_per_batch,
         seed: args.seed,
@@ -91,16 +107,16 @@ fn main() {
         query_lambda: args.query_lambda,
     };
     let profile = StreamProfile {
-        drift_every: args.drift_every,
-        drift_step: args.drift_step,
-        burst: (args.burst_len > 0).then_some(FlashCrowd {
+        drift_every: DRIFT_EVERY,
+        drift_step: DRIFT_STEP,
+        burst: Some(FlashCrowd {
             start: args.burst_start,
-            len: args.burst_len,
-            rank: args.burst_rank,
-            intensity: args.burst_intensity,
+            len: BURST_LEN,
+            rank: BURST_RANK,
+            intensity: BURST_INTENSITY,
         }),
     };
-    let corpus = TextCorpus::new(args.vocab, args.zipf, args.seed);
+    let corpus = TextCorpus::new(args.vocab, ZIPF, args.seed);
 
     println!(
         "Streaming top-{} service: {p} PEs x {} batches x {} words/batch, backend: {}",
@@ -120,21 +136,13 @@ fn main() {
         return;
     }
     println!(
-        "window {} batches, refresh every {}, drift every {} (+{} ranks), burst: {}",
-        args.window,
+        "window {WINDOW} batches, refresh every {}, drift every {DRIFT_EVERY} \
+         (+{DRIFT_STEP} ranks), burst: {:?} at batches {}..{} ({:.0}% of traffic)",
         args.refresh_every,
-        args.drift_every,
-        args.drift_step,
-        match profile.burst {
-            Some(b) => format!(
-                "{:?} at batches {}..{} ({:.0}% of traffic)",
-                corpus.word_for_rank(b.rank),
-                b.start,
-                b.start + b.len,
-                b.intensity * 100.0
-            ),
-            None => "none".to_string(),
-        }
+        corpus.word_for_rank(BURST_RANK),
+        args.burst_start,
+        args.burst_start + BURST_LEN,
+        BURST_INTENSITY * 100.0
     );
 
     let mut wall = std::time::Duration::ZERO;
@@ -220,11 +228,6 @@ fn main() {
 
     let queries = query_table(args.query_lambda, report);
     queries.print();
-    if args.json {
-        print!("{}", trace.to_json_lines());
-        print!("{}", summary.to_json_lines());
-        print!("{}", queries.to_json_lines());
-    }
 
     let top: Vec<String> = topk
         .iter()
@@ -279,7 +282,7 @@ fn query_table(lambda: f64, report: &StreamReport) -> Table {
 /// * `1..=--crashes` crash-stops, victims picked by
 ///   [`FaultPlan::seeded_crashes`] with `at_send_count` calibrated so every
 ///   victim dies at its first send (the membership probe) of the batch after
-///   `--crash-batch`;
+///   the middle one;
 /// * `--delays` runs that delay coordinator→member pairs by one send-tick —
 ///   below every retry budget, so no verdict changes and
 ///   staleness/availability/words must equal the baseline bit for bit;
@@ -305,10 +308,7 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
         args.drops < p,
         "--drops must leave at least one member besides the coordinator"
     );
-    let crash_batch = args
-        .crash_batch
-        .unwrap_or(args.batches / 2)
-        .min(args.batches.saturating_sub(2));
+    let crash_batch = (args.batches / 2).min(args.batches.saturating_sub(2));
     println!(
         "chaos: up to {} crash-stop(s) at the boundary of batch {} (victims die at \
          their first send of batch {})",
@@ -517,9 +517,6 @@ fn chaos(args: &Args, config: StreamConfig, profile: &StreamProfile, corpus: &Te
 
     sweep.print();
     println!("{}", sweep.to_markdown());
-    if args.json {
-        print!("{}", sweep.to_json_lines());
-    }
 }
 
 struct Args {
@@ -527,28 +524,18 @@ struct Args {
     batches: usize,
     words_per_batch: usize,
     vocab: usize,
-    zipf: f64,
     k: usize,
-    window: usize,
-    capacity: usize,
     refresh_every: usize,
-    drift_every: usize,
-    drift_step: usize,
     burst_start: usize,
-    burst_len: usize,
-    burst_rank: usize,
-    burst_intensity: f64,
     reps: usize,
     seed: u64,
     backend: Backend,
-    json: bool,
     replication: usize,
     query_lambda: f64,
     chaos: bool,
     crashes: usize,
     delays: usize,
     drops: usize,
-    crash_batch: Option<usize>,
     assert_available: Option<f64>,
 }
 
@@ -559,28 +546,18 @@ impl Args {
             batches: cli.value("--batches", 60),
             words_per_batch: cli.value("--words-per-batch", 500),
             vocab: cli.value("--vocab", 2000),
-            zipf: cli.value("--zipf", 1.05),
             k: cli.value("--k", 10),
-            window: cli.value("--window", 8),
-            capacity: cli.value("--capacity", 64),
             refresh_every: cli.value("--refresh-every", 4),
-            drift_every: cli.value("--drift-every", 10),
-            drift_step: cli.value("--drift-step", 25),
             burst_start: cli.value("--burst-start", 30),
-            burst_len: cli.value("--burst-len", 5),
-            burst_rank: cli.value("--burst-rank", 150),
-            burst_intensity: cli.value("--burst-intensity", 0.4),
             reps: cli.value("--reps", 1),
             seed: cli.value("--seed", 42),
             backend: cli.value("--backend", Backend::Threaded),
-            json: cli.switch("--json"),
             replication: cli.value("--replication", 0),
             query_lambda: cli.value("--query-lambda", 4.0),
             chaos: cli.switch("--chaos"),
             crashes: cli.value("--crashes", 1),
             delays: cli.value("--delays", 0),
             drops: cli.value("--drops", 0),
-            crash_batch: cli.optional("--crash-batch"),
             assert_available: cli.optional("--assert-available"),
         };
         cli.finish();
@@ -592,8 +569,8 @@ impl Args {
         assert!(args.reps >= 1, "--reps must be at least 1");
         assert!(args.batches >= 1, "--batches must be at least 1");
         assert!(
-            args.burst_rank <= args.vocab && args.burst_rank >= 1,
-            "--burst-rank must be a valid 1-based vocabulary rank"
+            BURST_RANK <= args.vocab,
+            "--vocab must cover the burst word's rank {BURST_RANK}"
         );
         args
     }

@@ -14,7 +14,7 @@
 //! cargo run -p bench --release --bin wordfreq_text -- \
 //!     [--pes 8] [--per-pe 15] [--vocab 4096] [--zipf 1.05] [--k 16] \
 //!     [--epsilon 0.03] [--reps 2] [--seed 42] [--text FILE] \
-//!     [--backend threaded|seq|mux] [--json] \
+//!     [--backend threaded|seq|mux] \
 //!     [--algo pac|ec|pec|naive|naive-tree|all|auto] [--plan-explain]
 //! ```
 //!
@@ -207,9 +207,6 @@ fn main() {
 
     table.print();
     println!("{}", table.to_markdown());
-    if args.json {
-        print!("{}", table.to_json_lines());
-    }
     println!(
         "words/PE bit-identical across {} repetitions on the {} backend — \
          reproducibility checked, not assumed.",
@@ -229,7 +226,6 @@ struct Args {
     seed: u64,
     text: Option<String>,
     backend: Backend,
-    json: bool,
     algo: AlgoChoice,
     plan_explain: bool,
 }
@@ -247,7 +243,6 @@ impl Args {
             seed: cli.value("--seed", 42),
             text: cli.optional("--text"),
             backend: cli.value("--backend", Backend::Threaded),
-            json: cli.switch("--json"),
             algo: cli.value("--algo", AlgoChoice::All),
             plan_explain: cli.switch("--plan-explain"),
         };

@@ -8,12 +8,12 @@
 //! ```
 //! use bench::cli::Cli;
 //!
-//! let mut cli = Cli::new(["--reps", "1", "--json", "--reps", "3"]);
+//! let mut cli = Cli::new(["--reps", "1", "--quick", "--reps", "3"]);
 //! let reps: usize = cli.value("--reps", 2);
 //! let seed: Option<u64> = cli.optional("--seed");
-//! let json = cli.switch("--json");
+//! let quick = cli.switch("--quick");
 //! cli.finish();
-//! assert_eq!((reps, seed, json), (3, None, true));
+//! assert_eq!((reps, seed, quick), (3, None, true));
 //! ```
 //!
 //! Argument errors panic, as everywhere in the bins: a flag no read asked
@@ -144,8 +144,8 @@ mod tests {
 
     #[test]
     fn a_switch_is_present_or_absent() {
-        let mut cli = Cli::new(["--json"]);
-        assert!(cli.switch("--json"));
+        let mut cli = Cli::new(["--quick"]);
+        assert!(cli.switch("--quick"));
         assert!(!cli.switch("--chaos"));
         cli.finish();
     }
@@ -165,8 +165,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown argument --no-such-flag")]
     fn an_unread_flag_is_unknown() {
-        let mut cli = Cli::new(["--json", "--no-such-flag"]);
-        cli.switch("--json");
+        let mut cli = Cli::new(["--quick", "--no-such-flag"]);
+        cli.switch("--quick");
         cli.finish();
     }
 }

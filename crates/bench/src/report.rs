@@ -88,50 +88,10 @@ impl Table {
         out
     }
 
-    /// Render as JSON Lines: one object per row, keyed by the column
-    /// headers.  All values are emitted as JSON strings (the tables mix
-    /// numbers with formatted durations), which keeps downstream plotting
-    /// scripts trivial: `jq -r '."words/PE"'`.
-    pub fn to_json_lines(&self) -> String {
-        let mut out = String::new();
-        for row in &self.rows {
-            out.push('{');
-            for (i, (header, cell)) in self.headers.iter().zip(row).enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_string(header));
-                out.push(':');
-                out.push_str(&json_string(cell));
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
-
     /// Print the text rendering to stdout.
     pub fn print(&self) {
         println!("{}", self.to_text());
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format a `Duration` with a stable, compact unit.
@@ -171,19 +131,6 @@ mod tests {
     fn mismatched_rows_are_rejected() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.add_row(vec!["1".into()]);
-    }
-
-    #[test]
-    fn json_lines_escape_and_key_by_header() {
-        let mut t = Table::new("demo", &["algorithm", "words/PE"]);
-        t.add_row(vec!["Naive \"Tree\"".into(), "42".into()]);
-        let json = t.to_json_lines();
-        assert_eq!(
-            json,
-            "{\"algorithm\":\"Naive \\\"Tree\\\"\",\"words/PE\":\"42\"}\n"
-        );
-        assert_eq!(json_string("a\nb"), "\"a\\nb\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -48,32 +48,6 @@ impl Comm {
             collective_seq: Cell::new(0),
         }
     }
-
-    /// Block for the next envelope from `src`, then open and meter it.  A
-    /// peer that hangs up first is a bug in a fault-free run, and panics.
-    fn recv_metered<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
-        let env = self
-            .mailbox
-            .recv(src)
-            .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
-        self.open_metered(env, src, expected)
-    }
-
-    /// Open a received envelope, meter it, and panic on transport-level
-    /// misuse (a wrong tag or payload type is a program bug in SPMD code).
-    fn open_metered<T: CommData>(
-        &self,
-        env: Envelope,
-        src: Rank,
-        expected: Option<Tag>,
-    ) -> (Tag, T) {
-        self.stats.pe(self.rank()).record_recv(env.words());
-        let (tag, _words, value) = env
-            .check_tag(expected)
-            .and_then(|()| env.open_pooled::<T>(Some(&self.pool)))
-            .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
-        (tag, value)
-    }
 }
 
 impl Communicator for Comm {
@@ -106,19 +80,16 @@ impl Communicator for Comm {
     }
 
     fn recv_raw<T: CommData>(&self, src: Rank, expected_tag: Tag) -> T {
-        self.recv_metered(src, Some(expected_tag)).1
-    }
-
-    fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
-        self.recv_metered(src, None)
-    }
-
-    fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
-        match self.mailbox.try_recv(src) {
-            Ok(Some(env)) => Some(self.open_metered(env, src, None)),
-            Ok(None) => None,
-            Err(e) => panic!("recv from {src}: {e}"),
-        }
+        // A peer that hangs up first is a bug in a fault-free run, and so is
+        // a wrong tag or payload type in SPMD code: all three panic.
+        let env = self
+            .mailbox
+            .recv(src)
+            .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
+        self.stats.pe(self.rank()).record_recv(env.words());
+        env.check_tag(expected_tag)
+            .and_then(|()| env.open_pooled::<T>(Some(&self.pool)))
+            .unwrap_or_else(|e| panic!("recv from {src}: {e}"))
     }
 }
 
@@ -191,37 +162,6 @@ mod tests {
         });
         // PE 0 ends each round on a receive, PE 1 on a send.
         assert_eq!(out.results, vec![vec![1; 10], vec![0; 10]]);
-    }
-
-    #[test]
-    fn recv_any_tag_returns_the_tag() {
-        let out = run_spmd(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 42, 5u64);
-                (0, 0)
-            } else {
-                let (tag, v): (Tag, u64) = comm.recv_any_tag(0);
-                (tag, v)
-            }
-        });
-        assert_eq!(out.results[1], (42, 5));
-    }
-
-    #[test]
-    fn try_recv_sees_nothing_then_something() {
-        let out = run_spmd(2, |comm| {
-            if comm.rank() == 0 {
-                // Nothing was sent to PE 0.
-                let nothing: Option<(Tag, u64)> = comm.try_recv(1);
-                comm.send(1, 3, 1u64);
-                nothing.is_none()
-            } else {
-                // Blocking receive guarantees the message is there.
-                let _: u64 = comm.recv(0, 3);
-                true
-            }
-        });
-        assert!(out.results.iter().all(|&b| b));
     }
 
     #[test]

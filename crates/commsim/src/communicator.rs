@@ -119,13 +119,22 @@ pub trait Communicator {
     /// [`Communicator::recv`] instead (see [`Communicator::send_raw`]).
     fn recv_raw<T: CommData>(&self, src: Rank, expected_tag: Tag) -> T;
 
-    /// Receive the next message from `src` regardless of tag, returning the
-    /// tag alongside the payload.
-    fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T);
+    /// Not part of the machine: §2 receives only the message it names, so
+    /// no backend implements a receive that accepts any tag, and this stub
+    /// panics.  It stays only because the benchmark package's `TraceComm`
+    /// and `Raw` (`benchmark/src/trace.rs`) still override it; the next
+    /// change to that package deletes the stub together with those
+    /// overrides.
+    fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
+        panic!("recv_any_tag from {src}: the machine has no probing receive")
+    }
 
-    /// Non-blocking probe-and-receive from `src`; returns `None` if no
-    /// message is currently queued.
-    fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)>;
+    /// Not part of the machine: §2 has no non-blocking probe, so no backend
+    /// implements one, and this stub panics.  It stays only for the same
+    /// overrides as [`Communicator::recv_any_tag`], and goes with them.
+    fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
+        panic!("try_recv from {src}: the machine has no probing receive")
+    }
 
     /// Failure-detecting receive: like [`Communicator::recv`], but instead of
     /// blocking forever on a peer that will never answer it returns

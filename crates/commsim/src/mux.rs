@@ -71,12 +71,12 @@
 //! need not be `Send`/`Sync`, set-up is the `O(p)` world and nothing else,
 //! and — one worker, one deterministic queue — the schedule is **fully
 //! deterministic**: the same `(rank, outcome)` execution sequence on every
-//! run, `try_recv` outcomes included.  It cannot hang: with a single worker
-//! `active` is 0 after every park and every completion, so the deadlock
-//! check runs each time and leaves a non-empty queue (a wake, a forced
-//! timeout), a finished world or a recorded failure.  Every iteration of
-//! the loop finds one of the three, so its `Condvar::wait` — the only place
-//! a worker can block — is never reached.
+//! run.  It cannot hang: with a single worker `active` is 0 after every park
+//! and every completion, so the deadlock check runs each time and leaves a
+//! non-empty queue (a wake, a forced timeout), a finished world or a
+//! recorded failure.  Every iteration of the loop finds one of the three, so
+//! its `Condvar::wait` — the only place a worker can block — is never
+//! reached.
 //!
 //! # Lazily materialised pair state
 //!
@@ -98,14 +98,7 @@
 //! (pinned by regression tests).  On a pool the scheduling order is *not*
 //! deterministic (workers race for tasks), but message matching per ordered
 //! pair is FIFO by index, so deterministic closures produce identical
-//! results and identical traffic regardless of the schedule.  One caveat:
-//! [`Communicator::try_recv`] outcomes depend on arrival timing on a pool
-//! (as on the threaded backend); first-execution outcomes are recorded in
-//! a decision log and replayed verbatim so each task stays internally
-//! consistent.  A **busy-poll loop** of empty probes with no blocking
-//! receive in between never yields to the scheduler — inline, and on a
-//! pool with every worker spinning, the awaited sender never runs — so
-//! it is cut off with a panic after [`BUSY_POLL_LIMIT`] probes.
+//! results and identical traffic regardless of the schedule.
 //!
 //! A blocked receive that no send can ever satisfy is reported as a
 //! deadlock with who-waits-on-whom diagnostics: when every task is either
@@ -168,7 +161,7 @@ pub(crate) fn unwind_with<S: Send + 'static>(sentinel: S) -> ! {
     panic::resume_unwind(Box::new(sentinel))
 }
 
-/// How a probed message looks to its receiver right now.
+/// How the message at a receive cursor looks to its receiver right now.
 enum Avail {
     /// Present and (if the pair is delayed) released for delivery.
     Ready,
@@ -178,12 +171,6 @@ enum Avail {
     /// no message at this index.
     Dead,
 }
-
-/// Empty `try_recv` probes tolerated without an intervening successful
-/// receive before the run is declared a busy-poll livelock (a spinning
-/// task never yields to the scheduler, so with every worker spinning — or
-/// inline — the sender it waits for never runs).
-const BUSY_POLL_LIMIT: u64 = 1 << 20;
 
 /// One line of the deadlock dump's per-pair wait map — who waits on whom,
 /// the pair's production status and the peer's liveness, so a fault-induced
@@ -245,8 +232,6 @@ struct TaskState {
     /// Messages sent plus received by this task's furthest execution — its
     /// position in the program, and the ready queue's primary key.
     progress: u64,
-    /// `try_recv` decision log (recorded once, replayed verbatim).
-    try_log: Vec<bool>,
     /// Forced-`Timeout` verdicts for `recv_failable`, by failable-call
     /// index (written by the stall resolver, replayed verbatim).
     timeout_log: Vec<bool>,
@@ -349,7 +334,6 @@ impl MuxWorld {
             ready.push(TaskState {
                 rank,
                 progress: 0,
-                try_log: Vec::new(),
                 timeout_log: Vec::new(),
             });
         }
@@ -500,14 +484,6 @@ pub struct MuxComm {
     send_cursor: RefCell<HashMap<Rank, usize>>,
     /// Next receive index per source (this execution).
     recv_cursor: RefCell<HashMap<Rank, usize>>,
-    /// Index of the next `try_recv` call into the decision log.
-    try_calls: Cell<usize>,
-    /// This task's `try_recv` decision log (moved in/out around each
-    /// execution by the worker).
-    try_log: RefCell<Vec<bool>>,
-    /// Freshly recorded empty `try_recv` probes since the last successful
-    /// receive — the busy-poll cut-off (see [`BUSY_POLL_LIMIT`]).
-    empty_probe_streak: Cell<u64>,
     /// Send operations performed this execution; drives the `CrashPe`
     /// trigger and the `DelayPair` release clock.  Only maintained under a
     /// fault plan.
@@ -515,21 +491,18 @@ pub struct MuxComm {
     /// Index of the next `recv_failable` call into the timeout log.
     failable_calls: Cell<usize>,
     /// This task's forced-`Timeout` verdict log (moved in/out around each
-    /// execution by the worker, like `try_log`).
+    /// execution by the worker).
     timeout_log: RefCell<Vec<bool>>,
 }
 
 impl MuxComm {
-    fn new(world: Arc<MuxWorld>, rank: Rank, try_log: Vec<bool>, timeout_log: Vec<bool>) -> Self {
+    fn new(world: Arc<MuxWorld>, rank: Rank, timeout_log: Vec<bool>) -> Self {
         MuxComm {
             world,
             rank,
             collective_seq: Cell::new(0),
             send_cursor: RefCell::new(HashMap::new()),
             recv_cursor: RefCell::new(HashMap::new()),
-            try_calls: Cell::new(0),
-            try_log: RefCell::new(try_log),
-            empty_probe_streak: Cell::new(0),
             send_ops: Cell::new(0),
             failable_calls: Cell::new(0),
             timeout_log: RefCell::new(timeout_log),
@@ -567,9 +540,9 @@ impl MuxComm {
     fn fetch_next<T: CommData>(
         &self,
         src: Rank,
-        expected: Option<Tag>,
+        expected: Tag,
         failable: Option<usize>,
-    ) -> CommResult<(Tag, T)> {
+    ) -> CommResult<T> {
         let idx = self.effective_idx(src);
         let decoded = {
             let shard = lock(&self.world.shards[self.rank]);
@@ -585,17 +558,16 @@ impl MuxComm {
                         .check_tag(expected)
                         .and_then(|()| env.decode::<T>())
                         .unwrap_or_else(|e| panic!("recv from {src}: {e}"));
-                    Some((env.tag, value))
+                    Some(value)
                 }
                 Avail::NotYet => None,
                 Avail::Dead => return Err(CommError::PeerDead { rank: src }),
             }
         };
         match decoded {
-            Some(result) => {
+            Some(value) => {
                 self.recv_cursor.borrow_mut().insert(src, idx + 1);
-                self.empty_probe_streak.set(0);
-                Ok(result)
+                Ok(value)
             }
             // The shard lock is released before the sentinel unwinds (the
             // scheduler re-locks the shard to re-check and park).
@@ -606,14 +578,6 @@ impl MuxComm {
                 failable,
             }),
         }
-    }
-
-    /// [`MuxComm::fetch_next`] for a plain receive, which cannot handle a
-    /// peer crash: fail fast with a descriptive panic instead.
-    fn take_next<T: CommData>(&self, src: Rank, expected: Option<Tag>) -> (Tag, T) {
-        self.fetch_next(src, expected, None).unwrap_or_else(|err| {
-            panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)")
-        })
     }
 }
 
@@ -737,59 +701,12 @@ impl Communicator for MuxComm {
 
     fn recv_raw<T: CommData>(&self, src: Rank, expected_tag: Tag) -> T {
         self.check_rank(src, "recv from");
-        self.take_next(src, Some(expected_tag)).1
-    }
-
-    fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
-        self.check_rank(src, "recv from");
-        self.take_next(src, None)
-    }
-
-    fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
-        self.check_rank(src, "try_recv from");
-        let call = self.try_calls.get();
-        self.try_calls.set(call + 1);
-        let decision = {
-            let mut log = self.try_log.borrow_mut();
-            if call < log.len() {
-                // Replay: keep this execution consistent with the one
-                // that recorded the decision, whatever has arrived since.
-                log[call]
-            } else {
-                let idx = self.effective_idx(src);
-                let available = {
-                    let shard = lock(&self.world.shards[self.rank]);
-                    matches!(
-                        self.world.availability(&shard, self.rank, src, idx),
-                        Avail::Ready
-                    )
-                };
-                log.push(available);
-                if !available {
-                    let streak = self.empty_probe_streak.get() + 1;
-                    self.empty_probe_streak.set(streak);
-                    assert!(
-                        streak <= BUSY_POLL_LIMIT,
-                        "PE {}: {streak} consecutive empty try_recv probes without \
-                         a successful receive — a busy-poll loop never yields to \
-                         the replay scheduler, so the sender it waits for may never \
-                         run; use a blocking recv between probes, or run on the \
-                         threaded backend (run_spmd)",
-                        self.rank
-                    );
-                }
-                available
-            }
-        };
-        if decision {
-            // The message is in the permanent store (a logged `true` can
-            // never become stale — delay release is monotone too), so this
-            // cannot park.
-            let (tag, value) = self.take_next(src, None);
-            Some((tag, value))
-        } else {
-            None
-        }
+        // A plain receive cannot handle a peer crash: fail fast with a
+        // descriptive panic instead.
+        self.fetch_next(src, expected_tag, None)
+            .unwrap_or_else(|err| {
+                panic!("recv from {src}: {err} (use recv_failable to handle peer crashes)")
+            })
     }
 
     fn recv_failable<T: CommData>(&self, src: Rank, tag: Tag) -> CommResult<T> {
@@ -809,8 +726,7 @@ impl Communicator for MuxComm {
         if forced {
             return Err(CommError::Timeout { from: src });
         }
-        self.fetch_next(src, Some(tag), Some(call))
-            .map(|(_, value)| value)
+        self.fetch_next(src, tag, Some(call))
     }
 }
 
@@ -845,11 +761,9 @@ where
         let comm = MuxComm::new(
             Arc::clone(world),
             rank,
-            std::mem::take(&mut task.try_log),
             std::mem::take(&mut task.timeout_log),
         );
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(&comm)));
-        task.try_log = comm.try_log.into_inner();
         task.timeout_log = comm.timeout_log.into_inner();
         // Replays are deterministic, so an execution never ends before the
         // previous one did and this only grows.
@@ -884,7 +798,7 @@ where
                     // Re-check under the shard lock: the message may have
                     // arrived (or a held-back one been released) between
                     // the abort and now, in which case the task is
-                    // immediately runnable again.  The probe must be the
+                    // immediately runnable again.  The check must be the
                     // fault-aware one — a present-but-delayed message is
                     // NOT arrived, or the task would requeue-spin.
                     let arrived =
@@ -1246,7 +1160,6 @@ mod tests {
             ready.push(TaskState {
                 rank,
                 progress,
-                try_log: Vec::new(),
                 timeout_log: Vec::new(),
             });
         }
@@ -1406,104 +1319,6 @@ mod tests {
     }
 
     #[test]
-    fn busy_poll_loops_are_detected_instead_of_hanging() {
-        // On the threaded backend this spin loop would terminate (the
-        // sender runs concurrently); with no second worker to run the
-        // sender it must be diagnosed.
-        for msg in panic_messages(2, 1, |comm| {
-            if comm.rank() == 0 {
-                while comm.try_recv::<u64>(1).is_none() {}
-            } else {
-                comm.send(0, 1, 7u64);
-            }
-        }) {
-            assert!(msg.contains("busy-poll"), "got: {msg}");
-            assert!(msg.contains("run on the threaded backend (run_spmd)"));
-        }
-    }
-
-    #[test]
-    fn try_recv_decisions_replay_consistently() {
-        // PE 1 probes (logging a decision), then blocks on a real recv
-        // (parking + replaying the probe), then probes again.
-        for (driver, out) in on_both_drivers(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 5, 77u64);
-                0
-            } else {
-                let mut polled = 0u64;
-                while comm.try_recv::<u64>(0).is_none() {
-                    polled += 1;
-                    if polled > 3 {
-                        // Fall back to blocking; the logged empty probes
-                        // replay verbatim after the park.
-                        let v: u64 = comm.recv(0, 5);
-                        return v;
-                    }
-                }
-                // First probe already saw the message.
-                77
-            }
-        }) {
-            assert_eq!(out.results[1], 77, "{driver}");
-        }
-    }
-
-    #[test]
-    fn try_recv_then_blocking_recv_sees_every_message_in_order() {
-        for (driver, out) in on_both_drivers(2, |comm| {
-            if comm.rank() == 0 {
-                // Whatever the recorded probe decisions are, the blocking
-                // receive afterwards must still see both messages in order.
-                let mut got = Vec::new();
-                while got.len() < 2 {
-                    if let Some((_tag, v)) = comm.try_recv::<u64>(1) {
-                        got.push(v);
-                    } else {
-                        // Force a park: block on the guaranteed recv.
-                        let v: u64 = comm.recv(1, 1);
-                        got.push(v);
-                    }
-                }
-                got
-            } else {
-                comm.send(0, 1, 7u64);
-                comm.send(0, 1, 8u64);
-                vec![]
-            }
-        }) {
-            assert_eq!(out.results[0], vec![7, 8], "{driver}");
-        }
-    }
-
-    /// A probe-then-block pattern (the supported shape of `try_recv`): PE 0
-    /// collects eight messages from PE 1, probing before every blocking
-    /// receive.
-    fn probe_then_block(comm: &MuxComm) -> Vec<u64> {
-        if comm.rank() == 0 {
-            (0..8)
-                .map(|_| match comm.try_recv::<u64>(1) {
-                    Some((_tag, v)) => v,
-                    None => comm.recv(1, 1),
-                })
-                .collect()
-        } else {
-            for i in 0..8u64 {
-                comm.send(0, 1, i);
-            }
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn one_shot_probes_interleaved_with_blocking_recvs_still_work() {
-        // Completes and sees every message exactly once.
-        for (driver, out) in on_both_drivers(2, probe_then_block) {
-            assert_eq!(out.results[0], (0..8).collect::<Vec<u64>>(), "{driver}");
-        }
-    }
-
-    #[test]
     fn world_construction_is_lazy() {
         // Two PEs out of 4096 talk; the run must not materialise state for
         // the silent pairs (this is a smoke test that big-p worlds are
@@ -1551,14 +1366,19 @@ mod tests {
     #[test]
     fn inline_schedule_is_fully_deterministic() {
         // The `(rank, completed?)` sequence of every closure execution,
-        // recorded through a capture no pool could accept.  With probes in
-        // the program, equality holds only if nothing races: one thread, one
-        // queue order.
+        // recorded through a capture no pool could accept.  PE 0 parks on
+        // its first blocking receive from PE 1; equality across runs holds
+        // only if nothing races: one thread, one queue order.
         let trace = || {
             let log = Rc::new(RefCell::new(Vec::new()));
             let out = run_spmd_seq(2, |comm| {
                 log.borrow_mut().push((comm.rank(), false));
-                let got = probe_then_block(comm);
+                let got: Vec<u64> = if comm.rank() == 0 {
+                    (0..8).map(|_| comm.recv(1, 1)).collect()
+                } else {
+                    (0..8u64).for_each(|i| comm.send(0, 1, i));
+                    Vec::new()
+                };
                 log.borrow_mut().last_mut().expect("pushed above").1 = true;
                 got
             });

@@ -168,21 +168,6 @@ pub enum RecoveryError {
         /// The underlying transport error.
         source: CommError,
     },
-    /// A membership receive exhausted its timeout budget without a
-    /// definitive verdict.  [`Membership::round`] reads this, like
-    /// [`RecoveryError::PeerDead`], as the peer's death, so only
-    /// [`RecoveryError::Protocol`] reaches its caller.
-    RetriesExhausted {
-        /// Peer that kept timing out.
-        from: Rank,
-        /// Number of consecutive timeouts tolerated before giving up.
-        retries: usize,
-    },
-    /// A membership receive got the definitive dead-peer verdict.
-    PeerDead {
-        /// The crashed peer.
-        rank: Rank,
-    },
 }
 
 impl fmt::Display for RecoveryError {
@@ -193,15 +178,24 @@ impl fmt::Display for RecoveryError {
                 during,
                 source,
             } => write!(f, "membership {during} from {from}: {source}"),
-            RecoveryError::RetriesExhausted { from, retries } => {
-                write!(f, "receive from {from} exhausted {retries} retries")
-            }
-            RecoveryError::PeerDead { rank } => write!(f, "peer {rank} is dead"),
         }
     }
 }
 
 impl std::error::Error for RecoveryError {}
+
+/// Why [`Membership::recv_with_retry`] got no message.  A dead peer and a
+/// peer silent past the budget both read as the peer's death in
+/// [`Membership::round`]; only a protocol violation reaches its caller.
+#[derive(Debug)]
+enum Unanswered {
+    /// The definitive [`CommError::PeerDead`] verdict.
+    Dead,
+    /// [`CommError::Timeout`] past the retry budget.
+    Silent,
+    /// Any other transport error.
+    Protocol(RecoveryError),
+}
 
 /// The heartbeat/rotating-coordinator membership protocol, extracted from
 /// the streaming service so any workload — batch or streaming — can agree on
@@ -299,9 +293,9 @@ impl Membership {
                         "heartbeat",
                     ) {
                         Ok(suspicion) => dead.union(&suspicion),
-                        Err(e @ RecoveryError::Protocol { .. }) => return Err(e),
+                        Err(Unanswered::Protocol(e)) => return Err(e),
                         // Dead, or silent past the budget: out either way.
-                        Err(_) => dead.set(r),
+                        Err(Unanswered::Dead | Unanswered::Silent) => dead.set(r),
                     }
                 }
                 let group: Vec<Rank> = presumed
@@ -334,8 +328,8 @@ impl Membership {
                 "verdict",
             ) {
                 Ok(words) => Some(RankMask::from_words(words)),
-                Err(e @ RecoveryError::Protocol { .. }) => return Err(e),
-                Err(_) => None,
+                Err(Unanswered::Protocol(e)) => return Err(e),
+                Err(Unanswered::Dead | Unanswered::Silent) => None,
             };
             match verdict {
                 Some(mask) => {
@@ -367,11 +361,10 @@ impl Membership {
 
     /// A failure-detecting receive with a bounded timeout budget: retries
     /// [`CommError::Timeout`] up to `retries` times (each one counted in
-    /// [`Membership::timeouts_observed`]), then gives up with
-    /// [`RecoveryError::RetriesExhausted`]; a definitive
-    /// [`CommError::PeerDead`] becomes [`RecoveryError::PeerDead`] at once,
-    /// and any other error a [`RecoveryError::Protocol`] failure of step
-    /// `during`.
+    /// [`Membership::timeouts_observed`]), then gives up as
+    /// [`Unanswered::Silent`]; a definitive [`CommError::PeerDead`] is
+    /// [`Unanswered::Dead`] at once, and any other error a
+    /// [`RecoveryError::Protocol`] failure of step `during`.
     fn recv_with_retry<C: Communicator, T: CommData>(
         &mut self,
         comm: &C,
@@ -379,25 +372,25 @@ impl Membership {
         tag: Tag,
         retries: usize,
         during: &'static str,
-    ) -> Result<T, RecoveryError> {
+    ) -> Result<T, Unanswered> {
         let mut timeouts = 0;
         loop {
             match comm.recv_failable::<T>(src, tag) {
                 Ok(v) => return Ok(v),
-                Err(CommError::PeerDead { rank }) => return Err(RecoveryError::PeerDead { rank }),
+                Err(CommError::PeerDead { .. }) => return Err(Unanswered::Dead),
                 Err(CommError::Timeout { .. }) => {
                     self.timeouts += 1;
                     timeouts += 1;
                     if timeouts > retries {
-                        return Err(RecoveryError::RetriesExhausted { from: src, retries });
+                        return Err(Unanswered::Silent);
                     }
                 }
                 Err(source) => {
-                    return Err(RecoveryError::Protocol {
+                    return Err(Unanswered::Protocol(RecoveryError::Protocol {
                         from: src,
                         during,
                         source,
-                    });
+                    }));
                 }
             }
         }
@@ -733,7 +726,7 @@ mod tests {
             if comm.rank() == 0 {
                 let res = m.recv_with_retry::<_, u64>(comm, 1, 7, 2, "test");
                 comm.send(1, 8, 1u64);
-                format!("{res:?}")
+                format!("{res:?} after {} timeouts", m.timeouts_observed())
             } else {
                 comm.send(0, 7, 42u64); // dropped
                 let fin = m
@@ -744,7 +737,7 @@ mod tests {
         });
         assert_eq!(
             out.results[0],
-            Some("Err(RetriesExhausted { from: 1, retries: 2 })".to_string())
+            Some("Err(Silent) after 3 timeouts".to_string())
         );
         assert_eq!(out.results[1], Some("got 1".to_string()));
     }

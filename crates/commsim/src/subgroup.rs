@@ -141,14 +141,6 @@ impl<C: Communicator> Communicator for SubComm<'_, C> {
         self.parent.recv_raw(self.world_rank(src), expected_tag)
     }
 
-    fn recv_any_tag<T: CommData>(&self, src: Rank) -> (Tag, T) {
-        self.parent.recv_any_tag(self.world_rank(src))
-    }
-
-    fn try_recv<T: CommData>(&self, src: Rank) -> Option<(Tag, T)> {
-        self.parent.try_recv(self.world_rank(src))
-    }
-
     fn recv_failable<T: CommData>(&self, src: Rank, tag: Tag) -> crate::CommResult<T> {
         // Translate the rank both ways: the parent reports errors in world
         // ranks, the caller thinks in group ranks — keep world ranks, they

@@ -165,16 +165,16 @@ impl Envelope {
         self.buf.len()
     }
 
-    /// `Err(TagMismatch)` unless the message carries the `expected` tag
-    /// (`None` accepts any tag).
-    pub fn check_tag(&self, expected: Option<Tag>) -> CommResult<()> {
-        match expected {
-            Some(expected) if expected != self.tag => Err(CommError::TagMismatch {
+    /// `Err(TagMismatch)` unless the message carries the `expected` tag.
+    pub fn check_tag(&self, expected: Tag) -> CommResult<()> {
+        if expected == self.tag {
+            Ok(())
+        } else {
+            Err(CommError::TagMismatch {
                 expected,
                 got: self.tag,
                 from: self.from,
-            }),
-            _ => Ok(()),
+            })
         }
     }
 
@@ -197,22 +197,18 @@ impl Envelope {
     }
 
     /// Recover the payload, failing if the stored type differs.
-    pub fn open<T: CommData>(self) -> CommResult<(Tag, usize, T)> {
+    pub fn open<T: CommData>(self) -> CommResult<T> {
         self.open_pooled::<T>(None)
     }
 
     /// Like [`Envelope::open`], but parks the spent buffer in `pool` so the
     /// receiver's next sends can reuse its capacity.
-    pub(crate) fn open_pooled<T: CommData>(
-        self,
-        pool: Option<&BufferPool>,
-    ) -> CommResult<(Tag, usize, T)> {
+    pub(crate) fn open_pooled<T: CommData>(self, pool: Option<&BufferPool>) -> CommResult<T> {
         let value = self.decode::<T>()?;
-        let (tag, words) = (self.tag, self.words());
         if let Some(pool) = pool {
             pool.put(self.buf);
         }
-        Ok((tag, words, value))
+        Ok(value)
     }
 }
 
@@ -474,9 +470,8 @@ mod tests {
         let env = Envelope::new(7, 3, vec![1u64, 2, 3]);
         assert_eq!(env.words(), 4);
         assert_eq!(env.from, 3);
-        let (tag, words, v): (Tag, usize, Vec<u64>) = env.open().unwrap();
-        assert_eq!(tag, 7);
-        assert_eq!(words, 4);
+        assert_eq!(env.tag, 7);
+        let v: Vec<u64> = env.open().unwrap();
         assert_eq!(v, vec![1, 2, 3]);
     }
 
@@ -540,14 +535,14 @@ mod tests {
         let env = Envelope::encode(1, 0, vec![1u64, 2, 3], Some(&pool));
         let first = env.buf.as_ptr();
         // Open returns the buffer to the pool.
-        let (_, _, v): (_, _, Vec<u64>) = env.open_pooled(Some(&pool)).unwrap();
+        let v: Vec<u64> = env.open_pooled(Some(&pool)).unwrap();
         assert_eq!(v, vec![1, 2, 3]);
         assert_eq!(pool.parked(), 1);
         // The next send encodes into that very buffer.
         let env = Envelope::encode(1, 0, vec![4u64], Some(&pool));
         assert_eq!(env.buf.as_ptr(), first);
         assert_eq!(pool.parked(), 0);
-        let (_, _, v): (_, _, Vec<u64>) = env.open_pooled(Some(&pool)).unwrap();
+        let v: Vec<u64> = env.open_pooled(Some(&pool)).unwrap();
         assert_eq!(v, vec![4]);
     }
 
@@ -606,7 +601,7 @@ mod tests {
         let b0 = boxes.pop().unwrap();
         b0.send(1, Envelope::new(0, 0, 99u64)).unwrap();
         let env = b1.recv(0).unwrap();
-        let (_, _, v): (_, _, u64) = env.open().unwrap();
+        let v: u64 = env.open().unwrap();
         assert_eq!(v, 99);
     }
 
@@ -674,7 +669,7 @@ mod tests {
                             let env = b.recv(src).unwrap();
                             assert_eq!(env.from, src, "messages must come from queue owner");
                             assert_eq!(env.tag, i, "per-source FIFO order violated");
-                            let (_, _, v): (_, _, u64) = env.open().unwrap();
+                            let v: u64 = env.open().unwrap();
                             assert_eq!(v, (src as u64) << 32 | i);
                         }
                     }
@@ -725,7 +720,7 @@ mod tests {
         for i in 0..n {
             let env = b1.recv(0).unwrap();
             assert_eq!(env.tag, i);
-            let (_, _, v): (_, _, u64) = env.open().unwrap();
+            let v: u64 = env.open().unwrap();
             assert_eq!(v, i);
         }
         assert!(b1.try_recv(0).unwrap().is_none());
@@ -796,7 +791,7 @@ mod tests {
         let b0 = boxes.pop().unwrap();
         let t = thread::spawn(move || {
             let env = b1.recv(0).unwrap();
-            let (_, _, v): (_, _, u64) = env.open().unwrap();
+            let v: u64 = env.open().unwrap();
             v * 2
         });
         b0.send(1, Envelope::new(0, 0, 21u64)).unwrap();

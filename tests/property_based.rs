@@ -974,7 +974,7 @@ proptest! {
                             let env = b.recv(src).unwrap();
                             assert_eq!(env.from, src, "message from the wrong queue");
                             assert_eq!(env.tag, i, "per-pair FIFO order violated");
-                            let (_, _, v): (_, _, u64) = env.open().unwrap();
+                            let v: u64 = env.open().unwrap();
                             assert_eq!(v, ((src as u64) << 32) | i, "payload corrupted");
                         }
                         // Nothing beyond the schedule may be queued.  The
